@@ -10,6 +10,12 @@
 // internal/ (see DESIGN.md for the map) and the runnable entry points
 // under cmd/ and examples/.
 //
+// The §4.3 optimizer is one branch-and-bound on the true plan cost
+// (internal/core) over one CP model (internal/cp), raced by a
+// portfolio of diverse workers that each build their own model and
+// share the incumbent bound; a sequential solve is a portfolio of one
+// (DESIGN.md §2).
+//
 // Beyond the paper, the daemon grows a control plane: `entropyd
 // -listen :8080` mounts the HTTP operator surface of internal/api
 // (DESIGN.md §7) — live configuration, executing plan with per-action

@@ -33,8 +33,10 @@ func traceTestbed(t *testing.T, nodes, cpu, mem int) (*testbed, *obs.Tracer) {
 // loop has to migrate away, producing spans across the pipeline.
 func (b *testbed) churn(t *testing.T) {
 	t.Helper()
-	b.place("ja", 2, 2, 1024, []string{"node000", "node000"})
+	// Under the lock from the first write: scrapers may already be
+	// reading the configuration (TestConcurrentScrapesDuringChurn).
 	b.locked(func() {
+		b.place("ja", 2, 2, 1024, []string{"node000", "node000"})
 		b.loop.Notify(b.act, core.Event{
 			Kind: core.VMArrival, At: b.c.Now(),
 			VMs: []string{"ja-vm0", "ja-vm1"}, Nodes: []string{"node000"},

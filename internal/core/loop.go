@@ -243,27 +243,70 @@ func (l *Loop) closeCause(a Actuator) {
 	l.Trace.SetCause(0)
 }
 
-// recordSolve folds one optimizer invocation into the solver
-// telemetry: what ran (scope), why (the episode's opening event kind
-// and reconfig span ID), who won and what the search cost. Guarded by
-// the caller on l.Solver != nil, so the disabled path never builds a
+// solve is the loop's one optimizer invocation: it warm-starts opt
+// from the last incumbent assignment, counts the call, wraps it in a
+// solve span and folds the result into the solver telemetry — what ran
+// (scope: "full" or "slice"), why (the episode's opening event kind
+// and reconfig span ID), who won and what the search cost. Both sinks
+// are guarded, so the disabled path reads no clock and builds no
 // report.
-func (l *Loop) recordSolve(scope string, res *Result, warm bool, wall float64) {
-	l.Solver.RecordSolve(SolveReport{
-		Virt:        l.nowVirt,
-		Scope:       scope,
-		Cause:       l.causeKind,
-		CauseID:     l.causeSpan.ID(),
-		Winner:      res.Winner,
-		Cost:        res.Cost,
-		Nodes:       res.Nodes,
-		Backtracks:  res.Fails,
-		WarmStart:   warm,
-		WarmHit:     res.WarmHit,
-		Workers:     res.Outcomes,
-		Trajectory:  res.Trajectory,
-		WallSeconds: wall,
-	})
+func (l *Loop) solve(scope string, opt Optimizer, p Problem) (*Result, error) {
+	l.Stats.SolverCalls++
+	opt.WarmStart = l.lastDst
+	warm := opt.WarmStart != nil
+	sp := l.Trace.Start(obs.KindSolve, scope, l.nowVirt)
+	var t0 time.Time
+	if l.Solver != nil {
+		t0 = time.Now()
+	}
+	res, err := opt.SolveContext(l.ctx(), p)
+	if err != nil {
+		sp.SetOutcome("error")
+		sp.End(l.nowVirt)
+		return nil, err
+	}
+	sp.SetSolve(float64(res.Cost), max(res.Partitions, 1), warm)
+	sp.SetSearch(res.Winner, res.Nodes, res.Fails, res.WarmHit)
+	sp.End(l.nowVirt)
+	if l.Solver != nil {
+		l.Solver.RecordSolve(SolveReport{
+			Virt:        l.nowVirt,
+			Scope:       scope,
+			Cause:       l.causeKind,
+			CauseID:     l.causeSpan.ID(),
+			Winner:      res.Winner,
+			Cost:        res.Cost,
+			Nodes:       res.Nodes,
+			Backtracks:  res.Fails,
+			WarmStart:   warm,
+			WarmHit:     res.WarmHit,
+			Workers:     res.Outcomes,
+			Trajectory:  res.Trajectory,
+			WallSeconds: time.Since(t0).Seconds(),
+		})
+	}
+	return res, nil
+}
+
+// solveFull solves the whole cluster and acts on the answer: the plan
+// executes, or — when it is empty — the round rests. On a failed solve
+// (expired budget before any solution, transient unviability) the wake
+// is closed and the error returned: how to retry is the caller's call.
+func (l *Loop) solveFull(a Actuator, p Problem) error {
+	res, err := l.solve("full", l.Optimizer, p)
+	if err != nil {
+		l.endWake(a, false)
+		return err
+	}
+	l.Stats.SubSolves += max(res.Partitions, 1)
+	l.lastDst = res.Dst
+	if res.Plan.NumActions() == 0 {
+		l.endWake(a, false)
+		l.next(a)
+		return nil
+	}
+	l.execute(a, res, 0)
+	return nil
 }
 
 // Stop halts the loop after the current iteration; a pending in-flight
@@ -408,60 +451,16 @@ func (l *Loop) iterate(a Actuator) {
 		l.next(a)
 		return
 	}
-	l.Stats.SolverCalls++
-	opt := l.Optimizer
-	opt.WarmStart = l.lastDst
-	sp := l.Trace.Start(obs.KindSolve, "full", l.nowVirt)
-	var t0 time.Time
-	if l.Solver != nil {
-		t0 = time.Now()
-	}
-	res, err := opt.SolveContext(l.ctx(), p)
-	if err == nil {
-		sp.SetSolve(float64(res.Cost), maxInt(res.Partitions, 1), opt.WarmStart != nil)
-		sp.SetSearch(res.Winner, res.Nodes, res.Fails, res.WarmHit)
-		if l.Solver != nil {
-			l.recordSolve("full", res, opt.WarmStart != nil, time.Since(t0).Seconds())
-		}
-	} else {
-		sp.SetOutcome("error")
-	}
-	sp.End(l.nowVirt)
-	if err != nil || res.Plan.NumActions() == 0 {
-		l.endWake(a, false)
-		if err == nil {
-			l.subSolves(res)
-			l.lastDst = res.Dst
-		} else if l.EventDriven {
-			// A failed full solve (expired budget before any
-			// solution) must retry: with an empty dirty-set no event
-			// would otherwise reschedule the bootstrap, and the
-			// cluster would sit violated until an unrelated event.
+	if err := l.solveFull(a, p); err != nil {
+		if l.EventDriven {
+			// A failed bootstrap must retry: with an empty dirty-set no
+			// event would otherwise reschedule it, and the cluster
+			// would sit violated until an unrelated event.
 			a.Schedule(a.Now()+l.debounce(), func() { l.iterate(a) })
 			return
 		}
 		l.next(a)
-		return
 	}
-	l.subSolves(res)
-	l.lastDst = res.Dst
-	l.execute(a, res, 0)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// subSolves accounts the independent sub-problems a result came from.
-func (l *Loop) subSolves(res *Result) {
-	n := res.Partitions
-	if n < 1 {
-		n = 1
-	}
-	l.Stats.SubSolves += n
 }
 
 // next schedules whatever follows a finished round: the fixed pause in
@@ -703,7 +702,6 @@ func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, cov
 	// partitioner chose, and the portfolio workers parallelize within
 	// the slice instead.
 	opt.Partitions = 1
-	opt.WarmStart = l.lastDst
 	out := &sliceResult{nodes: map[string]bool{}, vms: map[string]bool{}}
 	covered := false
 	for _, sub := range parts {
@@ -719,25 +717,11 @@ func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, cov
 			}
 			continue
 		}
-		l.Stats.SolverCalls++
 		l.Stats.SliceSolves++
 		l.Stats.SubSolves++
-		sp := l.Trace.Start(obs.KindSolve, "slice", l.nowVirt)
-		var t0 time.Time
-		if l.Solver != nil {
-			t0 = time.Now()
-		}
-		res, err := opt.SolveContext(l.ctx(), sub)
+		res, err := l.solve("slice", opt, sub)
 		if err != nil {
-			sp.SetOutcome("error")
-			sp.End(l.nowVirt)
 			return nil, err
-		}
-		sp.SetSolve(float64(res.Cost), 1, opt.WarmStart != nil)
-		sp.SetSearch(res.Winner, res.Nodes, res.Fails, res.WarmHit)
-		sp.End(l.nowVirt)
-		if l.Solver != nil {
-			l.recordSolve("slice", res, opt.WarmStart != nil, time.Since(t0).Seconds())
 		}
 		out.plans = append(out.plans, res.Plan)
 		out.dsts = append(out.dsts, res.Dst)
@@ -899,45 +883,14 @@ func (l *Loop) iterateIncremental(a Actuator) {
 		// queued vjob the decision module now wants running on
 		// capacity freed elsewhere) — only a whole-cluster solve can
 		// reach it.
-		l.Stats.SolverCalls++
 		l.Stats.FullSolves++
-		opt := l.Optimizer
-		opt.WarmStart = l.lastDst
-		sp := l.Trace.Start(obs.KindSolve, "full", l.nowVirt)
-		var t0 time.Time
-		if l.Solver != nil {
-			t0 = time.Now()
-		}
-		res, serr := opt.SolveContext(l.ctx(), p)
-		if serr == nil {
-			sp.SetSolve(float64(res.Cost), maxInt(res.Partitions, 1), opt.WarmStart != nil)
-			sp.SetSearch(res.Winner, res.Nodes, res.Fails, res.WarmHit)
-			if l.Solver != nil {
-				l.recordSolve("full", res, opt.WarmStart != nil, time.Since(t0).Seconds())
-			}
-		} else {
-			sp.SetOutcome("error")
-		}
-		sp.End(l.nowVirt)
-		if serr != nil || res.Plan.NumActions() == 0 {
-			l.endWake(a, false)
-			if serr == nil {
-				l.subSolves(res)
-				l.lastDst = res.Dst
-			} else {
-				// The solve failed (expired budget before a first
-				// solution, transient unviability): keep the region
-				// dirty and retry after the debounce, like the
-				// periodic schedule retries every interval.
-				l.dirty.addSets(dirtyNodes, dirtyVMs)
-				l.resolvePending = true
-			}
+		if serr := l.solveFull(a, p); serr != nil {
+			// Keep the region dirty and retry after the debounce, like
+			// the periodic schedule retries every interval.
+			l.dirty.addSets(dirtyNodes, dirtyVMs)
+			l.resolvePending = true
 			l.next(a)
-			return
 		}
-		l.subSolves(res)
-		l.lastDst = res.Dst
-		l.execute(a, res, 0)
 	default:
 		ms := l.Trace.Start(obs.KindMerge, "merge", l.nowVirt)
 		dst := cfg.Clone()

@@ -48,12 +48,13 @@ type Optimizer struct {
 	// the monolithic model within the same budget.
 	Partitions int
 	// Workers is the number of parallel portfolio workers racing the
-	// branch-and-bound: each worker owns an independent copy of the
-	// model with a diverse search strategy (ordering, value choice,
-	// knapsack bound, shuffled restarts) and all workers share the
-	// incumbent bound, so the fixed time budget buys more explored
-	// nodes on multi-core hardware. Zero defaults to
-	// runtime.GOMAXPROCS(0); 1 forces the sequential search.
+	// branch-and-bound: each worker builds its own model under a diverse
+	// search strategy (ordering, value choice, knapsack bound, shuffled
+	// restarts) and all workers share the incumbent bound, so the fixed
+	// time budget buys more explored nodes on multi-core hardware. Zero
+	// defaults to runtime.GOMAXPROCS(0); 1 is the sequential search — a
+	// lineup of the configured strategy alone, on the caller's
+	// goroutine, deterministic for a given problem.
 	Workers int
 	// UseKnapsack enables the DP subset-sum bound inside the packing
 	// constraints (slower per node, stronger pruning).
@@ -109,9 +110,9 @@ func (o Optimizer) baseStrategy() searchStrategy {
 
 // strategies builds the diverse portfolio lineup: the configured
 // strategy first, then the knapsack-bound toggle and the two ordering
-// variants, then deterministically seeded shuffled-restart workers
-// (the same tail cp.DefaultStrategies uses). Labels feed the win
-// telemetry (Result.Winner, cwcs_portfolio_wins_total{strategy}).
+// variants, then deterministically seeded shuffled-restart workers.
+// Labels feed the win telemetry (Result.Winner,
+// cwcs_portfolio_wins_total{strategy}).
 func (o Optimizer) strategies(n int) []searchStrategy {
 	base := o.baseStrategy()
 	out := make([]searchStrategy, 0, n)
@@ -325,9 +326,9 @@ func (o Optimizer) Solve(p Problem) (*Result, error) {
 // SolveContext runs the optimization under ctx: canceling it stops the
 // search and returns the best result found so far (or
 // ErrNoViableConfiguration when there is none yet), exactly like the
-// Timeout. With Workers > 1 the branch-and-bound races a portfolio of
-// diverse workers that share the incumbent bound; with Partitions != 1
-// the problem may first be decomposed into node-disjoint sub-problems
+// Timeout. The branch-and-bound races a portfolio of Workers diverse
+// workers that share the incumbent bound; with Partitions != 1 the
+// problem may first be decomposed into node-disjoint sub-problems
 // solved concurrently.
 func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error) {
 	if o.Timeout != 0 {
@@ -349,7 +350,7 @@ func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error)
 }
 
 // solveMonolithic runs the single-model optimization: compile, FFD warm
-// start, then the sequential branch-and-bound or the portfolio race.
+// start, then the portfolio race.
 func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) (*Result, error) {
 	c, err := o.compile(p)
 	if err != nil {
@@ -375,12 +376,10 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 		}
 	}
 
-	var res *Result
-	if workers > 1 && len(c.runners) > 0 {
-		res, err = o.solvePortfolio(ctx, p, c, seed, seedLabel, workers)
-	} else {
-		res, err = o.solveSequential(ctx, p, c, seed, seedLabel)
+	if len(c.runners) == 0 {
+		workers = 1 // nothing to branch on: every strategy runs the same search
 	}
+	res, err := o.solvePortfolio(ctx, p, c, seed, seedLabel, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -479,93 +478,6 @@ func (o Optimizer) solvePartitioned(ctx context.Context, p Problem, parts []Prob
 	return agg, nil
 }
 
-// solveSequential is the single-worker branch-and-bound driven by the
-// true §4.2 plan cost.
-func (o Optimizer) solveSequential(ctx context.Context, p Problem, c *compiled, seed *Result, seedLabel string) (*Result, error) {
-	m, err := o.buildModel(p, c, o.baseStrategy())
-	if err != nil {
-		return nil, err
-	}
-	m.opts.Ctx = ctx
-
-	// Search telemetry: who produced the returned plan (the seed,
-	// until the branch-and-bound improves on it) and the incumbent
-	// trajectory of the improvements.
-	start := time.Now()
-	winner, improved := seedLabel, 0
-	var traj []BoundPoint
-	seal := func(r *Result) *Result {
-		r.Winner = winner
-		r.Trajectory = traj
-		r.Outcomes = []WorkerOutcome{{Strategy: "base", Nodes: r.Nodes, Backtracks: r.Fails, Improvements: improved}}
-		return r
-	}
-
-	best := seed
-	bound := c.maxObj
-	if best != nil && best.Cost-1 < bound {
-		bound = best.Cost - 1
-	}
-	root := m.s.SaveState()
-	for {
-		// The decode/plan-build work between CP solves is not
-		// interruptible and can be substantial on thousand-VM
-		// instances, so re-check the budget between iterations.
-		if ctx.Err() != nil {
-			if best == nil {
-				return nil, fmt.Errorf("%w: timeout before first solution", ErrNoViableConfiguration)
-			}
-			best.finishStats(m.s)
-			return seal(best), nil
-		}
-		m.s.RestoreState(root)
-		if err := m.s.RemoveAbove(m.obj, bound); err != nil {
-			break // cost floor reached: optimality proven
-		}
-		sol, err := m.s.Solve(m.opts)
-		if cp.Stopped(err) {
-			if best == nil {
-				return nil, fmt.Errorf("%w: timeout before first solution", ErrNoViableConfiguration)
-			}
-			best.finishStats(m.s)
-			return seal(best), nil
-		}
-		if errors.Is(err, cp.ErrFailed) {
-			break // search space exhausted: optimality proven
-		}
-		if err != nil {
-			return nil, err
-		}
-		lb := c.lowerBound(sol, m.vars)
-		dst, derr := o.decode(p, c.goals, c.runners, m.vars, c.nodes, sol)
-		if derr == nil {
-			if g, gerr := plan.BuildGraph(p.Src, dst); gerr == nil {
-				if pl, perr := o.Builder.Plan(g); perr == nil {
-					if best == nil || pl.Cost() < best.Cost {
-						best = &Result{Dst: dst, Plan: pl, Cost: pl.Cost(), LowerBound: lb, Solutions: 0}
-						winner, improved = "base", improved+1
-						traj = append(traj, BoundPoint{Seconds: time.Since(start).Seconds(), Cost: best.Cost})
-					}
-					best.Solutions++
-				}
-			}
-		}
-		// Tighten: any better configuration must have a strictly lower
-		// action-cost sum than this one, and its sum (an admissible
-		// lower bound of its plan cost) must undercut the incumbent.
-		bound = lb - 1
-		if best != nil && best.Cost-1 < bound {
-			bound = best.Cost - 1
-		}
-	}
-	if best == nil {
-		return nil, ErrNoViableConfiguration
-	}
-	best.Optimal = true
-	best.finishStats(m.s)
-	return seal(best), nil
-}
-
 // lowerBound sums the admissible per-VM cost contributions of a
 // solution.
 func (c *compiled) lowerBound(sol cp.Solution, vars []*cp.IntVar) int {
@@ -580,8 +492,9 @@ func (c *compiled) lowerBound(sol cp.Solution, vars []*cp.IntVar) int {
 // result under a mutex, the bound under an atomic (read by every
 // worker's inner search loop), and the aggregate run flags.
 type portfolioState struct {
-	bound *cp.Incumbent
-	start time.Time
+	bound  *cp.Incumbent
+	start  time.Time
+	cancel context.CancelFunc // stops every worker
 
 	mu           sync.Mutex
 	best         *Result
@@ -611,32 +524,48 @@ func (sh *portfolioState) offer(r *Result, strategy string) (int, bool) {
 	return sh.best.Cost, improved
 }
 
-// solvePortfolio races diverse workers over independent copies of the
-// model. Every worker runs the same outer branch-and-bound loop as the
-// sequential search, but restarts against the shared incumbent bound;
-// the first worker to exhaust the space below the incumbent proves
-// optimality (with respect to the bound, like the sequential search)
-// and cancels the rest.
+// settle records a worker's definitive answer — a proof that nothing
+// lies below the bound (err == nil), or the first model error — and
+// stops the siblings.
+func (sh *portfolioState) settle(err error) {
+	sh.mu.Lock()
+	if err == nil {
+		sh.proven = true
+	} else if sh.err == nil {
+		sh.err = err
+	}
+	sh.mu.Unlock()
+	sh.cancel()
+}
+
+// solvePortfolio races one worker per strategy of the lineup, each
+// over a model of its own. Every worker restarts against the shared
+// incumbent bound; the first to exhaust the space below the incumbent
+// proves optimality (with respect to the bound) and cancels the rest.
+// The first strategy — the configured one — runs on the caller's
+// goroutine, so a lineup of one is the sequential search: no goroutine,
+// nobody else moving the bound.
 func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, seed *Result, seedLabel string, workers int) (*Result, error) {
 	bound := c.maxObj
 	if seed != nil && seed.Cost-1 < bound {
 		bound = seed.Cost - 1
 	}
-	sh := &portfolioState{bound: cp.NewIncumbent(bound), start: time.Now(), best: seed, winner: seedLabel}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	sh := &portfolioState{bound: cp.NewIncumbent(bound), start: time.Now(), cancel: cancel, best: seed, winner: seedLabel}
+	lineup := o.strategies(workers)
 	var wg sync.WaitGroup
-	for _, st := range o.strategies(workers) {
+	for _, st := range lineup[1:] {
 		wg.Add(1)
 		// Each worker builds its own model inside its goroutine: model
 		// construction overlaps across cores instead of eating into
 		// the solve deadline serially.
 		go func() {
 			defer wg.Done()
-			o.runPortfolioWorker(ctx, cancel, p, c, st, sh)
+			o.runPortfolioWorker(ctx, p, c, st, sh)
 		}()
 	}
+	o.runPortfolioWorker(ctx, p, c, lineup[0], sh)
 	wg.Wait()
 
 	if sh.err != nil {
@@ -659,21 +588,16 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	return best, nil
 }
 
-// runPortfolioWorker drives one worker's branch-and-bound loop until a
-// definitive answer or an interruption. cancel is invoked on
-// definitive answers so sibling workers stop immediately. The loop
-// mirrors cp's minimizeWorker restart scheme deliberately — it cannot
-// reuse it because the bound here is driven by the true §4.2 plan
-// cost, which only this package can evaluate (decode + Builder.Plan).
-func (o Optimizer) runPortfolioWorker(ctx context.Context, cancel context.CancelFunc, p Problem, c *compiled, st searchStrategy, sh *portfolioState) {
+// runPortfolioWorker is the branch-and-bound driven by the true §4.2
+// plan cost, which only this package can evaluate (decode +
+// Builder.Plan): restart from the root under the freshest shared
+// bound, decode and plan each solution, offer it, tighten, until a
+// definitive answer (settled, so sibling workers stop immediately) or
+// an interruption.
+func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st searchStrategy, sh *portfolioState) {
 	m, err := o.buildModel(p, c, st)
 	if err != nil {
-		sh.mu.Lock()
-		if sh.err == nil {
-			sh.err = err
-		}
-		sh.mu.Unlock()
-		cancel()
+		sh.settle(err)
 		return
 	}
 	improved := 0
@@ -691,16 +615,16 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, cancel context.Cancel
 	opts.SharedObj = m.obj
 	root := m.s.SaveState()
 	for {
+		// The decode/plan-build work between CP solves is not
+		// interruptible and can be substantial on thousand-VM
+		// instances, so re-check the budget between iterations.
 		if ctx.Err() != nil {
-			return // budget exhausted between iterations
+			return
 		}
 		b := sh.bound.Bound()
 		m.s.RestoreState(root)
 		if err := m.s.RemoveAbove(m.obj, b); err != nil {
-			sh.mu.Lock()
-			sh.proven = true
-			sh.mu.Unlock()
-			cancel()
+			sh.settle(nil) // cost floor reached
 			return
 		}
 		sol, err := m.s.Solve(opts)
@@ -708,18 +632,10 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, cancel context.Cancel
 		case cp.Stopped(err):
 			return
 		case errors.Is(err, cp.ErrFailed):
-			sh.mu.Lock()
-			sh.proven = true
-			sh.mu.Unlock()
-			cancel()
+			sh.settle(nil) // search space exhausted
 			return
 		case err != nil:
-			sh.mu.Lock()
-			if sh.err == nil {
-				sh.err = err
-			}
-			sh.mu.Unlock()
-			cancel()
+			sh.settle(err)
 			return
 		}
 		lb := c.lowerBound(sol, m.vars)
@@ -734,6 +650,9 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, cancel context.Cancel
 				}
 			}
 		}
+		// Tighten: any better configuration must have a strictly lower
+		// action-cost sum than this one, and its sum (an admissible
+		// lower bound of its plan cost) must undercut the incumbent.
 		sh.bound.Tighten(lb - 1)
 	}
 }
@@ -809,11 +728,6 @@ func (o Optimizer) seedRespectsPins(p Problem, seed *Result) bool {
 	return true
 }
 
-func (r *Result) finishStats(s *cp.Solver) {
-	nodes, fails, _, _ := s.Stats()
-	r.Nodes, r.Fails = nodes, fails
-}
-
 // costBound is the dynamic cost estimation of §4.3: it keeps the
 // objective's lower bound equal to the fixed costs plus, per VM,
 // either the exact contribution of its assignment or the cheapest
@@ -823,16 +737,6 @@ func (o Optimizer) costBound(model *costModel, runners []vmGoal, vars []*cp.IntV
 	watched := append([]*cp.IntVar{obj}, vars...)
 	return &cp.FuncConstraint{
 		On: watched,
-		// Rebind keeps the model cloneable (cp.Solver.Clone): the Run
-		// closure captures this solver's variables, so a clone rebuilds
-		// the constraint over the remapped ones.
-		Rebind: func(remap func(*cp.IntVar) *cp.IntVar) cp.Constraint {
-			nv := make([]*cp.IntVar, len(vars))
-			for i, v := range vars {
-				nv[i] = remap(v)
-			}
-			return o.costBound(model, runners, nv, nodes, remap(obj), fixed)
-		},
 		Run: func(s *cp.Solver) error {
 			lb := fixed
 			mins := make([]int, len(vars))

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
@@ -465,5 +466,97 @@ func TestTimeoutWithNoSolutionAtAll(t *testing.T) {
 	_, err := o.Solve(Problem{Src: c, Target: map[string]vjob.State{"j": vjob.Running}})
 	if !errors.Is(err, ErrNoViableConfiguration) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// overcommittedProblem is portfolioProblem's harder sibling: size nodes
+// and size vjobs, running VMs placed memory-first-fit so CPU
+// over-commits and the search has hundreds of nodes and several
+// improvements to go through before its proof.
+func overcommittedProblem(seed int64, size int) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	c := mkCluster(size, 2, 4096)
+	target := map[string]vjob.State{}
+	for j := 0; j < size; j++ {
+		name := fmt.Sprintf("j%d", j)
+		vms := make([]*vjob.VM, 1+rng.Intn(3))
+		for k := range vms {
+			vms[k] = vjob.NewVM(fmt.Sprintf("%s-%d", name, k), name, rng.Intn(2), 256*(1+rng.Intn(8)))
+			c.AddVM(vms[k])
+		}
+		vjob.NewVJob(name, j, vms...)
+		for _, v := range vms {
+			if rng.Intn(3) > 0 {
+				for _, n := range c.Nodes() {
+					if c.Free(n.Name).Get(resources.Memory) >= v.MemoryDemand() {
+						_ = c.SetRunning(v.Name, n.Name)
+						break
+					}
+				}
+			}
+		}
+		target[name] = vjob.Running
+	}
+	return Problem{Src: c, Target: target}
+}
+
+// TestOneWorkerSearchPinned pins the search Optimizer{Workers: 1} runs
+// on seeded instances that finish by proof. The numbers were captured
+// at the last commit that had a separate sequential branch-and-bound
+// (80bef1f), so the test passing says a lineup of one still explores
+// the same tree, improves the incumbent as often and stops on the same
+// proof. The instances are too small to partition, so Partitions 0 and
+// 1 must agree.
+func TestOneWorkerSearchPinned(t *testing.T) {
+	spread := []PlacementRule{Spread{VMs: []string{"j0-0", "j1-0"}}}
+	small := func(seed int64, rules []PlacementRule) Problem {
+		p := portfolioProblem(seed)
+		p.Rules = rules
+		return p
+	}
+	for _, tc := range []struct {
+		name         string
+		p            Problem
+		cost         int
+		nodes, fails int64
+		winner       string
+		improvements int
+	}{
+		{"seed0", small(0, nil), 0, 0, 0, "ffd-seed", 0},
+		{"seed1", small(1, nil), 0, 8, 0, "base", 1},
+		{"seed4", small(4, nil), 0, 9, 0, "base", 1},
+		{"seed5", small(5, nil), 0, 18, 1, "base", 1},
+		{"seed7", small(7, nil), 0, 15, 2, "base", 2},
+		{"seed9", small(9, nil), 0, 10, 1, "base", 2},
+		{"seed11", small(11, nil), 0, 14, 2, "base", 2},
+		{"seed0/spread", small(0, spread), 0, 7, 0, "base", 2},
+		{"seed2/spread", small(2, spread), 256, 3, 0, "base", 1},
+		{"seed4/spread", small(4, spread), 512, 12, 0, "base", 2},
+		{"seed5/spread", small(5, spread), 0, 18, 2, "base", 1},
+		{"seed7/spread", small(7, spread), 1280, 15, 2, "base", 2},
+		{"seed8/spread", small(8, spread), 0, 0, 0, "ffd-seed", 0},
+		{"overcommitted6/seed1", overcommittedProblem(1, 6), 768, 455, 766, "base", 5},
+		{"overcommitted8/seed1", overcommittedProblem(1, 8), 768, 1027, 1746, "base", 9},
+		{"overcommitted8/seed3", overcommittedProblem(3, 8), 0, 159, 15, "base", 11},
+	} {
+		for _, parts := range []int{1, 0} {
+			res, err := Optimizer{Workers: 1, Partitions: parts}.Solve(tc.p)
+			if err != nil {
+				t.Fatalf("%s partitions=%d: %v", tc.name, parts, err)
+			}
+			if !res.Optimal {
+				t.Fatalf("%s partitions=%d: no budget, yet no proof", tc.name, parts)
+			}
+			if res.Cost != tc.cost || res.Nodes != tc.nodes || res.Fails != tc.fails ||
+				res.Winner != tc.winner || len(res.Trajectory) != tc.improvements {
+				t.Fatalf("%s partitions=%d: cost=%d nodes=%d fails=%d winner=%q improvements=%d, pinned %d/%d/%d/%q/%d",
+					tc.name, parts, res.Cost, res.Nodes, res.Fails, res.Winner, len(res.Trajectory),
+					tc.cost, tc.nodes, tc.fails, tc.winner, tc.improvements)
+			}
+			want := WorkerOutcome{Strategy: "base", Nodes: tc.nodes, Backtracks: tc.fails, Improvements: tc.improvements}
+			if len(res.Outcomes) != 1 || res.Outcomes[0] != want {
+				t.Fatalf("%s partitions=%d: outcomes = %+v, want one %+v", tc.name, parts, res.Outcomes, want)
+			}
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cwcs/internal/cp"
 	"cwcs/internal/vjob"
 )
 
@@ -44,9 +43,9 @@ func portfolioProblem(seed int64) Problem {
 
 // TestPortfolioOptimizerSolves: the parallel portfolio produces a
 // viable, validated, proven-optimal plan no worse than the FFD
-// baseline — the same contract the sequential search honours. (Exact
-// cost agreement with the sequential search is proven at the cp layer,
-// where the branch-and-bound is exact; the core loop's aggressive
+// baseline — the same contract a lineup of one honours. (Exact cost
+// agreement across widths is only asserted where the optimum is
+// unique, see TestPortfolioWorkerWidths: the loop's aggressive
 // action-sum tightening makes the chosen witness order-dependent.)
 func TestPortfolioOptimizerSolves(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -137,35 +136,6 @@ func TestSolveContextCanceledNoSeed(t *testing.T) {
 		if _, err := o.SolveContext(ctx, p); !errors.Is(err, ErrNoViableConfiguration) {
 			t.Fatalf("workers=%d: err = %v, want ErrNoViableConfiguration", w, err)
 		}
-	}
-}
-
-// TestProductionModelCloneable: the full §4.3 model — packings, rules
-// and the closure-based cost-bound propagator (via its Rebind hook) —
-// must survive cp.Solver.Clone, so cp-level portfolio search works on
-// real optimizer models too.
-func TestProductionModelCloneable(t *testing.T) {
-	p := portfolioProblem(1)
-	p.Rules = []PlacementRule{Spread{VMs: []string{"j0-0", "j1-0"}}}
-	o := Optimizer{}
-	c, err := o.compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := o.buildModel(p, c, o.baseStrategy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, remap, err := m.s.Clone()
-	if err != nil {
-		t.Fatalf("production model not cloneable: %v", err)
-	}
-	cvars := make([]*cp.IntVar, len(m.vars))
-	for i, v := range m.vars {
-		cvars[i] = remap(v)
-	}
-	if _, err := clone.Solve(cp.Options{Vars: cvars, FirstFail: true}); err != nil {
-		t.Fatalf("clone does not solve: %v", err)
 	}
 }
 

@@ -207,7 +207,10 @@ type Result struct {
 	// Optimal is true when the solver proved no cheaper configuration
 	// exists (with respect to its bound) before the timeout.
 	Optimal bool
-	// Solutions counts the improving configurations found.
+	// Solutions counts the configurations the search found that decoded
+	// into a plan, improving or not (the improving ones are counted per
+	// worker in Outcomes and listed in Trajectory). A seed is not one:
+	// a result the search never touched reports 0, FFDPlan's own its 1.
 	Solutions int
 	// Nodes and Fails are search counters.
 	Nodes, Fails int64
@@ -229,7 +232,7 @@ type Result struct {
 	// != nil).
 	WarmHit bool
 	// Outcomes are the per-portfolio-worker search outcomes, strategy-
-	// sorted. A sequential solve reports one "base" entry; a
+	// sorted. A one-worker solve reports one "base" entry; a
 	// partitioned solve merges per-partition outcomes by strategy.
 	Outcomes []WorkerOutcome
 	// Trajectory is the incumbent-bound trajectory: one point per

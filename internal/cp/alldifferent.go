@@ -16,15 +16,6 @@ type AllDifferent struct {
 // Vars returns the constrained variables.
 func (c *AllDifferent) Vars() []*IntVar { return c.Items }
 
-// CloneFor copies the constraint over the remapped variables.
-func (c *AllDifferent) CloneFor(remap func(*IntVar) *IntVar) Constraint {
-	items := make([]*IntVar, len(c.Items))
-	for i, v := range c.Items {
-		items[i] = remap(v)
-	}
-	return &AllDifferent{Items: items}
-}
-
 // Propagate enforces pairwise difference.
 func (c *AllDifferent) Propagate(s *Solver) error {
 	// Value elimination from bound variables, to fixpoint: removing a

@@ -17,11 +17,6 @@ type NotEqualOffset struct {
 // Vars returns the two operands.
 func (c *NotEqualOffset) Vars() []*IntVar { return []*IntVar{c.X, c.Y} }
 
-// CloneFor copies the constraint over the remapped operands.
-func (c *NotEqualOffset) CloneFor(remap func(*IntVar) *IntVar) Constraint {
-	return &NotEqualOffset{X: remap(c.X), Y: remap(c.Y), Offset: c.Offset}
-}
-
 // Propagate removes the forbidden value from the unbound side.
 func (c *NotEqualOffset) Propagate(s *Solver) error {
 	if c.Y.Bound() {
@@ -66,17 +61,6 @@ type Packing struct {
 
 // Vars returns the item assignment variables.
 func (c *Packing) Vars() []*IntVar { return c.Items }
-
-// CloneFor copies the constraint over the remapped items; the weight
-// and capacity slices are shared (they are never mutated).
-func (c *Packing) CloneFor(remap func(*IntVar) *IntVar) Constraint {
-	n := *c
-	n.Items = make([]*IntVar, len(c.Items))
-	for i, v := range c.Items {
-		n.Items[i] = remap(v)
-	}
-	return &n
-}
 
 // Propagate enforces the capacity constraints.
 func (c *Packing) Propagate(s *Solver) error {
@@ -167,25 +151,10 @@ type FuncConstraint struct {
 	On []*IntVar
 	// Run is the propagation body.
 	Run func(s *Solver) error
-	// Rebind, when set, rebuilds the constraint over the variables of
-	// a cloned solver (Run closures capture variables of the original
-	// solver, so a structural copy is not enough). Without it the
-	// constraint — and hence the owning solver — cannot be cloned for
-	// portfolio search.
-	Rebind func(remap func(*IntVar) *IntVar) Constraint
 }
 
 // Vars returns the watched variables.
 func (c *FuncConstraint) Vars() []*IntVar { return c.On }
-
-// CloneFor delegates to Rebind; it returns nil (not cloneable) when no
-// Rebind hook was provided.
-func (c *FuncConstraint) CloneFor(remap func(*IntVar) *IntVar) Constraint {
-	if c.Rebind == nil {
-		return nil
-	}
-	return c.Rebind(remap)
-}
 
 // Propagate invokes the body.
 func (c *FuncConstraint) Propagate(s *Solver) error { return c.Run(s) }

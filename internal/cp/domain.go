@@ -4,7 +4,7 @@
 // with constraint watch lists, depth-first search with snapshot-based
 // backtracking, pluggable variable/value ordering heuristics (first
 // fail, prefer-current-value), branch-and-bound minimization of a
-// single variable, and deadlines.
+// single variable, and cooperative cancellation through a context.
 //
 // The solver is deliberately scoped to what the paper's
 // reconfiguration problem needs; it is nevertheless a generic engine:

@@ -10,8 +10,7 @@ import (
 // This file is the oracle suite: small random models (≤6 variables,
 // ≤5 values) whose full assignment space a brute-force enumerator can
 // check, asserting that Solve finds a solution iff one exists and that
-// Minimize returns the true optimum — for the sequential search and
-// for the parallel portfolio alike.
+// Minimize returns the true optimum.
 
 // neqSpec is x != y + offset over variable indices.
 type neqSpec struct {
@@ -80,9 +79,7 @@ func randomOracleSpec(rng *rand.Rand) oracleSpec {
 	return sp
 }
 
-// build instantiates the spec on a fresh solver. The objective
-// propagator carries a Rebind hook so the model clones for portfolio
-// workers.
+// build instantiates the spec on a fresh solver.
 func (sp oracleSpec) build() (*Solver, []*IntVar, *IntVar) {
 	s := NewSolver()
 	vars := make([]*IntVar, len(sp.doms))
@@ -118,10 +115,9 @@ func (sp oracleSpec) build() (*Solver, []*IntVar, *IntVar) {
 }
 
 // weightedSum keeps obj's bounds consistent with sum coefs[i]*vars[i]
-// (coefficients must be non-negative). Rebind makes it cloneable.
+// (coefficients must be non-negative).
 func weightedSum(vars []*IntVar, coefs []int, obj *IntVar) Constraint {
-	c := &FuncConstraint{On: append([]*IntVar{obj}, vars...)}
-	c.Run = func(s *Solver) error {
+	return &FuncConstraint{On: append([]*IntVar{obj}, vars...), Run: func(s *Solver) error {
 		lo, hi := 0, 0
 		for i, v := range vars {
 			lo += coefs[i] * v.Min()
@@ -131,15 +127,7 @@ func weightedSum(vars []*IntVar, coefs []int, obj *IntVar) Constraint {
 			return err
 		}
 		return s.RemoveAbove(obj, hi)
-	}
-	c.Rebind = func(remap func(*IntVar) *IntVar) Constraint {
-		nv := make([]*IntVar, len(vars))
-		for i, v := range vars {
-			nv[i] = remap(v)
-		}
-		return weightedSum(nv, coefs, remap(obj))
-	}
-	return c
+	}}
 }
 
 // satisfied checks a full assignment against every constraint.
@@ -226,8 +214,7 @@ func (sp oracleSpec) checkWitness(t *testing.T, vars []*IntVar, sol Solution) []
 
 const oracleSeeds = 60
 
-// TestOracleSolve: Solve finds a solution iff the brute force does,
-// sequentially and through the portfolio.
+// TestOracleSolve: Solve finds a solution iff the brute force does.
 func TestOracleSolve(t *testing.T) {
 	for seed := int64(0); seed < oracleSeeds; seed++ {
 		sp := randomOracleSpec(rand.New(rand.NewSource(seed)))
@@ -237,28 +224,17 @@ func TestOracleSolve(t *testing.T) {
 		sol, err := s.Solve(Options{Vars: vars, FirstFail: true})
 		if feasible {
 			if err != nil {
-				t.Fatalf("seed %d: sequential Solve failed on feasible model: %v", seed, err)
+				t.Fatalf("seed %d: Solve failed on feasible model: %v", seed, err)
 			}
 			sp.checkWitness(t, vars, sol)
 		} else if !errors.Is(err, ErrFailed) {
-			t.Fatalf("seed %d: sequential Solve = %v on infeasible model, want ErrFailed", seed, err)
-		}
-
-		ps, pvars, _ := sp.build()
-		psol, perr := ps.SolvePortfolio(PortfolioOptions{Workers: 4, Base: Options{Vars: pvars}})
-		if feasible {
-			if perr != nil {
-				t.Fatalf("seed %d: portfolio Solve failed on feasible model: %v", seed, perr)
-			}
-			sp.checkWitness(t, pvars, psol)
-		} else if !errors.Is(perr, ErrFailed) {
-			t.Fatalf("seed %d: portfolio Solve = %v on infeasible model, want ErrFailed", seed, perr)
+			t.Fatalf("seed %d: Solve = %v on infeasible model, want ErrFailed", seed, err)
 		}
 	}
 }
 
 // TestOracleMinimize: Minimize returns the brute-force optimum with a
-// proof (nil error), sequentially and through the portfolio.
+// proof (nil error).
 func TestOracleMinimize(t *testing.T) {
 	for seed := int64(0); seed < oracleSeeds; seed++ {
 		sp := randomOracleSpec(rand.New(rand.NewSource(seed)))
@@ -268,36 +244,17 @@ func TestOracleMinimize(t *testing.T) {
 		best, err := s.Minimize(obj, Options{Vars: vars, FirstFail: true, PreferValue: true})
 		if feasible {
 			if err != nil {
-				t.Fatalf("seed %d: sequential Minimize = %v, want proven optimum", seed, err)
+				t.Fatalf("seed %d: Minimize = %v, want proven optimum", seed, err)
 			}
 			if best.Objective != minObj {
-				t.Fatalf("seed %d: sequential optimum = %d, brute force says %d", seed, best.Objective, minObj)
+				t.Fatalf("seed %d: optimum = %d, brute force says %d", seed, best.Objective, minObj)
 			}
 			assign := sp.checkWitness(t, vars, best)
 			if sp.objective(assign) != minObj {
 				t.Fatalf("seed %d: witness cost %d != optimum %d", seed, sp.objective(assign), minObj)
 			}
 		} else if !errors.Is(err, ErrFailed) {
-			t.Fatalf("seed %d: sequential Minimize = %v on infeasible model, want ErrFailed", seed, err)
-		}
-
-		for _, workers := range []int{2, 4} {
-			ps, pvars, pobj := sp.build()
-			pbest, perr := ps.MinimizePortfolio(pobj, PortfolioOptions{Workers: workers, Base: Options{Vars: pvars}})
-			if feasible {
-				if perr != nil {
-					t.Fatalf("seed %d/workers %d: portfolio Minimize = %v, want proven optimum", seed, workers, perr)
-				}
-				if pbest.Objective != minObj {
-					t.Fatalf("seed %d/workers %d: portfolio optimum = %d, brute force says %d", seed, workers, pbest.Objective, minObj)
-				}
-				assign := sp.checkWitness(t, pvars, pbest)
-				if sp.objective(assign) != minObj {
-					t.Fatalf("seed %d/workers %d: witness cost %d != optimum %d", seed, workers, sp.objective(assign), minObj)
-				}
-			} else if !errors.Is(perr, ErrFailed) {
-				t.Fatalf("seed %d/workers %d: portfolio Minimize = %v on infeasible model, want ErrFailed", seed, workers, perr)
-			}
+			t.Fatalf("seed %d: Minimize = %v on infeasible model, want ErrFailed", seed, err)
 		}
 	}
 }

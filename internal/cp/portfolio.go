@@ -1,23 +1,16 @@
 package cp
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 )
 
-// This file implements parallel portfolio search: the model is cloned
-// into N independent solvers that race diverse search strategies
-// against each other, sharing the incumbent objective bound through an
-// atomic so every worker prunes with the global best. The first worker
-// to reach a definitive answer (optimality proof, or unsatisfiability)
-// cancels the rest. The technique is standard in modern CP/SAT solvers
-// and fits the paper's §5.1 setting directly: with a fixed wall-clock
-// budget per cluster-wide context switch, plan quality is bounded by
-// how many branch-and-bound nodes fit in the window.
+// This file holds the two cp-level pieces of a parallel portfolio
+// search: the incumbent bound its workers share and the per-worker
+// search strategy. The portfolio itself lives with the caller that can
+// evaluate its objective (core.Optimizer races one model per worker,
+// bounded on the true plan cost); the search adopts the shared bound
+// through Options.SharedBound/SharedObj.
 
 // Incumbent is the portfolio-wide upper bound on acceptable objective
 // values: a worker that finds a solution with objective v tightens the
@@ -60,10 +53,8 @@ type Strategy struct {
 	ShuffleSeed int64
 }
 
-// Apply overlays the strategy on base, leaving deadline, context,
-// decision variables and bound sharing untouched. Exported so callers
-// that drive their own branch-and-bound over per-worker models (e.g.
-// core.Optimizer) reuse the same strategy semantics.
+// Apply overlays the strategy on base, leaving context, decision
+// variables, hints and bound sharing untouched.
 func (st Strategy) Apply(base Options) Options {
 	base.FirstFail = st.FirstFail
 	base.PreferValue = st.PreferValue
@@ -75,316 +66,4 @@ func (st Strategy) Apply(base Options) Options {
 		base.ValueRand = rand.New(rand.NewSource(st.ShuffleSeed))
 	}
 	return base
-}
-
-// DefaultStrategies returns the canonical diverse lineup for n
-// workers: the paper's first-fail + prefer-current-host pairing, its
-// three ordering ablations, then shuffled-restart workers seeded
-// deterministically per index.
-func DefaultStrategies(n int) []Strategy {
-	base := []Strategy{
-		{Label: "firstfail+prefer", FirstFail: true, PreferValue: true},
-		{Label: "firstfail", FirstFail: true},
-		{Label: "naive+prefer", PreferValue: true},
-		{Label: "naive"},
-	}
-	out := make([]Strategy, 0, n)
-	for i := 0; i < n; i++ {
-		if i < len(base) {
-			out = append(out, base[i])
-			continue
-		}
-		out = append(out, Strategy{
-			Label:       fmt.Sprintf("shuffle#%d", i),
-			FirstFail:   true,
-			PreferValue: true,
-			ShuffleSeed: int64(i),
-		})
-	}
-	return out
-}
-
-// PortfolioOptions tunes a portfolio run.
-type PortfolioOptions struct {
-	// Workers is the number of racing solver clones; values <= 1 fall
-	// back to the sequential search with the first strategy.
-	Workers int
-	// Strategies overrides the worker lineup; workers beyond its
-	// length cycle through it. nil selects DefaultStrategies.
-	Strategies []Strategy
-	// Base carries the deadline, context and decision variables shared
-	// by every worker; its ordering fields are overridden per worker.
-	Base Options
-}
-
-// lineup resolves one strategy per worker.
-func (po PortfolioOptions) lineup() []Strategy {
-	n := po.Workers
-	if n < 1 {
-		n = 1
-	}
-	if len(po.Strategies) == 0 {
-		return DefaultStrategies(n)
-	}
-	out := make([]Strategy, n)
-	for i := range out {
-		out[i] = po.Strategies[i%len(po.Strategies)]
-	}
-	return out
-}
-
-// workerOutcome is what one portfolio worker reports back.
-type workerOutcome struct {
-	worker *Solver
-	sol    Solution
-	found  bool
-	// proven means the worker exhausted its search space (below the
-	// shared bound, for minimization), i.e. reached a definitive
-	// answer rather than being interrupted.
-	proven bool
-	err    error
-}
-
-// SolvePortfolio races Workers solver clones for a first solution. The
-// first worker to find one — or to prove unsatisfiability, since every
-// worker runs a complete search — settles the race and cancels the
-// rest. Error semantics match Solve.
-func (s *Solver) SolvePortfolio(popts PortfolioOptions) (Solution, error) {
-	lineup := popts.lineup()
-	if popts.Workers <= 1 {
-		return s.Solve(lineup[0].Apply(popts.Base))
-	}
-	vars := s.decisionVars(popts.Base)
-	if err := s.propagate(); err != nil {
-		return Solution{}, err
-	}
-	outcomes, cancel, err := s.launch(lineup, popts.Base, vars, func(w *Solver, opts Options, remap func(*IntVar) *IntVar) workerOutcome {
-		sol, serr := w.Solve(opts)
-		if serr == nil {
-			return workerOutcome{worker: w, sol: sol, found: true, proven: true}
-		}
-		return workerOutcome{worker: w, proven: errors.Is(serr, ErrFailed), err: serr}
-	})
-	if err != nil {
-		return Solution{}, err
-	}
-	defer cancel()
-	var firstStop, firstOther error
-	for out := range outcomes {
-		s.mergeStats(out.worker)
-		switch {
-		case out.found:
-			cancel() // settled: a solution exists
-			s.drain(outcomes)
-			return s.retarget(out.sol, out.worker, vars), nil
-		case out.proven:
-			cancel() // settled: complete search proved unsatisfiable
-			s.drain(outcomes)
-			return Solution{}, out.err
-		case Stopped(out.err):
-			if firstStop == nil {
-				firstStop = out.err
-			}
-		default:
-			if firstOther == nil {
-				firstOther = out.err
-			}
-		}
-	}
-	if firstOther != nil {
-		return Solution{}, firstOther
-	}
-	return Solution{}, firstStop
-}
-
-// MinimizePortfolio runs branch-and-bound on obj across Workers racing
-// solver clones. Workers share the incumbent bound through an atomic:
-// each restart (and each 64-node poll inside the search) prunes with
-// the global best, and the first worker to exhaust the space below the
-// incumbent proves optimality and cancels the rest. The returned
-// objective value is deterministic whenever the search completes — it
-// is the true optimum regardless of worker count or interleaving; the
-// witness assignment may differ between runs. Error semantics match
-// Minimize.
-func (s *Solver) MinimizePortfolio(obj *IntVar, popts PortfolioOptions) (Solution, error) {
-	lineup := popts.lineup()
-	if popts.Workers <= 1 {
-		return s.Minimize(obj, lineup[0].Apply(popts.Base))
-	}
-	vars := s.decisionVars(popts.Base)
-	if err := s.propagate(); err != nil {
-		return Solution{}, err
-	}
-	incumbent := NewIncumbent(obj.Max())
-	var best Solution
-	found := false
-	// Inject the warm-start solution once, on the parent model: the
-	// incumbent bound it seeds is shared by every worker from their
-	// very first restart.
-	if sol, ok := s.inject(vars, obj, popts.Base); ok {
-		best, found = sol, true
-		incumbent.Tighten(sol.Objective - 1)
-	}
-	outcomes, cancel, err := s.launch(lineup, popts.Base, vars, func(w *Solver, opts Options, remap func(*IntVar) *IntVar) workerOutcome {
-		wobj := remap(obj)
-		opts.SharedBound = incumbent
-		opts.SharedObj = wobj
-		return w.minimizeWorker(wobj, opts, incumbent)
-	})
-	if err != nil {
-		return Solution{}, err
-	}
-	defer cancel()
-	proven := false
-	var firstStop, firstOther error
-	for out := range outcomes {
-		s.mergeStats(out.worker)
-		if out.found && (!found || out.sol.Objective < best.Objective) {
-			best = s.retarget(out.sol, out.worker, vars)
-			found = true
-		}
-		switch {
-		case out.proven:
-			proven = true
-			cancel() // the space below the incumbent is exhausted
-		case out.err != nil && !Stopped(out.err):
-			if firstOther == nil {
-				firstOther = out.err
-			}
-		case out.err != nil && firstStop == nil:
-			firstStop = out.err
-		}
-	}
-	switch {
-	case firstOther != nil:
-		return Solution{}, firstOther
-	case proven && found:
-		return best, nil
-	case proven:
-		return Solution{}, ErrFailed
-	case found:
-		return best, firstStop
-	default:
-		return Solution{}, firstStop
-	}
-}
-
-// minimizeWorker is one worker's branch-and-bound loop: restart from
-// the root with the freshest shared bound, publish each improving
-// solution into the incumbent, and stop with proven=true once the
-// space below the incumbent is exhausted — which, because the bound
-// only reflects solutions that genuinely exist, proves the global best
-// optimal.
-func (w *Solver) minimizeWorker(obj *IntVar, opts Options, incumbent *Incumbent) workerOutcome {
-	out := workerOutcome{worker: w}
-	root := w.snapshot()
-	for {
-		bound := incumbent.Bound()
-		w.restore(root)
-		if err := w.RemoveAbove(obj, bound); err != nil {
-			out.proven = true
-			return out
-		}
-		err := func() error {
-			if err := w.propagate(); err != nil {
-				return err
-			}
-			return w.search(opts.Vars, opts)
-		}()
-		switch {
-		case err == nil:
-			w.solutions++
-			out.sol = w.capture(opts.Vars)
-			out.sol.Objective = obj.Min()
-			out.found = true
-			incumbent.Tighten(out.sol.Objective - 1)
-		case Stopped(err):
-			out.err = err
-			return out
-		case errors.Is(err, ErrFailed):
-			out.proven = true
-			return out
-		default:
-			out.err = err
-			return out
-		}
-	}
-}
-
-// launch clones the solver once per strategy and runs body on each
-// clone in its own goroutine. It returns a channel of outcomes (one
-// per worker, closed after the last), and the cancel function of the
-// context every worker observes.
-func (s *Solver) launch(lineup []Strategy, base Options, vars []*IntVar,
-	body func(w *Solver, opts Options, remap func(*IntVar) *IntVar) workerOutcome) (chan workerOutcome, context.CancelFunc, error) {
-	ctx := base.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	outcomes := make(chan workerOutcome, len(lineup))
-	var wg sync.WaitGroup
-	for _, st := range lineup {
-		clone, remap, err := s.Clone()
-		if err != nil {
-			cancel()
-			return nil, nil, err
-		}
-		opts := st.Apply(base)
-		opts.Ctx = ctx
-		wvars := make([]*IntVar, len(vars))
-		for i, v := range vars {
-			wvars[i] = remap(v)
-		}
-		opts.Vars = wvars
-		if len(base.Hints) > 0 {
-			hints := make(map[*IntVar]int, len(base.Hints))
-			for v, hint := range base.Hints {
-				hints[remap(v)] = hint
-			}
-			opts.Hints = hints
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outcomes <- body(clone, opts, remap)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outcomes)
-	}()
-	return outcomes, cancel, nil
-}
-
-// retarget rekeys a worker solution onto the original decision
-// variables (worker variables share ids with their originals).
-func (s *Solver) retarget(sol Solution, w *Solver, vars []*IntVar) Solution {
-	out := Solution{values: make(map[*IntVar]int, len(vars)), Objective: sol.Objective}
-	for _, v := range vars {
-		if val, ok := sol.values[w.vars[v.id]]; ok {
-			out.values[v] = val
-		}
-	}
-	return out
-}
-
-// mergeStats folds a finished worker's search counters into the parent
-// solver, so callers reading Stats() see the whole portfolio effort.
-func (s *Solver) mergeStats(w *Solver) {
-	if w == nil {
-		return
-	}
-	s.nodes += w.nodes
-	s.fails += w.fails
-	s.solutions += w.solutions
-	s.propagates += w.propagates
-}
-
-// drain consumes the remaining outcomes after the race is settled,
-// folding their stats in (the workers were canceled and exit quickly).
-func (s *Solver) drain(outcomes chan workerOutcome) {
-	for out := range outcomes {
-		s.mergeStats(out.worker)
-	}
 }

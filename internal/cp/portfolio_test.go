@@ -1,18 +1,16 @@
 package cp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // buildBinPacking builds a §4.3-flavoured instance: items with weights
 // packed onto bins under capacity, minimizing a weighted placement
-// cost. Hard enough to keep several workers busy, small enough for the
-// suite to prove optimality quickly.
+// cost. Hard enough to need a real search, small enough for the suite
+// to prove optimality quickly.
 func buildBinPacking(seed int64, items, bins int) (*Solver, []*IntVar, *IntVar) {
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSolver()
@@ -43,124 +41,35 @@ func buildBinPacking(seed int64, items, bins int) (*Solver, []*IntVar, *IntVar) 
 	return s, vars, obj
 }
 
-// TestPortfolioDeterministicOptimum: the optimal objective value is
-// independent of the worker count and of scheduling interleavings.
+// TestPortfolioDeterministicOptimum: the proven optimum does not
+// depend on which portfolio strategy searched for it — the paper's
+// ordering, its ablations and a shuffled value order explore the same
+// space — so any one worker's proof settles a race (TestOracleMinimize
+// checks the first of them against brute force).
 func TestPortfolioDeterministicOptimum(t *testing.T) {
+	strategies := []Strategy{
+		{Label: "firstfail+prefer", FirstFail: true, PreferValue: true},
+		{Label: "firstfail", FirstFail: true},
+		{Label: "naive+prefer", PreferValue: true},
+		{Label: "naive"},
+		{Label: "shuffle#4", FirstFail: true, PreferValue: true, ShuffleSeed: 4},
+	}
 	for seed := int64(1); seed <= 8; seed++ {
-		want, unsat, first := -1, false, true
-		for _, workers := range []int{1, 2, 4, 8} {
+		want, unsat := -1, false
+		for i, st := range strategies {
 			s, vars, obj := buildBinPacking(seed, 8, 4)
-			best, err := s.MinimizePortfolio(obj, PortfolioOptions{Workers: workers, Base: Options{Vars: vars}})
+			best, err := s.Minimize(obj, st.Apply(Options{Vars: vars}))
 			switch {
-			case errors.Is(err, ErrFailed):
-				if !first && !unsat {
-					t.Fatalf("seed %d workers %d: unsat, but another width found optimum %d", seed, workers, want)
-				}
-				unsat = true
-			case err != nil:
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			case unsat:
-				t.Fatalf("seed %d workers %d: found %d, but another width proved unsat", seed, workers, best.Objective)
-			case first:
-				want = best.Objective
-			case best.Objective != want:
-				t.Fatalf("seed %d workers %d: optimum %d, other widths found %d", seed, workers, best.Objective, want)
+			case err != nil && !errors.Is(err, ErrFailed):
+				t.Fatalf("seed %d %s: %v", seed, st.Label, err)
+			case i == 0:
+				want, unsat = best.Objective, err != nil
+			case unsat != (err != nil):
+				t.Fatalf("seed %d %s: unsat = %v, %s said %v", seed, st.Label, err != nil, strategies[0].Label, unsat)
+			case !unsat && best.Objective != want:
+				t.Fatalf("seed %d %s: optimum %d, %s found %d", seed, st.Label, best.Objective, strategies[0].Label, want)
 			}
-			first = false
 		}
-	}
-}
-
-// TestPortfolioStatsAggregate: the parent solver's counters reflect
-// the whole portfolio's effort.
-func TestPortfolioStatsAggregate(t *testing.T) {
-	s, vars, obj := buildBinPacking(3, 8, 4)
-	if _, err := s.MinimizePortfolio(obj, PortfolioOptions{Workers: 4, Base: Options{Vars: vars}}); err != nil {
-		t.Fatal(err)
-	}
-	nodes, _, solutions, props := func() (int64, int64, int64, int64) {
-		n, f, so, pr := s.Stats()
-		return n, f, so, pr
-	}()
-	if nodes == 0 || props == 0 || solutions == 0 {
-		t.Fatalf("portfolio stats not merged: nodes=%d solutions=%d propagations=%d", nodes, solutions, props)
-	}
-}
-
-// TestPortfolioCancel: a pre-canceled context stops the portfolio
-// immediately with ErrCanceled.
-func TestPortfolioCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s, vars, obj := buildBinPacking(1, 8, 4)
-	_, err := s.MinimizePortfolio(obj, PortfolioOptions{Workers: 4, Base: Options{Vars: vars, Ctx: ctx}})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	s2, vars2, _ := buildBinPacking(1, 8, 4)
-	if _, err := s2.SolvePortfolio(PortfolioOptions{Workers: 4, Base: Options{Vars: vars2, Ctx: ctx}}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("SolvePortfolio err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestSequentialCancel: cancellation reaches the plain sequential
-// search too (the context is polled alongside the deadline).
-func TestSequentialCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s, vars, _ := buildBinPacking(1, 8, 4)
-	if _, err := s.Solve(Options{Vars: vars, Ctx: ctx}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestPortfolioDeadline: an expired deadline surfaces as ErrDeadline,
-// matching the sequential contract.
-func TestPortfolioDeadline(t *testing.T) {
-	s, vars, obj := buildBinPacking(2, 8, 4)
-	_, err := s.MinimizePortfolio(obj, PortfolioOptions{
-		Workers: 2,
-		Base:    Options{Vars: vars, Deadline: time.Now().Add(-time.Second)},
-	})
-	if !Stopped(err) {
-		t.Fatalf("err = %v, want an interruption", err)
-	}
-}
-
-// TestCloneIndependence: solving a clone leaves the original domains
-// untouched, and the clone solves to the same optimum.
-func TestCloneIndependence(t *testing.T) {
-	s, vars, obj := buildBinPacking(5, 8, 4)
-	clone, remap, err := s.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cvars := make([]*IntVar, len(vars))
-	for i, v := range vars {
-		cvars[i] = remap(v)
-	}
-	before := make([]int, len(vars))
-	for i, v := range vars {
-		before[i] = v.Size()
-	}
-	if _, err := clone.Minimize(remap(obj), Options{Vars: cvars, FirstFail: true}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vars {
-		if v.Size() != before[i] {
-			t.Fatalf("original var %d domain changed by clone's search", i)
-		}
-	}
-}
-
-// TestCloneRejectsUncloneable: a FuncConstraint without Rebind blocks
-// cloning with a descriptive error.
-func TestCloneRejectsUncloneable(t *testing.T) {
-	s := NewSolver()
-	v := s.NewEnumVar("v", []int{0, 1})
-	s.Post(&FuncConstraint{On: []*IntVar{v}, Run: func(*Solver) error { return nil }})
-	if _, _, err := s.Clone(); err == nil {
-		t.Fatal("Clone accepted a FuncConstraint without Rebind")
 	}
 }
 
@@ -183,69 +92,83 @@ func TestIncumbent(t *testing.T) {
 
 // TestPortfolioBaseValueRandNotShared: a caller-supplied shuffle
 // stream must not leak into the workers — rand.Rand is not
-// goroutine-safe, so sharing it across workers would be a data race
-// (this test guards the override under -race).
+// goroutine-safe, so sharing it across workers would be a data race.
+// Strategy.Apply makes every worker's options, so it is the one place
+// that has to drop the base stream and hand a shuffling worker a
+// deterministic stream of its own.
 func TestPortfolioBaseValueRandNotShared(t *testing.T) {
-	s, vars, obj := buildBinPacking(4, 8, 4)
-	_, err := s.MinimizePortfolio(obj, PortfolioOptions{
-		Workers: 4,
-		Base:    Options{Vars: vars, ValueRand: rand.New(rand.NewSource(1))},
-	})
-	if err != nil && !errors.Is(err, ErrFailed) {
-		t.Fatal(err)
+	shared := rand.New(rand.NewSource(1))
+	base := Options{ValueRand: shared}
+	if got := (Strategy{FirstFail: true}).Apply(base).ValueRand; got != nil {
+		t.Fatal("a non-shuffling strategy inherited the base stream")
+	}
+	a := Strategy{ShuffleSeed: 4}.Apply(base).ValueRand
+	b := Strategy{ShuffleSeed: 4}.Apply(base).ValueRand
+	if a == nil || a == shared || a == b {
+		t.Fatal("a shuffling strategy must own a fresh stream")
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("equal shuffle seeds must give equal streams")
 	}
 }
 
-// TestDefaultStrategies: the lineup is diverse and deterministic.
-func TestDefaultStrategies(t *testing.T) {
-	sts := DefaultStrategies(6)
-	if len(sts) != 6 {
-		t.Fatalf("len = %d", len(sts))
-	}
-	if !sts[0].FirstFail || !sts[0].PreferValue {
-		t.Fatal("strategy 0 must be the paper's pairing")
-	}
-	if sts[4].ShuffleSeed == 0 || sts[5].ShuffleSeed == 0 || sts[4].ShuffleSeed == sts[5].ShuffleSeed {
-		t.Fatal("extra workers must get distinct deterministic shuffle seeds")
-	}
-	again := DefaultStrategies(6)
-	for i := range sts {
-		if sts[i] != again[i] {
-			t.Fatal("lineup must be deterministic")
+// TestSearchAdoptsSharedBoundMidSearch: the 64-node poll inside search
+// installs an incumbent tightened while the search is running. No
+// goroutines: a propagator lowers the Incumbent itself once the search
+// has explored 100 nodes. Every leaf of the model fails, so the search
+// walks the whole tree unless something prunes it, and nothing but the
+// poll ever lowers the objective's upper bound (its propagator only
+// raises the lower bound, like core's cost bound).
+func TestSearchAdoptsSharedBoundMidSearch(t *testing.T) {
+	const items, tightenAt, tightenTo = 10, 100, 2
+	run := func(share bool) (nodes int64, sawCut bool) {
+		s := NewSolver()
+		vars := make([]*IntVar, items)
+		for i := range vars {
+			vars[i] = s.NewEnumVar(fmt.Sprintf("x%d", i), []int{0, 1})
+			vars[i].SetPreferred(1) // the expensive side of the tree first
 		}
-	}
-}
-
-// TestSolvePortfolioUnsat: a complete worker proof of unsatisfiability
-// settles the race with ErrFailed.
-func TestSolvePortfolioUnsat(t *testing.T) {
-	s := NewSolver()
-	items := []*IntVar{
-		s.NewEnumVar("a", []int{0, 1}),
-		s.NewEnumVar("b", []int{0, 1}),
-		s.NewEnumVar("c", []int{0, 1}),
-	}
-	s.Post(&AllDifferent{Items: items}) // 3 vars, 2 values: pigeonhole
-	if _, err := s.SolvePortfolio(PortfolioOptions{Workers: 4, Base: Options{Vars: items}}); !errors.Is(err, ErrFailed) {
-		t.Fatalf("err = %v, want ErrFailed", err)
-	}
-}
-
-// BenchmarkMinimizePortfolioWorkers measures the cp-level scaling of
-// the portfolio on a packing instance.
-func BenchmarkMinimizePortfolioWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var objective int
-			for i := 0; i < b.N; i++ {
-				s, vars, obj := buildBinPacking(9, 10, 5)
-				best, err := s.MinimizePortfolio(obj, PortfolioOptions{Workers: workers, Base: Options{Vars: vars}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				objective = best.Objective
+		obj := s.NewIntVar("obj", 0, items)
+		incumbent := NewIncumbent(items)
+		s.Post(&FuncConstraint{On: append([]*IntVar{obj}, vars...), Run: func(s *Solver) error {
+			if n, _, _, _ := s.Stats(); n >= tightenAt {
+				incumbent.Tighten(tightenTo)
+				sawCut = sawCut || obj.Max() <= tightenTo
 			}
-			b.ReportMetric(float64(objective), "optimum")
-		})
+			ones, unbound := 0, 0
+			for _, v := range vars {
+				ones += v.Min()
+				if !v.Bound() {
+					unbound++
+				}
+			}
+			if unbound == 0 {
+				return ErrFailed
+			}
+			return s.RemoveBelow(obj, ones)
+		}})
+		opts := Options{Vars: vars, PreferValue: true}
+		if share {
+			opts.SharedBound, opts.SharedObj = incumbent, obj
+		}
+		if _, err := s.Solve(opts); !errors.Is(err, ErrFailed) {
+			t.Fatalf("share=%v: err = %v, want ErrFailed (every leaf fails)", share, err)
+		}
+		nodes, _, _, _ = s.Stats()
+		return nodes, sawCut
+	}
+	full, sawCut := run(false)
+	if sawCut {
+		t.Fatal("the objective's upper bound moved without a shared bound")
+	}
+	if full != 1<<items-1 {
+		t.Fatalf("unpruned search explored %d nodes, want the whole tree (%d)", full, 1<<items-1)
+	}
+	pruned, sawCut := run(true)
+	if !sawCut {
+		t.Fatal("the search never installed the tightened bound on the objective")
+	}
+	if pruned <= tightenAt || pruned >= full {
+		t.Fatalf("search with a bound tightened at node %d explored %d nodes, want fewer than the whole tree (%d)", tightenAt, pruned, full)
 	}
 }

@@ -5,17 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // Options tunes the search.
 type Options struct {
-	// Deadline stops the search when reached; zero means no deadline.
-	Deadline time.Time
-	// Ctx cancels the search cooperatively: the search polls it
-	// alongside the deadline and returns ErrCanceled once it is done.
-	// nil means no cancellation. Portfolio workers use it so the first
-	// worker to prove optimality stops the rest.
+	// Ctx stops the search cooperatively: the search polls it every 64
+	// nodes and returns ErrCanceled once it is done (canceled, or past
+	// its deadline). nil means the search runs to completion. Portfolio
+	// workers use it so the first worker to prove optimality stops the
+	// rest.
 	Ctx context.Context
 	// Vars are the decision variables, all of which must be bound in a
 	// solution. Defaults to every enumerated variable of the solver.
@@ -37,7 +35,7 @@ type Options struct {
 	// restart explores a differently ordered tree.
 	ValueRand *rand.Rand
 	// SharedBound and SharedObj connect the search to a portfolio-wide
-	// incumbent: at the same cadence as the deadline poll, the upper
+	// incumbent: at the same cadence as the context poll, the upper
 	// bound of SharedObj is tightened to the shared bound, so every
 	// worker prunes with the global best even mid-search. Both must be
 	// set together.
@@ -54,8 +52,8 @@ type Options struct {
 	Hints map[*IntVar]int
 }
 
-// interrupted reports why the search must stop right now: ErrCanceled
-// when the context is done, ErrDeadline past the deadline, nil
+// interrupted reports whether the search must stop right now:
+// ErrCanceled (wrapping the cause) when the context is done, nil
 // otherwise.
 func (o Options) interrupted() error {
 	if o.Ctx != nil {
@@ -64,9 +62,6 @@ func (o Options) interrupted() error {
 			return fmt.Errorf("%w: %v", ErrCanceled, context.Cause(o.Ctx))
 		default:
 		}
-	}
-	if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
-		return ErrDeadline
 	}
 	return nil
 }
@@ -110,7 +105,7 @@ func (s *Solver) decisionVars(opts Options) []*IntVar {
 }
 
 // Solve searches for one solution. It returns ErrFailed when the
-// problem is unsatisfiable and ErrDeadline on timeout.
+// problem is unsatisfiable and ErrCanceled when interrupted.
 func (s *Solver) Solve(opts Options) (Solution, error) {
 	vars := s.decisionVars(opts)
 	if err := opts.interrupted(); err != nil {
@@ -128,11 +123,10 @@ func (s *Solver) Solve(opts Options) (Solution, error) {
 
 // Minimize runs branch-and-bound on obj: it repeatedly searches for a
 // solution, then constrains obj below the incumbent and restarts,
-// until the space is exhausted (proving optimality) or the deadline
-// expires or the context is canceled. It returns the best solution
-// found; the error is nil when optimality was proven, ErrDeadline or
-// ErrCanceled when the interruption cut the proof short, and ErrFailed
-// when no solution exists at all.
+// until the space is exhausted (proving optimality) or the context is
+// done. It returns the best solution found; the error is nil when
+// optimality was proven, ErrCanceled when the interruption cut the
+// proof short, and ErrFailed when no solution exists at all.
 func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 	vars := s.decisionVars(opts)
 	best := Solution{}
@@ -231,9 +225,8 @@ func (s *Solver) capture(vars []*IntVar) Solution {
 }
 
 // search runs depth-first search until all vars are bound (nil) or the
-// subtree fails (ErrFailed) or the deadline passes (ErrDeadline) or the
-// context is canceled (ErrCanceled). Domains are assumed propagated to
-// fixpoint on entry.
+// subtree fails (ErrFailed) or the context is done (ErrCanceled).
+// Domains are assumed propagated to fixpoint on entry.
 func (s *Solver) search(vars []*IntVar, opts Options) error {
 	if s.nodes&63 == 0 {
 		if err := opts.interrupted(); err != nil {

@@ -10,22 +10,15 @@ import (
 // backtracks.
 var ErrFailed = errors.New("cp: inconsistent")
 
-// ErrDeadline is returned when the search deadline expires before the
-// search space is exhausted. Minimize still reports the best solution
-// found so far alongside it.
-var ErrDeadline = errors.New("cp: deadline exceeded")
-
 // ErrCanceled is returned when the search context (Options.Ctx) is
-// canceled before the search space is exhausted. Like ErrDeadline,
-// Minimize still reports the best solution found so far alongside it.
+// done — canceled or past its deadline — before the search space is
+// exhausted. Minimize still reports the best solution found so far
+// alongside it.
 var ErrCanceled = errors.New("cp: canceled")
 
-// Stopped reports whether err is a search interruption — deadline or
-// context cancellation — rather than a definitive answer (solution
-// found or space exhausted).
-func Stopped(err error) bool {
-	return errors.Is(err, ErrDeadline) || errors.Is(err, ErrCanceled)
-}
+// Stopped reports whether err is a search interruption rather than a
+// definitive answer (solution found or space exhausted).
+func Stopped(err error) bool { return errors.Is(err, ErrCanceled) }
 
 // Constraint is a propagator: Propagate prunes the domains of the
 // variables it watches and returns ErrFailed (possibly wrapped) when
@@ -39,12 +32,12 @@ type Constraint interface {
 	Propagate(s *Solver) error
 }
 
-// Solver owns variables and constraints and runs propagation.
+// Solver owns the variables and runs the propagation queue of the
+// constraints posted on them.
 type Solver struct {
-	vars        []*IntVar
-	constraints []Constraint
-	queue       []Constraint
-	queued      map[Constraint]bool
+	vars   []*IntVar
+	queue  []Constraint
+	queued map[Constraint]bool
 
 	// stats
 	nodes      int64
@@ -64,7 +57,7 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if len(values) == 0 {
 		panic("cp: empty initial domain for " + name)
 	}
-	v := &IntVar{solver: s, id: len(s.vars), name: name, dom: newBitsetDomain(values), pref: -1}
+	v := &IntVar{name: name, dom: newBitsetDomain(values), pref: -1}
 	s.vars = append(s.vars, v)
 	return v
 }
@@ -76,14 +69,13 @@ func (s *Solver) NewIntVar(name string, min, max int) *IntVar {
 	if max < min {
 		panic(fmt.Sprintf("cp: empty range [%d,%d] for %s", min, max, name))
 	}
-	v := &IntVar{solver: s, id: len(s.vars), name: name, dom: &boundsDomain{lo: min, hi: max}, pref: -1}
+	v := &IntVar{name: name, dom: &boundsDomain{lo: min, hi: max}, pref: -1}
 	s.vars = append(s.vars, v)
 	return v
 }
 
 // Post registers a constraint and schedules its first propagation.
 func (s *Solver) Post(c Constraint) {
-	s.constraints = append(s.constraints, c)
 	for _, v := range c.Vars() {
 		v.watchers = append(v.watchers, c)
 	}
@@ -189,52 +181,6 @@ func (s *Solver) restore(snap []domain) {
 // and propagator runs.
 func (s *Solver) Stats() (nodes, fails, solutions, propagations int64) {
 	return s.nodes, s.fails, s.solutions, s.propagates
-}
-
-// CloneableConstraint is a Constraint that can be copied into a cloned
-// solver. remap translates a variable of the original solver into its
-// counterpart in the clone; implementations must rebuild themselves
-// over the remapped variables (immutable payload such as weight or
-// capacity slices may be shared — propagation never mutates it).
-type CloneableConstraint interface {
-	Constraint
-	CloneFor(remap func(*IntVar) *IntVar) Constraint
-}
-
-// Clone copies the solver — variables, current domains, preferred
-// values and constraints — into an independent instance, so portfolio
-// workers can search the same model concurrently without sharing any
-// mutable state. It returns the clone and the variable remap function.
-// Every posted constraint must implement CloneableConstraint (a
-// FuncConstraint additionally needs its Rebind hook); otherwise Clone
-// reports an error.
-func (s *Solver) Clone() (*Solver, func(*IntVar) *IntVar, error) {
-	c := NewSolver()
-	c.vars = make([]*IntVar, len(s.vars))
-	for i, v := range s.vars {
-		c.vars[i] = &IntVar{solver: c, id: v.id, name: v.name, dom: v.dom.clone(), pref: v.pref}
-	}
-	remap := func(v *IntVar) *IntVar {
-		if v == nil {
-			return nil
-		}
-		if v.solver != s {
-			panic("cp: remap of a variable from another solver")
-		}
-		return c.vars[v.id]
-	}
-	for _, con := range s.constraints {
-		cc, ok := con.(CloneableConstraint)
-		if !ok {
-			return nil, nil, fmt.Errorf("cp: constraint %T is not cloneable", con)
-		}
-		nc := cc.CloneFor(remap)
-		if nc == nil {
-			return nil, nil, fmt.Errorf("cp: constraint %T cannot be cloned (missing rebind)", con)
-		}
-		c.Post(nc)
-	}
-	return c, remap, nil
 }
 
 // State is an opaque snapshot of every variable domain, used by

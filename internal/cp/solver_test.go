@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -63,12 +64,20 @@ func TestNQueensUnsolvable(t *testing.T) {
 	}
 }
 
+// expiredContext returns a context whose deadline has already passed.
+func expiredContext(t *testing.T) context.Context {
+	t.Helper()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func TestSolveDeadline(t *testing.T) {
 	s := NewSolver()
 	queens(s, 24)
-	_, err := s.Solve(Options{Deadline: time.Now().Add(-time.Second)})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	_, err := s.Solve(Options{Ctx: expiredContext(t)})
+	if !errors.Is(err, ErrCanceled) || !Stopped(err) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
@@ -184,9 +193,23 @@ func TestMinimizeDeadlineKeepsBest(t *testing.T) {
 	s.Post(&FuncConstraint{On: []*IntVar{x, obj}, Run: func(s *Solver) error {
 		return s.RemoveBelow(obj, x.Min())
 	}})
-	_, err := s.Minimize(obj, Options{Vars: []*IntVar{x}, Deadline: time.Now().Add(-time.Second)})
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", err)
+	_, err := s.Minimize(obj, Options{Vars: []*IntVar{x}, Ctx: expiredContext(t)})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestSequentialCancel: a canceled context stops Solve and Minimize
+// alike before the first node.
+func TestSequentialCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, vars, obj := buildBinPacking(1, 8, 4)
+	if _, err := s.Solve(Options{Vars: vars, Ctx: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Solve err = %v, want ErrCanceled", err)
+	}
+	if _, err := s.Minimize(obj, Options{Vars: vars, Ctx: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Minimize err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -6,10 +6,8 @@ import "fmt"
 // mutation goes through Solver methods so changes are propagated and
 // undone on backtrack.
 type IntVar struct {
-	solver *Solver
-	id     int
-	name   string
-	dom    domain
+	name string
+	dom  domain
 	// watchers are the constraints to wake when the domain changes.
 	watchers []Constraint
 	// pref is the value tried first during search (e.g. the node the

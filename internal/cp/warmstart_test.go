@@ -1,22 +1,11 @@
 package cp
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
-// sumEquals binds obj to the sum of vars through a cloneable
-// FuncConstraint (portfolio tests clone the model).
+// sumEquals binds obj to the sum of vars.
 func sumEquals(vars []*IntVar, obj *IntVar) Constraint {
 	return &FuncConstraint{
 		On: append([]*IntVar{obj}, vars...),
-		Rebind: func(remap func(*IntVar) *IntVar) Constraint {
-			nv := make([]*IntVar, len(vars))
-			for i, v := range vars {
-				nv[i] = remap(v)
-			}
-			return sumEquals(nv, remap(obj))
-		},
 		Run: func(s *Solver) error {
 			lo, hi := 0, 0
 			for _, v := range vars {
@@ -126,43 +115,5 @@ func TestHintsSteerValueOrder(t *testing.T) {
 	order = s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 1}})
 	if order[0] != 1 || len(order) != 4 {
 		t.Fatalf("order = %v, want preferred/hinted 1 first, no duplicates", order)
-	}
-}
-
-func TestMinimizePortfolioWithHints(t *testing.T) {
-	s, vars, obj := warmModel(t)
-	hints := map[*IntVar]int{vars[0]: 3, vars[1]: 2, vars[2]: 1}
-	sol, err := s.MinimizePortfolio(obj, PortfolioOptions{
-		Workers: 4,
-		Base:    Options{Vars: vars, Hints: hints},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != 3 {
-		t.Fatalf("objective = %d, want 3", sol.Objective)
-	}
-}
-
-func TestMinimizePortfolioInjectedOptimumSurvivesProof(t *testing.T) {
-	// A model whose only solution is the hinted one: the injection
-	// finds it, the workers prove the space below it empty, and the
-	// portfolio must return the injected solution as optimal.
-	s := NewSolver()
-	v := s.NewEnumVar("v", []int{5})
-	obj := s.NewIntVar("obj", 0, 10)
-	s.Post(sumEquals([]*IntVar{v}, obj))
-	sol, err := s.MinimizePortfolio(obj, PortfolioOptions{
-		Workers: 2,
-		Base:    Options{Vars: []*IntVar{v}, Hints: map[*IntVar]int{v: 5}},
-	})
-	if err != nil && !errors.Is(err, ErrFailed) {
-		t.Fatal(err)
-	}
-	if err != nil {
-		t.Fatalf("injected optimum lost: %v", err)
-	}
-	if sol.Objective != 5 {
-		t.Fatalf("objective = %d, want 5", sol.Objective)
 	}
 }
