@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCH_REGRESS_OUT ?= bench-regress.out
 
-.PHONY: all build test bench-test race vet fmt-check bench-smoke fuzz-smoke cover lint bench-regress ci clean
+.PHONY: all build test bench-test bench-counts race vet fmt-check bench-smoke fuzz-smoke cover lint bench-regress ci clean
 
 all: build
 
@@ -18,6 +18,14 @@ test:
 # found by the next benchmark run.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The check a change that claims to move no decision runs against its
+# parent: short benchmark runs in a checkout of REF and in this one,
+# interleaved, failing only when an exact count differs (see the
+# script). Not part of `ci`: about five minutes per seed.
+bench-counts:
+	@test -n "$(REF)" || { echo "usage: make bench-counts REF=<commit> [SEEDS='1 2 3']"; exit 2; }
+	bash scripts/bench_counts.sh $(REF) $(SEEDS)
 
 race:
 	$(GO) test -race ./...

@@ -16,6 +16,7 @@ import (
 	"cwcs/internal/duration"
 	"cwcs/internal/experiments"
 	"cwcs/internal/plan"
+	"cwcs/internal/resources"
 	"cwcs/internal/sched"
 	"cwcs/internal/sim"
 	"cwcs/internal/vjob"
@@ -132,7 +133,7 @@ func fig11Problem(seed int64) core.Problem {
 		if running { // placed by memory only, CPU over-committed
 			for _, v := range spec.Job.VMs {
 				for _, n := range cfg.Nodes() {
-					if cfg.FreeMemory(n.Name) >= v.MemoryDemand() {
+					if cfg.Free(n.Name).Get(resources.Memory) >= v.MemoryDemand() {
 						_ = cfg.SetRunning(v.Name, n.Name)
 						break
 					}

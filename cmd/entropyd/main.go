@@ -113,7 +113,7 @@ func main() {
 	loop := &core.Loop{
 		Trace:       tracer,
 		Solver:      solver,
-		Decision:    reaper{inner: sched.Consolidation{}, c: c, jobs: func() []*vjob.VJob { return jobs }},
+		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
 		Ctx:         ctx,
 		Optimizer:   core.Optimizer{Timeout: *timeout, Workers: *workers, Partitions: *partitions},
 		Interval:    *interval,
@@ -419,45 +419,4 @@ func meanDuration(recs []core.SwitchRecord) float64 {
 		sum += r.Duration
 	}
 	return sum / float64(len(recs))
-}
-
-// reaper terminates vjobs whose application finished, mirroring the
-// paper's "the application signals Entropy to stop its vjob". It reads
-// the live job list through the closure so runtime submissions are
-// seen.
-type reaper struct {
-	inner core.DecisionModule
-	c     *sim.Cluster
-	jobs  func() []*vjob.VJob
-}
-
-func (r reaper) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
-	var live []*vjob.VJob
-	for _, j := range queue {
-		if !r.c.VJobDone(j) {
-			live = append(live, j)
-		}
-	}
-	target := r.inner.Decide(cfg, live)
-	for _, j := range r.jobs() {
-		if !r.c.VJobDone(j) {
-			continue
-		}
-		present, allRunning := false, true
-		for _, v := range j.VMs {
-			if cfg.VM(v.Name) == nil {
-				continue
-			}
-			present = true
-			if cfg.StateOf(v.Name) != vjob.Running {
-				allRunning = false
-			}
-		}
-		if present && allRunning {
-			target[j.Name] = vjob.Terminated
-		} else if present {
-			target[j.Name] = vjob.Running
-		}
-	}
-	return target
 }

@@ -12,6 +12,7 @@ import (
 	"cwcs/internal/core"
 	"cwcs/internal/drivers"
 	"cwcs/internal/duration"
+	"cwcs/internal/sched"
 	"cwcs/internal/sim"
 	"cwcs/internal/vjob"
 )
@@ -56,7 +57,7 @@ func TestDriveSimFinishesInFlightSwitchOnShutdown(t *testing.T) {
 	drains := &core.DrainSet{}
 	drains.Drain("n00")
 	loop := &core.Loop{
-		Decision:    reaper{inner: keepStates{}, c: c, jobs: func() []*vjob.VJob { return nil }},
+		Decision:    sched.Terminator{Inner: keepStates{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return nil }},
 		Optimizer:   core.Optimizer{Workers: 1, Timeout: 2 * time.Second},
 		EventDriven: true,
 		Debounce:    1,

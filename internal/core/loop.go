@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"cwcs/internal/obs"
 	"cwcs/internal/plan"
@@ -56,8 +55,8 @@ type LoopStats struct {
 	// Iterations counts wake-ups that ran the decision module.
 	Iterations int
 	// SolverCalls counts optimizer invocations: one per monolithic
-	// solve, one per dirty slice in incremental mode. Iterations whose
-	// problem is already Satisfied skip the solver and count nothing.
+	// solve, one per dirty slice (not per batch of them) in incremental
+	// mode. Satisfied iterations skip the solver and count nothing.
 	SolverCalls int
 	// SubSolves counts independent sub-problem optimizations — the
 	// unit comparable across schedules: a monolithic invocation that
@@ -83,7 +82,7 @@ type LoopStats struct {
 	Events, Coalesced int
 	// PartitionReuses counts incremental wake-ups that reused the
 	// previous wake-up's partition carve instead of re-splitting the
-	// whole cluster (see the partition cache in solveDirtySlices).
+	// whole cluster (see Loop.partition).
 	PartitionReuses int
 }
 
@@ -97,11 +96,12 @@ type LoopStats struct {
 // (EventDriven) reacts to cluster events instead: Notify feeds VM
 // arrivals/departures, load changes, node changes and action failures
 // into a dirty-set; a burst of events is debounced, and the wake-up
-// re-solves only the partition slices containing dirty elements —
-// warm-starting each slice's search from the previous incumbent
-// assignment — then merges the slice plans into one switch. An action
-// failure during execution triggers a local plan repair (plan.Repair)
-// spliced in at the next pool boundary instead of a full abort.
+// re-solves only the partition slices containing dirty elements — as
+// one batch under one Timeout, the way SolveContext solves a whole
+// decomposition, each search warm-started from the previous incumbent
+// assignment — and merges them into one switch. An action failure
+// during execution triggers a local plan repair (plan.Repair) spliced
+// in at the next pool boundary instead of a full abort.
 type Loop struct {
 	// Decision chooses vjob states; required.
 	Decision DecisionModule
@@ -243,31 +243,25 @@ func (l *Loop) closeCause(a Actuator) {
 	l.Trace.SetCause(0)
 }
 
-// solve is the loop's one optimizer invocation: it warm-starts opt
-// from the last incumbent assignment, counts the call, wraps it in a
-// solve span and folds the result into the solver telemetry — what ran
-// (scope: "full" or "slice"), why (the episode's opening event kind
-// and reconfig span ID), who won and what the search cost. Both sinks
-// are guarded, so the disabled path reads no clock and builds no
-// report.
-func (l *Loop) solve(scope string, opt Optimizer, p Problem) (*Result, error) {
+// report accounts for one optimizer invocation, warm-started from
+// lastDst, once it — or its whole batch of slices — has returned (the
+// tracer has one producer); res is nil when it failed. It counts the
+// call, publishes its solve span and folds it into the solver telemetry:
+// what ran (scope: "full" or "slice"), why (the episode's opening event
+// kind and reconfig span ID), who won and what the search cost. Both
+// sinks are guarded, so the disabled path builds no report.
+func (l *Loop) report(scope string, res *Result) {
 	l.Stats.SolverCalls++
-	opt.WarmStart = l.lastDst
-	warm := opt.WarmStart != nil
+	warm := l.lastDst != nil
 	sp := l.Trace.Start(obs.KindSolve, scope, l.nowVirt)
-	var t0 time.Time
-	if l.Solver != nil {
-		t0 = time.Now()
-	}
-	res, err := opt.SolveContext(l.ctx(), p)
-	if err != nil {
+	if res == nil {
 		sp.SetOutcome("error")
 		sp.End(l.nowVirt)
-		return nil, err
+		return
 	}
 	sp.SetSolve(float64(res.Cost), max(res.Partitions, 1), warm)
 	sp.SetSearch(res.Winner, res.Nodes, res.Fails, res.WarmHit)
-	sp.End(l.nowVirt)
+	sp.EndMeasured(l.nowVirt, res.Wall)
 	if l.Solver != nil {
 		l.Solver.RecordSolve(SolveReport{
 			Virt:        l.nowVirt,
@@ -282,29 +276,25 @@ func (l *Loop) solve(scope string, opt Optimizer, p Problem) (*Result, error) {
 			WarmHit:     res.WarmHit,
 			Workers:     res.Outcomes,
 			Trajectory:  res.Trajectory,
-			WallSeconds: time.Since(t0).Seconds(),
+			WallSeconds: res.Wall.Seconds(),
 		})
 	}
-	return res, nil
 }
 
-// solveFull solves the whole cluster and acts on the answer: the plan
-// executes, or — when it is empty — the round rests. On a failed solve
-// (expired budget before any solution, transient unviability) the wake
-// is closed and the error returned: how to retry is the caller's call.
+// solveFull solves the whole cluster and acts on the answer. On a
+// failed solve (expired budget before any solution, transient
+// unviability) the wake is closed and the error returned: how to retry
+// is the caller's call.
 func (l *Loop) solveFull(a Actuator, p Problem) error {
-	res, err := l.solve("full", l.Optimizer, p)
+	opt := l.Optimizer
+	opt.WarmStart = l.lastDst
+	res, err := opt.SolveContext(l.ctx(), p)
+	l.report("full", res)
 	if err != nil {
 		l.endWake(a, false)
 		return err
 	}
 	l.Stats.SubSolves += max(res.Partitions, 1)
-	l.lastDst = res.Dst
-	if res.Plan.NumActions() == 0 {
-		l.endWake(a, false)
-		l.next(a)
-		return nil
-	}
 	l.execute(a, res, 0)
 	return nil
 }
@@ -483,9 +473,16 @@ func (l *Loop) next(a Actuator) {
 	a.Schedule(a.Now()+l.interval(), func() { l.iterate(a) })
 }
 
-// execute runs the plan of res and records the switch. slices tags the
-// record with the number of dirty slices the plan came from.
+// execute acts on a solved round: its destination is the next warm
+// start, and its plan — unless empty, when the round rests — runs and
+// is recorded as a switch, tagged with the dirty slices it came from.
 func (l *Loop) execute(a Actuator, res *Result, slices int) {
+	l.lastDst = res.Dst
+	if res.Plan.NumActions() == 0 {
+		l.endWake(a, false)
+		l.next(a)
+		return
+	}
 	l.endWake(a, true)
 	rec := SwitchRecord{
 		At:      a.Now(),
@@ -627,7 +624,7 @@ func (l *Loop) repair(a Actuator) (outcome string, widened int) {
 			fallback()
 			return repairFallback, widened
 		}
-		repaired, err := plan.Repair(cur, l.exec.Remaining(), sr.nodes, sr.vms, sr.plans...)
+		repaired, err := plan.Repair(cur, l.exec.Remaining(), sr.nodes, sr.vms, sr.merged.Plan)
 		if err != nil {
 			var broken *plan.ErrBrokenDependency
 			if errors.As(err, &broken) && widened < l.repairWiden() {
@@ -674,74 +671,71 @@ var (
 	errNothingDirty = errors.New("core: no slice intersects the dirty-set")
 )
 
-// sliceResult collects the dirty-slice solves of one iteration.
+// sliceResult is one re-solved batch of dirty slices.
 type sliceResult struct {
-	plans []*plan.Plan
-	dsts  []*vjob.Configuration
-	srcs  []*vjob.Configuration
+	// merged is mergeSlices over the re-solved slices.
+	merged *Result
 	// nodes and vms are the full coverage of the solved slices — the
 	// region a repair must clear in the remaining plan.
 	nodes, vms map[string]bool
 }
 
 // solveDirtySlices splits the problem with the PR 2 partitioner and
-// re-solves only the slices containing dirty elements, warm-starting
-// each from the last incumbent assignment. coverNodes/coverVMs (nil
-// outside a widened repair) name elements whose slices must enter the
-// result's coverage even when satisfied: such a slice contributes no
-// plan — staying put is its provably optimal reconfiguration — but
-// its region lets plan.Repair drop the broken chain's kept actions.
+// re-solves only the slices containing dirty elements — as one batch
+// under one Timeout, warm-started from the last incumbent assignment —
+// then merges them. coverNodes/coverVMs (nil outside a widened repair)
+// name elements whose slices must enter the result's coverage even
+// when satisfied: such a slice contributes no plan — staying put is its
+// provably optimal reconfiguration — but its region lets plan.Repair
+// drop the broken chain's kept actions.
 func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) (*sliceResult, error) {
-	opt := l.Optimizer
 	parts, err := l.partition(p)
 	if err != nil || len(parts) < 2 {
 		return nil, errMonolithic
 	}
-	// Each slice is already a sub-problem sized for one solve: re-
-	// partitioning it would shrink slices below the decomposition the
-	// partitioner chose, and the portfolio workers parallelize within
-	// the slice instead.
-	opt.Partitions = 1
 	out := &sliceResult{nodes: map[string]bool{}, vms: map[string]bool{}}
-	covered := false
+	var dirty []Problem
 	for _, sub := range parts {
 		if !touchesSets(sub.Src, dirtyNodes, dirtyVMs) {
 			continue
 		}
 		// A satisfied slice needs no plan — its optimal plan is empty
 		// — so the event storm of harmless load changes costs nothing.
-		if sub.Satisfied() {
-			if touchesSets(sub.Src, coverNodes, coverVMs) {
-				out.cover(sub.Src)
-				covered = true
-			}
+		if !sub.Satisfied() {
+			dirty = append(dirty, sub)
+		} else if !touchesSets(sub.Src, coverNodes, coverVMs) {
 			continue
 		}
-		l.Stats.SliceSolves++
-		l.Stats.SubSolves++
-		res, err := l.solve("slice", opt, sub)
-		if err != nil {
-			return nil, err
+		for _, n := range sub.Src.Nodes() {
+			out.nodes[n.Name] = true
 		}
-		out.plans = append(out.plans, res.Plan)
-		out.dsts = append(out.dsts, res.Dst)
-		out.srcs = append(out.srcs, sub.Src)
-		out.cover(sub.Src)
+		for _, v := range sub.Src.VMs() {
+			out.vms[v.Name] = true
+		}
 	}
-	if len(out.plans) == 0 && !covered {
+	if len(out.nodes)+len(out.vms) == 0 {
 		return nil, errNothingDirty
 	}
-	return out, nil
-}
-
-// cover records a slice's full node/VM region in the result.
-func (s *sliceResult) cover(sub *vjob.Configuration) {
-	for _, n := range sub.Nodes() {
-		s.nodes[n.Name] = true
+	opt := l.Optimizer
+	opt.WarmStart = l.lastDst
+	ctx, cancel := opt.budget(l.ctx())
+	defer cancel()
+	results, err := opt.solveSlices(ctx, dirty)
+	l.Stats.SliceSolves += len(dirty)
+	l.Stats.SubSolves += len(dirty)
+	for _, res := range results {
+		l.report("slice", res)
 	}
-	for _, v := range sub.VMs() {
-		s.vms[v.Name] = true
+	if err != nil {
+		return nil, err
 	}
+	ms := l.Trace.Start(obs.KindMerge, "merge", l.nowVirt)
+	out.merged, err = mergeSlices(p.Src, dirty, results)
+	if err != nil {
+		ms.SetOutcome("error")
+	}
+	ms.End(l.nowVirt)
+	return out, err
 }
 
 // partition carves the problem into slices, reusing the previous
@@ -845,9 +839,9 @@ func touchesSets(sub *vjob.Configuration, nodes, vms map[string]bool) bool {
 	return false
 }
 
-// iterateIncremental is one event-driven round: re-solve the dirty
-// slices, merge their plans, execute. It falls back to the monolithic
-// iterate when the problem does not decompose or a slice solve fails.
+// iterateIncremental is one event-driven round: re-solve and merge
+// the dirty slices, execute. It falls back to a monolithic solve when
+// the problem does not decompose or the batch of slices fails.
 func (l *Loop) iterateIncremental(a Actuator) {
 	if l.halted() || l.executing {
 		return
@@ -873,16 +867,14 @@ func (l *Loop) iterateIncremental(a Actuator) {
 		return
 	}
 	sr, err := l.solveDirtySlices(p, dirtyNodes, dirtyVMs, nil, nil)
-	switch {
-	case err != nil:
-		// Monolithic fallback under the same budget. This covers an
-		// undecomposable problem, a failed dirty-slice solve, and
-		// errNothingDirty: the Satisfied() early-return above did not
-		// fire, so when every dirty slice is individually clean the
-		// unmet need sits in a slice the events never touched (e.g. a
-		// queued vjob the decision module now wants running on
-		// capacity freed elsewhere) — only a whole-cluster solve can
-		// reach it.
+	if err != nil {
+		// Monolithic fallback, under a fresh Timeout of its own. This
+		// covers an undecomposable problem, a failed batch of dirty
+		// slices, and errNothingDirty: the Satisfied() early-return above
+		// did not fire, so when every dirty slice is individually clean
+		// the unmet need sits in a slice the events never touched (e.g. a
+		// queued vjob the decision module now wants running on capacity
+		// freed elsewhere) — only a whole-cluster solve can reach it.
 		l.Stats.FullSolves++
 		if serr := l.solveFull(a, p); serr != nil {
 			// Keep the region dirty and retry after the debounce, like
@@ -891,39 +883,9 @@ func (l *Loop) iterateIncremental(a Actuator) {
 			l.resolvePending = true
 			l.next(a)
 		}
-	default:
-		ms := l.Trace.Start(obs.KindMerge, "merge", l.nowVirt)
-		dst := cfg.Clone()
-		for i, d := range sr.dsts {
-			if err := dst.Rebase(sr.srcs[i], d); err != nil {
-				ms.SetOutcome("error")
-				ms.End(l.nowVirt)
-				l.endWake(a, false)
-				l.dirty.addSets(dirtyNodes, dirtyVMs)
-				l.resolvePending = true
-				l.next(a)
-				return
-			}
-		}
-		merged, err := plan.Merge(cfg, sr.plans...)
-		if err != nil {
-			ms.SetOutcome("error")
-			ms.End(l.nowVirt)
-			l.endWake(a, false)
-			l.dirty.addSets(dirtyNodes, dirtyVMs)
-			l.resolvePending = true
-			l.next(a)
-			return
-		}
-		ms.End(l.nowVirt)
-		l.lastDst = dst
-		if merged.NumActions() == 0 {
-			l.endWake(a, false)
-			l.next(a)
-			return
-		}
-		l.execute(a, &Result{Dst: dst, Plan: merged, Cost: merged.Cost(), Partitions: len(sr.plans)}, len(sr.plans))
+		return
 	}
+	l.execute(a, sr.merged, sr.merged.Partitions)
 }
 
 // planDirty collects the nodes and VMs a plan manipulates. Nodes

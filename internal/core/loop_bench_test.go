@@ -10,7 +10,7 @@ import (
 // benchChurnCluster builds a cluster of nodes 1-CPU nodes with one
 // running VM per even node and fences pairing nodes {2i, 2i+1}, so the
 // partitioner carves deterministic two-node slices.
-func benchChurnCluster(b *testing.B, nodes int) (*vjob.Configuration, []PlacementRule, []*vjob.VJob) {
+func benchChurnCluster(b testing.TB, nodes int) (*vjob.Configuration, []PlacementRule, []*vjob.VJob) {
 	b.Helper()
 	cfg := vjob.NewConfiguration()
 	for i := 0; i < nodes; i++ {

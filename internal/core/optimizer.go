@@ -31,7 +31,8 @@ var ErrNoViableConfiguration = errors.New("core: no viable configuration for the
 // Timeout to bound the search (the paper uses 40 s for the §5.1
 // study).
 type Optimizer struct {
-	// Timeout bounds the whole optimization; zero means none.
+	// Timeout bounds the whole optimization — for the event-driven
+	// Loop, a whole batch of dirty slices; zero means none.
 	Timeout time.Duration
 	// Partitions decomposes the problem into node-disjoint
 	// sub-problems solved concurrently and merged (see Partitioner and
@@ -331,27 +332,57 @@ func (o Optimizer) Solve(p Problem) (*Result, error) {
 // problem may first be decomposed into node-disjoint sub-problems
 // solved concurrently.
 func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error) {
-	if o.Timeout != 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.Now().Add(o.Timeout))
-		defer cancel()
+	start := time.Now()
+	ctx, cancel := o.budget(ctx)
+	defer cancel()
+	res, err := o.solvePartitioned(ctx, p)
+	if err != nil {
+		// An undecomposable problem, or an infeasible (or timed-out)
+		// partition, goes to the monolithic model under whatever budget
+		// remains: even with an expired deadline the FFD warm start gives
+		// it a plan to return, so asking for partitioning never yields
+		// less than the monolithic path would.
+		res, err = o.solveMonolithic(ctx, p, o.workers())
 	}
-	if parts, err := (Partitioner{Parts: o.Partitions}).Split(p); err == nil && len(parts) > 1 {
-		if res, perr := o.solvePartitioned(ctx, p, parts); perr == nil {
-			return res, nil
-		}
-		// An infeasible (or timed-out) partition falls back to the
-		// monolithic model under whatever budget remains: even with an
-		// expired deadline the FFD warm start gives it a plan to
-		// return, so asking for partitioning never yields less than the
-		// monolithic path would.
+	if err == nil {
+		res.Wall = time.Since(start)
 	}
-	return o.solveMonolithic(ctx, p, o.workers())
+	return res, err
+}
+
+// budget arms the Timeout on ctx.
+func (o Optimizer) budget(ctx context.Context) (context.Context, context.CancelFunc) {
+	if o.Timeout == 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, o.Timeout)
+}
+
+// solvePartitioned solves the problem slice by slice, then checks what
+// no slice can see: the whole destination's viability and rules.
+func (o Optimizer) solvePartitioned(ctx context.Context, p Problem) (*Result, error) {
+	parts, err := (Partitioner{Parts: o.Partitions}).Split(p)
+	if err != nil || len(parts) < 2 {
+		return nil, errMonolithic
+	}
+	results, err := o.solveSlices(ctx, parts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := mergeSlices(p.Src, parts, results)
+	if err != nil {
+		return nil, err
+	}
+	if !res.Dst.Viable() || !rulesHold(p.Rules, res.Dst) {
+		return nil, errors.New("core: merged configuration is not viable or breaks a rule")
+	}
+	return res, nil
 }
 
 // solveMonolithic runs the single-model optimization: compile, FFD warm
 // start, then the portfolio race.
 func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) (*Result, error) {
+	start := time.Now()
 	c, err := o.compile(p)
 	if err != nil {
 		return nil, err
@@ -384,44 +415,52 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 		return nil, err
 	}
 	res.WarmHit = warmHit
+	res.Wall = time.Since(start)
 	return res, nil
 }
 
-// solvePartitioned optimizes the node-disjoint sub-problems
-// concurrently — each through the usual portfolio machinery, with the
-// worker budget spread across partitions — then rebases the
-// per-partition destinations onto the full configuration and merges the
-// plans. All partitions share the caller's deadline; a partition that
-// cannot produce a plan fails the whole decomposition (the caller
-// falls back to the monolithic model).
-func (o Optimizer) solvePartitioned(ctx context.Context, p Problem, parts []Problem) (*Result, error) {
+// solveSlices optimizes node-disjoint sub-problems — every part of a
+// decomposition, or the dirty slices of the loop's carve —
+// concurrently, each through the usual portfolio machinery, the worker
+// budget spread across them, all under the caller's deadline. The
+// first runs on the caller's goroutine, so a set of one is that part's
+// monolithic search and spawns nothing. A part without a plan fails the
+// set (first error in part order); results come back regardless.
+func (o Optimizer) solveSlices(ctx context.Context, parts []Problem) ([]*Result, error) {
 	results := make([]*Result, len(parts))
 	errs := make([]error, len(parts))
 	w := o.workers()
-	share, extra := w/len(parts), w%len(parts)
-	var wg sync.WaitGroup
-	for i := range parts {
-		wi := share
-		if i < extra {
+	solve := func(i int) {
+		wi := w / len(parts)
+		if i < w%len(parts) {
 			wi++
 		}
-		if wi < 1 {
-			wi = 1
-		}
+		results[i], errs[i] = o.solveMonolithic(ctx, parts[i], max(wi, 1))
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(parts); i++ {
 		wg.Add(1)
-		go func(i, wi int) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = o.solveMonolithic(ctx, parts[i], wi)
-		}(i, wi)
+			solve(i)
+		}()
+	}
+	if len(parts) > 0 {
+		solve(0)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("core: partition %d/%d: %w", i+1, len(parts), err)
+			return results, fmt.Errorf("core: slice %d/%d: %w", i+1, len(parts), err)
 		}
 	}
+	return results, nil
+}
 
-	dst := p.Src.Clone()
+// mergeSlices folds the results of solveSlices into one: destinations
+// rebased onto a copy of src, plans merged, telemetry aggregated.
+func mergeSlices(src *vjob.Configuration, parts []Problem, results []*Result) (*Result, error) {
+	dst := src.Clone()
 	plans := make([]*plan.Plan, len(parts))
 	agg := &Result{Optimal: true, Partitions: len(parts)}
 	winCount := make(map[string]int)
@@ -460,15 +499,7 @@ func (o Optimizer) solvePartitioned(ctx context.Context, p Problem, parts []Prob
 		agg.Outcomes = append(agg.Outcomes, w)
 	}
 	sort.Slice(agg.Outcomes, func(i, j int) bool { return agg.Outcomes[i].Strategy < agg.Outcomes[j].Strategy })
-	if !dst.Viable() {
-		return nil, fmt.Errorf("core: merged configuration is non-viable: %v", dst.Violations())
-	}
-	for _, rule := range p.Rules {
-		if err := rule.Check(dst); err != nil {
-			return nil, fmt.Errorf("core: merged configuration violates rule: %w", err)
-		}
-	}
-	merged, err := plan.Merge(p.Src, plans...)
+	merged, err := plan.Merge(src, plans...)
 	if err != nil {
 		return nil, err
 	}

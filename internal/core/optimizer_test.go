@@ -474,30 +474,42 @@ func TestTimeoutWithNoSolutionAtAll(t *testing.T) {
 // over-commits and the search has hundreds of nodes and several
 // improvements to go through before its proof.
 func overcommittedProblem(seed int64, size int) Problem {
+	p := Problem{Src: vjob.NewConfiguration(), Target: map[string]vjob.State{}}
+	overcommit(p, "", seed, size)
+	return p
+}
+
+// overcommit adds one overcommittedProblem to p under a name prefix and
+// returns its nodes, VMs and vjobs.
+func overcommit(p Problem, prefix string, seed int64, size int) (nodes, vms []string, jobs []*vjob.VJob) {
 	rng := rand.New(rand.NewSource(seed))
-	c := mkCluster(size, 2, 4096)
-	target := map[string]vjob.State{}
+	c := p.Src
+	for i := 0; i < size; i++ {
+		nodes = append(nodes, fmt.Sprintf("%sn%02d", prefix, i))
+		c.AddNode(vjob.NewNode(nodes[i], 2, 4096))
+	}
 	for j := 0; j < size; j++ {
-		name := fmt.Sprintf("j%d", j)
-		vms := make([]*vjob.VM, 1+rng.Intn(3))
-		for k := range vms {
-			vms[k] = vjob.NewVM(fmt.Sprintf("%s-%d", name, k), name, rng.Intn(2), 256*(1+rng.Intn(8)))
-			c.AddVM(vms[k])
+		name := fmt.Sprintf("%sj%d", prefix, j)
+		job := make([]*vjob.VM, 1+rng.Intn(3))
+		for k := range job {
+			job[k] = vjob.NewVM(fmt.Sprintf("%s-%d", name, k), name, rng.Intn(2), 256*(1+rng.Intn(8)))
+			c.AddVM(job[k])
+			vms = append(vms, job[k].Name)
 		}
-		vjob.NewVJob(name, j, vms...)
-		for _, v := range vms {
+		jobs = append(jobs, vjob.NewVJob(name, j, job...))
+		for _, v := range job {
 			if rng.Intn(3) > 0 {
-				for _, n := range c.Nodes() {
-					if c.Free(n.Name).Get(resources.Memory) >= v.MemoryDemand() {
-						_ = c.SetRunning(v.Name, n.Name)
+				for _, n := range nodes {
+					if c.Free(n).Get(resources.Memory) >= v.MemoryDemand() {
+						_ = c.SetRunning(v.Name, n)
 						break
 					}
 				}
 			}
 		}
-		target[name] = vjob.Running
+		p.Target[name] = vjob.Running
 	}
-	return Problem{Src: c, Target: target}
+	return nodes, vms, jobs
 }
 
 // TestOneWorkerSearchPinned pins the search Optimizer{Workers: 1} runs

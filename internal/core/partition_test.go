@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"cwcs/internal/cp"
+	"cwcs/internal/resources"
 	"cwcs/internal/sched"
 	"cwcs/internal/vjob"
 )
@@ -239,7 +241,7 @@ func randomProblem(t *testing.T, rng *rand.Rand) Problem {
 		case 0: // running, memory-first-fit (CPU may over-commit)
 			for _, v := range j.VMs {
 				for _, n := range c.Nodes() {
-					if c.FreeMemory(n.Name) >= v.MemoryDemand() {
+					if c.Free(n.Name).Get(resources.Memory) >= v.MemoryDemand() {
 						mustRun(t, c, v.Name, n.Name)
 						break
 					}
@@ -320,9 +322,10 @@ func TestPartitionOracleConcurrent(t *testing.T) {
 }
 
 // TestPartitionedSolveFailsOnInfeasibleSlice hand-builds a
-// decomposition with an unsolvable slice: solvePartitioned must report
-// the failure (SolveContext then falls back to the monolithic model,
-// which the oracle above exercises end to end).
+// decomposition with an unsolvable slice: solveSlices must fail the
+// whole set on it, still handing back the slice that did solve
+// (SolveContext then falls back to the monolithic model, which the
+// oracle above exercises end to end).
 func TestPartitionedSolveFailsOnInfeasibleSlice(t *testing.T) {
 	// A VM sleeping on a storage-only node: isolated, its slice has no
 	// CPU to resume on, while the full cluster does.
@@ -349,8 +352,12 @@ func TestPartitionedSolveFailsOnInfeasibleSlice(t *testing.T) {
 		{Src: subB, Target: map[string]vjob.State{}},
 	}
 	o := Optimizer{Workers: 1}
-	if _, err := o.solvePartitioned(context.Background(), p, parts); err == nil {
-		t.Fatal("infeasible slice not reported")
+	results, err := o.solveSlices(context.Background(), parts)
+	if !errors.Is(err, ErrNoViableConfiguration) {
+		t.Fatalf("infeasible slice not reported: %v", err)
+	}
+	if len(results) != 2 || results[0] != nil || results[1] == nil {
+		t.Fatalf("results = %v, want only the second slice solved", results)
 	}
 	// The public entry point still solves the problem (monolithic, or a
 	// repaired decomposition that pairs the storage node with CPU).

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"cwcs/internal/plan"
 	"cwcs/internal/resources"
@@ -236,7 +237,10 @@ type Result struct {
 	// partitioned solve merges per-partition outcomes by strategy.
 	Outcomes []WorkerOutcome
 	// Trajectory is the incumbent-bound trajectory: one point per
-	// improving solution, offset in wall seconds from the solve start.
+	// improving solution, offset in wall seconds from the search start.
 	// Empty on partitioned solves.
 	Trajectory []BoundPoint
+	// Wall is how long the solve took, seeds included. Slices solved
+	// as a set run together, so their walls overlap.
+	Wall time.Duration
 }

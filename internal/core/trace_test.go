@@ -216,8 +216,8 @@ func BenchmarkLoopTracingOn(b *testing.B) {
 
 // BenchmarkLoopAttributionOff pins the attribution era's inert hot
 // path: tracer AND solver telemetry both nil, so the cause-kind
-// bookkeeping and recordSolve guards added for per-solve attribution
-// are all the scenario can cost. Regress-gated against
+// bookkeeping and the guards in Loop.report added for per-solve
+// attribution are all the scenario can cost. Regress-gated against
 // BENCH_attrib.json; the nil-ledger 0-alloc claim is pinned by
 // TestLedgerNilIsInertAndFree in internal/monitor.
 func BenchmarkLoopAttributionOff(b *testing.B) {

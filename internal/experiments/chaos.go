@@ -241,7 +241,7 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 
 	drains := &core.DrainSet{}
 	loop := &core.Loop{
-		Decision:    queueTerminator{c: c, inner: sched.Consolidation{}, queue: queue},
+		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: queue},
 		Optimizer:   core.Optimizer{Timeout: co.Timeout, Workers: co.Workers, Partitions: co.Partitions},
 		EventDriven: true,
 		Debounce:    co.Debounce,

@@ -190,7 +190,7 @@ func RunChurn(eventDriven bool, opts ChurnOptions) ChurnResult {
 	loop := &core.Loop{
 		// The terminator reads the live (growing) jobs slice through
 		// the closure, not a snapshot.
-		Decision:    queueTerminator{c: c, inner: sched.Consolidation{}, queue: func() []*vjob.VJob { return jobs }},
+		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
 		Trace:       tracer,
 		Optimizer:   core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
 		Interval:    opts.Interval,
@@ -309,17 +309,6 @@ func RunChurn(eventDriven bool, opts ChurnOptions) ChurnResult {
 		}
 	}
 	return res
-}
-
-// queueTerminator is the terminator over a live (growing) queue.
-type queueTerminator struct {
-	inner core.DecisionModule
-	c     *sim.Cluster
-	queue func() []*vjob.VJob
-}
-
-func (t queueTerminator) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
-	return terminator{inner: t.inner, c: t.c, jobs: t.queue()}.Decide(cfg, queue)
 }
 
 // ChurnStudy runs the scenario under both schedules.

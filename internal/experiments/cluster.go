@@ -17,6 +17,7 @@ import (
 	"cwcs/internal/drivers"
 	"cwcs/internal/duration"
 	"cwcs/internal/monitor"
+	"cwcs/internal/sched"
 	"cwcs/internal/sim"
 	"cwcs/internal/trace"
 	"cwcs/internal/vjob"
@@ -98,55 +99,6 @@ func (r ClusterResult) MeanSwitchDuration() float64 {
 	return sum / float64(len(r.Records))
 }
 
-// terminator wraps a decision module: once a vjob's application has
-// finished it signals Entropy to stop the vjob (§5.2). Terminations
-// are issued on their own round so freeing resources never depends on
-// the feasibility of the rest of the decision.
-type terminator struct {
-	inner core.DecisionModule
-	c     *sim.Cluster
-	jobs  []*vjob.VJob
-}
-
-func (t terminator) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
-	var live []*vjob.VJob
-	for _, j := range queue {
-		if !t.c.VJobDone(j) {
-			live = append(live, j)
-		}
-	}
-	target := t.inner.Decide(cfg, live)
-	for _, j := range t.jobs {
-		if !t.c.VJobDone(j) {
-			continue
-		}
-		present, allRunning := false, true
-		for _, v := range j.VMs {
-			if cfg.VM(v.Name) == nil {
-				continue
-			}
-			present = true
-			if cfg.StateOf(v.Name) != vjob.Running {
-				allRunning = false
-			}
-		}
-		switch {
-		case !present:
-			// already reaped
-		case allRunning:
-			// Stop actions free the finished vjob's resources in the
-			// same context switch that redistributes them.
-			target[j.Name] = vjob.Terminated
-		default:
-			// A VM was suspended after finishing its work: the life
-			// cycle only allows Sleeping -> Running -> Terminated, so
-			// resume first and stop on a later round.
-			target[j.Name] = vjob.Running
-		}
-	}
-	return target
-}
-
 // RunCluster executes the §5.2 experiment under the given decision
 // module and returns the measurements.
 func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult {
@@ -182,7 +134,7 @@ func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult
 	}
 
 	loop := &core.Loop{
-		Decision:  terminator{inner: decision, c: c, jobs: jobs},
+		Decision:  sched.Terminator{Inner: decision, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
 		Optimizer: core.Optimizer{Timeout: opts.Timeout, PinRunning: opts.PinRunning, Workers: opts.Workers, Partitions: opts.Partitions},
 		Interval:  opts.Interval,
 		Queue:     func() []*vjob.VJob { return jobs },

@@ -139,7 +139,7 @@ func RunDrain(opts DrainOptions) DrainResult {
 
 	drains := &core.DrainSet{}
 	loop := &core.Loop{
-		Decision:    queueTerminator{c: c, inner: sched.Consolidation{}, queue: func() []*vjob.VJob { return jobs }},
+		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
 		Optimizer:   core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
 		EventDriven: true,
 		Debounce:    opts.Debounce,

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cwcs/internal/resources"
 	"cwcs/internal/sim"
 	"cwcs/internal/vjob"
 )
@@ -49,11 +50,13 @@ type Recorder struct {
 // Observe takes one sample of the configuration right now.
 func Observe(t float64, cfg *vjob.Configuration) Sample {
 	s := Sample{T: t}
+	free := cfg.FreeResources()
 	for _, n := range cfg.Nodes() {
 		s.CapCPU += n.CPU()
 		s.CapMem += n.Memory()
-		s.UsedCPU += cfg.UsedCPU(n.Name)
-		s.UsedMem += cfg.UsedMemory(n.Name)
+		used := n.Capacity.Sub(free[n.Name])
+		s.UsedCPU += used.Get(resources.CPU)
+		s.UsedMem += used.Get(resources.Memory)
 	}
 	s.Running = len(cfg.InState(vjob.Running))
 	s.Sleeping = len(cfg.InState(vjob.Sleeping))

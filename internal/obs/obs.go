@@ -43,9 +43,14 @@ const (
 	// KindCarve covers a partition carve; Cached reports a cache hit.
 	KindCarve
 	// KindSolve covers one optimizer invocation (a dirty slice or a
-	// monolithic solve).
+	// monolithic solve). The dirty slices of a wake-up are solved
+	// together, so their spans are published after the batch, in slice
+	// order, each closed with its own measured wall time
+	// (EndMeasured); a failed solve carries the outcome "error" and no
+	// duration.
 	KindSolve
-	// KindMerge covers rebasing and merging per-slice plans.
+	// KindMerge covers rebasing and merging the plans of a batch of
+	// dirty slices, in a wake-up or in a repair.
 	KindMerge
 	// KindSplice covers a repair attempt against an executing plan;
 	// Widen counts region widenings.
@@ -199,12 +204,28 @@ func (s *Span) SetOutcome(outcome string) {
 // End closes the span at virtual time virt and publishes it. The
 // handle is inert afterwards; End is idempotent.
 func (s *Span) End(virt float64) {
-	t := s.t
-	if t == nil {
+	if s.t == nil {
 		return
 	}
+	s.close(virt, time.Duration(nanotime()-s.rec.WallStart))
+}
+
+// EndMeasured is End for work that was timed where it ran — solves
+// that ran concurrently and are published one by one afterwards, from
+// the tracer's one producer: the span lasted wall and ends now, so its
+// start is back-dated.
+func (s *Span) EndMeasured(virt float64, wall time.Duration) {
+	if s.t == nil {
+		return
+	}
+	s.rec.WallStart = nanotime() - int64(wall)
+	s.close(virt, wall)
+}
+
+func (s *Span) close(virt float64, wall time.Duration) {
+	t := s.t
 	s.t = nil
-	s.rec.WallSeconds = time.Duration(nanotime() - s.rec.WallStart).Seconds()
+	s.rec.WallSeconds = wall.Seconds()
 	s.rec.VirtEnd = virt
 	rec := s.rec // copy: the caller may reuse the Span slot
 	t.push(&rec)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestKindString(t *testing.T) {
@@ -91,6 +92,27 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpanEndMeasured: a span closed with a duration measured
+// elsewhere reports that duration, not the time it was open, ends now
+// (so it started that long ago) and feeds the solve histogram with it.
+func TestSpanEndMeasured(t *testing.T) {
+	tr := NewTracer(8)
+	before := time.Now().UnixNano()
+	sp := tr.Start(KindSolve, "slice", 1)
+	sp.EndMeasured(1, 3*time.Second)
+	sp.EndMeasured(1, time.Second) // inert after the first close
+	recs := tr.Recent(0)
+	if len(recs) != 1 || recs[0].WallSeconds != 3 {
+		t.Fatalf("spans = %+v, want one lasting 3 s", recs)
+	}
+	if start := recs[0].WallStart; start >= before || start < before-int64(4*time.Second) {
+		t.Fatalf("span started %v after it was opened, want ~3 s before", time.Duration(start-before))
+	}
+	if h := tr.Histograms()[0].Snapshot(); h.Count != 1 || h.Sum != 3 {
+		t.Fatalf("solve histogram = %+v, want the measured 3 s", h)
+	}
+}
+
 func TestRingWrapKeepsNewest(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
@@ -133,6 +155,7 @@ func TestNilTracerIsInertAndFree(t *testing.T) {
 		sp.SetSwitch(true)
 		sp.SetOutcome("x")
 		sp.End(2)
+		sp.EndMeasured(2, time.Second)
 		tr.Mark("m", 2)
 	})
 	if allocs != 0 {

@@ -156,3 +156,57 @@ func TestMergeOfNothingIsEmptyPlan(t *testing.T) {
 		t.Fatalf("empty merge: %v", merged)
 	}
 }
+
+// TestMergeInTwoStepsEqualsOne pins what lets the loop hand Repair the
+// merged plan of its re-solved slices as the one fresh plan: pool i of
+// a merge is the sorted union of pool i of its inputs, so merging the
+// fresh plans first and the kept remainder second gives the plan that
+// merging all of them at once gives.
+func TestMergeInTwoStepsEqualsOne(t *testing.T) {
+	src := vjob.NewConfiguration()
+	for i := 0; i < 6; i++ {
+		src.AddNode(vjob.NewNode(fmt.Sprintf("m%d", i), 2, 4096))
+	}
+	vms := make([]*vjob.VM, 3)
+	for i := range vms {
+		vms[i] = vjob.NewVM(fmt.Sprintf("v%d", i), "j", 1, 1024<<i)
+		src.AddVM(vms[i])
+		if err := src.SetRunning(vms[i].Name, fmt.Sprintf("m%d", 2*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// pingPong moves VM i back and forth between its two nodes, one
+	// migration per pool.
+	pingPong := func(i, pools int) *Plan {
+		p := &Plan{Src: src, Bypass: i}
+		at, other := fmt.Sprintf("m%d", 2*i), fmt.Sprintf("m%d", 2*i+1)
+		for ; pools > 0; pools-- {
+			p.Pools = append(p.Pools, Pool{&Migration{Machine: vms[i], Src: at, Dst: other}})
+			at, other = other, at
+		}
+		return p
+	}
+	kept, freshA, freshB := pingPong(1, 2), pingPong(2, 1), pingPong(0, 3)
+	one, err := Merge(src, kept, freshA, freshB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Merge(src, freshA, freshB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := Merge(src, kept, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.String() != two.String() || one.Cost() != two.Cost() || one.Bypass != two.Bypass {
+		t.Fatalf("two-step merge differs:\n%v(cost %d, bypass %d)\nvs\n%v(cost %d, bypass %d)",
+			two, two.Cost(), two.Bypass, one, one.Cost(), one.Bypass)
+	}
+	if len(one.Pools) != 3 || len(one.Pools[0]) != 3 || len(one.Pools[2]) != 1 {
+		t.Fatalf("merged shape wrong: %v", one)
+	}
+	if err := two.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -269,7 +269,7 @@ func (st *batchState) reservations(extra *batchRun) map[string]int {
 	used := 0
 	for _, r := range st.running {
 		used += r.job.Procs
-		releases = append(releases, ev{at: maxInt(st.t+1, r.start+r.job.Estimate), procs: r.job.Procs})
+		releases = append(releases, ev{at: max(st.t+1, r.start+r.job.Estimate), procs: r.job.Procs})
 	}
 	if extra != nil {
 		used += extra.job.Procs
@@ -300,13 +300,6 @@ func (st *batchState) reservations(extra *batchRun) map[string]int {
 		sort.Slice(releases[i:], func(a, b int) bool { return releases[i+a].at < releases[i+b].at })
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EASYPreempt is the Figure 1c policy: EASY backfilling plus

@@ -1,8 +1,9 @@
 // Package sched provides the decision modules of the paper: the sample
 // FCFS dynamic-consolidation module that solves the Running Job
 // Selection Problem (§3.2, Figure 6), a static FCFS allocator used as
-// the §5.2 baseline, and a small batch-scheduling model (FCFS, EASY
-// backfilling, EASY + preemption) that regenerates the Figure 1
+// the §5.2 baseline, the Terminator wrapper that stops a vjob once its
+// application has finished, and a small batch-scheduling model (FCFS,
+// EASY backfilling, EASY + preemption) that regenerates the Figure 1
 // schematic.
 package sched
 

@@ -246,17 +246,6 @@ func (c *Configuration) Used(node string) resources.Vector {
 	return sum
 }
 
-// UsedCPU returns the total CPU demand of the VMs running on the node.
-func (c *Configuration) UsedCPU(node string) int {
-	return c.Used(node).Get(resources.CPU)
-}
-
-// UsedMemory returns the total memory demand of the VMs running on the
-// node, in MiB.
-func (c *Configuration) UsedMemory(node string) int {
-	return c.Used(node).Get(resources.Memory)
-}
-
 // Free returns the node's remaining resources per dimension (zero for
 // unknown nodes).
 func (c *Configuration) Free(node string) resources.Vector {
@@ -265,16 +254,6 @@ func (c *Configuration) Free(node string) resources.Vector {
 		return resources.Vector{}
 	}
 	return n.Capacity.Sub(c.Used(node))
-}
-
-// FreeCPU returns the node's remaining processing units.
-func (c *Configuration) FreeCPU(node string) int {
-	return c.Free(node).Get(resources.CPU)
-}
-
-// FreeMemory returns the node's remaining memory in MiB.
-func (c *Configuration) FreeMemory(node string) int {
-	return c.Free(node).Get(resources.Memory)
 }
 
 // Fits reports whether the VM's demands fit in the node's current free

@@ -100,17 +100,17 @@ func TestResourceAccounting(t *testing.T) {
 	c.AddVM(NewVM("vm2", "j1", 0, 512))
 	mustRun(t, c, "vm1", "n1")
 	mustRun(t, c, "vm2", "n1")
-	if got := c.UsedCPU("n1"); got != 1 {
-		t.Fatalf("UsedCPU = %d, want 1", got)
+	if got := c.Used("n1").Get(resources.CPU); got != 1 {
+		t.Fatalf("used CPU = %d, want 1", got)
 	}
-	if got := c.UsedMemory("n1"); got != 1536 {
-		t.Fatalf("UsedMemory = %d, want 1536", got)
+	if got := c.Used("n1").Get(resources.Memory); got != 1536 {
+		t.Fatalf("used memory = %d, want 1536", got)
 	}
-	if got := c.FreeCPU("n1"); got != 0 {
-		t.Fatalf("FreeCPU = %d, want 0", got)
+	if got := c.Free("n1").Get(resources.CPU); got != 0 {
+		t.Fatalf("free CPU = %d, want 0", got)
 	}
-	if got := c.FreeMemory("n1"); got != 1536 {
-		t.Fatalf("FreeMemory = %d, want 1536", got)
+	if got := c.Free("n1").Get(resources.Memory); got != 1536 {
+		t.Fatalf("free memory = %d, want 1536", got)
 	}
 	if c.Fits(NewVM("x", "", 1, 100), "n1") {
 		t.Fatal("Fits accepted a CPU-hungry VM on a full node")
@@ -118,7 +118,7 @@ func TestResourceAccounting(t *testing.T) {
 	if !c.Fits(NewVM("x", "", 0, 1536), "n1") {
 		t.Fatal("Fits rejected a VM that exactly fits")
 	}
-	if c.FreeCPU("ghost") != 0 || c.FreeMemory("ghost") != 0 {
+	if c.Free("ghost") != (resources.Vector{}) {
 		t.Fatal("free resources of unknown node should be 0")
 	}
 }
@@ -512,7 +512,7 @@ func TestFreeResourcesMultiDimension(t *testing.T) {
 	if free["n1"] != c.Free("n1") {
 		t.Fatalf("FreeResources disagrees with Free: %s vs %s", free["n1"], c.Free("n1"))
 	}
-	if c.FreeCPU("n1") != 3 || c.FreeMemory("n1") != 7168 {
-		t.Fatal("compat accessors drifted")
+	if got := c.Free("n1"); got.Get(resources.CPU) != 3 || got.Get(resources.Memory) != 7168 {
+		t.Fatalf("Free = %s, want 3 CPU and 7168 MiB", got)
 	}
 }

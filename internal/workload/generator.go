@@ -147,7 +147,7 @@ func placeByMemory(rng *rand.Rand, cfg *vjob.Configuration, j *vjob.VJob) bool {
 		placed := false
 		for k := 0; k < len(nodes); k++ {
 			n := nodes[(off+k)%len(nodes)]
-			if cfg.FreeMemory(n.Name) >= v.MemoryDemand() {
+			if cfg.Free(n.Name).Get(resources.Memory) >= v.MemoryDemand() {
 				if err := cfg.SetRunning(v.Name, n.Name); err == nil {
 					placed = true
 					break
