@@ -1,0 +1,331 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"cwcs/internal/cp"
+	"cwcs/internal/resources"
+	"cwcs/internal/sched"
+	"cwcs/internal/vjob"
+	"cwcs/internal/workload"
+)
+
+// refCostBound is the cost bound as it ran before the contribution
+// table: every value of every domain priced through the cost model's
+// string-keyed maps, twice per run. Kept verbatim as the reference the
+// table form is compared with.
+func refCostBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, nodes []*vjob.Node, obj *cp.IntVar, fixed int) cp.Constraint {
+	watched := append([]*cp.IntVar{obj}, vars...)
+	return &cp.FuncConstraint{
+		On: watched,
+		Run: func(s *cp.Solver) error {
+			lb := fixed
+			mins := make([]int, len(vars))
+			for i, v := range vars {
+				if v.Bound() {
+					mins[i] = model.contribution(runners[i], nodes[v.Value()].Name)
+				} else {
+					min := -1
+					for _, val := range v.Values() {
+						c := model.contribution(runners[i], nodes[val].Name)
+						if min < 0 || c < min {
+							min = c
+						}
+					}
+					mins[i] = min
+				}
+				lb += mins[i]
+			}
+			if err := s.RemoveBelow(obj, lb); err != nil {
+				return err
+			}
+			slack := obj.Max() - lb
+			for i, v := range vars {
+				if v.Bound() {
+					continue
+				}
+				for _, val := range v.Values() {
+					if model.contribution(runners[i], nodes[val].Name)-mins[i] > slack {
+						if err := s.RemoveValue(v, val); err != nil {
+							return err
+						}
+					}
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// tableProblem is a seeded cluster filled tightly enough that hosts
+// differ in price — staying, migrating, local and remote resumes, and
+// the wait for a release where a VM does not fit yet. With extra, nodes
+// and VMs also carry network and disk dimensions (4-D).
+func tableProblem(seed int64, extra bool) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := vjob.NewConfiguration()
+	for i := 0; i < 8+rng.Intn(5); i++ {
+		capacity := resources.New(2+rng.Intn(3), 2048*(1+rng.Intn(3)))
+		if extra {
+			capacity.Set(resources.NetBW, 1000)
+			capacity.Set(resources.DiskIO, 400+rng.Intn(400))
+		}
+		cfg.AddNode(vjob.NewNodeRes(fmt.Sprintf("n%02d", i), capacity))
+	}
+	target := map[string]vjob.State{}
+	for j := 0; j < 10+rng.Intn(6); j++ {
+		job := fmt.Sprintf("j%d", j)
+		state := []vjob.State{vjob.Running, vjob.Running, vjob.Sleeping, vjob.Waiting}[rng.Intn(4)]
+		placed := true // a running job whose VMs all found room
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			demand := resources.New(rng.Intn(2), 256*(1+rng.Intn(8)))
+			if extra {
+				demand.Set(resources.NetBW, rng.Intn(400))
+				demand.Set(resources.DiskIO, rng.Intn(200))
+			}
+			v := vjob.NewVMRes(fmt.Sprintf("%s-%d", job, k), job, demand)
+			cfg.AddVM(v)
+			nodes := cfg.Nodes()
+			host := nodes[rng.Intn(len(nodes))].Name
+			switch {
+			case state == vjob.Sleeping:
+				_ = cfg.SetSleeping(v.Name, host)
+			case state == vjob.Running && cfg.Fits(v, host):
+				_ = cfg.SetRunning(v.Name, host)
+			default:
+				placed = false
+			}
+		}
+		target[job] = vjob.Running
+		if state == vjob.Running && placed {
+			target[job] = []vjob.State{vjob.Running, vjob.Running, vjob.Sleeping, vjob.Terminated}[rng.Intn(4)]
+		}
+	}
+	return Problem{Src: cfg, Target: target}
+}
+
+// TestCostTableMatchesModel: on seeded 2-D and 4-D problems every
+// table entry is what the cost model answers, every order holds the
+// runner's allowed nodes cheapest first with index ties — and from the
+// same random domains the bound on the table leaves exactly what the
+// closure it replaced leaves, or fails with it.
+func TestCostTableMatchesModel(t *testing.T) {
+	pruned, failed, runs := 0, 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		p := tableProblem(seed, seed%2 == 1)
+		c, err := Optimizer{}.compile(p)
+		if errors.Is(err, ErrNoViableConfiguration) {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		model := newCostModel(p.Src, c.goals)
+		for i, g := range c.runners {
+			row, order := c.rows[i], c.order[i]
+			for _, j := range c.allowed[i] {
+				if want := model.contribution(g, c.nodes[j].Name); row[j] != want {
+					t.Fatalf("seed %d: %s on %s is %d in the table, %d in the model", seed, g.vm.Name, c.nodes[j].Name, row[j], want)
+				}
+			}
+			for k := 1; k < len(order); k++ {
+				a, b := order[k-1], order[k]
+				if row[a] > row[b] || (row[a] == row[b] && a >= b) {
+					t.Fatalf("seed %d: %s: order %v over costs %v is not cheapest first with index ties", seed, g.vm.Name, order, row)
+				}
+			}
+			if sorted := slices.Sorted(slices.Values(order)); !slices.Equal(sorted, c.allowed[i]) {
+				t.Fatalf("seed %d: %s: order %v is not its allowed nodes %v", seed, g.vm.Name, order, c.allowed[i])
+			}
+		}
+
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 25; round++ {
+			// One random state, built twice: each runner keeps a random
+			// part of its domain, the objective a random ceiling.
+			keep := make([][]int, len(c.runners))
+			for i, allowed := range c.allowed {
+				for _, j := range allowed {
+					if rng.Intn(3) > 0 {
+						keep[i] = append(keep[i], j)
+					}
+				}
+				if len(keep[i]) == 0 || rng.Intn(4) == 0 {
+					keep[i] = []int{allowed[rng.Intn(len(allowed))]}
+				}
+			}
+			ceiling := c.fixed + rng.Intn(c.maxObj-c.fixed+1)
+			run := func(bound func(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint) ([]*cp.IntVar, error) {
+				s := cp.NewSolver()
+				vars := make([]*cp.IntVar, len(c.runners))
+				for i, g := range c.runners {
+					vars[i] = s.NewEnumVar(g.vm.Name, keep[i])
+				}
+				obj := s.NewIntVar("cost", 0, ceiling)
+				s.Post(bound(vars, obj))
+				return vars, toFixpoint(s)
+			}
+			vars, err := run(c.costBound)
+			refVars, refErr := run(func(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
+				return refCostBound(model, c.runners, vars, c.nodes, obj, c.fixed)
+			})
+			runs++
+			if errors.Is(err, cp.ErrFailed) != errors.Is(refErr, cp.ErrFailed) {
+				t.Fatalf("seed %d round %d: verdict %v, reference %v", seed, round, err, refErr)
+			}
+			if err != nil {
+				failed++
+				continue
+			}
+			for i := range vars {
+				got, want := vars[i].Values(), refVars[i].Values()
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d round %d: %s = %v, reference %v", seed, round, vars[i].Name(), got, want)
+				}
+				pruned += len(keep[i]) - len(got)
+			}
+		}
+	}
+	if pruned == 0 || failed == 0 || failed == runs {
+		t.Fatalf("%d runs, %d failed, %d values pruned: the generator no longer exercises the bound", runs, failed, pruned)
+	}
+}
+
+// toFixpoint runs s's propagation queue until it is empty: a Solve
+// whose one decision variable is bound already has nothing else to do.
+func toFixpoint(s *cp.Solver) error {
+	_, err := s.Solve(cp.Options{Vars: []*cp.IntVar{s.NewEnumVar("decided", []int{0})}})
+	return err
+}
+
+// searchBudget is a placement rule that places nothing: it posts, on
+// its VM's variable, a propagator that answers cp.ErrCanceled once the
+// solver has opened Nodes search nodes. It is the benchmark's node
+// budget (bench/nodebudget.go), restated here so that a change to cp
+// or core that breaks what it rides on fails in this package.
+type searchBudget struct {
+	VM    string
+	Nodes int64
+}
+
+func (r searchBudget) Apply(s *cp.Solver, vars map[string]*cp.IntVar, _ map[string]int) error {
+	if v, ok := vars[r.VM]; ok {
+		s.Post(&cp.FuncConstraint{On: []*cp.IntVar{v}, Run: func(s *cp.Solver) error {
+			if nodes, _, _, _ := s.Stats(); nodes >= r.Nodes {
+				return cp.ErrCanceled
+			}
+			return nil
+		}})
+	}
+	return nil
+}
+
+func (r searchBudget) Check(*vjob.Configuration) error { return nil }
+
+// budgetedProblem is the benchmark's solve_mono instance: 100 nodes in
+// the paper's §5.1 mix, 150 VMs, the states sched.Consolidation asks
+// for, and one searchBudget per VM.
+func budgetedProblem(seed int64, budget int64) Problem {
+	g := workload.GenerateConfiguration(rand.New(rand.NewSource(seed)), workload.GenerateOptions{
+		Nodes: 100, NodeCPU: 2, NodeMemory: 4096, VMs: 150,
+	})
+	p := Problem{Src: g.Cfg, Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs)}
+	for _, v := range g.Cfg.VMs() {
+		p.Rules = append(p.Rules, searchBudget{VM: v.Name, Nodes: budget})
+	}
+	return p
+}
+
+// TestPropagatorCancelsSearchAtNodeBudget: a propagator on one
+// variable runs after every branch on it, and its cp.ErrCanceled
+// reaches the optimizer as an interruption — the search stops on node
+// N (or N+1 when node N is a leaf, which binds nothing), and the
+// incumbent comes back without an error.
+func TestPropagatorCancelsSearchAtNodeBudget(t *testing.T) {
+	for _, budget := range []int64{1, 40, 300} {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := budgetedProblem(seed, budget)
+			ffd, err := FFDPlan(Problem{Src: p.Src, Target: p.Target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Optimizer{Workers: 1, Partitions: 1}.Solve(p)
+			if err != nil {
+				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
+			}
+			if res.Nodes != budget && res.Nodes != budget+1 {
+				t.Fatalf("seed %d: searched %d nodes under a budget of %d", seed, res.Nodes, budget)
+			}
+			if res.Optimal {
+				t.Fatalf("seed %d budget %d: an interrupted search claims a proof", seed, budget)
+			}
+			if res.Plan == nil || !res.Dst.Viable() || res.Cost > ffd.Cost {
+				t.Fatalf("seed %d budget %d: incumbent of cost %d (FFD %d), viable %t", seed, budget, res.Cost, ffd.Cost, res.Dst.Viable())
+			}
+			if sum := res.Phases.Compile + res.Phases.Seeds + res.Phases.Build + res.Phases.Search + res.Phases.Plan; sum <= 0 || sum > res.Wall {
+				t.Fatalf("seed %d budget %d: phases %+v sum to %v of a one-worker wall of %v", seed, budget, res.Phases, sum, res.Wall)
+			}
+		}
+	}
+}
+
+// TestCostBoundAllocatesNothing: one run of the bound on a model at
+// its fixpoint.
+func TestCostBoundAllocatesNothing(t *testing.T) {
+	p := budgetedProblem(1, 300)
+	c, err := Optimizer{}.compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Optimizer{}.buildModel(Problem{Src: p.Src, Target: p.Target}, c, Optimizer{}.baseStrategy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.s.RemoveAbove(m.obj, c.maxObj/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := toFixpoint(m.s); err != nil {
+		t.Fatal(err)
+	}
+	bound := c.costBound(m.vars, m.obj)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := bound.Propagate(m.s); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per run of the cost bound, want 0", allocs)
+	}
+}
+
+// solveAllocLanding is what one 300-node, one-worker solve of
+// budgetedProblem(1) allocated when the allocation-free hot path
+// landed; the commit before it allocated about 87 MB.
+const solveAllocLanding = 2_180_000
+
+// TestSolveAllocationBudget fails when a budgeted solve allocates a
+// quarter more than it did at landing: bytes are counted, not timed, so
+// the gain cannot leak back unnoticed.
+func TestSolveAllocationBudget(t *testing.T) {
+	p := budgetedProblem(1, 300)
+	opt := Optimizer{Workers: 1, Partitions: 1}
+	if _, err := opt.Solve(p); err != nil { // lazy set-up is not the solve's
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := opt.Solve(p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 300 && res.Nodes != 301 {
+		t.Fatalf("searched %d nodes under a budget of 300", res.Nodes)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > solveAllocLanding*5/4 {
+		t.Fatalf("one solve allocated %d bytes, more than 1.25 x the %d it allocated at landing", got, solveAllocLanding)
+	}
+}

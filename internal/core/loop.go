@@ -277,6 +277,7 @@ func (l *Loop) report(scope string, res *Result) {
 			Workers:     res.Outcomes,
 			Trajectory:  res.Trajectory,
 			WallSeconds: res.Wall.Seconds(),
+			Phases:      res.Phases,
 		})
 	}
 }

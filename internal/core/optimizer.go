@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -147,11 +149,17 @@ type compiled struct {
 	fixed   int      // cost incurred regardless of placement
 	nodes   []*vjob.Node
 	nodeIdx map[string]int
-	model   *costModel
 	allowed [][]int // per runner: candidate node indices
-	prefs   []int   // per runner: preferred node index, -1 when none
-	hints   []int   // per runner: warm-start node index, -1 when none
-	maxObj  int
+	// rows[i][j] is the placement cost (costModel.contribution) of
+	// runner i on node j, filled for its allowed nodes; order[i] lists
+	// those nodes cheapest first, ties by index. The cost bound, the
+	// solutions' lower bound and maxObj all read these, so the cost
+	// model and its string-keyed maps are consulted here only.
+	rows   [][]int
+	order  [][]int
+	prefs  []int // per runner: preferred node index, -1 when none
+	hints  []int // per runner: warm-start node index, -1 when none
+	maxObj int
 	// active marks the resource dimensions some runner demands: one
 	// cp.Packing instance compiles per active dimension, zero-demand
 	// dimensions compile away entirely.
@@ -164,7 +172,8 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{goals: goals, model: newCostModel(p.Src, goals)}
+	c := &compiled{goals: goals}
+	model := newCostModel(p.Src, goals)
 	c.nodes = p.Src.Nodes()
 	c.nodeIdx = make(map[string]int, len(c.nodes))
 	for i, n := range c.nodes {
@@ -209,9 +218,12 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 	c.allowed = make([][]int, len(c.runners))
 	c.prefs = make([]int, len(c.runners))
 	c.hints = make([]int, len(c.runners))
+	c.rows = make([][]int, len(c.runners))
+	c.order = make([][]int, len(c.runners))
+	table := make([]int, len(c.runners)*len(c.nodes))
 	c.maxObj = c.fixed
 	for i, g := range c.runners {
-		var allowed []int
+		allowed := make([]int, 0, len(c.nodes))
 		for j, n := range c.nodes {
 			if g.vm.Demand.Fits(n.Capacity) {
 				allowed = append(allowed, j)
@@ -236,13 +248,14 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 				c.hints[i] = idx
 			}
 		}
-		worst := 0
+		row := table[i*len(c.nodes) : (i+1)*len(c.nodes)]
 		for _, j := range allowed {
-			if cost := c.model.contribution(g, c.nodes[j].Name); cost > worst {
-				worst = cost
-			}
+			row[j] = model.contribution(g, c.nodes[j].Name)
 		}
-		c.maxObj += worst
+		order := append([]int(nil), allowed...)
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(row[a], row[b]) })
+		c.rows[i], c.order[i] = row, order
+		c.maxObj += row[order[len(order)-1]]
 	}
 	return c, nil
 }
@@ -300,7 +313,7 @@ func (o Optimizer) buildModel(p Problem, c *compiled, strat searchStrategy) (*se
 
 	obj := s.NewIntVar("cost", 0, c.maxObj)
 	if !o.DisableCostBound {
-		s.Post(o.costBound(c.model, c.runners, vars, c.nodes, obj, c.fixed))
+		s.Post(c.costBound(vars, obj))
 	}
 
 	opts := strat.Apply(cp.Options{Vars: vars})
@@ -387,6 +400,7 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 	if err != nil {
 		return nil, err
 	}
+	compiledAt := time.Now()
 
 	// Warm start: the FFD heuristic's plan seeds the incumbent, so the
 	// optimizer never returns anything worse than the baseline and the
@@ -407,6 +421,8 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 		}
 	}
 
+	seededAt := time.Now()
+
 	if len(c.runners) == 0 {
 		workers = 1 // nothing to branch on: every strategy runs the same search
 	}
@@ -415,6 +431,7 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 		return nil, err
 	}
 	res.WarmHit = warmHit
+	res.Phases.Compile, res.Phases.Seeds = compiledAt.Sub(start), seededAt.Sub(compiledAt)
 	res.Wall = time.Since(start)
 	return res, nil
 }
@@ -476,6 +493,7 @@ func mergeSlices(src *vjob.Configuration, parts []Problem, results []*Result) (*
 		agg.Fails += r.Fails
 		agg.Optimal = agg.Optimal && r.Optimal
 		agg.WarmHit = agg.WarmHit || r.WarmHit
+		agg.Phases.add(r.Phases)
 		if r.Winner != "" {
 			winCount[r.Winner]++
 		}
@@ -513,8 +531,8 @@ func mergeSlices(src *vjob.Configuration, parts []Problem, results []*Result) (*
 // solution.
 func (c *compiled) lowerBound(sol cp.Solution, vars []*cp.IntVar) int {
 	lb := c.fixed
-	for i, g := range c.runners {
-		lb += c.model.contribution(g, c.nodes[sol.MustValue(vars[i])].Name)
+	for i := range c.runners {
+		lb += c.rows[i][sol.MustValue(vars[i])]
 	}
 	return lb
 }
@@ -534,6 +552,7 @@ type portfolioState struct {
 	proven       bool
 	err          error // first non-interruption worker error
 	nodes, fails int64 // aggregated search counters
+	phases       Phases
 	outcomes     []WorkerOutcome
 	traj         []BoundPoint
 }
@@ -616,6 +635,7 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	sort.Slice(sh.outcomes, func(i, j int) bool { return sh.outcomes[i].Strategy < sh.outcomes[j].Strategy })
 	best.Outcomes = sh.outcomes
 	best.Trajectory = sh.traj
+	best.Phases = sh.phases
 	return best, nil
 }
 
@@ -626,17 +646,20 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 // definitive answer (settled, so sibling workers stop immediately) or
 // an interruption.
 func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st searchStrategy, sh *portfolioState) {
+	t := time.Now()
 	m, err := o.buildModel(p, c, st)
 	if err != nil {
 		sh.settle(err)
 		return
 	}
+	ph := Phases{Build: time.Since(t)}
 	improved := 0
 	defer func() {
 		n, f, _, _ := m.s.Stats()
 		sh.mu.Lock()
 		sh.nodes += n
 		sh.fails += f
+		sh.phases.add(ph)
 		sh.outcomes = append(sh.outcomes, WorkerOutcome{Strategy: st.Label, Nodes: n, Backtracks: f, Improvements: improved})
 		sh.mu.Unlock()
 	}()
@@ -658,7 +681,9 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 			sh.settle(nil) // cost floor reached
 			return
 		}
+		t = time.Now()
 		sol, err := m.s.Solve(opts)
+		ph.Search += time.Since(t)
 		switch {
 		case cp.Stopped(err):
 			return
@@ -669,6 +694,7 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 			sh.settle(err)
 			return
 		}
+		t = time.Now()
 		lb := c.lowerBound(sol, m.vars)
 		if dst, derr := o.decode(p, c.goals, c.runners, m.vars, c.nodes, sol); derr == nil {
 			if g, gerr := plan.BuildGraph(p.Src, dst); gerr == nil {
@@ -681,6 +707,7 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 				}
 			}
 		}
+		ph.Plan += time.Since(t)
 		// Tighten: any better configuration must have a strictly lower
 		// action-cost sum than this one, and its sum (an admissible
 		// lower bound of its plan cost) must undercut the incumbent.
@@ -763,26 +790,28 @@ func (o Optimizer) seedRespectsPins(p Problem, seed *Result) bool {
 // objective's lower bound equal to the fixed costs plus, per VM,
 // either the exact contribution of its assignment or the cheapest
 // contribution still in its domain; and it prunes node choices that
-// would push the bound past the incumbent.
-func (o Optimizer) costBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, nodes []*vjob.Node, obj *cp.IntVar, fixed int) cp.Constraint {
-	watched := append([]*cp.IntVar{obj}, vars...)
+// would push the bound past the incumbent. One run costs about one
+// step per variable: the cheapest value left is the first of the
+// variable's cheapest-first order still in its domain — found afresh
+// each run, so nothing is cached that a backtrack would have to undo —
+// and the values to prune are at the order's expensive end.
+func (c *compiled) costBound(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
+	mins := make([]int, len(vars))
 	return &cp.FuncConstraint{
-		On: watched,
+		On: append([]*cp.IntVar{obj}, vars...),
 		Run: func(s *cp.Solver) error {
-			lb := fixed
-			mins := make([]int, len(vars))
+			lb := c.fixed
 			for i, v := range vars {
+				row := c.rows[i]
 				if v.Bound() {
-					mins[i] = model.contribution(runners[i], nodes[v.Value()].Name)
+					mins[i] = row[v.Min()]
 				} else {
-					min := -1
-					for _, val := range v.Values() {
-						c := model.contribution(runners[i], nodes[val].Name)
-						if min < 0 || c < min {
-							min = c
+					for _, val := range c.order[i] {
+						if v.Contains(val) {
+							mins[i] = row[val]
+							break
 						}
 					}
-					mins[i] = min
 				}
 				lb += mins[i]
 			}
@@ -794,11 +823,10 @@ func (o Optimizer) costBound(model *costModel, runners []vmGoal, vars []*cp.IntV
 				if v.Bound() {
 					continue
 				}
-				for _, val := range v.Values() {
-					if model.contribution(runners[i], nodes[val].Name)-mins[i] > slack {
-						if err := s.RemoveValue(v, val); err != nil {
-							return err
-						}
+				row, order := c.rows[i], c.order[i]
+				for k := len(order) - 1; k >= 0 && row[order[k]]-mins[i] > slack; k-- {
+					if err := s.RemoveValue(v, order[k]); err != nil {
+						return err
 					}
 				}
 			}

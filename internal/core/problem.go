@@ -243,4 +243,25 @@ type Result struct {
 	// Wall is how long the solve took, seeds included. Slices solved
 	// as a set run together, so their walls overlap.
 	Wall time.Duration
+	// Phases says what that time went on.
+	Phases Phases
+}
+
+// Phases splits the time of a solve by what it was spent on. Portfolio
+// workers and slices run side by side and each adds its own time, so
+// the sum can exceed Wall.
+type Phases struct {
+	Compile time.Duration `json:"compileNs"` // problem to goals, domains and cost table
+	Seeds   time.Duration `json:"seedsNs"`   // the FFD and warm-start seed plans
+	Build   time.Duration `json:"buildNs"`   // one CP model per worker
+	Search  time.Duration `json:"searchNs"`  // inside the CP solver
+	Plan    time.Duration `json:"planNs"`    // per solution found: decode, graph, plan
+}
+
+func (p *Phases) add(q Phases) {
+	p.Compile += q.Compile
+	p.Seeds += q.Seeds
+	p.Build += q.Build
+	p.Search += q.Search
+	p.Plan += q.Plan
 }

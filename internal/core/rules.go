@@ -354,7 +354,7 @@ func (r Fence) Apply(s *cp.Solver, vars map[string]*cp.IntVar, nodeIdx map[strin
 		if !ok {
 			continue
 		}
-		for _, val := range v.Values() {
+		for val := v.NextValue(0); val >= 0; val = v.NextValue(val + 1) {
 			if !inside[val] {
 				if err := s.RemoveValue(v, val); err != nil {
 					return fmt.Errorf("core: fence leaves no host for %s: %w", name, err)
@@ -416,7 +416,7 @@ func (r Gather) Apply(s *cp.Solver, vars map[string]*cp.IntVar, nodeIdx map[stri
 	}
 	s.Post(&cp.FuncConstraint{On: items, Run: func(s *cp.Solver) error {
 		// Intersect the domains: all variables must share a value.
-		for _, val := range items[0].Values() {
+		for val := items[0].NextValue(0); val >= 0; val = items[0].NextValue(val + 1) {
 			keep := true
 			for _, v := range items[1:] {
 				if !v.Contains(val) {
@@ -432,7 +432,7 @@ func (r Gather) Apply(s *cp.Solver, vars map[string]*cp.IntVar, nodeIdx map[stri
 		}
 		// Mirror item 0's (now intersected) domain onto the others.
 		for _, v := range items[1:] {
-			for _, val := range v.Values() {
+			for val := v.NextValue(0); val >= 0; val = v.NextValue(val + 1) {
 				if !items[0].Contains(val) {
 					if err := s.RemoveValue(v, val); err != nil {
 						return err

@@ -40,6 +40,7 @@ type SolveReport struct {
 	Workers     []WorkerOutcome `json:"workers,omitempty"`
 	Trajectory  []BoundPoint    `json:"trajectory,omitempty"`
 	WallSeconds float64         `json:"wallSeconds"`
+	Phases      Phases          `json:"phases"` // what the wall time went on
 }
 
 // SolverSnapshot is the aggregate view served by GET /v1/solver and

@@ -1,7 +1,5 @@
 package cp
 
-import "fmt"
-
 // AllDifferent constrains every pair of variables to take distinct
 // values. Propagation combines value elimination (a bound variable's
 // value leaves every other domain) with a pigeonhole test (fewer
@@ -32,7 +30,7 @@ func (c *AllDifferent) Propagate(s *Solver) error {
 					continue
 				}
 				if w.Bound() {
-					return fmt.Errorf("%w: alldifferent: %s and %s both take %d", ErrFailed, v.Name(), w.Name(), val)
+					return ErrFailed // two variables take val
 				}
 				if err := s.RemoveValue(w, val); err != nil {
 					return err
@@ -44,12 +42,12 @@ func (c *AllDifferent) Propagate(s *Solver) error {
 	// Pigeonhole: the union of candidate values must cover the items.
 	union := map[int]bool{}
 	for _, v := range c.Items {
-		for _, val := range v.Values() {
+		for val := v.NextValue(0); val >= 0; val = v.NextValue(val + 1) {
 			union[val] = true
 		}
 	}
 	if len(union) < len(c.Items) {
-		return fmt.Errorf("%w: alldifferent: %d variables share %d values", ErrFailed, len(c.Items), len(union))
+		return ErrFailed
 	}
 	// Hall sets over unbound variables with small domains: any group
 	// of k variables whose domains' union has size k consumes those
@@ -65,7 +63,11 @@ func (c *AllDifferent) hallSets(s *Solver) error {
 		if pivot.Size() > 4 { // small domains only: keep it cheap
 			continue
 		}
-		pv := pivot.Values()
+		var small [4]int
+		pv := small[:0]
+		for val := pivot.NextValue(0); val >= 0; val = pivot.NextValue(val + 1) {
+			pv = append(pv, val)
+		}
 		inHall := 0
 		for _, v := range c.Items {
 			if subsetOf(v, pv) {
@@ -76,7 +78,7 @@ func (c *AllDifferent) hallSets(s *Solver) error {
 			continue
 		}
 		if inHall > len(pv) {
-			return fmt.Errorf("%w: alldifferent: %d variables confined to %d values", ErrFailed, inHall, len(pv))
+			return ErrFailed // more variables than the values confining them
 		}
 		for _, v := range c.Items {
 			if subsetOf(v, pv) {
@@ -99,7 +101,7 @@ func subsetOf(v *IntVar, values []int) bool {
 	if v.Size() > len(values) {
 		return false
 	}
-	for _, val := range v.Values() {
+	for val := v.NextValue(0); val >= 0; val = v.NextValue(val + 1) {
 		found := false
 		for _, w := range values {
 			if w == val {

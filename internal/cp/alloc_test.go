@@ -1,0 +1,76 @@
+package cp
+
+import (
+	"fmt"
+	"testing"
+)
+
+// packedModel is a solver the shape of the optimizer's: items over
+// bins under two Packing constraints, propagated to its first
+// fixpoint, so every scratch buffer has its size.
+func packedModel(t *testing.T, bins, items int) (*Solver, []*IntVar, *Packing) {
+	t.Helper()
+	s := NewSolver()
+	all := make([]int, bins)
+	for b := range all {
+		all[b] = b
+	}
+	vars := make([]*IntVar, items)
+	mem, cpu := make([]int, items), make([]int, items)
+	for i := range vars {
+		vars[i] = s.NewEnumVar(fmt.Sprintf("i%d", i), all)
+		mem[i], cpu[i] = 1+i%5, i%2
+	}
+	memCap, cpuCap := make([]int, bins), make([]int, bins)
+	for b := range memCap {
+		memCap[b], cpuCap[b] = 8, 2
+	}
+	p := &Packing{Name: "mem", Items: vars, Weights: mem, Capacity: memCap}
+	s.Post(p)
+	s.Post(&Packing{Name: "cpu", Items: vars, Weights: cpu, Capacity: cpuCap})
+	for _, v := range vars[:items/3] { // some bound, as inside a search
+		if err := s.Assign(v, v.Min()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.propagate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, vars, p
+}
+
+// TestHotPathAllocatesNothing pins what a search node is made of at
+// zero allocations once its buffers are sized: one Packing
+// propagation, one save and restore of every domain, and one run of
+// the queue to fixpoint with every constraint woken.
+func TestHotPathAllocatesNothing(t *testing.T) {
+	s, vars, p := packedModel(t, 100, 150)
+	var saved State
+	s.saveInto(&saved) // a level's first save sizes its storage
+	for _, step := range []struct {
+		name string
+		run  func()
+	}{
+		{"Packing.Propagate", func() {
+			if err := p.Propagate(s); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"save and restore", func() {
+			s.saveInto(&saved)
+			s.RestoreState(saved)
+		}},
+		{"propagate to fixpoint", func() {
+			for _, v := range vars {
+				s.wake(v)
+			}
+			if err := s.propagate(); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(50, step.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", step.name, allocs)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package cp
 
-import (
-	"fmt"
-
-	"cwcs/internal/packing"
-)
+import "cwcs/internal/packing"
 
 // NotEqualOffset is the constraint x != y + offset. It propagates once
 // one side is bound. With offset 0 it is a plain disequality; offsets
@@ -43,9 +39,13 @@ func (c *NotEqualOffset) Propagate(s *Solver) error {
 // weight exceeds what the bins can still absorb. With UseKnapsack it
 // tightens the absorbable load per bin with the dynamic-programming
 // subset-sum bound (Trick 2001), catching dead ends plain capacity
-// arithmetic misses.
+// arithmetic misses. A bin that does not exist holds nothing: values
+// outside [0, len(Capacity)) leave the domains of weighted items.
+//
+// The exported fields are set before posting and not changed after;
+// one Packing serves one solver.
 type Packing struct {
-	// Name tags failure messages (e.g. "memory" or "cpu").
+	// Name tags the dimension (e.g. "memory" or "cpu").
 	Name string
 	// Items are the assignment variables; Items[i] = b packs item i on
 	// bin b.
@@ -57,6 +57,17 @@ type Packing struct {
 	Capacity []int
 	// UseKnapsack enables the DP subset-sum bound.
 	UseKnapsack bool
+
+	// Worked out at the first propagation: the distinct non-zero
+	// weights, and per item the index of its own among them (-1 for a
+	// zero weight). Items of one weight are refused by the same bins.
+	classes []int
+	classOf []int
+	// Scratch, reused by every propagation.
+	loads []int    // per bin: weight of the items bound to it
+	masks []uint64 // per class: bit b set when bin b cannot take it
+	built []bool   // per class: its mask is valid for this propagation
+	cand  [][]int  // per bin: weights of its unbound candidates (knapsack)
 }
 
 // Vars returns the item assignment variables.
@@ -64,83 +75,142 @@ func (c *Packing) Vars() []*IntVar { return c.Items }
 
 // Propagate enforces the capacity constraints.
 func (c *Packing) Propagate(s *Solver) error {
+	if c.classOf == nil {
+		c.classify()
+	}
 	nbins := len(c.Capacity)
-	assigned, unboundWeight, err := c.loads()
+	unboundWeight, err := c.tally()
 	if err != nil {
 		return err
 	}
-	// Prune bins that cannot take an item anymore. Pruning may bind a
-	// variable, so the loads are recomputed afterwards: the global
-	// bound below must not see a half-updated picture.
+	// Prune bins that cannot take an item anymore: one mask per
+	// distinct weight, then one AND per word of each item's domain.
+	words := (nbins + 63) / 64
+	clear(c.built)
+	pruned := false
 	for i, v := range c.Items {
-		if v.Bound() || c.Weights[i] == 0 {
+		k := c.classOf[i]
+		if k < 0 || v.Bound() {
 			continue
 		}
-		for _, b := range v.Values() {
-			if assigned[b]+c.Weights[i] > c.Capacity[b] {
-				if err := s.RemoveValue(v, b); err != nil {
-					return err
-				}
-			}
+		mask := c.masks[k*words : (k+1)*words]
+		if !c.built[k] {
+			c.built[k] = true
+			c.refusing(c.classes[k], mask)
 		}
+		removed, err := s.removeMasked(v, mask)
+		if err != nil {
+			return err
+		}
+		pruned = pruned || removed
 	}
-	if assigned, unboundWeight, err = c.loads(); err != nil {
-		return err
+	// Pruning may have bound a variable: the global bound below must
+	// not see a half-updated picture.
+	if pruned {
+		if unboundWeight, err = c.tally(); err != nil {
+			return err
+		}
 	}
 	if unboundWeight == 0 {
 		return nil
 	}
 	// Global absorbable-load bound.
-	absorbable := 0
-	var candWeights [][]int
 	if c.UseKnapsack {
-		candWeights = make([][]int, nbins)
+		for b := range c.cand {
+			c.cand[b] = c.cand[b][:0]
+		}
 		for i, v := range c.Items {
-			if v.Bound() || c.Weights[i] == 0 {
+			if c.classOf[i] < 0 || v.Bound() {
 				continue
 			}
-			for _, b := range v.Values() {
-				candWeights[b] = append(candWeights[b], c.Weights[i])
+			for b := v.NextValue(0); b >= 0; b = v.NextValue(b + 1) {
+				c.cand[b] = append(c.cand[b], c.Weights[i])
 			}
 		}
 	}
+	absorbable := 0
 	for b := 0; b < nbins; b++ {
-		free := c.Capacity[b] - assigned[b]
+		free := c.Capacity[b] - c.loads[b]
 		if free <= 0 {
 			continue
 		}
 		if c.UseKnapsack {
-			absorbable += packing.MaxReachableLoad(free, candWeights[b])
+			absorbable += packing.MaxReachableLoad(free, c.cand[b])
 		} else {
 			absorbable += free
 		}
 	}
 	if absorbable < unboundWeight {
-		return fmt.Errorf("%w: %s remaining weight %d exceeds absorbable %d", ErrFailed, c.Name, unboundWeight, absorbable)
+		return ErrFailed
 	}
 	return nil
 }
 
-// loads tallies the bound (per-bin) and unbound weights and checks the
-// hard per-bin overloads.
-func (c *Packing) loads() (assigned []int, unboundWeight int, err error) {
-	assigned = make([]int, len(c.Capacity))
+// classify groups the items by weight and sizes the scratch.
+func (c *Packing) classify() {
+	c.classOf = make([]int, len(c.Items))
+	index := map[int]int{}
+	for i, w := range c.Weights[:len(c.Items)] {
+		k, ok := index[w]
+		switch {
+		case w == 0:
+			k = -1
+		case !ok:
+			k = len(c.classes)
+			index[w] = k
+			c.classes = append(c.classes, w)
+		}
+		c.classOf[i] = k
+	}
+	nbins := len(c.Capacity)
+	c.loads = make([]int, nbins)
+	c.masks = make([]uint64, len(c.classes)*((nbins+63)/64))
+	c.built = make([]bool, len(c.classes))
+	if c.UseKnapsack {
+		c.cand = make([][]int, nbins)
+	}
+}
+
+// refusing fills mask with the bins that cannot take weight w on top
+// of their load, and with every bit past the last bin.
+func (c *Packing) refusing(w int, mask []uint64) {
+	clear(mask)
+	for b, load := range c.loads {
+		if load+w > c.Capacity[b] {
+			mask[b/64] |= 1 << uint(b%64)
+		}
+	}
+	if tail := len(c.loads) % 64; tail != 0 {
+		mask[len(mask)-1] |= ^uint64(0) << uint(tail)
+	}
+}
+
+// tally fills loads with the bound weight per bin, failing on an
+// overloaded bin or an item bound to a bin that does not exist, and
+// returns the weight still unbound.
+func (c *Packing) tally() (unboundWeight int, err error) {
+	clear(c.loads)
 	for i, v := range c.Items {
-		if c.Weights[i] == 0 {
+		w := c.Weights[i]
+		if w == 0 {
 			continue
 		}
-		if v.Bound() {
-			assigned[v.Value()] += c.Weights[i]
-		} else {
-			unboundWeight += c.Weights[i]
+		if !v.Bound() {
+			unboundWeight += w
+			continue
 		}
+		b := v.Min()
+		if b < 0 || b >= len(c.loads) {
+			return 0, ErrFailed
+		}
+		c.loads[b] += w
 	}
-	for b, load := range assigned {
+	for b, load := range c.loads {
 		if load > c.Capacity[b] {
-			return nil, 0, fmt.Errorf("%w: %s bin %d overloaded (%d > %d)", ErrFailed, c.Name, b, load, c.Capacity[b])
+			return 0, ErrFailed
 		}
 	}
-	return assigned, unboundWeight, nil
+	return unboundWeight, nil
 }
 
 // FuncConstraint adapts a function into a Constraint, for

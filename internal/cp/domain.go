@@ -1,10 +1,13 @@
 // Package cp is a small finite-domain constraint-programming solver,
 // the stand-in for the Choco 1.2.04 library the paper uses (§4.3). It
 // provides integer variables over finite domains, a propagation engine
-// with constraint watch lists, depth-first search with snapshot-based
-// backtracking, pluggable variable/value ordering heuristics (first
-// fail, prefer-current-value), branch-and-bound minimization of a
-// single variable, and cooperative cancellation through a context.
+// with constraint watch lists, depth-first search that backtracks by
+// copying every domain in place into storage it reuses per depth (all
+// bitset words of a solver sit in one slab, so saving or restoring a
+// state is one copy and allocates nothing), pluggable variable/value
+// ordering heuristics (first fail, prefer-current-value),
+// branch-and-bound minimization of a single variable, and cooperative
+// cancellation through a context.
 //
 // The solver is deliberately scoped to what the paper's
 // reconfiguration problem needs; it is nevertheless a generic engine:
@@ -32,12 +35,27 @@ type domain interface {
 	removeBelow(v int) bool
 	// removeAbove keeps values <= v; reports change.
 	removeAbove(v int) bool
-	clone() domain
-	// values returns the domain in ascending order.
+	// removeMask removes every value whose bit is set in mask (value v
+	// is bit v%64 of word v/64) and every value mask has no bit for;
+	// reports change.
+	removeMask(mask []uint64) bool
+	// next returns the smallest value >= from, or -1 when there is
+	// none. It allocates nothing: propagators iterate with it.
+	next(from int) int
+	// values returns the domain in ascending order, in a new slice.
 	values() []int
+	// extent and setExtent read and reinstall what a saved State keeps
+	// per variable beside the bitset words.
+	extent() extent
+	setExtent(extent)
 }
 
-// bitsetDomain enumerates values in [0, n) with one bit each.
+// extent is the cached size and bounds of a domain. A bounds-only
+// domain is nothing else; its n is unused.
+type extent struct{ n, lo, hi int }
+
+// bitsetDomain enumerates values in [0, n) with one bit each. Once a
+// solver owns it, words is a window of the solver's slab.
 type bitsetDomain struct {
 	words []uint64
 	n     int // number of set bits
@@ -141,13 +159,46 @@ func (d *bitsetDomain) removeAbove(v int) bool {
 	return changed
 }
 
-func (d *bitsetDomain) clone() domain {
-	return &bitsetDomain{words: append([]uint64(nil), d.words...), n: d.n, lo: d.lo, hi: d.hi}
+func (d *bitsetDomain) removeMask(mask []uint64) bool {
+	changed := false
+	for w, word := range d.words {
+		m := ^uint64(0)
+		if w < len(mask) {
+			m = mask[w]
+		}
+		if hit := word & m; hit != 0 {
+			d.words[w] = word &^ m
+			d.n -= bits.OnesCount64(hit)
+			changed = true
+		}
+	}
+	switch {
+	case !changed:
+	case d.n == 0:
+		d.lo, d.hi = -1, -1
+	default:
+		d.lo = d.scanUp(d.lo)
+		d.hi = d.scanDown(d.hi)
+	}
+	return changed
 }
+
+func (d *bitsetDomain) next(from int) int {
+	if from <= d.lo {
+		return d.lo
+	}
+	if from > d.hi {
+		return -1
+	}
+	return d.scanUp(from)
+}
+
+func (d *bitsetDomain) extent() extent     { return extent{n: d.n, lo: d.lo, hi: d.hi} }
+func (d *bitsetDomain) setExtent(e extent) { d.n, d.lo, d.hi = e.n, e.lo, e.hi }
 
 func (d *bitsetDomain) values() []int {
 	out := make([]int, 0, d.n)
-	for v := d.lo; v >= 0 && v <= d.hi; v = d.scanUp(v + 1) {
+	for v := d.lo; v >= 0; v = d.next(v + 1) {
 		out = append(out, v)
 	}
 	return out
@@ -202,7 +253,38 @@ func (d *boundsDomain) removeAbove(v int) bool {
 	return true
 }
 
-func (d *boundsDomain) clone() domain { c := *d; return &c }
+// removeMask trims masked values off both ends; a masked value left
+// between the bounds panics like any interior removal.
+func (d *boundsDomain) removeMask(mask []uint64) bool {
+	masked := func(v int) bool {
+		return v < 0 || v/64 >= len(mask) || mask[v/64]&(1<<uint(v%64)) != 0
+	}
+	lo, hi := d.lo, d.hi
+	for d.lo <= d.hi && masked(d.lo) {
+		d.lo++
+	}
+	for d.hi >= d.lo && masked(d.hi) {
+		d.hi--
+	}
+	for v := d.lo + 1; v < d.hi; v++ {
+		if masked(v) {
+			panic("cp: interior removal on a bounds-only domain")
+		}
+	}
+	return d.lo != lo || d.hi != hi
+}
+
+// next cannot tell "none" from the value -1: callers that allow
+// negative bounds compare against max() instead.
+func (d *boundsDomain) next(from int) int {
+	if from > d.hi {
+		return -1
+	}
+	return max(from, d.lo)
+}
+
+func (d *boundsDomain) extent() extent     { return extent{lo: d.lo, hi: d.hi} }
+func (d *boundsDomain) setExtent(e extent) { d.lo, d.hi = e.lo, e.hi }
 
 func (d *boundsDomain) values() []int {
 	if d.hi < d.lo {

@@ -83,12 +83,17 @@ func TestBitsetDomainBoundsRemoval(t *testing.T) {
 	}
 }
 
-func TestBitsetDomainCloneIndependent(t *testing.T) {
-	d := newBitsetDomain([]int{1, 2, 3})
-	c := d.clone()
-	d.removeValue(2)
-	if !c.contains(2) {
-		t.Fatal("clone shares storage")
+func TestStateIndependentOfDomains(t *testing.T) {
+	s := NewSolver()
+	v := s.NewEnumVar("v", []int{1, 2, 3})
+	b := s.NewIntVar("b", 10, 20)
+	st := s.SaveState()
+	if s.RemoveValue(v, 2) != nil || s.RemoveBelow(b, 15) != nil {
+		t.Fatal("removal failed")
+	}
+	s.RestoreState(st)
+	if !v.Contains(2) || v.Size() != 3 || b.Min() != 10 {
+		t.Fatal("saved state shares storage with the live domains")
 	}
 }
 
@@ -125,17 +130,21 @@ func TestBoundsDomain(t *testing.T) {
 	if len(vals) != 3 || vals[0] != 15 || vals[2] != 17 {
 		t.Fatalf("values = %v", vals)
 	}
-	c := d.clone()
 	d.removeBelow(17)
-	if c.min() != 15 {
-		t.Fatal("clone shares state")
-	}
 	d.removeAbove(16) // empties
 	if d.size() != 0 {
 		t.Fatalf("size = %d, want 0", d.size())
 	}
 	if (&boundsDomain{lo: 3, hi: 2}).values() != nil {
 		t.Fatal("empty values not nil")
+	}
+	// A mask trims from the ends; values it has no word for go too.
+	d = &boundsDomain{lo: 0, hi: 70}
+	if !d.removeMask([]uint64{0b0011}) || d.min() != 2 || d.max() != 63 {
+		t.Fatalf("removeMask left [%d,%d], want [2,63]", d.min(), d.max())
+	}
+	if d.removeMask([]uint64{0}) {
+		t.Fatal("an empty mask reported change")
 	}
 }
 

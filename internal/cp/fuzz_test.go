@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -39,7 +40,8 @@ func (r refDomain) removeAbove(v int) {
 }
 
 // checkAgainst compares every observable of the domain with the
-// reference: size, min, max, contains, and ascending iteration.
+// reference: size, min, max, contains, and ascending iteration, both
+// the allocated list and the allocation-free next().
 func checkAgainst(t *testing.T, d domain, r refDomain, when string) {
 	t.Helper()
 	vals := r.values()
@@ -56,10 +58,15 @@ func checkAgainst(t *testing.T, d domain, r refDomain, when string) {
 	if len(got) != len(vals) {
 		t.Fatalf("%s: values %v, want %v", when, got, vals)
 	}
+	at := d.next(vals[0] - 1)
 	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("%s: values %v, want %v", when, got, vals)
+		if got[i] != vals[i] || at != vals[i] {
+			t.Fatalf("%s: values %v, next reached %d, want %v", when, got, at, vals)
 		}
+		at = d.next(at + 1)
+	}
+	if at != -1 {
+		t.Fatalf("%s: next went on to %d past %v", when, at, vals)
 	}
 	for v := -1; v <= vals[len(vals)-1]+1; v++ {
 		if d.contains(v) != r[v] {
@@ -69,9 +76,10 @@ func checkAgainst(t *testing.T, d domain, r refDomain, when string) {
 }
 
 // FuzzDomainOps drives the bitset domain (the VM-assignment domain of
-// the solver) through arbitrary remove/clone/iterate sequences and
-// checks every observable against the reference set model. The byte
-// stream encodes the initial domain then one operation per byte pair.
+// the solver) through arbitrary remove/save/restore/iterate sequences
+// and checks every observable against the reference set model. The
+// byte stream encodes the initial domain then one operation per byte
+// pair.
 func FuzzDomainOps(f *testing.F) {
 	f.Add([]byte{3, 0, 5, 9, 0x00, 0x05, 0x21, 0x03, 0x42, 0x07})
 	f.Add([]byte{1, 0})
@@ -93,7 +101,12 @@ func FuzzDomainOps(f *testing.F) {
 			init = append(init, v)
 			ref[v] = true
 		}
-		d := newBitsetDomain(init)
+		// Two neighbours share the slab: a save or restore that strays
+		// out of its window shows on them.
+		s := NewSolver()
+		left := s.NewEnumVar("left", []int{0, 63, 64})
+		d := s.NewEnumVar("d", init).dom.(*bitsetDomain)
+		right := s.NewEnumVar("right", []int{1, 200})
 		checkAgainst(t, d, ref, "after init")
 
 		ops := data[1+k:]
@@ -113,12 +126,24 @@ func FuzzDomainOps(f *testing.F) {
 				d.removeAbove(arg)
 				ref.removeAbove(arg)
 			case 3:
-				// Clone independence: mutating the clone must not leak
-				// into the original (backtracking depends on it).
-				cl := d.clone()
-				cl.removeValue(cl.min())
-				checkAgainst(t, d, ref, "after clone mutation")
-				continue
+				// Backtracking: whatever happens after a save, restoring
+				// brings back the same bits and the same cached size and
+				// bounds — twice from one State.
+				words, ext := append([]uint64(nil), d.words...), d.extent()
+				st := s.SaveState()
+				for round := 0; round < 2; round++ {
+					d.removeValue(d.min())
+					d.removeAbove(arg + round)
+					left.dom.removeValue(63)
+					right.dom.removeBelow(2)
+					s.RestoreState(st)
+					if d.extent() != ext || !slices.Equal(d.words, words) {
+						t.Fatalf("restore %d: words %x extent %+v, want %x %+v", round, d.words, d.extent(), words, ext)
+					}
+					if left.Size() != 3 || right.Min() != 1 {
+						t.Fatalf("restore %d: neighbours %v %v", round, left, right)
+					}
+				}
 			}
 			checkAgainst(t, d, ref, "after op")
 		}

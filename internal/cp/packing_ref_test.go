@@ -1,0 +1,203 @@
+package cp
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cwcs/internal/packing"
+)
+
+// refPacking is Packing as it propagated before the masks: a scan of
+// every value of every unbound item against the loads, kept verbatim
+// as the reference the word-parallel form is compared with. It indexes
+// its loads with whatever the domains hold, so it is only ever given
+// bins that exist.
+type refPacking struct {
+	Name        string
+	Items       []*IntVar
+	Weights     []int
+	Capacity    []int
+	UseKnapsack bool
+}
+
+func (c *refPacking) Vars() []*IntVar { return c.Items }
+
+func (c *refPacking) Propagate(s *Solver) error {
+	nbins := len(c.Capacity)
+	assigned, unboundWeight, err := c.loads()
+	if err != nil {
+		return err
+	}
+	for i, v := range c.Items {
+		if v.Bound() || c.Weights[i] == 0 {
+			continue
+		}
+		for _, b := range v.Values() {
+			if assigned[b]+c.Weights[i] > c.Capacity[b] {
+				if err := s.RemoveValue(v, b); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if assigned, unboundWeight, err = c.loads(); err != nil {
+		return err
+	}
+	if unboundWeight == 0 {
+		return nil
+	}
+	absorbable := 0
+	var candWeights [][]int
+	if c.UseKnapsack {
+		candWeights = make([][]int, nbins)
+		for i, v := range c.Items {
+			if v.Bound() || c.Weights[i] == 0 {
+				continue
+			}
+			for _, b := range v.Values() {
+				candWeights[b] = append(candWeights[b], c.Weights[i])
+			}
+		}
+	}
+	for b := 0; b < nbins; b++ {
+		free := c.Capacity[b] - assigned[b]
+		if free <= 0 {
+			continue
+		}
+		if c.UseKnapsack {
+			absorbable += packing.MaxReachableLoad(free, candWeights[b])
+		} else {
+			absorbable += free
+		}
+	}
+	if absorbable < unboundWeight {
+		return fmt.Errorf("%w: %s remaining weight %d exceeds absorbable %d", ErrFailed, c.Name, unboundWeight, absorbable)
+	}
+	return nil
+}
+
+func (c *refPacking) loads() (assigned []int, unboundWeight int, err error) {
+	assigned = make([]int, len(c.Capacity))
+	for i, v := range c.Items {
+		if c.Weights[i] == 0 {
+			continue
+		}
+		if v.Bound() {
+			assigned[v.Value()] += c.Weights[i]
+		} else {
+			unboundWeight += c.Weights[i]
+		}
+	}
+	for b, load := range assigned {
+		if load > c.Capacity[b] {
+			return nil, 0, fmt.Errorf("%w: %s bin %d overloaded (%d > %d)", ErrFailed, c.Name, b, load, c.Capacity[b])
+		}
+	}
+	return assigned, unboundWeight, nil
+}
+
+// TestPackingMatchesScanReference propagates random states — 1 to 130
+// bins, so the masks cross the 64- and 128-bit word edges, zero
+// weights, bound and unbound items, with and without the knapsack
+// bound — through Packing and through the scan it replaced, each to
+// its fixpoint: the same verdict, and on success the same domains.
+func TestPackingMatchesScanReference(t *testing.T) {
+	const states = 3000
+	failed := 0
+	for seed := int64(0); seed < states; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nbins := 1 + rng.Intn(130)
+		if seed%5 == 0 {
+			nbins = []int{1, 63, 64, 65, 127, 128, 129, 130}[rng.Intn(8)]
+		}
+		capacity := make([]int, nbins)
+		for b := range capacity {
+			capacity[b] = rng.Intn(12)
+		}
+		nitems := 1 + rng.Intn(14)
+		weights := make([]int, nitems)
+		domains := make([][]int, nitems)
+		for i := range weights {
+			weights[i] = rng.Intn(1 + rng.Intn(8)) // zero often enough
+			switch rng.Intn(3) {
+			case 0: // bound
+				domains[i] = []int{rng.Intn(nbins)}
+			case 1: // every bin
+				for b := 0; b < nbins; b++ {
+					domains[i] = append(domains[i], b)
+				}
+			default:
+				for k := 1 + rng.Intn(nbins); k > 0; k-- {
+					domains[i] = append(domains[i], rng.Intn(nbins))
+				}
+			}
+		}
+		knapsack := seed%2 == 1
+
+		build := func(post func(items []*IntVar) Constraint) (*Solver, []*IntVar) {
+			s := NewSolver()
+			items := make([]*IntVar, nitems)
+			for i := range items {
+				items[i] = s.NewEnumVar(fmt.Sprintf("i%d", i), domains[i])
+			}
+			s.Post(post(items))
+			return s, items
+		}
+		s, items := build(func(items []*IntVar) Constraint {
+			return &Packing{Name: "new", Items: items, Weights: weights, Capacity: capacity, UseKnapsack: knapsack}
+		})
+		ref, refItems := build(func(items []*IntVar) Constraint {
+			return &refPacking{Name: "ref", Items: items, Weights: weights, Capacity: capacity, UseKnapsack: knapsack}
+		})
+		err, refErr := s.propagate(), ref.propagate()
+		if (err == nil) != (refErr == nil) || (err != nil && !(errors.Is(err, ErrFailed) && errors.Is(refErr, ErrFailed))) {
+			t.Fatalf("seed %d: verdict %v, reference %v", seed, err, refErr)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		for i := range items {
+			if got, want := items[i].Values(), refItems[i].Values(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d (%d bins, knapsack %t): item %d (weight %d) = %v, reference %v",
+					seed, nbins, knapsack, i, weights[i], got, want)
+			}
+		}
+	}
+	if failed < states/10 || failed > states*9/10 {
+		t.Fatalf("%d of %d states failed: the generator no longer exercises both verdicts", failed, states)
+	}
+}
+
+// TestPackingIgnoresBinsThatDoNotExist: a domain may hold values past
+// the last bin (the variable was made for something else too). Such a
+// bin holds nothing, so a weighted item loses those values, and one
+// bound to such a bin fails — neither indexes the loads with it.
+func TestPackingIgnoresBinsThatDoNotExist(t *testing.T) {
+	s := NewSolver()
+	a := s.NewEnumVar("a", []int{0, 1, 2, 70, 200})
+	free := s.NewEnumVar("free", []int{1, 5})
+	s.Post(&Packing{Name: "p", Items: []*IntVar{a, free}, Weights: []int{2, 0}, Capacity: []int{3, 1}})
+	if err := s.propagate(); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Bound() || a.Value() != 0 {
+		t.Fatalf("a = %v, want bound to bin 0 (bin 1 is too small, 2, 70 and 200 do not exist)", a)
+	}
+	if free.Size() != 2 {
+		t.Fatalf("free = %v: a weightless item is not this constraint's business", free)
+	}
+
+	for _, knapsack := range []bool{false, true} {
+		s = NewSolver()
+		lost := s.NewEnumVar("lost", []int{3})
+		other := s.NewEnumVar("other", []int{0, 1, 9})
+		s.Post(&Packing{Name: "p", Items: []*IntVar{lost, other}, Weights: []int{1, 1}, Capacity: []int{3, 3}, UseKnapsack: knapsack})
+		if err := s.propagate(); !errors.Is(err, ErrFailed) {
+			t.Fatalf("knapsack %t: an item bound to a bin that does not exist: %v, want ErrFailed", knapsack, err)
+		}
+	}
+}

@@ -112,9 +112,14 @@ func (s *Solver) Solve(opts Options) (Solution, error) {
 		return Solution{}, err
 	}
 	if err := s.propagate(); err != nil {
+		if err == ErrFailed {
+			// Nobody has branched yet, so the caller sees this error
+			// first: say which constraint refused the model.
+			err = fmt.Errorf("%w before any branching: constraint #%d (%T)", ErrFailed, s.lastFailed, s.cons[s.lastFailed])
+		}
 		return Solution{}, err
 	}
-	if err := s.search(vars, opts); err != nil {
+	if err := s.search(vars, opts, 0); err != nil {
 		return Solution{}, err
 	}
 	s.solutions++
@@ -131,7 +136,7 @@ func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 	vars := s.decisionVars(opts)
 	best := Solution{}
 	found := false
-	root := s.snapshot()
+	root := s.SaveState()
 	bound := obj.Max()
 	// Solution injection: a consistent warm-start assignment becomes
 	// the incumbent before the first search, so the branch-and-bound
@@ -141,7 +146,7 @@ func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 		bound = sol.Objective - 1
 	}
 	for {
-		s.restore(root)
+		s.RestoreState(root)
 		if err := s.RemoveAbove(obj, bound); err != nil {
 			if found {
 				return best, nil
@@ -152,7 +157,7 @@ func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 			if err := s.propagate(); err != nil {
 				return err
 			}
-			return s.search(vars, opts)
+			return s.search(vars, opts, 0)
 		}()
 		switch {
 		case err == nil:
@@ -191,8 +196,8 @@ func (s *Solver) inject(vars []*IntVar, obj *IntVar, opts Options) (Solution, bo
 			return Solution{}, false
 		}
 	}
-	snap := s.snapshot()
-	defer s.restore(snap)
+	snap := s.SaveState()
+	defer s.RestoreState(snap)
 	ok := func() bool {
 		if err := s.propagate(); err != nil {
 			return false
@@ -224,10 +229,18 @@ func (s *Solver) capture(vars []*IntVar) Solution {
 	return sol
 }
 
+// level is what the search keeps per depth and reuses from node to
+// node: the state saved before each branch and the node's value order.
+type level struct {
+	saved State
+	order []int
+}
+
 // search runs depth-first search until all vars are bound (nil) or the
 // subtree fails (ErrFailed) or the context is done (ErrCanceled).
-// Domains are assumed propagated to fixpoint on entry.
-func (s *Solver) search(vars []*IntVar, opts Options) error {
+// Domains are assumed propagated to fixpoint on entry. depth is the
+// number of branches above this node.
+func (s *Solver) search(vars []*IntVar, opts Options, depth int) error {
 	if s.nodes&63 == 0 {
 		if err := opts.interrupted(); err != nil {
 			return err
@@ -252,20 +265,19 @@ func (s *Solver) search(vars []*IntVar, opts Options) error {
 	if v == nil {
 		return nil // all bound: solution
 	}
-	for _, val := range s.valueOrder(v, opts) {
+	// Deeper nodes may grow levels, so it is indexed afresh after each
+	// descent; the order's backing array stays where it is.
+	if depth == len(s.levels) {
+		s.levels = append(s.levels, level{})
+	}
+	order := s.valueOrder(v, opts, s.levels[depth].order)
+	s.levels[depth].order = order
+	for _, val := range order {
 		if !v.Contains(val) {
 			continue // pruned by a sibling's failure propagation
 		}
-		snap := s.snapshot()
-		err := func() error {
-			if err := s.Assign(v, val); err != nil {
-				return err
-			}
-			if err := s.propagate(); err != nil {
-				return err
-			}
-			return s.search(vars, opts)
-		}()
+		s.saveInto(&s.levels[depth].saved)
+		err := s.branch(v, val, vars, opts, depth)
 		if err == nil {
 			return nil
 		}
@@ -273,7 +285,7 @@ func (s *Solver) search(vars []*IntVar, opts Options) error {
 			return err
 		}
 		s.fails++
-		s.restore(snap)
+		s.RestoreState(s.levels[depth].saved)
 		// The value failed: remove it at this level and re-propagate,
 		// so siblings benefit from the refutation.
 		if err := s.RemoveValue(v, val); err != nil {
@@ -284,6 +296,17 @@ func (s *Solver) search(vars []*IntVar, opts Options) error {
 		}
 	}
 	return ErrFailed
+}
+
+// branch tries v = val: assign, propagate, search below.
+func (s *Solver) branch(v *IntVar, val int, vars []*IntVar, opts Options, depth int) error {
+	if err := s.Assign(v, val); err != nil {
+		return err
+	}
+	if err := s.propagate(); err != nil {
+		return err
+	}
+	return s.search(vars, opts, depth+1)
 }
 
 func (s *Solver) pick(vars []*IntVar, opts Options) *IntVar {
@@ -302,38 +325,43 @@ func (s *Solver) pick(vars []*IntVar, opts Options) *IntVar {
 	return best
 }
 
-func (s *Solver) valueOrder(v *IntVar, opts Options) []int {
-	vals := v.Values()
+// valueOrder lists v's values in the order the node tries them, into
+// buf's storage.
+func (s *Solver) valueOrder(v *IntVar, opts Options, buf []int) []int {
+	vals := buf[:0]
+	if cap(vals) < v.Size() {
+		vals = make([]int, 0, v.Size())
+	}
+	for val, last := v.Min(), v.Max(); ; val = v.NextValue(val + 1) {
+		vals = append(vals, val)
+		if val == last {
+			break
+		}
+	}
 	if opts.ValueRand != nil {
 		opts.ValueRand.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	}
 	// Priority values: the warm-start hint first, then the preferred
 	// value. Both survive shuffling — diversified restarts still dive
-	// towards the old solution before exploring. Kept allocation-free
-	// on the no-priority path: this runs at every search node.
-	hint, hasHint := 0, false
-	if h, ok := opts.Hints[v]; ok && v.Contains(h) {
-		hint, hasHint = h, true
+	// towards the old solution before exploring — and the rest keep
+	// their order.
+	if opts.PreferValue && v.pref >= 0 {
+		moveToFront(vals, v.pref)
 	}
-	pref := -1
-	if opts.PreferValue && v.pref >= 0 && v.Contains(v.pref) && (!hasHint || v.pref != hint) {
-		pref = v.pref
+	if h, ok := opts.Hints[v]; ok {
+		moveToFront(vals, h)
 	}
-	if !hasHint && pref < 0 {
-		return vals
-	}
-	out := make([]int, 0, len(vals))
-	if hasHint {
-		out = append(out, hint)
-	}
-	if pref >= 0 {
-		out = append(out, pref)
-	}
-	for _, val := range vals {
-		if (hasHint && val == hint) || (pref >= 0 && val == pref) {
-			continue
+	return vals
+}
+
+// moveToFront moves val, when present, to the head of vals, shifting
+// what was before it one place down.
+func moveToFront(vals []int, val int) {
+	for i, x := range vals {
+		if x == val {
+			copy(vals[1:i+1], vals[:i])
+			vals[0] = val
+			return
 		}
-		out = append(out, val)
 	}
-	return out
 }

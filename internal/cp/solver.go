@@ -22,7 +22,9 @@ func Stopped(err error) bool { return errors.Is(err, ErrCanceled) }
 
 // Constraint is a propagator: Propagate prunes the domains of the
 // variables it watches and returns ErrFailed (possibly wrapped) when
-// it detects an inconsistency.
+// it detects an inconsistency. The search only ever asks
+// errors.Is(err, ErrFailed), many times a second: return the bare
+// sentinel rather than formatting a message per wipe-out.
 type Constraint interface {
 	// Vars returns the variables whose domain changes wake this
 	// constraint.
@@ -35,9 +37,24 @@ type Constraint interface {
 // Solver owns the variables and runs the propagation queue of the
 // constraints posted on them.
 type Solver struct {
-	vars   []*IntVar
-	queue  []Constraint
-	queued map[Constraint]bool
+	vars []*IntVar
+	// words is the slab every enumerated domain keeps its bitset in,
+	// in creation order: one copy saves or restores them all.
+	words []uint64
+
+	// cons are the posted constraints; a constraint is known by its
+	// index. queue is a FIFO ring of the indices awaiting propagation,
+	// never shorter than cons, and queued marks the indices in it, so
+	// each is in it at most once.
+	cons        []Constraint
+	queue       []int
+	qhead, qlen int
+	queued      []bool
+	lastFailed  int // index of the constraint whose propagation failed last
+
+	// levels is the search's storage per depth, reused from node to
+	// node.
+	levels []level
 
 	// stats
 	nodes      int64
@@ -47,9 +64,7 @@ type Solver struct {
 }
 
 // NewSolver returns an empty solver.
-func NewSolver() *Solver {
-	return &Solver{queued: make(map[Constraint]bool)}
-}
+func NewSolver() *Solver { return &Solver{} }
 
 // NewEnumVar creates a variable whose domain is exactly the given
 // non-negative values (deduplicated).
@@ -57,8 +72,20 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if len(values) == 0 {
 		panic("cp: empty initial domain for " + name)
 	}
-	v := &IntVar{name: name, dom: newBitsetDomain(values), pref: -1}
+	d := newBitsetDomain(values)
+	v := &IntVar{name: name, dom: d, pref: -1}
 	s.vars = append(s.vars, v)
+	// Move the bitset to the end of the slab. Growing the slab may
+	// move it, so every window is cut again.
+	s.words = append(s.words, d.words...)
+	off := 0
+	for _, v := range s.vars {
+		if d, ok := v.dom.(*bitsetDomain); ok {
+			end := off + len(d.words)
+			d.words = s.words[off:end:end]
+			off = end
+		}
+	}
 	return v
 }
 
@@ -76,57 +103,88 @@ func (s *Solver) NewIntVar(name string, min, max int) *IntVar {
 
 // Post registers a constraint and schedules its first propagation.
 func (s *Solver) Post(c Constraint) {
-	for _, v := range c.Vars() {
-		v.watchers = append(v.watchers, c)
+	id := len(s.cons)
+	s.cons = append(s.cons, c)
+	s.queued = append(s.queued, false)
+	if len(s.cons) > len(s.queue) {
+		// Grow the ring, unrolled so the waiting indices keep their
+		// order.
+		ring := make([]int, max(8, 2*len(s.queue)))
+		for i := 0; i < s.qlen; i++ {
+			ring[i] = s.queue[(s.qhead+i)%len(s.queue)]
+		}
+		s.queue, s.qhead = ring, 0
 	}
-	s.enqueue(c)
+	for _, v := range c.Vars() {
+		v.watchers = append(v.watchers, id)
+	}
+	s.enqueue(id)
 }
 
-func (s *Solver) enqueue(c Constraint) {
-	if !s.queued[c] {
-		s.queued[c] = true
-		s.queue = append(s.queue, c)
+func (s *Solver) enqueue(id int) {
+	if s.queued[id] {
+		return
 	}
+	s.queued[id] = true
+	tail := s.qhead + s.qlen
+	if tail >= len(s.queue) {
+		tail -= len(s.queue)
+	}
+	s.queue[tail] = id
+	s.qlen++
+}
+
+// dequeue takes the oldest waiting index out of the ring.
+func (s *Solver) dequeue() int {
+	id := s.queue[s.qhead]
+	if s.qhead++; s.qhead == len(s.queue) {
+		s.qhead = 0
+	}
+	s.qlen--
+	s.queued[id] = false
+	return id
 }
 
 func (s *Solver) wake(v *IntVar) {
-	for _, c := range v.watchers {
-		s.enqueue(c)
+	for _, id := range v.watchers {
+		s.enqueue(id)
 	}
+}
+
+// changed follows every domain operation: a wipe-out is a failure,
+// anything else that removed a value wakes v's watchers.
+func (s *Solver) changed(v *IntVar, removed bool) error {
+	if removed {
+		if v.dom.size() == 0 {
+			return ErrFailed
+		}
+		s.wake(v)
+	}
+	return nil
 }
 
 // RemoveValue removes val from v's domain, waking watchers. It returns
 // ErrFailed when the domain empties.
 func (s *Solver) RemoveValue(v *IntVar, val int) error {
-	if v.dom.removeValue(val) {
-		if v.dom.size() == 0 {
-			return fmt.Errorf("%w: %s emptied", ErrFailed, v.name)
-		}
-		s.wake(v)
-	}
-	return nil
+	return s.changed(v, v.dom.removeValue(val))
 }
 
 // RemoveBelow prunes values below min from v's domain.
 func (s *Solver) RemoveBelow(v *IntVar, min int) error {
-	if v.dom.removeBelow(min) {
-		if v.dom.size() == 0 {
-			return fmt.Errorf("%w: %s emptied", ErrFailed, v.name)
-		}
-		s.wake(v)
-	}
-	return nil
+	return s.changed(v, v.dom.removeBelow(min))
 }
 
 // RemoveAbove prunes values above max from v's domain.
 func (s *Solver) RemoveAbove(v *IntVar, max int) error {
-	if v.dom.removeAbove(max) {
-		if v.dom.size() == 0 {
-			return fmt.Errorf("%w: %s emptied", ErrFailed, v.name)
-		}
-		s.wake(v)
-	}
-	return nil
+	return s.changed(v, v.dom.removeAbove(max))
+}
+
+// removeMasked prunes from v's domain every value whose bit is set in
+// mask, and every value beyond the mask's last word; removed reports
+// whether there was any.
+func (s *Solver) removeMasked(v *IntVar, mask []uint64) (removed bool, err error) {
+	removed = v.dom.removeMask(mask)
+	return removed, s.changed(v, removed)
 }
 
 // Assign binds v to val.
@@ -140,41 +198,25 @@ func (s *Solver) Assign(v *IntVar, val int) error {
 	return s.RemoveAbove(v, val)
 }
 
-// propagate runs the propagation queue to fixpoint.
+// propagate runs the propagation queue to fixpoint, oldest first: the
+// order constraints run in decides which of two failing ones is met
+// first, hence which values a node prunes before it fails, and the
+// search is pinned to the node.
 func (s *Solver) propagate() error {
-	for len(s.queue) > 0 {
-		c := s.queue[0]
-		s.queue = s.queue[1:]
-		s.queued[c] = false
+	for s.qlen > 0 {
+		id := s.dequeue()
 		s.propagates++
-		if err := c.Propagate(s); err != nil {
+		if err := s.cons[id].Propagate(s); err != nil {
 			// Drain the queue: a failed state must not leak stale
 			// entries into the next search node.
-			for _, q := range s.queue {
-				s.queued[q] = false
+			for s.qlen > 0 {
+				s.dequeue()
 			}
-			s.queue = s.queue[:0]
+			s.lastFailed = id
 			return err
 		}
 	}
 	return nil
-}
-
-// snapshot copies the domains (and preferred values) of every
-// variable.
-func (s *Solver) snapshot() []domain {
-	snap := make([]domain, len(s.vars))
-	for i, v := range s.vars {
-		snap[i] = v.dom.clone()
-	}
-	return snap
-}
-
-// restore reinstalls a snapshot taken by snapshot().
-func (s *Solver) restore(snap []domain) {
-	for i, v := range s.vars {
-		v.dom = snap[i].clone()
-	}
 }
 
 // Stats reports search counters: explored nodes, failures, solutions
@@ -183,15 +225,41 @@ func (s *Solver) Stats() (nodes, fails, solutions, propagations int64) {
 	return s.nodes, s.fails, s.solutions, s.propagates
 }
 
-// State is an opaque snapshot of every variable domain, used by
-// callers that drive their own branch-and-bound loop (e.g. the
-// reconfiguration optimizer bounds on the true plan cost, which only
-// it can evaluate).
-type State struct{ snap []domain }
+// State is an opaque copy of every variable domain, used by callers
+// that drive their own branch-and-bound loop (e.g. the reconfiguration
+// optimizer bounds on the true plan cost, which only it can evaluate).
+// It covers the variables that existed when it was taken.
+type State struct {
+	words []uint64 // the slab
+	ext   []extent // per variable
+}
 
 // SaveState captures the current domains.
-func (s *Solver) SaveState() State { return State{snap: s.snapshot()} }
+func (s *Solver) SaveState() State {
+	var st State
+	s.saveInto(&st)
+	return st
+}
 
-// RestoreState reinstalls a snapshot taken by SaveState. The snapshot
-// remains reusable.
-func (s *Solver) RestoreState(st State) { s.restore(st.snap) }
+// saveInto overwrites st with the current domains, reusing its
+// storage: once st has held a state of this solver, nothing is
+// allocated.
+func (s *Solver) saveInto(st *State) {
+	st.words = append(st.words[:0], s.words...)
+	if cap(st.ext) < len(s.vars) {
+		st.ext = make([]extent, len(s.vars))
+	}
+	st.ext = st.ext[:len(s.vars)]
+	for i, v := range s.vars {
+		st.ext[i] = v.dom.extent()
+	}
+}
+
+// RestoreState reinstalls a state taken by SaveState, by copy: the
+// state stays valid and can be restored any number of times.
+func (s *Solver) RestoreState(st State) {
+	copy(s.words, st.words)
+	for i, e := range st.ext {
+		s.vars[i].dom.setExtent(e)
+	}
+}

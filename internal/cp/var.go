@@ -8,8 +8,9 @@ import "fmt"
 type IntVar struct {
 	name string
 	dom  domain
-	// watchers are the constraints to wake when the domain changes.
-	watchers []Constraint
+	// watchers are the constraints to wake when the domain changes, by
+	// their index in the solver's posting order.
+	watchers []int
 	// pref is the value tried first during search (e.g. the node the
 	// VM currently runs on); -1 when unset.
 	pref int
@@ -42,8 +43,21 @@ func (v *IntVar) Value() int {
 // Contains reports whether val is still in the domain.
 func (v *IntVar) Contains(val int) bool { return v.dom.contains(val) }
 
-// Values returns the remaining domain values in ascending order.
+// Values returns the remaining domain values in ascending order. It
+// allocates the slice: it is for tests and debugging; propagators
+// iterate with NextValue.
 func (v *IntVar) Values() []int { return v.dom.values() }
+
+// NextValue returns the smallest domain value >= from, or -1 when
+// there is none, without allocating:
+//
+//	for val := v.NextValue(0); val >= 0; val = v.NextValue(val + 1)
+//
+// visits the domain in ascending order and tolerates the removal of
+// val inside the body. Enumerated domains are non-negative, so -1 is
+// unambiguous there; on a bounds-only variable that may go negative,
+// stop at Max() instead.
+func (v *IntVar) NextValue(from int) int { return v.dom.next(from) }
 
 // SetPreferred sets the value the search tries first for this
 // variable. Use -1 to clear.

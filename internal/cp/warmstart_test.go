@@ -84,13 +84,13 @@ func TestInjectRejectsInconsistentHints(t *testing.T) {
 
 func TestInjectRequiresCompleteHints(t *testing.T) {
 	s, vars, obj := warmModel(t)
-	snap := s.snapshot()
+	snap := s.SaveState()
 	if _, ok := s.inject(vars, obj, Options{Hints: map[*IntVar]int{vars[0]: 1}}); ok {
 		t.Fatal("partial hints were injected")
 	}
 	// Injection must leave the solver state untouched.
 	for i, v := range s.vars {
-		if v.dom.size() != snap[i].size() {
+		if v.dom.extent() != snap.ext[i] {
 			t.Fatalf("inject leaked domain changes on %s", v.name)
 		}
 	}
@@ -100,7 +100,7 @@ func TestHintsSteerValueOrder(t *testing.T) {
 	s := NewSolver()
 	v := s.NewEnumVar("v", []int{0, 1, 2, 3})
 	v.SetPreferred(1)
-	order := s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 2}})
+	order := s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 2}}, nil)
 	if order[0] != 2 || order[1] != 1 {
 		t.Fatalf("order = %v, want hint 2 first then preferred 1", order)
 	}
@@ -112,7 +112,7 @@ func TestHintsSteerValueOrder(t *testing.T) {
 		t.Fatalf("order %v lost or duplicated values", order)
 	}
 	// A hint equal to the preferred value must not duplicate it.
-	order = s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 1}})
+	order = s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 1}}, nil)
 	if order[0] != 1 || len(order) != 4 {
 		t.Fatalf("order = %v, want preferred/hinted 1 first, no duplicates", order)
 	}

@@ -7,9 +7,11 @@
 # `bench -agree` over the two recordings. Counts repeat exactly per
 # seed on any machine; times on this one are unresolved below ~25 %
 # (bench/README.md). So only a count fails the check — an exact
-# per-layer metric, ops_ok_ratio, alloc_mb_per_op beyond 3 % for one
-# seed, or a run missing from a side — and the time lines are printed
-# for reading. About five minutes per seed.
+# per-layer metric, ops_ok_ratio, alloc_mb_per_op more than 3 % above
+# REF's for one seed, or a run missing from a side — and the time lines
+# are printed for reading, as are the seeds whose allocation fell by
+# more than 3 %: a change may allocate less, never more. About five
+# minutes per seed.
 #
 # REF is a commit, checked out with `git worktree add --detach` beside
 # this checkout and removed afterwards, or a directory that already
@@ -51,12 +53,24 @@ done
 # -agree also fails on a time median outside its bound: not this check's call.
 (cd "$head" && .bench_build/bench -agree "$out/ref.jsonl" "$out/head.jsonl") >"$out/report" || true
 [ -s "$out/report" ] || { echo "bench -agree printed nothing" >&2; exit 2; }
-counts='\(exact\)|\(within [0-9]+% for one seed\)|no traced run|has [0-9]+ runs'
+# Sort the report's lines: a per-seed allocation line "... A <ref>  B
+# <head> (within 3% for one seed)" moved only if head is above ref.
+touch "$out/times" "$out/fell" "$out/moved"
+awk -v out="$out" '
+/^DISAGREE.*\(within [0-9]+% for one seed\)/ {
+	for (i = 1; i < NF; i++) { if ($i == "A") a = $(i+1); if ($i == "B") b = $(i+1) }
+	print > (a > 0 && b > 0 && b < a ? out "/fell" : out "/moved"); next
+}
+/^DISAGREE.*(\(exact\)|no traced run|has [0-9]+ runs)/ { print > (out "/moved"); next }
+{ print > (out "/times") }' "$out/report"
 echo "== times and medians, A = $ref, B = this checkout (for reading) =="
-grep -Ev "^DISAGREE.*($counts)" "$out/report" || true
+cat "$out/times"
+echo "== allocation fell =="
+cat "$out/fell"
 echo "== counts =="
-if grep -E "^DISAGREE.*($counts)" "$out/report"; then
+if [ -s "$out/moved" ]; then
+	cat "$out/moved"
 	echo "counts moved against $ref"
 	exit 1
 fi
-echo "every exact count, ops_ok_ratio and per-seed alloc_mb_per_op equals $ref (seeds: $seeds)"
+echo "every exact count and ops_ok_ratio equals $ref, and no seed's alloc_mb_per_op is above it (seeds: $seeds)"
