@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -44,28 +45,41 @@ import (
 )
 
 func main() {
-	nodes := flag.Int("nodes", 11, "working nodes")
-	cpu := flag.Int("cpu", 2, "processing units per node")
-	memory := flag.Int("memory", 3584, "MiB per node")
-	njobs := flag.Int("vjobs", 8, "number of vjobs")
-	nvms := flag.Int("vms", 9, "VMs per vjob")
-	interval := flag.Float64("interval", 30, "loop interval (virtual seconds)")
-	eventDriven := flag.Bool("event-driven", false, "react to cluster events instead of the fixed period: re-solve only the dirty slices, repair plans on action failure")
-	debounce := flag.Float64("debounce", 5, "event settle delay before an incremental iteration (virtual seconds)")
-	timeout := flag.Duration("timeout", 2*time.Second, "optimizer budget per iteration")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel portfolio workers per optimization (1 = sequential)")
-	partitions := flag.Int("partitions", 0, "cluster partitions solved concurrently (0 = auto, 1 = monolithic)")
-	seed := flag.Int64("seed", 42, "workload seed")
-	horizon := flag.Float64("horizon", 100_000, "simulation cut-off (virtual seconds; ignored while -listen serves)")
-	listen := flag.String("listen", "", "mount the HTTP control plane on this address (e.g. :8080) and serve until SIGTERM; implies -event-driven")
-	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the control plane (requires -listen)")
-	version := flag.Bool("version", false, "print build metadata and exit")
-	flag.Parse()
+	// The flag set has already reported a bad flag on stderr.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		os.Exit(2)
+	}
+}
+
+// run is the daemon: it parses args, writes what main would print to
+// out and returns when the workload completes, the horizon is reached
+// or a signal arrives. The only error is a flag-parsing one.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("entropyd", flag.ContinueOnError)
+	nodes := fs.Int("nodes", 11, "working nodes")
+	cpu := fs.Int("cpu", 2, "processing units per node")
+	memory := fs.Int("memory", 3584, "MiB per node")
+	njobs := fs.Int("vjobs", 8, "number of vjobs")
+	nvms := fs.Int("vms", 9, "VMs per vjob")
+	interval := fs.Float64("interval", 30, "loop interval (virtual seconds)")
+	eventDriven := fs.Bool("event-driven", false, "react to cluster events instead of the fixed period: re-solve only the dirty slices, repair plans on action failure")
+	debounce := fs.Float64("debounce", 5, "event settle delay before an incremental iteration (virtual seconds)")
+	timeout := fs.Duration("timeout", 2*time.Second, "optimizer budget per iteration")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel portfolio workers per optimization (1 = sequential)")
+	partitions := fs.Int("partitions", 0, "cluster partitions solved concurrently (0 = auto, 1 = monolithic)")
+	seed := fs.Int64("seed", 42, "workload seed")
+	horizon := fs.Float64("horizon", 100_000, "simulation cut-off (virtual seconds; ignored while -listen serves)")
+	listen := fs.String("listen", "", "mount the HTTP control plane on this address (e.g. :8080) and serve until SIGTERM; implies -event-driven")
+	pprofOn := fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the control plane (requires -listen)")
+	version := fs.Bool("version", false, "print build metadata and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *version {
 		info := obs.BuildInfo()
-		fmt.Printf("entropyd %s %s\n", info.Version, info.GoVersion)
-		return
+		fmt.Fprintf(out, "entropyd %s %s\n", info.Version, info.GoVersion)
+		return nil
 	}
 
 	serving := *listen != ""
@@ -94,7 +108,7 @@ func main() {
 			workload.Classes[1+i%2], *nvms, i, rng)
 		spec.Install(cfg, c)
 		jobs = append(jobs, spec.Job)
-		fmt.Printf("submitted %s: %s class %s, %d VMs, %.0f s of work\n",
+		fmt.Fprintf(out, "submitted %s: %s class %s, %d VMs, %.0f s of work\n",
 			spec.Job.Name, spec.Bench, spec.Size, len(spec.Job.VMs), spec.TotalWork())
 	}
 
@@ -136,7 +150,7 @@ func main() {
 			return true
 		},
 		OnSwitch: func(r core.SwitchRecord) {
-			fmt.Println(switchLine(r))
+			fmt.Fprintln(out, switchLine(r))
 		},
 	}
 
@@ -152,7 +166,7 @@ func main() {
 	var tick func()
 	tick = func() {
 		s := monitor.Observe(c.Now(), cfg)
-		fmt.Printf("[t=%7.0f] cpu %d/%d (%.0f%%), mem %.1f GiB, VMs run/sleep/wait %d/%d/%d\n",
+		fmt.Fprintf(out, "[t=%7.0f] cpu %d/%d (%.0f%%), mem %.1f GiB, VMs run/sleep/wait %d/%d/%d\n",
 			s.T, s.UsedCPU, s.CapCPU, s.CPUPercent(), s.MemGiB(), s.Running, s.Sleeping, s.Waiting)
 		done := true
 		for _, j := range jobs {
@@ -194,7 +208,7 @@ func main() {
 			}
 		}()
 		defer func() { _ = httpSrv.Shutdown(context.Background()) }()
-		fmt.Printf("control plane listening on %s\n", *listen)
+		fmt.Fprintf(out, "control plane listening on %s\n", *listen)
 	}
 
 	// The listener may already be serving: starting the loop schedules
@@ -203,20 +217,21 @@ func main() {
 	simMu.Lock()
 	loop.Start(act)
 	simMu.Unlock()
-	driveSim(ctx, c, loop, &simMu, *horizon, serving, 30)
+	driveSim(ctx, c, loop, &simMu, *horizon, serving, 30, out)
 
-	fmt.Printf("\nworkload complete at t=%.0f s (%.1f min); %d context switches, mean duration %.0f s\n",
+	fmt.Fprintf(out, "\nworkload complete at t=%.0f s (%.1f min); %d context switches, mean duration %.0f s\n",
 		c.Now(), c.Now()/60, len(loop.Records), meanDuration(loop.Records))
 	if *eventDriven {
 		s := loop.Stats
-		fmt.Printf("event loop: %d events (%d coalesced), %d slice solves, %d full solves, %d repairs, %d partition reuses\n",
+		fmt.Fprintf(out, "event loop: %d events (%d coalesced), %d slice solves, %d full solves, %d repairs, %d partition reuses\n",
 			s.Events, s.Coalesced, s.SliceSolves, s.FullSolves, s.Repairs, s.PartitionReuses)
 	}
 	local, remote := c.TransferCounts()
-	fmt.Printf("actions: %v; transfers: %d local, %d remote\n", c.ActionCounts(), local, remote)
+	fmt.Fprintf(out, "actions: %v; transfers: %d local, %d remote\n", c.ActionCounts(), local, remote)
 	if s := errorSummary(act.Reports); s != "" {
-		fmt.Print(s)
+		fmt.Fprint(out, s)
 	}
+	return nil
 }
 
 // controlPlane wires the daemon's state into the embeddable API
@@ -331,7 +346,7 @@ func mount(apiHandler http.Handler, pprofOn bool) http.Handler {
 // nothing to do. After cancellation it keeps advancing until the
 // in-flight context switch (if any) has finished — a SIGTERM never
 // abandons a half-executed plan mid-migration.
-func driveSim(ctx context.Context, c *sim.Cluster, loop *core.Loop, mu *sync.Mutex, horizon float64, serving bool, chunk float64) {
+func driveSim(ctx context.Context, c *sim.Cluster, loop *core.Loop, mu *sync.Mutex, horizon float64, serving bool, chunk float64, out io.Writer) {
 	announced := false
 	for {
 		mu.Lock()
@@ -342,7 +357,7 @@ func driveSim(ctx context.Context, c *sim.Cluster, loop *core.Loop, mu *sync.Mut
 			}
 			if !announced {
 				announced = true
-				fmt.Println("shutdown: waiting for the in-flight context switch to finish")
+				fmt.Fprintln(out, "shutdown: waiting for the in-flight context switch to finish")
 			}
 			before := c.Now()
 			c.Run(before + chunk)

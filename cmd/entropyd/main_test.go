@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -78,7 +79,7 @@ func TestDriveSimFinishesInFlightSwitchOnShutdown(t *testing.T) {
 
 	var mu sync.Mutex
 	loop.Start(act)
-	driveSim(ctx, c, loop, &mu, 10_000, false, 2)
+	driveSim(ctx, c, loop, &mu, 10_000, false, 2, io.Discard)
 
 	if loop.Busy() {
 		t.Fatal("driveSim returned with the switch still executing")

@@ -197,6 +197,12 @@ type ChaosResult struct {
 	TopNode           string
 	TopNodeSeconds    float64
 	RuleBreachSeconds float64
+	// Records lists every non-empty context switch; ActionCounts and
+	// LocalOps/RemoteOps are the simulator's completed-action and
+	// transfer tallies.
+	Records             []core.SwitchRecord
+	ActionCounts        map[string]int
+	LocalOps, RemoteOps int
 }
 
 // RunChaos replays one scenario cell. Unknown scenario names panic:
@@ -438,6 +444,9 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 	res.Breaches = inv.StructuralCount()
 	res.FinalViolations = len(cfg.Violations())
 	res.Stats = loop.Stats
+	res.Records = loop.Records
+	res.ActionCounts = c.ActionCounts()
+	res.LocalOps, res.RemoteOps = c.TransferCounts()
 	res.Switches = len(loop.Records)
 	res.End = c.Now()
 	if scenario == ScenarioReplay {

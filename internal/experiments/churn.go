@@ -139,6 +139,12 @@ type ChurnResult struct {
 	TopNode           string
 	TopNodeSeconds    float64
 	RuleBreachSeconds float64
+	// Records lists every non-empty context switch; ActionCounts and
+	// LocalOps/RemoteOps are the simulator's completed-action and
+	// transfer tallies.
+	Records             []core.SwitchRecord
+	ActionCounts        map[string]int
+	LocalOps, RemoteOps int
 }
 
 // RunChurn replays the churn scenario under one loop schedule.
@@ -294,6 +300,9 @@ func RunChurn(eventDriven bool, opts ChurnOptions) ChurnResult {
 	res.RemediationMax = monitor.Quantile(res.Remediations, 1)
 
 	res.Stats = loop.Stats
+	res.Records = loop.Records
+	res.ActionCounts = c.ActionCounts()
+	res.LocalOps, res.RemoteOps = c.TransferCounts()
 	res.Switches = len(loop.Records)
 	for _, r := range loop.Records {
 		res.Failures += r.Failures

@@ -84,6 +84,9 @@ type ClusterResult struct {
 	Gantt *trace.Gantt
 	// JobEnd is the completion instant of each vjob.
 	JobEnd map[string]float64
+	// Stats is the loop telemetry; End the virtual time the run ended.
+	Stats core.LoopStats
+	End   float64
 }
 
 // MeanSwitchDuration returns the average context-switch duration in
@@ -189,6 +192,8 @@ func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult
 	c.Run(opts.Horizon)
 
 	res.Records = loop.Records
+	res.Stats = loop.Stats
+	res.End = c.Now()
 	res.Samples = rec.Samples
 	res.ActionCounts = c.ActionCounts()
 	res.LocalOps, res.RemoteOps = c.TransferCounts()

@@ -107,6 +107,14 @@ type DrainResult struct {
 	// took.
 	End  float64
 	Wall time.Duration
+	// Ledger is the per-entity attribution behind ViolationSeconds.
+	// Records lists every non-empty context switch; ActionCounts and
+	// LocalOps/RemoteOps are the simulator's completed-action and
+	// transfer tallies.
+	Ledger              *monitor.Ledger
+	Records             []core.SwitchRecord
+	ActionCounts        map[string]int
+	LocalOps, RemoteOps int
 }
 
 // RunDrain replays the drain scenario.
@@ -233,13 +241,13 @@ func RunDrain(opts DrainOptions) DrainResult {
 	}
 	c.Schedule(opts.DrainAt+2, probe)
 
-	violSec := monitor.WatchViolationSeconds(c)
+	res.Ledger = monitor.WatchLedger(c, nil)
 
 	start := time.Now()
 	loop.Start(act)
 	c.Run(opts.Horizon)
 	res.Wall = time.Since(start)
-	res.ViolationSeconds = violSec()
+	res.ViolationSeconds = res.Ledger.Total()
 
 	pinned := make(map[string]bool)
 	for _, n := range drained {
@@ -264,6 +272,9 @@ func RunDrain(opts DrainOptions) DrainResult {
 	sort.Strings(res.PinnedVJobs)
 	res.InvariantBreaches = inv.StructuralCount()
 	res.Stats = loop.Stats
+	res.Records = loop.Records
+	res.ActionCounts = c.ActionCounts()
+	res.LocalOps, res.RemoteOps = c.TransferCounts()
 	res.Switches = len(loop.Records)
 	res.End = c.Now()
 	for _, j := range jobs {
