@@ -30,18 +30,13 @@ import (
 	"syscall"
 	"time"
 
-	"cwcs/internal/api"
 	"cwcs/internal/core"
 	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
 	"cwcs/internal/monitor"
 	"cwcs/internal/obs"
 	"cwcs/internal/sched"
 	"cwcs/internal/sim"
-	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
-
-	"math/rand"
+	"cwcs/internal/testbed"
 )
 
 func main() {
@@ -94,82 +89,35 @@ func run(args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	rng := rand.New(rand.NewSource(*seed))
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < *nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%02d", i), *cpu, *memory))
-	}
-	c := sim.New(cfg, duration.Default())
-
-	jobs := make([]*vjob.VJob, 0, *njobs)
-	for i := 0; i < *njobs; i++ {
-		spec := workload.NewSpec(fmt.Sprintf("vjob%d", i+1),
-			workload.Benchmarks[i%len(workload.Benchmarks)],
-			workload.Classes[1+i%2], *nvms, i, rng)
-		spec.Install(cfg, c)
-		jobs = append(jobs, spec.Job)
+	tb := testbed.New(testbed.Options{
+		Nodes: *nodes, NodeCPU: *cpu, NodeMemory: *memory,
+		PaperNames: true,
+		VJobs:      *njobs, VMsPerVJob: *nvms,
+		Seed:         *seed,
+		Decision:     sched.Consolidation{},
+		Optimizer:    core.Optimizer{Timeout: *timeout, Workers: *workers, Partitions: *partitions},
+		Interval:     *interval,
+		EventDriven:  *eventDriven,
+		Debounce:     *debounce,
+		StopWhenDone: true,
+	})
+	c, loop := tb.Cluster, tb.Loop
+	for _, spec := range tb.Specs {
 		fmt.Fprintf(out, "submitted %s: %s class %s, %d VMs, %.0f s of work\n",
 			spec.Job.Name, spec.Bench, spec.Size, len(spec.Job.VMs), spec.TotalWork())
 	}
-
-	// Tracing and solver telemetry follow the control plane: their
-	// records only matter when something can read them, and nil
-	// tracer/telemetry keep the headless loop's hot path
-	// allocation-free.
-	var tracer *obs.Tracer
-	var solver *core.SolverTelemetry
-	if serving {
-		tracer = obs.NewTracer(0)
-		solver = core.NewSolverTelemetry(0)
+	loop.Ctx = ctx
+	loop.OnSwitch = func(r core.SwitchRecord) {
+		fmt.Fprintln(out, switchLine(r))
 	}
-
-	drains := &core.DrainSet{}
-	loop := &core.Loop{
-		Trace:       tracer,
-		Solver:      solver,
-		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
-		Ctx:         ctx,
-		Optimizer:   core.Optimizer{Timeout: *timeout, Workers: *workers, Partitions: *partitions},
-		Interval:    *interval,
-		EventDriven: *eventDriven,
-		Debounce:    *debounce,
-		Drains:      drains,
-		Queue:       func() []*vjob.VJob { return jobs },
-		Done: func() bool {
-			// Stop once every vjob finished AND its VMs were stopped.
-			for _, j := range jobs {
-				if !c.VJobDone(j) {
-					return false
-				}
-				for _, v := range j.VMs {
-					if cfg.VM(v.Name) != nil {
-						return false
-					}
-				}
-			}
-			return true
-		},
-		OnSwitch: func(r core.SwitchRecord) {
-			fmt.Fprintln(out, switchLine(r))
-		},
-	}
-
-	// Violation-seconds ledger: the exposure integral /metrics serves,
-	// attributed per vjob, node and dimension — plus per breached
-	// placement rule (the live drain orders) — behind GET
-	// /v1/violations.
-	ledger := monitor.WatchLedger(c, func() []core.PlacementRule {
-		return append(append([]core.PlacementRule(nil), loop.Rules...), drains.Rules()...)
-	})
-	violSec := ledger.Total
 
 	var tick func()
 	tick = func() {
-		s := monitor.Observe(c.Now(), cfg)
+		s := monitor.Observe(c.Now(), c.Config())
 		fmt.Fprintf(out, "[t=%7.0f] cpu %d/%d (%.0f%%), mem %.1f GiB, VMs run/sleep/wait %d/%d/%d\n",
 			s.T, s.UsedCPU, s.CapCPU, s.CPUPercent(), s.MemGiB(), s.Running, s.Sleeping, s.Waiting)
 		done := true
-		for _, j := range jobs {
+		for _, j := range tb.Jobs() {
 			if !c.VJobDone(j) {
 				done = false
 				break
@@ -181,15 +129,6 @@ func run(args []string, out io.Writer) error {
 	}
 	tick()
 
-	act := &drivers.Actuator{C: c, Trace: tracer}
-	if *eventDriven {
-		// Monitoring feeds the loop: every observable load change
-		// (phase shift, workload completion) becomes an event.
-		c.OnLoadChange(func(vm string) {
-			loop.Notify(act, core.Event{Kind: core.LoadChange, At: c.Now(), VMs: []string{vm}})
-		})
-	}
-
 	// simMu serializes the sim driver with the control-plane handlers;
 	// without -listen nothing else contends for it.
 	var simMu sync.Mutex
@@ -197,11 +136,16 @@ func run(args []string, out io.Writer) error {
 		// Threshold monitoring: sustained per-node overload and node
 		// up/down become events on the same ingestion path as POST
 		// /v1/events.
-		watcher := &monitor.ThresholdWatcher{Emit: func(ev core.Event) { loop.Notify(act, ev) }}
+		watcher := &monitor.ThresholdWatcher{Emit: tb.Feed}
 		watcher.Attach(c)
 
-		apiSrv := controlPlane(&simMu, c, cfg, loop, act, drains, &jobs, violSec, tracer, ledger, solver)
-		httpSrv := &http.Server{Addr: *listen, Handler: mount(apiSrv.Handler(), *pprofOn)}
+		httpSrv := &http.Server{
+			Addr:    *listen,
+			Handler: mount(tb.ControlPlane(&simMu).Handler(), *pprofOn),
+			// A client that never finishes its headers holds a
+			// connection, not the loop.
+			ReadHeaderTimeout: 10 * time.Second,
+		}
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "control plane: %v\n", err)
@@ -215,7 +159,7 @@ func run(args []string, out io.Writer) error {
 	// on the sim event heap, so it needs the same serialization the
 	// handlers use.
 	simMu.Lock()
-	loop.Start(act)
+	loop.Start(tb.Actuator)
 	simMu.Unlock()
 	driveSim(ctx, c, loop, &simMu, *horizon, serving, 30, out)
 
@@ -228,97 +172,10 @@ func run(args []string, out io.Writer) error {
 	}
 	local, remote := c.TransferCounts()
 	fmt.Fprintf(out, "actions: %v; transfers: %d local, %d remote\n", c.ActionCounts(), local, remote)
-	if s := errorSummary(act.Reports); s != "" {
+	if s := errorSummary(tb.Actuator.Reports); s != "" {
 		fmt.Fprint(out, s)
 	}
 	return nil
-}
-
-// controlPlane wires the daemon's state into the embeddable API
-// server. jobs is a pointer to the live slice: submissions grow it.
-func controlPlane(mu *sync.Mutex, c *sim.Cluster, cfg *vjob.Configuration, loop *core.Loop, act *drivers.Actuator, drains *core.DrainSet, jobs *[]*vjob.VJob, violSec func() float64, tracer *obs.Tracer, ledger *monitor.Ledger, solver *core.SolverTelemetry) *api.Server {
-	return &api.Server{
-		Trace:  tracer,
-		Ledger: ledger,
-		Solver: solver,
-		Exec: func(fn func()) {
-			mu.Lock()
-			defer mu.Unlock()
-			fn()
-		},
-		Now:      c.Now,
-		Config:   c.Config,
-		Stats:    func() core.LoopStats { return loop.Stats },
-		Switches: func() int { return len(loop.Records) },
-		Execution: func() *drivers.Execution {
-			ex, _ := loop.Execution().(*drivers.Execution)
-			return ex
-		},
-		Notify: func(ev core.Event) { loop.Notify(act, ev) },
-		Drains: drains,
-		OnUndrain: func(node string) error {
-			if cfg.Node(node) == nil {
-				// The node was taken offline after evacuation: bring it
-				// back before lifting the drain order.
-				return c.SetNodeOnline(node)
-			}
-			return nil
-		},
-		Submit: func(spec api.VJobSpec) error {
-			for _, j := range *jobs {
-				if j.Name == spec.Name {
-					return fmt.Errorf("vjob %s already exists", spec.Name)
-				}
-			}
-			var vms []*vjob.VM
-			var names []string
-			for _, v := range spec.VMs {
-				if cfg.VM(v.Name) != nil {
-					return fmt.Errorf("VM %s already exists", v.Name)
-				}
-				vms = append(vms, vjob.NewVM(v.Name, spec.Name, v.CPU, v.Memory))
-				names = append(names, v.Name)
-			}
-			job := vjob.NewVJob(spec.Name, len(*jobs), vms...)
-			job.Submitted = c.Now()
-			for i, v := range vms {
-				cfg.AddVM(v)
-				var phases []sim.Phase
-				for _, p := range spec.VMs[i].Phases {
-					phases = append(phases, sim.Phase{CPU: p.CPU, Seconds: p.Seconds})
-				}
-				if len(phases) > 0 {
-					c.SetWorkload(v.Name, phases)
-				}
-			}
-			*jobs = append(*jobs, job)
-			loop.Notify(act, core.Event{Kind: core.VMArrival, At: c.Now(), VMs: names})
-			return nil
-		},
-		Withdraw: func(name string) error {
-			for i, j := range *jobs {
-				if j.Name != name {
-					continue
-				}
-				var names []string
-				for _, v := range j.VMs {
-					if cfg.VM(v.Name) != nil && cfg.StateOf(v.Name) != vjob.Waiting {
-						return fmt.Errorf("vjob %s is already placed; let it finish", name)
-					}
-					names = append(names, v.Name)
-				}
-				for _, vn := range names {
-					cfg.RemoveVM(vn)
-				}
-				*jobs = append((*jobs)[:i], (*jobs)[i+1:]...)
-				loop.Notify(act, core.Event{Kind: core.VMDeparture, At: c.Now(), VMs: names})
-				return nil
-			}
-			return fmt.Errorf("unknown vjob %s", name)
-		},
-		ViolationSeconds: violSec,
-		QueueDepth:       func() int { return len(*jobs) },
-	}
 }
 
 // mount layers the optional pprof endpoints over the control-plane

@@ -18,6 +18,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -588,14 +589,29 @@ type eventJSON struct {
 	VMs   []string `json:"vms,omitempty"`
 }
 
+// maxBodyBytes bounds what a write endpoint reads from a client: a
+// vjob of a thousand VMs or a batch of ten thousand events fits many
+// times over, a body that never ends does not.
+const maxBodyBytes = 1 << 20
+
+// decodeStatus is the answer to a body the decoder refused: 413 when
+// it ran over maxBodyBytes, 400 for anything else.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.Notify == nil {
 		writeError(w, http.StatusNotImplemented, "no event sink")
 		return
 	}
 	var batch []eventJSON
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, "events: expected a JSON array of {kind,nodes,vms}: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&batch); err != nil {
+		writeError(w, decodeStatus(err), "events: expected a JSON array of {kind,nodes,vms}: %v", err)
 		return
 	}
 	events := make([]core.Event, 0, len(batch))
@@ -629,8 +645,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec VJobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "vjobs: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&spec); err != nil {
+		writeError(w, decodeStatus(err), "vjobs: %v", err)
 		return
 	}
 	if spec.Name == "" || len(spec.VMs) == 0 {

@@ -725,3 +725,31 @@ func TestNodeResourceDimensions(t *testing.T) {
 		t.Fatalf("2-D node exports a net gauge:\n%s", body)
 	}
 }
+
+// TestOversizedBodiesRefused: a body over maxBodyBytes is answered 413
+// by both write endpoints without reaching the loop or the submitter,
+// and a body under it decodes as before.
+func TestOversizedBodiesRefused(t *testing.T) {
+	b := newTestbed(t, 2, 2, 4096)
+	notified, submitted := 0, 0
+	b.srv.Notify = func(core.Event) { notified++ }
+	b.srv.Submit = func(VJobSpec) error { submitted++; return nil }
+	pad := strings.Repeat("x", 2<<20)
+
+	events := []map[string]any{{"kind": "load-change", "vms": []string{pad}}}
+	b.do(t, "POST", "/v1/events", events, http.StatusRequestEntityTooLarge)
+	spec := map[string]any{"name": pad, "vms": []map[string]any{{"name": "a", "cpu": 1, "memory": 256}}}
+	b.do(t, "POST", "/v1/vjobs", spec, http.StatusRequestEntityTooLarge)
+	if notified != 0 || submitted != 0 {
+		t.Fatalf("oversized bodies reached the sinks: %d events, %d vjobs", notified, submitted)
+	}
+
+	// Just under the bound is a request like any other.
+	events[0]["vms"] = []string{pad[:maxBodyBytes-1024]}
+	b.do(t, "POST", "/v1/events", events, http.StatusAccepted)
+	spec["name"] = "ja"
+	b.do(t, "POST", "/v1/vjobs", spec, http.StatusAccepted)
+	if notified != 1 || submitted != 1 {
+		t.Fatalf("in-bound bodies: %d events, %d vjobs reached the sinks", notified, submitted)
+	}
+}

@@ -43,7 +43,7 @@ func TestAttributionConservation(t *testing.T) {
 		sum += e.Seconds
 	}
 	if sum != r.ViolationSeconds {
-		t.Fatalf("sum(per-vjob) = %v != WatchViolationSeconds integral %v (must be bitwise equal)",
+		t.Fatalf("sum(per-vjob) = %v != violation-seconds integral %v (must be bitwise equal)",
 			sum, r.ViolationSeconds)
 	}
 

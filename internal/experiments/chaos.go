@@ -7,18 +7,12 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
-	"cwcs/internal/monitor"
-	"cwcs/internal/obs"
-	"cwcs/internal/sched"
 	"cwcs/internal/sim"
+	"cwcs/internal/testbed"
 	"cwcs/internal/trace"
 	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
 )
 
 // The chaos study replays the churn scenario under one adversarial
@@ -147,126 +141,51 @@ func (o ChaosOptions) resyncInterval() float64 {
 	return o.ResyncInterval
 }
 
-// ChaosResult is one scenario cell's measurements.
+// ChaosResult is one scenario cell's measurements: the recovery-time
+// distribution (Summary.Episodes, RecoveryP50/P95/Max, Unrecovered)
+// and Summary.Breaches, always audited and required to be 0.
 type ChaosResult struct {
 	// Scenario is the cell name (ChaosScenarios).
 	Scenario string
-	// Episodes counts violation episodes; RecoveryP50/P95/Max are the
-	// nearest-rank quantiles of their lengths in virtual seconds
-	// (monitor.RecoveryLog). Unrecovered counts episodes still open
-	// at the horizon (censored: their partial length enters the
-	// distribution too).
-	Episodes                              int
-	RecoveryP50, RecoveryP95, RecoveryMax float64
-	Unrecovered                           int
-	// Breaches is the structural invariant-breach count (always
-	// audited; must be 0).
-	Breaches int
 	// Dropped counts monitoring events the loss filter discarded.
 	Dropped int
-	// ViolationSeconds integrates violation exposure over the run;
-	// FinalViolations is the count at the horizon.
-	ViolationSeconds float64
-	FinalViolations  int
-	// Stats is the loop telemetry; Switches the executed switches.
-	Stats    core.LoopStats
-	Switches int
-	// Arrived and Completed count vjobs over the run.
-	Arrived, Completed int
-	// End is the virtual time the run went quiescent; Wall the real
-	// time it took.
-	End  float64
-	Wall time.Duration
-	// MatchedEpisodes counts episodes a reconfiguration span covered;
-	// RemediationP50/P95/Max summarize the per-episode
-	// event-to-remediation times (obs.RemediationTimes — clamped to
-	// the recovery time, falling back to it when no span covers the
-	// episode).
-	MatchedEpisodes                                int
-	RemediationP50, RemediationP95, RemediationMax float64
-	// Spans is the retained span stream when CollectSpans is set.
-	Spans []obs.SpanRecord
-	// Ledger is the per-entity attribution behind ViolationSeconds
-	// (ViolationSeconds == Ledger.Total() by construction). TopVJob /
-	// TopNode name the worst-suffering vjob and node with their
-	// violation-second integrals; RuleBreachSeconds integrates drain
-	// rules breached while a failed node still hosted VMs.
-	Ledger            *monitor.Ledger
-	TopVJob           string
-	TopVJobSeconds    float64
-	TopNode           string
-	TopNodeSeconds    float64
-	RuleBreachSeconds float64
-	// Records lists every non-empty context switch; ActionCounts and
-	// LocalOps/RemoteOps are the simulator's completed-action and
-	// transfer tallies.
-	Records             []core.SwitchRecord
-	ActionCounts        map[string]int
-	LocalOps, RemoteOps int
+	testbed.Summary
 }
 
 // RunChaos replays one scenario cell. Unknown scenario names panic:
 // they are programmer errors, not measurements.
 func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 	co := opts.Churn
-	genRng := rand.New(rand.NewSource(co.Seed))
-	arrRng := rand.New(rand.NewSource(co.Seed + 1))
-	failRng := rand.New(rand.NewSource(co.Seed + 2))
 	chaosRng := rand.New(rand.NewSource(co.Seed + 3))
 
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < co.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%03d", i), co.NodeCPU, co.NodeMemory))
+	o := co.testbedOptions()
+	o.EventDriven = true
+	o.WatchInvariants = true
+	o.CollectSpans = opts.CollectSpans
+	// Action failures: the flat churn baseline everywhere, spiked by
+	// the storm window in the action-storm cell. Identical stream
+	// shape either way (one variate per action).
+	o.Failures = sim.FailureStorm{Base: co.FailureRate}
+	if scenario == ScenarioStorm {
+		o.Failures.Storm, o.Failures.From, o.Failures.Until = opts.StormRate, opts.StormFrom, opts.StormUntil
 	}
-	c := sim.New(cfg, duration.Default())
-	inv := sim.WatchInvariants(c)
+	// The replay cell reads its population from the trace; every other
+	// cell uses the churn generator.
+	if scenario == ScenarioReplay {
+		o.VJobs, o.ArrivalRate = 0, 0
+	}
+	tb := testbed.New(o)
+	c, cfg := tb.Cluster, tb.Cluster.Config()
 
 	res := ChaosResult{Scenario: scenario}
 
-	// The replay cell reads its population from the trace; every other
-	// cell uses the churn generator.
-	var jobs []*vjob.VJob
-	var replay *trace.Replay
-	queue := func() []*vjob.VJob { return jobs }
-	if scenario == ScenarioReplay {
-		queue = func() []*vjob.VJob { return replay.Jobs() }
-	}
-
-	// Span stream: reconfiguration spans feed the remediation columns
-	// (no randomness — the chaos Seed+3 stream stays byte-identical).
-	tracer := obs.NewTracer(0)
-	var reconfigs []obs.SpanRecord
-	tracer.OnClose(func(r obs.SpanRecord) {
-		if r.Kind == obs.KindReconfig.String() {
-			reconfigs = append(reconfigs, r)
-		}
-		if opts.CollectSpans {
-			res.Spans = append(res.Spans, r)
-		}
-	})
-
-	drains := &core.DrainSet{}
-	loop := &core.Loop{
-		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: queue},
-		Optimizer:   core.Optimizer{Timeout: co.Timeout, Workers: co.Workers, Partitions: co.Partitions},
-		EventDriven: true,
-		Debounce:    co.Debounce,
-		RepairWiden: co.RepairWiden,
-		Drains:      drains,
-		Queue:       queue,
-		Trace:       tracer,
-	}
-	act := &drivers.Actuator{C: c, Trace: tracer}
-
-	// feed is the single monitoring path into the loop; the event-loss
-	// cell interposes the drop filter on it. One rng variate per
-	// offered event in that cell only — the other cells leave the
-	// chaos stream where the planners left it.
-	notify := func(ev core.Event) { loop.Notify(act, ev) }
-	feed := notify
+	// The event-loss cell interposes the drop filter on the feed. One
+	// rng variate per offered event in that cell only — the other cells
+	// leave the chaos stream where the planners left it.
 	if scenario == ScenarioLoss {
+		notify := tb.Feed
 		drop := opts.Loss.Dropper(chaosRng)
-		feed = func(ev core.Event) {
+		tb.Feed = func(ev core.Event) {
 			if drop(c.Now()) {
 				res.Dropped++
 				return
@@ -275,90 +194,18 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 		}
 	}
 
-	c.OnLoadChange(func(vm string) {
-		feed(core.Event{Kind: core.LoadChange, At: c.Now(), VMs: []string{vm}})
-	})
-
-	// Action failures: the flat churn baseline everywhere, spiked by
-	// the storm window in the action-storm cell. Identical stream
-	// shape either way (one variate per action).
-	storm := sim.FailureStorm{Base: co.FailureRate}
-	if scenario == ScenarioStorm {
-		storm.Storm, storm.From, storm.Until = opts.StormRate, opts.StormFrom, opts.StormUntil
-	}
-	if storm.Base > 0 || storm.Storm > 0 {
-		c.InstallFailureStorm(failRng, storm)
-	}
-
 	if scenario == ScenarioReplay {
 		recs, err := SampleTrace(opts.Trace)
 		if err != nil {
 			panic(err)
 		}
-		replay = trace.StartReplay(c, recs, feed)
-	} else {
-		submit := func(i int) workload.Spec {
-			bench := workload.Benchmarks[i%len(workload.Benchmarks)]
-			class := workload.Classes[1+i%2]
-			spec := workload.NewSpec(fmt.Sprintf("vjob%03d", i), bench, class, co.VMsPerVJob, i, genRng)
-			scalePhases(&spec, co.WorkScale)
-			spec.Install(cfg, c)
-			jobs = append(jobs, spec.Job)
-			return spec
-		}
-		for i := 0; i < co.InitialVJobs; i++ {
-			submit(i)
-		}
-		res.Arrived = co.InitialVJobs
-
-		idx := co.InitialVJobs
-		var scheduleArrival func()
-		scheduleArrival = func() {
-			dt := arrRng.ExpFloat64() / co.ArrivalRate
-			at := c.Now() + dt
-			if at > co.ArrivalStop {
-				return
-			}
-			c.Schedule(at, func() {
-				spec := submit(idx)
-				idx++
-				res.Arrived++
-				names := make([]string, len(spec.Job.VMs))
-				for i, v := range spec.Job.VMs {
-					names[i] = v.Name
-				}
-				feed(core.Event{Kind: core.VMArrival, At: c.Now(), VMs: names})
-				scheduleArrival()
-			})
-		}
-		if co.ArrivalRate > 0 {
-			scheduleArrival()
-		}
+		replay := trace.StartReplay(c, recs, tb.Feed)
+		tb.Jobs = replay.Jobs
 	}
 
-	// Node-level chaos. A failed node cannot simply vanish — the sim
-	// refuses to drop a loaded node, and so would a real inventory —
-	// so a failure is an urgent evacuation: a drain rule that forbids
-	// the node to the optimizer plus a NodeDown event, exactly the
-	// signal path of the maintenance lifecycle, and recovery is the
-	// Undrain + NodeUp pair.
-	fail := func(n string) {
-		if !drains.Drain(n) {
-			return
-		}
-		ev := core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}}
-		for _, v := range cfg.RunningOn(n) {
-			ev.VMs = append(ev.VMs, v.Name)
-		}
-		feed(ev)
-	}
-	recover := func(n string) {
-		if !drains.Undrain(n) {
-			return
-		}
-		feed(core.Event{Kind: core.NodeUp, At: c.Now(), Nodes: []string{n}})
-	}
-
+	// Node-level chaos. A failed node is an urgent evacuation — exactly
+	// the signal path of the maintenance lifecycle (testbed.Drain) —
+	// and recovery is the Undrain + NodeUp pair.
 	switch scenario {
 	case ScenarioBursts:
 		bursts := sim.PlanBursts(chaosRng, rackNames(co.Nodes, opts.Racks), sim.BurstOptions{
@@ -368,13 +215,13 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 			b := b
 			c.Schedule(b.At, func() {
 				for _, n := range b.Nodes {
-					fail(n)
+					tb.Drain(n)
 				}
 			})
 			if b.RecoverAt > 0 {
 				c.Schedule(b.RecoverAt, func() {
 					for _, n := range b.Nodes {
-						recover(n)
+						tb.Undrain(n)
 					}
 				})
 			}
@@ -389,9 +236,9 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 			tr := tr
 			c.Schedule(tr.At, func() {
 				if tr.Down {
-					fail(tr.Node)
+					tb.Drain(tr.Node)
 				} else {
-					recover(tr.Node)
+					tb.Undrain(tr.Node)
 				}
 			})
 		}
@@ -403,60 +250,15 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 	// cluster re-offers nothing).
 	var resync func()
 	resync = func() {
-		for _, ev := range reconcile(c, cfg, queue()) {
-			feed(ev)
+		for _, ev := range reconcile(c, cfg, tb.Jobs()) {
+			tb.Feed(ev)
 		}
 		c.Schedule(c.Now()+opts.resyncInterval(), resync)
 	}
 	c.Schedule(opts.resyncInterval(), resync)
-
-	led := monitor.WatchLedger(c, drains.Rules)
-	recovery := monitor.WatchRecovery(c)
 	c.Schedule(co.Horizon, func() {}) // pin the clock for censoring
 
-	start := time.Now()
-	loop.Start(act)
-	c.Run(co.Horizon)
-	res.Wall = time.Since(start)
-
-	res.ViolationSeconds = led.Total()
-	res.Ledger = led
-	if top := led.TopVJobs(1); len(top) > 0 {
-		res.TopVJob, res.TopVJobSeconds = top[0].VJob, top[0].Seconds
-	}
-	if top := led.TopNodes(1); len(top) > 0 {
-		res.TopNode, res.TopNodeSeconds = top[0].Node, top[0].Seconds
-	}
-	res.RuleBreachSeconds = led.RuleBreachSeconds()
-	if recovery.Open {
-		res.Unrecovered = 1
-		recovery.CloseAt(c.Now())
-	}
-	res.Episodes = recovery.Episodes()
-	res.RecoveryP50 = recovery.Quantile(0.50)
-	res.RecoveryP95 = recovery.Quantile(0.95)
-	res.RecoveryMax = recovery.Max()
-	remediations, matched := obs.RemediationTimes(reconfigs, recovery.Starts, recovery.Durations)
-	res.MatchedEpisodes = matched
-	res.RemediationP50 = monitor.Quantile(remediations, 0.50)
-	res.RemediationP95 = monitor.Quantile(remediations, 0.95)
-	res.RemediationMax = monitor.Quantile(remediations, 1)
-	res.Breaches = inv.StructuralCount()
-	res.FinalViolations = len(cfg.Violations())
-	res.Stats = loop.Stats
-	res.Records = loop.Records
-	res.ActionCounts = c.ActionCounts()
-	res.LocalOps, res.RemoteOps = c.TransferCounts()
-	res.Switches = len(loop.Records)
-	res.End = c.Now()
-	if scenario == ScenarioReplay {
-		res.Arrived = len(replay.Jobs())
-	}
-	for _, j := range queue() {
-		if c.VJobDone(j) {
-			res.Completed++
-		}
-	}
+	res.Summary = tb.Run(co.Horizon)
 	return res
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cwcs/internal/sim"
+	"cwcs/internal/testbed"
 )
 
 // quickChaosOptions shrinks the chaos study so every cell runs in
@@ -110,8 +111,8 @@ func TestChaosSeedStability(t *testing.T) {
 
 func TestChaosRendering(t *testing.T) {
 	rows := []ChaosResult{
-		{Scenario: ScenarioBaseline, Episodes: 3, RecoveryP50: 12, RecoveryP95: 40, RecoveryMax: 41, ViolationSeconds: 321, Arrived: 10, Completed: 10},
-		{Scenario: ScenarioLoss, Episodes: 5, RecoveryP50: 60, RecoveryP95: 180, RecoveryMax: 200, Unrecovered: 1, Dropped: 17, ViolationSeconds: 900, Arrived: 10, Completed: 9},
+		{Scenario: ScenarioBaseline, Summary: testbed.Summary{Episodes: 3, RecoveryP50: 12, RecoveryP95: 40, RecoveryMax: 41, ViolationSeconds: 321, Arrived: 10, Completed: 10}},
+		{Scenario: ScenarioLoss, Dropped: 17, Summary: testbed.Summary{Episodes: 5, RecoveryP50: 60, RecoveryP95: 180, RecoveryMax: 200, Unrecovered: 1, ViolationSeconds: 900, Arrived: 10, Completed: 9}},
 	}
 	table := ChaosTable(rows)
 	for _, want := range []string{"baseline", "event-loss", "rec-p95", "breaches"} {
@@ -125,12 +126,12 @@ func TestChaosRendering(t *testing.T) {
 // like the other study exports.
 func TestGoldenChaosCSV(t *testing.T) {
 	rows := []ChaosResult{
-		{Scenario: ScenarioBaseline, Episodes: 3, RecoveryP50: 12, RecoveryP95: 40.5, RecoveryMax: 41, ViolationSeconds: 321.5, Switches: 14, Arrived: 10, Completed: 10, End: 1500},
-		{Scenario: ScenarioBursts, Episodes: 6, RecoveryP50: 25, RecoveryP95: 90, RecoveryMax: 120, ViolationSeconds: 1024, FinalViolations: 0, Switches: 22, Arrived: 10, Completed: 9, End: 1500,
-			TopVJob: "vjob004", TopVJobSeconds: 512.5, TopNode: "node007", TopNodeSeconds: 600, RuleBreachSeconds: 90.5},
-		{Scenario: ScenarioLoss, Episodes: 5, RecoveryP50: 60, RecoveryP95: 180, RecoveryMax: 200, Unrecovered: 1, Dropped: 17, ViolationSeconds: 900, Switches: 18, Arrived: 10, Completed: 9, End: 1500,
-			TopVJob: "vjob001", TopVJobSeconds: 450, TopNode: "node002", TopNodeSeconds: 500},
-		{Scenario: ScenarioReplay, Episodes: 1, RecoveryP50: 8, RecoveryP95: 8, RecoveryMax: 8, ViolationSeconds: 64, Switches: 9, Arrived: 3, Completed: 1, End: 1500},
+		{Scenario: ScenarioBaseline, Summary: testbed.Summary{Episodes: 3, RecoveryP50: 12, RecoveryP95: 40.5, RecoveryMax: 41, ViolationSeconds: 321.5, Switches: 14, Arrived: 10, Completed: 10, End: 1500}},
+		{Scenario: ScenarioBursts, Summary: testbed.Summary{Episodes: 6, RecoveryP50: 25, RecoveryP95: 90, RecoveryMax: 120, ViolationSeconds: 1024, FinalViolations: 0, Switches: 22, Arrived: 10, Completed: 9, End: 1500,
+			TopVJob: "vjob004", TopVJobSeconds: 512.5, TopNode: "node007", TopNodeSeconds: 600, RuleBreachSeconds: 90.5}},
+		{Scenario: ScenarioLoss, Dropped: 17, Summary: testbed.Summary{Episodes: 5, RecoveryP50: 60, RecoveryP95: 180, RecoveryMax: 200, Unrecovered: 1, ViolationSeconds: 900, Switches: 18, Arrived: 10, Completed: 9, End: 1500,
+			TopVJob: "vjob001", TopVJobSeconds: 450, TopNode: "node002", TopNodeSeconds: 500}},
+		{Scenario: ScenarioReplay, Summary: testbed.Summary{Episodes: 1, RecoveryP50: 8, RecoveryP95: 8, RecoveryMax: 8, ViolationSeconds: 64, Switches: 9, Arrived: 3, Completed: 1, End: 1500}},
 	}
 	checkGolden(t, "chaos.csv.golden", ChaosCSV(rows))
 }

@@ -3,19 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
-	"cwcs/internal/monitor"
-	"cwcs/internal/obs"
 	"cwcs/internal/sched"
 	"cwcs/internal/sim"
-	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
+	"cwcs/internal/testbed"
 )
 
 // ChurnOptions parameterizes the periodic-vs-event-driven loop study:
@@ -92,231 +86,47 @@ func DefaultChurnOptions() ChurnOptions {
 // ChurnResult is one mode's measurements over the scenario.
 type ChurnResult struct {
 	Mode string
-	// Stats is the loop telemetry: solver invocations, slice solves,
-	// repairs, coalesced events.
-	Stats core.LoopStats
-	// Switches counts executed context switches; Failures the failed
-	// actions across them.
-	Switches, Failures int
-	// ViolationSeconds integrates len(Violations()) over virtual time:
-	// the cumulative exposure to capacity violations.
-	ViolationSeconds float64
-	// FinalViolations is the violation count at the horizon (0 = the
-	// loop reached a violation-free configuration).
-	FinalViolations int
-	// Breaches is the structural invariant-breach count (only audited
-	// when ChurnOptions.WatchInvariants is set; always expected 0).
-	Breaches int
-	// Arrived and Completed count vjobs over the run.
-	Arrived, Completed int
-	// End is the virtual time the simulation went quiescent.
-	End float64
-	// Wall is the real time the run took (dominated by solver budget).
-	Wall time.Duration
-	// Episodes counts closed violation episodes
-	// (monitor.WatchRecovery); Recoveries and Remediations are the
-	// aligned per-episode recovery and event-to-remediation times.
-	// Remediation clamps the causal reconfiguration span to the
-	// episode, so remediation <= recovery per episode by
-	// construction; MatchedEpisodes counts episodes a span actually
-	// covered (the rest fall back to the full recovery time).
-	Episodes        int
-	MatchedEpisodes int
-	Recoveries      []float64
-	Remediations    []float64
-	// RemediationP50/P95/Max summarize Remediations (nearest rank).
-	RemediationP50, RemediationP95, RemediationMax float64
-	// Spans is the retained span stream when CollectSpans is set.
-	Spans []obs.SpanRecord
-	// Ledger is the per-entity attribution behind ViolationSeconds
-	// (ViolationSeconds == Ledger.Total() by construction). TopVJob /
-	// TopNode name the worst-suffering vjob and node with their
-	// violation-second integrals (empty when the run stayed clean);
-	// RuleBreachSeconds integrates structural placement-rule breaches.
-	Ledger            *monitor.Ledger
-	TopVJob           string
-	TopVJobSeconds    float64
-	TopNode           string
-	TopNodeSeconds    float64
-	RuleBreachSeconds float64
-	// Records lists every non-empty context switch; ActionCounts and
-	// LocalOps/RemoteOps are the simulator's completed-action and
-	// transfer tallies.
-	Records             []core.SwitchRecord
-	ActionCounts        map[string]int
-	LocalOps, RemoteOps int
+	testbed.Summary
 }
 
-// RunChurn replays the churn scenario under one loop schedule.
+// testbedOptions is the churn scenario as the harness takes it; the
+// chaos cells perturb the same one.
+func (o ChurnOptions) testbedOptions() testbed.Options {
+	return testbed.Options{
+		Nodes: o.Nodes, NodeCPU: o.NodeCPU, NodeMemory: o.NodeMemory,
+		VJobs: o.InitialVJobs, VMsPerVJob: o.VMsPerVJob,
+		WorkScale:   o.WorkScale,
+		ArrivalRate: o.ArrivalRate, ArrivalStop: o.ArrivalStop,
+		Seed:        o.Seed,
+		Decision:    sched.Consolidation{},
+		Optimizer:   core.Optimizer{Timeout: o.Timeout, Workers: o.Workers, Partitions: o.Partitions},
+		Debounce:    o.Debounce,
+		RepairWiden: o.RepairWiden,
+		// Injected action failures (the flaky-driver model), optionally
+		// spiked by a storm window. The storm draws the same one-variate-
+		// per-action stream as the flat rate, so seeded runs stay
+		// comparable across rates.
+		Failures: sim.FailureStorm{
+			Base: o.FailureRate, Storm: o.StormRate,
+			From: o.StormFrom, Until: o.StormUntil,
+		},
+		WatchInvariants: o.WatchInvariants,
+		CollectSpans:    o.CollectSpans,
+	}
+}
+
+// RunChurn replays the churn scenario under one loop schedule. The
+// periodic loop ignores the event feed entirely.
 func RunChurn(eventDriven bool, opts ChurnOptions) ChurnResult {
-	genRng := rand.New(rand.NewSource(opts.Seed))
-	arrRng := rand.New(rand.NewSource(opts.Seed + 1))
-	failRng := rand.New(rand.NewSource(opts.Seed + 2))
-
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < opts.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%03d", i), opts.NodeCPU, opts.NodeMemory))
-	}
-	c := sim.New(cfg, duration.Default())
-
-	var jobs []*vjob.VJob
-	submit := func(i int) workload.Spec {
-		bench := workload.Benchmarks[i%len(workload.Benchmarks)]
-		class := workload.Classes[1+i%2]
-		spec := workload.NewSpec(fmt.Sprintf("vjob%03d", i), bench, class, opts.VMsPerVJob, i, genRng)
-		scalePhases(&spec, opts.WorkScale)
-		spec.Install(cfg, c)
-		jobs = append(jobs, spec.Job)
-		return spec
-	}
-	for i := 0; i < opts.InitialVJobs; i++ {
-		submit(i)
-	}
-
-	res := ChurnResult{Mode: "periodic", Arrived: opts.InitialVJobs}
+	o := opts.testbedOptions()
+	o.Interval = opts.Interval
+	o.EventDriven = eventDriven
+	o.StopWhenDone = true
+	res := ChurnResult{Mode: "periodic"}
 	if eventDriven {
 		res.Mode = "event-driven"
 	}
-
-	// The span stream is the study's latency instrument: the closed
-	// reconfiguration spans yield the event-to-remediation columns, and
-	// CollectSpans widens retention to the whole pipeline (-trace-out).
-	// The tracer adds no randomness, so seeded runs stay byte-identical.
-	tracer := obs.NewTracer(0)
-	var reconfigs []obs.SpanRecord
-	tracer.OnClose(func(r obs.SpanRecord) {
-		if r.Kind == obs.KindReconfig.String() {
-			reconfigs = append(reconfigs, r)
-		}
-		if opts.CollectSpans {
-			res.Spans = append(res.Spans, r)
-		}
-	})
-
-	loop := &core.Loop{
-		// The terminator reads the live (growing) jobs slice through
-		// the closure, not a snapshot.
-		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
-		Trace:       tracer,
-		Optimizer:   core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
-		Interval:    opts.Interval,
-		EventDriven: eventDriven,
-		Debounce:    opts.Debounce,
-		RepairWiden: opts.RepairWiden,
-		Queue:       func() []*vjob.VJob { return jobs },
-		Done: func() bool {
-			if c.Now() <= opts.ArrivalStop {
-				return false
-			}
-			for _, j := range jobs {
-				if !c.VJobDone(j) {
-					return false
-				}
-				for _, v := range j.VMs {
-					if cfg.VM(v.Name) != nil {
-						return false
-					}
-				}
-			}
-			return true
-		},
-	}
-
-	act := &drivers.Actuator{C: c, Trace: tracer}
-
-	// Injected action failures (the flaky-driver model), optionally
-	// spiked by a storm window. The storm draws the same one-variate-
-	// per-action stream as the flat rate, so seeded runs stay
-	// comparable across rates.
-	if opts.FailureRate > 0 || opts.StormRate > 0 {
-		c.InstallFailureStorm(failRng, sim.FailureStorm{
-			Base: opts.FailureRate, Storm: opts.StormRate,
-			From: opts.StormFrom, Until: opts.StormUntil,
-		})
-	}
-
-	var inv *sim.Invariants
-	if opts.WatchInvariants {
-		inv = sim.WatchInvariants(c)
-	}
-
-	// Event feed: load changes from the simulator, arrivals from the
-	// churn generator. The periodic loop ignores Notify entirely.
-	if eventDriven {
-		c.OnLoadChange(func(vm string) {
-			loop.Notify(act, core.Event{Kind: core.LoadChange, At: c.Now(), VMs: []string{vm}})
-		})
-	}
-
-	// Poisson arrivals until ArrivalStop.
-	idx := opts.InitialVJobs
-	var scheduleArrival func()
-	scheduleArrival = func() {
-		dt := arrRng.ExpFloat64() / opts.ArrivalRate
-		at := c.Now() + dt
-		if at > opts.ArrivalStop {
-			return
-		}
-		c.Schedule(at, func() {
-			spec := submit(idx)
-			idx++
-			res.Arrived++
-			if eventDriven {
-				names := make([]string, len(spec.Job.VMs))
-				for i, v := range spec.Job.VMs {
-					names[i] = v.Name
-				}
-				loop.Notify(act, core.Event{Kind: core.VMArrival, At: c.Now(), VMs: names})
-			}
-			scheduleArrival()
-		})
-	}
-	if opts.ArrivalRate > 0 {
-		scheduleArrival()
-	}
-
-	led := monitor.WatchLedger(c, nil)
-	recovery := monitor.WatchRecovery(c)
-
-	start := time.Now()
-	loop.Start(act)
-	c.Run(opts.Horizon)
-	res.Wall = time.Since(start)
-	res.ViolationSeconds = led.Total()
-	res.Ledger = led
-	if top := led.TopVJobs(1); len(top) > 0 {
-		res.TopVJob, res.TopVJobSeconds = top[0].VJob, top[0].Seconds
-	}
-	if top := led.TopNodes(1); len(top) > 0 {
-		res.TopNode, res.TopNodeSeconds = top[0].Node, top[0].Seconds
-	}
-	res.RuleBreachSeconds = led.RuleBreachSeconds()
-	recovery.CloseAt(c.Now())
-	res.Episodes = recovery.Episodes()
-	res.Recoveries = recovery.Durations
-	res.Remediations, res.MatchedEpisodes = obs.RemediationTimes(reconfigs, recovery.Starts, recovery.Durations)
-	res.RemediationP50 = monitor.Quantile(res.Remediations, 0.50)
-	res.RemediationP95 = monitor.Quantile(res.Remediations, 0.95)
-	res.RemediationMax = monitor.Quantile(res.Remediations, 1)
-
-	res.Stats = loop.Stats
-	res.Records = loop.Records
-	res.ActionCounts = c.ActionCounts()
-	res.LocalOps, res.RemoteOps = c.TransferCounts()
-	res.Switches = len(loop.Records)
-	for _, r := range loop.Records {
-		res.Failures += r.Failures
-	}
-	res.FinalViolations = len(cfg.Violations())
-	if inv != nil {
-		res.Breaches = inv.StructuralCount()
-	}
-	res.End = c.Now()
-	for _, j := range jobs {
-		if c.VJobDone(j) {
-			res.Completed++
-		}
-	}
+	res.Summary = testbed.New(o).Run(opts.Horizon)
 	return res
 }
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cwcs/internal/testbed"
 )
 
 // quickChurnOptions shrinks the scenario so the comparison runs in
@@ -142,8 +144,8 @@ func BenchmarkChurnLoopEvent(b *testing.B)    { benchChurn(b, true) }
 
 func TestChurnRendering(t *testing.T) {
 	rows := []ChurnResult{
-		{Mode: "periodic", Switches: 10, ViolationSeconds: 1234},
-		{Mode: "event-driven", Switches: 4, ViolationSeconds: 321},
+		{Mode: "periodic", Summary: testbed.Summary{Switches: 10, ViolationSeconds: 1234}},
+		{Mode: "event-driven", Summary: testbed.Summary{Switches: 4, ViolationSeconds: 321}},
 	}
 	rows[0].Stats.SubSolves = 100
 	rows[1].Stats.SubSolves = 20

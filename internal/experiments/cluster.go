@@ -9,19 +9,13 @@
 package experiments
 
 import (
-	"fmt"
-	"math/rand"
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
 	"cwcs/internal/monitor"
-	"cwcs/internal/sched"
-	"cwcs/internal/sim"
+	"cwcs/internal/testbed"
 	"cwcs/internal/trace"
 	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
 )
 
 // ClusterOptions parameterizes the §5.2 experiment.
@@ -68,25 +62,18 @@ func DefaultClusterOptions() ClusterOptions {
 }
 
 // ClusterResult is everything the cluster experiment measures.
+// Summary.Records lists every non-empty context switch (Figure 11).
 type ClusterResult struct {
+	testbed.Summary
 	// Completion is the virtual time when the last vjob finished its
 	// work (the paper's "overall duration of jobs").
 	Completion float64
-	// Records lists every non-empty context switch (Figure 11).
-	Records []core.SwitchRecord
 	// Samples is the utilization time series (Figure 13).
 	Samples []monitor.Sample
-	// ActionCounts tallies completed actions by kind.
-	ActionCounts map[string]int
-	// LocalOps/RemoteOps count local vs. remote transfers.
-	LocalOps, RemoteOps int
 	// Gantt is the per-vjob allocation diagram (Figure 12).
 	Gantt *trace.Gantt
 	// JobEnd is the completion instant of each vjob.
 	JobEnd map[string]float64
-	// Stats is the loop telemetry; End the virtual time the run ended.
-	Stats core.LoopStats
-	End   float64
 }
 
 // MeanSwitchDuration returns the average context-switch duration in
@@ -105,57 +92,20 @@ func (r ClusterResult) MeanSwitchDuration() float64 {
 // RunCluster executes the §5.2 experiment under the given decision
 // module and returns the measurements.
 func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < opts.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%02d", i), opts.NodeCPU, opts.NodeMemory))
-	}
-	c := sim.New(cfg, duration.Default())
-
-	jobs := make([]*vjob.VJob, opts.VJobs)
-	for i := range jobs {
-		bench := workload.Benchmarks[i%len(workload.Benchmarks)]
-		// Classes A and B: multi-minute vjobs, as in the paper's runs
-		// (the W class finishes before scheduling effects matter).
-		class := workload.Classes[1+i%2]
-		spec := workload.NewSpec(fmt.Sprintf("vjob%d", i+1), bench, class, opts.VMsPerVJob, i, rng)
-		scalePhases(&spec, opts.WorkScale)
-		// The §5.2 experiment uses 512-2048 MiB VMs.
-		for _, v := range spec.Job.VMs {
-			if v.MemoryDemand() < 512 {
-				v.SetMemoryDemand(512)
-			}
-		}
-		spec.Install(cfg, c)
-		jobs[i] = spec.Job
-	}
-
-	res := ClusterResult{
-		ActionCounts: map[string]int{},
-		Gantt:        trace.NewGantt(),
-		JobEnd:       map[string]float64{},
-	}
-
-	loop := &core.Loop{
-		Decision:  sched.Terminator{Inner: decision, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
-		Optimizer: core.Optimizer{Timeout: opts.Timeout, PinRunning: opts.PinRunning, Workers: opts.Workers, Partitions: opts.Partitions},
-		Interval:  opts.Interval,
-		Queue:     func() []*vjob.VJob { return jobs },
-		Done: func() bool {
-			// Stop once every vjob finished AND was stopped.
-			for _, j := range jobs {
-				if !c.VJobDone(j) {
-					return false
-				}
-				for _, v := range j.VMs {
-					if cfg.VM(v.Name) != nil {
-						return false
-					}
-				}
-			}
-			return true
-		},
-	}
+	tb := testbed.New(testbed.Options{
+		Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
+		PaperNames: true,
+		VJobs:      opts.VJobs, VMsPerVJob: opts.VMsPerVJob,
+		WorkScale:    opts.WorkScale,
+		MemoryFloor:  512, // the §5.2 experiment uses 512-2048 MiB VMs
+		Seed:         opts.Seed,
+		Decision:     decision,
+		Optimizer:    core.Optimizer{Timeout: opts.Timeout, PinRunning: opts.PinRunning, Workers: opts.Workers, Partitions: opts.Partitions},
+		Interval:     opts.Interval,
+		StopWhenDone: true,
+	})
+	c, cfg := tb.Cluster, tb.Cluster.Config()
+	res := ClusterResult{Gantt: trace.NewGantt(), JobEnd: map[string]float64{}}
 
 	rec := &monitor.Recorder{Interval: 10}
 	rec.Attach(c)
@@ -165,7 +115,7 @@ func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult
 	var sample func()
 	sample = func() {
 		allDone := true
-		for _, j := range jobs {
+		for _, j := range tb.Jobs() {
 			if cfg.VJobState(j) == vjob.Running {
 				res.Gantt.Mark(j.Name, c.Now(), c.Now()+ganttTick)
 			}
@@ -188,29 +138,10 @@ func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult
 	}
 	sample()
 
-	loop.Start(&drivers.Actuator{C: c})
-	c.Run(opts.Horizon)
-
-	res.Records = loop.Records
-	res.Stats = loop.Stats
-	res.End = c.Now()
+	res.Summary = tb.Run(opts.Horizon)
 	res.Samples = rec.Samples
-	res.ActionCounts = c.ActionCounts()
-	res.LocalOps, res.RemoteOps = c.TransferCounts()
 	if res.Completion == 0 {
 		res.Completion = c.Now() // horizon hit
 	}
 	return res
-}
-
-// scalePhases multiplies every phase duration of the spec.
-func scalePhases(s *workload.Spec, f float64) {
-	if f == 1 || f <= 0 {
-		return
-	}
-	for _, ph := range s.Phases {
-		for i := range ph {
-			ph[i].Seconds *= f
-		}
-	}
 }

@@ -31,9 +31,8 @@ func TestFig3CSV(t *testing.T) {
 }
 
 func TestFig11CSV(t *testing.T) {
-	res := ClusterResult{Records: []core.SwitchRecord{
-		{At: 30, Cost: 1024, Duration: 19.5, Actions: 3, Pools: 2},
-	}}
+	var res ClusterResult
+	res.Records = []core.SwitchRecord{{At: 30, Cost: 1024, Duration: 19.5, Actions: 3, Pools: 2}}
 	csv := Fig11CSV(res)
 	if !strings.Contains(csv, "30,1024,19.5,3,2,0\n") {
 		t.Fatalf("csv = %q", csv)

@@ -2,19 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
-	"cwcs/internal/monitor"
 	"cwcs/internal/sched"
-	"cwcs/internal/sim"
+	"cwcs/internal/testbed"
 	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
 )
 
 // DrainOptions parameterizes the node-maintenance study: a cluster
@@ -70,7 +65,11 @@ func DefaultDrainOptions() DrainOptions {
 	}
 }
 
-// DrainResult is the study's measurements.
+// DrainResult is the study's measurements. Summary.Breaches counts
+// the structural sim.WatchInvariants errors — negative usage,
+// placements on absent nodes (0 = the drain/offline machinery never
+// corrupted the configuration); capacity overloads from churn are
+// expected and measured by Summary.ViolationSeconds instead.
 type DrainResult struct {
 	// Nodes is the cluster size; Drained how many received the order.
 	Nodes, Drained int
@@ -90,100 +89,26 @@ type DrainResult struct {
 	// TimeToEmpty is the virtual time from DrainAt until no drained
 	// node hosted a running VM, or -1 when the horizon hit first.
 	TimeToEmpty float64
-	// ViolationSeconds integrates len(Violations()) over virtual time.
-	ViolationSeconds float64
-	// InvariantBreaches counts the structural sim.WatchInvariants
-	// errors — negative usage, placements on absent nodes (0 = the
-	// drain/offline machinery never corrupted the configuration).
-	// Capacity overloads from churn are expected and measured by
-	// ViolationSeconds instead.
-	InvariantBreaches int
-	// Stats is the loop telemetry; Switches the executed switches.
-	Stats    core.LoopStats
-	Switches int
-	// Arrived and Completed count vjobs over the run.
-	Arrived, Completed int
-	// End is the virtual time the run finished; Wall the real time it
-	// took.
-	End  float64
-	Wall time.Duration
-	// Ledger is the per-entity attribution behind ViolationSeconds.
-	// Records lists every non-empty context switch; ActionCounts and
-	// LocalOps/RemoteOps are the simulator's completed-action and
-	// transfer tallies.
-	Ledger              *monitor.Ledger
-	Records             []core.SwitchRecord
-	ActionCounts        map[string]int
-	LocalOps, RemoteOps int
+	testbed.Summary
 }
 
-// RunDrain replays the drain scenario.
+// RunDrain replays the drain scenario: the drain competes with normal
+// churn for the loop's attention.
 func RunDrain(opts DrainOptions) DrainResult {
-	genRng := rand.New(rand.NewSource(opts.Seed))
-	arrRng := rand.New(rand.NewSource(opts.Seed + 1))
-
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < opts.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%03d", i), opts.NodeCPU, opts.NodeMemory))
-	}
-	c := sim.New(cfg, duration.Default())
-	inv := sim.WatchInvariants(c)
-
-	var jobs []*vjob.VJob
-	submit := func(i int) workload.Spec {
-		bench := workload.Benchmarks[i%len(workload.Benchmarks)]
-		class := workload.Classes[1+i%2]
-		spec := workload.NewSpec(fmt.Sprintf("vjob%03d", i), bench, class, opts.VMsPerVJob, i, genRng)
-		scalePhases(&spec, opts.WorkScale)
-		spec.Install(cfg, c)
-		jobs = append(jobs, spec.Job)
-		return spec
-	}
-	for i := 0; i < opts.InitialVJobs; i++ {
-		submit(i)
-	}
-
-	res := DrainResult{Nodes: opts.Nodes, Arrived: opts.InitialVJobs, TimeToEmpty: -1}
-
-	drains := &core.DrainSet{}
-	loop := &core.Loop{
-		Decision:    sched.Terminator{Inner: sched.Consolidation{}, Finished: c.VJobDone, Jobs: func() []*vjob.VJob { return jobs }},
-		Optimizer:   core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
-		EventDriven: true,
-		Debounce:    opts.Debounce,
-		Drains:      drains,
-		Queue:       func() []*vjob.VJob { return jobs },
-	}
-	act := &drivers.Actuator{C: c}
-	c.OnLoadChange(func(vm string) {
-		loop.Notify(act, core.Event{Kind: core.LoadChange, At: c.Now(), VMs: []string{vm}})
+	tb := testbed.New(testbed.Options{
+		Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
+		VJobs: opts.InitialVJobs, VMsPerVJob: opts.VMsPerVJob,
+		WorkScale:   opts.WorkScale,
+		ArrivalRate: opts.ArrivalRate, ArrivalStop: opts.ArrivalStop,
+		Seed:            opts.Seed,
+		Decision:        sched.Consolidation{},
+		Optimizer:       core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
+		EventDriven:     true,
+		Debounce:        opts.Debounce,
+		WatchInvariants: true,
 	})
-
-	// Poisson arrivals until ArrivalStop: the drain competes with
-	// normal churn for the loop's attention.
-	idx := opts.InitialVJobs
-	var scheduleArrival func()
-	scheduleArrival = func() {
-		dt := arrRng.ExpFloat64() / opts.ArrivalRate
-		at := c.Now() + dt
-		if at > opts.ArrivalStop {
-			return
-		}
-		c.Schedule(at, func() {
-			spec := submit(idx)
-			idx++
-			res.Arrived++
-			names := make([]string, len(spec.Job.VMs))
-			for i, v := range spec.Job.VMs {
-				names[i] = v.Name
-			}
-			loop.Notify(act, core.Event{Kind: core.VMArrival, At: c.Now(), VMs: names})
-			scheduleArrival()
-		})
-	}
-	if opts.ArrivalRate > 0 {
-		scheduleArrival()
-	}
+	c, cfg := tb.Cluster, tb.Cluster.Config()
+	res := DrainResult{Nodes: opts.Nodes, TimeToEmpty: -1}
 
 	// The drain orders: DrainFraction of the nodes, spread evenly.
 	count := int(float64(opts.Nodes)*opts.DrainFraction + 0.5)
@@ -199,12 +124,7 @@ func RunDrain(opts DrainOptions) DrainResult {
 	}
 	c.Schedule(opts.DrainAt, func() {
 		for _, n := range drained {
-			drains.Drain(n)
-			ev := core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}}
-			for _, v := range cfg.RunningOn(n) {
-				ev.VMs = append(ev.VMs, v.Name)
-			}
-			loop.Notify(act, ev)
+			tb.Drain(n)
 		}
 	})
 
@@ -232,7 +152,7 @@ func RunDrain(opts DrainOptions) DrainResult {
 			for _, n := range drained {
 				if c.SetNodeOffline(n) == nil {
 					res.Offline++
-					loop.Notify(act, core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}})
+					tb.Feed(core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}})
 				}
 			}
 			return
@@ -241,13 +161,7 @@ func RunDrain(opts DrainOptions) DrainResult {
 	}
 	c.Schedule(opts.DrainAt+2, probe)
 
-	res.Ledger = monitor.WatchLedger(c, nil)
-
-	start := time.Now()
-	loop.Start(act)
-	c.Run(opts.Horizon)
-	res.Wall = time.Since(start)
-	res.ViolationSeconds = res.Ledger.Total()
+	res.Summary = tb.Run(opts.Horizon)
 
 	pinned := make(map[string]bool)
 	for _, n := range drained {
@@ -270,18 +184,6 @@ func RunDrain(opts DrainOptions) DrainResult {
 		res.PinnedVJobs = append(res.PinnedVJobs, owner)
 	}
 	sort.Strings(res.PinnedVJobs)
-	res.InvariantBreaches = inv.StructuralCount()
-	res.Stats = loop.Stats
-	res.Records = loop.Records
-	res.ActionCounts = c.ActionCounts()
-	res.LocalOps, res.RemoteOps = c.TransferCounts()
-	res.Switches = len(loop.Records)
-	res.End = c.Now()
-	for _, j := range jobs {
-		if c.VJobDone(j) {
-			res.Completed++
-		}
-	}
 	return res
 }
 
@@ -300,7 +202,7 @@ func DrainTable(r DrainResult) string {
 			"pinned-by-image", r.PinnedByImage, strings.Join(r.PinnedVJobs, ","))
 	}
 	fmt.Fprintf(&b, "%-22s %.0f\n", "violation-seconds", r.ViolationSeconds)
-	fmt.Fprintf(&b, "%-22s %d\n", "invariant breaches", r.InvariantBreaches)
+	fmt.Fprintf(&b, "%-22s %d\n", "invariant breaches", r.Breaches)
 	fmt.Fprintf(&b, "%-22s %d sub-solves (%d slice, %d full), %d repairs, %d partition reuses\n",
 		"solver", r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves, r.Stats.Repairs, r.Stats.PartitionReuses)
 	fmt.Fprintf(&b, "%-22s %d switches, %d/%d vjobs completed, end t=%.0f s\n",
@@ -314,7 +216,7 @@ func DrainCSV(r DrainResult) string {
 	b.WriteString("nodes,drained,evacuated,offline,pinned_by_image,time_to_empty,violation_seconds,invariant_breaches,sub_solves,slice_solves,full_solves,repairs,partition_reuses,switches,events,arrived,completed,end\n")
 	fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
 		r.Nodes, r.Drained, r.Evacuated, r.Offline, r.PinnedByImage, r.TimeToEmpty, r.ViolationSeconds,
-		r.InvariantBreaches, r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves,
+		r.Breaches, r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves,
 		r.Stats.Repairs, r.Stats.PartitionReuses, r.Switches, r.Stats.Events,
 		r.Arrived, r.Completed, r.End)
 	return b.String()

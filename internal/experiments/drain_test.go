@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cwcs/internal/testbed"
 )
 
 // quickDrainOptions is a scenario small enough for the test suite: 24
@@ -35,8 +37,8 @@ func TestRunDrainEvacuatesWithoutBreaches(t *testing.T) {
 	if r.TimeToEmpty < 0 {
 		t.Fatal("drained nodes never emptied")
 	}
-	if r.InvariantBreaches != 0 {
-		t.Fatalf("%d invariant breaches during the evacuation", r.InvariantBreaches)
+	if r.Breaches != 0 {
+		t.Fatalf("%d invariant breaches during the evacuation", r.Breaches)
 	}
 	if r.Stats.SubSolves == 0 {
 		t.Fatal("no solver activity recorded")
@@ -46,8 +48,8 @@ func TestRunDrainEvacuatesWithoutBreaches(t *testing.T) {
 func TestDrainTableAndCSV(t *testing.T) {
 	r := DrainResult{
 		Nodes: 24, Drained: 3, Evacuated: 3, Offline: 2,
-		TimeToEmpty: 42, ViolationSeconds: 7, Switches: 5,
-		Arrived: 6, Completed: 4, End: 1500,
+		TimeToEmpty: 42,
+		Summary:     testbed.Summary{ViolationSeconds: 7, Switches: 5, Arrived: 6, Completed: 4, End: 1500},
 	}
 	r.Stats.SubSolves = 9
 	table := DrainTable(r)

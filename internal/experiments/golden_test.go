@@ -57,10 +57,11 @@ func TestGoldenFig10CSV(t *testing.T) {
 }
 
 func TestGoldenFig11CSV(t *testing.T) {
-	res := ClusterResult{Records: []core.SwitchRecord{
+	var res ClusterResult
+	res.Records = []core.SwitchRecord{
 		{At: 30, Cost: 1024, Duration: 19.5, Actions: 3, Pools: 2},
 		{At: 120, Cost: 6144, Duration: 74.2, Actions: 11, Pools: 3, Failures: 1},
-	}}
+	}
 	checkGolden(t, "fig11.csv.golden", Fig11CSV(res))
 }
 

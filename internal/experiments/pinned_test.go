@@ -8,63 +8,50 @@ import (
 	"testing"
 	"time"
 
-	"cwcs/internal/core"
-	"cwcs/internal/monitor"
 	"cwcs/internal/sched"
+	"cwcs/internal/testbed"
 )
 
 // pinnedTimeout is the per-solve budget of every pinned cell: far
 // more than any of their solves needs, so with Workers: 1 each search
 // ends on a proof and the run repeats exactly. A cell whose whole run
 // takes longer than this may hold a solve the clock ended; the test
-// fails on it instead of pinning a transcript that depends on the
+// fails on it instead of comparing a transcript that depends on the
 // machine.
 const pinnedTimeout = 30 * time.Second
 
-// pinnedRun is what one loop run decided, as far as a study exposes
-// it.
-type pinnedRun struct {
-	csv                 string
-	stats               core.LoopStats
-	records             []core.SwitchRecord
-	arrived, completed  int
-	end                 float64
-	actions             map[string]int
-	localOps, remoteOps int
-	// ledger is nil for the cluster cells, whose transcript predates
-	// their having one.
-	ledger *monitor.Ledger
-	wall   time.Duration
-}
-
-// transcript renders the run: everything but the wall time.
-func (r pinnedRun) transcript(name string) string {
+// pinnedRun renders what one run decided — the study's CSV, then the
+// loop's counters, every switch, the workload's fate, the simulator's
+// tallies and the ledger's worst three vjobs and nodes: everything but
+// the wall time. The cluster cells print no ledger: their transcript
+// predates their having one.
+func pinnedRun(name, csv string, s testbed.Summary, ledger bool) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s\n%s", name, r.csv)
-	fmt.Fprintf(&b, "stats %+v\n", r.stats)
-	for _, s := range r.records {
+	fmt.Fprintf(&b, "== %s\n%s", name, csv)
+	fmt.Fprintf(&b, "stats %+v\n", s.Stats)
+	for _, r := range s.Records {
 		fmt.Fprintf(&b, "switch at=%v cost=%d actions=%d pools=%d duration=%v failures=%d\n",
-			s.At, s.Cost, s.Actions, s.Pools, s.Duration, s.Failures)
+			r.At, r.Cost, r.Actions, r.Pools, r.Duration, r.Failures)
 	}
-	fmt.Fprintf(&b, "arrived=%d completed=%d end=%v\n", r.arrived, r.completed, r.end)
-	fmt.Fprintf(&b, "actions %v local=%d remote=%d\n", r.actions, r.localOps, r.remoteOps)
-	if r.ledger != nil {
+	fmt.Fprintf(&b, "arrived=%d completed=%d end=%v\n", s.Arrived, s.Completed, s.End)
+	fmt.Fprintf(&b, "actions %v local=%d remote=%d\n", s.ActionCounts, s.LocalOps, s.RemoteOps)
+	if ledger {
 		b.WriteString("top")
-		for _, s := range r.ledger.TopVJobs(3) {
-			fmt.Fprintf(&b, " %s=%v", s.VJob, s.Seconds)
+		for _, e := range s.Ledger.TopVJobs(3) {
+			fmt.Fprintf(&b, " %s=%v", e.VJob, e.Seconds)
 		}
 		b.WriteString(" |")
-		for _, s := range r.ledger.TopNodes(3) {
-			fmt.Fprintf(&b, " %s=%v", s.Node, s.Seconds)
+		for _, e := range s.Ledger.TopNodes(3) {
+			fmt.Fprintf(&b, " %s=%v", e.Node, e.Seconds)
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-func pinnedCluster(decision core.DecisionModule, opts ClusterOptions) pinnedRun {
-	start := time.Now()
-	r := RunCluster(decision, opts)
+// clusterCSV is the cluster run's part of the transcript: Figure 11's
+// rows, the completion times and the Gantt diagram.
+func clusterCSV(r ClusterResult) string {
 	var b strings.Builder
 	b.WriteString(Fig11CSV(r))
 	names := make([]string, 0, len(r.JobEnd))
@@ -77,42 +64,7 @@ func pinnedCluster(decision core.DecisionModule, opts ClusterOptions) pinnedRun 
 		fmt.Fprintf(&b, "end %s=%v\n", name, r.JobEnd[name])
 	}
 	b.WriteString(r.Gantt.Render(72))
-	return pinnedRun{
-		csv: b.String(), stats: r.Stats, records: r.Records,
-		arrived: opts.VJobs, completed: len(r.JobEnd), end: r.End,
-		actions: r.ActionCounts, localOps: r.LocalOps, remoteOps: r.RemoteOps,
-		wall: time.Since(start),
-	}
-}
-
-func pinnedChurn(eventDriven bool, opts ChurnOptions) pinnedRun {
-	r := RunChurn(eventDriven, opts)
-	return pinnedRun{
-		csv: ChurnCSV([]ChurnResult{r}), stats: r.Stats, records: r.Records,
-		arrived: r.Arrived, completed: r.Completed, end: r.End,
-		actions: r.ActionCounts, localOps: r.LocalOps, remoteOps: r.RemoteOps,
-		ledger: r.Ledger, wall: r.Wall,
-	}
-}
-
-func pinnedChaos(scenario string, opts ChaosOptions) pinnedRun {
-	r := RunChaos(scenario, opts)
-	return pinnedRun{
-		csv: ChaosCSV([]ChaosResult{r}), stats: r.Stats, records: r.Records,
-		arrived: r.Arrived, completed: r.Completed, end: r.End,
-		actions: r.ActionCounts, localOps: r.LocalOps, remoteOps: r.RemoteOps,
-		ledger: r.Ledger, wall: r.Wall,
-	}
-}
-
-func pinnedDrain(opts DrainOptions) pinnedRun {
-	r := RunDrain(opts)
-	return pinnedRun{
-		csv: DrainCSV(r), stats: r.Stats, records: r.Records,
-		arrived: r.Arrived, completed: r.Completed, end: r.End,
-		actions: r.ActionCounts, localOps: r.LocalOps, remoteOps: r.RemoteOps,
-		ledger: r.Ledger, wall: r.Wall,
-	}
+	return b.String()
 }
 
 // TestStudiesPinned pins what the control loop decides in every study
@@ -129,47 +81,55 @@ func TestStudiesPinned(t *testing.T) {
 		t.Skip("runs every loop study")
 	}
 	var b strings.Builder
-	add := func(name string, r pinnedRun) {
-		if r.wall >= pinnedTimeout {
-			t.Errorf("%s took %v: a solve may have run into the %v budget", name, r.wall, pinnedTimeout)
+	add := func(name, csv string, s testbed.Summary, ledger bool) {
+		if s.Wall >= pinnedTimeout {
+			t.Errorf("%s took %v: a solve may have run into the %v budget", name, s.Wall, pinnedTimeout)
 		}
-		b.WriteString(r.transcript(name))
+		b.WriteString(pinnedRun(name, csv, s, ledger))
 	}
 
 	cluster := quickClusterOptions()
 	cluster.Timeout = pinnedTimeout
 	fcfs := cluster
 	fcfs.PinRunning = true
-	add("cluster fcfs", pinnedCluster(sched.StaticFCFS{ReserveFullCPU: true}, fcfs))
-	add("cluster consolidation", pinnedCluster(sched.Consolidation{}, cluster))
+	r := RunCluster(sched.StaticFCFS{ReserveFullCPU: true}, fcfs)
+	add("cluster fcfs", clusterCSV(r), r.Summary, false)
+	r = RunCluster(sched.Consolidation{}, cluster)
+	add("cluster consolidation", clusterCSV(r), r.Summary, false)
 
 	churn := quickChurnOptions()
 	churn.Timeout = pinnedTimeout
+	addChurn := func(name string, eventDriven bool, opts ChurnOptions) {
+		r := RunChurn(eventDriven, opts)
+		add(name, ChurnCSV([]ChurnResult{r}), r.Summary, true)
+	}
 	// The periodic cell runs on 48 nodes: on the quick 64 one slice of
 	// the monolithic re-solve needs seconds to prove its optimum, which
 	// under -race the clock would end first.
 	periodic := churn
 	periodic.Nodes = 48
-	add("churn periodic", pinnedChurn(false, periodic))
-	add("churn event-driven", pinnedChurn(true, churn))
+	addChurn("churn periodic", false, periodic)
+	addChurn("churn event-driven", true, churn)
 	storm := churn
 	storm.WatchInvariants = true
 	storm.FailureRate = 0.10
 	storm.StormRate, storm.StormFrom, storm.StormUntil = 0.30, 100, 300
 	storm.RepairWiden = -1
-	add("churn storm widen=off", pinnedChurn(true, storm))
+	addChurn("churn storm widen=off", true, storm)
 	storm.RepairWiden = 0
-	add("churn storm widen=on", pinnedChurn(true, storm))
+	addChurn("churn storm widen=on", true, storm)
 
 	chaos := quickChaosOptions()
 	chaos.Churn.Timeout = pinnedTimeout
-	for _, s := range ChaosScenarios() {
-		add("chaos "+s, pinnedChaos(s, chaos))
+	for _, sc := range ChaosScenarios() {
+		r := RunChaos(sc, chaos)
+		add("chaos "+sc, ChaosCSV([]ChaosResult{r}), r.Summary, true)
 	}
 
 	drain := quickDrainOptions()
 	drain.Timeout = pinnedTimeout
-	add("drain", pinnedDrain(drain))
+	d := RunDrain(drain)
+	add("drain", DrainCSV(d), d.Summary, true)
 
 	got := b.String()
 	const golden = "testdata/studies_pinned.txt"

@@ -49,20 +49,23 @@ type Summary struct {
 	Kinds   map[string]float64 `json:"kinds,omitempty"`
 }
 
-// Ledger attributes violation-seconds to entities. Where
-// WatchViolationSeconds historically integrated one anonymous count,
-// the ledger integrates atoms keyed (vjob, node, kind): every violated
-// (node, dimension) interval charges its full duration to exactly one
-// vjob — the dominant consumer, the running VM with the largest demand
-// on the violated dimension (smallest name on ties), resolved to its
-// owning vjob — so per-vjob, per-node and per-dimension sums all
-// reconcile with the aggregate by construction. Transfer violations
-// charge TransferVJob. When a rule source is attached, breached
-// placement rules (Spread/Fence/Gather/Drained/Ban) additionally
-// integrate per-rule-kind breach-seconds on the same clock.
+// Ledger attributes violation-seconds — the number of capacity
+// violations integrated over virtual time, the cumulative exposure
+// metric of the studies and of /metrics — to entities. It integrates
+// atoms keyed (vjob, node, kind): every violated (node, dimension)
+// interval charges its full duration to exactly one vjob — the dominant
+// consumer, the running VM with the largest demand on the violated
+// dimension (smallest name on ties), resolved to its owning vjob — so
+// per-vjob, per-node and per-dimension sums all reconcile with the
+// aggregate by construction. In-flight transfers oversubscribing a NIC
+// count too (sim.TransferViolations) — a node whose guests fit but
+// whose service traffic is starved by migration streams is exposure
+// just like an overloaded node — and charge TransferVJob. When a rule
+// source is attached, breached placement rules
+// (Spread/Fence/Gather/Drained/Ban) additionally integrate
+// per-rule-kind breach-seconds on the same clock.
 //
-// Sampling reproduces the legacy integral's semantics exactly: the
-// violation set observed at one advance is integrated over the
+// The violation set observed at one advance is integrated over the
 // interval up to the next advance. A nil *Ledger is inert — every
 // method is nil-safe and free — mirroring the obs tracer discipline.
 //
@@ -96,10 +99,8 @@ func WatchLedger(c *sim.Cluster, rules func() []core.PlacementRule) *Ledger {
 }
 
 // advance charges the pending violation set over the elapsed interval,
-// then re-samples the current one. The guard and ordering mirror the
-// historical WatchViolationSeconds closure: time must strictly move,
-// and the set sampled *before* an interval is the one integrated over
-// it.
+// then re-samples the current one: time must strictly move, and the
+// set sampled *before* an interval is the one integrated over it.
 func (l *Ledger) advance(c *sim.Cluster) {
 	now := c.Now()
 	l.mu.Lock()
@@ -329,8 +330,7 @@ func foldBy(atoms []Entry, key func(Entry) Entry) []Entry {
 }
 
 // Total returns the aggregate violation-seconds integral: the fold of
-// VJobTotals in its (name-sorted) order. This is the value
-// WatchViolationSeconds now reports — the per-entity decomposition
+// VJobTotals in its (name-sorted) order — the per-entity decomposition
 // and the aggregate are the same numbers grouped the same way.
 func (l *Ledger) Total() float64 {
 	total := 0.0

@@ -265,33 +265,6 @@ func TestLedgerRuleBreachIntegration(t *testing.T) {
 	}
 }
 
-// TestWatchViolationSecondsIsLedgerView: the legacy watcher and a
-// ledger attached to an identical twin run integrate the same number.
-func TestWatchViolationSecondsIsLedgerView(t *testing.T) {
-	run := func(attach func(c *sim.Cluster) func() float64) float64 {
-		cfg := vjob.NewConfiguration()
-		cfg.AddNode(vjob.NewNode("n0", 1, 1024))
-		c := sim.New(cfg, duration.Default())
-		get := attach(c)
-		c.Schedule(0, func() {
-			for _, name := range []string{"a", "b"} {
-				cfg.AddVM(vjob.NewVM(name, "j", 1, 256))
-				if err := cfg.SetRunning(name, "n0"); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		c.Schedule(10, func() {})
-		c.Run(20)
-		return get()
-	}
-	legacy := run(WatchViolationSeconds)
-	ledger := run(func(c *sim.Cluster) func() float64 { return WatchLedger(c, nil).Total })
-	if legacy != ledger || legacy < 10 {
-		t.Fatalf("legacy %.6f vs ledger %.6f, want equal and >= 10", legacy, ledger)
-	}
-}
-
 // otherRule is a host-defined placement rule the kind switch cannot
 // name.
 type otherRule struct{}

@@ -9,7 +9,7 @@ import (
 
 // RecoveryLog records violation episodes: a span of virtual time that
 // opens when the cluster transitions from violation-free to violating
-// (capacity or transfer violations, the WatchViolationSeconds signal)
+// (capacity or transfer violations, the signal Ledger.Total integrates)
 // and closes when it returns to zero. The episode lengths are the
 // recovery times chaos studies report as distributions — how long the
 // loop needs to repair each injected disruption, not just how much
@@ -86,8 +86,8 @@ func (l *RecoveryLog) Max() float64 {
 // WatchRecovery attaches an episode detector to the cluster: at every
 // simulation advance it samples the violation count and logs the 0 →
 // >0 and >0 → 0 transitions as episode boundaries. It shares the
-// advance cadence (and thus the timing resolution) of
-// WatchViolationSeconds, so the two metrics describe the same signal
+// advance cadence (and thus the timing resolution) of WatchLedger, so
+// the two metrics describe the same signal
 // — one as an integral, one as a distribution of repair times.
 func WatchRecovery(c *sim.Cluster) *RecoveryLog {
 	l := &RecoveryLog{}

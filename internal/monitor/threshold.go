@@ -219,21 +219,3 @@ func (w *ThresholdWatcher) Attach(c *sim.Cluster) {
 
 // Stop ends the sampling (the pending tick becomes a no-op).
 func (w *ThresholdWatcher) Stop() { w.stopped = true }
-
-// WatchViolationSeconds integrates the number of capacity violations
-// over virtual time, advanced at every simulation event and phase
-// change: the cumulative exposure metric of the churn and drain
-// studies and of the control plane's /metrics. In-flight transfers
-// oversubscribing a NIC count too (sim.TransferViolations): a node
-// whose guests fit but whose service traffic is starved by migration
-// streams is exposure just like an overloaded node — exactly the
-// exposure the planner's transfer gating trades plan parallelism
-// against. It returns the running integral's getter.
-//
-// Since the attribution ledger landed, this is a view over it: the
-// integral is the fold of the ledger's per-vjob subtotals, so the
-// aggregate and its decomposition are the same numbers by
-// construction (see Ledger.Total).
-func WatchViolationSeconds(c *sim.Cluster) func() float64 {
-	return WatchLedger(c, nil).Total
-}

@@ -287,13 +287,13 @@ func TestUtilizationZeroCapacity(t *testing.T) {
 	}
 }
 
-// TestWatchViolationSeconds: the integral advances with virtual time
-// while violations persist.
+// TestWatchViolationSeconds: the ledger's integral advances with
+// virtual time while violations persist.
 func TestWatchViolationSeconds(t *testing.T) {
 	cfg := vjob.NewConfiguration()
 	cfg.AddNode(vjob.NewNode("n0", 1, 1024))
 	c := sim.New(cfg, duration.Default())
-	get := WatchViolationSeconds(c)
+	get := WatchLedger(c, nil).Total
 	c.Schedule(0, func() {
 		for _, name := range []string{"a", "b"} {
 			cfg.AddVM(vjob.NewVM(name, "j", 1, 256))
