@@ -47,6 +47,7 @@ bench-smoke:
 # per invocation). Override FUZZTIME for longer campaigns.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzConfigurationJSON -fuzztime=$(FUZZTIME) ./internal/vjob
+	$(GO) test -run=^$$ -fuzz=FuzzConfigurationOps -fuzztime=$(FUZZTIME) ./internal/vjob
 	$(GO) test -run=^$$ -fuzz=FuzzDomainOps$$ -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzBoundsDomainOps -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace

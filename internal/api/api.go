@@ -346,9 +346,7 @@ type nodeLoad struct {
 }
 
 // loadByNode groups usage and guests by hosting node in one O(VMs)
-// pass — per-node UsedCPU/RunningOn calls each rescan the whole VM
-// set, which would make the node endpoints O(nodes x VMs) inside the
-// Exec critical section.
+// pass, inside the Exec critical section.
 func loadByNode(cfg *vjob.Configuration) map[string]*nodeLoad {
 	out := make(map[string]*nodeLoad)
 	get := func(node string) *nodeLoad {

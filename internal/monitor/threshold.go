@@ -112,9 +112,7 @@ func (w *ThresholdWatcher) sustain() int {
 
 // utilization returns the node's demand/capacity fraction on one
 // dimension, from the free-resource map of one cfg.FreeResources pass
-// (per-node Used calls rescan the whole VM set, which would make
-// sampling O(nodes x VMs) on the serving daemon's hottest path).
-// Zero-capacity resources count as saturated only when demanded.
+// per sample. Zero-capacity resources count as saturated only when demanded.
 func utilization(free map[string]resources.Vector, n *vjob.Node, k resources.Kind) float64 {
 	cap := n.Capacity.Get(k)
 	used := cap - free[n.Name].Get(k)

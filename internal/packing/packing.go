@@ -97,9 +97,8 @@ func orderForPacking(c *vjob.Configuration, vms []*vjob.VM) []*vjob.VM {
 // dimensions are in play — and assigned to the first node with
 // sufficient free resources on every dimension. The configuration is
 // mutated; on failure it is left untouched and an ErrNoFit is
-// returned. Free resources are tracked incrementally, so a full pass
-// costs O(nodes·VMs) rather than the quadratic rescans of
-// Configuration.Fits.
+// returned. Free resources are tracked incrementally in one map, so
+// each candidate node costs one vector comparison.
 func FirstFitDecrease(c *vjob.Configuration, vms []*vjob.VM) error {
 	ordered := orderForPacking(c, vms)
 	free := c.FreeResources()

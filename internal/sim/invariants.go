@@ -40,9 +40,8 @@ func WatchInvariants(c *Cluster) *Invariants {
 
 func (w *Invariants) audit() {
 	cfg := w.c.Config()
-	// One O(nodes + VMs) pass: the audit runs after every event, so the
-	// per-node UsedCPU/UsedMemory rescans would be quadratic. Usage
-	// above capacity is Violations' business; usage below zero means
+	// One O(nodes + VMs) pass, since the audit runs after every event.
+	// Usage above capacity is Violations' business; usage below zero means
 	// free above capacity.
 	// Node lifecycle (drain/offline) must never strand a placement:
 	// every VM's location — hosting node or image node — has to refer

@@ -2,6 +2,7 @@ package vjob
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,24 +18,47 @@ import (
 // A Configuration is a plain value-like structure: Clone returns a deep
 // copy of the mapping (nodes and VMs themselves are shared, since the
 // planner never mutates them).
+//
+// Every per-node query (RunningOn, SleepingOn, Used, Free, Fits,
+// Violations, RemoveNode's occupancy check) walks only the VMs placed
+// on that node, through a membership index kept by the five mutators
+// (AddVM, RemoveVM, SetRunning, SetSleeping, SetWaiting). Three rules
+// hold it:
+//   - It indexes membership, never demand sums. VM.Demand changes in
+//     place through the *VM that clones and extracts share (simulator
+//     phases, trace replay, workload profiles), so a cached per-node
+//     sum would go stale; Used sums the node's list instead.
+//   - Each node's list is kept in name order, so RunningOn and
+//     SleepingOn return the order a scan of all VMs would.
+//   - It allocates no more than a scan did: state and location share
+//     one slot map, so a configuration still holds four maps, and Clone
+//     copies every list into one flat array of capacity-capped
+//     sub-slices, so no two configurations share writable storage.
 type Configuration struct {
 	nodes map[string]*Node
 	vms   map[string]*VM
 
-	state     map[string]State  // VM name -> state
-	placement map[string]string // VM name -> node name (running host or image host)
+	slots map[string]slot  // VM name -> state and location
+	on    map[string][]*VM // node name -> VMs placed on it, in name order; occupied nodes only
 
 	nodeOrder []string // sorted node names, for deterministic iteration
 	vmOrder   []string // sorted VM names
 }
 
+// slot is a VM's state and its node: the running host or the image
+// host, "" when waiting.
+type slot struct {
+	state State
+	node  string
+}
+
 // NewConfiguration returns an empty configuration.
 func NewConfiguration() *Configuration {
 	return &Configuration{
-		nodes:     make(map[string]*Node),
-		vms:       make(map[string]*VM),
-		state:     make(map[string]State),
-		placement: make(map[string]string),
+		nodes: make(map[string]*Node),
+		vms:   make(map[string]*VM),
+		slots: make(map[string]slot),
+		on:    make(map[string][]*VM),
 	}
 }
 
@@ -52,23 +76,21 @@ func (c *Configuration) AddVM(v *VM) {
 	if _, ok := c.vms[v.Name]; !ok {
 		c.vmOrder = insertSorted(c.vmOrder, v.Name)
 	}
+	c.place(v.Name, slot{state: Waiting})
 	c.vms[v.Name] = v
-	c.state[v.Name] = Waiting
-	delete(c.placement, v.Name)
 }
 
 // RemoveNode drops a node from the configuration (the effect of taking
 // an evacuated node offline for maintenance). It refuses while any VM
 // is still placed on the node — running guests or sleeping images must
-// be moved first, or their placements would dangle.
+// be moved first, or their placements would dangle. The error names the
+// first such VM in name order.
 func (c *Configuration) RemoveNode(name string) error {
 	if _, ok := c.nodes[name]; !ok {
 		return fmt.Errorf("vjob: unknown node %q", name)
 	}
-	for vm, loc := range c.placement {
-		if loc == name {
-			return fmt.Errorf("vjob: node %s still holds %s (%v)", name, vm, c.state[vm])
-		}
+	if held := c.on[name]; len(held) > 0 {
+		return fmt.Errorf("vjob: node %s still holds %s (%v)", name, held[0].Name, c.slots[held[0].Name].state)
 	}
 	delete(c.nodes, name)
 	i := sort.SearchStrings(c.nodeOrder, name)
@@ -84,14 +106,38 @@ func (c *Configuration) RemoveVM(name string) {
 	if _, ok := c.vms[name]; !ok {
 		return
 	}
+	c.place(name, slot{})
 	delete(c.vms, name)
-	delete(c.state, name)
-	delete(c.placement, name)
+	delete(c.slots, name)
 	i := sort.SearchStrings(c.vmOrder, name)
 	if i < len(c.vmOrder) && c.vmOrder[i] == name {
 		c.vmOrder = append(c.vmOrder[:i], c.vmOrder[i+1:]...)
 	}
 }
+
+// place records the VM's new slot and moves it between the node lists
+// when its node changes.
+func (c *Configuration) place(vm string, s slot) {
+	if old := c.slots[vm].node; old != s.node {
+		if old != "" {
+			held := c.on[old]
+			i, _ := slices.BinarySearchFunc(held, vm, byName)
+			if held = slices.Delete(held, i, i+1); len(held) == 0 {
+				delete(c.on, old)
+			} else {
+				c.on[old] = held
+			}
+		}
+		if s.node != "" {
+			held := c.on[s.node]
+			i, _ := slices.BinarySearchFunc(held, vm, byName)
+			c.on[s.node] = slices.Insert(held, i, c.vms[vm])
+		}
+	}
+	c.slots[vm] = s
+}
+
+func byName(v *VM, name string) int { return strings.Compare(v.Name, name) }
 
 func insertSorted(s []string, v string) []string {
 	i := sort.SearchStrings(s, v)
@@ -136,8 +182,7 @@ func (c *Configuration) SetRunning(vm, node string) error {
 	if err := c.check(vm, node); err != nil {
 		return err
 	}
-	c.state[vm] = Running
-	c.placement[vm] = node
+	c.place(vm, slot{Running, node})
 	return nil
 }
 
@@ -147,8 +192,7 @@ func (c *Configuration) SetSleeping(vm, node string) error {
 	if err := c.check(vm, node); err != nil {
 		return err
 	}
-	c.state[vm] = Sleeping
-	c.placement[vm] = node
+	c.place(vm, slot{Sleeping, node})
 	return nil
 }
 
@@ -157,8 +201,7 @@ func (c *Configuration) SetWaiting(vm string) error {
 	if _, ok := c.vms[vm]; !ok {
 		return fmt.Errorf("vjob: unknown VM %q", vm)
 	}
-	c.state[vm] = Waiting
-	delete(c.placement, vm)
+	c.place(vm, slot{state: Waiting})
 	return nil
 }
 
@@ -174,52 +217,46 @@ func (c *Configuration) check(vm, node string) error {
 
 // StateOf returns the state of the VM. Unknown VMs are Terminated.
 func (c *Configuration) StateOf(vm string) State {
-	s, ok := c.state[vm]
+	s, ok := c.slots[vm]
 	if !ok {
 		return Terminated
 	}
-	return s
+	return s.state
 }
 
 // HostOf returns the node hosting the running VM, or "" when the VM is
 // not running.
 func (c *Configuration) HostOf(vm string) string {
-	if c.state[vm] != Running {
-		return ""
+	if s := c.slots[vm]; s.state == Running {
+		return s.node
 	}
-	return c.placement[vm]
+	return ""
 }
 
 // ImageHostOf returns the node storing the sleeping VM's image, or ""
 // when the VM is not sleeping.
 func (c *Configuration) ImageHostOf(vm string) string {
-	if c.state[vm] != Sleeping {
-		return ""
+	if s := c.slots[vm]; s.state == Sleeping {
+		return s.node
 	}
-	return c.placement[vm]
+	return ""
 }
 
 // LocationOf returns the placement of the VM regardless of state
 // (hosting node when running, image node when sleeping, "" otherwise).
-func (c *Configuration) LocationOf(vm string) string { return c.placement[vm] }
+func (c *Configuration) LocationOf(vm string) string { return c.slots[vm].node }
 
 // RunningOn returns the VMs running on the named node, in name order.
-func (c *Configuration) RunningOn(node string) []*VM {
-	var out []*VM
-	for _, name := range c.vmOrder {
-		if c.state[name] == Running && c.placement[name] == node {
-			out = append(out, c.vms[name])
-		}
-	}
-	return out
-}
+func (c *Configuration) RunningOn(node string) []*VM { return c.placedOn(node, Running) }
 
 // SleepingOn returns the VMs whose suspended image lies on the node.
-func (c *Configuration) SleepingOn(node string) []*VM {
+func (c *Configuration) SleepingOn(node string) []*VM { return c.placedOn(node, Sleeping) }
+
+func (c *Configuration) placedOn(node string, s State) []*VM {
 	var out []*VM
-	for _, name := range c.vmOrder {
-		if c.state[name] == Sleeping && c.placement[name] == node {
-			out = append(out, c.vms[name])
+	for _, v := range c.on[node] {
+		if c.slots[v.Name].state == s {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -229,7 +266,7 @@ func (c *Configuration) SleepingOn(node string) []*VM {
 func (c *Configuration) InState(s State) []*VM {
 	var out []*VM
 	for _, name := range c.vmOrder {
-		if c.state[name] == s {
+		if c.slots[name].state == s {
 			out = append(out, c.vms[name])
 		}
 	}
@@ -237,11 +274,13 @@ func (c *Configuration) InState(s State) []*VM {
 }
 
 // Used returns the per-dimension demand of the VMs running on the
-// node. It rescans the VM set; hot paths use FreeResources instead.
+// node, summed from the node's own list at the time of the call.
 func (c *Configuration) Used(node string) resources.Vector {
 	var sum resources.Vector
-	for _, v := range c.RunningOn(node) {
-		sum = sum.Add(v.Demand)
+	for _, v := range c.on[node] {
+		if c.slots[v.Name].state == Running {
+			sum = sum.Add(v.Demand)
+		}
 	}
 	return sum
 }
@@ -263,21 +302,13 @@ func (c *Configuration) Fits(v *VM, node string) bool {
 }
 
 // FreeResources returns the free resources of every node, every
-// dimension at once, in one O(nodes + VMs) pass. Hot paths (the FFD
-// heuristic, plan pool extraction, the cost model, monitoring) use it
-// instead of calling Free per node, which rescans the whole VM set
-// each call and turns thousand-node clusters quadratic.
+// dimension at once, as a map built in one O(nodes + VMs) pass, for
+// callers that want every node's free vector (the FFD heuristic, plan
+// pool extraction, the cost model, monitoring).
 func (c *Configuration) FreeResources() map[string]resources.Vector {
 	free := make(map[string]resources.Vector, len(c.nodes))
 	for name, n := range c.nodes {
-		free[name] = n.Capacity
-	}
-	for vm, st := range c.state {
-		if st != Running {
-			continue
-		}
-		node := c.placement[vm]
-		free[node] = free[node].Sub(c.vms[vm].Demand)
+		free[name] = n.Capacity.Sub(c.Used(name))
 	}
 	return free
 }
@@ -289,8 +320,8 @@ func (c *Configuration) Clone() *Configuration {
 	out := &Configuration{
 		nodes:     make(map[string]*Node, len(c.nodes)),
 		vms:       make(map[string]*VM, len(c.vms)),
-		state:     make(map[string]State, len(c.state)),
-		placement: make(map[string]string, len(c.placement)),
+		slots:     make(map[string]slot, len(c.slots)),
+		on:        make(map[string][]*VM, len(c.on)),
 		nodeOrder: append([]string(nil), c.nodeOrder...),
 		vmOrder:   append([]string(nil), c.vmOrder...),
 	}
@@ -300,11 +331,13 @@ func (c *Configuration) Clone() *Configuration {
 	for k, v := range c.vms {
 		out.vms[k] = v
 	}
-	for k, v := range c.state {
-		out.state[k] = v
+	for k, s := range c.slots {
+		out.slots[k] = s
 	}
-	for k, v := range c.placement {
-		out.placement[k] = v
+	flat := make([]*VM, 0, len(c.vms)) // never outgrown: a VM sits on one list at most
+	for node, held := range c.on {
+		flat = append(flat, held...)
+		out.on[node] = flat[len(flat)-len(held) : len(flat) : len(flat)]
 	}
 	return out
 }
@@ -324,7 +357,7 @@ func (c *Configuration) Equal(o *Configuration) bool {
 		if _, ok := o.vms[name]; !ok {
 			return false
 		}
-		if c.state[name] != o.state[name] || c.placement[name] != o.placement[name] {
+		if c.slots[name] != o.slots[name] {
 			return false
 		}
 	}

@@ -471,6 +471,66 @@ func TestRemoveNodeRefusesPlacements(t *testing.T) {
 	}
 }
 
+// TestRemoveNodeErrorIsStable: a refused removal names the first VM in
+// name order still placed on the node, the same one on every call.
+func TestRemoveNodeErrorIsStable(t *testing.T) {
+	c := NewConfiguration()
+	c.AddNode(NewNode("m0", 4, 4096))
+	for _, v := range []string{"vc", "va", "vb"} {
+		c.AddVM(NewVM(v, "j", 1, 512))
+	}
+	mustRun(t, c, "vc", "m0")
+	mustRun(t, c, "vb", "m0")
+	if err := c.SetSleeping("va", "m0"); err != nil {
+		t.Fatal(err)
+	}
+	const want = "vjob: node m0 still holds va (sleeping)"
+	for i := 0; i < 50; i++ {
+		if err := c.RemoveNode("m0"); err == nil || err.Error() != want {
+			t.Fatalf("call %d: RemoveNode = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestIndexNeverCachesDemand: demand changes in place through the VM
+// object a configuration shares with its clones, so every per-node
+// query must read the demand of the moment, in the original and in the
+// clone alike.
+func TestIndexNeverCachesDemand(t *testing.T) {
+	c := NewConfiguration()
+	c.AddNode(NewNode("n1", 2, 2048))
+	c.AddNode(NewNode("n2", 2, 2048))
+	hot := NewVM("hot", "j", 1, 512)
+	c.AddVM(hot)
+	c.AddVM(NewVM("cold", "j", 0, 512))
+	mustRun(t, c, "hot", "n1")
+	mustRun(t, c, "cold", "n1")
+	d := c.Clone()
+	// Warm every query before the change.
+	for _, cfg := range []*Configuration{c, d} {
+		if !cfg.Viable() || cfg.Used("n1") != resources.New(1, 1024) {
+			t.Fatalf("before the change: used %s, violations %v", cfg.Used("n1"), cfg.Violations())
+		}
+	}
+	hot.SetCPUDemand(3)
+	hot.SetMemoryDemand(1024)
+	probe := NewVM("probe", "", 0, 1024)
+	for name, cfg := range map[string]*Configuration{"original": c, "clone": d} {
+		if got := cfg.Used("n1"); got != resources.New(3, 1536) {
+			t.Errorf("%s: Used = %s, want cpu 3, memory 1536", name, got)
+		}
+		if got := cfg.Free("n1"); got != resources.New(-1, 512) {
+			t.Errorf("%s: Free = %s, want cpu -1, memory 512", name, got)
+		}
+		if cfg.Fits(probe, "n1") {
+			t.Errorf("%s: Fits accepted 1024 MiB beside 1536 of 2048", name)
+		}
+		if vs := cfg.Violations(); len(vs) != 1 || vs[0].Node != "n1" || vs[0].Resource != "cpu" || vs[0].Demand != 3 {
+			t.Errorf("%s: Violations = %v, want n1 cpu 3 > 2", name, vs)
+		}
+	}
+}
+
 // TestViolationsMultiDimension: Violations reports every over-committed
 // dimension by wire name, in node then registry order.
 func TestViolationsMultiDimension(t *testing.T) {

@@ -3,6 +3,8 @@ package vjob
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -69,6 +71,10 @@ func FuzzConfigurationJSON(f *testing.F) {
 				}
 			}
 		}
+		// The decoder builds the per-node index through the mutators:
+		// RunningOn of every decoded node, and every other query, must
+		// answer what a scan of the decoded states answers.
+		agree(t, &c, scanOf(&c))
 		nodes := c.Nodes()
 		for i := 1; i < len(nodes); i++ {
 			if nodes[i-1].Name >= nodes[i].Name {
@@ -89,4 +95,171 @@ func FuzzConfigurationJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzConfigurationOps runs one sequence of operations through
+// Configuration and through the scan reference model (scan_test.go)
+// side by side, and after every step requires every query to answer
+// identically. Each step is three bytes: an operation and two operands.
+// Two configurations are live at once — an original and, after a Clone
+// step, its clone — and steps switch between them, so a clone sharing
+// writable storage with its original diverges from its reference.
+func FuzzConfigurationOps(f *testing.F) {
+	const (
+		addNode = iota
+		addVM
+		setRunning
+		setSleeping
+		setWaiting
+		removeVM
+		removeNode
+		clone
+		switchLive
+		extractRebase
+		jsonRoundTrip
+		setDemand
+		numOps
+	)
+	f.Add([]byte{
+		addNode, 0, 0xff, addNode, 1, 0xff, addVM, 0, 0x31, addVM, 1, 0x13, addVM, 2, 0x20,
+		setRunning, 0, 0, setRunning, 1, 0, setSleeping, 2, 0, clone, 0, 0,
+		setRunning, 0, 1, switchLive, 0, 0, setRunning, 1, 1, removeNode, 0, 0,
+		setDemand, 2, 0x2f, setRunning, 2, 0, jsonRoundTrip, 0, 0, extractRebase, 0x3, 0x7,
+	})
+	f.Add([]byte{
+		addNode, 0, 0x05, addNode, 2, 0x22, addVM, 4, 0x40, addVM, 3, 0x11,
+		setRunning, 4, 2, setRunning, 3, 2, setRunning, 4, 2, addVM, 4, 0x05,
+		setSleeping, 3, 0, removeNode, 2, 0, setWaiting, 3, 0, removeNode, 2, 0,
+		addNode, 2, 0x10, clone, 0, 0, removeVM, 3, 0, switchLive, 0, 0, removeVM, 4, 0,
+		extractRebase + 3*numOps, 0xff, 0xff,
+	})
+	// A clone whose node lists had spare capacity in a shared array
+	// would let this walk of v3 through its nodes overwrite a neighbour.
+	f.Add([]byte{
+		addNode, 0, 0xff, addNode, 1, 0xff, addNode, 2, 0xff,
+		addVM, 0, 0, addVM, 1, 0, addVM, 2, 0, addVM, 3, 0,
+		setRunning, 0, 0, setRunning, 1, 1, setRunning, 2, 2, clone, 0, 0, switchLive, 0, 0,
+		setRunning, 3, 0, setRunning, 3, 1, setRunning, 3, 2, switchLive, 0, 0, setSleeping, 3, 0,
+	})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		nodeName := func(b byte) string { return fmt.Sprintf("n%d", b%5) }
+		vmName := func(b byte) string { return fmt.Sprintf("v%d", b%7) }
+		same := func(what string, got, want error) {
+			t.Helper()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: error %v, scan says %v", what, got, want)
+			}
+		}
+		type pair struct {
+			c *Configuration
+			r *scanConfig
+		}
+		live := [2]pair{{NewConfiguration(), newScanConfig()}, {NewConfiguration(), newScanConfig()}}
+		cur := 0
+		// Each step re-checks every query on both configurations, so
+		// bound the steps: a slow input also slows its minimization.
+		for ops = ops[:min(len(ops), 3*48)]; len(ops) >= 3; ops = ops[3:] {
+			op, a, b := ops[0], ops[1], ops[2]
+			p := &live[cur]
+			switch op % numOps {
+			case addNode: // re-adding replaces the node object, keeps placements
+				n := NewNode(nodeName(a), int(b%4), 256*int(b/4%8))
+				p.c.AddNode(n)
+				p.r.addNode(n)
+			case addVM: // re-adding a placed VM resets it to Waiting
+				v := NewVM(vmName(a), "", int(b%3), 128*int(b/3%8))
+				p.c.AddVM(v)
+				p.r.addVM(v)
+			case setRunning: // includes moves onto the same node
+				same("SetRunning", p.c.SetRunning(vmName(a), nodeName(b)), p.r.set(vmName(a), Running, nodeName(b)))
+			case setSleeping:
+				same("SetSleeping", p.c.SetSleeping(vmName(a), nodeName(b)), p.r.set(vmName(a), Sleeping, nodeName(b)))
+			case setWaiting:
+				same("SetWaiting", p.c.SetWaiting(vmName(a)), p.r.set(vmName(a), Waiting, ""))
+			case removeVM:
+				p.c.RemoveVM(vmName(a))
+				p.r.removeVM(vmName(a))
+			case removeNode:
+				same("RemoveNode", p.c.RemoveNode(nodeName(a)), p.r.removeNode(nodeName(a)))
+			case clone:
+				live[1-cur] = pair{p.c.Clone(), p.r.clone()}
+			case switchLive:
+				cur = 1 - cur
+			case extractRebase:
+				extractAndRebase(t, p.c, p.r, op/numOps, a, b, same)
+			case jsonRoundTrip:
+				data, err := json.Marshal(p.c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back := new(Configuration)
+				if err := json.Unmarshal(data, back); err != nil {
+					t.Fatal(err)
+				}
+				r := scanOf(back)
+				if !r.equal(p.r) || !reflect.DeepEqual(back.Nodes(), p.c.Nodes()) || !reflect.DeepEqual(back.VMs(), p.c.VMs()) {
+					t.Fatalf("JSON round trip changed the configuration:\n%s\nvs\n%s", back, p.r)
+				}
+				*p = pair{back, r} // fresh node and VM objects from here on
+			case setDemand: // in place, through the VM object both sides share
+				if v := p.r.vms[vmName(a)]; v != nil {
+					v.SetCPUDemand(int(b % 3))
+					v.SetMemoryDemand(128 * int(b/3%8))
+				}
+			}
+			agree(t, live[0].c, live[0].r)
+			agree(t, live[1].c, live[1].r)
+			for i := range live {
+				if got, want := live[i].c.Equal(live[1-i].c), live[i].r.equal(live[1-i].r); got != want {
+					t.Fatalf("Equal = %v, scan says %v", got, want)
+				}
+			}
+		}
+	})
+}
+
+// extractAndRebase extracts the nodes and VMs picked by the bit masks
+// from c and from r, checks the slices agree, moves every VM of the
+// slice (to Waiting, onto a slice node as Running or Sleeping, or out
+// of the slice) as picked by how, and rebases both bases on the result.
+func extractAndRebase(t *testing.T, c *Configuration, r *scanConfig, how, nodeMask, vmMask byte, same func(string, error, error)) {
+	t.Helper()
+	var nodes, vms []string
+	for i, n := range r.nodeOrder {
+		if nodeMask>>(i%8)&1 == 1 {
+			nodes = append(nodes, n)
+		}
+	}
+	for i, v := range r.vmOrder {
+		if vmMask>>(i%8)&1 == 1 {
+			vms = append(vms, v)
+		}
+	}
+	src, err := c.Extract(nodes, vms)
+	srcR, errR := r.extract(nodes, vms)
+	if same("Extract", err, errR); err != nil {
+		return
+	}
+	agree(t, src, srcR)
+	dst, dstR := src.Clone(), srcR.clone()
+	for i, v := range vms {
+		node := ""
+		if len(nodes) > 0 {
+			node = nodes[(i+int(how))%len(nodes)]
+		}
+		switch (i + int(how)) % 4 {
+		case 0:
+			same("slice SetWaiting", dst.SetWaiting(v), dstR.set(v, Waiting, ""))
+		case 1:
+			same("slice SetRunning", dst.SetRunning(v, node), dstR.set(v, Running, node))
+		case 2:
+			same("slice SetSleeping", dst.SetSleeping(v, node), dstR.set(v, Sleeping, node))
+		case 3:
+			dst.RemoveVM(v)
+			dstR.removeVM(v)
+		}
+	}
+	agree(t, src, srcR) // the slice's solve left its source alone
+	agree(t, dst, dstR)
+	same("Rebase", c.Rebase(src, dst), r.rebase(srcR, dstR))
 }

@@ -29,13 +29,13 @@ func (c *Configuration) Extract(nodes, vms []string) (*Configuration, error) {
 			return nil, fmt.Errorf("vjob: extract references unknown VM %q", name)
 		}
 		out.AddVM(v)
-		switch c.state[name] {
+		switch s := c.slots[name]; s.state {
 		case Running:
-			if err := out.SetRunning(name, c.placement[name]); err != nil {
+			if err := out.SetRunning(name, s.node); err != nil {
 				return nil, fmt.Errorf("vjob: extract: %s hosted outside the node set: %w", name, err)
 			}
 		case Sleeping:
-			if err := out.SetSleeping(name, c.placement[name]); err != nil {
+			if err := out.SetSleeping(name, s.node); err != nil {
 				return nil, fmt.Errorf("vjob: extract: %s imaged outside the node set: %w", name, err)
 			}
 		}
@@ -58,13 +58,13 @@ func (c *Configuration) Rebase(src, dst *Configuration) error {
 		if c.vms[name] == nil {
 			return fmt.Errorf("vjob: rebase of VM %q unknown to the base configuration", name)
 		}
-		switch dst.state[name] {
+		switch s := dst.slots[name]; s.state {
 		case Running:
-			if err := c.SetRunning(name, dst.placement[name]); err != nil {
+			if err := c.SetRunning(name, s.node); err != nil {
 				return err
 			}
 		case Sleeping:
-			if err := c.SetSleeping(name, dst.placement[name]); err != nil {
+			if err := c.SetSleeping(name, s.node); err != nil {
 				return err
 			}
 		case Waiting:

@@ -34,22 +34,13 @@ func (v Violation) Error() string {
 // 3.2 of the paper, generalized to the multi-dimensional model).
 // Waiting and sleeping VMs consume nothing.
 //
-// The scan is a single O(nodes + VMs) pass: plan validation calls this
-// after every pool, so a per-node VM rescan would dominate large
-// cluster runs.
+// Each node's usage is summed from the VMs placed on it (Used), so the
+// audit is one O(nodes + VMs) pass that allocates only its result.
 func (c *Configuration) Violations() []Violation {
-	used := make(map[string]resources.Vector)
-	for vm, st := range c.state {
-		if st != Running {
-			continue
-		}
-		node := c.placement[vm]
-		used[node] = used[node].Add(c.vms[vm].Demand)
-	}
 	var out []Violation
 	for _, name := range c.nodeOrder {
 		n := c.nodes[name]
-		u := used[name]
+		u := c.Used(name)
 		for _, k := range resources.Kinds() {
 			if u.Get(k) > n.Capacity.Get(k) {
 				out = append(out, Violation{Node: name, Resource: k.String(), Demand: u.Get(k), Capacity: n.Capacity.Get(k)})
