@@ -206,7 +206,9 @@ func toFixpoint(s *cp.Solver) error {
 // its VM's variable, a propagator that answers cp.ErrCanceled once the
 // solver has opened Nodes search nodes. It is the benchmark's node
 // budget (bench/nodebudget.go), restated here so that a change to cp
-// or core that breaks what it rides on fails in this package.
+// or core that breaks what it rides on fails in this package. Like the
+// benchmark's, it is a ScopedRule covering its one VM, so a
+// partitioned solve hands every slice model the whole budget.
 type searchBudget struct {
 	VM    string
 	Nodes int64
@@ -226,12 +228,23 @@ func (r searchBudget) Apply(s *cp.Solver, vars map[string]*cp.IntVar, _ map[stri
 
 func (r searchBudget) Check(*vjob.Configuration) error { return nil }
 
-// budgetedProblem is the benchmark's solve_mono instance: 100 nodes in
-// the paper's §5.1 mix, 150 VMs, the states sched.Consolidation asks
-// for, and one searchBudget per VM.
-func budgetedProblem(seed int64, budget int64) Problem {
+func (r searchBudget) ScopeVMs() []string  { return []string{r.VM} }
+func (r searchBudget) BindNodes() []string { return nil }
+
+func (r searchBudget) Rescope(vms, _ map[string]bool) PlacementRule {
+	if !vms[r.VM] {
+		return nil
+	}
+	return r
+}
+
+// budgetedProblem is the benchmark's solve instance: nodes nodes in the
+// paper's §5.1 mix (100 for solve_mono, 1000 for solve_sliced), 1.5 VMs
+// per node, the states sched.Consolidation asks for, and one
+// searchBudget per VM.
+func budgetedProblem(seed int64, nodes int, budget int64) Problem {
 	g := workload.GenerateConfiguration(rand.New(rand.NewSource(seed)), workload.GenerateOptions{
-		Nodes: 100, NodeCPU: 2, NodeMemory: 4096, VMs: 150,
+		Nodes: nodes, NodeCPU: 2, NodeMemory: 4096, VMs: nodes * 3 / 2,
 	})
 	p := Problem{Src: g.Cfg, Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs)}
 	for _, v := range g.Cfg.VMs() {
@@ -248,7 +261,7 @@ func budgetedProblem(seed int64, budget int64) Problem {
 func TestPropagatorCancelsSearchAtNodeBudget(t *testing.T) {
 	for _, budget := range []int64{1, 40, 300} {
 		for seed := int64(1); seed <= 3; seed++ {
-			p := budgetedProblem(seed, budget)
+			p := budgetedProblem(seed, 100, budget)
 			ffd, err := FFDPlan(Problem{Src: p.Src, Target: p.Target})
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +289,7 @@ func TestPropagatorCancelsSearchAtNodeBudget(t *testing.T) {
 // TestCostBoundAllocatesNothing: one run of the bound on a model at
 // its fixpoint.
 func TestCostBoundAllocatesNothing(t *testing.T) {
-	p := budgetedProblem(1, 300)
+	p := budgetedProblem(1, 100, 300)
 	c, err := Optimizer{}.compile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +314,8 @@ func TestCostBoundAllocatesNothing(t *testing.T) {
 	}
 }
 
-// solveAllocLanding is what one 300-node, one-worker solve of
-// budgetedProblem(1) allocated when the allocation-free hot path
+// solveAllocLanding is what one 300-search-node, one-worker solve of
+// budgetedProblem(1, 100, 300) allocated when the allocation-free hot path
 // landed; the commit before it allocated about 87 MB.
 const solveAllocLanding = 2_180_000
 
@@ -310,7 +323,7 @@ const solveAllocLanding = 2_180_000
 // quarter more than it did at landing: bytes are counted, not timed, so
 // the gain cannot leak back unnoticed.
 func TestSolveAllocationBudget(t *testing.T) {
-	p := budgetedProblem(1, 300)
+	p := budgetedProblem(1, 100, 300)
 	opt := Optimizer{Workers: 1, Partitions: 1}
 	if _, err := opt.Solve(p); err != nil { // lazy set-up is not the solve's
 		t.Fatal(err)

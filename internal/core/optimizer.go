@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -46,8 +47,9 @@ type Optimizer struct {
 	// trade global optimality for throughput: each slice is optimized
 	// independently, so cross-partition migrations are never
 	// considered, but the merged plan stays viable and honors every
-	// placement rule. When any partition turns out infeasible — a VM
-	// whose only hosts landed elsewhere — the optimizer falls back to
+	// placement rule. A partition left without a plan (a VM whose only
+	// hosts landed elsewhere) is solved again joined with the roomiest
+	// solved one; if that fails too, the whole problem falls back to
 	// the monolithic model within the same budget.
 	Partitions int
 	// Workers is the number of parallel portfolio workers racing the
@@ -350,8 +352,8 @@ func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error)
 	defer cancel()
 	res, err := o.solvePartitioned(ctx, p)
 	if err != nil {
-		// An undecomposable problem, or an infeasible (or timed-out)
-		// partition, goes to the monolithic model under whatever budget
+		// An undecomposable problem, or a partition without a plan even
+		// once rejoined, goes to the monolithic model under whatever budget
 		// remains: even with an expired deadline the FFD warm start gives
 		// it a plan to return, so asking for partitioning never yields
 		// less than the monolithic path would.
@@ -371,8 +373,9 @@ func (o Optimizer) budget(ctx context.Context) (context.Context, context.CancelF
 	return context.WithTimeout(ctx, o.Timeout)
 }
 
-// solvePartitioned solves the problem slice by slice, then checks what
-// no slice can see: the whole destination's viability and rules.
+// solvePartitioned solves the problem slice by slice, rejoining any
+// slice without a plan with a solved neighbour, then checks what no
+// slice can see: the whole destination's viability and rules.
 func (o Optimizer) solvePartitioned(ctx context.Context, p Problem) (*Result, error) {
 	parts, err := (Partitioner{Parts: o.Partitions}).Split(p)
 	if err != nil || len(parts) < 2 {
@@ -380,7 +383,9 @@ func (o Optimizer) solvePartitioned(ctx context.Context, p Problem) (*Result, er
 	}
 	results, err := o.solveSlices(ctx, parts)
 	if err != nil {
-		return nil, err
+		if parts, results, err = o.rejoin(ctx, p, parts, results); err != nil {
+			return nil, err
+		}
 	}
 	res, err := mergeSlices(p.Src, parts, results)
 	if err != nil {
@@ -390,6 +395,59 @@ func (o Optimizer) solvePartitioned(ctx context.Context, p Problem) (*Result, er
 		return nil, errors.New("core: merged configuration is not viable or breaks a rule")
 	}
 	return res, nil
+}
+
+// rejoin repairs a decomposition in which some slices found no plan:
+// each in turn is extracted from p.Src together with the solved slice
+// whose destination has the most room left — both target maps, p.Rules
+// rescoped to the pair — and solved as one slice in their place. Every
+// other slice keeps its result.
+func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, results []*Result) ([]Problem, []*Result, error) {
+	room := func(r *Result) float64 { // the least share of a resource left free
+		var capacity, used resources.Vector
+		for _, n := range r.Dst.Nodes() {
+			capacity, used = capacity.Add(n.Capacity), used.Add(r.Dst.Used(n.Name))
+		}
+		return 1 - used.DominantShare(capacity)
+	}
+	for i := slices.Index(results, nil); i >= 0; i = slices.Index(results, nil) {
+		best := -1
+		for j, r := range results {
+			if r != nil && (best < 0 || room(r) > room(results[best])) {
+				best = j
+			}
+		}
+		if best < 0 {
+			return nil, nil, errors.New("core: no solved slice to rejoin")
+		}
+		nodes, vms := map[string]bool{}, map[string]bool{}
+		for _, sub := range []*vjob.Configuration{parts[i].Src, parts[best].Src} {
+			for _, n := range sub.Nodes() {
+				nodes[n.Name] = true
+			}
+			for _, v := range sub.VMs() {
+				vms[v.Name] = true
+			}
+		}
+		src, err := p.Src.Extract(slices.Sorted(maps.Keys(nodes)), slices.Sorted(maps.Keys(vms)))
+		if err != nil {
+			return nil, nil, err
+		}
+		pair := Problem{Src: src, Target: maps.Clone(parts[i].Target)}
+		maps.Copy(pair.Target, parts[best].Target)
+		for _, rule := range p.Rules {
+			if rr := rule.(ScopedRule).Rescope(vms, nodes); rr != nil {
+				pair.Rules = append(pair.Rules, rr)
+			}
+		}
+		res, err := o.solveMonolithic(ctx, pair, o.workers())
+		if err != nil {
+			return nil, nil, err
+		}
+		parts[best], results[best] = pair, res
+		parts, results = slices.Delete(parts, i, i+1), slices.Delete(results, i, i+1)
+	}
+	return parts, results, nil
 }
 
 // solveMonolithic runs the single-model optimization: compile, FFD warm

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
@@ -66,7 +67,8 @@ type atom struct {
 // the max over resource dimensions normalized by cluster totals so
 // every dimension compares; positive means the atom cannot absorb its
 // own load on some dimension. Dimensions the cluster offers nothing of
-// are skipped.
+// are skipped. Its negation is the atom's slack: the least normalized
+// headroom over the dimensions.
 func (a *atom) pressure(tot resources.Vector) float64 {
 	p := mathInfNeg
 	for _, k := range resources.Kinds() {
@@ -86,6 +88,10 @@ const mathInfNeg = -1e18
 // Split decomposes the problem. It returns nil (no error) when the
 // problem should stay monolithic: fewer than two partitions asked or
 // achievable, or a rule whose scope the partitioner cannot introspect.
+//
+// The carve runs on dense indices — nodes, then VMs, then rules, in
+// Nodes(), VMs() and Rules order — so it costs O(nodes + VMs + rule
+// scopes), plus one Extract per slice.
 func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	nodes := p.Src.Nodes()
 	maxNodes := pt.MaxNodes
@@ -105,83 +111,84 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 
 	// Hard bindings: every VM to its current location, every rule to
 	// its covered VMs and bound nodes.
-	hard := newUnionFind()
-	nodeKey := func(n string) string { return "n\x00" + n }
-	vmKey := func(v *vjob.VM) string { return "v\x00" + v.Name }
-	for _, n := range nodes {
-		hard.add(nodeKey(n.Name))
-	}
-	for _, v := range p.Src.VMs() {
-		hard.add(vmKey(v))
+	vms := p.Src.VMs()
+	vmBase, ruleBase := len(nodes), len(nodes)+len(vms)
+	total := int32(ruleBase + len(p.Rules))
+	hard := newUnionFind(total)
+	for i, v := range vms {
 		if loc := p.Src.LocationOf(v.Name); loc != "" {
-			hard.union(vmKey(v), nodeKey(loc))
+			if n := indexOf(nodes, loc, nodeName); n >= 0 {
+				hard.union(int32(vmBase+i), int32(n))
+			}
 		}
 	}
-	ruleKeys := make([]string, len(p.Rules))
+	covered := make([]bool, len(vms))
 	for i, r := range p.Rules {
 		sr, ok := r.(ScopedRule)
 		if !ok {
 			return nil, nil // opaque rule: cannot prove decomposability
 		}
-		ruleKeys[i] = fmt.Sprintf("r\x00%d", i)
-		hard.add(ruleKeys[i])
 		for _, name := range sr.ScopeVMs() {
-			if v := p.Src.VM(name); v != nil {
-				hard.union(ruleKeys[i], vmKey(v))
+			if v := indexOf(vms, name, vmName); v >= 0 {
+				hard.union(int32(ruleBase+i), int32(vmBase+v))
+				covered[v] = true
 			}
 		}
-		for _, n := range sr.BindNodes() {
-			if p.Src.Node(n) != nil {
-				hard.union(ruleKeys[i], nodeKey(n))
+		for _, name := range sr.BindNodes() {
+			if n := indexOf(nodes, name, nodeName); n >= 0 {
+				hard.union(int32(ruleBase+i), int32(n))
 			}
 		}
 	}
 
 	// Soft bindings on top: the gang links of each vjob.
-	soft := hard.clone()
-	gang := make(map[string]string) // vjob -> key of first member
-	for _, v := range p.Src.VMs() {
+	soft := slices.Clone(hard)
+	gang := make(map[string]int32) // vjob -> first member
+	for i, v := range vms {
 		if v.VJob == "" {
 			continue
 		}
 		if first, ok := gang[v.VJob]; ok {
-			soft.union(first, vmKey(v))
+			soft.union(first, int32(vmBase+i))
 		} else {
-			gang[v.VJob] = vmKey(v)
+			gang[v.VJob] = int32(vmBase + i)
 		}
 	}
-	softNodes := make(map[string]int) // soft root -> node count
-	for _, n := range nodes {
-		softNodes[soft.find(nodeKey(n.Name))]++
+	softNodes := make([]int32, total) // soft root -> node count
+	for n := range nodes {
+		softNodes[soft.find(int32(n))]++
 	}
 	// rootOf keeps a whole soft component together when it fits the
 	// slice cap and falls back to the hard component otherwise,
-	// cutting only gang links.
-	rootOf := func(key string) string {
-		if sr := soft.find(key); softNodes[sr] <= sliceCap {
+	// cutting only gang links. A soft component over the cap answers
+	// only with the hard roots inside it, so a hard root never names a
+	// soft component's atom.
+	rootOf := func(e int32) int32 {
+		if sr := soft.find(e); int(softNodes[sr]) <= sliceCap {
 			return sr
 		}
-		return "h\x00" + hard.find(key)
+		return hard.find(e)
 	}
 
 	// Collect atoms (components holding nodes) and floating cohorts
-	// (components of waiting VMs bound to no node yet). Floating VMs of
-	// one vjob always cohere: with no placement there is no reason to
-	// cut their gang.
-	atoms := make(map[string]*atom)
-	var order []string
-	get := func(root string) *atom {
-		a := atoms[root]
-		if a == nil {
-			a = &atom{}
-			atoms[root] = a
-			order = append(order, root)
+	// (components of waiting VMs bound to no node yet), in order of
+	// first appearance. Floating VMs of one vjob always cohere: with no
+	// placement there is no reason to cut their gang.
+	atomOf := make([]int32, total) // root -> index in atoms, -1 for none
+	for i := range atomOf {
+		atomOf[i] = -1
+	}
+	var atoms []atom
+	get := func(root int32) *atom {
+		if atomOf[root] < 0 {
+			atomOf[root] = int32(len(atoms))
+			atoms = append(atoms, atom{})
 		}
-		return a
+		return &atoms[atomOf[root]]
 	}
 	var tot resources.Vector
-	for _, n := range nodes {
-		a := get(rootOf(nodeKey(n.Name)))
+	for i, n := range nodes {
+		a := get(rootOf(int32(i)))
 		a.nodes = append(a.nodes, n.Name)
 		a.cap = a.cap.Add(n.Capacity)
 		tot = tot.Add(n.Capacity)
@@ -189,16 +196,10 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	if tot.Get(resources.CPU) == 0 || tot.Get(resources.Memory) == 0 {
 		return nil, nil
 	}
-	covered := make(map[string]bool)
-	for _, r := range p.Rules {
-		for _, name := range r.(ScopedRule).ScopeVMs() {
-			covered[name] = true
-		}
-	}
-	floatRoot := make(map[string]string) // vjob -> floating atom root
-	for _, v := range p.Src.VMs() {
-		root := rootOf(vmKey(v))
-		if ex := atoms[root]; (ex == nil || len(ex.nodes) == 0) && v.VJob != "" && !covered[v.Name] {
+	floatRoot := make(map[string]int32) // vjob -> floating atom root
+	for i, v := range vms {
+		root := rootOf(int32(vmBase + i))
+		if ex := atomOf[root]; (ex < 0 || len(atoms[ex].nodes) == 0) && v.VJob != "" && !covered[i] {
 			// A waiting VM whose gang was cut would land in a singleton
 			// cohort; regroup uncovered floaters of one vjob (covered
 			// ones must stay with their rule's atom).
@@ -215,12 +216,14 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 		}
 	}
 
-	var nodeAtoms, floating []string
-	for _, root := range order {
-		if len(atoms[root].nodes) > 0 {
-			nodeAtoms = append(nodeAtoms, root)
+	pressure := make([]float64, len(atoms))
+	var nodeAtoms, floating []int32
+	for i := range atoms {
+		if len(atoms[i].nodes) > 0 {
+			nodeAtoms = append(nodeAtoms, int32(i))
+			pressure[i] = atoms[i].pressure(tot)
 		} else {
-			floating = append(floating, root)
+			floating = append(floating, int32(i))
 		}
 	}
 	if want > len(nodeAtoms) {
@@ -231,55 +234,50 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	}
 
 	// Pack atoms into bins along the viable/non-viable seam.
-	sort.SliceStable(nodeAtoms, func(i, j int) bool {
-		a, b := atoms[nodeAtoms[i]], atoms[nodeAtoms[j]]
-		pa, pb := a.pressure(tot), b.pressure(tot)
-		if pa != pb {
-			return pa > pb
+	slices.SortStableFunc(nodeAtoms, func(x, y int32) int {
+		if c := cmp.Compare(pressure[y], pressure[x]); c != 0 {
+			return c
 		}
-		return a.nodes[0] < b.nodes[0]
+		return strings.Compare(atoms[x].nodes[0], atoms[y].nodes[0])
 	})
-	sort.SliceStable(floating, func(i, j int) bool {
-		a, b := atoms[floating[i]], atoms[floating[j]]
-		if am, bm := a.dem.Get(resources.Memory), b.dem.Get(resources.Memory); am != bm {
-			return am > bm
+	slices.SortStableFunc(floating, func(x, y int32) int {
+		a, b := &atoms[x], &atoms[y]
+		if c := cmp.Compare(b.dem.Get(resources.Memory), a.dem.Get(resources.Memory)); c != 0 {
+			return c
 		}
-		return a.vms[0] < b.vms[0]
+		return strings.Compare(a.vms[0], b.vms[0])
 	})
 
-	bins := make([]*atom, want)
-	for i := range bins {
-		bins[i] = &atom{}
-	}
-	binOf := make(map[string]int)
-	for _, root := range nodeAtoms {
+	bins := make([]atom, want)
+	slack := make([]float64, want)     // per bin; 0 while it holds nothing
+	binOf := make([]int32, len(atoms)) // atom -> bin
+	for _, ai := range nodeAtoms {
 		// Overloaded atoms spread to the roomiest bins; headroom atoms
 		// backfill the neediest (most overloaded, then still-empty)
 		// ones.
-		assignAtom(atoms, bins, binOf, root, atoms[root].pressure(tot) > 0, tot)
+		binOf[ai] = assignAtom(bins, slack, &atoms[ai], pressure[ai] > 0, tot)
 	}
 	// Drop bins the greedy pass left without nodes (possible when a few
-	// giant atoms absorbed everything).
-	kept := bins[:0]
-	remap := make([]int, len(bins))
-	for i, b := range bins {
-		if len(b.nodes) > 0 {
-			remap[i] = len(kept)
-			kept = append(kept, b)
-		} else {
-			remap[i] = -1
-		}
-	}
-	bins = kept
-	for root, i := range binOf {
-		binOf[root] = remap[i]
+	// giant atoms absorbed everything). Empty bins tie on slack and
+	// node count, so the pass fills them lowest index first: the empty
+	// ones are a suffix.
+	for len(bins[len(bins)-1].nodes) == 0 {
+		bins, slack = bins[:len(bins)-1], slack[:len(slack)-1]
 	}
 	if len(bins) <= 1 {
 		return nil, nil
 	}
 	// Floating cohorts (all-waiting vjobs) go where the room is.
-	for _, root := range floating {
-		assignAtom(atoms, bins, binOf, root, true, tot)
+	for _, ai := range floating {
+		binOf[ai] = assignAtom(bins, slack, &atoms[ai], true, tot)
+	}
+
+	// Each rule travels with its component's bin, in rule order.
+	binRules := make([][]int, len(bins))
+	for i := range p.Rules {
+		if ai := atomOf[rootOf(int32(ruleBase+i))]; ai >= 0 {
+			binRules[binOf[ai]] = append(binRules[binOf[ai]], i)
+		}
 	}
 
 	// Materialize the sub-problems.
@@ -304,12 +302,8 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 			nodeSet[n] = true
 		}
 		var rules []PlacementRule
-		for i, r := range p.Rules {
-			at, ok := binOf[rootOf(ruleKeys[i])]
-			if !ok || at != bi {
-				continue
-			}
-			if rr := r.(ScopedRule).Rescope(vmSet, nodeSet); rr != nil {
+		for _, i := range binRules[bi] {
+			if rr := p.Rules[i].(ScopedRule).Rescope(vmSet, nodeSet); rr != nil {
 				rules = append(rules, rr)
 			}
 		}
@@ -319,27 +313,15 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 }
 
 // assignAtom adds the atom to the bin with the widest (wide) or
-// tightest slack, breaking ties towards fewer nodes then lower index.
-// Slack is the minimum over resource dimensions of the bin's
-// normalized headroom — a bin tight on any one dimension is a tight
-// bin.
-func assignAtom(atoms map[string]*atom, bins []*atom, binOf map[string]int, root string, wide bool, tot resources.Vector) {
-	a := atoms[root]
-	slack := func(b *atom) float64 {
-		s := 1e18
-		for _, k := range resources.Kinds() {
-			if tot.Get(k) <= 0 {
-				continue
-			}
-			if m := float64(b.cap.Get(k)-b.dem.Get(k)) / float64(tot.Get(k)); m < s {
-				s = m
-			}
-		}
-		return s
-	}
+// tightest slack, breaking ties towards fewer nodes then lower index,
+// and returns that bin. Slack is the minimum over resource dimensions
+// of the bin's normalized headroom — a bin tight on any one dimension
+// is a tight bin; slack caches it per bin, and only the bin that grew
+// is re-evaluated.
+func assignAtom(bins []atom, slack []float64, a *atom, wide bool, tot resources.Vector) int32 {
 	best := 0
 	for i := 1; i < len(bins); i++ {
-		si, sb := slack(bins[i]), slack(bins[best])
+		si, sb := slack[i], slack[best]
 		better := si < sb
 		if wide {
 			better = si > sb
@@ -348,12 +330,13 @@ func assignAtom(atoms map[string]*atom, bins []*atom, binOf map[string]int, root
 			best = i
 		}
 	}
-	b := bins[best]
+	b := &bins[best]
 	b.nodes = append(b.nodes, a.nodes...)
 	b.vms = append(b.vms, a.vms...)
 	b.cap = b.cap.Add(a.cap)
 	b.dem = b.dem.Add(a.dem)
-	binOf[root] = best
+	slack[best] = -b.pressure(tot)
+	return int32(best)
 }
 
 // wantOf resolves the state the decision module asks of the VM, with
@@ -371,45 +354,44 @@ func wantOf(p Problem, v *vjob.VM) vjob.State {
 	return want
 }
 
-// unionFind is a string-keyed disjoint-set forest with path
-// compression.
-type unionFind struct {
-	parent map[string]string
-}
+func nodeName(n *vjob.Node) string { return n.Name }
+func vmName(v *vjob.VM) string     { return v.Name }
 
-func newUnionFind() *unionFind {
-	return &unionFind{parent: make(map[string]string)}
-}
-
-func (u *unionFind) add(k string) {
-	if _, ok := u.parent[k]; !ok {
-		u.parent[k] = k
+// indexOf finds name in a list kept in name order (Nodes(), VMs()),
+// or -1.
+func indexOf[T any](list []T, name string, nameOf func(T) string) int {
+	i, ok := slices.BinarySearchFunc(list, name, func(e T, name string) int { return strings.Compare(nameOf(e), name) })
+	if !ok {
+		return -1
 	}
+	return i
 }
 
-func (u *unionFind) find(k string) string {
-	u.add(k)
+// unionFind is a disjoint-set forest over dense element indices, with
+// path compression.
+type unionFind []int32
+
+func newUnionFind(n int32) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = int32(i)
+	}
+	return u
+}
+
+func (u unionFind) find(k int32) int32 {
 	root := k
-	for u.parent[root] != root {
-		root = u.parent[root]
+	for u[root] != root {
+		root = u[root]
 	}
-	for u.parent[k] != root {
-		u.parent[k], k = root, u.parent[k]
+	for u[k] != root {
+		u[k], k = root, u[k]
 	}
 	return root
 }
 
-func (u *unionFind) union(a, b string) {
-	ra, rb := u.find(a), u.find(b)
-	if ra != rb {
-		u.parent[ra] = rb
+func (u unionFind) union(a, b int32) {
+	if ra, rb := u.find(a), u.find(b); ra != rb {
+		u[ra] = rb
 	}
-}
-
-func (u *unionFind) clone() *unionFind {
-	out := newUnionFind()
-	for k, v := range u.parent {
-		out.parent[k] = v
-	}
-	return out
 }

@@ -323,9 +323,9 @@ func TestPartitionOracleConcurrent(t *testing.T) {
 
 // TestPartitionedSolveFailsOnInfeasibleSlice hand-builds a
 // decomposition with an unsolvable slice: solveSlices must fail the
-// whole set on it, still handing back the slice that did solve
-// (SolveContext then falls back to the monolithic model, which the
-// oracle above exercises end to end).
+// whole set on it, still handing back the slice that did solve: the
+// partner solvePartitioned rejoins the failed slice with (SolveContext
+// falls back to the monolithic model only when that pair fails too).
 func TestPartitionedSolveFailsOnInfeasibleSlice(t *testing.T) {
 	// A VM sleeping on a storage-only node: isolated, its slice has no
 	// CPU to resume on, while the full cluster does.
@@ -367,5 +367,32 @@ func TestPartitionedSolveFailsOnInfeasibleSlice(t *testing.T) {
 	}
 	if res.Dst.StateOf("sleeper") != vjob.Running {
 		t.Fatalf("sleeper not resumed:\n%s", res.Dst)
+	}
+}
+
+// TestPartitionedSolveRejoinsFailedSlice rebuilds the two solve_sliced
+// instances (seed 2 instance 104, seed 3 instance 197) on which one
+// slice has no plan — 61 nodes, 171 runners and 84 % CPU, and 25
+// nodes, 66 runners and 82 % CPU: FFD packs nothing there, and 150
+// search nodes reach no leaf. That slice must
+// rejoin its roomiest neighbour instead of sending the whole cluster to
+// one model: the solve stays partitioned, its plan validates, and no
+// model searched past its budget.
+func TestPartitionedSolveRejoinsFailedSlice(t *testing.T) {
+	for _, seed := range []int64{2_000_110, 3_000_206} {
+		p := budgetedProblem(seed, 1000, 150)
+		res, err := Optimizer{Workers: 1}.Solve(p)
+		if err != nil {
+			t.Fatalf("instance %d: %v", seed, err)
+		}
+		if res.Partitions < 2 {
+			t.Fatalf("instance %d fell back to one model", seed)
+		}
+		if err := res.Plan.Validate(); err != nil {
+			t.Fatalf("instance %d: %v", seed, err)
+		}
+		if res.Nodes > 151*int64(res.Partitions) {
+			t.Fatalf("instance %d: %d nodes searched in %d models under a budget of 150", seed, res.Nodes, res.Partitions)
+		}
 	}
 }
