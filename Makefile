@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzBoundsDomainOps -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzSplit -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzAdvanceAudit -fuzztime=$(FUZZTIME) ./internal/monitor
 
 # Atomic-mode coverage with per-package floors: the floors file pins a
 # minimum for every load-bearing package, so a PR cannot silently strip

@@ -246,16 +246,16 @@ func runMigrationSide(opts MigrationOptions, model string, blind, fenced bool) M
 	}
 	total, xferTotal, lastT := 0.0, 0.0, 0.0
 	lastN, lastX := 0, 0
-	c.OnAdvance(func() {
+	c.OnAdvance(func(a *sim.Audit) {
 		now := c.Now()
 		if now > lastT {
 			total += float64(lastN) * (now - lastT)
 			xferTotal += float64(lastX) * (now - lastT)
 			lastT = now
 		}
-		lastX = len(c.TransferViolations())
+		lastX = len(a.Transfer)
 		lastN = lastX
-		for _, v := range c.Config().Violations() {
+		for _, v := range a.Violations {
 			if !baseline[v.Node+"/"+v.Resource] {
 				lastN++
 			}

@@ -94,14 +94,14 @@ func WatchLedger(c *sim.Cluster, rules func() []core.PlacementRule) *Ledger {
 		rules:   make(map[string]float64),
 		rulesFn: rules,
 	}
-	c.OnAdvance(func() { l.advance(c) })
+	c.OnAdvance(func(a *sim.Audit) { l.advance(c, a) })
 	return l
 }
 
 // advance charges the pending violation set over the elapsed interval,
 // then re-samples the current one: time must strictly move, and the
 // set sampled *before* an interval is the one integrated over it.
-func (l *Ledger) advance(c *sim.Cluster) {
+func (l *Ledger) advance(c *sim.Cluster, a *sim.Audit) {
 	now := c.Now()
 	l.mu.Lock()
 	if now > l.lastT {
@@ -115,17 +115,15 @@ func (l *Ledger) advance(c *sim.Cluster) {
 		l.lastT = now
 	}
 	l.mu.Unlock()
-	l.sample(c)
+	l.sample(c.Config(), a)
 }
 
-// sample records the current violation set (with its dominant-consumer
-// attribution) and the breached rule kinds as the charges of the next
-// interval. The viable fast path allocates nothing beyond what
-// Violations() itself does.
-func (l *Ledger) sample(c *sim.Cluster) {
-	cfg := c.Config()
-	viols := cfg.Violations()
-	tviols := c.TransferViolations()
+// sample records the advance's violation set (with its
+// dominant-consumer attribution) and the breached rule kinds as the
+// charges of the next interval. Without violations or rules it
+// allocates nothing.
+func (l *Ledger) sample(cfg *vjob.Configuration, a *sim.Audit) {
+	viols, tviols := a.Violations, a.Transfer
 	var pending []Attribution
 	if n := len(viols) + len(tviols); n > 0 {
 		pending = make([]Attribution, 0, n)
@@ -160,51 +158,35 @@ type nodeDim struct{ node, kind string }
 // dominantConsumers resolves, for every violated (node, dimension),
 // the vjob of the running VM with the largest demand on that
 // dimension (smallest VM name on ties; the VM's own name when it has
-// no vjob). One O(VMs) pass, only taken while violations exist.
+// no vjob). It reads only the violated nodes' running VMs.
 func dominantConsumers(cfg *vjob.Configuration, viols []vjob.Violation) map[nodeDim]string {
 	if len(viols) == 0 {
 		return nil
 	}
-	kinds := make(map[string][]resources.Kind, len(viols))
-	for _, v := range viols {
-		if k, ok := kindByName(v.Resource); ok {
-			kinds[v.Node] = append(kinds[v.Node], k)
+	out := make(map[nodeDim]string, len(viols))
+	var running []*vjob.VM
+	for i, v := range viols {
+		if i == 0 || v.Node != viols[i-1].Node {
+			running = cfg.RunningOn(v.Node)
 		}
-	}
-	type top struct {
-		demand int
-		vm     string
-		owner  string
-	}
-	best := make(map[nodeDim]top, len(viols))
-	for _, vm := range cfg.VMs() {
-		if cfg.StateOf(vm.Name) != vjob.Running {
+		k, ok := kindByName(v.Resource)
+		if !ok {
 			continue
 		}
-		host := cfg.HostOf(vm.Name)
-		ks, hot := kinds[host]
-		if !hot {
-			continue
-		}
-		for _, k := range ks {
+		var top *vjob.VM
+		for _, vm := range running {
 			d := vm.Demand.Get(k)
-			if d == 0 {
-				continue
-			}
-			key := nodeDim{host, k.String()}
-			cur, ok := best[key]
-			if !ok || d > cur.demand || (d == cur.demand && vm.Name < cur.vm) {
-				owner := vm.VJob
-				if owner == "" {
-					owner = vm.Name
-				}
-				best[key] = top{demand: d, vm: vm.Name, owner: owner}
+			if d != 0 && (top == nil || d > top.Demand.Get(k) || (d == top.Demand.Get(k) && vm.Name < top.Name)) {
+				top = vm
 			}
 		}
-	}
-	out := make(map[nodeDim]string, len(best))
-	for key, t := range best {
-		out[key] = t.owner
+		if top != nil {
+			owner := top.VJob
+			if owner == "" {
+				owner = top.Name
+			}
+			out[nodeDim{v.Node, v.Resource}] = owner
+		}
 	}
 	return out
 }

@@ -84,15 +84,15 @@ func (l *RecoveryLog) Max() float64 {
 }
 
 // WatchRecovery attaches an episode detector to the cluster: at every
-// simulation advance it samples the violation count and logs the 0 →
-// >0 and >0 → 0 transitions as episode boundaries. It shares the
-// advance cadence (and thus the timing resolution) of WatchLedger, so
-// the two metrics describe the same signal
-// — one as an integral, one as a distribution of repair times.
+// simulation advance it reads the violation count off the advance's
+// shared audit — the same audit WatchLedger integrates — and logs the
+// 0 → >0 and >0 → 0 transitions as episode boundaries. The two
+// metrics describe the same signal at the same timing resolution — one
+// as an integral, one as a distribution of repair times.
 func WatchRecovery(c *sim.Cluster) *RecoveryLog {
 	l := &RecoveryLog{}
-	c.OnAdvance(func() {
-		viol := len(c.Config().Violations()) + len(c.TransferViolations())
+	c.OnAdvance(func(a *sim.Audit) {
+		viol := len(a.Violations) + len(a.Transfer)
 		switch {
 		case viol > 0 && !l.Open:
 			l.Open = true

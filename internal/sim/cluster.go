@@ -61,8 +61,9 @@ type Cluster struct {
 	offline map[string]*vjob.Node
 
 	// checks run after every executed event and phase advance (see
-	// OnAdvance); the invariant checker hooks in here.
-	checks []func()
+	// OnAdvance) on the one audit computed for them all.
+	checks []func(*Audit)
+	audit  Audit
 
 	// onLoad are the load-change subscribers (see OnLoadChange); the
 	// event-driven control loop hooks in here.
@@ -80,6 +81,12 @@ type Cluster struct {
 	// scenarios use it to exercise the loop's plan-repair path.
 	FailAction func(a plan.Action) error
 
+	// Buffers reused by every step (see rates) and audit.
+	steps   []progress
+	decel   map[string]float64
+	nodes   []*vjob.Node
+	running []*vjob.VM
+
 	// telemetry
 	actionsRun map[string]int
 	localOps   int
@@ -95,6 +102,7 @@ func New(cfg *vjob.Configuration, m duration.Model) *Cluster {
 		workloads:  make(map[string]*workload),
 		ops:        make(map[*operation]bool),
 		offline:    make(map[string]*vjob.Node),
+		decel:      make(map[string]float64),
 		actionsRun: make(map[string]int),
 	}
 }
@@ -150,14 +158,17 @@ func (c *Cluster) Now() float64 { return c.now }
 // stable view must Clone it.
 func (c *Cluster) Config() *vjob.Configuration { return c.cfg }
 
-// Snapshot returns an independent copy of the configuration, the
-// monitoring view of the cluster.
+// Snapshot returns a copy of the configuration's placements and
+// states, the monitoring view of the cluster. The copy shares every
+// *VM, whose Demand the simulator writes in place as phases advance,
+// so it is not independent of later steps (ROADMAP item 16).
 func (c *Cluster) Snapshot() *vjob.Configuration { return c.cfg.Clone() }
 
 // OnAdvance registers fn to run after every executed event and after
-// every workload phase advance. Checkers use it to audit the
-// configuration at each state change of the simulation.
-func (c *Cluster) OnAdvance(fn func()) { c.checks = append(c.checks, fn) }
+// every workload phase advance, with the audit of the configuration at
+// that state change. The audit is computed once per advance and shared
+// by every subscriber: see Audit for what a subscriber may do with it.
+func (c *Cluster) OnAdvance(fn func(*Audit)) { c.checks = append(c.checks, fn) }
 
 // OnLoadChange registers fn to run whenever a workload phase advance
 // changes a VM's CPU demand or completes its workload — the
@@ -171,8 +182,12 @@ func (c *Cluster) notifyLoad(vm string) {
 }
 
 func (c *Cluster) runChecks() {
+	if len(c.checks) == 0 {
+		return
+	}
+	c.audit.compute(c)
 	for _, fn := range c.checks {
-		fn()
+		fn(&c.audit)
 	}
 }
 
@@ -362,50 +377,60 @@ func (c *Cluster) ActionCounts() map[string]int {
 // (the paper reports 21 of 28 resumes were local).
 func (c *Cluster) TransferCounts() (local, remote int) { return c.localOps, c.remoteOps }
 
+// progress is one VM's step: its workload and its rate.
+type progress struct {
+	vm *vjob.VM
+	w  *workload
+	r  float64
+}
+
 // rates computes, for every running busy unfrozen VM with work left,
 // its progress rate in work-seconds per second: the node's CPU share
-// divided by the deceleration imposed by in-flight operations.
-func (c *Cluster) rates() map[string]float64 {
-	decel := map[string]float64{}
+// divided by the deceleration imposed by in-flight operations. The
+// result is in node order, then VM-name order, and the next call
+// overwrites it.
+func (c *Cluster) rates() []progress {
+	clear(c.decel)
 	for op := range c.ops {
 		f := c.model.Deceleration(op.tr)
 		for n := range op.nodes {
-			if f > decel[n] {
-				decel[n] = f
+			if f > c.decel[n] {
+				c.decel[n] = f
 			}
 		}
 	}
-	out := make(map[string]float64)
-	for _, n := range c.cfg.Nodes() {
-		demand := 0
-		var active []*vjob.VM
-		for _, v := range c.cfg.RunningOn(n.Name) {
+	c.steps = c.steps[:0]
+	c.nodes = c.cfg.AppendNodes(c.nodes[:0])
+	for _, n := range c.nodes {
+		first, demand := len(c.steps), 0
+		c.running = c.cfg.AppendRunningOn(c.running[:0], n.Name)
+		for _, v := range c.running {
 			w, ok := c.workloads[v.Name]
 			if !ok || w.done || w.frozen {
 				continue
 			}
-			active = append(active, v)
+			c.steps = append(c.steps, progress{vm: v, w: w})
 			demand += v.CPUDemand()
 		}
 		share := 1.0
 		if cpu := n.CPU(); demand > cpu && demand > 0 {
 			share = float64(cpu) / float64(demand)
 		}
-		f := decel[n.Name]
+		f := c.decel[n.Name]
 		if f == 0 {
 			f = 1
 		}
-		for _, v := range active {
-			r := share / f
-			if v.CPUDemand() == 0 {
+		for i := first; i < len(c.steps); i++ {
+			s := &c.steps[i]
+			s.r = share / f
+			if s.vm.CPUDemand() == 0 {
 				// Communication phases elapse in real time, modulo
 				// operation deceleration.
-				r = 1 / f
+				s.r = 1 / f
 			}
-			out[v.Name] = r
 		}
 	}
-	return out
+	return c.steps
 }
 
 // Run processes events and workload progress until the virtual clock
@@ -417,17 +442,16 @@ func (c *Cluster) Run(until float64) {
 	c.runChecks()
 	const eps = 1e-9
 	for c.now < until-eps {
-		rates := c.rates()
+		steps := c.rates()
 		xrates := c.transferRates()
 		tEvent := math.Inf(1)
 		if len(c.queue) > 0 {
 			tEvent = c.queue[0].at
 		}
 		tPhase := math.Inf(1)
-		for vm, r := range rates {
-			w := c.workloads[vm]
-			if r > 0 {
-				if t := c.now + w.remaining/r; t < tPhase {
+		for _, s := range steps {
+			if s.r > 0 {
+				if t := c.now + s.w.remaining/s.r; t < tPhase {
 					tPhase = t
 				}
 			}
@@ -449,22 +473,18 @@ func (c *Cluster) Run(until float64) {
 		// Advance progress to t.
 		dt := t - c.now
 		if dt > 0 {
-			for vm, r := range rates {
-				c.workloads[vm].remaining -= dt * r
+			for _, s := range steps {
+				s.w.remaining -= dt * s.r
 			}
 			for _, op := range c.xfers {
 				op.xfer.advance(dt, xrates[op])
 			}
 			c.now = t
 		}
-		// Phase completions due now.
-		for vm, r := range rates {
-			if r <= 0 {
-				continue
-			}
-			w := c.workloads[vm]
-			if w.remaining <= eps {
-				c.advancePhase(vm, w)
+		// Phase completions due now, in node order, then VM-name order.
+		for _, s := range steps {
+			if s.r > 0 && s.w.remaining <= eps {
+				c.advancePhase(s.vm.Name, s.w)
 				c.runChecks()
 			}
 		}

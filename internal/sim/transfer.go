@@ -128,7 +128,6 @@ func (c *Cluster) transferRates() map[*operation]float64 {
 	if len(c.xfers) == 0 {
 		return nil
 	}
-	free := c.cfg.FreeResources()
 	count := make(map[string]int)
 	for _, op := range c.xfers {
 		for _, ep := range op.xfer.endpoints {
@@ -139,11 +138,10 @@ func (c *Cluster) transferRates() map[*operation]float64 {
 	for _, op := range c.xfers {
 		rate := op.xfer.spec.NominalMbps
 		for _, ep := range op.xfer.endpoints {
-			f, ok := free[ep]
-			if !ok {
+			if c.cfg.Node(ep) == nil {
 				continue // node went offline mid-transfer
 			}
-			share := float64(f.Get(resources.NetBW)) / float64(count[ep])
+			share := float64(c.cfg.Free(ep).Get(resources.NetBW)) / float64(count[ep])
 			if share < rate {
 				rate = share
 			}
@@ -188,7 +186,6 @@ func (c *Cluster) TransferViolations() []vjob.Violation {
 	if len(demands) == 0 {
 		return nil
 	}
-	free := c.cfg.FreeResources()
 	nodes := make([]string, 0, len(demands))
 	for n := range demands {
 		nodes = append(nodes, n)
@@ -201,7 +198,7 @@ func (c *Cluster) TransferViolations() []vjob.Violation {
 			continue
 		}
 		nic := n.Capacity.Get(resources.NetBW)
-		residual := free[name].Get(resources.NetBW)
+		residual := c.cfg.Free(name).Get(resources.NetBW)
 		if residual >= 0 && demands[name] > residual {
 			out = append(out, vjob.Violation{
 				Node:     name,

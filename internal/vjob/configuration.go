@@ -155,11 +155,16 @@ func (c *Configuration) VM(name string) *VM { return c.vms[name] }
 
 // Nodes returns the nodes in deterministic (name) order.
 func (c *Configuration) Nodes() []*Node {
-	out := make([]*Node, 0, len(c.nodeOrder))
+	return c.AppendNodes(make([]*Node, 0, len(c.nodeOrder)))
+}
+
+// AppendNodes appends the nodes to dst in name order, so a caller that
+// reuses dst walks the cluster without allocating.
+func (c *Configuration) AppendNodes(dst []*Node) []*Node {
 	for _, n := range c.nodeOrder {
-		out = append(out, c.nodes[n])
+		dst = append(dst, c.nodes[n])
 	}
-	return out
+	return dst
 }
 
 // VMs returns the VMs in deterministic (name) order.
@@ -247,19 +252,37 @@ func (c *Configuration) ImageHostOf(vm string) string {
 func (c *Configuration) LocationOf(vm string) string { return c.slots[vm].node }
 
 // RunningOn returns the VMs running on the named node, in name order.
-func (c *Configuration) RunningOn(node string) []*VM { return c.placedOn(node, Running) }
+func (c *Configuration) RunningOn(node string) []*VM { return c.placedOn(nil, node, Running) }
+
+// AppendRunningOn appends RunningOn(node) to dst.
+func (c *Configuration) AppendRunningOn(dst []*VM, node string) []*VM {
+	return c.placedOn(dst, node, Running)
+}
 
 // SleepingOn returns the VMs whose suspended image lies on the node.
-func (c *Configuration) SleepingOn(node string) []*VM { return c.placedOn(node, Sleeping) }
+func (c *Configuration) SleepingOn(node string) []*VM { return c.placedOn(nil, node, Sleeping) }
 
-func (c *Configuration) placedOn(node string, s State) []*VM {
-	var out []*VM
+func (c *Configuration) placedOn(dst []*VM, node string, s State) []*VM {
 	for _, v := range c.on[node] {
 		if c.slots[v.Name].state == s {
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
+}
+
+// AppendDangling appends to dst, in name order, the VMs whose location
+// (LocationOf) names a node absent from the configuration. It reads the
+// index's node keys, not every VM.
+func (c *Configuration) AppendDangling(dst []*VM) []*VM {
+	start := len(dst)
+	for node, held := range c.on {
+		if _, ok := c.nodes[node]; !ok {
+			dst = append(dst, held...)
+		}
+	}
+	slices.SortFunc(dst[start:], func(a, b *VM) int { return strings.Compare(a.Name, b.Name) })
+	return dst
 }
 
 // InState returns the VMs currently in the given state, in name order.

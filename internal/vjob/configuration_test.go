@@ -576,3 +576,33 @@ func TestFreeResourcesMultiDimension(t *testing.T) {
 		t.Fatalf("Free = %s, want 3 CPU and 7168 MiB", got)
 	}
 }
+
+// TestAppendDangling: placements naming a node the configuration no
+// longer holds (RemoveNode refuses to leave one behind, so the test
+// drops the nodes behind its back) come from the index's keys, in name
+// order, after what dst already held.
+func TestAppendDangling(t *testing.T) {
+	c := newTestConfig()
+	for _, v := range []string{"b", "a", "c", "d"} {
+		c.AddVM(NewVM(v, "j", 0, 0))
+	}
+	for _, err := range []error{c.SetRunning("b", "n1"), c.SetSleeping("a", "n2"), c.SetRunning("c", "n1"), c.SetRunning("d", "n3")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.AppendDangling(nil); len(got) != 0 {
+		t.Fatalf("dangling placements on a consistent configuration: %v", got)
+	}
+	delete(c.nodes, "n1")
+	delete(c.nodes, "n2")
+	c.nodeOrder = []string{"n3"}
+	d := c.VM("d")
+	var names []string
+	for _, v := range c.AppendDangling([]*VM{d}) {
+		names = append(names, v.Name)
+	}
+	if got := fmt.Sprint(names); got != "[d a b c]" {
+		t.Fatalf("AppendDangling = %s, want [d a b c]", got)
+	}
+}

@@ -216,6 +216,17 @@ func (r *scanConfig) inState(s State) []*VM {
 	return out
 }
 
+// dangling walks every VM for a location that names no node.
+func (r *scanConfig) dangling() []*VM {
+	var out []*VM
+	for _, name := range r.vmOrder {
+		if loc := r.placement[name]; loc != "" && r.nodes[loc] == nil {
+			out = append(out, r.vms[name])
+		}
+	}
+	return out
+}
+
 func (r *scanConfig) used(node string) resources.Vector {
 	var sum resources.Vector
 	for _, v := range r.placedOn(node, Running) {
@@ -311,6 +322,10 @@ func agree(t *testing.T, c *Configuration, r *scanConfig) {
 		if got, want := c.SleepingOn(n), r.placedOn(n, Sleeping); !slices.Equal(got, want) {
 			fail("SleepingOn("+n+")", got, want)
 		}
+		prefix := []*VM{{Name: "prefix"}}
+		if got, want := c.AppendRunningOn(prefix, n), append(prefix, r.placedOn(n, Running)...); !slices.Equal(got, want) {
+			fail("AppendRunningOn("+n+")", got, want)
+		}
 		if got, want := c.Used(n), r.used(n); got != want {
 			fail("Used("+n+")", got, want)
 		}
@@ -335,6 +350,12 @@ func agree(t *testing.T, c *Configuration, r *scanConfig) {
 		if got, want := c.LocationOf(v), r.placement[v]; got != want {
 			fail("LocationOf("+v+")", got, want)
 		}
+	}
+	if got, want := c.AppendNodes(nil), c.Nodes(); !slices.Equal(got, want) {
+		fail("AppendNodes", got, want)
+	}
+	if got, want := c.AppendDangling(nil), r.dangling(); !slices.Equal(got, want) {
+		fail("AppendDangling", got, want)
 	}
 	if got, want := c.FreeResources(), r.freeResources(); !reflect.DeepEqual(got, want) {
 		fail("FreeResources", got, want)
