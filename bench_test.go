@@ -1,6 +1,5 @@
 // Package cwcs's root benchmarks regenerate every table and figure of
-// the paper's evaluation (see DESIGN.md §3 for the experiment index)
-// plus the ablations of the design choices DESIGN.md §4 calls out.
+// the paper's evaluation (see DESIGN.md §3 for the experiment index).
 // Benchmarks run reduced workloads by default so `go test -bench=.`
 // finishes in minutes; cmd/experiments reproduces the full-scale
 // sweeps.
@@ -13,12 +12,10 @@ import (
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/duration"
 	"cwcs/internal/experiments"
 	"cwcs/internal/plan"
 	"cwcs/internal/resources"
 	"cwcs/internal/sched"
-	"cwcs/internal/sim"
 	"cwcs/internal/vjob"
 	"cwcs/internal/workload"
 )
@@ -179,7 +176,7 @@ func BenchmarkFig12FCFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchClusterOpts()
 		o.PinRunning = true
-		res = experiments.RunCluster(sched.StaticFCFS{ReserveFullCPU: true}, o)
+		res = experiments.RunCluster(sched.StaticFCFS{}, o)
 	}
 	b.ReportMetric(res.Completion, "completion-s")
 }
@@ -200,12 +197,12 @@ func BenchmarkFig13Consolidation(b *testing.B) {
 // --- Portfolio scaling (DESIGN.md §2) ---
 
 // BenchmarkPortfolioWorkers races the parallel portfolio against the
-// sequential search on the §5.1-style context-switch instance the
-// ablations use: one sub-benchmark per worker count. On multi-core
-// hardware the wider portfolios finish the optimality proof in less
-// wall-clock time (or find an equally cheap plan within the same
-// budget); on a single core they fall back to time-slicing the same
-// search effort.
+// sequential search on the §5.1-style context-switch instance of
+// BenchmarkFig11ContextSwitch: one sub-benchmark per worker count. On
+// multi-core hardware the wider portfolios finish the optimality proof
+// in less wall-clock time (or find an equally cheap plan within the
+// same budget); on a single core they fall back to time-slicing the
+// same search effort.
 func BenchmarkPortfolioWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -282,46 +279,17 @@ func boolMetric(v bool) float64 {
 	return 0
 }
 
-// --- Ablations (DESIGN.md §4) ---
-//
-// All ablations pin Workers to 1: with the default GOMAXPROCS-wide
-// portfolio, sibling workers would re-enable the very heuristics an
-// ablation disables and the comparison would measure the portfolio,
-// not the knob. BenchmarkPortfolioWorkers is the parallel measurement.
-
-// BenchmarkAblationNoBound disables the plan-cost lower-bound
-// propagator: the solver enumerates viable configurations without
-// guidance.
-func BenchmarkAblationNoBound(b *testing.B) {
-	benchOptimizer(b, core.Optimizer{DisableCostBound: true, Timeout: 2 * time.Second, Workers: 1})
-}
-
-// BenchmarkAblationNaiveOrdering disables first-fail and
-// prefer-current-host.
-func BenchmarkAblationNaiveOrdering(b *testing.B) {
-	benchOptimizer(b, core.Optimizer{NaiveOrdering: true, Timeout: 2 * time.Second, Workers: 1})
-}
-
-// BenchmarkAblationKnapsack enables the DP subset-sum pruning.
-func BenchmarkAblationKnapsack(b *testing.B) {
-	benchOptimizer(b, core.Optimizer{UseKnapsack: true, Timeout: 2 * time.Second, Workers: 1})
-}
-
-// BenchmarkAblationBaseline is the paper's configuration, for
-// comparing the ablations against.
-func BenchmarkAblationBaseline(b *testing.B) {
-	benchOptimizer(b, core.Optimizer{Timeout: 2 * time.Second, Workers: 1})
-}
-
+// benchOptimizer solves the fig11 instance b.N times under o and
+// reports the share solved within the budget, the last plan's cost and
+// its search nodes.
 func benchOptimizer(b *testing.B, o core.Optimizer) {
 	var res *core.Result
 	solved := 0
 	for i := 0; i < b.N; i++ {
 		r, err := o.Solve(fig11Problem(7))
 		if err != nil {
-			// Failing to solve within the budget IS the ablation's
-			// finding (e.g. naive ordering may time out); record it
-			// rather than aborting the comparison.
+			// A budget too small to solve within is a finding of the
+			// comparison: record it rather than aborting.
 			continue
 		}
 		solved++
@@ -331,72 +299,5 @@ func benchOptimizer(b *testing.B, o core.Optimizer) {
 	if res != nil {
 		b.ReportMetric(float64(res.Cost), "plan-cost")
 		b.ReportMetric(float64(res.Nodes), "search-nodes")
-	}
-}
-
-// BenchmarkAblationVJobGrouping measures the §4.1 consistency pass: a
-// plan with grouped vjob resumes versus the raw pool construction.
-func BenchmarkAblationVJobGrouping(b *testing.B) {
-	for name, builder := range map[string]plan.Builder{
-		"grouped":   {},
-		"ungrouped": {DisableVJobGrouping: true},
-	} {
-		b.Run(name, func(b *testing.B) {
-			p := fig11Problem(11)
-			g, err := plan.BuildGraph(p.Src, mustSolve(b, p).Dst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pl *plan.Plan
-			for i := 0; i < b.N; i++ {
-				pl, err = builder.Plan(g)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(pl.Cost()), "plan-cost")
-			b.ReportMetric(float64(len(pl.Pools)), "pools")
-		})
-	}
-}
-
-func mustSolve(b *testing.B, p core.Problem) *core.Result {
-	b.Helper()
-	r, err := core.Optimizer{Timeout: 2 * time.Second, Workers: 1}.Solve(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return r
-}
-
-// BenchmarkAblationSuspendToRAM compares the §7 future-work
-// suspend-to-RAM variant with the disk-based default: the same
-// suspend+resume round-trip in the simulator.
-func BenchmarkAblationSuspendToRAM(b *testing.B) {
-	for _, ram := range []bool{false, true} {
-		name := "disk"
-		if ram {
-			name = "ram"
-		}
-		b.Run(name, func(b *testing.B) {
-			var elapsed float64
-			for i := 0; i < b.N; i++ {
-				cfg := vjob.NewConfiguration()
-				cfg.AddNode(vjob.NewNode("n1", 2, 4096))
-				vm := vjob.NewVM("vm", "j", 1, 2048)
-				cfg.AddVM(vm)
-				if err := cfg.SetRunning("vm", "n1"); err != nil {
-					b.Fatal(err)
-				}
-				c := sim.New(cfg, duration.Default())
-				c.SuspendToRAM = ram
-				c.StartAction(&plan.Suspend{Machine: vm, On: "n1", To: "n1"}, func(error) {
-					c.StartAction(&plan.Resume{Machine: vm, From: "n1", On: "n1"}, nil)
-				})
-				c.Run(10_000)
-				elapsed = c.Now()
-			}
-			b.ReportMetric(elapsed, "roundtrip-s")
-		})
 	}
 }

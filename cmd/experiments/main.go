@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -42,15 +43,22 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
 	// The CLI is subcommand-first, so -version must be caught before
 	// subcommand dispatch rejects it as an unknown command.
-	if cmd == "version" || cmd == "-version" || cmd == "--version" {
+	if cmd := os.Args[1]; cmd == "version" || cmd == "-version" || cmd == "--version" {
 		info := obs.BuildInfo()
 		fmt.Printf("experiments %s %s\n", info.Version, info.GoVersion)
 		return
 	}
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	os.Exit(run(os.Args[1:], os.Stdout, studies))
+}
+
+// run executes one subcommand — a study of the list, or "all" for
+// every study in list order — printing its tables to out, and returns
+// the exit status.
+func run(args []string, out io.Writer, list []study) int {
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced samples/budgets for a fast run")
 	seed := fs.Int64("seed", 42, "workload seed")
 	// Defaults to sequential: the portfolio race's outcome depends on
@@ -65,133 +73,174 @@ func main() {
 	traceName := fs.String("trace", "web-tide", "committed sample trace the chaos replay cell feeds the loop")
 	scenarios := fs.String("scenario", "", "comma-separated chaos cells to run (default: all; see experiments chaos -quick)")
 	traceOut := fs.String("trace-out", "", "write the span stream of churn/chaos runs to this JSONL file (load with /v1/trace tooling or Perfetto)")
-	_ = fs.Parse(os.Args[2:])
-	figParts := *partitions
-	if figParts < 0 {
-		figParts = 1
+	if err := fs.Parse(args[1:]); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	studyParts := *partitions
-	if studyParts < 0 {
-		studyParts = 0
-	}
-
-	switch cmd {
-	case "fig1":
-		fmt.Print(experiments.Fig1())
-	case "table1":
-		fmt.Print(experiments.Table1(1024))
-	case "fig3":
-		rows := experiments.Fig3(512, 1024, 2048)
-		fmt.Print(experiments.Fig3Table(rows))
-		writeCSV(*csvDir, "fig3.csv", experiments.Fig3CSV(rows))
-	case "fig10":
-		rows := experiments.Fig10(fig10Options(*quick, *seed, *workers, figParts))
-		fmt.Print(experiments.Fig10Table(rows))
-		writeCSV(*csvDir, "fig10.csv", experiments.Fig10CSV(rows))
-	case "fig11":
-		_, ent := clusterRuns(*quick, *seed, *workers, figParts, false)
-		fmt.Print(experiments.Fig11Table(ent))
-		writeCSV(*csvDir, "fig11.csv", experiments.Fig11CSV(ent))
-	case "fig12":
-		fcfs, _ := clusterRuns(*quick, *seed, *workers, figParts, true)
-		fmt.Println("Figure 12 — allocation diagram, static FCFS scheduler")
-		fmt.Print(fcfs.Gantt.Render(72))
-	case "fig13":
-		fcfs, ent := clusterRuns(*quick, *seed, *workers, figParts, false)
-		fmt.Print(experiments.Fig13Table(fcfs, ent))
-		writeCSV(*csvDir, "fig13.csv", experiments.Fig13CSV(fcfs, ent))
-	case "partition":
-		rows := experiments.PartitionStudy(partitionOptions(*quick, *seed, *workers, studyParts))
-		fmt.Print(experiments.PartitionTable(rows))
-		writeCSV(*csvDir, "partition.csv", experiments.PartitionCSV(rows))
-	case "churn":
-		co := churnOptions(*quick, *seed, *workers, studyParts)
-		co.CollectSpans = *traceOut != ""
-		rows := experiments.ChurnStudy(co)
-		fmt.Print(experiments.ChurnTable(rows))
-		for _, r := range rows {
-			printAttribution(r.Mode, r.Ledger)
-		}
-		writeCSV(*csvDir, "churn.csv", experiments.ChurnCSV(rows))
-		var spans []obs.SpanRecord
-		for _, r := range rows {
-			spans = append(spans, r.Spans...)
-		}
-		writeTrace(*traceOut, spans)
-	case "repairstorm":
-		rows := experiments.RepairStormStudy(repairStormOptions(*quick, *seed, *workers, studyParts))
-		fmt.Print(experiments.RepairStormTable(rows))
-		writeCSV(*csvDir, "repairstorm.csv", experiments.RepairStormCSV(rows))
-	case "drain":
-		r := experiments.RunDrain(drainOptions(*quick, *seed, *workers, studyParts))
-		fmt.Print(experiments.DrainTable(r))
-		writeCSV(*csvDir, "drain.csv", experiments.DrainCSV(r))
-	case "multires":
-		r := experiments.RunMultiRes(multiresOptions(*quick, *seed, *workers, studyParts))
-		fmt.Print(experiments.MultiResTable(r))
-		writeCSV(*csvDir, "multires.csv", experiments.MultiResCSV(r))
-	case "migration":
-		r := experiments.RunMigration(migrationOptions(*quick, *seed, *workers, studyParts))
-		fmt.Print(experiments.MigrationTable(r))
-		writeCSV(*csvDir, "migration.csv", experiments.MigrationCSV(r))
-	case "chaos":
-		co := chaosOptions(*quick, *seed, *workers, studyParts, *traceName)
-		co.CollectSpans = *traceOut != ""
-		if *scenarios != "" {
-			co.Scenarios = strings.Split(*scenarios, ",")
-			for _, s := range co.Scenarios {
-				if !knownScenario(s) {
-					fmt.Fprintf(os.Stderr, "experiments: unknown chaos scenario %q (have %s)\n",
-						s, strings.Join(experiments.ChaosScenarios(), ", "))
-					os.Exit(2)
-				}
+	todo := list
+	if cmd != "all" {
+		todo = nil
+		for _, st := range list {
+			if st.name == cmd {
+				todo = []study{st}
 			}
 		}
-		rows := experiments.ChaosStudy(co)
-		fmt.Print(experiments.ChaosTable(rows))
-		for _, r := range rows {
-			printAttribution(r.Scenario, r.Ledger)
+		if todo == nil {
+			usage()
+			return 2
 		}
-		writeCSV(*csvDir, "chaos.csv", experiments.ChaosCSV(rows))
-		var spans []obs.SpanRecord
-		for _, r := range rows {
-			spans = append(spans, r.Spans...)
-		}
-		writeTrace(*traceOut, spans)
-	case "all":
-		fmt.Print(experiments.Fig1())
-		fmt.Println()
-		fmt.Print(experiments.Table1(1024))
-		fmt.Println()
-		fmt.Print(experiments.Fig3Table(experiments.Fig3(512, 1024, 2048)))
-		fmt.Println()
-		fmt.Print(experiments.Fig10Table(experiments.Fig10(fig10Options(*quick, *seed, *workers, figParts))))
-		fmt.Println()
-		fcfs, ent := clusterRuns(*quick, *seed, *workers, figParts, false)
-		fmt.Print(experiments.Fig11Table(ent))
-		fmt.Println()
-		fmt.Println("Figure 12 — allocation diagram, static FCFS scheduler")
-		fmt.Print(fcfs.Gantt.Render(72))
-		fmt.Println()
-		fmt.Print(experiments.Fig13Table(fcfs, ent))
-		fmt.Println()
-		fmt.Print(experiments.PartitionTable(experiments.PartitionStudy(partitionOptions(*quick, *seed, *workers, studyParts))))
-		fmt.Println()
-		fmt.Print(experiments.ChurnTable(experiments.ChurnStudy(churnOptions(*quick, *seed, *workers, studyParts))))
-		fmt.Println()
-		fmt.Print(experiments.RepairStormTable(experiments.RepairStormStudy(repairStormOptions(*quick, *seed, *workers, studyParts))))
-		fmt.Println()
-		fmt.Print(experiments.DrainTable(experiments.RunDrain(drainOptions(*quick, *seed, *workers, studyParts))))
-		fmt.Println()
-		fmt.Print(experiments.MultiResTable(experiments.RunMultiRes(multiresOptions(*quick, *seed, *workers, studyParts))))
-		fmt.Println()
-		fmt.Print(experiments.MigrationTable(experiments.RunMigration(migrationOptions(*quick, *seed, *workers, studyParts))))
-		fmt.Println()
-		fmt.Print(experiments.ChaosTable(experiments.ChaosStudy(chaosOptions(*quick, *seed, *workers, studyParts, *traceName))))
-	default:
-		usage()
-		os.Exit(2)
 	}
+	e := &env{
+		out: out, quick: *quick, seed: *seed, workers: *workers,
+		figParts: *partitions, studyParts: *partitions,
+		csvDir: *csvDir, traceName: *traceName, traceOut: *traceOut,
+	}
+	if e.figParts < 0 {
+		e.figParts = 1
+	}
+	if e.studyParts < 0 {
+		e.studyParts = 0
+	}
+	if *scenarios != "" {
+		e.scenarios = strings.Split(*scenarios, ",")
+		for _, s := range e.scenarios {
+			if !knownScenario(s) {
+				fmt.Fprintf(os.Stderr, "experiments: unknown chaos scenario %q (have %s)\n",
+					s, strings.Join(experiments.ChaosScenarios(), ", "))
+				return 2
+			}
+		}
+	}
+	for i, st := range todo {
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		st.run(e)
+	}
+	if e.traced {
+		writeTrace(e.traceOut, e.spans)
+	}
+	return 0
+}
+
+// env is what every study reads: the parsed flags, the output, and
+// what studies share or collect across one invocation.
+type env struct {
+	out                  io.Writer
+	quick                bool
+	seed                 int64
+	workers              int
+	figParts, studyParts int
+	csvDir               string
+	traceName, traceOut  string
+	scenarios            []string
+
+	pair   *[2]experiments.ClusterResult // the §5.2 FCFS and Entropy runs
+	traced bool                          // a study collected spans
+	spans  []obs.SpanRecord
+}
+
+// cluster returns the §5.2 runs, run once per invocation: fig11, fig12
+// and fig13 share them. fcfsOnly skips the Entropy run when nothing
+// has run the pair yet.
+func (e *env) cluster(fcfsOnly bool) (fcfs, entropy experiments.ClusterResult) {
+	if e.pair == nil {
+		fcfs, entropy = clusterRuns(e.quick, e.seed, e.workers, e.figParts, fcfsOnly)
+		if fcfsOnly {
+			return fcfs, entropy
+		}
+		e.pair = &[2]experiments.ClusterResult{fcfs, entropy}
+	}
+	return e.pair[0], e.pair[1]
+}
+
+// study is one subcommand: a table or figure, printed to env.out and
+// written to its CSV when -csv was given.
+type study struct {
+	name string
+	run  func(e *env)
+}
+
+// studies are the subcommands, in the order "all" runs them.
+var studies = []study{
+	{"fig1", func(e *env) { fmt.Fprint(e.out, experiments.Fig1()) }},
+	{"table1", func(e *env) { fmt.Fprint(e.out, experiments.Table1(1024)) }},
+	{"fig3", func(e *env) {
+		rows := experiments.Fig3(512, 1024, 2048)
+		fmt.Fprint(e.out, experiments.Fig3Table(rows))
+		writeCSV(e.csvDir, "fig3.csv", experiments.Fig3CSV(rows))
+	}},
+	{"fig10", func(e *env) {
+		rows := experiments.Fig10(fig10Options(e.quick, e.seed, e.workers, e.figParts))
+		fmt.Fprint(e.out, experiments.Fig10Table(rows))
+		writeCSV(e.csvDir, "fig10.csv", experiments.Fig10CSV(rows))
+	}},
+	{"fig11", func(e *env) {
+		_, ent := e.cluster(false)
+		fmt.Fprint(e.out, experiments.Fig11Table(ent))
+		writeCSV(e.csvDir, "fig11.csv", experiments.Fig11CSV(ent))
+	}},
+	{"fig12", func(e *env) {
+		fcfs, _ := e.cluster(true)
+		fmt.Fprintln(e.out, "Figure 12 — allocation diagram, static FCFS scheduler")
+		fmt.Fprint(e.out, fcfs.Gantt.Render(72))
+	}},
+	{"fig13", func(e *env) {
+		fcfs, ent := e.cluster(false)
+		fmt.Fprint(e.out, experiments.Fig13Table(fcfs, ent))
+		writeCSV(e.csvDir, "fig13.csv", experiments.Fig13CSV(fcfs, ent))
+	}},
+	{"partition", func(e *env) {
+		rows := experiments.PartitionStudy(partitionOptions(e.quick, e.seed, e.workers, e.studyParts))
+		fmt.Fprint(e.out, experiments.PartitionTable(rows))
+		writeCSV(e.csvDir, "partition.csv", experiments.PartitionCSV(rows))
+	}},
+	{"churn", func(e *env) {
+		co := churnOptions(e.quick, e.seed, e.workers, e.studyParts)
+		co.CollectSpans = e.traceOut != ""
+		rows := experiments.ChurnStudy(co)
+		fmt.Fprint(e.out, experiments.ChurnTable(rows))
+		for _, r := range rows {
+			printAttribution(e.out, r.Mode, r.Ledger)
+			e.spans = append(e.spans, r.Spans...)
+		}
+		e.traced = true
+		writeCSV(e.csvDir, "churn.csv", experiments.ChurnCSV(rows))
+	}},
+	{"repairstorm", func(e *env) {
+		rows := experiments.RepairStormStudy(repairStormOptions(e.quick, e.seed, e.workers, e.studyParts))
+		fmt.Fprint(e.out, experiments.RepairStormTable(rows))
+		writeCSV(e.csvDir, "repairstorm.csv", experiments.RepairStormCSV(rows))
+	}},
+	{"drain", func(e *env) {
+		r := experiments.RunDrain(drainOptions(e.quick, e.seed, e.workers, e.studyParts))
+		fmt.Fprint(e.out, experiments.DrainTable(r))
+		writeCSV(e.csvDir, "drain.csv", experiments.DrainCSV(r))
+	}},
+	{"multires", func(e *env) {
+		r := experiments.RunMultiRes(multiresOptions(e.quick, e.seed, e.workers, e.studyParts))
+		fmt.Fprint(e.out, experiments.MultiResTable(r))
+		writeCSV(e.csvDir, "multires.csv", experiments.MultiResCSV(r))
+	}},
+	{"migration", func(e *env) {
+		r := experiments.RunMigration(migrationOptions(e.quick, e.seed, e.workers, e.studyParts))
+		fmt.Fprint(e.out, experiments.MigrationTable(r))
+		writeCSV(e.csvDir, "migration.csv", experiments.MigrationCSV(r))
+	}},
+	{"chaos", func(e *env) {
+		co := chaosOptions(e.quick, e.seed, e.workers, e.studyParts, e.traceName)
+		co.CollectSpans = e.traceOut != ""
+		co.Scenarios = e.scenarios
+		rows := experiments.ChaosStudy(co)
+		fmt.Fprint(e.out, experiments.ChaosTable(rows))
+		for _, r := range rows {
+			printAttribution(e.out, r.Scenario, r.Ledger)
+			e.spans = append(e.spans, r.Spans...)
+		}
+		e.traced = true
+		writeCSV(e.csvDir, "chaos.csv", experiments.ChaosCSV(rows))
+	}},
 }
 
 func fig10Options(quick bool, seed int64, workers, partitions int) experiments.Fig10Options {
@@ -351,7 +400,7 @@ func clusterRuns(quick bool, seed int64, workers, partitions int, fcfsOnly bool)
 	}
 	fopts := opts
 	fopts.PinRunning = true // a static RMS never migrates
-	fcfs = experiments.RunCluster(sched.StaticFCFS{ReserveFullCPU: true}, fopts)
+	fcfs = experiments.RunCluster(sched.StaticFCFS{}, fopts)
 	if !fcfsOnly {
 		entropy = experiments.RunCluster(sched.Consolidation{}, opts)
 	}
@@ -381,27 +430,27 @@ func writeTrace(path string, spans []obs.SpanRecord) {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", path, len(spans))
 }
 
-// writeCSV stores content under dir when -csv was given.
 // printAttribution is the CLI mirror of GET /v1/violations: one line
 // per study row naming who absorbed the violation exposure. Silent
 // for clean runs.
-func printAttribution(label string, led *monitor.Ledger) {
+func printAttribution(out io.Writer, label string, led *monitor.Ledger) {
 	if led == nil || led.Total() == 0 {
 		return
 	}
-	fmt.Printf("%-13s top violators:", label)
+	fmt.Fprintf(out, "%-13s top violators:", label)
 	for _, s := range led.TopVJobs(3) {
-		fmt.Printf(" vjob %s=%.0fs", s.VJob, s.Seconds)
+		fmt.Fprintf(out, " vjob %s=%.0fs", s.VJob, s.Seconds)
 	}
 	for _, s := range led.TopNodes(3) {
-		fmt.Printf(" node %s=%.0fs", s.Node, s.Seconds)
+		fmt.Fprintf(out, " node %s=%.0fs", s.Node, s.Seconds)
 	}
 	if rb := led.RuleBreachSeconds(); rb > 0 {
-		fmt.Printf(" rule-breach=%.0fs", rb)
+		fmt.Fprintf(out, " rule-breach=%.0fs", rb)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }
 
+// writeCSV stores content under dir when -csv was given.
 func writeCSV(dir, name, content string) {
 	if dir == "" {
 		return

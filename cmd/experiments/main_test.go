@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -128,5 +131,48 @@ func TestMigrationOptionsCLI(t *testing.T) {
 	quick := migrationOptions(true, 5, 1, 0)
 	if quick.Nodes >= full.Nodes || quick.Timeout >= full.Timeout || quick.Racks >= full.Racks {
 		t.Fatalf("quick options not reduced: %+v", quick)
+	}
+}
+
+// TestAllWritesWhatTheSubcommandsWrite: "all" runs every study through
+// its subcommand's code, so it writes the same CSV files, the span
+// stream of the churn and chaos studies and their attribution lines.
+// The two slow sweeps (fig10, partition) are left out to keep the
+// test short.
+func TestAllWritesWhatTheSubcommandsWrite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every reduced study")
+	}
+	list := slices.DeleteFunc(slices.Clone(studies), func(st study) bool {
+		return st.name == "fig10" || st.name == "partition"
+	})
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "spans.jsonl")
+	var out bytes.Buffer
+	if code := run([]string{"all", "-quick", "-csv", dir, "-trace-out", trace}, &out, list); code != 0 {
+		t.Fatalf("exit status %d", code)
+	}
+	for _, name := range []string{"fig3", "fig11", "fig13", "churn", "repairstorm", "drain", "multires", "migration", "chaos"} {
+		if _, err := os.Stat(filepath.Join(dir, name+".csv")); err != nil {
+			t.Errorf("%s.csv not written: %v", name, err)
+		}
+	}
+	if fi, err := os.Stat(trace); err != nil || fi.Size() == 0 {
+		t.Errorf("span stream not written: %v", err)
+	}
+	for _, label := range []string{"event-driven  top violators:", "baseline      top violators:"} {
+		if !strings.Contains(out.String(), label) {
+			t.Errorf("attribution line %q missing", label)
+		}
+	}
+	if !strings.Contains(out.String(), "Figure 12 — allocation diagram") {
+		t.Error("fig12 missing")
+	}
+}
+
+func TestRunRejectsUnknownStudy(t *testing.T) {
+	var out bytes.Buffer
+	if code := run([]string{"fig99"}, &out, studies); code != 2 {
+		t.Fatalf("exit status %d, want 2", code)
 	}
 }

@@ -24,7 +24,7 @@ func main() {
 	fmt.Println("running the static FCFS baseline...")
 	fopts := opts
 	fopts.PinRunning = true // a static RMS never migrates
-	fcfs := experiments.RunCluster(sched.StaticFCFS{ReserveFullCPU: true}, fopts)
+	fcfs := experiments.RunCluster(sched.StaticFCFS{}, fopts)
 
 	fmt.Println("running Entropy's dynamic consolidation...")
 	entropy := experiments.RunCluster(sched.Consolidation{}, opts)

@@ -207,8 +207,8 @@ func toFixpoint(s *cp.Solver) error {
 // solver has opened Nodes search nodes. It is the benchmark's node
 // budget (bench/nodebudget.go), restated here so that a change to cp
 // or core that breaks what it rides on fails in this package. Like the
-// benchmark's, it is a ScopedRule covering its one VM, so a
-// partitioned solve hands every slice model the whole budget.
+// benchmark's, its scope is its one VM, so a partitioned solve hands
+// every slice model the whole budget.
 type searchBudget struct {
 	VM    string
 	Nodes int64
@@ -294,7 +294,7 @@ func TestCostBoundAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Optimizer{}.buildModel(Problem{Src: p.Src, Target: p.Target}, c, Optimizer{}.baseStrategy())
+	m, err := buildModel(Problem{Src: p.Src, Target: p.Target}, c, baseStrategy)
 	if err != nil {
 		t.Fatal(err)
 	}

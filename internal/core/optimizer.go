@@ -58,19 +58,9 @@ type Optimizer struct {
 	// restarts) and all workers share the incumbent bound, so the fixed
 	// time budget buys more explored nodes on multi-core hardware. Zero
 	// defaults to runtime.GOMAXPROCS(0); 1 is the sequential search — a
-	// lineup of the configured strategy alone, on the caller's
+	// lineup of the paper's strategy alone, on the caller's
 	// goroutine, deterministic for a given problem.
 	Workers int
-	// UseKnapsack enables the DP subset-sum bound inside the packing
-	// constraints (slower per node, stronger pruning).
-	UseKnapsack bool
-	// DisableCostBound drops the plan-cost lower-bound propagator, so
-	// the search degenerates to first-viable-solution enumeration
-	// (ablation).
-	DisableCostBound bool
-	// NaiveOrdering disables first-fail and prefer-current-host
-	// (ablation).
-	NaiveOrdering bool
 	// PinRunning forbids migrating VMs that are already running: each
 	// keeps its current host. This models a static RMS (the §5.2 FCFS
 	// baseline never moves a placed job) and is also a useful
@@ -105,37 +95,29 @@ type searchStrategy struct {
 	useKnapsack bool
 }
 
-// baseStrategy is the configuration the Optimizer's own flags ask for.
-func (o Optimizer) baseStrategy() searchStrategy {
-	return searchStrategy{
-		Strategy:    cp.Strategy{Label: "base", FirstFail: !o.NaiveOrdering, PreferValue: !o.NaiveOrdering},
-		useKnapsack: o.UseKnapsack,
-	}
-}
+// baseStrategy is the paper's configuration: first-fail and
+// prefer-current-host, no knapsack bound.
+var baseStrategy = searchStrategy{Strategy: cp.Strategy{Label: "base", FirstFail: true, PreferValue: true}}
 
-// strategies builds the diverse portfolio lineup: the configured
+// strategies builds the diverse portfolio lineup: the paper's
 // strategy first, then the knapsack-bound toggle and the two ordering
 // variants, then deterministically seeded shuffled-restart workers.
 // Labels feed the win telemetry (Result.Winner,
 // cwcs_portfolio_wins_total{strategy}).
-func (o Optimizer) strategies(n int) []searchStrategy {
-	base := o.baseStrategy()
+func strategies(n int) []searchStrategy {
 	out := make([]searchStrategy, 0, n)
-	out = append(out, base)
+	out = append(out, baseStrategy)
 	alts := []searchStrategy{
-		{Strategy: base.Strategy, useKnapsack: !base.useKnapsack},
-		{Strategy: cp.Strategy{FirstFail: true}, useKnapsack: base.useKnapsack},
-		{Strategy: cp.Strategy{PreferValue: true}, useKnapsack: base.useKnapsack},
+		{Strategy: cp.Strategy{Label: "knapsack", FirstFail: true, PreferValue: true}, useKnapsack: true},
+		{Strategy: cp.Strategy{Label: "firstfail", FirstFail: true}},
+		{Strategy: cp.Strategy{Label: "prefer", PreferValue: true}},
 	}
-	alts[0].Label = "knapsack"
-	alts[1].Label = "firstfail"
-	alts[2].Label = "prefer"
 	for i := 1; i < n; i++ {
 		if i-1 < len(alts) {
 			out = append(out, alts[i-1])
 			continue
 		}
-		st := base
+		st := baseStrategy
 		st.ShuffleSeed = int64(i)
 		st.Label = fmt.Sprintf("shuffle#%d", i)
 		out = append(out, st)
@@ -272,7 +254,7 @@ type searchModel struct {
 
 // buildModel instantiates the §4.3 model under one strategy. Each
 // portfolio worker gets its own build, so no solver state is shared.
-func (o Optimizer) buildModel(p Problem, c *compiled, strat searchStrategy) (*searchModel, error) {
+func buildModel(p Problem, c *compiled, strat searchStrategy) (*searchModel, error) {
 	s := cp.NewSolver()
 	vars := make([]*cp.IntVar, len(c.runners))
 	for i, g := range c.runners {
@@ -314,9 +296,7 @@ func (o Optimizer) buildModel(p Problem, c *compiled, strat searchStrategy) (*se
 	}
 
 	obj := s.NewIntVar("cost", 0, c.maxObj)
-	if !o.DisableCostBound {
-		s.Post(c.costBound(vars, obj))
-	}
+	s.Post(c.costBound(vars, obj))
 
 	opts := strat.Apply(cp.Options{Vars: vars})
 	var hints map[*cp.IntVar]int
@@ -436,7 +416,7 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 		pair := Problem{Src: src, Target: maps.Clone(parts[i].Target)}
 		maps.Copy(pair.Target, parts[best].Target)
 		for _, rule := range p.Rules {
-			if rr := rule.(ScopedRule).Rescope(vms, nodes); rr != nil {
+			if rr := rule.Rescope(vms, nodes); rr != nil {
 				pair.Rules = append(pair.Rules, rr)
 			}
 		}
@@ -650,7 +630,7 @@ func (sh *portfolioState) settle(err error) {
 // over a model of its own. Every worker restarts against the shared
 // incumbent bound; the first to exhaust the space below the incumbent
 // proves optimality (with respect to the bound) and cancels the rest.
-// The first strategy — the configured one — runs on the caller's
+// The first strategy — the paper's — runs on the caller's
 // goroutine, so a lineup of one is the sequential search: no goroutine,
 // nobody else moving the bound.
 func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, seed *Result, seedLabel string, workers int) (*Result, error) {
@@ -661,7 +641,7 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sh := &portfolioState{bound: cp.NewIncumbent(bound), start: time.Now(), cancel: cancel, best: seed, winner: seedLabel}
-	lineup := o.strategies(workers)
+	lineup := strategies(workers)
 	var wg sync.WaitGroup
 	for _, st := range lineup[1:] {
 		wg.Add(1)
@@ -705,7 +685,7 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 // an interruption.
 func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st searchStrategy, sh *portfolioState) {
 	t := time.Now()
-	m, err := o.buildModel(p, c, st)
+	m, err := buildModel(p, c, st)
 	if err != nil {
 		sh.settle(err)
 		return

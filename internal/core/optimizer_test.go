@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cwcs/internal/cp"
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
@@ -346,8 +348,9 @@ func TestEntropyBeatsOrMatchesFFD(t *testing.T) {
 	}
 }
 
-// TestAblationsStillSolve: the ablated solver variants stay correct
-// (they only search differently).
+// TestAblationsStillSolve: each of the portfolio's variant strategies
+// — the knapsack toggle and the single orderings — finds the optimum
+// on its own (they only search differently).
 func TestAblationsStillSolve(t *testing.T) {
 	c := mkCluster(3, 2, 4096)
 	for j := 0; j < 3; j++ {
@@ -356,18 +359,21 @@ func TestAblationsStillSolve(t *testing.T) {
 		c.AddVM(v)
 		mustRun(t, c, v.Name, fmt.Sprintf("n%02d", j))
 	}
-	target := map[string]vjob.State{"j0": vjob.Running, "j1": vjob.Running, "j2": vjob.Running}
-	for _, o := range []Optimizer{
-		{NaiveOrdering: true},
-		{DisableCostBound: true},
-		{UseKnapsack: true},
-	} {
-		res, err := o.Solve(Problem{Src: c, Target: target})
-		if err != nil {
-			t.Fatalf("%+v: %v", o, err)
+	p := Problem{Src: c, Target: map[string]vjob.State{"j0": vjob.Running, "j1": vjob.Running, "j2": vjob.Running}}
+	comp, err := Optimizer{}.compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range strategies(4) {
+		ctx, cancel := context.WithCancel(context.Background())
+		sh := &portfolioState{bound: cp.NewIncumbent(comp.maxObj), start: time.Now(), cancel: cancel}
+		Optimizer{}.runPortfolioWorker(ctx, p, comp, st, sh)
+		cancel()
+		if sh.err != nil || sh.best == nil {
+			t.Fatalf("%s: best = %v, err = %v", st.Label, sh.best, sh.err)
 		}
-		if res.Cost != 0 {
-			t.Fatalf("%+v: cost = %d, want 0", o, res.Cost)
+		if sh.best.Cost != 0 {
+			t.Fatalf("%s: cost = %d, want 0", st.Label, sh.best.Cost)
 		}
 	}
 }

@@ -87,7 +87,7 @@ const mathInfNeg = -1e18
 
 // Split decomposes the problem. It returns nil (no error) when the
 // problem should stay monolithic: fewer than two partitions asked or
-// achievable, or a rule whose scope the partitioner cannot introspect.
+// achievable.
 //
 // The carve runs on dense indices — nodes, then VMs, then rules, in
 // Nodes(), VMs() and Rules order — so it costs O(nodes + VMs + rule
@@ -124,17 +124,13 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	}
 	covered := make([]bool, len(vms))
 	for i, r := range p.Rules {
-		sr, ok := r.(ScopedRule)
-		if !ok {
-			return nil, nil // opaque rule: cannot prove decomposability
-		}
-		for _, name := range sr.ScopeVMs() {
+		for _, name := range r.ScopeVMs() {
 			if v := indexOf(vms, name, vmName); v >= 0 {
 				hard.union(int32(ruleBase+i), int32(vmBase+v))
 				covered[v] = true
 			}
 		}
-		for _, name := range sr.BindNodes() {
+		for _, name := range r.BindNodes() {
 			if n := indexOf(nodes, name, nodeName); n >= 0 {
 				hard.union(int32(ruleBase+i), int32(n))
 			}
@@ -303,7 +299,7 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 		}
 		var rules []PlacementRule
 		for _, i := range binRules[bi] {
-			if rr := p.Rules[i].(ScopedRule).Rescope(vmSet, nodeSet); rr != nil {
+			if rr := p.Rules[i].Rescope(vmSet, nodeSet); rr != nil {
 				rules = append(rules, rr)
 			}
 		}

@@ -16,7 +16,7 @@ import (
 // splitProblem is randomProblem with up to two loose VMs (no vjob) and
 // up to five random rules: Spread, Gather, Fence, Ban and Drained
 // over random subsets of the VMs and nodes, sometimes naming one the
-// configuration does not know, and once in a while an opaque rule.
+// configuration does not know.
 func splitProblem(t *testing.T, rng *rand.Rand) Problem {
 	p := randomProblem(t, rng)
 	nodes := p.Src.Nodes()
@@ -62,10 +62,6 @@ func splitProblem(t *testing.T, rng *rand.Rand) Problem {
 			r = Drained{Nodes: pick(nodeNames, "ghost-node")}
 		}
 		p.Rules = append(p.Rules, r)
-	}
-	if rng.Intn(25) == 0 {
-		at := rng.Intn(len(p.Rules) + 1)
-		p.Rules = append(p.Rules[:at], append([]PlacementRule{unscopedRule{}}, p.Rules[at:]...)...)
 	}
 	return p
 }
@@ -205,18 +201,14 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 	}
 	ruleKeys := make([]string, len(p.Rules))
 	for i, r := range p.Rules {
-		sr, ok := r.(ScopedRule)
-		if !ok {
-			return nil, nil // opaque rule: cannot prove decomposability
-		}
 		ruleKeys[i] = fmt.Sprintf("r\x00%d", i)
 		hard.add(ruleKeys[i])
-		for _, name := range sr.ScopeVMs() {
+		for _, name := range r.ScopeVMs() {
 			if v := p.Src.VM(name); v != nil {
 				hard.union(ruleKeys[i], vmKey(v))
 			}
 		}
-		for _, n := range sr.BindNodes() {
+		for _, n := range r.BindNodes() {
 			if p.Src.Node(n) != nil {
 				hard.union(ruleKeys[i], nodeKey(n))
 			}
@@ -277,7 +269,7 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 	}
 	covered := make(map[string]bool)
 	for _, r := range p.Rules {
-		for _, name := range r.(ScopedRule).ScopeVMs() {
+		for _, name := range r.ScopeVMs() {
 			covered[name] = true
 		}
 	}
@@ -395,7 +387,7 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 			if !ok || at != bi {
 				continue
 			}
-			if rr := r.(ScopedRule).Rescope(vmSet, nodeSet); rr != nil {
+			if rr := r.Rescope(vmSet, nodeSet); rr != nil {
 				rules = append(rules, rr)
 			}
 		}

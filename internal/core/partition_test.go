@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cwcs/internal/cp"
 	"cwcs/internal/resources"
 	"cwcs/internal/sched"
 	"cwcs/internal/vjob"
@@ -167,21 +166,6 @@ func TestSplitBindsFenceNodes(t *testing.T) {
 		if len(sub.Rules) == 0 {
 			t.Fatal("fence dropped from its partition")
 		}
-	}
-}
-
-// unscopedRule implements only PlacementRule: the partitioner cannot
-// see its scope.
-type unscopedRule struct{}
-
-func (unscopedRule) Apply(*cp.Solver, map[string]*cp.IntVar, map[string]int) error { return nil }
-func (unscopedRule) Check(*vjob.Configuration) error                               { return nil }
-
-func TestSplitRefusesOpaqueRules(t *testing.T) {
-	p := partitionProblem(t)
-	p.Rules = []PlacementRule{unscopedRule{}}
-	if parts := splitOrFatal(t, Partitioner{Parts: 3}, p); parts != nil {
-		t.Fatal("split a problem with an opaque rule")
 	}
 }
 

@@ -14,6 +14,10 @@ import (
 // availability — and this engine maintains them while optimizing the
 // cluster-wide context switch). Rules apply to the VMs that end up in
 // the Running state; sleeping and waiting VMs hold no placement.
+//
+// A rule also tells the partitioner (see Partitioner) which VMs it
+// covers and which nodes must travel with them, and restricts itself
+// to one partition, so every problem can be split.
 type PlacementRule interface {
 	// Apply posts the rule on the solver. vars maps VM names (of the
 	// VMs that will run) to their assignment variable; nodeIdx maps
@@ -23,16 +27,6 @@ type PlacementRule interface {
 	// Check validates a concrete configuration against the rule, for
 	// plan validation and tests.
 	Check(cfg *vjob.Configuration) error
-}
-
-// ScopedRule is a PlacementRule the partitioner (see Partitioner) can
-// reason about: it exposes which VMs the rule covers and which nodes
-// must travel with them, and can restrict itself to one partition.
-// Rules that do not implement ScopedRule force the optimizer back to
-// the monolithic model — the partitioner refuses to split a problem it
-// cannot prove decomposable.
-type ScopedRule interface {
-	PlacementRule
 	// ScopeVMs returns the VM names the rule covers. The partitioner
 	// keeps them in a single partition.
 	ScopeVMs() []string

@@ -87,7 +87,7 @@ func TestWarmStartHintsFlowIntoModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := o.buildModel(p, c, o.baseStrategy())
+	m, err := buildModel(p, c, baseStrategy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,6 @@ type Model struct {
 	// VMs co-hosted with a local (resp. remote) operation.
 	DecelLocal  float64
 	DecelRemote float64
-	// RAMSuspendSec is the constant duration of the future-work
-	// suspend-to-RAM variant (§7): no disk image is written.
-	RAMSuspendSec float64
 }
 
 // Default returns the calibration matching §2.3: boot 6 s, shutdown
@@ -98,7 +95,6 @@ func Default() Model {
 		RemoteFactorRsync: 1.9,
 		DecelLocal:        1.3,
 		DecelRemote:       1.5,
-		RAMSuspendSec:     1.5,
 	}
 }
 
@@ -129,9 +125,6 @@ func (m Model) Resume(memMiB int, tr Transfer) time.Duration {
 	local := m.ResumeBaseSec + m.ResumePerMiB*float64(memMiB)
 	return secs(local * m.factor(tr))
 }
-
-// SuspendToRAM returns the duration of the §7 suspend-to-RAM variant.
-func (m Model) SuspendToRAM() time.Duration { return secs(m.RAMSuspendSec) }
 
 func (m Model) factor(tr Transfer) float64 {
 	switch tr {

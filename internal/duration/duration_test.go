@@ -77,13 +77,6 @@ func TestDeceleration(t *testing.T) {
 	}
 }
 
-func TestSuspendToRAMFasterThanDisk(t *testing.T) {
-	m := Default()
-	if m.SuspendToRAM() >= m.Suspend(256, Local) {
-		t.Fatal("suspend-to-RAM not faster than smallest disk suspend")
-	}
-}
-
 func TestActionDuration(t *testing.T) {
 	m := Default()
 	vm := vjob.NewVM("v", "j", 1, 1024)

@@ -107,7 +107,7 @@ func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult
 	c, cfg := tb.Cluster, tb.Cluster.Config()
 	res := ClusterResult{Gantt: trace.NewGantt(), JobEnd: map[string]float64{}}
 
-	rec := &monitor.Recorder{Interval: 10}
+	rec := &monitor.Recorder{}
 	rec.Attach(c)
 
 	// Sampler for the Gantt rows and per-vjob completion times.

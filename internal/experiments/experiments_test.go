@@ -127,7 +127,7 @@ func TestClusterEntropyBeatsFCFS(t *testing.T) {
 	opts := quickClusterOptions()
 	fopts := opts
 	fopts.PinRunning = true // a static RMS never migrates
-	fcfs := RunCluster(sched.StaticFCFS{ReserveFullCPU: true}, fopts)
+	fcfs := RunCluster(sched.StaticFCFS{}, fopts)
 	entropy := RunCluster(sched.Consolidation{}, opts)
 
 	if fcfs.Completion >= opts.Horizon || entropy.Completion >= opts.Horizon {

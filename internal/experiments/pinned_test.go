@@ -92,7 +92,7 @@ func TestStudiesPinned(t *testing.T) {
 	cluster.Timeout = pinnedTimeout
 	fcfs := cluster
 	fcfs.PinRunning = true
-	r := RunCluster(sched.StaticFCFS{ReserveFullCPU: true}, fcfs)
+	r := RunCluster(sched.StaticFCFS{}, fcfs)
 	add("cluster fcfs", clusterCSV(r), r.Summary, false)
 	r = RunCluster(sched.Consolidation{}, cluster)
 	add("cluster consolidation", clusterCSV(r), r.Summary, false)

@@ -272,6 +272,8 @@ type otherRule struct{}
 func (otherRule) Apply(*cp.Solver, map[string]*cp.IntVar, map[string]int) error { return nil }
 func (otherRule) Check(*vjob.Configuration) error                               { return nil }
 func (otherRule) ScopeVMs() []string                                            { return nil }
+func (otherRule) BindNodes() []string                                           { return nil }
+func (otherRule) Rescope(map[string]bool, map[string]bool) core.PlacementRule   { return nil }
 
 // TestRuleKind names every built-in rule shape, by value and pointer.
 func TestRuleKind(t *testing.T) {

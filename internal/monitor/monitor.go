@@ -37,10 +37,9 @@ func (s Sample) CPUPercent() float64 {
 // MemGiB returns used memory in GiB, the unit of Figure 13a.
 func (s Sample) MemGiB() float64 { return float64(s.UsedMem) / 1024 }
 
-// Recorder samples a cluster at a fixed interval.
+// Recorder samples a cluster every 10 virtual seconds, the paper's
+// monitoring refresh.
 type Recorder struct {
-	// Interval between samples, in virtual seconds.
-	Interval float64
 	// Samples accumulates observations in time order.
 	Samples []Sample
 
@@ -50,11 +49,10 @@ type Recorder struct {
 // Observe takes one sample of the configuration right now.
 func Observe(t float64, cfg *vjob.Configuration) Sample {
 	s := Sample{T: t}
-	free := cfg.FreeResources()
 	for _, n := range cfg.Nodes() {
 		s.CapCPU += n.CPU()
 		s.CapMem += n.Memory()
-		used := n.Capacity.Sub(free[n.Name])
+		used := cfg.Used(n.Name)
 		s.UsedCPU += used.Get(resources.CPU)
 		s.UsedMem += used.Get(resources.Memory)
 	}
@@ -66,16 +64,13 @@ func Observe(t float64, cfg *vjob.Configuration) Sample {
 
 // Attach starts periodic sampling on the cluster until Stop is called.
 func (r *Recorder) Attach(c *sim.Cluster) {
-	if r.Interval <= 0 {
-		r.Interval = 10 // the paper's monitoring refresh is ~10 s
-	}
 	var tick func()
 	tick = func() {
 		if r.stopped {
 			return
 		}
 		r.Samples = append(r.Samples, Observe(c.Now(), c.Config()))
-		c.Schedule(c.Now()+r.Interval, tick)
+		c.Schedule(c.Now()+sampleInterval, tick)
 	}
 	tick()
 }

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestRecorderSamplesPeriodically(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetWorkload("a", []sim.Phase{{CPU: 1, Seconds: 35}})
-	r := &Recorder{Interval: 10}
+	r := &Recorder{}
 	r.Attach(c)
 	c.Run(45)
 	// Samples at t=0,10,20,30,40.
@@ -89,14 +90,21 @@ func TestRecorderSamplesPeriodically(t *testing.T) {
 	}
 }
 
+// TestRecorderDefaultInterval: the Recorder samples every 10 virtual
+// seconds, the paper's monitoring refresh.
 func TestRecorderDefaultInterval(t *testing.T) {
 	c := testCluster(t)
 	r := &Recorder{}
 	r.Attach(c)
-	if r.Interval != 10 {
-		t.Fatalf("default interval = %v, want 10", r.Interval)
-	}
+	c.Run(25)
 	r.Stop()
+	var at []float64
+	for _, s := range r.Samples {
+		at = append(at, s.T)
+	}
+	if fmt.Sprint(at) != "[0 10 20]" {
+		t.Fatalf("sample times = %v, want [0 10 20]", at)
+	}
 }
 
 func TestCSVAndMean(t *testing.T) {

@@ -18,48 +18,34 @@ import (
 // ingestion path the control plane's POST /v1/events feeds.
 //
 // Overload detection uses hysteresis so a node oscillating around the
-// watermark does not storm the loop: a dimension must stay above its
-// High for Sustain consecutive samples before one event fires, and no
-// further event fires for that dimension until its utilization has
-// dropped below its Low again. Watermarks default to High/Low for
-// every dimension; PerKind overrides them per resource kind (a
-// network-bound cluster may want net to trip at 0.8 while memory
-// keeps 0.9).
+// watermark does not storm the loop: a dimension must stay strictly
+// above 90 % utilization for three consecutive samples, one every
+// 10 virtual seconds, before one event fires, and no further event
+// fires for that dimension until its utilization has dropped below
+// 70 % again.
 type ThresholdWatcher struct {
-	// Interval is the sampling period in virtual seconds; 0 defaults
-	// to 10 s (the paper's monitoring refresh).
-	Interval float64
-	// High is the default overload watermark as a utilization fraction
-	// (demand/capacity, per dimension); 0 defaults to 0.9. Strictly
-	// above High counts as hot.
-	High float64
-	// Low is the default re-arm watermark; an overloaded dimension
-	// must drop below it before a new overload event can fire. 0
-	// defaults to 0.7.
-	Low float64
-	// PerKind overrides the watermarks for individual resource
-	// dimensions; kinds absent from the map use High/Low. A zero field
-	// inside a Watermarks entry falls back to the corresponding
-	// default too, so {High: 0.8} only moves the trip point.
-	PerKind map[resources.Kind]Watermarks
-	// Sustain is how many consecutive hot samples trigger the event; 0
-	// defaults to 3.
-	Sustain int
 	// Emit receives the events (required for Attach; Sample returns
 	// them too).
 	Emit func(core.Event)
 
 	hot        map[nodeKind]int  // consecutive hot samples per node and dimension
-	overloaded map[nodeKind]bool // fired and not yet cooled below Low
+	overloaded map[nodeKind]bool // fired and not yet cooled below thresholdLow
 	known      map[string]bool   // node set of the previous sample
 	primed     bool              // first sample taken (baseline set)
 	stopped    bool
 }
 
-// Watermarks is one dimension's High/Low pair for PerKind overrides.
-type Watermarks struct {
-	High, Low float64
-}
+// The watcher's settings, as utilization fractions (demand/capacity,
+// per dimension) and sample counts.
+const (
+	thresholdHigh    = 0.9 // strictly above is hot
+	thresholdLow     = 0.7 // an overloaded dimension re-arms below it
+	thresholdSustain = 3   // consecutive hot samples before the event
+)
+
+// sampleInterval is the sampling period of the watcher and the
+// Recorder, in virtual seconds: the paper's monitoring refresh.
+const sampleInterval = 10
 
 // nodeKind keys the hysteresis state: one overload state machine per
 // node and resource dimension.
@@ -68,61 +54,19 @@ type nodeKind struct {
 	kind resources.Kind
 }
 
-func (w *ThresholdWatcher) interval() float64 {
-	if w.Interval <= 0 {
-		return 10
-	}
-	return w.Interval
-}
-
-func (w *ThresholdWatcher) high(k resources.Kind) float64 {
-	if m, ok := w.PerKind[k]; ok && m.High > 0 {
-		return m.High
-	}
-	if w.High <= 0 {
-		return 0.9
-	}
-	return w.High
-}
-
-func (w *ThresholdWatcher) low(k resources.Kind) float64 {
-	l := w.Low
-	if m, ok := w.PerKind[k]; ok && m.Low > 0 {
-		l = m.Low
-	} else if l <= 0 {
-		l = 0.7
-	}
-	// The re-arm threshold must sit at or below the trip threshold, or
-	// a utilization between them would fire and re-arm on every sample
-	// — the very storm the hysteresis exists to prevent. A PerKind
-	// High override below the (defaulted) Low is clamped rather than
-	// inverted.
-	if h := w.high(k); l > h {
-		l = h
-	}
-	return l
-}
-
-func (w *ThresholdWatcher) sustain() int {
-	if w.Sustain <= 0 {
-		return 3
-	}
-	return w.Sustain
-}
-
-// utilization returns the node's demand/capacity fraction on one
-// dimension, from the free-resource map of one cfg.FreeResources pass
-// per sample. Zero-capacity resources count as saturated only when demanded.
-func utilization(free map[string]resources.Vector, n *vjob.Node, k resources.Kind) float64 {
+// utilization returns a node's demand/capacity fraction on one
+// dimension, given its used resources. Zero-capacity resources count
+// as saturated only when demanded.
+func utilization(n *vjob.Node, used resources.Vector, k resources.Kind) float64 {
 	cap := n.Capacity.Get(k)
-	used := cap - free[n.Name].Get(k)
+	u := used.Get(k)
 	if cap <= 0 {
-		if used > 0 {
+		if u > 0 {
 			return 2 // over any watermark
 		}
 		return 0
 	}
-	return float64(used) / float64(cap)
+	return float64(u) / float64(cap)
 }
 
 // Sample feeds one observation of the configuration at virtual time t
@@ -137,7 +81,6 @@ func (w *ThresholdWatcher) Sample(t float64, cfg *vjob.Configuration) []core.Eve
 	}
 	var events []core.Event
 	current := make(map[string]bool, cfg.NumNodes())
-	free := cfg.FreeResources()
 
 	for _, n := range cfg.Nodes() {
 		current[n.Name] = true
@@ -148,21 +91,22 @@ func (w *ThresholdWatcher) Sample(t float64, cfg *vjob.Configuration) []core.Eve
 		// node fires at most one LoadChange per sample however many
 		// dimensions tripped together.
 		fired := false
+		used := cfg.Used(n.Name)
 		for _, k := range resources.Kinds() {
 			key := nodeKind{node: n.Name, kind: k}
-			u := utilization(free, n, k)
-			if u > w.high(k) {
+			u := utilization(n, used, k)
+			if u > thresholdHigh {
 				w.hot[key]++
 			} else {
 				w.hot[key] = 0
 			}
 			if w.overloaded[key] {
-				if u < w.low(k) {
+				if u < thresholdLow {
 					delete(w.overloaded, key) // cooled: re-arm
 				}
 				continue
 			}
-			if w.hot[key] >= w.sustain() {
+			if w.hot[key] >= thresholdSustain {
 				w.overloaded[key] = true
 				fired = true
 			}
@@ -210,7 +154,7 @@ func (w *ThresholdWatcher) Attach(c *sim.Cluster) {
 				w.Emit(ev)
 			}
 		}
-		c.Schedule(c.Now()+w.interval(), tick)
+		c.Schedule(c.Now()+sampleInterval, tick)
 	}
 	tick()
 }

@@ -19,21 +19,23 @@ func thresholdConfig() *vjob.Configuration {
 	return cfg
 }
 
-// TestThresholdSustainedOverload: one hot sample is noise; Sustain
+// TestThresholdSustainedOverload: one hot sample is noise; three
 // consecutive hot samples fire exactly one LoadChange, and no second
-// event fires until the node cools below Low.
+// event fires until the node cools below 0.7.
 func TestThresholdSustainedOverload(t *testing.T) {
 	cfg := thresholdConfig()
 	if err := cfg.SetRunning("v1", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	w := &ThresholdWatcher{High: 0.9, Low: 0.5, Sustain: 2}
+	w := &ThresholdWatcher{}
 
-	// CPU demand 2 of 2 = 1.0 > High: hot.
-	if evs := w.Sample(0, cfg); len(evs) != 0 {
-		t.Fatalf("first hot sample fired early: %v", evs)
+	// CPU demand 2 of 2 = 1.0 > 0.9: hot.
+	for _, at := range []float64{0, 10} {
+		if evs := w.Sample(at, cfg); len(evs) != 0 {
+			t.Fatalf("hot sample at %v fired early: %v", at, evs)
+		}
 	}
-	evs := w.Sample(10, cfg)
+	evs := w.Sample(20, cfg)
 	if len(evs) != 1 || evs[0].Kind != core.LoadChange {
 		t.Fatalf("sustained overload events: %v", evs)
 	}
@@ -42,18 +44,19 @@ func TestThresholdSustainedOverload(t *testing.T) {
 	}
 	// Still hot: hysteresis holds the event back.
 	for i := 0; i < 5; i++ {
-		if evs := w.Sample(float64(20+10*i), cfg); len(evs) != 0 {
+		if evs := w.Sample(float64(30+10*i), cfg); len(evs) != 0 {
 			t.Fatalf("re-fired while hot: %v", evs)
 		}
 	}
-	// Cool below Low, then overload again: a new event may fire.
+	// Cool below 0.7, then overload again: a new event may fire.
 	cfg.VM("v1").SetCPUDemand(0)
 	if evs := w.Sample(100, cfg); len(evs) != 0 {
 		t.Fatalf("cooling fired: %v", evs)
 	}
 	cfg.VM("v1").SetCPUDemand(2)
 	w.Sample(110, cfg)
-	if evs := w.Sample(120, cfg); len(evs) != 1 {
+	w.Sample(120, cfg)
+	if evs := w.Sample(130, cfg); len(evs) != 1 {
 		t.Fatalf("re-armed overload not fired: %v", evs)
 	}
 }
@@ -93,13 +96,15 @@ func TestThresholdMemoryAndZeroCapacity(t *testing.T) {
 	if err := cfg.SetRunning("v1", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	w := &ThresholdWatcher{Sustain: 1}
-	// 99% memory > default High 0.9 and Sustain 1: fires immediately,
-	// and the zero-capacity CPU (with zero demand) contributes nothing.
-	if evs := w.Sample(0, cfg); len(evs) != 1 || evs[0].Kind != core.LoadChange {
+	w := &ThresholdWatcher{}
+	// 99% memory > 0.9: fires on the third sample, and the
+	// zero-capacity CPU (with zero demand) contributes nothing.
+	w.Sample(0, cfg)
+	w.Sample(10, cfg)
+	if evs := w.Sample(20, cfg); len(evs) != 1 || evs[0].Kind != core.LoadChange {
 		t.Fatalf("memory overload: %v", evs)
 	}
-	if evs := w.Sample(10, cfg); len(evs) != 0 {
+	if evs := w.Sample(30, cfg); len(evs) != 0 {
 		t.Fatalf("hysteresis broken: %v", evs)
 	}
 }
@@ -117,15 +122,14 @@ func TestThresholdAttachFeedsSim(t *testing.T) {
 	c.SetWorkload("v1", []sim.Phase{{CPU: 1, Seconds: 500}})
 
 	var got []core.Event
-	w := &ThresholdWatcher{Interval: 10, High: 0.9, Low: 0.5, Sustain: 2,
-		Emit: func(ev core.Event) { got = append(got, ev) }}
+	w := &ThresholdWatcher{Emit: func(ev core.Event) { got = append(got, ev) }}
 	w.Attach(c)
 	c.Run(100)
 	if len(got) != 1 || got[0].Kind != core.LoadChange {
 		t.Fatalf("attached watcher events: %v", got)
 	}
-	if got[0].At < 10 {
-		t.Fatalf("event time: %+v", got[0])
+	if got[0].At != 20 {
+		t.Fatalf("event time: %+v, want the third sample at 20", got[0])
 	}
 	w.Stop()
 	before := len(got)
@@ -150,119 +154,98 @@ func TestThresholdExtraDimension(t *testing.T) {
 	if err := cfg.SetRunning("v1", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	w := &ThresholdWatcher{High: 0.9, Low: 0.5, Sustain: 2}
-	if evs := w.Sample(0, cfg); len(evs) != 0 {
-		t.Fatalf("first hot sample fired early: %v", evs)
+	w := &ThresholdWatcher{}
+	for _, at := range []float64{0, 10} {
+		if evs := w.Sample(at, cfg); len(evs) != 0 {
+			t.Fatalf("hot sample at %v fired early: %v", at, evs)
+		}
 	}
-	evs := w.Sample(10, cfg)
+	evs := w.Sample(20, cfg)
 	if len(evs) != 1 || evs[0].Kind != core.LoadChange || evs[0].Nodes[0] != "n0" {
 		t.Fatalf("net overload events: %v", evs)
 	}
 	// Hysteresis holds per dimension.
-	if evs := w.Sample(20, cfg); len(evs) != 0 {
+	if evs := w.Sample(30, cfg); len(evs) != 0 {
 		t.Fatalf("re-fired while net-hot: %v", evs)
 	}
 }
 
-// TestThresholdPerKindWatermarks: PerKind overrides move one
-// dimension's trip point without touching the defaults, and a node hot
-// on two dimensions at once still fires a single LoadChange.
+// TestThresholdPerKindWatermarks: every dimension runs its own state
+// machine against the watermarks, and a node hot on two dimensions at
+// once still fires a single LoadChange.
 func TestThresholdPerKindWatermarks(t *testing.T) {
 	cfg := vjob.NewConfiguration()
 	cap := resources.New(2, 4096)
 	cap.Set(resources.NetBW, 1000)
 	cfg.AddNode(vjob.NewNodeRes("n0", cap))
 	d := resources.New(2, 512)
-	d.Set(resources.NetBW, 800) // 80% net, 100% cpu
+	d.Set(resources.NetBW, 950) // 95% net, 100% cpu
 	cfg.AddVM(vjob.NewVMRes("v1", "j", d))
 	if err := cfg.SetRunning("v1", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	// Default High 0.9 would ignore 80% net; the override trips it.
-	w := &ThresholdWatcher{
-		High: 0.9, Low: 0.5, Sustain: 2,
-		PerKind: map[resources.Kind]Watermarks{resources.NetBW: {High: 0.7}},
+	w := &ThresholdWatcher{}
+	w.Sample(0, cfg)
+	if evs := w.Sample(10, cfg); len(evs) != 0 {
+		t.Fatalf("hot sample fired early: %v", evs)
 	}
-	if evs := w.Sample(0, cfg); len(evs) != 0 {
-		t.Fatalf("first hot sample fired early: %v", evs)
-	}
-	// cpu (1.0 > 0.9) and net (0.8 > 0.7) are both hot; one event.
-	evs := w.Sample(10, cfg)
+	// cpu (1.0) and net (0.95) are both hot; one event.
+	evs := w.Sample(20, cfg)
 	if len(evs) != 1 || evs[0].Kind != core.LoadChange {
-		t.Fatalf("override events: %v", evs)
+		t.Fatalf("two-dimension events: %v", evs)
 	}
-	// Drop net below its Low while cpu stays hot: the cpu state machine
-	// is already fired, the net one re-arms — still no event storm.
+	// Drop net below 0.7 while cpu stays hot: the cpu state machine is
+	// already fired, the net one re-arms — still no event storm.
 	cfg.VM("v1").Demand.Set(resources.NetBW, 100)
 	for i := 0; i < 3; i++ {
-		if evs := w.Sample(float64(20+10*i), cfg); len(evs) != 0 {
+		if evs := w.Sample(float64(30+10*i), cfg); len(evs) != 0 {
 			t.Fatalf("stormed: %v", evs)
 		}
 	}
-	// Net climbs again past its override High: its own state machine
-	// fires independently of the still-hot cpu, after Sustain samples.
-	cfg.VM("v1").Demand.Set(resources.NetBW, 800)
-	if evs := w.Sample(60, cfg); len(evs) != 0 {
-		t.Fatalf("net re-fired before sustain: %v", evs)
+	// Net climbs again past 0.9: its own state machine fires
+	// independently of the still-hot cpu, after three samples.
+	cfg.VM("v1").Demand.Set(resources.NetBW, 950)
+	for _, at := range []float64{60, 70} {
+		if evs := w.Sample(at, cfg); len(evs) != 0 {
+			t.Fatalf("net re-fired before three samples: %v", evs)
+		}
 	}
-	if evs := w.Sample(70, cfg); len(evs) != 1 {
+	if evs := w.Sample(80, cfg); len(evs) != 1 {
 		t.Fatalf("re-armed net overload not fired: %v", evs)
 	}
 }
 
-// TestThresholdDefaults: zero-value knobs resolve to the documented
-// defaults, and PerKind entries with one zero field fall back for the
-// other.
+// TestThresholdDefaults: the watermarks are 0.9 (strictly above is
+// hot) and 0.7 (strictly below re-arms), with three samples to fire.
 func TestThresholdDefaults(t *testing.T) {
-	w := &ThresholdWatcher{}
-	if w.interval() != 10 || w.sustain() != 3 {
-		t.Fatalf("defaults: interval=%v sustain=%d", w.interval(), w.sustain())
-	}
-	if w.high(resources.CPU) != 0.9 || w.low(resources.CPU) != 0.7 {
-		t.Fatalf("defaults: high=%v low=%v", w.high(resources.CPU), w.low(resources.CPU))
-	}
-	w.Interval = 5
-	w.High = 0.8
-	w.Low = 0.6
-	w.PerKind = map[resources.Kind]Watermarks{resources.NetBW: {High: 0.5}}
-	if w.interval() != 5 || w.high(resources.Memory) != 0.8 || w.low(resources.Memory) != 0.6 {
-		t.Fatal("explicit knobs ignored")
-	}
-	if w.high(resources.NetBW) != 0.5 {
-		t.Fatal("PerKind High ignored")
-	}
-	// The fallback Low (0.6) sits above the overridden High (0.5);
-	// clamping keeps the hysteresis non-inverted instead of letting a
-	// 0.55-utilization node fire and re-arm every sample.
-	if w.low(resources.NetBW) != 0.5 {
-		t.Fatalf("inverted watermarks not clamped: low=%v", w.low(resources.NetBW))
-	}
-}
-
-// TestThresholdInvertedWatermarksNoStorm: a PerKind High below the
-// default Low must not turn the hysteresis into an every-sample event
-// storm.
-func TestThresholdInvertedWatermarksNoStorm(t *testing.T) {
 	cfg := vjob.NewConfiguration()
-	cap := resources.New(8, 8192)
-	cap.Set(resources.NetBW, 1000)
-	cfg.AddNode(vjob.NewNodeRes("n0", cap))
-	d := resources.New(1, 512)
-	d.Set(resources.NetBW, 650) // 65%: above the override High, below the default Low
-	cfg.AddVM(vjob.NewVMRes("v1", "j", d))
+	cfg.AddNode(vjob.NewNode("n0", 10, 4096))
+	cfg.AddVM(vjob.NewVM("v1", "j", 9, 512))
 	if err := cfg.SetRunning("v1", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	w := &ThresholdWatcher{Sustain: 1,
-		PerKind: map[resources.Kind]Watermarks{resources.NetBW: {High: 0.6}}}
-	if evs := w.Sample(0, cfg); len(evs) != 1 {
-		t.Fatalf("override trip: %v", evs)
-	}
-	for i := 1; i <= 5; i++ {
-		if evs := w.Sample(float64(10*i), cfg); len(evs) != 0 {
-			t.Fatalf("event storm at sample %d: %v", i, evs)
+	w := &ThresholdWatcher{}
+	sample := func(at float64, cpu, want int) {
+		t.Helper()
+		cfg.VM("v1").SetCPUDemand(cpu)
+		if evs := w.Sample(at, cfg); len(evs) != want {
+			t.Fatalf("t=%v cpu=%d: %d events, want %d: %v", at, cpu, len(evs), want, evs)
 		}
 	}
+	for i := 0; i < 5; i++ {
+		sample(float64(10*i), 9, 0) // exactly 0.9 is not hot
+	}
+	sample(50, 10, 0)
+	sample(60, 10, 0)
+	sample(70, 10, 1)
+	sample(80, 7, 0) // exactly 0.7 does not re-arm
+	sample(90, 10, 0)
+	sample(100, 10, 0)
+	sample(110, 10, 0)
+	sample(120, 6, 0) // re-armed
+	sample(130, 10, 0)
+	sample(140, 10, 0)
+	sample(150, 10, 1)
 }
 
 // TestUtilizationZeroCapacity: demanding a dimension the node does not
@@ -274,15 +257,14 @@ func TestUtilizationZeroCapacity(t *testing.T) {
 	if err := cfg.SetRunning("v1", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	free := cfg.FreeResources()
-	n := cfg.Node("n0")
-	if u := utilization(free, n, resources.CPU); u != 2 {
+	n, used := cfg.Node("n0"), cfg.Used("n0")
+	if u := utilization(n, used, resources.CPU); u != 2 {
 		t.Fatalf("cpu on zero-capacity node = %v", u)
 	}
-	if u := utilization(free, n, resources.NetBW); u != 0 {
+	if u := utilization(n, used, resources.NetBW); u != 0 {
 		t.Fatalf("undemanded zero-capacity dimension = %v", u)
 	}
-	if u := utilization(free, n, resources.Memory); u != 0.5 {
+	if u := utilization(n, used, resources.Memory); u != 0.5 {
 		t.Fatalf("memory = %v", u)
 	}
 }

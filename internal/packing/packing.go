@@ -1,9 +1,9 @@
-// Package packing provides the placement heuristics and the knapsack
+// Package packing provides the placement heuristic and the knapsack
 // reasoning the paper relies on: the First-Fit-Decrease heuristic used
 // by the sample decision module (§3.2) and by the baseline planner of
-// the §5.1 evaluation, a Best-Fit-Decrease variant for ablation, and a
-// dynamic-programming subset-sum bound in the spirit of Trick's
-// knapsack propagation (§4.3) used by the constraint solver.
+// the §5.1 evaluation, and a dynamic-programming subset-sum bound in
+// the spirit of Trick's knapsack propagation (§4.3) used by the
+// constraint solver.
 package packing
 
 import (
@@ -122,35 +122,6 @@ func FirstFitDecrease(c *vjob.Configuration, vms []*vjob.VM) error {
 	return commit(c, assigned, vms)
 }
 
-// BestFitDecrease is the ablation variant: same ordering, but each VM
-// goes to the fitting node with the LEAST remaining memory, keeping
-// large holes available for large VMs.
-func BestFitDecrease(c *vjob.Configuration, vms []*vjob.VM) error {
-	ordered := orderForPacking(c, vms)
-	free := c.FreeResources()
-	nodes := c.Nodes()
-	assigned := make(map[string]string, len(vms))
-	for _, v := range ordered {
-		best := ""
-		bestFree := -1
-		for _, n := range nodes {
-			if !v.Demand.Fits(free[n.Name]) {
-				continue
-			}
-			if freeMem := free[n.Name].Get(resources.Memory); best == "" || freeMem < bestFree {
-				best, bestFree = n.Name, freeMem
-			}
-		}
-		if best == "" {
-			return ErrNoFit{VM: v}
-		}
-		free[best] = free[best].Sub(v.Demand)
-		assigned[v.Name] = best
-		creditOldHost(c, v, free)
-	}
-	return commit(c, assigned, vms)
-}
-
 // creditOldHost returns the resources a just-re-placed VM was consuming
 // on its current host to the free pool: the commit will move it, so
 // later VMs of the same pass may use the space (the behavior of the
@@ -223,24 +194,4 @@ func shiftOrInto(reach []uint64, w, cap int) {
 	for i := last + 1; i < words; i++ {
 		reach[i] = 0
 	}
-}
-
-// Reachable reports whether some subset of weights sums exactly to
-// target (a helper for tests and for exact-fit reasoning).
-func Reachable(target int, weights []int) bool {
-	if target < 0 {
-		return false
-	}
-	if target == 0 {
-		return true
-	}
-	reach := make([]uint64, target/64+1)
-	reach[0] = 1
-	for _, w := range weights {
-		if w <= 0 || w > target {
-			continue
-		}
-		shiftOrInto(reach, w, target)
-	}
-	return reach[target/64]&(1<<uint(target%64)) != 0
 }

@@ -107,38 +107,6 @@ func TestFFDRespectsExistingLoad(t *testing.T) {
 	}
 }
 
-func TestBFDPacksTighter(t *testing.T) {
-	// n00 has a 1 GiB hole, n01 a 2 GiB hole. BFD must put a 1 GiB VM
-	// in the 1 GiB hole; FFD puts it on the first fitting node.
-	c := testCluster(2, 4, 4096)
-	a := vjob.NewVM("a", "x", 1, 3072)
-	b := vjob.NewVM("b", "x", 1, 2048)
-	c.AddVM(a)
-	c.AddVM(b)
-	if err := c.SetRunning("a", "n00"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRunning("b", "n01"); err != nil {
-		t.Fatal(err)
-	}
-	vms := addVMs(c, [2]int{1, 1024})
-	if err := BestFitDecrease(c, vms); err != nil {
-		t.Fatal(err)
-	}
-	if c.HostOf("vm00") != "n00" {
-		t.Fatalf("BFD placed on %s, want n00", c.HostOf("vm00"))
-	}
-}
-
-func TestBFDNoFit(t *testing.T) {
-	c := testCluster(1, 0, 0)
-	vms := addVMs(c, [2]int{1, 1})
-	var nf ErrNoFit
-	if err := BestFitDecrease(c, vms); !errors.As(err, &nf) {
-		t.Fatalf("err = %v, want ErrNoFit", err)
-	}
-}
-
 func TestMaxReachableLoad(t *testing.T) {
 	cases := []struct {
 		cap     int
@@ -164,21 +132,6 @@ func TestMaxReachableLoad(t *testing.T) {
 		if got := MaxReachableLoad(tc.cap, tc.weights); got != tc.want {
 			t.Errorf("MaxReachableLoad(%d,%v) = %d, want %d", tc.cap, tc.weights, got, tc.want)
 		}
-	}
-}
-
-func TestReachable(t *testing.T) {
-	if !Reachable(0, []int{5}) {
-		t.Fatal("0 must always be reachable")
-	}
-	if Reachable(-1, []int{5}) {
-		t.Fatal("negative target reachable")
-	}
-	if !Reachable(12, []int{3, 4, 5}) {
-		t.Fatal("12 = 3+4+5 not found")
-	}
-	if Reachable(11, []int{3, 4, 5}) {
-		t.Fatal("11 wrongly reachable from {3,4,5}")
 	}
 }
 
@@ -258,21 +211,6 @@ func TestRepackCreditsFreedHost(t *testing.T) {
 	if !c.Viable() {
 		t.Fatalf("non-viable packing:\n%s", c)
 	}
-	if err := c.SetWaiting("vm00"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetWaiting("vm01"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRunning("vm00", "n00"); err != nil {
-		t.Fatal(err)
-	}
-	if err := BestFitDecrease(c, vms); err != nil {
-		t.Fatalf("best-fit freed host not credited: %v", err)
-	}
-	if !c.Viable() {
-		t.Fatalf("non-viable best-fit packing:\n%s", c)
-	}
 }
 
 // TestSortByDominantShare: a net-hungry VM outranks a bigger-in-memory
@@ -332,26 +270,5 @@ func TestFFDMultiDimension(t *testing.T) {
 	var nf ErrNoFit
 	if !errors.As(err, &nf) {
 		t.Fatalf("err = %v, want ErrNoFit", err)
-	}
-}
-
-// TestBFDMultiDimension: best-fit honours the extra dimensions too.
-func TestBFDMultiDimension(t *testing.T) {
-	cfg := vjob.NewConfiguration()
-	cap := resources.New(4, 8192)
-	cap.Set(resources.DiskIO, 100)
-	cfg.AddNode(vjob.NewNodeRes("n1", cap))
-	cfg.AddNode(vjob.NewNodeRes("n2", cap))
-	d := resources.New(1, 512)
-	d.Set(resources.DiskIO, 70)
-	v1 := vjob.NewVMRes("v1", "", d)
-	v2 := vjob.NewVMRes("v2", "", d)
-	cfg.AddVM(v1)
-	cfg.AddVM(v2)
-	if err := BestFitDecrease(cfg, []*vjob.VM{v1, v2}); err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Viable() {
-		t.Fatalf("BFD produced violations: %v", cfg.Violations())
 	}
 }

@@ -16,10 +16,6 @@ var ErrNoProgress = errors.New("plan: no feasible action and no breakable migrat
 // Builder turns a reconfiguration graph into a reconfiguration plan.
 // The zero value is ready to use and applies the paper's defaults.
 type Builder struct {
-	// DisableVJobGrouping skips the consistency pass that regroups the
-	// suspends and resumes of a vjob into a single pool (§4.1). Only
-	// useful for ablation studies; production callers keep it false.
-	DisableVJobGrouping bool
 	// DisableTransferGating skips the per-pool NIC admission of
 	// DESIGN.md §9, letting concurrent transfers oversubscribe an
 	// endpoint's `net` capacity the way the memory-only model did.
@@ -39,11 +35,22 @@ func Build(src, dst *vjob.Configuration) (*Plan, error) {
 	return Builder{}.Plan(g)
 }
 
-// Plan builds the reconfiguration plan for the graph: it iteratively
-// extracts pools of actions feasible in parallel, breaking
-// inter-dependent migration cycles with bypass migrations through
-// pivot nodes when no action is directly feasible (§4.1).
+// Plan builds the reconfiguration plan for the graph: the pools of
+// actions feasible in parallel, then the consistency pass that starts
+// the resumes of each vjob together (§4.1).
 func (b Builder) Plan(g *Graph) (*Plan, error) {
+	p, err := b.pools(g)
+	if err != nil {
+		return nil, err
+	}
+	groupVJobResumes(p)
+	return p, nil
+}
+
+// pools iteratively extracts pools of actions feasible in parallel,
+// breaking inter-dependent migration cycles with bypass migrations
+// through pivot nodes when no action is directly feasible (§4.1).
+func (b Builder) pools(g *Graph) (*Plan, error) {
 	p := &Plan{Src: g.Src}
 	cur := g.Src.Clone()
 	remaining := append([]Action(nil), g.Actions...)
@@ -68,10 +75,6 @@ func (b Builder) Plan(g *Graph) (*Plan, error) {
 			}
 		}
 		p.Pools = append(p.Pools, pool)
-	}
-
-	if !b.DisableVJobGrouping {
-		groupVJobResumes(p)
 	}
 	return p, nil
 }
@@ -248,23 +251,29 @@ func sortStrings(s []string) {
 // initially contains the LAST resume of that vjob, so they start
 // together. The move is kept only when the plan still validates, since
 // delaying a resume may no longer be viable if later pools re-used the
-// space.
+// space. One vjob's move can rule out another's (both may crowd the
+// same NIC), so the vjobs are tried in the order the pools first name
+// them.
 func groupVJobResumes(p *Plan) {
+	var jobs []string
 	lastPool := make(map[string]int)
 	count := make(map[string]int)
 	for i, pool := range p.Pools {
 		for _, a := range pool {
 			if r, ok := a.(*Resume); ok && r.Machine.VJob != "" {
+				if count[r.Machine.VJob] == 0 {
+					jobs = append(jobs, r.Machine.VJob)
+				}
 				lastPool[r.Machine.VJob] = i
 				count[r.Machine.VJob]++
 			}
 		}
 	}
-	for job, target := range lastPool {
+	for _, job := range jobs {
 		if count[job] < 2 {
 			continue
 		}
-		moved := tryMoveResumes(p, job, target)
+		moved := tryMoveResumes(p, job, lastPool[job])
 		if moved != nil && moved.Validate() == nil {
 			p.Pools = moved.Pools
 		}

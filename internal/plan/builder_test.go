@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
@@ -360,9 +361,9 @@ func TestVJobResumeGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Without grouping: pool0 = {suspend(blocker), resume(j1-r1)},
+	// The raw pools: pool0 = {suspend(blocker), resume(j1-r1)},
 	// pool1 = {resume(j1-r2)}.
-	ungrouped, err := Builder{DisableVJobGrouping: true}.Plan(mustGraph(t, src, dst))
+	ungrouped, err := Builder{}.pools(mustGraph(t, src, dst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,6 +387,78 @@ func TestVJobResumeGrouping(t *testing.T) {
 	}
 	if !res.Equal(dst) {
 		t.Fatal("grouped plan misses destination")
+	}
+}
+
+// TestGroupingOrderIsDeterministic: two vjobs whose resume moves
+// exclude each other — both images sit behind one NIC that carries
+// three transfers, not four — must get the same plan on every build,
+// whichever vjob the grouping pass tries first.
+func TestGroupingOrderIsDeterministic(t *testing.T) {
+	src := vjob.NewConfiguration()
+	images := resources.New(0, 0)
+	images.Set(resources.NetBW, 3*ResumePushRateMbps)
+	src.AddNode(vjob.NewNodeRes("store", images))
+	for _, d := range []string{"d1", "d2"} {
+		hosts := resources.New(2, 2048)
+		hosts.Set(resources.NetBW, 1000)
+		src.AddNode(vjob.NewNodeRes(d, hosts))
+	}
+	dst := src.Clone()
+	for _, job := range []struct{ name, host string }{{"a", "d1"}, {"b", "d2"}} {
+		// A running blocker holds half the host until its suspend.
+		blocker := vjob.NewVM(job.name+"-blocker", "", 1, 1024)
+		src.AddVM(blocker)
+		dst.AddVM(blocker)
+		if err := src.SetRunning(blocker.Name, job.host); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.SetSleeping(blocker.Name, job.host); err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 2; k++ {
+			v := vjob.NewVM(fmt.Sprintf("%s-%d", job.name, k), job.name, 1, 1024)
+			src.AddVM(v)
+			dst.AddVM(v)
+			if err := src.SetSleeping(v.Name, "store"); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.SetRunning(v.Name, job.host); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := mustGraph(t, src, dst)
+	raw, err := Builder{}.pools(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []string{"a", "b"} {
+		if poolOfVM(raw, job+"-1") == poolOfVM(raw, job+"-2") {
+			t.Fatalf("test premise broken: %s resumes already together\n%s", job, raw)
+		}
+	}
+	first, err := Builder{}.Plan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped := 0
+	for _, job := range []string{"a", "b"} {
+		if poolOfVM(first, job+"-1") == poolOfVM(first, job+"-2") {
+			grouped++
+		}
+	}
+	if grouped != 1 {
+		t.Fatalf("test premise broken: %d vjobs grouped, want exactly 1\n%s", grouped, first)
+	}
+	for i := 0; i < 64; i++ {
+		p, err := Builder{}.Plan(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.String() != first.String() {
+			t.Fatalf("build %d differs:\n%s\nfirst:\n%s", i, p, first)
+		}
 	}
 }
 
@@ -452,7 +525,7 @@ func TestGroupingPreservesDestination(t *testing.T) {
 			return true
 		}
 		grouped, err1 := Builder{}.Plan(g)
-		ungrouped, err2 := Builder{DisableVJobGrouping: true}.Plan(g)
+		ungrouped, err2 := Builder{}.pools(g)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}

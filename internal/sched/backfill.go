@@ -208,100 +208,6 @@ func (st *batchState) backfill() {
 	}
 }
 
-// Conservative applies conservative backfilling (§2.1): a job may be
-// backfilled only if it delays NO waiting job's reservation, not just
-// the queue head's. Reservations are computed for every pending job
-// from the estimated completions, so guarantees are stronger than
-// EASY's but fewer holes get filled.
-func Conservative(jobs []BatchJob, procs int) Schedule {
-	st := newBatchState(jobs, procs)
-	for len(st.pending) > 0 || len(st.running) > 0 {
-		for len(st.pending) > 0 && st.pending[0].job.Procs <= st.freeProcs() {
-			st.begin(st.pending[0])
-			st.pending = st.pending[1:]
-		}
-		if len(st.pending) > 1 {
-			st.conservativeBackfill()
-		}
-		st.step()
-	}
-	return st.schedule()
-}
-
-// conservativeBackfill starts one later job only when simulating the
-// reservations of every pending job shows none would start later.
-func (st *batchState) conservativeBackfill() {
-	base := st.reservations(nil)
-	for _, cand := range st.pending[1:] {
-		if cand.job.Procs > st.freeProcs() {
-			continue
-		}
-		with := st.reservations(cand)
-		delayed := false
-		for id, t0 := range base {
-			if id == cand.job.ID {
-				continue
-			}
-			if with[id] > t0 {
-				delayed = true
-				break
-			}
-		}
-		if delayed {
-			continue
-		}
-		st.begin(cand)
-		for i, p := range st.pending {
-			if p == cand {
-				st.pending = append(st.pending[:i], st.pending[i+1:]...)
-				break
-			}
-		}
-		return
-	}
-}
-
-// reservations simulates, on estimates, when each pending job would
-// start; `extra`, when non-nil, is treated as started now.
-func (st *batchState) reservations(extra *batchRun) map[string]int {
-	type ev struct{ at, procs int }
-	var releases []ev
-	used := 0
-	for _, r := range st.running {
-		used += r.job.Procs
-		releases = append(releases, ev{at: max(st.t+1, r.start+r.job.Estimate), procs: r.job.Procs})
-	}
-	if extra != nil {
-		used += extra.job.Procs
-		releases = append(releases, ev{at: st.t + extra.job.Estimate, procs: extra.job.Procs})
-	}
-	out := make(map[string]int)
-	free := st.procs - used
-	t := st.t
-	i := 0
-	sort.Slice(releases, func(a, b int) bool { return releases[a].at < releases[b].at })
-	for _, p := range st.pending {
-		if extra != nil && p == extra {
-			continue
-		}
-		for p.job.Procs > free && i < len(releases) {
-			free += releases[i].procs
-			t = releases[i].at
-			i++
-		}
-		if p.job.Procs > free {
-			t = 1 << 30 // never within the horizon
-		}
-		out[p.job.ID] = t
-		// The job occupies processors from its reservation on; model
-		// it as consuming immediately for subsequent queue entries.
-		free -= p.job.Procs
-		releases = append(releases, ev{at: t + p.job.Estimate, procs: p.job.Procs})
-		sort.Slice(releases[i:], func(a, b int) bool { return releases[i+a].at < releases[i+b].at })
-	}
-	return out
-}
-
 // EASYPreempt is the Figure 1c policy: EASY backfilling plus
 // preemption. Each step, processors go to jobs in queue order; any
 // leftover processors let later jobs run partially, and such jobs are

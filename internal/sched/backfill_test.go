@@ -1,11 +1,8 @@
 package sched
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // figure1Jobs is the 4-job workload of Figure 1 on a 4-processor
@@ -98,83 +95,6 @@ func TestEASYPreemptImprovesFurther(t *testing.T) {
 	}
 	if segs < 2 {
 		t.Fatalf("job 4 not preempted (%d segment)\n%s", segs, pre.Gantt())
-	}
-}
-
-func TestConservativeNeverDelaysReservations(t *testing.T) {
-	jobs, procs := figure1Jobs()
-	cons := Conservative(jobs, procs)
-	fcfs := FCFS(jobs, procs)
-	// Conservative backfilling never makes anything start later than
-	// plain FCFS would.
-	for _, j := range jobs {
-		if firstStart(cons, j.ID) > firstStart(fcfs, j.ID) {
-			t.Fatalf("job %s delayed: conservative %d vs fcfs %d\n%s",
-				j.ID, firstStart(cons, j.ID), firstStart(fcfs, j.ID), cons.Gantt())
-		}
-	}
-	if cons.Makespan > fcfs.Makespan {
-		t.Fatalf("conservative (%d) worse than FCFS (%d)", cons.Makespan, fcfs.Makespan)
-	}
-	// Job 3 still backfills into the t=0 hole (it cannot delay anyone:
-	// it ends before job 2's reservation).
-	if got := firstStart(cons, "3"); got != 0 {
-		t.Fatalf("job 3 starts at %d under conservative, want 0\n%s", got, cons.Gantt())
-	}
-}
-
-// TestConservativeGuaranteeProperty: across random workloads with
-// accurate estimates, conservative backfilling never starts any job
-// later than plain FCFS would — the per-job guarantee EASY does not
-// give. Work conservation and capacity are also re-checked.
-func TestConservativeGuaranteeProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		procs := 2 + rng.Intn(6)
-		n := 2 + rng.Intn(6)
-		jobs := make([]BatchJob, n)
-		for i := range jobs {
-			rt := 1 + rng.Intn(6)
-			jobs[i] = BatchJob{
-				ID:       fmt.Sprintf("j%d", i),
-				Procs:    1 + rng.Intn(procs),
-				Runtime:  rt,
-				Estimate: rt,
-			}
-		}
-		fcfs := FCFS(jobs, procs)
-		cons := Conservative(jobs, procs)
-		for _, j := range jobs {
-			if firstStart(cons, j.ID) > firstStart(fcfs, j.ID) {
-				t.Logf("seed %d: job %s delayed (%d > %d)\nFCFS:\n%s\nConservative:\n%s",
-					seed, j.ID, firstStart(cons, j.ID), firstStart(fcfs, j.ID), fcfs.Gantt(), cons.Gantt())
-				return false
-			}
-		}
-		total := map[string]int{}
-		for _, seg := range cons.Segments {
-			total[seg.Job] += seg.End - seg.Start
-		}
-		for _, j := range jobs {
-			if total[j.ID] != j.Runtime {
-				return false
-			}
-		}
-		for tick := 0; tick < cons.Makespan; tick++ {
-			used := 0
-			for _, seg := range cons.Segments {
-				if seg.Start <= tick && tick < seg.End {
-					used += seg.Procs
-				}
-			}
-			if used > procs {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }
 

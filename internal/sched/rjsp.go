@@ -1,9 +1,10 @@
 // Package sched provides the decision modules of the paper: the sample
 // FCFS dynamic-consolidation module that solves the Running Job
-// Selection Problem (§3.2, Figure 6), a static FCFS allocator used as
-// the §5.2 baseline, the Terminator wrapper that stops a vjob once its
-// application has finished, and a small batch-scheduling model (FCFS,
-// EASY backfilling, EASY + preemption) that regenerates the Figure 1
+// Selection Problem (§3.2, Figure 6), the static FCFS allocator of the
+// §5.2 baseline (strict queue order, one booked processing unit per
+// VM), the Terminator wrapper that stops a vjob once its application
+// has finished, and a small batch-scheduling model (FCFS, EASY
+// backfilling, EASY + preemption) that regenerates the Figure 1
 // schematic.
 package sched
 
@@ -64,27 +65,20 @@ func (Consolidation) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[str
 	return target
 }
 
-// StaticFCFS is the baseline of §5.2: vjobs are started in FCFS order
-// when (and only when) all their VMs fit, and once running they are
-// never preempted. Backfill additionally lets later vjobs start ahead
-// of a blocked head-of-queue (the EASY behaviour); without it the scan
-// stops at the first vjob that does not fit.
+// StaticFCFS is the baseline of §5.2: vjobs are started in strict FCFS
+// order when (and only when) all their VMs fit — the scan stops at the
+// first vjob that does not — and once running they are never
+// preempted.
 //
-// With ReserveFullCPU (the realistic RMS behaviour) every VM counts as
-// one full processing unit whether or not it is computing right now —
-// users book resources for the whole walltime. This static reservation
-// is exactly the under-use the paper's dynamic consolidation recovers.
-type StaticFCFS struct {
-	// Backfill enables starting later vjobs past a blocked one.
-	Backfill bool
-	// ReserveFullCPU makes placement use the booked one-CPU-per-VM
-	// reservation instead of the instantaneous demand.
-	ReserveFullCPU bool
-}
+// Every VM counts as one full processing unit whether or not it is
+// computing right now, the realistic RMS behaviour: users book
+// resources for the whole walltime. This static reservation is exactly
+// the under-use the paper's dynamic consolidation recovers.
+type StaticFCFS struct{}
 
 // Decide returns the target states: running vjobs stay running,
 // waiting vjobs start when they fit.
-func (s StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
+func (StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
 	target := make(map[string]vjob.State, len(queue))
 	temp := emptyClusterLike(cfg)
 	// Reserve resources of the already-running vjobs first: they are
@@ -96,7 +90,7 @@ func (s StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[stri
 				if h := cfg.HostOf(v.Name); h != "" {
 					// Mirror the real placement so fragmentation is
 					// honoured, as a static RMS would.
-					sv := s.shadow(v)
+					sv := booked(v)
 					temp.AddVM(sv)
 					_ = temp.SetRunning(sv.Name, h)
 				}
@@ -108,34 +102,26 @@ func (s StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[stri
 		if cur != vjob.Waiting {
 			continue
 		}
-		if tryPlace(temp, s.shadowJob(j)) {
+		if tryPlace(temp, bookedJob(j)) {
 			target[j.Name] = vjob.Running
 			continue
 		}
 		target[j.Name] = vjob.Waiting
-		if !s.Backfill {
-			break // strict FCFS: nobody jumps the queue
-		}
+		break // strict FCFS: nobody jumps the queue
 	}
 	return target
 }
 
-// shadow returns the VM as the RMS accounts for it: the booked
-// reservation when ReserveFullCPU is set, the live demand otherwise.
-func (s StaticFCFS) shadow(v *vjob.VM) *vjob.VM {
-	if !s.ReserveFullCPU {
-		return v
-	}
+// booked returns the VM as the RMS accounts for it: one processing
+// unit and its memory, for the whole walltime.
+func booked(v *vjob.VM) *vjob.VM {
 	return vjob.NewVM(v.Name, v.VJob, 1, v.MemoryDemand())
 }
 
-func (s StaticFCFS) shadowJob(j *vjob.VJob) *vjob.VJob {
-	if !s.ReserveFullCPU {
-		return j
-	}
+func bookedJob(j *vjob.VJob) *vjob.VJob {
 	out := &vjob.VJob{Name: j.Name, Priority: j.Priority, Submitted: j.Submitted}
 	for _, v := range j.VMs {
-		out.VMs = append(out.VMs, s.shadow(v))
+		out.VMs = append(out.VMs, booked(v))
 	}
 	return out
 }

@@ -130,29 +130,29 @@ func TestStaticFCFSNeverPreempts(t *testing.T) {
 	}
 }
 
-// TestStaticFCFSHeadBlocks: without backfill, a blocked head stops all
-// later vjobs, even ones that would fit.
+// TestStaticFCFSHeadBlocks: a blocked head stops all later vjobs,
+// even ones that would fit. The head is blocked by its booking: idle
+// VMs still reserve one processing unit each.
 func TestStaticFCFSHeadBlocks(t *testing.T) {
 	c := mkCluster(2, 1, 4096)
 	blockerVMs := []*vjob.VM{
-		vjob.NewVM("big-1", "", 1, 1024),
-		vjob.NewVM("big-2", "", 1, 1024),
-		vjob.NewVM("big-3", "", 1, 1024),
+		vjob.NewVM("big-1", "", 0, 1024),
+		vjob.NewVM("big-2", "", 0, 1024),
+		vjob.NewVM("big-3", "", 0, 1024),
 	}
-	big := vjob.NewVJob("big", 1, blockerVMs...) // needs 3 CPUs, cluster has 2
+	big := vjob.NewVJob("big", 1, blockerVMs...) // books 3 CPUs, cluster has 2
 	small := vjob.NewVJob("small", 2, vjob.NewVM("small-1", "", 1, 1024))
 	for _, v := range big.VMs {
 		c.AddVM(v)
 	}
 	c.AddVM(small.VMs[0])
 
-	strict := StaticFCFS{}.Decide(c, []*vjob.VJob{big, small})
-	if strict["small"] != vjob.Waiting {
-		t.Fatalf("strict FCFS let small jump: %v", strict)
+	target := StaticFCFS{}.Decide(c, []*vjob.VJob{big, small})
+	if target["big"] != vjob.Waiting {
+		t.Fatalf("idle VMs booked no CPU: %v", target)
 	}
-	easy := StaticFCFS{Backfill: true}.Decide(c, []*vjob.VJob{big, small})
-	if easy["small"] != vjob.Running {
-		t.Fatalf("backfill did not start small: %v", easy)
+	if target["small"] != vjob.Waiting {
+		t.Fatalf("strict FCFS let small jump: %v", target)
 	}
 }
 

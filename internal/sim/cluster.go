@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"time"
 
 	"cwcs/internal/duration"
 	"cwcs/internal/plan"
@@ -68,10 +67,6 @@ type Cluster struct {
 	// onLoad are the load-change subscribers (see OnLoadChange); the
 	// event-driven control loop hooks in here.
 	onLoad []func(vm string)
-
-	// SuspendToRAM switches suspend/resume to the §7 future-work
-	// fast path (no disk image) in the duration model.
-	SuspendToRAM bool
 
 	// FailAction, when non-nil, is consulted at the instant each
 	// action would complete: a non-nil error makes the action fail —
@@ -256,7 +251,7 @@ func (c *Cluster) VJobDone(j *vjob.VJob) bool {
 // the plan's driver records a failed action where the daemon used to
 // panic.
 func (c *Cluster) StartAction(a plan.Action, done func(error)) {
-	d, tr, err := c.actionTiming(a)
+	d, tr, err := c.model.ActionDuration(a)
 	if err != nil {
 		c.Schedule(c.now, func() {
 			if done != nil {
@@ -327,18 +322,6 @@ func (c *Cluster) finishAction(op *operation) {
 	if op.done != nil {
 		op.done(err)
 	}
-}
-
-// actionTiming resolves the duration and transfer mode, honouring the
-// suspend-to-RAM mode.
-func (c *Cluster) actionTiming(a plan.Action) (d time.Duration, tr duration.Transfer, err error) {
-	if c.SuspendToRAM {
-		switch a.(type) {
-		case *plan.Suspend, *plan.Resume:
-			return c.model.SuspendToRAM(), duration.Local, nil
-		}
-	}
-	return c.model.ActionDuration(a)
 }
 
 func (c *Cluster) freeze(vm string) {

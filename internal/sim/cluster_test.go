@@ -269,19 +269,6 @@ func TestRunAndStopLifecycle(t *testing.T) {
 	}
 }
 
-func TestSuspendToRAMFastPath(t *testing.T) {
-	c := newSim(t, 1, 2, 4096)
-	vm := addRunning(t, c, "vm1", "n00", 1, 2048)
-	c.SuspendToRAM = true
-	var doneAt float64 = -1
-	c.StartAction(&plan.Suspend{Machine: vm, On: "n00", To: "n00"}, func(error) { doneAt = c.Now() })
-	c.Run(1000)
-	want := duration.Default().SuspendToRAM().Seconds()
-	if math.Abs(doneAt-want) > 1e-6 {
-		t.Fatalf("RAM suspend took %v, want %v", doneAt, want)
-	}
-}
-
 func TestActionErrorReported(t *testing.T) {
 	c := newSim(t, 2, 2, 4096)
 	vm := addRunning(t, c, "vm1", "n00", 1, 1024)

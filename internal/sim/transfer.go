@@ -73,16 +73,9 @@ func (x *transfer) finished() bool {
 
 // newTransfer returns the metered transfer state for the action, or
 // nil when the legacy fixed-duration path applies: the action moves
-// nothing across nodes, suspend-to-RAM mode is on, or no endpoint has
-// a modeled NIC — zero `net` capacity compiles the bandwidth model
+// nothing across nodes, or no endpoint has a modeled NIC — zero `net` capacity compiles the bandwidth model
 // away, keeping 2-D timings byte-identical to the calibration.
 func (c *Cluster) newTransfer(a plan.Action) *transfer {
-	if c.SuspendToRAM {
-		switch a.(type) {
-		case *plan.Suspend, *plan.Resume:
-			return nil
-		}
-	}
 	spec, ok := c.model.ActionTransfer(a)
 	if !ok {
 		return nil
