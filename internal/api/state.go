@@ -79,48 +79,15 @@ func (s *Server) handleWatchState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "watch/state: %v", err)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "watch/state: streaming unsupported")
-		return
-	}
-	buf := s.StateBuffer
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan stateEvent, buf)
-	go s.produceState(r.Context(), streams, ch)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "event: hello\ndata: {\"streams\":%q,\"drops\":%d}\n\n", strings.Join(streams, ","), s.stateDrops.Load())
-	fl.Flush()
-
-	hb := s.WatchHeartbeat
-	if hb <= 0 {
-		hb = 15 * time.Second
-	}
-	ticker := time.NewTicker(hb)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				// The producer dropped this subscriber as too slow; say
-				// goodbye if the pipe still works and disconnect.
-				fmt.Fprint(w, "event: dropped\ndata: {}\n\n")
-				return
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-			fl.Flush()
-		case <-ticker.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
+	pumpSSE(s, w, r, "watch/state", func() (string, <-chan stateEvent, func()) {
+		buf := s.StateBuffer
+		if buf <= 0 {
+			buf = 16
 		}
-	}
+		ch := make(chan stateEvent, buf)
+		go s.produceState(r.Context(), streams, ch)
+		return fmt.Sprintf(`{"streams":%q,"drops":%d}`, strings.Join(streams, ","), s.stateDrops.Load()), ch, nil
+	}, func(ev stateEvent) (string, []byte, bool) { return ev.name, ev.data, true })
 }
 
 // produceState polls the cluster under Exec at StateInterval, diffs

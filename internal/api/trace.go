@@ -60,22 +60,43 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "tracing disabled")
 		return
 	}
+	pumpSSE(s, w, r, "watch", func() (string, <-chan obs.StreamEvent, func()) {
+		buf := s.WatchBuffer
+		if buf <= 0 {
+			buf = 256
+		}
+		sub := s.Trace.Subscribe(buf)
+		return fmt.Sprintf(`{"drops":%d}`, s.Trace.WatchDrops()), sub.C, sub.Close
+	}, func(ev obs.StreamEvent) (string, []byte, bool) {
+		data, err := json.Marshal(ev)
+		return "span", data, err == nil
+	})
+}
+
+// pumpSSE serves one Server-Sent Events stream: once the writer is
+// known to stream, open subscribes — returning the hello payload, the
+// frame channel and a stop func run when the stream ends (nil for
+// none) — and the pump writes the event-stream headers, the hello
+// frame, then every frame render accepts, with a heartbeat comment
+// every WatchHeartbeat, until the client leaves or the producer closes
+// the channel: it does so when the client fell behind, and the pump
+// then writes a terminal dropped frame.
+func pumpSSE[T any](s *Server, w http.ResponseWriter, r *http.Request, what string,
+	open func() (hello string, frames <-chan T, stop func()),
+	render func(T) (event string, data []byte, ok bool)) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, "watch: streaming unsupported")
+		writeError(w, http.StatusNotImplemented, "%s: streaming unsupported", what)
 		return
 	}
-	buf := s.WatchBuffer
-	if buf <= 0 {
-		buf = 256
+	hello, frames, stop := open()
+	if stop != nil {
+		defer stop()
 	}
-	sub := s.Trace.Subscribe(buf)
-	defer sub.Close()
-
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "event: hello\ndata: {\"drops\":%d}\n\n", s.Trace.WatchDrops())
+	fmt.Fprintf(w, "event: hello\ndata: %s\n\n", hello)
 	fl.Flush()
 
 	hb := s.WatchHeartbeat
@@ -88,19 +109,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-sub.C:
+		case v, ok := <-frames:
 			if !ok {
-				// The tracer dropped this subscriber as too slow; say
+				// The producer dropped this subscriber as too slow; say
 				// goodbye if the pipe still works and disconnect.
 				fmt.Fprint(w, "event: dropped\ndata: {}\n\n")
 				return
 			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				continue
+			if event, data, ok := render(v); ok {
+				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+				fl.Flush()
 			}
-			fmt.Fprintf(w, "event: span\ndata: %s\n\n", data)
-			fl.Flush()
 		case <-ticker.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()

@@ -74,12 +74,15 @@ func FailureEvent(at float64, a plan.Action) Event {
 }
 
 // dirtySet accumulates the nodes and VMs touched by events since the
-// last incremental iteration. Events landing in the same partition
-// slice coalesce naturally: the set only records elements, and slice
-// selection walks it once per wake-up.
+// last incremental round, and whether a pass is owed even with no
+// element dirty (a repair that fell back, a re-solve that failed).
+// Events landing in the same partition slice coalesce naturally: the
+// set only records elements, and slice selection walks it once per
+// wake-up.
 type dirtySet struct {
 	nodes map[string]bool
 	vms   map[string]bool
+	owed  bool
 }
 
 func (d *dirtySet) add(ev Event) {
@@ -95,9 +98,9 @@ func (d *dirtySet) add(ev Event) {
 	}
 }
 
-// addSets re-merges previously taken sets (a failed repair puts its
-// region back).
-func (d *dirtySet) addSets(nodes, vms map[string]bool) {
+// put merges sets back in (a switch's own region, a repair's taken
+// region), owing a pass when owed is set.
+func (d *dirtySet) put(nodes, vms map[string]bool, owed bool) {
 	if d.nodes == nil {
 		d.nodes = make(map[string]bool)
 		d.vms = make(map[string]bool)
@@ -108,21 +111,24 @@ func (d *dirtySet) addSets(nodes, vms map[string]bool) {
 	for v := range vms {
 		d.vms[v] = true
 	}
+	d.owed = d.owed || owed
 }
 
-func (d *dirtySet) empty() bool { return len(d.nodes) == 0 && len(d.vms) == 0 }
+// empty reports whether nothing is dirty and no pass is owed.
+func (d *dirtySet) empty() bool { return len(d.nodes) == 0 && len(d.vms) == 0 && !d.owed }
 
-// take returns the accumulated sets and resets the dirty-set.
-func (d *dirtySet) take() (nodes, vms map[string]bool) {
-	nodes, vms = d.nodes, d.vms
-	d.nodes, d.vms = nil, nil
+// take returns the accumulated sets and whether a pass was owed, and
+// resets the dirty-set.
+func (d *dirtySet) take() (nodes, vms map[string]bool, owed bool) {
+	nodes, vms, owed = d.nodes, d.vms, d.owed
+	d.nodes, d.vms, d.owed = nil, nil, false
 	if nodes == nil {
 		nodes = map[string]bool{}
 	}
 	if vms == nil {
 		vms = map[string]bool{}
 	}
-	return nodes, vms
+	return nodes, vms, owed
 }
 
 // Execution is a handle on an in-flight managed plan execution

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"cwcs/internal/packing"
-	"cwcs/internal/plan"
 	"cwcs/internal/vjob"
 )
 
@@ -20,25 +19,30 @@ func FFDPlan(p Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dst := p.Src.Clone()
+	dst, err := ffdDestination(p.Src, goals)
+	if err != nil {
+		return nil, err
+	}
+	res, err := Optimizer{}.plan(p.Src, dst)
+	if err != nil {
+		return nil, err
+	}
+	res.Solutions = 1
+	return res, nil
+}
+
+// ffdDestination packs the VMs that must run First-Fit-Decrease onto
+// an empty copy of the node set, and decodes that assignment.
+func ffdDestination(src *vjob.Configuration, goals []vmGoal) (*vjob.Configuration, error) {
 	scratch := vjob.NewConfiguration()
-	for _, n := range p.Src.Nodes() {
+	for _, n := range src.Nodes() {
 		scratch.AddNode(n)
 	}
 	var runners []*vjob.VM
 	for _, g := range goals {
-		switch g.want {
-		case vjob.Running:
+		if g.want == vjob.Running {
 			runners = append(runners, g.vm)
 			scratch.AddVM(g.vm)
-		case vjob.Sleeping:
-			if g.cur == vjob.Running {
-				if err := dst.SetSleeping(g.vm.Name, g.curLoc); err != nil {
-					return nil, err
-				}
-			}
-		case vjob.Terminated:
-			dst.RemoveVM(g.vm.Name)
 		}
 	}
 	if err := packing.FirstFitDecrease(scratch, runners); err != nil {
@@ -48,18 +52,5 @@ func FFDPlan(p Problem) (*Result, error) {
 		}
 		return nil, err
 	}
-	for _, v := range runners {
-		if err := dst.SetRunning(v.Name, scratch.HostOf(v.Name)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := plan.BuildGraph(p.Src, dst)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := plan.Builder{}.Plan(g)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Dst: dst, Plan: pl, Cost: pl.Cost(), Solutions: 1}, nil
+	return decode(src, goals, goals, func(i int) string { return scratch.HostOf(goals[i].vm.Name) })
 }

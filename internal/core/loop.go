@@ -91,8 +91,8 @@ type LoopStats struct {
 // reconfiguration, and execute the cluster-wide context switch.
 //
 // Two schedules are supported. The periodic schedule (the paper's) re-
-// solves the whole cluster Interval seconds after the previous
-// iteration finished, execution included. The event-driven schedule
+// solves the whole cluster Interval seconds after the previous round
+// finished, execution included. The event-driven schedule
 // (EventDriven) reacts to cluster events instead: Notify feeds VM
 // arrivals/departures, load changes, node changes and action failures
 // into a dirty-set; a burst of events is debounced, and the wake-up
@@ -102,6 +102,15 @@ type LoopStats struct {
 // assignment — and merges them into one switch. An action failure
 // during execution triggers a local plan repair (plan.Repair) spliced
 // in at the next pool boundary instead of a full abort.
+//
+// The loop is a state machine over one phase: idle, armed (a debounced
+// wake is scheduled), executing (a switch runs), repair-due (an action
+// of the running switch failed; the next pool boundary repairs),
+// stopping (Stop came while a switch runs) and stopped. Its inputs are
+// Start, Notify, the timers it arms, the pool boundaries and the
+// completion of an execution, and Stop; DESIGN.md §6 prints the
+// transition table. A canceled Ctx or a true Done halts the loop
+// without a transition: from then on no round or repair runs.
 type Loop struct {
 	// Decision chooses vjob states; required.
 	Decision DecisionModule
@@ -169,15 +178,14 @@ type Loop struct {
 	// Stats accumulates the loop telemetry.
 	Stats LoopStats
 
-	stopped bool
-
-	// Event-driven state.
-	dirty          dirtySet
-	wakeArmed      bool
-	executing      bool
-	exec           Execution
-	repairWanted   bool
-	resolvePending bool
+	// phase is where the loop stands; gen numbers the debounced wakes,
+	// so a timer that a later arm superseded stays inert.
+	phase phase
+	gen   int
+	// dirty holds what events touched since the last round, and whether
+	// a pass is owed regardless; exec is the running managed execution.
+	dirty dirtySet
+	exec  Execution
 	// lastDst is the expected destination of the last switch: the
 	// warm-start assignment of the next solve.
 	lastDst *vjob.Configuration
@@ -197,12 +205,12 @@ type Loop struct {
 	causeKind string
 
 	// Partition cache: the node/VM membership (and rescoped rules) of
-	// the last carve — or the verdict that the problem stays monolithic
-	// — reusable while no structural event, executed action or rule
-	// change invalidated it.
-	parts     []cachedPart
-	partsMono bool
-	partsGen  int
+	// the last carve — or, empty and non-nil, the verdict that the
+	// problem stays monolithic — reusable while no structural event,
+	// executed action or rule change invalidated it; nil when there is
+	// none.
+	parts    []cachedPart
+	partsGen int
 }
 
 // cachedPart is one slice of a cached partition carve: enough to
@@ -213,19 +221,30 @@ type cachedPart struct {
 	rules      []PlacementRule
 }
 
-// Start schedules the first iteration immediately and returns; the
-// loop then lives on the actuator's clock.
+// phase is where the loop stands in its cycle (see the Loop doc).
+// Every phase from phaseExecuting on skips a round.
+type phase uint8
+
+const (
+	phaseIdle      phase = iota // nothing executes, no wake armed; a full round may be due
+	phaseArmed                  // a debounced incremental wake is scheduled
+	phaseExecuting              // a context switch executes
+	phaseRepairDue              // executing; the next pool boundary repairs a failure
+	phaseStopping               // executing after Stop; stopped once the plan completes
+	phaseStopped                // nothing runs and nothing is scheduled any more
+)
+
+// Start schedules the first round immediately and returns; the loop
+// then lives on the actuator's clock. The first round solves the whole
+// cluster in either schedule (the event-driven bootstrap).
 func (l *Loop) Start(a Actuator) {
 	l.Trace.Mark("loop-start", a.Now())
-	a.Schedule(a.Now(), func() { l.iterate(a) })
+	l.arm(a, 0, true)
 }
 
 // endWake closes the open wake span, tagging whether the round ended
 // in a context switch.
 func (l *Loop) endWake(a Actuator, switched bool) {
-	if !l.wakeSpan.Active() {
-		return
-	}
 	l.wakeSpan.SetSwitch(switched)
 	l.wakeSpan.End(a.Now())
 }
@@ -282,27 +301,16 @@ func (l *Loop) report(scope string, res *Result) {
 	}
 }
 
-// solveFull solves the whole cluster and acts on the answer. On a
-// failed solve (expired budget before any solution, transient
-// unviability) the wake is closed and the error returned: how to retry
-// is the caller's call.
-func (l *Loop) solveFull(a Actuator, p Problem) error {
-	opt := l.Optimizer
-	opt.WarmStart = l.lastDst
-	res, err := opt.SolveContext(l.ctx(), p)
-	l.report("full", res)
-	if err != nil {
-		l.endWake(a, false)
-		return err
+// Stop halts the loop: no round runs and no timer is armed after it. A
+// plan already executing runs to completion as-is — Busy stays true
+// until it does — and a pending in-flight repair is abandoned.
+func (l *Loop) Stop() {
+	if l.Busy() {
+		l.phase = phaseStopping
+	} else {
+		l.phase = phaseStopped
 	}
-	l.Stats.SubSolves += max(res.Partitions, 1)
-	l.execute(a, res, 0)
-	return nil
 }
-
-// Stop halts the loop after the current iteration; a pending in-flight
-// repair is abandoned (the executing plan runs to completion as-is).
-func (l *Loop) Stop() { l.stopped = true }
 
 func (l *Loop) interval() float64 {
 	if l.Interval <= 0 {
@@ -325,8 +333,9 @@ func (l *Loop) ctx() context.Context {
 	return context.Background()
 }
 
+// halted reports whether Ctx or Done ended the loop.
 func (l *Loop) halted() bool {
-	return l.stopped || l.ctx().Err() != nil || (l.Done != nil && l.Done())
+	return l.ctx().Err() != nil || (l.Done != nil && l.Done())
 }
 
 // rules combines the static administrator rules with the dynamic drain
@@ -343,16 +352,13 @@ func (l *Loop) rules() []PlacementRule {
 }
 
 // Busy reports whether a context switch is executing right now.
-func (l *Loop) Busy() bool { return l.executing }
+func (l *Loop) Busy() bool {
+	return l.phase == phaseExecuting || l.phase == phaseRepairDue || l.phase == phaseStopping
+}
 
 // Execution returns the handle of the in-flight managed execution, or
 // nil when no plan is executing (or the actuator is unmanaged).
-func (l *Loop) Execution() Execution {
-	if !l.executing {
-		return nil
-	}
-	return l.exec
-}
+func (l *Loop) Execution() Execution { return l.exec }
 
 // Notify feeds one cluster event into the event-driven loop. Events
 // received while a plan executes only mark the dirty-set — except
@@ -360,9 +366,9 @@ func (l *Loop) Execution() Execution {
 // the next pool boundary; the wake-up then happens right after the
 // execution completes. Events received while idle arm a debounced
 // wake-up; further events within the window coalesce. Notify is a
-// no-op on a periodic loop.
+// no-op on a periodic loop and after Stop.
 func (l *Loop) Notify(a Actuator, ev Event) {
-	if !l.EventDriven || l.stopped {
+	if !l.EventDriven || l.phase >= phaseStopping {
 		return
 	}
 	l.Stats.Events++
@@ -384,56 +390,83 @@ func (l *Loop) Notify(a Actuator, ev Event) {
 	case VMArrival, VMDeparture, NodeDown, NodeUp:
 		// Membership (or drain-rule) changes redraw the binding
 		// relation: the cached carve is stale.
-		l.parts, l.partsMono = nil, false
+		l.parts = nil
 	}
-	if l.executing {
-		if ev.Kind == ActionFailure && l.exec != nil && !l.exec.Finished() {
-			l.repairWanted = true
-		} else {
-			l.Stats.Coalesced++
-		}
-		return
-	}
-	if l.wakeArmed {
+	switch {
+	case l.phase == phaseIdle:
+		l.arm(a, l.debounce(), false)
+	case l.Busy() && ev.Kind == ActionFailure && l.exec != nil && !l.exec.Finished():
+		l.phase = phaseRepairDue
+	default:
 		l.Stats.Coalesced++
-		return
 	}
-	l.armWake(a)
 }
 
-// armWake schedules the debounced incremental iteration.
-func (l *Loop) armWake(a Actuator) {
-	if l.wakeArmed || l.stopped {
+// arm schedules a round delay virtual seconds from now. A full round —
+// the first, a periodic one, a bootstrap retry — leaves the phase
+// alone. An incremental round is the debounced wake: arming it moves
+// idle to armed and opens a debounce span its timer closes. The timer
+// wakes the loop only if no later arm superseded it and the loop is
+// still armed: a full round may have started a switch meanwhile.
+func (l *Loop) arm(a Actuator, delay float64, full bool) {
+	if l.phase == phaseStopped {
 		return
 	}
-	l.wakeArmed = true
+	at := a.Now() + delay
+	if full {
+		a.Schedule(at, func() { l.wake(a, true) })
+		return
+	}
+	if l.phase == phaseArmed {
+		return
+	}
+	l.phase = phaseArmed
+	l.gen++
+	gen := l.gen
+	// A still open span belongs to a wake this arm supersedes.
+	l.debounceSpan.End(a.Now())
 	if l.Trace != nil {
 		l.debounceSpan = l.Trace.Start(obs.KindDebounce, "debounce", a.Now())
 	}
-	a.Schedule(a.Now()+l.debounce(), func() {
-		l.wakeArmed = false
-		if l.debounceSpan.Active() {
-			l.debounceSpan.End(a.Now())
-		}
-		if l.halted() || l.executing {
-			// An execution that started meanwhile re-arms on completion.
+	a.Schedule(at, func() {
+		if gen != l.gen {
 			return
 		}
-		l.iterateIncremental(a)
+		l.debounceSpan.End(a.Now())
+		if l.phase == phaseArmed {
+			l.phase = phaseIdle
+			l.wake(a, false)
+		}
 	})
 }
 
-// iterate is one full (monolithic) observe/decide/plan/execute round:
-// the periodic schedule, and the bootstrap of the event-driven one.
-func (l *Loop) iterate(a Actuator) {
-	if l.halted() || l.executing {
+// wake is one observe/decide/plan/execute round. A full round solves
+// the whole cluster; an incremental one re-solves the dirty slices,
+// falling back to the whole cluster on an undecomposable problem, a
+// failed batch, or an unmet need in a slice no event touched (every
+// dirty slice is clean, yet the problem is not satisfied). No round
+// starts while a plan executes, after Stop, or once the loop halted.
+func (l *Loop) wake(a Actuator, full bool) {
+	if l.phase >= phaseExecuting || l.halted() {
 		return
 	}
 	l.nowVirt = a.Now()
-	l.wakeSpan = l.Trace.Start(obs.KindWake, "full", l.nowVirt)
+	scope := "incremental"
+	if full {
+		scope = "full"
+	}
+	l.wakeSpan = l.Trace.Start(obs.KindWake, scope, l.nowVirt)
+	var dirtyNodes, dirtyVMs map[string]bool
+	if !full {
+		if l.dirty.empty() {
+			l.endWake(a, false)
+			l.next(a)
+			return
+		}
+		dirtyNodes, dirtyVMs, _ = l.dirty.take()
+	}
 	cfg := a.Observe()
-	queue := l.Queue()
-	target := l.Decision.Decide(cfg, queue)
+	target := l.Decision.Decide(cfg, l.Queue())
 	l.Stats.Iterations++
 	p := Problem{Src: cfg, Target: target, Rules: l.rules()}
 	if p.Satisfied() {
@@ -442,36 +475,65 @@ func (l *Loop) iterate(a Actuator) {
 		l.next(a)
 		return
 	}
-	if err := l.solveFull(a, p); err != nil {
-		if l.EventDriven {
-			// A failed bootstrap must retry: with an empty dirty-set no
-			// event would otherwise reschedule it, and the cluster
-			// would sit violated until an unrelated event.
-			a.Schedule(a.Now()+l.debounce(), func() { l.iterate(a) })
+	if !full {
+		if sr, err := l.solveDirtySlices(p, dirtyNodes, dirtyVMs, nil, nil); err == nil {
+			l.execute(a, sr.merged, sr.merged.Partitions)
 			return
 		}
-		l.next(a)
+		// The monolithic fallback arms a fresh Timeout of its own.
+		l.Stats.FullSolves++
 	}
-}
-
-// next schedules whatever follows a finished round: the fixed pause in
-// periodic mode, or — in event-driven mode — a debounced wake-up when
-// events accumulated meanwhile (and nothing otherwise).
-func (l *Loop) next(a Actuator) {
-	l.executing = false
-	l.exec = nil
-	l.repairWanted = false
-	if l.EventDriven {
-		if !l.dirty.empty() || l.resolvePending {
-			l.armWake(a)
-		} else if !l.wakeArmed {
-			// Truly idle: the reconfiguration that started with the
-			// first Notify of the burst is remediated.
-			l.closeCause(a)
-		}
+	opt := l.Optimizer
+	opt.WarmStart = l.lastDst
+	res, err := opt.SolveContext(l.ctx(), p)
+	l.report("full", res)
+	if err == nil {
+		l.Stats.SubSolves += max(res.Partitions, 1)
+		l.execute(a, res, 0)
 		return
 	}
-	a.Schedule(a.Now()+l.interval(), func() { l.iterate(a) })
+	// The solve failed: an expired budget before any solution, or a
+	// transient unviability.
+	l.endWake(a, false)
+	if full && l.EventDriven {
+		// A failed bootstrap must retry: with an empty dirty-set no
+		// event would otherwise reschedule it, and the cluster would
+		// sit violated until an unrelated event.
+		l.arm(a, l.debounce(), true)
+		return
+	}
+	if !full {
+		// Keep the region dirty and owe a pass: it retries after the
+		// debounce, as the periodic schedule retries every interval.
+		l.dirty.put(dirtyNodes, dirtyVMs, true)
+	}
+	l.next(a)
+}
+
+// next follows a round that rested or failed and every finished
+// switch: the periodic schedule's next round is due Interval seconds
+// later; the event-driven loop arms a wake while work is left — dirty
+// elements or an owed pass — and closes the episode otherwise. A loop
+// told to stop while a plan executed stops here.
+func (l *Loop) next(a Actuator) {
+	l.exec = nil
+	switch l.phase {
+	case phaseStopping, phaseStopped:
+		l.phase = phaseStopped
+		return
+	case phaseExecuting, phaseRepairDue:
+		l.phase = phaseIdle
+	}
+	switch {
+	case !l.EventDriven:
+		l.arm(a, l.interval(), true)
+	case !l.dirty.empty():
+		l.arm(a, l.debounce(), false)
+	case l.phase == phaseIdle:
+		// Truly idle: the reconfiguration that started with the
+		// first Notify of the burst is remediated.
+		l.closeCause(a)
+	}
 }
 
 // execute acts on a solved round: its destination is the next warm
@@ -502,22 +564,27 @@ func (l *Loop) execute(a Actuator, res *Result, slices int) {
 		l.Trace.Mark("switch-done", a.Now())
 		l.next(a)
 	}
-	l.executing = true
+	l.phase = phaseExecuting
 	// A monolithic plan may migrate VMs across slice boundaries,
 	// invalidating the cached carve. A merged slice plan cannot: each
 	// slice solve only places VMs on its own nodes, so the carve's
 	// hard bindings survive the switch and the follow-up wake-ups
 	// reuse it.
 	if slices == 0 {
-		l.parts, l.partsMono = nil, false
+		l.parts = nil
 	}
 	// A switch changes the region it touches: mark it dirty so the
 	// event-driven loop runs one follow-up pass and converges the
 	// decision module to a fixpoint (multi-round policies like
 	// resume-then-terminate depend on it). The follow-up solve sees an
 	// already-final region and yields an empty plan, ending the chain.
+	// Nodes matter as much as VMs: a Stop removes its VM from the
+	// configuration, so only the freed nodes lead the follow-up pass
+	// back to the right slice.
 	if l.EventDriven {
-		l.dirty.addSets(planDirty(res.Plan))
+		for _, act := range res.Plan.Actions() {
+			l.dirty.add(Event{Nodes: plan.TouchedNodes(act), VMs: []string{act.VM().Name}})
+		}
 	}
 	if ma, ok := a.(ManagedActuator); ok && l.EventDriven {
 		l.exec = ma.ExecuteManaged(res.Plan,
@@ -540,13 +607,19 @@ func (l *Loop) execute(a Actuator, res *Result, slices int) {
 }
 
 // poolBoundary runs between pools of a managed execution: the safe
-// instant to splice a repair for failures observed so far.
+// instant to splice a repair for failures observed so far. The attempt
+// is one splice span recording its outcome and widening depth.
 func (l *Loop) poolBoundary(a Actuator) {
-	if !l.repairWanted || l.stopped || l.exec == nil || l.halted() {
+	if l.phase != phaseRepairDue || l.halted() {
 		return
 	}
-	l.repairWanted = false
-	l.tryRepair(a)
+	l.phase = phaseExecuting
+	l.nowVirt = a.Now()
+	sp := l.Trace.Start(obs.KindSplice, "repair", l.nowVirt)
+	outcome, widened := l.repair(a)
+	sp.SetWiden(widened)
+	sp.SetOutcome(outcome)
+	sp.End(a.Now())
 }
 
 // DefaultRepairWiden is the region-expansion bound of an in-flight
@@ -573,17 +646,6 @@ const (
 	repairNoop     = "noop"
 )
 
-// tryRepair wraps one repair attempt in a splice span recording its
-// outcome and widening depth.
-func (l *Loop) tryRepair(a Actuator) {
-	l.nowVirt = a.Now()
-	sp := l.Trace.Start(obs.KindSplice, "repair", l.nowVirt)
-	outcome, widened := l.repair(a)
-	sp.SetWiden(widened)
-	sp.SetOutcome(outcome)
-	sp.End(a.Now())
-}
-
 // repair re-solves the dirty slices against the live configuration
 // and splices the result into the executing plan. When the splice
 // would strand a kept action whose feasibility depended on a dropped
@@ -595,17 +657,17 @@ func (l *Loop) tryRepair(a Actuator) {
 // put back and a full incremental pass runs once the execution
 // completes.
 func (l *Loop) repair(a Actuator) (outcome string, widened int) {
-	dirtyNodes, dirtyVMs := l.dirty.take()
+	dirtyNodes, dirtyVMs, owed := l.dirty.take()
 	// A mid-flight repair never discharges the dirty-set: the region
-	// is only clean once a post-execution iteration sees it satisfied.
-	// Re-adding the taken sets on every path preserves the fixpoint
+	// is only clean once a post-execution round sees it satisfied.
+	// Putting the taken sets back on every path preserves the fixpoint
 	// follow-up pass execute() arranged (the switch's own self-dirty
 	// marks travel through this take too, and widened elements travel
 	// with them); the follow-up is cheap — satisfied slices skip the
 	// solver entirely.
-	defer l.dirty.addSets(dirtyNodes, dirtyVMs)
+	defer l.dirty.put(dirtyNodes, dirtyVMs, owed)
 	fallback := func() {
-		l.resolvePending = true
+		l.dirty.owed = true
 		l.Stats.FailedRepairs++
 	}
 	cur := a.Observe()
@@ -653,7 +715,7 @@ func (l *Loop) repair(a Actuator) (outcome string, widened int) {
 		}
 		// The spliced remainder came from a fresh mid-execution carve
 		// whose slices need not match the cached one: drop the cache.
-		l.parts, l.partsMono = nil, false
+		l.parts = nil
 		l.Stats.Repairs++
 		if widened > 0 {
 			l.Stats.WidenedRepairs++
@@ -763,20 +825,20 @@ func (l *Loop) partition(p Problem) ([]Problem, error) {
 		return parts, nil
 	}
 	sp := l.Trace.Start(obs.KindCarve, "carve", l.nowVirt)
-	l.parts, l.partsMono = nil, false
+	l.parts = nil
 	parts, err := (Partitioner{Parts: l.Optimizer.Partitions}).Split(p)
 	if err != nil {
 		sp.SetOutcome("error")
 	}
 	sp.End(l.nowVirt)
-	// A mid-execution carve (tryRepair) is not cached: the remaining
+	// A mid-execution carve (a repair) is not cached: the remaining
 	// pools keep rewriting placements underneath it.
-	if err != nil || l.executing {
+	if err != nil || l.Busy() {
 		return parts, err
 	}
 	l.partsGen = l.Drains.Generation()
 	if len(parts) < 2 {
-		l.partsMono = true
+		l.parts = []cachedPart{}
 		return parts, nil
 	}
 	cache := make([]cachedPart, len(parts))
@@ -797,13 +859,7 @@ func (l *Loop) partition(p Problem) ([]Problem, error) {
 // cachedPartition rebuilds the sub-problems from the cached carve; ok
 // is false when the cache is absent or stale.
 func (l *Loop) cachedPartition(p Problem) ([]Problem, bool) {
-	if l.executing || l.partsGen != l.Drains.Generation() {
-		return nil, false
-	}
-	if l.partsMono {
-		return nil, true
-	}
-	if l.parts == nil {
+	if l.parts == nil || l.Busy() || l.partsGen != l.Drains.Generation() {
 		return nil, false
 	}
 	out := make([]Problem, len(l.parts))
@@ -838,69 +894,4 @@ func touchesSets(sub *vjob.Configuration, nodes, vms map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// iterateIncremental is one event-driven round: re-solve and merge
-// the dirty slices, execute. It falls back to a monolithic solve when
-// the problem does not decompose or the batch of slices fails.
-func (l *Loop) iterateIncremental(a Actuator) {
-	if l.halted() || l.executing {
-		return
-	}
-	l.nowVirt = a.Now()
-	l.wakeSpan = l.Trace.Start(obs.KindWake, "incremental", l.nowVirt)
-	pending := l.resolvePending
-	l.resolvePending = false
-	dirtyNodes, dirtyVMs := l.dirty.take()
-	if len(dirtyNodes) == 0 && len(dirtyVMs) == 0 && !pending {
-		l.endWake(a, false)
-		l.closeCause(a)
-		return
-	}
-	cfg := a.Observe()
-	target := l.Decision.Decide(cfg, l.Queue())
-	l.Stats.Iterations++
-	p := Problem{Src: cfg, Target: target, Rules: l.rules()}
-	if p.Satisfied() {
-		l.lastDst = cfg
-		l.endWake(a, false)
-		l.closeCause(a)
-		return
-	}
-	sr, err := l.solveDirtySlices(p, dirtyNodes, dirtyVMs, nil, nil)
-	if err != nil {
-		// Monolithic fallback, under a fresh Timeout of its own. This
-		// covers an undecomposable problem, a failed batch of dirty
-		// slices, and errNothingDirty: the Satisfied() early-return above
-		// did not fire, so when every dirty slice is individually clean
-		// the unmet need sits in a slice the events never touched (e.g. a
-		// queued vjob the decision module now wants running on capacity
-		// freed elsewhere) — only a whole-cluster solve can reach it.
-		l.Stats.FullSolves++
-		if serr := l.solveFull(a, p); serr != nil {
-			// Keep the region dirty and retry after the debounce, like
-			// the periodic schedule retries every interval.
-			l.dirty.addSets(dirtyNodes, dirtyVMs)
-			l.resolvePending = true
-			l.next(a)
-		}
-		return
-	}
-	l.execute(a, sr.merged, sr.merged.Partitions)
-}
-
-// planDirty collects the nodes and VMs a plan manipulates. Nodes
-// matter as much as VMs: a Stop removes its VM from the configuration,
-// so after a stop-containing switch only the freed nodes can lead the
-// follow-up pass back to the right slice.
-func planDirty(p *plan.Plan) (nodes, vms map[string]bool) {
-	nodes = make(map[string]bool)
-	vms = make(map[string]bool)
-	for _, a := range p.Actions() {
-		vms[a.VM().Name] = true
-		for _, n := range plan.TouchedNodes(a) {
-			nodes[n] = true
-		}
-	}
-	return nodes, vms
 }

@@ -41,12 +41,12 @@ func (a *fakeManaged) ExecuteManaged(p *plan.Plan, onFailure func(plan.Action, e
 func (e *fakeExec) runNext() {
 	if e.next >= len(e.plan.Pools) {
 		e.finished = true
-		e.a.Schedule(e.a.now, func() { e.done(e.a.now-e.start, e.failures) })
+		e.a.schedule(e.a.now, "done", func() { e.done(e.a.now-e.start, e.failures) })
 		return
 	}
 	pool := e.plan.Pools[e.next]
 	e.next++
-	e.a.Schedule(e.a.now+e.a.poolSecs, func() {
+	e.a.schedule(e.a.now+e.a.poolSecs, "pool", func() {
 		for _, act := range pool {
 			if e.a.failVMs[act.VM().Name] {
 				e.failures++
@@ -280,9 +280,7 @@ func TestEventLoopStopDuringInFlightRepair(t *testing.T) {
 	cfg, rules, jobs := fencedChurnCluster(t)
 	l, a := eventLoop(cfg, rules, jobs)
 	stub := &fakeExec{a: a, plan: &plan.Plan{Src: cfg}}
-	l.exec = stub
-	l.executing = true
-	l.repairWanted = true
+	l.exec, l.phase = stub, phaseRepairDue
 	l.dirty.add(Event{Kind: ActionFailure, VMs: []string{jobs[0].VMs[0].Name}, Nodes: []string{"n00"}})
 
 	calls := l.Stats.SolverCalls
@@ -336,9 +334,7 @@ func crossSliceRepairCluster(t *testing.T) (*Loop, *fakeManaged, *vjob.Configura
 		{&plan.Migration{Machine: jb.VMs[0], Src: "n03", Dst: "n00"}},
 		{&plan.Migration{Machine: jb.VMs[1], Src: "n02", Dst: "n03"}},
 	}}}
-	l.exec = stub
-	l.executing = true
-	l.repairWanted = true
+	l.exec, l.phase = stub, phaseRepairDue
 	l.dirty.add(Event{Kind: ActionFailure, VMs: []string{"a2"}, Nodes: []string{"n00"}})
 	return l, a, cfg
 }
@@ -423,25 +419,26 @@ func TestEventLoopRepairRefusalFallsBackToFullResolve(t *testing.T) {
 }
 
 // TestEventLoopFallbackResolvePendingForcesFullPass pins the fallback
-// contract on its own: resolvePending alone — even with an empty
-// dirty-set at wake-up — must arm the post-execution wake and drive a
-// full incremental pass. Before the fix, iterateIncremental cleared
-// the flag and returned early when the dirty elements had vanished,
-// leaving the refused region violated until an unrelated event.
+// contract on its own: the owed pass alone — even with no element left
+// in the dirty-set at wake-up — must arm the post-execution wake and
+// drive a full incremental pass. Before the fix, the incremental round
+// dropped the pending re-solve and returned early when the dirty
+// elements had vanished, leaving the refused region violated until an
+// unrelated event.
 func TestEventLoopFallbackResolvePendingForcesFullPass(t *testing.T) {
 	l, a, cfg := crossSliceRepairCluster(t)
 	l.RepairWiden = -1
 
 	l.poolBoundary(a)
-	if !l.resolvePending {
-		t.Fatalf("fallback did not set resolvePending: %+v", l.Stats)
+	if !l.dirty.owed {
+		t.Fatalf("fallback did not owe a pass: %+v", l.Stats)
 	}
-	// Simulate the dirty elements being consumed elsewhere: the pending
-	// flag must carry the re-solve on its own.
-	l.dirty.take()
+	// Simulate the dirty elements being consumed elsewhere: the owed
+	// pass must carry the re-solve on its own.
+	l.dirty.nodes, l.dirty.vms = nil, nil
 	l.next(a)
-	if !l.wakeArmed {
-		t.Fatal("resolvePending alone did not arm the post-execution wake")
+	if l.phase != phaseArmed {
+		t.Fatal("the owed pass alone did not arm the post-execution wake")
 	}
 	a.run(100)
 	if l.Stats.Iterations == 0 {

@@ -19,10 +19,16 @@ type fakeActuator struct {
 	executed []*plan.Plan
 }
 
+// fakeEvent is one scheduled callback. kind labels what scheduled it
+// ("pool" and "done" for executions, "full" and "debounce" for the
+// loop's timers under a phaseActuator, empty otherwise); gen is the
+// wake generation a debounce timer was armed with.
 type fakeEvent struct {
-	at  float64
-	seq int
-	fn  func()
+	at   float64
+	seq  int
+	kind string
+	gen  int
+	fn   func()
 }
 
 type fakeQueue []*fakeEvent
@@ -45,9 +51,13 @@ func (q *fakeQueue) Pop() interface{} {
 
 func (a *fakeActuator) Now() float64 { return a.now }
 
-func (a *fakeActuator) Schedule(at float64, fn func()) {
+func (a *fakeActuator) Schedule(at float64, fn func()) { a.schedule(at, "", fn) }
+
+func (a *fakeActuator) schedule(at float64, kind string, fn func()) *fakeEvent {
 	a.seq++
-	heap.Push(&a.events, &fakeEvent{at: at, seq: a.seq, fn: fn})
+	e := &fakeEvent{at: at, seq: a.seq, kind: kind, fn: fn}
+	heap.Push(&a.events, e)
+	return e
 }
 
 func (a *fakeActuator) Observe() *vjob.Configuration { return a.cfg.Clone() }
@@ -61,7 +71,41 @@ func (a *fakeActuator) Execute(p *plan.Plan, done func(float64, int)) {
 		}
 	}
 	dur := a.execSecs
-	a.Schedule(a.now+dur, func() { done(dur, failures) })
+	a.schedule(a.now+dur, "done", func() { done(dur, failures) })
+}
+
+// step runs the earliest pending event, advancing the clock to it, and
+// returns it; nil when nothing is pending.
+func (a *fakeActuator) step() *fakeEvent {
+	if len(a.events) == 0 {
+		return nil
+	}
+	e := heap.Pop(&a.events).(*fakeEvent)
+	if e.at > a.now {
+		a.now = e.at
+	}
+	e.fn()
+	return e
+}
+
+// fire runs the earliest pending event of the kind, advancing the
+// clock to it; it reports whether there was one.
+func (a *fakeActuator) fire(kind string) bool {
+	best := -1
+	for i, e := range a.events {
+		if e.kind == kind && (best < 0 || a.events.Less(i, best)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	e := heap.Remove(&a.events, best).(*fakeEvent)
+	if e.at > a.now {
+		a.now = e.at
+	}
+	e.fn()
+	return true
 }
 
 // run processes events until the horizon or quiescence.

@@ -448,8 +448,10 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 	// plan that undercuts FFD's from-scratch packing by far.
 	var seed *Result
 	seedLabel := ""
-	if sd, err := FFDPlan(p); err == nil && rulesHold(p.Rules, sd.Dst) && o.seedRespectsPins(p, sd) {
-		seed, seedLabel = sd, "ffd-seed"
+	if dst, err := ffdDestination(p.Src, c.goals); err == nil {
+		if seed = o.candidate(p, dst); seed != nil {
+			seedLabel = "ffd-seed"
+		}
 	}
 	warmHit := false
 	if ws := o.warmSeed(p, c); ws != nil {
@@ -734,15 +736,15 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 		}
 		t = time.Now()
 		lb := c.lowerBound(sol, m.vars)
-		if dst, derr := o.decode(p, c.goals, c.runners, m.vars, c.nodes, sol); derr == nil {
-			if g, gerr := plan.BuildGraph(p.Src, dst); gerr == nil {
-				if pl, perr := o.Builder.Plan(g); perr == nil {
-					incumbent, better := sh.offer(&Result{Dst: dst, Plan: pl, Cost: pl.Cost(), LowerBound: lb}, st.Label)
-					if better {
-						improved++
-					}
-					sh.bound.Tighten(incumbent - 1)
+		dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[sol.MustValue(m.vars[i])].Name })
+		if err == nil {
+			if res := o.candidate(p, dst); res != nil {
+				res.LowerBound = lb
+				incumbent, better := sh.offer(res, st.Label)
+				if better {
+					improved++
 				}
+				sh.bound.Tighten(incumbent - 1)
 			}
 		}
 		ph.Plan += time.Since(t)
@@ -760,64 +762,83 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 // a viability or rule violation — and the caller falls back to the
 // FFD seed alone.
 func (o Optimizer) warmSeed(p Problem, c *compiled) *Result {
-	if o.WarmStart == nil {
+	if o.WarmStart == nil || slices.Contains(c.hints, -1) {
 		return nil
 	}
-	dst := p.Src.Clone()
-	for _, g := range c.goals {
-		if g.want == vjob.Running {
-			continue
-		}
-		switch g.want {
-		case vjob.Sleeping:
-			if g.cur == vjob.Running {
-				if dst.SetSleeping(g.vm.Name, g.curLoc) != nil {
-					return nil
-				}
+	dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[c.hints[i]].Name })
+	if err != nil {
+		return nil
+	}
+	return o.candidate(p, dst)
+}
+
+// decode builds the destination configuration of an assignment: a copy
+// of src in which every VM that must not run reaches its goal — asleep
+// on its current host, terminated, or still waiting — and the i-th goal
+// of runners that wants Running runs on the node host(i) names. The FFD
+// seed, the warm seed and every solution of the search go through it.
+func decode(src *vjob.Configuration, goals, runners []vmGoal, host func(i int) string) (*vjob.Configuration, error) {
+	dst := src.Clone()
+	for _, g := range goals {
+		switch {
+		case g.want == vjob.Sleeping && g.cur == vjob.Running:
+			if err := dst.SetSleeping(g.vm.Name, g.curLoc); err != nil {
+				return nil, err
 			}
-		case vjob.Terminated:
+		case g.want == vjob.Terminated:
 			dst.RemoveVM(g.vm.Name)
 		}
 	}
-	for i, g := range c.runners {
-		idx := c.hints[i]
-		if idx < 0 {
-			return nil
+	for i, g := range runners {
+		if g.want != vjob.Running {
+			continue
 		}
-		if dst.SetRunning(g.vm.Name, c.nodes[idx].Name) != nil {
-			return nil
+		if err := dst.SetRunning(g.vm.Name, host(i)); err != nil {
+			return nil, err
 		}
 	}
-	if !dst.Viable() || !rulesHold(p.Rules, dst) {
+	return dst, nil
+}
+
+// candidate plans a decoded destination with o.Builder; it returns nil
+// when the destination is not viable, breaks a placement rule, or
+// migrates a running VM under PinRunning (the FFD heuristic re-places
+// everything from scratch and knows nothing about pinning), or when
+// the graph cannot be planned.
+func (o Optimizer) candidate(p Problem, dst *vjob.Configuration) *Result {
+	if !dst.Viable() || !rulesHold(p.Rules, dst) || !o.respectsPins(p.Src, dst) {
 		return nil
 	}
-	seed := &Result{Dst: dst}
-	if !o.seedRespectsPins(p, seed) {
-		return nil
-	}
-	g, err := plan.BuildGraph(p.Src, dst)
+	res, err := o.plan(p.Src, dst)
 	if err != nil {
 		return nil
+	}
+	return res
+}
+
+// plan builds the reconfiguration graph from src to dst and plans it
+// with o.Builder.
+func (o Optimizer) plan(src, dst *vjob.Configuration) (*Result, error) {
+	g, err := plan.BuildGraph(src, dst)
+	if err != nil {
+		return nil, err
 	}
 	pl, err := o.Builder.Plan(g)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	seed.Plan = pl
-	seed.Cost = pl.Cost()
-	return seed
+	return &Result{Dst: dst, Plan: pl, Cost: pl.Cost()}, nil
 }
 
-// seedRespectsPins rejects a heuristic seed that migrates a running VM
-// when PinRunning is in force: the FFD heuristic re-places everything
-// from scratch and knows nothing about pinning.
-func (o Optimizer) seedRespectsPins(p Problem, seed *Result) bool {
+// respectsPins reports whether dst keeps every VM running in src that
+// still runs on its host when PinRunning is in force.
+func (o Optimizer) respectsPins(src, dst *vjob.Configuration) bool {
 	if !o.PinRunning {
 		return true
 	}
-	for _, v := range p.Src.VMs() {
-		if p.Src.StateOf(v.Name) == vjob.Running && seed.Dst.StateOf(v.Name) == vjob.Running &&
-			seed.Dst.HostOf(v.Name) != p.Src.HostOf(v.Name) {
+	for _, v := range src.VMs() {
+		if src.StateOf(v.Name) == vjob.Running && dst.StateOf(v.Name) == vjob.Running &&
+			dst.HostOf(v.Name) != src.HostOf(v.Name) {
 			return false
 		}
 	}
@@ -871,39 +892,6 @@ func (c *compiled) costBound(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
 			return nil
 		},
 	}
-}
-
-// decode turns a solver solution into the destination configuration.
-func (o Optimizer) decode(p Problem, goals []vmGoal, runners []vmGoal, vars []*cp.IntVar, nodes []*vjob.Node, sol cp.Solution) (*vjob.Configuration, error) {
-	dst := p.Src.Clone()
-	for _, g := range goals {
-		switch g.want {
-		case vjob.Sleeping:
-			if g.cur == vjob.Running {
-				if err := dst.SetSleeping(g.vm.Name, g.curLoc); err != nil {
-					return nil, err
-				}
-			}
-		case vjob.Terminated:
-			dst.RemoveVM(g.vm.Name)
-		case vjob.Waiting:
-			// stays waiting
-		}
-	}
-	for i, g := range runners {
-		if err := dst.SetRunning(g.vm.Name, nodes[sol.MustValue(vars[i])].Name); err != nil {
-			return nil, err
-		}
-	}
-	if !dst.Viable() {
-		return nil, fmt.Errorf("core: solver produced non-viable configuration: %v", dst.Violations())
-	}
-	for _, rule := range p.Rules {
-		if err := rule.Check(dst); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // rulesHold reports whether every placement rule accepts the

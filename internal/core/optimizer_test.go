@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cwcs/internal/cp"
+	"cwcs/internal/plan"
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
@@ -576,5 +577,53 @@ func TestOneWorkerSearchPinned(t *testing.T) {
 				t.Fatalf("%s partitions=%d: outcomes = %+v, want one %+v", tc.name, parts, res.Outcomes, want)
 			}
 		}
+	}
+}
+
+// TestOptimizerPlansSeedsWithItsBuilder: every candidate the optimizer
+// returns is planned by Optimizer.Builder, the FFD seed included. Two
+// VMs sit on n02 and n03 of a cluster whose NICs admit one migration
+// at a time; FFD packs both onto n00, so the transfer-gating builder
+// serializes the two migrations into n00 while the transfer-blind one
+// runs them in one pool. The search is canceled before it starts, so
+// the blind optimizer can only return the FFD seed — planned blind.
+func TestOptimizerPlansSeedsWithItsBuilder(t *testing.T) {
+	c := vjob.NewConfiguration()
+	for i := 0; i < 4; i++ {
+		capacity := resources.New(2, 4096)
+		capacity.Set(resources.NetBW, plan.MigrateRateMbps+200)
+		c.AddNode(vjob.NewNodeRes(fmt.Sprintf("n%02d", i), capacity))
+	}
+	j := vjob.NewVJob("j", 0, vjob.NewVM("v1", "j", 1, 1024), vjob.NewVM("v2", "j", 1, 1024))
+	for i, v := range j.VMs {
+		c.AddVM(v)
+		mustRun(t, c, v.Name, fmt.Sprintf("n%02d", i+2))
+	}
+	p := Problem{Src: c, Target: map[string]vjob.State{"j": vjob.Running}}
+	blind := plan.Builder{DisableTransferGating: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Optimizer{Partitions: 1, Workers: 1, Builder: blind}.SolveContext(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := plan.BuildGraph(p.Src, res.Dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := blind.Plan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gated, err := plan.Builder{}.Plan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gated.Pools) == len(want.Pools) {
+		t.Fatalf("instance does not separate the builders: %d pools either way", len(want.Pools))
+	}
+	if len(res.Plan.Pools) != len(want.Pools) || res.Cost != want.Cost() {
+		t.Fatalf("returned plan has %d pools at cost %d; the blind builder plans its destination in %d pools at cost %d",
+			len(res.Plan.Pools), res.Cost, len(want.Pools), want.Cost())
 	}
 }
