@@ -54,6 +54,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSplit -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzLoopTransitions -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzAdvanceAudit -fuzztime=$(FUZZTIME) ./internal/monitor
+	$(GO) test -run=^$$ -fuzz=FuzzActionFacts -fuzztime=$(FUZZTIME) ./internal/plan
+	$(GO) test -run=^$$ -fuzz=FuzzActionFacts -fuzztime=$(FUZZTIME) ./internal/drivers
 
 # Atomic-mode coverage with per-package floors: the floors file pins a
 # minimum for every load-bearing package, so a PR cannot silently strip

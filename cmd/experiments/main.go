@@ -269,9 +269,9 @@ func partitionOptions(quick bool, seed int64, workers, partitions int) experimen
 	return o
 }
 
-// churnOptions shapes the periodic-vs-event-driven loop study.
-func churnOptions(quick bool, seed int64, workers, partitions int) experiments.ChurnOptions {
-	o := experiments.DefaultChurnOptions()
+// shapeChurn sets the seed and the optimizer of a churn scenario and,
+// under quick, shrinks it to a 64-node cluster.
+func shapeChurn(o *experiments.ChurnOptions, quick bool, seed int64, workers, partitions int) {
 	o.Seed = seed
 	o.Workers = workers
 	o.Partitions = partitions
@@ -284,19 +284,20 @@ func churnOptions(quick bool, seed int64, workers, partitions int) experiments.C
 		o.Horizon = 2000
 		o.Timeout = 100 * time.Millisecond
 	}
+}
+
+// churnOptions shapes the periodic-vs-event-driven loop study.
+func churnOptions(quick bool, seed int64, workers, partitions int) experiments.ChurnOptions {
+	o := experiments.DefaultChurnOptions()
+	shapeChurn(&o, quick, seed, workers, partitions)
 	return o
 }
 
 // repairStormOptions shapes the repair-widening failure-storm study.
 func repairStormOptions(quick bool, seed int64, workers, partitions int) experiments.RepairStormOptions {
 	o := experiments.DefaultRepairStormOptions()
-	o.Churn.Seed = seed
-	o.Churn.Workers = workers
-	o.Churn.Partitions = partitions
+	shapeChurn(&o.Churn, quick, seed, workers, partitions)
 	if quick {
-		co := churnOptions(true, seed, workers, partitions)
-		co.WatchInvariants = true
-		o.Churn = co
 		o.Rates = []float64{0.10}
 	}
 	return o

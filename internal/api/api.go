@@ -99,14 +99,6 @@ type Server struct {
 	// reads are lock-free, so trace scrapes skip Exec and never delay
 	// the loop.
 	Trace *obs.Tracer
-	// WatchHeartbeat is the SSE keep-alive period of GET /v1/watch;
-	// 0 means 15 seconds.
-	WatchHeartbeat time.Duration
-	// WatchBuffer is the per-subscriber event queue of GET /v1/watch.
-	// A client that falls this far behind is dropped and disconnected
-	// rather than ever blocking the loop (cwcs_watch_drops_total
-	// counts it). 0 means 256.
-	WatchBuffer int
 	// Ledger, when non-nil, enables GET /v1/violations and the labeled
 	// cwcs_violation_seconds_total{vjob,kind} / {node,kind} and
 	// cwcs_rule_breach_seconds_total{rule} samples. The ledger carries
@@ -116,19 +108,44 @@ type Server struct {
 	// cwcs_portfolio_wins_total{strategy} / cwcs_warm_start_* metric
 	// families. Self-locked like the ledger; reads skip Exec.
 	Solver *core.SolverTelemetry
-	// StateInterval is the poll period of the GET /v1/watch/state
-	// producer (real time — deltas are observed under Exec at this
-	// cadence, not per sim event). 0 means 1 second.
-	StateInterval time.Duration
-	// StateBuffer is the per-subscriber delta queue of GET
-	// /v1/watch/state. A client that falls this far behind gets a
-	// terminal dropped event instead of ever blocking the producer
-	// (cwcs_state_watch_drops_total counts it). 0 means 16.
-	StateBuffer int
+
+	// heartbeat, stateInterval and stateBuffer override watchHeartbeat,
+	// statePoll and stateQueue when positive; only tests set them.
+	heartbeat, stateInterval time.Duration
+	stateBuffer              int
 
 	// stateDrops counts watch/state subscribers disconnected for
 	// falling behind.
 	stateDrops atomic.Uint64
+}
+
+// The pace of the SSE streams.
+const (
+	// watchHeartbeat is the keep-alive period of GET /v1/watch and GET
+	// /v1/watch/state.
+	watchHeartbeat = 15 * time.Second
+	// watchBuffer is the per-subscriber event queue of GET /v1/watch.
+	// A client that falls this far behind is dropped and disconnected
+	// rather than ever blocking the loop (cwcs_watch_drops_total
+	// counts it).
+	watchBuffer = 256
+	// statePoll is the poll period of the GET /v1/watch/state producer
+	// (real time — deltas are observed under Exec at this cadence, not
+	// per sim event).
+	statePoll = time.Second
+	// stateQueue is the per-subscriber delta queue of GET
+	// /v1/watch/state. A client that falls this far behind gets a
+	// terminal dropped event instead of ever blocking the producer
+	// (cwcs_state_watch_drops_total counts it).
+	stateQueue = 16
+)
+
+// orDefault returns v when positive, def otherwise.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // Handler returns the routed control plane.

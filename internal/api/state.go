@@ -64,7 +64,7 @@ func (s *Server) parseStateStreams(q string) ([]string, error) {
 // only what changed — so a dashboard that reconnects mid-evacuation
 // resyncs from the snapshot and converges to exactly what polling
 // /v1/nodes would report, without polling. Backpressure follows the
-// /v1/watch discipline: a client that falls StateBuffer frames behind
+// /v1/watch discipline: a client that falls stateQueue frames behind
 // gets a terminal `dropped` event and is disconnected
 // (cwcs_state_watch_drops_total counts it); the producer — and the
 // Exec serializer it samples under — is never blocked by a stalled
@@ -80,27 +80,20 @@ func (s *Server) handleWatchState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pumpSSE(s, w, r, "watch/state", func() (string, <-chan stateEvent, func()) {
-		buf := s.StateBuffer
-		if buf <= 0 {
-			buf = 16
-		}
-		ch := make(chan stateEvent, buf)
+		ch := make(chan stateEvent, orDefault(s.stateBuffer, stateQueue))
 		go s.produceState(r.Context(), streams, ch)
 		return fmt.Sprintf(`{"streams":%q,"drops":%d}`, strings.Join(streams, ","), s.stateDrops.Load()), ch, nil
 	}, func(ev stateEvent) (string, []byte, bool) { return ev.name, ev.data, true })
 }
 
-// produceState polls the cluster under Exec at StateInterval, diffs
+// produceState polls the cluster under Exec at statePoll, diffs
 // each selected stream against what it last sent, and feeds the
 // subscriber's channel without ever blocking on it: an enqueue that
 // finds the buffer full closes the channel instead (the handler then
 // writes the terminal dropped event). It owns the channel — only the
 // producer closes it — and exits when the request context dies.
 func (s *Server) produceState(ctx context.Context, streams []string, ch chan stateEvent) {
-	interval := s.StateInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
+	interval := orDefault(s.stateInterval, statePoll)
 	want := map[string]bool{}
 	for _, st := range streams {
 		want[st] = true

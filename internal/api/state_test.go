@@ -82,7 +82,7 @@ func nextEvent(t *testing.T, events <-chan sseEvent, what string) sseEvent {
 // nodes), and later frames carry only what changed.
 func TestWatchStateSnapshotThenDeltas(t *testing.T) {
 	b := newTestbed(t, 4, 2, 4096)
-	b.srv.StateInterval = 5 * time.Millisecond
+	b.srv.stateInterval = 5 * time.Millisecond
 	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -156,8 +156,8 @@ func TestWatchStateStreamValidation(t *testing.T) {
 // comments at the configured period.
 func TestWatchStateHeartbeat(t *testing.T) {
 	b := newTestbed(t, 2, 2, 4096)
-	b.srv.WatchHeartbeat = 20 * time.Millisecond
-	b.srv.StateInterval = time.Hour // one snapshot, then silence
+	b.srv.heartbeat = 20 * time.Millisecond
+	b.srv.stateInterval = time.Hour // one snapshot, then silence
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -194,13 +194,13 @@ func (g *gatedWriter) String() string {
 
 // TestWatchStateSlowClientDropped pins the backpressure policy: a
 // subscriber that stops reading is disconnected with a terminal
-// dropped event once it falls StateBuffer frames behind, the producer
+// dropped event once it falls stateBuffer frames behind, the producer
 // never blocks (state keeps changing under it), and /metrics counts
 // the drop.
 func TestWatchStateSlowClientDropped(t *testing.T) {
 	b := newTestbed(t, 4, 2, 4096)
-	b.srv.StateBuffer = 1
-	b.srv.StateInterval = time.Millisecond
+	b.srv.stateBuffer = 1
+	b.srv.stateInterval = time.Millisecond
 
 	gate := make(chan struct{})
 	gw := &gatedWriter{gate: gate}
@@ -249,7 +249,7 @@ func TestWatchStateSlowClientDropped(t *testing.T) {
 // /v1/nodes reports at quiescence.
 func TestWatchStateReconnectResyncMidEvacuation(t *testing.T) {
 	b := newTestbed(t, 40, 2, 4096)
-	b.srv.StateInterval = 2 * time.Millisecond
+	b.srv.stateInterval = 2 * time.Millisecond
 	var busy []string
 	for i := 0; i < 24; i++ {
 		busy = append(busy, fmt.Sprintf("node%03d", i))
@@ -335,7 +335,7 @@ func TestWatchStateReconnectResyncMidEvacuation(t *testing.T) {
 				t.Fatal("stream closed before quiescence")
 			}
 			apply(ev)
-		case <-time.After(20 * b.srv.StateInterval):
+		case <-time.After(20 * b.srv.stateInterval):
 			quiet = true
 		}
 	}

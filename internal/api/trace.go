@@ -52,7 +52,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleWatch streams span-close and loop lifecycle events as
 // Server-Sent Events. Backpressure is drop-not-block: the tracer
 // never waits on a subscriber, so a client that cannot keep up with
-// its WatchBuffer loses the subscription (its channel closes, the
+// its watchBuffer loses the subscription (its channel closes, the
 // handler disconnects it) and cwcs_watch_drops_total increments —
 // the loop is never delayed by a stalled watcher.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -61,11 +61,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pumpSSE(s, w, r, "watch", func() (string, <-chan obs.StreamEvent, func()) {
-		buf := s.WatchBuffer
-		if buf <= 0 {
-			buf = 256
-		}
-		sub := s.Trace.Subscribe(buf)
+		sub := s.Trace.Subscribe(watchBuffer)
 		return fmt.Sprintf(`{"drops":%d}`, s.Trace.WatchDrops()), sub.C, sub.Close
 	}, func(ev obs.StreamEvent) (string, []byte, bool) {
 		data, err := json.Marshal(ev)
@@ -78,7 +74,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 // frame channel and a stop func run when the stream ends (nil for
 // none) — and the pump writes the event-stream headers, the hello
 // frame, then every frame render accepts, with a heartbeat comment
-// every WatchHeartbeat, until the client leaves or the producer closes
+// every watchHeartbeat, until the client leaves or the producer closes
 // the channel: it does so when the client fell behind, and the pump
 // then writes a terminal dropped frame.
 func pumpSSE[T any](s *Server, w http.ResponseWriter, r *http.Request, what string,
@@ -99,11 +95,7 @@ func pumpSSE[T any](s *Server, w http.ResponseWriter, r *http.Request, what stri
 	fmt.Fprintf(w, "event: hello\ndata: %s\n\n", hello)
 	fl.Flush()
 
-	hb := s.WatchHeartbeat
-	if hb <= 0 {
-		hb = 15 * time.Second
-	}
-	ticker := time.NewTicker(hb)
+	ticker := time.NewTicker(orDefault(s.heartbeat, watchHeartbeat))
 	defer ticker.Stop()
 	for {
 		select {

@@ -125,7 +125,7 @@ func TestTraceDisabledReturns501(t *testing.T) {
 // over the stream while the loop keeps running.
 func TestWatchStreamsLiveDrain(t *testing.T) {
 	b, _ := traceTestbed(t, 4, 2, 4096)
-	b.srv.WatchHeartbeat = 50 * time.Millisecond
+	b.srv.heartbeat = 50 * time.Millisecond
 	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
 	b.advance(30) // bootstrap quietly
 

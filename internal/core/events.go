@@ -70,7 +70,7 @@ type Event struct {
 // FailureEvent describes a failed action as an event: the manipulated
 // VM and every node the action read or wrote resources on go dirty.
 func FailureEvent(at float64, a plan.Action) Event {
-	return Event{Kind: ActionFailure, At: at, Nodes: plan.TouchedNodes(a), VMs: []string{a.VM().Name}}
+	return Event{Kind: ActionFailure, At: at, Nodes: plan.AppendTouchedNodes(nil, a), VMs: []string{a.VM().Name}}
 }
 
 // dirtySet accumulates the nodes and VMs touched by events since the

@@ -582,8 +582,9 @@ func (l *Loop) execute(a Actuator, res *Result, slices int) {
 	// configuration, so only the freed nodes lead the follow-up pass
 	// back to the right slice.
 	if l.EventDriven {
+		var buf [2]string
 		for _, act := range res.Plan.Actions() {
-			l.dirty.add(Event{Nodes: plan.TouchedNodes(act), VMs: []string{act.VM().Name}})
+			l.dirty.add(Event{Nodes: plan.AppendTouchedNodes(buf[:0], act), VMs: []string{act.VM().Name}})
 		}
 	}
 	if ma, ok := a.(ManagedActuator); ok && l.EventDriven {

@@ -60,20 +60,13 @@ type Callbacks struct {
 // cwcs_action_duration_vseconds{kind} label; the strings are the
 // obs.ActionKinds vocabulary.
 func actionKind(a plan.Action) string {
-	switch a.(type) {
-	case *plan.Migration:
+	switch k := a.Kind(); k {
+	case plan.KindMigrate:
 		return "migration"
-	case *plan.Run:
-		return "run"
-	case *plan.Stop:
-		return "stop"
-	case *plan.Suspend:
-		return "suspend"
-	case *plan.Resume:
-		return "resume"
-	default:
-		return "other"
+	case plan.KindRun, plan.KindStop, plan.KindSuspend, plan.KindResume:
+		return k.String()
 	}
+	return "other"
 }
 
 // ActionPhase is the lifecycle position of one scheduled action.
@@ -277,10 +270,9 @@ type scheduledAction struct {
 func scheduleTimes(pool plan.Pool, now float64) []scheduledAction {
 	var immediate, pipelined []plan.Action
 	for _, a := range pool {
-		switch a.(type) {
-		case *plan.Suspend, *plan.Resume:
+		if k := a.Kind(); k == plan.KindSuspend || k == plan.KindResume {
 			pipelined = append(pipelined, a)
-		default:
+		} else {
 			immediate = append(immediate, a)
 		}
 	}
@@ -301,15 +293,14 @@ func scheduleTimes(pool plan.Pool, now float64) []scheduledAction {
 	return out
 }
 
+// hostOf returns the node the VM of a pipelined action runs on: the
+// one a suspend leaves, the one a resume arrives on.
 func hostOf(a plan.Action) string {
-	switch a := a.(type) {
-	case *plan.Suspend:
-		return a.On
-	case *plan.Resume:
-		return a.On
-	default:
-		return ""
+	from, to := a.Nodes()
+	if a.Kind() == plan.KindSuspend {
+		return from
 	}
+	return to
 }
 
 // String renders the report for logs.

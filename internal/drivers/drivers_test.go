@@ -265,6 +265,8 @@ func TestControlLoopEndToEnd(t *testing.T) {
 type unmodeledAction struct{ m *vjob.VM }
 
 func (u *unmodeledAction) VM() *vjob.VM                        { return u.m }
+func (u *unmodeledAction) Kind() plan.Kind                     { return plan.Kind(-1) }
+func (u *unmodeledAction) Nodes() (from, to string)            { return "", "" }
 func (u *unmodeledAction) Cost() int                           { return 0 }
 func (u *unmodeledAction) FeasibleIn(*vjob.Configuration) bool { return true }
 func (u *unmodeledAction) Apply(*vjob.Configuration) error     { return nil }

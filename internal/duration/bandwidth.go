@@ -131,20 +131,15 @@ func (m Model) ResumeAt(memMiB int, tr Transfer, bwMbps float64) time.Duration {
 // is plan.TransferSize: Dm widened by the transfer-relevant extra
 // dimensions, exactly Dm on 2-D instances.
 func (m Model) ActionTransfer(a plan.Action) (TransferSpec, bool) {
-	switch a := a.(type) {
-	case *plan.Migration:
-		return m.MigrateSpec(plan.TransferSize(a.Machine)), true
-	case *plan.Suspend:
-		if a.To == a.On {
-			return TransferSpec{}, false
-		}
-		return m.SuspendSpec(plan.TransferSize(a.Machine), SCP), true
-	case *plan.Resume:
-		if a.Local() {
-			return TransferSpec{}, false
-		}
-		return m.ResumeSpec(plan.TransferSize(a.Machine), SCP), true
-	default:
+	if _, ok := plan.TransferDemandOf(a); !ok {
 		return TransferSpec{}, false
 	}
+	size := plan.TransferSize(a.VM())
+	switch a.Kind() {
+	case plan.KindMigrate:
+		return m.MigrateSpec(size), true
+	case plan.KindSuspend:
+		return m.SuspendSpec(size, SCP), true
+	}
+	return m.ResumeSpec(size, SCP), true
 }

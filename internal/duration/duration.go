@@ -161,30 +161,29 @@ func (e *UnknownActionError) Error() string {
 
 // ActionDuration maps a plan action to its nominal duration and the
 // transfer mode involved (remote suspends/resumes use SCP, the paper's
-// default push). An unknown action type returns an UnknownActionError;
-// the durations here assume the calibrated wire rate is available —
-// ActionTransfer exposes the bandwidth-dependent decomposition.
+// default push). A nil action or an unknown kind returns an
+// UnknownActionError; the durations here assume the calibrated wire
+// rate is available — ActionTransfer exposes the bandwidth-dependent
+// decomposition.
 func (m Model) ActionDuration(a plan.Action) (time.Duration, Transfer, error) {
-	switch a := a.(type) {
-	case *plan.Run:
-		return m.Boot(), Local, nil
-	case *plan.Stop:
-		return m.Shutdown(), Local, nil
-	case *plan.Migration:
-		return m.Migrate(a.Machine.MemoryDemand()), Local, nil
-	case *plan.Suspend:
-		tr := Local
-		if a.To != a.On {
-			tr = SCP
-		}
-		return m.Suspend(a.Machine.MemoryDemand(), tr), tr, nil
-	case *plan.Resume:
-		tr := Local
-		if !a.Local() {
-			tr = SCP
-		}
-		return m.Resume(a.Machine.MemoryDemand(), tr), tr, nil
-	default:
-		return 0, Local, &UnknownActionError{Action: a}
+	if a == nil {
+		return 0, Local, &UnknownActionError{}
 	}
+	tr := Local
+	if _, remote := plan.TransferDemandOf(a); remote {
+		tr = SCP
+	}
+	switch a.Kind() {
+	case plan.KindRun:
+		return m.Boot(), Local, nil
+	case plan.KindStop:
+		return m.Shutdown(), Local, nil
+	case plan.KindMigrate: // live migration pushes no image
+		return m.Migrate(a.VM().MemoryDemand()), Local, nil
+	case plan.KindSuspend:
+		return m.Suspend(a.VM().MemoryDemand(), tr), tr, nil
+	case plan.KindResume:
+		return m.Resume(a.VM().MemoryDemand(), tr), tr, nil
+	}
+	return 0, Local, &UnknownActionError{Action: a}
 }

@@ -127,8 +127,15 @@ func TestActionDurationUnknownActionError(t *testing.T) {
 	if ue.Error() == "" {
 		t.Fatal("empty error message")
 	}
-	type fake struct{ plan.Action }
-	if _, _, err := Default().ActionDuration(fake{}); !errors.As(err, &ue) {
-		t.Fatalf("ActionDuration(fake) err = %v, want *UnknownActionError", err)
+	if _, _, err := Default().ActionDuration(unknownAction{}); !errors.As(err, &ue) {
+		t.Fatalf("ActionDuration(unknownAction) err = %v, want *UnknownActionError", err)
 	}
 }
+
+// unknownAction is an action outside the five kinds; its VM() and
+// every other method it does not override panic on the nil embedded
+// Action.
+type unknownAction struct{ plan.Action }
+
+func (unknownAction) Kind() plan.Kind          { return plan.Kind(-1) }
+func (unknownAction) Nodes() (from, to string) { return "", "" }

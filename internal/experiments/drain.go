@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/sched"
 	"cwcs/internal/testbed"
 	"cwcs/internal/vjob"
 )
@@ -95,18 +94,20 @@ type DrainResult struct {
 // RunDrain replays the drain scenario: the drain competes with normal
 // churn for the loop's attention.
 func RunDrain(opts DrainOptions) DrainResult {
-	tb := testbed.New(testbed.Options{
+	// The churn scenario without injected failures, with the
+	// structural audit on.
+	o := ChurnOptions{
 		Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-		VJobs: opts.InitialVJobs, VMsPerVJob: opts.VMsPerVJob,
+		InitialVJobs: opts.InitialVJobs, VMsPerVJob: opts.VMsPerVJob,
 		WorkScale:   opts.WorkScale,
 		ArrivalRate: opts.ArrivalRate, ArrivalStop: opts.ArrivalStop,
-		Seed:            opts.Seed,
-		Decision:        sched.Consolidation{},
-		Optimizer:       core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
-		EventDriven:     true,
-		Debounce:        opts.Debounce,
+		Debounce: opts.Debounce,
+		Timeout:  opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions,
 		WatchInvariants: true,
-	})
+		Seed:            opts.Seed,
+	}.testbedOptions()
+	o.EventDriven = true
+	tb := testbed.New(o)
 	c, cfg := tb.Cluster, tb.Cluster.Config()
 	res := DrainResult{Nodes: opts.Nodes, TimeToEmpty: -1}
 

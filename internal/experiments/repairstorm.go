@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"cwcs/internal/testbed"
 )
 
 // RepairStormOptions parameterizes the repair-storm study: the churn
@@ -30,34 +32,15 @@ func DefaultRepairStormOptions() RepairStormOptions {
 	return RepairStormOptions{Churn: churn, Rates: []float64{0.05, 0.10, 0.20}}
 }
 
-// RepairStormResult is one (rate, widening) cell of the study.
+// RepairStormResult is one (rate, widening) cell of the study: the
+// cell's run summary, whose Stats carry the repair counters (Repairs,
+// WidenedRepairs, RepairExpansions, FailedRepairs, FullSolves).
 type RepairStormResult struct {
 	// Rate is the action-failure rate of the cell.
 	Rate float64
 	// Widen reports whether region-widening was enabled.
 	Widen bool
-	// Repairs counts successful splices; WidenedRepairs the subset
-	// that needed region expansion; RepairExpansions the expansion
-	// steps; FailedRepairs the fall-backs to a post-execution
-	// re-solve.
-	Repairs, WidenedRepairs, RepairExpansions, FailedRepairs int
-	// FullSolves counts monolithic fallbacks of the incremental loop.
-	FullSolves int
-	// ViolationSeconds integrates violation exposure over the run;
-	// FinalViolations is the count at the horizon.
-	ViolationSeconds float64
-	FinalViolations  int
-	// Breaches is the structural invariant-breach count (must be 0).
-	Breaches int
-	// Switches counts executed context switches.
-	Switches int
-	// TopVJob / TopNode name the worst-suffering vjob and node with
-	// their violation-second integrals (attribution ledger; empty when
-	// the cell stayed violation-free).
-	TopVJob        string
-	TopVJobSeconds float64
-	TopNode        string
-	TopNodeSeconds float64
+	testbed.Summary
 }
 
 // RepairStormStudy replays the scenario for every (rate, widening)
@@ -73,24 +56,7 @@ func RepairStormStudy(opts RepairStormOptions) []RepairStormResult {
 			if widen {
 				co.RepairWiden = 0
 			}
-			r := RunChurn(true, co)
-			rows = append(rows, RepairStormResult{
-				Rate:             rate,
-				Widen:            widen,
-				Repairs:          r.Stats.Repairs,
-				WidenedRepairs:   r.Stats.WidenedRepairs,
-				RepairExpansions: r.Stats.RepairExpansions,
-				FailedRepairs:    r.Stats.FailedRepairs,
-				FullSolves:       r.Stats.FullSolves,
-				ViolationSeconds: r.ViolationSeconds,
-				FinalViolations:  r.FinalViolations,
-				Breaches:         r.Breaches,
-				Switches:         r.Switches,
-				TopVJob:          r.TopVJob,
-				TopVJobSeconds:   r.TopVJobSeconds,
-				TopNode:          r.TopNode,
-				TopNodeSeconds:   r.TopNodeSeconds,
-			})
+			rows = append(rows, RepairStormResult{Rate: rate, Widen: widen, Summary: RunChurn(true, co).Summary})
 		}
 	}
 	return rows
@@ -100,14 +66,14 @@ func RepairStormStudy(opts RepairStormOptions) []RepairStormResult {
 // of the widening-off FailedRepairs that became successful splices
 // with widening on. 1.0 means every former fallback now splices.
 func RecoveredFraction(off, on RepairStormResult) float64 {
-	if off.FailedRepairs == 0 {
+	if off.Stats.FailedRepairs == 0 {
 		return 0
 	}
-	rec := off.FailedRepairs - on.FailedRepairs
+	rec := off.Stats.FailedRepairs - on.Stats.FailedRepairs
 	if rec < 0 {
 		rec = 0
 	}
-	return float64(rec) / float64(off.FailedRepairs)
+	return float64(rec) / float64(off.Stats.FailedRepairs)
 }
 
 // RepairStormTable renders the study with one recovered-fraction line
@@ -123,8 +89,8 @@ func RepairStormTable(rows []RepairStormResult) string {
 			widen = "on"
 		}
 		fmt.Fprintf(&b, "%5.0f%% %5s %8d %8d %8d %8d %8d %10.0f %8d %9d\n",
-			r.Rate*100, widen, r.Repairs, r.WidenedRepairs, r.RepairExpansions,
-			r.FailedRepairs, r.FullSolves, r.ViolationSeconds, r.FinalViolations, r.Breaches)
+			r.Rate*100, widen, r.Stats.Repairs, r.Stats.WidenedRepairs, r.Stats.RepairExpansions,
+			r.Stats.FailedRepairs, r.Stats.FullSolves, r.ViolationSeconds, r.FinalViolations, r.Breaches)
 	}
 	for i := 0; i+1 < len(rows); i += 2 {
 		off, on := rows[i], rows[i+1]
@@ -133,7 +99,7 @@ func RepairStormTable(rows []RepairStormResult) string {
 		}
 		fmt.Fprintf(&b, "rate %.0f%%: %.0f%% of former failed repairs recovered by widening (%d -> %d), violation-seconds %.0f -> %.0f\n",
 			off.Rate*100, RecoveredFraction(off, on)*100,
-			off.FailedRepairs, on.FailedRepairs, off.ViolationSeconds, on.ViolationSeconds)
+			off.Stats.FailedRepairs, on.Stats.FailedRepairs, off.ViolationSeconds, on.ViolationSeconds)
 	}
 	return b.String()
 }
@@ -148,8 +114,8 @@ func RepairStormCSV(rows []RepairStormResult) string {
 			widen = "on"
 		}
 		fmt.Fprintf(&b, "%.2f,%s,%d,%d,%d,%d,%d,%.1f,%d,%d,%d,%s,%.1f,%s,%.1f\n",
-			r.Rate, widen, r.Repairs, r.WidenedRepairs, r.RepairExpansions,
-			r.FailedRepairs, r.FullSolves, r.ViolationSeconds, r.FinalViolations,
+			r.Rate, widen, r.Stats.Repairs, r.Stats.WidenedRepairs, r.Stats.RepairExpansions,
+			r.Stats.FailedRepairs, r.Stats.FullSolves, r.ViolationSeconds, r.FinalViolations,
 			r.Breaches, r.Switches, r.TopVJob, r.TopVJobSeconds, r.TopNode, r.TopNodeSeconds)
 	}
 	return b.String()

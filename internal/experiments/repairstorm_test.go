@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"cwcs/internal/core"
+	"cwcs/internal/testbed"
 )
 
 // quickRepairStormOptions shrinks the storm study to one rate on the
@@ -39,16 +42,16 @@ func TestRepairStormTenPercent(t *testing.T) {
 		}
 	}
 	// The storm must actually exercise the repair path on both sides…
-	if off.Repairs+off.FailedRepairs == 0 {
+	if off.Stats.Repairs+off.Stats.FailedRepairs == 0 {
 		t.Fatalf("storm never reached the repair path: %+v", off)
 	}
 	// …and widening must bound FailedRepairs by the refuse-and-fall-
 	// back baseline while never splicing less.
-	if on.FailedRepairs > off.FailedRepairs {
-		t.Errorf("widening increased failed repairs: %d > %d", on.FailedRepairs, off.FailedRepairs)
+	if on.Stats.FailedRepairs > off.Stats.FailedRepairs {
+		t.Errorf("widening increased failed repairs: %d > %d", on.Stats.FailedRepairs, off.Stats.FailedRepairs)
 	}
-	if on.Repairs < off.Repairs {
-		t.Errorf("widening reduced successful splices: %d < %d", on.Repairs, off.Repairs)
+	if on.Stats.Repairs < off.Stats.Repairs {
+		t.Errorf("widening reduced successful splices: %d < %d", on.Stats.Repairs, off.Stats.Repairs)
 	}
 	t.Logf("off: %+v", off)
 	t.Logf("on:  %+v", on)
@@ -56,8 +59,10 @@ func TestRepairStormTenPercent(t *testing.T) {
 
 func TestRepairStormRendering(t *testing.T) {
 	rows := []RepairStormResult{
-		{Rate: 0.10, Widen: false, Repairs: 12, FailedRepairs: 10, FullSolves: 3, ViolationSeconds: 900, Switches: 20},
-		{Rate: 0.10, Widen: true, Repairs: 21, WidenedRepairs: 8, RepairExpansions: 11, FailedRepairs: 1, ViolationSeconds: 700, Switches: 20},
+		{Rate: 0.10, Widen: false, Summary: testbed.Summary{
+			Stats: core.LoopStats{Repairs: 12, FailedRepairs: 10, FullSolves: 3}, ViolationSeconds: 900, Switches: 20}},
+		{Rate: 0.10, Widen: true, Summary: testbed.Summary{
+			Stats: core.LoopStats{Repairs: 21, WidenedRepairs: 8, RepairExpansions: 11, FailedRepairs: 1}, ViolationSeconds: 700, Switches: 20}},
 	}
 	table := RepairStormTable(rows)
 	if !strings.Contains(table, "90% of former failed repairs recovered") {
@@ -76,12 +81,16 @@ func TestRepairStormRendering(t *testing.T) {
 // rows, like the figure exports.
 func TestGoldenRepairStormCSV(t *testing.T) {
 	rows := []RepairStormResult{
-		{Rate: 0.05, Widen: false, Repairs: 9, FailedRepairs: 4, FullSolves: 2, ViolationSeconds: 512.5, Switches: 14,
-			TopVJob: "vjob002", TopVJobSeconds: 256.5, TopNode: "node011", TopNodeSeconds: 300},
-		{Rate: 0.05, Widen: true, Repairs: 13, WidenedRepairs: 3, RepairExpansions: 4, FailedRepairs: 0, ViolationSeconds: 430, Switches: 14,
-			TopVJob: "vjob002", TopVJobSeconds: 215, TopNode: "node011", TopNodeSeconds: 240},
-		{Rate: 0.20, Widen: false, Repairs: 15, FailedRepairs: 22, FullSolves: 9, ViolationSeconds: 2048, FinalViolations: 1, Switches: 31},
-		{Rate: 0.20, Widen: true, Repairs: 33, WidenedRepairs: 12, RepairExpansions: 19, FailedRepairs: 4, FullSolves: 1, ViolationSeconds: 1536, Switches: 31},
+		{Rate: 0.05, Widen: false, Summary: testbed.Summary{
+			Stats: core.LoopStats{Repairs: 9, FailedRepairs: 4, FullSolves: 2}, ViolationSeconds: 512.5, Switches: 14,
+			TopVJob: "vjob002", TopVJobSeconds: 256.5, TopNode: "node011", TopNodeSeconds: 300}},
+		{Rate: 0.05, Widen: true, Summary: testbed.Summary{
+			Stats: core.LoopStats{Repairs: 13, WidenedRepairs: 3, RepairExpansions: 4, FailedRepairs: 0}, ViolationSeconds: 430, Switches: 14,
+			TopVJob: "vjob002", TopVJobSeconds: 215, TopNode: "node011", TopNodeSeconds: 240}},
+		{Rate: 0.20, Widen: false, Summary: testbed.Summary{
+			Stats: core.LoopStats{Repairs: 15, FailedRepairs: 22, FullSolves: 9}, ViolationSeconds: 2048, FinalViolations: 1, Switches: 31}},
+		{Rate: 0.20, Widen: true, Summary: testbed.Summary{
+			Stats: core.LoopStats{Repairs: 33, WidenedRepairs: 12, RepairExpansions: 19, FailedRepairs: 4, FullSolves: 1}, ViolationSeconds: 1536, Switches: 31}},
 	}
 	checkGolden(t, "repairstorm.csv.golden", RepairStormCSV(rows))
 }

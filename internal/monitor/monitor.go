@@ -5,9 +5,6 @@
 package monitor
 
 import (
-	"fmt"
-	"strings"
-
 	"cwcs/internal/resources"
 	"cwcs/internal/sim"
 	"cwcs/internal/vjob"
@@ -77,17 +74,6 @@ func (r *Recorder) Attach(c *sim.Cluster) {
 
 // Stop ends the sampling (the pending tick becomes a no-op).
 func (r *Recorder) Stop() { r.stopped = true }
-
-// CSV renders the samples with a header, one line per sample.
-func (r *Recorder) CSV() string {
-	var b strings.Builder
-	b.WriteString("t_sec,cpu_used,cpu_cap,cpu_pct,mem_used_mib,mem_cap_mib,running,sleeping,waiting\n")
-	for _, s := range r.Samples {
-		fmt.Fprintf(&b, "%.0f,%d,%d,%.1f,%d,%d,%d,%d,%d\n",
-			s.T, s.UsedCPU, s.CapCPU, s.CPUPercent(), s.UsedMem, s.CapMem, s.Running, s.Sleeping, s.Waiting)
-	}
-	return b.String()
-}
 
 // MeanCPUPercent averages CPU utilization over samples taken before
 // the given horizon (0 means all samples).

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"cwcs/internal/duration"
@@ -107,18 +106,11 @@ func TestRecorderDefaultInterval(t *testing.T) {
 	}
 }
 
-func TestCSVAndMean(t *testing.T) {
+func TestMeanCPUPercent(t *testing.T) {
 	r := &Recorder{Samples: []Sample{
 		{T: 0, UsedCPU: 2, CapCPU: 4, UsedMem: 1024, CapMem: 8192, Running: 2},
 		{T: 10, UsedCPU: 4, CapCPU: 4, UsedMem: 2048, CapMem: 8192, Running: 4},
 	}}
-	csv := r.CSV()
-	if !strings.HasPrefix(csv, "t_sec,") {
-		t.Fatal("missing header")
-	}
-	if !strings.Contains(csv, "10,4,4,100.0") {
-		t.Fatalf("csv = %q", csv)
-	}
 	if got := r.MeanCPUPercent(0); got != 75 {
 		t.Fatalf("mean = %v, want 75", got)
 	}

@@ -13,12 +13,46 @@ import (
 	"cwcs/internal/vjob"
 )
 
+// Kind is the type of an action, one of the five of Table 1. The kinds
+// are declared in the order a pool lists its actions: suspends first,
+// then stops, migrations, resumes and runs.
+type Kind int
+
+const (
+	KindSuspend Kind = iota
+	KindStop
+	KindMigrate
+	KindResume
+	KindRun
+)
+
+var kindNames = [...]string{"suspend", "stop", "migrate", "resume", "run"}
+
+// String returns the Table 1 name of the kind, or "unknown".
+func (k Kind) String() string {
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
+	}
+	return kindNames[k]
+}
+
 // Action is one elementary VM context switch. Every action knows its
-// local cost (Table 1), whether it can begin in a given configuration,
-// and how to transform a configuration once it completes.
+// kind, the nodes it moves its VM between, its local cost (Table 1),
+// whether it can begin in a given configuration, and how to transform
+// a configuration once it completes.
+//
+// Kind and Nodes are the one place that knows the action set: every
+// other fact about an action (the nodes it touches, the node it uses
+// resources on, its transfer, its rank in a pool, its duration) is
+// derived from them.
 type Action interface {
 	// VM returns the manipulated VM.
 	VM() *vjob.VM
+	// Kind returns the type of the action.
+	Kind() Kind
+	// Nodes returns the node the VM or its image leaves and the node
+	// it arrives on. A run has no from and a stop has no to.
+	Nodes() (from, to string)
 	// Cost returns the local cost of the action per Table 1 of the
 	// paper, in MiB of moved memory (0 for run and stop).
 	Cost() int
@@ -35,6 +69,25 @@ type Action interface {
 	String() string
 }
 
+// AppendTouchedNodes appends to buf every node the action reads or
+// writes resources on: both ends of its Nodes, but only the arrival
+// node of a run and only the departure node of a stop. Callers build
+// dirty regions from it (e.g. the event-driven loop in internal/core);
+// one that reads the nodes on the spot passes a [2]string on its
+// stack and allocates nothing.
+func AppendTouchedNodes(buf []string, a Action) []string {
+	from, to := a.Nodes()
+	switch a.Kind() {
+	case KindRun:
+		return append(buf, to)
+	case KindStop:
+		return append(buf, from)
+	case KindSuspend, KindMigrate, KindResume:
+		return append(buf, from, to)
+	}
+	return buf
+}
+
 // Migration moves a running VM from node Src to node Dst with live
 // migration; the VM stays in the Running state throughout.
 type Migration struct {
@@ -45,6 +98,9 @@ type Migration struct {
 
 // VM returns the migrated VM.
 func (a *Migration) VM() *vjob.VM { return a.Machine }
+
+func (a *Migration) Kind() Kind               { return KindMigrate }
+func (a *Migration) Nodes() (from, to string) { return a.Src, a.Dst }
 
 // Cost is the volume the migration moves (Table 1's Dm, widened by
 // TransferSize to the transfer-relevant extra dimensions).
@@ -76,6 +132,9 @@ type Run struct {
 // VM returns the booted VM.
 func (a *Run) VM() *vjob.VM { return a.Machine }
 
+func (a *Run) Kind() Kind               { return KindRun }
+func (a *Run) Nodes() (from, to string) { return "", a.On }
+
 // Cost is constant, arbitrarily 0 (Table 1): boot duration does not
 // depend on the VM demands.
 func (a *Run) Cost() int { return 0 }
@@ -105,6 +164,9 @@ type Stop struct {
 // VM returns the stopped VM.
 func (a *Stop) VM() *vjob.VM { return a.Machine }
 
+func (a *Stop) Kind() Kind               { return KindStop }
+func (a *Stop) Nodes() (from, to string) { return a.On, "" }
+
 // Cost is constant, arbitrarily 0 (Table 1).
 func (a *Stop) Cost() int { return 0 }
 
@@ -133,6 +195,9 @@ type Suspend struct {
 
 // VM returns the suspended VM.
 func (a *Suspend) VM() *vjob.VM { return a.Machine }
+
+func (a *Suspend) Kind() Kind               { return KindSuspend }
+func (a *Suspend) Nodes() (from, to string) { return a.On, a.To }
 
 // Cost is the volume of the written image (Table 1's Dm, widened by
 // TransferSize to the transfer-relevant extra dimensions).
@@ -164,6 +229,9 @@ type Resume struct {
 
 // VM returns the resumed VM.
 func (a *Resume) VM() *vjob.VM { return a.Machine }
+
+func (a *Resume) Kind() Kind               { return KindResume }
+func (a *Resume) Nodes() (from, to string) { return a.From, a.On }
 
 // Local reports whether the resume happens on the node already holding
 // the suspended image.

@@ -119,19 +119,15 @@ func extractPool(cur *vjob.Configuration, remaining []Action, gateTransfers bool
 }
 
 // demandOf returns the node an action consumes resources on, with the
-// per-dimension amounts, or "" for pure-release actions (suspend,
-// stop).
+// per-dimension amounts: the node a migration, run or resume leaves its
+// VM running on, or "" for pure-release actions (suspend, stop).
 func demandOf(a Action) (node string, demand resources.Vector) {
-	switch a := a.(type) {
-	case *Migration:
-		return a.Dst, a.Machine.Demand
-	case *Run:
-		return a.On, a.Machine.Demand
-	case *Resume:
-		return a.On, a.Machine.Demand
-	default:
-		return "", resources.Vector{}
+	switch a.Kind() {
+	case KindMigrate, KindRun, KindResume:
+		_, to := a.Nodes()
+		return to, a.VM().Demand
 	}
+	return "", resources.Vector{}
 }
 
 // breakCycle handles the inter-dependent constraint of §4.1: a set of

@@ -70,25 +70,11 @@ func BuildGraph(src, dst *vjob.Configuration) (*Graph, error) {
 }
 
 func checkNodes(dst, src *vjob.Configuration, a Action) error {
-	names := func(ns ...string) error {
-		for _, n := range ns {
-			if n == "" || (dst.Node(n) == nil && src.Node(n) == nil) {
-				return fmt.Errorf("plan: action %s references unknown node %q", a, n)
-			}
+	var buf [2]string
+	for _, n := range AppendTouchedNodes(buf[:0], a) {
+		if n == "" || (dst.Node(n) == nil && src.Node(n) == nil) {
+			return fmt.Errorf("plan: action %s references unknown node %q", a, n)
 		}
-		return nil
-	}
-	switch a := a.(type) {
-	case *Migration:
-		return names(a.Src, a.Dst)
-	case *Run:
-		return names(a.On)
-	case *Stop:
-		return names(a.On)
-	case *Suspend:
-		return names(a.On, a.To)
-	case *Resume:
-		return names(a.From, a.On)
 	}
 	return nil
 }

@@ -29,6 +29,7 @@ func Merge(src *vjob.Configuration, plans ...*Plan) (*Plan, error) {
 	out := &Plan{Src: src}
 	seenNodes := make(map[string]int)
 	seenVMs := make(map[string]int)
+	var buf [2]string
 	for i, p := range plans {
 		if p == nil {
 			return nil, fmt.Errorf("plan: merge of a nil plan (input %d)", i)
@@ -36,7 +37,7 @@ func Merge(src *vjob.Configuration, plans ...*Plan) (*Plan, error) {
 		out.Bypass += p.Bypass
 		for _, pool := range p.Pools {
 			for _, a := range pool {
-				for _, n := range touchedNodes(a) {
+				for _, n := range AppendTouchedNodes(buf[:0], a) {
 					if prev, ok := seenNodes[n]; ok && prev != i {
 						return nil, fmt.Errorf("%w: node %s in plans %d and %d", ErrOverlappingPlans, n, prev, i)
 					}
@@ -69,22 +70,4 @@ func Merge(src *vjob.Configuration, plans ...*Plan) (*Plan, error) {
 	}
 	out.Pools = pools
 	return out, nil
-}
-
-// touchedNodes lists every node an action reads or writes resources on.
-func touchedNodes(a Action) []string {
-	switch a := a.(type) {
-	case *Migration:
-		return []string{a.Src, a.Dst}
-	case *Run:
-		return []string{a.On}
-	case *Stop:
-		return []string{a.On}
-	case *Suspend:
-		return []string{a.On, a.To}
-	case *Resume:
-		return []string{a.From, a.On}
-	default:
-		return nil
-	}
 }

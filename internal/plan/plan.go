@@ -29,29 +29,12 @@ func (p Pool) Cost() int {
 // embed their vjob, giving the same grouping effect).
 func (p Pool) sortDeterministic() {
 	sort.SliceStable(p, func(i, j int) bool {
-		ki, kj := actionKind(p[i]), actionKind(p[j])
+		ki, kj := p[i].Kind(), p[j].Kind()
 		if ki != kj {
 			return ki < kj
 		}
 		return p[i].VM().Name < p[j].VM().Name
 	})
-}
-
-func actionKind(a Action) int {
-	switch a.(type) {
-	case *Suspend:
-		return 0
-	case *Stop:
-		return 1
-	case *Migration:
-		return 2
-	case *Resume:
-		return 3
-	case *Run:
-		return 4
-	default:
-		return 5
-	}
 }
 
 // Plan is a reconfiguration plan: a sequence of pools executed one

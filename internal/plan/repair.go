@@ -8,11 +8,6 @@ import (
 	"cwcs/internal/vjob"
 )
 
-// TouchedNodes lists every node the action reads or writes resources
-// on, for callers building dirty regions (e.g. the event-driven loop
-// in internal/core).
-func TouchedNodes(a Action) []string { return touchedNodes(a) }
-
 // ErrBrokenDependency is returned by Repair when a kept remainder
 // action depends on a dropped (or re-solved) action: dropping the
 // dirty region removed a feasibility edge of §4.1 — typically a
@@ -108,7 +103,8 @@ func touchesDirty(a Action, nodes, vms map[string]bool) bool {
 	if vms[a.VM().Name] {
 		return true
 	}
-	for _, n := range touchedNodes(a) {
+	var buf [2]string
+	for _, n := range AppendTouchedNodes(buf[:0], a) {
 		if nodes[n] {
 			return true
 		}
@@ -135,10 +131,12 @@ func brokenClosure(merged *Plan, fresh map[Action]bool) (nodes, vms []string, fr
 			return
 		}
 		brokenV[a.VM().Name] = true
-		for _, n := range touchedNodes(a) {
+		var buf [2]string
+		for _, n := range AppendTouchedNodes(buf[:0], a) {
 			brokenN[n] = true
 		}
 	}
+	var buf [2]string
 	for _, pool := range merged.Pools {
 		for _, a := range pool {
 			if !a.FeasibleIn(cur) {
@@ -155,7 +153,7 @@ func brokenClosure(merged *Plan, fresh map[Action]bool) (nodes, vms []string, fr
 				continue
 			}
 			for _, a := range pool {
-				for _, n := range touchedNodes(a) {
+				for _, n := range AppendTouchedNodes(buf[:0], a) {
 					if n == v.Node {
 						mark(a)
 						break
@@ -177,7 +175,7 @@ func brokenClosure(merged *Plan, fresh map[Action]bool) (nodes, vms []string, fr
 				continue
 			}
 			touches := false
-			for _, n := range touchedNodes(a) {
+			for _, n := range AppendTouchedNodes(buf[:0], a) {
 				if brokenN[n] {
 					touches = true
 					break
@@ -187,7 +185,7 @@ func brokenClosure(merged *Plan, fresh map[Action]bool) (nodes, vms []string, fr
 				continue
 			}
 			brokenV[a.VM().Name] = true
-			for _, n := range touchedNodes(a) {
+			for _, n := range AppendTouchedNodes(buf[:0], a) {
 				if !brokenN[n] {
 					brokenN[n] = true
 				}

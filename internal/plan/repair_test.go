@@ -298,8 +298,8 @@ func TestRepairSplicesEvacuationOfOverloadedNode(t *testing.T) {
 
 func TestTouchedNodesExported(t *testing.T) {
 	m := &Migration{Machine: vjob.NewVM("v", "", 1, 1), Src: "n1", Dst: "n2"}
-	got := TouchedNodes(m)
+	got := AppendTouchedNodes(nil, m)
 	if len(got) != 2 || got[0] != "n1" || got[1] != "n2" {
-		t.Fatalf("TouchedNodes = %v", got)
+		t.Fatalf("AppendTouchedNodes = %v", got)
 	}
 }

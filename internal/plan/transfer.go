@@ -79,24 +79,27 @@ func (t TransferDemand) ClampedRate(nicMbps int) int {
 
 // TransferDemandOf returns the network footprint of the action while
 // it executes, or ok=false when the action moves nothing between nodes
-// (run, stop, local suspend, local resume).
+// (run, stop, local suspend, local resume) or is nil.
 func TransferDemandOf(a Action) (t TransferDemand, ok bool) {
-	switch a := a.(type) {
-	case *Migration:
-		return TransferDemand{Src: a.Src, Dst: a.Dst, Rate: MigrateRateMbps}, true
-	case *Suspend:
-		if a.To == a.On {
-			return TransferDemand{}, false
-		}
-		return TransferDemand{Src: a.On, Dst: a.To, Rate: SuspendPushRateMbps}, true
-	case *Resume:
-		if a.Local() {
-			return TransferDemand{}, false
-		}
-		return TransferDemand{Src: a.From, Dst: a.On, Rate: ResumePushRateMbps}, true
+	if a == nil {
+		return TransferDemand{}, false
+	}
+	from, to := a.Nodes()
+	var rate int
+	switch a.Kind() {
+	case KindMigrate:
+		return TransferDemand{Src: from, Dst: to, Rate: MigrateRateMbps}, true
+	case KindSuspend:
+		rate = SuspendPushRateMbps
+	case KindResume:
+		rate = ResumePushRateMbps
 	default:
 		return TransferDemand{}, false
 	}
+	if from == to { // the image stays on its node
+		return TransferDemand{}, false
+	}
+	return TransferDemand{Src: from, Dst: to, Rate: rate}, true
 }
 
 // transferBook tracks, while a pool is assembled or replayed, the net

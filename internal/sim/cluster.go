@@ -261,22 +261,14 @@ func (c *Cluster) StartAction(a plan.Action, done func(error)) {
 		return
 	}
 	op := &operation{action: a, nodes: map[string]bool{}, tr: tr, done: done}
-	switch a := a.(type) {
-	case *plan.Migration:
-		op.nodes[a.Src] = true
-		op.nodes[a.Dst] = true
-	case *plan.Run:
-		op.nodes[a.On] = true
-	case *plan.Stop:
-		op.nodes[a.On] = true
-		c.freeze(a.Machine.Name)
-	case *plan.Suspend:
-		op.nodes[a.On] = true
-		op.nodes[a.To] = true
-		c.freeze(a.Machine.Name)
-	case *plan.Resume:
-		op.nodes[a.From] = true
-		op.nodes[a.On] = true
+	from, to := a.Nodes()
+	for _, n := range [...]string{from, to} {
+		if n != "" {
+			op.nodes[n] = true
+		}
+	}
+	if k := a.Kind(); k == plan.KindStop || k == plan.KindSuspend {
+		c.freeze(a.VM().Name)
 	}
 	if tr == duration.Local {
 		c.localOps++
@@ -312,7 +304,7 @@ func (c *Cluster) finishAction(op *operation) {
 		err = a.Apply(c.cfg)
 	}
 	if err == nil {
-		c.actionsRun[kindOf(a)]++
+		c.actionsRun[a.Kind().String()]++
 	}
 	// The operation is over either way: a failed suspend/stop
 	// leaves the VM running, so its workload must thaw.
@@ -327,23 +319,6 @@ func (c *Cluster) finishAction(op *operation) {
 func (c *Cluster) freeze(vm string) {
 	if w, ok := c.workloads[vm]; ok {
 		w.frozen = true
-	}
-}
-
-func kindOf(a plan.Action) string {
-	switch a.(type) {
-	case *plan.Migration:
-		return "migrate"
-	case *plan.Run:
-		return "run"
-	case *plan.Stop:
-		return "stop"
-	case *plan.Suspend:
-		return "suspend"
-	case *plan.Resume:
-		return "resume"
-	default:
-		return "unknown"
 	}
 }
 

@@ -185,6 +185,8 @@ func TestTransferDemandsAndViolations(t *testing.T) {
 type fakeAction struct{ m *vjob.VM }
 
 func (f *fakeAction) VM() *vjob.VM                        { return f.m }
+func (f *fakeAction) Kind() plan.Kind                     { return plan.Kind(-1) }
+func (f *fakeAction) Nodes() (from, to string)            { return "", "" }
 func (f *fakeAction) Cost() int                           { return 0 }
 func (f *fakeAction) FeasibleIn(*vjob.Configuration) bool { return true }
 func (f *fakeAction) Apply(*vjob.Configuration) error     { return nil }

@@ -109,19 +109,6 @@ func (p *Plot) Render(width, height int) string {
 	return b.String()
 }
 
-// CSV emits x plus one column per series (aligned by point index for
-// series sampled on the same grid, or per-series rows otherwise).
-func (p *Plot) CSV() string {
-	var b strings.Builder
-	b.WriteString("series,x,y\n")
-	for _, s := range p.Series {
-		for _, pt := range s.Points {
-			fmt.Fprintf(&b, "%s,%g,%g\n", s.Name, pt.X, pt.Y)
-		}
-	}
-	return b.String()
-}
-
 // Gantt records execution intervals per row (vjob) and renders an
 // allocation diagram like Figure 12.
 type Gantt struct {

@@ -40,20 +40,6 @@ func TestPlotDegenerate(t *testing.T) {
 	}
 }
 
-func TestPlotCSV(t *testing.T) {
-	p := NewPlot("t", "x", "y")
-	s := p.AddSeries("s1")
-	s.Add(1, 2)
-	s.Add(3, 4.5)
-	csv := p.CSV()
-	if !strings.Contains(csv, "s1,1,2\n") || !strings.Contains(csv, "s1,3,4.5\n") {
-		t.Fatalf("csv = %q", csv)
-	}
-	if !strings.HasPrefix(csv, "series,x,y\n") {
-		t.Fatal("missing header")
-	}
-}
-
 func TestGantt(t *testing.T) {
 	g := NewGantt()
 	g.Mark("job1", 0, 50)
