@@ -8,7 +8,9 @@ package packing
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
@@ -29,15 +31,7 @@ func (e ErrNoFit) Error() string {
 // decreasing CPU demand, then name — the FFD ordering of §3.2. The
 // slice is sorted in place and returned for chaining.
 func SortDecreasing(vms []*vjob.VM) []*vjob.VM {
-	sort.SliceStable(vms, func(i, j int) bool {
-		if vms[i].MemoryDemand() != vms[j].MemoryDemand() {
-			return vms[i].MemoryDemand() > vms[j].MemoryDemand()
-		}
-		if vms[i].CPUDemand() != vms[j].CPUDemand() {
-			return vms[i].CPUDemand() > vms[j].CPUDemand()
-		}
-		return vms[i].Name < vms[j].Name
-	})
+	sort.SliceStable(vms, func(i, j int) bool { return decreasing(vms[i], vms[j]) })
 	return vms
 }
 
@@ -49,46 +43,130 @@ func SortDecreasing(vms []*vjob.VM) []*vjob.VM {
 // is what makes first-fit competitive across dimensions (DRF-style
 // packing). The slice is sorted in place and returned for chaining.
 func SortByDominantShare(total resources.Vector, vms []*vjob.VM) []*vjob.VM {
-	sort.SliceStable(vms, func(i, j int) bool {
-		si, sj := vms[i].Demand.DominantShare(total), vms[j].Demand.DominantShare(total)
-		if si != sj {
-			return si > sj
-		}
-		if vms[i].MemoryDemand() != vms[j].MemoryDemand() {
-			return vms[i].MemoryDemand() > vms[j].MemoryDemand()
-		}
-		if vms[i].CPUDemand() != vms[j].CPUDemand() {
-			return vms[i].CPUDemand() > vms[j].CPUDemand()
-		}
-		return vms[i].Name < vms[j].Name
-	})
+	sort.SliceStable(vms, func(i, j int) bool { return dominantFirst(total, vms[i], vms[j]) })
 	return vms
 }
 
-// orderForPacking picks the decreasing order for a packing pass: the
-// paper's (memory, CPU) ordering on pure 2-D instances — bit-for-bit
-// the published FFD — and the weighted dominant-resource score as soon
-// as any node or VM uses an extra dimension.
-func orderForPacking(c *vjob.Configuration, vms []*vjob.VM) []*vjob.VM {
-	ordered := append([]*vjob.VM(nil), vms...)
-	var total resources.Vector
-	multi := false
-	for _, n := range c.Nodes() {
-		total = total.Add(n.Capacity)
-		multi = multi || n.Capacity.HasExtra()
+// decreasing is the §3.2 order: memory, then CPU, then name.
+func decreasing(a, b *vjob.VM) bool {
+	if a.MemoryDemand() != b.MemoryDemand() {
+		return a.MemoryDemand() > b.MemoryDemand()
 	}
-	if !multi {
-		for _, v := range vms {
-			if v.Demand.HasExtra() {
-				multi = true
-				break
-			}
+	if a.CPUDemand() != b.CPUDemand() {
+		return a.CPUDemand() > b.CPUDemand()
+	}
+	return a.Name < b.Name
+}
+
+// dominantFirst orders by dominant share of total, then as decreasing.
+func dominantFirst(total resources.Vector, a, b *vjob.VM) bool {
+	if sa, sb := a.Demand.DominantShare(total), b.Demand.DominantShare(total); sa != sb {
+		return sa > sb
+	}
+	return decreasing(a, b)
+}
+
+// FirstFit is the First-Fit state of one packing pass: a cluster's
+// nodes in name order and the free vector of each, by index. Placing a
+// VM scans the free vectors from the first node; the space a caller
+// reserves, undoes or releases is added or taken at one index.
+type FirstFit struct {
+	nodes []*vjob.Node
+	free  []resources.Vector
+	// total and multi are what the packing order needs from the nodes:
+	// their summed capacity and whether any has an extra dimension.
+	total resources.Vector
+	multi bool
+
+	order, hosts []int // Pack's scratch
+}
+
+// NewFirstFit returns the state of an empty cluster made of the nodes,
+// which must be in name order, as Configuration.Nodes returns them.
+func NewFirstFit(nodes []*vjob.Node) *FirstFit {
+	f := &FirstFit{nodes: nodes, free: make([]resources.Vector, len(nodes))}
+	for i, n := range nodes {
+		f.free[i] = n.Capacity
+		f.total = f.total.Add(n.Capacity)
+		f.multi = f.multi || n.Capacity.HasExtra()
+	}
+	return f
+}
+
+// Reserve takes the demand from the named node's free space whether or
+// not it fits there: a VM that already holds its place.
+func (f *FirstFit) Reserve(node string, demand resources.Vector) {
+	i := f.index(node)
+	f.free[i] = f.free[i].Sub(demand)
+}
+
+// release returns the demand to the named node's free space.
+func (f *FirstFit) release(node string, demand resources.Vector) {
+	i := f.index(node)
+	f.free[i] = f.free[i].Add(demand)
+}
+
+// index returns the position of the named node; it panics on a node
+// the state was not built with.
+func (f *FirstFit) index(node string) int {
+	i, ok := slices.BinarySearchFunc(f.nodes, node, func(n *vjob.Node, name string) int {
+		return strings.Compare(n.Name, name)
+	})
+	if !ok {
+		panic(fmt.Sprintf("packing: unknown node %q", node))
+	}
+	return i
+}
+
+// place takes the demand from the first node whose free space covers
+// it on every dimension and returns that node's index, or -1.
+func (f *FirstFit) place(demand resources.Vector) int {
+	for i := range f.free {
+		if demand.Fits(f.free[i]) {
+			f.free[i] = f.free[i].Sub(demand)
+			return i
 		}
 	}
-	if multi {
-		return SortByDominantShare(total, ordered)
+	return -1
+}
+
+// sort returns the positions of vms in packing order: the paper's
+// (memory, CPU) order on pure 2-D instances — bit-for-bit the published
+// FFD — and the weighted dominant-resource score as soon as any node or
+// VM uses an extra dimension. The slice is f's scratch.
+func (f *FirstFit) sort(vms []*vjob.VM) []int {
+	multi := f.multi
+	for _, v := range vms {
+		multi = multi || v.Demand.HasExtra()
 	}
-	return SortDecreasing(ordered)
+	f.order = f.order[:0]
+	for k := range vms {
+		f.order = append(f.order, k)
+	}
+	if multi {
+		sort.SliceStable(f.order, func(i, j int) bool { return dominantFirst(f.total, vms[f.order[i]], vms[f.order[j]]) })
+	} else {
+		sort.SliceStable(f.order, func(i, j int) bool { return decreasing(vms[f.order[i]], vms[f.order[j]]) })
+	}
+	return f.order
+}
+
+// Pack places every VM of vms, in packing order, on the first node with
+// room for it, and reports whether all of them found one. When one does
+// not fit, the placements of the call are undone and the state is as
+// Pack found it.
+func (f *FirstFit) Pack(vms []*vjob.VM) bool {
+	order := f.sort(vms)
+	f.hosts = slices.Grow(f.hosts[:0], len(vms))[:len(vms)]
+	for n, k := range order {
+		if f.hosts[k] = f.place(vms[k].Demand); f.hosts[k] < 0 {
+			for _, k := range order[:n] {
+				f.free[f.hosts[k]] = f.free[f.hosts[k]].Add(vms[k].Demand)
+			}
+			return false
+		}
+	}
+	return true
 }
 
 // FirstFitDecrease places every VM of vms as Running in c using the
@@ -97,45 +175,27 @@ func orderForPacking(c *vjob.Configuration, vms []*vjob.VM) []*vjob.VM {
 // dimensions are in play — and assigned to the first node with
 // sufficient free resources on every dimension. The configuration is
 // mutated; on failure it is left untouched and an ErrNoFit is
-// returned. Free resources are tracked incrementally in one map, so
-// each candidate node costs one vector comparison.
+// returned. Free space lives in a FirstFit, one vector per node by
+// index, so each candidate node costs one vector comparison; a VM
+// re-placed from a node of c gives that node its space back for the
+// VMs after it.
 func FirstFitDecrease(c *vjob.Configuration, vms []*vjob.VM) error {
-	ordered := orderForPacking(c, vms)
-	free := c.FreeResources()
-	nodes := c.Nodes()
-	assigned := make(map[string]string, len(vms))
-	for _, v := range ordered {
-		placed := false
-		for _, n := range nodes {
-			if v.Demand.Fits(free[n.Name]) {
-				free[n.Name] = free[n.Name].Sub(v.Demand)
-				assigned[v.Name] = n.Name
-				placed = true
-				break
-			}
-		}
-		if !placed {
+	f := NewFirstFit(c.Nodes())
+	for i, n := range f.nodes {
+		f.free[i] = f.free[i].Sub(c.Used(n.Name))
+	}
+	hosts := make([]int, len(vms))
+	for _, k := range f.sort(vms) {
+		v := vms[k]
+		if hosts[k] = f.place(v.Demand); hosts[k] < 0 {
 			return ErrNoFit{VM: v}
 		}
-		creditOldHost(c, v, free)
+		if host := c.HostOf(v.Name); host != "" {
+			f.release(host, v.Demand)
+		}
 	}
-	return commit(c, assigned, vms)
-}
-
-// creditOldHost returns the resources a just-re-placed VM was consuming
-// on its current host to the free pool: the commit will move it, so
-// later VMs of the same pass may use the space (the behavior of the
-// former clone-based implementation).
-func creditOldHost(c *vjob.Configuration, v *vjob.VM, free map[string]resources.Vector) {
-	if host := c.HostOf(v.Name); host != "" {
-		free[host] = free[host].Add(v.Demand)
-	}
-}
-
-// commit applies the computed placements to c.
-func commit(c *vjob.Configuration, assigned map[string]string, vms []*vjob.VM) error {
-	for _, v := range vms {
-		if err := c.SetRunning(v.Name, assigned[v.Name]); err != nil {
+	for k, v := range vms {
+		if err := c.SetRunning(v.Name, f.nodes[hosts[k]].Name); err != nil {
 			return err
 		}
 	}

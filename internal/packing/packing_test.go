@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -271,4 +272,33 @@ func TestFFDMultiDimension(t *testing.T) {
 	if !errors.As(err, &nf) {
 		t.Fatalf("err = %v, want ErrNoFit", err)
 	}
+}
+
+// TestFirstFitPackUndoes: Pack keeps the placements of a set that fits,
+// and leaves the free space as it found it when one VM of the set fits
+// nowhere; Reserve takes space whether or not it fits.
+func TestFirstFitPackUndoes(t *testing.T) {
+	c := testCluster(2, 2, 4096)
+	f := NewFirstFit(c.Nodes())
+	f.Reserve("n01", resources.New(3, 1024)) // over-committed on CPU
+	if !f.Pack([]*vjob.VM{vjob.NewVM("a", "j", 1, 2048), vjob.NewVM("b", "j", 1, 1024)}) {
+		t.Fatal("a set fitting n00 was refused")
+	}
+	want := []resources.Vector{resources.New(0, 1024), resources.New(-1, 3072)}
+	if !slices.Equal(f.free, want) {
+		t.Fatalf("free after Pack = %v, want %v", f.free, want)
+	}
+	// c fits n00's memory but no CPU is left anywhere for d.
+	if f.Pack([]*vjob.VM{vjob.NewVM("c", "k", 0, 1024), vjob.NewVM("d", "k", 1, 512)}) {
+		t.Fatal("a set with an unplaceable VM was accepted")
+	}
+	if !slices.Equal(f.free, want) {
+		t.Fatalf("free after a refused Pack = %v, want %v", f.free, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reserve on an unknown node did not panic")
+		}
+	}()
+	f.Reserve("n99", resources.New(1, 0))
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
@@ -220,7 +221,7 @@ func findMigrationCycle(out map[string][]*Migration) []*Migration {
 	for n := range out {
 		starts = append(starts, n)
 	}
-	sortStrings(starts)
+	slices.Sort(starts)
 	for _, n := range starts {
 		if color[n] == white {
 			stack = stack[:0]
@@ -230,14 +231,6 @@ func findMigrationCycle(out map[string][]*Migration) []*Migration {
 		}
 	}
 	return nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // groupVJobResumes implements the consistency pass of §4.1: the VMs of
@@ -250,28 +243,36 @@ func sortStrings(s []string) {
 // space. One vjob's move can rule out another's (both may crowd the
 // same NIC), so the vjobs are tried in the order the pools first name
 // them.
+//
+// When the plan validates before the pass, a move is checked on its
+// target pool alone, which is exact when a resumed VM has no other
+// action in the plan (the builder gives it none). Before the target
+// pool the moved VMs stay asleep, so every node carries at most the
+// load it carried in a valid plan: every action stays feasible, every
+// NIC book admits a subset of what it admitted, and no violation
+// appears. From the end of the target pool on, both plans reach the
+// same configurations. What is left is the target pool itself: each
+// delayed resume must fit its node at the pool's start, and the pool's
+// transfers must share the NICs. A plan that does not validate is
+// re-validated whole per move.
 func groupVJobResumes(p *Plan) {
-	var jobs []string
-	lastPool := make(map[string]int)
-	count := make(map[string]int)
-	for i, pool := range p.Pools {
-		for _, a := range pool {
-			if r, ok := a.(*Resume); ok && r.Machine.VJob != "" {
-				if count[r.Machine.VJob] == 0 {
-					jobs = append(jobs, r.Machine.VJob)
-				}
-				lastPool[r.Machine.VJob] = i
-				count[r.Machine.VJob]++
-			}
+	groups := resumeGroups(p)
+	valid := len(groups) > 0 && recordTargetFree(p, groups)
+	delayed := make(map[string][]delay) // node -> resumes of kept moves
+	for _, g := range groups {
+		moved := g.move(p.Pools)
+		var ok bool
+		if valid {
+			ok = g.fitsTarget(delayed) && admits(p.Src, moved[g.target])
+		} else {
+			ok = (&Plan{Src: p.Src, Pools: moved, Bypass: p.Bypass}).Validate() == nil
 		}
-	}
-	for _, job := range jobs {
-		if count[job] < 2 {
+		if !ok {
 			continue
 		}
-		moved := tryMoveResumes(p, job, lastPool[job])
-		if moved != nil && moved.Validate() == nil {
-			p.Pools = moved.Pools
+		p.Pools = moved
+		for i, r := range g.late {
+			delayed[r.On] = append(delayed[r.On], delay{from: g.from[i], to: g.target, demand: r.Machine.Demand})
 		}
 	}
 	// Drop pools emptied by the moves.
@@ -284,27 +285,134 @@ func groupVJobResumes(p *Plan) {
 	p.Pools = pools
 }
 
-// tryMoveResumes returns a copy of the plan with every resume of the
-// vjob moved into the target pool, or nil when nothing moved.
-func tryMoveResumes(p *Plan, job string, target int) *Plan {
-	out := &Plan{Src: p.Src, Bypass: p.Bypass}
-	out.Pools = make([]Pool, len(p.Pools))
-	changed := false
-	var grouped Pool
+// resumeGroup is one vjob's resumes as the ungrouped plan spreads them:
+// the pool of its last resume, and the resumes before that pool.
+type resumeGroup struct {
+	job    string
+	target int
+	late   []*Resume
+	from   []int // pool of each late resume
+	// free is, per node of a late resume, the free space at the start
+	// of the target pool in the ungrouped plan; fitsTarget adds what
+	// the moves free there.
+	free map[string]resources.Vector
+}
+
+// delay is a resume a kept move took out of pool from into pool to: its
+// VM does not run on its node from the start of from to that of to.
+type delay struct {
+	from, to int
+	demand   resources.Vector
+}
+
+// resumeGroups returns the vjobs with a resume to move, in the order
+// the pools first name them.
+func resumeGroups(p *Plan) []*resumeGroup {
+	var all []*resumeGroup
+	byJob := make(map[string]*resumeGroup)
 	for i, pool := range p.Pools {
 		for _, a := range pool {
-			if r, ok := a.(*Resume); ok && r.Machine.VJob == job && i != target {
-				grouped = append(grouped, a)
-				changed = true
-				continue
+			if r, ok := a.(*Resume); ok && r.Machine.VJob != "" {
+				g := byJob[r.Machine.VJob]
+				if g == nil {
+					g = &resumeGroup{job: r.Machine.VJob}
+					byJob[g.job] = g
+					all = append(all, g)
+				}
+				g.target = i
+				g.late = append(g.late, r)
+				g.from = append(g.from, i)
 			}
-			out.Pools[i] = append(out.Pools[i], a)
 		}
 	}
-	if !changed {
-		return nil
+	groups := all[:0]
+	for _, g := range all {
+		n := len(g.from)
+		for n > 0 && g.from[n-1] == g.target {
+			n--
+		}
+		if n > 0 {
+			g.late, g.from = g.late[:n], g.from[:n]
+			groups = append(groups, g)
+		}
 	}
-	out.Pools[target] = append(out.Pools[target], grouped...)
-	out.Pools[target].sortDeterministic()
+	return groups
+}
+
+// recordTargetFree validates p in one replay that records each group's
+// free space at the start of its target pool, and reports whether p
+// validates.
+func recordTargetFree(p *Plan, groups []*resumeGroup) bool {
+	at := make([][]*resumeGroup, len(p.Pools))
+	for _, g := range groups {
+		at[g.target] = append(at[g.target], g)
+	}
+	return p.replay(func(i int, cur *vjob.Configuration) {
+		for _, g := range at[i] {
+			g.free = make(map[string]resources.Vector, len(g.late))
+			for _, r := range g.late {
+				g.free[r.On] = cur.Free(r.On)
+			}
+		}
+	}) == nil
+}
+
+// move returns the pools with every resume of the vjob in the target
+// pool. Pools the move leaves alone are shared with the argument; the
+// others are new slices.
+func (g *resumeGroup) move(pools []Pool) []Pool {
+	out := slices.Clone(pools)
+	target := slices.Clone(pools[g.target])
+	for i, from := range g.from {
+		if i > 0 && from == g.from[i-1] {
+			continue
+		}
+		var kept Pool
+		for _, a := range pools[from] {
+			if r, ok := a.(*Resume); ok && r.Machine.VJob == g.job {
+				target = append(target, a)
+				continue
+			}
+			kept = append(kept, a)
+		}
+		out[from] = kept
+	}
+	target.sortDeterministic()
+	out[g.target] = target
 	return out
+}
+
+// fitsTarget reports whether each late resume fits its node at the
+// start of the target pool of the plan the kept moves have built, with
+// the vjob's own late VMs not running yet.
+func (g *resumeGroup) fitsTarget(delayed map[string][]delay) bool {
+	for _, r := range g.late {
+		g.free[r.On] = g.free[r.On].Add(r.Machine.Demand)
+	}
+	for node := range g.free {
+		for _, d := range delayed[node] {
+			if d.from < g.target && g.target <= d.to {
+				g.free[node] = g.free[node].Add(d.demand)
+			}
+		}
+	}
+	for _, r := range g.late {
+		if !r.Machine.Demand.Fits(g.free[r.On]) {
+			return false
+		}
+	}
+	return true
+}
+
+// admits reports whether the pool's transfers, booked in pool order,
+// share the NICs of the configuration's nodes.
+func admits(cfg *vjob.Configuration, pool Pool) bool {
+	book := newTransferBook(cfg)
+	for _, a := range pool {
+		if !book.fits(a) {
+			return false
+		}
+		book.admit(a)
+	}
+	return true
 }

@@ -1,0 +1,418 @@
+package plan_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cwcs/internal/core"
+	"cwcs/internal/plan"
+	"cwcs/internal/resources"
+	"cwcs/internal/sched"
+	"cwcs/internal/vjob"
+	"cwcs/internal/workload"
+)
+
+// The functions below are the resume-grouping pass as it was before a
+// move was checked on its target pool alone: a copy of the whole plan
+// and a full re-validation per vjob. They are kept verbatim as the
+// reference groupVJobResumes must match.
+
+func refGroupVJobResumes(p *plan.Plan) {
+	var jobs []string
+	lastPool := make(map[string]int)
+	count := make(map[string]int)
+	for i, pool := range p.Pools {
+		for _, a := range pool {
+			if r, ok := a.(*plan.Resume); ok && r.Machine.VJob != "" {
+				if count[r.Machine.VJob] == 0 {
+					jobs = append(jobs, r.Machine.VJob)
+				}
+				lastPool[r.Machine.VJob] = i
+				count[r.Machine.VJob]++
+			}
+		}
+	}
+	for _, job := range jobs {
+		if count[job] < 2 {
+			continue
+		}
+		moved := refTryMoveResumes(p, job, lastPool[job])
+		if moved != nil && moved.Validate() == nil {
+			p.Pools = moved.Pools
+		}
+	}
+	// Drop pools emptied by the moves.
+	pools := p.Pools[:0]
+	for _, pool := range p.Pools {
+		if len(pool) > 0 {
+			pools = append(pools, pool)
+		}
+	}
+	p.Pools = pools
+}
+
+func refTryMoveResumes(p *plan.Plan, job string, target int) *plan.Plan {
+	out := &plan.Plan{Src: p.Src, Bypass: p.Bypass}
+	out.Pools = make([]plan.Pool, len(p.Pools))
+	changed := false
+	var grouped plan.Pool
+	for i, pool := range p.Pools {
+		for _, a := range pool {
+			if r, ok := a.(*plan.Resume); ok && r.Machine.VJob == job && i != target {
+				grouped = append(grouped, a)
+				changed = true
+				continue
+			}
+			out.Pools[i] = append(out.Pools[i], a)
+		}
+	}
+	if !changed {
+		return nil
+	}
+	out.Pools[target] = append(out.Pools[target], grouped...)
+	out.Pools[target].SortDeterministic()
+	return out
+}
+
+// generatedPair is a consolidation instance of the 2-D, 4-D or
+// NIC-poor mix and the destination the FFD baseline packs for it.
+func generatedPair(rng *rand.Rand, mix int) (src, dst *vjob.Configuration, ok bool) {
+	nodes := 4 + rng.Intn(40)
+	opts := workload.GenerateOptions{Nodes: nodes, NodeCPU: 2, NodeMemory: 4096, VMs: nodes * 3 / 2}
+	switch mix % 3 {
+	case 1:
+		opts.NodeNet, opts.NodeDisk = 1000, 400
+		opts.NetFraction, opts.DiskFraction = 0.3, 0.3
+	case 2:
+		opts.NodeNet, opts.NICPoorNet, opts.NICPoorFraction = 1000, 100, 0.25
+		opts.NetFraction = 0.3
+	}
+	g := workload.GenerateConfiguration(rng, opts)
+	res, err := core.FFDPlan(core.Problem{Src: g.Cfg, Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs)})
+	if err != nil {
+		return nil, nil, false
+	}
+	return g.Cfg, res.Dst, true
+}
+
+// storePair is the shape of TestGroupingOrderIsDeterministic, drawn at
+// random: the images of several vjobs sit on one or two store nodes
+// whose NICs carry only a few resume transfers at once, and each vjob
+// resumes onto hosts partly held by running blockers that suspend.
+func storePair(rng *rand.Rand) (src, dst *vjob.Configuration) {
+	src = vjob.NewConfiguration()
+	stores := 1 + rng.Intn(2)
+	for s := 0; s < stores; s++ {
+		c := resources.New(0, 0)
+		c.Set(resources.NetBW, (1+rng.Intn(4))*plan.ResumePushRateMbps)
+		src.AddNode(vjob.NewNodeRes(fmt.Sprintf("store%d", s), c))
+	}
+	hosts := 2 + rng.Intn(4)
+	for h := 0; h < hosts; h++ {
+		c := resources.New(2+rng.Intn(3), 2048*(1+rng.Intn(2)))
+		c.Set(resources.NetBW, []int{1000, 1000, 100}[rng.Intn(3)])
+		src.AddNode(vjob.NewNodeRes(fmt.Sprintf("d%d", h), c))
+	}
+	dst = src.Clone()
+	var wake []*vjob.VM
+	for j := 0; j < 2+rng.Intn(4); j++ {
+		job := fmt.Sprintf("j%d", j)
+		blocker := vjob.NewVM(job+"-blocker", "", 1, 512*(1+rng.Intn(2)))
+		host := fmt.Sprintf("d%d", rng.Intn(hosts))
+		src.AddVM(blocker)
+		dst.AddVM(blocker)
+		_ = src.SetRunning(blocker.Name, host)
+		if rng.Intn(4) > 0 {
+			_ = dst.SetSleeping(blocker.Name, host)
+		} else {
+			_ = dst.SetRunning(blocker.Name, host)
+		}
+		for k := 0; k < 2+rng.Intn(3); k++ {
+			v := vjob.NewVM(fmt.Sprintf("%s-%d", job, k), job, 1, 256*(1+rng.Intn(4)))
+			store := fmt.Sprintf("store%d", rng.Intn(stores))
+			src.AddVM(v)
+			dst.AddVM(v)
+			_ = src.SetSleeping(v.Name, store)
+			_ = dst.SetSleeping(v.Name, store)
+			wake = append(wake, v)
+		}
+	}
+	// Resume what fits, each VM on a random host with room.
+	for _, v := range wake {
+		for _, off := range rng.Perm(hosts) {
+			if h := fmt.Sprintf("d%d", off); dst.Fits(v, h) {
+				_ = dst.SetRunning(v.Name, h)
+				break
+			}
+		}
+	}
+	return src, dst
+}
+
+// squeezePair is a source whose small nodes are overloaded, and a
+// destination that empties them, then resumes vjobs and boots fillers
+// on them up to the source's overload again. With loosePlan, a resume
+// moved later can find its node refilled, or freed by the move of
+// another vjob's resume.
+func squeezePair(rng *rand.Rand) (src, dst *vjob.Configuration) {
+	src = vjob.NewConfiguration()
+	small := 1 + rng.Intn(3)
+	for i := 0; i < small; i++ {
+		src.AddNode(vjob.NewNode(fmt.Sprintf("s%d", i), 2, 4096))
+	}
+	src.AddNode(vjob.NewNode("big", 64, 1<<20))
+	dst = src.Clone()
+	add := func(name, job string) *vjob.VM {
+		v := vjob.NewVM(name, job, 1, 256)
+		src.AddVM(v)
+		dst.AddVM(v)
+		return v
+	}
+	// Each small node runs three or four one-CPU VMs on two CPUs, which
+	// all leave; slots counts what it may run again at the end.
+	slots := make([]int, small)
+	for i := range slots {
+		slots[i] = 3 + rng.Intn(2)
+		for k := 0; k < slots[i]; k++ {
+			v := add(fmt.Sprintf("old%d-%d", i, k), "")
+			_ = src.SetRunning(v.Name, fmt.Sprintf("s%d", i))
+			_ = dst.SetRunning(v.Name, "big")
+		}
+	}
+	for j := 0; j < 2+rng.Intn(3); j++ {
+		job := fmt.Sprintf("j%d", j)
+		for k := 0; k < 2+rng.Intn(2); k++ {
+			v := add(fmt.Sprintf("%s-%d", job, k), job)
+			_ = src.SetSleeping(v.Name, "big")
+			on := "big"
+			if i := rng.Intn(small); slots[i] > 0 && rng.Intn(3) > 0 {
+				on = fmt.Sprintf("s%d", i)
+				slots[i]--
+			}
+			_ = dst.SetRunning(v.Name, on)
+		}
+	}
+	for i := range slots {
+		for k := rng.Intn(slots[i] + 1); k > 0; k-- {
+			v := add(fmt.Sprintf("fill%d-%d", i, k), "")
+			_ = dst.SetRunning(v.Name, fmt.Sprintf("s%d", i))
+		}
+	}
+	return src, dst
+}
+
+// refillPlan is a valid plan the builder would not emit: each small
+// node, overloaded in the source, sheds all but one of its VMs, then
+// takes one resume of up to two vjobs at once, back up to the source's
+// overload, and sheds its last VM in a later pool; the other resume of
+// each vjob lands on a big node in a random later pool. Moving one
+// vjob's resume then frees room the next vjob's move needs.
+func refillPlan(rng *rand.Rand) *plan.Plan {
+	src := vjob.NewConfiguration()
+	src.AddNode(vjob.NewNode("big", 64, 1<<20))
+	small := 1 + rng.Intn(2)
+	pools := make([]plan.Pool, 3+rng.Intn(4))
+	later := func() int { return 2 + rng.Intn(len(pools)-2) }
+	add := func(a plan.Action, pool int) { pools[pool] = append(pools[pool], a) }
+	for i := 0; i < small; i++ {
+		node := fmt.Sprintf("s%d", i)
+		src.AddNode(vjob.NewNode(node, 2, 4096))
+		for k := 0; k < 3; k++ {
+			v := vjob.NewVM(fmt.Sprintf("old%d-%d", i, k), "", 1, 256)
+			src.AddVM(v)
+			_ = src.SetRunning(v.Name, node)
+			pool := 0
+			if k == 2 {
+				pool = later()
+			}
+			add(&plan.Migration{Machine: v, Src: node, Dst: "big"}, pool)
+		}
+	}
+	room := make([]int, small)
+	for _, job := range rng.Perm(2 * small) {
+		name := fmt.Sprintf("j%d", job)
+		i := rng.Intn(small)
+		if room[i] == 2 {
+			continue
+		}
+		room[i]++
+		for k, on := range []string{fmt.Sprintf("s%d", i), "big"} {
+			v := vjob.NewVM(fmt.Sprintf("%s-%d", name, k), name, 1, 256)
+			src.AddVM(v)
+			_ = src.SetSleeping(v.Name, "big")
+			pool := 1
+			if k == 1 {
+				pool = later()
+			}
+			add(&plan.Resume{Machine: v, From: "big", On: on}, pool)
+		}
+	}
+	for _, pool := range pools {
+		pool.SortDeterministic()
+	}
+	return &plan.Plan{Src: src, Pools: pools}
+}
+
+// loosePlan builds a random plan Validate accepts but the builder would
+// never emit: each pool takes a random share of the remaining actions
+// that are feasible one by one at its start, without reserving, so the
+// actions of one pool may jointly refill a node up to an overload the
+// source already had. It returns nil when it gets stuck.
+func loosePlan(rng *rand.Rand, g *plan.Graph) *plan.Plan {
+	p := &plan.Plan{Src: g.Src}
+	remaining := slices.Clone(g.Actions)
+	rng.Shuffle(len(remaining), func(i, j int) { remaining[i], remaining[j] = remaining[j], remaining[i] })
+	share := 2 + rng.Intn(3)
+	for tries := 0; len(remaining) > 0; tries++ {
+		if tries == 64 {
+			return nil
+		}
+		cur, err := p.Result()
+		if err != nil {
+			return nil
+		}
+		var pool plan.Pool
+		var rest []plan.Action
+		for _, a := range remaining {
+			if rng.Intn(share) > 0 && a.FeasibleIn(cur) {
+				pool = append(pool, a)
+			} else {
+				rest = append(rest, a)
+			}
+		}
+		if len(pool) == 0 {
+			continue
+		}
+		pool.SortDeterministic()
+		next := &plan.Plan{Src: g.Src, Pools: append(slices.Clone(p.Pools), pool)}
+		if next.Validate() == nil {
+			p, remaining = next, rest
+		}
+	}
+	return p
+}
+
+func clonePlan(p *plan.Plan) *plan.Plan {
+	out := *p
+	out.Pools = make([]plan.Pool, len(p.Pools))
+	for i, pool := range p.Pools {
+		out.Pools[i] = slices.Clone(pool)
+	}
+	return &out
+}
+
+// groupOutcome tells which paths one comparison went through.
+type groupOutcome struct {
+	compared bool
+	invalid  bool // the ungrouped plan does not validate
+	grouped  bool // a move was kept
+	split    bool // a vjob's resumes stayed in several pools
+}
+
+// groupCase plans one instance without grouping, groups the plan with
+// both passes, and returns a description of the first difference, or
+// "". The seed picks the shape; the plan comes from loosePlan, from
+// the builder, or from the builder with NIC gating off, which leaves
+// plans oversubscribing a NIC.
+func groupCase(seed int64) (string, groupOutcome) {
+	rng := rand.New(rand.NewSource(seed))
+	var src, dst *vjob.Configuration
+	switch seed % 5 {
+	case 1:
+		src, dst = storePair(rng)
+	case 3:
+		src, dst = squeezePair(rng)
+	case 4:
+		return compareGrouping(refillPlan(rng))
+	default:
+		var ok bool
+		if src, dst, ok = generatedPair(rng, int(seed/5)); !ok {
+			return "", groupOutcome{}
+		}
+	}
+	g, err := plan.BuildGraph(src, dst)
+	if err != nil {
+		return fmt.Sprintf("graph: %v", err), groupOutcome{}
+	}
+	var ungrouped *plan.Plan
+	if rng.Intn(3) == 0 {
+		ungrouped = loosePlan(rng, g)
+	} else {
+		ungrouped, err = plan.Builder{DisableTransferGating: rng.Intn(3) == 0}.Pools(g)
+	}
+	if ungrouped == nil || err != nil {
+		return "", groupOutcome{}
+	}
+	return compareGrouping(ungrouped)
+}
+
+// compareGrouping groups copies of the plan with both passes.
+func compareGrouping(ungrouped *plan.Plan) (diff string, out groupOutcome) {
+	ref, got := clonePlan(ungrouped), clonePlan(ungrouped)
+	refGroupVJobResumes(ref)
+	plan.GroupVJobResumes(got)
+	if got.String() != ref.String() {
+		return fmt.Sprintf("plans differ:\ngot:\n%s\nreference:\n%s", got, ref), out
+	}
+	out.compared = true
+	out.invalid = ungrouped.Validate() != nil
+	out.grouped = got.String() != ungrouped.String()
+	pools := make(map[string]int)
+	for i, pool := range got.Pools {
+		for _, a := range pool {
+			if r, ok := a.(*plan.Resume); ok && r.Machine.VJob != "" {
+				if p, seen := pools[r.Machine.VJob]; seen && p != i {
+					out.split = true
+				}
+				pools[r.Machine.VJob] = i
+			}
+		}
+	}
+	return "", out
+}
+
+// TestGroupingMatchesReference: on at least 500 instances — generated
+// consolidations of the three mixes, NIC-contended store shapes and
+// refilled overloaded nodes, planned by the builder with and without
+// NIC gating or by loosePlan — the grouping pass leaves the plan the
+// reference leaves. The cases must reach kept moves, refused moves and
+// the whole-plan fallback.
+func TestGroupingMatchesReference(t *testing.T) {
+	var compared, invalid, grouped, split int
+	for seed := int64(0); seed < 800; seed++ {
+		diff, out := groupCase(seed)
+		if diff != "" {
+			t.Fatalf("seed %d: %s", seed, diff)
+		}
+		if out.compared {
+			compared++
+		}
+		if out.invalid {
+			invalid++
+		}
+		if out.grouped && !out.invalid {
+			grouped++
+		}
+		if out.split && !out.invalid {
+			split++
+		}
+	}
+	t.Logf("%d plans compared: invalid %d, valid and grouped %d, valid and left split %d", compared, invalid, grouped, split)
+	if compared < 500 || invalid == 0 || grouped == 0 || split == 0 {
+		t.Fatalf("too few cases or a path never reached: compared %d, invalid %d, grouped %d, split %d", compared, invalid, grouped, split)
+	}
+}
+
+// FuzzGroupResumes explores further seeds of the same comparison.
+func FuzzGroupResumes(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 3, 7, 11} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if diff, _ := groupCase(seed); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}

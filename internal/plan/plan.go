@@ -116,10 +116,17 @@ func (p *Plan) Result() (*vjob.Configuration, error) {
 // shrinks — through the early pools is the cure in progress, not a new
 // disease: a plan evacuating an overloaded node keeps a smaller
 // violation alive on it until the last migration leaves.
-func (p *Plan) Validate() error {
+func (p *Plan) Validate() error { return p.replay(nil) }
+
+// replay is Validate, calling atStart, when set, with each pool's index
+// and the configuration at its start.
+func (p *Plan) replay(atStart func(pool int, cur *vjob.Configuration)) error {
 	cur := p.Src.Clone()
 	srcViolations := srcOverloads(cur)
 	for i, pool := range p.Pools {
+		if atStart != nil {
+			atStart(i, cur)
+		}
 		book := newTransferBook(cur)
 		for _, a := range pool {
 			if !a.FeasibleIn(cur) {

@@ -41,16 +41,18 @@ func SortQueue(queue []*vjob.VJob) []*vjob.VJob {
 // optimizer recomputes the real one — only the states matter here.
 type Consolidation struct{}
 
-// Decide returns the target state for every vjob in the queue.
+// Decide returns the target state for every vjob in the queue. One
+// First-Fit state serves the whole queue: a vjob that fits keeps its
+// placements, one that does not leaves the state as it found it.
 func (Consolidation) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
 	target := make(map[string]vjob.State, len(queue))
-	temp := emptyClusterLike(cfg)
+	ff := packing.NewFirstFit(cfg.Nodes())
 	for _, j := range SortQueue(queue) {
 		cur := cfg.VJobState(j)
 		if cur == vjob.Terminated {
 			continue
 		}
-		if tryPlace(temp, j) {
+		if ff.Pack(j.VMs) {
 			target[j.Name] = vjob.Running
 			continue
 		}
@@ -80,7 +82,7 @@ type StaticFCFS struct{}
 // waiting vjobs start when they fit.
 func (StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
 	target := make(map[string]vjob.State, len(queue))
-	temp := emptyClusterLike(cfg)
+	ff := packing.NewFirstFit(cfg.Nodes())
 	// Reserve resources of the already-running vjobs first: they are
 	// immovable under static allocation.
 	for _, j := range SortQueue(queue) {
@@ -90,9 +92,7 @@ func (StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string
 				if h := cfg.HostOf(v.Name); h != "" {
 					// Mirror the real placement so fragmentation is
 					// honoured, as a static RMS would.
-					sv := booked(v)
-					temp.AddVM(sv)
-					_ = temp.SetRunning(sv.Name, h)
+					ff.Reserve(h, booked(v).Demand)
 				}
 			}
 		}
@@ -102,7 +102,7 @@ func (StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string
 		if cur != vjob.Waiting {
 			continue
 		}
-		if tryPlace(temp, bookedJob(j)) {
+		if ff.Pack(bookedJob(j).VMs) {
 			target[j.Name] = vjob.Running
 			continue
 		}
@@ -124,29 +124,4 @@ func bookedJob(j *vjob.VJob) *vjob.VJob {
 		out.VMs = append(out.VMs, booked(v))
 	}
 	return out
-}
-
-// emptyClusterLike returns a configuration with cfg's nodes and no
-// VMs.
-func emptyClusterLike(cfg *vjob.Configuration) *vjob.Configuration {
-	out := vjob.NewConfiguration()
-	for _, n := range cfg.Nodes() {
-		out.AddNode(n)
-	}
-	return out
-}
-
-// tryPlace adds the vjob's VMs to temp with FFD; on success the
-// placement is kept and true is returned.
-func tryPlace(temp *vjob.Configuration, j *vjob.VJob) bool {
-	for _, v := range j.VMs {
-		temp.AddVM(v)
-	}
-	if err := packing.FirstFitDecrease(temp, j.VMs); err != nil {
-		for _, v := range j.VMs {
-			temp.RemoveVM(v.Name)
-		}
-		return false
-	}
-	return true
 }

@@ -326,8 +326,8 @@ func (c *Configuration) Fits(v *VM, node string) bool {
 
 // FreeResources returns the free resources of every node, every
 // dimension at once, as a map built in one O(nodes + VMs) pass, for
-// callers that want every node's free vector (the FFD heuristic, plan
-// pool extraction, the cost model, monitoring).
+// callers that want every node's free vector by name (plan pool
+// extraction, the cost model of the solver).
 func (c *Configuration) FreeResources() map[string]resources.Vector {
 	free := make(map[string]resources.Vector, len(c.nodes))
 	for name, n := range c.nodes {
