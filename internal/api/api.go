@@ -81,11 +81,11 @@ type Server struct {
 	Notify func(core.Event)
 	// Drains is the node-lifecycle bridge shared with Loop.Drains.
 	Drains *core.DrainSet
-	// OnDrain and OnUndrain, when non-nil, run after the drain set
-	// changed — the host's chance to integrate the simulator's node
-	// lifecycle (e.g. SetNodeOnline on undrain). An error rolls the
-	// drain-set change back and fails the request.
-	OnDrain, OnUndrain func(node string) error
+	// OnUndrain, when non-nil, runs after an undrain changed the drain
+	// set — the host's chance to bring the node back into the
+	// simulator's lifecycle (SetNodeOnline). An error rolls the undrain
+	// back and fails the request.
+	OnUndrain func(node string) error
 	// Submit and Withdraw manage vjobs at runtime.
 	Submit   func(VJobSpec) error
 	Withdraw func(name string) error
@@ -514,7 +514,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var st nodeJSON
 	var ok bool
-	var hookErr error
 	s.exec(func() {
 		cfg := s.Config()
 		if cfg.Node(id) == nil && !s.Drains.IsDrained(id) {
@@ -523,12 +522,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		}
 		ok = true
 		if s.Drains.Drain(id) {
-			if s.OnDrain != nil {
-				if hookErr = s.OnDrain(id); hookErr != nil {
-					s.Drains.Undrain(id)
-					return
-				}
-			}
 			if s.Notify != nil {
 				ev := core.Event{Kind: core.NodeDown, At: now(s), Nodes: []string{id}}
 				for _, v := range cfg.RunningOn(id) {
@@ -539,14 +532,11 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		}
 		st, _ = s.nodeStatus(cfg, loadByNode(cfg), id)
 	})
-	switch {
-	case !ok:
+	if !ok {
 		writeError(w, http.StatusNotFound, "unknown node %q", id)
-	case hookErr != nil:
-		writeError(w, http.StatusConflict, "drain %s: %v", id, hookErr)
-	default:
-		writeJSON(w, http.StatusAccepted, st)
+		return
 	}
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {

@@ -653,18 +653,6 @@ func TestDrainEndToEnd(t *testing.T) {
 	}
 }
 
-func TestDrainHookFailureRollsBack(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
-	b.srv.OnDrain = func(node string) error { return fmt.Errorf("refused") }
-	b.do(t, "POST", "/v1/nodes/node000/drain", nil, http.StatusConflict)
-	b.locked(func() {
-		if b.srv.Drains.IsDrained("node000") {
-			t.Fatal("drain not rolled back")
-		}
-	})
-}
-
 // TestNodeResourceDimensions: the node endpoints report every
 // dimension with capacity or usage, and /metrics exports the labeled
 // per-node per-kind gauges.

@@ -104,13 +104,13 @@ type LoopStats struct {
 // in at the next pool boundary instead of a full abort.
 //
 // The loop is a state machine over one phase: idle, armed (a debounced
-// wake is scheduled), executing (a switch runs), repair-due (an action
-// of the running switch failed; the next pool boundary repairs),
-// stopping (Stop came while a switch runs) and stopped. Its inputs are
-// Start, Notify, the timers it arms, the pool boundaries and the
-// completion of an execution, and Stop; DESIGN.md §6 prints the
-// transition table. A canceled Ctx or a true Done halts the loop
-// without a transition: from then on no round or repair runs.
+// wake is scheduled), executing (a switch runs) and repair-due (an
+// action of the running switch failed; the next pool boundary
+// repairs). Its inputs are Start, Notify, the timers it arms, the pool
+// boundaries and the completion of an execution; DESIGN.md §6 prints
+// the transition table. A canceled Ctx or a true Done halts the loop
+// without a transition: from then on no round or repair runs, and a
+// plan already executing runs to completion.
 type Loop struct {
 	// Decision chooses vjob states; required.
 	Decision DecisionModule
@@ -230,8 +230,6 @@ const (
 	phaseArmed                  // a debounced incremental wake is scheduled
 	phaseExecuting              // a context switch executes
 	phaseRepairDue              // executing; the next pool boundary repairs a failure
-	phaseStopping               // executing after Stop; stopped once the plan completes
-	phaseStopped                // nothing runs and nothing is scheduled any more
 )
 
 // Start schedules the first round immediately and returns; the loop
@@ -301,17 +299,6 @@ func (l *Loop) report(scope string, res *Result) {
 	}
 }
 
-// Stop halts the loop: no round runs and no timer is armed after it. A
-// plan already executing runs to completion as-is — Busy stays true
-// until it does — and a pending in-flight repair is abandoned.
-func (l *Loop) Stop() {
-	if l.Busy() {
-		l.phase = phaseStopping
-	} else {
-		l.phase = phaseStopped
-	}
-}
-
 func (l *Loop) interval() float64 {
 	if l.Interval <= 0 {
 		return 30
@@ -352,9 +339,7 @@ func (l *Loop) rules() []PlacementRule {
 }
 
 // Busy reports whether a context switch is executing right now.
-func (l *Loop) Busy() bool {
-	return l.phase == phaseExecuting || l.phase == phaseRepairDue || l.phase == phaseStopping
-}
+func (l *Loop) Busy() bool { return l.phase >= phaseExecuting }
 
 // Execution returns the handle of the in-flight managed execution, or
 // nil when no plan is executing (or the actuator is unmanaged).
@@ -366,9 +351,9 @@ func (l *Loop) Execution() Execution { return l.exec }
 // the next pool boundary; the wake-up then happens right after the
 // execution completes. Events received while idle arm a debounced
 // wake-up; further events within the window coalesce. Notify is a
-// no-op on a periodic loop and after Stop.
+// no-op on a periodic loop.
 func (l *Loop) Notify(a Actuator, ev Event) {
-	if !l.EventDriven || l.phase >= phaseStopping {
+	if !l.EventDriven {
 		return
 	}
 	l.Stats.Events++
@@ -409,9 +394,6 @@ func (l *Loop) Notify(a Actuator, ev Event) {
 // wakes the loop only if no later arm superseded it and the loop is
 // still armed: a full round may have started a switch meanwhile.
 func (l *Loop) arm(a Actuator, delay float64, full bool) {
-	if l.phase == phaseStopped {
-		return
-	}
 	at := a.Now() + delay
 	if full {
 		a.Schedule(at, func() { l.wake(a, true) })
@@ -445,7 +427,7 @@ func (l *Loop) arm(a Actuator, delay float64, full bool) {
 // falling back to the whole cluster on an undecomposable problem, a
 // failed batch, or an unmet need in a slice no event touched (every
 // dirty slice is clean, yet the problem is not satisfied). No round
-// starts while a plan executes, after Stop, or once the loop halted.
+// starts while a plan executes or once the loop halted.
 func (l *Loop) wake(a Actuator, full bool) {
 	if l.phase >= phaseExecuting || l.halted() {
 		return
@@ -513,15 +495,10 @@ func (l *Loop) wake(a Actuator, full bool) {
 // next follows a round that rested or failed and every finished
 // switch: the periodic schedule's next round is due Interval seconds
 // later; the event-driven loop arms a wake while work is left — dirty
-// elements or an owed pass — and closes the episode otherwise. A loop
-// told to stop while a plan executed stops here.
+// elements or an owed pass — and closes the episode otherwise.
 func (l *Loop) next(a Actuator) {
 	l.exec = nil
-	switch l.phase {
-	case phaseStopping, phaseStopped:
-		l.phase = phaseStopped
-		return
-	case phaseExecuting, phaseRepairDue:
+	if l.Busy() {
 		l.phase = phaseIdle
 	}
 	switch {

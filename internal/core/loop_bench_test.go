@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -75,16 +76,18 @@ func BenchmarkLoopPeriodicIteration(b *testing.B) {
 		if err := cfg.SetRunning("x000", "n000"); err != nil {
 			b.Fatal(err)
 		}
+		ctx, cancel := context.WithCancel(context.Background())
 		l := &Loop{
 			Decision:  keepAll,
 			Interval:  30,
+			Ctx:       ctx,
 			Optimizer: Optimizer{Partitions: 0, Workers: 1},
 			Rules:     rules,
 			Queue:     func() []*vjob.VJob { return jobs },
 		}
 		l.Start(a)
 		a.run(1)
-		l.Stop()
+		cancel()
 		if len(l.Records) == 0 {
 			b.Fatal("no switch executed")
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -276,28 +277,34 @@ func TestEventLoopFailureEventAfterPlanCompleted(t *testing.T) {
 	}
 }
 
+// TestEventLoopStopDuringInFlightRepair: a loop halted by Ctx while a
+// repair is due abandons it at the boundary, and neither the wake the
+// completion arms nor a later Notify runs a round.
 func TestEventLoopStopDuringInFlightRepair(t *testing.T) {
 	cfg, rules, jobs := fencedChurnCluster(t)
 	l, a := eventLoop(cfg, rules, jobs)
+	ctx, cancel := context.WithCancel(context.Background())
+	l.Ctx = ctx
 	stub := &fakeExec{a: a, plan: &plan.Plan{Src: cfg}}
 	l.exec, l.phase = stub, phaseRepairDue
 	l.dirty.add(Event{Kind: ActionFailure, VMs: []string{jobs[0].VMs[0].Name}, Nodes: []string{"n00"}})
 
 	calls := l.Stats.SolverCalls
-	l.Stop()
+	cancel()
 	l.poolBoundary(a)
 
 	if l.Stats.SolverCalls != calls {
-		t.Fatalf("repair solved after Stop: %+v", l.Stats)
+		t.Fatalf("repair solved after the halt: %+v", l.Stats)
 	}
 	if a.splices != 0 {
-		t.Fatal("repair spliced after Stop")
+		t.Fatal("repair spliced after the halt")
 	}
-	// And the armed machinery must not wake a stopped loop either.
+	// And the armed machinery must not wake a halted loop either.
+	l.next(a)
 	l.Notify(a, Event{Kind: LoadChange, VMs: []string{"a1"}})
 	a.run(100)
-	if l.Stats.Iterations != 0 {
-		t.Fatalf("stopped loop iterated: %+v", l.Stats)
+	if l.Stats.Iterations != 0 || l.Stats.SolverCalls != calls {
+		t.Fatalf("halted loop iterated: %+v", l.Stats)
 	}
 }
 

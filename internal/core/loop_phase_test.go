@@ -22,16 +22,15 @@ const (
 	inDebounce             // the armed wake's debounce timer fires
 	inBoundary             // a pool boundary of the managed execution
 	inDone                 // the execution completes
-	inStop                 // Stop
 	inHalted               // the phase's pending timer or boundary comes after Ctx or Done halted the loop
 )
 
 var inputNames = [...]string{"Start", "Notify structural", "Notify load", "Notify failure",
-	"full-round timer", "debounce timer", "pool boundary", "execution done", "Stop", "halted"}
+	"full-round timer", "debounce timer", "pool boundary", "execution done", "halted"}
 
 func (in loopInput) String() string { return inputNames[in] }
 
-var phaseNames = [...]string{"idle", "armed", "executing", "repair-due", "stopping", "stopped"}
+var phaseNames = [...]string{"idle", "armed", "executing", "repair-due"}
 
 func (p phase) String() string { return phaseNames[p] }
 
@@ -41,35 +40,22 @@ func (p phase) String() string { return phaseNames[p] }
 var loopTable = map[phase]map[loopInput][]phase{
 	phaseIdle: {
 		inStart: {phaseIdle}, inStructural: {phaseArmed}, inLoad: {phaseArmed}, inFailure: {phaseArmed},
-		inFull: {phaseIdle, phaseExecuting}, inStop: {phaseStopped}, inHalted: {phaseIdle},
+		inFull: {phaseIdle, phaseExecuting}, inHalted: {phaseIdle},
 	},
 	phaseArmed: {
 		inStart: {phaseArmed}, inStructural: {phaseArmed}, inLoad: {phaseArmed}, inFailure: {phaseArmed},
 		inFull: {phaseArmed, phaseExecuting}, inDebounce: {phaseIdle, phaseArmed, phaseExecuting},
-		inStop: {phaseStopped}, inHalted: {phaseIdle},
+		inHalted: {phaseIdle},
 	},
 	phaseExecuting: {
 		inStart: {phaseExecuting}, inStructural: {phaseExecuting}, inLoad: {phaseExecuting},
 		inFailure: {phaseExecuting, phaseRepairDue}, inFull: {phaseExecuting}, inDebounce: {phaseExecuting},
-		inBoundary: {phaseExecuting}, inDone: {phaseIdle, phaseArmed}, inStop: {phaseStopping},
-		inHalted: {phaseExecuting},
+		inBoundary: {phaseExecuting}, inDone: {phaseIdle, phaseArmed}, inHalted: {phaseExecuting},
 	},
 	phaseRepairDue: {
 		inStart: {phaseRepairDue}, inStructural: {phaseRepairDue}, inLoad: {phaseRepairDue},
 		inFailure: {phaseRepairDue}, inFull: {phaseRepairDue}, inDebounce: {phaseRepairDue},
-		inBoundary: {phaseExecuting}, inDone: {phaseArmed}, inStop: {phaseStopping},
-		inHalted: {phaseRepairDue},
-	},
-	phaseStopping: {
-		inStart: {phaseStopping}, inStructural: {phaseStopping}, inLoad: {phaseStopping},
-		inFailure: {phaseStopping}, inFull: {phaseStopping}, inDebounce: {phaseStopping},
-		inBoundary: {phaseStopping}, inDone: {phaseStopped}, inStop: {phaseStopping},
-		inHalted: {phaseStopping},
-	},
-	phaseStopped: {
-		inStart: {phaseStopped}, inStructural: {phaseStopped}, inLoad: {phaseStopped},
-		inFailure: {phaseStopped}, inFull: {phaseStopped}, inDebounce: {phaseStopped},
-		inStop: {phaseStopped}, inHalted: {phaseStopped},
+		inBoundary: {phaseExecuting}, inDone: {phaseArmed}, inHalted: {phaseRepairDue},
 	},
 }
 
@@ -142,7 +128,7 @@ type phaseCase struct {
 func inPhase(t *testing.T, c phaseCase) (*Loop, *phaseActuator) {
 	t.Helper()
 	w := c.w
-	if c.from >= phaseExecuting && c.from <= phaseStopping {
+	if c.from >= phaseExecuting {
 		w = worldSwitch
 	}
 	l, a := phaseLoop(t, w, !c.periodic)
@@ -154,8 +140,6 @@ func inPhase(t *testing.T, c phaseCase) (*Loop, *phaseActuator) {
 	}
 	switch {
 	case c.from == phaseArmed:
-	case c.from == phaseStopped:
-		l.Stop()
 	case c.pending || c.periodic:
 		l.wake(a, true)
 	default:
@@ -164,11 +148,8 @@ func inPhase(t *testing.T, c phaseCase) (*Loop, *phaseActuator) {
 	if c.finished {
 		a.fire("pool")
 	}
-	switch c.from {
-	case phaseRepairDue:
+	if c.from == phaseRepairDue {
 		l.Notify(a, FailureEvent(a.Now(), l.exec.Plan().Actions()[0]))
-	case phaseStopping:
-		l.Stop()
 	}
 	if l.phase != c.from {
 		t.Fatalf("fixture reached %v, want %v", l.phase, c.from)
@@ -202,12 +183,10 @@ func give(t *testing.T, l *Loop, a *phaseActuator, in loopInput) {
 		l.poolBoundary(a)
 	case inDone:
 		l.next(a)
-	case inStop:
-		l.Stop()
 	case inHalted:
 		l.Done = func() bool { return true }
 		switch l.phase {
-		case phaseIdle, phaseStopped:
+		case phaseIdle:
 			l.wake(a, true)
 		case phaseArmed:
 			give(t, l, a, inDebounce)
@@ -230,7 +209,7 @@ func TestLoopTransitionTable(t *testing.T) {
 			want = phaseIdle
 		}
 		add(phaseCase{from: phaseIdle, in: in, want: want})
-		for _, p := range []phase{phaseArmed, phaseExecuting, phaseRepairDue, phaseStopping, phaseStopped} {
+		for _, p := range []phase{phaseArmed, phaseExecuting, phaseRepairDue} {
 			add(phaseCase{from: p, in: in, want: p})
 		}
 	}
@@ -239,7 +218,6 @@ func TestLoopTransitionTable(t *testing.T) {
 		{from: phaseIdle, in: inFull, w: worldRest, want: phaseIdle},
 		{from: phaseIdle, in: inFull, w: worldFail, want: phaseIdle},
 		{from: phaseIdle, in: inFull, w: worldSwitch, want: phaseExecuting},
-		{from: phaseIdle, in: inStop, want: phaseStopped},
 		{from: phaseIdle, in: inHalted, w: worldSwitch, want: phaseIdle},
 
 		{from: phaseArmed, in: inFailure, want: phaseArmed},
@@ -249,7 +227,6 @@ func TestLoopTransitionTable(t *testing.T) {
 		{from: phaseArmed, in: inDebounce, w: worldRest, want: phaseIdle},
 		{from: phaseArmed, in: inDebounce, w: worldFail, want: phaseArmed},
 		{from: phaseArmed, in: inDebounce, w: worldSwitch, want: phaseExecuting},
-		{from: phaseArmed, in: inStop, want: phaseStopped},
 		{from: phaseArmed, in: inHalted, w: worldSwitch, want: phaseIdle},
 
 		{from: phaseExecuting, in: inFailure, want: phaseRepairDue},
@@ -259,7 +236,6 @@ func TestLoopTransitionTable(t *testing.T) {
 		{from: phaseExecuting, in: inBoundary, want: phaseExecuting},
 		{from: phaseExecuting, in: inDone, want: phaseArmed},
 		{from: phaseExecuting, in: inDone, periodic: true, want: phaseIdle},
-		{from: phaseExecuting, in: inStop, want: phaseStopping},
 		{from: phaseExecuting, in: inHalted, want: phaseExecuting},
 
 		{from: phaseRepairDue, in: inFailure, want: phaseRepairDue},
@@ -267,22 +243,7 @@ func TestLoopTransitionTable(t *testing.T) {
 		{from: phaseRepairDue, in: inDebounce, pending: true, want: phaseRepairDue},
 		{from: phaseRepairDue, in: inBoundary, want: phaseExecuting},
 		{from: phaseRepairDue, in: inDone, want: phaseArmed},
-		{from: phaseRepairDue, in: inStop, want: phaseStopping},
 		{from: phaseRepairDue, in: inHalted, want: phaseRepairDue},
-
-		{from: phaseStopping, in: inFailure, want: phaseStopping},
-		{from: phaseStopping, in: inFull, want: phaseStopping},
-		{from: phaseStopping, in: inDebounce, pending: true, want: phaseStopping},
-		{from: phaseStopping, in: inBoundary, want: phaseStopping},
-		{from: phaseStopping, in: inDone, want: phaseStopped},
-		{from: phaseStopping, in: inStop, want: phaseStopping},
-		{from: phaseStopping, in: inHalted, want: phaseStopping},
-
-		{from: phaseStopped, in: inFailure, want: phaseStopped},
-		{from: phaseStopped, in: inFull, w: worldSwitch, want: phaseStopped},
-		{from: phaseStopped, in: inDebounce, w: worldSwitch, want: phaseStopped},
-		{from: phaseStopped, in: inStop, want: phaseStopped},
-		{from: phaseStopped, in: inHalted, w: worldSwitch, want: phaseStopped},
 	} {
 		add(c)
 	}
@@ -311,13 +272,6 @@ func TestLoopTransitionTable(t *testing.T) {
 			}
 			if (c.from >= phaseExecuting || c.in == inHalted) && l.Stats.Iterations != iters {
 				t.Fatalf("a round ran in %v on %v", c.from, c.in)
-			}
-			if c.from == phaseStopped && len(a.events) > 0 && c.in != inDebounce {
-				for _, e := range a.events {
-					if e.kind == "full" && e.at >= a.now {
-						t.Fatalf("a stopped loop scheduled a round at %g", e.at)
-					}
-				}
 			}
 		})
 		if seen[c.from] == nil {
@@ -415,15 +369,15 @@ func expect(t *testing.T, p phase, in loopInput, halted bool) []phase {
 
 // FuzzLoopTransitions drives the event-driven loop with a byte string
 // of inputs — Notify of each kind, the next timer, pool or completion
-// event, Stop and halting — checking every step against loopTable. A
-// pool event may deliver failures before its boundary. A run neither
-// stopped nor halted must drain to an idle loop with nothing dirty,
-// nothing owed and no open reconfiguration or debounce span.
+// event, and halting — checking every step against loopTable. A pool
+// event may deliver failures before its boundary. A run not halted
+// must drain to an idle loop with nothing dirty, nothing owed and no
+// open reconfiguration or debounce span.
 func FuzzLoopTransitions(f *testing.F) {
 	f.Add([]byte{3, 3, 3, 3, 3, 3})             // bootstrap switch, then the follow-up pass
 	f.Add([]byte{1, 3, 3, 3, 3, 3, 3, 3})       // a wake armed before the bootstrap switch
 	f.Add([]byte{0, 8, 3, 3, 2, 3, 3, 3, 3, 3}) // arrivals, a failure mid-execution
-	f.Add([]byte{3, 2, 3, 6, 3, 3})             // Stop while executing
+	f.Add([]byte{3, 2, 3, 15, 3, 3})            // halted while executing
 	f.Add([]byte{1, 15, 3, 3, 3})               // halted with a wake armed
 	f.Fuzz(loopTransitions)
 }
@@ -507,13 +461,6 @@ func loopTransitions(t *testing.T, data []byte) {
 				}
 				l.Notify(a, FailureEvent(a.Now(), act))
 				check(before, expect(t, before, inFailure, halted), "action failure")
-			case 6:
-				if arg%4 == 0 {
-					l.Stop()
-					check(before, expect(t, before, inStop, halted), "Stop")
-					continue
-				}
-				fire()
 			case 7:
 				if arg%4 == 1 {
 					halted = true
@@ -529,14 +476,7 @@ func loopTransitions(t *testing.T, data []byte) {
 				t.Fatalf("the loop did not drain: phase %v, %d events pending", l.phase, len(a.events))
 			}
 		}
-		switch {
-		case l.phase == phaseStopped:
-			if l.exec != nil {
-				t.Fatal("a stopped loop holds an execution")
-			}
-		case l.phase == phaseStopping:
-			t.Fatal("drained while stopping: the execution never completed")
-		case !halted:
+		if !halted {
 			if l.phase != phaseIdle || !l.dirty.empty() {
 				t.Fatalf("drained to %v with dirty %v/%v owed=%t", l.phase, l.dirty.nodes, l.dirty.vms, l.dirty.owed)
 			}

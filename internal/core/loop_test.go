@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"context"
 	"testing"
 
 	"cwcs/internal/plan"
@@ -194,18 +195,21 @@ func TestLoopSkipsEmptyPlans(t *testing.T) {
 	}
 }
 
+// TestLoopStops: canceling Ctx halts a periodic loop; no decision
+// runs after it.
 func TestLoopStops(t *testing.T) {
 	cfg, jobs := loopCluster(t)
 	a := &fakeActuator{cfg: cfg}
 	dec := &scriptedDecision{}
-	l := &Loop{Decision: dec, Interval: 10, Queue: func() []*vjob.VJob { return jobs }}
+	ctx, cancel := context.WithCancel(context.Background())
+	l := &Loop{Decision: dec, Interval: 10, Ctx: ctx, Queue: func() []*vjob.VJob { return jobs }}
 	l.Start(a)
 	a.run(25) // a few iterations
 	calls := dec.calls
-	l.Stop()
+	cancel()
 	a.run(200)
-	if dec.calls > calls+1 {
-		t.Fatalf("loop kept deciding after Stop (%d -> %d)", calls, dec.calls)
+	if dec.calls != calls {
+		t.Fatalf("loop kept deciding after Ctx was canceled (%d -> %d)", calls, dec.calls)
 	}
 }
 

@@ -198,12 +198,14 @@ type Result struct {
 	Plan *plan.Plan
 	// Cost is the plan cost under the §4.2 model.
 	Cost int
-	// LowerBound is the solver's admissible lower bound on the cost of
-	// any plan for the chosen target states. With Partitions > 1 it is
-	// the sum of the per-slice bounds — a bound on plans that respect
-	// the decomposition, not on the global problem (a cross-partition
-	// migration the slices never consider may be cheaper), so do not
-	// read cost-vs-bound as a global optimality gap there.
+	// LowerBound is the action-cost sum of the returned assignment: the
+	// §4.2 cost of every action it implies, as if all ran in one pool.
+	// It bounds the cost of plans reaching that destination only, not
+	// of plans for another assignment of the same target states, so it
+	// is no optimality gap: another search (more workers, another value
+	// order) may return a plan cheaper than this value. With Partitions
+	// > 1 it is the sum of the per-slice values; a result the search
+	// did not produce (a warm or FFD seed) reports 0.
 	LowerBound int
 	// Optimal is true when the solver proved no cheaper configuration
 	// exists (with respect to its bound) before the timeout.

@@ -2,32 +2,6 @@ package cp
 
 import "cwcs/internal/packing"
 
-// NotEqualOffset is the constraint x != y + offset. It propagates once
-// one side is bound. With offset 0 it is a plain disequality; offsets
-// express diagonal constraints (n-queens in the tests).
-type NotEqualOffset struct {
-	X, Y   *IntVar
-	Offset int
-}
-
-// Vars returns the two operands.
-func (c *NotEqualOffset) Vars() []*IntVar { return []*IntVar{c.X, c.Y} }
-
-// Propagate removes the forbidden value from the unbound side.
-func (c *NotEqualOffset) Propagate(s *Solver) error {
-	if c.Y.Bound() {
-		if err := s.RemoveValue(c.X, c.Y.Value()+c.Offset); err != nil {
-			return err
-		}
-	}
-	if c.X.Bound() {
-		if err := s.RemoveValue(c.Y, c.X.Value()-c.Offset); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Packing is the multi-knapsack viability constraint of §4.3: given
 // assignment variables (one per item, domain = bin indices), item
 // weights and bin capacities, it enforces

@@ -5,6 +5,33 @@ import (
 	"testing"
 )
 
+// NotEqualOffset is the constraint x != y + offset. It propagates once
+// one side is bound. With offset 0 it is a plain disequality; offsets
+// express diagonal constraints (n-queens). No production model posts
+// it; the solver and oracle tests build their CSPs from it.
+type NotEqualOffset struct {
+	X, Y   *IntVar
+	Offset int
+}
+
+// Vars returns the two operands.
+func (c *NotEqualOffset) Vars() []*IntVar { return []*IntVar{c.X, c.Y} }
+
+// Propagate removes the forbidden value from the unbound side.
+func (c *NotEqualOffset) Propagate(s *Solver) error {
+	if c.Y.Bound() {
+		if err := s.RemoveValue(c.X, c.Y.Value()+c.Offset); err != nil {
+			return err
+		}
+	}
+	if c.X.Bound() {
+		if err := s.RemoveValue(c.Y, c.X.Value()-c.Offset); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // packingProblem posts a Packing over nItems items and returns the
 // assignment variables.
 func packingProblem(s *Solver, weights, caps []int, knapsack bool) []*IntVar {

@@ -24,7 +24,7 @@ type Options struct {
 	// ordering Vars by decreasing demand. When false, variables are
 	// taken in Vars order.
 	FirstFail bool
-	// PreferValue, when true, tries each variable's Preferred() value
+	// PreferValue, when true, tries each variable's preferred value
 	// first (the paper assigns running VMs to their current node in
 	// priority); remaining values are tried in ascending order.
 	PreferValue bool
@@ -72,13 +72,6 @@ type Solution struct {
 	// Objective is the objective value at the time the solution was
 	// found (only set by Minimize).
 	Objective int
-}
-
-// Value returns the solved value of v; ok is false when v was not a
-// decision variable.
-func (s Solution) Value(v *IntVar) (val int, ok bool) {
-	val, ok = s.values[v]
-	return
 }
 
 // MustValue returns the solved value of v and panics when v was not a

@@ -221,11 +221,8 @@ func TestSolutionAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := sol.Value(x); !ok || v != 7 {
-		t.Fatalf("Value = %d,%v", v, ok)
-	}
-	if _, ok := sol.Value(other); ok {
-		t.Fatal("non-decision var present in solution")
+	if v := sol.MustValue(x); v != 7 {
+		t.Fatalf("MustValue = %d", v)
 	}
 	defer func() {
 		if recover() == nil {

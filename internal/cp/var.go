@@ -63,9 +63,6 @@ func (v *IntVar) NextValue(from int) int { return v.dom.next(from) }
 // variable. Use -1 to clear.
 func (v *IntVar) SetPreferred(val int) { v.pref = val }
 
-// Preferred returns the preferred value, or -1.
-func (v *IntVar) Preferred() int { return v.pref }
-
 // String renders the variable with its domain, for debugging.
 func (v *IntVar) String() string {
 	if v.Bound() {

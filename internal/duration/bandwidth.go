@@ -34,32 +34,10 @@ type TransferSpec struct {
 // Bits returns the wire volume in Mbit.
 func (s TransferSpec) Bits() float64 { return float64(s.VolumeMiB) * 8 }
 
-// RateAt returns the wire rate the transfer sustains when the network
-// offers bwMbps: the offered bandwidth, capped at the nominal rate. A
-// non-positive bw means "bandwidth not modeled" and yields the nominal
-// rate — the compile-away path, not a stalled link.
-func (s TransferSpec) RateAt(bwMbps float64) float64 {
-	if bwMbps > 0 && bwMbps < s.NominalMbps {
-		return bwMbps
-	}
-	return s.NominalMbps
-}
-
-// DurationAt returns the transfer's total duration when the network
-// sustains bwMbps for its whole lifetime. Zero-volume transfers (a
-// zero-memory VM) take exactly the fixed part.
-func (s TransferSpec) DurationAt(bwMbps float64) time.Duration {
-	rate := s.RateAt(bwMbps)
-	if rate <= 0 || s.VolumeMiB <= 0 {
-		return s.Fixed
-	}
-	return s.Fixed + secs(s.Bits()/rate)
-}
-
 // nominalMbps inverts a per-MiB wire slope (seconds per MiB) into the
 // rate it implies. A non-positive slope (instant transfer in the
-// calibration) has no meaningful rate; 0 makes DurationAt collapse to
-// the fixed part.
+// calibration) has no meaningful rate; 0 leaves a transfer only its
+// fixed part.
 func nominalMbps(secPerMiB float64) float64 {
 	if secPerMiB <= 0 {
 		return 0
@@ -103,25 +81,6 @@ func (m Model) ResumeSpec(volMiB int, tr Transfer) TransferSpec {
 		NominalMbps: nominalMbps(m.ResumePerMiB * f),
 		Tr:          tr,
 	}
-}
-
-// MigrateAt returns the duration of a live migration of a VM with the
-// given memory allocation when the wire sustains bwMbps.
-// MigrateAt(mem, 0) == Migrate(mem).
-func (m Model) MigrateAt(memMiB int, bwMbps float64) time.Duration {
-	return m.MigrateSpec(memMiB).DurationAt(bwMbps)
-}
-
-// SuspendAt returns the duration of suspending a VM through tr when
-// the wire sustains bwMbps. SuspendAt(mem, tr, 0) == Suspend(mem, tr).
-func (m Model) SuspendAt(memMiB int, tr Transfer, bwMbps float64) time.Duration {
-	return m.SuspendSpec(memMiB, tr).DurationAt(bwMbps)
-}
-
-// ResumeAt returns the duration of resuming a VM through tr when the
-// wire sustains bwMbps. ResumeAt(mem, tr, 0) == Resume(mem, tr).
-func (m Model) ResumeAt(memMiB int, tr Transfer, bwMbps float64) time.Duration {
-	return m.ResumeSpec(memMiB, tr).DurationAt(bwMbps)
 }
 
 // ActionTransfer returns the wire decomposition of an action that

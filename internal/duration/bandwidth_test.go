@@ -32,6 +32,33 @@ func TestNominalRatesMatchPlanConstants(t *testing.T) {
 	}
 }
 
+// RateAt and DurationAt time a transfer that sees one bandwidth for its
+// whole lifetime: the closed form of what the simulator's metered
+// transfer integrates, and the oracle that the spec decomposition
+// reproduces the §2.3 calibration.
+
+// RateAt returns the wire rate the transfer sustains when the network
+// offers bwMbps: the offered bandwidth, capped at the nominal rate. A
+// non-positive bw means "bandwidth not modeled" and yields the nominal
+// rate — the compile-away path, not a stalled link.
+func (s TransferSpec) RateAt(bwMbps float64) float64 {
+	if bwMbps > 0 && bwMbps < s.NominalMbps {
+		return bwMbps
+	}
+	return s.NominalMbps
+}
+
+// DurationAt returns the transfer's total duration when the network
+// sustains bwMbps for its whole lifetime. Zero-volume transfers (a
+// zero-memory VM) take exactly the fixed part.
+func (s TransferSpec) DurationAt(bwMbps float64) time.Duration {
+	rate := s.RateAt(bwMbps)
+	if rate <= 0 || s.VolumeMiB <= 0 {
+		return s.Fixed
+	}
+	return s.Fixed + secs(s.Bits()/rate)
+}
+
 // TestDurationAtNominalReproducesCalibration: at the nominal wire rate
 // (or with bandwidth unmodeled, bw <= 0) the decomposition returns
 // exactly the §2.3 durations — the compile-away guarantee.
@@ -97,23 +124,23 @@ func TestDurationAtEdgeCases(t *testing.T) {
 	}
 }
 
-// TestAtConveniences: the *At wrappers agree with spec construction
-// plus DurationAt, and reduce to the legacy methods at bw=0.
+// TestAtConveniences: every spec timed at bw=0 reduces to the legacy
+// method exactly.
 func TestAtConveniences(t *testing.T) {
 	m := Default()
-	if m.MigrateAt(1024, 0) != m.Migrate(1024) {
-		t.Errorf("MigrateAt(1024, 0) = %v, want %v", m.MigrateAt(1024, 0), m.Migrate(1024))
+	if got := m.MigrateSpec(1024).DurationAt(0); got != m.Migrate(1024) {
+		t.Errorf("MigrateSpec(1024).DurationAt(0) = %v, want %v", got, m.Migrate(1024))
 	}
-	if m.SuspendAt(1024, SCP, 0) != m.Suspend(1024, SCP) {
-		t.Error("SuspendAt(…, 0) deviates from Suspend")
+	if m.SuspendSpec(1024, SCP).DurationAt(0) != m.Suspend(1024, SCP) {
+		t.Error("SuspendSpec(…).DurationAt(0) deviates from Suspend")
 	}
-	if m.ResumeAt(1024, Rsync, 0) != m.Resume(1024, Rsync) {
-		t.Error("ResumeAt(…, 0) deviates from Resume")
+	if m.ResumeSpec(1024, Rsync).DurationAt(0) != m.Resume(1024, Rsync) {
+		t.Error("ResumeSpec(…).DurationAt(0) deviates from Resume")
 	}
 	// Heterogeneous endpoints: the duration is governed by min(src,dst)
 	// residual bandwidth — the caller takes the min, the model must be
 	// monotone in it.
-	fast, slow := m.MigrateAt(1024, 800), m.MigrateAt(1024, math.Min(800, 50))
+	fast, slow := m.MigrateSpec(1024).DurationAt(800), m.MigrateSpec(1024).DurationAt(math.Min(800, 50))
 	if slow <= fast {
 		t.Errorf("migration at min(src,dst)=50 (%v) not slower than at 800 (%v)", slow, fast)
 	}

@@ -75,20 +75,6 @@ type MultiResSide struct {
 	Violations map[string]int
 }
 
-// ViolationFree reports whether the side's destination over-commits
-// nothing on any dimension.
-func (s MultiResSide) ViolationFree() bool {
-	if s.Err != "" {
-		return false
-	}
-	for _, n := range s.Violations {
-		if n > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // MultiResResult is the study's measurements.
 type MultiResResult struct {
 	Nodes, VMs int

@@ -70,25 +70,6 @@ func TestWebTideTrace(t *testing.T) {
 	checkTraceFile(t, "traces/web-tide.jsonl", buf.Bytes())
 }
 
-// TestBatchRampTrace proves traces/batch-ramp.jsonl is exactly the
-// FromCSV conversion of the committed traces/batch-ramp.csv — the
-// converter's worked example.
-func TestBatchRampTrace(t *testing.T) {
-	data, err := os.ReadFile("traces/batch-ramp.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.FromCSV(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	checkTraceFile(t, "traces/batch-ramp.jsonl", buf.Bytes())
-}
-
 // TestSampleTraces checks the embedded registry: both committed
 // traces list, decode, and are non-trivial; unknown names fail.
 func TestSampleTraces(t *testing.T) {

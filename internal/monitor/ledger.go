@@ -282,14 +282,6 @@ func (l *Ledger) NodeKinds() []Entry {
 	return out
 }
 
-// NodeTotals returns one row per charged node, name-sorted, each
-// folding the node's atoms in canonical order.
-func (l *Ledger) NodeTotals() []Entry {
-	out := foldBy(l.snapshot(), func(e Entry) Entry { return Entry{Node: e.Node} })
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
 // foldBy sums canonical-order atoms into one row per projection key,
 // preserving first-seen (canonical) row order.
 func foldBy(atoms []Entry, key func(Entry) Entry) []Entry {

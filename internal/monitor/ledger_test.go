@@ -21,7 +21,7 @@ func TestLedgerNilIsInertAndFree(t *testing.T) {
 		t.Fatal("nil ledger reports non-zero integrals")
 	}
 	if l.Atoms() != nil || l.VJobTotals() != nil || l.VJobKinds() != nil ||
-		l.NodeKinds() != nil || l.NodeTotals() != nil {
+		l.NodeKinds() != nil {
 		t.Fatal("nil ledger returns non-nil rows")
 	}
 	if l.TopVJobs(5) != nil || l.TopNodes(5) != nil || l.RuleSeconds() != nil {
@@ -95,8 +95,8 @@ func TestLedgerDominantConsumerAttribution(t *testing.T) {
 }
 
 // TestLedgerConservesAcrossViews: the per-vjob fold reproduces Total
-// bitwise (the documented construction), and the node-grouped view
-// carries the same mass.
+// bitwise (the documented construction), and the per-node,
+// per-dimension view carries the same mass.
 func TestLedgerConservesAcrossViews(t *testing.T) {
 	cfg := vjob.NewConfiguration()
 	cfg.AddNode(vjob.NewNode("n0", 1, 512))
@@ -130,7 +130,7 @@ func TestLedgerConservesAcrossViews(t *testing.T) {
 		t.Fatalf("sum(VJobTotals) = %v != Total = %v (must be bitwise equal)", sum, total)
 	}
 	byNode := 0.0
-	for _, e := range led.NodeTotals() {
+	for _, e := range led.NodeKinds() {
 		byNode += e.Seconds
 	}
 	if diff := byNode - total; diff > 1e-9 || diff < -1e-9 {

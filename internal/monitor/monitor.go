@@ -74,20 +74,3 @@ func (r *Recorder) Attach(c *sim.Cluster) {
 
 // Stop ends the sampling (the pending tick becomes a no-op).
 func (r *Recorder) Stop() { r.stopped = true }
-
-// MeanCPUPercent averages CPU utilization over samples taken before
-// the given horizon (0 means all samples).
-func (r *Recorder) MeanCPUPercent(until float64) float64 {
-	sum, n := 0.0, 0
-	for _, s := range r.Samples {
-		if until > 0 && s.T > until {
-			break
-		}
-		sum += s.CPUPercent()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

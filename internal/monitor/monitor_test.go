@@ -105,20 +105,3 @@ func TestRecorderDefaultInterval(t *testing.T) {
 		t.Fatalf("sample times = %v, want [0 10 20]", at)
 	}
 }
-
-func TestMeanCPUPercent(t *testing.T) {
-	r := &Recorder{Samples: []Sample{
-		{T: 0, UsedCPU: 2, CapCPU: 4, UsedMem: 1024, CapMem: 8192, Running: 2},
-		{T: 10, UsedCPU: 4, CapCPU: 4, UsedMem: 2048, CapMem: 8192, Running: 4},
-	}}
-	if got := r.MeanCPUPercent(0); got != 75 {
-		t.Fatalf("mean = %v, want 75", got)
-	}
-	if got := r.MeanCPUPercent(5); got != 50 {
-		t.Fatalf("mean(until 5) = %v, want 50", got)
-	}
-	empty := &Recorder{}
-	if empty.MeanCPUPercent(0) != 0 {
-		t.Fatal("mean of no samples")
-	}
-}

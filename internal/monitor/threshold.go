@@ -32,7 +32,6 @@ type ThresholdWatcher struct {
 	overloaded map[nodeKind]bool // fired and not yet cooled below thresholdLow
 	known      map[string]bool   // node set of the previous sample
 	primed     bool              // first sample taken (baseline set)
-	stopped    bool
 }
 
 // The watcher's settings, as utilization fractions (demand/capacity,
@@ -141,14 +140,11 @@ func (w *ThresholdWatcher) Sample(t float64, cfg *vjob.Configuration) []core.Eve
 	return events
 }
 
-// Attach starts periodic sampling on the cluster, pushing every
-// triggered event through Emit, until Stop is called.
+// Attach starts periodic sampling on the cluster for the rest of the
+// run, pushing every triggered event through Emit.
 func (w *ThresholdWatcher) Attach(c *sim.Cluster) {
 	var tick func()
 	tick = func() {
-		if w.stopped {
-			return
-		}
 		for _, ev := range w.Sample(c.Now(), c.Config()) {
 			if w.Emit != nil {
 				w.Emit(ev)
@@ -158,6 +154,3 @@ func (w *ThresholdWatcher) Attach(c *sim.Cluster) {
 	}
 	tick()
 }
-
-// Stop ends the sampling (the pending tick becomes a no-op).
-func (w *ThresholdWatcher) Stop() { w.stopped = true }

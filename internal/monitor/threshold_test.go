@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"fmt"
 	"testing"
 
 	"cwcs/internal/core"
@@ -131,13 +130,6 @@ func TestThresholdAttachFeedsSim(t *testing.T) {
 	if got[0].At != 20 {
 		t.Fatalf("event time: %+v, want the third sample at 20", got[0])
 	}
-	w.Stop()
-	before := len(got)
-	c.Run(200)
-	if len(got) != before {
-		t.Fatal("watcher kept sampling after Stop")
-	}
-	_ = fmt.Sprint(got)
 }
 
 // TestThresholdExtraDimension: a node saturating only its network

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cwcs/internal/resources"
@@ -15,6 +16,26 @@ import (
 // held its free space in a dense vector per node: one whole-cluster
 // free map and a string lookup per candidate node. They are kept
 // verbatim as the reference the dense pass must match.
+
+// SortDecreasing orders VMs by decreasing memory demand, then
+// decreasing CPU demand, then name — the FFD ordering of §3.2. The
+// slice is sorted in place and returned for chaining.
+func SortDecreasing(vms []*vjob.VM) []*vjob.VM {
+	sort.SliceStable(vms, func(i, j int) bool { return decreasing(vms[i], vms[j]) })
+	return vms
+}
+
+// SortByDominantShare orders VMs by decreasing dominant-resource score
+// — each VM's largest per-dimension share of the cluster capacity —
+// breaking ties by the §3.2 (memory, CPU, name) ordering. On
+// heterogeneous multi-dimensional workloads the score keeps a
+// net-hungry VM ahead of a slightly larger-in-memory compute VM, which
+// is what makes first-fit competitive across dimensions (DRF-style
+// packing). The slice is sorted in place and returned for chaining.
+func SortByDominantShare(total resources.Vector, vms []*vjob.VM) []*vjob.VM {
+	sort.SliceStable(vms, func(i, j int) bool { return dominantFirst(total, vms[i], vms[j]) })
+	return vms
+}
 
 func refOrderForPacking(c *vjob.Configuration, vms []*vjob.VM) []*vjob.VM {
 	ordered := append([]*vjob.VM(nil), vms...)

@@ -27,26 +27,6 @@ func (e ErrNoFit) Error() string {
 	return fmt.Sprintf("packing: no node can host %s", e.VM)
 }
 
-// SortDecreasing orders VMs by decreasing memory demand, then
-// decreasing CPU demand, then name — the FFD ordering of §3.2. The
-// slice is sorted in place and returned for chaining.
-func SortDecreasing(vms []*vjob.VM) []*vjob.VM {
-	sort.SliceStable(vms, func(i, j int) bool { return decreasing(vms[i], vms[j]) })
-	return vms
-}
-
-// SortByDominantShare orders VMs by decreasing dominant-resource score
-// — each VM's largest per-dimension share of the cluster capacity —
-// breaking ties by the §3.2 (memory, CPU, name) ordering. On
-// heterogeneous multi-dimensional workloads the score keeps a
-// net-hungry VM ahead of a slightly larger-in-memory compute VM, which
-// is what makes first-fit competitive across dimensions (DRF-style
-// packing). The slice is sorted in place and returned for chaining.
-func SortByDominantShare(total resources.Vector, vms []*vjob.VM) []*vjob.VM {
-	sort.SliceStable(vms, func(i, j int) bool { return dominantFirst(total, vms[i], vms[j]) })
-	return vms
-}
-
 // decreasing is the §3.2 order: memory, then CPU, then name.
 func decreasing(a, b *vjob.VM) bool {
 	if a.MemoryDemand() != b.MemoryDemand() {
@@ -58,7 +38,11 @@ func decreasing(a, b *vjob.VM) bool {
 	return a.Name < b.Name
 }
 
-// dominantFirst orders by dominant share of total, then as decreasing.
+// dominantFirst orders by decreasing dominant share of total — each
+// VM's largest per-dimension share of the cluster capacity — then as
+// decreasing. On heterogeneous workloads the score keeps a net-hungry
+// VM ahead of a slightly larger-in-memory compute VM, which is what
+// makes first fit competitive across dimensions (DRF-style packing).
 func dominantFirst(total resources.Vector, a, b *vjob.VM) bool {
 	if sa, sb := a.Demand.DominantShare(total), b.Demand.DominantShare(total); sa != sb {
 		return sa > sb

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +34,7 @@ func addVMs(c *vjob.Configuration, specs ...[2]int) []*vjob.VM {
 func TestSortDecreasing(t *testing.T) {
 	c := testCluster(1, 8, 8192)
 	vms := addVMs(c, [2]int{1, 512}, [2]int{0, 2048}, [2]int{1, 2048}, [2]int{1, 1024})
-	SortDecreasing(vms)
+	sort.SliceStable(vms, func(i, j int) bool { return decreasing(vms[i], vms[j]) })
 	wantOrder := []string{"vm02", "vm01", "vm03", "vm00"}
 	for i, w := range wantOrder {
 		if vms[i].Name != w {
@@ -225,14 +226,16 @@ func TestSortByDominantShare(t *testing.T) {
 		return d
 	}())
 	memVM := vjob.NewVM("mem", "", 1, 4096) // ~4% of cluster memory
-	got := SortByDominantShare(total, []*vjob.VM{memVM, netVM})
+	got := []*vjob.VM{memVM, netVM}
+	sort.SliceStable(got, func(i, j int) bool { return dominantFirst(total, got[i], got[j]) })
 	if got[0].Name != "net" {
 		t.Fatalf("order = [%s %s]", got[0].Name, got[1].Name)
 	}
 	// Ties fall back to the §3.2 (memory, CPU, name) ordering.
 	a := vjob.NewVM("a", "", 1, 2048)
 	b := vjob.NewVM("b", "", 1, 1024)
-	tied := SortByDominantShare(resources.New(100, 100000), []*vjob.VM{b, a})
+	tied := []*vjob.VM{b, a}
+	sort.SliceStable(tied, func(i, j int) bool { return dominantFirst(resources.New(100, 100000), tied[i], tied[j]) })
 	if tied[0].Name != "a" {
 		t.Fatalf("tie order = [%s %s]", tied[0].Name, tied[1].Name)
 	}

@@ -74,10 +74,14 @@ func TestGraphDiff(t *testing.T) {
 			t.Errorf("missing action %s in %v", w, got)
 		}
 	}
-	// Local resume costs Dm; check graph lower bound: 512*3 (migrate +
+	// Local resume costs Dm: the action costs sum to 512*3 (migrate +
 	// suspend + local resume).
-	if g.TotalCost() != 512*3 {
-		t.Fatalf("TotalCost = %d, want %d", g.TotalCost(), 512*3)
+	sum := 0
+	for _, a := range g.Actions {
+		sum += a.Cost()
+	}
+	if sum != 512*3 {
+		t.Fatalf("summed action cost = %d, want %d", sum, 512*3)
 	}
 	if !strings.Contains(g.String(), "run(fresh,N3)") {
 		t.Fatal("graph String misses actions")

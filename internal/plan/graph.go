@@ -79,17 +79,6 @@ func checkNodes(dst, src *vjob.Configuration, a Action) error {
 	return nil
 }
 
-// TotalCost sums the local costs of the graph's actions; this is the
-// cost a plan would have if every action ran in a single parallel pool.
-// It is a lower bound on any plan cost for the graph.
-func (g *Graph) TotalCost() int {
-	sum := 0
-	for _, a := range g.Actions {
-		sum += a.Cost()
-	}
-	return sum
-}
-
 // String lists the edges of the graph.
 func (g *Graph) String() string {
 	s := ""

@@ -38,18 +38,14 @@ const (
 // baseKinds counts the dimensions of the paper's original 2-D model.
 const baseKinds = 2
 
-// info is one registry row.
-type info struct {
-	name, unit string
-}
-
-// registry is the kind table. Order is the wire and iteration order;
-// appending a row here is all it takes to introduce a dimension.
-var registry = [numKinds]info{
-	CPU:    {name: "cpu", unit: "processing units"},
-	Memory: {name: "memory", unit: "MiB"},
-	NetBW:  {name: "net", unit: "Mbit/s"},
-	DiskIO: {name: "disk", unit: "MiB/s"},
+// registry is the kind table of wire names. Order is the wire and
+// iteration order; appending a row here is all it takes to introduce a
+// dimension.
+var registry = [numKinds]string{
+	CPU:    "cpu",
+	Memory: "memory",
+	NetBW:  "net",
+	DiskIO: "disk",
 }
 
 // kinds is the iteration slice handed out by Kinds.
@@ -82,22 +78,14 @@ func (k Kind) String() string {
 	if int(k) >= int(numKinds) {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
-	return registry[k].name
-}
-
-// Unit returns the kind's measurement unit, for reports.
-func (k Kind) Unit() string {
-	if int(k) >= int(numKinds) {
-		return "?"
-	}
-	return registry[k].unit
+	return registry[k]
 }
 
 // ParseKind resolves a wire name to its Kind. Unknown names are
 // rejected, which is what keeps the JSON decoder strict.
 func ParseKind(name string) (Kind, error) {
-	for k, inf := range registry {
-		if inf.name == name {
+	for k, n := range registry {
+		if n == name {
 			return Kind(k), nil
 		}
 	}

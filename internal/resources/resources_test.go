@@ -20,9 +20,6 @@ func TestRegistry(t *testing.T) {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", k, k.String(), want)
 		}
-		if k.Unit() == "" || k.Unit() == "?" {
-			t.Fatalf("%v has no unit", k)
-		}
 		back, err := ParseKind(want)
 		if err != nil || back != k {
 			t.Fatalf("ParseKind(%q) = %v, %v", want, back, err)
@@ -31,8 +28,8 @@ func TestRegistry(t *testing.T) {
 	if _, err := ParseKind("tape"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if bad := Kind(200); bad.String() == "" || bad.Unit() != "?" {
-		t.Fatalf("out-of-range kind renders %q / %q", bad.String(), bad.Unit())
+	if bad := Kind(200); bad.String() != "kind(200)" {
+		t.Fatalf("out-of-range kind renders %q", bad.String())
 	}
 }
 

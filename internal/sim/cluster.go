@@ -136,16 +136,6 @@ func (c *Cluster) SetNodeOnline(name string) error {
 	return nil
 }
 
-// OfflineNodes returns the names of the nodes currently offline, in no
-// particular order.
-func (c *Cluster) OfflineNodes() []string {
-	out := make([]string, 0, len(c.offline))
-	for n := range c.offline {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Now returns the virtual time in seconds.
 func (c *Cluster) Now() float64 { return c.now }
 

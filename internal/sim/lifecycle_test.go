@@ -43,8 +43,8 @@ func TestNodeOfflineOnlineRoundTrip(t *testing.T) {
 	if cfg.Node("n1") != nil {
 		t.Fatal("offline node still in the configuration")
 	}
-	if got := c.OfflineNodes(); len(got) != 1 || got[0] != "n1" {
-		t.Fatalf("offline set: %v", got)
+	if got := c.Config().Nodes(); len(got) != 1 || got[0].Name != "n0" {
+		t.Fatalf("online nodes: %v", got)
 	}
 	// Idempotent: a second offline is a no-op.
 	if err := c.SetNodeOffline("n1"); err != nil {
@@ -57,8 +57,8 @@ func TestNodeOfflineOnlineRoundTrip(t *testing.T) {
 	if n == nil || n.CPU() != 2 || n.Memory() != 4096 {
 		t.Fatalf("restored node: %+v", n)
 	}
-	if len(c.OfflineNodes()) != 0 {
-		t.Fatal("offline set not cleared")
+	if got := c.Config().Nodes(); len(got) != 2 {
+		t.Fatalf("online nodes after the round trip: %v", got)
 	}
 	if err := c.SetNodeOnline("n1"); err == nil {
 		t.Fatal("onlined a node that was not offline")

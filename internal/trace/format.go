@@ -180,7 +180,8 @@ func validate(rec Record, prev float64, live, gone map[string]bool) error {
 
 // Encode writes records as a JSONL trace stream, one line each,
 // stamping FormatVersion. It does not re-validate: encode what Decode
-// accepted (or what a converter built) and the stream round-trips.
+// accepted, or what a generator built and sorted with SortRecords, and
+// the stream round-trips.
 func Encode(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, rec := range recs {
@@ -196,9 +197,9 @@ func Encode(w io.Writer, recs []Record) error {
 }
 
 // SortRecords orders records by (time, arrive-before-load-before-
-// depart, vm) — the canonical order converters use before encoding so
-// a VM's arrival always precedes its load changes and departure at
-// equal timestamps.
+// depart, vm) — the canonical order a generator sorts into before
+// encoding, so a VM's arrival always precedes its load changes and
+// departure at equal timestamps.
 func SortRecords(recs []Record) {
 	rank := map[string]int{EventArrive: 0, EventLoad: 1, EventDepart: 2}
 	sort.SliceStable(recs, func(i, j int) bool {

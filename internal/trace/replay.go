@@ -40,8 +40,8 @@ func (r *Replay) Jobs() []*vjob.VJob { return r.jobs }
 // determined, so any run-to-run variation comes from the loop under
 // test, never from the driver.
 //
-// The records must be Decode-valid and sorted (Decode and FromCSV
-// both guarantee it); StartReplay trusts them.
+// The records must be Decode-valid and sorted (Decode guarantees it);
+// StartReplay trusts them.
 func StartReplay(c *sim.Cluster, recs []Record, notify func(core.Event)) *Replay {
 	r := &Replay{byJob: map[string]*vjob.VJob{}}
 	cfg := c.Config()

@@ -1,11 +1,10 @@
 // Package trace is the workload-trace layer: it reads and writes the
 // versioned JSONL trace format (arrival / load-change / departure
 // records with per-dimension demand, Azure/Google-cluster-trace
-// shaped — see FormatVersion), converts flat CSV extracts into it
-// (FromCSV), and replays a decoded trace against the simulated
-// cluster through the same core.Loop notify path the synthetic
-// generators use (StartReplay), so externally recorded workloads
-// drive the identical machinery.
+// shaped — see FormatVersion) and replays a decoded trace against the
+// simulated cluster through the same core.Loop notify path the
+// synthetic generators use (StartReplay), so externally recorded
+// workloads drive the identical machinery.
 //
 // It also renders experiment results: XY series as CSV and as ASCII
 // scatter/line plots, and vjob allocation diagrams (Gantt) like
@@ -110,12 +109,11 @@ func (p *Plot) Render(width, height int) string {
 }
 
 // Gantt records execution intervals per row (vjob) and renders an
-// allocation diagram like Figure 12.
+// allocation diagram like Figure 12, over the horizon of the latest
+// interval end.
 type Gantt struct {
 	rows  map[string][][2]float64
 	order []string
-	// End is the time horizon; 0 means max interval end.
-	End float64
 }
 
 // NewGantt returns an empty diagram.
@@ -134,7 +132,7 @@ func (g *Gantt) Render(width int) string {
 	if width < 10 {
 		width = 10
 	}
-	end := g.End
+	end := 0.0
 	for _, ivs := range g.rows {
 		for _, iv := range ivs {
 			if iv[1] > end {

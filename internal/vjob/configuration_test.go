@@ -314,19 +314,10 @@ func TestStateStrings(t *testing.T) {
 			t.Errorf("State(%d).String() = %q, want %q", s, s.String(), want)
 		}
 	}
-	if !Waiting.Ready() || !Sleeping.Ready() || Running.Ready() || Terminated.Ready() {
-		t.Fatal("Ready() pseudo-state wrong")
-	}
 }
 
-func TestVJobAggregates(t *testing.T) {
+func TestNewVJobStampsVMs(t *testing.T) {
 	j := NewVJob("j", 3, NewVM("a", "", 1, 512), NewVM("b", "", 0, 2048))
-	if j.TotalCPU() != 1 {
-		t.Fatalf("TotalCPU = %d", j.TotalCPU())
-	}
-	if j.TotalMemory() != 2560 {
-		t.Fatalf("TotalMemory = %d", j.TotalMemory())
-	}
 	for _, v := range j.VMs {
 		if v.VJob != "j" {
 			t.Fatalf("VM %s not stamped with vjob name", v.Name)

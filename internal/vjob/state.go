@@ -32,10 +32,6 @@ func (s State) String() string {
 	}
 }
 
-// Ready reports whether the state belongs to the paper's pseudo-state
-// Ready, which combines the runnable vjobs (Sleeping or Waiting).
-func (s State) Ready() bool { return s == Waiting || s == Sleeping }
-
 // ValidTransition reports whether the life cycle of Figure 2 permits
 // switching from s to t. Migrations keep the Running state, so Running
 // to Running is allowed.
@@ -78,24 +74,4 @@ func NewVJob(name string, priority int, vms ...*VM) *VJob {
 		v.VJob = name
 	}
 	return j
-}
-
-// TotalMemory returns the sum of the memory demands of the vjob's VMs,
-// in MiB.
-func (j *VJob) TotalMemory() int {
-	sum := 0
-	for _, v := range j.VMs {
-		sum += v.MemoryDemand()
-	}
-	return sum
-}
-
-// TotalCPU returns the sum of the CPU demands of the vjob's VMs, in
-// processing units.
-func (j *VJob) TotalCPU() int {
-	sum := 0
-	for _, v := range j.VMs {
-		sum += v.CPUDemand()
-	}
-	return sum
 }

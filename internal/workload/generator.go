@@ -50,11 +50,6 @@ type GenerateOptions struct {
 	NICPoorNet int
 }
 
-// DefaultGenerateOptions returns the paper's §5.1 parameters.
-func DefaultGenerateOptions(vms int) GenerateOptions {
-	return GenerateOptions{Nodes: 200, NodeCPU: 2, NodeMemory: 4096, VMs: vms}
-}
-
 // GenerateConfiguration builds one random sample. Running vjobs are
 // placed with a memory-only first-fit (the paper guarantees the
 // initial assignment satisfies the memory requirement; CPUs may be

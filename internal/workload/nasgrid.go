@@ -198,22 +198,3 @@ func bodyPhases(bench Benchmark, base float64, idx, n int, rng *rand.Rand, jitte
 		return ph
 	}
 }
-
-// Suite81 generates the 81 vjob specs of the §5.1 trace set: every
-// benchmark × class combination, repeated with different seed-derived
-// variations until 81 specs exist, alternating 9- and 18-VM gangs.
-func Suite81(rng *rand.Rand) []Spec {
-	specs := make([]Spec, 0, 81)
-	i := 0
-	for len(specs) < 81 {
-		bench := Benchmarks[i%len(Benchmarks)]
-		class := Classes[(i/len(Benchmarks))%len(Classes)]
-		n := 9
-		if i%2 == 1 {
-			n = 18
-		}
-		specs = append(specs, NewSpec(fmt.Sprintf("ngb%02d", i), bench, class, n, i, rng))
-		i++
-	}
-	return specs
-}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
@@ -27,9 +25,6 @@ const (
 	// the node's disk throughput.
 	DiskBound
 )
-
-// Profiles lists the vjob classes, for sweeps.
-var Profiles = []Profile{ComputeBound, NetBound, DiskBound}
 
 // String names the profile.
 func (p Profile) String() string {
@@ -89,13 +84,4 @@ func (p Profile) Apply(j *vjob.VJob) {
 	for _, v := range j.VMs {
 		v.Demand = v.Demand.Add(extra)
 	}
-}
-
-// NewSpecProfile generates a vjob like NewSpec and stamps the
-// profile's extra resource demands on its VMs. ComputeBound reproduces
-// NewSpec exactly (same rng consumption).
-func NewSpecProfile(name string, bench Benchmark, class Class, profile Profile, nVMs, priority int, rng *rand.Rand) Spec {
-	spec := NewSpec(name, bench, class, nVMs, priority, rng)
-	profile.Apply(spec.Job)
-	return spec
 }

@@ -8,9 +8,6 @@ import (
 )
 
 func TestProfileNamesAndDemands(t *testing.T) {
-	if len(Profiles) != 3 {
-		t.Fatalf("Profiles = %v", Profiles)
-	}
 	if ComputeBound.String() != "compute-bound" || NetBound.String() != "net-bound" || DiskBound.String() != "disk-bound" {
 		t.Fatal("profile names drifted")
 	}
@@ -30,11 +27,12 @@ func TestProfileNamesAndDemands(t *testing.T) {
 	}
 }
 
-func TestNewSpecProfile(t *testing.T) {
+func TestProfileApply(t *testing.T) {
 	rngA := rand.New(rand.NewSource(7))
 	rngB := rand.New(rand.NewSource(7))
 	plain := NewSpec("j", ED, A, 4, 0, rngA)
-	netty := NewSpecProfile("j", ED, A, NetBound, 4, 0, rngB)
+	netty := NewSpec("j", ED, A, 4, 0, rngB)
+	NetBound.Apply(netty.Job)
 	for i, v := range netty.Job.VMs {
 		if v.Demand.Get(resources.NetBW) != NetBoundBandwidth {
 			t.Fatalf("VM %d net demand = %d", i, v.Demand.Get(resources.NetBW))
@@ -53,7 +51,7 @@ func TestNewSpecProfile(t *testing.T) {
 }
 
 func TestGenerateHeterogeneous(t *testing.T) {
-	opts := DefaultGenerateOptions(180)
+	opts := paperOptions(180)
 	opts.NodeNet = DefaultNodeNet
 	opts.NodeDisk = DefaultNodeDisk
 	opts.NetFraction = 0.4
@@ -80,7 +78,7 @@ func TestGenerateHeterogeneous(t *testing.T) {
 	// extra demands, no extra node capacity (and no profile rng draws,
 	// so published seeds keep reproducing — the workload_test goldens
 	// pin the stream itself).
-	legacy := GenerateConfiguration(rand.New(rand.NewSource(3)), DefaultGenerateOptions(180))
+	legacy := GenerateConfiguration(rand.New(rand.NewSource(3)), paperOptions(180))
 	for _, v := range legacy.Cfg.VMs() {
 		if v.Demand.HasExtra() {
 			t.Fatalf("2-D generation grew extras: %s", v.Demand)
@@ -92,7 +90,7 @@ func TestGenerateHeterogeneous(t *testing.T) {
 }
 
 func TestGenerateNICPoorMix(t *testing.T) {
-	opts := DefaultGenerateOptions(90)
+	opts := paperOptions(90)
 	opts.NodeNet = DefaultNodeNet
 	opts.NICPoorFraction = 0.25
 	opts.NICPoorNet = 100
@@ -119,8 +117,8 @@ func TestGenerateNICPoorMix(t *testing.T) {
 	// A zero fraction must not consume rng: the stream (and thus the
 	// whole configuration) stays byte-identical to a generator that
 	// predates the option.
-	a := GenerateConfiguration(rand.New(rand.NewSource(7)), DefaultGenerateOptions(90))
-	zeroed := DefaultGenerateOptions(90)
+	a := GenerateConfiguration(rand.New(rand.NewSource(7)), paperOptions(90))
+	zeroed := paperOptions(90)
 	zeroed.NICPoorNet = 100 // ignored without a fraction
 	b := GenerateConfiguration(rand.New(rand.NewSource(7)), zeroed)
 	if !a.Cfg.Equal(b.Cfg) {

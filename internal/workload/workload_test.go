@@ -106,25 +106,9 @@ func TestClassOrdering(t *testing.T) {
 	}
 }
 
-func TestSuite81(t *testing.T) {
-	specs := Suite81(rand.New(rand.NewSource(3)))
-	if len(specs) != 81 {
-		t.Fatalf("suite size = %d", len(specs))
-	}
-	seen9, seen18 := false, false
-	for _, s := range specs {
-		switch len(s.Job.VMs) {
-		case 9:
-			seen9 = true
-		case 18:
-			seen18 = true
-		default:
-			t.Fatalf("vjob with %d VMs", len(s.Job.VMs))
-		}
-	}
-	if !seen9 || !seen18 {
-		t.Fatal("missing 9- or 18-VM vjobs")
-	}
+// paperOptions returns the paper's §5.1 generator parameters.
+func paperOptions(vms int) GenerateOptions {
+	return GenerateOptions{Nodes: 200, NodeCPU: 2, NodeMemory: 4096, VMs: vms}
 }
 
 func TestInstall(t *testing.T) {
@@ -153,7 +137,7 @@ func TestInstall(t *testing.T) {
 
 func TestGenerateConfiguration(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := GenerateConfiguration(rng, DefaultGenerateOptions(108))
+	g := GenerateConfiguration(rng, paperOptions(108))
 	if g.Cfg.NumNodes() != 200 {
 		t.Fatalf("nodes = %d", g.Cfg.NumNodes())
 	}
@@ -180,8 +164,8 @@ func TestGenerateConfiguration(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := GenerateConfiguration(rand.New(rand.NewSource(9)), DefaultGenerateOptions(54))
-	b := GenerateConfiguration(rand.New(rand.NewSource(9)), DefaultGenerateOptions(54))
+	a := GenerateConfiguration(rand.New(rand.NewSource(9)), paperOptions(54))
+	b := GenerateConfiguration(rand.New(rand.NewSource(9)), paperOptions(54))
 	if !a.Cfg.Equal(b.Cfg) {
 		t.Fatal("same seed produced different configurations")
 	}
