@@ -16,6 +16,7 @@ import (
 	"cwcs/internal/plan"
 	"cwcs/internal/resources"
 	"cwcs/internal/sched"
+	"cwcs/internal/testbed"
 	"cwcs/internal/vjob"
 	"cwcs/internal/workload"
 )
@@ -86,10 +87,10 @@ func BenchmarkFig10EntropyVsFFD(b *testing.B) {
 				rows := experiments.Fig10(experiments.Fig10Options{
 					VMCounts: []int{vms},
 					Samples:  1,
-					Timeout:  2 * time.Second,
-					Nodes:    200, NodeCPU: 2, NodeMemory: 4096,
-					Seed:       int64(i + 1),
-					Partitions: 1, // the published figure is monolithic
+					// The published figure is monolithic.
+					Optimizer: core.Optimizer{Timeout: 2 * time.Second, Partitions: 1},
+					Seed:      int64(i + 1),
+					Nodes:     200, NodeCPU: 2, NodeMemory: 4096,
 				})
 				row = rows[0]
 			}
@@ -160,11 +161,11 @@ func BenchmarkFig11ContextSwitch(b *testing.B) {
 
 // benchClusterOpts is the reduced §5.2 configuration used by the
 // fig12/fig13 benches.
-func benchClusterOpts() experiments.ClusterOptions {
+func benchClusterOpts() testbed.Options {
 	o := experiments.DefaultClusterOptions()
 	o.WorkScale = 0.5
-	o.Timeout = time.Second
-	o.Workers = 1 // sequential: keep figures comparable across hosts
+	o.Optimizer.Timeout = time.Second
+	o.Optimizer.Workers = 1 // sequential: keep figures comparable across hosts
 	return o
 }
 
@@ -175,7 +176,7 @@ func BenchmarkFig12FCFS(b *testing.B) {
 	var res experiments.ClusterResult
 	for i := 0; i < b.N; i++ {
 		o := benchClusterOpts()
-		o.PinRunning = true
+		o.Optimizer.PinRunning = true
 		res = experiments.RunCluster(sched.StaticFCFS{}, o)
 	}
 	b.ReportMetric(res.Completion, "completion-s")

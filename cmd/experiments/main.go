@@ -36,6 +36,7 @@ import (
 	"cwcs/internal/obs"
 	"cwcs/internal/sched"
 	"cwcs/internal/sim"
+	"cwcs/internal/testbed"
 )
 
 func main() {
@@ -230,7 +231,7 @@ var studies = []study{
 	}},
 	{"chaos", func(e *env) {
 		co := chaosOptions(e.quick, e.seed, e.workers, e.studyParts, e.traceName)
-		co.CollectSpans = e.traceOut != ""
+		co.Churn.CollectSpans = e.traceOut != ""
 		co.Scenarios = e.scenarios
 		rows := experiments.ChaosStudy(co)
 		fmt.Fprint(e.out, experiments.ChaosTable(rows))
@@ -246,12 +247,12 @@ var studies = []study{
 func fig10Options(quick bool, seed int64, workers, partitions int) experiments.Fig10Options {
 	o := experiments.DefaultFig10Options()
 	o.Seed = seed
-	o.Workers = workers
-	o.Partitions = partitions
+	o.Optimizer.Workers = workers
+	o.Optimizer.Partitions = partitions
 	if quick {
 		o.VMCounts = []int{54, 108, 162, 216}
 		o.Samples = 3
-		o.Timeout = 2 * time.Second
+		o.Optimizer.Timeout = 2 * time.Second
 	}
 	return o
 }
@@ -260,34 +261,34 @@ func fig10Options(quick bool, seed int64, workers, partitions int) experiments.F
 func partitionOptions(quick bool, seed int64, workers, partitions int) experiments.PartitionOptions {
 	o := experiments.DefaultPartitionOptions()
 	o.Seed = seed
-	o.Workers = workers
-	o.Partitions = partitions
+	o.Optimizer.Workers = workers
+	o.Optimizer.Partitions = partitions
 	if quick {
 		o.NodeCounts = []int{50, 100, 200}
-		o.Timeout = 500 * time.Millisecond
+		o.Optimizer.Timeout = 500 * time.Millisecond
 	}
 	return o
 }
 
 // shapeChurn sets the seed and the optimizer of a churn scenario and,
 // under quick, shrinks it to a 64-node cluster.
-func shapeChurn(o *experiments.ChurnOptions, quick bool, seed int64, workers, partitions int) {
+func shapeChurn(o *testbed.Options, quick bool, seed int64, workers, partitions int) {
 	o.Seed = seed
-	o.Workers = workers
-	o.Partitions = partitions
+	o.Optimizer.Workers = workers
+	o.Optimizer.Partitions = partitions
 	if quick {
 		o.Nodes = 64
-		o.InitialVJobs = 6
+		o.VJobs = 6
 		o.VMsPerVJob = 4
 		o.ArrivalStop = 200
 		o.WorkScale = 0.2
 		o.Horizon = 2000
-		o.Timeout = 100 * time.Millisecond
+		o.Optimizer.Timeout = 100 * time.Millisecond
 	}
 }
 
 // churnOptions shapes the periodic-vs-event-driven loop study.
-func churnOptions(quick bool, seed int64, workers, partitions int) experiments.ChurnOptions {
+func churnOptions(quick bool, seed int64, workers, partitions int) testbed.Options {
 	o := experiments.DefaultChurnOptions()
 	shapeChurn(&o, quick, seed, workers, partitions)
 	return o
@@ -303,21 +304,13 @@ func repairStormOptions(quick bool, seed int64, workers, partitions int) experim
 	return o
 }
 
-// drainOptions shapes the node-maintenance evacuation study.
+// drainOptions shapes the node-maintenance evacuation study: the churn
+// shape, with the drain order when the quick arrivals stop.
 func drainOptions(quick bool, seed int64, workers, partitions int) experiments.DrainOptions {
 	o := experiments.DefaultDrainOptions()
-	o.Seed = seed
-	o.Workers = workers
-	o.Partitions = partitions
+	shapeChurn(&o.Churn, quick, seed, workers, partitions)
 	if quick {
-		o.Nodes = 64
-		o.InitialVJobs = 6
-		o.VMsPerVJob = 4
-		o.ArrivalStop = 200
 		o.DrainAt = 200
-		o.WorkScale = 0.2
-		o.Horizon = 2000
-		o.Timeout = 100 * time.Millisecond
 	}
 	return o
 }
@@ -326,11 +319,11 @@ func drainOptions(quick bool, seed int64, workers, partitions int) experiments.D
 func multiresOptions(quick bool, seed int64, workers, partitions int) experiments.MultiResOptions {
 	o := experiments.DefaultMultiResOptions()
 	o.Seed = seed
-	o.Workers = workers
-	o.Partitions = partitions
+	o.Optimizer.Workers = workers
+	o.Optimizer.Partitions = partitions
 	if quick {
 		o.Nodes = 48
-		o.Timeout = 500 * time.Millisecond
+		o.Optimizer.Timeout = 500 * time.Millisecond
 	}
 	return o
 }
@@ -339,37 +332,29 @@ func multiresOptions(quick bool, seed int64, workers, partitions int) experiment
 func migrationOptions(quick bool, seed int64, workers, partitions int) experiments.MigrationOptions {
 	o := experiments.DefaultMigrationOptions()
 	o.Seed = seed
-	o.Workers = workers
-	o.Partitions = partitions
+	o.Optimizer.Workers = workers
+	o.Optimizer.Partitions = partitions
 	if quick {
 		o.Nodes = 48
 		o.Racks = 2
-		o.Timeout = 250 * time.Millisecond
+		o.Optimizer.Timeout = 250 * time.Millisecond
 	}
 	return o
 }
 
 // chaosOptions shapes the fault-injection study. Quick shrinks the
-// cluster and opens every chaos window right after the arrival wave,
-// so each cell perturbs a workload that is still live.
+// churn shape further and opens every chaos window right after the
+// arrival wave, so each cell perturbs a workload that is still live.
 func chaosOptions(quick bool, seed int64, workers, partitions int, traceName string) experiments.ChaosOptions {
 	o := experiments.DefaultChaosOptions()
-	o.Churn.Seed = seed
-	o.Churn.Workers = workers
-	o.Churn.Partitions = partitions
+	shapeChurn(&o.Churn, quick, seed, workers, partitions)
 	o.Trace = traceName
 	if quick {
 		o.Churn.Nodes = 48
-		o.Churn.NodeCPU = 2
-		o.Churn.NodeMemory = 4096
-		o.Churn.InitialVJobs = 5
-		o.Churn.VMsPerVJob = 4
+		o.Churn.VJobs = 5
 		o.Churn.ArrivalRate = 1.0 / 40
 		o.Churn.ArrivalStop = 300
-		o.Churn.WorkScale = 0.2
 		o.Churn.Horizon = 2400
-		o.Churn.Debounce = 5
-		o.Churn.Timeout = 100 * time.Millisecond
 		o.Racks, o.Bursts, o.BurstFrom, o.BurstUntil, o.Outage = 8, 2, 100, 600, 150
 		o.Flappers, o.FlapFrom, o.FlapUntil, o.MeanDown, o.MeanUp = 4, 100, 600, 20, 60
 		o.Loss = sim.EventLoss{Fraction: 0.5, From: 60, Until: 600}
@@ -388,19 +373,25 @@ func knownScenario(name string) bool {
 	return false
 }
 
+// clusterOptions shapes the §5.2 experiment.
+func clusterOptions(quick bool, seed int64, workers, partitions int) testbed.Options {
+	o := experiments.DefaultClusterOptions()
+	o.Seed = seed
+	o.Optimizer.Workers = workers
+	o.Optimizer.Partitions = partitions
+	if quick {
+		o.WorkScale = 0.5
+		o.Optimizer.Timeout = time.Second
+	}
+	return o
+}
+
 // clusterRuns executes the §5.2 experiment under both decision
 // modules. fcfsOnly skips the Entropy run (for fig12).
 func clusterRuns(quick bool, seed int64, workers, partitions int, fcfsOnly bool) (fcfs, entropy experiments.ClusterResult) {
-	opts := experiments.DefaultClusterOptions()
-	opts.Seed = seed
-	opts.Workers = workers
-	opts.Partitions = partitions
-	if quick {
-		opts.WorkScale = 0.5
-		opts.Timeout = time.Second
-	}
+	opts := clusterOptions(quick, seed, workers, partitions)
 	fopts := opts
-	fopts.PinRunning = true // a static RMS never migrates
+	fopts.Optimizer.PinRunning = true // a static RMS never migrates
 	fcfs = experiments.RunCluster(sched.StaticFCFS{}, fopts)
 	if !fcfsOnly {
 		entropy = experiments.RunCluster(sched.Consolidation{}, opts)

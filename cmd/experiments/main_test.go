@@ -4,61 +4,215 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"cwcs/internal/core"
+	"cwcs/internal/experiments"
+	"cwcs/internal/sim"
+	"cwcs/internal/testbed"
 )
 
+// The Test*Options* tests pin what every subcommand runs, with and
+// without -quick, field by field: the values are the scenarios each
+// study ran before its options became a testbed.Options or gained a
+// core.Optimizer, and the BENCH_*.json baselines describe the full
+// ones. Fields a study's Run function overwrites (Decision,
+// EventDriven, StopWhenDone for churn) are left zero here.
+
+// checkFields reports every field of got that differs from want, by
+// its path through nested structs; both are the same struct type.
+func checkFields(t *testing.T, label string, got, want any) {
+	t.Helper()
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		name := label + "." + g.Type().Field(i).Name
+		gf, wf := g.Field(i).Interface(), w.Field(i).Interface()
+		switch {
+		case reflect.DeepEqual(gf, wf):
+		case g.Field(i).Kind() == reflect.Struct:
+			checkFields(t, name, gf, wf)
+		default:
+			t.Errorf("%s = %+v, want %+v", name, gf, wf)
+		}
+	}
+}
+
 func TestFig10Options(t *testing.T) {
-	full := fig10Options(false, 7, 2, 1)
-	if full.Samples != 30 || full.Timeout != 40*time.Second {
-		t.Fatalf("full options = %+v, want the paper's 30 samples x 40s", full)
+	full := experiments.Fig10Options{
+		VMCounts:  []int{54, 108, 162, 216, 270, 324, 378, 432, 486},
+		Samples:   30,
+		Optimizer: core.Optimizer{Timeout: 40 * time.Second, Workers: 2, Partitions: 1},
+		Seed:      7,
+		Nodes:     200, NodeCPU: 2, NodeMemory: 4096,
 	}
-	if full.Seed != 7 {
-		t.Fatal("seed not forwarded")
-	}
-	if full.Workers != 2 {
-		t.Fatal("workers not forwarded")
-	}
-	if full.Partitions != 1 {
-		t.Fatal("partitions not forwarded")
-	}
-	quick := fig10Options(true, 7, 2, 1)
-	if quick.Samples >= full.Samples || quick.Timeout >= full.Timeout {
-		t.Fatal("quick options not reduced")
-	}
-	if len(quick.VMCounts) == 0 || len(quick.VMCounts) >= len(full.VMCounts) {
-		t.Fatalf("quick VM counts = %v", quick.VMCounts)
-	}
+	checkFields(t, "full", fig10Options(false, 7, 2, 1), full)
+	quick := full
+	quick.VMCounts = []int{54, 108, 162, 216}
+	quick.Samples = 3
+	quick.Optimizer.Timeout = 2 * time.Second
+	checkFields(t, "quick", fig10Options(true, 7, 2, 1), quick)
 }
 
 func TestPartitionOptions(t *testing.T) {
-	full := partitionOptions(false, 3, 2, 0)
-	if len(full.NodeCounts) != 3 || full.NodeCounts[2] != 2000 {
-		t.Fatalf("full sweep = %v, want 100/500/2000", full.NodeCounts)
+	full := experiments.PartitionOptions{
+		NodeCounts: []int{100, 500, 2000},
+		VMFactor:   1.5,
+		NodeCPU:    2, NodeMemory: 4096,
+		Optimizer: core.Optimizer{Timeout: 2 * time.Second, Workers: 2},
+		Seed:      3,
 	}
-	if full.Seed != 3 || full.Workers != 2 || full.Partitions != 0 {
-		t.Fatalf("options not forwarded: %+v", full)
-	}
-	quick := partitionOptions(true, 3, 2, 0)
-	if quick.NodeCounts[len(quick.NodeCounts)-1] >= full.NodeCounts[len(full.NodeCounts)-1] ||
-		quick.Timeout >= full.Timeout {
-		t.Fatalf("quick sweep not reduced: %+v", quick)
-	}
+	checkFields(t, "full", partitionOptions(false, 3, 2, 0), full)
+	quick := full
+	quick.NodeCounts = []int{50, 100, 200}
+	quick.Optimizer.Timeout = 500 * time.Millisecond
+	checkFields(t, "quick", partitionOptions(true, 3, 2, 0), quick)
 }
 
 func TestMultiResOptionsCLI(t *testing.T) {
-	full := multiresOptions(false, 5, 2, 0)
-	if full.Nodes != 500 || full.NodeNet == 0 || full.NodeDisk == 0 {
-		t.Fatalf("full options = %+v, want the 500-node 4-dimension scenario", full)
+	full := experiments.MultiResOptions{
+		Nodes:   500,
+		NodeCPU: 2, NodeMemory: 4096, NodeNet: 1000, NodeDisk: 600,
+		VMFactor:    1.5,
+		NetFraction: 0.3, DiskFraction: 0.2,
+		Optimizer: core.Optimizer{Timeout: 2 * time.Second, Workers: 2},
+		Seed:      5,
 	}
-	if full.Seed != 5 || full.Workers != 2 || full.Partitions != 0 {
-		t.Fatalf("options not forwarded: %+v", full)
+	checkFields(t, "full", multiresOptions(false, 5, 2, 0), full)
+	quick := full
+	quick.Nodes = 48
+	quick.Optimizer.Timeout = 500 * time.Millisecond
+	checkFields(t, "quick", multiresOptions(true, 5, 2, 0), quick)
+}
+
+func TestMigrationOptionsCLI(t *testing.T) {
+	full := experiments.MigrationOptions{
+		Nodes:   500,
+		NodeCPU: 2, NodeMemory: 4096, NodeNet: 1000,
+		NICPoorFraction: 0.25, NICPoorNet: 100,
+		VMFactor:      1.5,
+		Racks:         8,
+		FencedVariant: true,
+		Optimizer:     core.Optimizer{Timeout: 15 * time.Second, Workers: 2},
+		Horizon:       100_000,
+		Seed:          5,
 	}
-	quick := multiresOptions(true, 5, 1, 0)
-	if quick.Nodes >= full.Nodes || quick.Timeout >= full.Timeout {
-		t.Fatalf("quick options not reduced: %+v", quick)
+	checkFields(t, "full", migrationOptions(false, 5, 2, 0), full)
+	quick := full
+	quick.Nodes = 48
+	quick.Racks = 2
+	quick.Optimizer.Timeout = 250 * time.Millisecond
+	checkFields(t, "quick", migrationOptions(true, 5, 2, 0), quick)
+}
+
+func TestClusterOptionsCLI(t *testing.T) {
+	full := testbed.Options{
+		Nodes: 11, NodeCPU: 2, NodeMemory: 3584,
+		PaperNames: true,
+		VJobs:      8, VMsPerVJob: 9,
+		WorkScale:    1,
+		MemoryFloor:  512,
+		Interval:     30,
+		Optimizer:    core.Optimizer{Timeout: 3 * time.Second, Workers: 2, Partitions: 1},
+		StopWhenDone: true,
+		Horizon:      100_000,
+		Seed:         7,
+	}
+	checkFields(t, "full", clusterOptions(false, 7, 2, 1), full)
+	quick := full
+	quick.WorkScale = 0.5
+	quick.Optimizer.Timeout = time.Second
+	checkFields(t, "quick", clusterOptions(true, 7, 2, 1), quick)
+}
+
+// fullChurn is the BENCH_eventloop.json scenario at seed 5, two
+// workers, automatic partitions.
+func fullChurn() testbed.Options {
+	return testbed.Options{
+		Nodes: 500, NodeCPU: 2, NodeMemory: 4096,
+		VJobs: 40, VMsPerVJob: 9,
+		ArrivalRate: 1.0 / 30, ArrivalStop: 900,
+		WorkScale: 1,
+		Horizon:   6000,
+		Interval:  30, Debounce: 5,
+		Optimizer: core.Optimizer{Timeout: 500 * time.Millisecond, Workers: 2},
+		Failures:  sim.FailureStorm{Base: 0.02},
+		Seed:      5,
+	}
+}
+
+// quickChurn is fullChurn as shapeChurn shrinks it.
+func quickChurn(o testbed.Options) testbed.Options {
+	o.Nodes, o.VJobs, o.VMsPerVJob = 64, 6, 4
+	o.ArrivalStop = 200
+	o.WorkScale = 0.2
+	o.Horizon = 2000
+	o.Optimizer.Timeout = 100 * time.Millisecond
+	return o
+}
+
+func TestChurnOptionsCLI(t *testing.T) {
+	checkFields(t, "full", churnOptions(false, 5, 2, 0), fullChurn())
+	checkFields(t, "quick", churnOptions(true, 5, 2, 0), quickChurn(fullChurn()))
+}
+
+func TestRepairStormOptionsCLI(t *testing.T) {
+	churn := fullChurn()
+	churn.WatchInvariants = true
+	full := experiments.RepairStormOptions{Churn: churn, Rates: []float64{0.05, 0.10, 0.20}}
+	checkFields(t, "full", repairStormOptions(false, 5, 2, 0), full)
+	quick := experiments.RepairStormOptions{Churn: quickChurn(churn), Rates: []float64{0.10}}
+	checkFields(t, "quick", repairStormOptions(true, 5, 2, 0), quick)
+}
+
+func TestDrainOptionsCLI(t *testing.T) {
+	// The churn scenario without injected failures, arrivals stopping
+	// at the drain order, the structural audit on. Interval stays the
+	// churn default: the event-driven loop the drain runs ignores it.
+	churn := fullChurn()
+	churn.ArrivalStop = 600
+	churn.Failures = sim.FailureStorm{}
+	churn.WatchInvariants = true
+	full := experiments.DrainOptions{Churn: churn, DrainFraction: 0.10, DrainAt: 600}
+	checkFields(t, "full", drainOptions(false, 5, 2, 0), full)
+	quick := experiments.DrainOptions{Churn: quickChurn(churn), DrainFraction: 0.10, DrainAt: 200}
+	checkFields(t, "quick", drainOptions(true, 5, 2, 0), quick)
+}
+
+func TestChaosOptionsCLI(t *testing.T) {
+	churn := fullChurn()
+	churn.ArrivalStop = 600
+	churn.Horizon = 3600
+	full := experiments.ChaosOptions{
+		Churn: churn,
+		Racks: 10, Bursts: 3, BurstFrom: 600, BurstUntil: 1800, Outage: 400,
+		Flappers: 8, FlapFrom: 600, FlapUntil: 1800, MeanDown: 30, MeanUp: 120,
+		Loss:      sim.EventLoss{Fraction: 0.5, From: 600, Until: 1500},
+		StormRate: 0.30, StormFrom: 600, StormUntil: 1200,
+		Trace: "web-tide",
+	}
+	checkFields(t, "full", chaosOptions(false, 5, 2, 0, "web-tide"), full)
+
+	churn = quickChurn(churn)
+	churn.Nodes, churn.VJobs = 48, 5
+	churn.ArrivalRate, churn.ArrivalStop = 1.0/40, 300
+	churn.Horizon = 2400
+	quick := experiments.ChaosOptions{
+		Churn: churn,
+		Racks: 8, Bursts: 2, BurstFrom: 100, BurstUntil: 600, Outage: 150,
+		Flappers: 4, FlapFrom: 100, FlapUntil: 600, MeanDown: 20, MeanUp: 60,
+		Loss:      sim.EventLoss{Fraction: 0.5, From: 60, Until: 600},
+		StormRate: 0.25, StormFrom: 60, StormUntil: 400,
+		ResyncInterval: 40,
+		Trace:          "batch-ramp",
+	}
+	got := chaosOptions(true, 5, 2, 0, "batch-ramp")
+	checkFields(t, "quick", got, quick)
+	if got.BurstUntil > got.Churn.Horizon || got.FlapUntil > got.Churn.Horizon || got.Loss.Until > got.Churn.Horizon {
+		t.Fatalf("quick chaos windows outlive the horizon: %+v", got)
 	}
 }
 
@@ -95,43 +249,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	// Empty dir is a no-op.
 	writeCSV("", "y.csv", "ignored")
-}
-
-func TestChaosOptionsCLI(t *testing.T) {
-	full := chaosOptions(false, 5, 2, 0, "web-tide")
-	if full.Churn.Nodes != 500 || full.Bursts == 0 || full.Flappers == 0 || full.Loss.Fraction == 0 || full.StormRate == 0 {
-		t.Fatalf("full options = %+v, want the 500-node scenario with every fault class armed", full)
-	}
-	if full.Churn.Seed != 5 || full.Churn.Workers != 2 || full.Churn.Partitions != 0 {
-		t.Fatalf("options not forwarded: %+v", full.Churn)
-	}
-	if full.Trace != "web-tide" {
-		t.Fatalf("trace not forwarded: %q", full.Trace)
-	}
-	quick := chaosOptions(true, 5, 1, 0, "batch-ramp")
-	if quick.Churn.Nodes >= full.Churn.Nodes || quick.Churn.Horizon >= full.Churn.Horizon {
-		t.Fatalf("quick options not reduced: %+v", quick.Churn)
-	}
-	if quick.BurstUntil > quick.Churn.Horizon || quick.FlapUntil > quick.Churn.Horizon || quick.Loss.Until > quick.Churn.Horizon {
-		t.Fatalf("quick chaos windows outlive the horizon: %+v", quick)
-	}
-	if quick.Trace != "batch-ramp" {
-		t.Fatalf("quick trace = %q", quick.Trace)
-	}
-}
-
-func TestMigrationOptionsCLI(t *testing.T) {
-	full := migrationOptions(false, 5, 2, 0)
-	if full.Nodes != 500 || full.NICPoorFraction == 0 || full.Racks != 8 {
-		t.Fatalf("full options = %+v, want the 500-node NIC-heterogeneous scenario", full)
-	}
-	if full.Seed != 5 || full.Workers != 2 || full.Partitions != 0 {
-		t.Fatalf("options not forwarded: %+v", full)
-	}
-	quick := migrationOptions(true, 5, 1, 0)
-	if quick.Nodes >= full.Nodes || quick.Timeout >= full.Timeout || quick.Racks >= full.Racks {
-		t.Fatalf("quick options not reduced: %+v", quick)
-	}
 }
 
 // TestAllWritesWhatTheSubcommandsWrite: "all" runs every study through

@@ -16,14 +16,15 @@ import (
 )
 
 func main() {
+	// The §5.2 scenario is a testbed.Options; the optimizer rides in it.
 	opts := experiments.DefaultClusterOptions()
 	opts.VJobs = 6
 	opts.WorkScale = 0.5 // keep the demo around a second of real time
-	opts.Timeout = time.Second
+	opts.Optimizer.Timeout = time.Second
 
 	fmt.Println("running the static FCFS baseline...")
 	fopts := opts
-	fopts.PinRunning = true // a static RMS never migrates
+	fopts.Optimizer.PinRunning = true // a static RMS never migrates
 	fcfs := experiments.RunCluster(sched.StaticFCFS{}, fopts)
 
 	fmt.Println("running Entropy's dynamic consolidation...")

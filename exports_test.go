@@ -73,12 +73,9 @@ var testSeams = map[string]string{
 	"cp.IntVar.Name":    "core/costbound_test.go names the cost variables",
 	"monitor.Ledger.Atoms": "testbed_test.go and experiments/attribution_test.go " +
 		"check the ledger's atoms",
-	"obs.Tracer.Cause":                    "core's trace and loop-phase tests read a span's cause",
-	"sim.Invariants.Count":                "monitor/audit_ref_test.go compares breach counts",
-	"core.Partitioner.MaxNodes":           "the carve differential test's slice-size seam",
-	"experiments.ChurnOptions.StormRate":  "the storm rows of studies_pinned.txt",
-	"experiments.ChurnOptions.StormFrom":  "the storm rows of studies_pinned.txt",
-	"experiments.ChurnOptions.StormUntil": "the storm rows of studies_pinned.txt",
+	"obs.Tracer.Cause":          "core's trace and loop-phase tests read a span's cause",
+	"sim.Invariants.Count":      "monitor/audit_ref_test.go compares breach counts",
+	"core.Partitioner.MaxNodes": "the carve differential test's slice-size seam",
 }
 
 // standardMethods satisfy interfaces of the standard library that the

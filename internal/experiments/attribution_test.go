@@ -21,8 +21,8 @@ func TestAttributionConservation(t *testing.T) {
 	// budget so the conservation check stays a test, not a study.
 	opts.Horizon = 900
 	opts.ArrivalStop = 200
-	opts.Timeout = 50 * time.Millisecond
-	opts.Workers = 1
+	opts.Optimizer.Timeout = 50 * time.Millisecond
+	opts.Optimizer.Workers = 1
 	r := RunChurn(true, opts)
 
 	led := r.Ledger

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"cwcs/internal/core"
+	"cwcs/internal/sched"
 	"cwcs/internal/sim"
 	"cwcs/internal/testbed"
 	"cwcs/internal/trace"
@@ -65,8 +66,8 @@ const (
 // ChaosOptions parameterizes the chaos study.
 type ChaosOptions struct {
 	// Churn is the underlying cluster/workload scenario (the chaos
-	// cells perturb it; FailureRate stays the flat baseline).
-	Churn ChurnOptions
+	// cells perturb it; Failures.Base stays the flat baseline).
+	Churn testbed.Options
 	// Scenarios are the cells to run; empty means ChaosScenarios().
 	Scenarios []string
 
@@ -105,10 +106,6 @@ type ChaosOptions struct {
 	// Trace names the committed sample trace the replay cell decodes
 	// (SampleTraces lists them).
 	Trace string
-
-	// CollectSpans retains every closed span of each cell in
-	// ChaosResult.Spans (the -trace-out export).
-	CollectSpans bool
 }
 
 // DefaultChaosOptions is the BENCH_chaos.json scenario: the 500-node
@@ -152,20 +149,21 @@ type ChaosResult struct {
 	testbed.Summary
 }
 
-// RunChaos replays one scenario cell. Unknown scenario names panic:
-// they are programmer errors, not measurements.
+// RunChaos replays one scenario cell. It fixes Churn.Decision
+// (sched.Consolidation), Churn.EventDriven and Churn.WatchInvariants,
+// reduces Churn.Failures to its Base outside the action-storm cell, and
+// runs every other field of Churn as given. Unknown scenario names
+// panic: they are programmer errors, not measurements.
 func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
-	co := opts.Churn
-	chaosRng := rand.New(rand.NewSource(co.Seed + 3))
-
-	o := co.testbedOptions()
+	o := opts.Churn
+	chaosRng := rand.New(rand.NewSource(o.Seed + 3))
+	o.Decision = sched.Consolidation{}
 	o.EventDriven = true
 	o.WatchInvariants = true
-	o.CollectSpans = opts.CollectSpans
 	// Action failures: the flat churn baseline everywhere, spiked by
 	// the storm window in the action-storm cell. Identical stream
 	// shape either way (one variate per action).
-	o.Failures = sim.FailureStorm{Base: co.FailureRate}
+	o.Failures = sim.FailureStorm{Base: o.Failures.Base}
 	if scenario == ScenarioStorm {
 		o.Failures.Storm, o.Failures.From, o.Failures.Until = opts.StormRate, opts.StormFrom, opts.StormUntil
 	}
@@ -208,7 +206,7 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 	// and recovery is the Undrain + NodeUp pair.
 	switch scenario {
 	case ScenarioBursts:
-		bursts := sim.PlanBursts(chaosRng, rackNames(co.Nodes, opts.Racks), sim.BurstOptions{
+		bursts := sim.PlanBursts(chaosRng, rackNames(tb.NodeName, o.Nodes, opts.Racks), sim.BurstOptions{
 			Count: opts.Bursts, From: opts.BurstFrom, Until: opts.BurstUntil, Outage: opts.Outage,
 		})
 		for _, b := range bursts {
@@ -228,7 +226,7 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 		}
 	case ScenarioFlapping:
 		flaps := sim.PlanFlaps(chaosRng, sim.FlapOptions{
-			Nodes: spreadNodes(co.Nodes, opts.Flappers),
+			Nodes: spreadNodes(tb.NodeName, o.Nodes, opts.Flappers),
 			From:  opts.FlapFrom, Until: opts.FlapUntil,
 			MeanDown: opts.MeanDown, MeanUp: opts.MeanUp,
 		})
@@ -256,15 +254,15 @@ func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
 		c.Schedule(c.Now()+opts.resyncInterval(), resync)
 	}
 	c.Schedule(opts.resyncInterval(), resync)
-	c.Schedule(co.Horizon, func() {}) // pin the clock for censoring
+	c.Schedule(o.Horizon, func() {}) // pin the clock for censoring
 
-	res.Summary = tb.Run(co.Horizon)
+	res.Summary = tb.Run()
 	return res
 }
 
 // rackNames splits the node index space into racks contiguous groups
 // — the fence scopes rack failures take down together.
-func rackNames(nodes, racks int) [][]string {
+func rackNames(name func(int) string, nodes, racks int) [][]string {
 	if racks < 1 {
 		racks = 1
 	}
@@ -274,14 +272,14 @@ func rackNames(nodes, racks int) [][]string {
 	out := make([][]string, racks)
 	for i := 0; i < nodes; i++ {
 		r := i * racks / nodes
-		out[r] = append(out[r], fmt.Sprintf("node%03d", i))
+		out[r] = append(out[r], name(i))
 	}
 	return out
 }
 
-// spreadNodes picks count node names evenly over the index space,
-// like the drain study's order targets.
-func spreadNodes(nodes, count int) []string {
+// spreadNodes picks count node names evenly over the index space: the
+// flapping nodes and the drain study's order targets.
+func spreadNodes(name func(int) string, nodes, count int) []string {
 	if count < 1 {
 		return nil
 	}
@@ -290,7 +288,7 @@ func spreadNodes(nodes, count int) []string {
 	}
 	out := make([]string, count)
 	for i := range out {
-		out[i] = fmt.Sprintf("node%03d", i*nodes/count)
+		out[i] = name(i * nodes / count)
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cwcs/internal/core"
 	"cwcs/internal/sim"
 	"cwcs/internal/testbed"
 )
@@ -14,22 +15,21 @@ import (
 // right after the arrival wave.
 func quickChaosOptions() ChaosOptions {
 	return ChaosOptions{
-		Churn: ChurnOptions{
+		Churn: testbed.Options{
 			Nodes: 48, NodeCPU: 2, NodeMemory: 4096,
-			InitialVJobs: 5, VMsPerVJob: 4,
+			VJobs: 5, VMsPerVJob: 4,
 			ArrivalRate: 1.0 / 40, ArrivalStop: 300,
 			WorkScale: 0.2,
 			// Past the web-tide trace's last departure (t=2118), so the
 			// replay cell sees the batch job complete.
 			Horizon:  2400,
 			Debounce: 5,
-			Timeout:  100 * time.Millisecond,
 			// Sequential search keeps the cells deterministic for the
 			// golden-adjacent assertions and the regress-gated
 			// BenchmarkChaosStudy.
-			Workers:     1,
-			FailureRate: 0.02,
-			Seed:        7,
+			Optimizer: core.Optimizer{Timeout: 100 * time.Millisecond, Workers: 1},
+			Failures:  sim.FailureStorm{Base: 0.02},
+			Seed:      7,
 		},
 		// The quick workloads are short: every chaos window opens while
 		// they are still live, or the cells degenerate to the baseline.
@@ -137,7 +137,8 @@ func TestGoldenChaosCSV(t *testing.T) {
 }
 
 func TestRackNamesAndSpread(t *testing.T) {
-	racks := rackNames(10, 3)
+	name := testbed.New(testbed.Options{}).NodeName
+	racks := rackNames(name, 10, 3)
 	if len(racks) != 3 {
 		t.Fatalf("racks = %v", racks)
 	}
@@ -152,19 +153,19 @@ func TestRackNamesAndSpread(t *testing.T) {
 		t.Fatalf("first rack = %v", racks[0])
 	}
 	// Degenerate shapes clamp instead of exploding.
-	if got := rackNames(2, 5); len(got) != 2 {
+	if got := rackNames(name, 2, 5); len(got) != 2 {
 		t.Fatalf("more racks than nodes: %v", got)
 	}
-	if got := rackNames(4, 0); len(got) != 1 || len(got[0]) != 4 {
+	if got := rackNames(name, 4, 0); len(got) != 1 || len(got[0]) != 4 {
 		t.Fatalf("zero racks: %v", got)
 	}
-	if got := spreadNodes(10, 4); len(got) != 4 || got[0] != "node000" {
+	if got := spreadNodes(name, 10, 4); len(got) != 4 || got[0] != "node000" {
 		t.Fatalf("spread = %v", got)
 	}
-	if got := spreadNodes(3, 9); len(got) != 3 {
+	if got := spreadNodes(name, 3, 9); len(got) != 3 {
 		t.Fatalf("spread beyond cluster = %v", got)
 	}
-	if got := spreadNodes(3, 0); got != nil {
+	if got := spreadNodes(name, 3, 0); got != nil {
 		t.Fatalf("spread of none = %v", got)
 	}
 }

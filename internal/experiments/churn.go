@@ -12,74 +12,26 @@ import (
 	"cwcs/internal/testbed"
 )
 
-// ChurnOptions parameterizes the periodic-vs-event-driven loop study:
-// a cluster under continuous churn — Poisson vjob arrivals, natural
-// departures as workloads finish, load spikes as phases shift, and
-// injected action failures — handled by the same optimizer under two
-// control-loop schedules. No paper analogue: the paper's loop is
-// periodic (§3.1); the event-driven engine is this repo's extension.
-type ChurnOptions struct {
-	// Nodes, NodeCPU, NodeMemory describe the cluster.
-	Nodes, NodeCPU, NodeMemory int
-	// InitialVJobs and VMsPerVJob shape the resident population.
-	InitialVJobs, VMsPerVJob int
-	// ArrivalRate is the Poisson vjob arrival rate per virtual second;
-	// arrivals stop at ArrivalStop so the run can drain.
-	ArrivalRate float64
-	ArrivalStop float64
-	// WorkScale multiplies workload durations.
-	WorkScale float64
-	// Horizon is the simulation cut-off.
-	Horizon float64
-	// Interval is the periodic loop's pause; Debounce the event-driven
-	// loop's settle delay.
-	Interval, Debounce float64
-	// Timeout bounds every optimizer invocation — the equal budget of
-	// the comparison.
-	Timeout time.Duration
-	// Workers and Partitions configure the optimizer identically on
-	// both sides.
-	Workers, Partitions int
-	// FailureRate is the probability an action fails on completion
-	// (exercising the repair path).
-	FailureRate float64
-	// StormRate, StormFrom and StormUntil overlay a failure storm on
-	// FailureRate: inside [StormFrom, StormUntil) actions fail at
-	// StormRate instead (see sim.FailureStorm). A zero-length window
-	// keeps the flat rate.
-	StormRate             float64
-	StormFrom, StormUntil float64
-	// RepairWiden is handed to core.Loop.RepairWiden: 0 keeps the
-	// default region-widening bound, negative disables widening (the
-	// refuse-and-fall-back behavior, for A/B studies).
-	RepairWiden int
-	// WatchInvariants attaches sim.WatchInvariants and reports its
-	// structural-breach count; off by default because the audit runs
-	// after every simulation event.
-	WatchInvariants bool
-	// CollectSpans retains every closed span of the run in
-	// ChurnResult.Spans (the -trace-out export). The reconfiguration
-	// spans feeding the remediation columns are always collected;
-	// this widens retention to the full pipeline.
-	CollectSpans bool
-	// Seed drives workload generation, arrivals and failures; the two
-	// modes replay the identical scenario.
-	Seed int64
-}
-
-// DefaultChurnOptions is the BENCH_eventloop.json scenario: 500 nodes
-// under sustained churn.
-func DefaultChurnOptions() ChurnOptions {
-	return ChurnOptions{
+// DefaultChurnOptions is the BENCH_eventloop.json scenario of the
+// periodic-vs-event-driven loop study: 500 nodes under sustained churn
+// — Poisson vjob arrivals until ArrivalStop, natural departures as
+// workloads finish, load spikes as phases shift, and 2% of actions
+// failing on completion (exercising the repair path) — handled by the
+// same optimizer under two control-loop schedules. No paper analogue:
+// the paper's loop is periodic (§3.1); the event-driven engine is this
+// repo's extension.
+func DefaultChurnOptions() testbed.Options {
+	return testbed.Options{
 		Nodes: 500, NodeCPU: 2, NodeMemory: 4096,
-		InitialVJobs: 40, VMsPerVJob: 9,
+		VJobs: 40, VMsPerVJob: 9,
 		ArrivalRate: 1.0 / 30, ArrivalStop: 900,
 		WorkScale: 1.0,
 		Horizon:   6000,
 		Interval:  30, Debounce: 5,
-		Timeout:     500 * time.Millisecond,
-		FailureRate: 0.02,
-		Seed:        42,
+		// The equal per-solve budget of the comparison.
+		Optimizer: core.Optimizer{Timeout: 500 * time.Millisecond},
+		Failures:  sim.FailureStorm{Base: 0.02},
+		Seed:      42,
 	}
 }
 
@@ -89,50 +41,26 @@ type ChurnResult struct {
 	testbed.Summary
 }
 
-// testbedOptions is the churn scenario as the harness takes it; the
-// chaos cells perturb the same one.
-func (o ChurnOptions) testbedOptions() testbed.Options {
-	return testbed.Options{
-		Nodes: o.Nodes, NodeCPU: o.NodeCPU, NodeMemory: o.NodeMemory,
-		VJobs: o.InitialVJobs, VMsPerVJob: o.VMsPerVJob,
-		WorkScale:   o.WorkScale,
-		ArrivalRate: o.ArrivalRate, ArrivalStop: o.ArrivalStop,
-		Seed:        o.Seed,
-		Decision:    sched.Consolidation{},
-		Optimizer:   core.Optimizer{Timeout: o.Timeout, Workers: o.Workers, Partitions: o.Partitions},
-		Debounce:    o.Debounce,
-		RepairWiden: o.RepairWiden,
-		// Injected action failures (the flaky-driver model), optionally
-		// spiked by a storm window. The storm draws the same one-variate-
-		// per-action stream as the flat rate, so seeded runs stay
-		// comparable across rates.
-		Failures: sim.FailureStorm{
-			Base: o.FailureRate, Storm: o.StormRate,
-			From: o.StormFrom, Until: o.StormUntil,
-		},
-		WatchInvariants: o.WatchInvariants,
-		CollectSpans:    o.CollectSpans,
-	}
-}
-
-// RunChurn replays the churn scenario under one loop schedule. The
-// periodic loop ignores the event feed entirely.
-func RunChurn(eventDriven bool, opts ChurnOptions) ChurnResult {
-	o := opts.testbedOptions()
-	o.Interval = opts.Interval
+// RunChurn replays the churn scenario under one loop schedule. It fixes
+// Decision (sched.Consolidation), EventDriven and StopWhenDone, and
+// runs every other field of o as given. The periodic loop ignores the
+// event feed entirely.
+func RunChurn(eventDriven bool, o testbed.Options) ChurnResult {
+	o.Decision = sched.Consolidation{}
 	o.EventDriven = eventDriven
 	o.StopWhenDone = true
 	res := ChurnResult{Mode: "periodic"}
 	if eventDriven {
 		res.Mode = "event-driven"
 	}
-	res.Summary = testbed.New(o).Run(opts.Horizon)
+	res.Summary = testbed.New(o).Run()
 	return res
 }
 
-// ChurnStudy runs the scenario under both schedules.
-func ChurnStudy(opts ChurnOptions) []ChurnResult {
-	return []ChurnResult{RunChurn(false, opts), RunChurn(true, opts)}
+// ChurnStudy runs the scenario under both schedules; they replay the
+// identical seeded scenario.
+func ChurnStudy(o testbed.Options) []ChurnResult {
+	return []ChurnResult{RunChurn(false, o), RunChurn(true, o)}
 }
 
 // ChurnTable renders the comparison.

@@ -5,27 +5,28 @@ import (
 	"testing"
 	"time"
 
+	"cwcs/internal/core"
+	"cwcs/internal/sim"
 	"cwcs/internal/testbed"
 )
 
 // quickChurnOptions shrinks the scenario so the comparison runs in
-// seconds: a 32-node cluster, short workloads, a brief arrival window.
-func quickChurnOptions() ChurnOptions {
-	return ChurnOptions{
+// seconds: a 64-node cluster, short workloads, a brief arrival window.
+func quickChurnOptions() testbed.Options {
+	return testbed.Options{
 		Nodes: 64, NodeCPU: 2, NodeMemory: 4096,
-		InitialVJobs: 6, VMsPerVJob: 4,
+		VJobs: 6, VMsPerVJob: 4,
 		ArrivalRate: 1.0 / 40, ArrivalStop: 200,
 		WorkScale: 0.2,
 		Horizon:   2000,
 		Interval:  30, Debounce: 5,
-		Timeout:     100 * time.Millisecond,
-		FailureRate: 0.05,
-		Seed:        7,
 		// Sequential search: a portfolio race under a sub-second
 		// budget would make the comparative assertions (and the
 		// CI-gated BenchmarkChurnLoop* numbers) timing- and
 		// core-count-dependent.
-		Workers: 1,
+		Optimizer: core.Optimizer{Timeout: 100 * time.Millisecond, Workers: 1},
+		Failures:  sim.FailureStorm{Base: 0.05},
+		Seed:      7,
 	}
 }
 

@@ -4,8 +4,16 @@
 // study, the Figure 10 FFD-vs-Entropy scalability comparison, and the
 // Figure 11/12/13 cluster experiment (8 vjobs × 9 VMs on 11 nodes)
 // under both the static FCFS baseline and Entropy's dynamic
-// consolidation. cmd/experiments and the root benchmarks are thin
-// wrappers over this package.
+// consolidation, plus this repo's partition, churn, repair-storm,
+// drain, multi-resource, migration and chaos studies. cmd/experiments
+// and the root benchmarks are thin wrappers over this package.
+//
+// A study describes its scenario with the type of the layer that runs
+// it. The loop studies (cluster, churn, repair storm, drain, chaos)
+// take a testbed.Options; each Run function overwrites the fields its
+// study fixes, says which in its doc, and passes the rest as given.
+// The solve studies (Fig. 10, partition, multi-resource, migration)
+// carry a core.Optimizer for every solve they make.
 package experiments
 
 import (
@@ -18,46 +26,25 @@ import (
 	"cwcs/internal/vjob"
 )
 
-// ClusterOptions parameterizes the §5.2 experiment.
-type ClusterOptions struct {
-	// Nodes, NodeCPU, NodeMemory describe the working nodes. The
-	// paper uses 11 nodes with one dual-core CPU and 4 GiB of RAM of
-	// which 512 MiB goes to Domain-0: 22 processing units, 3584 MiB.
-	Nodes, NodeCPU, NodeMemory int
-	// VJobs and VMsPerVJob shape the workload (paper: 8 × 9).
-	VJobs, VMsPerVJob int
-	// WorkScale multiplies workload durations; 1.0 approximates the
-	// paper's run, smaller values keep tests fast.
-	WorkScale float64
-	// Interval is the control-loop period in seconds (paper: 30).
-	Interval float64
-	// Timeout bounds each optimization (virtual execution is
-	// decoupled from solver wall time, so a small real budget works).
-	Timeout time.Duration
-	// Horizon is the simulation cut-off in seconds.
-	Horizon float64
-	// Seed drives workload generation.
-	Seed int64
-	// PinRunning forbids migrations, as a static RMS would (set it
-	// for the FCFS baseline).
-	PinRunning bool
-	// Workers is the optimizer's portfolio width (0 = GOMAXPROCS).
-	Workers int
-	// Partitions is the optimizer's decomposition width (0 = auto,
-	// 1 = monolithic).
-	Partitions int
-}
-
-// DefaultClusterOptions returns the paper's §5.2 setup.
-func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{
+// DefaultClusterOptions returns the paper's §5.2 setup: 11 working
+// nodes with one dual-core CPU and 4 GiB of RAM of which 512 MiB goes
+// to Domain-0 (22 processing units, 3584 MiB), 8 vjobs × 9 VMs of
+// 512–2048 MiB, a control loop every 30 s. Virtual execution is
+// decoupled from solver wall time, so a small real budget works; the
+// FCFS baseline sets Optimizer.PinRunning, as a static RMS never
+// migrates.
+func DefaultClusterOptions() testbed.Options {
+	return testbed.Options{
 		Nodes: 11, NodeCPU: 2, NodeMemory: 3584,
-		VJobs: 8, VMsPerVJob: 9,
-		WorkScale: 1.0,
-		Interval:  30,
-		Timeout:   3 * time.Second,
-		Horizon:   100_000,
-		Seed:      42,
+		PaperNames: true,
+		VJobs:      8, VMsPerVJob: 9,
+		WorkScale:    1.0,
+		MemoryFloor:  512,
+		Interval:     30,
+		Optimizer:    core.Optimizer{Timeout: 3 * time.Second},
+		StopWhenDone: true,
+		Horizon:      100_000,
+		Seed:         42,
 	}
 }
 
@@ -90,20 +77,11 @@ func (r ClusterResult) MeanSwitchDuration() float64 {
 }
 
 // RunCluster executes the §5.2 experiment under the given decision
-// module and returns the measurements.
-func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult {
-	tb := testbed.New(testbed.Options{
-		Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-		PaperNames: true,
-		VJobs:      opts.VJobs, VMsPerVJob: opts.VMsPerVJob,
-		WorkScale:    opts.WorkScale,
-		MemoryFloor:  512, // the §5.2 experiment uses 512-2048 MiB VMs
-		Seed:         opts.Seed,
-		Decision:     decision,
-		Optimizer:    core.Optimizer{Timeout: opts.Timeout, PinRunning: opts.PinRunning, Workers: opts.Workers, Partitions: opts.Partitions},
-		Interval:     opts.Interval,
-		StopWhenDone: true,
-	})
+// module and returns the measurements. It fixes Decision and runs
+// every other field of o as given.
+func RunCluster(decision core.DecisionModule, o testbed.Options) ClusterResult {
+	o.Decision = decision
+	tb := testbed.New(o)
 	c, cfg := tb.Cluster, tb.Cluster.Config()
 	res := ClusterResult{Gantt: trace.NewGantt(), JobEnd: map[string]float64{}}
 
@@ -138,7 +116,7 @@ func RunCluster(decision core.DecisionModule, opts ClusterOptions) ClusterResult
 	}
 	sample()
 
-	res.Summary = tb.Run(opts.Horizon)
+	res.Summary = tb.Run()
 	res.Samples = rec.Samples
 	if res.Completion == 0 {
 		res.Completion = c.Now() // horizon hit

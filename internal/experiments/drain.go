@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"cwcs/internal/core"
+	"cwcs/internal/sched"
+	"cwcs/internal/sim"
 	"cwcs/internal/testbed"
 	"cwcs/internal/vjob"
 )
@@ -21,47 +22,22 @@ import (
 // analogue: the paper's testbed never loses a node (§7 names
 // resilience as future work).
 type DrainOptions struct {
-	// Nodes, NodeCPU, NodeMemory describe the cluster.
-	Nodes, NodeCPU, NodeMemory int
-	// InitialVJobs and VMsPerVJob shape the resident population.
-	InitialVJobs, VMsPerVJob int
-	// ArrivalRate is the Poisson vjob arrival rate per virtual second;
-	// arrivals stop at ArrivalStop (churn continues through the
-	// drain).
-	ArrivalRate float64
-	ArrivalStop float64
-	// WorkScale multiplies workload durations.
-	WorkScale float64
-	// Horizon is the simulation cut-off.
-	Horizon float64
-	// Debounce is the loop's settle delay; Timeout the per-solve
-	// budget.
-	Debounce float64
-	Timeout  time.Duration
-	// Workers and Partitions configure the optimizer.
-	Workers, Partitions int
+	// Churn is the cluster and workload the drain competes with.
+	Churn testbed.Options
 	// DrainFraction is the fraction of nodes drained at DrainAt,
 	// spread evenly over the node index space.
-	DrainFraction float64
-	DrainAt       float64
-	// Seed drives workload generation and arrivals.
-	Seed int64
+	DrainFraction, DrainAt float64
 }
 
 // DefaultDrainOptions is the BENCH_drain.json scenario: evacuate 10%
-// of a 500-node cluster under churn.
+// of the 500-node churn cluster, arrivals stopping at the drain order,
+// with no injected action failures and the structural audit on.
 func DefaultDrainOptions() DrainOptions {
-	return DrainOptions{
-		Nodes: 500, NodeCPU: 2, NodeMemory: 4096,
-		InitialVJobs: 40, VMsPerVJob: 9,
-		ArrivalRate: 1.0 / 30, ArrivalStop: 600,
-		WorkScale:     1.0,
-		Horizon:       6000,
-		Debounce:      5,
-		Timeout:       500 * time.Millisecond,
-		DrainFraction: 0.10, DrainAt: 600,
-		Seed: 42,
-	}
+	churn := DefaultChurnOptions()
+	churn.ArrivalStop = 600
+	churn.Failures = sim.FailureStorm{}
+	churn.WatchInvariants = true
+	return DrainOptions{Churn: churn, DrainFraction: 0.10, DrainAt: 600}
 }
 
 // DrainResult is the study's measurements. Summary.Breaches counts
@@ -92,36 +68,27 @@ type DrainResult struct {
 }
 
 // RunDrain replays the drain scenario: the drain competes with normal
-// churn for the loop's attention.
+// churn for the loop's attention. It fixes Churn.Decision
+// (sched.Consolidation) and Churn.EventDriven, and runs every other
+// field of Churn as given.
 func RunDrain(opts DrainOptions) DrainResult {
-	// The churn scenario without injected failures, with the
-	// structural audit on.
-	o := ChurnOptions{
-		Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-		InitialVJobs: opts.InitialVJobs, VMsPerVJob: opts.VMsPerVJob,
-		WorkScale:   opts.WorkScale,
-		ArrivalRate: opts.ArrivalRate, ArrivalStop: opts.ArrivalStop,
-		Debounce: opts.Debounce,
-		Timeout:  opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions,
-		WatchInvariants: true,
-		Seed:            opts.Seed,
-	}.testbedOptions()
+	o := opts.Churn
+	o.Decision = sched.Consolidation{}
 	o.EventDriven = true
 	tb := testbed.New(o)
 	c, cfg := tb.Cluster, tb.Cluster.Config()
-	res := DrainResult{Nodes: opts.Nodes, TimeToEmpty: -1}
+	res := DrainResult{Nodes: o.Nodes, TimeToEmpty: -1}
 
 	// The drain orders: DrainFraction of the nodes, spread evenly.
-	count := int(float64(opts.Nodes)*opts.DrainFraction + 0.5)
+	count := int(float64(o.Nodes)*opts.DrainFraction + 0.5)
 	if count < 1 {
 		count = 1
 	}
-	res.Drained = count
-	drained := make([]string, count)
-	drainedSet := make(map[string]bool, count)
-	for i := 0; i < count; i++ {
-		drained[i] = fmt.Sprintf("node%03d", i*opts.Nodes/count)
-		drainedSet[drained[i]] = true
+	drained := spreadNodes(tb.NodeName, o.Nodes, count)
+	res.Drained = len(drained)
+	drainedSet := make(map[string]bool, len(drained))
+	for _, n := range drained {
+		drainedSet[n] = true
 	}
 	c.Schedule(opts.DrainAt, func() {
 		for _, n := range drained {
@@ -162,7 +129,7 @@ func RunDrain(opts DrainOptions) DrainResult {
 	}
 	c.Schedule(opts.DrainAt+2, probe)
 
-	res.Summary = tb.Run(opts.Horizon)
+	res.Summary = tb.Run()
 
 	pinned := make(map[string]bool)
 	for _, n := range drained {

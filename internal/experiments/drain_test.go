@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cwcs/internal/core"
 	"cwcs/internal/testbed"
 )
 
@@ -12,36 +13,45 @@ import (
 // nodes, drain 3, light churn.
 func quickDrainOptions() DrainOptions {
 	o := DefaultDrainOptions()
-	o.Nodes = 24
-	o.InitialVJobs = 4
-	o.VMsPerVJob = 4
-	o.ArrivalRate = 1.0 / 60
-	o.ArrivalStop = 120
+	o.Churn.Nodes = 24
+	o.Churn.VJobs = 4
+	o.Churn.VMsPerVJob = 4
+	o.Churn.ArrivalRate = 1.0 / 60
+	o.Churn.ArrivalStop = 120
 	o.DrainAt = 120
-	o.WorkScale = 0.2
-	o.Horizon = 1500
-	o.Timeout = 100 * time.Millisecond
-	o.Workers = 1
+	o.Churn.WorkScale = 0.2
+	o.Churn.Horizon = 1500
+	o.Churn.Optimizer = core.Optimizer{Timeout: 100 * time.Millisecond, Workers: 1}
 	o.DrainFraction = 0.125
 	return o
 }
 
+// TestRunDrainEvacuatesWithoutBreaches runs the quick drain in both
+// numberings: the orders name nodes through the testbed, so a scenario
+// numbered as the paper's testbed (node07) drains nodes that exist —
+// each emptied and taken offline — not node007-style names the
+// configuration does not hold.
 func TestRunDrainEvacuatesWithoutBreaches(t *testing.T) {
-	r := RunDrain(quickDrainOptions())
-	if r.Drained != 3 {
-		t.Fatalf("drained %d nodes (want 3)", r.Drained)
-	}
-	if r.Evacuated != r.Drained {
-		t.Fatalf("evacuated %d of %d drained nodes", r.Evacuated, r.Drained)
-	}
-	if r.TimeToEmpty < 0 {
-		t.Fatal("drained nodes never emptied")
-	}
-	if r.Breaches != 0 {
-		t.Fatalf("%d invariant breaches during the evacuation", r.Breaches)
-	}
-	if r.Stats.SubSolves == 0 {
-		t.Fatal("no solver activity recorded")
+	for _, paper := range []bool{false, true} {
+		o := quickDrainOptions()
+		o.Churn.PaperNames = paper
+		r := RunDrain(o)
+		if r.Drained != 3 {
+			t.Fatalf("paper names %v: drained %d nodes (want 3)", paper, r.Drained)
+		}
+		if r.Evacuated != r.Drained || r.Offline != r.Drained {
+			t.Fatalf("paper names %v: evacuated %d and took offline %d of %d drained nodes",
+				paper, r.Evacuated, r.Offline, r.Drained)
+		}
+		if r.TimeToEmpty < 0 {
+			t.Fatalf("paper names %v: drained nodes never emptied", paper)
+		}
+		if r.Breaches != 0 {
+			t.Fatalf("paper names %v: %d invariant breaches during the evacuation", paper, r.Breaches)
+		}
+		if r.Stats.SubSolves == 0 {
+			t.Fatalf("paper names %v: no solver activity recorded", paper)
+		}
 	}
 }
 
@@ -77,7 +87,7 @@ func TestDrainTableAndCSV(t *testing.T) {
 // small cluster drains 3 nodes to empty under the event-driven loop.
 func BenchmarkDrainEvacuation(b *testing.B) {
 	opts := quickDrainOptions()
-	opts.ArrivalRate = 0 // pure evacuation, no churn noise
+	opts.Churn.ArrivalRate = 0 // pure evacuation, no churn noise
 	for i := 0; i < b.N; i++ {
 		r := RunDrain(opts)
 		if r.Evacuated != r.Drained {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cwcs/internal/sched"
+	"cwcs/internal/testbed"
 )
 
 func TestFig1Rendering(t *testing.T) {
@@ -76,10 +77,10 @@ func quickFig10Options() Fig10Options {
 	// 1.5 s leaves the 108-VM samples enough budget to beat the FFD
 	// seed even under race instrumentation on a busy 1-core host —
 	// 500 ms was observed to flake there (reduction 0%).
-	o.Timeout = 1500 * time.Millisecond
+	o.Optimizer.Timeout = 1500 * time.Millisecond
 	// Sequential search: a portfolio race under a sub-second budget
 	// makes the numeric assertions timing- and core-count-dependent.
-	o.Workers = 1
+	o.Optimizer.Workers = 1
 	return o
 }
 
@@ -109,14 +110,14 @@ func TestFig10EntropyCheaperThanFFD(t *testing.T) {
 }
 
 // quickClusterOptions shrinks the §5.2 run for tests.
-func quickClusterOptions() ClusterOptions {
+func quickClusterOptions() testbed.Options {
 	o := DefaultClusterOptions()
 	o.WorkScale = 0.5
-	o.Timeout = time.Second
 	o.Horizon = 50_000
+	o.Optimizer.Timeout = time.Second
 	// Sequential search, for run-to-run reproducibility of the
 	// asserted completion/switch numbers.
-	o.Workers = 1
+	o.Optimizer.Workers = 1
 	return o
 }
 
@@ -126,7 +127,7 @@ func TestClusterEntropyBeatsFCFS(t *testing.T) {
 	}
 	opts := quickClusterOptions()
 	fopts := opts
-	fopts.PinRunning = true // a static RMS never migrates
+	fopts.Optimizer.PinRunning = true // a static RMS never migrates
 	fcfs := RunCluster(sched.StaticFCFS{}, fopts)
 	entropy := RunCluster(sched.Consolidation{}, opts)
 

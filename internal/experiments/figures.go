@@ -192,32 +192,27 @@ type Fig10Options struct {
 	VMCounts []int
 	// Samples per count (paper: 30).
 	Samples int
-	// Timeout per Entropy optimization (paper: 40 s).
-	Timeout time.Duration
+	// Optimizer solves every sample (paper: a 40 s Timeout, one
+	// monolithic model).
+	Optimizer core.Optimizer
 	// Nodes/NodeCPU/NodeMemory describe the cluster (paper: 200 × 2
 	// CPU × 4 GiB).
 	Nodes, NodeCPU, NodeMemory int
 	// Seed makes the study reproducible.
 	Seed int64
-	// Workers is the optimizer's portfolio width (0 = GOMAXPROCS).
-	Workers int
-	// Partitions is the optimizer's decomposition width (0 = auto,
-	// 1 = monolithic).
-	Partitions int
 }
 
-// DefaultFig10Options returns the paper's parameters. Partitions is
-// pinned to 1: the published figure measures the monolithic model (the
+// DefaultFig10Options returns the paper's parameters.
+// Optimizer.Partitions is pinned to 1: the published figure measures the monolithic model (the
 // partitioned solve is this repo's extension, measured by the
 // PartitionStudy instead).
 func DefaultFig10Options() Fig10Options {
 	return Fig10Options{
-		VMCounts: []int{54, 108, 162, 216, 270, 324, 378, 432, 486},
-		Samples:  30,
-		Timeout:  40 * time.Second,
-		Nodes:    200, NodeCPU: 2, NodeMemory: 4096,
-		Seed:       1,
-		Partitions: 1,
+		VMCounts:  []int{54, 108, 162, 216, 270, 324, 378, 432, 486},
+		Samples:   30,
+		Optimizer: core.Optimizer{Timeout: 40 * time.Second, Partitions: 1},
+		Seed:      1,
+		Nodes:     200, NodeCPU: 2, NodeMemory: 4096,
 	}
 }
 
@@ -248,7 +243,7 @@ func Fig10(opts Fig10Options) []Fig10Row {
 			target := sched.Consolidation{}.Decide(g.Cfg, g.Jobs)
 			problem := core.Problem{Src: g.Cfg, Target: target}
 			ffd, err1 := core.FFDPlan(problem)
-			ent, err2 := core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions}.Solve(problem)
+			ent, err2 := opts.Optimizer.Solve(problem)
 			if err1 != nil || err2 != nil {
 				continue
 			}

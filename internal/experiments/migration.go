@@ -49,14 +49,13 @@ type MigrationOptions struct {
 	Racks int
 	// FencedVariant also runs both sides under cross-rack Fence rules.
 	FencedVariant bool
-	// Timeout is the per-solve budget, identical for all cells.
-	Timeout time.Duration
+	// Optimizer solves every cell alike; each side sets its own
+	// Builder.
+	Optimizer core.Optimizer
 	// Horizon is the execution cut-off in virtual seconds.
 	Horizon float64
 	// Seed drives configuration generation.
 	Seed int64
-	// Workers and Partitions configure the optimizer.
-	Workers, Partitions int
 }
 
 // DefaultMigrationOptions is the BENCH_migration.json scenario: a
@@ -73,9 +72,9 @@ func DefaultMigrationOptions() MigrationOptions {
 		// The fenced cells need the larger budget: cross-rack Fence
 		// rules make the first feasible solution substantially harder
 		// to find than on the open cluster (2 s suffices there).
-		Timeout: 15 * time.Second,
-		Horizon: 100_000,
-		Seed:    1,
+		Optimizer: core.Optimizer{Timeout: 15 * time.Second},
+		Horizon:   100_000,
+		Seed:      1,
 	}
 }
 
@@ -201,10 +200,8 @@ func runMigrationSide(opts MigrationOptions, model string, blind, fenced bool) M
 	if fenced {
 		p.Rules = rackFences(g.Cfg, g.Jobs, opts.Racks)
 	}
-	opt := core.Optimizer{
-		Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions,
-		Builder: plan.Builder{DisableTransferGating: blind},
-	}
+	opt := opts.Optimizer
+	opt.Builder = plan.Builder{DisableTransferGating: blind}
 	start := time.Now()
 	r, err := opt.Solve(p)
 	side.SolveMS = float64(time.Since(start).Microseconds()) / 1000

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cwcs/internal/core"
 )
 
 // quickMigrationOptions shrinks the BENCH_migration.json scenario so
@@ -15,8 +17,7 @@ func quickMigrationOptions() MigrationOptions {
 	o := DefaultMigrationOptions()
 	o.Nodes = 48
 	o.Racks = 2
-	o.Timeout = 250 * time.Millisecond
-	o.Workers = 1
+	o.Optimizer = core.Optimizer{Timeout: 250 * time.Millisecond, Workers: 1}
 	return o
 }
 
@@ -130,7 +131,7 @@ func TestGoldenMigrationCSV(t *testing.T) {
 func BenchmarkMigrationStudy(b *testing.B) {
 	opts := quickMigrationOptions()
 	opts.FencedVariant = false
-	opts.Timeout = 50 * time.Millisecond
+	opts.Optimizer.Timeout = 50 * time.Millisecond
 	for i := 0; i < b.N; i++ {
 		r := RunMigration(opts)
 		v := r.Variants[0]

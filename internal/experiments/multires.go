@@ -30,14 +30,10 @@ type MultiResOptions struct {
 	// NetFraction / DiskFraction of the vjobs are net- / disk-bound
 	// (see workload.Profile).
 	NetFraction, DiskFraction float64
-	// Timeout is the per-solve budget, identical for both sides.
-	Timeout time.Duration
+	// Optimizer solves both sides alike.
+	Optimizer core.Optimizer
 	// Seed drives configuration generation.
 	Seed int64
-	// Workers is the optimizer's portfolio width (0 = GOMAXPROCS).
-	Workers int
-	// Partitions is the optimizer's partition count (0 = auto).
-	Partitions int
 }
 
 // DefaultMultiResOptions is the BENCH_multires.json scenario: a
@@ -50,8 +46,8 @@ func DefaultMultiResOptions() MultiResOptions {
 		NodeNet: workload.DefaultNodeNet, NodeDisk: workload.DefaultNodeDisk,
 		VMFactor:    1.5,
 		NetFraction: 0.3, DiskFraction: 0.2,
-		Timeout: 2 * time.Second,
-		Seed:    1,
+		Optimizer: core.Optimizer{Timeout: 2 * time.Second},
+		Seed:      1,
 	}
 }
 
@@ -192,19 +188,17 @@ func RunMultiRes(opts MultiResOptions) MultiResResult {
 		}
 	}
 
-	opt := core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions}
-
 	// Blind side: decision AND optimization see stripped demands, then
 	// the destination is audited against the truth.
 	blindSrc := stripExtras(g.Cfg)
 	blindJobs := jobsOf(blindSrc, g.Jobs)
-	res.Blind = solveSide("cpu+mem", opt, core.Problem{
+	res.Blind = solveSide("cpu+mem", opts.Optimizer, core.Problem{
 		Src:    blindSrc,
 		Target: sched.Consolidation{}.Decide(blindSrc, blindJobs),
 	}, g.Cfg)
 
 	// Aware side: the full 4-dimension model end to end.
-	res.Aware = solveSide("4-dim", opt, core.Problem{
+	res.Aware = solveSide("4-dim", opts.Optimizer, core.Problem{
 		Src:    g.Cfg,
 		Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs),
 	}, g.Cfg)

@@ -19,8 +19,7 @@ import (
 func quickMultiResOptions() MultiResOptions {
 	o := DefaultMultiResOptions()
 	o.Nodes = 48
-	o.Timeout = 500 * time.Millisecond
-	o.Workers = 1
+	o.Optimizer = core.Optimizer{Timeout: 500 * time.Millisecond, Workers: 1}
 	return o
 }
 
@@ -136,7 +135,7 @@ func TestStripExtrasAndTransplant(t *testing.T) {
 // the two extra Packing propagators.
 func BenchmarkMultiResourceSolve(b *testing.B) {
 	opts := quickMultiResOptions()
-	opts.Timeout = 250 * time.Millisecond
+	opts.Optimizer.Timeout = 250 * time.Millisecond
 	g := workload.GenerateConfiguration(rand.New(rand.NewSource(opts.Seed)), workload.GenerateOptions{
 		Nodes:   opts.Nodes,
 		NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
@@ -152,7 +151,7 @@ func BenchmarkMultiResourceSolve(b *testing.B) {
 	for _, name := range []string{"dims=2", "dims=4"} {
 		p := problems[name]
 		b.Run(name, func(b *testing.B) {
-			opt := core.Optimizer{Timeout: opts.Timeout, Workers: 1, Partitions: opts.Partitions}
+			opt := opts.Optimizer
 			for i := 0; i < b.N; i++ {
 				if _, err := opt.Solve(p); err != nil {
 					b.Fatal(err)

@@ -22,15 +22,12 @@ type PartitionOptions struct {
 	VMFactor float64
 	// NodeCPU / NodeMemory are the per-node capacities.
 	NodeCPU, NodeMemory int
-	// Timeout is the solve budget, identical for both sides.
-	Timeout time.Duration
+	// Optimizer solves the partitioned side (Partitions 0 = auto, one
+	// partition per ~16 nodes); the monolithic side is a copy with
+	// Partitions = 1, so both get the same budget.
+	Optimizer core.Optimizer
 	// Seed drives configuration generation.
 	Seed int64
-	// Workers is the optimizer's portfolio width (0 = GOMAXPROCS).
-	Workers int
-	// Partitions is the partition count of the partitioned run (0 =
-	// auto, i.e. one partition per ~16 nodes).
-	Partitions int
 }
 
 // DefaultPartitionOptions returns the BENCH_partition.json sweep:
@@ -40,8 +37,8 @@ func DefaultPartitionOptions() PartitionOptions {
 		NodeCounts: []int{100, 500, 2000},
 		VMFactor:   1.5,
 		NodeCPU:    2, NodeMemory: 4096,
-		Timeout: 2 * time.Second,
-		Seed:    1,
+		Optimizer: core.Optimizer{Timeout: 2 * time.Second},
+		Seed:      1,
 	}
 }
 
@@ -74,6 +71,8 @@ type PartitionRow struct {
 func PartitionStudy(opts PartitionOptions) []PartitionRow {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	rows := make([]PartitionRow, 0, len(opts.NodeCounts))
+	mono := opts.Optimizer
+	mono.Partitions = 1
 	for _, nodes := range opts.NodeCounts {
 		g := workload.GenerateConfiguration(rng, workload.GenerateOptions{
 			Nodes: nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
@@ -83,16 +82,16 @@ func PartitionStudy(opts PartitionOptions) []PartitionRow {
 		row := PartitionRow{Nodes: nodes, VMs: g.Cfg.NumVMs()}
 
 		start := time.Now()
-		mono, monoErr := core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: 1}.Solve(problem)
+		monoRes, monoErr := mono.Solve(problem)
 		row.MonoMS = float64(time.Since(start).Microseconds()) / 1000
 		if monoErr != nil {
 			row.MonoErr = monoErr.Error()
 		} else {
-			row.MonoCost, row.MonoOptimal = mono.Cost, mono.Optimal
+			row.MonoCost, row.MonoOptimal = monoRes.Cost, monoRes.Optimal
 		}
 
 		start = time.Now()
-		part, partErr := core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions}.Solve(problem)
+		part, partErr := opts.Optimizer.Solve(problem)
 		row.PartMS = float64(time.Since(start).Microseconds()) / 1000
 		if partErr != nil {
 			row.PartErr = partErr.Error()

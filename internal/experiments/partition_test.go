@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cwcs/internal/core"
 )
 
 // TestPartitionStudySmall runs the study on tiny clusters so the test
@@ -14,10 +16,8 @@ func TestPartitionStudySmall(t *testing.T) {
 		NodeCounts: []int{24},
 		VMFactor:   1.0,
 		NodeCPU:    2, NodeMemory: 4096,
-		Timeout:    2 * time.Second,
-		Seed:       1,
-		Workers:    1,
-		Partitions: 4,
+		Optimizer: core.Optimizer{Timeout: 2 * time.Second, Workers: 1, Partitions: 4},
+		Seed:      1,
 	})
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))

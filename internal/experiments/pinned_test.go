@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cwcs/internal/sched"
+	"cwcs/internal/sim"
 	"cwcs/internal/testbed"
 )
 
@@ -89,17 +90,17 @@ func TestStudiesPinned(t *testing.T) {
 	}
 
 	cluster := quickClusterOptions()
-	cluster.Timeout = pinnedTimeout
+	cluster.Optimizer.Timeout = pinnedTimeout
 	fcfs := cluster
-	fcfs.PinRunning = true
+	fcfs.Optimizer.PinRunning = true
 	r := RunCluster(sched.StaticFCFS{}, fcfs)
 	add("cluster fcfs", clusterCSV(r), r.Summary, false)
 	r = RunCluster(sched.Consolidation{}, cluster)
 	add("cluster consolidation", clusterCSV(r), r.Summary, false)
 
 	churn := quickChurnOptions()
-	churn.Timeout = pinnedTimeout
-	addChurn := func(name string, eventDriven bool, opts ChurnOptions) {
+	churn.Optimizer.Timeout = pinnedTimeout
+	addChurn := func(name string, eventDriven bool, opts testbed.Options) {
 		r := RunChurn(eventDriven, opts)
 		add(name, ChurnCSV([]ChurnResult{r}), r.Summary, true)
 	}
@@ -112,22 +113,21 @@ func TestStudiesPinned(t *testing.T) {
 	addChurn("churn event-driven", true, churn)
 	storm := churn
 	storm.WatchInvariants = true
-	storm.FailureRate = 0.10
-	storm.StormRate, storm.StormFrom, storm.StormUntil = 0.30, 100, 300
+	storm.Failures = sim.FailureStorm{Base: 0.10, Storm: 0.30, From: 100, Until: 300}
 	storm.RepairWiden = -1
 	addChurn("churn storm widen=off", true, storm)
 	storm.RepairWiden = 0
 	addChurn("churn storm widen=on", true, storm)
 
 	chaos := quickChaosOptions()
-	chaos.Churn.Timeout = pinnedTimeout
+	chaos.Churn.Optimizer.Timeout = pinnedTimeout
 	for _, sc := range ChaosScenarios() {
 		r := RunChaos(sc, chaos)
 		add("chaos "+sc, ChaosCSV([]ChaosResult{r}), r.Summary, true)
 	}
 
 	drain := quickDrainOptions()
-	drain.Timeout = pinnedTimeout
+	drain.Churn.Optimizer.Timeout = pinnedTimeout
 	d := RunDrain(drain)
 	add("drain", DrainCSV(d), d.Summary, true)
 

@@ -15,9 +15,9 @@ import (
 // violation exposure. Event-driven only: the periodic loop has no
 // repair path to storm.
 type RepairStormOptions struct {
-	// Churn is the underlying scenario; FailureRate and RepairWiden
+	// Churn is the underlying scenario; Failures.Base and RepairWiden
 	// are overridden per cell.
-	Churn ChurnOptions
+	Churn testbed.Options
 	// Rates are the action-failure rates swept.
 	Rates []float64
 }
@@ -51,7 +51,7 @@ func RepairStormStudy(opts RepairStormOptions) []RepairStormResult {
 	for _, rate := range opts.Rates {
 		for _, widen := range []bool{false, true} {
 			co := opts.Churn
-			co.FailureRate = rate
+			co.Failures.Base = rate
 			co.RepairWiden = -1
 			if widen {
 				co.RepairWiden = 0

@@ -100,7 +100,7 @@ func TestGoldenRepairStormCSV(t *testing.T) {
 func BenchmarkRepairStorm(b *testing.B) {
 	opts := quickRepairStormOptions(0.10)
 	co := opts.Churn
-	co.FailureRate = 0.10
+	co.Failures.Base = 0.10
 	var last ChurnResult
 	for i := 0; i < b.N; i++ {
 		last = RunChurn(true, co)

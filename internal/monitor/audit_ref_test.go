@@ -363,6 +363,7 @@ func loopOptions(seed int64) testbed.Options {
 		Optimizer:   core.Optimizer{Timeout: time.Minute, Workers: 1},
 		EventDriven: true,
 		Debounce:    2,
+		Horizon:     600,
 	}
 }
 
@@ -386,7 +387,7 @@ func runStorm(seed int64) *differential {
 			bent.Demand.Set(resources.NetBW, 0)
 		}
 	})
-	tb.Run(600)
+	tb.Run()
 	return d
 }
 
@@ -396,7 +397,7 @@ func runDrain(seed int64) *differential {
 	tb := testbed.New(loopOptions(seed))
 	d := watchDifferential(tb.Cluster)
 	c := tb.Cluster
-	drained := []string{"node001", fmt.Sprintf("node%03d", 2+seed%14)}
+	drained := []string{tb.NodeName(1), tb.NodeName(2 + int(seed%14))}
 	c.Schedule(20, func() {
 		for _, n := range drained {
 			tb.Drain(n)
@@ -423,7 +424,7 @@ func runDrain(seed int64) *differential {
 		})
 	}
 	c.Schedule(22, probe)
-	tb.Run(600)
+	tb.Run()
 	return d
 }
 

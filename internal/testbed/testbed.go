@@ -8,6 +8,11 @@
 // stays with that caller and plugs in through Cluster.Schedule, Feed
 // and Jobs.
 //
+// Options is the scenario itself: the loop studies of
+// internal/experiments take one as their options, each fixing the
+// fields its study is about, and a seed sweep is a loop over
+// Options.Seed.
+//
 // Order is seeded behaviour: the simulator breaks time ties by the
 // order Schedule was called in and every rng stream is consumed in call
 // order. New draws the resident vjobs, then draws and schedules the
@@ -79,6 +84,8 @@ type Options struct {
 	WatchInvariants bool
 	// CollectSpans retains every closed span in Summary.Spans.
 	CollectSpans bool
+	// Horizon is the virtual time Run stops the simulation at.
+	Horizon float64
 }
 
 // Testbed is one wired scenario. Like the loop it is not synchronized:
@@ -117,23 +124,19 @@ type Testbed struct {
 // and attaches the watchers; nothing runs until Run (or the caller's
 // own Loop.Start).
 func New(o Options) *Testbed {
-	nodeName := "node%03d"
-	if o.PaperNames {
-		nodeName = "node%02d"
+	t := &Testbed{
+		opts:   o,
+		genRng: rand.New(rand.NewSource(o.Seed)),
+		arrRng: rand.New(rand.NewSource(o.Seed + 1)),
+		drains: &core.DrainSet{},
+		tracer: obs.NewTracer(0),
 	}
 	cfg := vjob.NewConfiguration()
 	for i := 0; i < o.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf(nodeName, i), o.NodeCPU, o.NodeMemory))
+		cfg.AddNode(vjob.NewNode(t.NodeName(i), o.NodeCPU, o.NodeMemory))
 	}
 	c := sim.New(cfg, duration.Default())
-	t := &Testbed{
-		Cluster: c,
-		opts:    o,
-		genRng:  rand.New(rand.NewSource(o.Seed)),
-		arrRng:  rand.New(rand.NewSource(o.Seed + 1)),
-		drains:  &core.DrainSet{},
-		tracer:  obs.NewTracer(0),
-	}
+	t.Cluster = c
 	t.Jobs = func() []*vjob.VJob { return t.jobs }
 	t.Feed = func(ev core.Event) { t.Loop.Notify(t.Actuator, ev) }
 	if o.WatchInvariants {
@@ -185,6 +188,15 @@ func New(o Options) *Testbed {
 	})
 	t.recovery = monitor.WatchRecovery(c)
 	return t
+}
+
+// NodeName names the i-th working node: node007, or node07 under
+// PaperNames.
+func (t *Testbed) NodeName(i int) string {
+	if t.opts.PaperNames {
+		return fmt.Sprintf("node%02d", i)
+	}
+	return fmt.Sprintf("node%03d", i)
 }
 
 // generate draws the next vjob of the seeded workload and submits it.
@@ -340,12 +352,12 @@ type Summary struct {
 }
 
 // Run starts the loop, advances the simulation until it goes quiescent
-// or reaches the horizon, and reports.
-func (t *Testbed) Run(horizon float64) Summary {
+// or reaches Options.Horizon, and reports.
+func (t *Testbed) Run() Summary {
 	c, led, rec := t.Cluster, t.ledger, t.recovery
 	start := time.Now()
 	t.Loop.Start(t.Actuator)
-	c.Run(horizon)
+	c.Run(t.opts.Horizon)
 	s := Summary{
 		Wall:              time.Since(start),
 		Stats:             t.Loop.Stats,

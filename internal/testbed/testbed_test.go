@@ -250,6 +250,7 @@ func churnOptions() Options {
 	o.Failures = sim.FailureStorm{Base: 0.05, Storm: 0.3, From: 40, Until: 80}
 	o.WatchInvariants = true
 	o.StopWhenDone = true
+	o.Horizon = 3000
 	return o
 }
 
@@ -258,7 +259,7 @@ func churnOptions() Options {
 func TestRunRepeats(t *testing.T) {
 	run := func() (Summary, any) {
 		tb := New(churnOptions())
-		s := tb.Run(3000)
+		s := tb.Run()
 		if len(tb.Specs) != s.Arrived || s.Arrived <= 3 {
 			t.Fatalf("%d specs for %d arrived vjobs", len(tb.Specs), s.Arrived)
 		}
@@ -299,7 +300,7 @@ func TestLedgerSeesDrainRules(t *testing.T) {
 			return
 		}
 	})
-	s := tb.Run(3000)
+	s := tb.Run()
 	if drained == "" {
 		t.Fatal("nothing was running at t=30")
 	}
@@ -321,8 +322,9 @@ func TestControlPlaneServes(t *testing.T) {
 	o := quickOptions()
 	o.PaperNames = true
 	o.StopWhenDone = true
+	o.Horizon = 5000
 	tb := New(o)
-	if tb.Cluster.Config().Node("node07") == nil || tb.Jobs()[0].Name != "vjob1" {
+	if tb.Cluster.Config().Node(tb.NodeName(7)) == nil || tb.NodeName(7) != "node07" || tb.Jobs()[0].Name != "vjob1" {
 		t.Fatalf("paper names: %v, %s", tb.Cluster.Config().Nodes(), tb.Jobs()[0].Name)
 	}
 	var mu sync.Mutex
@@ -342,7 +344,7 @@ func TestControlPlaneServes(t *testing.T) {
 	if srv.Execution() != nil {
 		t.Fatal("an execution before the loop started")
 	}
-	s := tb.Run(5000)
+	s := tb.Run()
 	if s.Arrived != 4 || s.Completed != 4 {
 		t.Fatalf("%d of %d vjobs completed", s.Completed, s.Arrived)
 	}
