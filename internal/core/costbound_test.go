@@ -16,10 +16,11 @@ import (
 )
 
 // refCostBound is the cost bound as it ran before the contribution
-// table: every value of every domain priced through the cost model's
-// string-keyed maps, twice per run. Kept verbatim as the reference the
-// table form is compared with.
-func refCostBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, nodes []*vjob.Node, obj *cp.IntVar, fixed int) cp.Constraint {
+// table: every value of every domain priced through the cost model,
+// twice per run. Kept as the reference the table form is compared
+// with; only the cost model's node argument changed since, from a name
+// to compile's node index.
+func refCostBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, obj *cp.IntVar, fixed int) cp.Constraint {
 	watched := append([]*cp.IntVar{obj}, vars...)
 	return &cp.FuncConstraint{
 		On: watched,
@@ -28,11 +29,11 @@ func refCostBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, nodes [
 			mins := make([]int, len(vars))
 			for i, v := range vars {
 				if v.Bound() {
-					mins[i] = model.contribution(runners[i], nodes[v.Value()].Name)
+					mins[i] = model.contribution(runners[i], v.Value())
 				} else {
 					min := -1
 					for _, val := range v.Values() {
-						c := model.contribution(runners[i], nodes[val].Name)
+						c := model.contribution(runners[i], val)
 						if min < 0 || c < min {
 							min = c
 						}
@@ -50,7 +51,7 @@ func refCostBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, nodes [
 					continue
 				}
 				for _, val := range v.Values() {
-					if model.contribution(runners[i], nodes[val].Name)-mins[i] > slack {
+					if model.contribution(runners[i], val)-mins[i] > slack {
 						if err := s.RemoveValue(v, val); err != nil {
 							return err
 						}
@@ -124,11 +125,11 @@ func TestCostTableMatchesModel(t *testing.T) {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		model := newCostModel(p.Src, c.goals)
+		model := newCostModel(p.Src, c.goals, c.nodes)
 		for i, g := range c.runners {
 			row, order := c.rows[i], c.order[i]
 			for _, j := range c.allowed[i] {
-				if want := model.contribution(g, c.nodes[j].Name); row[j] != want {
+				if want := model.contribution(g, j); row[j] != want {
 					t.Fatalf("seed %d: %s on %s is %d in the table, %d in the model", seed, g.vm.Name, c.nodes[j].Name, row[j], want)
 				}
 			}
@@ -171,7 +172,7 @@ func TestCostTableMatchesModel(t *testing.T) {
 			}
 			vars, err := run(c.costBound)
 			refVars, refErr := run(func(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
-				return refCostBound(model, c.runners, vars, c.nodes, obj, c.fixed)
+				return refCostBound(model, c.runners, vars, obj, c.fixed)
 			})
 			runs++
 			if errors.Is(err, cp.ErrFailed) != errors.Is(refErr, cp.ErrFailed) {

@@ -157,8 +157,8 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		return nil, err
 	}
 	c := &compiled{goals: goals}
-	model := newCostModel(p.Src, goals)
 	c.nodes = p.Src.Nodes()
+	model := newCostModel(p.Src, goals, c.nodes)
 	c.nodeIdx = make(map[string]int, len(c.nodes))
 	for i, n := range c.nodes {
 		c.nodeIdx[n.Name] = i
@@ -234,7 +234,7 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		}
 		row := table[i*len(c.nodes) : (i+1)*len(c.nodes)]
 		for _, j := range allowed {
-			row[j] = model.contribution(g, c.nodes[j].Name)
+			row[j] = model.contribution(g, j)
 		}
 		order := append([]int(nil), allowed...)
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(row[a], row[b]) })

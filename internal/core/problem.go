@@ -107,10 +107,11 @@ func (g vmGoal) fixedCost() int {
 // while steering the search towards nodes that are free immediately —
 // the paper's "perform actions as early as possible".
 type costModel struct {
-	// free caches the source configuration's per-node free capacities,
-	// every dimension at once: contribution runs in the propagator's
-	// inner loop and cannot afford configuration scans.
-	free map[string]resources.Vector
+	// nodes are the candidate nodes in compile's order, and free[j]
+	// the source configuration's free capacities of nodes[j], every
+	// dimension at once, read once per node.
+	nodes []*vjob.Node
+	free  []resources.Vector
 	// minRelease[node] is the cheapest cost among the actions that
 	// liberate resources on the node (0 when a hosted VM is being
 	// stopped; Dm for a suspend or an outbound migration); missing
@@ -118,10 +119,14 @@ type costModel struct {
 	minRelease map[string]int
 }
 
-func newCostModel(src *vjob.Configuration, goals []vmGoal) *costModel {
+func newCostModel(src *vjob.Configuration, goals []vmGoal, nodes []*vjob.Node) *costModel {
 	m := &costModel{
-		free:       src.FreeResources(),
+		nodes:      nodes,
+		free:       make([]resources.Vector, len(nodes)),
 		minRelease: make(map[string]int),
+	}
+	for j, n := range nodes {
+		m.free[j] = src.Free(n.Name)
 	}
 	for _, g := range goals {
 		if g.cur != vjob.Running {
@@ -141,14 +146,15 @@ func newCostModel(src *vjob.Configuration, goals []vmGoal) *costModel {
 	return m
 }
 
-// contribution returns the placement cost of hosting g's VM on node:
-// the Table 1 action cost plus the sequencing delay bound.
-func (m *costModel) contribution(g vmGoal, node string) int {
+// contribution returns the placement cost of hosting g's VM on node
+// nodes[j]: the Table 1 action cost plus the sequencing delay bound.
+func (m *costModel) contribution(g vmGoal, j int) int {
+	node := m.nodes[j].Name
 	c := g.runContribution(node)
 	if g.cur == vjob.Running && node == g.curLoc {
 		return c // staying put: no action, no delay
 	}
-	if g.vm.Demand.Fits(m.free[node]) {
+	if g.vm.Demand.Fits(m.free[j]) {
 		return c // fits immediately: the action can start in pool 0
 	}
 	if rel, ok := m.minRelease[node]; ok {

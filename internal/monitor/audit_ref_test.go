@@ -40,7 +40,7 @@ func refTransferViolations(c *sim.Cluster) []vjob.Violation {
 		return nil
 	}
 	cfg := c.Config()
-	free := cfg.FreeResources()
+	free := freeResources(cfg)
 	nodes := make([]string, 0, len(demands))
 	for n := range demands {
 		nodes = append(nodes, n)
@@ -75,7 +75,7 @@ func refAudit(c *sim.Cluster) sim.Audit {
 			a.Dangling = append(a.Dangling, v)
 		}
 	}
-	free := cfg.FreeResources()
+	free := freeResources(cfg)
 	for _, n := range cfg.Nodes() {
 		for _, k := range resources.Kinds() {
 			if got, cap := free[n.Name].Get(k), n.Capacity.Get(k); got > cap {
@@ -216,7 +216,7 @@ func (r *refWatchers) invariants(c *sim.Cluster) {
 			r.structural++
 		}
 	}
-	free := cfg.FreeResources()
+	free := freeResources(cfg)
 	for _, n := range cfg.Nodes() {
 		for _, k := range resources.Kinds() {
 			if got, cap := free[n.Name].Get(k), n.Capacity.Get(k); got > cap {
@@ -536,4 +536,15 @@ func FuzzAdvanceAudit(f *testing.F) {
 		c.Run(c.Now() + 1000)
 		d.check(t, "fuzz")
 	})
+}
+
+// freeResources is the whole-cluster free map, by node name, that
+// vjob.Configuration.FreeResources built before the configuration
+// stored dense ids; the reference below reads it as it did then.
+func freeResources(c *vjob.Configuration) map[string]resources.Vector {
+	free := make(map[string]resources.Vector, c.NumNodes())
+	for _, n := range c.Nodes() {
+		free[n.Name] = c.Free(n.Name)
+	}
+	return free
 }

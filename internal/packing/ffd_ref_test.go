@@ -61,7 +61,7 @@ func refOrderForPacking(c *vjob.Configuration, vms []*vjob.VM) []*vjob.VM {
 
 func refFirstFitDecrease(c *vjob.Configuration, vms []*vjob.VM) error {
 	ordered := refOrderForPacking(c, vms)
-	free := c.FreeResources()
+	free := freeResources(c)
 	nodes := c.Nodes()
 	assigned := make(map[string]string, len(vms))
 	for _, v := range ordered {
@@ -175,4 +175,15 @@ func TestFirstFitMatchesReference(t *testing.T) {
 	if failed == 0 || failed == 600 {
 		t.Fatalf("%d of 600 packings failed: the cases miss a path", failed)
 	}
+}
+
+// freeResources is the whole-cluster free map, by node name, that
+// vjob.Configuration.FreeResources built before the configuration
+// stored dense ids; the reference below reads it as it did then.
+func freeResources(c *vjob.Configuration) map[string]resources.Vector {
+	free := make(map[string]resources.Vector, c.NumNodes())
+	for _, n := range c.Nodes() {
+		free[n.Name] = c.Free(n.Name)
+	}
+	return free
 }

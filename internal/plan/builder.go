@@ -55,9 +55,10 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 	p := &Plan{Src: g.Src}
 	cur := g.Src.Clone()
 	remaining := append([]Action(nil), g.Actions...)
+	free := make(map[string]resources.Vector)
 
 	for len(remaining) > 0 {
-		pool, rest := extractPool(cur, remaining, !b.DisableTransferGating)
+		pool, rest := extractPool(cur, free, remaining, !b.DisableTransferGating)
 		if len(pool) == 0 {
 			bypass, rewritten, err := breakCycle(cur, remaining)
 			if err != nil {
@@ -85,6 +86,9 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 // reserve their demands so two actions cannot share the same free
 // space; resources released by actions of the pool are NOT credited,
 // because a parallel action cannot rely on a concurrent completion.
+// free is the caller's scratch map: extractPool empties it, then
+// holds there the remaining free vector of each node an action of the
+// pool demands on, read from cur on the node's first demand.
 //
 // With gateTransfers set, each action's transfer demand (DESIGN.md §9)
 // is additionally booked against the NIC capacities of its endpoints,
@@ -92,8 +96,8 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 // to a later pool. A transfer alone always fits (its demand is clamped
 // to each NIC), so gating can only serialize pools, never empty them:
 // the §4.1 progress guarantee is untouched.
-func extractPool(cur *vjob.Configuration, remaining []Action, gateTransfers bool) (Pool, []Action) {
-	free := cur.FreeResources()
+func extractPool(cur *vjob.Configuration, free map[string]resources.Vector, remaining []Action, gateTransfers bool) (Pool, []Action) {
+	clear(free)
 	book := newTransferBook(cur)
 	var pool Pool
 	var rest []Action
@@ -108,13 +112,18 @@ func extractPool(cur *vjob.Configuration, remaining []Action, gateTransfers bool
 			book.admit(a)
 			continue
 		}
-		if demand.Fits(free[node]) {
+		f, ok := free[node]
+		if !ok {
+			f = cur.Free(node)
+		}
+		if demand.Fits(f) {
 			pool = append(pool, a)
-			free[node] = free[node].Sub(demand)
+			f = f.Sub(demand)
 			book.admit(a)
 		} else {
 			rest = append(rest, a)
 		}
+		free[node] = f
 	}
 	return pool, rest
 }

@@ -144,9 +144,12 @@ func (c *Cluster) Now() float64 { return c.now }
 func (c *Cluster) Config() *vjob.Configuration { return c.cfg }
 
 // Snapshot returns a copy of the configuration's placements and
-// states, the monitoring view of the cluster. The copy shares every
+// states, the monitoring view of the cluster: two flat slices, with
+// the name index shared copy-on-write, so taking it costs O(nodes +
+// VMs) copying and no hashing, and the cluster's later placements,
+// arrivals and removals never show through it. It still shares every
 // *VM, whose Demand the simulator writes in place as phases advance,
-// so it is not independent of later steps (ROADMAP item 16).
+// so its demands are not independent of later steps (ROADMAP item 16).
 func (c *Cluster) Snapshot() *vjob.Configuration { return c.cfg.Clone() }
 
 // OnAdvance registers fn to run after every executed event and after

@@ -3,8 +3,8 @@ package vjob
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
+	"sync/atomic"
 
 	"cwcs/internal/resources"
 )
@@ -15,225 +15,404 @@ import (
 // whose storage holds their suspended image (which decides whether a
 // later resume is local or remote); waiting VMs hold no location.
 //
-// A Configuration is a plain value-like structure: Clone returns a deep
-// copy of the mapping (nodes and VMs themselves are shared, since the
-// planner never mutates them).
+// A Configuration is a plain value-like structure: Clone returns an
+// independent copy of the mapping (nodes and VMs themselves are
+// shared, since the planner never mutates them).
 //
-// Every per-node query (RunningOn, SleepingOn, Used, Free, Fits,
-// Violations, RemoveNode's occupancy check) walks only the VMs placed
-// on that node, through a membership index kept by the five mutators
-// (AddVM, RemoveVM, SetRunning, SetSleeping, SetWaiting). Three rules
-// hold it:
-//   - It indexes membership, never demand sums. VM.Demand changes in
+// The API is name-based, but a configuration stores everything on
+// dense integer ids, so a query hashes a name at most once, where it
+// enters, and walks ids after that:
+//   - An index maps names to ids and back and lists the ids in name
+//     order. Clones share it copy-on-write: Clone marks both sides
+//     shared, and the first mutator that would write the index
+//     (adding a new name, or a new object under a known name) copies
+//     it. Removal never writes a shared index: it only marks the id
+//     absent in the configuration's own state, and the copy leaves the
+//     marked ids behind for reuse, so slot storage stays bounded by the
+//     live VMs however long a configuration lives.
+//   - Each configuration owns two flat slices, which are all Clone
+//     copies: a slot per VM id (state, node id, and the next VM id on
+//     the same node) and a list head per node id. So every node's VMs
+//     form one list, kept in name order, and RunningOn and SleepingOn
+//     return the order a scan of all VMs would.
+//   - It records membership, never demand sums. VM.Demand changes in
 //     place through the *VM that clones and extracts share (simulator
 //     phases, trace replay, workload profiles), so a cached per-node
 //     sum would go stale; Used sums the node's list instead.
-//   - Each node's list is kept in name order, so RunningOn and
-//     SleepingOn return the order a scan of all VMs would.
-//   - It allocates no more than a scan did: state and location share
-//     one slot map, so a configuration still holds four maps, and Clone
-//     copies every list into one flat array of capacity-capped
-//     sub-slices, so no two configurations share writable storage.
+//
+// Clone may run concurrently with readers and with other Clones of the
+// same configuration: it writes nothing on its receiver but the atomic
+// shared marker.
 type Configuration struct {
-	nodes map[string]*Node
-	vms   map[string]*VM
+	ix *index
+	// shared is set by Clone on both sides: ix may be read by another
+	// configuration, so a mutator that writes ix copies it first (own).
+	shared atomic.Bool
 
-	slots map[string]slot  // VM name -> state and location
-	on    map[string][]*VM // node name -> VMs placed on it, in name order; occupied nodes only
+	slots []slot  // by VM id; len(slots) == len(ix.vms)
+	heads []int32 // by node id: the node's first VM id, none when empty, gone when absent; len(heads) == len(ix.nodes)
 
-	nodeOrder []string // sorted node names, for deterministic iteration
-	vmOrder   []string // sorted VM names
+	numNodes, numVMs int
 }
 
-// slot is a VM's state and its node: the running host or the image
-// host, "" when waiting.
+// slot is a VM id's state, its node (the running host or the image
+// host, none when waiting) and the next VM id on that node's list. A
+// Terminated slot holds no VM of this configuration.
 type slot struct {
 	state State
-	node  string
+	node  int32
+	next  int32
+}
+
+const (
+	none int32 = -1 // no node, or the end of a node's list
+	gone int32 = -2 // heads: the node id is absent from this configuration
+)
+
+var (
+	waitingSlot = slot{state: Waiting, node: none, next: none}
+	removedSlot = slot{state: Terminated, node: none, next: none}
+)
+
+// index is the name side of a configuration, shared by its clones
+// until one of them writes it.
+type index struct {
+	nodes  []*Node // by node id; nil for a free id
+	vms    []*VM   // by VM id; nil for a free id
+	nodeID map[string]int32
+	vmID   map[string]int32
+	// nodeOrder and vmOrder list the indexed ids in name order, for
+	// deterministic iteration; a configuration skips the ids it marked
+	// absent.
+	nodeOrder, vmOrder []int32
+	// freeNodes and freeVMs are ids no name holds, reused before the
+	// slices grow.
+	freeNodes, freeVMs []int32
+}
+
+func newIndex(nodes, vms int) *index {
+	return &index{
+		nodes:  make([]*Node, 0, nodes),
+		vms:    make([]*VM, 0, vms),
+		nodeID: make(map[string]int32, nodes),
+		vmID:   make(map[string]int32, vms),
+	}
 }
 
 // NewConfiguration returns an empty configuration.
-func NewConfiguration() *Configuration {
-	return &Configuration{
-		nodes: make(map[string]*Node),
-		vms:   make(map[string]*VM),
-		slots: make(map[string]slot),
-		on:    make(map[string][]*VM),
+func NewConfiguration() *Configuration { return &Configuration{ix: newIndex(0, 0)} }
+
+// nodeOf returns the id of the named node, if it is in c.
+func (c *Configuration) nodeOf(name string) (int32, bool) {
+	id, ok := c.ix.nodeID[name]
+	return id, ok && c.heads[id] != gone
+}
+
+// vmOf returns the id of the named VM, if it is in c.
+func (c *Configuration) vmOf(name string) (int32, bool) {
+	id, ok := c.ix.vmID[name]
+	return id, ok && c.slots[id].state != Terminated
+}
+
+// own gives c an index of its own before a write, if Clone shared it.
+// The copy keeps every id c holds and frees the ids c marked absent.
+func (c *Configuration) own() {
+	if !c.shared.Load() {
+		return
 	}
+	old := c.ix
+	ix := &index{
+		nodes:     make([]*Node, len(old.nodes)),
+		vms:       make([]*VM, len(old.vms)),
+		nodeID:    make(map[string]int32, c.numNodes),
+		vmID:      make(map[string]int32, c.numVMs),
+		nodeOrder: make([]int32, 0, c.numNodes),
+		vmOrder:   make([]int32, 0, c.numVMs),
+	}
+	for _, id := range old.nodeOrder {
+		if n := old.nodes[id]; c.heads[id] != gone {
+			ix.nodes[id], ix.nodeID[n.Name] = n, id
+			ix.nodeOrder = append(ix.nodeOrder, id)
+		}
+	}
+	for _, id := range old.vmOrder {
+		if v := old.vms[id]; c.slots[id].state != Terminated {
+			ix.vms[id], ix.vmID[v.Name] = v, id
+			ix.vmOrder = append(ix.vmOrder, id)
+		}
+	}
+	for id, n := range ix.nodes {
+		if n == nil {
+			ix.freeNodes = append(ix.freeNodes, int32(id))
+		}
+	}
+	for id, v := range ix.vms {
+		if v == nil {
+			ix.freeVMs = append(ix.freeVMs, int32(id))
+		}
+	}
+	c.ix = ix
+	c.shared.Store(false)
 }
 
 // AddNode registers a node. Re-adding a name replaces the previous
 // node object but keeps all placements.
 func (c *Configuration) AddNode(n *Node) {
-	if _, ok := c.nodes[n.Name]; !ok {
-		c.nodeOrder = insertSorted(c.nodeOrder, n.Name)
+	if id, ok := c.ix.nodeID[n.Name]; ok && c.ix.nodes[id] == n {
+		if c.heads[id] == gone { // re-added after a removal on a shared index
+			c.heads[id] = none
+			c.numNodes++
+		}
+		return
 	}
-	c.nodes[n.Name] = n
+	c.own()
+	ix := c.ix
+	if id, ok := ix.nodeID[n.Name]; ok { // own freed every absent id, so this one is live
+		ix.nodes[id] = n
+		return
+	}
+	var id int32
+	if k := len(ix.freeNodes); k > 0 {
+		id, ix.freeNodes = ix.freeNodes[k-1], ix.freeNodes[:k-1]
+		ix.nodes[id], c.heads[id] = n, none
+	} else {
+		id = int32(len(ix.nodes))
+		ix.nodes, c.heads = append(ix.nodes, n), append(c.heads, none)
+	}
+	ix.nodeID[n.Name] = id
+	i, _ := slices.BinarySearchFunc(ix.nodeOrder, n.Name, ix.byNodeName)
+	ix.nodeOrder = slices.Insert(ix.nodeOrder, i, id)
+	c.numNodes++
 }
 
 // AddVM registers a VM in the Waiting state.
 func (c *Configuration) AddVM(v *VM) {
-	if _, ok := c.vms[v.Name]; !ok {
-		c.vmOrder = insertSorted(c.vmOrder, v.Name)
+	if id, ok := c.ix.vmID[v.Name]; ok && c.ix.vms[id] == v {
+		if c.slots[id].state == Terminated { // re-added after a removal on a shared index
+			c.slots[id] = waitingSlot
+			c.numVMs++
+		} else {
+			c.place(id, Waiting, none)
+		}
+		return
 	}
-	c.place(v.Name, slot{state: Waiting})
-	c.vms[v.Name] = v
+	c.own()
+	ix := c.ix
+	if id, ok := ix.vmID[v.Name]; ok { // own freed every absent id, so this one is live
+		c.place(id, Waiting, none)
+		ix.vms[id] = v
+		return
+	}
+	var id int32
+	if k := len(ix.freeVMs); k > 0 {
+		id, ix.freeVMs = ix.freeVMs[k-1], ix.freeVMs[:k-1]
+		ix.vms[id], c.slots[id] = v, waitingSlot
+	} else {
+		id = int32(len(ix.vms))
+		ix.vms, c.slots = append(ix.vms, v), append(c.slots, waitingSlot)
+	}
+	ix.vmID[v.Name] = id
+	i, _ := slices.BinarySearchFunc(ix.vmOrder, v.Name, ix.byVMName)
+	ix.vmOrder = slices.Insert(ix.vmOrder, i, id)
+	c.numVMs++
 }
+
+func (ix *index) byNodeName(id int32, name string) int {
+	return strings.Compare(ix.nodes[id].Name, name)
+}
+
+func (ix *index) byVMName(id int32, name string) int { return strings.Compare(ix.vms[id].Name, name) }
 
 // RemoveNode drops a node from the configuration (the effect of taking
 // an evacuated node offline for maintenance). It refuses while any VM
 // is still placed on the node — running guests or sleeping images must
 // be moved first, or their placements would dangle. The error names the
-// first such VM in name order.
+// first such VM in name order. On a shared index it only marks the id
+// absent; otherwise it frees the id for reuse.
 func (c *Configuration) RemoveNode(name string) error {
-	if _, ok := c.nodes[name]; !ok {
+	id, ok := c.nodeOf(name)
+	if !ok {
 		return fmt.Errorf("vjob: unknown node %q", name)
 	}
-	if held := c.on[name]; len(held) > 0 {
-		return fmt.Errorf("vjob: node %s still holds %s (%v)", name, held[0].Name, c.slots[held[0].Name].state)
+	if first := c.heads[id]; first != none {
+		return fmt.Errorf("vjob: node %s still holds %s (%v)", name, c.ix.vms[first].Name, c.slots[first].state)
 	}
-	delete(c.nodes, name)
-	i := sort.SearchStrings(c.nodeOrder, name)
-	if i < len(c.nodeOrder) && c.nodeOrder[i] == name {
-		c.nodeOrder = append(c.nodeOrder[:i], c.nodeOrder[i+1:]...)
+	c.heads[id] = gone
+	c.numNodes--
+	if !c.shared.Load() {
+		ix := c.ix
+		i, _ := slices.BinarySearchFunc(ix.nodeOrder, name, ix.byNodeName)
+		ix.nodeOrder = slices.Delete(ix.nodeOrder, i, i+1)
+		delete(ix.nodeID, name)
+		ix.nodes[id] = nil
+		ix.freeNodes = append(ix.freeNodes, id)
 	}
 	return nil
 }
 
 // RemoveVM drops a VM from the configuration (the effect of a stop
-// action followed by garbage collection of the Terminated vjob).
+// action followed by garbage collection of the Terminated vjob). On a
+// shared index it only marks the id absent; otherwise it frees the id
+// for reuse.
 func (c *Configuration) RemoveVM(name string) {
-	if _, ok := c.vms[name]; !ok {
+	id, ok := c.vmOf(name)
+	if !ok {
 		return
 	}
-	c.place(name, slot{})
-	delete(c.vms, name)
-	delete(c.slots, name)
-	i := sort.SearchStrings(c.vmOrder, name)
-	if i < len(c.vmOrder) && c.vmOrder[i] == name {
-		c.vmOrder = append(c.vmOrder[:i], c.vmOrder[i+1:]...)
+	c.place(id, Waiting, none)
+	c.slots[id] = removedSlot
+	c.numVMs--
+	if !c.shared.Load() {
+		ix := c.ix
+		i, _ := slices.BinarySearchFunc(ix.vmOrder, name, ix.byVMName)
+		ix.vmOrder = slices.Delete(ix.vmOrder, i, i+1)
+		delete(ix.vmID, name)
+		ix.vms[id] = nil
+		ix.freeVMs = append(ix.freeVMs, id)
 	}
 }
 
-// place records the VM's new slot and moves it between the node lists
-// when its node changes.
-func (c *Configuration) place(vm string, s slot) {
-	if old := c.slots[vm].node; old != s.node {
-		if old != "" {
-			held := c.on[old]
-			i, _ := slices.BinarySearchFunc(held, vm, byName)
-			if held = slices.Delete(held, i, i+1); len(held) == 0 {
-				delete(c.on, old)
-			} else {
-				c.on[old] = held
+// place records the VM's new state and node, and moves it between the
+// node lists when its node changes.
+func (c *Configuration) place(id int32, st State, node int32) {
+	if old := c.slots[id].node; old != node {
+		if old != none {
+			at := &c.heads[old]
+			for *at != id {
+				at = &c.slots[*at].next
 			}
+			*at = c.slots[id].next
 		}
-		if s.node != "" {
-			held := c.on[s.node]
-			i, _ := slices.BinarySearchFunc(held, vm, byName)
-			c.on[s.node] = slices.Insert(held, i, c.vms[vm])
+		next := none
+		if node != none {
+			name := c.ix.vms[id].Name
+			at := &c.heads[node]
+			for *at >= 0 && c.ix.vms[*at].Name < name {
+				at = &c.slots[*at].next
+			}
+			next, *at = *at, id
 		}
+		c.slots[id].next = next
 	}
-	c.slots[vm] = s
-}
-
-func byName(v *VM, name string) int { return strings.Compare(v.Name, name) }
-
-func insertSorted(s []string, v string) []string {
-	i := sort.SearchStrings(s, v)
-	s = append(s, "")
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	c.slots[id].state, c.slots[id].node = st, node
 }
 
 // Node returns the node with the given name, or nil.
-func (c *Configuration) Node(name string) *Node { return c.nodes[name] }
+func (c *Configuration) Node(name string) *Node {
+	if id, ok := c.nodeOf(name); ok {
+		return c.ix.nodes[id]
+	}
+	return nil
+}
 
 // VM returns the VM with the given name, or nil.
-func (c *Configuration) VM(name string) *VM { return c.vms[name] }
+func (c *Configuration) VM(name string) *VM {
+	if id, ok := c.vmOf(name); ok {
+		return c.ix.vms[id]
+	}
+	return nil
+}
 
 // Nodes returns the nodes in deterministic (name) order.
 func (c *Configuration) Nodes() []*Node {
-	return c.AppendNodes(make([]*Node, 0, len(c.nodeOrder)))
+	return c.AppendNodes(make([]*Node, 0, c.numNodes))
 }
 
 // AppendNodes appends the nodes to dst in name order, so a caller that
 // reuses dst walks the cluster without allocating.
 func (c *Configuration) AppendNodes(dst []*Node) []*Node {
-	for _, n := range c.nodeOrder {
-		dst = append(dst, c.nodes[n])
+	for _, id := range c.ix.nodeOrder {
+		if c.heads[id] != gone {
+			dst = append(dst, c.ix.nodes[id])
+		}
 	}
 	return dst
 }
 
 // VMs returns the VMs in deterministic (name) order.
 func (c *Configuration) VMs() []*VM {
-	out := make([]*VM, 0, len(c.vmOrder))
-	for _, n := range c.vmOrder {
-		out = append(out, c.vms[n])
+	out := make([]*VM, 0, c.numVMs)
+	for _, id := range c.ix.vmOrder {
+		if c.slots[id].state != Terminated {
+			out = append(out, c.ix.vms[id])
+		}
 	}
 	return out
 }
 
 // NumNodes returns the number of registered nodes.
-func (c *Configuration) NumNodes() int { return len(c.nodes) }
+func (c *Configuration) NumNodes() int { return c.numNodes }
 
 // NumVMs returns the number of registered VMs.
-func (c *Configuration) NumVMs() int { return len(c.vms) }
+func (c *Configuration) NumVMs() int { return c.numVMs }
 
 // SetRunning places the VM in the Running state on the given node.
 func (c *Configuration) SetRunning(vm, node string) error {
-	if err := c.check(vm, node); err != nil {
+	id, n, err := c.check(vm, node)
+	if err != nil {
 		return err
 	}
-	c.place(vm, slot{Running, node})
+	c.place(id, Running, n)
 	return nil
 }
 
 // SetSleeping places the VM in the Sleeping state with its suspended
 // image stored on the given node.
 func (c *Configuration) SetSleeping(vm, node string) error {
-	if err := c.check(vm, node); err != nil {
+	id, n, err := c.check(vm, node)
+	if err != nil {
 		return err
 	}
-	c.place(vm, slot{Sleeping, node})
+	c.place(id, Sleeping, n)
 	return nil
 }
 
 // SetWaiting moves the VM back to the Waiting state (no location).
 func (c *Configuration) SetWaiting(vm string) error {
-	if _, ok := c.vms[vm]; !ok {
+	id, ok := c.vmOf(vm)
+	if !ok {
 		return fmt.Errorf("vjob: unknown VM %q", vm)
 	}
-	c.place(vm, slot{state: Waiting})
+	c.place(id, Waiting, none)
 	return nil
 }
 
-func (c *Configuration) check(vm, node string) error {
-	if _, ok := c.vms[vm]; !ok {
-		return fmt.Errorf("vjob: unknown VM %q", vm)
+func (c *Configuration) check(vm, node string) (int32, int32, error) {
+	id, ok := c.vmOf(vm)
+	if !ok {
+		return 0, 0, fmt.Errorf("vjob: unknown VM %q", vm)
 	}
-	if _, ok := c.nodes[node]; !ok {
-		return fmt.Errorf("vjob: unknown node %q", node)
+	n, ok := c.nodeOf(node)
+	if !ok {
+		return 0, 0, fmt.Errorf("vjob: unknown node %q", node)
 	}
-	return nil
+	return id, n, nil
+}
+
+// slotOf returns the VM's slot; an unknown VM's is Terminated.
+func (c *Configuration) slotOf(vm string) slot {
+	if id, ok := c.ix.vmID[vm]; ok {
+		return c.slots[id]
+	}
+	return removedSlot
+}
+
+// nodeName returns the name of node id n, "" for none.
+func (c *Configuration) nodeName(n int32) string {
+	if n == none {
+		return ""
+	}
+	return c.ix.nodes[n].Name
 }
 
 // StateOf returns the state of the VM. Unknown VMs are Terminated.
-func (c *Configuration) StateOf(vm string) State {
-	s, ok := c.slots[vm]
-	if !ok {
-		return Terminated
-	}
-	return s.state
-}
+func (c *Configuration) StateOf(vm string) State { return c.slotOf(vm).state }
 
 // HostOf returns the node hosting the running VM, or "" when the VM is
 // not running.
 func (c *Configuration) HostOf(vm string) string {
-	if s := c.slots[vm]; s.state == Running {
-		return s.node
+	if s := c.slotOf(vm); s.state == Running {
+		return c.nodeName(s.node)
 	}
 	return ""
 }
@@ -241,15 +420,15 @@ func (c *Configuration) HostOf(vm string) string {
 // ImageHostOf returns the node storing the sleeping VM's image, or ""
 // when the VM is not sleeping.
 func (c *Configuration) ImageHostOf(vm string) string {
-	if s := c.slots[vm]; s.state == Sleeping {
-		return s.node
+	if s := c.slotOf(vm); s.state == Sleeping {
+		return c.nodeName(s.node)
 	}
 	return ""
 }
 
 // LocationOf returns the placement of the VM regardless of state
 // (hosting node when running, image node when sleeping, "" otherwise).
-func (c *Configuration) LocationOf(vm string) string { return c.slots[vm].node }
+func (c *Configuration) LocationOf(vm string) string { return c.nodeName(c.slotOf(vm).node) }
 
 // RunningOn returns the VMs running on the named node, in name order.
 func (c *Configuration) RunningOn(node string) []*VM { return c.placedOn(nil, node, Running) }
@@ -263,34 +442,39 @@ func (c *Configuration) AppendRunningOn(dst []*VM, node string) []*VM {
 func (c *Configuration) SleepingOn(node string) []*VM { return c.placedOn(nil, node, Sleeping) }
 
 func (c *Configuration) placedOn(dst []*VM, node string, s State) []*VM {
-	for _, v := range c.on[node] {
-		if c.slots[v.Name].state == s {
-			dst = append(dst, v)
+	n, ok := c.nodeOf(node)
+	if !ok {
+		return dst
+	}
+	for id := c.heads[n]; id >= 0; id = c.slots[id].next {
+		if c.slots[id].state == s {
+			dst = append(dst, c.ix.vms[id])
 		}
 	}
 	return dst
 }
 
 // AppendDangling appends to dst, in name order, the VMs whose location
-// (LocationOf) names a node absent from the configuration. It reads the
-// index's node keys, not every VM.
+// (LocationOf) names a node absent from the configuration. It walks the
+// VM ids and hashes no name.
 func (c *Configuration) AppendDangling(dst []*VM) []*VM {
-	start := len(dst)
-	for node, held := range c.on {
-		if _, ok := c.nodes[node]; !ok {
-			dst = append(dst, held...)
+	for _, id := range c.ix.vmOrder {
+		if n := c.slots[id].node; n != none && c.heads[n] == gone {
+			dst = append(dst, c.ix.vms[id])
 		}
 	}
-	slices.SortFunc(dst[start:], func(a, b *VM) int { return strings.Compare(a.Name, b.Name) })
 	return dst
 }
 
 // InState returns the VMs currently in the given state, in name order.
 func (c *Configuration) InState(s State) []*VM {
 	var out []*VM
-	for _, name := range c.vmOrder {
-		if c.slots[name].state == s {
-			out = append(out, c.vms[name])
+	if s == Terminated {
+		return out // a Terminated slot holds no VM
+	}
+	for _, id := range c.ix.vmOrder {
+		if c.slots[id].state == s {
+			out = append(out, c.ix.vms[id])
 		}
 	}
 	return out
@@ -299,10 +483,18 @@ func (c *Configuration) InState(s State) []*VM {
 // Used returns the per-dimension demand of the VMs running on the
 // node, summed from the node's own list at the time of the call.
 func (c *Configuration) Used(node string) resources.Vector {
+	n, ok := c.nodeOf(node)
+	if !ok {
+		return resources.Vector{}
+	}
+	return c.used(n)
+}
+
+func (c *Configuration) used(n int32) resources.Vector {
 	var sum resources.Vector
-	for _, v := range c.on[node] {
-		if c.slots[v.Name].state == Running {
-			sum = sum.Add(v.Demand)
+	for id := c.heads[n]; id >= 0; id = c.slots[id].next {
+		if c.slots[id].state == Running {
+			sum = sum.Add(c.ix.vms[id].Demand)
 		}
 	}
 	return sum
@@ -311,11 +503,11 @@ func (c *Configuration) Used(node string) resources.Vector {
 // Free returns the node's remaining resources per dimension (zero for
 // unknown nodes).
 func (c *Configuration) Free(node string) resources.Vector {
-	n := c.nodes[node]
-	if n == nil {
+	n, ok := c.nodeOf(node)
+	if !ok {
 		return resources.Vector{}
 	}
-	return n.Capacity.Sub(c.Used(node))
+	return c.ix.nodes[n].Capacity.Sub(c.used(n))
 }
 
 // Fits reports whether the VM's demands fit in the node's current free
@@ -324,64 +516,42 @@ func (c *Configuration) Fits(v *VM, node string) bool {
 	return v.Demand.Fits(c.Free(node))
 }
 
-// FreeResources returns the free resources of every node, every
-// dimension at once, as a map built in one O(nodes + VMs) pass, for
-// callers that want every node's free vector by name (plan pool
-// extraction, the cost model of the solver).
-func (c *Configuration) FreeResources() map[string]resources.Vector {
-	free := make(map[string]resources.Vector, len(c.nodes))
-	for name, n := range c.nodes {
-		free[name] = n.Capacity.Sub(c.Used(name))
-	}
-	return free
-}
-
-// Clone returns a deep copy of the placement and state mapping. Node
-// and VM objects are shared: they are immutable from the planner's
-// point of view.
+// Clone returns a copy of the placement and state mapping: the two
+// flat slices, with the index shared copy-on-write. Node and VM objects
+// are shared: they are immutable from the planner's point of view.
 func (c *Configuration) Clone() *Configuration {
+	if !c.shared.Load() {
+		c.shared.Store(true)
+	}
 	out := &Configuration{
-		nodes:     make(map[string]*Node, len(c.nodes)),
-		vms:       make(map[string]*VM, len(c.vms)),
-		slots:     make(map[string]slot, len(c.slots)),
-		on:        make(map[string][]*VM, len(c.on)),
-		nodeOrder: append([]string(nil), c.nodeOrder...),
-		vmOrder:   append([]string(nil), c.vmOrder...),
+		ix:       c.ix,
+		slots:    slices.Clone(c.slots),
+		heads:    slices.Clone(c.heads),
+		numNodes: c.numNodes,
+		numVMs:   c.numVMs,
 	}
-	for k, v := range c.nodes {
-		out.nodes[k] = v
-	}
-	for k, v := range c.vms {
-		out.vms[k] = v
-	}
-	for k, s := range c.slots {
-		out.slots[k] = s
-	}
-	flat := make([]*VM, 0, len(c.vms)) // never outgrown: a VM sits on one list at most
-	for node, held := range c.on {
-		flat = append(flat, held...)
-		out.on[node] = flat[len(flat)-len(held) : len(flat) : len(flat)]
-	}
+	out.shared.Store(true)
 	return out
 }
 
 // Equal reports whether the two configurations have the same nodes,
 // VMs, states and placements.
 func (c *Configuration) Equal(o *Configuration) bool {
-	if len(c.nodes) != len(o.nodes) || len(c.vms) != len(o.vms) {
+	if c.numNodes != o.numNodes || c.numVMs != o.numVMs {
 		return false
 	}
-	for name := range c.nodes {
-		if _, ok := o.nodes[name]; !ok {
+	for _, id := range c.ix.nodeOrder {
+		if c.heads[id] != gone && o.Node(c.ix.nodes[id].Name) == nil {
 			return false
 		}
 	}
-	for name := range c.vms {
-		if _, ok := o.vms[name]; !ok {
-			return false
-		}
-		if c.slots[name] != o.slots[name] {
-			return false
+	for _, id := range c.ix.vmOrder {
+		if s := c.slots[id]; s.state != Terminated {
+			// An absent VM's slot is Terminated, so it differs too.
+			t := o.slotOf(c.ix.vms[id].Name)
+			if s.state != t.state || c.nodeName(s.node) != o.nodeName(t.node) {
+				return false
+			}
 		}
 	}
 	return true

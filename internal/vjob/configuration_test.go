@@ -570,8 +570,9 @@ func TestFreeResourcesMultiDimension(t *testing.T) {
 
 // TestAppendDangling: placements naming a node the configuration no
 // longer holds (RemoveNode refuses to leave one behind, so the test
-// drops the nodes behind its back) come from the index's keys, in name
-// order, after what dst already held.
+// marks the nodes absent behind its back, as a removal on a shared
+// index does) come from a walk of the VM ids, in name order, after
+// what dst already held.
 func TestAppendDangling(t *testing.T) {
 	c := newTestConfig()
 	for _, v := range []string{"b", "a", "c", "d"} {
@@ -585,9 +586,13 @@ func TestAppendDangling(t *testing.T) {
 	if got := c.AppendDangling(nil); len(got) != 0 {
 		t.Fatalf("dangling placements on a consistent configuration: %v", got)
 	}
-	delete(c.nodes, "n1")
-	delete(c.nodes, "n2")
-	c.nodeOrder = []string{"n3"}
+	for _, name := range []string{"n1", "n2"} {
+		c.heads[c.ix.nodeID[name]] = gone
+		c.numNodes--
+	}
+	if got := fmt.Sprint(c.Nodes()); got != fmt.Sprint([]*Node{c.Node("n3")}) {
+		t.Fatalf("nodes left = %s, want n3 alone", got)
+	}
 	d := c.VM("d")
 	var names []string
 	for _, v := range c.AppendDangling([]*VM{d}) {

@@ -104,6 +104,10 @@ func FuzzConfigurationJSON(f *testing.F) {
 // Two configurations are live at once — an original and, after a Clone
 // step, its clone — and steps switch between them, so a clone sharing
 // writable storage with its original diverges from its reference.
+// Membership changes on either side of a clone reach the shared index:
+// removals mark ids absent, re-adding the same object revives one, and
+// a new name or object copies the index, after which removed ids are
+// reused by the next AddVM or AddNode.
 func FuzzConfigurationOps(f *testing.F) {
 	const (
 		addNode = iota
@@ -118,6 +122,8 @@ func FuzzConfigurationOps(f *testing.F) {
 		extractRebase
 		jsonRoundTrip
 		setDemand
+		readdVM
+		readdNode
 		numOps
 	)
 	f.Add([]byte{
@@ -140,6 +146,26 @@ func FuzzConfigurationOps(f *testing.F) {
 		addVM, 0, 0, addVM, 1, 0, addVM, 2, 0, addVM, 3, 0,
 		setRunning, 0, 0, setRunning, 1, 1, setRunning, 2, 2, clone, 0, 0, switchLive, 0, 0,
 		setRunning, 3, 0, setRunning, 3, 1, setRunning, 3, 2, switchLive, 0, 0, setSleeping, 3, 0,
+	})
+	// Copy-on-write: both sides of a clone remove, revive and add, so
+	// the shared index is marked, revived, copied and reused from.
+	f.Add([]byte{
+		addNode, 0, 0xff, addNode, 1, 0xff, addVM, 0, 0x31, addVM, 1, 0x13, addVM, 2, 0x20,
+		setRunning, 0, 0, setSleeping, 1, 1, clone, 0, 0,
+		removeVM, 0, 0, setWaiting, 1, 0, removeNode, 1, 0, readdVM, 0, 1, readdNode, 1, 1,
+		switchLive, 0, 0, removeVM, 2, 0, setRunning, 1, 0, addVM, 2, 0x07, removeVM, 1, 0,
+		addVM, 3, 0x11, setRunning, 3, 0, switchLive, 0, 0, addNode, 2, 0x0f, setRunning, 0, 2,
+		clone, 0, 0, addNode, 0, 0x0e, switchLive, 0, 0, readdVM, 2, 0,
+	})
+	// Id reuse: removals on an index no clone shares free their ids,
+	// and the next additions take them, on both sides of a later clone.
+	f.Add([]byte{
+		addNode, 0, 0xff, addNode, 1, 0xff, addNode, 2, 0xff,
+		addVM, 0, 0, addVM, 1, 0, addVM, 2, 0, setRunning, 0, 0, setRunning, 1, 1, setSleeping, 2, 2,
+		removeVM, 1, 0, removeVM, 0, 0, addVM, 5, 0x05, addVM, 6, 0x06, setRunning, 5, 1,
+		clone, 0, 0, removeVM, 5, 0, removeNode, 0, 0, removeNode, 1, 0, switchLive, 0, 0,
+		removeVM, 6, 0, readdVM, 5, 1, addVM, 4, 0x08, addNode, 3, 0xff, setRunning, 4, 3,
+		switchLive, 0, 0, readdNode, 0, 1, addVM, 0, 0x10, setRunning, 0, 0, extractRebase, 0xff, 0xff,
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		nodeName := func(b byte) string { return fmt.Sprintf("n%d", b%5) }
@@ -205,6 +231,16 @@ func FuzzConfigurationOps(f *testing.F) {
 				if v := p.r.vms[vmName(a)]; v != nil {
 					v.SetCPUDemand(int(b % 3))
 					v.SetMemoryDemand(128 * int(b/3%8))
+				}
+			case readdVM: // the same object, from the side b picks
+				if v := live[int(b)%2].r.vms[vmName(a)]; v != nil {
+					p.c.AddVM(v)
+					p.r.addVM(v)
+				}
+			case readdNode:
+				if n := live[int(b)%2].r.nodes[nodeName(a)]; n != nil {
+					p.c.AddNode(n)
+					p.r.addNode(n)
 				}
 			}
 			agree(t, live[0].c, live[0].r)

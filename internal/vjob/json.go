@@ -96,7 +96,7 @@ func (c *Configuration) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
-	*c = *NewConfiguration()
+	*c = Configuration{ix: newIndex(len(in.Nodes), len(in.VMs))}
 	for _, n := range in.Nodes {
 		if n.Name == "" {
 			// An empty node name would collide with the "no placement"

@@ -366,12 +366,112 @@ func agree(t *testing.T, c *Configuration, r *scanConfig) {
 	if got, want := c.String(), r.String(); got != want {
 		fail("String", got, want)
 	}
-	for n, held := range c.on {
-		if len(held) == 0 || !slices.IsSortedFunc(held, func(a, b *VM) int { return strings.Compare(a.Name, b.Name) }) {
-			fail("node list "+n, held, "non-empty, in name order")
+	checkIndex(t, c)
+}
+
+// checkIndex fails the test unless c's ids are consistent: the index
+// maps each name to the id holding it and lists exactly the indexed ids
+// in name order, the free lists hold the other ids, and each present
+// node's list links, in name order, exactly the VMs whose slot names
+// that node.
+func checkIndex(t *testing.T, c *Configuration) {
+	t.Helper()
+	ix := c.ix
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("index: "+format+"\n%s", append(args, c)...)
+	}
+	if len(c.slots) != len(ix.vms) || len(c.heads) != len(ix.nodes) {
+		fail("%d slots for %d VM ids, %d heads for %d node ids", len(c.slots), len(ix.vms), len(c.heads), len(ix.nodes))
+	}
+	if len(ix.nodeID) != len(ix.nodeOrder) || len(ix.nodeOrder)+len(ix.freeNodes) != len(ix.nodes) {
+		fail("%d node names, %d ordered, %d free, %d ids", len(ix.nodeID), len(ix.nodeOrder), len(ix.freeNodes), len(ix.nodes))
+	}
+	if len(ix.vmID) != len(ix.vmOrder) || len(ix.vmOrder)+len(ix.freeVMs) != len(ix.vms) {
+		fail("%d VM names, %d ordered, %d free, %d ids", len(ix.vmID), len(ix.vmOrder), len(ix.freeVMs), len(ix.vms))
+	}
+	for i, id := range ix.nodeOrder {
+		if n := ix.nodes[id]; n == nil || ix.nodeID[n.Name] != id || (i > 0 && ix.nodes[ix.nodeOrder[i-1]].Name >= n.Name) {
+			fail("node order %v broken at %d", ix.nodeOrder, i)
 		}
 	}
-	if !sort.StringsAreSorted(c.vmOrder) || !sort.StringsAreSorted(c.nodeOrder) {
-		fail("name order", c.vmOrder, r.vmOrder)
+	for i, id := range ix.vmOrder {
+		if v := ix.vms[id]; v == nil || ix.vmID[v.Name] != id || (i > 0 && ix.vms[ix.vmOrder[i-1]].Name >= v.Name) {
+			fail("VM order %v broken at %d", ix.vmOrder, i)
+		}
 	}
+	for _, id := range ix.freeNodes {
+		if ix.nodes[id] != nil || c.heads[id] != gone {
+			fail("free node id %d holds %v, head %d", id, ix.nodes[id], c.heads[id])
+		}
+	}
+	for _, id := range ix.freeVMs {
+		if ix.vms[id] != nil || c.slots[id] != removedSlot {
+			fail("free VM id %d holds %v, slot %+v", id, ix.vms[id], c.slots[id])
+		}
+	}
+	if !c.shared.Load() {
+		// A configuration alone on its index marks no id absent: it
+		// frees it.
+		for _, id := range ix.nodeOrder {
+			if c.heads[id] == gone {
+				fail("unshared index keeps absent node %s", ix.nodes[id].Name)
+			}
+		}
+		for _, id := range ix.vmOrder {
+			if c.slots[id].state == Terminated {
+				fail("unshared index keeps absent VM %s", ix.vms[id].Name)
+			}
+		}
+	}
+	placed := 0
+	for id, s := range c.slots {
+		if (s.state == Running || s.state == Sleeping) != (s.node != none) || (s.node == none && s.next != none) {
+			fail("VM id %d in state %v on node id %d, next %d", id, s.state, s.node, s.next)
+		}
+		if s.node != none {
+			placed++
+		}
+	}
+	linked := 0
+	for n, head := range c.heads {
+		if head == gone {
+			continue
+		}
+		prev := ""
+		for id := head; id != none; id = c.slots[id].next {
+			if linked++; linked > placed {
+				fail("node lists link more than the %d placed VMs", placed)
+			}
+			if name := ix.vms[id].Name; c.slots[id].node != int32(n) || name <= prev {
+				fail("list of node %s: %s (on node id %d) after %q", ix.nodes[n].Name, name, c.slots[id].node, prev)
+			} else {
+				prev = name
+			}
+		}
+	}
+	if linked != placed {
+		fail("node lists link %d VMs, %d are placed", linked, placed)
+	}
+}
+
+// FreeResources is the whole-cluster free map, by node name, that
+// Configuration built before it stored dense ids; agree holds the
+// per-node accessors to it.
+func (c *Configuration) FreeResources() map[string]resources.Vector {
+	free := make(map[string]resources.Vector, c.NumNodes())
+	for _, n := range c.Nodes() {
+		free[n.Name] = c.Free(n.Name)
+	}
+	return free
+}
+
+// insertSorted inserts v into the sorted slice s, the reference
+// model's name order.
+func insertSorted(s []string, v string) []string {
+	i := sort.SearchStrings(s, v)
+	s = append(s, "")
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
 }

@@ -35,15 +35,18 @@ func (v Violation) Error() string {
 // Waiting and sleeping VMs consume nothing.
 //
 // Each node's usage is summed from the VMs placed on it (Used), so the
-// audit is one O(nodes + VMs) pass that allocates only its result.
+// audit is one O(nodes + VMs) pass over ids that allocates only its
+// result.
 func (c *Configuration) Violations() []Violation {
 	var out []Violation
-	for _, name := range c.nodeOrder {
-		n := c.nodes[name]
-		u := c.Used(name)
+	for _, id := range c.ix.nodeOrder {
+		if c.heads[id] == gone {
+			continue
+		}
+		n, u := c.ix.nodes[id], c.used(id)
 		for _, k := range resources.Kinds() {
 			if u.Get(k) > n.Capacity.Get(k) {
-				out = append(out, Violation{Node: name, Resource: k.String(), Demand: u.Get(k), Capacity: n.Capacity.Get(k)})
+				out = append(out, Violation{Node: n.Name, Resource: k.String(), Demand: u.Get(k), Capacity: n.Capacity.Get(k)})
 			}
 		}
 	}
@@ -65,14 +68,13 @@ func (c *Configuration) VJobState(j *VJob) State {
 	if len(j.VMs) == 0 {
 		return Terminated
 	}
-	counts := map[State]int{}
+	var counts [Terminated]int // Terminated: the VM is gone
 	present := 0
 	for _, v := range j.VMs {
-		if c.VM(v.Name) == nil {
-			continue
+		if s := c.StateOf(v.Name); s != Terminated {
+			present++
+			counts[s]++
 		}
-		present++
-		counts[c.StateOf(v.Name)]++
 	}
 	switch {
 	case present == 0:
