@@ -90,7 +90,6 @@ func BenchmarkFig10EntropyVsFFD(b *testing.B) {
 					// The published figure is monolithic.
 					Optimizer: core.Optimizer{Timeout: 2 * time.Second, Partitions: 1},
 					Seed:      int64(i + 1),
-					Nodes:     200, NodeCPU: 2, NodeMemory: 4096,
 				})
 				row = rows[0]
 			}

@@ -48,7 +48,8 @@ func main() {
 
 // run is the daemon: it parses args, writes what main would print to
 // out and returns when the workload completes, the horizon is reached
-// or a signal arrives. The only error is a flag-parsing one.
+// or a signal arrives. The only error is a usage one, already reported
+// on stderr.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("entropyd", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 11, "working nodes")
@@ -68,6 +69,12 @@ func run(args []string, out io.Writer) error {
 	pprofOn := fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the control plane (requires -listen)")
 	version := fs.Bool("version", false, "print build metadata and exit")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *pprofOn && *listen == "" {
+		err := errors.New("-pprof requires -listen")
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
 		return err
 	}
 

@@ -63,4 +63,10 @@ func TestRunVersionAndBadFlag(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// -pprof mounts on the control plane: without -listen there is
+	// nothing to mount it on, and the daemon must not run at all.
+	out.Reset()
+	if err := run([]string{"-pprof", "-nodes", "2"}, &out); err == nil || out.Len() != 0 {
+		t.Fatalf("-pprof without -listen: %v, output %q", err, out.String())
+	}
 }

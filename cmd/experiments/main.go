@@ -357,7 +357,7 @@ func chaosOptions(quick bool, seed int64, workers, partitions int, traceName str
 		o.Churn.Horizon = 2400
 		o.Racks, o.Bursts, o.BurstFrom, o.BurstUntil, o.Outage = 8, 2, 100, 600, 150
 		o.Flappers, o.FlapFrom, o.FlapUntil, o.MeanDown, o.MeanUp = 4, 100, 600, 20, 60
-		o.Loss = sim.EventLoss{Fraction: 0.5, From: 60, Until: 600}
+		o.Loss = sim.EventLoss{From: 60, Until: 600}
 		o.StormRate, o.StormFrom, o.StormUntil = 0.25, 60, 400
 		o.ResyncInterval = 40
 	}

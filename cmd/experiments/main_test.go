@@ -47,7 +47,6 @@ func TestFig10Options(t *testing.T) {
 		Samples:   30,
 		Optimizer: core.Optimizer{Timeout: 40 * time.Second, Workers: 2, Partitions: 1},
 		Seed:      7,
-		Nodes:     200, NodeCPU: 2, NodeMemory: 4096,
 	}
 	checkFields(t, "full", fig10Options(false, 7, 2, 1), full)
 	quick := full
@@ -60,10 +59,8 @@ func TestFig10Options(t *testing.T) {
 func TestPartitionOptions(t *testing.T) {
 	full := experiments.PartitionOptions{
 		NodeCounts: []int{100, 500, 2000},
-		VMFactor:   1.5,
-		NodeCPU:    2, NodeMemory: 4096,
-		Optimizer: core.Optimizer{Timeout: 2 * time.Second, Workers: 2},
-		Seed:      3,
+		Optimizer:  core.Optimizer{Timeout: 2 * time.Second, Workers: 2},
+		Seed:       3,
 	}
 	checkFields(t, "full", partitionOptions(false, 3, 2, 0), full)
 	quick := full
@@ -74,10 +71,7 @@ func TestPartitionOptions(t *testing.T) {
 
 func TestMultiResOptionsCLI(t *testing.T) {
 	full := experiments.MultiResOptions{
-		Nodes:   500,
-		NodeCPU: 2, NodeMemory: 4096, NodeNet: 1000, NodeDisk: 600,
-		VMFactor:    1.5,
-		NetFraction: 0.3, DiskFraction: 0.2,
+		Nodes:     500,
 		Optimizer: core.Optimizer{Timeout: 2 * time.Second, Workers: 2},
 		Seed:      5,
 	}
@@ -90,14 +84,10 @@ func TestMultiResOptionsCLI(t *testing.T) {
 
 func TestMigrationOptionsCLI(t *testing.T) {
 	full := experiments.MigrationOptions{
-		Nodes:   500,
-		NodeCPU: 2, NodeMemory: 4096, NodeNet: 1000,
-		NICPoorFraction: 0.25, NICPoorNet: 100,
-		VMFactor:      1.5,
+		Nodes:         500,
 		Racks:         8,
 		FencedVariant: true,
 		Optimizer:     core.Optimizer{Timeout: 15 * time.Second, Workers: 2},
-		Horizon:       100_000,
 		Seed:          5,
 	}
 	checkFields(t, "full", migrationOptions(false, 5, 2, 0), full)
@@ -190,7 +180,7 @@ func TestChaosOptionsCLI(t *testing.T) {
 		Churn: churn,
 		Racks: 10, Bursts: 3, BurstFrom: 600, BurstUntil: 1800, Outage: 400,
 		Flappers: 8, FlapFrom: 600, FlapUntil: 1800, MeanDown: 30, MeanUp: 120,
-		Loss:      sim.EventLoss{Fraction: 0.5, From: 600, Until: 1500},
+		Loss:      sim.EventLoss{From: 600, Until: 1500},
 		StormRate: 0.30, StormFrom: 600, StormUntil: 1200,
 		Trace: "web-tide",
 	}
@@ -204,7 +194,7 @@ func TestChaosOptionsCLI(t *testing.T) {
 		Churn: churn,
 		Racks: 8, Bursts: 2, BurstFrom: 100, BurstUntil: 600, Outage: 150,
 		Flappers: 4, FlapFrom: 100, FlapUntil: 600, MeanDown: 20, MeanUp: 60,
-		Loss:      sim.EventLoss{Fraction: 0.5, From: 60, Until: 600},
+		Loss:      sim.EventLoss{From: 60, Until: 600},
 		StormRate: 0.25, StormFrom: 60, StormUntil: 400,
 		ResyncInterval: 40,
 		Trace:          "batch-ramp",

@@ -1,8 +1,10 @@
 package cwcs
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -78,6 +80,60 @@ var testSeams = map[string]string{
 	"core.Partitioner.MaxNodes": "the carve differential test's slice-size seam",
 }
 
+// TestEveryFieldTakesTwoValues fails on an exported field of a struct
+// declared under internal/ (json-tagged structs aside) that is a
+// constant in disguise: the struct has production composite literals,
+// every one of them sets the field to the same constant, and no
+// production assignment, ++/-- or & writes it. Such a field is one
+// value spelled as a setting; make it a constant of the package that
+// uses it.
+func TestEveryFieldTakesTwoValues(t *testing.T) {
+	l := loadRepo(t)
+	found := map[string]string{} // name -> the constant and its literal
+	for _, f := range l.fields {
+		if f.tagged || l.assigned[f.obj] {
+			continue
+		}
+		if v, pos, ok := l.singleValue(f.obj); ok {
+			found[f.name] = fmt.Sprintf("always %s, set at %s", v, l.fset.Position(pos))
+		}
+	}
+	var bad, stale []string
+	for name, what := range found {
+		if _, ok := singleValued[name]; !ok {
+			bad = append(bad, name+": "+what)
+		}
+	}
+	for name := range singleValued {
+		if _, ok := found[name]; !ok {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(bad)
+	sort.Strings(stale)
+	if len(bad) > 0 {
+		t.Errorf("%d fields under internal/ take one constant in every production literal and are never assigned; make them constants:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
+	if len(stale) > 0 {
+		t.Errorf("allowlisted single-valued fields that are gone or now take a second value; drop them from singleValued:\n\t%s",
+			strings.Join(stale, "\n\t"))
+	}
+}
+
+// singleValued are fields that production sets to one constant but a
+// test sets to another, each with the test that needs the second value.
+var singleValued = map[string]string{
+	"experiments.DrainOptions.DrainFraction": "drain_test.go's quick scenario drains 3 of 24 nodes " +
+		"(0.125), and studies_pinned.txt pins that run",
+	"experiments.MigrationOptions.FencedVariant": "TestMigrationRenderings and the regress-gated " +
+		"BenchmarkMigrationStudy run the open variant alone",
+	// Every study generates 2-CPU, 4 GiB nodes, and so does
+	// bench/solve.go: its files change only with the benchmark.
+	"workload.GenerateOptions.NodeCPU":    "bench/solve.go sets it",
+	"workload.GenerateOptions.NodeMemory": "TestGenerateSmallCluster generates 2048 MiB nodes; bench/solve.go sets it",
+}
+
 // standardMethods satisfy interfaces of the standard library that the
 // loaded packages reach only through fmt, errors, encoding/json,
 // sort and net/http.
@@ -106,8 +162,13 @@ type repo struct {
 	fields  []field
 	used    map[types.Object]bool
 	written map[types.Object]bool
-	ifaces  []*types.Interface
-	groups  map[*ast.GenDecl][]types.Object
+	// assigned holds the fields an assignment, ++/-- or & writes;
+	// lits, per field, what each production composite literal of its
+	// struct sets it to.
+	assigned map[types.Object]bool
+	lits     map[types.Object][]litValue
+	ifaces   []*types.Interface
+	groups   map[*ast.GenDecl][]types.Object
 	// own is the source a declaration spans: a use inside it (a
 	// recursive call, a self-referencing type) is not a caller.
 	own map[types.Object]ast.Node
@@ -151,6 +212,28 @@ func (r *repo) exempt(d decl) bool {
 	return false
 }
 
+// litValue is what one composite literal sets a field to: a constant,
+// or nil for a non-constant value or a field the literal leaves out.
+type litValue struct {
+	val constant.Value
+	pos token.Pos
+}
+
+// singleValue reports the constant every production literal of the
+// field's struct sets it to, and the first such literal.
+func (r *repo) singleValue(f types.Object) (constant.Value, token.Pos, bool) {
+	lits := r.lits[f]
+	if len(lits) == 0 {
+		return nil, token.NoPos, false
+	}
+	for _, l := range lits {
+		if l.val == nil || !constant.Compare(l.val, token.EQL, lits[0].val) {
+			return nil, token.NoPos, false
+		}
+	}
+	return lits[0].val, lits[0].pos, true
+}
+
 // loadRepo parses and type-checks every non-test package, resolving
 // cwcs/... imports from source and the standard library from export
 // data, and indexes declarations, uses and field writes.
@@ -177,11 +260,13 @@ func loadRepo(t *testing.T) *repo {
 	dirs["cwcs"] = "."
 
 	r := &repo{
-		fset:    token.NewFileSet(),
-		used:    map[types.Object]bool{},
-		written: map[types.Object]bool{},
-		groups:  map[*ast.GenDecl][]types.Object{},
-		own:     map[types.Object]ast.Node{},
+		fset:     token.NewFileSet(),
+		used:     map[types.Object]bool{},
+		written:  map[types.Object]bool{},
+		assigned: map[types.Object]bool{},
+		lits:     map[types.Object][]litValue{},
+		groups:   map[*ast.GenDecl][]types.Object{},
+		own:      map[types.Object]ast.Node{},
 	}
 	type pkg struct {
 		files []*ast.File
@@ -348,6 +433,7 @@ func (r *repo) index(files []*ast.File, info *types.Info) {
 			case *ast.SelectorExpr:
 				if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
 					r.written[origin(s.Obj())] = true
+					r.assigned[origin(s.Obj())] = true
 				}
 				e = x.X
 			case *ast.IndexExpr:
@@ -362,24 +448,44 @@ func (r *repo) index(files []*ast.File, info *types.Info) {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
 				tv, ok := info.Types[n]
-				if !ok || len(n.Elts) == 0 {
+				if !ok {
 					break
 				}
 				st, ok := tv.Type.Underlying().(*types.Struct)
 				if !ok {
 					break
 				}
-				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+				// vals[i] stays nil for a field the literal leaves out
+				// (an empty literal leaves out every one) or sets to a
+				// non-constant value.
+				vals := make([]constant.Value, st.NumFields())
+				positional := len(n.Elts) > 0
+				if positional {
+					_, keyed := n.Elts[0].(*ast.KeyValueExpr)
+					positional = !keyed
+				}
+				if !positional {
 					for _, e := range n.Elts {
-						if obj := info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)]; obj != nil {
+						kv := e.(*ast.KeyValueExpr)
+						if obj := info.Uses[kv.Key.(*ast.Ident)]; obj != nil {
 							r.written[origin(obj)] = true
+							for i := 0; i < st.NumFields(); i++ {
+								if st.Field(i) == obj {
+									vals[i] = info.Types[kv.Value].Value
+								}
+							}
 						}
 					}
-					break
+				} else {
+					for i := 0; i < st.NumFields(); i++ {
+						r.written[origin(st.Field(i))] = true
+						r.used[origin(st.Field(i))] = true
+						vals[i] = info.Types[n.Elts[i]].Value
+					}
 				}
-				for i := 0; i < st.NumFields(); i++ {
-					r.written[origin(st.Field(i))] = true
-					r.used[origin(st.Field(i))] = true
+				for i, v := range vals {
+					f := origin(st.Field(i))
+					r.lits[f] = append(r.lits[f], litValue{val: v, pos: n.Pos()})
 				}
 			case *ast.AssignStmt:
 				for _, e := range n.Lhs {

@@ -74,8 +74,7 @@ type Server struct {
 	Stats func() core.LoopStats
 	// Switches returns how many context switches executed so far.
 	Switches func() int
-	// Execution returns the in-flight managed execution, nil when
-	// idle.
+	// Execution returns the in-flight execution, nil when idle.
 	Execution func() *drivers.Execution
 	// Notify injects one cluster event into the loop.
 	Notify func(core.Event)

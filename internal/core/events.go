@@ -131,7 +131,7 @@ func (d *dirtySet) take() (nodes, vms map[string]bool, owed bool) {
 	return nodes, vms, owed
 }
 
-// Execution is a handle on an in-flight managed plan execution
+// Execution is a handle on an in-flight plan execution
 // (drivers.Execution implements it).
 type Execution interface {
 	// Remaining returns the pools that have not started, rooted at the
@@ -145,13 +145,4 @@ type Execution interface {
 	Plan() *plan.Plan
 	// Finished reports whether the last pool completed.
 	Finished() bool
-}
-
-// ManagedActuator is an Actuator whose executions can be observed and
-// repaired mid-flight. The event-driven loop uses it when available:
-// onFailure fires at the instant an action fails, onPoolDone at every
-// pool boundary (the safe splice point), and done as in Execute.
-type ManagedActuator interface {
-	Actuator
-	ExecuteManaged(p *plan.Plan, onFailure func(plan.Action, error), onPoolDone func(), done func(duration float64, failures int)) Execution
 }

@@ -26,9 +26,13 @@ type Actuator interface {
 	Schedule(at float64, fn func())
 	// Observe returns a stable snapshot of the configuration.
 	Observe() *vjob.Configuration
-	// Execute runs the plan, then calls done with the execution
-	// duration in seconds and the number of failed actions.
-	Execute(p *plan.Plan, done func(duration float64, failures int))
+	// ExecuteManaged runs the plan and returns a handle through which
+	// it can be observed and repaired mid-flight: onFailure fires at
+	// the instant an action fails, onPoolDone at every pool boundary
+	// (the safe splice point), and done, once the last pool completed,
+	// with the execution duration in seconds and the number of failed
+	// actions.
+	ExecuteManaged(p *plan.Plan, onFailure func(plan.Action, error), onPoolDone func(), done func(duration float64, failures int)) Execution
 }
 
 // SwitchRecord is the telemetry of one cluster-wide context switch,
@@ -183,7 +187,7 @@ type Loop struct {
 	phase phase
 	gen   int
 	// dirty holds what events touched since the last round, and whether
-	// a pass is owed regardless; exec is the running managed execution.
+	// a pass is owed regardless; exec is the running execution.
 	dirty dirtySet
 	exec  Execution
 	// lastDst is the expected destination of the last switch: the
@@ -341,8 +345,8 @@ func (l *Loop) rules() []PlacementRule {
 // Busy reports whether a context switch is executing right now.
 func (l *Loop) Busy() bool { return l.phase >= phaseExecuting }
 
-// Execution returns the handle of the in-flight managed execution, or
-// nil when no plan is executing (or the actuator is unmanaged).
+// Execution returns the handle of the in-flight execution, or nil
+// when no plan is executing.
 func (l *Loop) Execution() Execution { return l.exec }
 
 // Notify feeds one cluster event into the event-driven loop. Events
@@ -531,16 +535,6 @@ func (l *Loop) execute(a Actuator, res *Result, slices int) {
 		Pools:   len(res.Plan.Pools),
 		Slices:  slices,
 	}
-	finish := func(duration float64, failures int) {
-		rec.Duration = duration
-		rec.Failures = failures
-		l.Records = append(l.Records, rec)
-		if l.OnSwitch != nil {
-			l.OnSwitch(rec)
-		}
-		l.Trace.Mark("switch-done", a.Now())
-		l.next(a)
-	}
 	l.phase = phaseExecuting
 	// A monolithic plan may migrate VMs across slice boundaries,
 	// invalidating the cached carve. A merged slice plan cannot: each
@@ -564,27 +558,32 @@ func (l *Loop) execute(a Actuator, res *Result, slices int) {
 			l.dirty.add(Event{Nodes: plan.AppendTouchedNodes(buf[:0], act), VMs: []string{act.VM().Name}})
 		}
 	}
-	if ma, ok := a.(ManagedActuator); ok && l.EventDriven {
-		l.exec = ma.ExecuteManaged(res.Plan,
-			func(act plan.Action, err error) { l.Notify(a, FailureEvent(a.Now(), act)) },
-			func() { l.poolBoundary(a) },
-			func(duration float64, failures int) {
-				// A splice may have grown or shrunk the plan: refresh
-				// the record so Records agrees with what actually ran.
-				if ex := l.exec; ex != nil {
-					p := ex.Plan()
-					rec.Cost = p.Cost()
-					rec.Actions = p.NumActions()
-					rec.Pools = len(p.Pools)
-				}
-				finish(duration, failures)
-			})
-		return
-	}
-	a.Execute(res.Plan, finish)
+	// A failure's Notify and a pool boundary are no-ops on a periodic
+	// loop: it never becomes repair-due.
+	l.exec = a.ExecuteManaged(res.Plan,
+		func(act plan.Action, err error) { l.Notify(a, FailureEvent(a.Now(), act)) },
+		func() { l.poolBoundary(a) },
+		func(duration float64, failures int) {
+			// A splice may have grown or shrunk the plan: refresh the
+			// record so Records agrees with what actually ran.
+			if ex := l.exec; ex != nil {
+				p := ex.Plan()
+				rec.Cost = p.Cost()
+				rec.Actions = p.NumActions()
+				rec.Pools = len(p.Pools)
+			}
+			rec.Duration = duration
+			rec.Failures = failures
+			l.Records = append(l.Records, rec)
+			if l.OnSwitch != nil {
+				l.OnSwitch(rec)
+			}
+			l.Trace.Mark("switch-done", a.Now())
+			l.next(a)
+		})
 }
 
-// poolBoundary runs between pools of a managed execution: the safe
+// poolBoundary runs between pools of an execution: the safe
 // instant to splice a repair for failures observed so far. The attempt
 // is one splice span recording its outcome and widening depth.
 func (l *Loop) poolBoundary(a Actuator) {

@@ -508,3 +508,32 @@ func TestEventLoopRepairsInFlightPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestPeriodicLoopRunsFailuresToCompletion: the periodic loop executes
+// through the same callbacks as the event-driven one, but a failure's
+// Notify is a no-op there, so its pool boundaries never repair. The
+// failure is counted in the switch record and the next period's full
+// round deals with the cluster.
+func TestPeriodicLoopRunsFailuresToCompletion(t *testing.T) {
+	cfg, rules, jobs := fencedChurnCluster(t)
+	l, a := eventLoop(cfg, rules, jobs)
+	l.EventDriven = false
+	l.Interval = 30
+	a.failVMs = map[string]bool{"a1": true, "a2": true}
+	l.Start(a) // the bootstrap round rests: the cluster is viable
+	a.Schedule(5, func() { arrive(t, cfg, "a2", "ja", "n00") })
+	a.run(40) // the round at 30 migrates a1 or a2; the action fails
+
+	if len(l.Records) != 1 || l.Records[0].Failures != 1 || l.Records[0].Actions != 1 {
+		t.Fatalf("records = %+v, want one switch whose one action failed", l.Records)
+	}
+	if l.Stats.Repairs != 0 || l.Stats.FailedRepairs != 0 || a.splices != 0 {
+		t.Fatalf("a periodic loop attempted a repair: stats %+v, %d splices", l.Stats, a.splices)
+	}
+	if l.Stats.Events != 0 {
+		t.Fatalf("a periodic loop counted %d events", l.Stats.Events)
+	}
+	if l.phase != phaseIdle || l.Execution() != nil {
+		t.Fatalf("after the switch: phase %v, execution %v", l.phase, l.Execution())
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"testing"
 
 	"cwcs/internal/plan"
@@ -10,7 +11,9 @@ import (
 )
 
 // fakeActuator drives the loop on a synthetic clock: plans apply
-// instantly to the configuration, with a fixed virtual duration.
+// instantly to the configuration, with a fixed virtual duration. Its
+// executions report no failure callback and no pool boundary, and are
+// finished from the start: nothing is left to repair.
 type fakeActuator struct {
 	now      float64
 	cfg      *vjob.Configuration
@@ -63,7 +66,7 @@ func (a *fakeActuator) schedule(at float64, kind string, fn func()) *fakeEvent {
 
 func (a *fakeActuator) Observe() *vjob.Configuration { return a.cfg.Clone() }
 
-func (a *fakeActuator) Execute(p *plan.Plan, done func(float64, int)) {
+func (a *fakeActuator) ExecuteManaged(p *plan.Plan, _ func(plan.Action, error), _ func(), done func(float64, int)) Execution {
 	a.executed = append(a.executed, p)
 	failures := 0
 	for _, action := range p.Actions() {
@@ -73,7 +76,16 @@ func (a *fakeActuator) Execute(p *plan.Plan, done func(float64, int)) {
 	}
 	dur := a.execSecs
 	a.schedule(a.now+dur, "done", func() { done(dur, failures) })
+	return appliedExec{p}
 }
+
+// appliedExec is a plan that fakeActuator has already applied.
+type appliedExec struct{ p *plan.Plan }
+
+func (e appliedExec) Remaining() *plan.Plan   { return &plan.Plan{Src: e.p.Src} }
+func (e appliedExec) Splice(*plan.Plan) error { return errors.New("fake: splice after completion") }
+func (e appliedExec) Plan() *plan.Plan        { return e.p }
+func (e appliedExec) Finished() bool          { return true }
 
 // step runs the earliest pending event, advancing the clock to it, and
 // returns it; nil when nothing is pending.

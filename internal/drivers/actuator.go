@@ -30,7 +30,8 @@ func (a *Actuator) Schedule(at float64, fn func()) { a.C.Schedule(at, fn) }
 // Observe snapshots the configuration.
 func (a *Actuator) Observe() *vjob.Configuration { return a.C.Snapshot() }
 
-// Execute runs the plan through the drivers and reports back.
+// Execute runs the plan through the drivers and reports back, without
+// the mid-flight callbacks of ExecuteManaged.
 func (a *Actuator) Execute(p *plan.Plan, done func(duration float64, failures int)) {
 	Start(a.C, p, Callbacks{
 		Trace: a.Trace,
@@ -42,7 +43,7 @@ func (a *Actuator) Execute(p *plan.Plan, done func(duration float64, failures in
 }
 
 // ExecuteManaged runs the plan with mid-flight observability, making
-// the Actuator a core.ManagedActuator: the event-driven loop uses the
+// the Actuator a core.Actuator: the event-driven loop uses the
 // returned handle to splice plan repairs in at pool boundaries.
 func (a *Actuator) ExecuteManaged(p *plan.Plan, onFailure func(plan.Action, error), onPoolDone func(), done func(duration float64, failures int)) core.Execution {
 	return Start(a.C, p, Callbacks{

@@ -39,7 +39,7 @@ type Report struct {
 // Duration returns the wall-clock (virtual) length of the switch.
 func (r Report) Duration() float64 { return r.End - r.Start }
 
-// Callbacks observe a managed execution; every field is optional.
+// Callbacks observe an execution; every field is optional.
 type Callbacks struct {
 	// Failure fires at the virtual instant an action's application
 	// fails, with the action and its error. The pool is still in
@@ -157,15 +157,10 @@ func (e *Execution) Status() []ActionStatus {
 	return out
 }
 
-// Execute launches the plan on the cluster and calls done with a
+// Start launches the plan on the cluster with mid-flight
+// observability and returns the execution handle; cb.Done receives a
 // report when the last action of the last pool has completed. It
 // returns immediately; the work happens as the simulation advances.
-func Execute(c *sim.Cluster, p *plan.Plan, done func(Report)) {
-	Start(c, p, Callbacks{Done: done})
-}
-
-// Start launches the plan with mid-flight observability and returns
-// the execution handle. Like Execute it returns immediately.
 func Start(c *sim.Cluster, p *plan.Plan, cb Callbacks) *Execution {
 	e := &Execution{c: c, plan: p, cb: cb,
 		progress: make(map[plan.Action]*actionRecord),

@@ -83,7 +83,7 @@ func TestExecuteSequentialPools(t *testing.T) {
 	wantDst := planDst(t, p)
 	var rep Report
 	doneCalled := false
-	Execute(c, p, func(r Report) { rep = r; doneCalled = true })
+	Start(c, p, Callbacks{Done: func(r Report) { rep = r; doneCalled = true }})
 	c.Run(10_000)
 	if !doneCalled {
 		t.Fatal("execution never completed")
@@ -131,7 +131,7 @@ func TestPipelinedSuspends(t *testing.T) {
 	}
 	wantDst := planDst(t, p)
 	var rep Report
-	Execute(c, p, func(r Report) { rep = r })
+	Start(c, p, Callbacks{Done: func(r Report) { rep = r }})
 	c.Run(10_000)
 	// Last suspend starts 2 s after the first; total = 2 + suspend.
 	want := 2*PipelineDelay + duration.Default().Suspend(1024, duration.Local).Seconds()
@@ -154,7 +154,7 @@ func TestExecuteReportsActionErrors(t *testing.T) {
 		&plan.Migration{Machine: vm, Src: "n01", Dst: "n00"},
 	}}}
 	var rep Report
-	Execute(c, p, func(r Report) { rep = r })
+	Start(c, p, Callbacks{Done: func(r Report) { rep = r }})
 	c.Run(1000)
 	if len(rep.Errs) != 1 {
 		t.Fatalf("errs = %v", rep.Errs)
@@ -164,7 +164,7 @@ func TestExecuteReportsActionErrors(t *testing.T) {
 func TestEmptyPlanCompletesImmediately(t *testing.T) {
 	c := newSim(t, 1, 1, 1024)
 	done := false
-	Execute(c, &plan.Plan{Src: c.Snapshot()}, func(Report) { done = true })
+	Start(c, &plan.Plan{Src: c.Snapshot()}, Callbacks{Done: func(Report) { done = true }})
 	c.Run(1)
 	if !done {
 		t.Fatal("empty plan never completed")

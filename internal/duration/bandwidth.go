@@ -34,51 +34,39 @@ type TransferSpec struct {
 // Bits returns the wire volume in Mbit.
 func (s TransferSpec) Bits() float64 { return float64(s.VolumeMiB) * 8 }
 
-// nominalMbps inverts a per-MiB wire slope (seconds per MiB) into the
-// rate it implies. A non-positive slope (instant transfer in the
-// calibration) has no meaningful rate; 0 leaves a transfer only its
-// fixed part.
-func nominalMbps(secPerMiB float64) float64 {
-	if secPerMiB <= 0 {
-		return 0
-	}
-	return 8 / secPerMiB
-}
-
 // MigrateSpec decomposes a live migration of volMiB: fixed
-// MigrateBaseSec plus the pre-copy stream at the rate MigratePerMiB
-// implies (800 Mbit/s under Default()).
-func (m Model) MigrateSpec(volMiB int) TransferSpec {
+// migrateBaseSec plus the pre-copy stream at plan.MigrateRateMbps.
+func (Model) MigrateSpec(volMiB int) TransferSpec {
 	return TransferSpec{
-		Fixed:       secs(m.MigrateBaseSec),
+		Fixed:       secs(migrateBaseSec),
 		VolumeMiB:   volMiB,
-		NominalMbps: nominalMbps(m.MigratePerMiB),
+		NominalMbps: 8 / migratePerMiB,
 		Tr:          Local,
 	}
 }
 
 // SuspendSpec decomposes a remote suspend pushing volMiB through tr:
 // the whole calibrated duration scales by the remote factor, so both
-// the fixed part and the wire slope carry it (80 Mbit/s for SCP under
-// Default()).
-func (m Model) SuspendSpec(volMiB int, tr Transfer) TransferSpec {
-	f := m.factor(tr)
+// the fixed part and the wire slope carry it (plan.SuspendPushRateMbps
+// for SCP).
+func (Model) SuspendSpec(volMiB int, tr Transfer) TransferSpec {
+	f := factor(tr)
 	return TransferSpec{
-		Fixed:       secs(m.SuspendBaseSec * f),
+		Fixed:       secs(suspendBaseSec * f),
 		VolumeMiB:   volMiB,
-		NominalMbps: nominalMbps(m.SuspendPerMiB * f),
+		NominalMbps: 8 / (suspendPerMiB * f),
 		Tr:          tr,
 	}
 }
 
 // ResumeSpec decomposes a remote resume pulling volMiB through tr
-// (100 Mbit/s for SCP under Default()).
-func (m Model) ResumeSpec(volMiB int, tr Transfer) TransferSpec {
-	f := m.factor(tr)
+// (plan.ResumePushRateMbps for SCP).
+func (Model) ResumeSpec(volMiB int, tr Transfer) TransferSpec {
+	f := factor(tr)
 	return TransferSpec{
-		Fixed:       secs(m.ResumeBaseSec * f),
+		Fixed:       secs(resumeBaseSec * f),
 		VolumeMiB:   volMiB,
-		NominalMbps: nominalMbps(m.ResumePerMiB * f),
+		NominalMbps: 8 / (resumePerMiB * f),
 		Tr:          tr,
 	}
 }

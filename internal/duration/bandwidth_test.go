@@ -106,15 +106,15 @@ func TestDurationAtEdgeCases(t *testing.T) {
 		{"huge bw capped at nominal", m.MigrateSpec(1024), 1e12, m.Migrate(1024)},
 		// 1024 MiB = 8192 Mbit at 100 Mbit/s = 81.92 s + 5 s fixed.
 		{"constrained link stretches wire part", m.MigrateSpec(1024), 100,
-			secs(m.MigrateBaseSec + 1024*8/100.0)},
+			secs(migrateBaseSec + 1024*8/100.0)},
 		// Crawling link: fixed 5 s + 8192 Mbit at 1 Mbit/s.
 		{"crawling link", m.MigrateSpec(1024), 1,
-			secs(m.MigrateBaseSec + 1024*8/1.0)},
-		{"zero-memory VM, nominal", m.MigrateSpec(0), 0, secs(m.MigrateBaseSec)},
-		{"zero-memory VM, slow link", m.MigrateSpec(0), 1, secs(m.MigrateBaseSec)},
+			secs(migrateBaseSec + 1024*8/1.0)},
+		{"zero-memory VM, nominal", m.MigrateSpec(0), 0, secs(migrateBaseSec)},
+		{"zero-memory VM, slow link", m.MigrateSpec(0), 1, secs(migrateBaseSec)},
 		// Remote suspend fixed part carries the SCP factor: 2×5 s.
 		{"suspend fixed part scales with factor", m.SuspendSpec(0, SCP), 0,
-			secs(m.SuspendBaseSec * m.RemoteFactorSCP)},
+			secs(suspendBaseSec * remoteFactorSCP)},
 	}
 	const tol = time.Millisecond
 	for _, c := range cases {
@@ -159,10 +159,10 @@ func TestActionTransfer(t *testing.T) {
 		mbps  float64
 		mode  Transfer
 	}{
-		{&plan.Migration{Machine: vm, Src: "n1", Dst: "n2"}, true, 1024, secs(m.MigrateBaseSec), 800, Local},
-		{&plan.Suspend{Machine: vm, On: "n1", To: "n2"}, true, 1024, secs(m.SuspendBaseSec * 2), 80, SCP},
+		{&plan.Migration{Machine: vm, Src: "n1", Dst: "n2"}, true, 1024, secs(migrateBaseSec), 800, Local},
+		{&plan.Suspend{Machine: vm, On: "n1", To: "n2"}, true, 1024, secs(suspendBaseSec * 2), 80, SCP},
 		{&plan.Suspend{Machine: vm, On: "n1", To: "n1"}, false, 0, 0, 0, Local},
-		{&plan.Resume{Machine: vm, From: "n1", On: "n2"}, true, 1024, secs(m.ResumeBaseSec * 2), 100, SCP},
+		{&plan.Resume{Machine: vm, From: "n1", On: "n2"}, true, 1024, secs(resumeBaseSec * 2), 100, SCP},
 		{&plan.Resume{Machine: vm, From: "n1", On: "n1"}, false, 0, 0, 0, Local},
 		{&plan.Run{Machine: vm, On: "n1"}, false, 0, 0, 0, Local},
 		{&plan.Stop{Machine: vm, On: "n1"}, false, 0, 0, 0, Local},
@@ -193,19 +193,5 @@ func TestActionTransfer(t *testing.T) {
 	spec, ok := m.ActionTransfer(&plan.Migration{Machine: heavy, Src: "n1", Dst: "n2"})
 	if !ok || spec.VolumeMiB != 1024+200+76 {
 		t.Fatalf("heavy VM volume = %d, want %d", spec.VolumeMiB, 1024+200+76)
-	}
-}
-
-// TestNominalMbpsDegenerate: a zero per-MiB slope means the transfer
-// is instant in the calibration; the spec degrades to fixed-only.
-func TestNominalMbpsDegenerate(t *testing.T) {
-	m := Default()
-	m.MigratePerMiB = 0
-	spec := m.MigrateSpec(4096)
-	if spec.NominalMbps != 0 {
-		t.Fatalf("nominal = %v, want 0", spec.NominalMbps)
-	}
-	if got := spec.DurationAt(100); got != secs(m.MigrateBaseSec) {
-		t.Fatalf("degenerate DurationAt = %v, want fixed %v", got, secs(m.MigrateBaseSec))
 	}
 }

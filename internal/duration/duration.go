@@ -51,87 +51,84 @@ func (t Transfer) String() string {
 	}
 }
 
-// Model holds the calibration constants. All durations are seconds;
-// memory is MiB.
-type Model struct {
-	// BootSec is the constant duration of run (start) actions.
-	BootSec float64
-	// ShutdownSec is the constant duration of stop (clean shutdown).
-	ShutdownSec float64
-	// MigrateBaseSec + MigratePerMiB*mem is a live migration.
-	MigrateBaseSec float64
-	MigratePerMiB  float64
-	// SuspendBaseSec + SuspendPerMiB*mem is a local suspend.
-	SuspendBaseSec float64
-	SuspendPerMiB  float64
-	// ResumeBaseSec + ResumePerMiB*mem is a local resume.
-	ResumeBaseSec float64
-	ResumePerMiB  float64
-	// RemoteFactorSCP/Rsync multiply the local suspend/resume duration
-	// when the image crosses the network.
-	RemoteFactorSCP   float64
-	RemoteFactorRsync float64
-	// DecelLocal/DecelRemote are the slowdown factors applied to busy
-	// VMs co-hosted with a local (resp. remote) operation.
-	DecelLocal  float64
-	DecelRemote float64
-}
+// The §2.3 calibration: seconds, with memory in MiB. A migration
+// takes migrateBaseSec + migratePerMiB*mem, a local suspend or resume
+// likewise; a remote one multiplies the local duration by its transfer
+// mode's factor.
+const (
+	// bootSec is the constant duration of a run (start) action.
+	bootSec = 6
+	// shutdownSec is the constant duration of a stop (clean shutdown).
+	shutdownSec = 25
+	// migrateBaseSec, suspendBaseSec and resumeBaseSec are the
+	// memory-independent parts of a migration, a local suspend and a
+	// local resume.
+	migrateBaseSec = 5
+	suspendBaseSec = 5
+	resumeBaseSec  = 5
+	// remoteFactorSCP and remoteFactorRsync multiply a local suspend
+	// or resume when the image crosses the network.
+	remoteFactorSCP   = 2.0
+	remoteFactorRsync = 1.9
+	// decelLocal and decelRemote slow busy VMs co-hosted with a local
+	// (resp. remote) operation.
+	decelLocal  = 1.3
+	decelRemote = 1.5
+)
 
-// Default returns the calibration matching §2.3: boot 6 s, shutdown
-// 25 s, migrate 5+mem/100 s (25.5 s at 2 GiB), local suspend
+// The per-MiB slopes are the planner's nominal wire rates, inverted: 1
+// MiB of image is 8 Mbit on the wire, and a local suspend or resume
+// runs at the rate of its remote (SCP) push times the SCP factor. They
+// are exact: 0.01, 0.05 and 0.04 s/MiB.
+const (
+	migratePerMiB = 8.0 / plan.MigrateRateMbps
+	suspendPerMiB = 8.0 / plan.SuspendPushRateMbps / remoteFactorSCP
+	resumePerMiB  = 8.0 / plan.ResumePushRateMbps / remoteFactorSCP
+)
+
+// Model times the actions with the §2.3 calibration: boot 6 s,
+// shutdown 25 s, migrate 5+mem/100 s (25.5 s at 2 GiB), local suspend
 // 5+mem/20 s (107 s at 2 GiB), local resume 5+mem/25 s (87 s at 2
 // GiB), remote ≈ 2x, deceleration 1.3 local / 1.5 remote.
-func Default() Model {
-	return Model{
-		BootSec:           6,
-		ShutdownSec:       25,
-		MigrateBaseSec:    5,
-		MigratePerMiB:     0.01,
-		SuspendBaseSec:    5,
-		SuspendPerMiB:     0.05,
-		ResumeBaseSec:     5,
-		ResumePerMiB:      0.04,
-		RemoteFactorSCP:   2.0,
-		RemoteFactorRsync: 1.9,
-		DecelLocal:        1.3,
-		DecelRemote:       1.5,
-	}
-}
+type Model struct{}
+
+// Default returns the calibrated model.
+func Default() Model { return Model{} }
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // Boot returns the duration of a run action.
-func (m Model) Boot() time.Duration { return secs(m.BootSec) }
+func (Model) Boot() time.Duration { return secs(bootSec) }
 
 // Shutdown returns the duration of a clean stop action.
-func (m Model) Shutdown() time.Duration { return secs(m.ShutdownSec) }
+func (Model) Shutdown() time.Duration { return secs(shutdownSec) }
 
 // Migrate returns the duration of a live migration of a VM with the
 // given memory allocation (MiB).
-func (m Model) Migrate(memMiB int) time.Duration {
-	return secs(m.MigrateBaseSec + m.MigratePerMiB*float64(memMiB))
+func (Model) Migrate(memMiB int) time.Duration {
+	return secs(migrateBaseSec + migratePerMiB*float64(memMiB))
 }
 
 // Suspend returns the duration of suspending a VM, writing the image
 // through the given transfer.
-func (m Model) Suspend(memMiB int, tr Transfer) time.Duration {
-	local := m.SuspendBaseSec + m.SuspendPerMiB*float64(memMiB)
-	return secs(local * m.factor(tr))
+func (Model) Suspend(memMiB int, tr Transfer) time.Duration {
+	local := suspendBaseSec + suspendPerMiB*float64(memMiB)
+	return secs(local * factor(tr))
 }
 
 // Resume returns the duration of resuming a VM whose image arrives
 // through the given transfer.
-func (m Model) Resume(memMiB int, tr Transfer) time.Duration {
-	local := m.ResumeBaseSec + m.ResumePerMiB*float64(memMiB)
-	return secs(local * m.factor(tr))
+func (Model) Resume(memMiB int, tr Transfer) time.Duration {
+	local := resumeBaseSec + resumePerMiB*float64(memMiB)
+	return secs(local * factor(tr))
 }
 
-func (m Model) factor(tr Transfer) float64 {
+func factor(tr Transfer) float64 {
 	switch tr {
 	case SCP:
-		return m.RemoteFactorSCP
+		return remoteFactorSCP
 	case Rsync:
-		return m.RemoteFactorRsync
+		return remoteFactorRsync
 	default:
 		return 1
 	}
@@ -139,11 +136,11 @@ func (m Model) factor(tr Transfer) float64 {
 
 // Deceleration returns the slowdown factor suffered by busy VMs
 // co-hosted with an operation using the given transfer.
-func (m Model) Deceleration(tr Transfer) float64 {
+func (Model) Deceleration(tr Transfer) float64 {
 	if tr == Local {
-		return m.DecelLocal
+		return decelLocal
 	}
-	return m.DecelRemote
+	return decelRemote
 }
 
 // UnknownActionError reports an action the duration model cannot

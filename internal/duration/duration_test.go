@@ -139,3 +139,64 @@ type unknownAction struct{ plan.Action }
 
 func (unknownAction) Kind() plan.Kind          { return plan.Kind(-1) }
 func (unknownAction) Nodes() (from, to string) { return "", "" }
+
+// TestCalibrationPinned holds every duration of the §2.3 calibration
+// to the nanosecond, including the float rounding of its runtime
+// arithmetic (a 1 MiB rsync suspend is 9594999999 ns, not 9.595 s):
+// simulated timelines, goldens and transcripts depend on each one.
+func TestCalibrationPinned(t *testing.T) {
+	m := Default()
+	if m.Boot() != 6000000000 || m.Shutdown() != 25000000000 {
+		t.Fatalf("boot %d, shutdown %d", m.Boot(), m.Shutdown())
+	}
+	if m.Deceleration(Local) != 1.3 || m.Deceleration(SCP) != 1.5 || m.Deceleration(Rsync) != 1.5 {
+		t.Fatal("deceleration moved")
+	}
+	// Suspend and resume are listed per transfer: local, scp, rsync.
+	for _, c := range []struct {
+		mem             int
+		migrate         time.Duration
+		suspend, resume [3]time.Duration
+	}{
+		{0, 5000000000, [3]time.Duration{5000000000, 10000000000, 9500000000}, [3]time.Duration{5000000000, 10000000000, 9500000000}},
+		{1, 5010000000, [3]time.Duration{5050000000, 10100000000, 9594999999}, [3]time.Duration{5040000000, 10080000000, 9575999999}},
+		{512, 10120000000, [3]time.Duration{30600000000, 61200000000, 58140000000}, [3]time.Duration{25480000000, 50960000000, 48412000000}},
+		{1000, 15000000000, [3]time.Duration{55000000000, 110000000000, 104500000000}, [3]time.Duration{45000000000, 90000000000, 85500000000}},
+		{1024, 15240000000, [3]time.Duration{56200000000, 112400000000, 106780000000}, [3]time.Duration{45960000000, 91920000000, 87324000000}},
+		{2048, 25480000000, [3]time.Duration{107400000000, 214800000000, 204060000000}, [3]time.Duration{86920000000, 173840000000, 165148000000}},
+		{4096, 45960000000, [3]time.Duration{209800000000, 419600000000, 398620000000}, [3]time.Duration{168840000000, 337680000000, 320796000000}},
+		{7919, 84190000000, [3]time.Duration{400950000000, 801900000000, 761805000000}, [3]time.Duration{321760000000, 643520000000, 611343999999}},
+	} {
+		if got := m.Migrate(c.mem); got != c.migrate {
+			t.Errorf("Migrate(%d) = %d, want %d", c.mem, got, c.migrate)
+		}
+		for i, tr := range []Transfer{Local, SCP, Rsync} {
+			if got := m.Suspend(c.mem, tr); got != c.suspend[i] {
+				t.Errorf("Suspend(%d, %v) = %d, want %d", c.mem, tr, got, c.suspend[i])
+			}
+			if got := m.Resume(c.mem, tr); got != c.resume[i] {
+				t.Errorf("Resume(%d, %v) = %d, want %d", c.mem, tr, got, c.resume[i])
+			}
+		}
+	}
+	// The decompositions: fixed part and nominal rate per transfer.
+	for _, c := range []struct {
+		tr                  Transfer
+		suspFixed, resFixed time.Duration
+		suspMbps, resMbps   float64
+	}{
+		{Local, 5000000000, 5000000000, 160, 200},
+		{SCP, 10000000000, 10000000000, 80, 100},
+		{Rsync, 9500000000, 9500000000, 84.21052631578948, 105.26315789473685},
+	} {
+		if s := m.MigrateSpec(7); s.Fixed != 5000000000 || s.NominalMbps != 800 || s.VolumeMiB != 7 || s.Tr != Local {
+			t.Errorf("MigrateSpec(7) = %+v", s)
+		}
+		if s := m.SuspendSpec(7, c.tr); s.Fixed != c.suspFixed || s.NominalMbps != c.suspMbps || s.VolumeMiB != 7 || s.Tr != c.tr {
+			t.Errorf("SuspendSpec(7, %v) = %+v, want fixed %d at %v", c.tr, s, c.suspFixed, c.suspMbps)
+		}
+		if s := m.ResumeSpec(7, c.tr); s.Fixed != c.resFixed || s.NominalMbps != c.resMbps || s.VolumeMiB != 7 || s.Tr != c.tr {
+			t.Errorf("ResumeSpec(7, %v) = %+v, want fixed %d at %v", c.tr, s, c.resFixed, c.resMbps)
+		}
+	}
+}

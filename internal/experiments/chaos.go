@@ -118,7 +118,7 @@ func DefaultChaosOptions() ChaosOptions {
 		Churn: churn,
 		Racks: 10, Bursts: 3, BurstFrom: 600, BurstUntil: 1800, Outage: 400,
 		Flappers: 8, FlapFrom: 600, FlapUntil: 1800, MeanDown: 30, MeanUp: 120,
-		Loss:      sim.EventLoss{Fraction: 0.5, From: 600, Until: 1500},
+		Loss:      sim.EventLoss{From: 600, Until: 1500},
 		StormRate: 0.30, StormFrom: 600, StormUntil: 1200,
 		Trace: "web-tide",
 	}

@@ -35,7 +35,7 @@ func quickChaosOptions() ChaosOptions {
 		// they are still live, or the cells degenerate to the baseline.
 		Racks: 8, Bursts: 2, BurstFrom: 100, BurstUntil: 600, Outage: 150,
 		Flappers: 4, FlapFrom: 100, FlapUntil: 600, MeanDown: 20, MeanUp: 60,
-		Loss:           sim.EventLoss{Fraction: 0.5, From: 60, Until: 600},
+		Loss:           sim.EventLoss{From: 60, Until: 600},
 		StormRate:      0.25,
 		StormFrom:      60,
 		StormUntil:     400,

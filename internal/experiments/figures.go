@@ -186,6 +186,17 @@ func Fig3Table(rows []Fig3Row) string {
 	return b.String()
 }
 
+// The §5.1 node: 2 CPUs and 4 GiB. Every study that generates its
+// cluster builds it of these nodes.
+const (
+	paperNodeCPU    = 2
+	paperNodeMemory = 4096
+)
+
+// fig10Nodes is the size of the §5.1 cluster every Figure 10 sample is
+// generated on.
+const fig10Nodes = 200
+
 // Fig10Options parameterizes the scalability study.
 type Fig10Options struct {
 	// VMCounts are the x-axis points (paper: 54..486 step 54).
@@ -195,9 +206,6 @@ type Fig10Options struct {
 	// Optimizer solves every sample (paper: a 40 s Timeout, one
 	// monolithic model).
 	Optimizer core.Optimizer
-	// Nodes/NodeCPU/NodeMemory describe the cluster (paper: 200 × 2
-	// CPU × 4 GiB).
-	Nodes, NodeCPU, NodeMemory int
 	// Seed makes the study reproducible.
 	Seed int64
 }
@@ -212,7 +220,6 @@ func DefaultFig10Options() Fig10Options {
 		Samples:   30,
 		Optimizer: core.Optimizer{Timeout: 40 * time.Second, Partitions: 1},
 		Seed:      1,
-		Nodes:     200, NodeCPU: 2, NodeMemory: 4096,
 	}
 }
 
@@ -238,7 +245,7 @@ func Fig10(opts Fig10Options) []Fig10Row {
 		var ffdSum, entSum float64
 		for s := 0; s < opts.Samples; s++ {
 			g := workload.GenerateConfiguration(rng, workload.GenerateOptions{
-				Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory, VMs: n,
+				Nodes: fig10Nodes, NodeCPU: paperNodeCPU, NodeMemory: paperNodeMemory, VMs: n,
 			})
 			target := sched.Consolidation{}.Decide(g.Cfg, g.Jobs)
 			problem := core.Problem{Src: g.Cfg, Target: target}

@@ -35,14 +35,6 @@ import (
 type MigrationOptions struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// NodeCPU/NodeMemory/NodeNet are per-node capacities; NodeNet is
-	// the healthy NIC in Mbit/s.
-	NodeCPU, NodeMemory, NodeNet int
-	// NICPoorFraction of the nodes get NICPoorNet instead of NodeNet.
-	NICPoorFraction float64
-	NICPoorNet      int
-	// VMFactor is the number of VMs generated per node.
-	VMFactor float64
 	// Racks partitions the node index space into equal contiguous
 	// racks for the fenced variant and the cross-rack wire-cost
 	// metric.
@@ -52,28 +44,32 @@ type MigrationOptions struct {
 	// Optimizer solves every cell alike; each side sets its own
 	// Builder.
 	Optimizer core.Optimizer
-	// Horizon is the execution cut-off in virtual seconds.
-	Horizon float64
 	// Seed drives configuration generation.
 	Seed int64
 }
+
+// The migration study's cluster: §5.1 nodes, 1.5 VMs per node, on the
+// calibration's GigE NIC except a quarter of them on a 100 Mbit/s
+// rack; each plan executes until it completes or the horizon (virtual
+// seconds) cuts it off.
+const (
+	migrationNICPoorFraction = 0.25
+	migrationNICPoorNet      = 100
+	migrationVMFactor        = 1.5
+	migrationHorizon         = 100_000.0
+)
 
 // DefaultMigrationOptions is the BENCH_migration.json scenario: a
 // 500-node cluster of which a quarter sits behind 100 Mbit/s NICs.
 func DefaultMigrationOptions() MigrationOptions {
 	return MigrationOptions{
-		Nodes:   500,
-		NodeCPU: 2, NodeMemory: 4096,
-		NodeNet:         workload.DefaultNodeNet,
-		NICPoorFraction: 0.25, NICPoorNet: 100,
-		VMFactor:      1.5,
+		Nodes:         500,
 		Racks:         8,
 		FencedVariant: true,
 		// The fenced cells need the larger budget: cross-rack Fence
 		// rules make the first feasible solution substantially harder
 		// to find than on the open cluster (2 s suffices there).
 		Optimizer: core.Optimizer{Timeout: 15 * time.Second},
-		Horizon:   100_000,
 		Seed:      1,
 	}
 }
@@ -136,10 +132,10 @@ func migrationWorkload(opts MigrationOptions) workload.Generated {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	return workload.GenerateConfiguration(rng, workload.GenerateOptions{
 		Nodes:   opts.Nodes,
-		NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-		NodeNet:         opts.NodeNet,
-		NICPoorFraction: opts.NICPoorFraction, NICPoorNet: opts.NICPoorNet,
-		VMs: int(float64(opts.Nodes) * opts.VMFactor),
+		NodeCPU: paperNodeCPU, NodeMemory: paperNodeMemory,
+		NodeNet:         workload.DefaultNodeNet,
+		NICPoorFraction: migrationNICPoorFraction, NICPoorNet: migrationNICPoorNet,
+		VMs: int(float64(opts.Nodes) * migrationVMFactor),
 	})
 }
 
@@ -259,14 +255,14 @@ func runMigrationSide(opts MigrationOptions, model string, blind, fenced bool) M
 		}
 	})
 	finished := false
-	drivers.Execute(c, r.Plan, func(rep drivers.Report) {
+	drivers.Start(c, r.Plan, drivers.Callbacks{Done: func(rep drivers.Report) {
 		finished = true
 		side.MakespanS = rep.Duration()
 		side.FailedActions = len(rep.Errs)
-	})
-	c.Run(opts.Horizon)
+	}})
+	c.Run(migrationHorizon)
 	if !finished {
-		side.Err = fmt.Sprintf("execution hit the %.0f s horizon", opts.Horizon)
+		side.Err = fmt.Sprintf("execution hit the %.0f s horizon", migrationHorizon)
 	}
 	side.ViolationSeconds = total
 	side.TransferViolationSeconds = xferTotal
@@ -279,7 +275,7 @@ func RunMigration(opts MigrationOptions) MigrationResult {
 	g := migrationWorkload(opts)
 	res := MigrationResult{Nodes: opts.Nodes, VMs: g.Cfg.NumVMs(), Racks: opts.Racks}
 	for _, n := range g.Cfg.Nodes() {
-		if nic := n.Capacity.Get(resources.NetBW); nic == opts.NICPoorNet && nic != opts.NodeNet {
+		if nic := n.Capacity.Get(resources.NetBW); nic == migrationNICPoorNet {
 			res.PoorNodes++
 		}
 	}

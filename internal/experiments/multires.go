@@ -23,29 +23,27 @@ import (
 type MultiResOptions struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// NodeCPU/NodeMemory/NodeNet/NodeDisk are per-node capacities.
-	NodeCPU, NodeMemory, NodeNet, NodeDisk int
-	// VMFactor is the number of VMs generated per node.
-	VMFactor float64
-	// NetFraction / DiskFraction of the vjobs are net- / disk-bound
-	// (see workload.Profile).
-	NetFraction, DiskFraction float64
 	// Optimizer solves both sides alike.
 	Optimizer core.Optimizer
 	// Seed drives configuration generation.
 	Seed int64
 }
 
+// The multi-resource study's cluster: §5.1 nodes with the workload
+// generator's default NIC and disk, 1.5 VMs per node, with 30 % of the
+// vjobs net-bound and 20 % disk-bound (workload.Profile).
+const (
+	multiresVMFactor     = 1.5
+	multiresNetFraction  = 0.3
+	multiresDiskFraction = 0.2
+)
+
 // DefaultMultiResOptions is the BENCH_multires.json scenario: a
 // 500-node cluster, half of whose vjobs are bound on a dimension the
 // 2-D model cannot see.
 func DefaultMultiResOptions() MultiResOptions {
 	return MultiResOptions{
-		Nodes:   500,
-		NodeCPU: 2, NodeMemory: 4096,
-		NodeNet: workload.DefaultNodeNet, NodeDisk: workload.DefaultNodeDisk,
-		VMFactor:    1.5,
-		NetFraction: 0.3, DiskFraction: 0.2,
+		Nodes:     500,
 		Optimizer: core.Optimizer{Timeout: 2 * time.Second},
 		Seed:      1,
 	}
@@ -164,16 +162,21 @@ func violationsByKind(cfg *vjob.Configuration) map[string]int {
 	return out
 }
 
+// multiresWorkload generates the study's cluster.
+func multiresWorkload(opts MultiResOptions) workload.Generated {
+	rng := rand.New(rand.NewSource(opts.Seed))
+	return workload.GenerateConfiguration(rng, workload.GenerateOptions{
+		Nodes:   opts.Nodes,
+		NodeCPU: paperNodeCPU, NodeMemory: paperNodeMemory,
+		NodeNet: workload.DefaultNodeNet, NodeDisk: workload.DefaultNodeDisk,
+		VMs:         int(float64(opts.Nodes) * multiresVMFactor),
+		NetFraction: multiresNetFraction, DiskFraction: multiresDiskFraction,
+	})
+}
+
 // RunMultiRes executes the study.
 func RunMultiRes(opts MultiResOptions) MultiResResult {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	g := workload.GenerateConfiguration(rng, workload.GenerateOptions{
-		Nodes:   opts.Nodes,
-		NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-		NodeNet: opts.NodeNet, NodeDisk: opts.NodeDisk,
-		VMs:         int(float64(opts.Nodes) * opts.VMFactor),
-		NetFraction: opts.NetFraction, DiskFraction: opts.DiskFraction,
-	})
+	g := multiresWorkload(opts)
 	res := MultiResResult{
 		Nodes:         opts.Nodes,
 		VMs:           g.Cfg.NumVMs(),

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"cwcs/internal/resources"
 	"cwcs/internal/sched"
 	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
 )
 
 // quickMultiResOptions shrinks the BENCH_multires.json scenario so the
@@ -136,13 +134,7 @@ func TestStripExtrasAndTransplant(t *testing.T) {
 func BenchmarkMultiResourceSolve(b *testing.B) {
 	opts := quickMultiResOptions()
 	opts.Optimizer.Timeout = 250 * time.Millisecond
-	g := workload.GenerateConfiguration(rand.New(rand.NewSource(opts.Seed)), workload.GenerateOptions{
-		Nodes:   opts.Nodes,
-		NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-		NodeNet: opts.NodeNet, NodeDisk: opts.NodeDisk,
-		VMs:         int(float64(opts.Nodes) * opts.VMFactor),
-		NetFraction: opts.NetFraction, DiskFraction: opts.DiskFraction,
-	})
+	g := multiresWorkload(opts)
 	blindSrc := stripExtras(g.Cfg)
 	problems := map[string]core.Problem{
 		"dims=2": {Src: blindSrc, Target: sched.Consolidation{}.Decide(blindSrc, jobsOf(blindSrc, g.Jobs))},

@@ -18,10 +18,6 @@ import (
 type PartitionOptions struct {
 	// NodeCounts are the cluster sizes to sweep.
 	NodeCounts []int
-	// VMFactor is the number of VMs generated per node.
-	VMFactor float64
-	// NodeCPU / NodeMemory are the per-node capacities.
-	NodeCPU, NodeMemory int
 	// Optimizer solves the partitioned side (Partitions 0 = auto, one
 	// partition per ~16 nodes); the monolithic side is a copy with
 	// Partitions = 1, so both get the same budget.
@@ -30,15 +26,16 @@ type PartitionOptions struct {
 	Seed int64
 }
 
+// partitionVMFactor is the number of VMs generated per §5.1 node.
+const partitionVMFactor = 1.5
+
 // DefaultPartitionOptions returns the BENCH_partition.json sweep:
 // 100/500/2000 nodes at an equal per-solve budget.
 func DefaultPartitionOptions() PartitionOptions {
 	return PartitionOptions{
 		NodeCounts: []int{100, 500, 2000},
-		VMFactor:   1.5,
-		NodeCPU:    2, NodeMemory: 4096,
-		Optimizer: core.Optimizer{Timeout: 2 * time.Second},
-		Seed:      1,
+		Optimizer:  core.Optimizer{Timeout: 2 * time.Second},
+		Seed:       1,
 	}
 }
 
@@ -75,8 +72,8 @@ func PartitionStudy(opts PartitionOptions) []PartitionRow {
 	mono.Partitions = 1
 	for _, nodes := range opts.NodeCounts {
 		g := workload.GenerateConfiguration(rng, workload.GenerateOptions{
-			Nodes: nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
-			VMs: int(float64(nodes) * opts.VMFactor),
+			Nodes: nodes, NodeCPU: paperNodeCPU, NodeMemory: paperNodeMemory,
+			VMs: int(float64(nodes) * partitionVMFactor),
 		})
 		problem := core.Problem{Src: g.Cfg, Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs)}
 		row := PartitionRow{Nodes: nodes, VMs: g.Cfg.NumVMs()}

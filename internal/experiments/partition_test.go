@@ -14,10 +14,8 @@ import (
 func TestPartitionStudySmall(t *testing.T) {
 	rows := PartitionStudy(PartitionOptions{
 		NodeCounts: []int{24},
-		VMFactor:   1.0,
-		NodeCPU:    2, NodeMemory: 4096,
-		Optimizer: core.Optimizer{Timeout: 2 * time.Second, Workers: 1, Partitions: 4},
-		Seed:      1,
+		Optimizer:  core.Optimizer{Timeout: 2 * time.Second, Workers: 1, Partitions: 4},
+		Seed:       1,
 	})
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))

@@ -447,7 +447,7 @@ func runTransfers(t *testing.T, seed int64) *differential {
 	}
 	c := sim.New(g.Cfg, duration.Default())
 	d := watchDifferential(c)
-	drivers.Execute(c, r.Plan, nil)
+	drivers.Start(c, r.Plan, drivers.Callbacks{})
 	c.Run(100_000)
 	return d
 }

@@ -9,13 +9,15 @@ import (
 // switch model (DESIGN.md §9): what an in-flight transfer weighs on the
 // `net` dimension of its endpoints, and how much data an action that
 // moves a VM must push. The duration model (internal/duration) owns the
-// time side — how long the push takes at a given bandwidth — and its
-// Default() calibration implies exactly the nominal wire rates below,
-// so the planner's admission arithmetic and the simulator's clock agree.
+// time side — how long the push takes at a given bandwidth — and
+// derives its calibrated per-MiB slopes from the nominal wire rates
+// below, so the planner's admission arithmetic and the simulator's
+// clock agree.
 
-// Nominal wire rates, in Mbit/s, of the three transfer kinds, as
-// implied by the §2.3 duration calibration (1 MiB of image is modeled
-// as 8 Mbit on the wire; the binary/decimal 4.9% wrinkle is ignored):
+// Nominal wire rates, in Mbit/s, of the three transfer kinds: the §2.3
+// duration calibration's per-MiB slopes, inverted (1 MiB of image is
+// modeled as 8 Mbit on the wire; the binary/decimal 4.9% wrinkle is
+// ignored):
 //
 //   - a live migration streams pre-copy rounds at the memory-copy rate
 //     the calibrated 0.01 s/MiB corresponds to: 800 Mbit/s — a nearly

@@ -134,15 +134,17 @@ func PlanFlaps(rng *rand.Rand, o FlapOptions) []FlapTransition {
 	return out
 }
 
+// lossFraction is the drop probability inside an EventLoss window:
+// the chaos study's event-loss cell loses half of the events.
+const lossFraction = 0.5
+
 // EventLoss is a windowed monitoring-event drop schedule: inside
 // [From, Until) each offered event is silently discarded with
-// probability Fraction — the partition-style staleness scenario where
-// the cluster keeps changing but the control loop's event feed goes
-// quiet. Until <= From makes the loss permanent (the degenerate
+// probability lossFraction — the partition-style staleness scenario
+// where the cluster keeps changing but the control loop's event feed
+// goes quiet. Until <= From makes the loss permanent (the degenerate
 // flat-loss schedule, like FailureStorm's flat rate).
 type EventLoss struct {
-	// Fraction is the drop probability in force inside the window.
-	Fraction float64
 	// From and Until delimit the loss window.
 	From, Until float64
 }
@@ -152,14 +154,14 @@ func (l EventLoss) Rate(now float64) float64 {
 	if l.Until > l.From && (now < l.From || now >= l.Until) {
 		return 0
 	}
-	return l.Fraction
+	return lossFraction
 }
 
 // Dropper returns the drop filter: one rng variate per offered event,
 // whatever the rate in force — the same stream shape as a flat-rate
 // filter, so seeded scenarios stay comparable when a window is added
-// or removed. A Fraction of 0 never drops (the no-op identity) while
-// still consuming the identical stream.
+// or removed. Outside the window it never drops while still consuming
+// the identical stream.
 func (l EventLoss) Dropper(rng *rand.Rand) func(now float64) bool {
 	return func(now float64) bool {
 		return rng.Float64() < l.Rate(now)

@@ -167,14 +167,13 @@ func TestEventLossRate(t *testing.T) {
 		now  float64
 		want float64
 	}{
-		{"before window", EventLoss{Fraction: 0.4, From: 100, Until: 200}, 99.9, 0},
-		{"window start inclusive", EventLoss{Fraction: 0.4, From: 100, Until: 200}, 100, 0.4},
-		{"inside window", EventLoss{Fraction: 0.4, From: 100, Until: 200}, 150, 0.4},
-		{"window end exclusive", EventLoss{Fraction: 0.4, From: 100, Until: 200}, 200, 0},
-		{"after window", EventLoss{Fraction: 0.4, From: 100, Until: 200}, 1e9, 0},
-		{"zero-length window is permanent", EventLoss{Fraction: 0.4}, 12345, 0.4},
-		{"inverted window is permanent", EventLoss{Fraction: 0.4, From: 200, Until: 100}, 50, 0.4},
-		{"zero fraction drops nothing", EventLoss{From: 100, Until: 200}, 150, 0},
+		{"before window", EventLoss{From: 100, Until: 200}, 99.9, 0},
+		{"window start inclusive", EventLoss{From: 100, Until: 200}, 100, 0.5},
+		{"inside window", EventLoss{From: 100, Until: 200}, 150, 0.5},
+		{"window end exclusive", EventLoss{From: 100, Until: 200}, 200, 0},
+		{"after window", EventLoss{From: 100, Until: 200}, 1e9, 0},
+		{"zero-length window is permanent", EventLoss{}, 12345, 0.5},
+		{"inverted window is permanent", EventLoss{From: 200, Until: 100}, 50, 0.5},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,40 +186,35 @@ func TestEventLossRate(t *testing.T) {
 
 // TestEventLossDropperStreamCompatible pins the FailureStorm-style
 // stream contract: one draw per offered event whatever the rate, so a
-// zero-fraction dropper is a behavioral no-op with the identical rng
-// consumption of a lossy one, and adding a window never shifts the
-// stream.
+// dropper whose window never opens is a behavioral no-op with the
+// identical rng consumption of a lossy one, and adding a window never
+// shifts the stream.
 func TestEventLossDropperStreamCompatible(t *testing.T) {
 	times := []float64{0, 50, 100, 150, 199, 200, 500}
-	zero := EventLoss{Fraction: 0, From: 100, Until: 200}.Dropper(rand.New(rand.NewSource(11)))
-	lossy := EventLoss{Fraction: 1, From: 100, Until: 200}.Dropper(rand.New(rand.NewSource(11)))
-	drops := 0
+	ref := rand.New(rand.NewSource(11))
+	idleRng, lossyRng := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	idle := EventLoss{From: 1000, Until: 2000}.Dropper(idleRng)
+	lossy := EventLoss{From: 100, Until: 200}.Dropper(lossyRng)
 	for _, now := range times {
-		if zero(now) {
-			t.Fatalf("zero-fraction dropper dropped at t=%v", now)
+		if idle(now) {
+			t.Fatalf("dropper dropped at t=%v, before its window", now)
 		}
-		if lossy(now) {
-			drops++
+		v := ref.Float64()
+		want := now >= 100 && now < 200 && v < lossFraction
+		if got := lossy(now); got != want {
+			t.Fatalf("t=%v: dropped %v, want %v", now, got, want)
 		}
 	}
-	if drops != 3 { // 100, 150, 199
-		t.Fatalf("full-fraction dropper dropped %d of the 3 in-window events", drops)
-	}
-	// Both consumed one variate per event: their rngs now agree.
-	a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
-	for range times {
-		a.Float64()
-		b.Float64()
-	}
-	if a.Float64() != b.Float64() {
-		t.Fatal("reference streams diverged (test bug)")
+	// Both consumed one variate per event: their rngs still agree.
+	if a, b, r := idleRng.Float64(), lossyRng.Float64(), ref.Float64(); a != b || a != r {
+		t.Fatalf("streams diverged: %v %v %v", a, b, r)
 	}
 }
 
 // TestEventLossDropperFraction checks the drop frequency tracks the
 // configured fraction inside the window.
 func TestEventLossDropperFraction(t *testing.T) {
-	drop := EventLoss{Fraction: 0.5, From: 0, Until: 1e9}.Dropper(rand.New(rand.NewSource(2)))
+	drop := EventLoss{From: 0, Until: 1e9}.Dropper(rand.New(rand.NewSource(2)))
 	n, dropped := 10000, 0
 	for i := 0; i < n; i++ {
 		if drop(100) {
