@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCH_REGRESS_OUT ?= bench-regress.out
 
-.PHONY: all build test bench-test bench-counts race vet fmt-check bench-smoke fuzz-smoke cover lint bench-regress ci clean
+.PHONY: all build test bench-test bench-counts prod-cover race vet fmt-check bench-smoke fuzz-smoke cover lint bench-regress ci clean
 
 all: build
 
@@ -26,6 +26,13 @@ bench-test:
 bench-counts:
 	@test -n "$(REF)" || { echo "usage: make bench-counts REF=<commit> [SEEDS='1 2 3']"; exit 2; }
 	bash scripts/bench_counts.sh $(REF) $(SEEDS)
+
+# The production-traffic census: coverage of internal/ over what the
+# commands, examples and benchmark workloads run, least covered first,
+# in prod-cover.txt (see the script). Check it before deleting code.
+# Not part of `ci`: about two to three minutes.
+prod-cover:
+	bash scripts/prod_cover.sh
 
 race:
 	$(GO) test -race ./...
@@ -89,10 +96,10 @@ bench-regress:
 	$(GO) test -run '^$$' -bench 'BenchmarkChurnLoop|BenchmarkDrainEvacuation|BenchmarkMultiResourceSolve|BenchmarkRepairStorm|BenchmarkMigrationStudy|BenchmarkChaosStudy' -benchtime=100x ./internal/experiments >> $(BENCH_REGRESS_OUT)
 	$(GO) run ./cmd/benchregress -factor 3 -bench $(BENCH_REGRESS_OUT) BENCH_ci.json BENCH_eventloop.json BENCH_drain.json BENCH_multires.json BENCH_repair.json BENCH_migration.json BENCH_chaos.json BENCH_obs.json BENCH_attrib.json
 
-# Remove the CI gate's by-products (all three are gitignored; this
+# Remove the CI gate's and the census's by-products (all gitignored; this
 # keeps a dirty checkout tidy).
 clean:
-	rm -f cover.txt coverage.out $(BENCH_REGRESS_OUT)
+	rm -f cover.txt coverage.out prod-cover.txt $(BENCH_REGRESS_OUT)
 
 # The one-command gate every PR must pass. `cover` runs the full test
 # suite (with coverage) itself, so a separate plain `test` pass would

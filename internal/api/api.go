@@ -355,42 +355,10 @@ type resourceJSON struct {
 	Capacity int `json:"capacity"`
 }
 
-// nodeLoad is the per-node aggregation of one walk over the VM set.
-type nodeLoad struct {
-	used              resources.Vector
-	running, sleeping []string
-}
-
-// loadByNode groups usage and guests by hosting node in one O(VMs)
-// pass, inside the Exec critical section.
-func loadByNode(cfg *vjob.Configuration) map[string]*nodeLoad {
-	out := make(map[string]*nodeLoad)
-	get := func(node string) *nodeLoad {
-		ld := out[node]
-		if ld == nil {
-			ld = &nodeLoad{}
-			out[node] = ld
-		}
-		return ld
-	}
-	for _, v := range cfg.VMs() {
-		switch cfg.StateOf(v.Name) {
-		case vjob.Running:
-			ld := get(cfg.HostOf(v.Name))
-			ld.used = ld.used.Add(v.Demand)
-			ld.running = append(ld.running, v.Name)
-		case vjob.Sleeping:
-			ld := get(cfg.ImageHostOf(v.Name))
-			ld.sleeping = append(ld.sleeping, v.Name)
-		}
-	}
-	return out
-}
-
-// nodeStatus renders one node from the precomputed load map; ok is
-// false when the name is neither a configured node nor a draining
-// (offline) one. Callers hold Exec.
-func (s *Server) nodeStatus(cfg *vjob.Configuration, load map[string]*nodeLoad, name string) (nodeJSON, bool) {
+// nodeStatus renders one node from the configuration's per-node
+// index; ok is false when the name is neither a configured node nor a
+// draining (offline) one. Callers hold Exec.
+func (s *Server) nodeStatus(cfg *vjob.Configuration, name string) (nodeJSON, bool) {
 	out := nodeJSON{Name: name, Draining: s.Drains.IsDrained(name)}
 	n := cfg.Node(name)
 	if n == nil {
@@ -402,11 +370,10 @@ func (s *Server) nodeStatus(cfg *vjob.Configuration, load map[string]*nodeLoad, 
 		return out, true
 	}
 	out.CPU, out.Memory = n.CPU(), n.Memory()
-	var used resources.Vector
-	if ld := load[name]; ld != nil {
-		used = ld.used
-		out.Running, out.Sleeping = ld.running, ld.sleeping
-	}
+	var buf [16]*vjob.VM
+	out.Running = vmNames(cfg.AppendRunningOn(buf[:0], name))
+	out.Sleeping = vmNames(cfg.SleepingOn(name))
+	used := cfg.Used(name)
 	out.UsedCPU = used.Get(resources.CPU)
 	out.UsedMemory = used.Get(resources.Memory)
 	for _, k := range resources.Kinds() {
@@ -428,6 +395,18 @@ func (s *Server) nodeStatus(cfg *vjob.Configuration, load map[string]*nodeLoad, 
 		}
 	}
 	return out, true
+}
+
+// vmNames returns the names of vms in order, nil for none.
+func vmNames(vms []*vjob.VM) []string {
+	if len(vms) == 0 {
+		return nil
+	}
+	out := make([]string, len(vms))
+	for i, v := range vms {
+		out[i] = v.Name
+	}
+	return out
 }
 
 // pinningVJobs resolves the sleeping images to their owning vjobs,
@@ -456,11 +435,10 @@ func pinningVJobs(cfg *vjob.Configuration, sleeping []string) []string {
 // resync converges to exactly what a poll would report.
 func (s *Server) nodeListLocked() []nodeJSON {
 	cfg := s.Config()
-	load := loadByNode(cfg)
 	var out []nodeJSON
 	seen := make(map[string]bool)
 	for _, n := range cfg.Nodes() {
-		st, _ := s.nodeStatus(cfg, load, n.Name)
+		st, _ := s.nodeStatus(cfg, n.Name)
 		out = append(out, st)
 		seen[n.Name] = true
 	}
@@ -468,7 +446,7 @@ func (s *Server) nodeListLocked() []nodeJSON {
 	// state: list them too.
 	for _, name := range s.Drains.Nodes() {
 		if !seen[name] {
-			st, _ := s.nodeStatus(cfg, load, name)
+			st, _ := s.nodeStatus(cfg, name)
 			out = append(out, st)
 		}
 	}
@@ -496,7 +474,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	var ok bool
 	s.exec(func() {
 		cfg := s.Config()
-		st, ok = s.nodeStatus(cfg, loadByNode(cfg), id)
+		st, ok = s.nodeStatus(cfg, id)
 	})
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown node %q", id)
@@ -529,7 +507,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 				s.Notify(ev)
 			}
 		}
-		st, _ = s.nodeStatus(cfg, loadByNode(cfg), id)
+		st, _ = s.nodeStatus(cfg, id)
 	})
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown node %q", id)
@@ -566,8 +544,7 @@ func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// Re-observe: OnUndrain may have brought the node back online.
-		fresh := s.Config()
-		st, _ = s.nodeStatus(fresh, loadByNode(fresh), id)
+		st, _ = s.nodeStatus(s.Config(), id)
 	})
 	switch {
 	case !ok:

@@ -131,19 +131,15 @@ type nodeGauge struct {
 	used, capacity float64
 }
 
-// nodeGauges walks the configuration once under Exec and returns one
+// nodeGauges reads each node's load under Exec and returns one
 // sample per node and per dimension the node offers (or over-uses), in
 // node then registry order.
 func (s *Server) nodeGauges() []nodeGauge {
 	var out []nodeGauge
 	s.exec(func() {
 		cfg := s.Config()
-		load := loadByNode(cfg)
 		for _, n := range cfg.Nodes() {
-			var used resources.Vector
-			if ld := load[n.Name]; ld != nil {
-				used = ld.used
-			}
+			used := cfg.Used(n.Name)
 			for _, k := range resources.Kinds() {
 				if n.Capacity.Get(k) == 0 && used.Get(k) == 0 {
 					continue

@@ -54,12 +54,14 @@ type Optimizer struct {
 	Partitions int
 	// Workers is the number of parallel portfolio workers racing the
 	// branch-and-bound: each worker builds its own model under a diverse
-	// search strategy (ordering, value choice, knapsack bound, shuffled
-	// restarts) and all workers share the incumbent bound, so the fixed
-	// time budget buys more explored nodes on multi-core hardware. Zero
-	// defaults to runtime.GOMAXPROCS(0); 1 is the sequential search — a
-	// lineup of the paper's strategy alone, on the caller's
-	// goroutine, deterministic for a given problem.
+	// search strategy and all workers share the incumbent bound, so the
+	// fixed time budget buys more explored nodes on multi-core
+	// hardware. The lineup is the paper's strategy ("base"), then
+	// first-fail alone, prefer-current-host alone, then shuffled
+	// restarts of the paper's strategy ("shuffle#i"). Zero defaults to
+	// runtime.GOMAXPROCS(0); 1 is the sequential search — a lineup of
+	// the paper's strategy alone, on the caller's goroutine,
+	// deterministic for a given problem.
 	Workers int
 	// PinRunning forbids migrating VMs that are already running: each
 	// keeps its current host. This models a static RMS (the §5.2 FCFS
@@ -87,30 +89,19 @@ func (o Optimizer) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// searchStrategy is the per-worker model and heuristic configuration:
-// the cp-level ordering strategy plus the model-level knapsack toggle
-// (which lives in the Packing constraints, not in cp.Options).
-type searchStrategy struct {
-	cp.Strategy
-	useKnapsack bool
-}
-
 // baseStrategy is the paper's configuration: first-fail and
-// prefer-current-host, no knapsack bound.
-var baseStrategy = searchStrategy{Strategy: cp.Strategy{Label: "base", FirstFail: true, PreferValue: true}}
+// prefer-current-host.
+var baseStrategy = cp.Strategy{Label: "base", FirstFail: true, PreferValue: true}
 
 // strategies builds the diverse portfolio lineup: the paper's
-// strategy first, then the knapsack-bound toggle and the two ordering
-// variants, then deterministically seeded shuffled-restart workers.
-// Labels feed the win telemetry (Result.Winner,
-// cwcs_portfolio_wins_total{strategy}).
-func strategies(n int) []searchStrategy {
-	out := make([]searchStrategy, 0, n)
-	out = append(out, baseStrategy)
-	alts := []searchStrategy{
-		{Strategy: cp.Strategy{Label: "knapsack", FirstFail: true, PreferValue: true}, useKnapsack: true},
-		{Strategy: cp.Strategy{Label: "firstfail", FirstFail: true}},
-		{Strategy: cp.Strategy{Label: "prefer", PreferValue: true}},
+// strategy first, then its two single orderings, then
+// deterministically seeded shuffled-restart workers. Labels feed the
+// win telemetry (Result.Winner, cwcs_portfolio_wins_total{strategy}).
+func strategies(n int) []cp.Strategy {
+	out := []cp.Strategy{baseStrategy}
+	alts := []cp.Strategy{
+		{Label: "firstfail", FirstFail: true},
+		{Label: "prefer", PreferValue: true},
 	}
 	for i := 1; i < n; i++ {
 		if i-1 < len(alts) {
@@ -254,7 +245,7 @@ type searchModel struct {
 
 // buildModel instantiates the §4.3 model under one strategy. Each
 // portfolio worker gets its own build, so no solver state is shared.
-func buildModel(p Problem, c *compiled, strat searchStrategy) (*searchModel, error) {
+func buildModel(p Problem, c *compiled, strat cp.Strategy) (*searchModel, error) {
 	s := cp.NewSolver()
 	vars := make([]*cp.IntVar, len(c.runners))
 	for i, g := range c.runners {
@@ -281,7 +272,7 @@ func buildModel(p Problem, c *compiled, strat searchStrategy) (*searchModel, err
 			for j, n := range c.nodes {
 				capacity[j] = n.Capacity.Get(k)
 			}
-			s.Post(&cp.Packing{Name: k.String(), Items: vars, Weights: w, Capacity: capacity, UseKnapsack: strat.useKnapsack})
+			s.Post(&cp.Packing{Name: k.String(), Items: vars, Weights: w, Capacity: capacity})
 		}
 	}
 
@@ -685,7 +676,7 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 // bound, decode and plan each solution, offer it, tighten, until a
 // definitive answer (settled, so sibling workers stop immediately) or
 // an interruption.
-func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st searchStrategy, sh *portfolioState) {
+func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st cp.Strategy, sh *portfolioState) {
 	t := time.Now()
 	m, err := buildModel(p, c, st)
 	if err != nil {

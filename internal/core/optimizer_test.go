@@ -350,7 +350,7 @@ func TestEntropyBeatsOrMatchesFFD(t *testing.T) {
 }
 
 // TestAblationsStillSolve: each of the portfolio's variant strategies
-// — the knapsack toggle and the single orderings — finds the optimum
+// — the single orderings and a shuffled restart — finds the optimum
 // on its own (they only search differently).
 func TestAblationsStillSolve(t *testing.T) {
 	c := mkCluster(3, 2, 4096)

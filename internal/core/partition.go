@@ -207,7 +207,7 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 		}
 		a := get(root)
 		a.vms = append(a.vms, v.Name)
-		if wantOf(p, v) == vjob.Running {
+		if p.wantOf(v, p.Src.StateOf(v.Name)) == vjob.Running {
 			a.dem = a.dem.Add(v.Demand)
 		}
 	}
@@ -333,21 +333,6 @@ func assignAtom(bins []atom, slack []float64, a *atom, wide bool, tot resources.
 	b.dem = b.dem.Add(a.dem)
 	slack[best] = -b.pressure(tot)
 	return int32(best)
-}
-
-// wantOf resolves the state the decision module asks of the VM, with
-// the same coercion Problem.compile applies (a waiting VM of a vjob
-// sent to Sleeping has nothing to suspend).
-func wantOf(p Problem, v *vjob.VM) vjob.State {
-	cur := p.Src.StateOf(v.Name)
-	want, ok := p.Target[v.VJob]
-	if !ok {
-		return cur
-	}
-	if want == vjob.Sleeping && cur == vjob.Waiting {
-		return cur
-	}
-	return want
 }
 
 func nodeName(n *vjob.Node) string { return n.Name }

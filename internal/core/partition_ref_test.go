@@ -288,7 +288,7 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 		}
 		a := get(root)
 		a.vms = append(a.vms, v.Name)
-		if wantOf(p, v) == vjob.Running {
+		if p.wantOf(v, p.Src.StateOf(v.Name)) == vjob.Running {
 			a.dem = a.dem.Add(v.Demand)
 		}
 	}

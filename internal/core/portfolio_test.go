@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,6 +40,38 @@ func portfolioProblem(seed int64) Problem {
 		target[name] = vjob.Running
 	}
 	return Problem{Src: c, Target: target}
+}
+
+// TestStrategiesLineup pins the portfolio lineup for every width up to
+// six, and requires that no two workers search in the same order: two
+// entries with the same FirstFail, PreferValue and ShuffleSeed would
+// explore the same tree node for node, and one of them would be a
+// wasted core.
+func TestStrategiesLineup(t *testing.T) {
+	want := []string{"base", "firstfail", "prefer", "shuffle#3", "shuffle#4", "shuffle#5"}
+	for n := 1; n <= len(want); n++ {
+		lineup := strategies(n)
+		var labels []string
+		type ordering struct {
+			firstFail, prefer bool
+			seed              int64
+		}
+		seen := map[ordering]string{}
+		for _, st := range lineup {
+			labels = append(labels, st.Label)
+			o := ordering{st.FirstFail, st.PreferValue, st.ShuffleSeed}
+			if prev, ok := seen[o]; ok {
+				t.Fatalf("strategies(%d): %s and %s search in the same order %+v", n, prev, st.Label, o)
+			}
+			seen[o] = st.Label
+		}
+		if !slices.Equal(labels, want[:n]) {
+			t.Fatalf("strategies(%d) = %v, want %v", n, labels, want[:n])
+		}
+	}
+	if base := strategies(1)[0]; !base.FirstFail || !base.PreferValue || base.ShuffleSeed != 0 {
+		t.Fatalf("the first worker is %+v, want the paper's first-fail, prefer-current-host search", base)
+	}
 }
 
 // TestPortfolioOptimizerSolves: the parallel portfolio produces a

@@ -41,23 +41,27 @@ type vmGoal struct {
 	curLoc string
 }
 
+// wantOf resolves the state the decision module asks of the VM v,
+// currently in state cur: its vjob's target, or cur when the vjob has
+// none. A vjob can be in a transiently mixed state (e.g. partially
+// placed), so a target that is a no-op for the VM's own state is
+// coerced rather than rejected: a waiting VM of a vjob sent to
+// Sleeping has nothing to suspend and stays Waiting.
+func (p Problem) wantOf(v *vjob.VM, cur vjob.State) vjob.State {
+	want, ok := p.Target[v.VJob]
+	if !ok || (want == vjob.Sleeping && cur == vjob.Waiting) {
+		return cur
+	}
+	return want
+}
+
 // compile expands the per-vjob targets into per-VM goals and validates
 // them against the life cycle.
 func (p Problem) compile() ([]vmGoal, error) {
 	goals := make([]vmGoal, 0, p.Src.NumVMs())
 	for _, v := range p.Src.VMs() {
 		cur := p.Src.StateOf(v.Name)
-		want, ok := p.Target[v.VJob]
-		if !ok {
-			want = cur
-		}
-		// A vjob can be in a transiently mixed state (e.g. partially
-		// placed). Per-VM, a target that is a no-op for the VM's own
-		// state is coerced rather than rejected: a waiting VM of a
-		// vjob sent to Sleeping has nothing to suspend.
-		if want == vjob.Sleeping && cur == vjob.Waiting {
-			want = vjob.Waiting
-		}
+		want := p.wantOf(v, cur)
 		if !vjob.ValidTransition(cur, want) {
 			return nil, fmt.Errorf("core: vjob %s: VM %s cannot go %v -> %v", v.VJob, v.Name, cur, want)
 		}
@@ -170,24 +174,11 @@ func (m *costModel) contribution(g vmGoal, j int) int {
 // minimum — so callers can skip the solver outright; the event-driven
 // loop uses this to discharge clean slices without burning budget.
 func (p Problem) Satisfied() bool {
-	if !p.Src.Viable() {
+	if !p.Src.Viable() || !rulesHold(p.Rules, p.Src) {
 		return false
 	}
-	for _, r := range p.Rules {
-		if r.Check(p.Src) != nil {
-			return false
-		}
-	}
 	for _, v := range p.Src.VMs() {
-		want, ok := p.Target[v.VJob]
-		if !ok {
-			continue
-		}
-		cur := p.Src.StateOf(v.Name)
-		if want == vjob.Sleeping && cur == vjob.Waiting {
-			continue // the compile-time coercion: nothing to suspend
-		}
-		if cur != want {
+		if cur := p.Src.StateOf(v.Name); p.wantOf(v, cur) != cur {
 			return false
 		}
 	}
@@ -230,7 +221,7 @@ type Result struct {
 	// optimum, since cross-partition migrations were never considered.
 	Partitions int
 	// Winner names the strategy that produced the returned plan:
-	// "base", "knapsack", "firstfail", "prefer" or "shuffle#N" for a
+	// "base", "firstfail", "prefer" or "shuffle#N" for a
 	// portfolio worker; "warm-seed" / "ffd-seed" when no worker beat
 	// the seed. On a partitioned solve it is the most frequent
 	// per-partition winner.

@@ -35,14 +35,14 @@ func TestSolverTelemetryNilIsInertAndFree(t *testing.T) {
 func TestSolverTelemetryAggregates(t *testing.T) {
 	st := NewSolverTelemetry(8)
 	st.RecordSolve(SolveReport{Virt: 1, Scope: "full", Cause: "vm-arrival", Winner: "base", Nodes: 10, Backtracks: 2, WarmStart: true, WarmHit: true})
-	st.RecordSolve(SolveReport{Virt: 2, Scope: "slice", Cause: "vm-arrival", Winner: "knapsack", Nodes: 7, Backtracks: 1, WarmStart: true})
+	st.RecordSolve(SolveReport{Virt: 2, Scope: "slice", Cause: "vm-arrival", Winner: "firstfail", Nodes: 7, Backtracks: 1, WarmStart: true})
 	st.RecordSolve(SolveReport{Virt: 3, Scope: "slice", Cause: "load-change", Winner: "base", Nodes: 3})
 
 	snap := st.Snapshot()
 	if snap.Solves != 3 {
 		t.Fatalf("solves = %d", snap.Solves)
 	}
-	if snap.Wins["base"] != 2 || snap.Wins["knapsack"] != 1 {
+	if snap.Wins["base"] != 2 || snap.Wins["firstfail"] != 1 {
 		t.Fatalf("wins = %v", snap.Wins)
 	}
 	if snap.WarmStartHits != 1 || snap.WarmStartMisses != 1 {
@@ -59,7 +59,7 @@ func TestSolverTelemetryAggregates(t *testing.T) {
 	}
 
 	wr := st.WinRates()
-	if len(wr) != 2 || wr[0].Strategy != "base" || wr[0].Improvements != 2 || wr[1].Strategy != "knapsack" {
+	if len(wr) != 2 || wr[0].Strategy != "base" || wr[0].Improvements != 2 || wr[1].Strategy != "firstfail" {
 		t.Fatalf("win rates = %+v", wr)
 	}
 }

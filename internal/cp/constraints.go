@@ -1,7 +1,5 @@
 package cp
 
-import "cwcs/internal/packing"
-
 // Packing is the multi-knapsack viability constraint of §4.3: given
 // assignment variables (one per item, domain = bin indices), item
 // weights and bin capacities, it enforces
@@ -10,11 +8,9 @@ import "cwcs/internal/packing"
 //
 // for every bin. It prunes bins that cannot accept an item on top of
 // the already-assigned load, and fails early when the total remaining
-// weight exceeds what the bins can still absorb. With UseKnapsack it
-// tightens the absorbable load per bin with the dynamic-programming
-// subset-sum bound (Trick 2001), catching dead ends plain capacity
-// arithmetic misses. A bin that does not exist holds nothing: values
-// outside [0, len(Capacity)) leave the domains of weighted items.
+// weight exceeds the free capacity of the bins. A bin that does not
+// exist holds nothing: values outside [0, len(Capacity)) leave the
+// domains of weighted items.
 //
 // The exported fields are set before posting and not changed after;
 // one Packing serves one solver.
@@ -29,8 +25,6 @@ type Packing struct {
 	Weights []int
 	// Capacity[b] is the capacity of bin b.
 	Capacity []int
-	// UseKnapsack enables the DP subset-sum bound.
-	UseKnapsack bool
 
 	// Worked out at the first propagation: the distinct non-zero
 	// weights, and per item the index of its own among them (-1 for a
@@ -41,7 +35,6 @@ type Packing struct {
 	loads []int    // per bin: weight of the items bound to it
 	masks []uint64 // per class: bit b set when bin b cannot take it
 	built []bool   // per class: its mask is valid for this propagation
-	cand  [][]int  // per bin: weights of its unbound candidates (knapsack)
 }
 
 // Vars returns the item assignment variables.
@@ -89,28 +82,9 @@ func (c *Packing) Propagate(s *Solver) error {
 		return nil
 	}
 	// Global absorbable-load bound.
-	if c.UseKnapsack {
-		for b := range c.cand {
-			c.cand[b] = c.cand[b][:0]
-		}
-		for i, v := range c.Items {
-			if c.classOf[i] < 0 || v.Bound() {
-				continue
-			}
-			for b := v.NextValue(0); b >= 0; b = v.NextValue(b + 1) {
-				c.cand[b] = append(c.cand[b], c.Weights[i])
-			}
-		}
-	}
 	absorbable := 0
 	for b := 0; b < nbins; b++ {
-		free := c.Capacity[b] - c.loads[b]
-		if free <= 0 {
-			continue
-		}
-		if c.UseKnapsack {
-			absorbable += packing.MaxReachableLoad(free, c.cand[b])
-		} else {
+		if free := c.Capacity[b] - c.loads[b]; free > 0 {
 			absorbable += free
 		}
 	}
@@ -140,9 +114,6 @@ func (c *Packing) classify() {
 	c.loads = make([]int, nbins)
 	c.masks = make([]uint64, len(c.classes)*((nbins+63)/64))
 	c.built = make([]bool, len(c.classes))
-	if c.UseKnapsack {
-		c.cand = make([][]int, nbins)
-	}
 }
 
 // refusing fills mask with the bins that cannot take weight w on top

@@ -34,19 +34,19 @@ func (c *NotEqualOffset) Propagate(s *Solver) error {
 
 // packingProblem posts a Packing over nItems items and returns the
 // assignment variables.
-func packingProblem(s *Solver, weights, caps []int, knapsack bool) []*IntVar {
+func packingProblem(s *Solver, weights, caps []int) []*IntVar {
 	items := make([]*IntVar, len(weights))
 	bins := rangeVals(len(caps))
 	for i := range items {
 		items[i] = s.NewEnumVar("item", bins)
 	}
-	s.Post(&Packing{Name: "mem", Items: items, Weights: weights, Capacity: caps, UseKnapsack: knapsack})
+	s.Post(&Packing{Name: "mem", Items: items, Weights: weights, Capacity: caps})
 	return items
 }
 
 func TestPackingFeasible(t *testing.T) {
 	s := NewSolver()
-	items := packingProblem(s, []int{5, 5, 5, 5}, []int{10, 10}, false)
+	items := packingProblem(s, []int{5, 5, 5, 5}, []int{10, 10})
 	sol, err := s.Solve(Options{FirstFail: true})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestPackingFeasible(t *testing.T) {
 
 func TestPackingInfeasible(t *testing.T) {
 	s := NewSolver()
-	packingProblem(s, []int{8, 8, 8}, []int{10, 10}, false)
+	packingProblem(s, []int{8, 8, 8}, []int{10, 10})
 	if _, err := s.Solve(Options{}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("err = %v, want ErrFailed", err)
 	}
@@ -72,7 +72,7 @@ func TestPackingInfeasible(t *testing.T) {
 
 func TestPackingPrunesTooHeavy(t *testing.T) {
 	s := NewSolver()
-	items := packingProblem(s, []int{9, 4}, []int{10, 5}, false)
+	items := packingProblem(s, []int{9, 4}, []int{10, 5})
 	if err := s.propagate(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPackingPrunesTooHeavy(t *testing.T) {
 
 func TestPackingZeroWeightIgnored(t *testing.T) {
 	s := NewSolver()
-	items := packingProblem(s, []int{0, 0, 0}, []int{0}, false)
+	items := packingProblem(s, []int{0, 0, 0}, []int{0})
 	sol, err := s.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -96,43 +96,9 @@ func TestPackingZeroWeightIgnored(t *testing.T) {
 	}
 }
 
-// TestKnapsackBoundDetectsDeadEndEarly: three items of weight 6 on two
-// bins of capacity 10. The plain sum bound sees 18 <= 20 free and only
-// fails during search; the DP bound proves at the root that each bin
-// absorbs at most one item (reachable loads {0,6,12->pruned}), so the
-// total absorbable is 12 < 18.
-func TestKnapsackBoundDetectsDeadEndEarly(t *testing.T) {
-	plain := NewSolver()
-	packingProblem(plain, []int{6, 6, 6}, []int{10, 10}, false)
-	if err := plain.propagate(); err != nil {
-		t.Fatal("plain bound failed at root; premise broken")
-	}
-
-	dp := NewSolver()
-	packingProblem(dp, []int{6, 6, 6}, []int{10, 10}, true)
-	if err := dp.propagate(); !errors.Is(err, ErrFailed) {
-		t.Fatalf("knapsack bound missed the root dead end: %v", err)
-	}
-
-	// Both must agree the problem is infeasible overall.
-	if _, err := plain.Solve(Options{}); !errors.Is(err, ErrFailed) {
-		t.Fatalf("plain solver found impossible solution: %v", err)
-	}
-}
-
-func TestKnapsackAgreesOnFeasible(t *testing.T) {
-	for _, knap := range []bool{false, true} {
-		s := NewSolver()
-		packingProblem(s, []int{6, 6, 4, 4}, []int{10, 10}, knap)
-		if _, err := s.Solve(Options{FirstFail: true}); err != nil {
-			t.Fatalf("knapsack=%v: %v", knap, err)
-		}
-	}
-}
-
 func TestPackingOverloadDetected(t *testing.T) {
 	s := NewSolver()
-	items := packingProblem(s, []int{7, 7}, []int{10, 20}, false)
+	items := packingProblem(s, []int{7, 7}, []int{10, 20})
 	if err := s.Assign(items[0], 0); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +115,7 @@ func TestPackingOverloadDetected(t *testing.T) {
 // optimum packs everything into bin 0.
 func TestMinimizePackingOptimum(t *testing.T) {
 	s := NewSolver()
-	items := packingProblem(s, []int{4, 3, 3}, []int{10, 10, 10}, false)
+	items := packingProblem(s, []int{4, 3, 3}, []int{10, 10, 10})
 	obj := s.NewIntVar("maxbin", 0, 2)
 	s.Post(&FuncConstraint{On: append([]*IntVar{obj}, items...), Run: func(s *Solver) error {
 		// obj >= max over items of min-bin still possible; prune item

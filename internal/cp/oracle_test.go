@@ -21,7 +21,6 @@ type neqSpec struct {
 type packSpec struct {
 	weights  []int
 	capacity []int
-	knapsack bool
 }
 
 // oracleSpec is a randomly generated model small enough to enumerate.
@@ -66,7 +65,6 @@ func randomOracleSpec(rng *rand.Rand) oracleSpec {
 		ps := &packSpec{
 			weights:  make([]int, nvars),
 			capacity: make([]int, oracleMaxValue),
-			knapsack: rng.Intn(2) == 0,
 		}
 		for i := range ps.weights {
 			ps.weights[i] = rng.Intn(3)
@@ -98,11 +96,10 @@ func (sp oracleSpec) build() (*Solver, []*IntVar, *IntVar) {
 	}
 	if sp.pack != nil {
 		s.Post(&Packing{
-			Name:        "oracle",
-			Items:       vars,
-			Weights:     sp.pack.weights,
-			Capacity:    sp.pack.capacity,
-			UseKnapsack: sp.pack.knapsack,
+			Name:     "oracle",
+			Items:    vars,
+			Weights:  sp.pack.weights,
+			Capacity: sp.pack.capacity,
 		})
 	}
 	maxObj := 0

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"cwcs/internal/packing"
 )
 
 // refPacking is Packing as it propagated before the masks: a scan of
@@ -16,11 +14,10 @@ import (
 // its loads with whatever the domains hold, so it is only ever given
 // bins that exist.
 type refPacking struct {
-	Name        string
-	Items       []*IntVar
-	Weights     []int
-	Capacity    []int
-	UseKnapsack bool
+	Name     string
+	Items    []*IntVar
+	Weights  []int
+	Capacity []int
 }
 
 func (c *refPacking) Vars() []*IntVar { return c.Items }
@@ -50,28 +47,12 @@ func (c *refPacking) Propagate(s *Solver) error {
 		return nil
 	}
 	absorbable := 0
-	var candWeights [][]int
-	if c.UseKnapsack {
-		candWeights = make([][]int, nbins)
-		for i, v := range c.Items {
-			if v.Bound() || c.Weights[i] == 0 {
-				continue
-			}
-			for _, b := range v.Values() {
-				candWeights[b] = append(candWeights[b], c.Weights[i])
-			}
-		}
-	}
 	for b := 0; b < nbins; b++ {
 		free := c.Capacity[b] - assigned[b]
 		if free <= 0 {
 			continue
 		}
-		if c.UseKnapsack {
-			absorbable += packing.MaxReachableLoad(free, candWeights[b])
-		} else {
-			absorbable += free
-		}
+		absorbable += free
 	}
 	if absorbable < unboundWeight {
 		return fmt.Errorf("%w: %s remaining weight %d exceeds absorbable %d", ErrFailed, c.Name, unboundWeight, absorbable)
@@ -101,9 +82,8 @@ func (c *refPacking) loads() (assigned []int, unboundWeight int, err error) {
 
 // TestPackingMatchesScanReference propagates random states — 1 to 130
 // bins, so the masks cross the 64- and 128-bit word edges, zero
-// weights, bound and unbound items, with and without the knapsack
-// bound — through Packing and through the scan it replaced, each to
-// its fixpoint: the same verdict, and on success the same domains.
+// weights, bound and unbound items — through Packing and through the
+// scan it replaced, each to its fixpoint: the same verdict, and on success the same domains.
 func TestPackingMatchesScanReference(t *testing.T) {
 	const states = 3000
 	failed := 0
@@ -135,8 +115,6 @@ func TestPackingMatchesScanReference(t *testing.T) {
 				}
 			}
 		}
-		knapsack := seed%2 == 1
-
 		build := func(post func(items []*IntVar) Constraint) (*Solver, []*IntVar) {
 			s := NewSolver()
 			items := make([]*IntVar, nitems)
@@ -147,10 +125,10 @@ func TestPackingMatchesScanReference(t *testing.T) {
 			return s, items
 		}
 		s, items := build(func(items []*IntVar) Constraint {
-			return &Packing{Name: "new", Items: items, Weights: weights, Capacity: capacity, UseKnapsack: knapsack}
+			return &Packing{Name: "new", Items: items, Weights: weights, Capacity: capacity}
 		})
 		ref, refItems := build(func(items []*IntVar) Constraint {
-			return &refPacking{Name: "ref", Items: items, Weights: weights, Capacity: capacity, UseKnapsack: knapsack}
+			return &refPacking{Name: "ref", Items: items, Weights: weights, Capacity: capacity}
 		})
 		err, refErr := s.propagate(), ref.propagate()
 		if (err == nil) != (refErr == nil) || (err != nil && !(errors.Is(err, ErrFailed) && errors.Is(refErr, ErrFailed))) {
@@ -162,8 +140,8 @@ func TestPackingMatchesScanReference(t *testing.T) {
 		}
 		for i := range items {
 			if got, want := items[i].Values(), refItems[i].Values(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d (%d bins, knapsack %t): item %d (weight %d) = %v, reference %v",
-					seed, nbins, knapsack, i, weights[i], got, want)
+				t.Fatalf("seed %d (%d bins): item %d (weight %d) = %v, reference %v",
+					seed, nbins, i, weights[i], got, want)
 			}
 		}
 	}
@@ -191,13 +169,11 @@ func TestPackingIgnoresBinsThatDoNotExist(t *testing.T) {
 		t.Fatalf("free = %v: a weightless item is not this constraint's business", free)
 	}
 
-	for _, knapsack := range []bool{false, true} {
-		s = NewSolver()
-		lost := s.NewEnumVar("lost", []int{3})
-		other := s.NewEnumVar("other", []int{0, 1, 9})
-		s.Post(&Packing{Name: "p", Items: []*IntVar{lost, other}, Weights: []int{1, 1}, Capacity: []int{3, 3}, UseKnapsack: knapsack})
-		if err := s.propagate(); !errors.Is(err, ErrFailed) {
-			t.Fatalf("knapsack %t: an item bound to a bin that does not exist: %v, want ErrFailed", knapsack, err)
-		}
+	s = NewSolver()
+	lost := s.NewEnumVar("lost", []int{3})
+	other := s.NewEnumVar("other", []int{0, 1, 9})
+	s.Post(&Packing{Name: "p", Items: []*IntVar{lost, other}, Weights: []int{1, 1}, Capacity: []int{3, 3}})
+	if err := s.propagate(); !errors.Is(err, ErrFailed) {
+		t.Fatalf("an item bound to a bin that does not exist: %v, want ErrFailed", err)
 	}
 }

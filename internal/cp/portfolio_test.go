@@ -31,7 +31,7 @@ func buildBinPacking(seed int64, items, bins int) (*Solver, []*IntVar, *IntVar) 
 	for b := range capacity {
 		capacity[b] = 4 + rng.Intn(4)
 	}
-	s.Post(&Packing{Name: "cap", Items: vars, Weights: weights, Capacity: capacity, UseKnapsack: true})
+	s.Post(&Packing{Name: "cap", Items: vars, Weights: weights, Capacity: capacity})
 	maxObj := 0
 	for i := range vars {
 		maxObj += coefs[i] * (bins - 1)

@@ -44,11 +44,7 @@ type Options struct {
 	// Hints is the warm-start assignment, typically the incumbent of a
 	// previous solve of a nearby problem. A hinted value is tried first
 	// at branching — ahead of the Preferred value — so the search dives
-	// towards the old solution before diversifying. Minimize
-	// additionally injects the hinted solution outright: when every
-	// decision variable carries a hint and the hinted assignment is
-	// consistent, it becomes the initial incumbent and seeds the
-	// branch-and-bound bound without any search.
+	// towards the old solution before diversifying.
 	Hints map[*IntVar]int
 }
 
@@ -131,13 +127,6 @@ func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 	found := false
 	root := s.SaveState()
 	bound := obj.Max()
-	// Solution injection: a consistent warm-start assignment becomes
-	// the incumbent before the first search, so the branch-and-bound
-	// starts from the old solution's bound instead of from scratch.
-	if sol, ok := s.inject(vars, obj, opts); ok {
-		best, found = sol, true
-		bound = sol.Objective - 1
-	}
 	for {
 		s.RestoreState(root)
 		if err := s.RemoveAbove(obj, bound); err != nil {
@@ -173,45 +162,6 @@ func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 			return Solution{}, err
 		}
 	}
-}
-
-// inject assigns every decision variable its hint and propagates. It
-// returns the captured solution when the assignment is consistent and
-// complete, restoring the solver state either way. Injection requires
-// a hint for every decision variable: a partial warm start still
-// steers the value ordering but cannot be trusted as an incumbent.
-func (s *Solver) inject(vars []*IntVar, obj *IntVar, opts Options) (Solution, bool) {
-	if len(opts.Hints) == 0 || len(vars) == 0 {
-		return Solution{}, false
-	}
-	for _, v := range vars {
-		if _, ok := opts.Hints[v]; !ok {
-			return Solution{}, false
-		}
-	}
-	snap := s.SaveState()
-	defer s.RestoreState(snap)
-	ok := func() bool {
-		if err := s.propagate(); err != nil {
-			return false
-		}
-		for _, v := range vars {
-			if err := s.Assign(v, opts.Hints[v]); err != nil {
-				return false
-			}
-			if err := s.propagate(); err != nil {
-				return false
-			}
-		}
-		return true
-	}()
-	if !ok {
-		return Solution{}, false
-	}
-	s.solutions++
-	sol := s.capture(vars)
-	sol.Objective = obj.Min()
-	return sol, true
 }
 
 func (s *Solver) capture(vars []*IntVar) Solution {

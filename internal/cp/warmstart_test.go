@@ -39,8 +39,8 @@ func warmModel(t *testing.T) (*Solver, []*IntVar, *IntVar) {
 
 func TestMinimizeWithHintsFindsOptimum(t *testing.T) {
 	s, vars, obj := warmModel(t)
-	// Hint the worst assignment: injection must seed the incumbent at
-	// objective 1+2+3, and the search must still reach the optimum 0+1+2.
+	// Hint the worst assignment: the search dives to objective 1+2+3
+	// first and must still reach the optimum 0+1+2.
 	hints := map[*IntVar]int{vars[0]: 1, vars[1]: 2, vars[2]: 3}
 	sol, err := s.Minimize(obj, Options{Vars: vars, Hints: hints})
 	if err != nil {
@@ -48,51 +48,6 @@ func TestMinimizeWithHintsFindsOptimum(t *testing.T) {
 	}
 	if sol.Objective != 3 {
 		t.Fatalf("objective = %d, want 3", sol.Objective)
-	}
-}
-
-func TestMinimizeInjectionSeedsIncumbent(t *testing.T) {
-	s, vars, obj := warmModel(t)
-	// Hint the true optimum: injection alone should find it, and the
-	// subsequent search only proves optimality.
-	hints := map[*IntVar]int{vars[0]: 0, vars[1]: 1, vars[2]: 2}
-	sol, err := s.Minimize(obj, Options{Vars: vars, Hints: hints})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != 3 {
-		t.Fatalf("objective = %d, want 3", sol.Objective)
-	}
-	if got := sol.MustValue(vars[0]); got != 0 {
-		t.Fatalf("a = %d, want the hinted 0", got)
-	}
-}
-
-func TestInjectRejectsInconsistentHints(t *testing.T) {
-	s, vars, obj := warmModel(t)
-	// a and b hinted to the same value: AllDifferent refutes it; the
-	// solve must still succeed from scratch.
-	hints := map[*IntVar]int{vars[0]: 1, vars[1]: 1, vars[2]: 2}
-	sol, err := s.Minimize(obj, Options{Vars: vars, Hints: hints})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Objective != 3 {
-		t.Fatalf("objective = %d, want 3", sol.Objective)
-	}
-}
-
-func TestInjectRequiresCompleteHints(t *testing.T) {
-	s, vars, obj := warmModel(t)
-	snap := s.SaveState()
-	if _, ok := s.inject(vars, obj, Options{Hints: map[*IntVar]int{vars[0]: 1}}); ok {
-		t.Fatal("partial hints were injected")
-	}
-	// Injection must leave the solver state untouched.
-	for i, v := range s.vars {
-		if v.dom.extent() != snap.ext[i] {
-			t.Fatalf("inject leaked domain changes on %s", v.name)
-		}
 	}
 }
 

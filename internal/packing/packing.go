@@ -1,9 +1,6 @@
-// Package packing provides the placement heuristic and the knapsack
-// reasoning the paper relies on: the First-Fit-Decrease heuristic used
-// by the sample decision module (§3.2) and by the baseline planner of
-// the §5.1 evaluation, and a dynamic-programming subset-sum bound in
-// the spirit of Trick's knapsack propagation (§4.3) used by the
-// constraint solver.
+// Package packing provides the placement heuristic the paper relies
+// on: the First-Fit-Decrease heuristic used by the sample decision
+// module (§3.2) and by the baseline planner of the §5.1 evaluation.
 package packing
 
 import (
@@ -184,58 +181,4 @@ func FirstFitDecrease(c *vjob.Configuration, vms []*vjob.VM) error {
 		}
 	}
 	return nil
-}
-
-// MaxReachableLoad returns the largest subset-sum of weights that does
-// not exceed cap, computed with the dynamic-programming reachability
-// of Trick's knapsack propagation. The solver uses it to bound the
-// load a node can still accept: a partial packing whose reachable
-// loads cannot absorb the remaining mandatory demand is dead and can
-// be pruned.
-func MaxReachableLoad(cap int, weights []int) int {
-	if cap <= 0 {
-		return 0
-	}
-	// Bitset DP: bit i set <=> load i reachable.
-	words := cap/64 + 1
-	reach := make([]uint64, words)
-	reach[0] = 1
-	for _, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		if w > cap {
-			continue
-		}
-		shiftOrInto(reach, w, cap)
-	}
-	for i := cap; i >= 0; i-- {
-		if reach[i/64]&(1<<uint(i%64)) != 0 {
-			return i
-		}
-	}
-	return 0
-}
-
-// shiftOrInto performs reach |= reach << w, truncated to cap+1 bits.
-func shiftOrInto(reach []uint64, w, cap int) {
-	words := len(reach)
-	wordShift := w / 64
-	bitShift := uint(w % 64)
-	for i := words - 1; i >= 0; i-- {
-		var v uint64
-		if i-wordShift >= 0 {
-			v = reach[i-wordShift] << bitShift
-			if bitShift > 0 && i-wordShift-1 >= 0 {
-				v |= reach[i-wordShift-1] >> (64 - bitShift)
-			}
-		}
-		reach[i] |= v
-	}
-	// Mask bits above cap.
-	last := cap / 64
-	reach[last] &= (1 << uint(cap%64+1)) - 1
-	for i := last + 1; i < words; i++ {
-		reach[i] = 0
-	}
 }

@@ -109,64 +109,6 @@ func TestFFDRespectsExistingLoad(t *testing.T) {
 	}
 }
 
-func TestMaxReachableLoad(t *testing.T) {
-	cases := []struct {
-		cap     int
-		weights []int
-		want    int
-	}{
-		{10, []int{3, 5, 7}, 10},      // 3+7
-		{10, []int{6, 6, 6}, 6},       // only one fits
-		{4, []int{5, 9}, 0},           // nothing fits
-		{0, []int{1, 2}, 0},           // no capacity
-		{-3, []int{1}, 0},             // negative capacity
-		{100, nil, 0},                 // no items
-		{8, []int{2, 2, 2, 2}, 8},     // exact fill
-		{7, []int{4, 4}, 4},           // cannot take both
-		{1000, []int{999, 2}, 999},    // big single item wins
-		{64, []int{64}, 64},           // word-boundary weight
-		{65, []int{64, 1}, 65},        // crosses word boundary
-		{128, []int{127, 2, 1}, 128},  // multi-word
-		{10, []int{0, -2, 3}, 3},      // non-positive weights ignored
-		{200, []int{70, 70, 70}, 140}, // two of three
-	}
-	for _, tc := range cases {
-		if got := MaxReachableLoad(tc.cap, tc.weights); got != tc.want {
-			t.Errorf("MaxReachableLoad(%d,%v) = %d, want %d", tc.cap, tc.weights, got, tc.want)
-		}
-	}
-}
-
-// Property: MaxReachableLoad matches a brute-force subset enumeration
-// for small inputs.
-func TestMaxReachableLoadMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(10)
-		weights := make([]int, n)
-		for i := range weights {
-			weights[i] = rng.Intn(40)
-		}
-		cap := rng.Intn(120)
-		best := 0
-		for mask := 0; mask < 1<<n; mask++ {
-			sum := 0
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					sum += weights[i]
-				}
-			}
-			if sum <= cap && sum > best {
-				best = sum
-			}
-		}
-		return MaxReachableLoad(cap, weights) == best
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: FFD output is always viable and deterministic.
 func TestFFDViableAndDeterministic(t *testing.T) {
 	f := func(seed int64) bool {

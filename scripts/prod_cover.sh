@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# prod_cover.sh — which code of internal/ production traffic reaches.
+#
+# Builds every production entry point with coverage over all of cwcs
+# (cmd/experiments, cmd/entropyd, cmd/planviz, examples/*, and the
+# benchmark from its own module directory, unedited), runs what they
+# run in use — `experiments all -quick`, entropyd periodic and
+# event-driven, each example, planviz on its example cluster, each
+# benchmark workload for 2 s with the harness's spans off and on (on
+# also measures the per-layer metrics, cp.Solver.Minimize among them)
+# — and writes the per-function coverage of internal/ to
+# prod-cover.txt, least covered first. A function at 0 % there is
+# reached by tests alone: check this census before deleting code
+# (DESIGN §4). One to three minutes.
+set -euo pipefail
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/bin" "$work/cov"
+build() { go build -cover -coverpkg=cwcs/... -o "$work/bin/$1" "$2"; }
+cd "$root"
+examples=$(for d in examples/*/; do if [ -f "$d/main.go" ]; then basename "$d"; fi; done)
+for d in cmd/experiments cmd/entropyd cmd/planviz; do build "$(basename "$d")" "./$d"; done
+for e in $examples; do build "$e" "./examples/$e"; done
+(cd bench && build bench .)
+export GOCOVERDIR="$work/cov"
+run() { echo "== $*" >&2; "$work/bin/$@" >/dev/null; }
+run experiments all -quick
+run entropyd -workers 2
+run entropyd -workers 2 -event-driven
+for e in $examples; do run "$e"; done
+"$work/bin/planviz" -example >"$work/cluster.json"
+run planviz -timeout 1s "$work/cluster.json"
+for w in solve_mono solve_sliced plan_large churn_ev api_mixed; do
+	for t in 0 1; do run bench --workload "$w" --seed 1 --seconds 2 --trace "$t"; done
+done
+go tool covdata func -i="$work/cov" -pkg=cwcs/internal/... >"$work/func.txt"
+{
+	grep -v '^total' "$work/func.txt" | awk '{print $NF "\t" $0}' | sort -n -s | cut -f2-
+	grep '^total' "$work/func.txt"
+} >prod-cover.txt
+echo "wrote $root/prod-cover.txt" >&2
