@@ -29,7 +29,8 @@ bench-counts:
 
 # The production-traffic census: coverage of internal/ over what the
 # commands, examples and benchmark workloads run, least covered first,
-# in prod-cover.txt (see the script). Check it before deleting code.
+# in prod-cover.txt, and the blocks none of them ran in
+# prod-cover-blocks.txt (see the script). Check it before deleting code.
 # Not part of `ci`: about two to three minutes.
 prod-cover:
 	bash scripts/prod_cover.sh
@@ -99,7 +100,7 @@ bench-regress:
 # Remove the CI gate's and the census's by-products (all gitignored; this
 # keeps a dirty checkout tidy).
 clean:
-	rm -f cover.txt coverage.out prod-cover.txt $(BENCH_REGRESS_OUT)
+	rm -f cover.txt coverage.out prod-cover.txt prod-cover-blocks.txt $(BENCH_REGRESS_OUT)
 
 # The one-command gate every PR must pass. `cover` runs the full test
 # suite (with coverage) itself, so a separate plain `test` pass would

@@ -71,8 +71,35 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *pprofOn && *listen == "" {
-		err := errors.New("-pprof requires -listen")
+	// Out-of-range values are usage errors. Let through, a negative
+	// capacity panics in the node constructor, an empty cluster or
+	// workload reports itself complete at once, and the rest fall
+	// silently back to a default or to a budget that has expired.
+	var err error
+	for _, f := range []struct {
+		name string
+		bad  bool
+		want string
+	}{
+		{"nodes", *nodes < 1, "at least 1"},
+		{"cpu", *cpu < 1, "at least 1"},
+		{"memory", *memory < 1, "at least 1"},
+		{"vjobs", *njobs < 1, "at least 1"},
+		{"vms", *nvms < 1, "at least 1"},
+		{"workers", *workers < 0, "0 or more"},
+		{"partitions", *partitions < 0, "0 or more"},
+		{"timeout", *timeout < 0, "0 or more"},
+		{"interval", *interval < 0, "0 or more"},
+		{"debounce", *debounce < 0, "0 or more"},
+	} {
+		if f.bad && err == nil {
+			err = fmt.Errorf("-%s must be %s, not %s", f.name, f.want, fs.Lookup(f.name).Value)
+		}
+	}
+	if err == nil && *pprofOn && *listen == "" {
+		err = errors.New("-pprof requires -listen")
+	}
+	if err != nil {
 		fmt.Fprintln(fs.Output(), err)
 		fs.Usage()
 		return err

@@ -125,3 +125,29 @@ func TestErrorSummaryListsEveryReportError(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsOutOfRangeFlags: a size below 1, or a negative width,
+// budget or delay, is a usage error naming the flag, returned before
+// the daemon prints anything. The small workload in front keeps a
+// missed check from running the paper's cluster.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	small := []string{"-nodes", "2", "-vjobs", "1", "-vms", "1", "-timeout", "10ms"}
+	for _, bad := range [][]string{
+		{"-nodes", "0"},
+		{"-cpu", "0"},
+		{"-memory", "-5"},
+		{"-vjobs", "0"},
+		{"-vms", "0"},
+		{"-workers", "-1"},
+		{"-partitions", "-1"},
+		{"-timeout", "-1s"},
+		{"-interval", "-2"},
+		{"-debounce", "-0.5"},
+	} {
+		var out strings.Builder
+		err := run(append(append([]string(nil), small...), bad...), &out)
+		if err == nil || !strings.HasPrefix(err.Error(), bad[0]+" must be") || out.Len() != 0 {
+			t.Errorf("%s %s: error %v, output %q", bad[0], bad[1], err, out.String())
+		}
+	}
+}

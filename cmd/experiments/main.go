@@ -79,6 +79,21 @@ func run(args []string, out io.Writer, list []study) int {
 	} else if err != nil {
 		return 2
 	}
+	// Out of range, -workers would race GOMAXPROCS workers, so a figure
+	// would stop reproducing from its seed, and -partitions would pass
+	// for its default.
+	var err error
+	switch {
+	case *workers < 0:
+		err = fmt.Errorf("-workers must be 0 or more, not %d", *workers)
+	case *partitions < -1:
+		err = fmt.Errorf("-partitions must be -1 or more, not %d", *partitions)
+	}
+	if err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return 2
+	}
 	todo := list
 	if cmd != "all" {
 		todo = nil

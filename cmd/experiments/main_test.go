@@ -283,3 +283,22 @@ func TestRunRejectsUnknownStudy(t *testing.T) {
 		t.Fatalf("exit status %d, want 2", code)
 	}
 }
+
+// TestRunRejectsOutOfRangeFlags: a negative -workers, or a -partitions
+// below its -1 sentinel, exits 2 before any study runs.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	ran := false
+	list := []study{{name: "probe", run: func(*env) { ran = true }}}
+	for _, bad := range [][]string{
+		{"-workers", "-2"},
+		{"-partitions", "-2"},
+	} {
+		var out bytes.Buffer
+		if code := run(append([]string{"probe"}, bad...), &out, list); code != 2 || ran || out.Len() != 0 {
+			t.Errorf("%s %s: exit status %d, study ran %t, output %q", bad[0], bad[1], code, ran, out.String())
+		}
+	}
+	if code := run([]string{"probe", "-workers", "0", "-partitions", "-1"}, &bytes.Buffer{}, list); code != 0 || !ran {
+		t.Fatalf("the lowest values in range: exit status %d, study ran %t", code, ran)
+	}
+}

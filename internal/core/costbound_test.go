@@ -343,3 +343,98 @@ func TestSolveAllocationBudget(t *testing.T) {
 		t.Fatalf("one solve allocated %d bytes, more than 1.25 x the %d it allocated at landing", got, solveAllocLanding)
 	}
 }
+
+// lowerBound sums the admissible per-VM cost contributions of a
+// solution.
+//
+// It is the sum the portfolio worker computed for every solution
+// before the objective replaced it, kept verbatim as the reference
+// TestObjectiveIsActionCostSum compares the objective with.
+func (c *compiled) lowerBound(sol cp.Solution, vars []*cp.IntVar) int {
+	lb := c.fixed
+	for i := range c.runners {
+		lb += c.rows[i][sol.MustValue(vars[i])]
+	}
+	return lb
+}
+
+// TestObjectiveIsActionCostSum: at every solution Minimize hands the
+// worker's callback, the objective is the action-cost sum of the
+// assignment — the cost bound holds obj.Min() at exactly that sum once
+// every VM is placed — on seeded 2-D and 4-D problems with a placement
+// rule, PinRunning and warm hints; and a one-worker solve whose plan
+// the search found reports that sum of its destination as
+// Result.LowerBound. Every search stops at a node budget.
+func TestObjectiveIsActionCostSum(t *testing.T) {
+	const budget = 400
+	checked, searched := 0, 0
+	for seed := int64(0); seed < 60; seed++ {
+		p := tableProblem(seed, seed%2 == 1)
+		rng := rand.New(rand.NewSource(seed))
+		vms, nodes := p.Src.VMs(), p.Src.Nodes()
+		pick := func(k int) (out []string) {
+			for _, i := range rng.Perm(len(vms))[:min(k, len(vms))] {
+				out = append(out, vms[i].Name)
+			}
+			return out
+		}
+		switch seed % 4 {
+		case 0:
+			p.Rules = append(p.Rules, Spread{VMs: pick(3)})
+		case 1:
+			p.Rules = append(p.Rules, Ban{VMs: pick(3), Nodes: []string{nodes[rng.Intn(len(nodes))].Name}})
+		case 2:
+			p.Rules = append(p.Rules, Fence{VMs: pick(2), Nodes: []string{nodes[0].Name, nodes[1].Name, nodes[2].Name}})
+		case 3:
+			p.Rules = append(p.Rules, Gather{VMs: pick(2)})
+		}
+		for _, v := range vms {
+			p.Rules = append(p.Rules, searchBudget{VM: v.Name, Nodes: budget})
+		}
+		o := Optimizer{Workers: 1, Partitions: 1, PinRunning: seed%3 == 0}
+		if seed%5 < 3 {
+			if ffd, err := FFDPlan(Problem{Src: p.Src, Target: p.Target}); err == nil {
+				o.WarmStart = ffd.Dst
+			}
+		}
+		c, err := o.compile(p)
+		if errors.Is(err, ErrNoViableConfiguration) {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		m, err := buildModel(p, c, baseStrategy)
+		if errors.Is(err, ErrNoViableConfiguration) {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		opts := m.opts
+		opts.OnSolution = func(sol cp.Solution) int {
+			if want := c.lowerBound(sol, m.vars); sol.Objective != want {
+				t.Fatalf("seed %d: objective %d, action-cost sum %d", seed, sol.Objective, want)
+			}
+			checked++
+			return sol.Objective - 1
+		}
+		if _, err := m.s.Minimize(m.obj, opts); err != nil && !errors.Is(err, cp.ErrFailed) && !cp.Stopped(err) {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+
+		res, err := o.Solve(p)
+		if err != nil || res.Winner != baseStrategy.Label {
+			continue // no plan, or a seed's, which reports 0
+		}
+		want := c.fixed
+		for i, g := range c.runners {
+			want += c.rows[i][c.nodeIdx[res.Dst.HostOf(g.vm.Name)]]
+		}
+		if res.LowerBound != want {
+			t.Fatalf("seed %d: Result.LowerBound %d, action-cost sum of its destination %d", seed, res.LowerBound, want)
+		}
+		searched++
+	}
+	if checked < 200 || searched < 25 {
+		t.Fatalf("%d solutions checked, %d solves won by the search: the generator no longer exercises the objective", checked, searched)
+	}
+}

@@ -89,19 +89,26 @@ func (o Optimizer) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// strategy is one portfolio worker's value and variable ordering,
+// labeled for diagnostics; the worker fills in the rest of Options.
+type strategy struct {
+	Label string
+	cp.Options
+}
+
 // baseStrategy is the paper's configuration: first-fail and
 // prefer-current-host.
-var baseStrategy = cp.Strategy{Label: "base", FirstFail: true, PreferValue: true}
+var baseStrategy = strategy{Label: "base", Options: cp.Options{FirstFail: true, PreferValue: true}}
 
 // strategies builds the diverse portfolio lineup: the paper's
 // strategy first, then its two single orderings, then
 // deterministically seeded shuffled-restart workers. Labels feed the
 // win telemetry (Result.Winner, cwcs_portfolio_wins_total{strategy}).
-func strategies(n int) []cp.Strategy {
-	out := []cp.Strategy{baseStrategy}
-	alts := []cp.Strategy{
-		{Label: "firstfail", FirstFail: true},
-		{Label: "prefer", PreferValue: true},
+func strategies(n int) []strategy {
+	out := []strategy{baseStrategy}
+	alts := []strategy{
+		{Label: "firstfail", Options: cp.Options{FirstFail: true}},
+		{Label: "prefer", Options: cp.Options{PreferValue: true}},
 	}
 	for i := 1; i < n; i++ {
 		if i-1 < len(alts) {
@@ -127,9 +134,9 @@ type compiled struct {
 	allowed [][]int // per runner: candidate node indices
 	// rows[i][j] is the placement cost (costModel.contribution) of
 	// runner i on node j, filled for its allowed nodes; order[i] lists
-	// those nodes cheapest first, ties by index. The cost bound, the
-	// solutions' lower bound and maxObj all read these, so the cost
-	// model and its string-keyed maps are consulted here only.
+	// those nodes cheapest first, ties by index. The cost bound and
+	// maxObj read these, so the cost model and its string-keyed maps
+	// are consulted here only.
 	rows   [][]int
 	order  [][]int
 	prefs  []int // per runner: preferred node index, -1 when none
@@ -245,7 +252,7 @@ type searchModel struct {
 
 // buildModel instantiates the §4.3 model under one strategy. Each
 // portfolio worker gets its own build, so no solver state is shared.
-func buildModel(p Problem, c *compiled, strat cp.Strategy) (*searchModel, error) {
+func buildModel(p Problem, c *compiled, strat strategy) (*searchModel, error) {
 	s := cp.NewSolver()
 	vars := make([]*cp.IntVar, len(c.runners))
 	for i, g := range c.runners {
@@ -289,7 +296,8 @@ func buildModel(p Problem, c *compiled, strat cp.Strategy) (*searchModel, error)
 	obj := s.NewIntVar("cost", 0, c.maxObj)
 	s.Post(c.costBound(vars, obj))
 
-	opts := strat.Apply(cp.Options{Vars: vars})
+	opts := strat.Options
+	opts.Vars = vars
 	var hints map[*cp.IntVar]int
 	for i, h := range c.hints {
 		if h < 0 {
@@ -558,16 +566,6 @@ func mergeSlices(src *vjob.Configuration, parts []Problem, results []*Result) (*
 	return agg, nil
 }
 
-// lowerBound sums the admissible per-VM cost contributions of a
-// solution.
-func (c *compiled) lowerBound(sol cp.Solution, vars []*cp.IntVar) int {
-	lb := c.fixed
-	for i := range c.runners {
-		lb += c.rows[i][sol.MustValue(vars[i])]
-	}
-	return lb
-}
-
 // portfolioState is the shared incumbent of a portfolio run: the best
 // result under a mutex, the bound under an atomic (read by every
 // worker's inner search loop), and the aggregate run flags.
@@ -670,13 +668,12 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	return best, nil
 }
 
-// runPortfolioWorker is the branch-and-bound driven by the true §4.2
-// plan cost, which only this package can evaluate (decode +
-// Builder.Plan): restart from the root under the freshest shared
-// bound, decode and plan each solution, offer it, tighten, until a
-// definitive answer (settled, so sibling workers stop immediately) or
-// an interruption.
-func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st cp.Strategy, sh *portfolioState) {
+// runPortfolioWorker runs one Minimize over a model of its own,
+// scoring each solution by the true §4.2 plan cost, which only this
+// package can evaluate: decode, Builder.Plan, offer, then tighten the
+// shared bound, which the next restart cuts at. A definitive answer is
+// settled, so sibling workers stop immediately; an interruption is not.
+func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st strategy, sh *portfolioState) {
 	t := time.Now()
 	m, err := buildModel(p, c, st)
 	if err != nil {
@@ -697,52 +694,36 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 	opts := m.opts
 	opts.Ctx = ctx
 	opts.SharedBound = sh.bound
-	opts.SharedObj = m.obj
-	root := m.s.SaveState()
-	for {
-		// The decode/plan-build work between CP solves is not
-		// interruptible and can be substantial on thousand-VM
-		// instances, so re-check the budget between iterations.
-		if ctx.Err() != nil {
-			return
-		}
-		b := sh.bound.Bound()
-		m.s.RestoreState(root)
-		if err := m.s.RemoveAbove(m.obj, b); err != nil {
-			sh.settle(nil) // cost floor reached
-			return
-		}
-		t = time.Now()
-		sol, err := m.s.Solve(opts)
-		ph.Search += time.Since(t)
-		switch {
-		case cp.Stopped(err):
-			return
-		case errors.Is(err, cp.ErrFailed):
-			sh.settle(nil) // search space exhausted
-			return
-		case err != nil:
-			sh.settle(err)
-			return
-		}
-		t = time.Now()
-		lb := c.lowerBound(sol, m.vars)
+	opts.OnSolution = func(sol cp.Solution) int {
+		t := time.Now()
+		// A better configuration has a lower action-cost sum than this
+		// objective, and a sum (an admissible lower bound of its plan
+		// cost) below the incumbent's cost.
+		bound := sol.Objective - 1
 		dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[sol.MustValue(m.vars[i])].Name })
 		if err == nil {
 			if res := o.candidate(p, dst); res != nil {
-				res.LowerBound = lb
+				res.LowerBound = sol.Objective
 				incumbent, better := sh.offer(res, st.Label)
 				if better {
 					improved++
 				}
-				sh.bound.Tighten(incumbent - 1)
+				bound = min(bound, incumbent-1)
 			}
 		}
+		sh.bound.Tighten(bound)
 		ph.Plan += time.Since(t)
-		// Tighten: any better configuration must have a strictly lower
-		// action-cost sum than this one, and its sum (an admissible
-		// lower bound of its plan cost) must undercut the incumbent.
-		sh.bound.Tighten(lb - 1)
+		return sh.bound.Bound()
+	}
+	t = time.Now()
+	_, err = m.s.Minimize(m.obj, opts)
+	ph.Search += time.Since(t) - ph.Plan
+	switch {
+	case cp.Stopped(err):
+	case err == nil || errors.Is(err, cp.ErrFailed):
+		sh.settle(nil) // cost floor reached or search space exhausted
+	default:
+		sh.settle(err)
 	}
 }
 

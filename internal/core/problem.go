@@ -197,9 +197,11 @@ type Result struct {
 	Cost int
 	// LowerBound is the action-cost sum of the returned assignment: the
 	// §4.2 cost of every action it implies, as if all ran in one pool.
-	// It bounds the cost of plans reaching that destination only, not
-	// of plans for another assignment of the same target states, so it
-	// is no optimality gap: another search (more workers, another value
+	// It is the objective (cp.Solution.Objective) of the solution the
+	// search found, which the cost bound holds at exactly that sum. It
+	// bounds the cost of plans reaching that destination only, not of
+	// plans for another assignment of the same target states, so it is
+	// no optimality gap: another search (more workers, another value
 	// order) may return a plan cheaper than this value. With Partitions
 	// > 1 it is the sum of the per-slice values; a result the search
 	// did not produce (a warm or FFD seed) reports 0.

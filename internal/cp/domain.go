@@ -5,9 +5,14 @@
 // copying every domain in place into storage it reuses per depth (all
 // bitset words of a solver sit in one slab, so saving or restoring a
 // state is one copy and allocates nothing), pluggable variable/value
-// ordering heuristics (first fail, prefer-current-value),
-// branch-and-bound minimization of a single variable, and cooperative
-// cancellation through a context.
+// ordering heuristics (first fail, prefer-current-value, seeded
+// shuffles), and cooperative cancellation through a context.
+//
+// Solver.Minimize is the one branch-and-bound loop of the repository:
+// it restarts from the root under a bound that only falls, and a
+// caller that scores solutions by more than the objective — core's
+// plan cost — sets the next bound from Options.OnSolution and shares
+// it across a portfolio through Options.SharedBound.
 //
 // The solver is deliberately scoped to what the paper's
 // reconfiguration problem needs; it is nevertheless a generic engine:

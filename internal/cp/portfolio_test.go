@@ -47,27 +47,32 @@ func buildBinPacking(seed int64, items, bins int) (*Solver, []*IntVar, *IntVar) 
 // space — so any one worker's proof settles a race (TestOracleMinimize
 // checks the first of them against brute force).
 func TestPortfolioDeterministicOptimum(t *testing.T) {
-	strategies := []Strategy{
-		{Label: "firstfail+prefer", FirstFail: true, PreferValue: true},
-		{Label: "firstfail", FirstFail: true},
-		{Label: "naive+prefer", PreferValue: true},
-		{Label: "naive"},
-		{Label: "shuffle#4", FirstFail: true, PreferValue: true, ShuffleSeed: 4},
+	strategies := []struct {
+		label string
+		opts  Options
+	}{
+		{"firstfail+prefer", Options{FirstFail: true, PreferValue: true}},
+		{"firstfail", Options{FirstFail: true}},
+		{"naive+prefer", Options{PreferValue: true}},
+		{"naive", Options{}},
+		{"shuffle#4", Options{FirstFail: true, PreferValue: true, ShuffleSeed: 4}},
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		want, unsat := -1, false
 		for i, st := range strategies {
 			s, vars, obj := buildBinPacking(seed, 8, 4)
-			best, err := s.Minimize(obj, st.Apply(Options{Vars: vars}))
+			opts := st.opts
+			opts.Vars = vars
+			best, err := s.Minimize(obj, opts)
 			switch {
 			case err != nil && !errors.Is(err, ErrFailed):
-				t.Fatalf("seed %d %s: %v", seed, st.Label, err)
+				t.Fatalf("seed %d %s: %v", seed, st.label, err)
 			case i == 0:
 				want, unsat = best.Objective, err != nil
 			case unsat != (err != nil):
-				t.Fatalf("seed %d %s: unsat = %v, %s said %v", seed, st.Label, err != nil, strategies[0].Label, unsat)
+				t.Fatalf("seed %d %s: unsat = %v, %s said %v", seed, st.label, err != nil, strategies[0].label, unsat)
 			case !unsat && best.Objective != want:
-				t.Fatalf("seed %d %s: optimum %d, %s found %d", seed, st.Label, best.Objective, strategies[0].Label, want)
+				t.Fatalf("seed %d %s: optimum %d, %s found %d", seed, st.label, best.Objective, strategies[0].label, want)
 			}
 		}
 	}
@@ -90,35 +95,14 @@ func TestIncumbent(t *testing.T) {
 	}
 }
 
-// TestPortfolioBaseValueRandNotShared: a caller-supplied shuffle
-// stream must not leak into the workers — rand.Rand is not
-// goroutine-safe, so sharing it across workers would be a data race.
-// Strategy.Apply makes every worker's options, so it is the one place
-// that has to drop the base stream and hand a shuffling worker a
-// deterministic stream of its own.
-func TestPortfolioBaseValueRandNotShared(t *testing.T) {
-	shared := rand.New(rand.NewSource(1))
-	base := Options{ValueRand: shared}
-	if got := (Strategy{FirstFail: true}).Apply(base).ValueRand; got != nil {
-		t.Fatal("a non-shuffling strategy inherited the base stream")
-	}
-	a := Strategy{ShuffleSeed: 4}.Apply(base).ValueRand
-	b := Strategy{ShuffleSeed: 4}.Apply(base).ValueRand
-	if a == nil || a == shared || a == b {
-		t.Fatal("a shuffling strategy must own a fresh stream")
-	}
-	if a.Int63() != b.Int63() {
-		t.Fatal("equal shuffle seeds must give equal streams")
-	}
-}
-
-// TestSearchAdoptsSharedBoundMidSearch: the 64-node poll inside search
-// installs an incumbent tightened while the search is running. No
-// goroutines: a propagator lowers the Incumbent itself once the search
-// has explored 100 nodes. Every leaf of the model fails, so the search
-// walks the whole tree unless something prunes it, and nothing but the
-// poll ever lowers the objective's upper bound (its propagator only
-// raises the lower bound, like core's cost bound).
+// TestSearchAdoptsSharedBoundMidSearch: the 64-node poll inside
+// Minimize's search installs an incumbent tightened while the search
+// is running. No goroutines: a propagator lowers the Incumbent itself
+// once the search has explored 100 nodes. Every leaf of the model
+// fails, so the first dive walks the whole tree unless something
+// prunes it, and nothing but the poll ever lowers the objective's
+// upper bound within it (its propagator only raises the lower bound,
+// like core's cost bound).
 func TestSearchAdoptsSharedBoundMidSearch(t *testing.T) {
 	const items, tightenAt, tightenTo = 10, 100, 2
 	run := func(share bool) (nodes int64, sawCut bool) {
@@ -149,9 +133,9 @@ func TestSearchAdoptsSharedBoundMidSearch(t *testing.T) {
 		}})
 		opts := Options{Vars: vars, PreferValue: true}
 		if share {
-			opts.SharedBound, opts.SharedObj = incumbent, obj
+			opts.SharedBound = incumbent
 		}
-		if _, err := s.Solve(opts); !errors.Is(err, ErrFailed) {
+		if _, err := s.Minimize(obj, opts); !errors.Is(err, ErrFailed) {
 			t.Fatalf("share=%v: err = %v, want ErrFailed (every leaf fails)", share, err)
 		}
 		nodes, _, _, _ = s.Stats()

@@ -10,10 +10,9 @@ import (
 // Options tunes the search.
 type Options struct {
 	// Ctx stops the search cooperatively: the search polls it every 64
-	// nodes and returns ErrCanceled once it is done (canceled, or past
-	// its deadline). nil means the search runs to completion. Portfolio
-	// workers use it so the first worker to prove optimality stops the
-	// rest.
+	// nodes and before every restart, and returns ErrCanceled once it
+	// is done (canceled, or past its deadline). nil means the search
+	// runs to completion.
 	Ctx context.Context
 	// Vars are the decision variables, all of which must be bound in a
 	// solution. Defaults to every enumerated variable of the solver.
@@ -28,19 +27,19 @@ type Options struct {
 	// first (the paper assigns running VMs to their current node in
 	// priority); remaining values are tried in ascending order.
 	PreferValue bool
-	// ValueRand, when non-nil, shuffles the value order at every node
-	// (the preferred value keeps priority under PreferValue). Portfolio
-	// workers use deterministically seeded streams for shuffled-restart
-	// diversification; the stream advances across restarts, so each
-	// restart explores a differently ordered tree.
-	ValueRand *rand.Rand
-	// SharedBound and SharedObj connect the search to a portfolio-wide
-	// incumbent: at the same cadence as the context poll, the upper
-	// bound of SharedObj is tightened to the shared bound, so every
-	// worker prunes with the global best even mid-search. Both must be
-	// set together.
+	// ShuffleSeed, when non-zero, shuffles the value order at every
+	// node (the preferred value keeps priority under PreferValue) with
+	// a stream the call seeds once: it advances across Minimize's
+	// restarts, so each restart explores a differently ordered tree.
+	ShuffleSeed int64
+	// SharedBound connects Minimize to a portfolio-wide incumbent:
+	// every restart and every context poll cut the objective at it, so
+	// every worker prunes with the global best even mid-search.
 	SharedBound *Incumbent
-	SharedObj   *IntVar
+	// OnSolution, when non-nil, scores each solution Minimize finds
+	// and returns the bound its next restart cuts the objective at;
+	// nil means Objective-1.
+	OnSolution func(Solution) int
 	// Hints is the warm-start assignment, typically the incumbent of a
 	// previous solve of a nearby problem. A hinted value is tried first
 	// at branching — ahead of the Preferred value — so the search dives
@@ -80,23 +79,35 @@ func (s Solution) MustValue(v *IntVar) int {
 	return val
 }
 
-func (s *Solver) decisionVars(opts Options) []*IntVar {
-	if len(opts.Vars) > 0 {
-		return opts.Vars
-	}
-	var out []*IntVar
-	for _, v := range s.vars {
-		if _, ok := v.dom.(*bitsetDomain); ok {
-			out = append(out, v)
+// run is what one Solve or Minimize call hands its search: the
+// options, the decision variables, the objective the poll clamps to
+// SharedBound (nil under Solve) and the call's shuffle stream.
+type run struct {
+	Options
+	vars []*IntVar
+	obj  *IntVar
+	rng  *rand.Rand
+}
+
+func (s *Solver) newRun(opts Options, obj *IntVar) run {
+	r := run{Options: opts, vars: opts.Vars, obj: obj}
+	if len(r.vars) == 0 {
+		for _, v := range s.vars {
+			if _, ok := v.dom.(*bitsetDomain); ok {
+				r.vars = append(r.vars, v)
+			}
 		}
 	}
-	return out
+	if opts.ShuffleSeed != 0 {
+		r.rng = rand.New(rand.NewSource(opts.ShuffleSeed))
+	}
+	return r
 }
 
 // Solve searches for one solution. It returns ErrFailed when the
 // problem is unsatisfiable and ErrCanceled when interrupted.
 func (s *Solver) Solve(opts Options) (Solution, error) {
-	vars := s.decisionVars(opts)
+	r := s.newRun(opts, nil)
 	if err := opts.interrupted(); err != nil {
 		return Solution{}, err
 	}
@@ -108,60 +119,65 @@ func (s *Solver) Solve(opts Options) (Solution, error) {
 		}
 		return Solution{}, err
 	}
-	if err := s.search(vars, opts, 0); err != nil {
+	if err := s.search(&r, 0); err != nil {
 		return Solution{}, err
 	}
 	s.solutions++
-	return s.capture(vars), nil
+	return s.capture(r.vars), nil
 }
 
-// Minimize runs branch-and-bound on obj: it repeatedly searches for a
-// solution, then constrains obj below the incumbent and restarts,
-// until the space is exhausted (proving optimality) or the context is
-// done. It returns the best solution found; the error is nil when
-// optimality was proven, ErrCanceled when the interruption cut the
-// proof short, and ErrFailed when no solution exists at all.
+// Minimize runs branch-and-bound on obj: it searches below a bound
+// that OnSolution (or Objective-1) lowers after each solution and
+// restarts, until the space below the bound is exhausted (proving
+// optimality) or the search is interrupted. It returns the last
+// solution found; the error is nil when optimality was proven,
+// ErrCanceled when the interruption cut the proof short, and ErrFailed
+// when no solution exists at all.
 func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
-	vars := s.decisionVars(opts)
+	r := s.newRun(opts, obj)
 	best := Solution{}
 	found := false
 	root := s.SaveState()
 	bound := obj.Max()
 	for {
-		s.RestoreState(root)
-		if err := s.RemoveAbove(obj, bound); err != nil {
-			if found {
-				return best, nil
-			}
-			return Solution{}, ErrFailed
+		if opts.SharedBound != nil {
+			bound = min(bound, opts.SharedBound.Bound())
 		}
-		err := func() error {
-			if err := s.propagate(); err != nil {
-				return err
-			}
-			return s.search(vars, opts, 0)
-		}()
+		err := s.restart(&r, root, bound)
 		switch {
 		case err == nil:
 			s.solutions++
-			best = s.capture(vars)
+			best = s.capture(r.vars)
 			best.Objective = obj.Min()
 			found = true
 			bound = best.Objective - 1
+			if opts.OnSolution != nil {
+				bound = opts.OnSolution(best)
+			}
 		case Stopped(err):
-			if found {
-				return best, err
-			}
-			return Solution{}, err
-		case errors.Is(err, ErrFailed):
-			if found {
-				return best, nil // optimality proven
-			}
-			return Solution{}, ErrFailed
+			return best, err
+		case found && errors.Is(err, ErrFailed):
+			return best, nil // optimality proven
 		default:
 			return Solution{}, err
 		}
 	}
+}
+
+// restart is one dive of Minimize: unless the context is done, it
+// restores the root, cuts the objective above bound and searches.
+func (s *Solver) restart(r *run, root State, bound int) error {
+	if err := r.interrupted(); err != nil {
+		return err
+	}
+	s.RestoreState(root)
+	if err := s.RemoveAbove(r.obj, bound); err != nil {
+		return err
+	}
+	if err := s.propagate(); err != nil {
+		return err
+	}
+	return s.search(r, 0)
 }
 
 func (s *Solver) capture(vars []*IntVar) Solution {
@@ -179,22 +195,22 @@ type level struct {
 	order []int
 }
 
-// search runs depth-first search until all vars are bound (nil) or the
-// subtree fails (ErrFailed) or the context is done (ErrCanceled).
-// Domains are assumed propagated to fixpoint on entry. depth is the
-// number of branches above this node.
-func (s *Solver) search(vars []*IntVar, opts Options, depth int) error {
+// search runs depth-first search until all of r's vars are bound
+// (nil) or the subtree fails (ErrFailed) or the context is done
+// (ErrCanceled). Domains are assumed propagated to fixpoint on entry.
+// depth is the number of branches above this node.
+func (s *Solver) search(r *run, depth int) error {
 	if s.nodes&63 == 0 {
-		if err := opts.interrupted(); err != nil {
+		if err := r.interrupted(); err != nil {
 			return err
 		}
 		// Adopt the portfolio-wide incumbent: tightening the objective
 		// here prunes the rest of this subtree with bounds discovered
 		// by other workers. Backtracking undoes the cut, but the next
 		// poll reinstates it — the shared bound only ever decreases.
-		if opts.SharedBound != nil && opts.SharedObj != nil {
-			if b := opts.SharedBound.Bound(); opts.SharedObj.Max() > b {
-				if err := s.RemoveAbove(opts.SharedObj, b); err != nil {
+		if r.obj != nil && r.SharedBound != nil {
+			if b := r.SharedBound.Bound(); r.obj.Max() > b {
+				if err := s.RemoveAbove(r.obj, b); err != nil {
 					return err
 				}
 				if err := s.propagate(); err != nil {
@@ -204,7 +220,7 @@ func (s *Solver) search(vars []*IntVar, opts Options, depth int) error {
 		}
 	}
 	s.nodes++
-	v := s.pick(vars, opts)
+	v := s.pick(r)
 	if v == nil {
 		return nil // all bound: solution
 	}
@@ -213,14 +229,14 @@ func (s *Solver) search(vars []*IntVar, opts Options, depth int) error {
 	if depth == len(s.levels) {
 		s.levels = append(s.levels, level{})
 	}
-	order := s.valueOrder(v, opts, s.levels[depth].order)
+	order := s.valueOrder(v, r, s.levels[depth].order)
 	s.levels[depth].order = order
 	for _, val := range order {
 		if !v.Contains(val) {
 			continue // pruned by a sibling's failure propagation
 		}
 		s.saveInto(&s.levels[depth].saved)
-		err := s.branch(v, val, vars, opts, depth)
+		err := s.branch(v, val, r, depth)
 		if err == nil {
 			return nil
 		}
@@ -242,23 +258,23 @@ func (s *Solver) search(vars []*IntVar, opts Options, depth int) error {
 }
 
 // branch tries v = val: assign, propagate, search below.
-func (s *Solver) branch(v *IntVar, val int, vars []*IntVar, opts Options, depth int) error {
+func (s *Solver) branch(v *IntVar, val int, r *run, depth int) error {
 	if err := s.Assign(v, val); err != nil {
 		return err
 	}
 	if err := s.propagate(); err != nil {
 		return err
 	}
-	return s.search(vars, opts, depth+1)
+	return s.search(r, depth+1)
 }
 
-func (s *Solver) pick(vars []*IntVar, opts Options) *IntVar {
+func (s *Solver) pick(r *run) *IntVar {
 	var best *IntVar
-	for _, v := range vars {
+	for _, v := range r.vars {
 		if v.Bound() {
 			continue
 		}
-		if !opts.FirstFail {
+		if !r.FirstFail {
 			return v
 		}
 		if best == nil || v.Size() < best.Size() {
@@ -270,7 +286,7 @@ func (s *Solver) pick(vars []*IntVar, opts Options) *IntVar {
 
 // valueOrder lists v's values in the order the node tries them, into
 // buf's storage.
-func (s *Solver) valueOrder(v *IntVar, opts Options, buf []int) []int {
+func (s *Solver) valueOrder(v *IntVar, r *run, buf []int) []int {
 	vals := buf[:0]
 	if cap(vals) < v.Size() {
 		vals = make([]int, 0, v.Size())
@@ -281,17 +297,17 @@ func (s *Solver) valueOrder(v *IntVar, opts Options, buf []int) []int {
 			break
 		}
 	}
-	if opts.ValueRand != nil {
-		opts.ValueRand.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	if r.rng != nil {
+		r.rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 	}
 	// Priority values: the warm-start hint first, then the preferred
 	// value. Both survive shuffling — diversified restarts still dive
 	// towards the old solution before exploring — and the rest keep
 	// their order.
-	if opts.PreferValue && v.pref >= 0 {
+	if r.PreferValue && v.pref >= 0 {
 		moveToFront(vals, v.pref)
 	}
-	if h, ok := opts.Hints[v]; ok {
+	if h, ok := r.Hints[v]; ok {
 		moveToFront(vals, h)
 	}
 	return vals

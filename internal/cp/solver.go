@@ -225,10 +225,9 @@ func (s *Solver) Stats() (nodes, fails, solutions, propagations int64) {
 	return s.nodes, s.fails, s.solutions, s.propagates
 }
 
-// State is an opaque copy of every variable domain, used by callers
-// that drive their own branch-and-bound loop (e.g. the reconfiguration
-// optimizer bounds on the true plan cost, which only it can evaluate).
-// It covers the variables that existed when it was taken.
+// State is an opaque copy of every variable domain: Minimize restores
+// its root from one before every restart, and the search saves one per
+// depth. It covers the variables that existed when it was taken.
 type State struct {
 	words []uint64 // the slab
 	ext   []extent // per variable

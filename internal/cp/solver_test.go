@@ -136,11 +136,11 @@ func TestFirstFailPicksSmallestDomain(t *testing.T) {
 	s := NewSolver()
 	big := s.NewEnumVar("big", rangeVals(10))
 	small := s.NewEnumVar("small", rangeVals(2))
-	v := s.pick([]*IntVar{big, small}, Options{FirstFail: true})
+	v := s.pick(&run{Options: Options{FirstFail: true}, vars: []*IntVar{big, small}})
 	if v != small {
 		t.Fatalf("first-fail picked %s", v.Name())
 	}
-	v = s.pick([]*IntVar{big, small}, Options{})
+	v = s.pick(&run{vars: []*IntVar{big, small}})
 	if v != big {
 		t.Fatalf("static order picked %s", v.Name())
 	}

@@ -55,7 +55,7 @@ func TestHintsSteerValueOrder(t *testing.T) {
 	s := NewSolver()
 	v := s.NewEnumVar("v", []int{0, 1, 2, 3})
 	v.SetPreferred(1)
-	order := s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 2}}, nil)
+	order := s.valueOrder(v, &run{Options: Options{PreferValue: true, Hints: map[*IntVar]int{v: 2}}}, nil)
 	if order[0] != 2 || order[1] != 1 {
 		t.Fatalf("order = %v, want hint 2 first then preferred 1", order)
 	}
@@ -67,7 +67,7 @@ func TestHintsSteerValueOrder(t *testing.T) {
 		t.Fatalf("order %v lost or duplicated values", order)
 	}
 	// A hint equal to the preferred value must not duplicate it.
-	order = s.valueOrder(v, Options{PreferValue: true, Hints: map[*IntVar]int{v: 1}}, nil)
+	order = s.valueOrder(v, &run{Options: Options{PreferValue: true, Hints: map[*IntVar]int{v: 1}}}, nil)
 	if order[0] != 1 || len(order) != 4 {
 		t.Fatalf("order = %v, want preferred/hinted 1 first, no duplicates", order)
 	}

@@ -11,7 +11,11 @@
 # — and writes the per-function coverage of internal/ to
 # prod-cover.txt, least covered first. A function at 0 % there is
 # reached by tests alone: check this census before deleting code
-# (DESIGN §4). One to three minutes.
+# (DESIGN §4). A function production calls can still hold a branch it
+# never takes, so prod-cover-blocks.txt lists every coverage block of
+# internal/ that no binary ran, by file, the file with the most
+# never-run statements first, each line "start,end statements". One to
+# three minutes.
 set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
@@ -39,4 +43,16 @@ go tool covdata func -i="$work/cov" -pkg=cwcs/internal/... >"$work/func.txt"
 	grep -v '^total' "$work/func.txt" | awk '{print $NF "\t" $0}' | sort -n -s | cut -f2-
 	grep '^total' "$work/func.txt"
 } >prod-cover.txt
-echo "wrote $root/prod-cover.txt" >&2
+# Blocks: counts summed over every binary's profile; file totals first,
+# so sort puts the files with the most never-run statements on top.
+go tool covdata textfmt -i="$work/cov" -pkg=cwcs/internal/... -o="$work/blocks.txt"
+awk 'NR > 1 { stmts[$1] = $2; runs[$1] += $3 }
+END {
+	for (b in runs) if (runs[b] == 0) { split(b, at, ":"); total[at[1]] += stmts[b] }
+	for (b in runs) if (runs[b] == 0) {
+		split(b, at, ":"); split(at[2], line, ".")
+		print total[at[1]] "\t" at[1] "\t" line[1] "\t" at[2] "\t" stmts[b]
+	}
+}' "$work/blocks.txt" | sort -t "$(printf '\t')" -k1,1nr -k2,2 -k3,3n |
+	awk -F '\t' '$2 != file { file = $2; print file "\t" $1 " never-run statements" } { print "\t" $4 "\t" $5 }' >prod-cover-blocks.txt
+echo "wrote $root/prod-cover.txt and $root/prod-cover-blocks.txt" >&2
