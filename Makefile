@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzConfigurationOps -fuzztime=$(FUZZTIME) ./internal/vjob
 	$(GO) test -run=^$$ -fuzz=FuzzDomainOps$$ -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzBoundsDomainOps -fuzztime=$(FUZZTIME) ./internal/cp
+	$(GO) test -run=^$$ -fuzz=FuzzDeltaPropagation -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=^$$ -fuzz=FuzzSplit -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzLoopTransitions -fuzztime=$(FUZZTIME) ./internal/core

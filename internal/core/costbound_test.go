@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -55,6 +56,57 @@ func refCostBound(model *costModel, runners []vmGoal, vars []*cp.IntVar, obj *cp
 						if err := s.RemoveValue(v, val); err != nil {
 							return err
 						}
+					}
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// costBound is the dynamic cost estimation of §4.3 as it ran before
+// cp.TableSum learned which variables changed, kept verbatim as the
+// reference the table sum is compared with: it keeps the
+// objective's lower bound equal to the fixed costs plus, per VM,
+// either the exact contribution of its assignment or the cheapest
+// contribution still in its domain; and it prunes node choices that
+// would push the bound past the incumbent. One run costs about one
+// step per variable: the cheapest value left is the first of the
+// variable's cheapest-first order still in its domain — found afresh
+// each run, so nothing is cached that a backtrack would have to undo —
+// and the values to prune are at the order's expensive end.
+func (c *compiled) costBound(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
+	mins := make([]int, len(vars))
+	return &cp.FuncConstraint{
+		On: append([]*cp.IntVar{obj}, vars...),
+		Run: func(s *cp.Solver) error {
+			lb := c.fixed
+			for i, v := range vars {
+				row := c.rows[i]
+				if v.Bound() {
+					mins[i] = row[v.Min()]
+				} else {
+					for _, val := range c.order[i] {
+						if v.Contains(val) {
+							mins[i] = row[val]
+							break
+						}
+					}
+				}
+				lb += mins[i]
+			}
+			if err := s.RemoveBelow(obj, lb); err != nil {
+				return err
+			}
+			slack := obj.Max() - lb
+			for i, v := range vars {
+				if v.Bound() {
+					continue
+				}
+				row, order := c.rows[i], c.order[i]
+				for k := len(order) - 1; k >= 0 && row[order[k]]-mins[i] > slack; k-- {
+					if err := s.RemoveValue(v, order[k]); err != nil {
+						return err
 					}
 				}
 			}
@@ -287,8 +339,9 @@ func TestPropagatorCancelsSearchAtNodeBudget(t *testing.T) {
 	}
 }
 
-// TestCostBoundAllocatesNothing: one run of the bound on a model at
-// its fixpoint.
+// TestCostBoundAllocatesNothing: the cost bound posted on a model at
+// its fixpoint allocates nothing in a full pass after a restore, nor in
+// the run that follows an assignment.
 func TestCostBoundAllocatesNothing(t *testing.T) {
 	p := budgetedProblem(1, 100, 300)
 	c, err := Optimizer{}.compile(p)
@@ -299,19 +352,42 @@ func TestCostBoundAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bound := &cp.TableSum{Obj: m.obj, Items: m.vars, Fixed: c.fixed, Rows: c.rows, Orders: c.order}
+	m.s.Post(bound)
 	if err := m.s.RemoveAbove(m.obj, c.maxObj/2); err != nil {
 		t.Fatal(err)
 	}
 	if err := toFixpoint(m.s); err != nil {
 		t.Fatal(err)
 	}
-	bound := c.costBound(m.vars, m.obj)
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := bound.Propagate(m.s); err != nil {
-			t.Error(err)
+	st := m.s.SaveState()
+	v := m.vars[len(m.vars)-1]
+	for _, step := range []struct {
+		name string
+		run  func()
+	}{
+		{"full pass after a restore", func() {
+			m.s.RestoreState(st)
+			if err := bound.Propagate(m.s); err != nil {
+				t.Error(err)
+			}
+		}},
+		{"run after an assignment", func() {
+			m.s.RestoreState(st)
+			if err := bound.Propagate(m.s); err != nil {
+				t.Error(err)
+			}
+			if err := m.s.Assign(v, v.Max()); err != nil {
+				t.Error(err)
+			}
+			if err := bound.Propagate(m.s); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(50, step.run); allocs != 0 {
+			t.Errorf("%s: %v allocations, want 0", step.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("%v allocations per run of the cost bound, want 0", allocs)
 	}
 }
 
@@ -436,5 +512,54 @@ func TestObjectiveIsActionCostSum(t *testing.T) {
 	}
 	if checked < 200 || searched < 25 {
 		t.Fatalf("%d solutions checked, %d solves won by the search: the generator no longer exercises the objective", checked, searched)
+	}
+}
+
+// sliceModelAllocLanding is what building one 16-node slice model of
+// budgetedProblem(11, 16, 150) and searching it for 150 nodes (its
+// seed is the first whose search the budget stops) allocated
+// before Packing and the cost bound kept sums between runs.
+const sliceModelAllocLanding = 41_744
+
+// TestSliceModelAllocationBudget fails when one slice model, built and
+// searched, allocates more than it did before the propagators kept
+// sums: what they keep is per model, and a partitioned solve builds
+// dozens of models per solve.
+func TestSliceModelAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	p := budgetedProblem(11, 16, 150)
+	c, err := Optimizer{}.compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func() int64 {
+		m, err := buildModel(p, c, baseStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.s.Minimize(m.obj, m.opts); !cp.Stopped(err) {
+			t.Fatalf("the search ended on %v before its node budget", err)
+		}
+		nodes, _, _, _ := m.s.Stats()
+		return nodes
+	}
+	solve() // lazy set-up is not the model's
+	// The least of a few measurements: another goroutine's allocation
+	// may fall into one.
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nodes := solve()
+		runtime.ReadMemStats(&after)
+		if nodes != 150 && nodes != 151 {
+			t.Fatalf("searched %d nodes under a budget of 150", nodes)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > sliceModelAllocLanding {
+		t.Fatalf("one slice model allocated %d bytes, more than the %d it allocated before", least, sliceModelAllocLanding)
 	}
 }

@@ -293,8 +293,10 @@ func buildModel(p Problem, c *compiled, strat strategy) (*searchModel, error) {
 		}
 	}
 
+	// The dynamic cost estimation of §4.3: the fixed costs plus each
+	// VM's cheapest contribution left bound the objective from below.
 	obj := s.NewIntVar("cost", 0, c.maxObj)
-	s.Post(c.costBound(vars, obj))
+	s.Post(&cp.TableSum{Obj: obj, Items: vars, Fixed: c.fixed, Rows: c.rows, Orders: c.order})
 
 	opts := strat.Options
 	opts.Vars = vars
@@ -430,8 +432,14 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 }
 
 // solveMonolithic runs the single-model optimization: compile, FFD warm
-// start, then the portfolio race.
-func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) (*Result, error) {
+// start, then the portfolio race. A panic in it (a rule's propagator,
+// say) is its error, so it fails this solve or slice, not the process.
+func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) (_ *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: solve panicked: %v", r)
+		}
+	}()
 	start := time.Now()
 	c, err := o.compile(p)
 	if err != nil {
@@ -674,6 +682,11 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 // shared bound, which the next restart cuts at. A definitive answer is
 // settled, so sibling workers stop immediately; an interruption is not.
 func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st strategy, sh *portfolioState) {
+	defer func() { // a panic settles the solve with itself as the error
+		if r := recover(); r != nil {
+			sh.settle(fmt.Errorf("core: worker %s panicked: %v", st.Label, r))
+		}
+	}()
 	t := time.Now()
 	m, err := buildModel(p, c, st)
 	if err != nil {
@@ -815,55 +828,6 @@ func (o Optimizer) respectsPins(src, dst *vjob.Configuration) bool {
 		}
 	}
 	return true
-}
-
-// costBound is the dynamic cost estimation of §4.3: it keeps the
-// objective's lower bound equal to the fixed costs plus, per VM,
-// either the exact contribution of its assignment or the cheapest
-// contribution still in its domain; and it prunes node choices that
-// would push the bound past the incumbent. One run costs about one
-// step per variable: the cheapest value left is the first of the
-// variable's cheapest-first order still in its domain — found afresh
-// each run, so nothing is cached that a backtrack would have to undo —
-// and the values to prune are at the order's expensive end.
-func (c *compiled) costBound(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
-	mins := make([]int, len(vars))
-	return &cp.FuncConstraint{
-		On: append([]*cp.IntVar{obj}, vars...),
-		Run: func(s *cp.Solver) error {
-			lb := c.fixed
-			for i, v := range vars {
-				row := c.rows[i]
-				if v.Bound() {
-					mins[i] = row[v.Min()]
-				} else {
-					for _, val := range c.order[i] {
-						if v.Contains(val) {
-							mins[i] = row[val]
-							break
-						}
-					}
-				}
-				lb += mins[i]
-			}
-			if err := s.RemoveBelow(obj, lb); err != nil {
-				return err
-			}
-			slack := obj.Max() - lb
-			for i, v := range vars {
-				if v.Bound() {
-					continue
-				}
-				row, order := c.rows[i], c.order[i]
-				for k := len(order) - 1; k >= 0 && row[order[k]]-mins[i] > slack; k-- {
-					if err := s.RemoveValue(v, order[k]); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
-	}
 }
 
 // rulesHold reports whether every placement rule accepts the

@@ -1,7 +1,9 @@
 // Package cp is a small finite-domain constraint-programming solver,
 // the stand-in for the Choco 1.2.04 library the paper uses (§4.3). It
 // provides integer variables over finite domains, a propagation engine
-// with constraint watch lists, depth-first search that backtracks by
+// with constraint watch lists that also tell a constraint keeping sums
+// which of its variables changed (valid until the next restore),
+// depth-first search that backtracks by
 // copying every domain in place into storage it reuses per depth (all
 // bitset words of a solver sit in one slab, so saving or restoring a
 // state is one copy and allocates nothing), pluggable variable/value
@@ -68,7 +70,9 @@ type bitsetDomain struct {
 	hi    int // cached maximum
 }
 
-func newBitsetDomain(values []int) *bitsetDomain {
+// newBitsetDomain returns the domain of exactly the given values,
+// with its words appended to slab, and the grown slab.
+func newBitsetDomain(slab []uint64, values []int) (*bitsetDomain, []uint64) {
 	hi := 0
 	for _, v := range values {
 		if v < 0 {
@@ -78,7 +82,9 @@ func newBitsetDomain(values []int) *bitsetDomain {
 			hi = v
 		}
 	}
-	d := &bitsetDomain{words: make([]uint64, hi/64+1)}
+	off := len(slab)
+	slab = append(slab, make([]uint64, hi/64+1)...)
+	d := &bitsetDomain{words: slab[off:len(slab):len(slab)]}
 	for _, v := range values {
 		if d.words[v/64]&(1<<uint(v%64)) == 0 {
 			d.words[v/64] |= 1 << uint(v%64)
@@ -87,7 +93,7 @@ func newBitsetDomain(values []int) *bitsetDomain {
 	}
 	d.lo = d.scanUp(0)
 	d.hi = d.scanDown(hi)
-	return d
+	return d, slab
 }
 
 func (d *bitsetDomain) scanUp(from int) int {

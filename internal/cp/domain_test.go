@@ -7,7 +7,7 @@ import (
 )
 
 func TestBitsetDomainBasics(t *testing.T) {
-	d := newBitsetDomain([]int{0, 2, 5, 5, 63, 64, 130})
+	d, _ := newBitsetDomain(nil, []int{0, 2, 5, 5, 63, 64, 130})
 	if d.size() != 6 {
 		t.Fatalf("size = %d, want 6 (dedup)", d.size())
 	}
@@ -37,7 +37,7 @@ func TestBitsetDomainBasics(t *testing.T) {
 }
 
 func TestBitsetDomainRemoval(t *testing.T) {
-	d := newBitsetDomain([]int{1, 3, 64, 127})
+	d, _ := newBitsetDomain(nil, []int{1, 3, 64, 127})
 	if !d.removeValue(64) {
 		t.Fatal("removeValue(64) reported no change")
 	}
@@ -65,7 +65,7 @@ func TestBitsetDomainRemoval(t *testing.T) {
 }
 
 func TestBitsetDomainBoundsRemoval(t *testing.T) {
-	d := newBitsetDomain([]int{2, 4, 6, 8, 10})
+	d, _ := newBitsetDomain(nil, []int{2, 4, 6, 8, 10})
 	if !d.removeBelow(5) {
 		t.Fatal("removeBelow reported no change")
 	}
@@ -103,7 +103,7 @@ func TestBitsetDomainNegativePanics(t *testing.T) {
 			t.Fatal("negative value accepted")
 		}
 	}()
-	newBitsetDomain([]int{-1})
+	newBitsetDomain(nil, []int{-1})
 }
 
 func TestBoundsDomain(t *testing.T) {
@@ -170,7 +170,7 @@ func TestBitsetDomainMatchesReference(t *testing.T) {
 			init = append(init, v)
 			ref[v] = true
 		}
-		d := newBitsetDomain(init)
+		d, _ := newBitsetDomain(nil, init)
 		for i := 0; i < 100 && len(ref) > 0; i++ {
 			v := rng.Intn(200)
 			changed := d.removeValue(v)

@@ -3,6 +3,7 @@ package cp
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrFailed signals an inconsistency: a domain wipe-out or a
@@ -25,6 +26,9 @@ func Stopped(err error) bool { return errors.Is(err, ErrCanceled) }
 // it detects an inconsistency. The search only ever asks
 // errors.Is(err, ErrFailed), many times a second: return the bare
 // sentinel rather than formatting a message per wipe-out.
+//
+// A constraint learns that one of its variables changed; the package's
+// own Packing and TableSum also learn which (see delta).
 type Constraint interface {
 	// Vars returns the variables whose domain changes wake this
 	// constraint.
@@ -51,6 +55,10 @@ type Solver struct {
 	qhead, qlen int
 	queued      []bool
 	lastFailed  int // index of the constraint whose propagation failed last
+	// marks holds every delta's bits; restores counts RestoreState
+	// calls.
+	marks    []uint64
+	restores int
 
 	// levels is the search's storage per depth, reused from node to
 	// node.
@@ -72,12 +80,12 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if len(values) == 0 {
 		panic("cp: empty initial domain for " + name)
 	}
-	d := newBitsetDomain(values)
+	// The bitset goes at the end of the slab. Growing the slab may move
+	// it, so every window is cut again.
+	var d *bitsetDomain
+	d, s.words = newBitsetDomain(s.words, values)
 	v := &IntVar{name: name, dom: d, pref: -1}
 	s.vars = append(s.vars, v)
-	// Move the bitset to the end of the slab. Growing the slab may
-	// move it, so every window is cut again.
-	s.words = append(s.words, d.words...)
 	off := 0
 	for _, v := range s.vars {
 		if d, ok := v.dom.(*bitsetDomain); ok {
@@ -115,10 +123,53 @@ func (s *Solver) Post(c Constraint) {
 		}
 		s.queue, s.qhead = ring, 0
 	}
-	for _, v := range c.Vars() {
-		v.watchers = append(v.watchers, id)
+	vars, w := c.Vars(), watch{con: int32(id), mark: -1}
+	if sub, ok := c.(interface{ delta() *delta }); ok {
+		d := sub.delta()
+		d.off, d.n = int32(len(s.marks)), int32(len(vars)+63)/64
+		s.marks = append(s.marks, make([]uint64, d.n)...)
+		w.mark = d.off * 64
+	}
+	for _, v := range vars {
+		v.watchers = append(v.watchers, w)
+		if w.mark >= 0 {
+			w.mark++
+		}
 	}
 	s.enqueue(id)
+}
+
+// delta is what a constraint keeps to learn which of its variables
+// lost a value since it last looked: bit k of words off to off+n of
+// Solver.marks stands for Vars()[k]. Domains only shrink between two
+// restores, so sums kept beside it hold until the next RestoreState;
+// epoch is one more than the restore count at its last look, 0 before.
+type delta struct {
+	off, n int32
+	epoch  int
+}
+
+// stale reports, on the first look since a restore or ever, that the
+// sums are to be recomputed, and drops the marks collected before.
+func (d *delta) stale(s *Solver) bool {
+	if d.epoch == s.restores+1 {
+		return false
+	}
+	d.epoch = s.restores + 1
+	clear(s.marks[d.off : d.off+d.n])
+	return true
+}
+
+// take clears and returns the lowest mark at or above from, or -1;
+// with none below from, take(s, 0), take(s, k), ... visits them all.
+func (d *delta) take(s *Solver, from int) int {
+	for w := from >> 6; w < int(d.n); w++ {
+		if word := s.marks[int(d.off)+w]; word != 0 {
+			s.marks[int(d.off)+w] = word & (word - 1)
+			return w<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 func (s *Solver) enqueue(id int) {
@@ -146,8 +197,11 @@ func (s *Solver) dequeue() int {
 }
 
 func (s *Solver) wake(v *IntVar) {
-	for _, id := range v.watchers {
-		s.enqueue(id)
+	for _, w := range v.watchers {
+		if w.mark >= 0 {
+			s.marks[w.mark>>6] |= 1 << uint(w.mark&63)
+		}
+		s.enqueue(int(w.con))
 	}
 }
 
@@ -257,6 +311,7 @@ func (s *Solver) saveInto(st *State) {
 // RestoreState reinstalls a state taken by SaveState, by copy: the
 // state stays valid and can be restored any number of times.
 func (s *Solver) RestoreState(st State) {
+	s.restores++
 	copy(s.words, st.words)
 	for i, e := range st.ext {
 		s.vars[i].dom.setExtent(e)

@@ -8,13 +8,16 @@ import "fmt"
 type IntVar struct {
 	name string
 	dom  domain
-	// watchers are the constraints to wake when the domain changes, by
-	// their index in the solver's posting order.
-	watchers []int
+	// watchers are the constraints to wake when the domain changes.
+	watchers []watch
 	// pref is the value tried first during search (e.g. the node the
 	// VM currently runs on); -1 when unset.
 	pref int
 }
+
+// watch names a constraint to wake by its posting index and, when it
+// keeps a delta, the bit of Solver.marks for this variable (else -1).
+type watch struct{ con, mark int32 }
 
 // Name returns the variable name given at creation.
 func (v *IntVar) Name() string { return v.name }
