@@ -1,8 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-BENCH_REGRESS_OUT ?= bench-regress.out
 
-.PHONY: all build test bench-test bench-counts prod-cover race vet fmt-check bench-smoke fuzz-smoke cover lint bench-regress ci clean
+.PHONY: all build test bench-test bench-counts prod-cover race vet fmt-check fuzz-smoke cover lint ci clean
 
 all: build
 
@@ -46,11 +45,6 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# A short benchmark pass over every suite: catches bit-rot in the
-# harness without paying for full measurement runs.
-bench-smoke:
-	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
-
 # A short run of every fuzz harness (go test -fuzz accepts one target
 # per invocation). Override FUZZTIME for longer campaigns.
 fuzz-smoke:
@@ -89,21 +83,12 @@ lint:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Guard the loop/portfolio/partition hot paths against >3x ns/op
-# regressions vs the committed BENCH_*.json baselines. 100 iterations
-# smooth the noise; every gated benchmark is either budget-bound or
-# millisecond-scale, so the run stays short.
-bench-regress:
-	$(GO) test -run '^$$' -bench 'BenchmarkLoopEventIteration|BenchmarkLoopPeriodicIteration|BenchmarkLoopTracingOff|BenchmarkLoopAttributionOff|BenchmarkPartitionSplit' -benchtime=100x ./internal/core > $(BENCH_REGRESS_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkChurnLoop|BenchmarkDrainEvacuation|BenchmarkMultiResourceSolve|BenchmarkRepairStorm|BenchmarkMigrationStudy|BenchmarkChaosStudy' -benchtime=100x ./internal/experiments >> $(BENCH_REGRESS_OUT)
-	$(GO) run ./cmd/benchregress -factor 3 -bench $(BENCH_REGRESS_OUT) BENCH_ci.json BENCH_eventloop.json BENCH_drain.json BENCH_multires.json BENCH_repair.json BENCH_migration.json BENCH_chaos.json BENCH_obs.json BENCH_attrib.json
-
-# Remove the CI gate's and the census's by-products (all gitignored; this
-# keeps a dirty checkout tidy).
+# Remove the coverage gate's and the census's by-products (all
+# gitignored; this keeps a dirty checkout tidy).
 clean:
-	rm -f cover.txt coverage.out prod-cover.txt prod-cover-blocks.txt $(BENCH_REGRESS_OUT)
+	rm -f cover.txt coverage.out prod-cover.txt prod-cover-blocks.txt
 
 # The one-command gate every PR must pass. `cover` runs the full test
 # suite (with coverage) itself, so a separate plain `test` pass would
 # only repeat it; `race` is the second, differently-instrumented run.
-ci: build vet fmt-check lint race bench-test bench-smoke fuzz-smoke cover bench-regress
+ci: build vet fmt-check lint race bench-test fuzz-smoke cover

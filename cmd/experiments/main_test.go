@@ -19,8 +19,8 @@ import (
 // The Test*Options* tests pin what every subcommand runs, with and
 // without -quick, field by field: the values are the scenarios each
 // study ran before its options became a testbed.Options or gained a
-// core.Optimizer, and the BENCH_*.json baselines describe the full
-// ones. Fields a study's Run function overwrites (Decision,
+// core.Optimizer; the full ones are what each subcommand runs without
+// -quick. Fields a study's Run function overwrites (Decision,
 // EventDriven, StopWhenDone for churn) are left zero here.
 
 // checkFields reports every field of got that differs from want, by
@@ -118,8 +118,8 @@ func TestClusterOptionsCLI(t *testing.T) {
 	checkFields(t, "quick", clusterOptions(true, 7, 2, 1), quick)
 }
 
-// fullChurn is the BENCH_eventloop.json scenario at seed 5, two
-// workers, automatic partitions.
+// fullChurn is the full-size scenario of `experiments churn` at seed 5,
+// two workers, automatic partitions.
 func fullChurn() testbed.Options {
 	return testbed.Options{
 		Nodes: 500, NodeCPU: 2, NodeMemory: 4096,

@@ -128,8 +128,8 @@ func TestEveryFieldTakesTwoValues(t *testing.T) {
 var singleValued = map[string]string{
 	"experiments.DrainOptions.DrainFraction": "drain_test.go's quick scenario drains 3 of 24 nodes " +
 		"(0.125), and studies_pinned.txt pins that run",
-	"experiments.MigrationOptions.FencedVariant": "TestMigrationRenderings and the regress-gated " +
-		"BenchmarkMigrationStudy run the open variant alone",
+	"experiments.MigrationOptions.FencedVariant": "TestMigrationRenderings and TestMigrationStudy's " +
+		"50 ms run solve the open variant alone",
 	// Every study generates 2-CPU, 4 GiB nodes, and so does
 	// bench/solve.go: its files change only with the benchmark.
 	"workload.GenerateOptions.NodeCPU":    "bench/solve.go sets it",

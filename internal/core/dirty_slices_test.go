@@ -294,6 +294,32 @@ func goroutineID() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
+// pairedFenceCluster builds a cluster of nodes 1-CPU nodes, one VM
+// running on each even node 2i, and a fence binding that VM and the
+// x-named VM an arrival adds to nodes {2i, 2i+1}, so the partitioner
+// carves deterministic two-node slices.
+func pairedFenceCluster(t *testing.T, nodes int) (*vjob.Configuration, []PlacementRule, []*vjob.VJob) {
+	t.Helper()
+	cfg := vjob.NewConfiguration()
+	for i := 0; i < nodes; i++ {
+		cfg.AddNode(vjob.NewNode(fmt.Sprintf("n%03d", i), 1, 4096))
+	}
+	var rules []PlacementRule
+	var jobs []*vjob.VJob
+	for i := 0; i < nodes; i += 2 {
+		job := fmt.Sprintf("j%03d", i)
+		v := vjob.NewVM(fmt.Sprintf("v%03d", i), job, 1, 1024)
+		jobs = append(jobs, vjob.NewVJob(job, 0, v))
+		cfg.AddVM(v)
+		mustRun(t, cfg, v.Name, fmt.Sprintf("n%03d", i))
+		rules = append(rules, Fence{
+			VMs:   []string{v.Name, fmt.Sprintf("x%03d", i)},
+			Nodes: []string{fmt.Sprintf("n%03d", i), fmt.Sprintf("n%03d", i+1)},
+		})
+	}
+	return cfg, rules, jobs
+}
+
 // TestDirtySlicesSolveTogether: the searches of a wake-up's k dirty
 // slices (of k+1) are in flight at the same time — the first
 // propagation of each waits at a barrier only all k together can pass,
@@ -302,7 +328,7 @@ func goroutineID() string {
 // spawns nothing.
 func TestDirtySlicesSolveTogether(t *testing.T) {
 	for _, k := range []int{1, 4} {
-		cfg, rules, jobs := benchChurnCluster(t, 2*(k+1))
+		cfg, rules, jobs := pairedFenceCluster(t, 2*(k+1))
 		var (
 			mu      sync.Mutex
 			arrived int

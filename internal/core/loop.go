@@ -164,8 +164,9 @@ type Loop struct {
 	// waits, partition carves, slice solves, plan merges, splice
 	// repairs and wake rounds land as child spans carrying the
 	// burst's cause ID. A nil Trace is inert — every call site either
-	// guards on it or goes through nil-safe obs.Span methods, so the
-	// disabled hot path allocates nothing (BenchmarkLoopTracingOff).
+	// guards on it or goes through nil-safe obs.Span methods, so tracing
+	// off adds no allocation to the hot path (obs's
+	// TestNilTracerIsInertAndFree pins those methods at 0).
 	Trace *obs.Tracer
 	// Solver, when non-nil, accumulates search telemetry: one
 	// SolveReport per optimizer invocation (full or slice scope) with
@@ -173,8 +174,9 @@ type Loop struct {
 	// per-worker search counters — the data behind GET /v1/solver and
 	// the cwcs_portfolio_wins_total / cwcs_warm_start_* families. A
 	// nil Solver is inert like a nil Trace: every recording site
-	// guards on it, so the disabled path allocates nothing
-	// (BenchmarkLoopAttributionOff).
+	// guards on it, and its own methods allocate nothing on a nil
+	// receiver (TestSolverTelemetryNilIsInertAndFree; monitor's
+	// TestLedgerNilIsInertAndFree holds a nil ledger to the same).
 	Solver *SolverTelemetry
 
 	// Records accumulates every non-empty context switch.

@@ -159,6 +159,9 @@ func TestLoopSolverDisabledIsByteIdentical(t *testing.T) {
 	}
 	offStats, offRecs := run(nil)
 	onStats, onRecs := run(NewSolverTelemetry(16))
+	if offStats.SliceSolves == 0 {
+		t.Fatalf("no slice solve happened: %+v", offStats)
+	}
 	if offStats != onStats || offRecs != onRecs {
 		t.Fatalf("telemetry changed loop behaviour:\n off %+v (%d switches)\n on  %+v (%d switches)",
 			offStats, offRecs, onStats, onRecs)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cwcs/internal/obs"
-	"cwcs/internal/vjob"
 )
 
 // spansByKind indexes a span stream for assertions.
@@ -191,72 +190,11 @@ func TestLoopTraceDisabledIsByteIdentical(t *testing.T) {
 	}
 	offStats, offRecs := run(nil)
 	onStats, onRecs := run(obs.NewTracer(64))
+	if offStats.SliceSolves == 0 {
+		t.Fatalf("no slice solve happened: %+v", offStats)
+	}
 	if offStats != onStats || offRecs != onRecs {
 		t.Fatalf("tracing changed loop behaviour:\n off %+v (%d switches)\n on  %+v (%d switches)",
 			offStats, offRecs, onStats, onRecs)
-	}
-}
-
-// BenchmarkLoopTracingOff is the regress-gated proof that disabled
-// tracing does not tax the event loop: the identical scenario to
-// BenchmarkLoopEventIteration with Trace explicitly nil. The 0-alloc
-// claim for the instrumentation itself is pinned by
-// TestNilTracerIsInertAndFree in internal/obs; this benchmark pins the
-// end-to-end ns/op against BENCH_obs.json.
-func BenchmarkLoopTracingOff(b *testing.B) {
-	benchLoopIteration(b, nil, nil)
-}
-
-// BenchmarkLoopTracingOn measures the same iteration with a live
-// tracer, so the tracing tax is the delta to BenchmarkLoopTracingOff.
-// Not regress-gated: it exists for comparison.
-func BenchmarkLoopTracingOn(b *testing.B) {
-	benchLoopIteration(b, obs.NewTracer(0), nil)
-}
-
-// BenchmarkLoopAttributionOff pins the attribution era's inert hot
-// path: tracer AND solver telemetry both nil, so the cause-kind
-// bookkeeping and the guards in Loop.report added for per-solve
-// attribution are all the scenario can cost. Regress-gated against
-// BENCH_attrib.json; the nil-ledger 0-alloc claim is pinned by
-// TestLedgerNilIsInertAndFree in internal/monitor.
-func BenchmarkLoopAttributionOff(b *testing.B) {
-	benchLoopIteration(b, nil, nil)
-}
-
-// BenchmarkLoopAttributionOn measures the same iteration with live
-// solver telemetry, so the attribution tax is the delta to
-// BenchmarkLoopAttributionOff. Not regress-gated: it exists for
-// comparison.
-func BenchmarkLoopAttributionOn(b *testing.B) {
-	benchLoopIteration(b, nil, NewSolverTelemetry(0))
-}
-
-func benchLoopIteration(b *testing.B, tr *obs.Tracer, st *SolverTelemetry) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg, rules, jobs := benchChurnCluster(b, 64)
-		a := &fakeManaged{fakeActuator: fakeActuator{cfg: cfg}, poolSecs: 1}
-		l := &Loop{
-			Decision:    keepAll,
-			EventDriven: true,
-			Debounce:    1,
-			Optimizer:   Optimizer{Partitions: 0, Workers: 1},
-			Rules:       rules,
-			Queue:       func() []*vjob.VJob { return jobs },
-			Trace:       tr,
-			Solver:      st,
-		}
-		l.Start(a)
-		a.run(1)
-		cfg.AddVM(vjob.NewVM("x000", "j000", 1, 1024))
-		if err := cfg.SetRunning("x000", "n000"); err != nil {
-			b.Fatal(err)
-		}
-		l.Notify(a, Event{Kind: VMArrival, VMs: []string{"x000"}, Nodes: []string{"n000"}})
-		a.run(100)
-		if l.Stats.SliceSolves == 0 {
-			b.Fatal("no slice solve happened")
-		}
 	}
 }

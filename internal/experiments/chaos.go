@@ -108,8 +108,9 @@ type ChaosOptions struct {
 	Trace string
 }
 
-// DefaultChaosOptions is the BENCH_chaos.json scenario: the 500-node
-// churn cluster, each chaos window opening after the arrival wave.
+// DefaultChaosOptions is the full-size scenario of `experiments chaos`:
+// the 500-node churn cluster, each chaos window opening after the
+// arrival wave.
 func DefaultChaosOptions() ChaosOptions {
 	churn := DefaultChurnOptions()
 	churn.ArrivalStop = 600

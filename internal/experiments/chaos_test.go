@@ -25,8 +25,7 @@ func quickChaosOptions() ChaosOptions {
 			Horizon:  2400,
 			Debounce: 5,
 			// Sequential search keeps the cells deterministic for the
-			// golden-adjacent assertions and the regress-gated
-			// BenchmarkChaosStudy.
+			// golden-adjacent assertions.
 			Optimizer: core.Optimizer{Timeout: 100 * time.Millisecond, Workers: 1},
 			Failures:  sim.FailureStorm{Base: 0.02},
 			Seed:      7,
@@ -167,26 +166,5 @@ func TestRackNamesAndSpread(t *testing.T) {
 	}
 	if got := spreadNodes(name, 3, 0); got != nil {
 		t.Fatalf("spread of none = %v", got)
-	}
-}
-
-// BenchmarkChaosStudy is the regress-gated cost of the chaos harness:
-// the two most adversarial quick cells (rack bursts and windowed
-// event loss) back to back.
-func BenchmarkChaosStudy(b *testing.B) {
-	opts := quickChaosOptions()
-	opts.Scenarios = []string{ScenarioBursts, ScenarioLoss}
-	var rows []ChaosResult
-	for i := 0; i < b.N; i++ {
-		rows = ChaosStudy(opts)
-	}
-	breaches, episodes := 0, 0
-	for _, r := range rows {
-		breaches += r.Breaches
-		episodes += r.Episodes
-	}
-	b.ReportMetric(float64(episodes), "episodes")
-	if breaches != 0 {
-		b.Fatalf("chaos cells breached structural invariants: %d", breaches)
 	}
 }

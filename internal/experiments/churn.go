@@ -12,9 +12,9 @@ import (
 	"cwcs/internal/testbed"
 )
 
-// DefaultChurnOptions is the BENCH_eventloop.json scenario of the
-// periodic-vs-event-driven loop study: 500 nodes under sustained churn
-// — Poisson vjob arrivals until ArrivalStop, natural departures as
+// DefaultChurnOptions is the full-size scenario of `experiments churn`,
+// the periodic-vs-event-driven loop study: 500 nodes under sustained
+// churn — Poisson vjob arrivals until ArrivalStop, natural departures as
 // workloads finish, load spikes as phases shift, and 2% of actions
 // failing on completion (exercising the repair path) — handled by the
 // same optimizer under two control-loop schedules. No paper analogue:

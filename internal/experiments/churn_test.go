@@ -21,8 +21,7 @@ func quickChurnOptions() testbed.Options {
 		Horizon:   2000,
 		Interval:  30, Debounce: 5,
 		// Sequential search: a portfolio race under a sub-second
-		// budget would make the comparative assertions (and the
-		// CI-gated BenchmarkChurnLoop* numbers) timing- and
+		// budget would make the comparative assertions timing- and
 		// core-count-dependent.
 		Optimizer: core.Optimizer{Timeout: 100 * time.Millisecond, Workers: 1},
 		Failures:  sim.FailureStorm{Base: 0.05},
@@ -124,24 +123,6 @@ func TestChurnRemediationReconciles(t *testing.T) {
 		t.Errorf("span retention perturbed the run: %+v vs %+v", r2.Stats, r.Stats)
 	}
 }
-
-// benchChurn runs one mode of the quick scenario, reporting the
-// study's own metrics alongside ns/op.
-func benchChurn(b *testing.B, eventDriven bool) {
-	opts := quickChurnOptions()
-	var last ChurnResult
-	for i := 0; i < b.N; i++ {
-		last = RunChurn(eventDriven, opts)
-	}
-	b.ReportMetric(float64(last.Stats.SubSolves), "sub-solves")
-	b.ReportMetric(last.ViolationSeconds, "viol-sec")
-	if last.FinalViolations != 0 {
-		b.Fatalf("%s run ended with violations", last.Mode)
-	}
-}
-
-func BenchmarkChurnLoopPeriodic(b *testing.B) { benchChurn(b, false) }
-func BenchmarkChurnLoopEvent(b *testing.B)    { benchChurn(b, true) }
 
 func TestChurnRendering(t *testing.T) {
 	rows := []ChurnResult{

@@ -29,9 +29,10 @@ type DrainOptions struct {
 	DrainFraction, DrainAt float64
 }
 
-// DefaultDrainOptions is the BENCH_drain.json scenario: evacuate 10%
-// of the 500-node churn cluster, arrivals stopping at the drain order,
-// with no injected action failures and the structural audit on.
+// DefaultDrainOptions is the full-size scenario of `experiments drain`:
+// evacuate 10% of the 500-node churn cluster, arrivals stopping at the
+// drain order, with no injected action failures and the structural
+// audit on.
 func DefaultDrainOptions() DrainOptions {
 	churn := DefaultChurnOptions()
 	churn.ArrivalStop = 600

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -30,27 +31,32 @@ func quickDrainOptions() DrainOptions {
 // numberings: the orders name nodes through the testbed, so a scenario
 // numbered as the paper's testbed (node07) drains nodes that exist —
 // each emptied and taken offline — not node007-style names the
-// configuration does not hold.
+// configuration does not hold. A third run drains with no arrivals, the
+// evacuation alone.
 func TestRunDrainEvacuatesWithoutBreaches(t *testing.T) {
-	for _, paper := range []bool{false, true} {
+	for _, tc := range []struct{ paper, arrivals bool }{{false, true}, {true, true}, {false, false}} {
 		o := quickDrainOptions()
-		o.Churn.PaperNames = paper
+		o.Churn.PaperNames = tc.paper
+		if !tc.arrivals {
+			o.Churn.ArrivalRate = 0
+		}
 		r := RunDrain(o)
+		label := fmt.Sprintf("paper names %v, arrivals %v", tc.paper, tc.arrivals)
 		if r.Drained != 3 {
-			t.Fatalf("paper names %v: drained %d nodes (want 3)", paper, r.Drained)
+			t.Fatalf("%s: drained %d nodes (want 3)", label, r.Drained)
 		}
 		if r.Evacuated != r.Drained || r.Offline != r.Drained {
-			t.Fatalf("paper names %v: evacuated %d and took offline %d of %d drained nodes",
-				paper, r.Evacuated, r.Offline, r.Drained)
+			t.Fatalf("%s: evacuated %d and took offline %d of %d drained nodes",
+				label, r.Evacuated, r.Offline, r.Drained)
 		}
 		if r.TimeToEmpty < 0 {
-			t.Fatalf("paper names %v: drained nodes never emptied", paper)
+			t.Fatalf("%s: drained nodes never emptied", label)
 		}
 		if r.Breaches != 0 {
-			t.Fatalf("paper names %v: %d invariant breaches during the evacuation", paper, r.Breaches)
+			t.Fatalf("%s: %d invariant breaches during the evacuation", label, r.Breaches)
 		}
 		if r.Stats.SubSolves == 0 {
-			t.Fatalf("paper names %v: no solver activity recorded", paper)
+			t.Fatalf("%s: no solver activity recorded", label)
 		}
 	}
 }
@@ -80,18 +86,5 @@ func TestDrainTableAndCSV(t *testing.T) {
 	}
 	if nf, nh := len(strings.Split(lines[1], ",")), len(strings.Split(lines[0], ",")); nf != nh {
 		t.Fatalf("csv row has %d fields, header %d", nf, nh)
-	}
-}
-
-// BenchmarkDrainEvacuation is the regression-gated evacuation loop: a
-// small cluster drains 3 nodes to empty under the event-driven loop.
-func BenchmarkDrainEvacuation(b *testing.B) {
-	opts := quickDrainOptions()
-	opts.Churn.ArrivalRate = 0 // pure evacuation, no churn noise
-	for i := 0; i < b.N; i++ {
-		r := RunDrain(opts)
-		if r.Evacuated != r.Drained {
-			b.Fatalf("evacuated %d of %d", r.Evacuated, r.Drained)
-		}
 	}
 }

@@ -59,8 +59,9 @@ const (
 	migrationHorizon         = 100_000.0
 )
 
-// DefaultMigrationOptions is the BENCH_migration.json scenario: a
-// 500-node cluster of which a quarter sits behind 100 Mbit/s NICs.
+// DefaultMigrationOptions is the full-size scenario of `experiments
+// migration`: a 500-node cluster of which a quarter sits behind
+// 100 Mbit/s NICs.
 func DefaultMigrationOptions() MigrationOptions {
 	return MigrationOptions{
 		Nodes:         500,

@@ -8,11 +8,12 @@ import (
 	"cwcs/internal/core"
 )
 
-// quickMigrationOptions shrinks the BENCH_migration.json scenario so
-// the study completes in about a second while keeping the phenomenon:
-// the transfer-blind planner oversubscribes NICs, the aware one never
-// does. Two racks instead of eight — a 48-node rack octant cannot host
-// an 18-VM vjob, and the fenced cells must stay feasible.
+// quickMigrationOptions shrinks the full-size scenario of `experiments
+// migration` so the study completes in about a second while keeping
+// the phenomenon: the transfer-blind planner oversubscribes NICs, the
+// aware one never does. Two racks instead of eight — a 48-node rack
+// octant cannot host an 18-VM vjob, and the fenced cells must stay
+// feasible.
 func quickMigrationOptions() MigrationOptions {
 	o := DefaultMigrationOptions()
 	o.Nodes = 48
@@ -24,7 +25,9 @@ func quickMigrationOptions() MigrationOptions {
 // TestMigrationStudy pins the study's headline on both variants: the
 // blind planner's execution oversubscribes NICs for a measurable
 // integral, the aware planner buys zero transfer violation-seconds
-// with extra pools, and neither corrupts the configuration.
+// with extra pools, and neither corrupts the configuration. At a 50 ms
+// budget the open variant alone must still solve both sides, and the
+// aware plan must still never oversubscribe a NIC.
 func TestMigrationStudy(t *testing.T) {
 	r := RunMigration(quickMigrationOptions())
 	if len(r.Variants) != 2 || r.Variants[0].Name != "open" || r.Variants[1].Name != "fenced" {
@@ -72,6 +75,17 @@ func TestMigrationStudy(t *testing.T) {
 	}
 	if fenced.Aware.WireCost10x >= open.Aware.WireCost10x {
 		t.Fatalf("fence did not reduce the 10x wire cost: %d vs %d", fenced.Aware.WireCost10x, open.Aware.WireCost10x)
+	}
+
+	short := quickMigrationOptions()
+	short.FencedVariant = false
+	short.Optimizer.Timeout = 50 * time.Millisecond
+	v := RunMigration(short).Variants[0]
+	if v.Blind.Err != "" || v.Aware.Err != "" {
+		t.Fatalf("50 ms: solve failed: blind=%q aware=%q", v.Blind.Err, v.Aware.Err)
+	}
+	if v.Aware.TransferViolationSeconds != 0 {
+		t.Fatalf("50 ms: aware planner oversubscribed a NIC for %.1f s", v.Aware.TransferViolationSeconds)
 	}
 }
 
@@ -122,24 +136,4 @@ func TestGoldenMigrationCSV(t *testing.T) {
 		},
 	}
 	checkGolden(t, "migration.csv.golden", MigrationCSV(r))
-}
-
-// BenchmarkMigrationStudy is the regress-gated cost of the
-// bandwidth-aware pipeline end to end: gated builder, TransferSize
-// cost fold, and the metered simulator re-timing every in-flight
-// transfer as concurrency changes.
-func BenchmarkMigrationStudy(b *testing.B) {
-	opts := quickMigrationOptions()
-	opts.FencedVariant = false
-	opts.Optimizer.Timeout = 50 * time.Millisecond
-	for i := 0; i < b.N; i++ {
-		r := RunMigration(opts)
-		v := r.Variants[0]
-		if v.Blind.Err != "" || v.Aware.Err != "" {
-			b.Fatalf("solve failed: blind=%q aware=%q", v.Blind.Err, v.Aware.Err)
-		}
-		if v.Aware.TransferViolationSeconds != 0 {
-			b.Fatalf("aware planner oversubscribed a NIC for %.1f s", v.Aware.TransferViolationSeconds)
-		}
-	}
 }

@@ -38,9 +38,9 @@ const (
 	multiresDiskFraction = 0.2
 )
 
-// DefaultMultiResOptions is the BENCH_multires.json scenario: a
-// 500-node cluster, half of whose vjobs are bound on a dimension the
-// 2-D model cannot see.
+// DefaultMultiResOptions is the full-size scenario of `experiments
+// multires`: a 500-node cluster, half of whose vjobs are bound on a
+// dimension the 2-D model cannot see.
 func DefaultMultiResOptions() MultiResOptions {
 	return MultiResOptions{
 		Nodes:     500,

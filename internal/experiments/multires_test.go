@@ -7,13 +7,13 @@ import (
 
 	"cwcs/internal/core"
 	"cwcs/internal/resources"
-	"cwcs/internal/sched"
 	"cwcs/internal/vjob"
 )
 
-// quickMultiResOptions shrinks the BENCH_multires.json scenario so the
-// study completes in well under a second while keeping the phenomenon:
-// the 2-D stack over-commits the network, the 4-D stack does not.
+// quickMultiResOptions shrinks the full-size scenario of `experiments
+// multires` so the study completes in well under a second while keeping
+// the phenomenon: the 2-D stack over-commits the network, the 4-D stack
+// does not.
 func quickMultiResOptions() MultiResOptions {
 	o := DefaultMultiResOptions()
 	o.Nodes = 48
@@ -24,7 +24,8 @@ func quickMultiResOptions() MultiResOptions {
 // TestMultiResStudy pins the study's headline: on a heterogeneous
 // cluster the CPU+memory-only stack produces a destination that
 // over-commits an extra dimension, while the 4-dimension model reaches
-// a violation-free configuration under the same budget.
+// a violation-free configuration under the same budget. At half that
+// budget both sides must still solve.
 func TestMultiResStudy(t *testing.T) {
 	r := RunMultiRes(quickMultiResOptions())
 	if r.Blind.Err != "" || r.Aware.Err != "" {
@@ -46,6 +47,12 @@ func TestMultiResStudy(t *testing.T) {
 	// to net/disk, not broken.
 	if r.Blind.Violations["cpu"] != 0 || r.Blind.Violations["memory"] != 0 {
 		t.Fatalf("blind model violated the dimensions it does see: %v", r.Blind.Violations)
+	}
+
+	half := quickMultiResOptions()
+	half.Optimizer.Timeout /= 2
+	if r := RunMultiRes(half); r.Blind.Err != "" || r.Aware.Err != "" {
+		t.Fatalf("%v budget: solve failed: blind=%q aware=%q", half.Optimizer.Timeout, r.Blind.Err, r.Aware.Err)
 	}
 }
 
@@ -123,33 +130,6 @@ func TestStripExtrasAndTransplant(t *testing.T) {
 	}
 	if truth.HostOf("v2") != "n2" {
 		t.Fatal("transplant dropped the move")
-	}
-}
-
-// BenchmarkMultiResourceSolve measures the optimizer on the multires
-// scenario, 2-D stripped vs full 4-D, at the bench-regress scale: the
-// dims=2 side pins "extra dimensions compile away" (no solver-time
-// regression on the paper's model), the dims=4 side pins the cost of
-// the two extra Packing propagators.
-func BenchmarkMultiResourceSolve(b *testing.B) {
-	opts := quickMultiResOptions()
-	opts.Optimizer.Timeout = 250 * time.Millisecond
-	g := multiresWorkload(opts)
-	blindSrc := stripExtras(g.Cfg)
-	problems := map[string]core.Problem{
-		"dims=2": {Src: blindSrc, Target: sched.Consolidation{}.Decide(blindSrc, jobsOf(blindSrc, g.Jobs))},
-		"dims=4": {Src: g.Cfg, Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs)},
-	}
-	for _, name := range []string{"dims=2", "dims=4"} {
-		p := problems[name]
-		b.Run(name, func(b *testing.B) {
-			opt := opts.Optimizer
-			for i := 0; i < b.N; i++ {
-				if _, err := opt.Solve(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

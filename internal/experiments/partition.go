@@ -29,8 +29,8 @@ type PartitionOptions struct {
 // partitionVMFactor is the number of VMs generated per §5.1 node.
 const partitionVMFactor = 1.5
 
-// DefaultPartitionOptions returns the BENCH_partition.json sweep:
-// 100/500/2000 nodes at an equal per-solve budget.
+// DefaultPartitionOptions returns the full-size sweep of `experiments
+// partition`: 100/500/2000 nodes at an equal per-solve budget.
 func DefaultPartitionOptions() PartitionOptions {
 	return PartitionOptions{
 		NodeCounts: []int{100, 500, 2000},

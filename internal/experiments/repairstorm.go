@@ -22,10 +22,11 @@ type RepairStormOptions struct {
 	Rates []float64
 }
 
-// DefaultRepairStormOptions is the BENCH_repair.json scenario: the
-// 500-node churn cluster at 5/10/20% action-failure rates, with the
-// structural-invariant audit on (a widened splice that corrupted the
-// plan would surface here, not just in violation-seconds).
+// DefaultRepairStormOptions is the full-size scenario of `experiments
+// repairstorm`: the 500-node churn cluster at 5/10/20% action-failure
+// rates, with the structural-invariant audit on (a widened splice that
+// corrupted the plan would surface here, not just in
+// violation-seconds).
 func DefaultRepairStormOptions() RepairStormOptions {
 	churn := DefaultChurnOptions()
 	churn.WatchInvariants = true

@@ -94,20 +94,3 @@ func TestGoldenRepairStormCSV(t *testing.T) {
 	}
 	checkGolden(t, "repairstorm.csv.golden", RepairStormCSV(rows))
 }
-
-// BenchmarkRepairStorm is the regress-gated cost of the widened storm
-// cell: the quick scenario at 10% failure rate with widening on.
-func BenchmarkRepairStorm(b *testing.B) {
-	opts := quickRepairStormOptions(0.10)
-	co := opts.Churn
-	co.Failures.Base = 0.10
-	var last ChurnResult
-	for i := 0; i < b.N; i++ {
-		last = RunChurn(true, co)
-	}
-	b.ReportMetric(float64(last.Stats.Repairs), "repairs")
-	b.ReportMetric(float64(last.Stats.FailedRepairs), "failed-repairs")
-	if last.Breaches != 0 {
-		b.Fatalf("storm run breached structural invariants: %d", last.Breaches)
-	}
-}

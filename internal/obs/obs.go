@@ -6,7 +6,7 @@
 // free. Every producer holds a *Tracer that may be nil; Span is a
 // small value type whose methods no-op when the tracer is nil, so the
 // hot path never branches into allocation-bearing code
-// (BenchmarkLoopTracingOff pins 0 allocs/op). When tracing is on,
+// (TestNilTracerIsInertAndFree pins 0 allocations). When tracing is on,
 // closed spans land in a fixed-size ring of atomic pointers —
 // writers never take a lock and readers (HTTP handlers on other
 // goroutines) never block the loop.
