@@ -61,6 +61,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzActionFacts -fuzztime=$(FUZZTIME) ./internal/drivers
 	$(GO) test -run=^$$ -fuzz=FuzzGroupResumes -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run=^$$ -fuzz=FuzzDecide -fuzztime=$(FUZZTIME) ./internal/sched
+	$(GO) test -run=^$$ -fuzz=FuzzLabelValue -fuzztime=$(FUZZTIME) ./internal/api
+	$(GO) test -run=^$$ -fuzz=FuzzSubmitVJob -fuzztime=$(FUZZTIME) ./internal/api
 
 # Atomic-mode coverage with per-package floors: the floors file pins a
 # minimum for every load-bearing package, so a PR cannot silently strip

@@ -3,16 +3,20 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
-	"cwcs/internal/api"
+	"cwcs/internal/sched"
+	"cwcs/internal/testbed"
 )
 
 // TestMountPprofGating checks the -pprof wiring: with the flag on the
 // profiling endpoints serve, with it off they fall through to the API
 // mux and 404 — while the control-plane routes work either way.
 func TestMountPprofGating(t *testing.T) {
-	apiHandler := (&api.Server{}).Handler()
+	var mu sync.Mutex
+	tb := testbed.New(testbed.Options{Nodes: 2, NodeCPU: 2, NodeMemory: 4096, VJobs: 1, VMsPerVJob: 1, Decision: sched.Consolidation{}})
+	apiHandler := tb.ControlPlane(&mu).Handler()
 
 	enabled := httptest.NewServer(mount(apiHandler, true))
 	defer enabled.Close()
@@ -40,8 +44,10 @@ func TestMountPprofGating(t *testing.T) {
 	}
 	// The control plane is reachable through the mount in both modes.
 	for _, base := range []string{enabled.URL, disabled.URL} {
-		if got := status(base, "/healthz"); got != http.StatusOK {
-			t.Errorf("%s/healthz = %d, want 200", base, got)
+		for _, path := range []string{"/healthz", "/v1/nodes", "/metrics"} {
+			if got := status(base, path); got != http.StatusOK {
+				t.Errorf("%s%s = %d, want 200", base, path, got)
+			}
 		}
 	}
 }

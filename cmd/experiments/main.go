@@ -441,7 +441,7 @@ func writeTrace(path string, spans []obs.SpanRecord) {
 // per study row naming who absorbed the violation exposure. Silent
 // for clean runs.
 func printAttribution(out io.Writer, label string, led *monitor.Ledger) {
-	if led == nil || led.Total() == 0 {
+	if led.Total() == 0 {
 		return
 	}
 	fmt.Fprintf(out, "%-13s top violators:", label)

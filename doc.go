@@ -65,8 +65,6 @@
 // trace on /v1/trace, stream live over SSE on /v1/watch (slow clients
 // are dropped, never block the loop), and aggregate into hand-rolled
 // Prometheus latency histograms on /metrics. A disabled tracer costs
-// zero allocations, and so do disabled solver telemetry and a nil
-// attribution ledger — pinned by TestNilTracerIsInertAndFree,
-// TestSolverTelemetryNilIsInertAndFree and TestLedgerNilIsInertAndFree.
+// zero allocations (TestNilTracerIsInertAndFree).
 // examples/observability/README.md is the cookbook.
 package cwcs

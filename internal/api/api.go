@@ -13,7 +13,9 @@
 // The server is deliberately thin: it owns no cluster state. Every
 // handler runs its work inside the Exec serializer the host provides,
 // so the control plane, the control loop and the simulator never race;
-// responses are written outside the critical section.
+// responses are written outside the critical section. Every Server
+// hook is required except Withdraw, whose absence makes DELETE
+// /v1/vjobs/{name} answer 501.
 package api
 
 import (
@@ -57,12 +59,13 @@ type VJobSpec struct {
 }
 
 // Server is the control plane. All function hooks are invoked inside
-// Exec; hooks left nil disable their endpoints (501).
+// Exec. Every field is required except Withdraw: a host that cannot
+// take a vjob back leaves it nil, and DELETE /v1/vjobs/{name} answers
+// 501.
 type Server struct {
 	// Exec serializes a handler's work with the control loop and the
 	// simulator (e.g. by holding the mutex the sim driver holds while
-	// advancing virtual time). Required; nil runs handlers unserialized
-	// — acceptable only in single-threaded tests.
+	// advancing virtual time).
 	Exec func(func())
 
 	// Now returns the current virtual time.
@@ -80,10 +83,10 @@ type Server struct {
 	Notify func(core.Event)
 	// Drains is the node-lifecycle bridge shared with Loop.Drains.
 	Drains *core.DrainSet
-	// OnUndrain, when non-nil, runs after an undrain changed the drain
-	// set — the host's chance to bring the node back into the
-	// simulator's lifecycle (SetNodeOnline). An error rolls the undrain
-	// back and fails the request.
+	// OnUndrain runs after an undrain changed the drain set — the
+	// host's chance to bring the node back into the simulator's
+	// lifecycle (SetNodeOnline). An error rolls the undrain back and
+	// fails the request.
 	OnUndrain func(node string) error
 	// Submit and Withdraw manage vjobs at runtime.
 	Submit   func(VJobSpec) error
@@ -93,17 +96,16 @@ type Server struct {
 	ViolationSeconds func() float64
 	// QueueDepth returns the number of vjobs in the submission queue.
 	QueueDepth func() int
-	// Trace, when non-nil, enables GET /v1/trace and GET /v1/watch
-	// and adds the pipeline latency histograms to /metrics. Span-ring
-	// reads are lock-free, so trace scrapes skip Exec and never delay
-	// the loop.
+	// Trace backs GET /v1/trace and GET /v1/watch and the pipeline
+	// latency histograms of /metrics. Span-ring reads are lock-free, so
+	// trace scrapes skip Exec and never delay the loop.
 	Trace *obs.Tracer
-	// Ledger, when non-nil, enables GET /v1/violations and the labeled
+	// Ledger backs GET /v1/violations and the labeled
 	// cwcs_violation_seconds_total{vjob,kind} / {node,kind} and
 	// cwcs_rule_breach_seconds_total{rule} samples. The ledger carries
 	// its own lock, so reads skip Exec and never delay the sim.
 	Ledger *monitor.Ledger
-	// Solver, when non-nil, enables GET /v1/solver and the
+	// Solver backs GET /v1/solver and the
 	// cwcs_portfolio_wins_total{strategy} / cwcs_warm_start_* metric
 	// families. Self-locked like the ledger; reads skip Exec.
 	Solver *core.SolverTelemetry
@@ -170,15 +172,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// exec runs fn inside the host's serializer.
-func (s *Server) exec(fn func()) {
-	if s.Exec != nil {
-		s.Exec(fn)
-		return
-	}
-	fn()
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -198,12 +191,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	if s.Config == nil {
-		writeError(w, http.StatusNotImplemented, "no configuration source")
-		return
-	}
 	var snap *vjob.Configuration
-	s.exec(func() { snap = s.Config().Clone() })
+	s.Exec(func() { snap = s.Config().Clone() })
 	writeJSON(w, http.StatusOK, snap)
 }
 
@@ -221,37 +210,20 @@ type statsJSON struct {
 // snapshot gathers the telemetry every read endpoint shares.
 func (s *Server) snapshot() statsJSON {
 	var out statsJSON
-	s.exec(func() {
-		if s.Now != nil {
-			out.Now = s.Now()
-		}
-		if s.Stats != nil {
-			out.Loop = s.Stats()
-		}
-		if s.Switches != nil {
-			out.Switches = s.Switches()
-		}
-		if s.ViolationSeconds != nil {
-			out.ViolationSeconds = s.ViolationSeconds()
-		}
-		if s.QueueDepth != nil {
-			out.QueueDepth = s.QueueDepth()
-		}
+	s.Exec(func() {
+		out.Now = s.Now()
+		out.Loop = s.Stats()
+		out.Switches = s.Switches()
+		out.ViolationSeconds = s.ViolationSeconds()
+		out.QueueDepth = s.QueueDepth()
 		out.DrainingNodes = s.Drains.Nodes()
-		if s.Execution != nil {
-			if ex := s.Execution(); ex != nil && !ex.Finished() {
-				out.Executing = true
-			}
-		}
+		ex := s.Execution()
+		out.Executing = ex != nil && !ex.Finished()
 	})
 	return out
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if s.Stats == nil {
-		writeError(w, http.StatusNotImplemented, "no stats source")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
@@ -301,12 +273,8 @@ func (s *Server) planLocked() planJSON {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if s.Execution == nil {
-		writeError(w, http.StatusNotImplemented, "no execution source")
-		return
-	}
 	var out planJSON
-	s.exec(func() { out = s.planLocked() })
+	s.Exec(func() { out = s.planLocked() })
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -455,27 +423,16 @@ func (s *Server) nodeListLocked() []nodeJSON {
 }
 
 func (s *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
-	if s.Config == nil {
-		writeError(w, http.StatusNotImplemented, "no configuration source")
-		return
-	}
 	var out []nodeJSON
-	s.exec(func() { out = s.nodeListLocked() })
+	s.Exec(func() { out = s.nodeListLocked() })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
-	if s.Config == nil {
-		writeError(w, http.StatusNotImplemented, "no configuration source")
-		return
-	}
 	id := r.PathValue("id")
 	var st nodeJSON
 	var ok bool
-	s.exec(func() {
-		cfg := s.Config()
-		st, ok = s.nodeStatus(cfg, id)
-	})
+	s.Exec(func() { st, ok = s.nodeStatus(s.Config(), id) })
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown node %q", id)
 		return
@@ -484,28 +441,20 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if s.Drains == nil || s.Config == nil {
-		writeError(w, http.StatusNotImplemented, "no drain bridge")
-		return
-	}
 	id := r.PathValue("id")
 	var st nodeJSON
 	var ok bool
-	s.exec(func() {
+	s.Exec(func() {
 		cfg := s.Config()
-		if cfg.Node(id) == nil && !s.Drains.IsDrained(id) {
-			ok = false
+		if ok = cfg.Node(id) != nil || s.Drains.IsDrained(id); !ok {
 			return
 		}
-		ok = true
 		if s.Drains.Drain(id) {
-			if s.Notify != nil {
-				ev := core.Event{Kind: core.NodeDown, At: now(s), Nodes: []string{id}}
-				for _, v := range cfg.RunningOn(id) {
-					ev.VMs = append(ev.VMs, v.Name)
-				}
-				s.Notify(ev)
+			ev := core.Event{Kind: core.NodeDown, At: s.Now(), Nodes: []string{id}}
+			for _, v := range cfg.RunningOn(id) {
+				ev.VMs = append(ev.VMs, v.Name)
 			}
+			s.Notify(ev)
 		}
 		st, _ = s.nodeStatus(cfg, id)
 	})
@@ -517,31 +466,21 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {
-	if s.Drains == nil || s.Config == nil {
-		writeError(w, http.StatusNotImplemented, "no drain bridge")
-		return
-	}
 	id := r.PathValue("id")
 	var st nodeJSON
 	var ok bool
 	var hookErr error
-	s.exec(func() {
+	s.Exec(func() {
 		cfg := s.Config()
-		if cfg.Node(id) == nil && !s.Drains.IsDrained(id) {
-			ok = false
+		if ok = cfg.Node(id) != nil || s.Drains.IsDrained(id); !ok {
 			return
 		}
-		ok = true
 		if s.Drains.Undrain(id) {
-			if s.OnUndrain != nil {
-				if hookErr = s.OnUndrain(id); hookErr != nil {
-					s.Drains.Drain(id)
-					return
-				}
+			if hookErr = s.OnUndrain(id); hookErr != nil {
+				s.Drains.Drain(id)
+				return
 			}
-			if s.Notify != nil {
-				s.Notify(core.Event{Kind: core.NodeUp, At: now(s), Nodes: []string{id}})
-			}
+			s.Notify(core.Event{Kind: core.NodeUp, At: s.Now(), Nodes: []string{id}})
 		}
 		// Re-observe: OnUndrain may have brought the node back online.
 		st, _ = s.nodeStatus(s.Config(), id)
@@ -554,13 +493,6 @@ func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, st)
 	}
-}
-
-func now(s *Server) float64 {
-	if s.Now != nil {
-		return s.Now()
-	}
-	return 0
 }
 
 // eventJSON is the wire form of one injected event.
@@ -586,10 +518,6 @@ func decodeStatus(err error) int {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.Notify == nil {
-		writeError(w, http.StatusNotImplemented, "no event sink")
-		return
-	}
 	var batch []eventJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&batch); err != nil {
 		writeError(w, decodeStatus(err), "events: expected a JSON array of {kind,nodes,vms}: %v", err)
@@ -610,8 +538,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		events = append(events, core.Event{Kind: kind, Nodes: ej.Nodes, VMs: ej.VMs})
 	}
-	s.exec(func() {
-		at := now(s)
+	s.Exec(func() {
+		at := s.Now()
 		for _, ev := range events {
 			ev.At = at
 			s.Notify(ev)
@@ -621,10 +549,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.Submit == nil {
-		writeError(w, http.StatusNotImplemented, "no vjob submitter")
-		return
-	}
 	var spec VJobSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&spec); err != nil {
 		writeError(w, decodeStatus(err), "vjobs: %v", err)
@@ -657,7 +581,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var err error
-	s.exec(func() { err = s.Submit(spec) })
+	s.Exec(func() { err = s.Submit(spec) })
 	if err != nil {
 		writeError(w, http.StatusConflict, "vjobs: %v", err)
 		return
@@ -672,7 +596,7 @@ func (s *Server) handleWithdraw(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var err error
-	s.exec(func() { err = s.Withdraw(name) })
+	s.Exec(func() { err = s.Withdraw(name) })
 	if err != nil {
 		writeError(w, http.StatusConflict, "vjobs: %v", err)
 		return

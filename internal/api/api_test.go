@@ -18,6 +18,7 @@ import (
 	"cwcs/internal/drivers"
 	"cwcs/internal/duration"
 	"cwcs/internal/monitor"
+	"cwcs/internal/obs"
 	"cwcs/internal/resources"
 	"cwcs/internal/sched"
 	"cwcs/internal/sim"
@@ -26,9 +27,10 @@ import (
 
 // testbed is a miniature daemon: a simulated cluster driven by an
 // event-driven loop, with the control plane mounted over a mutex the
-// sim driver shares — the same serialization cmd/entropyd uses.
+// sim driver shares — the same serialization cmd/entropyd uses — and
+// one tracer wired through the loop, the actuator and the server.
 type testbed struct {
-	t    *testing.T
+	t    testing.TB
 	mu   sync.Mutex
 	c    *sim.Cluster
 	cfg  *vjob.Configuration
@@ -43,7 +45,7 @@ type testbed struct {
 	ts  *httptest.Server
 }
 
-func newTestbed(t *testing.T, nodes, cpu, mem int) *testbed {
+func newTestbed(t testing.TB, nodes, cpu, mem int) *testbed {
 	t.Helper()
 	b := &testbed{t: t, cfg: vjob.NewConfiguration()}
 	for i := 0; i < nodes; i++ {
@@ -51,7 +53,8 @@ func newTestbed(t *testing.T, nodes, cpu, mem int) *testbed {
 	}
 	b.c = sim.New(b.cfg, duration.Default())
 	b.inv = sim.WatchInvariants(b.c)
-	b.act = &drivers.Actuator{C: b.c}
+	tr := obs.NewTracer(1024)
+	b.act = &drivers.Actuator{C: b.c, Trace: tr}
 	drains := &core.DrainSet{}
 	b.loop = &core.Loop{
 		Decision:    sched.Consolidation{},
@@ -60,6 +63,7 @@ func newTestbed(t *testing.T, nodes, cpu, mem int) *testbed {
 		Debounce:    2,
 		Drains:      drains,
 		Queue:       func() []*vjob.VJob { return b.jobs },
+		Trace:       tr,
 	}
 	led := monitor.WatchLedger(b.c, drains.Rules)
 	b.violSec = led.Total
@@ -90,6 +94,7 @@ func newTestbed(t *testing.T, nodes, cpu, mem int) *testbed {
 		Withdraw:         b.withdraw,
 		ViolationSeconds: b.violSec,
 		QueueDepth:       func() int { return len(b.jobs) },
+		Trace:            tr,
 		Ledger:           led,
 		Solver:           b.loop.Solver,
 	}

@@ -24,10 +24,6 @@ type violationsJSON struct {
 // the per-entity rows (default 10, 0 means all). Ledger reads are
 // self-locked, so this endpoint deliberately skips Exec.
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
-	if s.Ledger == nil {
-		writeError(w, http.StatusNotImplemented, "no attribution ledger")
-		return
-	}
 	k := 10
 	if q := r.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
@@ -52,9 +48,5 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 // totals, per-cause re-solve counts and the recent per-solve reports.
 // Telemetry reads are self-locked, so this endpoint skips Exec too.
 func (s *Server) handleSolver(w http.ResponseWriter, r *http.Request) {
-	if s.Solver == nil {
-		writeError(w, http.StatusNotImplemented, "no solver telemetry")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.Solver.Snapshot())
 }

@@ -3,7 +3,6 @@ package api
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -115,21 +114,4 @@ func TestSolverEndpoint(t *testing.T) {
 	}
 	metricValue(t, text, "cwcs_warm_start_hits_total")
 	metricValue(t, text, "cwcs_warm_start_misses_total")
-}
-
-// TestExplainEndpointsDisabledReturn501: without a ledger or solver
-// telemetry wired, the attribution endpoints decline instead of
-// serving empty data.
-func TestExplainEndpointsDisabledReturn501(t *testing.T) {
-	s := &Server{}
-	for path, h := range map[string]http.HandlerFunc{
-		"/v1/violations": s.handleViolations,
-		"/v1/solver":     s.handleSolver,
-	} {
-		w := httptest.NewRecorder()
-		h(w, httptest.NewRequest("GET", path, nil))
-		if w.Code != http.StatusNotImplemented {
-			t.Errorf("%s without a source: status %d, want 501", path, w.Code)
-		}
-	}
 }

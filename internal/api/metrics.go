@@ -26,6 +26,17 @@ type family struct {
 	samples         []sample
 }
 
+// labelEscaper escapes a label value as the text exposition format
+// defines: backslash, double quote and line feed, nothing else. Every
+// other rune is written raw; an escape such as \t or \u00a0 that Go's
+// %q would write makes a scrape parser reject the whole page.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// labelPair renders one name="value" label.
+func labelPair(name, value string) string {
+	return name + `="` + labelEscaper.Replace(value) + `"`
+}
+
 // labels renders one label set in registry order.
 func labels(pairs ...string) string {
 	var b strings.Builder
@@ -34,7 +45,7 @@ func labels(pairs ...string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", pairs[i], pairs[i+1])
+		b.WriteString(labelPair(pairs[i], pairs[i+1]))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -55,15 +66,30 @@ func (s *Server) metricFamilies() []family {
 		return family{name: name, help: help, typ: typ, samples: []sample{{value: v}}}
 	}
 	violations := one("cwcs_violation_seconds_total", "Integral of capacity violations over virtual time; labeled series attribute it per vjob and per node by dominant consumer.", "counter", snap.ViolationSeconds)
-	if s.Ledger != nil {
-		for _, e := range s.Ledger.VJobKinds() {
-			violations.samples = append(violations.samples, sample{labels: labels("vjob", e.VJob, "kind", e.Kind), value: e.Seconds})
-		}
-		for _, e := range s.Ledger.NodeKinds() {
-			violations.samples = append(violations.samples, sample{labels: labels("node", e.Node, "kind", e.Kind), value: e.Seconds})
-		}
+	for _, e := range s.Ledger.VJobKinds() {
+		violations.samples = append(violations.samples, sample{labels: labels("vjob", e.VJob, "kind", e.Kind), value: e.Seconds})
 	}
-	fams := []family{
+	for _, e := range s.Ledger.NodeKinds() {
+		violations.samples = append(violations.samples, sample{labels: labels("node", e.Node, "kind", e.Kind), value: e.Seconds})
+	}
+	breach := family{name: "cwcs_rule_breach_seconds_total", help: "Integral of structural placement-rule breaches over virtual time, per rule kind.", typ: "counter"}
+	for _, e := range s.Ledger.RuleSeconds() {
+		breach.samples = append(breach.samples, sample{labels: labels("rule", e.Rule), value: e.Seconds})
+	}
+	solver := s.Solver.Snapshot()
+	wins := family{name: "cwcs_portfolio_wins_total", help: "Solves won per portfolio strategy (the strategy whose plan was returned).", typ: "counter"}
+	for _, w := range s.Solver.WinRates() {
+		wins.samples = append(wins.samples, sample{labels: labels("strategy", w.Strategy), value: float64(w.Improvements)})
+	}
+	used := family{name: "cwcs_node_resource_used", help: "Per-node per-dimension resource demand of running VMs.", typ: "gauge"}
+	capacity := family{name: "cwcs_node_resource_capacity", help: "Per-node per-dimension resource capacity.", typ: "gauge"}
+	for _, g := range s.nodeGauges() {
+		l := labels("node", g.node, "kind", g.kind)
+		used.samples = append(used.samples, sample{labels: l, value: g.used})
+		capacity.samples = append(capacity.samples, sample{labels: l, value: g.capacity})
+	}
+	info := obs.BuildInfo()
+	return []family{
 		one("cwcs_iterations_total", "Wake-ups that ran the decision module.", "counter", float64(snap.Loop.Iterations)),
 		one("cwcs_solves_total", "Optimizer invocations (monolithic solves plus dirty-slice solves).", "counter", float64(snap.Loop.SolverCalls)),
 		one("cwcs_sub_solves_total", "Independent sub-problem optimizations, the comparable solve unit.", "counter", float64(snap.Loop.SubSolves)),
@@ -82,47 +108,19 @@ func (s *Server) metricFamilies() []family {
 		one("cwcs_draining_nodes", "Nodes currently under a drain order.", "gauge", float64(len(snap.DrainingNodes))),
 		one("cwcs_executing", "1 while a context switch is executing.", "gauge", executing),
 		one("cwcs_virtual_time_seconds", "Current virtual time of the cluster.", "gauge", snap.Now),
+		breach,
+		wins,
+		one("cwcs_warm_start_hits_total", "Solves whose warm-start assignment was still viable and seeded the incumbent.", "counter", float64(solver.WarmStartHits)),
+		one("cwcs_warm_start_misses_total", "Solves whose warm-start assignment no longer applied.", "counter", float64(solver.WarmStartMisses)),
+		used,
+		capacity,
+		family{
+			name: "cwcs_build_info", help: "Build metadata of the serving binary; the value is always 1.", typ: "gauge",
+			samples: []sample{{labels: labels("version", info.Version, "go_version", info.GoVersion), value: 1}},
+		},
+		one("cwcs_watch_drops_total", "Watch events dropped (and subscribers disconnected) because a client fell behind.", "counter", float64(s.Trace.WatchDrops())),
+		one("cwcs_state_watch_drops_total", "State-watch subscribers disconnected because a client fell behind.", "counter", float64(s.stateDrops.Load())),
 	}
-	if s.Ledger != nil {
-		breach := family{name: "cwcs_rule_breach_seconds_total", help: "Integral of structural placement-rule breaches over virtual time, per rule kind.", typ: "counter"}
-		for _, e := range s.Ledger.RuleSeconds() {
-			breach.samples = append(breach.samples, sample{labels: labels("rule", e.Rule), value: e.Seconds})
-		}
-		fams = append(fams, breach)
-	}
-	if s.Solver != nil {
-		solver := s.Solver.Snapshot()
-		wins := family{name: "cwcs_portfolio_wins_total", help: "Solves won per portfolio strategy (the strategy whose plan was returned).", typ: "counter"}
-		for _, w := range s.Solver.WinRates() {
-			wins.samples = append(wins.samples, sample{labels: labels("strategy", w.Strategy), value: float64(w.Improvements)})
-		}
-		fams = append(fams,
-			wins,
-			one("cwcs_warm_start_hits_total", "Solves whose warm-start assignment was still viable and seeded the incumbent.", "counter", float64(solver.WarmStartHits)),
-			one("cwcs_warm_start_misses_total", "Solves whose warm-start assignment no longer applied.", "counter", float64(solver.WarmStartMisses)),
-		)
-	}
-	if s.Config != nil {
-		gauges := s.nodeGauges()
-		used := family{name: "cwcs_node_resource_used", help: "Per-node per-dimension resource demand of running VMs.", typ: "gauge"}
-		capacity := family{name: "cwcs_node_resource_capacity", help: "Per-node per-dimension resource capacity.", typ: "gauge"}
-		for _, g := range gauges {
-			l := labels("node", g.node, "kind", g.kind)
-			used.samples = append(used.samples, sample{labels: l, value: g.used})
-			capacity.samples = append(capacity.samples, sample{labels: l, value: g.capacity})
-		}
-		fams = append(fams, used, capacity)
-	}
-	info := obs.BuildInfo()
-	fams = append(fams, family{
-		name: "cwcs_build_info", help: "Build metadata of the serving binary; the value is always 1.", typ: "gauge",
-		samples: []sample{{labels: labels("version", info.Version, "go_version", info.GoVersion), value: 1}},
-	})
-	if s.Trace != nil {
-		fams = append(fams, one("cwcs_watch_drops_total", "Watch events dropped (and subscribers disconnected) because a client fell behind.", "counter", float64(s.Trace.WatchDrops())))
-	}
-	fams = append(fams, one("cwcs_state_watch_drops_total", "State-watch subscribers disconnected because a client fell behind.", "counter", float64(s.stateDrops.Load())))
-	return fams
 }
 
 // nodeGauge is one labeled sample of the per-node resource gauges.
@@ -136,7 +134,7 @@ type nodeGauge struct {
 // node then registry order.
 func (s *Server) nodeGauges() []nodeGauge {
 	var out []nodeGauge
-	s.exec(func() {
+	s.Exec(func() {
 		cfg := s.Config()
 		for _, n := range cfg.Nodes() {
 			used := cfg.Used(n.Name)
@@ -155,10 +153,6 @@ func (s *Server) nodeGauges() []nodeGauge {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.Stats == nil {
-		writeError(w, http.StatusNotImplemented, "no stats source")
-		return
-	}
 	var b strings.Builder
 	for _, f := range s.metricFamilies() {
 		if len(f.samples) == 0 {
@@ -172,9 +166,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%s%s %g\n", f.name, smp.labels, smp.value)
 		}
 	}
-	if s.Trace != nil {
-		writeHistograms(&b, s.Trace.Histograms())
-	}
+	writeHistograms(&b, s.Trace.Histograms())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))

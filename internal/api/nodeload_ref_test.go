@@ -216,7 +216,7 @@ func TestNodeRenderingMatchesReference(t *testing.T) {
 	offline, extra := 0, 0
 	for seed := int64(0); seed < 300; seed++ {
 		cfg, drains := randomCluster(seed)
-		s := &Server{Config: func() *vjob.Configuration { return cfg }, Drains: drains}
+		s := &Server{Exec: func(fn func()) { fn() }, Config: func() *vjob.Configuration { return cfg }, Drains: drains}
 
 		got, err := json.Marshal(s.nodeListLocked())
 		if err != nil {

@@ -29,24 +29,16 @@ type nodesDelta struct {
 }
 
 // parseStateStreams validates the ?streams selection. An empty
-// selection means every stream the host wired sources for.
-func (s *Server) parseStateStreams(q string) ([]string, error) {
+// selection means every stream.
+func parseStateStreams(q string) ([]string, error) {
 	if q == "" {
-		streams := []string{"config", "nodes"}
-		if s.Execution != nil {
-			streams = append(streams, "plan")
-		}
-		return streams, nil
+		return []string{"config", "nodes", "plan"}, nil
 	}
 	var out []string
 	seen := map[string]bool{}
 	for _, name := range strings.Split(q, ",") {
 		switch name {
-		case "nodes", "config":
-		case "plan":
-			if s.Execution == nil {
-				return nil, fmt.Errorf("stream %q has no execution source", name)
-			}
+		case "nodes", "config", "plan":
 		default:
 			return nil, fmt.Errorf("unknown stream %q (want nodes, plan or config)", name)
 		}
@@ -70,11 +62,7 @@ func (s *Server) parseStateStreams(q string) ([]string, error) {
 // Exec serializer it samples under — is never blocked by a stalled
 // consumer.
 func (s *Server) handleWatchState(w http.ResponseWriter, r *http.Request) {
-	if s.Config == nil {
-		writeError(w, http.StatusNotImplemented, "no configuration source")
-		return
-	}
-	streams, err := s.parseStateStreams(r.URL.Query().Get("streams"))
+	streams, err := parseStateStreams(r.URL.Query().Get("streams"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "watch/state: %v", err)
 		return
@@ -116,7 +104,7 @@ func (s *Server) produceState(ctx context.Context, streams []string, ch chan sta
 		var nodes []nodeJSON
 		var pl planJSON
 		var cfg *vjob.Configuration
-		s.exec(func() {
+		s.Exec(func() {
 			if want["nodes"] {
 				nodes = s.nodeListLocked()
 			}

@@ -134,22 +134,11 @@ func TestWatchStateSnapshotThenDeltas(t *testing.T) {
 	}
 }
 
-// TestWatchStateStreamValidation: unknown streams and streams without a
-// wired source are rejected; no config source at all means 501.
+// TestWatchStateStreamValidation: unknown streams are rejected.
 func TestWatchStateStreamValidation(t *testing.T) {
 	b := newTestbed(t, 2, 2, 4096)
 	b.get(t, "/v1/watch/state?streams=bogus", http.StatusBadRequest)
 	b.get(t, "/v1/watch/state?streams=nodes,bogus", http.StatusBadRequest)
-
-	bare := &Server{}
-	w := httptest.NewRecorder()
-	bare.handleWatchState(w, httptest.NewRequest("GET", "/v1/watch/state", nil))
-	if w.Code != http.StatusNotImplemented {
-		t.Fatalf("no config source: status %d, want 501", w.Code)
-	}
-	if _, err := bare.parseStateStreams("plan"); err == nil {
-		t.Fatal("plan stream accepted without an execution source")
-	}
 }
 
 // TestWatchStateHeartbeat: a quiet stream still emits keep-alive

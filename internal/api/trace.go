@@ -16,10 +16,6 @@ import (
 // (load it at ui.perfetto.dev). ?limit=N caps the span count. Ring
 // reads are lock-free, so this endpoint deliberately skips Exec.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.Trace == nil {
-		writeError(w, http.StatusNotImplemented, "tracing disabled")
-		return
-	}
 	limit := 0
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
@@ -56,10 +52,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handler disconnects it) and cwcs_watch_drops_total increments —
 // the loop is never delayed by a stalled watcher.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if s.Trace == nil {
-		writeError(w, http.StatusNotImplemented, "tracing disabled")
-		return
-	}
 	pumpSSE(s, w, r, "watch", func() (string, <-chan obs.StreamEvent, func()) {
 		sub := s.Trace.Subscribe(watchBuffer)
 		return fmt.Sprintf(`{"drops":%d}`, s.Trace.WatchDrops()), sub.C, sub.Close
@@ -131,9 +123,12 @@ func writeHistograms(b *strings.Builder, hs []*obs.Histogram) {
 			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", snap.Name, snap.Help, snap.Name)
 			last = snap.Name
 		}
-		label := ""
+		// label prefixes the le label of a bucket; series labels _sum
+		// and _count.
+		label, series := "", ""
 		if snap.Label != "" {
-			label = fmt.Sprintf("%s=%q,", snap.Label, snap.LabelValue)
+			pair := labelPair(snap.Label, snap.LabelValue)
+			label, series = pair+",", "{"+pair+"}"
 		}
 		cum := uint64(0)
 		for i, bound := range snap.Bounds {
@@ -143,12 +138,7 @@ func writeHistograms(b *strings.Builder, hs []*obs.Histogram) {
 		}
 		cum += snap.Counts[len(snap.Bounds)]
 		fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", snap.Name, label, cum)
-		if snap.Label != "" {
-			fmt.Fprintf(b, "%s_sum{%s=%q} %g\n", snap.Name, snap.Label, snap.LabelValue, snap.Sum)
-			fmt.Fprintf(b, "%s_count{%s=%q} %d\n", snap.Name, snap.Label, snap.LabelValue, snap.Count)
-		} else {
-			fmt.Fprintf(b, "%s_sum %g\n", snap.Name, snap.Sum)
-			fmt.Fprintf(b, "%s_count %d\n", snap.Name, snap.Count)
-		}
+		fmt.Fprintf(b, "%s_sum%s %g\n", snap.Name, series, snap.Sum)
+		fmt.Fprintf(b, "%s_count%s %d\n", snap.Name, series, snap.Count)
 	}
 }

@@ -17,18 +17,6 @@ import (
 	"cwcs/internal/obs"
 )
 
-// traceTestbed wires a tracer through the loop, the actuator and the
-// control plane, the way cmd/entropyd does when serving.
-func traceTestbed(t *testing.T, nodes, cpu, mem int) (*testbed, *obs.Tracer) {
-	t.Helper()
-	b := newTestbed(t, nodes, cpu, mem)
-	tr := obs.NewTracer(1024)
-	b.loop.Trace = tr
-	b.act.Trace = tr
-	b.srv.Trace = tr
-	return b, tr
-}
-
 // churn drives one reconfiguration episode: an overload arrival the
 // loop has to migrate away, producing spans across the pipeline.
 func (b *testbed) churn(t *testing.T) {
@@ -46,7 +34,7 @@ func (b *testbed) churn(t *testing.T) {
 }
 
 func TestTraceEndpointJSONL(t *testing.T) {
-	b, _ := traceTestbed(t, 4, 2, 4096)
+	b := newTestbed(t, 4, 2, 4096)
 	b.churn(t)
 
 	resp, err := http.Get(b.ts.URL + "/v1/trace")
@@ -95,7 +83,7 @@ func TestTraceEndpointJSONL(t *testing.T) {
 }
 
 func TestTraceEndpointChromeFormat(t *testing.T) {
-	b, _ := traceTestbed(t, 4, 2, 4096)
+	b := newTestbed(t, 4, 2, 4096)
 	b.churn(t)
 
 	body := b.get(t, "/v1/trace?format=chrome", http.StatusOK)
@@ -114,17 +102,11 @@ func TestTraceEndpointChromeFormat(t *testing.T) {
 	}
 }
 
-func TestTraceDisabledReturns501(t *testing.T) {
-	b := newTestbed(t, 2, 2, 4096) // no tracer wired
-	b.get(t, "/v1/trace", http.StatusNotImplemented)
-	b.get(t, "/v1/watch", http.StatusNotImplemented)
-}
-
 // TestWatchStreamsLiveDrain subscribes a real SSE client, then drains
 // a node through the control plane: the evacuation's spans must arrive
 // over the stream while the loop keeps running.
 func TestWatchStreamsLiveDrain(t *testing.T) {
-	b, _ := traceTestbed(t, 4, 2, 4096)
+	b := newTestbed(t, 4, 2, 4096)
 	b.srv.heartbeat = 50 * time.Millisecond
 	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
 	b.advance(30) // bootstrap quietly
@@ -205,7 +187,8 @@ func TestWatchStreamsLiveDrain(t *testing.T) {
 // disconnected (its channel closes), the loop's publishing side never
 // blocks, and /metrics counts the drop.
 func TestWatchSlowClientDroppedNotBlocking(t *testing.T) {
-	b, tr := traceTestbed(t, 4, 2, 4096)
+	b := newTestbed(t, 4, 2, 4096)
+	tr := b.srv.Trace
 	slow := tr.Subscribe(1) // never drained, like a stalled SSE client
 	b.churn(t)              // many spans: must complete without blocking
 
@@ -231,9 +214,11 @@ func TestWatchSlowClientDroppedNotBlocking(t *testing.T) {
 // the tracer's histograms present and checks the exposition contract:
 // HELP and TYPE precede each metric family exactly once, names are
 // [a-z_]+, counters end in _total, histogram buckets are cumulative
-// and consistent with _count, and label values are quoted and escaped.
+// and consistent with _count, and label values are quoted and use only
+// the format's three escapes.
 func TestMetricsExpositionWellFormed(t *testing.T) {
-	b, tr := traceTestbed(t, 4, 2, 4096)
+	b := newTestbed(t, 4, 2, 4096)
+	tr := b.srv.Trace
 	b.churn(t)
 	text := string(b.get(t, "/metrics", http.StatusOK))
 
@@ -302,9 +287,12 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			t.Fatalf("line %d: bad sample value %q: %v", ln+1, value, err)
 		}
 		samples[family] = true
+		kv, err := parseLabelBlock(labels)
+		if err != nil {
+			t.Fatalf("line %d: %v", ln+1, err)
+		}
 
 		if typ == "histogram" && strings.HasSuffix(name, "_bucket") {
-			kv := parseLabels(t, ln+1, labels)
 			le, ok := kv["le"]
 			if !ok {
 				t.Fatalf("line %d: histogram bucket without le: %q", ln+1, line)
@@ -374,7 +362,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 // several goroutines while the simulator churns, as a -race probe of
 // the lock-free ring and the histogram snapshots.
 func TestConcurrentScrapesDuringChurn(t *testing.T) {
-	b, tr := traceTestbed(t, 4, 2, 4096)
+	b := newTestbed(t, 4, 2, 4096)
+	tr := b.srv.Trace
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, path := range []string{"/metrics", "/v1/trace", "/v1/trace?format=chrome"} {
@@ -447,41 +436,4 @@ func splitSample(t *testing.T, ln int, line string) (name, labels, value string)
 		return series[:i], series[i+1 : len(series)-1], value
 	}
 	return series, "", value
-}
-
-// parseLabels decodes a label block, checking every value is a valid
-// quoted Go string (the escaping %q guarantees).
-func parseLabels(t *testing.T, ln int, block string) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	for block != "" {
-		eq := strings.IndexByte(block, '=')
-		if eq < 0 || len(block) < eq+2 || block[eq+1] != '"' {
-			t.Fatalf("line %d: malformed label block %q", ln, block)
-		}
-		key := block[:eq]
-		rest := block[eq+1:]
-		// Find the closing quote, honouring backslash escapes.
-		end := -1
-		for i := 1; i < len(rest); i++ {
-			if rest[i] == '\\' {
-				i++
-				continue
-			}
-			if rest[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			t.Fatalf("line %d: unterminated label value in %q", ln, block)
-		}
-		val, err := strconv.Unquote(rest[:end+1])
-		if err != nil {
-			t.Fatalf("line %d: label %s value %q not a valid quoted string: %v", ln, key, rest[:end+1], err)
-		}
-		out[key] = val
-		block = strings.TrimPrefix(rest[end+1:], ",")
-	}
-	return out
 }

@@ -173,10 +173,8 @@ type Loop struct {
 	// the dirty cause that provoked it, the winning strategy and the
 	// per-worker search counters — the data behind GET /v1/solver and
 	// the cwcs_portfolio_wins_total / cwcs_warm_start_* families. A
-	// nil Solver is inert like a nil Trace: every recording site
-	// guards on it, and its own methods allocate nothing on a nil
-	// receiver (TestSolverTelemetryNilIsInertAndFree; monitor's
-	// TestLedgerNilIsInertAndFree holds a nil ledger to the same).
+	// nil Solver records nothing: report is the one recording site and
+	// checks it (TestLoopSolverDisabledIsByteIdentical).
 	Solver *SolverTelemetry
 
 	// Records accumulates every non-empty context switch.
@@ -843,19 +841,11 @@ func (l *Loop) cachedPartition(p Problem) ([]Problem, bool) {
 	}
 	out := make([]Problem, len(l.parts))
 	for i, slice := range l.parts {
-		sub, err := p.Src.Extract(slice.nodes, slice.vms)
+		sub, err := p.restrict(slice.nodes, slice.vms, slice.rules)
 		if err != nil {
 			return nil, false // placement drifted outside the carve: stale
 		}
-		target := make(map[string]vjob.State)
-		for _, name := range slice.vms {
-			if job := p.Src.VM(name).VJob; job != "" {
-				if st, ok := p.Target[job]; ok {
-					target[job] = st
-				}
-			}
-		}
-		out[i] = Problem{Src: sub, Target: target, Rules: slice.rules}
+		out[i] = sub
 	}
 	return out, true
 }

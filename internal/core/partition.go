@@ -279,19 +279,9 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	// Materialize the sub-problems.
 	out := make([]Problem, len(bins))
 	for bi, b := range bins {
-		sub, err := p.Src.Extract(b.nodes, b.vms)
-		if err != nil {
-			return nil, err
-		}
-		target := make(map[string]vjob.State)
 		vmSet := make(map[string]bool, len(b.vms))
 		for _, name := range b.vms {
 			vmSet[name] = true
-			if job := p.Src.VM(name).VJob; job != "" {
-				if st, ok := p.Target[job]; ok {
-					target[job] = st
-				}
-			}
 		}
 		nodeSet := make(map[string]bool, len(b.nodes))
 		for _, n := range b.nodes {
@@ -303,9 +293,32 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 				rules = append(rules, rr)
 			}
 		}
-		out[bi] = Problem{Src: sub, Target: target, Rules: rules}
+		sub, err := p.restrict(b.nodes, b.vms, rules)
+		if err != nil {
+			return nil, err
+		}
+		out[bi] = sub
 	}
 	return out, nil
+}
+
+// restrict is the sub-problem over nodes and vms: their extracted
+// configuration, the Target entries of the vjobs those VMs belong to,
+// and rules (already rescoped by the caller).
+func (p Problem) restrict(nodes, vms []string, rules []PlacementRule) (Problem, error) {
+	sub, err := p.Src.Extract(nodes, vms)
+	if err != nil {
+		return Problem{}, err
+	}
+	target := make(map[string]vjob.State)
+	for _, name := range vms {
+		if job := p.Src.VM(name).VJob; job != "" {
+			if st, ok := p.Target[job]; ok {
+				target[job] = st
+			}
+		}
+	}
+	return Problem{Src: sub, Target: target, Rules: rules}, nil
 }
 
 // assignAtom adds the atom to the bin with the widest (wide) or

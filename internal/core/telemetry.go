@@ -60,9 +60,7 @@ type SolverSnapshot struct {
 // win counts, warm-start hit/miss tallies, explored-node and
 // backtrack totals, per-cause re-solve counts, and a bounded ring of
 // recent per-solve reports. It carries its own lock, so HTTP handlers
-// read it without stopping the loop, and a nil *SolverTelemetry is
-// inert — every method is nil-safe and allocation-free, mirroring the
-// obs tracer discipline.
+// read it without stopping the loop.
 type SolverTelemetry struct {
 	mu     sync.Mutex
 	solves int
@@ -95,12 +93,8 @@ func NewSolverTelemetry(keep int) *SolverTelemetry {
 	}
 }
 
-// RecordSolve folds one solve's report into the aggregate. Nil-safe:
-// on a nil receiver the report is discarded without an allocation.
+// RecordSolve folds one solve's report into the aggregate.
 func (t *SolverTelemetry) RecordSolve(r SolveReport) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.solves++
@@ -128,11 +122,8 @@ func (t *SolverTelemetry) RecordSolve(r SolveReport) {
 }
 
 // Snapshot copies the aggregate state. Recent reports come oldest
-// first. Nil-safe: a nil receiver yields the zero snapshot.
+// first.
 func (t *SolverTelemetry) Snapshot() SolverSnapshot {
-	if t == nil {
-		return SolverSnapshot{}
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	snap := SolverSnapshot{
@@ -169,12 +160,9 @@ func (t *SolverTelemetry) Snapshot() SolverSnapshot {
 
 // WinRates orders the strategy win counts for display: one
 // (strategy, wins) pair per strategy, most wins first, label-sorted
-// on ties. Nil-safe.
+// on ties.
 func (t *SolverTelemetry) WinRates() []WorkerOutcome {
 	snap := t.Snapshot()
-	if len(snap.Wins) == 0 {
-		return nil // keeps the nil receiver allocation-free
-	}
 	out := make([]WorkerOutcome, 0, len(snap.Wins))
 	for s, w := range snap.Wins {
 		out = append(out, WorkerOutcome{Strategy: s, Improvements: int(w)})

@@ -6,29 +6,6 @@ import (
 	"cwcs/internal/vjob"
 )
 
-// TestSolverTelemetryNilIsInertAndFree pins the obs-style nil
-// discipline: a nil *SolverTelemetry records and reports nothing
-// without allocating.
-func TestSolverTelemetryNilIsInertAndFree(t *testing.T) {
-	var st *SolverTelemetry
-	st.RecordSolve(SolveReport{Winner: "base", Nodes: 5})
-	snap := st.Snapshot()
-	if snap.Solves != 0 || snap.Wins != nil || snap.Recent != nil {
-		t.Fatalf("nil telemetry snapshot = %+v, want zero", snap)
-	}
-	if wr := st.WinRates(); len(wr) != 0 {
-		t.Fatalf("nil telemetry win rates = %+v", wr)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		st.RecordSolve(SolveReport{Winner: "base"})
-		_ = st.Snapshot()
-		_ = st.WinRates()
-	})
-	if allocs != 0 {
-		t.Fatalf("nil telemetry allocates %.1f per run, want 0", allocs)
-	}
-}
-
 // TestSolverTelemetryAggregates: wins, warm-start tallies, search
 // totals and cause counts fold per report; recent reports come back
 // oldest first.

@@ -66,8 +66,7 @@ type Summary struct {
 // per-rule-kind breach-seconds on the same clock.
 //
 // The violation set observed at one advance is integrated over the
-// interval up to the next advance. A nil *Ledger is inert — every
-// method is nil-safe and free — mirroring the obs tracer discipline.
+// interval up to the next advance.
 //
 // The ledger locks around its state, so HTTP handlers may read it
 // while the simulation advances; reads never block the sim for longer
@@ -224,9 +223,6 @@ func RuleKind(r core.PlacementRule) string {
 
 // snapshot copies the atoms in canonical (vjob, node, kind) order.
 func (l *Ledger) snapshot() []Entry {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	out := make([]Entry, 0, len(l.atoms))
 	for k, sec := range l.atoms {
@@ -285,9 +281,6 @@ func (l *Ledger) NodeKinds() []Entry {
 // foldBy sums canonical-order atoms into one row per projection key,
 // preserving first-seen (canonical) row order.
 func foldBy(atoms []Entry, key func(Entry) Entry) []Entry {
-	if len(atoms) == 0 {
-		return nil // keeps the nil-ledger accessors allocation-free
-	}
 	var out []Entry
 	idx := make(map[Entry]int)
 	for _, a := range atoms {
@@ -329,9 +322,6 @@ func (l *Ledger) TransferSeconds() float64 {
 // rule-name sorted. Empty without an attached rule source or when no
 // rule ever broke.
 func (l *Ledger) RuleSeconds() []RuleEntry {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	out := make([]RuleEntry, 0, len(l.rules))
 	for r, sec := range l.rules {
@@ -365,9 +355,6 @@ func (l *Ledger) TopNodes(k int) []Summary {
 
 // topBy groups per-dimension rows by entity, ranks and truncates.
 func topBy(rows []Entry, k int, key func(Entry) string, mk func(string) Summary) []Summary {
-	if len(rows) == 0 {
-		return nil // keeps the nil-ledger accessors allocation-free
-	}
 	var out []Summary
 	idx := make(map[string]int)
 	for _, r := range rows {

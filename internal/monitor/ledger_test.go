@@ -13,35 +13,6 @@ import (
 	"cwcs/internal/vjob"
 )
 
-// TestLedgerNilIsInertAndFree pins the obs-style nil discipline: every
-// accessor of a nil *Ledger returns its zero value without allocating.
-func TestLedgerNilIsInertAndFree(t *testing.T) {
-	var l *Ledger
-	if l.Total() != 0 || l.TransferSeconds() != 0 || l.RuleBreachSeconds() != 0 {
-		t.Fatal("nil ledger reports non-zero integrals")
-	}
-	if l.Atoms() != nil || l.VJobTotals() != nil || l.VJobKinds() != nil ||
-		l.NodeKinds() != nil {
-		t.Fatal("nil ledger returns non-nil rows")
-	}
-	if l.TopVJobs(5) != nil || l.TopNodes(5) != nil || l.RuleSeconds() != nil {
-		t.Fatal("nil ledger returns non-nil rankings")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = l.Total()
-		_ = l.TransferSeconds()
-		_ = l.RuleBreachSeconds()
-		_ = l.Atoms()
-		_ = l.VJobTotals()
-		_ = l.TopVJobs(3)
-		_ = l.TopNodes(3)
-		_ = l.RuleSeconds()
-	})
-	if allocs != 0 {
-		t.Fatalf("nil ledger allocates %.1f per run, want 0", allocs)
-	}
-}
-
 // TestLedgerDominantConsumerAttribution: a violated (node, dimension)
 // interval charges the vjob of the running VM with the largest demand
 // on that dimension, and every aggregation reconciles with the total.

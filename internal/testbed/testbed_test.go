@@ -315,6 +315,18 @@ func TestLedgerSeesDrainRules(t *testing.T) {
 	}
 }
 
+// TestControlPlaneWiresEveryHook: the server's hooks are required (its
+// handlers call them without a nil check), so the one production
+// wiring sets every exported field, Withdraw included.
+func TestControlPlaneWiresEveryHook(t *testing.T) {
+	srv := reflect.ValueOf(New(quickOptions()).ControlPlane(&sync.Mutex{})).Elem()
+	for i := 0; i < srv.NumField(); i++ {
+		if f := srv.Type().Field(i); f.IsExported() && srv.Field(i).IsZero() {
+			t.Errorf("ControlPlane leaves api.Server.%s unset", f.Name)
+		}
+	}
+}
+
 // TestControlPlaneServes drives the mounted server the way a client
 // would: a vjob submitted over HTTP is placed, runs and completes, and
 // the read endpoints see the loop through the closures.
