@@ -73,8 +73,6 @@ var testSeams = map[string]string{
 	"trace.Encode":      "experiments/traces_test.go generates web-tide.jsonl",
 	"trace.SortRecords": "experiments/traces_test.go generates web-tide.jsonl",
 	"cp.IntVar.Name":    "core/costbound_test.go names the cost variables",
-	"cp.Solver.Solve": "cp's own tests (solver, oracle, constraints, alldifferent) and " +
-		"core/costbound_test.go's toFixpoint",
 	"monitor.Ledger.Atoms": "testbed_test.go and experiments/attribution_test.go " +
 		"check the ledger's atoms",
 	"obs.Tracer.Cause":          "core's trace and loop-phase tests read a span's cause",

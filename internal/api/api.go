@@ -207,24 +207,25 @@ type statsJSON struct {
 	Executing        bool           `json:"executing"`
 }
 
-// snapshot gathers the telemetry every read endpoint shares.
-func (s *Server) snapshot() statsJSON {
-	var out statsJSON
-	s.Exec(func() {
-		out.Now = s.Now()
-		out.Loop = s.Stats()
-		out.Switches = s.Switches()
-		out.ViolationSeconds = s.ViolationSeconds()
-		out.QueueDepth = s.QueueDepth()
-		out.DrainingNodes = s.Drains.Nodes()
-		ex := s.Execution()
-		out.Executing = ex != nil && !ex.Finished()
-	})
-	return out
+// statsLocked gathers the telemetry GET /v1/stats and /metrics share.
+// Callers hold Exec.
+func (s *Server) statsLocked() statsJSON {
+	ex := s.Execution()
+	return statsJSON{
+		Now:              s.Now(),
+		Loop:             s.Stats(),
+		Switches:         s.Switches(),
+		ViolationSeconds: s.ViolationSeconds(),
+		QueueDepth:       s.QueueDepth(),
+		DrainingNodes:    s.Drains.Nodes(),
+		Executing:        ex != nil && !ex.Finished(),
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshot())
+	var out statsJSON
+	s.Exec(func() { out = s.statsLocked() })
+	writeJSON(w, http.StatusOK, out)
 }
 
 // actionJSON is one action's status in GET /v1/plan.

@@ -55,9 +55,13 @@ func labels(pairs ...string) string {
 // exports. This is the metrics registry: handleMetrics renders
 // exactly this list (plus the tracer histograms) and the exposition
 // well-formedness test iterates it, so a new family cannot ship
-// unrendered or untested.
+// unrendered or untested. The loop's counters and the node gauges are
+// read under one Exec, and the solver's under one Snapshot, so a
+// scrape describes one instant of each.
 func (s *Server) metricFamilies() []family {
-	snap := s.snapshot()
+	var snap statsJSON
+	var gauges []nodeGauge
+	s.Exec(func() { snap, gauges = s.statsLocked(), s.nodeGaugesLocked() })
 	executing := 0.0
 	if snap.Executing {
 		executing = 1
@@ -78,12 +82,12 @@ func (s *Server) metricFamilies() []family {
 	}
 	solver := s.Solver.Snapshot()
 	wins := family{name: "cwcs_portfolio_wins_total", help: "Solves won per portfolio strategy (the strategy whose plan was returned).", typ: "counter"}
-	for _, w := range s.Solver.WinRates() {
+	for _, w := range solver.WinRates() {
 		wins.samples = append(wins.samples, sample{labels: labels("strategy", w.Strategy), value: float64(w.Improvements)})
 	}
 	used := family{name: "cwcs_node_resource_used", help: "Per-node per-dimension resource demand of running VMs.", typ: "gauge"}
 	capacity := family{name: "cwcs_node_resource_capacity", help: "Per-node per-dimension resource capacity.", typ: "gauge"}
-	for _, g := range s.nodeGauges() {
+	for _, g := range gauges {
 		l := labels("node", g.node, "kind", g.kind)
 		used.samples = append(used.samples, sample{labels: l, value: g.used})
 		capacity.samples = append(capacity.samples, sample{labels: l, value: g.capacity})
@@ -129,26 +133,24 @@ type nodeGauge struct {
 	used, capacity float64
 }
 
-// nodeGauges reads each node's load under Exec and returns one
-// sample per node and per dimension the node offers (or over-uses), in
-// node then registry order.
-func (s *Server) nodeGauges() []nodeGauge {
+// nodeGaugesLocked returns one sample per node and per dimension the
+// node offers (or over-uses), in node then registry order. Callers
+// hold Exec.
+func (s *Server) nodeGaugesLocked() []nodeGauge {
 	var out []nodeGauge
-	s.Exec(func() {
-		cfg := s.Config()
-		for _, n := range cfg.Nodes() {
-			used := cfg.Used(n.Name)
-			for _, k := range resources.Kinds() {
-				if n.Capacity.Get(k) == 0 && used.Get(k) == 0 {
-					continue
-				}
-				out = append(out, nodeGauge{
-					node: n.Name, kind: k.String(),
-					used: float64(used.Get(k)), capacity: float64(n.Capacity.Get(k)),
-				})
+	cfg := s.Config()
+	for _, n := range cfg.Nodes() {
+		used := cfg.Used(n.Name)
+		for _, k := range resources.Kinds() {
+			if n.Capacity.Get(k) == 0 && used.Get(k) == 0 {
+				continue
 			}
+			out = append(out, nodeGauge{
+				node: n.Name, kind: k.String(),
+				used: float64(used.Get(k)), capacity: float64(n.Capacity.Get(k)),
+			})
 		}
-	})
+	}
 	return out
 }
 

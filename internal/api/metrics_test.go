@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"unicode/utf8"
 
@@ -113,6 +114,27 @@ func TestLabelValuesRoundTrip(t *testing.T) {
 	}
 	if !charged {
 		t.Fatalf("no series charges vjob %q:\n%s", name, text)
+	}
+}
+
+// TestMetricsScrapeEntersExecOnce: one GET /metrics reads the loop's
+// counters and the node gauges under one Exec, so the page describes
+// one instant of the cluster and stops the simulator once.
+func TestMetricsScrapeEntersExecOnce(t *testing.T) {
+	b := newTestbed(t, 4, 2, 4096)
+	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
+	b.advance(60)
+	var calls atomic.Int32
+	exec := b.srv.Exec
+	b.srv.Exec = func(fn func()) {
+		calls.Add(1)
+		exec(fn)
+	}
+	for scrape := 1; scrape <= 2; scrape++ {
+		b.get(t, "/metrics", http.StatusOK)
+		if n := calls.Swap(0); n != 1 {
+			t.Fatalf("scrape %d entered Exec %d times, want 1", scrape, n)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // refNodeLoad and refLoadByNode are how the node endpoints read load
 // before the configuration kept a per-node index: one walk over every
 // VM into a name-keyed map. They stay as the reference the index-backed
-// nodeStatus, nodeListLocked and nodeGauges are compared with.
+// nodeStatus, nodeListLocked and nodeGaugesLocked are compared with.
 type refNodeLoad struct {
 	used              resources.Vector
 	running, sleeping []string
@@ -252,7 +252,7 @@ func TestNodeRenderingMatchesReference(t *testing.T) {
 			}
 		}
 
-		gauges, refGauges := s.nodeGauges(), refNodeGauges(cfg)
+		gauges, refGauges := s.nodeGaugesLocked(), refNodeGauges(cfg)
 		if g, w := fmt.Sprintf("%+v", gauges), fmt.Sprintf("%+v", refGauges); g != w {
 			t.Fatalf("seed %d: gauges\n got %s\nwant %s", seed, g, w)
 		}

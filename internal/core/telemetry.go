@@ -161,8 +161,7 @@ func (t *SolverTelemetry) Snapshot() SolverSnapshot {
 // WinRates orders the strategy win counts for display: one
 // (strategy, wins) pair per strategy, most wins first, label-sorted
 // on ties.
-func (t *SolverTelemetry) WinRates() []WorkerOutcome {
-	snap := t.Snapshot()
+func (snap SolverSnapshot) WinRates() []WorkerOutcome {
 	out := make([]WorkerOutcome, 0, len(snap.Wins))
 	for s, w := range snap.Wins {
 		out = append(out, WorkerOutcome{Strategy: s, Improvements: int(w)})

@@ -35,7 +35,7 @@ func TestSolverTelemetryAggregates(t *testing.T) {
 		t.Fatalf("recent order = %+v", snap.Recent)
 	}
 
-	wr := st.WinRates()
+	wr := snap.WinRates()
 	if len(wr) != 2 || wr[0].Strategy != "base" || wr[0].Improvements != 2 || wr[1].Strategy != "firstfail" {
 		t.Fatalf("win rates = %+v", wr)
 	}

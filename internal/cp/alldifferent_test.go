@@ -11,7 +11,7 @@ func TestAllDifferentBasic(t *testing.T) {
 	y := s.NewEnumVar("y", []int{0, 1})
 	z := s.NewEnumVar("z", []int{0, 1, 2})
 	s.Post(&AllDifferent{Items: []*IntVar{x, y, z}})
-	sol, err := s.Solve(Options{FirstFail: true})
+	sol, err := solveOne(s, Options{FirstFail: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAllDifferentLatinSquare(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sol, err := s.Solve(Options{FirstFail: true})
+	sol, err := solveOne(s, Options{FirstFail: true})
 	if err != nil {
 		t.Fatal(err)
 	}

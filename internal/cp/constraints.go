@@ -266,7 +266,7 @@ func (c *TableSum) Propagate(s *Solver) error {
 // trim removes in one go the values of v whose entry in row is over
 // limit, reading v's domain a word at a time.
 func (c *TableSum) trim(s *Solver, v *IntVar, row []int, limit int) error {
-	words := v.dom.(*bitsetDomain).words
+	words := v.words
 	if len(words) > len(c.mask) {
 		c.mask = make([]uint64, len(words))
 	}

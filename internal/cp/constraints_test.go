@@ -47,7 +47,7 @@ func packingProblem(s *Solver, weights, caps []int) []*IntVar {
 func TestPackingFeasible(t *testing.T) {
 	s := NewSolver()
 	items := packingProblem(s, []int{5, 5, 5, 5}, []int{10, 10})
-	sol, err := s.Solve(Options{FirstFail: true})
+	sol, err := solveOne(s, Options{FirstFail: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPackingFeasible(t *testing.T) {
 func TestPackingInfeasible(t *testing.T) {
 	s := NewSolver()
 	packingProblem(s, []int{8, 8, 8}, []int{10, 10})
-	if _, err := s.Solve(Options{}); !errors.Is(err, ErrFailed) {
+	if _, err := solveOne(s, Options{}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("err = %v, want ErrFailed", err)
 	}
 }
@@ -85,7 +85,7 @@ func TestPackingPrunesTooHeavy(t *testing.T) {
 func TestPackingZeroWeightIgnored(t *testing.T) {
 	s := NewSolver()
 	items := packingProblem(s, []int{0, 0, 0}, []int{0})
-	sol, err := s.Solve(Options{})
+	sol, err := solveOne(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,25 +6,28 @@ import (
 	"testing/quick"
 )
 
+// enumVar returns a fresh solver's variable over exactly values.
+func enumVar(values ...int) *IntVar { return NewSolver().NewEnumVar("d", values) }
+
 func TestBitsetDomainBasics(t *testing.T) {
-	d, _ := newBitsetDomain(nil, []int{0, 2, 5, 5, 63, 64, 130})
-	if d.size() != 6 {
-		t.Fatalf("size = %d, want 6 (dedup)", d.size())
+	d := enumVar(0, 2, 5, 5, 63, 64, 130)
+	if d.Size() != 6 {
+		t.Fatalf("size = %d, want 6 (dedup)", d.Size())
 	}
-	if d.min() != 0 || d.max() != 130 {
-		t.Fatalf("bounds = [%d,%d]", d.min(), d.max())
+	if d.Min() != 0 || d.Max() != 130 {
+		t.Fatalf("bounds = [%d,%d]", d.Min(), d.Max())
 	}
 	for _, v := range []int{0, 2, 5, 63, 64, 130} {
-		if !d.contains(v) {
+		if !d.Contains(v) {
 			t.Fatalf("missing %d", v)
 		}
 	}
 	for _, v := range []int{-1, 1, 62, 65, 131, 1000} {
-		if d.contains(v) {
+		if d.Contains(v) {
 			t.Fatalf("spurious %d", v)
 		}
 	}
-	got := d.values()
+	got := d.Values()
 	want := []int{0, 2, 5, 63, 64, 130}
 	if len(got) != len(want) {
 		t.Fatalf("values = %v", got)
@@ -37,7 +40,7 @@ func TestBitsetDomainBasics(t *testing.T) {
 }
 
 func TestBitsetDomainRemoval(t *testing.T) {
-	d, _ := newBitsetDomain(nil, []int{1, 3, 64, 127})
+	d := enumVar(1, 3, 64, 127)
 	if !d.removeValue(64) {
 		t.Fatal("removeValue(64) reported no change")
 	}
@@ -47,30 +50,30 @@ func TestBitsetDomainRemoval(t *testing.T) {
 	if d.removeValue(2) {
 		t.Fatal("removing absent value reported change")
 	}
-	if d.min() != 1 || d.max() != 127 || d.size() != 3 {
-		t.Fatalf("after removal: [%d,%d] size %d", d.min(), d.max(), d.size())
+	if d.Min() != 1 || d.Max() != 127 || d.Size() != 3 {
+		t.Fatalf("after removal: [%d,%d] size %d", d.Min(), d.Max(), d.Size())
 	}
 	d.removeValue(1)
-	if d.min() != 3 {
-		t.Fatalf("min not rescanned: %d", d.min())
+	if d.Min() != 3 {
+		t.Fatalf("min not rescanned: %d", d.Min())
 	}
 	d.removeValue(127)
-	if d.max() != 3 {
-		t.Fatalf("max not rescanned: %d", d.max())
+	if d.Max() != 3 {
+		t.Fatalf("max not rescanned: %d", d.Max())
 	}
 	d.removeValue(3)
-	if d.size() != 0 || d.min() != -1 || d.max() != -1 {
+	if d.Size() != 0 || d.Min() != -1 || d.Max() != -1 {
 		t.Fatal("empty domain bounds wrong")
 	}
 }
 
 func TestBitsetDomainBoundsRemoval(t *testing.T) {
-	d, _ := newBitsetDomain(nil, []int{2, 4, 6, 8, 10})
+	d := enumVar(2, 4, 6, 8, 10)
 	if !d.removeBelow(5) {
 		t.Fatal("removeBelow reported no change")
 	}
-	if d.min() != 6 {
-		t.Fatalf("min = %d", d.min())
+	if d.Min() != 6 {
+		t.Fatalf("min = %d", d.Min())
 	}
 	if d.removeBelow(5) {
 		t.Fatal("idempotent removeBelow reported change")
@@ -78,8 +81,8 @@ func TestBitsetDomainBoundsRemoval(t *testing.T) {
 	if !d.removeAbove(9) {
 		t.Fatal("removeAbove reported no change")
 	}
-	if d.max() != 8 || d.size() != 2 {
-		t.Fatalf("domain = %v", d.values())
+	if d.Max() != 8 || d.Size() != 2 {
+		t.Fatalf("domain = %v", d.Values())
 	}
 }
 
@@ -103,48 +106,40 @@ func TestBitsetDomainNegativePanics(t *testing.T) {
 			t.Fatal("negative value accepted")
 		}
 	}()
-	newBitsetDomain(nil, []int{-1})
+	enumVar(-1)
 }
 
 func TestBoundsDomain(t *testing.T) {
-	d := &boundsDomain{lo: 10, hi: 20}
-	if d.size() != 11 || !d.contains(15) || d.contains(9) || d.contains(21) {
+	d := NewSolver().NewIntVar("d", 10, 20)
+	if d.Size() != 11 || !d.Contains(15) || d.Contains(9) || d.Contains(21) {
 		t.Fatal("basic bounds domain broken")
 	}
-	if !d.removeValue(10) || d.min() != 11 {
+	if !d.removeValue(10) || d.Min() != 11 {
 		t.Fatal("removeValue at lower bound")
 	}
-	if !d.removeValue(20) || d.max() != 19 {
+	if !d.removeValue(20) || d.Max() != 19 {
 		t.Fatal("removeValue at upper bound")
 	}
 	if d.removeValue(5) {
 		t.Fatal("removing out-of-range value reported change")
 	}
-	if !d.removeBelow(15) || d.min() != 15 {
+	if !d.removeBelow(15) || d.Min() != 15 {
 		t.Fatal("removeBelow")
 	}
-	if !d.removeAbove(17) || d.max() != 17 {
+	if !d.removeAbove(17) || d.Max() != 17 {
 		t.Fatal("removeAbove")
 	}
-	vals := d.values()
+	vals := d.Values()
 	if len(vals) != 3 || vals[0] != 15 || vals[2] != 17 {
 		t.Fatalf("values = %v", vals)
 	}
 	d.removeBelow(17)
 	d.removeAbove(16) // empties
-	if d.size() != 0 {
-		t.Fatalf("size = %d, want 0", d.size())
+	if d.Size() != 0 {
+		t.Fatalf("size = %d, want 0", d.Size())
 	}
-	if (&boundsDomain{lo: 3, hi: 2}).values() != nil {
-		t.Fatal("empty values not nil")
-	}
-	// A mask trims from the ends; values it has no word for go too.
-	d = &boundsDomain{lo: 0, hi: 70}
-	if !d.removeMask([]uint64{0b0011}) || d.min() != 2 || d.max() != 63 {
-		t.Fatalf("removeMask left [%d,%d], want [2,63]", d.min(), d.max())
-	}
-	if d.removeMask([]uint64{0}) {
-		t.Fatal("an empty mask reported change")
+	if vals := d.Values(); len(vals) != 0 {
+		t.Fatalf("values of an empty domain = %v", vals)
 	}
 }
 
@@ -154,7 +149,7 @@ func TestBoundsDomainInteriorPanics(t *testing.T) {
 			t.Fatal("interior removal accepted")
 		}
 	}()
-	(&boundsDomain{lo: 0, hi: 10}).removeValue(5)
+	NewSolver().NewIntVar("d", 0, 10).removeValue(5)
 }
 
 // Property: bitset domain behaves like a sorted set under random
@@ -170,7 +165,7 @@ func TestBitsetDomainMatchesReference(t *testing.T) {
 			init = append(init, v)
 			ref[v] = true
 		}
-		d, _ := newBitsetDomain(nil, init)
+		d := NewSolver().NewEnumVar("d", init)
 		for i := 0; i < 100 && len(ref) > 0; i++ {
 			v := rng.Intn(200)
 			changed := d.removeValue(v)
@@ -178,7 +173,7 @@ func TestBitsetDomainMatchesReference(t *testing.T) {
 				return false
 			}
 			delete(ref, v)
-			if d.size() != len(ref) {
+			if d.Size() != len(ref) {
 				return false
 			}
 			if len(ref) > 0 {
@@ -191,7 +186,7 @@ func TestBitsetDomainMatchesReference(t *testing.T) {
 						max = k
 					}
 				}
-				if d.min() != min || d.max() != max {
+				if d.Min() != min || d.Max() != max {
 					return false
 				}
 			}

@@ -39,38 +39,39 @@ func (r refDomain) removeAbove(v int) {
 	}
 }
 
-// checkAgainst compares every observable of the domain with the
-// reference: size, min, max, contains, and ascending iteration, both
-// the allocated list and the allocation-free next().
-func checkAgainst(t *testing.T, d domain, r refDomain, when string) {
+// checkAgainst compares every observable of the variable's domain
+// with the reference: size, min, max, contains, and ascending
+// iteration, both the allocated list and the allocation-free
+// NextValue.
+func checkAgainst(t *testing.T, d *IntVar, r refDomain, when string) {
 	t.Helper()
 	vals := r.values()
-	if d.size() != len(vals) {
-		t.Fatalf("%s: size %d, want %d", when, d.size(), len(vals))
+	if d.Size() != len(vals) {
+		t.Fatalf("%s: size %d, want %d", when, d.Size(), len(vals))
 	}
 	if len(vals) == 0 {
 		return // emptied: the engine fails the variable and backtracks
 	}
-	if d.min() != vals[0] || d.max() != vals[len(vals)-1] {
-		t.Fatalf("%s: bounds [%d,%d], want [%d,%d]", when, d.min(), d.max(), vals[0], vals[len(vals)-1])
+	if d.Min() != vals[0] || d.Max() != vals[len(vals)-1] {
+		t.Fatalf("%s: bounds [%d,%d], want [%d,%d]", when, d.Min(), d.Max(), vals[0], vals[len(vals)-1])
 	}
-	got := d.values()
+	got := d.Values()
 	if len(got) != len(vals) {
 		t.Fatalf("%s: values %v, want %v", when, got, vals)
 	}
-	at := d.next(vals[0] - 1)
+	at := d.NextValue(vals[0] - 1)
 	for i := range vals {
 		if got[i] != vals[i] || at != vals[i] {
 			t.Fatalf("%s: values %v, next reached %d, want %v", when, got, at, vals)
 		}
-		at = d.next(at + 1)
+		at = d.NextValue(at + 1)
 	}
 	if at != -1 {
 		t.Fatalf("%s: next went on to %d past %v", when, at, vals)
 	}
 	for v := -1; v <= vals[len(vals)-1]+1; v++ {
-		if d.contains(v) != r[v] {
-			t.Fatalf("%s: contains(%d) = %v, want %v", when, v, d.contains(v), r[v])
+		if d.Contains(v) != r[v] {
+			t.Fatalf("%s: contains(%d) = %v, want %v", when, v, d.Contains(v), r[v])
 		}
 	}
 }
@@ -105,7 +106,7 @@ func FuzzDomainOps(f *testing.F) {
 		// out of its window shows on them.
 		s := NewSolver()
 		left := s.NewEnumVar("left", []int{0, 63, 64})
-		d := s.NewEnumVar("d", init).dom.(*bitsetDomain)
+		d := s.NewEnumVar("d", init)
 		right := s.NewEnumVar("right", []int{1, 200})
 		checkAgainst(t, d, ref, "after init")
 
@@ -129,16 +130,16 @@ func FuzzDomainOps(f *testing.F) {
 				// Backtracking: whatever happens after a save, restoring
 				// brings back the same bits and the same cached size and
 				// bounds — twice from one State.
-				words, ext := append([]uint64(nil), d.words...), d.extent()
+				words, ext := append([]uint64(nil), d.words...), extent{d.n, d.lo, d.hi}
 				st := s.SaveState()
 				for round := 0; round < 2; round++ {
-					d.removeValue(d.min())
+					d.removeValue(d.Min())
 					d.removeAbove(arg + round)
-					left.dom.removeValue(63)
-					right.dom.removeBelow(2)
+					left.removeValue(63)
+					right.removeBelow(2)
 					s.RestoreState(st)
-					if d.extent() != ext || !slices.Equal(d.words, words) {
-						t.Fatalf("restore %d: words %x extent %+v, want %x %+v", round, d.words, d.extent(), words, ext)
+					if got := (extent{d.n, d.lo, d.hi}); got != ext || !slices.Equal(d.words, words) {
+						t.Fatalf("restore %d: words %x extent %+v, want %x %+v", round, d.words, got, words, ext)
 					}
 					if left.Size() != 3 || right.Min() != 1 {
 						t.Fatalf("restore %d: neighbours %v %v", round, left, right)
@@ -159,7 +160,7 @@ func FuzzBoundsDomainOps(f *testing.F) {
 	f.Add([]byte{0x05, 0x7f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := &boundsDomain{lo: 0, hi: 127}
+		d := NewSolver().NewIntVar("d", 0, 127)
 		ref := refDomain{}
 		for v := 0; v <= 127; v++ {
 			ref[v] = true
@@ -176,9 +177,9 @@ func FuzzBoundsDomainOps(f *testing.F) {
 			case 2:
 				// Bound removal only (interior removal panics by
 				// design).
-				v := d.min()
+				v := d.Min()
 				if arg%2 == 0 {
-					v = d.max()
+					v = d.Max()
 				}
 				d.removeValue(v)
 				ref.removeValue(v)

@@ -9,8 +9,8 @@ import (
 
 // This file is the oracle suite: small random models (≤6 variables,
 // ≤5 values) whose full assignment space a brute-force enumerator can
-// check, asserting that Solve finds a solution iff one exists and that
-// Minimize returns the true optimum.
+// check, asserting that a search for one solution (solveOne) finds one
+// iff one exists and that Minimize returns the true optimum.
 
 // neqSpec is x != y + offset over variable indices.
 type neqSpec struct {
@@ -211,21 +211,21 @@ func (sp oracleSpec) checkWitness(t *testing.T, vars []*IntVar, sol Solution) []
 
 const oracleSeeds = 60
 
-// TestOracleSolve: Solve finds a solution iff the brute force does.
+// TestOracleSolve: solveOne finds a solution iff the brute force does.
 func TestOracleSolve(t *testing.T) {
 	for seed := int64(0); seed < oracleSeeds; seed++ {
 		sp := randomOracleSpec(rand.New(rand.NewSource(seed)))
 		feasible, _ := sp.enumerate()
 
 		s, vars, _ := sp.build()
-		sol, err := s.Solve(Options{Vars: vars, FirstFail: true})
+		sol, err := solveOne(s, Options{Vars: vars, FirstFail: true})
 		if feasible {
 			if err != nil {
-				t.Fatalf("seed %d: Solve failed on feasible model: %v", seed, err)
+				t.Fatalf("seed %d: solveOne failed on feasible model: %v", seed, err)
 			}
 			sp.checkWitness(t, vars, sol)
 		} else if !errors.Is(err, ErrFailed) {
-			t.Fatalf("seed %d: Solve = %v on infeasible model, want ErrFailed", seed, err)
+			t.Fatalf("seed %d: solveOne = %v on infeasible model, want ErrFailed", seed, err)
 		}
 	}
 }

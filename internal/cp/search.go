@@ -65,7 +65,7 @@ func (o Options) interrupted() error {
 type Solution struct {
 	values map[*IntVar]int
 	// Objective is the objective value at the time the solution was
-	// found (only set by Minimize).
+	// found.
 	Objective int
 }
 
@@ -79,9 +79,9 @@ func (s Solution) MustValue(v *IntVar) int {
 	return val
 }
 
-// run is what one Solve or Minimize call hands its search: the
-// options, the decision variables, the objective the poll clamps to
-// SharedBound (nil under Solve) and the call's shuffle stream.
+// run is what one Minimize call hands its search: the options, the
+// decision variables, the objective the poll clamps to SharedBound and
+// the call's shuffle stream.
 type run struct {
 	Options
 	vars []*IntVar
@@ -93,7 +93,7 @@ func (s *Solver) newRun(opts Options, obj *IntVar) run {
 	r := run{Options: opts, vars: opts.Vars, obj: obj}
 	if len(r.vars) == 0 {
 		for _, v := range s.vars {
-			if _, ok := v.dom.(*bitsetDomain); ok {
+			if v.words != nil {
 				r.vars = append(r.vars, v)
 			}
 		}
@@ -102,28 +102,6 @@ func (s *Solver) newRun(opts Options, obj *IntVar) run {
 		r.rng = rand.New(rand.NewSource(opts.ShuffleSeed))
 	}
 	return r
-}
-
-// Solve searches for one solution. It returns ErrFailed when the
-// problem is unsatisfiable and ErrCanceled when interrupted.
-func (s *Solver) Solve(opts Options) (Solution, error) {
-	r := s.newRun(opts, nil)
-	if err := opts.interrupted(); err != nil {
-		return Solution{}, err
-	}
-	if err := s.propagate(); err != nil {
-		if err == ErrFailed {
-			// Nobody has branched yet, so the caller sees this error
-			// first: say which constraint refused the model.
-			err = fmt.Errorf("%w before any branching: constraint #%d (%T)", ErrFailed, s.lastFailed, s.cons[s.lastFailed])
-		}
-		return Solution{}, err
-	}
-	if err := s.search(&r, 0); err != nil {
-		return Solution{}, err
-	}
-	s.solutions++
-	return s.capture(r.vars), nil
 }
 
 // Minimize runs branch-and-bound on obj: it searches below a bound
@@ -208,7 +186,7 @@ func (s *Solver) search(r *run, depth int) error {
 		// here prunes the rest of this subtree with bounds discovered
 		// by other workers. Backtracking undoes the cut, but the next
 		// poll reinstates it — the shared bound only ever decreases.
-		if r.obj != nil && r.SharedBound != nil {
+		if r.SharedBound != nil {
 			if b := r.SharedBound.Bound(); r.obj.Max() > b {
 				if err := s.RemoveAbove(r.obj, b); err != nil {
 					return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // ErrFailed signals an inconsistency: a domain wipe-out or a
@@ -54,7 +55,6 @@ type Solver struct {
 	queue       []int
 	qhead, qlen int
 	queued      []bool
-	lastFailed  int // index of the constraint whose propagation failed last
 	// marks holds every delta's bits; restores counts RestoreState
 	// calls.
 	marks    []uint64
@@ -80,17 +80,27 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if len(values) == 0 {
 		panic("cp: empty initial domain for " + name)
 	}
+	v := &IntVar{name: name, lo: slices.Min(values), hi: slices.Max(values), pref: -1}
+	if v.lo < 0 {
+		panic("cp: negative value in the enumerated domain of " + name)
+	}
 	// The bitset goes at the end of the slab. Growing the slab may move
 	// it, so every window is cut again.
-	var d *bitsetDomain
-	d, s.words = newBitsetDomain(s.words, values)
-	v := &IntVar{name: name, dom: d, pref: -1}
+	off := len(s.words)
+	s.words = append(s.words, make([]uint64, v.hi/64+1)...)
+	v.words = s.words[off:]
+	for _, val := range values {
+		if !v.Contains(val) {
+			v.words[val/64] |= 1 << uint(val%64)
+			v.n++
+		}
+	}
 	s.vars = append(s.vars, v)
-	off := 0
+	off = 0
 	for _, v := range s.vars {
-		if d, ok := v.dom.(*bitsetDomain); ok {
-			end := off + len(d.words)
-			d.words = s.words[off:end:end]
+		if v.words != nil {
+			end := off + len(v.words)
+			v.words = s.words[off:end:end]
 			off = end
 		}
 	}
@@ -98,13 +108,13 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 }
 
 // NewIntVar creates a bounds-only variable over [min, max]. Use it for
-// large numeric ranges such as objective functions; it does not
-// support interior value removal.
+// large numeric ranges such as objective functions: removing a bound
+// trims it, and an interior removal panics.
 func (s *Solver) NewIntVar(name string, min, max int) *IntVar {
 	if max < min {
 		panic(fmt.Sprintf("cp: empty range [%d,%d] for %s", min, max, name))
 	}
-	v := &IntVar{name: name, dom: &boundsDomain{lo: min, hi: max}, pref: -1}
+	v := &IntVar{name: name, n: max - min + 1, lo: min, hi: max, pref: -1}
 	s.vars = append(s.vars, v)
 	return v
 }
@@ -209,7 +219,7 @@ func (s *Solver) wake(v *IntVar) {
 // anything else that removed a value wakes v's watchers.
 func (s *Solver) changed(v *IntVar, removed bool) error {
 	if removed {
-		if v.dom.size() == 0 {
+		if v.n == 0 {
 			return ErrFailed
 		}
 		s.wake(v)
@@ -220,30 +230,30 @@ func (s *Solver) changed(v *IntVar, removed bool) error {
 // RemoveValue removes val from v's domain, waking watchers. It returns
 // ErrFailed when the domain empties.
 func (s *Solver) RemoveValue(v *IntVar, val int) error {
-	return s.changed(v, v.dom.removeValue(val))
+	return s.changed(v, v.removeValue(val))
 }
 
 // RemoveBelow prunes values below min from v's domain.
 func (s *Solver) RemoveBelow(v *IntVar, min int) error {
-	return s.changed(v, v.dom.removeBelow(min))
+	return s.changed(v, v.removeBelow(min))
 }
 
 // RemoveAbove prunes values above max from v's domain.
 func (s *Solver) RemoveAbove(v *IntVar, max int) error {
-	return s.changed(v, v.dom.removeAbove(max))
+	return s.changed(v, v.removeAbove(max))
 }
 
 // removeMasked prunes from v's domain every value whose bit is set in
 // mask, and every value beyond the mask's last word; removed reports
 // whether there was any.
 func (s *Solver) removeMasked(v *IntVar, mask []uint64) (removed bool, err error) {
-	removed = v.dom.removeMask(mask)
+	removed = v.removeMask(mask)
 	return removed, s.changed(v, removed)
 }
 
 // Assign binds v to val.
 func (s *Solver) Assign(v *IntVar, val int) error {
-	if !v.dom.contains(val) {
+	if !v.Contains(val) {
 		return fmt.Errorf("%w: %s cannot take %d", ErrFailed, v.name, val)
 	}
 	if err := s.RemoveBelow(v, val); err != nil {
@@ -266,7 +276,6 @@ func (s *Solver) propagate() error {
 			for s.qlen > 0 {
 				s.dequeue()
 			}
-			s.lastFailed = id
 			return err
 		}
 	}
@@ -287,6 +296,10 @@ type State struct {
 	ext   []extent // per variable
 }
 
+// extent is what a State keeps of a variable beside the slab: its size
+// and bounds.
+type extent struct{ n, lo, hi int }
+
 // SaveState captures the current domains.
 func (s *Solver) SaveState() State {
 	var st State
@@ -304,7 +317,7 @@ func (s *Solver) saveInto(st *State) {
 	}
 	st.ext = st.ext[:len(s.vars)]
 	for i, v := range s.vars {
-		st.ext[i] = v.dom.extent()
+		st.ext[i] = extent{v.n, v.lo, v.hi}
 	}
 }
 
@@ -314,6 +327,7 @@ func (s *Solver) RestoreState(st State) {
 	s.restores++
 	copy(s.words, st.words)
 	for i, e := range st.ext {
-		s.vars[i].dom.setExtent(e)
+		v := s.vars[i]
+		v.n, v.lo, v.hi = e.n, e.lo, e.hi
 	}
 }

@@ -16,6 +16,12 @@ func rangeVals(n int) []int {
 	return out
 }
 
+// solveOne searches for one solution: Minimize over a one-value
+// objective proves it optimal at its first solution.
+func solveOne(s *Solver, opts Options) (Solution, error) {
+	return s.Minimize(s.NewIntVar("one", 0, 0), opts)
+}
+
 // queens posts the n-queens problem and returns the column variables.
 func queens(s *Solver, n int) []*IntVar {
 	vars := make([]*IntVar, n)
@@ -36,7 +42,7 @@ func TestNQueensSolvable(t *testing.T) {
 	for _, n := range []int{4, 6, 8, 10} {
 		s := NewSolver()
 		vars := queens(s, n)
-		sol, err := s.Solve(Options{FirstFail: true})
+		sol, err := solveOne(s, Options{FirstFail: true})
 		if err != nil {
 			t.Fatalf("%d-queens: %v", n, err)
 		}
@@ -55,7 +61,7 @@ func TestNQueensSolvable(t *testing.T) {
 func TestNQueensUnsolvable(t *testing.T) {
 	s := NewSolver()
 	queens(s, 3)
-	if _, err := s.Solve(Options{}); !errors.Is(err, ErrFailed) {
+	if _, err := solveOne(s, Options{}); !errors.Is(err, ErrFailed) {
 		t.Fatalf("3-queens err = %v, want ErrFailed", err)
 	}
 	nodes, fails, _, props := s.Stats()
@@ -75,7 +81,7 @@ func expiredContext(t *testing.T) context.Context {
 func TestSolveDeadline(t *testing.T) {
 	s := NewSolver()
 	queens(s, 24)
-	_, err := s.Solve(Options{Ctx: expiredContext(t)})
+	_, err := solveOne(s, Options{Ctx: expiredContext(t)})
 	if !errors.Is(err, ErrCanceled) || !Stopped(err) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -112,7 +118,7 @@ func TestPreferredValueOrder(t *testing.T) {
 	s := NewSolver()
 	x := s.NewEnumVar("x", []int{0, 1, 2, 3})
 	x.SetPreferred(2)
-	sol, err := s.Solve(Options{PreferValue: true})
+	sol, err := solveOne(s, Options{PreferValue: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +129,7 @@ func TestPreferredValueOrder(t *testing.T) {
 	s2 := NewSolver()
 	y := s2.NewEnumVar("y", []int{0, 1, 2, 3})
 	y.SetPreferred(2)
-	sol2, err := s2.Solve(Options{})
+	sol2, err := solveOne(s2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,17 +205,17 @@ func TestMinimizeDeadlineKeepsBest(t *testing.T) {
 	}
 }
 
-// TestSequentialCancel: a canceled context stops Solve and Minimize
-// alike before the first node.
+// TestSequentialCancel: a canceled context stops Minimize before the
+// first node.
 func TestSequentialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s, vars, obj := buildBinPacking(1, 8, 4)
-	if _, err := s.Solve(Options{Vars: vars, Ctx: ctx}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Solve err = %v, want ErrCanceled", err)
-	}
 	if _, err := s.Minimize(obj, Options{Vars: vars, Ctx: ctx}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Minimize err = %v, want ErrCanceled", err)
+	}
+	if nodes, _, _, _ := s.Stats(); nodes != 0 {
+		t.Fatalf("%d nodes searched under a canceled context", nodes)
 	}
 }
 
@@ -217,7 +223,7 @@ func TestSolutionAccessors(t *testing.T) {
 	s := NewSolver()
 	x := s.NewEnumVar("x", []int{7})
 	other := s.NewEnumVar("other", []int{1, 2})
-	sol, err := s.Solve(Options{Vars: []*IntVar{x}})
+	sol, err := solveOne(s, Options{Vars: []*IntVar{x}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,16 @@ import "fmt"
 // IntVar is a finite-domain integer variable owned by a Solver. All
 // mutation goes through Solver methods so changes are propagated and
 // undone on backtrack.
+//
+// Its domain lives in its own fields. An enumerated variable (NewEnumVar)
+// keeps value v as bit v%64 of words[v/64], words being a window of the
+// solver's slab, and n, lo and hi cache the size and bounds (-1 and -1
+// once empty). A bounds-only variable (NewIntVar) has no words: its
+// domain is every value in [lo, hi], of which there are n.
 type IntVar struct {
-	name string
-	dom  domain
+	name      string
+	words     []uint64
+	n, lo, hi int
 	// watchers are the constraints to wake when the domain changes.
 	watchers []watch
 	// pref is the value tried first during search (e.g. the node the
@@ -23,16 +30,16 @@ type watch struct{ con, mark int32 }
 func (v *IntVar) Name() string { return v.name }
 
 // Min returns the domain minimum.
-func (v *IntVar) Min() int { return v.dom.min() }
+func (v *IntVar) Min() int { return v.lo }
 
 // Max returns the domain maximum.
-func (v *IntVar) Max() int { return v.dom.max() }
+func (v *IntVar) Max() int { return v.hi }
 
 // Size returns the domain cardinality.
-func (v *IntVar) Size() int { return v.dom.size() }
+func (v *IntVar) Size() int { return v.n }
 
 // Bound reports whether the domain is a singleton.
-func (v *IntVar) Bound() bool { return v.dom.size() == 1 }
+func (v *IntVar) Bound() bool { return v.n == 1 }
 
 // Value returns the assigned value; it panics when the variable is not
 // bound, which would be a solver bug.
@@ -40,16 +47,27 @@ func (v *IntVar) Value() int {
 	if !v.Bound() {
 		panic(fmt.Sprintf("cp: Value() on unbound variable %s", v.name))
 	}
-	return v.dom.min()
+	return v.lo
 }
 
 // Contains reports whether val is still in the domain.
-func (v *IntVar) Contains(val int) bool { return v.dom.contains(val) }
+func (v *IntVar) Contains(val int) bool {
+	if v.words == nil {
+		return val >= v.lo && val <= v.hi
+	}
+	return val >= 0 && val/64 < len(v.words) && v.words[val/64]&(1<<uint(val%64)) != 0
+}
 
 // Values returns the remaining domain values in ascending order. It
 // allocates the slice: it is for tests and debugging; propagators
 // iterate with NextValue.
-func (v *IntVar) Values() []int { return v.dom.values() }
+func (v *IntVar) Values() []int {
+	out := make([]int, 0, v.n)
+	for val := v.lo; len(out) < v.n; val = v.NextValue(val + 1) {
+		out = append(out, val)
+	}
+	return out
+}
 
 // NextValue returns the smallest domain value >= from, or -1 when
 // there is none, without allocating:
@@ -60,7 +78,17 @@ func (v *IntVar) Values() []int { return v.dom.values() }
 // val inside the body. Enumerated domains are non-negative, so -1 is
 // unambiguous there; on a bounds-only variable that may go negative,
 // stop at Max() instead.
-func (v *IntVar) NextValue(from int) int { return v.dom.next(from) }
+func (v *IntVar) NextValue(from int) int {
+	switch {
+	case from > v.hi:
+		return -1
+	case from <= v.lo:
+		return v.lo
+	case v.words == nil:
+		return from
+	}
+	return v.scanUp(from)
+}
 
 // SetPreferred sets the value the search tries first for this
 // variable. Use -1 to clear.

@@ -6,7 +6,9 @@
 // free. Every producer holds a *Tracer that may be nil; Span is a
 // small value type whose methods no-op when the tracer is nil, so the
 // hot path never branches into allocation-bearing code
-// (TestNilTracerIsInertAndFree pins 0 allocations). When tracing is on,
+// (TestNilTracerIsInertAndFree pins 0 allocations). The readers behind
+// the control plane (Recent, Histograms, WatchDrops, Subscribe) need a
+// non-nil tracer: the control plane always has one. When tracing is on,
 // closed spans land in a fixed-size ring of atomic pointers —
 // writers never take a lock and readers (HTTP handlers on other
 // goroutines) never block the loop.
@@ -373,9 +375,6 @@ func (t *Tracer) push(rec *SpanRecord) {
 // oldest first. Lock-free with respect to producers: a scrape never
 // delays the loop.
 func (t *Tracer) Recent(max int) []SpanRecord {
-	if t == nil {
-		return nil
-	}
 	out := make([]SpanRecord, 0, len(t.slots))
 	for i := range t.slots {
 		if p := t.slots[i].Load(); p != nil {
@@ -400,9 +399,6 @@ func (t *Tracer) Recent(max int) []SpanRecord {
 // Histograms returns every latency histogram in exposition order
 // (same-name histograms adjacent so HELP/TYPE headers group).
 func (t *Tracer) Histograms() []*Histogram {
-	if t == nil {
-		return nil
-	}
 	hs := []*Histogram{t.solve, t.wake, t.remediation, t.splice}
 	for _, k := range ActionKinds {
 		hs = append(hs, t.actions[k])
@@ -414,9 +410,6 @@ func (t *Tracer) Histograms() []*Histogram {
 // subscriber could not keep up (each drop also closes that
 // subscription).
 func (t *Tracer) WatchDrops() uint64 {
-	if t == nil {
-		return 0
-	}
 	return t.drops.Load()
 }
 

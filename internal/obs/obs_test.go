@@ -134,17 +134,12 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 
 func TestNilTracerIsInertAndFree(t *testing.T) {
 	var tr *Tracer
-	if tr.Cause() != 0 || tr.WatchDrops() != 0 {
-		t.Error("nil tracer reports non-zero state")
-	}
-	if tr.Recent(0) != nil || tr.Histograms() != nil || tr.Subscribe(1) != nil {
-		t.Error("nil tracer returned non-nil collections")
-	}
 	tr.SetCause(7)
+	if tr.Cause() != 0 {
+		t.Error("nil tracer reports a cause")
+	}
 	tr.Mark("x", 1)
 	tr.OnClose(func(SpanRecord) {})
-	var sub *Subscription
-	sub.Close()
 
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tr.Start(KindSolve, "slice", 1)

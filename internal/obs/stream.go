@@ -19,11 +19,8 @@ type Subscription struct {
 }
 
 // Subscribe registers a watch subscription with the given buffer
-// (64 when buf <= 0). Returns nil on a nil tracer.
+// (64 when buf <= 0).
 func (t *Tracer) Subscribe(buf int) *Subscription {
-	if t == nil {
-		return nil
-	}
 	if buf <= 0 {
 		buf = 64
 	}
@@ -38,9 +35,6 @@ func (t *Tracer) Subscribe(buf int) *Subscription {
 // Close detaches the subscription and closes its channel. Safe to
 // call twice, and after the tracer already dropped the subscriber.
 func (sub *Subscription) Close() {
-	if sub == nil {
-		return
-	}
 	sub.t.mu.Lock()
 	defer sub.t.mu.Unlock()
 	if sub.dead {

@@ -16,6 +16,13 @@
 # internal/ that no binary ran, by file, the file with the most
 # never-run statements first, each line "start,end statements". One to
 # three minutes.
+#
+# With --check it is a gate: every function at 0 % must be listed in
+# scripts/prod_cover_zero.txt (one "file:function reason" a line, the
+# file relative to the module root, no line number), and every listed
+# function must still be at 0 %. It compares reachability only, never
+# percentages, so timing moves it only where a function is reached on
+# some runs alone.
 set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
@@ -56,3 +63,17 @@ END {
 }' "$work/blocks.txt" | sort -t "$(printf '\t')" -k1,1nr -k2,2 -k3,3n |
 	awk -F '\t' '$2 != file { file = $2; print file "\t" $1 " never-run statements" } { print "\t" $4 "\t" $5 }' >prod-cover-blocks.txt
 echo "wrote $root/prod-cover.txt and $root/prod-cover-blocks.txt" >&2
+[ "${1:-}" = --check ] || exit 0
+allow=scripts/prod_cover_zero.txt
+awk '$NF == "0.0%" { sub(/^cwcs\//, "", $1); sub(/:[0-9]+:$/, "", $1); print $1 ":" $2 }' prod-cover.txt | sort >"$work/zero"
+awk '!/^#/ && NF { print $1 }' "$allow" | sort >"$work/allowed"
+unreached=$(comm -23 "$work/zero" "$work/allowed")
+stale=$(comm -13 "$work/zero" "$work/allowed")
+if [ -n "$unreached" ]; then
+	printf 'functions production traffic no longer reaches; delete them, or list them in %s with a reason:\n%s\n' "$allow" "$unreached" >&2
+fi
+if [ -n "$stale" ]; then
+	printf 'entries of %s that production traffic reaches or that are gone; drop them:\n%s\n' "$allow" "$stale" >&2
+fi
+[ -z "$unreached$stale" ] || exit 1
+echo "every function at 0 % is listed in $allow, and every entry is at 0 %" >&2
