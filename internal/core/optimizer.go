@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -132,11 +133,9 @@ type compiled struct {
 	nodes   []*vjob.Node
 	nodeIdx map[string]int
 	allowed [][]int // per runner: candidate node indices
-	// rows[i][j] is the placement cost (costModel.contribution) of
-	// runner i on node j, filled for its allowed nodes; order[i] lists
-	// those nodes cheapest first, ties by index. The cost bound and
-	// maxObj read these, so the cost model and its string-keyed maps
-	// are consulted here only.
+	// rows[i][j] is the placement cost of runner i on node j, filled
+	// for its allowed nodes; order[i] lists those nodes cheapest first,
+	// ties by index. The cost bound and maxObj read these.
 	rows   [][]int
 	order  [][]int
 	prefs  []int // per runner: preferred node index, -1 when none
@@ -156,7 +155,6 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 	}
 	c := &compiled{goals: goals}
 	c.nodes = p.Src.Nodes()
-	model := newCostModel(p.Src, goals, c.nodes)
 	c.nodeIdx = make(map[string]int, len(c.nodes))
 	for i, n := range c.nodes {
 		c.nodeIdx[n.Name] = i
@@ -173,15 +171,15 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 	}
 	// Hardest VMs first (§4.3 first-fail flavor): decreasing memory
 	// then CPU demand.
-	sort.SliceStable(c.runners, func(i, j int) bool {
-		a, b := c.runners[i].vm, c.runners[j].vm
+	slices.SortStableFunc(c.runners, func(x, y vmGoal) int {
+		a, b := x.vm, y.vm
 		if a.MemoryDemand() != b.MemoryDemand() {
-			return a.MemoryDemand() > b.MemoryDemand()
+			return cmp.Compare(b.MemoryDemand(), a.MemoryDemand())
 		}
 		if a.CPUDemand() != b.CPUDemand() {
-			return a.CPUDemand() > b.CPUDemand()
+			return cmp.Compare(b.CPUDemand(), a.CPUDemand())
 		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 
 	// Active dimensions: a resource kind some to-be-running VM actually
@@ -197,47 +195,102 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		}
 	}
 
+	// The §4.2 sequencing delay: a VM sent to a node where it does not
+	// fit right now waits for at least one release there, so its cost
+	// rises by release[j], the cheapest among the actions that free
+	// node j (0 for a stop, Dm for a suspend or an outbound migration;
+	// -1 when none does). The estimate stays a lower bound of the true
+	// plan cost, which keeps the branch-and-bound admissible while
+	// steering the search towards nodes that are free immediately.
+	every := make([]int, len(c.nodes)) // the allowed nodes of a runner that fits them all
+	free := make([]resources.Vector, len(c.nodes))
+	release := make([]int, len(c.nodes))
+	for j, n := range c.nodes {
+		every[j], free[j], release[j] = j, p.Src.Free(n.Name), -1
+	}
+	for _, g := range goals {
+		j, ok := c.nodeIdx[g.curLoc]
+		if !ok || g.cur != vjob.Running {
+			continue
+		}
+		rel := 0 // a stop
+		if g.want != vjob.Terminated {
+			rel = plan.TransferSize(g.vm)
+		}
+		if release[j] < 0 || rel < release[j] {
+			release[j] = rel
+		}
+	}
+
 	c.allowed = make([][]int, len(c.runners))
 	c.prefs = make([]int, len(c.runners))
 	c.hints = make([]int, len(c.runners))
 	c.rows = make([][]int, len(c.runners))
 	c.order = make([][]int, len(c.runners))
 	table := make([]int, len(c.runners)*len(c.nodes))
+	orders := make([]int, 0, len(table))
+	var odd []int
 	c.maxObj = c.fixed
 	for i, g := range c.runners {
-		allowed := make([]int, 0, len(c.nodes))
+		cur, ok := c.nodeIdx[g.curLoc]
+		if !ok {
+			cur = -1
+		}
+		allowed := every
 		for j, n := range c.nodes {
-			if g.vm.Demand.Fits(n.Capacity) {
+			switch fits := g.vm.Demand.Fits(n.Capacity); {
+			case !fits && len(allowed) == len(every): // the first misfit
+				allowed = append(make([]int, 0, len(c.nodes)), every[:j]...)
+			case fits && len(allowed) < len(every):
 				allowed = append(allowed, j)
 			}
 		}
-		if o.PinRunning && g.cur == vjob.Running {
-			if idx, ok := c.nodeIdx[g.curLoc]; ok {
-				allowed = []int{idx}
-			}
+		if o.PinRunning && g.cur == vjob.Running && cur >= 0 {
+			allowed = every[cur : cur+1 : cur+1]
 		}
 		if len(allowed) == 0 {
 			return nil, fmt.Errorf("%w: %s fits on no node", ErrNoViableConfiguration, g.vm.Name)
 		}
-		c.allowed[i] = allowed
-		c.prefs[i] = -1
-		if idx, ok := c.nodeIdx[g.curLoc]; ok {
-			c.prefs[i] = idx
-		}
-		c.hints[i] = -1
+		c.allowed[i], c.prefs[i], c.hints[i] = allowed, cur, -1
 		if o.WarmStart != nil {
 			if idx, ok := c.nodeIdx[o.WarmStart.HostOf(g.vm.Name)]; ok {
 				c.hints[i] = idx
 			}
 		}
+
+		// Price every allowed node and order them cheapest first, ties
+		// by index: most cost the runner's base price, away from its
+		// current node and free now, and only the others are sorted.
 		row := table[i*len(c.nodes) : (i+1)*len(c.nodes)]
+		base := g.runContribution(false)
+		odd = odd[:0]
 		for _, j := range allowed {
-			row[j] = model.contribution(g, j)
+			row[j] = base
+			if j == cur {
+				row[j] = g.runContribution(true)
+			}
+			if (j != cur || g.cur != vjob.Running) && release[j] > 0 && !g.vm.Demand.Fits(free[j]) {
+				row[j] += release[j]
+			}
+			if row[j] != base {
+				odd = append(odd, j)
+			}
 		}
-		order := append([]int(nil), allowed...)
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(row[a], row[b]) })
-		c.rows[i], c.order[i] = row, order
-		c.maxObj += row[order[len(order)-1]]
+		slices.SortStableFunc(odd, func(a, b int) int { return cmp.Compare(row[a], row[b]) })
+		cheap := 0
+		for cheap < len(odd) && row[odd[cheap]] < base {
+			cheap++
+		}
+		start := len(orders)
+		orders = append(orders, odd[:cheap]...)
+		for _, j := range allowed {
+			if row[j] == base {
+				orders = append(orders, j)
+			}
+		}
+		orders = append(orders, odd[cheap:]...)
+		c.rows[i], c.order[i] = row, orders[start:len(orders):len(orders)]
+		c.maxObj += row[orders[len(orders)-1]]
 	}
 	return c, nil
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cwcs/internal/plan"
-	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
@@ -71,20 +70,21 @@ func (p Problem) compile() ([]vmGoal, error) {
 }
 
 // runContribution returns the plan-cost contribution (Table 1, with
-// Dm widened to plan.TransferSize) of hosting the VM of g on node when
-// the target state is Running: 0 to stay or boot, TransferSize to
-// migrate, TransferSize to resume locally, 2·TransferSize to resume
-// remotely. Mirroring the Action.Cost() fold keeps the bound tight;
-// on 2-D instances TransferSize is exactly Dm.
-func (g vmGoal) runContribution(node string) int {
+// Dm widened to plan.TransferSize) of hosting the VM of g on its
+// current node (home) or on another when the target state is Running:
+// 0 to stay or boot, TransferSize to migrate, TransferSize to resume
+// locally, 2·TransferSize to resume remotely. Mirroring the
+// Action.Cost() fold keeps the bound tight; on 2-D instances
+// TransferSize is exactly Dm.
+func (g vmGoal) runContribution(home bool) int {
 	switch g.cur {
 	case vjob.Running:
-		if node == g.curLoc {
+		if home {
 			return 0
 		}
 		return plan.TransferSize(g.vm)
 	case vjob.Sleeping:
-		if node == g.curLoc {
+		if home {
 			return plan.TransferSize(g.vm)
 		}
 		return 2 * plan.TransferSize(g.vm)
@@ -100,71 +100,6 @@ func (g vmGoal) fixedCost() int {
 		return plan.TransferSize(g.vm)
 	}
 	return 0
-}
-
-// costModel evaluates placement contributions including the §4.2
-// sequencing delays: a VM sent to a node where it does not fit right
-// now must wait for at least one release there, so its total cost is
-// raised by the cheapest release cost of that node. The estimate stays
-// a lower bound of the true plan cost (the actual delay is the cost of
-// every preceding pool), which keeps the branch-and-bound admissible
-// while steering the search towards nodes that are free immediately —
-// the paper's "perform actions as early as possible".
-type costModel struct {
-	// nodes are the candidate nodes in compile's order, and free[j]
-	// the source configuration's free capacities of nodes[j], every
-	// dimension at once, read once per node.
-	nodes []*vjob.Node
-	free  []resources.Vector
-	// minRelease[node] is the cheapest cost among the actions that
-	// liberate resources on the node (0 when a hosted VM is being
-	// stopped; Dm for a suspend or an outbound migration); missing
-	// entries mean no release is possible.
-	minRelease map[string]int
-}
-
-func newCostModel(src *vjob.Configuration, goals []vmGoal, nodes []*vjob.Node) *costModel {
-	m := &costModel{
-		nodes:      nodes,
-		free:       make([]resources.Vector, len(nodes)),
-		minRelease: make(map[string]int),
-	}
-	for j, n := range nodes {
-		m.free[j] = src.Free(n.Name)
-	}
-	for _, g := range goals {
-		if g.cur != vjob.Running {
-			continue
-		}
-		var rel int
-		switch g.want {
-		case vjob.Terminated:
-			rel = 0 // stop
-		default:
-			rel = plan.TransferSize(g.vm) // suspend or migration away
-		}
-		if cur, ok := m.minRelease[g.curLoc]; !ok || rel < cur {
-			m.minRelease[g.curLoc] = rel
-		}
-	}
-	return m
-}
-
-// contribution returns the placement cost of hosting g's VM on node
-// nodes[j]: the Table 1 action cost plus the sequencing delay bound.
-func (m *costModel) contribution(g vmGoal, j int) int {
-	node := m.nodes[j].Name
-	c := g.runContribution(node)
-	if g.cur == vjob.Running && node == g.curLoc {
-		return c // staying put: no action, no delay
-	}
-	if g.vm.Demand.Fits(m.free[j]) {
-		return c // fits immediately: the action can start in pool 0
-	}
-	if rel, ok := m.minRelease[node]; ok {
-		return c + rel
-	}
-	return c
 }
 
 // Satisfied reports whether the problem needs no reconfiguration at

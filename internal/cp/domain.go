@@ -11,9 +11,10 @@
 // A domain lives in its IntVar: an enumerated variable's bitset is a
 // window of one slab the solver owns, beside the cached size and
 // bounds in the variable's own fields; a bounds-only variable (the
-// objective) is its two bounds alone. Saving or restoring a state is
-// one copy of the slab plus those three fields per variable, and
-// allocates nothing.
+// objective) is its two bounds alone. A saved state is the slab and
+// the bounds of the bounds-only variables: saving is one copy, a
+// restore copies back and recounts each enumerated variable's size and
+// bounds from its bits, and neither allocates.
 //
 // Solver.Minimize is the one branch-and-bound loop of the repository:
 // it restarts from the root under a bound that only falls, and a
@@ -29,6 +30,20 @@
 package cp
 
 import "math/bits"
+
+// recount sets an enumerated variable's size and bounds from its bits.
+func (v *IntVar) recount() {
+	v.n, v.lo, v.hi = 0, -1, -1
+	for w, word := range v.words {
+		if word != 0 {
+			if v.n == 0 {
+				v.lo = w*64 + bits.TrailingZeros64(word)
+			}
+			v.n += bits.OnesCount64(word)
+			v.hi = w*64 + 63 - bits.LeadingZeros64(word)
+		}
+	}
+}
 
 func (v *IntVar) scanUp(from int) int {
 	for w := from / 64; w < len(v.words); w++ {

@@ -1,7 +1,9 @@
 package cp
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +99,72 @@ func TestStateIndependentOfDomains(t *testing.T) {
 	s.RestoreState(st)
 	if !v.Contains(2) || v.Size() != 3 || b.Min() != 10 {
 		t.Fatal("saved state shares storage with the live domains")
+	}
+}
+
+// TestStateCoversTheVariablesBeforeIt: a state taken before more
+// variables were created — enough of them to move the slab — restores
+// the variables it covers exactly and leaves the later ones as they
+// are.
+func TestStateCoversTheVariablesBeforeIt(t *testing.T) {
+	s := NewSolver()
+	a := s.NewEnumVar("a", []int{0, 5, 70, 130})
+	obj := s.NewIntVar("obj", 0, 100)
+	st := s.SaveState()
+	var later []*IntVar
+	for i := 0; i < 40; i++ {
+		later = append(later, s.NewEnumVar(fmt.Sprintf("e%d", i), []int{1, 64 + i, 200}))
+	}
+	late := s.NewIntVar("late", 0, 9)
+	for _, v := range later {
+		if s.RemoveValue(v, 1) != nil {
+			t.Fatal("removal failed")
+		}
+	}
+	if s.Assign(a, 70) != nil || s.RemoveBelow(obj, 30) != nil || s.RemoveAbove(late, 4) != nil {
+		t.Fatal("removal failed")
+	}
+	for round := 0; round < 2; round++ {
+		s.RestoreState(st)
+		if got := a.Values(); !slices.Equal(got, []int{0, 5, 70, 130}) || a.Size() != 4 || a.Min() != 0 || a.Max() != 130 {
+			t.Fatalf("restore %d: a = %v (size %d, [%d, %d])", round, got, a.Size(), a.Min(), a.Max())
+		}
+		if obj.Min() != 0 || obj.Max() != 100 || obj.Size() != 101 {
+			t.Fatalf("restore %d: obj = %v", round, obj)
+		}
+		for i, v := range later {
+			if got := v.Values(); !slices.Equal(got, []int{64 + i, 200}) || v.Size() != 2 {
+				t.Fatalf("restore %d: %v, created after the state, changed", round, v)
+			}
+		}
+		if late.Min() != 0 || late.Max() != 4 || late.Size() != 5 {
+			t.Fatalf("restore %d: late = %v, created after the state, changed", round, late)
+		}
+	}
+}
+
+// TestStateKeepsObjectiveBounds: the bounds of a bounds-only objective
+// come back from a state with its size, however they moved after it —
+// down to an empty domain.
+func TestStateKeepsObjectiveBounds(t *testing.T) {
+	s := NewSolver()
+	x := s.NewEnumVar("x", []int{1, 2})
+	obj := s.NewIntVar("cost", -20, 500)
+	if s.RemoveBelow(obj, 10) != nil || s.RemoveAbove(obj, 50) != nil || s.RemoveValue(obj, 50) != nil {
+		t.Fatal("removal failed")
+	}
+	st := s.SaveState()
+	for _, cut := range []func() error{
+		func() error { return s.RemoveBelow(obj, 40) },
+		func() error { return s.Assign(obj, 12) },
+		func() error { return s.RemoveAbove(obj, 5) }, // wipes it out
+	} {
+		_ = s.RemoveValue(x, 2)
+		_ = cut()
+		s.RestoreState(st)
+		if obj.Min() != 10 || obj.Max() != 49 || obj.Size() != 40 || x.Size() != 2 {
+			t.Fatalf("after a restore: %v %v, want cost in [10..49] and x in {1, 2}", obj, x)
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func FuzzDomainOps(f *testing.F) {
 				// Backtracking: whatever happens after a save, restoring
 				// brings back the same bits and the same cached size and
 				// bounds — twice from one State.
-				words, ext := append([]uint64(nil), d.words...), extent{d.n, d.lo, d.hi}
+				words, want := append([]uint64(nil), d.words...), [3]int{d.n, d.lo, d.hi}
 				st := s.SaveState()
 				for round := 0; round < 2; round++ {
 					d.removeValue(d.Min())
@@ -138,8 +138,8 @@ func FuzzDomainOps(f *testing.F) {
 					left.removeValue(63)
 					right.removeBelow(2)
 					s.RestoreState(st)
-					if got := (extent{d.n, d.lo, d.hi}); got != ext || !slices.Equal(d.words, words) {
-						t.Fatalf("restore %d: words %x extent %+v, want %x %+v", round, d.words, got, words, ext)
+					if got := [3]int{d.n, d.lo, d.hi}; got != want || !slices.Equal(d.words, words) {
+						t.Fatalf("restore %d: words %x size and bounds %v, want %x %v", round, d.words, got, words, want)
 					}
 					if left.Size() != 3 || right.Min() != 1 {
 						t.Fatalf("restore %d: neighbours %v %v", round, left, right)

@@ -92,11 +92,7 @@ type run struct {
 func (s *Solver) newRun(opts Options, obj *IntVar) run {
 	r := run{Options: opts, vars: opts.Vars, obj: obj}
 	if len(r.vars) == 0 {
-		for _, v := range s.vars {
-			if v.words != nil {
-				r.vars = append(r.vars, v)
-			}
-		}
+		r.vars = s.vars
 	}
 	if opts.ShuffleSeed != 0 {
 		r.rng = rand.New(rand.NewSource(opts.ShuffleSeed))

@@ -42,7 +42,9 @@ type Constraint interface {
 // Solver owns the variables and runs the propagation queue of the
 // constraints posted on them.
 type Solver struct {
-	vars []*IntVar
+	// vars are the enumerated variables and bounded the bounds-only
+	// ones, each in creation order.
+	vars, bounded []*IntVar
 	// words is the slab every enumerated domain keeps its bitset in,
 	// in creation order: one copy saves or restores them all.
 	words []uint64
@@ -84,11 +86,19 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if v.lo < 0 {
 		panic("cp: negative value in the enumerated domain of " + name)
 	}
-	// The bitset goes at the end of the slab. Growing the slab may move
-	// it, so every window is cut again.
-	off := len(s.words)
-	s.words = append(s.words, make([]uint64, v.hi/64+1)...)
-	v.words = s.words[off:]
+	// The bitset goes at the end of the slab. Growing the slab moves
+	// it, and then every earlier window is cut again.
+	off, end := len(s.words), len(s.words)+v.hi/64+1
+	if end > cap(s.words) {
+		s.words = slices.Grow(s.words, end-off)
+		at := 0
+		for _, u := range s.vars {
+			u.words = s.words[at : at+len(u.words) : at+len(u.words)]
+			at += len(u.words)
+		}
+	}
+	s.words = s.words[:end]
+	v.words = s.words[off:end:end]
 	for _, val := range values {
 		if !v.Contains(val) {
 			v.words[val/64] |= 1 << uint(val%64)
@@ -96,14 +106,6 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 		}
 	}
 	s.vars = append(s.vars, v)
-	off = 0
-	for _, v := range s.vars {
-		if v.words != nil {
-			end := off + len(v.words)
-			v.words = s.words[off:end:end]
-			off = end
-		}
-	}
 	return v
 }
 
@@ -115,7 +117,7 @@ func (s *Solver) NewIntVar(name string, min, max int) *IntVar {
 		panic(fmt.Sprintf("cp: empty range [%d,%d] for %s", min, max, name))
 	}
 	v := &IntVar{name: name, n: max - min + 1, lo: min, hi: max, pref: -1}
-	s.vars = append(s.vars, v)
+	s.bounded = append(s.bounded, v)
 	return v
 }
 
@@ -251,15 +253,19 @@ func (s *Solver) removeMasked(v *IntVar, mask []uint64) (removed bool, err error
 	return removed, s.changed(v, removed)
 }
 
-// Assign binds v to val.
+// Assign binds v to val in one pass over its bits, waking its
+// watchers once when that removed a value.
 func (s *Solver) Assign(v *IntVar, val int) error {
 	if !v.Contains(val) {
 		return fmt.Errorf("%w: %s cannot take %d", ErrFailed, v.name, val)
 	}
-	if err := s.RemoveBelow(v, val); err != nil {
-		return err
+	removed := v.n > 1
+	if v.words != nil {
+		clear(v.words)
+		v.words[val/64] = 1 << uint(val%64)
 	}
-	return s.RemoveAbove(v, val)
+	v.n, v.lo, v.hi = 1, val, val
+	return s.changed(v, removed)
 }
 
 // propagate runs the propagation queue to fixpoint, oldest first: the
@@ -290,15 +296,13 @@ func (s *Solver) Stats() (nodes, fails, solutions, propagations int64) {
 
 // State is an opaque copy of every variable domain: Minimize restores
 // its root from one before every restart, and the search saves one per
-// depth. It covers the variables that existed when it was taken.
+// depth. It is the slab and the bounds of the bounds-only variables;
+// a restore recounts each enumerated variable's size and bounds from
+// its bits. It covers the variables that existed when it was taken.
 type State struct {
-	words []uint64 // the slab
-	ext   []extent // per variable
+	words  []uint64 // the slab
+	bounds []int    // lo and hi per bounds-only variable
 }
-
-// extent is what a State keeps of a variable beside the slab: its size
-// and bounds.
-type extent struct{ n, lo, hi int }
 
 // SaveState captures the current domains.
 func (s *Solver) SaveState() State {
@@ -312,12 +316,9 @@ func (s *Solver) SaveState() State {
 // allocated.
 func (s *Solver) saveInto(st *State) {
 	st.words = append(st.words[:0], s.words...)
-	if cap(st.ext) < len(s.vars) {
-		st.ext = make([]extent, len(s.vars))
-	}
-	st.ext = st.ext[:len(s.vars)]
-	for i, v := range s.vars {
-		st.ext[i] = extent{v.n, v.lo, v.hi}
+	st.bounds = st.bounds[:0]
+	for _, v := range s.bounded {
+		st.bounds = append(st.bounds, v.lo, v.hi)
 	}
 }
 
@@ -326,8 +327,15 @@ func (s *Solver) saveInto(st *State) {
 func (s *Solver) RestoreState(st State) {
 	s.restores++
 	copy(s.words, st.words)
-	for i, e := range st.ext {
-		v := s.vars[i]
-		v.n, v.lo, v.hi = e.n, e.lo, e.hi
+	end := 0
+	for _, v := range s.vars {
+		if end += len(v.words); end > len(st.words) {
+			break
+		}
+		v.recount()
+	}
+	for i, v := range s.bounded[:len(st.bounds)/2] {
+		v.lo, v.hi = st.bounds[2*i], st.bounds[2*i+1]
+		v.n = max(0, v.hi-v.lo+1)
 	}
 }
