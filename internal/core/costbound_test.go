@@ -405,10 +405,11 @@ func TestCostBoundAllocatesNothing(t *testing.T) {
 }
 
 // solveAllocLanding is what one 300-search-node, one-worker solve of
-// budgetedProblem(1, 100, 300) allocated once a search state was the
-// slab alone and compile priced nodes by index; 2 180 000 before, and
-// about 87 MB before the allocation-free hot path.
-const solveAllocLanding = 1_051_000
+// budgetedProblem(1, 100, 300) allocated once the search backtracked
+// on a trail; 1 051 000 when it copied the slab per depth, 2 180 000
+// before a search state was the slab alone, and about 87 MB before
+// the allocation-free hot path.
+const solveAllocLanding = 717_000
 
 // TestSolveAllocationBudget fails when a budgeted solve allocates a
 // quarter more than it did at landing: bytes are counted, not timed, so
@@ -431,6 +432,45 @@ func TestSolveAllocationBudget(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > solveAllocLanding*5/4 {
 		t.Fatalf("one solve allocated %d bytes, more than 1.25 x the %d it allocated at landing", got, solveAllocLanding)
+	}
+}
+
+// monoSearchAllocLanding is what one one-worker Minimize on the
+// monolithic model of budgetedProblem(1, 500, 1000), 750 VMs over 500
+// nodes, allocated over its 1000-node budget once the search
+// backtracked on a trail: 39 753 000 when it copied the slab per
+// depth, which grows with VMs × nodes per node and with the depth.
+const monoSearchAllocLanding = 5_684_100
+
+// TestMonolithicSearchAllocationBudget fails when searching a large
+// monolithic model — what the loop falls back to when a carve fails —
+// allocates a quarter more than it did at landing, so a per-node cost
+// that grows with the model cannot come back unnoticed.
+func TestMonolithicSearchAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	p := budgetedProblem(1, 500, 1000)
+	c, err := Optimizer{}.compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := buildModel(p, c, baseStrategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = m.s.Minimize(m.obj, m.opts)
+	runtime.ReadMemStats(&after)
+	if !cp.Stopped(err) {
+		t.Fatalf("the search ended on %v before its node budget", err)
+	}
+	if nodes, _, _, _ := m.s.Stats(); nodes != 1000 && nodes != 1001 {
+		t.Fatalf("searched %d nodes under a budget of 1000", nodes)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > monoSearchAllocLanding*5/4 {
+		t.Fatalf("one search allocated %d bytes, more than 1.25 x the %d it allocated at landing", got, monoSearchAllocLanding)
 	}
 }
 
@@ -531,10 +571,11 @@ func TestObjectiveIsActionCostSum(t *testing.T) {
 
 // sliceModelAllocLanding is what building one 16-node slice model of
 // budgetedProblem(11, 16, 150) and searching it for 150 nodes (its
-// seed is the first whose search the budget stops) allocated once a
-// search state was the slab alone, with about 2 % to spare; 41 744
-// before, when a state also kept every variable's size and bounds.
-const sliceModelAllocLanding = 26_100
+// seed is the first whose search the budget stops) allocated once the
+// search backtracked on a trail, with about 2 % to spare; 26 100 when
+// it copied the slab per depth, and 41 744 when a state also kept
+// every variable's size and bounds.
+const sliceModelAllocLanding = 19_400
 
 // TestSliceModelAllocationBudget fails when one slice model, built and
 // searched, allocates more than it did at landing: what the

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -222,5 +223,52 @@ func TestSearchMatchesRecomputingPropagators(t *testing.T) {
 	}
 	if searched < 45 || found < 200 {
 		t.Fatalf("%d instances searched, %d solutions: the generator no longer exercises the search", searched, found)
+	}
+}
+
+// TestSolveMonoSearchMatchesSlabCopy replays the one-worker search of
+// the benchmark's solve_mono instances of seeds 1 to 3 on core's model
+// and requires what the slab-copy search (cp's reference, which copied
+// every domain per depth and listed each node's values up front) went
+// through on them: nodes, fails, solutions, propagator runs, the
+// objectives, and an FNV-64a digest of the assignments. cp's reference
+// cannot search a core model — test files do not cross packages — so
+// its figures are pinned here, as it printed them.
+func TestSolveMonoSearchMatchesSlabCopy(t *testing.T) {
+	for _, want := range []struct {
+		seed                                  int64
+		nodes, fails, solutions, propagations int64
+		objectives                            []int
+		digest                                uint64
+	}{
+		{1, 300, 65, 1, 7108, []int{49408}, 0x115e02f0f4a5e8d5},
+		{2, 300, 4, 1, 6350, []int{85760}, 0xef2cbd792f99db9e},
+		{3, 300, 0, 2, 6860, []int{91136, 90880}, 0x12be20d287dc573a},
+	} {
+		p := budgetedProblem(want.seed, 100, 300)
+		o := Optimizer{Workers: 1, Partitions: 1}
+		c, err := o.compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := buildModel(p, c, baseStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed *Result
+		if dst, err := ffdDestination(p.Src, c.goals); err == nil {
+			seed = o.candidate(p, dst)
+		}
+		got := replay(o, p, c, m, seed)
+		h := fnv.New64a()
+		for _, a := range got.assignments {
+			fmt.Fprint(h, a)
+		}
+		if got.nodes != want.nodes || got.fails != want.fails || got.solutions != want.solutions ||
+			got.propagations != want.propagations || !slices.Equal(got.objectives, want.objectives) || h.Sum64() != want.digest {
+			t.Fatalf("seed %d: %d nodes, %d fails, %d solutions, %d propagations, objectives %v, digest %#x; slab copy: %d, %d, %d, %d, %v, %#x",
+				want.seed, got.nodes, got.fails, got.solutions, got.propagations, got.objectives, h.Sum64(),
+				want.nodes, want.fails, want.solutions, want.propagations, want.objectives, want.digest)
+		}
 	}
 }

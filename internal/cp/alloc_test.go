@@ -41,13 +41,13 @@ func packedModel(t *testing.T, bins, items int) (*Solver, []*IntVar, *Packing) {
 
 // TestHotPathAllocatesNothing pins what a search node is made of at
 // zero allocations once its buffers are sized: one Packing
-// propagation, one save and restore of every domain, and one run of
-// the queue to fixpoint with every constraint woken after a restore,
-// which is a full pass of each.
+// propagation, a branch pushed on the trail and undone, a restore of
+// every domain, and one run of the queue to fixpoint with every
+// constraint woken after a restore, which is a full pass of each.
 func TestHotPathAllocatesNothing(t *testing.T) {
-	s, _, p := packedModel(t, 100, 150)
-	var saved State
-	s.saveInto(&saved) // a level's first save sizes its storage
+	s, vars, p := packedModel(t, 100, 150)
+	saved := s.SaveState()
+	free := vars[len(vars)-1]
 	for _, step := range []struct {
 		name string
 		run  func()
@@ -57,8 +57,15 @@ func TestHotPathAllocatesNothing(t *testing.T) {
 				t.Error(err)
 			}
 		}},
-		{"save and restore", func() {
-			s.saveInto(&saved)
+		{"push and undo", func() {
+			s.open()
+			if err := s.Assign(free, free.Min()); err != nil {
+				t.Error(err)
+			}
+			_ = s.propagate() // a failure drains the queue all the same
+			s.undo()
+		}},
+		{"restore", func() {
 			s.RestoreState(saved)
 		}},
 		{"propagate to fixpoint", func() {
@@ -74,5 +81,8 @@ func TestHotPathAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, step.run); allocs != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", step.name, allocs)
 		}
+	}
+	if len(s.frames) != 0 || len(s.trail) != 0 || len(s.boundsTrail) != 0 {
+		t.Errorf("%d frames, %d words and %d bounds left on the trail, want none", len(s.frames), len(s.trail), len(s.boundsTrail))
 	}
 }

@@ -3,18 +3,18 @@
 // provides integer variables over finite domains, a propagation engine
 // with constraint watch lists that also tell a constraint keeping sums
 // which of its variables changed (valid until the next restore),
-// depth-first search that backtracks by copying every domain in place
-// into storage it reuses per depth, pluggable variable/value ordering
-// heuristics (first fail, prefer-current-value, seeded shuffles), and
-// cooperative cancellation through a context.
+// depth-first search that backtracks on a trail, pluggable
+// variable/value ordering heuristics (first fail, prefer-current-value,
+// seeded shuffles), and cooperative cancellation through a context.
 //
 // A domain lives in its IntVar: an enumerated variable's bitset is a
 // window of one slab the solver owns, beside the cached size and
 // bounds in the variable's own fields; a bounds-only variable (the
-// objective) is its two bounds alone. A saved state is the slab and
-// the bounds of the bounds-only variables: saving is one copy, a
-// restore copies back and recounts each enumerated variable's size and
-// bounds from its bits, and neither allocates.
+// objective) is its two bounds alone. A branch opens a frame: the
+// first write to a slab word inside it saves the word on the trail (a
+// bounds-only variable is saved whole), and a failure undoes the
+// frame, last record first, recounting the variables it touched. A
+// State, what Minimize restarts from, is a copy of the slab and bounds.
 //
 // Solver.Minimize is the one branch-and-bound loop of the repository:
 // it restarts from the root under a bound that only falls, and a
@@ -137,33 +137,6 @@ func (v *IntVar) removeAbove(val int) bool {
 	for v.n > 0 && v.hi > val {
 		v.removeValue(v.hi)
 		changed = true
-	}
-	return changed
-}
-
-// removeMask removes every value whose bit is set in mask (value v is
-// bit v%64 of word v/64) and every value mask has no bit for; reports
-// change. Only enumerated variables are masked.
-func (v *IntVar) removeMask(mask []uint64) bool {
-	changed := false
-	for w, word := range v.words {
-		m := ^uint64(0)
-		if w < len(mask) {
-			m = mask[w]
-		}
-		if hit := word & m; hit != 0 {
-			v.words[w] = word &^ m
-			v.n -= bits.OnesCount64(hit)
-			changed = true
-		}
-	}
-	switch {
-	case !changed:
-	case v.n == 0:
-		v.lo, v.hi = -1, -1
-	default:
-		v.lo = v.scanUp(v.lo)
-		v.hi = v.scanDown(v.hi)
 	}
 	return changed
 }

@@ -1,6 +1,8 @@
 package cp
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"testing"
@@ -77,15 +79,21 @@ func checkAgainst(t *testing.T, d *IntVar, r refDomain, when string) {
 }
 
 // FuzzDomainOps drives the bitset domain (the VM-assignment domain of
-// the solver) through arbitrary remove/save/restore/iterate sequences
-// and checks every observable against the reference set model. The
-// byte stream encodes the initial domain then one operation per byte
-// pair.
+// the solver) through arbitrary sequences of removals, assignments,
+// masks, save/restore pairs and nested trail frames opened and undone
+// — a restore inside an open frame among them — and checks every
+// observable against the reference set model, one copy of which is
+// kept per open frame. The byte stream encodes the initial domain then
+// one operation per byte pair.
 func FuzzDomainOps(f *testing.F) {
 	f.Add([]byte{3, 0, 5, 9, 0x00, 0x05, 0x21, 0x03, 0x42, 0x07})
 	f.Add([]byte{1, 0})
 	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 0x61, 0x04, 0x82, 0x06, 0x00, 0x01})
 	f.Add([]byte{4, 127, 64, 32, 16, 0x83, 0x00, 0x03, 0x40})
+	// Frames: open, keep a state, remove, open, restore the kept state,
+	// undo twice; then a mask and an assignment undone.
+	f.Add([]byte{5, 1, 63, 64, 65, 100, 127, 4, 0, 3, 0, 0, 65, 4, 0, 8, 0, 5, 0, 5, 0})
+	f.Add([]byte{4, 3, 70, 90, 120, 126, 4, 0, 7, 0x55, 4, 0, 6, 91, 5, 0, 5, 0, 2, 100})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -102,51 +110,92 @@ func FuzzDomainOps(f *testing.F) {
 			init = append(init, v)
 			ref[v] = true
 		}
-		// Two neighbours share the slab: a save or restore that strays
-		// out of its window shows on them.
+		// Two neighbours share the slab: a restore or an undo that
+		// strays out of its window shows on them.
 		s := NewSolver()
 		left := s.NewEnumVar("left", []int{0, 63, 64})
 		d := s.NewEnumVar("d", init)
 		right := s.NewEnumVar("right", []int{1, 200})
 		checkAgainst(t, d, ref, "after init")
+		var frames []refDomain // the reference at each open frame's start
+		var kept State         // the state op 3 took last, and its reference
+		var keptRef refDomain
 
 		ops := data[1+k:]
 		for i := 0; i+1 < len(ops) && len(ref) > 0; i += 2 {
-			op, arg := ops[i]%4, int(ops[i+1])%130-1 // probe outside [0,128) too
+			op, arg := ops[i]%9, int(ops[i+1])%130-1 // probe outside [0,128) too
 			switch op {
 			case 0:
-				changed := d.removeValue(arg)
-				if changed != ref[arg] {
-					t.Fatalf("removeValue(%d) reported %v, reference had %v", arg, changed, ref[arg])
+				before := d.Size()
+				s.RemoveValue(d, arg)
+				if changed := d.Size() != before; changed != ref[arg] {
+					t.Fatalf("RemoveValue(%d) changed the domain: %v, reference had %v", arg, changed, ref[arg])
 				}
 				ref.removeValue(arg)
 			case 1:
-				d.removeBelow(arg)
+				s.RemoveBelow(d, arg)
 				ref.removeBelow(arg)
 			case 2:
-				d.removeAbove(arg)
+				s.RemoveAbove(d, arg)
 				ref.removeAbove(arg)
 			case 3:
-				// Backtracking: whatever happens after a save, restoring
-				// brings back the same bits and the same cached size and
-				// bounds — twice from one State.
+				// Backtracking by copy: whatever happens after a save,
+				// restoring brings back the same bits and the same cached
+				// size and bounds — twice from one State.
 				words, want := append([]uint64(nil), d.words...), [3]int{d.n, d.lo, d.hi}
 				st := s.SaveState()
+				kept, keptRef = st, maps.Clone(ref)
 				for round := 0; round < 2; round++ {
-					d.removeValue(d.Min())
-					d.removeAbove(arg + round)
-					left.removeValue(63)
-					right.removeBelow(2)
+					s.RemoveValue(d, d.Min())
+					s.RemoveAbove(d, arg+round)
+					s.RemoveValue(left, 63)
+					s.RemoveBelow(right, 2)
 					s.RestoreState(st)
 					if got := [3]int{d.n, d.lo, d.hi}; got != want || !slices.Equal(d.words, words) {
 						t.Fatalf("restore %d: words %x size and bounds %v, want %x %v", round, d.words, got, words, want)
 					}
-					if left.Size() != 3 || right.Min() != 1 {
-						t.Fatalf("restore %d: neighbours %v %v", round, left, right)
+				}
+			case 4:
+				s.open()
+				frames = append(frames, maps.Clone(ref))
+			case 5:
+				if len(frames) == 0 {
+					continue
+				}
+				s.undo()
+				ref, frames = frames[len(frames)-1], frames[:len(frames)-1]
+			case 6:
+				if ref[arg] {
+					if err := s.Assign(d, arg); err != nil {
+						t.Fatal(err)
+					}
+					ref = refDomain{arg: true}
+				}
+			case 8:
+				// A state taken at another depth, restored inside the
+				// open frame: an undo still returns to the frame's start.
+				if keptRef != nil {
+					s.RestoreState(kept)
+					ref = maps.Clone(keptRef)
+				}
+			case 7:
+				// A mask of arg%3 words, each arg's bits spread over it:
+				// every value it has no word for goes too.
+				mask := make([]uint64, (arg+1)%3)
+				for w := range mask {
+					mask[w] = uint64(arg+1) * 0x0101010101010101 >> w
+				}
+				s.removeMasked(d, mask)
+				for x := range ref {
+					if x/64 >= len(mask) || mask[x/64]&(1<<uint(x%64)) != 0 {
+						delete(ref, x)
 					}
 				}
 			}
-			checkAgainst(t, d, ref, "after op")
+			checkAgainst(t, d, ref, fmt.Sprintf("after op %d(%d) with %d frames open", op, arg, len(frames)))
+			if left.Size() != 3 || right.Min() != 1 || right.Size() != 2 {
+				t.Fatalf("after op %d: neighbours %v %v", op, left, right)
+			}
 		}
 	})
 }

@@ -139,10 +139,14 @@ func (s *Solver) Minimize(obj *IntVar, opts Options) (Solution, error) {
 }
 
 // restart is one dive of Minimize: unless the context is done, it
-// restores the root, cuts the objective above bound and searches.
+// closes the frames the last dive left open, restores the root, cuts
+// the objective above bound and searches.
 func (s *Solver) restart(r *run, root State, bound int) error {
 	if err := r.interrupted(); err != nil {
 		return err
+	}
+	for len(s.frames) > 0 {
+		s.undo()
 	}
 	s.RestoreState(root)
 	if err := s.RemoveAbove(r.obj, bound); err != nil {
@@ -160,13 +164,6 @@ func (s *Solver) capture(vars []*IntVar) Solution {
 		sol.values[v] = v.Value()
 	}
 	return sol
-}
-
-// level is what the search keeps per depth and reuses from node to
-// node: the state saved before each branch and the node's value order.
-type level struct {
-	saved State
-	order []int
 }
 
 // search runs depth-first search until all of r's vars are bound
@@ -198,48 +195,80 @@ func (s *Solver) search(r *run, depth int) error {
 	if v == nil {
 		return nil // all bound: solution
 	}
-	// Deeper nodes may grow levels, so it is indexed afresh after each
-	// descent; the order's backing array stays where it is.
-	if depth == len(s.levels) {
-		s.levels = append(s.levels, level{})
+	// The values go in this order: the warm-start hint, the preferred
+	// value, then the rest ascending — or, under ShuffleSeed, as a
+	// shuffle of the node's domain has them — passing over what a
+	// sibling's refutation pruned. The domain only shrinks at a node,
+	// so reading it as the loop goes visits what listing it would.
+	var order []int
+	if r.rng != nil {
+		// Deeper nodes may grow orders, so it is indexed afresh.
+		if depth == len(s.orders) {
+			s.orders = append(s.orders, nil)
+		}
+		order = s.orders[depth][:0]
+		for val, last := v.Min(), v.Max(); ; val = v.NextValue(val + 1) {
+			order = append(order, val)
+			if val == last {
+				break
+			}
+		}
+		r.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		s.orders[depth] = order
 	}
-	order := s.valueOrder(v, r, s.levels[depth].order)
-	s.levels[depth].order = order
-	for _, val := range order {
-		if !v.Contains(val) {
-			continue // pruned by a sibling's failure propagation
-		}
-		s.saveInto(&s.levels[depth].saved)
-		err := s.branch(v, val, r, depth)
-		if err == nil {
-			return nil
-		}
-		if Stopped(err) {
-			return err
-		}
-		s.fails++
-		s.RestoreState(s.levels[depth].saved)
-		// The value failed: remove it at this level and re-propagate,
-		// so siblings benefit from the refutation.
-		if err := s.RemoveValue(v, val); err != nil {
-			return err
-		}
-		if err := s.propagate(); err != nil {
+	if hint, ok := r.Hints[v]; ok && v.Contains(hint) {
+		if done, err := s.try(v, hint, r, depth); done {
 			return err
 		}
 	}
-	return ErrFailed
+	if r.PreferValue && v.pref >= 0 && v.Contains(v.pref) {
+		if done, err := s.try(v, v.pref, r, depth); done {
+			return err
+		}
+	}
+	// A value tried above failed and was refuted: it is gone.
+	if order != nil {
+		for _, val := range order {
+			if v.Contains(val) {
+				if done, err := s.try(v, val, r, depth); done {
+					return err
+				}
+			}
+		}
+		return ErrFailed
+	}
+	for val := v.Min(); ; val = v.NextValue(val + 1) {
+		if done, err := s.try(v, val, r, depth); done {
+			return err
+		}
+		if val >= v.Max() {
+			return ErrFailed
+		}
+	}
 }
 
-// branch tries v = val: assign, propagate, search below.
-func (s *Solver) branch(v *IntVar, val int, r *run, depth int) error {
-	if err := s.Assign(v, val); err != nil {
-		return err
+// try branches on v = val: inside a frame of its own it assigns,
+// propagates and searches below. done reports that the node ends with
+// err: a solution below (nil), an interruption, or a wipe-out when,
+// the branch failed and undone, refuting val at this node propagated
+// to one. Otherwise the node goes on to its next value.
+func (s *Solver) try(v *IntVar, val int, r *run, depth int) (done bool, err error) {
+	s.open()
+	if err = s.Assign(v, val); err == nil {
+		if err = s.propagate(); err == nil {
+			err = s.search(r, depth+1)
+		}
 	}
-	if err := s.propagate(); err != nil {
-		return err
+	if err == nil || Stopped(err) {
+		return true, err
 	}
-	return s.search(r, depth+1)
+	s.fails++
+	s.undo()
+	// Siblings benefit from the refutation.
+	if err = s.RemoveValue(v, val); err == nil {
+		err = s.propagate()
+	}
+	return err != nil, err
 }
 
 func (s *Solver) pick(r *run) *IntVar {
@@ -256,45 +285,4 @@ func (s *Solver) pick(r *run) *IntVar {
 		}
 	}
 	return best
-}
-
-// valueOrder lists v's values in the order the node tries them, into
-// buf's storage.
-func (s *Solver) valueOrder(v *IntVar, r *run, buf []int) []int {
-	vals := buf[:0]
-	if cap(vals) < v.Size() {
-		vals = make([]int, 0, v.Size())
-	}
-	for val, last := v.Min(), v.Max(); ; val = v.NextValue(val + 1) {
-		vals = append(vals, val)
-		if val == last {
-			break
-		}
-	}
-	if r.rng != nil {
-		r.rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	}
-	// Priority values: the warm-start hint first, then the preferred
-	// value. Both survive shuffling — diversified restarts still dive
-	// towards the old solution before exploring — and the rest keep
-	// their order.
-	if r.PreferValue && v.pref >= 0 {
-		moveToFront(vals, v.pref)
-	}
-	if h, ok := r.Hints[v]; ok {
-		moveToFront(vals, h)
-	}
-	return vals
-}
-
-// moveToFront moves val, when present, to the head of vals, shifting
-// what was before it one place down.
-func moveToFront(vals []int, val int) {
-	for i, x := range vals {
-		if x == val {
-			copy(vals[1:i+1], vals[:i])
-			vals[0] = val
-			return
-		}
-	}
 }

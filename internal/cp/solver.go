@@ -58,13 +58,24 @@ type Solver struct {
 	qhead, qlen int
 	queued      []bool
 	// marks holds every delta's bits; restores counts RestoreState
-	// calls.
+	// calls and undos.
 	marks    []uint64
 	restores int
 
-	// levels is the search's storage per depth, reused from node to
-	// node.
-	levels []level
+	// The trail the search backtracks on: a frame is open per branch
+	// above the node, and trail and boundsTrail hold what the first
+	// write inside a frame overwrote. stamps holds per slab word the
+	// frame that saved it last, 0 for none (IntVar.stamp for a
+	// bounds-only variable), and owners the index in vars of the
+	// variable whose window holds it.
+	stamps, owners []int32
+	trail          []savedWord
+	boundsTrail    []savedBounds
+	frames         []frame
+
+	// orders is a ShuffleSeed search's value order per depth, reused
+	// from node to node.
+	orders [][]int
 
 	// stats
 	nodes      int64
@@ -91,14 +102,16 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	off, end := len(s.words), len(s.words)+v.hi/64+1
 	if end > cap(s.words) {
 		s.words = slices.Grow(s.words, end-off)
-		at := 0
 		for _, u := range s.vars {
-			u.words = s.words[at : at+len(u.words) : at+len(u.words)]
-			at += len(u.words)
+			u.words = s.words[u.off : u.off+len(u.words) : u.off+len(u.words)]
 		}
 	}
 	s.words = s.words[:end]
-	v.words = s.words[off:end:end]
+	s.stamps = append(s.stamps, make([]int32, end-off)...)
+	for range end - off {
+		s.owners = append(s.owners, int32(len(s.vars)))
+	}
+	v.words, v.off = s.words[off:end:end], off
 	for _, val := range values {
 		if !v.Contains(val) {
 			v.words[val/64] |= 1 << uint(val%64)
@@ -232,24 +245,49 @@ func (s *Solver) changed(v *IntVar, removed bool) error {
 // RemoveValue removes val from v's domain, waking watchers. It returns
 // ErrFailed when the domain empties.
 func (s *Solver) RemoveValue(v *IntVar, val int) error {
+	if v.Contains(val) {
+		s.saveValues(v, val, val)
+	}
 	return s.changed(v, v.removeValue(val))
 }
 
 // RemoveBelow prunes values below min from v's domain.
 func (s *Solver) RemoveBelow(v *IntVar, min int) error {
+	s.saveValues(v, v.lo, min-1)
 	return s.changed(v, v.removeBelow(min))
 }
 
 // RemoveAbove prunes values above max from v's domain.
 func (s *Solver) RemoveAbove(v *IntVar, max int) error {
+	s.saveValues(v, max+1, v.hi)
 	return s.changed(v, v.removeAbove(max))
 }
 
 // removeMasked prunes from v's domain every value whose bit is set in
-// mask, and every value beyond the mask's last word; removed reports
-// whether there was any.
+// mask (value x is bit x%64 of word x/64) and every value beyond the
+// mask's last word; removed reports whether there was any. Only
+// enumerated variables are masked.
 func (s *Solver) removeMasked(v *IntVar, mask []uint64) (removed bool, err error) {
-	removed = v.removeMask(mask)
+	for w, word := range v.words {
+		m := ^uint64(0)
+		if w < len(mask) {
+			m = mask[w]
+		}
+		if hit := word & m; hit != 0 {
+			s.save(v, w)
+			v.words[w] = word &^ m
+			v.n -= bits.OnesCount64(hit)
+			removed = true
+		}
+	}
+	switch {
+	case !removed:
+	case v.n == 0:
+		v.lo, v.hi = -1, -1
+	default:
+		v.lo = v.scanUp(v.lo)
+		v.hi = v.scanDown(v.hi)
+	}
 	return removed, s.changed(v, removed)
 }
 
@@ -260,6 +298,9 @@ func (s *Solver) Assign(v *IntVar, val int) error {
 		return fmt.Errorf("%w: %s cannot take %d", ErrFailed, v.name, val)
 	}
 	removed := v.n > 1
+	if removed {
+		s.saveValues(v, v.lo, v.hi)
+	}
 	if v.words != nil {
 		clear(v.words)
 		v.words[val/64] = 1 << uint(val%64)
@@ -295,10 +336,10 @@ func (s *Solver) Stats() (nodes, fails, solutions, propagations int64) {
 }
 
 // State is an opaque copy of every variable domain: Minimize restores
-// its root from one before every restart, and the search saves one per
-// depth. It is the slab and the bounds of the bounds-only variables;
-// a restore recounts each enumerated variable's size and bounds from
-// its bits. It covers the variables that existed when it was taken.
+// its root from one before every restart. It is the slab and the
+// bounds of the bounds-only variables; a restore recounts each
+// enumerated variable's size and bounds from its bits. It covers the
+// variables that existed when it was taken.
 type State struct {
 	words  []uint64 // the slab
 	bounds []int    // lo and hi per bounds-only variable
@@ -306,36 +347,118 @@ type State struct {
 
 // SaveState captures the current domains.
 func (s *Solver) SaveState() State {
-	var st State
-	s.saveInto(&st)
-	return st
-}
-
-// saveInto overwrites st with the current domains, reusing its
-// storage: once st has held a state of this solver, nothing is
-// allocated.
-func (s *Solver) saveInto(st *State) {
-	st.words = append(st.words[:0], s.words...)
-	st.bounds = st.bounds[:0]
+	st := State{words: slices.Clone(s.words), bounds: make([]int, 0, 2*len(s.bounded))}
 	for _, v := range s.bounded {
 		st.bounds = append(st.bounds, v.lo, v.hi)
 	}
+	return st
 }
 
 // RestoreState reinstalls a state taken by SaveState, by copy: the
-// state stays valid and can be restored any number of times.
+// state stays valid and can be restored any number of times. Inside
+// an open frame it trails what it overwrites, so undoing the frame
+// still returns to the frame's start.
 func (s *Solver) RestoreState(st State) {
 	s.restores++
-	copy(s.words, st.words)
-	end := 0
 	for _, v := range s.vars {
-		if end += len(v.words); end > len(st.words) {
+		end := v.off + len(v.words)
+		if end > len(st.words) {
 			break
+		}
+		for w, word := range st.words[v.off:end] {
+			if v.words[w] != word {
+				s.save(v, w)
+				v.words[w] = word
+			}
 		}
 		v.recount()
 	}
 	for i, v := range s.bounded[:len(st.bounds)/2] {
+		s.saveValues(v, v.lo, v.hi)
 		v.lo, v.hi = st.bounds[2*i], st.bounds[2*i+1]
 		v.n = max(0, v.hi-v.lo+1)
 	}
+}
+
+// savedWord is a slab word as the first write inside a frame found
+// it: its index, its bits and its stamp.
+type savedWord struct {
+	bits      uint64
+	at, stamp int32
+}
+
+// savedBounds is a bounds-only variable as the first write inside a
+// frame found it.
+type savedBounds struct {
+	v         *IntVar
+	n, lo, hi int
+	stamp     int32
+}
+
+// frame is where an open frame's records start on the two trails.
+type frame struct{ words, bounds int }
+
+// open starts a frame: until the matching undo, the first write to a
+// slab word or to a bounds-only variable saves what it overwrites.
+func (s *Solver) open() {
+	s.frames = append(s.frames, frame{len(s.trail), len(s.boundsTrail)})
+}
+
+// save trails word w of v's window unless the open frame has already;
+// with no frame open, every stamp is 0 and nothing is trailed.
+func (s *Solver) save(v *IntVar, w int) {
+	at, f := v.off+w, int32(len(s.frames))
+	if s.stamps[at] != f {
+		s.trail = append(s.trail, savedWord{v.words[w], int32(at), s.stamps[at]})
+		s.stamps[at] = f
+	}
+}
+
+// saveValues trails, ahead of a write, the words of v holding its
+// values from lo to hi, or a bounds-only v whole; with none of its
+// values in that range, nothing. A frame opens on nonempty domains, so
+// the first write inside it meets v nonempty.
+func (s *Solver) saveValues(v *IntVar, lo, hi int) {
+	lo, hi = max(lo, v.lo), min(hi, v.hi)
+	switch f := int32(len(s.frames)); {
+	case lo > hi:
+	case v.words != nil:
+		for w := lo / 64; w <= hi/64; w++ {
+			s.save(v, w)
+		}
+	case v.stamp != f:
+		s.boundsTrail = append(s.boundsTrail, savedBounds{v, v.n, v.lo, v.hi, v.stamp})
+		v.stamp = f
+	}
+}
+
+// undo returns every domain to the start of the innermost frame, last
+// record first, and closes it, so the frame around it is the open one
+// again. Like RestoreState it counts as a restore: the next run of a
+// propagator that keeps sums is a full pass.
+func (s *Solver) undo() {
+	s.restores++
+	f := s.frames[len(s.frames)-1]
+	s.frames = s.frames[:len(s.frames)-1]
+	// Each run of records in one variable's window is followed by a
+	// recount of it.
+	owner := int32(-1)
+	for i := len(s.trail) - 1; i >= f.words; i-- {
+		e := s.trail[i]
+		if o := s.owners[e.at]; o != owner {
+			if owner >= 0 {
+				s.vars[owner].recount()
+			}
+			owner = o
+		}
+		s.words[e.at], s.stamps[e.at] = e.bits, e.stamp
+	}
+	if owner >= 0 {
+		s.vars[owner].recount()
+	}
+	for i := len(s.boundsTrail) - 1; i >= f.bounds; i-- {
+		e := s.boundsTrail[i]
+		e.v.n, e.v.lo, e.v.hi, e.v.stamp = e.n, e.lo, e.hi, e.stamp
+	}
+	s.trail, s.boundsTrail = s.trail[:f.words], s.boundsTrail[:f.bounds]
 }

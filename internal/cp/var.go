@@ -15,6 +15,8 @@ type IntVar struct {
 	name      string
 	words     []uint64
 	n, lo, hi int
+	off       int   // where words starts in the slab
+	stamp     int32 // a bounds-only variable's (see Solver.stamps)
 	// watchers are the constraints to wake when the domain changes.
 	watchers []watch
 	// pref is the value tried first during search (e.g. the node the

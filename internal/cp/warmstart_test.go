@@ -1,6 +1,10 @@
 package cp
 
-import "testing"
+import (
+	"errors"
+	"slices"
+	"testing"
+)
 
 // sumEquals binds obj to the sum of vars.
 func sumEquals(vars []*IntVar, obj *IntVar) Constraint {
@@ -51,24 +55,35 @@ func TestMinimizeWithHintsFindsOptimum(t *testing.T) {
 	}
 }
 
+// TestHintsSteerValueOrder: a node tries the hint first, then the
+// preferred value, then the rest ascending, each value once. Every
+// assignment fails, so the search walks the whole order; the last
+// value is bound by the refutation of the one before it.
 func TestHintsSteerValueOrder(t *testing.T) {
-	s := NewSolver()
-	v := s.NewEnumVar("v", []int{0, 1, 2, 3})
-	v.SetPreferred(1)
-	order := s.valueOrder(v, &run{Options: Options{PreferValue: true, Hints: map[*IntVar]int{v: 2}}}, nil)
-	if order[0] != 2 || order[1] != 1 {
-		t.Fatalf("order = %v, want hint 2 first then preferred 1", order)
-	}
-	seen := map[int]int{}
-	for _, val := range order {
-		seen[val]++
-	}
-	if len(order) != 4 || seen[0] != 1 || seen[1] != 1 || seen[2] != 1 || seen[3] != 1 {
-		t.Fatalf("order %v lost or duplicated values", order)
-	}
-	// A hint equal to the preferred value must not duplicate it.
-	order = s.valueOrder(v, &run{Options: Options{PreferValue: true, Hints: map[*IntVar]int{v: 1}}}, nil)
-	if order[0] != 1 || len(order) != 4 {
-		t.Fatalf("order = %v, want preferred/hinted 1 first, no duplicates", order)
+	for _, tc := range []struct {
+		hint int
+		want []int
+	}{
+		{2, []int{2, 1, 0, 3}},
+		{1, []int{1, 0, 2, 3}}, // a hint equal to the preferred value
+		{7, []int{1, 0, 2, 3}}, // a hint outside the domain
+	} {
+		s := NewSolver()
+		v := s.NewEnumVar("v", []int{0, 1, 2, 3})
+		v.SetPreferred(1)
+		var tried []int
+		s.Post(&FuncConstraint{On: []*IntVar{v}, Run: func(*Solver) error {
+			if v.Bound() {
+				tried = append(tried, v.Value())
+				return ErrFailed
+			}
+			return nil
+		}})
+		if _, err := solveOne(s, Options{Vars: []*IntVar{v}, PreferValue: true, Hints: map[*IntVar]int{v: tc.hint}}); !errors.Is(err, ErrFailed) {
+			t.Fatalf("hint %d: err = %v, want ErrFailed", tc.hint, err)
+		}
+		if !slices.Equal(tried, tc.want) {
+			t.Fatalf("hint %d: tried %v, want %v", tc.hint, tried, tc.want)
+		}
 	}
 }
