@@ -84,11 +84,11 @@ func (c *compiled) costBound(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
 			for i, v := range vars {
 				row := c.rows[i]
 				if v.Bound() {
-					mins[i] = row[v.Min()]
+					mins[i] = int(row[v.Min()])
 				} else {
 					for _, val := range c.order[i] {
-						if v.Contains(val) {
-							mins[i] = row[val]
+						if v.Contains(int(val)) {
+							mins[i] = int(row[val])
 							break
 						}
 					}
@@ -104,8 +104,8 @@ func (c *compiled) costBound(vars []*cp.IntVar, obj *cp.IntVar) cp.Constraint {
 					continue
 				}
 				row, order := c.rows[i], c.order[i]
-				for k := len(order) - 1; k >= 0 && row[order[k]]-mins[i] > slack; k-- {
-					if err := s.RemoveValue(v, order[k]); err != nil {
+				for k := len(order) - 1; k >= 0 && int(row[order[k]])-mins[i] > slack; k-- {
+					if err := s.RemoveValue(v, int(order[k])); err != nil {
 						return err
 					}
 				}
@@ -181,7 +181,7 @@ func TestCostTableMatchesModel(t *testing.T) {
 		for i, g := range c.runners {
 			row, order := c.rows[i], c.order[i]
 			for _, j := range c.allowed[i] {
-				if want := model.contribution(g, j); row[j] != want {
+				if want := model.contribution(g, j); int(row[j]) != want {
 					t.Fatalf("seed %d: %s on %s is %d in the table, %d in the model", seed, g.vm.Name, c.nodes[j].Name, row[j], want)
 				}
 			}
@@ -191,7 +191,7 @@ func TestCostTableMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d: %s: order %v over costs %v is not cheapest first with index ties", seed, g.vm.Name, order, row)
 				}
 			}
-			if sorted := slices.Sorted(slices.Values(order)); !slices.Equal(sorted, c.allowed[i]) {
+			if sorted := slices.Sorted(slices.Values(order)); !sameValues(sorted, c.allowed[i]) {
 				t.Fatalf("seed %d: %s: order %v is not its allowed nodes %v", seed, g.vm.Name, order, c.allowed[i])
 			}
 		}
@@ -405,11 +405,12 @@ func TestCostBoundAllocatesNothing(t *testing.T) {
 }
 
 // solveAllocLanding is what one 300-search-node, one-worker solve of
-// budgetedProblem(1, 100, 300) allocated once the search backtracked
-// on a trail; 1 051 000 when it copied the slab per depth, 2 180 000
-// before a search state was the slab alone, and about 87 MB before
-// the allocation-free hot path.
-const solveAllocLanding = 717_000
+// budgetedProblem(1, 100, 300) allocated once its cost table was int32
+// and its FFD seed packed without a scratch configuration; 717 000
+// before, when the search first backtracked on a trail, 1 051 000 when
+// it copied the slab per depth, 2 180 000 before a search state was
+// the slab alone, and about 87 MB before the allocation-free hot path.
+const solveAllocLanding = 558_000
 
 // TestSolveAllocationBudget fails when a budgeted solve allocates a
 // quarter more than it did at landing: bytes are counted, not timed, so
@@ -483,7 +484,7 @@ func TestMonolithicSearchAllocationBudget(t *testing.T) {
 func (c *compiled) lowerBound(sol cp.Solution, vars []*cp.IntVar) int {
 	lb := c.fixed
 	for i := range c.runners {
-		lb += c.rows[i][sol.MustValue(vars[i])]
+		lb += int(c.rows[i][sol.MustValue(vars[i])])
 	}
 	return lb
 }
@@ -557,7 +558,7 @@ func TestObjectiveIsActionCostSum(t *testing.T) {
 		}
 		want := c.fixed
 		for i, g := range c.runners {
-			want += c.rows[i][c.nodeIdx[res.Dst.HostOf(g.vm.Name)]]
+			want += int(c.rows[i][c.nodeIdx[res.Dst.HostOf(g.vm.Name)]])
 		}
 		if res.LowerBound != want {
 			t.Fatalf("seed %d: Result.LowerBound %d, action-cost sum of its destination %d", seed, res.LowerBound, want)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"cwcs/internal/packing"
 	"cwcs/internal/vjob"
 )
@@ -32,25 +30,22 @@ func FFDPlan(p Problem) (*Result, error) {
 }
 
 // ffdDestination packs the VMs that must run First-Fit-Decrease onto
-// an empty copy of the node set, and decodes that assignment.
+// the empty node set, and decodes that assignment. No runner holds a
+// place there, so this is packing.FirstFitDecrease on an empty copy of
+// the nodes, read back from the first-fit state instead of the copy.
 func ffdDestination(src *vjob.Configuration, goals []vmGoal) (*vjob.Configuration, error) {
-	scratch := vjob.NewConfiguration()
-	for _, n := range src.Nodes() {
-		scratch.AddNode(n)
-	}
 	var runners []*vjob.VM
 	for _, g := range goals {
 		if g.want == vjob.Running {
 			runners = append(runners, g.vm)
-			scratch.AddVM(g.vm)
 		}
 	}
-	if err := packing.FirstFitDecrease(scratch, runners); err != nil {
-		var nf packing.ErrNoFit
-		if errors.As(err, &nf) {
-			return nil, ErrNoViableConfiguration
-		}
-		return nil, err
+	ff := packing.NewFirstFit(src.Nodes())
+	if !ff.Pack(runners) {
+		return nil, ErrNoViableConfiguration
 	}
-	return decode(src, goals, goals, func(i int) string { return scratch.HostOf(goals[i].vm.Name) })
+	// decode asks for the hosts of the goals that want Running in goal
+	// order, the order of runners.
+	k := -1
+	return decode(src, goals, goals, func(int) string { k++; return ff.Host(k).Name })
 }

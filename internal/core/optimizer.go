@@ -136,8 +136,8 @@ type compiled struct {
 	// rows[i][j] is the placement cost of runner i on node j, filled
 	// for its allowed nodes; order[i] lists those nodes cheapest first,
 	// ties by index. The cost bound and maxObj read these.
-	rows   [][]int
-	order  [][]int
+	rows   [][]int32
+	order  [][]int32
 	prefs  []int // per runner: preferred node index, -1 when none
 	hints  []int // per runner: warm-start node index, -1 when none
 	maxObj int
@@ -225,11 +225,15 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 	c.allowed = make([][]int, len(c.runners))
 	c.prefs = make([]int, len(c.runners))
 	c.hints = make([]int, len(c.runners))
-	c.rows = make([][]int, len(c.runners))
-	c.order = make([][]int, len(c.runners))
-	table := make([]int, len(c.runners)*len(c.nodes))
-	orders := make([]int, 0, len(table))
-	var odd []int
+	// An entry is at most 2·TransferSize (a remote resume) plus one
+	// release, itself at most a TransferSize: MiB counts that int32
+	// holds for any VM below 512 TiB, as do node indices. Half the
+	// width halves compile's two largest allocations.
+	c.rows = make([][]int32, len(c.runners))
+	c.order = make([][]int32, len(c.runners))
+	table := make([]int32, len(c.runners)*len(c.nodes))
+	orders := make([]int32, 0, len(table))
+	var odd []int32
 	c.maxObj = c.fixed
 	for i, g := range c.runners {
 		cur, ok := c.nodeIdx[g.curLoc]
@@ -262,21 +266,21 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		// by index: most cost the runner's base price, away from its
 		// current node and free now, and only the others are sorted.
 		row := table[i*len(c.nodes) : (i+1)*len(c.nodes)]
-		base := g.runContribution(false)
+		base := int32(g.runContribution(false))
 		odd = odd[:0]
 		for _, j := range allowed {
 			row[j] = base
 			if j == cur {
-				row[j] = g.runContribution(true)
+				row[j] = int32(g.runContribution(true))
 			}
 			if (j != cur || g.cur != vjob.Running) && release[j] > 0 && !g.vm.Demand.Fits(free[j]) {
-				row[j] += release[j]
+				row[j] += int32(release[j])
 			}
 			if row[j] != base {
-				odd = append(odd, j)
+				odd = append(odd, int32(j))
 			}
 		}
-		slices.SortStableFunc(odd, func(a, b int) int { return cmp.Compare(row[a], row[b]) })
+		slices.SortStableFunc(odd, func(a, b int32) int { return cmp.Compare(row[a], row[b]) })
 		cheap := 0
 		for cheap < len(odd) && row[odd[cheap]] < base {
 			cheap++
@@ -285,12 +289,12 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		orders = append(orders, odd[:cheap]...)
 		for _, j := range allowed {
 			if row[j] == base {
-				orders = append(orders, j)
+				orders = append(orders, int32(j))
 			}
 		}
 		orders = append(orders, odd[cheap:]...)
 		c.rows[i], c.order[i] = row, orders[start:len(orders):len(orders)]
-		c.maxObj += row[orders[len(orders)-1]]
+		c.maxObj += int(row[orders[len(orders)-1]])
 	}
 	return c, nil
 }

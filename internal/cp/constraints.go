@@ -191,8 +191,8 @@ type TableSum struct {
 	Obj    *IntVar
 	Items  []*IntVar
 	Fixed  int
-	Rows   [][]int
-	Orders [][]int
+	Rows   [][]int32
+	Orders [][]int32
 
 	// Valid until the next restore: per item, where its walks of its
 	// order stopped; their sum; the slack last pruned to.
@@ -228,7 +228,7 @@ func (c *TableSum) Propagate(s *Solver) error {
 		// slack.
 		s.marks[c.changes.off] &^= 1
 		for k := c.changes.take(s, 0); k >= 0; k = c.changes.take(s, k) {
-			before := c.Rows[k-1][c.Orders[k-1][c.walks[k-1].cheap]]
+			before := int(c.Rows[k-1][c.Orders[k-1][c.walks[k-1].cheap]])
 			lb += c.raise(k-1) - before
 		}
 	}
@@ -245,16 +245,16 @@ func (c *TableSum) Propagate(s *Solver) error {
 			continue
 		}
 		row, order := c.Rows[i], c.Orders[i]
-		limit := row[order[c.walks[i].cheap]] + slack
+		limit := int(row[order[c.walks[i].cheap]]) + slack
 		k := int(c.walks[i].top) - 1
 		if full { // most of the order has left the domain: read what is left
 			if err := c.trim(s, v, row, limit); err != nil {
 				return err
 			}
-			k = sort.Search(len(order), func(k int) bool { return row[order[k]] > limit }) - 1
+			k = sort.Search(len(order), func(k int) bool { return int(row[order[k]]) > limit }) - 1
 		}
-		for ; k >= 0 && row[order[k]] > limit; k-- {
-			if err := s.RemoveValue(v, order[k]); err != nil {
+		for ; k >= 0 && int(row[order[k]]) > limit; k-- {
+			if err := s.RemoveValue(v, int(order[k])); err != nil {
 				return err
 			}
 		}
@@ -265,7 +265,7 @@ func (c *TableSum) Propagate(s *Solver) error {
 
 // trim removes in one go the values of v whose entry in row is over
 // limit, reading v's domain a word at a time.
-func (c *TableSum) trim(s *Solver, v *IntVar, row []int, limit int) error {
+func (c *TableSum) trim(s *Solver, v *IntVar, row []int32, limit int) error {
 	words := v.words
 	if len(words) > len(c.mask) {
 		c.mask = make([]uint64, len(words))
@@ -274,7 +274,7 @@ func (c *TableSum) trim(s *Solver, v *IntVar, row []int, limit int) error {
 	for w, word := range words {
 		mask[w] = 0
 		for ; word != 0; word &= word - 1 {
-			if b := bits.TrailingZeros64(word); row[w<<6+b] > limit {
+			if b := bits.TrailingZeros64(word); int(row[w<<6+b]) > limit {
 				mask[w] |= 1 << uint(b)
 			}
 		}
@@ -288,13 +288,13 @@ func (c *TableSum) trim(s *Solver, v *IntVar, row []int, limit int) error {
 func (c *TableSum) raise(i int) int {
 	v, row, order := c.Items[i], c.Rows[i], c.Orders[i]
 	if v.Bound() {
-		return row[v.Min()]
+		return int(row[v.Min()])
 	}
 	p := &c.walks[i].cheap
-	for int(*p) < len(order)-1 && !v.Contains(order[*p]) {
+	for int(*p) < len(order)-1 && !v.Contains(int(order[*p])) {
 		*p++
 	}
-	return row[order[*p]]
+	return int(row[order[*p]])
 }
 
 // FuncConstraint adapts a function into a Constraint, for

@@ -18,7 +18,7 @@ type refTableSum struct {
 	obj          *IntVar
 	items        []*IntVar
 	fixed        int
-	rows, orders [][]int
+	rows, orders [][]int32
 	mins         []int
 }
 
@@ -29,11 +29,11 @@ func (c *refTableSum) Propagate(s *Solver) error {
 	for i, v := range c.items {
 		row := c.rows[i]
 		if v.Bound() {
-			c.mins[i] = row[v.Min()]
+			c.mins[i] = int(row[v.Min()])
 		} else {
 			for _, val := range c.orders[i] {
-				if v.Contains(val) {
-					c.mins[i] = row[val]
+				if v.Contains(int(val)) {
+					c.mins[i] = int(row[val])
 					break
 				}
 			}
@@ -49,8 +49,8 @@ func (c *refTableSum) Propagate(s *Solver) error {
 			continue
 		}
 		row, order := c.rows[i], c.orders[i]
-		for k := len(order) - 1; k >= 0 && row[order[k]]-c.mins[i] > slack; k-- {
-			if err := s.RemoveValue(v, order[k]); err != nil {
+		for k := len(order) - 1; k >= 0 && int(row[order[k]])-c.mins[i] > slack; k-- {
+			if err := s.RemoveValue(v, int(order[k])); err != nil {
 				return err
 			}
 		}
@@ -66,7 +66,7 @@ type deltaModel struct {
 	domains      [][]int
 	weights      [2][]int
 	capacity     [2][]int
-	rows, orders [][]int
+	rows, orders [][]int32
 	fixed, top   int
 }
 
@@ -83,7 +83,7 @@ func newDeltaModel(rng *rand.Rand) deltaModel {
 		nvals = nbins + rng.Intn(3)
 	}
 	n := 1 + rng.Intn(10)
-	m := deltaModel{domains: make([][]int, n), rows: make([][]int, n), orders: make([][]int, n), fixed: rng.Intn(10)}
+	m := deltaModel{domains: make([][]int, n), rows: make([][]int32, n), orders: make([][]int32, n), fixed: rng.Intn(10)}
 	m.top = m.fixed
 	for d := range m.weights {
 		m.weights[d] = make([]int, n)
@@ -114,14 +114,14 @@ func newDeltaModel(rng *rand.Rand) deltaModel {
 				m.weights[d][i] = 1 + rng.Intn(3)
 			}
 		}
-		row := make([]int, nvals)
+		row := make([]int32, nvals)
 		for _, val := range m.domains[i] {
-			row[val] = rng.Intn(20)
+			row[val] = int32(rng.Intn(20))
+			m.orders[i] = append(m.orders[i], int32(val))
 		}
 		m.rows[i] = row
-		m.orders[i] = slices.Clone(m.domains[i])
-		slices.SortStableFunc(m.orders[i], func(a, b int) int { return cmp.Compare(row[a], row[b]) })
-		m.top += row[m.orders[i][len(m.orders[i])-1]]
+		slices.SortStableFunc(m.orders[i], func(a, b int32) int { return cmp.Compare(row[a], row[b]) })
+		m.top += int(row[m.orders[i][len(m.orders[i])-1]])
 	}
 	return m
 }

@@ -150,6 +150,9 @@ func (f *FirstFit) Pack(vms []*vjob.VM) bool {
 	return true
 }
 
+// Host returns the node the last successful Pack put vms[k] on.
+func (f *FirstFit) Host(k int) *vjob.Node { return f.nodes[f.hosts[k]] }
+
 // FirstFitDecrease places every VM of vms as Running in c using the
 // First Fit Decrease heuristic: VMs are considered in decreasing order
 // — (memory, CPU) on 2-D instances, dominant-resource score when extra

@@ -251,7 +251,7 @@ func findMigrationCycle(out map[string][]*Migration) []*Migration {
 // delaying a resume may no longer be viable if later pools re-used the
 // space. One vjob's move can rule out another's (both may crowd the
 // same NIC), so the vjobs are tried in the order the pools first name
-// them.
+// them, and the pools are rebuilt once, from the moves kept.
 //
 // When the plan validates before the pass, a move is checked on its
 // target pool alone, which is exact when a resumed VM has no other
@@ -262,36 +262,39 @@ func findMigrationCycle(out map[string][]*Migration) []*Migration {
 // appears. From the end of the target pool on, both plans reach the
 // same configurations. What is left is the target pool itself: each
 // delayed resume must fit its node at the pool's start, and the pool's
-// transfers must share the NICs. A plan that does not validate is
-// re-validated whole per move.
+// transfers must share the NICs. The NIC check needs no pool order: a
+// book sums non-negative clamped rates per endpoint, and an action's
+// two endpoints are distinct, so every prefix of the pool fits exactly
+// when the whole pool does. One book per target pool therefore holds
+// the pool's totals across moves: a kept move admits its resumes there
+// and releases them from the book of each pool they leave. A plan that
+// does not validate is re-validated whole per move, on candidate pools
+// the same rebuild builds.
 func groupVJobResumes(p *Plan) {
 	groups := resumeGroups(p)
 	valid := len(groups) > 0 && recordTargetFree(p, groups)
 	delayed := make(map[string][]delay) // node -> resumes of kept moves
+	var books []*transferBook           // by pool, built on first use as a target
+	if valid {
+		books = make([]*transferBook, len(p.Pools))
+	}
+	var kept []*resumeGroup
 	for _, g := range groups {
-		moved := g.move(p.Pools)
 		var ok bool
 		if valid {
-			ok = g.fitsTarget(delayed) && admits(p.Src, moved[g.target])
+			ok = g.fitsTarget(delayed) && g.admit(p, books, kept)
 		} else {
-			ok = (&Plan{Src: p.Src, Pools: moved, Bypass: p.Bypass}).Validate() == nil
+			ok = (&Plan{Src: p.Src, Pools: rebuild(nil, p.Pools, append(kept, g)), Bypass: p.Bypass}).Validate() == nil
 		}
 		if !ok {
 			continue
 		}
-		p.Pools = moved
+		kept = append(kept, g)
 		for i, r := range g.late {
 			delayed[r.On] = append(delayed[r.On], delay{from: g.from[i], to: g.target, demand: r.Machine.Demand})
 		}
 	}
-	// Drop pools emptied by the moves.
-	pools := p.Pools[:0]
-	for _, pool := range p.Pools {
-		if len(pool) > 0 {
-			pools = append(pools, pool)
-		}
-	}
-	p.Pools = pools
+	p.Pools = rebuild(p.Pools[:0], p.Pools, kept)
 }
 
 // resumeGroup is one vjob's resumes as the ungrouped plan spreads them:
@@ -366,29 +369,77 @@ func recordTargetFree(p *Plan, groups []*resumeGroup) bool {
 	}) == nil
 }
 
-// move returns the pools with every resume of the vjob in the target
-// pool. Pools the move leaves alone are shared with the argument; the
-// others are new slices.
-func (g *resumeGroup) move(pools []Pool) []Pool {
-	out := slices.Clone(pools)
-	target := slices.Clone(pools[g.target])
-	for i, from := range g.from {
-		if i > 0 && from == g.from[i-1] {
-			continue
-		}
-		var kept Pool
-		for _, a := range pools[from] {
-			if r, ok := a.(*Resume); ok && r.Machine.VJob == g.job {
-				target = append(target, a)
-				continue
+// poolAfter returns pool i once the kept groups have moved their late
+// resumes: the pool itself when none leaves or enters it, else a new
+// slice keeping its other actions in order, with the entering resumes
+// appended and the pool sorted once.
+func poolAfter(pools []Pool, kept []*resumeGroup, i int) Pool {
+	var gone, in []Action
+	for _, g := range kept {
+		for k, r := range g.late {
+			if g.from[k] == i {
+				gone = append(gone, r)
+			} else if g.target == i {
+				in = append(in, r)
 			}
-			kept = append(kept, a)
 		}
-		out[from] = kept
 	}
-	target.sortDeterministic()
-	out[g.target] = target
+	if len(gone)+len(in) == 0 {
+		return pools[i]
+	}
+	pool := make(Pool, 0, len(pools[i])+len(in))
+	for _, a := range pools[i] {
+		if !slices.Contains(gone, a) {
+			pool = append(pool, a)
+		}
+	}
+	if len(in) > 0 {
+		pool = append(pool, in...)
+		pool.sortDeterministic()
+	}
+	return pool
+}
+
+// rebuild appends to out the pools the kept groups leave, emptied
+// pools dropped. out may be pools[:0]: pool i is read before any pool
+// past i is written.
+func rebuild(out, pools []Pool, kept []*resumeGroup) []Pool {
+	for i := range pools {
+		if pool := poolAfter(pools, kept, i); len(pool) > 0 {
+			out = append(out, pool)
+		}
+	}
 	return out
+}
+
+// admit reports whether the target pool's transfers, the late resumes
+// added, share the NICs, and if so books the resumes there and releases
+// them from the books of the pools they leave. The target pool's book
+// is built on its first use, from the pool the kept groups left.
+func (g *resumeGroup) admit(p *Plan, books []*transferBook, kept []*resumeGroup) bool {
+	book := books[g.target]
+	if book == nil {
+		book = newTransferBook(p.Src)
+		for _, a := range poolAfter(p.Pools, kept, g.target) {
+			book.admit(a)
+		}
+		books[g.target] = book
+	}
+	for i, r := range g.late {
+		if !book.fits(r) {
+			for _, r := range g.late[:i] {
+				book.release(r)
+			}
+			return false
+		}
+		book.admit(r)
+	}
+	for i, r := range g.late {
+		if b := books[g.from[i]]; b != nil {
+			b.release(r)
+		}
+	}
+	return true
 }
 
 // fitsTarget reports whether each late resume fits its node at the
@@ -409,19 +460,6 @@ func (g *resumeGroup) fitsTarget(delayed map[string][]delay) bool {
 		if !r.Machine.Demand.Fits(g.free[r.On]) {
 			return false
 		}
-	}
-	return true
-}
-
-// admits reports whether the pool's transfers, booked in pool order,
-// share the NICs of the configuration's nodes.
-func admits(cfg *vjob.Configuration, pool Pool) bool {
-	book := newTransferBook(cfg)
-	for _, a := range pool {
-		if !book.fits(a) {
-			return false
-		}
-		book.admit(a)
 	}
 	return true
 }

@@ -2,8 +2,11 @@ package plan_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"cwcs/internal/core"
@@ -77,9 +80,14 @@ func refTryMoveResumes(p *plan.Plan, job string, target int) *plan.Plan {
 }
 
 // generatedPair is a consolidation instance of the 2-D, 4-D or
-// NIC-poor mix and the destination the FFD baseline packs for it.
-func generatedPair(rng *rand.Rand, mix int) (src, dst *vjob.Configuration, ok bool) {
-	nodes := 4 + rng.Intn(40)
+// NIC-poor mix on the given number of nodes, or on 4 to 43 when it is
+// 0, and the destination the FFD baseline packs for it. On the NIC-poor
+// mix a quarter of the nodes carry one resume at a time, so admission
+// refuses some moves.
+func generatedPair(rng *rand.Rand, mix, nodes int) (src, dst *vjob.Configuration, ok bool) {
+	if nodes == 0 {
+		nodes = 4 + rng.Intn(40)
+	}
 	opts := workload.GenerateOptions{Nodes: nodes, NodeCPU: 2, NodeMemory: 4096, VMs: nodes * 3 / 2}
 	switch mix % 3 {
 	case 1:
@@ -309,13 +317,16 @@ type groupOutcome struct {
 	invalid  bool // the ungrouped plan does not validate
 	grouped  bool // a move was kept
 	split    bool // a vjob's resumes stayed in several pools
+	// nic: grouping a vjob left split would oversubscribe a NIC
+	nic bool
 }
 
 // groupCase plans one instance without grouping, groups the plan with
 // both passes, and returns a description of the first difference, or
-// "". The seed picks the shape; the plan comes from loosePlan, from
-// the builder, or from the builder with NIC gating off, which leaves
-// plans oversubscribing a NIC.
+// "". The seed picks the shape, one in fifty a 500-node consolidation
+// like the benchmark's; the plan comes from loosePlan, from the
+// builder, or from the builder with NIC gating off, which leaves plans
+// oversubscribing a NIC.
 func groupCase(seed int64) (string, groupOutcome) {
 	rng := rand.New(rand.NewSource(seed))
 	var src, dst *vjob.Configuration
@@ -327,8 +338,12 @@ func groupCase(seed int64) (string, groupOutcome) {
 	case 4:
 		return compareGrouping(refillPlan(rng))
 	default:
+		nodes := 0
+		if seed%50 == 0 {
+			nodes = 500
+		}
 		var ok bool
-		if src, dst, ok = generatedPair(rng, int(seed/5)); !ok {
+		if src, dst, ok = generatedPair(rng, int(seed/5), nodes); !ok {
 			return "", groupOutcome{}
 		}
 	}
@@ -365,6 +380,10 @@ func compareGrouping(ungrouped *plan.Plan) (diff string, out groupOutcome) {
 			if r, ok := a.(*plan.Resume); ok && r.Machine.VJob != "" {
 				if p, seen := pools[r.Machine.VJob]; seen && p != i {
 					out.split = true
+					if moved := refTryMoveResumes(got, r.Machine.VJob, i); moved != nil {
+						err := moved.Validate()
+						out.nic = out.nic || (err != nil && strings.Contains(err.Error(), "oversubscribes a NIC"))
+					}
 				}
 				pools[r.Machine.VJob] = i
 			}
@@ -374,13 +393,14 @@ func compareGrouping(ungrouped *plan.Plan) (diff string, out groupOutcome) {
 }
 
 // TestGroupingMatchesReference: on at least 500 instances — generated
-// consolidations of the three mixes, NIC-contended store shapes and
-// refilled overloaded nodes, planned by the builder with and without
-// NIC gating or by loosePlan — the grouping pass leaves the plan the
-// reference leaves. The cases must reach kept moves, refused moves and
+// consolidations of the three mixes, 16 of them on 500 nodes,
+// NIC-contended store shapes and refilled overloaded nodes, planned by
+// the builder with and without NIC gating or by loosePlan — the
+// grouping pass leaves the plan the reference leaves. The cases must
+// reach kept moves, moves refused on a node's room and on a NIC, and
 // the whole-plan fallback.
 func TestGroupingMatchesReference(t *testing.T) {
-	var compared, invalid, grouped, split int
+	var compared, invalid, grouped, split, nic int
 	for seed := int64(0); seed < 800; seed++ {
 		diff, out := groupCase(seed)
 		if diff != "" {
@@ -398,16 +418,146 @@ func TestGroupingMatchesReference(t *testing.T) {
 		if out.split && !out.invalid {
 			split++
 		}
+		if out.nic && !out.invalid {
+			nic++
+		}
 	}
-	t.Logf("%d plans compared: invalid %d, valid and grouped %d, valid and left split %d", compared, invalid, grouped, split)
-	if compared < 500 || invalid == 0 || grouped == 0 || split == 0 {
-		t.Fatalf("too few cases or a path never reached: compared %d, invalid %d, grouped %d, split %d", compared, invalid, grouped, split)
+	t.Logf("%d plans compared: invalid %d, valid and grouped %d, valid and left split %d, on a NIC %d", compared, invalid, grouped, split, nic)
+	if compared < 500 || invalid == 0 || grouped == 0 || split == 0 || nic == 0 {
+		t.Fatalf("too few cases or a path never reached: compared %d, invalid %d, grouped %d, split %d, on a NIC %d", compared, invalid, grouped, split, nic)
+	}
+}
+
+// bookedResume is one resume of a hand-made plan: its VM, whose vjob
+// is the name's first letter, the image's node and the pool.
+type bookedResume struct {
+	vm, from string
+	pool     int
+}
+
+// storedPlan is a valid plan of resumes only, each onto a host of its
+// own: from "store", whose NIC carries two resumes at once, or from
+// "open", which meters nothing.
+func storedPlan(t *testing.T, resumes []bookedResume) *plan.Plan {
+	t.Helper()
+	src := vjob.NewConfiguration()
+	store, open := resources.New(0, 0), resources.New(0, 0)
+	store.Set(resources.NetBW, 2*plan.ResumePushRateMbps)
+	src.AddNode(vjob.NewNodeRes("store", store))
+	src.AddNode(vjob.NewNodeRes("open", open))
+	var pools []plan.Pool
+	for k, r := range resumes {
+		host := fmt.Sprintf("h%d", k)
+		capacity := resources.New(1, 1024)
+		capacity.Set(resources.NetBW, 1000)
+		src.AddNode(vjob.NewNodeRes(host, capacity))
+		v := vjob.NewVM(r.vm, r.vm[:1], 1, 512)
+		src.AddVM(v)
+		_ = src.SetSleeping(v.Name, r.from)
+		for len(pools) <= r.pool {
+			pools = append(pools, nil)
+		}
+		pools[r.pool] = append(pools[r.pool], &plan.Resume{Machine: v, From: r.from, On: host})
+	}
+	p := &plan.Plan{Src: src, Pools: pools}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestGroupingKeepsNICBooks: plans where a target pool's NIC book must
+// follow the moves. In "release", a's move builds pool 1's book, where
+// a-1 and b-1 fill the store's NIC; b's kept move takes b-1 out of
+// pool 1; c-0, from the store, then fits pool 1 only if that release
+// reached pool 1's book. In "late book", a's kept move takes a-1 out of
+// pool 1 before pool 1 has a book; b-0 then fits pool 1 only if the
+// book, built for b, leaves a-1 out. In "undo", a's first late resume
+// fits pool 2's book and its second does not; b-0 then fits pool 2
+// only if the refused move took the first back. All match the
+// reference.
+func TestGroupingKeepsNICBooks(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		resumes []bookedResume
+		want    string // the VMs of each pool after grouping
+	}{
+		{"release", []bookedResume{
+			{"a-0", "open", 0}, {"b-0", "open", 0}, {"c-0", "store", 0},
+			{"a-1", "store", 1}, {"b-1", "store", 1}, {"c-1", "open", 1},
+			{"b-2", "open", 2},
+		}, "[[a-0 a-1 c-0 c-1] [b-0 b-1 b-2]]"},
+		{"late book", []bookedResume{
+			{"a-0", "open", 0}, {"b-0", "store", 0},
+			{"a-1", "store", 1}, {"b-1", "open", 1}, {"z-0", "store", 1},
+			{"a-2", "open", 2},
+		}, "[[b-0 b-1 z-0] [a-0 a-1 a-2]]"},
+		{"undo", []bookedResume{
+			{"a-0", "store", 0}, {"b-0", "store", 0},
+			{"a-1", "store", 1},
+			{"a-2", "open", 2}, {"b-1", "open", 2}, {"y-0", "store", 2},
+		}, "[[a-0] [a-1] [a-2 b-0 b-1 y-0]]"},
+	} {
+		p := storedPlan(t, tc.resumes)
+		if diff, _ := compareGrouping(p); diff != "" {
+			t.Fatalf("%s: %s", tc.name, diff)
+		}
+		plan.GroupVJobResumes(p)
+		var got [][]string
+		for _, pool := range p.Pools {
+			var names []string
+			for _, a := range pool {
+				names = append(names, a.VM().Name)
+			}
+			got = append(got, names)
+		}
+		if fmt.Sprint(got) != tc.want {
+			t.Errorf("%s: pools %v, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// planAllocLanding is what one Builder.Plan of a 500-node FFD graph
+// allocated once resume grouping kept one NIC book per target pool and
+// built the pools once; 405 000 when it copied the pool list and
+// re-sorted and re-booked the target pool per vjob.
+const planAllocLanding = 189_100
+
+// TestPlanAllocationBudget fails when planning the benchmark's 500-node
+// FFD graph allocates a quarter more than it did at landing.
+func TestPlanAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	src, dst, ok := generatedPair(rand.New(rand.NewSource(1)), 0, 500)
+	if !ok {
+		t.Fatal("FFD found no destination")
+	}
+	g, err := plan.BuildGraph(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least of a few measurements: another goroutine's allocation
+	// may fall into one.
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := plan.Builder{}.Plan(g)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > planAllocLanding*5/4 {
+		t.Fatalf("one plan allocated %d bytes, more than 1.25 x the %d it allocated at landing", least, planAllocLanding)
 	}
 }
 
 // FuzzGroupResumes explores further seeds of the same comparison.
 func FuzzGroupResumes(f *testing.F) {
-	for _, seed := range []int64{0, 1, 2, 3, 7, 11} {
+	for _, seed := range []int64{0, 1, 2, 3, 7, 11, 50, 100} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {

@@ -150,14 +150,19 @@ func (b *transferBook) fits(a Action) bool {
 }
 
 // admit books the action's transfer demand on both endpoints.
-func (b *transferBook) admit(a Action) {
+func (b *transferBook) admit(a Action) { b.add(a, 1) }
+
+// release takes back what admit booked for the action.
+func (b *transferBook) release(a Action) { b.add(a, -1) }
+
+func (b *transferBook) add(a Action, sign int) {
 	t, ok := TransferDemandOf(a)
 	if !ok {
 		return
 	}
 	for _, ep := range []string{t.Src, t.Dst} {
 		if nic := b.nicOf(ep); nic > 0 {
-			b.used[ep] += t.ClampedRate(nic)
+			b.used[ep] += sign * t.ClampedRate(nic)
 		}
 	}
 }
