@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test bench-test bench-counts prod-cover prod-cover-check race vet fmt-check fuzz-smoke cover lint ci clean
+.PHONY: all build test bench-test bench-counts prod-cover prod-cover-check race race-pool vet fmt-check fuzz-smoke cover lint ci clean
 
 all: build
 
@@ -42,6 +42,13 @@ prod-cover-check:
 
 race:
 	$(GO) test -race ./...
+
+# solveSlices runs min(slices, GOMAXPROCS) workers, so a plain run
+# tests only the machine's own width: run the pool's tests, and the
+# solver Reset they rest on, under the race detector at widths 1, 2
+# and 4.
+race-pool:
+	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver' ./internal/core ./internal/cp
 
 vet:
 	$(GO) vet ./...
@@ -99,4 +106,4 @@ clean:
 # The one-command gate every PR must pass. `cover` runs the full test
 # suite (with coverage) itself, so a separate plain `test` pass would
 # only repeat it; `race` is the second, differently-instrumented run.
-ci: build vet fmt-check lint race bench-test fuzz-smoke cover
+ci: build vet fmt-check lint race race-pool bench-test fuzz-smoke cover

@@ -96,7 +96,7 @@ type refCompiled struct {
 // compares it with: every (runner, node) pair priced through the cost
 // model and every order a full stable sort.
 func (o Optimizer) refCompile(p Problem) (*refCompiled, error) {
-	goals, err := p.compile()
+	goals, err := p.compile(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,8 @@ func compileProblem(seed int64, extra bool) Problem {
 // no action frees, with and without PinRunning and a warm start, and on
 // the benchmark's instances, compile builds exactly what the reference
 // builds — runners, allowed nodes, rows, orders, preferred and hinted
-// nodes, fixed cost and objective ceiling — or fails with it.
+// nodes, fixed cost and objective ceiling — or fails with it, into a
+// new compiled and into one that every earlier compile refilled.
 func TestCompileMatchesReference(t *testing.T) {
 	var problems []Problem
 	for seed := int64(0); seed < 60; seed++ {
@@ -226,6 +227,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		problems = append(problems, budgetedProblem(seed, 100, 300))
 	}
 	var partial, unreleased, sleeping, waiting, pinned, hinted, failed int
+	reused := new(compiled)
 	for n, p := range problems {
 		var warm *vjob.Configuration
 		if ffd, err := FFDPlan(Problem{Src: p.Src, Target: p.Target}); err == nil {
@@ -233,33 +235,40 @@ func TestCompileMatchesReference(t *testing.T) {
 		}
 		for _, o := range []Optimizer{{}, {PinRunning: true}, {WarmStart: warm}, {PinRunning: true, WarmStart: warm}} {
 			want, wantErr := o.refCompile(p)
-			got, err := o.compile(p)
-			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-				t.Fatalf("problem %d %+v: error %v, reference %v", n, o, err, wantErr)
+			var err error
+			for _, into := range []*compiled{nil, reused} {
+				var got *compiled
+				got, err = o.compile(p, into)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("problem %d %+v: error %v, reference %v", n, o, err, wantErr)
+				}
+				if err != nil {
+					if !errors.Is(err, ErrNoViableConfiguration) {
+						t.Fatal(err)
+					}
+					continue
+				}
+				same := func(a, b []vmGoal) bool {
+					return slices.EqualFunc(a, b, func(x, y vmGoal) bool { return x.vm == y.vm && x.want == y.want })
+				}
+				switch {
+				case !same(got.runners, want.runners):
+					t.Fatalf("problem %d %+v: runners differ", n, o)
+				case !slices.EqualFunc(got.allowed, want.allowed, slices.Equal):
+					t.Fatalf("problem %d %+v: allowed %v, reference %v", n, o, got.allowed, want.allowed)
+				case !slices.EqualFunc(got.rows, want.rows, sameValues):
+					t.Fatalf("problem %d %+v: rows %v, reference %v", n, o, got.rows, want.rows)
+				case !slices.EqualFunc(got.order, want.order, sameValues):
+					t.Fatalf("problem %d %+v: orders %v, reference %v", n, o, got.order, want.order)
+				case !slices.Equal(got.prefs, want.prefs) || !slices.Equal(got.hints, want.hints):
+					t.Fatalf("problem %d %+v: prefs %v hints %v, reference %v %v", n, o, got.prefs, got.hints, want.prefs, want.hints)
+				case got.fixed != want.fixed || got.maxObj != want.maxObj || got.active != want.active:
+					t.Fatalf("problem %d %+v: fixed %d maxObj %d, reference %d %d", n, o, got.fixed, got.maxObj, want.fixed, want.maxObj)
+				}
 			}
 			if err != nil {
-				if !errors.Is(err, ErrNoViableConfiguration) {
-					t.Fatal(err)
-				}
 				failed++
 				continue
-			}
-			same := func(a, b []vmGoal) bool {
-				return slices.EqualFunc(a, b, func(x, y vmGoal) bool { return x.vm == y.vm && x.want == y.want })
-			}
-			switch {
-			case !same(got.runners, want.runners):
-				t.Fatalf("problem %d %+v: runners differ", n, o)
-			case !slices.EqualFunc(got.allowed, want.allowed, slices.Equal):
-				t.Fatalf("problem %d %+v: allowed %v, reference %v", n, o, got.allowed, want.allowed)
-			case !slices.EqualFunc(got.rows, want.rows, sameValues):
-				t.Fatalf("problem %d %+v: rows %v, reference %v", n, o, got.rows, want.rows)
-			case !slices.EqualFunc(got.order, want.order, sameValues):
-				t.Fatalf("problem %d %+v: orders %v, reference %v", n, o, got.order, want.order)
-			case !slices.Equal(got.prefs, want.prefs) || !slices.Equal(got.hints, want.hints):
-				t.Fatalf("problem %d %+v: prefs %v hints %v, reference %v %v", n, o, got.prefs, got.hints, want.prefs, want.hints)
-			case got.fixed != want.fixed || got.maxObj != want.maxObj || got.active != want.active:
-				t.Fatalf("problem %d %+v: fixed %d maxObj %d, reference %d %d", n, o, got.fixed, got.maxObj, want.fixed, want.maxObj)
 			}
 			model := newCostModel(p.Src, want.goals, want.nodes)
 			for _, node := range want.nodes {

@@ -171,7 +171,7 @@ func TestCostTableMatchesModel(t *testing.T) {
 	pruned, failed, runs := 0, 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		p := tableProblem(seed, seed%2 == 1)
-		c, err := Optimizer{}.compile(p)
+		c, err := Optimizer{}.compile(p, nil)
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
@@ -357,11 +357,11 @@ func TestPropagatorCancelsSearchAtNodeBudget(t *testing.T) {
 // the run that follows an assignment.
 func TestCostBoundAllocatesNothing(t *testing.T) {
 	p := budgetedProblem(1, 100, 300)
-	c, err := Optimizer{}.compile(p)
+	c, err := Optimizer{}.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buildModel(Problem{Src: p.Src, Target: p.Target}, c, baseStrategy)
+	m, err := buildModel(Problem{Src: p.Src, Target: p.Target}, c, baseStrategy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,6 +436,47 @@ func TestSolveAllocationBudget(t *testing.T) {
 	}
 }
 
+// slicedSolveAllocLanding is what one one-worker partitioned solve of
+// budgetedProblem(1, 1000, 150) — about 63 slice models of 150 search
+// nodes each — allocated once the slices were solved on a pool whose
+// workers reuse one model's storage from slice to slice, on two cores;
+// 4 896 000 when every slice built its model in fresh storage.
+const slicedSolveAllocLanding = 3_214_000
+
+// TestSlicedSolveAllocationBudget fails when that solve allocates a
+// quarter more than it did at landing: what a slice model costs is paid
+// per slice, and a storage a worker stopped reusing would show here.
+func TestSlicedSolveAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	p := budgetedProblem(1, 1000, 150)
+	opt := Optimizer{Workers: 1}
+	if _, err := opt.Solve(p); err != nil { // lazy set-up is not the solve's
+		t.Fatal(err)
+	}
+	// The least of a few measurements: another goroutine's allocation
+	// may fall into one.
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := opt.Solve(p)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partitions < 2 {
+			t.Fatalf("the solve went to one model")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("one sliced solve allocated %d bytes", least)
+	if least > slicedSolveAllocLanding*5/4 {
+		t.Fatalf("one sliced solve allocated %d bytes, more than 1.25 x the %d it allocated at landing", least, slicedSolveAllocLanding)
+	}
+}
+
 // monoSearchAllocLanding is what one one-worker Minimize on the
 // monolithic model of budgetedProblem(1, 500, 1000), 750 VMs over 500
 // nodes, allocated over its 1000-node budget once the search
@@ -452,11 +493,11 @@ func TestMonolithicSearchAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
 	p := budgetedProblem(1, 500, 1000)
-	c, err := Optimizer{}.compile(p)
+	c, err := Optimizer{}.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buildModel(p, c, baseStrategy)
+	m, err := buildModel(p, c, baseStrategy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,13 +569,13 @@ func TestObjectiveIsActionCostSum(t *testing.T) {
 				o.WarmStart = ffd.Dst
 			}
 		}
-		c, err := o.compile(p)
+		c, err := o.compile(p, nil)
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		m, err := buildModel(p, c, baseStrategy)
+		m, err := buildModel(p, c, baseStrategy, nil)
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
@@ -587,12 +628,12 @@ func TestSliceModelAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
 	p := budgetedProblem(11, 16, 150)
-	c, err := Optimizer{}.compile(p)
+	c, err := Optimizer{}.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	solve := func() int64 {
-		m, err := buildModel(p, c, baseStrategy)
+		m, err := buildModel(p, c, baseStrategy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -320,84 +321,130 @@ func pairedFenceCluster(t *testing.T, nodes int) (*vjob.Configuration, []Placeme
 	return cfg, rules, jobs
 }
 
-// TestDirtySlicesSolveTogether: the searches of a wake-up's k dirty
-// slices (of k+1) are in flight at the same time — the first
-// propagation of each waits at a barrier only all k together can pass,
-// so a loop that solved them one after another would time out there —
-// with the first slice on the loop's own goroutine, so a batch of one
-// spawns nothing.
-func TestDirtySlicesSolveTogether(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		cfg, rules, jobs := pairedFenceCluster(t, 2*(k+1))
-		var (
-			mu      sync.Mutex
-			arrived int
-			late    int
-			ran     = make([]string, k) // per slice: the goroutine that searched it
-			all     = make(chan struct{})
-		)
-		for i := 0; i < k; i++ {
-			var once sync.Once
-			rules = append(rules, searchHook{vms: []string{fmt.Sprintf("x%03d", 2*i)}, fn: func() {
-				once.Do(func() {
+// searchDirtySlices runs one wake-up over k dirty slices (of k+1) of a
+// paired-fence cluster, each overloaded by one arrival, and returns
+// per slice the goroutine that searched it. The first propagation of
+// each of the first meet slice searches to start waits at a barrier
+// only meet searches in flight together can pass; late counts those
+// that gave up after two seconds.
+func searchDirtySlices(t *testing.T, k, meet int) (ran []string, late int) {
+	t.Helper()
+	cfg, rules, jobs := pairedFenceCluster(t, 2*(k+1))
+	var (
+		mu      sync.Mutex
+		arrived int
+		all     = make(chan struct{})
+	)
+	ran = make([]string, k)
+	for i := 0; i < k; i++ {
+		var once sync.Once
+		rules = append(rules, searchHook{vms: []string{fmt.Sprintf("x%03d", 2*i)}, fn: func() {
+			once.Do(func() {
+				mu.Lock()
+				ran[i] = goroutineID()
+				arrived++
+				if arrived == meet {
+					close(all)
+				}
+				wait := arrived <= meet
+				mu.Unlock()
+				if !wait {
+					return
+				}
+				select {
+				case <-all:
+				case <-time.After(2 * time.Second):
 					mu.Lock()
-					ran[i] = goroutineID()
-					if arrived++; arrived == k {
-						close(all)
-					}
+					late++
 					mu.Unlock()
-					select {
-					case <-all:
-					case <-time.After(2 * time.Second):
-						mu.Lock()
-						late++
-						mu.Unlock()
-					}
-				})
-			}})
-		}
-		a := &fakeManaged{fakeActuator: fakeActuator{cfg: cfg}, poolSecs: 1}
-		l := &Loop{
-			Decision:    keepAll,
-			EventDriven: true,
-			Optimizer:   Optimizer{Partitions: k + 1, Workers: 1},
-			Rules:       rules,
-			Queue:       func() []*vjob.VJob { return jobs },
-		}
-		// One arrival in each of the first k slices, overloading its
-		// 1-CPU node.
-		ev := Event{Kind: VMArrival}
-		for i := 0; i < k; i++ {
-			vm, node := fmt.Sprintf("x%03d", 2*i), fmt.Sprintf("n%03d", 2*i)
-			arrive(t, cfg, vm, fmt.Sprintf("j%03d", 2*i), node)
-			ev.VMs, ev.Nodes = append(ev.VMs, vm), append(ev.Nodes, node)
-		}
-		l.Notify(a, ev)
-		a.run(100)
+				}
+			})
+		}})
+	}
+	a := &fakeManaged{fakeActuator: fakeActuator{cfg: cfg}, poolSecs: 1}
+	l := &Loop{
+		Decision:    keepAll,
+		EventDriven: true,
+		Optimizer:   Optimizer{Partitions: k + 1, Workers: 1},
+		Rules:       rules,
+		Queue:       func() []*vjob.VJob { return jobs },
+	}
+	// One arrival in each of the first k slices, overloading its
+	// 1-CPU node.
+	ev := Event{Kind: VMArrival}
+	for i := 0; i < k; i++ {
+		vm, node := fmt.Sprintf("x%03d", 2*i), fmt.Sprintf("n%03d", 2*i)
+		arrive(t, cfg, vm, fmt.Sprintf("j%03d", 2*i), node)
+		ev.VMs, ev.Nodes = append(ev.VMs, vm), append(ev.Nodes, node)
+	}
+	l.Notify(a, ev)
+	a.run(100)
 
-		if !cfg.Viable() || l.Stats.FullSolves != 0 || len(l.Records) != 1 || l.Records[0].Slices != k {
-			t.Fatalf("k=%d: not one switch over %d slices: viable=%t stats=%+v records=%+v",
-				k, k, cfg.Viable(), l.Stats, l.Records)
-		}
-		if arrived != k || late != 0 {
-			t.Fatalf("k=%d: %d slice searches started, %d never saw the others in flight", k, arrived, late)
-		}
-		if me := goroutineID(); ran[0] != me {
-			t.Fatalf("k=%d: first slice searched on goroutine %s, the loop runs on %s", k, ran[0], me)
-		}
-		for i := 1; i < k; i++ {
-			if ran[i] == ran[0] {
-				t.Fatalf("k=%d: slices 0 and %d searched on the same goroutine", k, i)
+	if !cfg.Viable() || l.Stats.FullSolves != 0 || len(l.Records) != 1 || l.Records[0].Slices != k {
+		t.Fatalf("k=%d: not one switch over %d slices: viable=%t stats=%+v records=%+v",
+			k, k, cfg.Viable(), l.Stats, l.Records)
+	}
+	if arrived != k {
+		t.Fatalf("k=%d: %d slice searches started", k, arrived)
+	}
+	return ran, late
+}
+
+// TestDirtySlicesSolveTogether: the searches of a wake-up's k dirty
+// slices (of k+1) run on a pool of min(k, GOMAXPROCS) goroutines, the
+// loop's own among them, so a batch of one spawns nothing.
+func TestDirtySlicesSolveTogether(t *testing.T) {
+	// With k ≤ GOMAXPROCS all k are in flight at the same time — the
+	// first propagation of each waits at a barrier only all k together
+	// can pass, so a loop that solved them one after another would time
+	// out there — with the first slice on the loop's goroutine and no
+	// two slices on one goroutine.
+	t.Run("within GOMAXPROCS", func(t *testing.T) {
+		for _, k := range []int{1, 4} {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
+			ran, late := searchDirtySlices(t, k, k)
+			if late != 0 {
+				t.Fatalf("k=%d: %d slice searches never saw the others in flight", k, late)
+			}
+			if me := goroutineID(); ran[0] != me {
+				t.Fatalf("k=%d: first slice searched on goroutine %s, the loop runs on %s", k, ran[0], me)
+			}
+			for i := 1; i < k; i++ {
+				if ran[i] == ran[0] {
+					t.Fatalf("k=%d: slices 0 and %d searched on the same goroutine", k, i)
+				}
 			}
 		}
-	}
+	})
+	// With k > GOMAXPROCS exactly GOMAXPROCS goroutines search — the
+	// first GOMAXPROCS searches meet at the barrier — one of them the
+	// loop's, and every slice is searched.
+	t.Run("over GOMAXPROCS", func(t *testing.T) {
+		const k, width = 5, 2
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		ran, late := searchDirtySlices(t, k, width)
+		if late != 0 {
+			t.Fatalf("%d of the first %d slice searches never saw the others in flight", late, width)
+		}
+		if slices.Contains(ran, "") {
+			t.Fatalf("slices searched on goroutines %q: one was not searched", ran)
+		}
+		if got := slices.Compact(slices.Sorted(slices.Values(ran))); len(got) != width || !slices.Contains(got, goroutineID()) {
+			t.Fatalf("slices searched on goroutines %q, want %d of them, the loop's %s among them", ran, width, goroutineID())
+		}
+	})
 }
 
 // TestDirtySlicesShareOneTimeout: four dirty slices, none of which can
 // finish its search inside the Timeout, cost the wake-up one Timeout,
-// not four. Every fourth propagation of a slice's hook sleeps 1 ms: the
-// ~3300 propagations of a whole search then take a second, and the 64
-// search nodes between two polls of the deadline some 60 ms.
+// not four, and each searches for its share of it: on a pool of width
+// workers, a slice started with n slices not yet started gets
+// width/n of what is left, so none gets less than about
+// width/k of the Timeout. Every 256th propagation of a slice's hook
+// sleeps 1 ms: the ~240 000 propagations of a whole search (65 000
+// nodes) then take over a second, and the 64 search nodes between two
+// polls of the deadline a millisecond or two, which is how far a slice
+// may overrun its share.
 func TestDirtySlicesShareOneTimeout(t *testing.T) {
 	const (
 		k       = 4
@@ -408,12 +455,12 @@ func TestDirtySlicesShareOneTimeout(t *testing.T) {
 	var jobs []*vjob.VJob
 	ev := Event{Kind: NodeUp}
 	for i := 0; i < k; i++ {
-		nodes, vms, js := overcommit(p, fmt.Sprintf("s%d", i), 1, 8)
+		nodes, vms, js := overcommit(p, fmt.Sprintf("s%d", i), 2, 11)
 		calls := 0 // one search per slice at a time: no lock
 		rules = append(rules,
 			Fence{VMs: vms, Nodes: nodes},
 			searchHook{vms: vms, fn: func() {
-				if calls++; calls%4 == 0 {
+				if calls++; calls%256 == 0 {
 					time.Sleep(time.Millisecond)
 				}
 			}})
@@ -441,16 +488,18 @@ func TestDirtySlicesShareOneTimeout(t *testing.T) {
 		t.Fatalf("not one batch of %d slices: stats=%+v switches=%d", k, l.Stats, len(a.executed))
 	}
 	// Each slice is reported once, span and report alike, with the wall
-	// time of its own search — which the timeout cut short.
+	// time of its own search — which its share of the timeout cut short.
 	spans, reports := spansByKind(l.Trace.Recent(0)), l.Solver.Snapshot().Recent
 	if len(spans["solve"]) != k || len(reports) != k || len(spans["merge"]) != 1 {
 		t.Fatalf("%d solve spans, %d reports, %d merge spans, want %d, %d, 1",
 			len(spans["solve"]), len(reports), len(spans["merge"]), k, k)
 	}
+	width := min(k, runtime.GOMAXPROCS(0))
+	share := timeout.Seconds() * min(1, float64(width)/k)
 	for i, sp := range spans["solve"] {
-		if w := sp.WallSeconds; w != reports[i].WallSeconds || w < timeout.Seconds()/2 || w > took.Seconds() {
-			t.Fatalf("slice %d: span says %.3fs, report %.3fs; want one search of about %v inside a wake-up of %v",
-				i, w, reports[i].WallSeconds, timeout, took)
+		if w := sp.WallSeconds; w != reports[i].WallSeconds || w <= 0 || w < share/2 || w > took.Seconds() {
+			t.Fatalf("slice %d: span says %.3fs, report %.3fs; want one search of at least %.3fs inside a wake-up of %v",
+				i, w, reports[i].WallSeconds, share/2, took)
 		}
 	}
 	t.Logf("wake-up took %v", took)

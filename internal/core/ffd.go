@@ -13,7 +13,7 @@ import (
 // ignores locality, its plans migrate and remotely resume far more
 // than necessary, which is precisely the gap Figure 10 quantifies.
 func FFDPlan(p Problem) (*Result, error) {
-	goals, err := p.compile()
+	goals, err := p.compile(nil)
 	if err != nil {
 		return nil, err
 	}

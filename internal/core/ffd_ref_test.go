@@ -50,7 +50,7 @@ func TestFFDDestinationMatchesReference(t *testing.T) {
 	}
 	var placed, failed, sleeping, waiting int
 	for n, p := range problems {
-		goals, err := p.compile()
+		goals, err := p.compile(nil)
 		if err != nil {
 			t.Fatalf("problem %d: %v", n, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cwcs/internal/cp"
@@ -39,12 +40,12 @@ type Optimizer struct {
 	// Loop, a whole batch of dirty slices; zero means none.
 	Timeout time.Duration
 	// Partitions decomposes the problem into node-disjoint
-	// sub-problems solved concurrently and merged (see Partitioner and
-	// plan.Merge): 0 picks the partition count automatically from the
-	// cluster size (one slice per ~16 nodes, so clusters of 16 nodes
-	// or fewer stay monolithic), 1 forces the
-	// monolithic model, larger values request that many partitions
-	// (capped by the problem's decomposability). Partitioned solves
+	// sub-problems, solved on a pool of min(slices, GOMAXPROCS)
+	// workers and merged (see Partitioner and plan.Merge): 0 picks the
+	// partition count automatically from the cluster size (one slice
+	// per ~16 nodes, so clusters of 16 nodes or fewer stay monolithic),
+	// 1 forces the monolithic model, larger values request that many
+	// partitions (capped by the problem's decomposability). Partitioned solves
 	// trade global optimality for throughput: each slice is optimized
 	// independently, so cross-partition migrations are never
 	// considered, but the merged plan stays viable and honors every
@@ -145,23 +146,58 @@ type compiled struct {
 	// cp.Packing instance compiles per active dimension, zero-demand
 	// dimensions compile away entirely.
 	active [resources.MaxKinds]bool
+
+	// What compile works in, kept for the next compile into the same
+	// compiled: every node index in order, each node's free vector and
+	// cheapest release, the allowed lists of runners that misfit some
+	// node, the cost table and orders that rows and order cut, and the
+	// nodes off a runner's base price.
+	every, misfits []int
+	free           []resources.Vector
+	release        []int
+	table, orders  []int32
+	odd            []int32
 }
 
-// compile expands the problem into the shared model ingredients.
-func (o Optimizer) compile(p Problem) (*compiled, error) {
-	goals, err := p.compile()
+// resize returns buf at length n, in its own array when that holds n:
+// what it held is left there for the caller to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// emptied returns m emptied, or a new map sized for n when m is nil.
+func emptied[K comparable, V any](m map[K]V, n int) map[K]V {
+	if m == nil {
+		return make(map[K]V, n)
+	}
+	clear(m)
+	return m
+}
+
+// compile expands the problem into the shared model ingredients. It
+// fills c, whose storage an earlier compile may have left, or a new
+// one when c is nil.
+func (o Optimizer) compile(p Problem, c *compiled) (*compiled, error) {
+	if c == nil {
+		c = new(compiled)
+	}
+	goals, err := p.compile(c.goals)
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{goals: goals}
-	c.nodes = p.Src.Nodes()
-	c.nodeIdx = make(map[string]int, len(c.nodes))
+	c.goals = goals
+	c.nodes = p.Src.AppendNodes(slices.Grow(c.nodes[:0], p.Src.NumNodes()))
+	c.nodeIdx = emptied(c.nodeIdx, len(c.nodes))
 	for i, n := range c.nodes {
 		c.nodeIdx[n.Name] = i
 	}
 
 	// Runners: every VM whose destination state is Running gets an
 	// assignment variable; everything else contributes fixed costs.
+	c.runners, c.fixed, c.active = c.runners[:0], 0, [resources.MaxKinds]bool{}
 	for _, g := range goals {
 		if g.want == vjob.Running {
 			c.runners = append(c.runners, g)
@@ -202,9 +238,10 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 	// -1 when none does). The estimate stays a lower bound of the true
 	// plan cost, which keeps the branch-and-bound admissible while
 	// steering the search towards nodes that are free immediately.
-	every := make([]int, len(c.nodes)) // the allowed nodes of a runner that fits them all
-	free := make([]resources.Vector, len(c.nodes))
-	release := make([]int, len(c.nodes))
+	every := resize(c.every, len(c.nodes)) // the allowed nodes of a runner that fits them all
+	free := resize(c.free, len(c.nodes))
+	release := resize(c.release, len(c.nodes))
+	c.every, c.free, c.release = every, free, release
 	for j, n := range c.nodes {
 		every[j], free[j], release[j] = j, p.Src.Free(n.Name), -1
 	}
@@ -222,31 +259,36 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		}
 	}
 
-	c.allowed = make([][]int, len(c.runners))
-	c.prefs = make([]int, len(c.runners))
-	c.hints = make([]int, len(c.runners))
+	c.allowed = resize(c.allowed, len(c.runners))
+	c.prefs = resize(c.prefs, len(c.runners))
+	c.hints = resize(c.hints, len(c.runners))
 	// An entry is at most 2·TransferSize (a remote resume) plus one
 	// release, itself at most a TransferSize: MiB counts that int32
 	// holds for any VM below 512 TiB, as do node indices. Half the
 	// width halves compile's two largest allocations.
-	c.rows = make([][]int32, len(c.runners))
-	c.order = make([][]int32, len(c.runners))
-	table := make([]int32, len(c.runners)*len(c.nodes))
-	orders := make([]int32, 0, len(table))
-	var odd []int32
+	c.rows = resize(c.rows, len(c.runners))
+	c.order = resize(c.order, len(c.runners))
+	table := resize(c.table, len(c.runners)*len(c.nodes))
+	clear(table)
+	orders, odd := resize(c.orders, len(table))[:0], c.odd[:0]
+	c.misfits = c.misfits[:0]
 	c.maxObj = c.fixed
 	for i, g := range c.runners {
 		cur, ok := c.nodeIdx[g.curLoc]
 		if !ok {
 			cur = -1
 		}
-		allowed := every
+		// A runner that misfits some node lists the nodes it fits in
+		// misfits, from the first misfit on.
+		allowed, start := every, len(c.misfits)
 		for j, n := range c.nodes {
 			switch fits := g.vm.Demand.Fits(n.Capacity); {
 			case !fits && len(allowed) == len(every): // the first misfit
-				allowed = append(make([]int, 0, len(c.nodes)), every[:j]...)
+				c.misfits = append(c.misfits, every[:j]...)
+				allowed = c.misfits[start:]
 			case fits && len(allowed) < len(every):
-				allowed = append(allowed, j)
+				c.misfits = append(c.misfits, j)
+				allowed = c.misfits[start:]
 			}
 		}
 		if o.PinRunning && g.cur == vjob.Running && cur >= 0 {
@@ -285,7 +327,7 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		for cheap < len(odd) && row[odd[cheap]] < base {
 			cheap++
 		}
-		start := len(orders)
+		start = len(orders)
 		orders = append(orders, odd[:cheap]...)
 		for _, j := range allowed {
 			if row[j] == base {
@@ -296,6 +338,7 @@ func (o Optimizer) compile(p Problem) (*compiled, error) {
 		c.rows[i], c.order[i] = row, orders[start:len(orders):len(orders)]
 		c.maxObj += int(row[orders[len(orders)-1]])
 	}
+	c.table, c.orders, c.odd = table, orders, odd
 	return c, nil
 }
 
@@ -307,11 +350,35 @@ type searchModel struct {
 	opts cp.Options
 }
 
-// buildModel instantiates the §4.3 model under one strategy. Each
-// portfolio worker gets its own build, so no solver state is shared.
-func buildModel(p Problem, c *compiled, strat strategy) (*searchModel, error) {
-	s := cp.NewSolver()
-	vars := make([]*cp.IntVar, len(c.runners))
+// scratch is the storage one model is built in — its solver, its
+// compiled problem and buildModel's buffers — which a worker of
+// solveSlices' pool reuses from slice to slice: the solver is Reset,
+// the rest refilled. Where a solve is handed none, it builds in fresh
+// storage.
+type scratch struct {
+	s                 *cp.Solver
+	c                 compiled
+	vars              []*cp.IntVar
+	weights, capacity [resources.MaxKinds][]int // per dimension's Packing
+	byName            map[string]*cp.IntVar
+	hints             map[*cp.IntVar]int
+}
+
+// buildModel instantiates the §4.3 model under one strategy, in sc's
+// storage (nil: fresh). Each portfolio worker gets its own build, so no
+// solver state is shared.
+func buildModel(p Problem, c *compiled, strat strategy, sc *scratch) (*searchModel, error) {
+	if sc == nil {
+		sc = &scratch{}
+	}
+	if sc.s == nil {
+		sc.s = cp.NewSolver()
+	} else {
+		sc.s.Reset()
+	}
+	s := sc.s
+	vars := resize(sc.vars, len(c.runners))
+	sc.vars = vars
 	for i, g := range c.runners {
 		vars[i] = s.NewEnumVar(g.vm.Name, c.allowed[i])
 		if c.prefs[i] >= 0 {
@@ -328,8 +395,8 @@ func buildModel(p Problem, c *compiled, strat strategy) (*searchModel, error) {
 			if !c.active[k] {
 				continue
 			}
-			w := make([]int, len(c.runners))
-			capacity := make([]int, len(c.nodes))
+			w, capacity := resize(sc.weights[k], len(c.runners)), resize(sc.capacity[k], len(c.nodes))
+			sc.weights[k], sc.capacity[k] = w, capacity
 			for i, g := range c.runners {
 				w[i] = g.vm.Demand.Get(k)
 			}
@@ -340,12 +407,12 @@ func buildModel(p Problem, c *compiled, strat strategy) (*searchModel, error) {
 		}
 	}
 
-	varByName := make(map[string]*cp.IntVar, len(c.runners))
+	sc.byName = emptied(sc.byName, len(c.runners))
 	for i, g := range c.runners {
-		varByName[g.vm.Name] = vars[i]
+		sc.byName[g.vm.Name] = vars[i]
 	}
 	for _, rule := range p.Rules {
-		if err := rule.Apply(s, varByName, c.nodeIdx); err != nil {
+		if err := rule.Apply(s, sc.byName, c.nodeIdx); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoViableConfiguration, err)
 		}
 	}
@@ -363,7 +430,8 @@ func buildModel(p Problem, c *compiled, strat strategy) (*searchModel, error) {
 			continue
 		}
 		if hints == nil {
-			hints = make(map[*cp.IntVar]int)
+			sc.hints = emptied(sc.hints, 0)
+			hints = sc.hints
 		}
 		hints[vars[i]] = h
 	}
@@ -383,7 +451,7 @@ func (o Optimizer) Solve(p Problem) (*Result, error) {
 // Timeout. The branch-and-bound races a portfolio of Workers diverse
 // workers that share the incumbent bound; with Partitions != 1 the
 // problem may first be decomposed into node-disjoint sub-problems
-// solved concurrently.
+// solved on a pool of workers.
 func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error) {
 	start := time.Now()
 	ctx, cancel := o.budget(ctx)
@@ -395,7 +463,7 @@ func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error)
 		// remains: even with an expired deadline the FFD warm start gives
 		// it a plan to return, so asking for partitioning never yields
 		// less than the monolithic path would.
-		res, err = o.solveMonolithic(ctx, p, o.workers())
+		res, err = o.solveMonolithic(ctx, p, o.workers(), nil)
 	}
 	if err == nil {
 		res.Wall = time.Since(start)
@@ -478,7 +546,7 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 				pair.Rules = append(pair.Rules, rr)
 			}
 		}
-		res, err := o.solveMonolithic(ctx, pair, o.workers())
+		res, err := o.solveMonolithic(ctx, pair, o.workers(), nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -489,16 +557,22 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 }
 
 // solveMonolithic runs the single-model optimization: compile, FFD warm
-// start, then the portfolio race. A panic in it (a rule's propagator,
-// say) is its error, so it fails this solve or slice, not the process.
-func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) (_ *Result, err error) {
+// start, then the portfolio race. It compiles, and builds the first
+// worker's model, in sc's storage (nil: fresh). A panic in it (a rule's
+// propagator, say) is its error, so it fails this solve or slice, not
+// the process.
+func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int, sc *scratch) (_ *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: solve panicked: %v", r)
 		}
 	}()
 	start := time.Now()
-	c, err := o.compile(p)
+	var into *compiled
+	if sc != nil {
+		into = &sc.c
+	}
+	c, err := o.compile(p, into)
 	if err != nil {
 		return nil, err
 	}
@@ -530,7 +604,7 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 	if len(c.runners) == 0 {
 		workers = 1 // nothing to branch on: every strategy runs the same search
 	}
-	res, err := o.solvePortfolio(ctx, p, c, seed, seedLabel, workers)
+	res, err := o.solvePortfolio(ctx, p, c, seed, seedLabel, workers, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -541,33 +615,43 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int) 
 }
 
 // solveSlices optimizes node-disjoint sub-problems — every part of a
-// decomposition, or the dirty slices of the loop's carve —
-// concurrently, each through the usual portfolio machinery, the worker
-// budget spread across them, all under the caller's deadline. The
-// first runs on the caller's goroutine, so a set of one is that part's
-// monolithic search and spawns nothing. A part without a plan fails the
-// set (first error in part order); results come back regardless.
+// decomposition, or the dirty slices of the loop's carve — each through
+// the usual portfolio machinery, the portfolio budget spread across
+// them, all under the caller's deadline. A pool of
+// min(len(parts), GOMAXPROCS) workers takes the parts in order, each
+// worker building its slices' models one after another in one scratch.
+// The first worker is the caller's goroutine and takes the first part,
+// so a set of one is that part's monolithic search and spawns nothing.
+// A part without a plan fails the set (first error in part order);
+// results come back regardless.
 func (o Optimizer) solveSlices(ctx context.Context, parts []Problem) ([]*Result, error) {
 	results := make([]*Result, len(parts))
 	errs := make([]error, len(parts))
-	w := o.workers()
-	solve := func(i int) {
-		wi := w / len(parts)
-		if i < w%len(parts) {
-			wi++
+	w, width := o.workers(), min(len(parts), runtime.GOMAXPROCS(0))
+	var next atomic.Int64 // the first part no worker has taken
+	work := func(i int) {
+		sc := &scratch{}
+		for ; i < len(parts); i = int(next.Add(1)) - 1 {
+			wi := w / len(parts)
+			if i < w%len(parts) {
+				wi++
+			}
+			sctx, cancel := deadlineShare(ctx, width, len(parts)-i)
+			results[i], errs[i] = o.solveMonolithic(sctx, parts[i], max(wi, 1), sc)
+			cancel()
 		}
-		results[i], errs[i] = o.solveMonolithic(ctx, parts[i], max(wi, 1))
 	}
+	next.Store(1) // the caller's worker holds part 0
 	var wg sync.WaitGroup
-	for i := 1; i < len(parts); i++ {
+	for range width - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			solve(i)
+			work(int(next.Add(1)) - 1)
 		}()
 	}
-	if len(parts) > 0 {
-		solve(0)
+	if width > 0 {
+		work(0)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -576,6 +660,21 @@ func (o Optimizer) solveSlices(ctx context.Context, parts []Problem) ([]*Result,
 		}
 	}
 	return results, nil
+}
+
+// deadlineShare cuts ctx, for a slice that a pool of width workers
+// starts with left slices (itself included) not yet started, to
+// now + (deadline − now) × width / left, capped by ctx's deadline: the
+// batch still costs one deadline, the slices started last are not
+// starved by those before them, and what a slice that ends early
+// leaves goes to the slices after it. Without a deadline it is ctx.
+func deadlineShare(ctx context.Context, width, left int) (context.Context, context.CancelFunc) {
+	deadline, ok := ctx.Deadline()
+	if !ok || left <= width {
+		return ctx, func() {}
+	}
+	now := time.Now()
+	return context.WithDeadline(ctx, now.Add(deadline.Sub(now)/time.Duration(left)*time.Duration(width)))
 }
 
 // mergeSlices folds the results of solveSlices into one: destinations
@@ -688,8 +787,9 @@ func (sh *portfolioState) settle(err error) {
 // proves optimality (with respect to the bound) and cancels the rest.
 // The first strategy — the paper's — runs on the caller's
 // goroutine, so a lineup of one is the sequential search: no goroutine,
-// nobody else moving the bound.
-func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, seed *Result, seedLabel string, workers int) (*Result, error) {
+// nobody else moving the bound. It builds its model in sc's storage;
+// the others build in fresh storage.
+func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, seed *Result, seedLabel string, workers int, sc *scratch) (*Result, error) {
 	bound := c.maxObj
 	if seed != nil && seed.Cost-1 < bound {
 		bound = seed.Cost - 1
@@ -706,10 +806,10 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 		// the solve deadline serially.
 		go func() {
 			defer wg.Done()
-			o.runPortfolioWorker(ctx, p, c, st, sh)
+			o.runPortfolioWorker(ctx, p, c, st, sh, nil)
 		}()
 	}
-	o.runPortfolioWorker(ctx, p, c, lineup[0], sh)
+	o.runPortfolioWorker(ctx, p, c, lineup[0], sh, sc)
 	wg.Wait()
 
 	if sh.err != nil {
@@ -733,19 +833,19 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	return best, nil
 }
 
-// runPortfolioWorker runs one Minimize over a model of its own,
-// scoring each solution by the true §4.2 plan cost, which only this
+// runPortfolioWorker runs one Minimize over a model of its own, built
+// in sc's storage (nil: fresh), scoring each solution by the true §4.2 plan cost, which only this
 // package can evaluate: decode, Builder.Plan, offer, then tighten the
 // shared bound, which the next restart cuts at. A definitive answer is
 // settled, so sibling workers stop immediately; an interruption is not.
-func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st strategy, sh *portfolioState) {
+func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st strategy, sh *portfolioState, sc *scratch) {
 	defer func() { // a panic settles the solve with itself as the error
 		if r := recover(); r != nil {
 			sh.settle(fmt.Errorf("core: worker %s panicked: %v", st.Label, r))
 		}
 	}()
 	t := time.Now()
-	m, err := buildModel(p, c, st)
+	m, err := buildModel(p, c, st, sc)
 	if err != nil {
 		sh.settle(err)
 		return

@@ -361,14 +361,14 @@ func TestAblationsStillSolve(t *testing.T) {
 		mustRun(t, c, v.Name, fmt.Sprintf("n%02d", j))
 	}
 	p := Problem{Src: c, Target: map[string]vjob.State{"j0": vjob.Running, "j1": vjob.Running, "j2": vjob.Running}}
-	comp, err := Optimizer{}.compile(p)
+	comp, err := Optimizer{}.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range strategies(4) {
 		ctx, cancel := context.WithCancel(context.Background())
 		sh := &portfolioState{bound: cp.NewIncumbent(comp.maxObj), start: time.Now(), cancel: cancel}
-		Optimizer{}.runPortfolioWorker(ctx, p, comp, st, sh)
+		Optimizer{}.runPortfolioWorker(ctx, p, comp, st, sh, nil)
 		cancel()
 		if sh.err != nil || sh.best == nil {
 			t.Fatalf("%s: best = %v, err = %v", st.Label, sh.best, sh.err)

@@ -174,7 +174,7 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	for i := range atomOf {
 		atomOf[i] = -1
 	}
-	var atoms []atom
+	atoms := make([]atom, 0, len(nodes)) // the node atoms, at most one per node, then the cohorts
 	get := func(root int32) *atom {
 		if atomOf[root] < 0 {
 			atomOf[root] = int32(len(atoms))

@@ -380,3 +380,40 @@ func TestPartitionedSolveRejoinsFailedSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestSlicePoolMatchesSliceBySlice: solveSlices' pool builds slice
+// after slice in one worker's storage, yet hands every slice of a
+// batch the destination, cost, search nodes and fails the slice gets
+// solved alone in fresh storage, whatever the pool's width.
+func TestSlicePoolMatchesSliceBySlice(t *testing.T) {
+	o := Optimizer{Workers: 1}
+	ctx := context.Background()
+	for _, nodes := range []int{256, 1000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := budgetedProblem(seed, nodes, 150)
+			parts, err := Partitioner{}.Split(p)
+			if err != nil || len(parts) < 2 {
+				t.Fatalf("%d nodes, seed %d: %d slices, %v", nodes, seed, len(parts), err)
+			}
+			pooled, poolErr := o.solveSlices(ctx, parts)
+			solved := 0
+			for i, sub := range parts {
+				alone, err := o.solveMonolithic(ctx, sub, 1, nil)
+				got := pooled[i]
+				switch {
+				case (alone == nil) != (got == nil):
+					t.Fatalf("%d nodes, seed %d, slice %d: solved pooled %t (%v), alone %t (%v)", nodes, seed, i, got != nil, poolErr, alone != nil, err)
+				case alone == nil:
+					continue
+				case !got.Dst.Equal(alone.Dst) || got.Cost != alone.Cost || got.Nodes != alone.Nodes || got.Fails != alone.Fails:
+					t.Fatalf("%d nodes, seed %d, slice %d: pooled cost %d, %d nodes, %d fails; alone %d, %d, %d; same destination %t",
+						nodes, seed, i, got.Cost, got.Nodes, got.Fails, alone.Cost, alone.Nodes, alone.Fails, got.Dst.Equal(alone.Dst))
+				}
+				solved++
+			}
+			if solved < len(parts)-1 {
+				t.Fatalf("%d nodes, seed %d: %d of %d slices solved", nodes, seed, solved, len(parts))
+			}
+		}
+	}
+}

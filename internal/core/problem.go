@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cwcs/internal/plan"
@@ -54,10 +55,10 @@ func (p Problem) wantOf(v *vjob.VM, cur vjob.State) vjob.State {
 	return want
 }
 
-// compile expands the per-vjob targets into per-VM goals and validates
-// them against the life cycle.
-func (p Problem) compile() ([]vmGoal, error) {
-	goals := make([]vmGoal, 0, p.Src.NumVMs())
+// compile expands the per-vjob targets into per-VM goals, in goals'
+// storage when it has room, and validates them against the life cycle.
+func (p Problem) compile(goals []vmGoal) ([]vmGoal, error) {
+	goals = slices.Grow(goals[:0], p.Src.NumVMs())
 	for _, v := range p.Src.VMs() {
 		cur := p.Src.StateOf(v.Name)
 		want := p.wantOf(v, cur)
@@ -152,7 +153,7 @@ type Result struct {
 	// Nodes and Fails are search counters.
 	Nodes, Fails int64
 	// Partitions is how many node-disjoint sub-problems were solved
-	// concurrently to produce this result; 0 or 1 means the monolithic
+	// to produce this result; 0 or 1 means the monolithic
 	// model. With Partitions > 1, Optimal means every partition proved
 	// its slice optimal — the merged plan is not necessarily a global
 	// optimum, since cross-partition migrations were never considered.
@@ -176,8 +177,8 @@ type Result struct {
 	// improving solution, offset in wall seconds from the search start.
 	// Empty on partitioned solves.
 	Trajectory []BoundPoint
-	// Wall is how long the solve took, seeds included. Slices solved
-	// as a set run together, so their walls overlap.
+	// Wall is how long the solve took, seeds included. The workers of
+	// a set of slices solve theirs side by side, so their walls overlap.
 	Wall time.Duration
 	// Phases says what that time went on.
 	Phases Phases

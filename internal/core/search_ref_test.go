@@ -169,13 +169,13 @@ func TestSearchMatchesRecomputingPropagators(t *testing.T) {
 	searched, found := 0, 0
 	for _, in := range instances {
 		o, p := in.o, in.p
-		c, err := o.compile(p)
+		c, err := o.compile(p, nil)
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		m, err := buildModel(p, c, baseStrategy)
+		m, err := buildModel(p, c, baseStrategy, nil)
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
@@ -247,11 +247,11 @@ func TestSolveMonoSearchMatchesSlabCopy(t *testing.T) {
 	} {
 		p := budgetedProblem(want.seed, 100, 300)
 		o := Optimizer{Workers: 1, Partitions: 1}
-		c, err := o.compile(p)
+		c, err := o.compile(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := buildModel(p, c, baseStrategy)
+		m, err := buildModel(p, c, baseStrategy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func warmProblem(t *testing.T) (Problem, *vjob.Configuration) {
 func TestWarmSeedReusesPreviousAssignment(t *testing.T) {
 	p, warm := warmProblem(t)
 	o := Optimizer{Workers: 1, WarmStart: warm}
-	c, err := o.compile(p)
+	c, err := o.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestWarmSeedRejectsVanishedHost(t *testing.T) {
 	warm.AddVM(v)
 	mustRun(t, warm, "v1", "n04")
 	o := Optimizer{WarmStart: warm}
-	c, err := o.compile(p)
+	c, err := o.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestSolveWithWarmStartNoWorseAndConsistent(t *testing.T) {
 func TestWarmStartHintsFlowIntoModel(t *testing.T) {
 	p, warm := warmProblem(t)
 	o := Optimizer{Workers: 1, WarmStart: warm}
-	c, err := o.compile(p)
+	c, err := o.compile(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buildModel(p, c, baseStrategy)
+	m, err := buildModel(p, c, baseStrategy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,10 +126,12 @@ func newDeltaModel(rng *rand.Rand) deltaModel {
 	return m
 }
 
-// build posts the model on a new solver, with the constraints under
-// test or, when ref, the references.
-func (m deltaModel) build(ref bool) (*Solver, []*IntVar, *IntVar) {
-	s := NewSolver()
+// build posts the model on s (nil: a new solver), with the
+// constraints under test or, when ref, the references.
+func (m deltaModel) build(s *Solver, ref bool) (*Solver, []*IntVar, *IntVar) {
+	if s == nil {
+		s = NewSolver()
+	}
 	items := make([]*IntVar, len(m.domains))
 	for i, dom := range m.domains {
 		items[i] = s.NewEnumVar(fmt.Sprintf("x%d", i), dom)
@@ -159,8 +161,8 @@ func (m deltaModel) build(ref bool) (*Solver, []*IntVar, *IntVar) {
 func runDelta(t testing.TB, seed int64, ops []byte) (held, failed int) {
 	t.Helper()
 	m := newDeltaModel(rand.New(rand.NewSource(seed)))
-	s, items, obj := m.build(false)
-	ref, refItems, refObj := m.build(true)
+	s, items, obj := m.build(nil, false)
+	ref, refItems, refObj := m.build(nil, true)
 	next := func() int {
 		if len(ops) == 0 {
 			return 0

@@ -81,7 +81,8 @@ func checkAgainst(t *testing.T, d *IntVar, r refDomain, when string) {
 // FuzzDomainOps drives the bitset domain (the VM-assignment domain of
 // the solver) through arbitrary sequences of removals, assignments,
 // masks, save/restore pairs and nested trail frames opened and undone
-// — a restore inside an open frame among them — and checks every
+// — a restore inside an open frame among them — and resets of the
+// solver with the variables rebuilt on it, and checks every
 // observable against the reference set model, one copy of which is
 // kept per open frame. The byte stream encodes the initial domain then
 // one operation per byte pair.
@@ -94,6 +95,9 @@ func FuzzDomainOps(f *testing.F) {
 	// undo twice; then a mask and an assignment undone.
 	f.Add([]byte{5, 1, 63, 64, 65, 100, 127, 4, 0, 3, 0, 0, 65, 4, 0, 8, 0, 5, 0, 5, 0})
 	f.Add([]byte{4, 3, 70, 90, 120, 126, 4, 0, 7, 0x55, 4, 0, 6, 91, 5, 0, 5, 0, 2, 100})
+	// Open, remove, reset inside the frame behind a two-word filler,
+	// remove, open, remove, undo; reset behind none, save and restore.
+	f.Add([]byte{3, 10, 70, 100, 127, 4, 0, 0, 11, 9, 2, 0, 71, 4, 0, 1, 101, 5, 0, 9, 0, 3, 50, 5, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -123,7 +127,7 @@ func FuzzDomainOps(f *testing.F) {
 
 		ops := data[1+k:]
 		for i := 0; i+1 < len(ops) && len(ref) > 0; i += 2 {
-			op, arg := ops[i]%9, int(ops[i+1])%130-1 // probe outside [0,128) too
+			op, arg := ops[i]%10, int(ops[i+1])%130-1 // probe outside [0,128) too
 			switch op {
 			case 0:
 				before := d.Size()
@@ -178,6 +182,19 @@ func FuzzDomainOps(f *testing.F) {
 					s.RestoreState(kept)
 					ref = maps.Clone(keptRef)
 				}
+			case 9:
+				// Reset and rebuild the three variables, d from the
+				// reference, behind a filler of (arg+1)%3 words: their
+				// windows held the old model's bits. Frames and the
+				// kept state went with the old model.
+				s.Reset()
+				if words := (arg + 1) % 3; words > 0 {
+					s.NewEnumVar("filler", []int{64*words - 1})
+				}
+				left = s.NewEnumVar("left", []int{0, 63, 64})
+				d = s.NewEnumVar("d", ref.values())
+				right = s.NewEnumVar("right", []int{1, 200})
+				frames, kept, keptRef = nil, State{}, nil
 			case 7:
 				// A mask of arg%3 words, each arg's bits spread over it:
 				// every value it has no word for goes too.

@@ -229,19 +229,26 @@ func runSearch(m searchModel, ref bool) searchRun {
 // counters, error and solutions; it returns the trail's run.
 func requireSameSearch(t *testing.T, name string, build func() searchModel) searchRun {
 	t.Helper()
-	got, want := runSearch(build(), false), runSearch(build(), true)
+	got := runSearch(build(), false)
+	requireSameRun(t, name, got, runSearch(build(), true), "slab copy")
+	return got
+}
+
+// requireSameRun requires of two runs the same counters, error and
+// solutions; what names the second.
+func requireSameRun(t *testing.T, name string, got, want searchRun, what string) {
+	t.Helper()
 	if got.nodes != want.nodes || got.fails != want.fails || got.solutions != want.solutions ||
 		got.propagations != want.propagations || got.err != want.err {
-		t.Fatalf("%s: %d nodes, %d fails, %d solutions, %d propagations, error %q; slab copy: %d, %d, %d, %d, %q",
+		t.Fatalf("%s: %d nodes, %d fails, %d solutions, %d propagations, error %q; %s: %d, %d, %d, %d, %q",
 			name, got.nodes, got.fails, got.solutions, got.propagations, got.err,
-			want.nodes, want.fails, want.solutions, want.propagations, want.err)
+			what, want.nodes, want.fails, want.solutions, want.propagations, want.err)
 	}
 	for k := range got.found {
 		if !slices.Equal(got.found[k], want.found[k]) {
-			t.Fatalf("%s: solution %d is %v, slab copy %v", name, k, got.found[k], want.found[k])
+			t.Fatalf("%s: solution %d is %v, %s %v", name, k, got.found[k], what, want.found[k])
 		}
 	}
-	return got
 }
 
 // nodeBudget stops a search once it has opened budget nodes.
@@ -252,6 +259,65 @@ func nodeBudget(on []*IntVar, budget int64) Constraint {
 		}
 		return nil
 	}}
+}
+
+// queensModel is n-queens on s under one of four variants of the
+// orderings, with preferred values and, in variant 3, shuffled values.
+// The last queen's column is the objective: every solution cuts the
+// next dive below it.
+func queensModel(s *Solver, n, variant int) searchModel {
+	vars := queens(s, n)
+	opts := Options{Vars: vars, FirstFail: variant%2 == 1, PreferValue: variant >= 2, ShuffleSeed: int64(variant / 3 * n)}
+	for i, v := range vars {
+		v.SetPreferred((i * 3) % n)
+	}
+	return searchModel{s: s, vars: vars, obj: vars[n-1], opts: opts}
+}
+
+// packingModel is the packing + table-sum model of seed on s, with
+// hints, preferred values, now and then shuffled orders, a node budget
+// and, for every third seed, a shared bound that a propagator tightens
+// mid-search.
+func packingModel(s *Solver, seed int64) searchModel {
+	rng := rand.New(rand.NewSource(seed))
+	m := newDeltaModel(rng)
+	s, items, obj := m.build(s, false)
+	opts := Options{Vars: items, FirstFail: rng.Intn(2) == 0, PreferValue: rng.Intn(3) > 0}
+	if rng.Intn(3) == 0 {
+		opts.ShuffleSeed = 1 + rng.Int63n(1000)
+	}
+	for i, v := range items {
+		dom := m.domains[i]
+		if rng.Intn(2) == 0 {
+			v.SetPreferred(dom[rng.Intn(len(dom))])
+		}
+		if rng.Intn(3) == 0 {
+			if opts.Hints == nil {
+				opts.Hints = map[*IntVar]int{}
+			}
+			// Now and then a value outside the domain.
+			opts.Hints[v] = dom[rng.Intn(len(dom))] + rng.Intn(2)
+		}
+	}
+	if seed%3 == 0 {
+		// A shared incumbent that a propagator tightens once the
+		// search has opened some nodes, and every solution
+		// tightens as core's worker does.
+		shared, at, to := NewIncumbent(m.top), int64(5+rng.Intn(60)), rng.Intn(m.top+1)
+		opts.SharedBound = shared
+		opts.OnSolution = func(sol Solution) int {
+			shared.Tighten(sol.Objective - 1)
+			return shared.Bound()
+		}
+		s.Post(&FuncConstraint{On: items, Run: func(s *Solver) error {
+			if n, _, _, _ := s.Stats(); n >= at {
+				shared.Tighten(to)
+			}
+			return nil
+		}})
+	}
+	s.Post(nodeBudget(items, 20+rng.Int63n(300)))
+	return searchModel{s: s, vars: items, obj: obj, opts: opts}
 }
 
 // TestSearchMatchesSlabCopyReference searches seeded models with the
@@ -272,59 +338,13 @@ func TestSearchMatchesSlabCopyReference(t *testing.T) {
 	for n := 4; n <= 9; n++ {
 		for variant := range 4 {
 			count(requireSameSearch(t, fmt.Sprintf("%d-queens variant %d", n, variant), func() searchModel {
-				s := NewSolver()
-				vars := queens(s, n)
-				opts := Options{Vars: vars, FirstFail: variant%2 == 1, PreferValue: variant >= 2, ShuffleSeed: int64(variant / 3 * n)}
-				for i, v := range vars {
-					v.SetPreferred((i * 3) % n)
-				}
-				// The last queen's column is the objective: every
-				// solution cuts the next dive below it.
-				return searchModel{s: s, vars: vars, obj: vars[n-1], opts: opts}
+				return queensModel(NewSolver(), n, variant)
 			}))
 		}
 	}
 	for seed := int64(0); seed < 300; seed++ {
 		count(requireSameSearch(t, fmt.Sprintf("packing seed %d", seed), func() searchModel {
-			rng := rand.New(rand.NewSource(seed))
-			m := newDeltaModel(rng)
-			s, items, obj := m.build(false)
-			opts := Options{Vars: items, FirstFail: rng.Intn(2) == 0, PreferValue: rng.Intn(3) > 0}
-			if rng.Intn(3) == 0 {
-				opts.ShuffleSeed = 1 + rng.Int63n(1000)
-			}
-			for i, v := range items {
-				dom := m.domains[i]
-				if rng.Intn(2) == 0 {
-					v.SetPreferred(dom[rng.Intn(len(dom))])
-				}
-				if rng.Intn(3) == 0 {
-					if opts.Hints == nil {
-						opts.Hints = map[*IntVar]int{}
-					}
-					// Now and then a value outside the domain.
-					opts.Hints[v] = dom[rng.Intn(len(dom))] + rng.Intn(2)
-				}
-			}
-			if seed%3 == 0 {
-				// A shared incumbent that a propagator tightens once the
-				// search has opened some nodes, and every solution
-				// tightens as core's worker does.
-				shared, at, to := NewIncumbent(m.top), int64(5+rng.Intn(60)), rng.Intn(m.top+1)
-				opts.SharedBound = shared
-				opts.OnSolution = func(sol Solution) int {
-					shared.Tighten(sol.Objective - 1)
-					return shared.Bound()
-				}
-				s.Post(&FuncConstraint{On: items, Run: func(s *Solver) error {
-					if n, _, _, _ := s.Stats(); n >= at {
-						shared.Tighten(to)
-					}
-					return nil
-				}})
-			}
-			s.Post(nodeBudget(items, 20+rng.Int63n(300)))
-			return searchModel{s: s, vars: items, obj: obj, opts: opts}
+			return packingModel(NewSolver(), seed)
 		}))
 	}
 	if solutions < 1500 || stopped < 40 {

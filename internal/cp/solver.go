@@ -76,6 +76,9 @@ type Solver struct {
 	// orders is a ShuffleSeed search's value order per depth, reused
 	// from node to node.
 	orders [][]int
+	// spare are the variables of the models before the last Reset,
+	// which the next ones are made of.
+	spare []*IntVar
 
 	// stats
 	nodes      int64
@@ -87,13 +90,46 @@ type Solver struct {
 // NewSolver returns an empty solver.
 func NewSolver() *Solver { return &Solver{} }
 
+// Reset empties the solver for another model, as if it were new, but
+// keeps its storage: the slab, the trail, the queue and the marks
+// keep their capacity, and the variables of the old model, with the
+// capacity of their watcher lists, become those of the next. Every
+// variable, constraint, State and Solution of the old model is void
+// once it returns.
+func (s *Solver) Reset() {
+	s.spare = append(append(s.spare, s.vars...), s.bounded...)
+	clear(s.cons) // let the old constraints be collected
+	s.vars, s.bounded, s.cons = s.vars[:0], s.bounded[:0], s.cons[:0]
+	s.words, s.stamps, s.owners = s.words[:0], s.stamps[:0], s.owners[:0]
+	s.queued, s.marks = s.queued[:0], s.marks[:0]
+	s.trail, s.boundsTrail, s.frames = s.trail[:0], s.boundsTrail[:0], s.frames[:0]
+	s.qhead, s.qlen, s.restores = 0, 0, 0
+	s.nodes, s.fails, s.solutions, s.propagates = 0, 0, 0, 0
+}
+
+// newVar returns a variable with v's fields: a spare one when Reset
+// left any, with its watcher list emptied, else a new one.
+func (s *Solver) newVar(v IntVar) *IntVar {
+	n := len(s.spare)
+	if n == 0 {
+		u := new(IntVar) // not &v: v would move to the heap on every call
+		*u = v
+		return u
+	}
+	u := s.spare[n-1]
+	s.spare = s.spare[:n-1]
+	v.watchers = u.watchers[:0]
+	*u = v
+	return u
+}
+
 // NewEnumVar creates a variable whose domain is exactly the given
 // non-negative values (deduplicated).
 func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if len(values) == 0 {
 		panic("cp: empty initial domain for " + name)
 	}
-	v := &IntVar{name: name, lo: slices.Min(values), hi: slices.Max(values), pref: -1}
+	v := s.newVar(IntVar{name: name, lo: slices.Min(values), hi: slices.Max(values), pref: -1})
 	if v.lo < 0 {
 		panic("cp: negative value in the enumerated domain of " + name)
 	}
@@ -111,7 +147,9 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	for range end - off {
 		s.owners = append(s.owners, int32(len(s.vars)))
 	}
+	// After a Reset the window may hold an old model's bits.
 	v.words, v.off = s.words[off:end:end], off
+	clear(v.words)
 	for _, val := range values {
 		if !v.Contains(val) {
 			v.words[val/64] |= 1 << uint(val%64)
@@ -129,7 +167,7 @@ func (s *Solver) NewIntVar(name string, min, max int) *IntVar {
 	if max < min {
 		panic(fmt.Sprintf("cp: empty range [%d,%d] for %s", min, max, name))
 	}
-	v := &IntVar{name: name, n: max - min + 1, lo: min, hi: max, pref: -1}
+	v := s.newVar(IntVar{name: name, n: max - min + 1, lo: min, hi: max, pref: -1})
 	s.bounded = append(s.bounded, v)
 	return v
 }

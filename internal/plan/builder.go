@@ -56,9 +56,13 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 	cur := g.Src.Clone()
 	remaining := append([]Action(nil), g.Actions...)
 	free := make(map[string]resources.Vector)
+	// Every action of g but a cycle's bypass lands in exactly one
+	// extracted pool: the pools are cut from one array.
+	spare := make(Pool, len(remaining))
 
 	for len(remaining) > 0 {
-		pool, rest := extractPool(cur, free, remaining, !b.DisableTransferGating)
+		pool, rest := extractPool(cur, free, remaining, spare[:0], !b.DisableTransferGating)
+		pool, spare = pool[:len(pool):len(pool)], spare[len(pool):]
 		if len(pool) == 0 {
 			bypass, rewritten, err := breakCycle(cur, remaining)
 			if err != nil {
@@ -88,7 +92,9 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 // because a parallel action cannot rely on a concurrent completion.
 // free is the caller's scratch map: extractPool empties it, then
 // holds there the remaining free vector of each node an action of the
-// pool demands on, read from cur on the node's first demand.
+// pool demands on, read from cur on the node's first demand. The pool
+// is appended to pool; the actions left over are moved to the front of
+// remaining, in order, and returned as its prefix.
 //
 // With gateTransfers set, each action's transfer demand (DESIGN.md §9)
 // is additionally booked against the NIC capacities of its endpoints,
@@ -96,11 +102,10 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 // to a later pool. A transfer alone always fits (its demand is clamped
 // to each NIC), so gating can only serialize pools, never empty them:
 // the §4.1 progress guarantee is untouched.
-func extractPool(cur *vjob.Configuration, free map[string]resources.Vector, remaining []Action, gateTransfers bool) (Pool, []Action) {
+func extractPool(cur *vjob.Configuration, free map[string]resources.Vector, remaining []Action, pool Pool, gateTransfers bool) (Pool, []Action) {
 	clear(free)
 	book := newTransferBook(cur)
-	var pool Pool
-	var rest []Action
+	rest := remaining[:0]
 	for _, a := range remaining {
 		if gateTransfers && !book.fits(a) {
 			rest = append(rest, a)
