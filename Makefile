@@ -43,12 +43,13 @@ prod-cover-check:
 race:
 	$(GO) test -race ./...
 
-# solveSlices runs min(slices, GOMAXPROCS) workers, so a plain run
-# tests only the machine's own width: run the pool's tests, and the
-# solver Reset they rest on, under the race detector at widths 1, 2
+# solveSlices runs min(slices, GOMAXPROCS) workers, and a portfolio's
+# workers share GOMAXPROCS cores, so a plain run tests only the
+# machine's own width: run the pool's tests, the solver Reset they
+# rest on and the cancel tests, under the race detector at widths 1, 2
 # and 4.
 race-pool:
-	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver' ./internal/core ./internal/cp
+	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver|PortfolioCancel|CancelLandsAt' ./internal/core ./internal/cp
 
 vet:
 	$(GO) vet ./...

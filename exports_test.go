@@ -132,6 +132,13 @@ var singleValued = map[string]string{
 	// bench/solve.go: its files change only with the benchmark.
 	"workload.GenerateOptions.NodeCPU":    "bench/solve.go sets it",
 	"workload.GenerateOptions.NodeMemory": "TestGenerateSmallCluster generates 2048 MiB nodes; bench/solve.go sets it",
+	// Every portfolio worker runs the paper's search, and so does
+	// bench/solve.go's probe: both become cp constants with the
+	// benchmark's next change.
+	"cp.Options.FirstFail": "cp/search_ref_test.go's queensModel and packingModel also search in input order " +
+		"(TestSearchMatchesSlabCopyReference, TestResetSolverMatchesFresh); bench/solve.go sets it",
+	"cp.Options.PreferValue": "cp/search_ref_test.go's queensModel and packingModel also search without preference " +
+		"(TestSearchMatchesSlabCopyReference, TestResetSolverMatchesFresh); bench/solve.go sets it",
 }
 
 // standardMethods satisfy interfaces of the standard library that the

@@ -236,7 +236,7 @@ func TestCompileMatchesReference(t *testing.T) {
 		for _, o := range []Optimizer{{}, {PinRunning: true}, {WarmStart: warm}, {PinRunning: true, WarmStart: warm}} {
 			want, wantErr := o.refCompile(p)
 			var err error
-			for _, into := range []*compiled{nil, reused} {
+			for _, into := range []*compiled{new(compiled), reused} {
 				var got *compiled
 				got, err = o.compile(p, into)
 				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {

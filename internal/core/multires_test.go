@@ -22,7 +22,7 @@ func TestCompileActiveDimensions(t *testing.T) {
 	if err := cfg.SetRunning("v1", "n1"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Optimizer{}.compile(Problem{Src: cfg}, nil)
+	c, err := Optimizer{}.compile(Problem{Src: cfg}, new(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestCompileActiveDimensions(t *testing.T) {
 	if err := cfg.SetRunning("v2", "n2"); err != nil {
 		t.Fatal(err)
 	}
-	c, err = Optimizer{}.compile(Problem{Src: cfg}, nil)
+	c, err = Optimizer{}.compile(Problem{Src: cfg}, new(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}

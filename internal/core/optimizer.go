@@ -55,15 +55,14 @@ type Optimizer struct {
 	// the monolithic model within the same budget.
 	Partitions int
 	// Workers is the number of parallel portfolio workers racing the
-	// branch-and-bound: each worker builds its own model under a diverse
-	// search strategy and all workers share the incumbent bound, so the
-	// fixed time budget buys more explored nodes on multi-core
-	// hardware. The lineup is the paper's strategy ("base"), then
-	// first-fail alone, prefer-current-host alone, then shuffled
-	// restarts of the paper's strategy ("shuffle#i"). Zero defaults to
-	// runtime.GOMAXPROCS(0); 1 is the sequential search — a lineup of
-	// the paper's strategy alone, on the caller's goroutine,
-	// deterministic for a given problem.
+	// branch-and-bound: each worker builds its own model and all
+	// workers share the incumbent bound, so the fixed time budget buys
+	// more explored nodes on multi-core hardware. Every worker runs the
+	// paper's search; worker k > 0 shuffles its value order with seed
+	// k. The lineup is "base", "shuffle#1", "shuffle#2", … Zero
+	// defaults to runtime.GOMAXPROCS(0); 1 is the sequential search —
+	// "base" alone, on the caller's goroutine, deterministic for a
+	// given problem.
 	Workers int
 	// PinRunning forbids migrating VMs that are already running: each
 	// keeps its current host. This models a static RMS (the §5.2 FCFS
@@ -76,7 +75,7 @@ type Optimizer struct {
 	// the old assignment, when still viable for this problem, becomes
 	// the initial incumbent alongside the FFD plan — so the
 	// branch-and-bound starts from its bound — and per-VM warm hints
-	// (cp.Options.Hints) steer every worker's value ordering towards
+	// (cp.IntVar.SetHint) steer every worker's value ordering towards
 	// the old hosts before diversifying.
 	WarmStart *vjob.Configuration
 	// Builder plans the graphs of candidate configurations.
@@ -91,42 +90,8 @@ func (o Optimizer) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// strategy is one portfolio worker's value and variable ordering,
-// labeled for diagnostics; the worker fills in the rest of Options.
-type strategy struct {
-	Label string
-	cp.Options
-}
-
-// baseStrategy is the paper's configuration: first-fail and
-// prefer-current-host.
-var baseStrategy = strategy{Label: "base", Options: cp.Options{FirstFail: true, PreferValue: true}}
-
-// strategies builds the diverse portfolio lineup: the paper's
-// strategy first, then its two single orderings, then
-// deterministically seeded shuffled-restart workers. Labels feed the
-// win telemetry (Result.Winner, cwcs_portfolio_wins_total{strategy}).
-func strategies(n int) []strategy {
-	out := []strategy{baseStrategy}
-	alts := []strategy{
-		{Label: "firstfail", Options: cp.Options{FirstFail: true}},
-		{Label: "prefer", Options: cp.Options{PreferValue: true}},
-	}
-	for i := 1; i < n; i++ {
-		if i-1 < len(alts) {
-			out = append(out, alts[i-1])
-			continue
-		}
-		st := baseStrategy
-		st.ShuffleSeed = int64(i)
-		st.Label = fmt.Sprintf("shuffle#%d", i)
-		out = append(out, st)
-	}
-	return out
-}
-
-// compiled is the strategy-independent compilation of a Problem,
-// shared read-only by every portfolio worker.
+// compiled is the compilation of a Problem, shared read-only by every
+// portfolio worker.
 type compiled struct {
 	goals   []vmGoal
 	runners []vmGoal // hardest first; one assignment variable each
@@ -178,12 +143,8 @@ func emptied[K comparable, V any](m map[K]V, n int) map[K]V {
 }
 
 // compile expands the problem into the shared model ingredients. It
-// fills c, whose storage an earlier compile may have left, or a new
-// one when c is nil.
+// fills c, whose storage an earlier compile may have left.
 func (o Optimizer) compile(p Problem, c *compiled) (*compiled, error) {
-	if c == nil {
-		c = new(compiled)
-	}
 	goals, err := p.compile(c.goals)
 	if err != nil {
 		return nil, err
@@ -351,26 +312,22 @@ type searchModel struct {
 }
 
 // scratch is the storage one model is built in — its solver, its
-// compiled problem and buildModel's buffers — which a worker of
-// solveSlices' pool reuses from slice to slice: the solver is Reset,
-// the rest refilled. Where a solve is handed none, it builds in fresh
-// storage.
+// compiled problem and buildModel's buffers. Every portfolio worker
+// owns one; a worker of solveSlices' pool reuses its own from slice to
+// slice: the solver is Reset, the rest refilled.
 type scratch struct {
 	s                 *cp.Solver
 	c                 compiled
 	vars              []*cp.IntVar
 	weights, capacity [resources.MaxKinds][]int // per dimension's Packing
 	byName            map[string]*cp.IntVar
-	hints             map[*cp.IntVar]int
 }
 
-// buildModel instantiates the §4.3 model under one strategy, in sc's
-// storage (nil: fresh). Each portfolio worker gets its own build, so no
-// solver state is shared.
-func buildModel(p Problem, c *compiled, strat strategy, sc *scratch) (*searchModel, error) {
-	if sc == nil {
-		sc = &scratch{}
-	}
+// buildModel instantiates the §4.3 model in sc's storage, with the
+// paper's search: first-fail on the variables, the warm hint and then
+// the current host first on the values. Each portfolio worker gets its
+// own build, so no solver state is shared.
+func buildModel(p Problem, c *compiled, sc *scratch) (*searchModel, error) {
 	if sc.s == nil {
 		sc.s = cp.NewSolver()
 	} else {
@@ -381,9 +338,8 @@ func buildModel(p Problem, c *compiled, strat strategy, sc *scratch) (*searchMod
 	sc.vars = vars
 	for i, g := range c.runners {
 		vars[i] = s.NewEnumVar(g.vm.Name, c.allowed[i])
-		if c.prefs[i] >= 0 {
-			vars[i].SetPreferred(c.prefs[i])
-		}
+		vars[i].SetPreferred(c.prefs[i])
+		vars[i].SetHint(c.hints[i])
 	}
 
 	// One multi-knapsack viability constraint per ACTIVE dimension
@@ -422,20 +378,7 @@ func buildModel(p Problem, c *compiled, strat strategy, sc *scratch) (*searchMod
 	obj := s.NewIntVar("cost", 0, c.maxObj)
 	s.Post(&cp.TableSum{Obj: obj, Items: vars, Fixed: c.fixed, Rows: c.rows, Orders: c.order})
 
-	opts := strat.Options
-	opts.Vars = vars
-	var hints map[*cp.IntVar]int
-	for i, h := range c.hints {
-		if h < 0 {
-			continue
-		}
-		if hints == nil {
-			sc.hints = emptied(sc.hints, 0)
-			hints = sc.hints
-		}
-		hints[vars[i]] = h
-	}
-	opts.Hints = hints
+	opts := cp.Options{Vars: vars, FirstFail: true, PreferValue: true}
 	return &searchModel{s: s, vars: vars, obj: obj, opts: opts}, nil
 }
 
@@ -463,7 +406,7 @@ func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error)
 		// remains: even with an expired deadline the FFD warm start gives
 		// it a plan to return, so asking for partitioning never yields
 		// less than the monolithic path would.
-		res, err = o.solveMonolithic(ctx, p, o.workers(), nil)
+		res, err = o.solveMonolithic(ctx, p, o.workers(), new(scratch))
 	}
 	if err == nil {
 		res.Wall = time.Since(start)
@@ -546,7 +489,7 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 				pair.Rules = append(pair.Rules, rr)
 			}
 		}
-		res, err := o.solveMonolithic(ctx, pair, o.workers(), nil)
+		res, err := o.solveMonolithic(ctx, pair, o.workers(), new(scratch))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -558,9 +501,8 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 
 // solveMonolithic runs the single-model optimization: compile, FFD warm
 // start, then the portfolio race. It compiles, and builds the first
-// worker's model, in sc's storage (nil: fresh). A panic in it (a rule's
-// propagator, say) is its error, so it fails this solve or slice, not
-// the process.
+// worker's model, in sc's storage. A panic in it (a rule's propagator,
+// say) is its error, so it fails this solve or slice, not the process.
 func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int, sc *scratch) (_ *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -568,11 +510,7 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int, 
 		}
 	}()
 	start := time.Now()
-	var into *compiled
-	if sc != nil {
-		into = &sc.c
-	}
-	c, err := o.compile(p, into)
+	c, err := o.compile(p, &sc.c)
 	if err != nil {
 		return nil, err
 	}
@@ -602,7 +540,7 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int, 
 	seededAt := time.Now()
 
 	if len(c.runners) == 0 {
-		workers = 1 // nothing to branch on: every strategy runs the same search
+		workers = 1 // nothing to branch on: every worker runs the same search
 	}
 	res, err := o.solvePortfolio(ctx, p, c, seed, seedLabel, workers, sc)
 	if err != nil {
@@ -630,7 +568,7 @@ func (o Optimizer) solveSlices(ctx context.Context, parts []Problem) ([]*Result,
 	w, width := o.workers(), min(len(parts), runtime.GOMAXPROCS(0))
 	var next atomic.Int64 // the first part no worker has taken
 	work := func(i int) {
-		sc := &scratch{}
+		sc := new(scratch)
 		for ; i < len(parts); i = int(next.Add(1)) - 1 {
 			wi := w / len(parts)
 			if i < w%len(parts) {
@@ -710,7 +648,7 @@ func mergeSlices(src *vjob.Configuration, parts []Problem, results []*Result) (*
 		}
 	}
 	// The aggregate winner is the most frequent per-partition winner
-	// (label order breaks ties); outcomes merge by strategy.
+	// (label order breaks ties); outcomes merge by label.
 	for s, n := range winCount {
 		if c := winCount[agg.Winner]; agg.Winner == "" || n > c || (n == c && s < agg.Winner) {
 			agg.Winner = s
@@ -740,7 +678,7 @@ type portfolioState struct {
 
 	mu           sync.Mutex
 	best         *Result
-	winner       string // strategy that produced best (the seed's label until beaten)
+	winner       string // the worker that produced best (the seed's label until beaten)
 	solutions    int
 	proven       bool
 	err          error // first non-interruption worker error
@@ -752,16 +690,16 @@ type portfolioState struct {
 
 // offer publishes a decoded solution; the caller then tightens the
 // bound with the returned incumbent cost. It reports whether the
-// offer improved the incumbent, crediting the offering strategy and
+// offer improved the incumbent, crediting the offering worker and
 // extending the bound trajectory when it did.
-func (sh *portfolioState) offer(r *Result, strategy string) (int, bool) {
+func (sh *portfolioState) offer(r *Result, label string) (int, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.solutions++
 	improved := sh.best == nil || r.Cost < sh.best.Cost
 	if improved {
 		sh.best = r
-		sh.winner = strategy
+		sh.winner = label
 		sh.traj = append(sh.traj, BoundPoint{Seconds: time.Since(sh.start).Seconds(), Cost: r.Cost})
 	}
 	return sh.best.Cost, improved
@@ -781,14 +719,14 @@ func (sh *portfolioState) settle(err error) {
 	sh.cancel()
 }
 
-// solvePortfolio races one worker per strategy of the lineup, each
-// over a model of its own. Every worker restarts against the shared
-// incumbent bound; the first to exhaust the space below the incumbent
-// proves optimality (with respect to the bound) and cancels the rest.
-// The first strategy — the paper's — runs on the caller's
-// goroutine, so a lineup of one is the sequential search: no goroutine,
-// nobody else moving the bound. It builds its model in sc's storage;
-// the others build in fresh storage.
+// solvePortfolio races the given number of workers, each over a model
+// of its own in storage of its own: worker k runs the paper's search
+// shuffled by seed k. Every worker restarts against the shared incumbent bound; the
+// first to exhaust the space below the incumbent proves optimality
+// (with respect to the bound) and cancels the rest. Worker 0, the
+// unshuffled search, runs on the caller's goroutine in sc's storage, so
+// a portfolio of one is the sequential search: no goroutine, nobody
+// else moving the bound.
 func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, seed *Result, seedLabel string, workers int, sc *scratch) (*Result, error) {
 	bound := c.maxObj
 	if seed != nil && seed.Cost-1 < bound {
@@ -797,19 +735,18 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sh := &portfolioState{bound: cp.NewIncumbent(bound), start: time.Now(), cancel: cancel, best: seed, winner: seedLabel}
-	lineup := strategies(workers)
 	var wg sync.WaitGroup
-	for _, st := range lineup[1:] {
+	for k := 1; k < workers; k++ {
 		wg.Add(1)
 		// Each worker builds its own model inside its goroutine: model
 		// construction overlaps across cores instead of eating into
 		// the solve deadline serially.
 		go func() {
 			defer wg.Done()
-			o.runPortfolioWorker(ctx, p, c, st, sh, nil)
+			o.runPortfolioWorker(ctx, p, c, k, sh, new(scratch))
 		}()
 	}
-	o.runPortfolioWorker(ctx, p, c, lineup[0], sh, sc)
+	o.runPortfolioWorker(ctx, p, c, 0, sh, sc)
 	wg.Wait()
 
 	if sh.err != nil {
@@ -833,19 +770,25 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 	return best, nil
 }
 
-// runPortfolioWorker runs one Minimize over a model of its own, built
-// in sc's storage (nil: fresh), scoring each solution by the true §4.2 plan cost, which only this
-// package can evaluate: decode, Builder.Plan, offer, then tighten the
-// shared bound, which the next restart cuts at. A definitive answer is
-// settled, so sibling workers stop immediately; an interruption is not.
-func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, st strategy, sh *portfolioState, sc *scratch) {
+// runPortfolioWorker runs worker k: one Minimize over a model of its
+// own, built in sc's storage and shuffled by seed k, labeled "base" for
+// k = 0 and "shuffle#k" otherwise. It scores each solution by the true
+// §4.2 plan cost, which only this package can evaluate: decode,
+// Builder.Plan, offer, then tighten the shared bound, which the next
+// restart cuts at. A definitive answer is settled, so sibling workers
+// stop immediately; an interruption is not.
+func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compiled, k int, sh *portfolioState, sc *scratch) {
+	label := "base"
+	if k > 0 {
+		label = fmt.Sprintf("shuffle#%d", k)
+	}
 	defer func() { // a panic settles the solve with itself as the error
 		if r := recover(); r != nil {
-			sh.settle(fmt.Errorf("core: worker %s panicked: %v", st.Label, r))
+			sh.settle(fmt.Errorf("core: worker %s panicked: %v", label, r))
 		}
 	}()
 	t := time.Now()
-	m, err := buildModel(p, c, st, sc)
+	m, err := buildModel(p, c, sc)
 	if err != nil {
 		sh.settle(err)
 		return
@@ -858,23 +801,22 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 		sh.nodes += n
 		sh.fails += f
 		sh.phases.add(ph)
-		sh.outcomes = append(sh.outcomes, WorkerOutcome{Strategy: st.Label, Nodes: n, Backtracks: f, Improvements: improved})
+		sh.outcomes = append(sh.outcomes, WorkerOutcome{Strategy: label, Nodes: n, Backtracks: f, Improvements: improved})
 		sh.mu.Unlock()
 	}()
 	opts := m.opts
-	opts.Ctx = ctx
-	opts.SharedBound = sh.bound
+	opts.Ctx, opts.SharedBound, opts.ShuffleSeed = ctx, sh.bound, int64(k)
 	opts.OnSolution = func(sol cp.Solution) int {
 		t := time.Now()
 		// A better configuration has a lower action-cost sum than this
 		// objective, and a sum (an admissible lower bound of its plan
 		// cost) below the incumbent's cost.
 		bound := sol.Objective - 1
-		dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[sol.MustValue(m.vars[i])].Name })
+		dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[sol.Value(i)].Name })
 		if err == nil {
 			if res := o.candidate(p, dst); res != nil {
 				res.LowerBound = sol.Objective
-				incumbent, better := sh.offer(res, st.Label)
+				incumbent, better := sh.offer(res, label)
 				if better {
 					improved++
 				}

@@ -349,9 +349,9 @@ func TestEntropyBeatsOrMatchesFFD(t *testing.T) {
 	}
 }
 
-// TestAblationsStillSolve: each of the portfolio's variant strategies
-// — the single orderings and a shuffled restart — finds the optimum
-// on its own (they only search differently).
+// TestAblationsStillSolve: each worker of a four-wide portfolio — the
+// paper's search and three shuffles of it — finds the optimum on its
+// own (they only search differently).
 func TestAblationsStillSolve(t *testing.T) {
 	c := mkCluster(3, 2, 4096)
 	for j := 0; j < 3; j++ {
@@ -361,20 +361,20 @@ func TestAblationsStillSolve(t *testing.T) {
 		mustRun(t, c, v.Name, fmt.Sprintf("n%02d", j))
 	}
 	p := Problem{Src: c, Target: map[string]vjob.State{"j0": vjob.Running, "j1": vjob.Running, "j2": vjob.Running}}
-	comp, err := Optimizer{}.compile(p, nil)
+	comp, err := Optimizer{}.compile(p, new(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range strategies(4) {
+	for k := range 4 {
 		ctx, cancel := context.WithCancel(context.Background())
 		sh := &portfolioState{bound: cp.NewIncumbent(comp.maxObj), start: time.Now(), cancel: cancel}
-		Optimizer{}.runPortfolioWorker(ctx, p, comp, st, sh, nil)
+		Optimizer{}.runPortfolioWorker(ctx, p, comp, k, sh, new(scratch))
 		cancel()
 		if sh.err != nil || sh.best == nil {
-			t.Fatalf("%s: best = %v, err = %v", st.Label, sh.best, sh.err)
+			t.Fatalf("worker %d: best = %v, err = %v", k, sh.best, sh.err)
 		}
 		if sh.best.Cost != 0 {
-			t.Fatalf("%s: cost = %d, want 0", st.Label, sh.best.Cost)
+			t.Fatalf("worker %d: cost = %d, want 0", k, sh.best.Cost)
 		}
 	}
 }

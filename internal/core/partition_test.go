@@ -398,7 +398,7 @@ func TestSlicePoolMatchesSliceBySlice(t *testing.T) {
 			pooled, poolErr := o.solveSlices(ctx, parts)
 			solved := 0
 			for i, sub := range parts {
-				alone, err := o.solveMonolithic(ctx, sub, 1, nil)
+				alone, err := o.solveMonolithic(ctx, sub, 1, new(scratch))
 				got := pooled[i]
 				switch {
 				case (alone == nil) != (got == nil):

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"cwcs/internal/cp"
 	"cwcs/internal/vjob"
 )
 
@@ -42,35 +44,68 @@ func portfolioProblem(seed int64) Problem {
 	return Problem{Src: c, Target: target}
 }
 
-// TestStrategiesLineup pins the portfolio lineup for every width up to
-// six, and requires that no two workers search in the same order: two
-// entries with the same FirstFail, PreferValue and ShuffleSeed would
-// explore the same tree node for node, and one of them would be a
-// wasted core.
-func TestStrategiesLineup(t *testing.T) {
-	want := []string{"base", "firstfail", "prefer", "shuffle#3", "shuffle#4", "shuffle#5"}
+// TestPortfolioLineup pins the portfolio's labels for every width up
+// to six, requires worker 0 to be the paper's search unshuffled, and
+// requires that no two workers search in the same order: two workers
+// with one shuffle seed would explore the same tree node for node, and
+// one of them would be a wasted core.
+func TestPortfolioLineup(t *testing.T) {
+	want := []string{"base", "shuffle#1", "shuffle#2", "shuffle#3", "shuffle#4", "shuffle#5"}
 	for n := 1; n <= len(want); n++ {
-		lineup := strategies(n)
-		var labels []string
-		type ordering struct {
-			firstFail, prefer bool
-			seed              int64
+		res, err := Optimizer{Workers: n, Partitions: 1}.Solve(portfolioProblem(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen := map[ordering]string{}
-		for _, st := range lineup {
-			labels = append(labels, st.Label)
-			o := ordering{st.FirstFail, st.PreferValue, st.ShuffleSeed}
-			if prev, ok := seen[o]; ok {
-				t.Fatalf("strategies(%d): %s and %s search in the same order %+v", n, prev, st.Label, o)
-			}
-			seen[o] = st.Label
+		var labels []string
+		for _, w := range res.Outcomes {
+			labels = append(labels, w.Strategy)
 		}
 		if !slices.Equal(labels, want[:n]) {
-			t.Fatalf("strategies(%d) = %v, want %v", n, labels, want[:n])
+			t.Fatalf("Workers: %d runs %v, want %v", n, labels, want[:n])
 		}
 	}
-	if base := strategies(1)[0]; !base.FirstFail || !base.PreferValue || base.ShuffleSeed != 0 {
-		t.Fatalf("the first worker is %+v, want the paper's first-fail, prefer-current-host search", base)
+
+	// Each worker alone, from no seed, to a node budget: worker 0
+	// searches as the model buildModel hands out does, and no two
+	// workers fail or find alike.
+	p := budgetedProblem(1, 100, 200)
+	o := Optimizer{Workers: 1, Partitions: 1}
+	c, err := o.compile(p, new(compiled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := buildModel(p, c, new(scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.opts.ShuffleSeed != 0 || !m.opts.FirstFail || !m.opts.PreferValue {
+		t.Fatalf("buildModel's options are %+v, want the paper's first-fail, prefer-current-host search", m.opts)
+	}
+	base := replay(o, p, c, m, nil)
+	seen := map[string]int{}
+	for k := range want {
+		ctx, cancel := context.WithCancel(context.Background())
+		sh := &portfolioState{bound: cp.NewIncumbent(c.maxObj), start: time.Now(), cancel: cancel}
+		o.runPortfolioWorker(ctx, p, c, k, sh, new(scratch))
+		cancel()
+		if sh.err != nil || sh.best == nil {
+			t.Fatalf("worker %d: best %v, error %v", k, sh.best, sh.err)
+		}
+		if k == 0 && (sh.nodes != base.nodes || sh.fails != base.fails || !sh.best.Dst.Equal(base.best.Dst)) {
+			t.Fatalf("worker 0 searched %d nodes with %d fails to cost %d; the unshuffled model %d, %d, cost %d",
+				sh.nodes, sh.fails, sh.best.Cost, base.nodes, base.fails, base.best.Cost)
+		}
+		key := fmt.Sprint(sh.nodes, sh.fails, sh.solutions)
+		for _, b := range sh.traj {
+			key += fmt.Sprint(" ", b.Cost)
+		}
+		for _, g := range c.runners {
+			key += " " + sh.best.Dst.HostOf(g.vm.Name)
+		}
+		if prev, ok := seen[key]; ok {
+			t.Fatalf("workers %d and %d searched alike: %s", prev, k, key)
+		}
+		seen[key] = k
 	}
 }
 
@@ -197,6 +232,96 @@ func TestPortfolioRespectsRules(t *testing.T) {
 		}
 		if len(hosts) != 3 {
 			t.Fatalf("workers=%d: spread violated: %v", w, hosts)
+		}
+	}
+}
+
+// startedRule posts nothing and counts started down once per model it
+// is applied to: once started is done, every worker of a solve has
+// applied its rules and is about to search.
+type startedRule struct{ started *sync.WaitGroup }
+
+func (r startedRule) Apply(*cp.Solver, map[string]*cp.IntVar, map[string]int) error {
+	r.started.Done()
+	return nil
+}
+func (startedRule) Check(*vjob.Configuration) error                    { return nil }
+func (startedRule) ScopeVMs() []string                                 { return nil }
+func (startedRule) BindNodes() []string                                { return nil }
+func (r startedRule) Rescope(vms, nodes map[string]bool) PlacementRule { return r }
+
+// spawnSolve starts o.SolveContext(ctx, p) on a goroutine of its own,
+// with a startedRule that each of its workers' models applies added to
+// p's rules, and returns the rule's WaitGroup and the channel the
+// solve's error comes back on.
+func spawnSolve(ctx context.Context, o Optimizer, p Problem, workers int) (*sync.WaitGroup, <-chan error) {
+	started := new(sync.WaitGroup)
+	started.Add(workers)
+	p.Rules = append(slices.Clip(p.Rules), startedRule{started})
+	done := make(chan error, 1)
+	go func() {
+		_, err := o.SolveContext(ctx, p)
+		done <- err
+	}()
+	return started, done
+}
+
+// waitStartSolve waits until every worker has built its model, or
+// fails the test after a minute.
+func waitStartSolve(t *testing.T, started *sync.WaitGroup) {
+	t.Helper()
+	all := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(all)
+	}()
+	select {
+	case <-all:
+	case <-time.After(time.Minute):
+		t.Fatal("the solve's workers did not all start within a minute")
+	}
+}
+
+// cancelAndWaitExit cancels the solve and returns how long it took to
+// come back, failing the test when it had returned before the cancel,
+// on an error or after a minute.
+func cancelAndWaitExit(t *testing.T, cancel context.CancelFunc, done <-chan error) time.Duration {
+	t.Helper()
+	select {
+	case <-done:
+		t.Fatal("the solve returned before the cancel")
+	default:
+	}
+	at := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("canceled solve: %v", err)
+		}
+		return time.Since(at)
+	case <-time.After(time.Minute):
+		t.Fatal("the canceled solve did not return within a minute")
+		return 0
+	}
+}
+
+// TestPortfolioCancelReturnsPromptly: a four-wide portfolio on the
+// solve_mono instance at 30 000 nodes per worker (seconds of search),
+// canceled once every worker searches, returns its incumbent within
+// 50 ms of the cancel:
+// every worker polls the context after every fail as well as every 64
+// nodes, so one that fails dozens of tries per node under the shared
+// bound still sees the cancel within a millisecond or two.
+func TestPortfolioCancelReturnsPromptly(t *testing.T) {
+	const workers = 4
+	for _, after := range []time.Duration{0, 100 * time.Millisecond, 400 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		started, done := spawnSolve(ctx, Optimizer{Workers: workers, Partitions: 1}, budgetedProblem(1, 100, 30000), workers)
+		waitStartSolve(t, started)
+		time.Sleep(after) // the cancel lands in the first dives, or under a bound found since
+		if took := cancelAndWaitExit(t, cancel, done); took > 50*time.Millisecond {
+			t.Fatalf("canceled %v after every worker started, the solve returned %v later; want at most 50 ms", after, took)
 		}
 	}
 }

@@ -158,20 +158,19 @@ type Result struct {
 	// its slice optimal — the merged plan is not necessarily a global
 	// optimum, since cross-partition migrations were never considered.
 	Partitions int
-	// Winner names the strategy that produced the returned plan:
-	// "base", "firstfail", "prefer" or "shuffle#N" for a
-	// portfolio worker; "warm-seed" / "ffd-seed" when no worker beat
-	// the seed. On a partitioned solve it is the most frequent
-	// per-partition winner.
+	// Winner names what produced the returned plan: the portfolio
+	// worker's label, "base" or "shuffle#N" (see Optimizer.Workers);
+	// "warm-seed" / "ffd-seed" when no worker beat the seed. On a
+	// partitioned solve it is the most frequent per-partition winner.
 	Winner string
 	// WarmHit reports that the WarmStart assignment was still viable
 	// for this problem and seeded the incumbent (whether a warm start
 	// was offered at all is the caller's knowledge: Optimizer.WarmStart
 	// != nil).
 	WarmHit bool
-	// Outcomes are the per-portfolio-worker search outcomes, strategy-
-	// sorted. A one-worker solve reports one "base" entry; a
-	// partitioned solve merges per-partition outcomes by strategy.
+	// Outcomes are the per-portfolio-worker search outcomes, sorted by
+	// label. A one-worker solve reports one "base" entry; a
+	// partitioned solve merges per-partition outcomes by label.
 	Outcomes []WorkerOutcome
 	// Trajectory is the incumbent-bound trajectory: one point per
 	// improving solution, offset in wall seconds from the search start.

@@ -23,7 +23,7 @@ func (p fullPacking) Propagate(s *cp.Solver) error {
 	return p.Packing.Propagate(s)
 }
 
-// refModel is buildModel under the base strategy with the propagators
+// refModel is buildModel with the propagators
 // as they ran before they learned which variables changed: fullPacking
 // for each cp.Packing and the costBound closure for cp.TableSum.
 func refModel(p Problem, c *compiled) (*searchModel, error) {
@@ -34,6 +34,9 @@ func refModel(p Problem, c *compiled) (*searchModel, error) {
 		vars[i] = s.NewEnumVar(g.vm.Name, c.allowed[i])
 		if c.prefs[i] >= 0 {
 			vars[i].SetPreferred(c.prefs[i])
+		}
+		if c.hints[i] >= 0 {
+			vars[i].SetHint(c.hints[i])
 		}
 		varByName[g.vm.Name] = vars[i]
 	}
@@ -57,16 +60,7 @@ func refModel(p Problem, c *compiled) (*searchModel, error) {
 	}
 	obj := s.NewIntVar("cost", 0, c.maxObj)
 	s.Post(c.costBound(vars, obj))
-	opts := baseStrategy.Options
-	opts.Vars = vars
-	for i, h := range c.hints {
-		if h >= 0 {
-			if opts.Hints == nil {
-				opts.Hints = map[*cp.IntVar]int{}
-			}
-			opts.Hints[vars[i]] = h
-		}
-	}
+	opts := cp.Options{Vars: vars, FirstFail: true, PreferValue: true}
 	return &searchModel{s: s, vars: vars, obj: obj, opts: opts}, nil
 }
 
@@ -93,8 +87,8 @@ func replay(o Optimizer, p Problem, c *compiled, m *searchModel, seed *Result) s
 	opts.SharedBound = shared
 	opts.OnSolution = func(sol cp.Solution) int {
 		at := make([]int, len(m.vars))
-		for i, v := range m.vars {
-			at[i] = sol.MustValue(v)
+		for i := range m.vars {
+			at[i] = sol.Value(i)
 		}
 		run.objectives = append(run.objectives, sol.Objective)
 		run.assignments = append(run.assignments, at)
@@ -169,13 +163,13 @@ func TestSearchMatchesRecomputingPropagators(t *testing.T) {
 	searched, found := 0, 0
 	for _, in := range instances {
 		o, p := in.o, in.p
-		c, err := o.compile(p, nil)
+		c, err := o.compile(p, new(compiled))
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		m, err := buildModel(p, c, baseStrategy, nil)
+		m, err := buildModel(p, c, new(scratch))
 		if errors.Is(err, ErrNoViableConfiguration) {
 			continue
 		} else if err != nil {
@@ -247,11 +241,11 @@ func TestSolveMonoSearchMatchesSlabCopy(t *testing.T) {
 	} {
 		p := budgetedProblem(want.seed, 100, 300)
 		o := Optimizer{Workers: 1, Partitions: 1}
-		c, err := o.compile(p, nil)
+		c, err := o.compile(p, new(compiled))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := buildModel(p, c, baseStrategy, nil)
+		m, err := buildModel(p, c, new(scratch))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cwcs/internal/cp"
 	"cwcs/internal/vjob"
 )
 
@@ -27,7 +28,7 @@ func warmProblem(t *testing.T) (Problem, *vjob.Configuration) {
 func TestWarmSeedReusesPreviousAssignment(t *testing.T) {
 	p, warm := warmProblem(t)
 	o := Optimizer{Workers: 1, WarmStart: warm}
-	c, err := o.compile(p, nil)
+	c, err := o.compile(p, new(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestWarmSeedRejectsVanishedHost(t *testing.T) {
 	warm.AddVM(v)
 	mustRun(t, warm, "v1", "n04")
 	o := Optimizer{WarmStart: warm}
-	c, err := o.compile(p, nil)
+	c, err := o.compile(p, new(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +81,35 @@ func TestSolveWithWarmStartNoWorseAndConsistent(t *testing.T) {
 	}
 }
 
+// TestWarmStartHintsFlowIntoModel: the model buildModel hands out
+// tries each runner's warm host first, so its first solution, searched
+// with no seed to cut it, is the warm assignment and not the current
+// one.
 func TestWarmStartHintsFlowIntoModel(t *testing.T) {
 	p, warm := warmProblem(t)
 	o := Optimizer{Workers: 1, WarmStart: warm}
-	c, err := o.compile(p, nil)
+	c, err := o.compile(p, new(compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := buildModel(p, c, baseStrategy, nil)
+	m, err := buildModel(p, c, new(scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.opts.Hints) != len(c.runners) {
-		t.Fatalf("hints cover %d of %d runners", len(m.opts.Hints), len(c.runners))
+	var first []string
+	opts := m.opts
+	opts.OnSolution = func(sol cp.Solution) int {
+		for i := range c.runners {
+			first = append(first, c.nodes[sol.Value(i)].Name)
+		}
+		return -1 // no second dive
+	}
+	if _, err := m.s.Minimize(m.obj, opts); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range c.runners {
+		if want := warm.HostOf(g.vm.Name); first[i] != want {
+			t.Fatalf("first solution puts %s on %s, want its warm host %s (all: %v)", g.vm.Name, first[i], want, first)
+		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 // Options tunes the search.
 type Options struct {
 	// Ctx stops the search cooperatively: the search polls it every 64
-	// nodes and before every restart, and returns ErrCanceled once it
-	// is done (canceled, or past its deadline). nil means the search
-	// runs to completion.
+	// nodes, after every failed try and before every restart, and
+	// returns ErrCanceled once it is done (canceled, or past its
+	// deadline). nil means the search runs to completion.
 	Ctx context.Context
 	// Vars are the decision variables, all of which must be bound in a
 	// solution. Defaults to every enumerated variable of the solver.
@@ -24,13 +24,15 @@ type Options struct {
 	// taken in Vars order.
 	FirstFail bool
 	// PreferValue, when true, tries each variable's preferred value
-	// first (the paper assigns running VMs to their current node in
-	// priority); remaining values are tried in ascending order.
+	// (IntVar.SetPreferred) first, after its hint (IntVar.SetHint): the
+	// paper assigns running VMs to their current node in priority.
+	// Remaining values are tried in ascending order.
 	PreferValue bool
 	// ShuffleSeed, when non-zero, shuffles the value order at every
-	// node (the preferred value keeps priority under PreferValue) with
-	// a stream the call seeds once: it advances across Minimize's
-	// restarts, so each restart explores a differently ordered tree.
+	// node (the hint and, under PreferValue, the preferred value keep
+	// priority) with a stream the call seeds once: it advances across
+	// Minimize's restarts, so each restart explores a differently
+	// ordered tree.
 	ShuffleSeed int64
 	// SharedBound connects Minimize to a portfolio-wide incumbent:
 	// every restart and every context poll cut the objective at it, so
@@ -40,11 +42,6 @@ type Options struct {
 	// and returns the bound its next restart cuts the objective at;
 	// nil means Objective-1.
 	OnSolution func(Solution) int
-	// Hints is the warm-start assignment, typically the incumbent of a
-	// previous solve of a nearby problem. A hinted value is tried first
-	// at branching — ahead of the Preferred value — so the search dives
-	// towards the old solution before diversifying.
-	Hints map[*IntVar]int
 }
 
 // interrupted reports whether the search must stop right now:
@@ -63,21 +60,16 @@ func (o Options) interrupted() error {
 
 // Solution is an immutable assignment of the decision variables.
 type Solution struct {
-	values map[*IntVar]int
+	vars   []*IntVar
+	values []int // in vars order
 	// Objective is the objective value at the time the solution was
 	// found.
 	Objective int
 }
 
-// MustValue returns the solved value of v and panics when v was not a
-// decision variable (a programming error).
-func (s Solution) MustValue(v *IntVar) int {
-	val, ok := s.values[v]
-	if !ok {
-		panic("cp: variable not part of the solution: " + v.name)
-	}
-	return val
-}
+// Value returns the solved value of the i-th decision variable, in
+// Options.Vars order.
+func (s Solution) Value(i int) int { return s.values[i] }
 
 // run is what one Minimize call hands its search: the options, the
 // decision variables, the objective the poll clamps to SharedBound and
@@ -159,9 +151,9 @@ func (s *Solver) restart(r *run, root State, bound int) error {
 }
 
 func (s *Solver) capture(vars []*IntVar) Solution {
-	sol := Solution{values: make(map[*IntVar]int, len(vars))}
-	for _, v := range vars {
-		sol.values[v] = v.Value()
+	sol := Solution{vars: vars, values: make([]int, len(vars))}
+	for i, v := range vars {
+		sol.values[i] = v.Value()
 	}
 	return sol
 }
@@ -172,22 +164,8 @@ func (s *Solver) capture(vars []*IntVar) Solution {
 // depth is the number of branches above this node.
 func (s *Solver) search(r *run, depth int) error {
 	if s.nodes&63 == 0 {
-		if err := r.interrupted(); err != nil {
+		if err := s.poll(r); err != nil {
 			return err
-		}
-		// Adopt the portfolio-wide incumbent: tightening the objective
-		// here prunes the rest of this subtree with bounds discovered
-		// by other workers. Backtracking undoes the cut, but the next
-		// poll reinstates it — the shared bound only ever decreases.
-		if r.SharedBound != nil {
-			if b := r.SharedBound.Bound(); r.obj.Max() > b {
-				if err := s.RemoveAbove(r.obj, b); err != nil {
-					return err
-				}
-				if err := s.propagate(); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	s.nodes++
@@ -216,8 +194,8 @@ func (s *Solver) search(r *run, depth int) error {
 		r.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		s.orders[depth] = order
 	}
-	if hint, ok := r.Hints[v]; ok && v.Contains(hint) {
-		if done, err := s.try(v, hint, r, depth); done {
+	if v.hint >= 0 && v.Contains(int(v.hint)) {
+		if done, err := s.try(v, int(v.hint), r, depth); done {
 			return err
 		}
 	}
@@ -250,8 +228,9 @@ func (s *Solver) search(r *run, depth int) error {
 // try branches on v = val: inside a frame of its own it assigns,
 // propagates and searches below. done reports that the node ends with
 // err: a solution below (nil), an interruption, or a wipe-out when,
-// the branch failed and undone, refuting val at this node propagated
-// to one. Otherwise the node goes on to its next value.
+// the branch failed and undone, a poll's cut or refuting val at this
+// node propagated to one. Otherwise the node goes on to its next
+// value.
 func (s *Solver) try(v *IntVar, val int, r *run, depth int) (done bool, err error) {
 	s.open()
 	if err = s.Assign(v, val); err == nil {
@@ -264,11 +243,38 @@ func (s *Solver) try(v *IntVar, val int, r *run, depth int) (done bool, err erro
 	}
 	s.fails++
 	s.undo()
+	// A node may fail dozens of tries, each a full pass of the
+	// propagators that keep sums: poll after each.
+	if err = s.poll(r); err != nil {
+		return true, err
+	}
 	// Siblings benefit from the refutation.
 	if err = s.RemoveValue(v, val); err == nil {
 		err = s.propagate()
 	}
 	return err != nil, err
+}
+
+// poll, every 64 nodes and after every fail, returns ErrCanceled once
+// the context is done, and adopts the portfolio-wide incumbent:
+// tightening the objective here prunes the rest of this subtree with
+// bounds discovered by other workers. Backtracking undoes the cut,
+// but the next poll reinstates it — the shared bound only ever
+// decreases.
+func (s *Solver) poll(r *run) error {
+	if err := r.interrupted(); err != nil {
+		return err
+	}
+	if r.SharedBound == nil {
+		return nil
+	}
+	if b := r.SharedBound.Bound(); r.obj.Max() > b {
+		if err := s.RemoveAbove(r.obj, b); err != nil {
+			return err
+		}
+		return s.propagate()
+	}
+	return nil
 }
 
 func (s *Solver) pick(r *run) *IntVar {

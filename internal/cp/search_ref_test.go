@@ -72,21 +72,30 @@ func (ref *slabSearch) restart(r *run, root State, bound int) error {
 	return ref.search(r, 0)
 }
 
+// poll is the search's poll, run every 64 nodes and after every fail.
+func (ref *slabSearch) poll(r *run) error {
+	s := ref.s
+	if err := r.interrupted(); err != nil {
+		return err
+	}
+	if r.SharedBound != nil {
+		if b := r.SharedBound.Bound(); r.obj.Max() > b {
+			if err := s.RemoveAbove(r.obj, b); err != nil {
+				return err
+			}
+			if err := s.propagate(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func (ref *slabSearch) search(r *run, depth int) error {
 	s := ref.s
 	if s.nodes&63 == 0 {
-		if err := r.interrupted(); err != nil {
+		if err := ref.poll(r); err != nil {
 			return err
-		}
-		if r.SharedBound != nil {
-			if b := r.SharedBound.Bound(); r.obj.Max() > b {
-				if err := s.RemoveAbove(r.obj, b); err != nil {
-					return err
-				}
-				if err := s.propagate(); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	s.nodes++
@@ -113,6 +122,9 @@ func (ref *slabSearch) search(r *run, depth int) error {
 		}
 		s.fails++
 		s.RestoreState(ref.levels[depth].saved)
+		if err := ref.poll(r); err != nil {
+			return err
+		}
 		if err := s.RemoveValue(v, val); err != nil {
 			return err
 		}
@@ -162,8 +174,8 @@ func valueOrder(v *IntVar, r *run, buf []int) []int {
 	if r.PreferValue && v.pref >= 0 {
 		moveToFront(vals, v.pref)
 	}
-	if h, ok := r.Hints[v]; ok {
-		moveToFront(vals, h)
+	if v.hint >= 0 {
+		moveToFront(vals, int(v.hint))
 	}
 	return vals
 }
@@ -292,11 +304,8 @@ func packingModel(s *Solver, seed int64) searchModel {
 			v.SetPreferred(dom[rng.Intn(len(dom))])
 		}
 		if rng.Intn(3) == 0 {
-			if opts.Hints == nil {
-				opts.Hints = map[*IntVar]int{}
-			}
 			// Now and then a value outside the domain.
-			opts.Hints[v] = dom[rng.Intn(len(dom))] + rng.Intn(2)
+			v.SetHint(dom[rng.Intn(len(dom))] + rng.Intn(2))
 		}
 	}
 	if seed%3 == 0 {

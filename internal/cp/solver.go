@@ -129,7 +129,7 @@ func (s *Solver) NewEnumVar(name string, values []int) *IntVar {
 	if len(values) == 0 {
 		panic("cp: empty initial domain for " + name)
 	}
-	v := s.newVar(IntVar{name: name, lo: slices.Min(values), hi: slices.Max(values), pref: -1})
+	v := s.newVar(IntVar{name: name, lo: slices.Min(values), hi: slices.Max(values), pref: -1, hint: -1})
 	if v.lo < 0 {
 		panic("cp: negative value in the enumerated domain of " + name)
 	}
@@ -167,7 +167,7 @@ func (s *Solver) NewIntVar(name string, min, max int) *IntVar {
 	if max < min {
 		panic(fmt.Sprintf("cp: empty range [%d,%d] for %s", min, max, name))
 	}
-	v := s.newVar(IntVar{name: name, n: max - min + 1, lo: min, hi: max, pref: -1})
+	v := s.newVar(IntVar{name: name, n: max - min + 1, lo: min, hi: max, pref: -1, hint: -1})
 	s.bounded = append(s.bounded, v)
 	return v
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -20,6 +21,16 @@ func rangeVals(n int) []int {
 // objective proves it optimal at its first solution.
 func solveOne(s *Solver, opts Options) (Solution, error) {
 	return s.Minimize(s.NewIntVar("one", 0, 0), opts)
+}
+
+// MustValue returns the solved value of v and panics when v was not a
+// decision variable (a bug of the test).
+func (s Solution) MustValue(v *IntVar) int {
+	i := slices.Index(s.vars, v)
+	if i < 0 {
+		panic("cp: variable not part of the solution: " + v.name)
+	}
+	return s.Value(i)
 }
 
 // queens posts the n-queens problem and returns the column variables.
@@ -219,6 +230,36 @@ func TestSequentialCancel(t *testing.T) {
 	}
 }
 
+// TestCancelLandsAtTheNextFail: a search that fails 199 tries per
+// node, canceled inside its eleventh try, stops as that try fails: the
+// search polls the context after every fail as well as every 64 nodes.
+func TestCancelLandsAtTheNextFail(t *testing.T) {
+	s := NewSolver()
+	vars := make([]*IntVar, 10)
+	for i := range vars {
+		vars[i] = s.NewEnumVar(fmt.Sprintf("x%d", i), rangeVals(200))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Post(&FuncConstraint{On: vars, Run: func(s *Solver) error {
+		if _, fails, _, _ := s.Stats(); fails == 10 {
+			cancel()
+		}
+		for _, v := range vars {
+			if v.Bound() && v.Value() != 199 {
+				return ErrFailed
+			}
+		}
+		return nil
+	}})
+	if _, err := solveOne(s, Options{Vars: vars, Ctx: ctx}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if nodes, fails, _, _ := s.Stats(); fails != 11 {
+		t.Fatalf("stopped after %d nodes and %d fails, want the poll after fail 11", nodes, fails)
+	}
+}
+
 func TestSolutionAccessors(t *testing.T) {
 	s := NewSolver()
 	x := s.NewEnumVar("x", []int{7})
@@ -227,8 +268,8 @@ func TestSolutionAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := sol.MustValue(x); v != 7 {
-		t.Fatalf("MustValue = %d", v)
+	if v, w := sol.Value(0), sol.MustValue(x); v != 7 || w != 7 {
+		t.Fatalf("Value(0) = %d, MustValue = %d", v, w)
 	}
 	defer func() {
 		if recover() == nil {

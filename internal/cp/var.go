@@ -17,6 +17,9 @@ type IntVar struct {
 	n, lo, hi int
 	off       int   // where words starts in the slab
 	stamp     int32 // a bounds-only variable's (see Solver.stamps)
+	// hint is the warm-start value, tried ahead of pref (e.g. the node
+	// a previous solve placed the VM on); -1 when unset.
+	hint int32
 	// watchers are the constraints to wake when the domain changes.
 	watchers []watch
 	// pref is the value tried first during search (e.g. the node the
@@ -93,8 +96,14 @@ func (v *IntVar) NextValue(from int) int {
 }
 
 // SetPreferred sets the value the search tries first for this
-// variable. Use -1 to clear.
+// variable under Options.PreferValue. Use -1 to clear.
 func (v *IntVar) SetPreferred(val int) { v.pref = val }
+
+// SetHint sets the warm-start value, typically what the incumbent of a
+// previous solve of a nearby problem assigned: the search tries it
+// ahead of the preferred value, so it dives towards the old solution
+// before diversifying. Use -1 to clear.
+func (v *IntVar) SetHint(val int) { v.hint = int32(val) }
 
 // String renders the variable with its domain, for debugging.
 func (v *IntVar) String() string {

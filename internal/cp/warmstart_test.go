@@ -45,8 +45,10 @@ func TestMinimizeWithHintsFindsOptimum(t *testing.T) {
 	s, vars, obj := warmModel(t)
 	// Hint the worst assignment: the search dives to objective 1+2+3
 	// first and must still reach the optimum 0+1+2.
-	hints := map[*IntVar]int{vars[0]: 1, vars[1]: 2, vars[2]: 3}
-	sol, err := s.Minimize(obj, Options{Vars: vars, Hints: hints})
+	for i, v := range vars {
+		v.SetHint(i + 1)
+	}
+	sol, err := s.Minimize(obj, Options{Vars: vars})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +67,14 @@ func TestHintsSteerValueOrder(t *testing.T) {
 		want []int
 	}{
 		{2, []int{2, 1, 0, 3}},
-		{1, []int{1, 0, 2, 3}}, // a hint equal to the preferred value
-		{7, []int{1, 0, 2, 3}}, // a hint outside the domain
+		{1, []int{1, 0, 2, 3}},  // a hint equal to the preferred value
+		{7, []int{1, 0, 2, 3}},  // a hint outside the domain
+		{-1, []int{1, 0, 2, 3}}, // no hint
 	} {
 		s := NewSolver()
 		v := s.NewEnumVar("v", []int{0, 1, 2, 3})
 		v.SetPreferred(1)
+		v.SetHint(tc.hint)
 		var tried []int
 		s.Post(&FuncConstraint{On: []*IntVar{v}, Run: func(*Solver) error {
 			if v.Bound() {
@@ -79,7 +83,7 @@ func TestHintsSteerValueOrder(t *testing.T) {
 			}
 			return nil
 		}})
-		if _, err := solveOne(s, Options{Vars: []*IntVar{v}, PreferValue: true, Hints: map[*IntVar]int{v: tc.hint}}); !errors.Is(err, ErrFailed) {
+		if _, err := solveOne(s, Options{Vars: []*IntVar{v}, PreferValue: true}); !errors.Is(err, ErrFailed) {
 			t.Fatalf("hint %d: err = %v, want ErrFailed", tc.hint, err)
 		}
 		if !slices.Equal(tried, tc.want) {
