@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -40,17 +41,24 @@ import (
 )
 
 func main() {
+	// SIGINT/SIGTERM cancel the in-flight optimization and stop the
+	// loop at the next iteration; the sim driver then finishes the
+	// in-flight context switch before exiting instead of abandoning it
+	// mid-migration.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
 	// The flag set has already reported a bad flag on stderr.
-	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		os.Exit(2)
 	}
 }
 
 // run is the daemon: it parses args, writes what main would print to
 // out and returns when the workload completes, the horizon is reached
-// or a signal arrives. The only error is a usage one, already reported
-// on stderr.
-func run(args []string, out io.Writer) error {
+// or ctx is done. The only errors are a usage one and a -listen
+// address that cannot be bound, both already reported on stderr.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("entropyd", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 11, "working nodes")
 	cpu := fs.Int("cpu", 2, "processing units per node")
@@ -116,13 +124,6 @@ func run(args []string, out io.Writer) error {
 		*eventDriven = true
 	}
 
-	// SIGINT/SIGTERM cancel the in-flight optimization and stop the
-	// loop at the next iteration; the sim driver then finishes the
-	// in-flight context switch before exiting instead of abandoning it
-	// mid-migration.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
 	tb := testbed.New(testbed.Options{
 		Nodes: *nodes, NodeCPU: *cpu, NodeMemory: *memory,
 		PaperNames: true,
@@ -173,20 +174,26 @@ func run(args []string, out io.Writer) error {
 		watcher := &monitor.ThresholdWatcher{Emit: tb.Feed}
 		watcher.Attach(c)
 
+		// Bound before the address is printed, so -listen :0 reports
+		// the port it got.
+		ln, err := net.Listen("tcp", *listen)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "control plane: %v\n", err)
+			return err
+		}
 		httpSrv := &http.Server{
-			Addr:    *listen,
 			Handler: mount(tb.ControlPlane(&simMu).Handler(), *pprofOn),
 			// A client that never finishes its headers holds a
 			// connection, not the loop.
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "control plane: %v\n", err)
 			}
 		}()
 		defer func() { _ = httpSrv.Shutdown(context.Background()) }()
-		fmt.Fprintf(out, "control plane listening on %s\n", *listen)
+		fmt.Fprintf(out, "control plane listening on %s\n", ln.Addr())
 	}
 
 	// The listener may already be serving: starting the loop schedules

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -145,9 +148,74 @@ func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 		{"-debounce", "-0.5"},
 	} {
 		var out strings.Builder
-		err := run(append(append([]string(nil), small...), bad...), &out)
+		err := run(context.Background(), append(append([]string(nil), small...), bad...), &out)
 		if err == nil || !strings.HasPrefix(err.Error(), bad[0]+" must be") || out.Len() != 0 {
 			t.Errorf("%s %s: error %v, output %q", bad[0], bad[1], err, out.String())
 		}
+	}
+}
+
+// TestServeUntilCanceled runs the daemon the way an operator does:
+// -listen on a port the kernel picks, whose address run prints, a
+// request of each kind through the mounted control plane, then a
+// cancellation that must stop the daemon and close its port.
+func TestServeUntilCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-workers", "1"}, pw)
+		pw.Close()
+	}()
+	bound := make(chan string, 1)
+	go func() {
+		// Reads to the end, so run never blocks on its output.
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if addr, ok := strings.CutPrefix(sc.Text(), "control plane listening on "); ok {
+				bound <- addr
+			}
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-bound:
+	case err := <-done:
+		t.Fatalf("run returned before listening: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("no listening address printed")
+	}
+
+	request := func(method, path, body string, want int) {
+		t.Helper()
+		req, err := http.NewRequest(method, "http://"+addr+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+	request("GET", "/healthz", "", http.StatusOK)
+	request("POST", "/v1/vjobs", `{"name":"op","vms":[{"name":"op-0","cpu":1,"memory":512,"phases":[{"cpu":1,"seconds":50}]}]}`, http.StatusAccepted)
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after cancel: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run did not return within 5 s of the cancellation")
+	}
+	if conn, err := net.Dial("tcp", addr); err == nil {
+		conn.Close()
+		t.Fatalf("%s still accepts connections after run returned", addr)
 	}
 }

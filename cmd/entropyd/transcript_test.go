@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -30,7 +31,7 @@ func TestTranscripts(t *testing.T) {
 		{"event_driven.golden", []string{"-event-driven"}},
 	} {
 		var out bytes.Buffer
-		if err := run(append([]string{"-workers", "1", "-timeout", "1m"}, tc.args...), &out); err != nil {
+		if err := run(context.Background(), append([]string{"-workers", "1", "-timeout", "1m"}, tc.args...), &out); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join("testdata", tc.golden)
@@ -57,16 +58,16 @@ func TestTranscripts(t *testing.T) {
 // cluster.
 func TestRunVersionAndBadFlag(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-version"}, &out); err != nil || !bytes.HasPrefix(out.Bytes(), []byte("entropyd ")) {
+	if err := run(context.Background(), []string{"-version"}, &out); err != nil || !bytes.HasPrefix(out.Bytes(), []byte("entropyd ")) {
 		t.Fatalf("-version: %q, %v", out.String(), err)
 	}
-	if err := run([]string{"-no-such-flag"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-no-such-flag"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
 	// -pprof mounts on the control plane: without -listen there is
 	// nothing to mount it on, and the daemon must not run at all.
 	out.Reset()
-	if err := run([]string{"-pprof", "-nodes", "2"}, &out); err == nil || out.Len() != 0 {
+	if err := run(context.Background(), []string{"-pprof", "-nodes", "2"}, &out); err == nil || out.Len() != 0 {
 		t.Fatalf("-pprof without -listen: %v, output %q", err, out.String())
 	}
 }

@@ -1,4 +1,4 @@
-package api
+package api_test
 
 import (
 	"encoding/json"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"cwcs/internal/api"
 	"cwcs/internal/core"
 )
 
@@ -15,28 +16,28 @@ import (
 // node), on which dimension — and that the labeled
 // cwcs_violation_seconds_total series carry the same attribution.
 func TestViolationsEndpoint(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
+	d := newDaemon(t, 4, 2, 4096)
 	// Two 2-cpu VMs on one 2-cpu node: violated until the loop migrates
 	// one away, so violation-seconds accrue with a clear dominant
 	// consumer.
-	b.place("ja", 2, 2, 1024, []string{"node000", "node000"})
-	b.locked(func() {
-		b.loop.Notify(b.act, core.Event{
-			Kind: core.VMArrival, At: b.c.Now(),
+	d.place("ja", 2, 2, 1024, []string{"node000", "node000"})
+	d.locked(func() {
+		d.Feed(core.Event{
+			Kind: core.VMArrival, At: d.Cluster.Now(),
 			VMs: []string{"ja-vm0", "ja-vm1"}, Nodes: []string{"node000"},
 		})
 	})
-	b.advance(60)
+	d.advance(60)
 
-	var v violationsJSON
-	if err := json.Unmarshal(b.get(t, "/v1/violations", http.StatusOK), &v); err != nil {
+	var v api.ViolationsJSON
+	if err := json.Unmarshal(d.get(t, "/v1/violations", http.StatusOK), &v); err != nil {
 		t.Fatalf("violations: %v", err)
 	}
 	if v.Total <= 0 {
 		t.Fatalf("no violation exposure after an overload episode: %+v", v)
 	}
-	b.locked(func() {
-		if got := b.violSec(); got != v.Total {
+	d.locked(func() {
+		if got := d.srv.ViolationSeconds(); got != v.Total {
 			t.Fatalf("endpoint total %v != ledger integral %v", v.Total, got)
 		}
 	})
@@ -51,19 +52,19 @@ func TestViolationsEndpoint(t *testing.T) {
 	}
 
 	// ?k caps the per-entity rows; 0 means all; junk is rejected.
-	var capped violationsJSON
-	if err := json.Unmarshal(b.get(t, "/v1/violations?k=1", http.StatusOK), &capped); err != nil {
+	var capped api.ViolationsJSON
+	if err := json.Unmarshal(d.get(t, "/v1/violations?k=1", http.StatusOK), &capped); err != nil {
 		t.Fatalf("violations?k=1: %v", err)
 	}
 	if len(capped.VJobs) > 1 || len(capped.Nodes) > 1 {
 		t.Fatalf("k=1 not honoured: %d vjobs, %d nodes", len(capped.VJobs), len(capped.Nodes))
 	}
-	b.get(t, "/v1/violations?k=0", http.StatusOK)
-	b.get(t, "/v1/violations?k=-1", http.StatusBadRequest)
-	b.get(t, "/v1/violations?k=many", http.StatusBadRequest)
+	d.get(t, "/v1/violations?k=0", http.StatusOK)
+	d.get(t, "/v1/violations?k=-1", http.StatusBadRequest)
+	d.get(t, "/v1/violations?k=many", http.StatusBadRequest)
 
 	// The scrape carries the same attribution as labeled series.
-	text := string(b.get(t, "/metrics", http.StatusOK))
+	text := string(d.get(t, "/metrics", http.StatusOK))
 	for _, want := range []string{
 		`cwcs_violation_seconds_total{vjob="ja",kind="cpu"}`,
 		`cwcs_violation_seconds_total{node="node000",kind="cpu"}`,
@@ -79,11 +80,11 @@ func TestViolationsEndpoint(t *testing.T) {
 // causes and scopes, mirrored by the portfolio-win and warm-start
 // metric families.
 func TestSolverEndpoint(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.churn(t)
+	d := newDaemon(t, 4, 2, 4096)
+	d.churn(t)
 
 	var snap core.SolverSnapshot
-	if err := json.Unmarshal(b.get(t, "/v1/solver", http.StatusOK), &snap); err != nil {
+	if err := json.Unmarshal(d.get(t, "/v1/solver", http.StatusOK), &snap); err != nil {
 		t.Fatalf("solver: %v", err)
 	}
 	if snap.Solves == 0 {
@@ -108,7 +109,7 @@ func TestSolverEndpoint(t *testing.T) {
 		}
 	}
 
-	text := string(b.get(t, "/metrics", http.StatusOK))
+	text := string(d.get(t, "/metrics", http.StatusOK))
 	if !strings.Contains(text, `cwcs_portfolio_wins_total{strategy=`) {
 		t.Errorf("no portfolio win series in metrics:\n%s", text)
 	}

@@ -1,17 +1,11 @@
 package api
 
 import (
-	"bytes"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"unicode/utf8"
-
-	"cwcs/internal/core"
 )
 
 // parseLabelBlock decodes the inside of one exposition label block,
@@ -73,8 +67,8 @@ var awkwardNames = []string{
 }
 
 // TestLabelValuesRoundTrip: every awkward value renders to a label that
-// the strict parser reads back to the original string — through
-// labels() directly, and end to end as a vjob the ledger charges.
+// the strict parser reads back to the original string
+// (TestLabelValuesScrapeRoundTrip does it end to end).
 func TestLabelValuesRoundTrip(t *testing.T) {
 	for _, v := range awkwardNames {
 		block := labels("vjob", v, "kind", "cpu")
@@ -87,55 +81,6 @@ func TestLabelValuesRoundTrip(t *testing.T) {
 		}
 	}
 
-	// One vjob overloads node000 until the loop migrates it: the ledger
-	// charges it, so its name reaches the scrape as a label value.
-	b := newTestbed(t, 4, 2, 4096)
-	name := awkwardNames[len(awkwardNames)-1]
-	b.place(name, 2, 2, 1024, []string{"node000", "node000"})
-	b.locked(func() {
-		b.loop.Notify(b.act, core.Event{
-			Kind: core.VMArrival, At: b.c.Now(),
-			VMs: []string{name + "-vm0", name + "-vm1"}, Nodes: []string{"node000"},
-		})
-	})
-	b.advance(60)
-	text := string(b.get(t, "/metrics", http.StatusOK))
-	charged := false
-	for ln, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		_, block, _ := splitSample(t, ln+1, line)
-		kv, err := parseLabelBlock(block)
-		if err != nil {
-			t.Fatalf("line %d %q: %v", ln+1, line, err)
-		}
-		charged = charged || kv["vjob"] == name
-	}
-	if !charged {
-		t.Fatalf("no series charges vjob %q:\n%s", name, text)
-	}
-}
-
-// TestMetricsScrapeEntersExecOnce: one GET /metrics reads the loop's
-// counters and the node gauges under one Exec, so the page describes
-// one instant of the cluster and stops the simulator once.
-func TestMetricsScrapeEntersExecOnce(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
-	b.advance(60)
-	var calls atomic.Int32
-	exec := b.srv.Exec
-	b.srv.Exec = func(fn func()) {
-		calls.Add(1)
-		exec(fn)
-	}
-	for scrape := 1; scrape <= 2; scrape++ {
-		b.get(t, "/metrics", http.StatusOK)
-		if n := calls.Swap(0); n != 1 {
-			t.Fatalf("scrape %d entered Exec %d times, want 1", scrape, n)
-		}
-	}
 }
 
 // FuzzLabelValue: any valid UTF-8 value survives a render-then-parse
@@ -161,36 +106,6 @@ func FuzzLabelValue(f *testing.F) {
 			if want := fmt.Sprintf("k=%q", v); got != want {
 				t.Fatalf("printable %q rendered as %s, %%q renders %s", v, got, want)
 			}
-		}
-	})
-}
-
-// FuzzSubmitVJob: whatever body POST /v1/vjobs receives, it answers
-// 202, 400, 409 or 413 — never a panic and never a 5xx.
-func FuzzSubmitVJob(f *testing.F) {
-	for _, body := range []string{
-		`{"name":"op","vms":[{"name":"op-0","cpu":1,"memory":512,"phases":[{"cpu":1,"seconds":50}]}]}`,
-		`{"name":"op","vms":[{"name":"op-0","cpu":1,"memory":512},{"name":"op-0","cpu":1,"memory":512}]}`,
-		`{"name":"tab\tnbsp\u00a0","vms":[{"name":"x","cpu":-1,"memory":512}]}`,
-		`{"name":"op","vms":[{"name":"op-0","phases":[{"cpu":1,"seconds":-1}]}]}`,
-		`{"name":"","vms":[]}`,
-		`{"name":"op","vms":[{"name":"op-0","cpu":1e99}]}`,
-		`[1,2,3]`,
-		`null`,
-		``,
-		`{`,
-	} {
-		f.Add([]byte(body))
-	}
-	b := newTestbed(f, 2, 2, 4096)
-	h := b.srv.Handler()
-	f.Fuzz(func(t *testing.T, body []byte) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/vjobs", bytes.NewReader(body)))
-		switch w.Code {
-		case http.StatusAccepted, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
-		default:
-			t.Fatalf("body %q: status %d: %s", body, w.Code, w.Body)
 		}
 	})
 }

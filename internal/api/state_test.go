@@ -1,4 +1,4 @@
-package api
+package api_test
 
 import (
 	"bufio"
@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cwcs/internal/api"
 )
 
 // sseEvent is one decoded frame of a test SSE client; heartbeat
@@ -46,9 +48,9 @@ func sseStream(resp *http.Response) <-chan sseEvent {
 
 // watchState opens GET /v1/watch/state with the given query and
 // returns the decoded event stream; the connection dies with ctx.
-func (b *testbed) watchState(t *testing.T, ctx context.Context, query string) <-chan sseEvent {
+func (d *daemon) watchState(t *testing.T, ctx context.Context, query string) <-chan sseEvent {
 	t.Helper()
-	req, err := http.NewRequestWithContext(ctx, "GET", b.ts.URL+"/v1/watch/state"+query, nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", d.url+"/v1/watch/state"+query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +83,13 @@ func nextEvent(t *testing.T, events <-chan sseEvent, what string) sseEvent {
 // hello, each selected stream opens with a full snapshot (reset for
 // nodes), and later frames carry only what changed.
 func TestWatchStateSnapshotThenDeltas(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.srv.stateInterval = 5 * time.Millisecond
-	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
+	d := newDaemon(t, 4, 2, 4096)
+	d.srv.SetWatchPace(0, 5*time.Millisecond, 0)
+	d.place("ja", 2, 1, 1024, []string{"node000", "node001"})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	events := b.watchState(t, ctx, "") // empty selection: everything wired
+	events := d.watchState(t, ctx, "") // empty selection: everything wired
 
 	if ev := nextEvent(t, events, "hello"); ev.name != "hello" {
 		t.Fatalf("first event = %q, want hello", ev.name)
@@ -101,7 +103,7 @@ func TestWatchStateSnapshotThenDeltas(t *testing.T) {
 			snap[ev.name] = ev
 		}
 	}
-	var delta nodesDelta
+	var delta api.NodesDelta
 	if err := json.Unmarshal([]byte(snap["nodes"].data), &delta); err != nil {
 		t.Fatalf("nodes snapshot: %v", err)
 	}
@@ -114,20 +116,20 @@ func TestWatchStateSnapshotThenDeltas(t *testing.T) {
 
 	// A state change arrives as a delta: only the drained node, no
 	// reset.
-	b.do(t, "POST", "/v1/nodes/node003/drain", nil, http.StatusAccepted)
+	d.do(t, "POST", "/v1/nodes/node003/drain", nil, http.StatusAccepted)
 	for {
 		ev := nextEvent(t, events, "nodes delta after drain")
 		if ev.name != "nodes" {
 			continue // plan/config may legitimately move too
 		}
-		var d nodesDelta
-		if err := json.Unmarshal([]byte(ev.data), &d); err != nil {
+		var nd api.NodesDelta
+		if err := json.Unmarshal([]byte(ev.data), &nd); err != nil {
 			t.Fatalf("nodes delta: %v", err)
 		}
-		if d.Reset {
+		if nd.Reset {
 			t.Fatalf("delta frame carries reset: %s", ev.data)
 		}
-		if len(d.Nodes) == 1 && d.Nodes[0].Name == "node003" && d.Nodes[0].Draining {
+		if len(nd.Nodes) == 1 && nd.Nodes[0].Name == "node003" && nd.Nodes[0].Draining {
 			break
 		}
 		t.Fatalf("unexpected nodes delta: %s", ev.data)
@@ -136,21 +138,20 @@ func TestWatchStateSnapshotThenDeltas(t *testing.T) {
 
 // TestWatchStateStreamValidation: unknown streams are rejected.
 func TestWatchStateStreamValidation(t *testing.T) {
-	b := newTestbed(t, 2, 2, 4096)
-	b.get(t, "/v1/watch/state?streams=bogus", http.StatusBadRequest)
-	b.get(t, "/v1/watch/state?streams=nodes,bogus", http.StatusBadRequest)
+	d := newDaemon(t, 2, 2, 4096)
+	d.get(t, "/v1/watch/state?streams=bogus", http.StatusBadRequest)
+	d.get(t, "/v1/watch/state?streams=nodes,bogus", http.StatusBadRequest)
 }
 
 // TestWatchStateHeartbeat: a quiet stream still emits keep-alive
 // comments at the configured period.
 func TestWatchStateHeartbeat(t *testing.T) {
-	b := newTestbed(t, 2, 2, 4096)
-	b.srv.heartbeat = 20 * time.Millisecond
-	b.srv.stateInterval = time.Hour // one snapshot, then silence
+	d := newDaemon(t, 2, 2, 4096)
+	d.srv.SetWatchPace(20*time.Millisecond, time.Hour, 0) // one snapshot, then silence
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	events := b.watchState(t, ctx, "?streams=nodes")
+	events := d.watchState(t, ctx, "?streams=nodes")
 	for {
 		if ev := nextEvent(t, events, "heartbeat"); ev.name == "heartbeat" {
 			return
@@ -187,9 +188,8 @@ func (g *gatedWriter) String() string {
 // never blocks (state keeps changing under it), and /metrics counts
 // the drop.
 func TestWatchStateSlowClientDropped(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.srv.stateBuffer = 1
-	b.srv.stateInterval = time.Millisecond
+	d := newDaemon(t, 4, 2, 4096)
+	d.srv.SetWatchPace(0, time.Millisecond, 1)
 
 	gate := make(chan struct{})
 	gw := &gatedWriter{gate: gate}
@@ -198,19 +198,19 @@ func TestWatchStateSlowClientDropped(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.srv.handleWatchState(gw, httptest.NewRequest("GET", "/v1/watch/state?streams=nodes", nil).WithContext(ctx))
+		d.srv.HandleWatchState(gw, httptest.NewRequest("GET", "/v1/watch/state?streams=nodes", nil).WithContext(ctx))
 	}()
 
 	// Keep the node set changing while the handler is stalled on its
 	// very first write: the 1-slot buffer fills and the next delta
 	// drops the subscriber.
 	deadline := time.Now().Add(20 * time.Second)
-	for b.srv.stateDrops.Load() == 0 && time.Now().Before(deadline) {
-		b.do(t, "POST", "/v1/nodes/node001/drain", nil, http.StatusAccepted)
-		b.do(t, "POST", "/v1/nodes/node001/undrain", nil, http.StatusOK)
+	for d.srv.StateDrops() == 0 && time.Now().Before(deadline) {
+		d.do(t, "POST", "/v1/nodes/node001/drain", nil, http.StatusAccepted)
+		d.do(t, "POST", "/v1/nodes/node001/undrain", nil, http.StatusOK)
 		time.Sleep(2 * time.Millisecond)
 	}
-	dropped := b.srv.stateDrops.Load()
+	dropped := d.srv.StateDrops()
 	close(gate) // un-stall the client; the handler can now say goodbye
 	if dropped == 0 {
 		cancel()
@@ -225,7 +225,7 @@ func TestWatchStateSlowClientDropped(t *testing.T) {
 	if out := gw.String(); !strings.Contains(out, "event: dropped") {
 		t.Fatalf("no terminal dropped event in the stream:\n%s", out)
 	}
-	text := string(b.get(t, "/metrics", http.StatusOK))
+	text := string(d.get(t, "/metrics", http.StatusOK))
 	if v := metricValue(t, text, "cwcs_state_watch_drops_total"); v < 1 {
 		t.Fatalf("cwcs_state_watch_drops_total = %g, want >= 1", v)
 	}
@@ -237,68 +237,69 @@ func TestWatchStateSlowClientDropped(t *testing.T) {
 // snapshot plus every later delta — converges to exactly what polling
 // /v1/nodes reports at quiescence.
 func TestWatchStateReconnectResyncMidEvacuation(t *testing.T) {
-	b := newTestbed(t, 40, 2, 4096)
-	b.srv.stateInterval = 2 * time.Millisecond
+	d := newDaemon(t, 40, 2, 4096)
+	const interval = 2 * time.Millisecond
+	d.srv.SetWatchPace(0, interval, 0)
 	var busy []string
 	for i := 0; i < 24; i++ {
 		busy = append(busy, fmt.Sprintf("node%03d", i))
 	}
 	for j := 0; j < 12; j++ {
-		b.place(fmt.Sprintf("job%02d", j), 4, 1, 1024, busy[j*2:j*2+2])
+		d.place(fmt.Sprintf("job%02d", j), 4, 1, 1024, busy[j*2:j*2+2])
 	}
-	b.advance(5)
+	d.advance(5)
 
 	// First client: sees the quiet snapshot, then its dashboard dies
 	// just as the evacuation starts.
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	events1 := b.watchState(t, ctx1, "?streams=nodes")
+	events1 := d.watchState(t, ctx1, "?streams=nodes")
 	nextEvent(t, events1, "hello")
-	var first nodesDelta
+	var first api.NodesDelta
 	if err := json.Unmarshal([]byte(nextEvent(t, events1, "first snapshot").data), &first); err != nil {
 		t.Fatal(err)
 	}
 	if !first.Reset || len(first.Nodes) != 40 {
 		t.Fatalf("first snapshot: reset=%v, %d nodes", first.Reset, len(first.Nodes))
 	}
-	b.do(t, "POST", "/v1/nodes/node000/drain", nil, http.StatusAccepted)
-	b.advance(10) // evacuation begins while the client is attached
+	d.do(t, "POST", "/v1/nodes/node000/drain", nil, http.StatusAccepted)
+	d.advance(10) // evacuation begins while the client is attached
 	cancel1()     // ... and the dashboard restarts mid-flight
 
-	b.advance(20) // state keeps moving with nobody watching
+	d.advance(20) // state keeps moving with nobody watching
 
 	// Reconnect and maintain a view: snapshot replaces everything,
 	// deltas update in place.
-	view := map[string]nodeJSON{}
+	view := map[string]api.NodeJSON{}
 	apply := func(ev sseEvent) {
 		if ev.name != "nodes" {
 			return
 		}
-		var d nodesDelta
-		if err := json.Unmarshal([]byte(ev.data), &d); err != nil {
+		var nd api.NodesDelta
+		if err := json.Unmarshal([]byte(ev.data), &nd); err != nil {
 			t.Fatalf("bad nodes frame: %v", err)
 		}
-		if d.Reset {
-			view = map[string]nodeJSON{}
+		if nd.Reset {
+			view = map[string]api.NodeJSON{}
 		}
-		for _, n := range d.Nodes {
+		for _, n := range nd.Nodes {
 			view[n.Name] = n
 		}
-		for _, name := range d.Removed {
+		for _, name := range nd.Removed {
 			delete(view, name)
 		}
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	events2 := b.watchState(t, ctx2, "?streams=nodes")
+	events2 := d.watchState(t, ctx2, "?streams=nodes")
 	apply(nextEvent(t, events2, "resync snapshot"))
 
 	// Drive the evacuation to completion, consuming deltas as they
 	// stream.
 	evacuated := false
 	for i := 0; i < 120 && !evacuated; i++ {
-		b.advance(10)
-		var st nodeJSON
-		if err := json.Unmarshal(b.get(t, "/v1/nodes/node000", http.StatusOK), &st); err != nil {
+		d.advance(10)
+		var st api.NodeJSON
+		if err := json.Unmarshal(d.get(t, "/v1/nodes/node000", http.StatusOK), &st); err != nil {
 			t.Fatal(err)
 		}
 		evacuated = st.Evacuated
@@ -324,12 +325,12 @@ func TestWatchStateReconnectResyncMidEvacuation(t *testing.T) {
 				t.Fatal("stream closed before quiescence")
 			}
 			apply(ev)
-		case <-time.After(20 * b.srv.stateInterval):
+		case <-time.After(20 * interval):
 			quiet = true
 		}
 	}
-	var polled []nodeJSON
-	if err := json.Unmarshal(b.get(t, "/v1/nodes", http.StatusOK), &polled); err != nil {
+	var polled []api.NodeJSON
+	if err := json.Unmarshal(d.get(t, "/v1/nodes", http.StatusOK), &polled); err != nil {
 		t.Fatal(err)
 	}
 	if len(polled) != len(view) {

@@ -1,4 +1,4 @@
-package api
+package api_test
 
 import (
 	"bufio"
@@ -10,34 +10,36 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cwcs/internal/api"
 	"cwcs/internal/core"
 	"cwcs/internal/obs"
 )
 
 // churn drives one reconfiguration episode: an overload arrival the
 // loop has to migrate away, producing spans across the pipeline.
-func (b *testbed) churn(t *testing.T) {
+func (d *daemon) churn(t *testing.T) {
 	t.Helper()
 	// Under the lock from the first write: scrapers may already be
 	// reading the configuration (TestConcurrentScrapesDuringChurn).
-	b.locked(func() {
-		b.place("ja", 2, 2, 1024, []string{"node000", "node000"})
-		b.loop.Notify(b.act, core.Event{
-			Kind: core.VMArrival, At: b.c.Now(),
+	d.locked(func() {
+		d.place("ja", 2, 2, 1024, []string{"node000", "node000"})
+		d.Feed(core.Event{
+			Kind: core.VMArrival, At: d.Cluster.Now(),
 			VMs: []string{"ja-vm0", "ja-vm1"}, Nodes: []string{"node000"},
 		})
 	})
-	b.advance(60)
+	d.advance(60)
 }
 
 func TestTraceEndpointJSONL(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.churn(t)
+	d := newDaemon(t, 4, 2, 4096)
+	d.churn(t)
 
-	resp, err := http.Get(b.ts.URL + "/v1/trace")
+	resp, err := http.Get(d.url + "/v1/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +75,20 @@ func TestTraceEndpointJSONL(t *testing.T) {
 	}
 
 	// limit caps the span count and keeps the newest.
-	limited := strings.Count(string(b.get(t, "/v1/trace?limit=2", http.StatusOK)), "\n")
+	limited := strings.Count(string(d.get(t, "/v1/trace?limit=2", http.StatusOK)), "\n")
 	if limited != 2 {
 		t.Errorf("limit=2 returned %d spans", limited)
 	}
-	b.get(t, "/v1/trace?limit=-1", http.StatusBadRequest)
-	b.get(t, "/v1/trace?limit=many", http.StatusBadRequest)
-	b.get(t, "/v1/trace?format=xml", http.StatusBadRequest)
+	d.get(t, "/v1/trace?limit=-1", http.StatusBadRequest)
+	d.get(t, "/v1/trace?limit=many", http.StatusBadRequest)
+	d.get(t, "/v1/trace?format=xml", http.StatusBadRequest)
 }
 
 func TestTraceEndpointChromeFormat(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.churn(t)
+	d := newDaemon(t, 4, 2, 4096)
+	d.churn(t)
 
-	body := b.get(t, "/v1/trace?format=chrome", http.StatusOK)
+	body := d.get(t, "/v1/trace?format=chrome", http.StatusOK)
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
@@ -106,14 +108,14 @@ func TestTraceEndpointChromeFormat(t *testing.T) {
 // a node through the control plane: the evacuation's spans must arrive
 // over the stream while the loop keeps running.
 func TestWatchStreamsLiveDrain(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	b.srv.heartbeat = 50 * time.Millisecond
-	b.place("ja", 2, 1, 1024, []string{"node000", "node001"})
-	b.advance(30) // bootstrap quietly
+	d := newDaemon(t, 4, 2, 4096)
+	d.srv.SetWatchPace(50*time.Millisecond, 0, 0)
+	d.place("ja", 2, 1, 1024, []string{"node000", "node001"})
+	d.advance(30) // bootstrap quietly
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", b.ts.URL+"/v1/watch", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", d.url+"/v1/watch", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +155,11 @@ func TestWatchStreamsLiveDrain(t *testing.T) {
 	}
 
 	// Drain node000: the loop evacuates it while the client listens.
-	b.do(t, "POST", "/v1/nodes/node000/drain", nil, http.StatusAccepted)
+	d.do(t, "POST", "/v1/nodes/node000/drain", nil, http.StatusAccepted)
 	deadline := time.After(25 * time.Second)
 	sawSpan := false
 	for !sawSpan {
-		b.advance(10)
+		d.advance(10)
 		select {
 		case ev, ok := <-events:
 			if !ok {
@@ -187,10 +189,10 @@ func TestWatchStreamsLiveDrain(t *testing.T) {
 // disconnected (its channel closes), the loop's publishing side never
 // blocks, and /metrics counts the drop.
 func TestWatchSlowClientDroppedNotBlocking(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	tr := b.srv.Trace
+	d := newDaemon(t, 4, 2, 4096)
+	tr := d.srv.Trace
 	slow := tr.Subscribe(1) // never drained, like a stalled SSE client
-	b.churn(t)              // many spans: must complete without blocking
+	d.churn(t)              // many spans: must complete without blocking
 
 	if tr.WatchDrops() == 0 {
 		t.Fatal("slow subscriber was never dropped")
@@ -204,7 +206,7 @@ func TestWatchSlowClientDroppedNotBlocking(t *testing.T) {
 	if !closed {
 		t.Fatal("slow subscriber's channel still open")
 	}
-	text := string(b.get(t, "/metrics", http.StatusOK))
+	text := string(d.get(t, "/metrics", http.StatusOK))
 	if v := metricValue(t, text, "cwcs_watch_drops_total"); v < 1 {
 		t.Fatalf("cwcs_watch_drops_total = %g, want >= 1", v)
 	}
@@ -217,10 +219,10 @@ func TestWatchSlowClientDroppedNotBlocking(t *testing.T) {
 // and consistent with _count, and label values are quoted and use only
 // the format's three escapes.
 func TestMetricsExpositionWellFormed(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	tr := b.srv.Trace
-	b.churn(t)
-	text := string(b.get(t, "/metrics", http.StatusOK))
+	d := newDaemon(t, 4, 2, 4096)
+	tr := d.srv.Trace
+	d.churn(t)
+	text := string(d.get(t, "/metrics", http.StatusOK))
 
 	helped := map[string]bool{}
 	typed := map[string]string{}
@@ -287,7 +289,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			t.Fatalf("line %d: bad sample value %q: %v", ln+1, value, err)
 		}
 		samples[family] = true
-		kv, err := parseLabelBlock(labels)
+		kv, err := api.ParseLabelBlock(labels)
 		if err != nil {
 			t.Fatalf("line %d: %v", ln+1, err)
 		}
@@ -334,15 +336,15 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 			t.Errorf("family %s has headers but no samples", family)
 		}
 	}
-	for _, f := range b.srv.metricFamilies() {
-		if len(f.samples) == 0 {
-			if typed[f.name] != "" {
-				t.Errorf("family %s has no samples but left headers in the exposition", f.name)
+	for _, f := range d.srv.MetricFamilies() {
+		if len(f.Series) == 0 {
+			if typed[f.Name] != "" {
+				t.Errorf("family %s has no samples but left headers in the exposition", f.Name)
 			}
 			continue
 		}
-		if !samples[f.name] {
-			t.Errorf("registry family %s missing from exposition", f.name)
+		if !samples[f.Name] {
+			t.Errorf("registry family %s missing from exposition", f.Name)
 		}
 	}
 	for _, h := range tr.Histograms() {
@@ -362,8 +364,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 // several goroutines while the simulator churns, as a -race probe of
 // the lock-free ring and the histogram snapshots.
 func TestConcurrentScrapesDuringChurn(t *testing.T) {
-	b := newTestbed(t, 4, 2, 4096)
-	tr := b.srv.Trace
+	d := newDaemon(t, 4, 2, 4096)
+	tr := d.srv.Trace
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, path := range []string{"/metrics", "/v1/trace", "/v1/trace?format=chrome"} {
@@ -376,7 +378,7 @@ func TestConcurrentScrapesDuringChurn(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(b.ts.URL + p)
+				resp, err := http.Get(d.url + p)
 				if err != nil {
 					t.Errorf("GET %s: %v", p, err)
 					return
@@ -405,17 +407,71 @@ func TestConcurrentScrapesDuringChurn(t *testing.T) {
 		}
 	}()
 
-	b.churn(t)
+	d.churn(t)
 	for i := 0; i < 5; i++ {
-		b.locked(func() {
-			b.loop.Notify(b.act, core.Event{
-				Kind: core.LoadChange, At: b.c.Now(), VMs: []string{"ja-vm0"},
+		d.locked(func() {
+			d.Feed(core.Event{
+				Kind: core.LoadChange, At: d.Cluster.Now(), VMs: []string{"ja-vm0"},
 			})
 		})
-		b.advance(20)
+		d.advance(20)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestLabelValuesScrapeRoundTrip: a vjob with an awkward name
+// overloads node000 until the loop migrates it; the ledger charges it,
+// so its name reaches the scrape as a label value the strict parser
+// reads back.
+func TestLabelValuesScrapeRoundTrip(t *testing.T) {
+	d := newDaemon(t, 4, 2, 4096)
+	name := "all\t\u00a0\"\\\nof them"
+	d.place(name, 2, 2, 1024, []string{"node000", "node000"})
+	d.locked(func() {
+		d.Feed(core.Event{
+			Kind: core.VMArrival, At: d.Cluster.Now(),
+			VMs: []string{name + "-vm0", name + "-vm1"}, Nodes: []string{"node000"},
+		})
+	})
+	d.advance(60)
+	text := string(d.get(t, "/metrics", http.StatusOK))
+	charged := false
+	for ln, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		_, block, _ := splitSample(t, ln+1, line)
+		kv, err := api.ParseLabelBlock(block)
+		if err != nil {
+			t.Fatalf("line %d %q: %v", ln+1, line, err)
+		}
+		charged = charged || kv["vjob"] == name
+	}
+	if !charged {
+		t.Fatalf("no series charges vjob %q:\n%s", name, text)
+	}
+}
+
+// TestMetricsScrapeEntersExecOnce: one GET /metrics reads the loop's
+// counters and the node gauges under one Exec, so the page describes
+// one instant of the cluster and stops the simulator once.
+func TestMetricsScrapeEntersExecOnce(t *testing.T) {
+	d := newDaemon(t, 4, 2, 4096)
+	d.place("ja", 2, 1, 1024, []string{"node000", "node001"})
+	d.advance(60)
+	var calls atomic.Int32
+	exec := d.srv.Exec
+	d.srv.Exec = func(fn func()) {
+		calls.Add(1)
+		exec(fn)
+	}
+	for scrape := 1; scrape <= 2; scrape++ {
+		d.get(t, "/metrics", http.StatusOK)
+		if n := calls.Swap(0); n != 1 {
+			t.Fatalf("scrape %d entered Exec %d times, want 1", scrape, n)
+		}
+	}
 }
 
 var metricNameRe = regexp.MustCompile(`^[a-z_]+$`)

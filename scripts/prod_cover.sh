@@ -5,7 +5,8 @@
 # (cmd/experiments, cmd/entropyd, cmd/planviz, examples/*, and the
 # benchmark from its own module directory, unedited), runs what they
 # run in use — `experiments all -quick`, entropyd periodic and
-# event-driven, each example, planviz on its example cluster, each
+# event-driven, entropyd -listen under a fixed replay of operator
+# requests (below), each example, planviz on its example cluster, each
 # benchmark workload for 2 s with the harness's spans off and on (on
 # also measures the per-layer metrics, cp.Solver.Minimize among them)
 # — and writes the per-function coverage of internal/ to
@@ -15,7 +16,17 @@
 # never takes, so prod-cover-blocks.txt lists every coverage block of
 # internal/ that no binary ran, by file, the file with the most
 # never-run statements first, each line "start,end statements". One to
-# three minutes.
+# two minutes (75 s on a 2-core Xeon VM with a warm build cache).
+#
+# The replay starts `entropyd -listen 127.0.0.1:0 -workers 1`, reads
+# the address it bound from its output and sends, with curl, requests
+# whose answer does not depend on how far virtual time has run: every
+# GET route, the two event streams each cut by --max-time, a drain and
+# an undrain, a malformed body, an unknown node, a valid event batch,
+# and a vjob too large for any node, which stays waiting and so can
+# always be withdrawn. A step that gets another status fails the
+# census. Then SIGTERM: the daemon must have exited, with status 0,
+# within 10 s. A trap kills it and waits on every other exit.
 #
 # With --check it is a gate: every function at 0 % must be listed in
 # scripts/prod_cover_zero.txt (one "file:function reason" a line, the
@@ -26,7 +37,15 @@
 set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
-trap 'rm -rf "$work"' EXIT
+daemon=
+cleanup() {
+	if [ -n "$daemon" ]; then
+		kill -KILL "$daemon" 2>/dev/null || true
+		wait "$daemon" 2>/dev/null || true
+	fi
+	rm -rf "$work"
+}
+trap cleanup EXIT
 mkdir -p "$work/bin" "$work/cov"
 build() { go build -cover -coverpkg=cwcs/... -o "$work/bin/$1" "$2"; }
 cd "$root"
@@ -39,6 +58,70 @@ run() { echo "== $*" >&2; "$work/bin/$@" >/dev/null; }
 run experiments all -quick
 run entropyd -workers 2
 run entropyd -workers 2 -event-driven
+
+echo "== entropyd -listen 127.0.0.1:0 -workers 1, with the request replay" >&2
+"$work/bin/entropyd" -listen 127.0.0.1:0 -workers 1 >"$work/daemon.out" &
+daemon=$!
+addr=
+for _ in $(seq 100); do
+	addr=$(sed -n 's/^control plane listening on //p' "$work/daemon.out")
+	if [ -n "$addr" ]; then break; fi
+	sleep 0.1
+done
+if [ -z "$addr" ]; then
+	echo "entropyd -listen printed no address within 10 s" >&2
+	exit 1
+fi
+# want method path [body]
+req() {
+	local got
+	got=$(curl -s -o /dev/null -w '%{http_code}' -X "$2" ${4+--data "$4"} "http://$addr$3" || true)
+	if [ "$got" != "$1" ]; then
+		echo "$2 $3: status $got, want $1" >&2
+		exit 1
+	fi
+}
+# path: an event stream, read until --max-time cuts it (curl exit 28)
+stream() {
+	local rc=0
+	curl -s -N --max-time 1 -o /dev/null "http://$addr$1" || rc=$?
+	if [ "$rc" != 28 ]; then
+		echo "GET $1: curl exit $rc, want 28 (cut by --max-time)" >&2
+		exit 1
+	fi
+}
+for p in /healthz /v1/config /v1/stats /v1/plan /metrics /v1/trace '/v1/trace?format=chrome' \
+	/v1/violations /v1/solver /v1/nodes /v1/nodes/node00; do
+	req 200 GET "$p"
+done
+stream /v1/watch
+stream '/v1/watch/state?streams=nodes,plan,config'
+req 202 POST /v1/nodes/node00/drain
+req 200 POST /v1/nodes/node00/undrain
+req 400 POST /v1/vjobs '{'
+req 404 GET /v1/nodes/ghost
+req 202 POST /v1/events '[{"kind":"load-change","nodes":["node00"]}]'
+req 202 POST /v1/vjobs '{"name":"census","vms":[{"name":"census-0","cpu":64,"memory":1048576}]}'
+req 200 DELETE /v1/vjobs/census
+# A daemon that exited stays a zombie until waited on.
+exited() { case $(ps -o stat= -p "$daemon" || true) in Z* | '') return 0 ;; esac; return 1; }
+kill -TERM "$daemon"
+for _ in $(seq 100); do
+	if exited; then break; fi
+	sleep 0.1
+done
+if ! exited; then
+	echo "entropyd had not exited 10 s after SIGTERM" >&2
+	exit 1
+fi
+status=0
+wait "$daemon" || status=$?
+daemon=
+if [ "$status" != 0 ]; then
+	echo "entropyd exited with status $status after SIGTERM" >&2
+	exit 1
+fi
+
 for e in $examples; do run "$e"; done
 "$work/bin/planviz" -example >"$work/cluster.json"
 run planviz -timeout 1s "$work/cluster.json"
