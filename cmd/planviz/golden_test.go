@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -82,42 +81,37 @@ func TestGoldenRepairedPlan(t *testing.T) {
 }
 
 // TestVectorSpec pins the multi-dimensional input path: extra
-// dimensions parse into capacities/demands, drive the solve (two
-// net-heavy VMs must separate), and bad extras are rejected with the
-// same strictness as the vjob wire format.
+// dimensions parse into capacities and demands, drive the solve (two
+// net-heavy VMs must separate), and bad extras are refused as the vjob
+// wire format refuses them.
 func TestVectorSpec(t *testing.T) {
-	v, err := vector("node n", 2, 4096, map[string]int{"net": 100, "disk": 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Get(resources.NetBW) != 100 || v.Get(resources.DiskIO) != 50 || v.Get(resources.CPU) != 2 {
-		t.Fatalf("vector = %s", v)
-	}
-	for _, bad := range []map[string]int{
-		{"tape": 1}, {"cpu": 1}, {"net": -1},
-	} {
-		if _, err := vector("x", 1, 1, bad); err == nil {
-			t.Fatalf("accepted %v", bad)
-		}
-	}
-	if _, err := vector("x", -1, 1, nil); err == nil {
-		t.Fatal("accepted negative cpu")
-	}
-
-	spec := clusterSpec{}
-	data := []byte(`{
-	  "nodes": [{"name":"n1","cpu":4,"memory":8192,"resources":{"net":100}},
+	prob, err := load([]byte(`{
+	  "nodes": [{"name":"n1","cpu":4,"memory":8192,"resources":{"net":100,"disk":50}},
 	            {"name":"n2","cpu":4,"memory":8192,"resources":{"net":100}}],
 	  "vms": [{"name":"v1","vjob":"j","cpu":1,"memory":512,"resources":{"net":60},"state":"running","node":"n1"},
-	          {"name":"v2","vjob":"j","cpu":1,"memory":512,"resources":{"net":60},"state":"running","node":"n1"}]}`)
-	if err := json.Unmarshal(data, &spec); err != nil {
-		t.Fatal(err)
-	}
-	cfg, targets, err := build(spec)
+	          {"name":"v2","vjob":"j","cpu":1,"memory":512,"resources":{"net":60},"state":"running","node":"n1"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Optimizer{Workers: 1}.Solve(core.Problem{Src: cfg, Target: targets})
+	want, err := resources.FromWire(4, 8192, map[string]int{"net": 100, "disk": 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prob.Src.Node("n1").Capacity; got != want {
+		t.Fatalf("n1 capacity = %s, want %s", got, want)
+	}
+	for _, bad := range []string{
+		`{"nodes":[{"name":"n","cpu":1,"memory":1,"resources":{"tape":1}}]}`,
+		`{"nodes":[{"name":"n","cpu":1,"memory":1,"resources":{"cpu":1}}]}`,
+		`{"nodes":[{"name":"n","cpu":1,"memory":1,"resources":{"net":-1}}]}`,
+		`{"vms":[{"name":"v","cpu":-1,"memory":1}]}`,
+	} {
+		if _, err := load([]byte(bad)); err == nil {
+			t.Fatalf("accepted %s", bad)
+		}
+	}
+
+	res, err := core.Optimizer{Workers: 1}.Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,21 @@
-// Command planviz loads a cluster description from JSON, computes the
+// Command planviz loads a cluster from JSON, computes the
 // reconfiguration the requested vjob states imply, and pretty-prints
 // the optimized plan: the pools, the actions with their local and
 // accumulated costs, and the resulting configuration.
 //
-// Input format (see examples/cluster.json emitted by -example):
+// The input is a GET /v1/config body, which vjob.Configuration
+// decodes, plus optional "targets" and "rules" (-example prints one):
 //
 //	{
 //	  "nodes": [{"name": "n1", "cpu": 2, "memory": 4096}, ...],
 //	  "vms": [{"name": "vm1", "vjob": "j1", "cpu": 1, "memory": 1024,
 //	           "state": "running", "node": "n1"}, ...],
-//	  "targets": {"j1": "sleeping", "j2": "running"}
+//	  "targets": {"j1": "sleeping", "j2": "running"},
+//	  "rules": [{"type": "spread", "vms": ["vm1", "vm2"]}]
 //	}
 //
-// Nodes and VMs may additionally carry extra resource dimensions in a
-// "resources" object ({"net": 1000, "disk": 600}, wire names from
-// internal/resources); the optimizer then packs those dimensions too.
+// Extra resource dimensions ride in a "resources" object ({"net":
+// 1000}). A node or VM with an empty name is refused.
 package main
 
 import (
@@ -22,36 +23,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
-type clusterSpec struct {
-	Nodes []struct {
-		Name   string `json:"name"`
-		CPU    int    `json:"cpu"`
-		Memory int    `json:"memory"`
-		// Resources carries extra dimensions (net, disk) by wire name.
-		Resources map[string]int `json:"resources"`
-	} `json:"nodes"`
-	VMs []struct {
-		Name      string         `json:"name"`
-		VJob      string         `json:"vjob"`
-		CPU       int            `json:"cpu"`
-		Memory    int            `json:"memory"`
-		Resources map[string]int `json:"resources"`
-		State     string         `json:"state"`
-		Node      string         `json:"node"`
-	} `json:"vms"`
-	Targets map[string]string `json:"targets"`
-	// Rules are optional placement constraints: {"type": "spread" |
-	// "ban" | "fence" | "gather", "vms": [...], "nodes": [...]}.
-	Rules []ruleSpec `json:"rules"`
-}
-
+// ruleSpec is a placement rule: "spread", "ban", "fence" or "gather".
 type ruleSpec struct {
 	Type  string   `json:"type"`
 	VMs   []string `json:"vms"`
@@ -104,26 +83,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var spec clusterSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", flag.Arg(0), err))
-	}
-	cfg, targets, err := build(spec)
+	prob, err := load(data)
 	if err != nil {
-		fatal(err)
-	}
-	var rules []core.PlacementRule
-	for _, r := range spec.Rules {
-		rule, err := r.compile()
-		if err != nil {
-			fatal(err)
-		}
-		rules = append(rules, rule)
+		fatal(fmt.Errorf("parsing %s: %w", flag.Arg(0), err))
 	}
 
 	fmt.Println("current configuration:")
-	fmt.Print(indent(cfg.String()))
-	res, err := core.Optimizer{Timeout: *timeout}.Solve(core.Problem{Src: cfg, Target: targets, Rules: rules})
+	fmt.Print(indent(prob.Src.String()))
+	res, err := core.Optimizer{Timeout: *timeout}.Solve(prob)
 	if err != nil {
 		fatal(err)
 	}
@@ -135,91 +102,47 @@ func main() {
 	fmt.Print(indent(res.Dst.String()))
 }
 
-func build(spec clusterSpec) (*vjob.Configuration, map[string]vjob.State, error) {
-	cfg := vjob.NewConfiguration()
-	for _, n := range spec.Nodes {
-		cap, err := vector(fmt.Sprintf("node %s", n.Name), n.CPU, n.Memory, n.Resources)
+// load decodes a cluster document into the problem it poses: the nodes
+// and VMs through vjob.Configuration, the targets and rules here.
+func load(data []byte) (core.Problem, error) {
+	prob := core.Problem{Src: new(vjob.Configuration)}
+	if err := json.Unmarshal(data, prob.Src); err != nil {
+		return core.Problem{}, err
+	}
+	var spec struct {
+		Targets map[string]string `json:"targets"`
+		Rules   []ruleSpec        `json:"rules"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return core.Problem{}, err
+	}
+	prob.Target = make(map[string]vjob.State, len(spec.Targets))
+	for job, name := range spec.Targets {
+		st, err := vjob.ParseState(name)
 		if err != nil {
-			return nil, nil, err
+			return core.Problem{}, fmt.Errorf("target %s: %w", job, err)
 		}
-		cfg.AddNode(vjob.NewNodeRes(n.Name, cap))
+		prob.Target[job] = st
 	}
-	for _, v := range spec.VMs {
-		demand, err := vector(fmt.Sprintf("vm %s", v.Name), v.CPU, v.Memory, v.Resources)
+	for _, r := range spec.Rules {
+		rule, err := r.compile()
 		if err != nil {
-			return nil, nil, err
+			return core.Problem{}, err
 		}
-		cfg.AddVM(vjob.NewVMRes(v.Name, v.VJob, demand))
-		switch v.State {
-		case "running":
-			if err := cfg.SetRunning(v.Name, v.Node); err != nil {
-				return nil, nil, err
-			}
-		case "sleeping":
-			if err := cfg.SetSleeping(v.Name, v.Node); err != nil {
-				return nil, nil, err
-			}
-		case "waiting", "":
-		default:
-			return nil, nil, fmt.Errorf("vm %s: unknown state %q", v.Name, v.State)
-		}
+		prob.Rules = append(prob.Rules, rule)
 	}
-	targets := map[string]vjob.State{}
-	for job, st := range spec.Targets {
-		switch st {
-		case "running":
-			targets[job] = vjob.Running
-		case "sleeping":
-			targets[job] = vjob.Sleeping
-		case "terminated":
-			targets[job] = vjob.Terminated
-		case "waiting":
-			targets[job] = vjob.Waiting
-		default:
-			return nil, nil, fmt.Errorf("target %s: unknown state %q", job, st)
-		}
-	}
-	return cfg, targets, nil
+	return prob, nil
 }
 
+// indent prefixes every line of s with two spaces.
 func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "  " + line + "\n"
+	if s == "" {
+		return ""
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			lines = append(lines, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		lines = append(lines, cur)
-	}
-	return lines
+	return "  " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n  ") + "\n"
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "planviz:", err)
 	os.Exit(1)
-}
-
-// vector assembles a resource vector from the dedicated cpu/memory
-// fields plus the extras map through resources.FromWire, the single
-// home of the wire format's strictness (unknown kinds, duplicated base
-// kinds and negative quantities are rejected).
-func vector(what string, cpu, memory int, extras map[string]int) (resources.Vector, error) {
-	v, err := resources.FromWire(cpu, memory, extras)
-	if err != nil {
-		return resources.Vector{}, fmt.Errorf("%s: %w", what, err)
-	}
-	return v, nil
 }

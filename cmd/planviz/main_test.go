@@ -2,34 +2,27 @@ package main
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cwcs/internal/core"
+	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
-func parseSpec(t *testing.T, raw string) clusterSpec {
-	t.Helper()
-	var spec clusterSpec
-	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
-		t.Fatal(err)
-	}
-	return spec
-}
-
 func TestExampleSpecSolves(t *testing.T) {
-	spec := parseSpec(t, exampleSpec)
-	cfg, targets, err := build(spec)
+	prob, err := load([]byte(exampleSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumNodes() != 3 || cfg.NumVMs() != 3 {
-		t.Fatalf("parsed %d nodes, %d vms", cfg.NumNodes(), cfg.NumVMs())
+	if prob.Src.NumNodes() != 3 || prob.Src.NumVMs() != 3 || len(prob.Rules) != 0 {
+		t.Fatalf("parsed %d nodes, %d vms, %d rules", prob.Src.NumNodes(), prob.Src.NumVMs(), len(prob.Rules))
 	}
-	if targets["j2"] != vjob.Sleeping || targets["j3"] != vjob.Running {
-		t.Fatalf("targets = %v", targets)
+	if prob.Target["j2"] != vjob.Sleeping || prob.Target["j3"] != vjob.Running {
+		t.Fatalf("targets = %v", prob.Target)
 	}
-	res, err := core.Optimizer{}.Solve(core.Problem{Src: cfg, Target: targets})
+	res, err := core.Optimizer{}.Solve(prob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +37,81 @@ func TestBuildErrors(t *testing.T) {
 		"unknown node":         `{"vms":[{"name":"v","cpu":1,"memory":1,"state":"running","node":"ghost"}]}`,
 		"unknown sleep node":   `{"vms":[{"name":"v","cpu":1,"memory":1,"state":"sleeping","node":"ghost"}]}`,
 		"unknown target state": `{"nodes":[{"name":"n1","cpu":1,"memory":10}],"targets":{"j":"flying"}}`,
+		"empty target state":   `{"targets":{"j":""}}`,
+		"empty node name":      `{"nodes":[{"name":"","cpu":1,"memory":10}]}`,
+		"empty vm name":        `{"nodes":[{"name":"n1","cpu":1,"memory":10}],"vms":[{"name":"","cpu":1,"memory":1,"state":"running","node":"n1"}]}`,
+		"unknown rule type":    `{"rules":[{"type":"affinity","vms":["v"]}]}`,
 	}
 	for name, raw := range cases {
-		spec := parseSpec(t, raw)
-		if _, _, err := build(spec); err == nil {
+		if _, err := load([]byte(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
 func TestTargetStates(t *testing.T) {
-	spec := parseSpec(t, `{"targets":{"a":"running","b":"sleeping","c":"terminated","d":"waiting"}}`)
-	_, targets, err := build(spec)
+	prob, err := load([]byte(`{"targets":{"a":"running","b":"sleeping","c":"terminated","d":"waiting"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]vjob.State{
 		"a": vjob.Running, "b": vjob.Sleeping, "c": vjob.Terminated, "d": vjob.Waiting,
 	}
-	for job, st := range want {
-		if targets[job] != st {
-			t.Errorf("target %s = %v, want %v", job, targets[job], st)
+	if !reflect.DeepEqual(prob.Target, want) {
+		t.Errorf("targets = %v, want %v", prob.Target, want)
+	}
+}
+
+// TestLoadReadsConfigBody: planviz's input is the GET /v1/config body
+// plus targets and rules. A configuration with an extra dimension, a
+// sleeping VM, a waiting VM and a VM of no vjob, marshalled as the
+// daemon serves it, loads back Equal, with the targets and rules the
+// document adds.
+func TestLoadReadsConfigBody(t *testing.T) {
+	want := vjob.NewConfiguration()
+	for _, n := range []string{"n1", "n2"} {
+		cap, err := resources.FromWire(2, 4096, map[string]int{"net": 1000})
+		if err != nil {
+			t.Fatal(err)
 		}
+		want.AddNode(vjob.NewNodeRes(n, cap))
+	}
+	web, err := resources.FromWire(1, 1024, map[string]int{"net": 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.AddVM(vjob.NewVMRes("web", "j1", web))
+	want.AddVM(vjob.NewVM("batch", "j2", 1, 512))
+	want.AddVM(vjob.NewVM("queued", "j3", 1, 512))
+	want.AddVM(vjob.NewVM("loner", "", 0, 256))
+	for _, err := range []error{
+		want.SetRunning("web", "n1"),
+		want.SetSleeping("batch", "n2"),
+		want.SetRunning("loner", "n2"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := strings.TrimSuffix(string(body), "}") +
+		`,"targets":{"j2":"running","j3":"running"},"rules":[{"type":"ban","vms":["queued"],"nodes":["n1"]}]}`
+
+	prob, err := load([]byte(doc))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, doc)
+	}
+	if !prob.Src.Equal(want) {
+		t.Fatalf("loaded configuration differs:\n%s\nwant\n%s", prob.Src, want)
+	}
+	if want := map[string]vjob.State{"j2": vjob.Running, "j3": vjob.Running}; !reflect.DeepEqual(prob.Target, want) {
+		t.Fatalf("targets = %v", prob.Target)
+	}
+	if want := []core.PlacementRule{core.Ban{VMs: []string{"queued"}, Nodes: []string{"n1"}}}; !reflect.DeepEqual(prob.Rules, want) {
+		t.Fatalf("rules = %#v", prob.Rules)
 	}
 }
 
@@ -103,5 +149,11 @@ func TestIndent(t *testing.T) {
 	}
 	if got := indent("tail"); got != "  tail\n" {
 		t.Fatalf("indent without newline = %q", got)
+	}
+	if got := indent("a\n\nb\n"); got != "  a\n  \n  b\n" {
+		t.Fatalf("indent of a blank line = %q", got)
+	}
+	if got := indent(""); got != "" {
+		t.Fatalf("indent of nothing = %q", got)
 	}
 }

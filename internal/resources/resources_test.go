@@ -2,6 +2,7 @@ package resources
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -104,53 +105,64 @@ func TestVectorString(t *testing.T) {
 	}
 }
 
-func TestVectorJSONRoundTrip(t *testing.T) {
-	v := New(2, 4096)
-	v.Set(DiskIO, 50)
-	data, err := json.Marshal(v)
+func TestParseVector(t *testing.T) {
+	v, err := ParseVector(map[string]int{"cpu": 2, "memory": 4096, "disk": 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Registry order, zeros omitted.
-	if string(data) != `{"cpu":2,"memory":4096,"disk":50}` {
-		t.Fatalf("encoding = %s", data)
+	want := New(2, 4096)
+	want.Set(DiskIO, 50)
+	if v != want {
+		t.Fatalf("ParseVector = %s", v)
 	}
-	var back Vector
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
+	if v, err := ParseVector(nil); err != nil || v != (Vector{}) {
+		t.Fatalf("nil map: %s, %v", v, err)
 	}
-	if back != v {
-		t.Fatalf("round trip changed %v -> %v", v, back)
-	}
-	var zero Vector
-	data, err = json.Marshal(zero)
-	if err != nil || string(data) != "{}" {
-		t.Fatalf("zero encodes to %s (%v)", data, err)
+	for _, tc := range []struct {
+		m    map[string]int
+		want string
+	}{
+		// Sorted keys: the same map draws the same error every time.
+		{map[string]int{"net": -1, "disk": 1, "tape": 1, "cpu": 1}, "negative net"},
+	} {
+		for i := 0; i < 8; i++ {
+			if _, err := ParseVector(tc.m); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ParseVector(%v) = %v, want an error naming %q", tc.m, err, tc.want)
+			}
+		}
 	}
 }
 
-func TestVectorJSONRejects(t *testing.T) {
-	var v Vector
-	if err := json.Unmarshal([]byte(`{"tape":3}`), &v); err == nil {
-		t.Fatal("unknown kind accepted")
+// parseWire decodes a JSON object the way the configuration document's
+// extras map arrives and hands it to ParseVector.
+func parseWire(doc string) (Vector, error) {
+	var m map[string]int
+	if err := json.Unmarshal([]byte(doc), &m); err != nil {
+		return Vector{}, err
 	}
-	if err := json.Unmarshal([]byte(`[1,2]`), &v); err == nil {
+	return ParseVector(m)
+}
+
+func TestVectorJSONRejects(t *testing.T) {
+	if _, err := parseWire(`{"tape":3}`); err == nil || !strings.Contains(err.Error(), `unknown resource kind "tape"`) {
+		t.Fatalf("unknown kind: %v", err)
+	}
+	if _, err := parseWire(`[1,2]`); err == nil {
 		t.Fatal("non-object accepted")
 	}
-	// A valid decode replaces previous content entirely.
-	v.Set(CPU, 9)
-	if err := json.Unmarshal([]byte(`{"net":7}`), &v); err != nil {
+	// A valid parse holds only what the map names.
+	v, err := parseWire(`{"net":7}`)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Get(CPU) != 0 || v.Get(NetBW) != 7 {
-		t.Fatalf("decode merged instead of replacing: %v", v)
+		t.Fatalf("parse = %v", v)
 	}
 }
 
 func TestVectorJSONRejectsNegative(t *testing.T) {
-	var v Vector
-	if err := json.Unmarshal([]byte(`{"cpu":-5}`), &v); err == nil {
-		t.Fatal("negative quantity accepted")
+	if _, err := parseWire(`{"cpu":-5}`); err == nil || !strings.Contains(err.Error(), "negative cpu") {
+		t.Fatalf("negative quantity: %v", err)
 	}
 }
 

@@ -49,8 +49,20 @@ func (t *Testbed) ControlPlane(mu *sync.Mutex) *api.Server {
 		Submit:           t.submit,
 		Withdraw:         t.withdraw,
 		ViolationSeconds: t.ledger.Total,
-		QueueDepth:       func() int { return len(t.jobs) },
+		QueueDepth:       t.queueDepth,
 	}
+}
+
+// queueDepth counts the vjobs of the loop's queue that are not done; a
+// vjob of service VMs, which never finish, always counts.
+func (t *Testbed) queueDepth() int {
+	n := 0
+	for _, j := range t.Jobs() {
+		if !t.Cluster.VJobDone(j) {
+			n++
+		}
+	}
+	return n
 }
 
 // submit is POST /v1/vjobs: the vjob joins the queue behind everything

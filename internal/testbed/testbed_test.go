@@ -372,3 +372,39 @@ func TestControlPlaneServes(t *testing.T) {
 	do("GET", "/v1/trace", "", http.StatusOK)
 	do("GET", "/v1/violations", "", http.StatusOK)
 }
+
+// TestQueueDepthCountsUnfinished: the queue-depth gauge counts the
+// vjobs of the loop's queue that are not done. Once a workload has run
+// to completion /v1/stats and /metrics read 0; a vjob of service VMs,
+// which never finish, still counts.
+func TestQueueDepthCountsUnfinished(t *testing.T) {
+	o := quickOptions()
+	o.StopWhenDone = true
+	o.Horizon = 5000
+	tb := New(o)
+	srv := tb.ControlPlane(&sync.Mutex{})
+	if srv.QueueDepth() != 3 {
+		t.Fatalf("queue depth %d before the run, want 3", srv.QueueDepth())
+	}
+	if s := tb.Run(); s.Completed != 3 {
+		t.Fatalf("%d of %d vjobs completed", s.Completed, s.Arrived)
+	}
+	h := srv.Handler()
+	get := func(path string) string {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w.Body.String()
+	}
+	if stats := get("/v1/stats"); !strings.Contains(stats, `"queueDepth":0`) {
+		t.Fatalf("stats after the run: %s", stats)
+	}
+	if metrics := get("/metrics"); !strings.Contains(metrics, "\ncwcs_queue_depth 0\n") {
+		t.Fatalf("metrics after the run lack cwcs_queue_depth 0:\n%s", metrics)
+	}
+	if err := srv.Submit(api.VJobSpec{Name: "svc", VMs: []api.VMSpec{{Name: "svc-0", CPU: 1, Memory: 512}}}); err != nil {
+		t.Fatal(err)
+	}
+	if srv.QueueDepth() != 1 {
+		t.Fatalf("queue depth %d with a service vjob, want 1", srv.QueueDepth())
+	}
+}

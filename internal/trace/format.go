@@ -61,18 +61,10 @@ type Record struct {
 	Demand map[string]int `json:"demand,omitempty"`
 }
 
-// Vector converts the record's demand map to a resource vector. It
-// assumes a Decode-validated record; unknown kinds are an error.
+// Vector converts the record's demand map to a resource vector through
+// resources.ParseVector, the check Decode applies to every demand.
 func (r Record) Vector() (resources.Vector, error) {
-	var v resources.Vector
-	for name, x := range r.Demand {
-		k, err := resources.ParseKind(name)
-		if err != nil {
-			return v, err
-		}
-		v.Set(k, x)
-	}
-	return v, nil
+	return resources.ParseVector(r.Demand)
 }
 
 // Decode reads a JSONL trace stream and returns its records, strictly
@@ -139,13 +131,8 @@ func validate(rec Record, prev float64, live, gone map[string]bool) error {
 	if rec.At != rec.At { // NaN
 		return fmt.Errorf("time is NaN")
 	}
-	for name, x := range rec.Demand {
-		if _, err := resources.ParseKind(name); err != nil {
-			return err
-		}
-		if x < 0 {
-			return fmt.Errorf("negative %s demand %d for %s", name, x, rec.VM)
-		}
+	if _, err := rec.Vector(); err != nil {
+		return fmt.Errorf("%w demand for %s", err, rec.VM)
 	}
 	switch rec.Event {
 	case EventArrive:

@@ -316,6 +316,19 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
+func TestParseState(t *testing.T) {
+	for _, s := range []State{Waiting, Running, Sleeping, Terminated} {
+		if got, err := ParseState(s.String()); err != nil || got != s {
+			t.Errorf("ParseState(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	for _, name := range []string{"", "invalid", "Running", "flying"} {
+		if _, err := ParseState(name); err == nil {
+			t.Errorf("ParseState(%q) accepted", name)
+		}
+	}
+}
+
 func TestNewVJobStampsVMs(t *testing.T) {
 	j := NewVJob("j", 3, NewVM("a", "", 1, 512), NewVM("b", "", 0, 2048))
 	for _, v := range j.VMs {

@@ -32,6 +32,22 @@ func FuzzConfigurationJSON(f *testing.F) {
 	f.Add([]byte(`{"nodes":[{"name":"n1","cpu":2,"memory":4096,"resources":{"tape":5}}],"vms":[]}`))
 	f.Add([]byte(`{"nodes":[{"name":"n1","cpu":2,"memory":4096,"resources":{"cpu":9}}],"vms":[]}`))
 	f.Add([]byte(`{"nodes":[{"name":"n1","cpu":1,"memory":1,"resources":{"net":-3}}],"vms":[]}`))
+	// The document cmd/planviz reads: what -example prints, plus a
+	// rule. The decoder must skip the targets and rules it does not own.
+	f.Add([]byte(`{
+  "nodes": [
+    {"name": "n1", "cpu": 1, "memory": 3072},
+    {"name": "n2", "cpu": 1, "memory": 3072},
+    {"name": "n3", "cpu": 1, "memory": 3072}
+  ],
+  "vms": [
+    {"name": "vm1", "vjob": "j1", "cpu": 1, "memory": 2048, "state": "running", "node": "n1"},
+    {"name": "vm2", "vjob": "j2", "cpu": 1, "memory": 2048, "state": "running", "node": "n2"},
+    {"name": "vm3", "vjob": "j3", "cpu": 1, "memory": 1024, "state": "waiting"}
+  ],
+  "targets": {"j2": "sleeping", "j3": "running"},
+  "rules": [{"type": "ban", "vms": ["vm3"], "nodes": ["n1"]}]
+}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Configuration

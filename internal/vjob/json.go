@@ -7,8 +7,8 @@ import (
 	"cwcs/internal/resources"
 )
 
-// configJSON is the serialized form of a Configuration, the format
-// understood by cmd/planviz and cmd/entropyd.
+// configJSON is the serialized form of a Configuration: the body of
+// GET /v1/config, and the nodes and VMs cmd/planviz reads.
 type configJSON struct {
 	Nodes []nodeJSON `json:"nodes"`
 	VMs   []vmJSON   `json:"vms"`
@@ -49,18 +49,6 @@ func extraMap(v resources.Vector) map[string]int {
 		}
 	}
 	return out
-}
-
-// vectorOf rebuilds a full vector from the dedicated cpu/memory fields
-// plus the extras map through resources.FromWire, the single home of
-// the interchange format's trust boundary (unknown kinds, duplicated
-// base kinds and negative quantities are rejected).
-func vectorOf(what string, cpu, memory int, extras map[string]int) (resources.Vector, error) {
-	v, err := resources.FromWire(cpu, memory, extras)
-	if err != nil {
-		return resources.Vector{}, fmt.Errorf("vjob: %s: %w", what, err)
-	}
-	return v, nil
 }
 
 // MarshalJSON encodes the configuration with nodes and VMs in
@@ -104,9 +92,9 @@ func (c *Configuration) UnmarshalJSON(data []byte) error {
 			// round trip.
 			return fmt.Errorf("vjob: node with empty name")
 		}
-		cap, err := vectorOf("node "+n.Name, n.CPU, n.Memory, n.Resources)
+		cap, err := resources.FromWire(n.CPU, n.Memory, n.Resources)
 		if err != nil {
-			return err
+			return fmt.Errorf("vjob: node %s: %w", n.Name, err)
 		}
 		c.AddNode(NewNodeRes(n.Name, cap))
 	}
@@ -114,23 +102,26 @@ func (c *Configuration) UnmarshalJSON(data []byte) error {
 		if v.Name == "" {
 			return fmt.Errorf("vjob: VM with empty name")
 		}
-		demand, err := vectorOf("VM "+v.Name, v.CPU, v.Memory, v.Resources)
+		demand, err := resources.FromWire(v.CPU, v.Memory, v.Resources)
 		if err != nil {
-			return err
+			return fmt.Errorf("vjob: VM %s: %w", v.Name, err)
 		}
 		c.AddVM(NewVMRes(v.Name, v.VJob, demand))
-		switch v.State {
-		case "running":
-			if err := c.SetRunning(v.Name, v.Node); err != nil {
-				return err
-			}
-		case "sleeping":
-			if err := c.SetSleeping(v.Name, v.Node); err != nil {
-				return err
-			}
-		case "waiting", "":
-		default:
+		st := Waiting // an absent state is a VM never placed
+		if v.State != "" {
+			st, err = ParseState(v.State)
+		}
+		switch {
+		case err != nil || st == Terminated:
+			// A configuration holds no terminated VM.
 			return fmt.Errorf("vjob: VM %s has unknown state %q", v.Name, v.State)
+		case st == Running:
+			err = c.SetRunning(v.Name, v.Node)
+		case st == Sleeping:
+			err = c.SetSleeping(v.Name, v.Node)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -71,12 +71,18 @@ func TestJSONErrors(t *testing.T) {
 		`{"vms":[{"name":"v","cpu":0,"memory":-1}]}`,
 		`{"nodes":[{"name":"n","cpu":1,"memory":10}],"vms":[{"name":"v","cpu":1,"memory":1,"state":"flying"}]}`,
 		`{"vms":[{"name":"v","cpu":1,"memory":1,"state":"running","node":"ghost"}]}`,
+		`{"vms":[{"name":"v","cpu":1,"memory":1,"state":"terminated"}]}`,
 	}
 	for _, tc := range cases {
 		var c Configuration
 		if err := json.Unmarshal([]byte(tc), &c); err == nil {
 			t.Errorf("accepted %s", tc)
 		}
+	}
+	// An absent state is a VM never placed.
+	var c Configuration
+	if err := json.Unmarshal([]byte(`{"vms":[{"name":"v","cpu":1,"memory":1}]}`), &c); err != nil || c.StateOf("v") != Waiting {
+		t.Fatalf("absent state: %v, %v", c.StateOf("v"), err)
 	}
 }
 

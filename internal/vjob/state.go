@@ -1,5 +1,7 @@
 package vjob
 
+import "fmt"
+
 // State is the position of a vjob (or of a single VM) in the life cycle
 // of Figure 2 of the paper.
 type State int8
@@ -29,6 +31,23 @@ func (s State) String() string {
 		return "terminated"
 	default:
 		return "invalid"
+	}
+}
+
+// ParseState is the inverse of String: it resolves a state name and
+// rejects any other string, the empty one included.
+func ParseState(name string) (State, error) {
+	switch name {
+	case "waiting":
+		return Waiting, nil
+	case "running":
+		return Running, nil
+	case "sleeping":
+		return Sleeping, nil
+	case "terminated":
+		return Terminated, nil
+	default:
+		return Waiting, fmt.Errorf("vjob: unknown state %q", name)
 	}
 }
 

@@ -6,7 +6,8 @@
 # benchmark from its own module directory, unedited), runs what they
 # run in use — `experiments all -quick`, entropyd periodic and
 # event-driven, entropyd -listen under a fixed replay of operator
-# requests (below), each example, planviz on its example cluster, each
+# requests (below), each example, planviz on its example cluster and on
+# the daemon's GET /v1/config body, each
 # benchmark workload for 2 s with the harness's spans off and on (on
 # also measures the per-layer metrics, cp.Solver.Minimize among them)
 # — and writes the per-function coverage of internal/ to
@@ -25,8 +26,10 @@
 # an undrain, a malformed body, an unknown node, a valid event batch,
 # and a vjob too large for any node, which stays waiting and so can
 # always be withdrawn. A step that gets another status fails the
-# census. Then SIGTERM: the daemon must have exited, with status 0,
-# within 10 s. A trap kills it and waits on every other exit.
+# census. The GET /v1/config body is kept: planviz reads it once the
+# daemon has exited. Then SIGTERM: the daemon must have exited, with
+# status 0, within 10 s. A trap kills it and waits on every other
+# exit.
 #
 # With --check it is a gate: every function at 0 % must be listed in
 # scripts/prod_cover_zero.txt (one "file:function reason" a line, the
@@ -94,6 +97,7 @@ for p in /healthz /v1/config /v1/stats /v1/plan /metrics /v1/trace '/v1/trace?fo
 	/v1/violations /v1/solver /v1/nodes /v1/nodes/node00; do
 	req 200 GET "$p"
 done
+curl -sf -o "$work/config.json" "http://$addr/v1/config"
 stream /v1/watch
 stream '/v1/watch/state?streams=nodes,plan,config'
 req 202 POST /v1/nodes/node00/drain
@@ -125,6 +129,7 @@ fi
 for e in $examples; do run "$e"; done
 "$work/bin/planviz" -example >"$work/cluster.json"
 run planviz -timeout 1s "$work/cluster.json"
+run planviz -timeout 1s "$work/config.json"
 for w in solve_mono solve_sliced plan_large churn_ev api_mixed; do
 	for t in 0 1; do run bench --workload "$w" --seed 1 --seconds 2 --trace "$t"; done
 done
