@@ -48,10 +48,10 @@ race:
 # solveSlices runs min(slices, GOMAXPROCS) workers, and a portfolio's
 # workers share GOMAXPROCS cores, so a plain run tests only the
 # machine's own width: run the pool's tests, the solver Reset they
-# rest on and the cancel tests, under the race detector at widths 1, 2
-# and 4.
+# rest on, the cancel tests and the reuse of candidates across
+# workers, under the race detector at widths 1, 2 and 4.
 race-pool:
-	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver|PortfolioCancel|CancelLandsAt' ./internal/core ./internal/cp
+	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver|PortfolioCancel|CancelLandsAt|EscapedResult' ./internal/core ./internal/cp
 
 vet:
 	$(GO) vet ./...
@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzActionFacts -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run=^$$ -fuzz=FuzzActionFacts -fuzztime=$(FUZZTIME) ./internal/drivers
 	$(GO) test -run=^$$ -fuzz=FuzzGroupResumes -fuzztime=$(FUZZTIME) ./internal/plan
+	$(GO) test -run=^$$ -fuzz=FuzzWorkspaceMatchesFresh -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run=^$$ -fuzz=FuzzDecide -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run=^$$ -fuzz=FuzzLabelValue -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitVJob -fuzztime=$(FUZZTIME) ./internal/api

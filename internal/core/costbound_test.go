@@ -438,12 +438,12 @@ func TestSolveAllocationBudget(t *testing.T) {
 
 // slicedSolveAllocLanding is what one one-worker partitioned solve of
 // budgetedProblem(1, 1000, 150) — about 63 slice models of 150 search
-// nodes each — allocated once the slices were solved on a pool whose
-// workers reuse one model's storage from slice to slice and each
-// solution's values were a slice rather than a map, on two cores;
-// 3 214 000 with the map, 4 896 000 when every slice built its model in
-// fresh storage.
-const slicedSolveAllocLanding = 3_149_000
+// nodes each — allocated once each pool worker decoded and planned its
+// candidates in one plan workspace, recycling displaced ones, on two
+// cores; 3 149 000 when every candidate was decoded and planned from
+// nil, 3 214 000 when each solution's values were a map, 4 896 000
+// when every slice built its model in fresh storage.
+const slicedSolveAllocLanding = 2_000_000
 
 // TestSlicedSolveAllocationBudget fails when that solve allocates a
 // quarter more than it did at landing: what a slice model costs is paid
@@ -661,5 +661,67 @@ func TestSliceModelAllocationBudget(t *testing.T) {
 	}
 	if least > sliceModelAllocLanding {
 		t.Fatalf("one slice model allocated %d bytes, more than the %d it allocated at landing", least, sliceModelAllocLanding)
+	}
+}
+
+// overloadedReplayAllocs is what one non-improving candidate of
+// budgetedProblem(1, 100, 300) allocates: its source starts
+// overloaded, and the replay resume grouping runs on a plan that moves
+// a vjob's resumes (Plan.replay) lists the source's violations, maps
+// them by (node, resource), and lists those each pool leaves. A source
+// without violations costs none of it.
+const overloadedReplayAllocs = 6
+
+// TestNonImprovingCandidateAllocatesNothing: once a worker's scratch
+// has planned a candidate, decoding and planning another that does not
+// improve the incumbent, and handing it back to the free list, runs in
+// the storage the first left behind — but for the replay of an
+// overloaded source.
+func TestNonImprovingCandidateAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	for _, tc := range []struct {
+		p    Problem
+		want float64
+	}{{budgetedProblem(1, 100, 300), overloadedReplayAllocs}, {tableProblem(3, true), 0}} {
+		p := tc.p
+		if overloaded := !p.Src.Viable(); overloaded != (tc.want > 0) {
+			t.Fatalf("source overloaded: %v", overloaded)
+		}
+		o := Optimizer{Workers: 1}
+		sc := new(scratch)
+		c, err := o.compile(p, &sc.c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := o.ffdSeed(p, c, sc)
+		if seed == nil {
+			t.Fatal("no FFD seed")
+		}
+		hosts := make([]int, len(c.runners)) // the seed's assignment
+		for i, g := range c.runners {
+			hosts[i] = c.nodeIdx[seed.Dst.HostOf(g.vm.Name)]
+		}
+		sh := &portfolioState{best: seed}
+		step := func() {
+			r := o.candidate(p, sc, func(dst *vjob.Configuration) (*vjob.Configuration, error) {
+				return decode(dst, p.Src, c.goals, c.runners, func(i int) string { return c.nodes[hosts[i]].Name })
+			})
+			if r == nil {
+				t.Fatal("the seed's own assignment was rejected")
+			}
+			if _, better := sh.offer(r, "base", &sc.free); better {
+				t.Fatal("an equal cost improved the incumbent")
+			}
+		}
+		step()
+		if allocs := testing.AllocsPerRun(20, step); allocs > tc.want {
+			t.Errorf("%d runners, %d actions: %v allocations per non-improving candidate, want at most %v",
+				len(c.runners), seed.Plan.NumActions(), allocs, tc.want)
+		}
+		if len(sc.free) != 1 || sh.best != seed {
+			t.Fatalf("%d candidates on the free list, want 1, and the seed still the incumbent", len(sc.free))
+		}
 	}
 }

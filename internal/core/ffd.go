@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cwcs/internal/packing"
+	"cwcs/internal/plan"
 	"cwcs/internal/vjob"
 )
 
@@ -17,35 +17,35 @@ func FFDPlan(p Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dst, err := ffdDestination(p.Src, goals)
+	dst, err := ffdDestination(nil, p.Src, p.Src.Nodes(), goals, new(scratch))
 	if err != nil {
 		return nil, err
 	}
-	res, err := Optimizer{}.plan(p.Src, dst)
+	pl, err := plan.Build(p.Src, dst)
 	if err != nil {
 		return nil, err
 	}
-	res.Solutions = 1
-	return res, nil
+	return &Result{Dst: dst, Plan: pl, Cost: pl.Cost(), Solutions: 1}, nil
 }
 
 // ffdDestination packs the VMs that must run First-Fit-Decrease onto
-// the empty node set, and decodes that assignment. No runner holds a
-// place there, so this is packing.FirstFitDecrease on an empty copy of
-// the nodes, read back from the first-fit state instead of the copy.
-func ffdDestination(src *vjob.Configuration, goals []vmGoal) (*vjob.Configuration, error) {
-	var runners []*vjob.VM
+// the empty node set, src's nodes, and decodes that assignment into
+// dst. No runner holds a place there, so this is FirstFitDecrease on an
+// empty copy of the nodes, read back from sc's first-fit state.
+func ffdDestination(dst, src *vjob.Configuration, nodes []*vjob.Node, goals []vmGoal, sc *scratch) (*vjob.Configuration, error) {
+	runners := sc.runners[:0]
 	for _, g := range goals {
 		if g.want == vjob.Running {
 			runners = append(runners, g.vm)
 		}
 	}
-	ff := packing.NewFirstFit(src.Nodes())
+	sc.runners = runners
+	ff := sc.ff.Reset(nodes)
 	if !ff.Pack(runners) {
 		return nil, ErrNoViableConfiguration
 	}
 	// decode asks for the hosts of the goals that want Running in goal
 	// order, the order of runners.
 	k := -1
-	return decode(src, goals, goals, func(int) string { k++; return ff.Host(k).Name })
+	return decode(dst, src, goals, goals, func(int) string { k++; return ff.Host(k).Name })
 }

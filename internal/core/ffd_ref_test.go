@@ -32,7 +32,7 @@ func refFFDDestination(src *vjob.Configuration, goals []vmGoal) (*vjob.Configura
 		}
 		return nil, err
 	}
-	return decode(src, goals, goals, func(i int) string { return scratch.HostOf(goals[i].vm.Name) })
+	return decode(nil, src, goals, goals, func(i int) string { return scratch.HostOf(goals[i].vm.Name) })
 }
 
 // TestFFDDestinationMatchesReference: on seeded 2-D and 4-D problems
@@ -54,7 +54,7 @@ func TestFFDDestinationMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("problem %d: %v", n, err)
 		}
-		got, err := ffdDestination(p.Src, goals)
+		got, err := ffdDestination(nil, p.Src, p.Src.Nodes(), goals, new(scratch))
 		want, wantErr := refFFDDestination(p.Src, goals)
 		if wantErr != nil {
 			if !errors.Is(wantErr, ErrNoViableConfiguration) || !errors.Is(err, ErrNoViableConfiguration) {

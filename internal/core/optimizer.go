@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cwcs/internal/cp"
+	"cwcs/internal/packing"
 	"cwcs/internal/plan"
 	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
@@ -312,15 +313,20 @@ type searchModel struct {
 }
 
 // scratch is the storage one model is built in — its solver, its
-// compiled problem and buildModel's buffers. Every portfolio worker
-// owns one; a worker of solveSlices' pool reuses its own from slice to
-// slice: the solver is Reset, the rest refilled.
+// compiled problem and buildModel's buffers — and its candidates are
+// planned in. Every portfolio worker owns one; a worker of solveSlices'
+// pool reuses its own from slice to slice: the solver is Reset, the
+// rest refilled.
 type scratch struct {
 	s                 *cp.Solver
 	c                 compiled
 	vars              []*cp.IntVar
 	weights, capacity [resources.MaxKinds][]int // per dimension's Packing
 	byName            map[string]*cp.IntVar
+	ff                packing.FirstFit // the FFD seed's, and its runners
+	runners           []*vjob.VM
+	ws                plan.Workspace
+	free              []*Result // candidates no one holds: storage for the next
 }
 
 // buildModel instantiates the §4.3 model in sc's storage, with the
@@ -522,18 +528,15 @@ func (o Optimizer) solveMonolithic(ctx context.Context, p Problem, workers int, 
 	// incumbent assignment (WarmStart), when still viable here, races
 	// the FFD seed: on incremental re-solves it is usually a near-no-op
 	// plan that undercuts FFD's from-scratch packing by far.
-	var seed *Result
-	seedLabel := ""
-	if dst, err := ffdDestination(p.Src, c.goals); err == nil {
-		if seed = o.candidate(p, dst); seed != nil {
-			seedLabel = "ffd-seed"
-		}
-	}
+	seed, seedLabel := o.ffdSeed(p, c, sc), "ffd-seed"
 	warmHit := false
-	if ws := o.warmSeed(p, c); ws != nil {
+	if ws := o.warmSeed(p, c, sc); ws != nil {
 		warmHit = true
 		if seed == nil || ws.Cost < seed.Cost {
-			seed, seedLabel = ws, "warm-seed"
+			seed, ws, seedLabel = ws, seed, "warm-seed"
+		}
+		if ws != nil {
+			sc.free = append(sc.free, ws) // the seed that lost
 		}
 	}
 
@@ -688,19 +691,23 @@ type portfolioState struct {
 	traj         []BoundPoint
 }
 
-// offer publishes a decoded solution; the caller then tightens the
+// offer publishes a planned candidate; the caller then tightens the
 // bound with the returned incumbent cost. It reports whether the
 // offer improved the incumbent, crediting the offering worker and
-// extending the bound trajectory when it did.
-func (sh *portfolioState) offer(r *Result, label string) (int, bool) {
+// extending the bound trajectory when it did. The displaced incumbent,
+// or r when it did not improve, goes onto free, the offerer's list.
+func (sh *portfolioState) offer(r *Result, label string, free *[]*Result) (int, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.solutions++
 	improved := sh.best == nil || r.Cost < sh.best.Cost
 	if improved {
-		sh.best = r
+		r, sh.best = sh.best, r
 		sh.winner = label
-		sh.traj = append(sh.traj, BoundPoint{Seconds: time.Since(sh.start).Seconds(), Cost: r.Cost})
+		sh.traj = append(sh.traj, BoundPoint{Seconds: time.Since(sh.start).Seconds(), Cost: sh.best.Cost})
+	}
+	if r != nil {
+		*free = append(*free, r)
 	}
 	return sh.best.Cost, improved
 }
@@ -812,16 +819,16 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 		// objective, and a sum (an admissible lower bound of its plan
 		// cost) below the incumbent's cost.
 		bound := sol.Objective - 1
-		dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[sol.Value(i)].Name })
-		if err == nil {
-			if res := o.candidate(p, dst); res != nil {
-				res.LowerBound = sol.Objective
-				incumbent, better := sh.offer(res, label)
-				if better {
-					improved++
-				}
-				bound = min(bound, incumbent-1)
+		res := o.candidate(p, sc, func(dst *vjob.Configuration) (*vjob.Configuration, error) {
+			return decode(dst, p.Src, c.goals, c.runners, func(i int) string { return c.nodes[sol.Value(i)].Name })
+		})
+		if res != nil {
+			res.LowerBound = sol.Objective
+			incumbent, better := sh.offer(res, label, &sc.free)
+			if better {
+				improved++
 			}
+			bound = min(bound, incumbent-1)
 		}
 		sh.bound.Tighten(bound)
 		ph.Plan += time.Since(t)
@@ -839,30 +846,35 @@ func (o Optimizer) runPortfolioWorker(ctx context.Context, p Problem, c *compile
 	}
 }
 
+// ffdSeed is the FFD heuristic's destination as a candidate of sc's.
+func (o Optimizer) ffdSeed(p Problem, c *compiled, sc *scratch) *Result {
+	return o.candidate(p, sc, func(dst *vjob.Configuration) (*vjob.Configuration, error) {
+		return ffdDestination(dst, p.Src, c.nodes, c.goals, sc)
+	})
+}
+
 // warmSeed decodes the WarmStart assignment into a Result for the
 // current problem: every to-be-running VM goes back to its old host.
 // It returns nil when the old assignment no longer applies — a VM
 // that was not running in the warm configuration, a host that left,
 // a viability or rule violation — and the caller falls back to the
 // FFD seed alone.
-func (o Optimizer) warmSeed(p Problem, c *compiled) *Result {
+func (o Optimizer) warmSeed(p Problem, c *compiled, sc *scratch) *Result {
 	if o.WarmStart == nil || slices.Contains(c.hints, -1) {
 		return nil
 	}
-	dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[c.hints[i]].Name })
-	if err != nil {
-		return nil
-	}
-	return o.candidate(p, dst)
+	return o.candidate(p, sc, func(dst *vjob.Configuration) (*vjob.Configuration, error) {
+		return decode(dst, p.Src, c.goals, c.runners, func(i int) string { return c.nodes[c.hints[i]].Name })
+	})
 }
 
-// decode builds the destination configuration of an assignment: a copy
-// of src in which every VM that must not run reaches its goal — asleep
-// on its current host, terminated, or still waiting — and the i-th goal
-// of runners that wants Running runs on the node host(i) names. The FFD
-// seed, the warm seed and every solution of the search go through it.
-func decode(src *vjob.Configuration, goals, runners []vmGoal, host func(i int) string) (*vjob.Configuration, error) {
-	dst := src.Clone()
+// decode builds the destination configuration of an assignment into
+// dst (nil: a new one): a copy of src in which every VM that must not
+// run reaches its goal — asleep on its current host, terminated, or
+// still waiting — and the i-th goal of runners that wants Running runs
+// on the node host(i) names. Every seed and solution goes through it.
+func decode(dst, src *vjob.Configuration, goals, runners []vmGoal, host func(i int) string) (*vjob.Configuration, error) {
+	dst = src.CloneInto(dst)
 	for _, g := range goals {
 		switch {
 		case g.want == vjob.Sleeping && g.cur == vjob.Running:
@@ -884,34 +896,32 @@ func decode(src *vjob.Configuration, goals, runners []vmGoal, host func(i int) s
 	return dst, nil
 }
 
-// candidate plans a decoded destination with o.Builder; it returns nil
-// when the destination is not viable, breaks a placement rule, or
-// migrates a running VM under PinRunning (the FFD heuristic re-places
-// everything from scratch and knows nothing about pinning), or when
-// the graph cannot be planned.
-func (o Optimizer) candidate(p Problem, dst *vjob.Configuration) *Result {
-	if !dst.Viable() || !rulesHold(p.Rules, dst) || !o.respectsPins(p.Src, dst) {
-		return nil
+// candidate decodes with fill into a candidate off sc's free list (or
+// a new one) and plans it in sc's workspace; it returns nil, the
+// candidate back on the list, when fill fails, the destination is not
+// viable, breaks a placement rule, or migrates a running VM under
+// PinRunning (the FFD heuristic knows nothing about pinning), or the
+// graph cannot be planned. A candidate has one holder at a time.
+func (o Optimizer) candidate(p Problem, sc *scratch, fill func(dst *vjob.Configuration) (*vjob.Configuration, error)) *Result {
+	var r *Result
+	if n := len(sc.free); n > 0 {
+		r, sc.free = sc.free[n-1], sc.free[:n-1]
+		*r = Result{Dst: r.Dst, Plan: r.Plan}
+	} else {
+		r = new(Result)
 	}
-	res, err := o.plan(p.Src, dst)
-	if err != nil {
-		return nil
+	dst, err := fill(r.Dst)
+	if err == nil {
+		r.Dst = dst
 	}
-	return res
-}
-
-// plan builds the reconfiguration graph from src to dst and plans it
-// with o.Builder.
-func (o Optimizer) plan(src, dst *vjob.Configuration) (*Result, error) {
-	g, err := plan.BuildGraph(src, dst)
-	if err != nil {
-		return nil, err
+	if err == nil && dst.Viable() && rulesHold(p.Rules, dst) && o.respectsPins(p.Src, dst) {
+		if pl, err := sc.ws.Plan(o.Builder, p.Src, dst, r.Plan); err == nil {
+			r.Plan, r.Cost = pl, pl.Cost()
+			return r
+		}
 	}
-	pl, err := o.Builder.Plan(g)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Dst: dst, Plan: pl, Cost: pl.Cost()}, nil
+	sc.free = append(sc.free, r)
+	return nil
 }
 
 // respectsPins reports whether dst keeps every VM running in src that

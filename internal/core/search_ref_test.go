@@ -10,6 +10,7 @@ import (
 
 	"cwcs/internal/cp"
 	"cwcs/internal/resources"
+	"cwcs/internal/vjob"
 )
 
 // fullPacking is cp.Packing as it ran before it kept sums between runs:
@@ -93,13 +94,13 @@ func replay(o Optimizer, p Problem, c *compiled, m *searchModel, seed *Result) s
 		run.objectives = append(run.objectives, sol.Objective)
 		run.assignments = append(run.assignments, at)
 		bound := sol.Objective - 1
-		if dst, err := decode(p.Src, c.goals, c.runners, func(i int) string { return c.nodes[at[i]].Name }); err == nil {
-			if res := o.candidate(p, dst); res != nil {
-				if run.best == nil || res.Cost < run.best.Cost {
-					run.best = res
-				}
-				bound = min(bound, run.best.Cost-1)
+		if res := o.candidate(p, new(scratch), func(dst *vjob.Configuration) (*vjob.Configuration, error) {
+			return decode(dst, p.Src, c.goals, c.runners, func(i int) string { return c.nodes[at[i]].Name })
+		}); res != nil {
+			if run.best == nil || res.Cost < run.best.Cost {
+				run.best = res
 			}
+			bound = min(bound, run.best.Cost-1)
 		}
 		shared.Tighten(bound)
 		return shared.Bound()
@@ -180,11 +181,8 @@ func TestSearchMatchesRecomputingPropagators(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The seed solveMonolithic starts from.
-		var seed *Result
-		if dst, err := ffdDestination(p.Src, c.goals); err == nil {
-			seed = o.candidate(p, dst)
-		}
-		if ws := o.warmSeed(p, c); ws != nil && (seed == nil || ws.Cost < seed.Cost) {
+		seed := o.ffdSeed(p, c, new(scratch))
+		if ws := o.warmSeed(p, c, new(scratch)); ws != nil && (seed == nil || ws.Cost < seed.Cost) {
 			seed = ws
 		}
 		got, want := replay(o, p, c, m, seed), replay(o, p, c, ref, seed)
@@ -249,10 +247,7 @@ func TestSolveMonoSearchMatchesSlabCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var seed *Result
-		if dst, err := ffdDestination(p.Src, c.goals); err == nil {
-			seed = o.candidate(p, dst)
-		}
+		seed := o.ffdSeed(p, c, new(scratch))
 		got := replay(o, p, c, m, seed)
 		h := fnv.New64a()
 		for _, a := range got.assignments {

@@ -32,7 +32,7 @@ func TestWarmSeedReusesPreviousAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := o.warmSeed(p, c)
+	seed := o.warmSeed(p, c, new(scratch))
 	if seed == nil {
 		t.Fatal("viable warm assignment rejected")
 	}
@@ -57,7 +57,7 @@ func TestWarmSeedRejectsVanishedHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seed := o.warmSeed(p, c); seed != nil {
+	if seed := o.warmSeed(p, c, new(scratch)); seed != nil {
 		t.Fatalf("warm seed accepted a vanished host: %+v", seed)
 	}
 }

@@ -6,7 +6,6 @@ package packing
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"cwcs/internal/resources"
@@ -64,8 +63,12 @@ type FirstFit struct {
 
 // NewFirstFit returns the state of an empty cluster made of the nodes,
 // which must be in name order, as Configuration.Nodes returns them.
-func NewFirstFit(nodes []*vjob.Node) *FirstFit {
-	f := &FirstFit{nodes: nodes, free: make([]resources.Vector, len(nodes))}
+func NewFirstFit(nodes []*vjob.Node) *FirstFit { return new(FirstFit).Reset(nodes) }
+
+// Reset makes f the state of an empty cluster made of the nodes, as
+// NewFirstFit does, in the storage f holds.
+func (f *FirstFit) Reset(nodes []*vjob.Node) *FirstFit {
+	f.nodes, f.free, f.total, f.multi = nodes, slices.Grow(f.free[:0], len(nodes))[:len(nodes)], resources.Vector{}, false
 	for i, n := range nodes {
 		f.free[i] = n.Capacity
 		f.total = f.total.Add(n.Capacity)
@@ -124,11 +127,19 @@ func (f *FirstFit) sort(vms []*vjob.VM) []int {
 	for k := range vms {
 		f.order = append(f.order, k)
 	}
+	less := decreasing
 	if multi {
-		sort.SliceStable(f.order, func(i, j int) bool { return dominantFirst(f.total, vms[f.order[i]], vms[f.order[j]]) })
-	} else {
-		sort.SliceStable(f.order, func(i, j int) bool { return decreasing(vms[f.order[i]], vms[f.order[j]]) })
+		less = func(a, b *vjob.VM) bool { return dominantFirst(f.total, a, b) }
 	}
+	slices.SortStableFunc(f.order, func(i, j int) int {
+		switch {
+		case less(vms[i], vms[j]):
+			return -1
+		case less(vms[j], vms[i]):
+			return 1
+		}
+		return 0
+	})
 	return f.order
 }
 

@@ -38,35 +38,108 @@ func Build(src, dst *vjob.Configuration) (*Plan, error) {
 
 // Plan builds the reconfiguration plan for the graph: the pools of
 // actions feasible in parallel, then the consistency pass that starts
-// the resumes of each vjob together (§4.1).
+// the resumes of each vjob together (§4.1), on a fresh Workspace.
 func (b Builder) Plan(g *Graph) (*Plan, error) {
-	p, err := b.pools(g)
+	return new(Workspace).plan(b, g, new(Plan))
+}
+
+// Workspace is the storage a planner reuses from plan to plan; no plan
+// holds any of it. The zero value is ready for one goroutine.
+type Workspace struct {
+	g         Graph
+	vms       []*vjob.VM
+	diff      actionStore // the graph's actions, before they move into a plan
+	cur       *vjob.Configuration
+	remaining []Action
+	free      map[string]resources.Vector
+	book      transferBook
+	group     grouping
+}
+
+// Plan is BuildGraph then Builder.Plan, run in w and in into's storage:
+// a plan an earlier call returned, which no one reads any more, or nil.
+func (w *Workspace) Plan(b Builder, src, dst *vjob.Configuration, into *Plan) (*Plan, error) {
+	if into == nil {
+		into = new(Plan)
+	}
+	d := &w.diff
+	d.migrations, d.suspends, d.stops, d.resumes, d.runs = d.migrations[:0], d.suspends[:0], d.stops[:0], d.resumes[:0], d.runs[:0]
+	g, err := w.graph(src, dst, d)
 	if err != nil {
 		return nil, err
 	}
-	groupVJobResumes(p)
+	s := &into.store
+	moveInto(g, &s.migrations, d.migrations)
+	moveInto(g, &s.suspends, d.suspends)
+	moveInto(g, &s.stops, d.stops)
+	moveInto(g, &s.resumes, d.resumes)
+	moveInto(g, &s.runs, d.runs)
+	return w.plan(b, g, into)
+}
+
+func (w *Workspace) plan(b Builder, g *Graph, p *Plan) (*Plan, error) {
+	if err := w.pools(b, g, p); err != nil {
+		return nil, err
+	}
+	w.group.run(p, w.cur)
 	return p, nil
+}
+
+// actionStore is what a plan's actions and pools are cut from: a slab
+// per action type, and the array the pools are windows of.
+type actionStore struct {
+	migrations []Migration
+	suspends   []Suspend
+	stops      []Stop
+	resumes    []Resume
+	runs       []Run
+	pools      Pool
+	regrouped  Pool // the pools resume grouping changed
+}
+
+// add appends a to the slab and returns the copy's address. A pointer
+// into an array the slab outgrew stays valid: that array is dropped,
+// never rewritten.
+func add[T any](slab *[]T, a T) *T {
+	*slab = append(*slab, a)
+	return &(*slab)[len(*slab)-1]
+}
+
+// moveInto copies the graph's actions of one type from their slab into
+// dst, grown at most once, and points the graph at the copies.
+func moveInto[T any, P interface {
+	*T
+	Action
+}](g *Graph, dst *[]T, from []T) {
+	*dst = append((*dst)[:0], from...)
+	k := 0
+	for i, a := range g.Actions {
+		if _, ok := a.(P); ok {
+			g.Actions[i], k = P(&(*dst)[k]), k+1
+		}
+	}
 }
 
 // pools iteratively extracts pools of actions feasible in parallel,
 // breaking inter-dependent migration cycles with bypass migrations
 // through pivot nodes when no action is directly feasible (§4.1).
-func (b Builder) pools(g *Graph) (*Plan, error) {
-	p := &Plan{Src: g.Src}
-	cur := g.Src.Clone()
-	remaining := append([]Action(nil), g.Actions...)
-	free := make(map[string]resources.Vector)
+func (w *Workspace) pools(b Builder, g *Graph, p *Plan) error {
+	p.Src, p.Pools, p.Bypass = g.Src, p.Pools[:0], 0
+	w.cur = g.Src.CloneInto(w.cur)
+	remaining, free := append(w.remaining[:0], g.Actions...), emptied(w.free)
+	w.free = free
 	// Every action of g but a cycle's bypass lands in exactly one
 	// extracted pool: the pools are cut from one array.
-	spare := make(Pool, len(remaining))
+	p.store.pools = resize(p.store.pools, len(remaining))
+	spare := p.store.pools
 
 	for len(remaining) > 0 {
-		pool, rest := extractPool(cur, free, remaining, spare[:0], !b.DisableTransferGating)
+		pool, rest := extractPool(w.cur, free, &w.book, remaining, spare[:0], !b.DisableTransferGating)
 		pool, spare = pool[:len(pool):len(pool)], spare[len(pool):]
 		if len(pool) == 0 {
-			bypass, rewritten, err := breakCycle(cur, remaining)
+			bypass, rewritten, err := breakCycle(w.cur, remaining)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			p.Bypass++
 			pool = Pool{bypass}
@@ -76,13 +149,14 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 		}
 		pool.sortDeterministic()
 		for _, a := range pool {
-			if err := a.Apply(cur); err != nil {
-				return nil, fmt.Errorf("plan: applying %s: %w", a, err)
+			if err := a.Apply(w.cur); err != nil {
+				return fmt.Errorf("plan: applying %s: %w", a, err)
 			}
 		}
 		p.Pools = append(p.Pools, pool)
 	}
-	return p, nil
+	w.remaining = remaining
+	return nil
 }
 
 // extractPool selects a maximal set of actions feasible in parallel
@@ -97,14 +171,15 @@ func (b Builder) pools(g *Graph) (*Plan, error) {
 // remaining, in order, and returned as its prefix.
 //
 // With gateTransfers set, each action's transfer demand (DESIGN.md §9)
-// is additionally booked against the NIC capacities of its endpoints,
-// and an action whose transfer would oversubscribe a NIC is deferred
-// to a later pool. A transfer alone always fits (its demand is clamped
-// to each NIC), so gating can only serialize pools, never empty them:
-// the §4.1 progress guarantee is untouched.
-func extractPool(cur *vjob.Configuration, free map[string]resources.Vector, remaining []Action, pool Pool, gateTransfers bool) (Pool, []Action) {
+// is additionally booked in book, emptied first, against the NIC
+// capacities of its endpoints, and an action whose transfer would
+// oversubscribe a NIC is deferred to a later pool. A transfer alone
+// always fits (its demand is clamped to each NIC), so gating can only
+// serialize pools, never empty them: the §4.1 progress guarantee is
+// untouched.
+func extractPool(cur *vjob.Configuration, free map[string]resources.Vector, book *transferBook, remaining []Action, pool Pool, gateTransfers bool) (Pool, []Action) {
 	clear(free)
-	book := newTransferBook(cur)
+	book.reset(cur)
 	rest := remaining[:0]
 	for _, a := range remaining {
 		if gateTransfers && !book.fits(a) {
@@ -247,7 +322,7 @@ func findMigrationCycle(out map[string][]*Migration) []*Migration {
 	return nil
 }
 
-// groupVJobResumes implements the consistency pass of §4.1: the VMs of
+// run is resume grouping, the consistency pass of §4.1: the VMs of
 // a vjob must be suspended or resumed in parallel, within a short
 // period. Suspends are naturally grouped in the first pool (they are
 // always feasible); the resumes of a vjob are moved into the pool that
@@ -275,31 +350,68 @@ func findMigrationCycle(out map[string][]*Migration) []*Migration {
 // and releases them from the book of each pool they leave. A plan that
 // does not validate is re-validated whole per move, on candidate pools
 // the same rebuild builds.
-func groupVJobResumes(p *Plan) {
-	groups := resumeGroups(p)
-	valid := len(groups) > 0 && recordTargetFree(p, groups)
-	delayed := make(map[string][]delay) // node -> resumes of kept moves
-	var books []*transferBook           // by pool, built on first use as a target
+func (w *grouping) run(p *Plan, cur *vjob.Configuration) {
+	groups := w.resumeGroups(p)
+	valid := len(groups) > 0 && w.recordTargetFree(p, groups, cur)
+	w.delayed = w.delayed[:0] // the resumes of kept moves
+	// A NIC book by pool, built on first use as a target.
 	if valid {
-		books = make([]*transferBook, len(p.Pools))
+		w.books = resize(w.books, len(p.Pools))
+		for i := range w.books {
+			w.books[i].cfg = nil
+		}
 	}
-	var kept []*resumeGroup
+	kept := w.kept[:0]
 	for _, g := range groups {
 		var ok bool
 		if valid {
-			ok = g.fitsTarget(delayed) && g.admit(p, books, kept)
+			ok = g.fitsTarget(w.delayed) && g.admit(p, w, kept)
 		} else {
-			ok = (&Plan{Src: p.Src, Pools: rebuild(nil, p.Pools, append(kept, g)), Bypass: p.Bypass}).Validate() == nil
+			w.tmp = w.tmp[:0]
+			ok = (&Plan{Src: p.Src, Pools: w.rebuild(nil, &w.tmp, p.Pools, append(kept, g)), Bypass: p.Bypass}).Validate() == nil
 		}
 		if !ok {
 			continue
 		}
 		kept = append(kept, g)
 		for i, r := range g.late {
-			delayed[r.On] = append(delayed[r.On], delay{from: g.from[i], to: g.target, demand: r.Machine.Demand})
+			w.delayed = append(w.delayed, delay{node: r.On, from: g.from[i], to: g.target, demand: r.Machine.Demand})
 		}
 	}
-	p.Pools = rebuild(p.Pools[:0], p.Pools, kept)
+	if len(kept) > 0 { // the pools the moves change hold at most the plan's actions
+		p.store.regrouped = slices.Grow(p.store.regrouped[:0], p.NumActions())
+	}
+	p.Pools = w.rebuild(p.Pools[:0], &p.store.regrouped, p.Pools, kept)
+	w.kept = kept
+}
+
+// grouping is the storage resume grouping reuses from plan to plan.
+type grouping struct {
+	gone, in, tmp   Pool // poolAfter's, and the pools it cuts for a check
+	made, all, kept []*resumeGroup
+	used            int // groups of made handed out for this plan
+	byJob           map[string]*resumeGroup
+	at              [][]*resumeGroup
+	delayed         []delay
+	books           []transferBook
+	book            transferBook // the replay's
+}
+
+// resize returns buf at length n, in its own array when that holds n.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// emptied returns m emptied, or a new map when m is nil.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 // resumeGroup is one vjob's resumes as the ungrouped plan spreads them:
@@ -316,24 +428,30 @@ type resumeGroup struct {
 }
 
 // delay is a resume a kept move took out of pool from into pool to: its
-// VM does not run on its node from the start of from to that of to.
+// VM does not run on node from the start of from to that of to.
 type delay struct {
+	node     string
 	from, to int
 	demand   resources.Vector
 }
 
 // resumeGroups returns the vjobs with a resume to move, in the order
 // the pools first name them.
-func resumeGroups(p *Plan) []*resumeGroup {
-	var all []*resumeGroup
-	byJob := make(map[string]*resumeGroup)
+func (w *grouping) resumeGroups(p *Plan) []*resumeGroup {
+	all := w.all[:0]
+	w.used, w.byJob = 0, emptied(w.byJob)
 	for i, pool := range p.Pools {
 		for _, a := range pool {
 			if r, ok := a.(*Resume); ok && r.Machine.VJob != "" {
-				g := byJob[r.Machine.VJob]
+				g := w.byJob[r.Machine.VJob]
 				if g == nil {
-					g = &resumeGroup{job: r.Machine.VJob}
-					byJob[g.job] = g
+					if w.used == len(w.made) {
+						w.made = append(w.made, new(resumeGroup))
+					}
+					g = w.made[w.used]
+					w.used++
+					g.job, g.late, g.from = r.Machine.VJob, g.late[:0], g.from[:0]
+					w.byJob[g.job] = g
 					all = append(all, g)
 				}
 				g.target = i
@@ -342,6 +460,7 @@ func resumeGroups(p *Plan) []*resumeGroup {
 			}
 		}
 	}
+	w.all = all
 	groups := all[:0]
 	for _, g := range all {
 		n := len(g.from)
@@ -356,17 +475,21 @@ func resumeGroups(p *Plan) []*resumeGroup {
 	return groups
 }
 
-// recordTargetFree validates p in one replay that records each group's
-// free space at the start of its target pool, and reports whether p
-// validates.
-func recordTargetFree(p *Plan, groups []*resumeGroup) bool {
-	at := make([][]*resumeGroup, len(p.Pools))
+// recordTargetFree validates p in one replay, on cur's storage, that
+// records each group's free space at the start of its target pool, and
+// reports whether p validates.
+func (w *grouping) recordTargetFree(p *Plan, groups []*resumeGroup, cur *vjob.Configuration) bool {
+	at := resize(w.at, len(p.Pools))
+	for i := range at {
+		at[i] = at[i][:0]
+	}
+	w.at = at
 	for _, g := range groups {
 		at[g.target] = append(at[g.target], g)
 	}
-	return p.replay(func(i int, cur *vjob.Configuration) {
+	return p.replay(p.Src.CloneInto(cur), &w.book, func(i int, cur *vjob.Configuration) {
 		for _, g := range at[i] {
-			g.free = make(map[string]resources.Vector, len(g.late))
+			g.free = emptied(g.free)
 			for _, r := range g.late {
 				g.free[r.On] = cur.Free(r.On)
 			}
@@ -375,11 +498,11 @@ func recordTargetFree(p *Plan, groups []*resumeGroup) bool {
 }
 
 // poolAfter returns pool i once the kept groups have moved their late
-// resumes: the pool itself when none leaves or enters it, else a new
-// slice keeping its other actions in order, with the entering resumes
-// appended and the pool sorted once.
-func poolAfter(pools []Pool, kept []*resumeGroup, i int) Pool {
-	var gone, in []Action
+// resumes: the pool itself when none leaves or enters it, else a
+// window appended to buf keeping its other actions in order, with the
+// entering resumes appended and the pool sorted once.
+func (w *grouping) poolAfter(buf *Pool, pools []Pool, kept []*resumeGroup, i int) Pool {
+	gone, in := w.gone[:0], w.in[:0]
 	for _, g := range kept {
 		for k, r := range g.late {
 			if g.from[k] == i {
@@ -389,28 +512,31 @@ func poolAfter(pools []Pool, kept []*resumeGroup, i int) Pool {
 			}
 		}
 	}
+	w.gone, w.in = gone, in
 	if len(gone)+len(in) == 0 {
 		return pools[i]
 	}
-	pool := make(Pool, 0, len(pools[i])+len(in))
+	*buf = slices.Grow(*buf, len(pools[i])+len(in))
+	start := len(*buf)
 	for _, a := range pools[i] {
 		if !slices.Contains(gone, a) {
-			pool = append(pool, a)
+			*buf = append(*buf, a)
 		}
 	}
+	*buf = append(*buf, in...)
+	pool := (*buf)[start:len(*buf):len(*buf)]
 	if len(in) > 0 {
-		pool = append(pool, in...)
 		pool.sortDeterministic()
 	}
 	return pool
 }
 
 // rebuild appends to out the pools the kept groups leave, emptied
-// pools dropped. out may be pools[:0]: pool i is read before any pool
-// past i is written.
-func rebuild(out, pools []Pool, kept []*resumeGroup) []Pool {
+// pools dropped, the changed ones cut from buf. out may be pools[:0]:
+// pool i is read before any pool past i is written.
+func (w *grouping) rebuild(out []Pool, buf *Pool, pools []Pool, kept []*resumeGroup) []Pool {
 	for i := range pools {
-		if pool := poolAfter(pools, kept, i); len(pool) > 0 {
+		if pool := w.poolAfter(buf, pools, kept, i); len(pool) > 0 {
 			out = append(out, pool)
 		}
 	}
@@ -421,14 +547,14 @@ func rebuild(out, pools []Pool, kept []*resumeGroup) []Pool {
 // added, share the NICs, and if so books the resumes there and releases
 // them from the books of the pools they leave. The target pool's book
 // is built on its first use, from the pool the kept groups left.
-func (g *resumeGroup) admit(p *Plan, books []*transferBook, kept []*resumeGroup) bool {
-	book := books[g.target]
-	if book == nil {
-		book = newTransferBook(p.Src)
-		for _, a := range poolAfter(p.Pools, kept, g.target) {
+func (g *resumeGroup) admit(p *Plan, w *grouping, kept []*resumeGroup) bool {
+	book := &w.books[g.target]
+	if book.cfg == nil {
+		book.reset(p.Src)
+		w.tmp = w.tmp[:0]
+		for _, a := range w.poolAfter(&w.tmp, p.Pools, kept, g.target) {
 			book.admit(a)
 		}
-		books[g.target] = book
 	}
 	for i, r := range g.late {
 		if !book.fits(r) {
@@ -440,7 +566,7 @@ func (g *resumeGroup) admit(p *Plan, books []*transferBook, kept []*resumeGroup)
 		book.admit(r)
 	}
 	for i, r := range g.late {
-		if b := books[g.from[i]]; b != nil {
+		if b := &w.books[g.from[i]]; b.cfg != nil {
 			b.release(r)
 		}
 	}
@@ -450,15 +576,13 @@ func (g *resumeGroup) admit(p *Plan, books []*transferBook, kept []*resumeGroup)
 // fitsTarget reports whether each late resume fits its node at the
 // start of the target pool of the plan the kept moves have built, with
 // the vjob's own late VMs not running yet.
-func (g *resumeGroup) fitsTarget(delayed map[string][]delay) bool {
+func (g *resumeGroup) fitsTarget(delayed []delay) bool {
 	for _, r := range g.late {
 		g.free[r.On] = g.free[r.On].Add(r.Machine.Demand)
 	}
-	for node := range g.free {
-		for _, d := range delayed[node] {
-			if d.from < g.target && g.target <= d.to {
-				g.free[node] = g.free[node].Add(d.demand)
-			}
+	for _, d := range delayed {
+		if f, ok := g.free[d.node]; ok && d.from < g.target && g.target <= d.to {
+			g.free[d.node] = f.Add(d.demand)
 		}
 	}
 	for _, r := range g.late {

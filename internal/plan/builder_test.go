@@ -367,7 +367,7 @@ func TestVJobResumeGrouping(t *testing.T) {
 
 	// The raw pools: pool0 = {suspend(blocker), resume(j1-r1)},
 	// pool1 = {resume(j1-r2)}.
-	ungrouped, err := Builder{}.pools(mustGraph(t, src, dst))
+	ungrouped, err := Builder{}.Pools(mustGraph(t, src, dst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestGroupingOrderIsDeterministic(t *testing.T) {
 		}
 	}
 	g := mustGraph(t, src, dst)
-	raw, err := Builder{}.pools(g)
+	raw, err := Builder{}.Pools(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestGroupingPreservesDestination(t *testing.T) {
 			return true
 		}
 		grouped, err1 := Builder{}.Plan(g)
-		ungrouped, err2 := Builder{}.pools(g)
+		ungrouped, err2 := Builder{}.Pools(g)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}

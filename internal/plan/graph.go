@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"cwcs/internal/vjob"
 )
@@ -23,10 +24,19 @@ type Graph struct {
 // BuildGraph diffs two configurations and returns the reconfiguration
 // graph listing every action needed. It returns an error when the
 // destination asks for a transition the vjob life cycle forbids (e.g.
-// Running back to Waiting) or references an unknown node.
+// Running back to Waiting) or references an unknown node. It is
+// Workspace.Plan's diff, run on a fresh workspace.
 func BuildGraph(src, dst *vjob.Configuration) (*Graph, error) {
-	g := &Graph{Src: src, Dst: dst}
-	for _, v := range src.VMs() {
+	return new(Workspace).graph(src, dst, new(actionStore))
+}
+
+// graph diffs src and dst into w's graph, cutting the actions from s.
+func (w *Workspace) graph(src, dst *vjob.Configuration, s *actionStore) (*Graph, error) {
+	g := &w.g
+	// A source VM has one action at most.
+	g.Src, g.Dst, g.Actions = src, dst, slices.Grow(g.Actions[:0], src.NumVMs())
+	w.vms = src.AppendVMs(slices.Grow(w.vms[:0], src.NumVMs()))
+	for _, v := range w.vms {
 		from := src.StateOf(v.Name)
 		to := dst.StateOf(v.Name)
 		if !vjob.ValidTransition(from, to) {
@@ -35,7 +45,7 @@ func BuildGraph(src, dst *vjob.Configuration) (*Graph, error) {
 		switch {
 		case from == vjob.Running && to == vjob.Running:
 			if src.HostOf(v.Name) != dst.HostOf(v.Name) {
-				g.Actions = append(g.Actions, &Migration{Machine: v, Src: src.HostOf(v.Name), Dst: dst.HostOf(v.Name)})
+				g.Actions = append(g.Actions, add(&s.migrations, Migration{Machine: v, Src: src.HostOf(v.Name), Dst: dst.HostOf(v.Name)}))
 			}
 		case from == vjob.Sleeping && to == vjob.Sleeping:
 			if src.ImageHostOf(v.Name) != dst.ImageHostOf(v.Name) {
@@ -43,22 +53,23 @@ func BuildGraph(src, dst *vjob.Configuration) (*Graph, error) {
 					v.Name, src.ImageHostOf(v.Name), dst.ImageHostOf(v.Name))
 			}
 		case from == vjob.Running && to == vjob.Sleeping:
-			g.Actions = append(g.Actions, &Suspend{Machine: v, On: src.HostOf(v.Name), To: dst.ImageHostOf(v.Name)})
+			g.Actions = append(g.Actions, add(&s.suspends, Suspend{Machine: v, On: src.HostOf(v.Name), To: dst.ImageHostOf(v.Name)}))
 		case from == vjob.Running && to == vjob.Terminated:
-			g.Actions = append(g.Actions, &Stop{Machine: v, On: src.HostOf(v.Name)})
+			g.Actions = append(g.Actions, add(&s.stops, Stop{Machine: v, On: src.HostOf(v.Name)}))
 		case from == vjob.Sleeping && to == vjob.Running:
-			g.Actions = append(g.Actions, &Resume{Machine: v, From: src.ImageHostOf(v.Name), On: dst.HostOf(v.Name)})
+			g.Actions = append(g.Actions, add(&s.resumes, Resume{Machine: v, From: src.ImageHostOf(v.Name), On: dst.HostOf(v.Name)}))
 		case from == vjob.Waiting && to == vjob.Running:
-			g.Actions = append(g.Actions, &Run{Machine: v, On: dst.HostOf(v.Name)})
+			g.Actions = append(g.Actions, add(&s.runs, Run{Machine: v, On: dst.HostOf(v.Name)}))
 		}
 	}
 	// VMs that appear only in the destination are booted from Waiting.
-	for _, v := range dst.VMs() {
+	w.vms = dst.AppendVMs(slices.Grow(w.vms[:0], dst.NumVMs()))
+	for _, v := range w.vms {
 		if src.VM(v.Name) != nil {
 			continue
 		}
 		if dst.StateOf(v.Name) == vjob.Running {
-			g.Actions = append(g.Actions, &Run{Machine: v, On: dst.HostOf(v.Name)})
+			g.Actions = append(g.Actions, add(&s.runs, Run{Machine: v, On: dst.HostOf(v.Name)}))
 		}
 	}
 	for _, a := range g.Actions {

@@ -27,15 +27,23 @@ var ErrOverlappingPlans = errors.New("plan: merged plans are not node/VM disjoin
 // partition counts should keep that bias in mind.
 func Merge(src *vjob.Configuration, plans ...*Plan) (*Plan, error) {
 	out := &Plan{Src: src}
-	seenNodes := make(map[string]int)
-	seenVMs := make(map[string]int)
+	actions := 0
+	for _, p := range plans {
+		if p != nil {
+			actions += p.NumActions()
+		}
+	}
+	// An action names one VM and at most two nodes.
+	seenNodes := make(map[string]int, min(src.NumNodes(), 2*actions))
+	seenVMs := make(map[string]int, min(src.NumVMs(), actions))
 	var buf [2]string
+	var lens []int // per merged pool, the summed length of the pools it joins
 	for i, p := range plans {
 		if p == nil {
 			return nil, fmt.Errorf("plan: merge of a nil plan (input %d)", i)
 		}
 		out.Bypass += p.Bypass
-		for _, pool := range p.Pools {
+		for j, pool := range p.Pools {
 			for _, a := range pool {
 				for _, n := range AppendTouchedNodes(buf[:0], a) {
 					if prev, ok := seenNodes[n]; ok && prev != i {
@@ -49,25 +57,27 @@ func Merge(src *vjob.Configuration, plans ...*Plan) (*Plan, error) {
 				}
 				seenVMs[name] = i
 			}
+			if j == len(lens) {
+				lens = append(lens, 0)
+			}
+			lens[j] += len(pool)
 		}
-		if len(p.Pools) > len(out.Pools) {
-			out.Pools = append(out.Pools, make([]Pool, len(p.Pools)-len(out.Pools))...)
-		}
-		for j, pool := range p.Pools {
-			out.Pools[j] = append(out.Pools[j], pool...)
-		}
-	}
-	for _, pool := range out.Pools {
-		pool.sortDeterministic()
 	}
 	// Inputs may have had trailing empty pools dropped unevenly; keep
 	// the merged plan free of empty pools too.
-	pools := out.Pools[:0]
-	for _, pool := range out.Pools {
-		if len(pool) > 0 {
-			pools = append(pools, pool)
+	out.Pools = make([]Pool, 0, len(lens))
+	for j, n := range lens {
+		if n == 0 {
+			continue
 		}
+		pool := make(Pool, 0, n)
+		for _, p := range plans {
+			if j < len(p.Pools) {
+				pool = append(pool, p.Pools[j]...)
+			}
+		}
+		pool.sortDeterministic()
+		out.Pools = append(out.Pools, pool)
 	}
-	out.Pools = pools
 	return out, nil
 }

@@ -1,8 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cwcs/internal/vjob"
@@ -28,12 +29,11 @@ func (p Pool) Cost() int {
 // "sorted using the hostname of the VMs" pipelining rule (our VM names
 // embed their vjob, giving the same grouping effect).
 func (p Pool) sortDeterministic() {
-	sort.SliceStable(p, func(i, j int) bool {
-		ki, kj := p[i].Kind(), p[j].Kind()
-		if ki != kj {
-			return ki < kj
+	slices.SortStableFunc(p, func(a, b Action) int {
+		if c := cmp.Compare(a.Kind(), b.Kind()); c != 0 {
+			return c
 		}
-		return p[i].VM().Name < p[j].VM().Name
+		return strings.Compare(a.VM().Name, b.VM().Name)
 	})
 }
 
@@ -50,6 +50,7 @@ type Plan struct {
 	// Bypass counts the extra migrations inserted to break
 	// inter-dependent migration cycles.
 	Bypass int
+	store  actionStore // what a Workspace cut the actions and pools from
 }
 
 // NumActions returns the total number of actions across pools.
@@ -116,18 +117,18 @@ func (p *Plan) Result() (*vjob.Configuration, error) {
 // shrinks — through the early pools is the cure in progress, not a new
 // disease: a plan evacuating an overloaded node keeps a smaller
 // violation alive on it until the last migration leaves.
-func (p *Plan) Validate() error { return p.replay(nil) }
+func (p *Plan) Validate() error { return p.replay(p.Src.Clone(), new(transferBook), nil) }
 
-// replay is Validate, calling atStart, when set, with each pool's index
-// and the configuration at its start.
-func (p *Plan) replay(atStart func(pool int, cur *vjob.Configuration)) error {
-	cur := p.Src.Clone()
+// replay is Validate on cur, a copy of Src the replay moves forward,
+// and book, calling atStart, when set, with each pool's index and the
+// configuration at its start.
+func (p *Plan) replay(cur *vjob.Configuration, book *transferBook, atStart func(pool int, cur *vjob.Configuration)) error {
 	srcViolations := srcOverloads(cur)
 	for i, pool := range p.Pools {
 		if atStart != nil {
 			atStart(i, cur)
 		}
-		book := newTransferBook(cur)
+		book.reset(cur)
 		for _, a := range pool {
 			if !a.FeasibleIn(cur) {
 				return fmt.Errorf("plan: pool %d: action %s not feasible at pool start", i, a)
@@ -154,10 +155,14 @@ func (p *Plan) replay(atStart func(pool int, cur *vjob.Configuration)) error {
 // srcOverloads maps each violated (node, resource) pair of the
 // configuration to its demand, so a replay can tell a pre-existing
 // overload the plan is still working off from one the plan created.
-func srcOverloads(c *vjob.Configuration) map[string]int {
-	m := make(map[string]int)
-	for _, v := range c.Violations() {
-		m[v.Node+"\x00"+v.Resource] = v.Demand
+func srcOverloads(c *vjob.Configuration) map[[2]string]int {
+	vs := c.Violations()
+	if len(vs) == 0 {
+		return nil
+	}
+	m := make(map[[2]string]int, len(vs))
+	for _, v := range vs {
+		m[[2]string{v.Node, v.Resource}] = v.Demand
 	}
 	return m
 }
@@ -165,8 +170,8 @@ func srcOverloads(c *vjob.Configuration) map[string]int {
 // introduced reports whether the violation is the plan's own doing:
 // the (node, resource) pair was not overloaded in the source
 // configuration, or the plan pushed its demand above the source level.
-func introduced(src map[string]int, v vjob.Violation) bool {
-	d, ok := src[v.Node+"\x00"+v.Resource]
+func introduced(src map[[2]string]int, v vjob.Violation) bool {
+	d, ok := src[[2]string{v.Node, v.Resource}]
 	return !ok || v.Demand > d
 }
 

@@ -113,9 +113,9 @@ type transferBook struct {
 	used map[string]int
 }
 
-func newTransferBook(cfg *vjob.Configuration) *transferBook {
-	return &transferBook{cfg: cfg, used: make(map[string]int)}
-}
+// reset empties the book for the NIC capacities of cfg, keeping its
+// map.
+func (b *transferBook) reset(cfg *vjob.Configuration) { b.cfg, b.used = cfg, emptied(b.used) }
 
 // nicOf returns the node's NIC capacity, 0 when the node is unknown
 // (an action endpoint outside the configuration meters nothing; the

@@ -331,13 +331,18 @@ func (c *Configuration) AppendNodes(dst []*Node) []*Node {
 
 // VMs returns the VMs in deterministic (name) order.
 func (c *Configuration) VMs() []*VM {
-	out := make([]*VM, 0, c.numVMs)
+	return c.AppendVMs(make([]*VM, 0, c.numVMs))
+}
+
+// AppendVMs appends the VMs to dst in name order, so a caller that
+// reuses dst walks them without allocating.
+func (c *Configuration) AppendVMs(dst []*VM) []*VM {
 	for _, id := range c.ix.vmOrder {
 		if c.slots[id].state != Terminated {
-			out = append(out, c.ix.vms[id])
+			dst = append(dst, c.ix.vms[id])
 		}
 	}
-	return out
+	return dst
 }
 
 // NumNodes returns the number of registered nodes.
@@ -519,19 +524,25 @@ func (c *Configuration) Fits(v *VM, node string) bool {
 // Clone returns a copy of the placement and state mapping: the two
 // flat slices, with the index shared copy-on-write. Node and VM objects
 // are shared: they are immutable from the planner's point of view.
-func (c *Configuration) Clone() *Configuration {
+func (c *Configuration) Clone() *Configuration { return c.CloneInto(nil) }
+
+// CloneInto is Clone into dst's storage: dst becomes a copy of c that
+// keeps the capacity of its own slot and head slices and shares c's
+// index copy-on-write. A nil dst is a new configuration. What dst held
+// is gone, so nothing else may still read it.
+func (c *Configuration) CloneInto(dst *Configuration) *Configuration {
 	if !c.shared.Load() {
 		c.shared.Store(true)
 	}
-	out := &Configuration{
-		ix:       c.ix,
-		slots:    slices.Clone(c.slots),
-		heads:    slices.Clone(c.heads),
-		numNodes: c.numNodes,
-		numVMs:   c.numVMs,
+	if dst == nil {
+		dst = new(Configuration)
 	}
-	out.shared.Store(true)
-	return out
+	dst.ix = c.ix
+	dst.slots = append(dst.slots[:0], c.slots...)
+	dst.heads = append(dst.heads[:0], c.heads...)
+	dst.numNodes, dst.numVMs = c.numNodes, c.numVMs
+	dst.shared.Store(true)
+	return dst
 }
 
 // Equal reports whether the two configurations have the same nodes,

@@ -118,8 +118,10 @@ func FuzzConfigurationJSON(f *testing.F) {
 // side by side, and after every step requires every query to answer
 // identically. Each step is three bytes: an operation and two operands.
 // Two configurations are live at once — an original and, after a Clone
-// step, its clone — and steps switch between them, so a clone sharing
-// writable storage with its original diverges from its reference.
+// step, its clone, written into the other configuration's storage by
+// CloneInto when the step's second operand is odd — and steps switch
+// between them, so a clone sharing writable storage with its original,
+// or keeping state of what it overwrote, diverges from its reference.
 // Membership changes on either side of a clone reach the shared index:
 // removals mark ids absent, re-adding the same object revives one, and
 // a new name or object copies the index, after which removed ids are
@@ -162,6 +164,15 @@ func FuzzConfigurationOps(f *testing.F) {
 		addVM, 0, 0, addVM, 1, 0, addVM, 2, 0, addVM, 3, 0,
 		setRunning, 0, 0, setRunning, 1, 1, setRunning, 2, 2, clone, 0, 0, switchLive, 0, 0,
 		setRunning, 3, 0, setRunning, 3, 1, setRunning, 3, 2, switchLive, 0, 0, setSleeping, 3, 0,
+	})
+	// A clone into the storage of a configuration with more ids, which
+	// owns an index of its own, then written on both sides.
+	f.Add([]byte{
+		addNode, 0, 0xff, addNode, 1, 0xff, addVM, 0, 0x31, addVM, 1, 0x13, setRunning, 0, 0,
+		clone, 0, 0, switchLive, 0, 0, addNode, 2, 0xff, addVM, 2, 0x20, addVM, 3, 0x11,
+		setRunning, 2, 2, setSleeping, 3, 2, removeVM, 0, 0, switchLive, 0, 0, clone, 0, 1,
+		setRunning, 1, 1, switchLive, 0, 0, setRunning, 0, 1, addVM, 4, 0x05, setRunning, 4, 0,
+		removeNode, 1, 0, switchLive, 0, 0, clone, 0, 1, addVM, 5, 0x07,
 	})
 	// Copy-on-write: both sides of a clone remove, revive and add, so
 	// the shared index is marked, revived, copied and reused from.
@@ -224,7 +235,11 @@ func FuzzConfigurationOps(f *testing.F) {
 			case removeNode:
 				same("RemoveNode", p.c.RemoveNode(nodeName(a)), p.r.removeNode(nodeName(a)))
 			case clone:
-				live[1-cur] = pair{p.c.Clone(), p.r.clone()}
+				var into *Configuration
+				if b%2 == 1 {
+					into = live[1-cur].c
+				}
+				live[1-cur] = pair{p.c.CloneInto(into), p.r.clone()}
 			case switchLive:
 				cur = 1 - cur
 			case extractRebase:
