@@ -11,7 +11,6 @@
 //	experiments fig13 [-quick]    utilization & completion, Entropy vs FCFS
 //	experiments partition [-quick] partitioned vs monolithic solve scaling
 //	experiments churn [-quick]    periodic vs event-driven loop under churn
-//	experiments repairstorm [-quick]  repair widening off/on under failure storms
 //	experiments drain [-quick]    drain/evacuate a node fraction under churn
 //	experiments multires [-quick] CPU-only vs multi-dimensional packing
 //	experiments migration [-quick] transfer-blind vs bandwidth-aware planner
@@ -224,11 +223,6 @@ var studies = []study{
 		e.traced = true
 		writeCSV(e.csvDir, "churn.csv", experiments.ChurnCSV(rows))
 	}},
-	{"repairstorm", func(e *env) {
-		rows := experiments.RepairStormStudy(repairStormOptions(e.quick, e.seed, e.workers, e.studyParts))
-		fmt.Fprint(e.out, experiments.RepairStormTable(rows))
-		writeCSV(e.csvDir, "repairstorm.csv", experiments.RepairStormCSV(rows))
-	}},
 	{"drain", func(e *env) {
 		r := experiments.RunDrain(drainOptions(e.quick, e.seed, e.workers, e.studyParts))
 		fmt.Fprint(e.out, experiments.DrainTable(r))
@@ -306,16 +300,6 @@ func shapeChurn(o *testbed.Options, quick bool, seed int64, workers, partitions 
 func churnOptions(quick bool, seed int64, workers, partitions int) testbed.Options {
 	o := experiments.DefaultChurnOptions()
 	shapeChurn(&o, quick, seed, workers, partitions)
-	return o
-}
-
-// repairStormOptions shapes the repair-widening failure-storm study.
-func repairStormOptions(quick bool, seed int64, workers, partitions int) experiments.RepairStormOptions {
-	o := experiments.DefaultRepairStormOptions()
-	shapeChurn(&o.Churn, quick, seed, workers, partitions)
-	if quick {
-		o.Rates = []float64{0.10}
-	}
 	return o
 }
 
@@ -475,5 +459,5 @@ func writeCSV(dir, name, content string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: experiments <fig1|table1|fig3|fig10|fig11|fig12|fig13|partition|churn|repairstorm|drain|multires|migration|chaos|all|version> [-quick] [-seed N] [-workers N] [-partitions N] [-trace NAME] [-scenario a,b] [-csv DIR] [-trace-out FILE]`)
+	fmt.Fprintln(os.Stderr, `usage: experiments <fig1|table1|fig3|fig10|fig11|fig12|fig13|partition|churn|drain|multires|migration|chaos|all|version> [-quick] [-seed N] [-workers N] [-partitions N] [-trace NAME] [-scenario a,b] [-csv DIR] [-trace-out FILE]`)
 }

@@ -149,15 +149,6 @@ func TestChurnOptionsCLI(t *testing.T) {
 	checkFields(t, "quick", churnOptions(true, 5, 2, 0), quickChurn(fullChurn()))
 }
 
-func TestRepairStormOptionsCLI(t *testing.T) {
-	churn := fullChurn()
-	churn.WatchInvariants = true
-	full := experiments.RepairStormOptions{Churn: churn, Rates: []float64{0.05, 0.10, 0.20}}
-	checkFields(t, "full", repairStormOptions(false, 5, 2, 0), full)
-	quick := experiments.RepairStormOptions{Churn: quickChurn(churn), Rates: []float64{0.10}}
-	checkFields(t, "quick", repairStormOptions(true, 5, 2, 0), quick)
-}
-
 func TestDrainOptionsCLI(t *testing.T) {
 	// The churn scenario without injected failures, arrivals stopping
 	// at the drain order, the structural audit on. Interval stays the
@@ -259,7 +250,7 @@ func TestAllWritesWhatTheSubcommandsWrite(t *testing.T) {
 	if code := run([]string{"all", "-quick", "-csv", dir, "-trace-out", trace}, &out, list); code != 0 {
 		t.Fatalf("exit status %d", code)
 	}
-	for _, name := range []string{"fig3", "fig11", "fig13", "churn", "repairstorm", "drain", "multires", "migration", "chaos"} {
+	for _, name := range []string{"fig3", "fig11", "fig13", "churn", "drain", "multires", "migration", "chaos"} {
 		if _, err := os.Stat(filepath.Join(dir, name+".csv")); err != nil {
 			t.Errorf("%s.csv not written: %v", name, err)
 		}

@@ -75,9 +75,8 @@ var testSeams = map[string]string{
 	"cp.IntVar.Name":    "core/costbound_test.go names the cost variables",
 	"monitor.Ledger.Atoms": "testbed_test.go and experiments/attribution_test.go " +
 		"check the ledger's atoms",
-	"obs.Tracer.Cause":          "core's trace and loop-phase tests read a span's cause",
-	"sim.Invariants.Count":      "monitor/audit_ref_test.go compares breach counts",
-	"core.Partitioner.MaxNodes": "the carve differential test's slice-size seam",
+	"obs.Tracer.Cause":     "core's trace and loop-phase tests read a span's cause",
+	"sim.Invariants.Count": "monitor/audit_ref_test.go compares breach counts",
 }
 
 // TestEveryFieldTakesTwoValues fails on an exported field of a struct

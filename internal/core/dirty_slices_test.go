@@ -153,12 +153,13 @@ func pinnedScenario(t *testing.T, seed int64) (*Loop, *vjob.Configuration) {
 }
 
 // pinnedWidened is the hand-built cross-slice repair of
-// crossSliceRepairCluster, run to convergence: widen < 0 is the
-// refused repair that falls back to the post-execution pass.
-func pinnedWidened(t *testing.T, widen int) (*Loop, *vjob.Configuration) {
+// crossSliceRepairCluster, run to convergence: refused is the repair
+// whose splice the execution refuses, falling back to the
+// post-execution pass.
+func pinnedWidened(t *testing.T, refused bool) (*Loop, *vjob.Configuration) {
 	t.Helper()
 	l, a, cfg := crossSliceRepairCluster(t)
-	l.RepairWiden = widen
+	l.exec.(*fakeExec).refuse = refused
 	l.Solver = NewSolverTelemetry(0)
 	l.poolBoundary(a)
 	l.next(a)
@@ -208,9 +209,9 @@ func TestDirtySlicesPinned(t *testing.T) {
 		l, cfg := pinnedScenario(t, seed)
 		add(fmt.Sprintf("seed %d", seed), l, cfg)
 	}
-	l, cfg := pinnedWidened(t, 0)
+	l, cfg := pinnedWidened(t, false)
 	add("widened", l, cfg)
-	l, cfg = pinnedWidened(t, -1)
+	l, cfg = pinnedWidened(t, true)
 	add("refused", l, cfg)
 	got := b.String()
 

@@ -144,12 +144,6 @@ type Loop struct {
 	// immediately forbids the node to the optimizer and the next
 	// wake-up evacuates it.
 	Drains *DrainSet
-	// RepairWiden bounds how many times one in-flight repair may widen
-	// its region over a broken dependency chain before giving up and
-	// falling back to the post-execution full pass. 0 means
-	// DefaultRepairWiden; negative disables widening entirely (every
-	// broken chain falls back — kept for A/B studies of the widening).
-	RepairWiden int
 	// Queue supplies the live vjob queue at each iteration; required.
 	Queue func() []*vjob.VJob
 	// Done, when non-nil, is polled at each iteration; returning true
@@ -599,22 +593,12 @@ func (l *Loop) poolBoundary(a Actuator) {
 	sp.End(a.Now())
 }
 
-// DefaultRepairWiden is the region-expansion bound of an in-flight
+// maxRepairWiden is the region-expansion bound of an in-flight
 // repair. Each widening step pulls at least one more partition slice
 // into the re-solved region and pays one more round of slice solves;
 // a chain still broken after three expansions spans so much of the
 // cluster that the post-execution full pass is the cheaper recovery.
-const DefaultRepairWiden = 3
-
-func (l *Loop) repairWiden() int {
-	if l.RepairWiden == 0 {
-		return DefaultRepairWiden
-	}
-	if l.RepairWiden < 0 {
-		return 0
-	}
-	return l.RepairWiden
-}
+const maxRepairWiden = 3
 
 // Splice span outcomes; constants so recording them never allocates.
 const (
@@ -628,7 +612,7 @@ const (
 // would strand a kept action whose feasibility depended on a dropped
 // one (plan.ErrBrokenDependency), the broken chain's dependency
 // closure joins the dirty region and the repair re-carves and
-// re-solves the widened region, up to repairWiden() times. On any
+// re-solves the widened region, up to maxRepairWiden times. On any
 // other obstacle — undecomposable problem, failed slice solve, a true
 // infeasibility, an exhausted widening budget — the dirty region is
 // put back and a full incremental pass runs once the execution
@@ -667,7 +651,7 @@ func (l *Loop) repair(a Actuator) (outcome string, widened int) {
 		repaired, err := plan.Repair(cur, l.exec.Remaining(), sr.nodes, sr.vms, sr.merged.Plan)
 		if err != nil {
 			var broken *plan.ErrBrokenDependency
-			if errors.As(err, &broken) && widened < l.repairWiden() {
+			if errors.As(err, &broken) && widened < maxRepairWiden {
 				widened++
 				l.Stats.RepairExpansions++
 				if coverNodes == nil {

@@ -25,6 +25,7 @@ type fakeExec struct {
 	plan       *plan.Plan
 	next       int
 	finished   bool
+	refuse     bool // Splice refuses every repaired plan
 	failures   int
 	start      float64
 	onFailure  func(plan.Action, error)
@@ -77,6 +78,9 @@ func (e *fakeExec) Remaining() *plan.Plan {
 func (e *fakeExec) Splice(np *plan.Plan) error {
 	if e.finished {
 		return errors.New("fake: splice after completion")
+	}
+	if e.refuse {
+		return errors.New("fake: splice refused")
 	}
 	e.a.splices++
 	e.plan = &plan.Plan{Src: e.plan.Src, Pools: append(e.plan.Pools[:e.next:e.next], np.Pools...)}
@@ -390,23 +394,21 @@ func TestEventLoopRepairWidensOverCrossSliceDependency(t *testing.T) {
 	}
 }
 
-// TestEventLoopRepairRefusalFallsBackToFullResolve pins the
-// pre-widening behavior behind RepairWiden < 0: the refusal counts a
-// FailedRepair, leaves the executing plan alone, and the loop
-// converges through the post-execution re-solve instead of corrupting
-// the plan.
+// TestEventLoopRepairRefusalFallsBackToFullResolve pins the fallback
+// of a repair whose splice the execution refuses (after widening over
+// the broken chain and solving): the refusal counts a FailedRepair,
+// leaves the executing plan alone, and the loop converges through the
+// post-execution re-solve instead of corrupting the plan.
 func TestEventLoopRepairRefusalFallsBackToFullResolve(t *testing.T) {
 	l, a, cfg := crossSliceRepairCluster(t)
-	l.RepairWiden = -1
+	l.exec.(*fakeExec).refuse = true
+	executing := l.exec.Plan()
 
 	l.poolBoundary(a)
-	if l.Stats.FailedRepairs != 1 || l.Stats.Repairs != 0 {
+	if l.Stats.FailedRepairs != 1 || l.Stats.Repairs != 0 || l.Stats.WidenedRepairs != 0 {
 		t.Fatalf("refusal not counted as failed repair: %+v", l.Stats)
 	}
-	if l.Stats.WidenedRepairs != 0 || l.Stats.RepairExpansions != 0 {
-		t.Fatalf("widening ran despite RepairWiden < 0: %+v", l.Stats)
-	}
-	if a.splices != 0 {
+	if a.splices != 0 || l.exec.Plan() != executing {
 		t.Fatal("refused repair still spliced the plan")
 	}
 
@@ -434,7 +436,7 @@ func TestEventLoopRepairRefusalFallsBackToFullResolve(t *testing.T) {
 // unrelated event.
 func TestEventLoopFallbackResolvePendingForcesFullPass(t *testing.T) {
 	l, a, cfg := crossSliceRepairCluster(t)
-	l.RepairWiden = -1
+	l.exec.(*fakeExec).refuse = true
 
 	l.poolBoundary(a)
 	if !l.dirty.owed {

@@ -105,7 +105,7 @@ func TestSplitMatchesReference(t *testing.T) {
 		p := splitProblem(t, rng)
 		for _, parts := range []int{0, 2, 3, 5} {
 			carves++
-			if n := splitsAgree(t, Partitioner{Parts: parts, MaxNodes: 2 + rng.Intn(7)}, p); n > 1 {
+			if n := splitsAgree(t, Partitioner{Parts: parts, maxNodes: 2 + rng.Intn(7)}, p); n > 1 {
 				split++
 				if len(p.Rules) > 0 {
 					ruled++
@@ -131,7 +131,7 @@ func FuzzSplit(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, parts, maxNodes uint8) {
 		p := splitProblem(t, rand.New(rand.NewSource(seed)))
-		splitsAgree(t, Partitioner{Parts: int(parts % 7), MaxNodes: int(maxNodes % 9)}, p)
+		splitsAgree(t, Partitioner{Parts: int(parts % 7), maxNodes: int(maxNodes % 9)}, p)
 	})
 }
 
@@ -172,7 +172,7 @@ func TestSplitAllocationBudget(t *testing.T) {
 // hold the indexed carve to.
 func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 	nodes := p.Src.Nodes()
-	maxNodes := pt.MaxNodes
+	maxNodes := pt.maxNodes
 	if maxNodes <= 0 {
 		maxNodes = defaultMaxPartitionNodes
 	}

@@ -28,8 +28,8 @@ import (
 // Every cell draws its chaos randomness from a dedicated stream at
 // Seed+3 (bursts first, then flaps, then the event-loss filter), so
 // the published Seed/Seed+1/Seed+2 streams of the workload generator,
-// arrivals and action failures stay byte-identical to the churn and
-// repair-storm studies.
+// arrivals and action failures stay byte-identical to the churn
+// study.
 
 // ChaosScenarios lists the study's cells in run order.
 func ChaosScenarios() []string {

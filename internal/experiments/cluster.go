@@ -4,12 +4,12 @@
 // study, the Figure 10 FFD-vs-Entropy scalability comparison, and the
 // Figure 11/12/13 cluster experiment (8 vjobs × 9 VMs on 11 nodes)
 // under both the static FCFS baseline and Entropy's dynamic
-// consolidation, plus this repo's partition, churn, repair-storm,
-// drain, multi-resource, migration and chaos studies. cmd/experiments
+// consolidation, plus this repo's partition, churn, drain,
+// multi-resource, migration and chaos studies. cmd/experiments
 // and the root benchmarks are thin wrappers over this package.
 //
 // A study describes its scenario with the type of the layer that runs
-// it. The loop studies (cluster, churn, repair storm, drain, chaos)
+// it. The loop studies (cluster, churn, drain, chaos)
 // take a testbed.Options; each Run function overwrites the fields its
 // study fixes, says which in its doc, and passes the rest as given.
 // The solve studies (Fig. 10, partition, multi-resource, migration)

@@ -70,7 +70,7 @@ func clusterCSV(r ClusterResult) string {
 
 // TestStudiesPinned pins what the control loop decides in every study
 // that wires one — the §5.2 cluster run under both decision modules,
-// churn under both schedules and under the repair-storm settings, all
+// churn under both schedules and under a failure storm, all
 // six chaos cells, the drain study — each at its quick options with
 // Workers: 1. The transcript was captured at 61520c9, the last commit
 // at which each study (and cmd/entropyd) wired cluster, workload, loop,
@@ -114,10 +114,7 @@ func TestStudiesPinned(t *testing.T) {
 	storm := churn
 	storm.WatchInvariants = true
 	storm.Failures = sim.FailureStorm{Base: 0.10, Storm: 0.30, From: 100, Until: 300}
-	storm.RepairWiden = -1
-	addChurn("churn storm widen=off", true, storm)
-	storm.RepairWiden = 0
-	addChurn("churn storm widen=on", true, storm)
+	addChurn("churn storm", true, storm)
 
 	chaos := quickChaosOptions()
 	chaos.Churn.Optimizer.Timeout = pinnedTimeout

@@ -11,8 +11,9 @@ import (
 // driver fails completing actions with probability Base in calm
 // periods and Storm inside the [From, Until) window of virtual time.
 // The churn scenario's flat 2% rate is the degenerate storm (no
-// window); the repairstorm study drives 5/10/20% windows through this
-// to push the loop's repair path well past the rate it was tuned at.
+// window); the chaos study's action-storm cell drives a 30% window
+// through this to push the loop's repair path well past the rate it
+// was tuned at.
 type FailureStorm struct {
 	// Base and Storm are per-action failure probabilities.
 	Base, Storm float64

@@ -63,14 +63,12 @@ type Options struct {
 	// failures from Seed+2.
 	Seed int64
 	// Decision is the module the terminator wraps. It, Optimizer,
-	// Interval, EventDriven, Debounce and RepairWiden reach core.Loop as
-	// they are.
+	// Interval, EventDriven and Debounce reach core.Loop as they are.
 	Decision    core.DecisionModule
 	Optimizer   core.Optimizer
 	Interval    float64
 	EventDriven bool
 	Debounce    float64
-	RepairWiden int
 	// StopWhenDone halts the loop once every vjob finished and its VMs
 	// left the configuration (and arrivals, if any, have stopped).
 	// Without it the loop reacts until the horizon: node events outlive
@@ -160,7 +158,6 @@ func New(o Options) *Testbed {
 		Interval:    o.Interval,
 		EventDriven: o.EventDriven,
 		Debounce:    o.Debounce,
-		RepairWiden: o.RepairWiden,
 		Drains:      t.drains,
 		Queue:       jobs,
 	}
