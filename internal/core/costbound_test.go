@@ -438,12 +438,13 @@ func TestSolveAllocationBudget(t *testing.T) {
 
 // slicedSolveAllocLanding is what one one-worker partitioned solve of
 // budgetedProblem(1, 1000, 150) — about 63 slice models of 150 search
-// nodes each — allocated once each pool worker decoded and planned its
-// candidates in one plan workspace, recycling displaced ones, on two
-// cores; 3 149 000 when every candidate was decoded and planned from
-// nil, 3 214 000 when each solution's values were a map, 4 896 000
-// when every slice built its model in fresh storage.
-const slicedSolveAllocLanding = 2_000_000
+// nodes each — allocated on two cores once the carve kept its atoms,
+// bins and rule lists in flat arrays; 2 000 000 when each atom and bin
+// held its own name lists, 3 149 000 before each pool worker decoded
+// and planned its candidates in one plan workspace (every candidate
+// from nil), 3 214 000 when each solution's values were a map,
+// 4 896 000 when every slice built its model in fresh storage.
+const slicedSolveAllocLanding = 1_480_000
 
 // TestSlicedSolveAllocationBudget fails when that solve allocates a
 // quarter more than it did at landing: what a slice model costs is paid
@@ -668,25 +669,26 @@ func TestSliceModelAllocationBudget(t *testing.T) {
 // budgetedProblem(1, 100, 300) allocates: its source starts
 // overloaded, and the replay resume grouping runs on a plan that moves
 // a vjob's resumes (Plan.replay) lists the source's violations, maps
-// them by (node, resource), and lists those each pool leaves. A source
-// without violations costs none of it.
-const overloadedReplayAllocs = 6
+// them by (node, resource), and lists those each pool leaves, all in
+// storage the workspace keeps; 6 when the replay made all three fresh.
+const overloadedReplayAllocs = 0
 
 // TestNonImprovingCandidateAllocatesNothing: once a worker's scratch
 // has planned a candidate, decoding and planning another that does not
 // improve the incumbent, and handing it back to the free list, runs in
-// the storage the first left behind — but for the replay of an
-// overloaded source.
+// the storage the first left behind, the replay of an overloaded
+// source included.
 func TestNonImprovingCandidateAllocatesNothing(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
 	for _, tc := range []struct {
-		p    Problem
-		want float64
-	}{{budgetedProblem(1, 100, 300), overloadedReplayAllocs}, {tableProblem(3, true), 0}} {
+		p          Problem
+		overloaded bool
+		want       float64
+	}{{budgetedProblem(1, 100, 300), true, overloadedReplayAllocs}, {tableProblem(3, true), false, 0}} {
 		p := tc.p
-		if overloaded := !p.Src.Viable(); overloaded != (tc.want > 0) {
+		if overloaded := !p.Src.Viable(); overloaded != tc.overloaded {
 			t.Fatalf("source overloaded: %v", overloaded)
 		}
 		o := Optimizer{Workers: 1}

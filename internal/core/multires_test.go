@@ -117,15 +117,16 @@ func TestFitsMultiDimension(t *testing.T) {
 func TestPressureOverExtraDimensions(t *testing.T) {
 	tot := resources.New(100, 1000)
 	tot.Set(resources.NetBW, 500)
-	hot := &atom{cap: resources.New(10, 100), dem: resources.New(5, 50)}
-	hot.cap.Set(resources.NetBW, 50)
-	hot.dem.Set(resources.NetBW, 80) // +30 of 500 total
+	capacity := resources.New(10, 100)
+	capacity.Set(resources.NetBW, 50)
+	demand := resources.New(5, 50)
+	demand.Set(resources.NetBW, 80) // +30 of 500 total
+	hot := &atom{nodes: 1, vms: 1, over: demand.Sub(capacity)}
 	if p := hot.pressure(tot); p <= 0 {
 		t.Fatalf("net-overloaded atom pressure = %v", p)
 	}
-	cool := &atom{cap: resources.New(10, 100), dem: resources.New(5, 50)}
-	cool.cap.Set(resources.NetBW, 50)
-	cool.dem.Set(resources.NetBW, 10)
+	demand.Set(resources.NetBW, 10)
+	cool := &atom{nodes: 1, vms: 1, over: demand.Sub(capacity)}
 	if p := cool.pressure(tot); p >= 0 {
 		t.Fatalf("cool atom pressure = %v", p)
 	}

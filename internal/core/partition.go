@@ -55,13 +55,13 @@ type Partitioner struct {
 // defaultMaxPartitionNodes is the auto-mode slice size.
 const defaultMaxPartitionNodes = 16
 
-// atom is one indivisible slice of the cluster: a connected component
-// of the binding relation.
+// atom is one indivisible slice of the cluster, a connected component
+// of the binding relation, as packing reads it: its node and VM counts
+// and its running demand minus its capacity (a floating cohort has no
+// capacity). A bin is the sum of the atoms packed into it.
 type atom struct {
-	nodes []string
-	vms   []string
-	cap   resources.Vector
-	dem   resources.Vector
+	nodes, vms int32
+	over       resources.Vector
 }
 
 // pressure is how far the atom's running demand exceeds its capacity,
@@ -76,7 +76,7 @@ func (a *atom) pressure(tot resources.Vector) float64 {
 		if tot.Get(k) <= 0 {
 			continue
 		}
-		if d := float64(a.dem.Get(k)-a.cap.Get(k)) / float64(tot.Get(k)); d > p {
+		if d := float64(a.over.Get(k)) / float64(tot.Get(k)); d > p {
 			p = d
 		}
 	}
@@ -91,19 +91,19 @@ const mathInfNeg = -1e18
 // achievable.
 //
 // The carve runs on dense indices — nodes, then VMs, then rules, in
-// Nodes(), VMs() and Rules order — so it costs O(nodes + VMs + rule
-// scopes), plus one Extract per slice.
+// Nodes(), VMs() and Rules order — in flat arrays sized once: O(nodes +
+// VMs + rule scopes), plus one Extract and the rescoped rules per slice.
 func (pt Partitioner) Split(p Problem) ([]Problem, error) {
-	nodes := p.Src.Nodes()
-	maxNodes := pt.maxNodes
-	if maxNodes <= 0 {
-		maxNodes = defaultMaxPartitionNodes
-	}
 	want := pt.Parts
+	if want != 0 && want <= 1 {
+		return nil, nil // before the node list: a monolithic solve allocates nothing here
+	}
+	nodes := p.Src.Nodes()
+	maxNodes := cmp.Or(pt.maxNodes, defaultMaxPartitionNodes)
 	sliceCap := maxNodes
 	if want == 0 {
 		want = (len(nodes) + maxNodes - 1) / maxNodes
-	} else if want > 1 {
+	} else {
 		sliceCap = (len(nodes) + want - 1) / want
 	}
 	if want <= 1 || len(nodes) < 2 {
@@ -167,36 +167,32 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 		return hard.find(e)
 	}
 
-	// Collect atoms (components holding nodes) and floating cohorts
-	// (components of waiting VMs bound to no node yet), in order of
-	// first appearance. Floating VMs of one vjob always cohere: with no
-	// placement there is no reason to cut their gang.
-	atomOf := make([]int32, total) // root -> index in atoms, -1 for none
-	for i := range atomOf {
-		atomOf[i] = -1
-	}
-	atoms := make([]atom, 0, len(nodes)) // the node atoms, at most one per node, then the cohorts
-	get := func(root int32) *atom {
-		if atomOf[root] < 0 {
-			atomOf[root] = int32(len(atoms))
-			atoms = append(atoms, atom{})
+	// Number the atoms (components holding nodes), then the floating
+	// cohorts (of waiting VMs bound to no node yet), by first appearance.
+	// Floating VMs of one vjob always cohere: with no placement there is
+	// no reason to cut their gang.
+	atomOf := make([]int32, total)      // root -> 1 + its atom, 0 for none
+	elemAtom := make([]int32, ruleBase) // node or VM -> its atom
+	numAtoms := int32(0)
+	get := func(root int32) int32 {
+		if atomOf[root] == 0 {
+			numAtoms, atomOf[root] = numAtoms+1, numAtoms+1
 		}
-		return &atoms[atomOf[root]]
+		return atomOf[root] - 1
 	}
 	var tot resources.Vector
 	for i, n := range nodes {
-		a := get(rootOf(int32(i)))
-		a.nodes = append(a.nodes, n.Name)
-		a.cap = a.cap.Add(n.Capacity)
+		elemAtom[i] = get(rootOf(int32(i)))
 		tot = tot.Add(n.Capacity)
 	}
 	if tot.Get(resources.CPU) == 0 || tot.Get(resources.Memory) == 0 {
 		return nil, nil
 	}
+	numNodeAtoms := numAtoms            // atoms [0, numNodeAtoms) hold nodes
 	floatRoot := make(map[string]int32) // vjob -> floating atom root
 	for i, v := range vms {
 		root := rootOf(int32(vmBase + i))
-		if ex := atomOf[root]; (ex < 0 || len(atoms[ex].nodes) == 0) && v.VJob != "" && !covered[i] {
+		if ex := atomOf[root]; (ex == 0 || ex > numNodeAtoms) && v.VJob != "" && !covered[i] {
 			// A waiting VM whose gang was cut would land in a singleton
 			// cohort; regroup uncovered floaters of one vjob (covered
 			// ones must stay with their rule's atom).
@@ -206,95 +202,132 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 				floatRoot[v.VJob] = root
 			}
 		}
-		a := get(root)
-		a.vms = append(a.vms, v.Name)
-		if p.wantOf(v, p.Src.StateOf(v.Name)) == vjob.Running {
-			a.dem = a.dem.Add(v.Demand)
-		}
+		elemAtom[vmBase+i] = get(root)
 	}
-
-	pressure := make([]float64, len(atoms))
-	var nodeAtoms, floating []int32
-	for i := range atoms {
-		if len(atoms[i].nodes) > 0 {
-			nodeAtoms = append(nodeAtoms, int32(i))
-			pressure[i] = atoms[i].pressure(tot)
-		} else {
-			floating = append(floating, int32(i))
-		}
-	}
-	if want > len(nodeAtoms) {
-		want = len(nodeAtoms)
-	}
-	if want <= 1 {
+	if want = min(want, int(numNodeAtoms)); want <= 1 {
 		return nil, nil
 	}
 
-	// Pack atoms into bins along the viable/non-viable seam.
-	slices.SortStableFunc(nodeAtoms, func(x, y int32) int {
-		if c := cmp.Compare(pressure[y], pressure[x]); c != 0 {
-			return c
+	// A counting pass sums each atom and makes its members (nodes, then
+	// VMs) a range of one array.
+	atoms, start := make([]atom, numAtoms), make([]int32, numAtoms+1) // start: atom -> its first member
+	for e, ai := range elemAtom {
+		if start[ai+1]++; e < vmBase {
+			atoms[ai].nodes++
+			atoms[ai].over = atoms[ai].over.Sub(nodes[e].Capacity)
+		} else if v := vms[e-vmBase]; p.wantOf(v, p.Src.StateOf(v.Name)) == vjob.Running {
+			atoms[ai].over = atoms[ai].over.Add(v.Demand)
 		}
-		return strings.Compare(atoms[x].nodes[0], atoms[y].nodes[0])
-	})
-	slices.SortStableFunc(floating, func(x, y int32) int {
-		a, b := &atoms[x], &atoms[y]
-		if c := cmp.Compare(b.dem.Get(resources.Memory), a.dem.Get(resources.Memory)); c != 0 {
-			return c
+	}
+	for ai := range numAtoms {
+		atoms[ai].vms = start[ai+1] - atoms[ai].nodes
+		start[ai+1] += start[ai]
+	}
+	members, at := make([]int32, len(elemAtom)), slices.Clone(start[:numAtoms])
+	for e, ai := range elemAtom {
+		members[at[ai]], at[ai] = int32(e), at[ai]+1
+	}
+	name := func(e int32) string {
+		if e < int32(vmBase) {
+			return nodes[e].Name
 		}
-		return strings.Compare(a.vms[0], b.vms[0])
-	})
+		return vms[e-int32(vmBase)].Name
+	}
 
-	bins := make([]atom, want)
-	slack := make([]float64, want)     // per bin; 0 while it holds nothing
-	binOf := make([]int32, len(atoms)) // atom -> bin
-	for _, ai := range nodeAtoms {
+	// Pack atoms into bins along the viable/non-viable seam: node atoms by
+	// falling pressure, then cohorts by falling memory demand (exact).
+	order, key := make([]int32, numAtoms), make([]float64, numAtoms)
+	for ai := range order {
+		order[ai], key[ai] = int32(ai), float64(atoms[ai].over.Get(resources.Memory))
+		if ai < int(numNodeAtoms) {
+			key[ai] = atoms[ai].pressure(tot)
+		}
+	}
+	byKey := func(x, y int32) int {
+		if c := cmp.Compare(key[y], key[x]); c != 0 {
+			return c
+		}
+		return strings.Compare(name(members[start[x]]), name(members[start[y]]))
+	}
+	slices.SortStableFunc(order[:numNodeAtoms], byKey)
+	slices.SortStableFunc(order[numNodeAtoms:], byKey)
+
+	bins, slack := make([]atom, want), make([]float64, want) // slack per bin; 0 while it holds nothing
+	binOf := make([]int32, numAtoms)                         // atom -> bin
+	for _, ai := range order[:numNodeAtoms] {
 		// Overloaded atoms spread to the roomiest bins; headroom atoms
 		// backfill the neediest (most overloaded, then still-empty)
 		// ones.
-		binOf[ai] = assignAtom(bins, slack, &atoms[ai], pressure[ai] > 0, tot)
+		binOf[ai] = assignAtom(bins, slack, &atoms[ai], key[ai] > 0, tot)
 	}
 	// Drop bins the greedy pass left without nodes (possible when a few
 	// giant atoms absorbed everything). Empty bins tie on slack and
 	// node count, so the pass fills them lowest index first: the empty
 	// ones are a suffix.
-	for len(bins[len(bins)-1].nodes) == 0 {
+	for bins[len(bins)-1].nodes == 0 {
 		bins, slack = bins[:len(bins)-1], slack[:len(slack)-1]
 	}
 	if len(bins) <= 1 {
 		return nil, nil
 	}
 	// Floating cohorts (all-waiting vjobs) go where the room is.
-	for _, ai := range floating {
+	for _, ai := range order[numNodeAtoms:] {
 		binOf[ai] = assignAtom(bins, slack, &atoms[ai], true, tot)
 	}
 
-	// Each rule travels with its component's bin, in rule order.
-	binRules := make([][]int, len(bins))
-	for i := range p.Rules {
-		if ai := atomOf[rootOf(int32(ruleBase+i))]; ai >= 0 {
-			binRules[binOf[ai]] = append(binRules[binOf[ai]], i)
+	// Lay the names out bin by bin, nodes then VMs, in assignment order;
+	// ends[bi] is where bin bi's node run and VM run end so far.
+	names, ends := make([]string, len(members)), make([][2]int32, len(bins))
+	mostNodes, mostVMs, off := int32(0), int32(0), int32(0)
+	for bi, b := range bins {
+		ends[bi], off = [2]int32{off, off + b.nodes}, off+b.nodes+b.vms
+		mostNodes, mostVMs = max(mostNodes, b.nodes), max(mostVMs, b.vms)
+	}
+	for _, ai := range order {
+		end := &ends[binOf[ai]]
+		for _, e := range members[start[ai]:start[ai+1]] {
+			k := min(e/int32(vmBase), 1) // 0 for a node, 1 for a VM
+			names[end[k]], end[k] = name(e), end[k]+1
 		}
 	}
 
-	// Materialize the sub-problems.
+	// Each rule travels with its component's bin. Linked from the last rule
+	// back, a bin's list is in rule order (1 + rule index; 0 ends it).
+	ruleHead, ruleNext := make([]int32, len(bins)), make([]int32, len(p.Rules))
+	for i := len(p.Rules) - 1; i >= 0; i-- {
+		if ai := atomOf[rootOf(int32(ruleBase+i))]; ai > 0 {
+			bi := binOf[ai-1]
+			ruleNext[i], ruleHead[bi] = ruleHead[bi], int32(i+1)
+		}
+	}
+
+	// Materialize the sub-problems; their rules share one capped array.
 	out := make([]Problem, len(bins))
+	rules := make([]PlacementRule, 0, len(p.Rules))
+	vmSet, nodeSet := make(map[string]bool, mostVMs), make(map[string]bool, mostNodes)
 	for bi, b := range bins {
-		vmSet := make(map[string]bool, len(b.vms))
-		for _, name := range b.vms {
-			vmSet[name] = true
-		}
-		nodeSet := make(map[string]bool, len(b.nodes))
-		for _, n := range b.nodes {
-			nodeSet[n] = true
-		}
-		var rules []PlacementRule
-		for _, i := range binRules[bi] {
-			if rr := p.Rules[i].Rescope(vmSet, nodeSet); rr != nil {
-				rules = append(rules, rr)
+		binNodes, binVMs := names[ends[bi][0]-b.nodes:ends[bi][0]], names[ends[bi][0]:ends[bi][1]]
+		from := len(rules)
+		if ruleHead[bi] > 0 {
+			clear(vmSet)
+			clear(nodeSet)
+			for _, n := range binVMs {
+				vmSet[n] = true
+			}
+			for _, n := range binNodes {
+				nodeSet[n] = true
+			}
+			for i := ruleHead[bi]; i > 0; i = ruleNext[i-1] {
+				if rr := p.Rules[i-1].Rescope(vmSet, nodeSet); rr != nil {
+					rules = append(rules, rr)
+				}
 			}
 		}
-		sub, err := p.restrict(b.nodes, b.vms, rules)
+		var binRules []PlacementRule
+		if len(rules) > from {
+			binRules = rules[from:len(rules):len(rules)]
+		}
+		sub, err := p.restrict(binNodes, binVMs, binRules)
 		if err != nil {
 			return nil, err
 		}
@@ -336,15 +369,12 @@ func assignAtom(bins []atom, slack []float64, a *atom, wide bool, tot resources.
 		if wide {
 			better = si > sb
 		}
-		if better || (si == sb && len(bins[i].nodes) < len(bins[best].nodes)) {
+		if better || (si == sb && bins[i].nodes < bins[best].nodes) {
 			best = i
 		}
 	}
 	b := &bins[best]
-	b.nodes = append(b.nodes, a.nodes...)
-	b.vms = append(b.vms, a.vms...)
-	b.cap = b.cap.Add(a.cap)
-	b.dem = b.dem.Add(a.dem)
+	b.nodes, b.vms, b.over = b.nodes+a.nodes, b.vms+a.vms, b.over.Add(a.over)
 	slack[best] = -b.pressure(tot)
 	return int32(best)
 }

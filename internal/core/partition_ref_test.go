@@ -16,7 +16,11 @@ import (
 // splitProblem is randomProblem with up to two loose VMs (no vjob) and
 // up to five random rules: Spread, Gather, Fence, Ban and Drained
 // over random subsets of the VMs and nodes, sometimes naming one the
-// configuration does not know.
+// configuration does not know. Drawn on top, so every dimension of the
+// carve's vector arithmetic is summed and compared: up to three nodes
+// of their own capacity, some with net and disk; up to three VMs with
+// net and disk demand, most of them running; and, in a third of the
+// problems, more all-waiting vjobs than nodes, some of them to run.
 func splitProblem(t *testing.T, rng *rand.Rand) Problem {
 	p := randomProblem(t, rng)
 	nodes := p.Src.Nodes()
@@ -25,6 +29,36 @@ func splitProblem(t *testing.T, rng *rand.Rand) Problem {
 		p.Src.AddVM(v)
 		if rng.Intn(2) == 0 {
 			mustRun(t, p.Src, v.Name, nodes[rng.Intn(len(nodes))].Name)
+		}
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		c := resources.New(1+rng.Intn(4), 1024*(1+rng.Intn(8)))
+		if rng.Intn(2) == 0 {
+			c.Set(resources.NetBW, 100*rng.Intn(10))
+			c.Set(resources.DiskIO, 50*rng.Intn(10))
+		}
+		p.Src.AddNode(vjob.NewNodeRes(fmt.Sprintf("x%d", i), c))
+	}
+	nodes = p.Src.Nodes()
+	for i := rng.Intn(4); i > 0; i-- {
+		d := resources.New(rng.Intn(2), 256*(1+rng.Intn(4)))
+		d.Set(resources.NetBW, 50*rng.Intn(6))
+		d.Set(resources.DiskIO, 25*rng.Intn(6))
+		v := vjob.NewVMRes(fmt.Sprintf("io-%d", i), fmt.Sprintf("io%d", rng.Intn(2)), d)
+		p.Src.AddVM(v)
+		if rng.Intn(3) > 0 {
+			mustRun(t, p.Src, v.Name, nodes[rng.Intn(len(nodes))].Name)
+		}
+	}
+	if rng.Intn(3) == 0 {
+		for i := len(nodes) + rng.Intn(3); i >= 0; i-- {
+			job := fmt.Sprintf("w%d", i)
+			for k := rng.Intn(2); k >= 0; k-- {
+				p.Src.AddVM(vjob.NewVM(fmt.Sprintf("%s-%d", job, k), job, rng.Intn(2), 512*(1+rng.Intn(4))))
+			}
+			if rng.Intn(2) == 0 {
+				p.Target[job] = vjob.Running
+			}
 		}
 	}
 	var vmNames, nodeNames []string
@@ -113,6 +147,7 @@ func TestSplitMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d of %d carves split, %d with rules", split, carves, ruled)
 	if split < carves/2 || ruled < carves/4 {
 		t.Fatalf("%d of %d carves split, %d with rules: the generator no longer exercises the carve", split, carves, ruled)
 	}
@@ -136,11 +171,13 @@ func FuzzSplit(f *testing.F) {
 }
 
 // splitAllocLanding is what one Split of budgetedProblem(1, 1000, 150)
-// — 1000 nodes, 1500 VMs, 1500 scoped rules — allocated once its atoms
-// were presized to the node count; 1 590 000 when they grew by append
-// after the carve moved to dense indices, and about 3.2 MB for the
-// string-keyed carve.
-const splitAllocLanding = 1_093_000
+// — 1000 nodes, 1500 VMs, 1500 scoped rules — allocated once the carve
+// kept its atoms, bins and rule lists in flat arrays sized once;
+// 1 093 000 when each atom and bin held its own name lists (the atoms
+// presized to the node count, which the floating cohorts outgrew),
+// 1 590 000 when they grew by append after the carve moved to dense
+// indices, and about 3.2 MB for the string-keyed carve.
+const splitAllocLanding = 568_000
 
 // TestSplitAllocationBudget fails when that Split allocates a quarter
 // more than it did at landing. Bytes are counted, not timed.
@@ -161,6 +198,23 @@ func TestSplitAllocationBudget(t *testing.T) {
 	t.Logf("one Split allocated %d bytes", got)
 	if got > splitAllocLanding*5/4 {
 		t.Fatalf("one Split allocated %d bytes, more than 1.25 x the %d it allocated at landing", got, splitAllocLanding)
+	}
+}
+
+// TestMonolithicSplitAllocatesNothing: with one partition asked, Split
+// returns before it lists a node, so a monolithic solve pays nothing
+// for the carve.
+func TestMonolithicSplitAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	p := budgetedProblem(1, 100, 300)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if parts, err := (Partitioner{Parts: 1}).Split(p); parts != nil || err != nil {
+			t.Fatalf("%d slices, %v", len(parts), err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Split with one partition asked: %v allocations, want 0", allocs)
 	}
 }
 
@@ -248,12 +302,12 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 	// (components of waiting VMs bound to no node yet). Floating VMs of
 	// one vjob always cohere: with no placement there is no reason to
 	// cut their gang.
-	atoms := make(map[string]*atom)
+	atoms := make(map[string]*refAtom)
 	var order []string
-	get := func(root string) *atom {
+	get := func(root string) *refAtom {
 		a := atoms[root]
 		if a == nil {
-			a = &atom{}
+			a = &refAtom{}
 			atoms[root] = a
 			order = append(order, root)
 		}
@@ -327,9 +381,9 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 		return a.vms[0] < b.vms[0]
 	})
 
-	bins := make([]*atom, want)
+	bins := make([]*refAtom, want)
 	for i := range bins {
-		bins[i] = &atom{}
+		bins[i] = &refAtom{}
 	}
 	binOf := make(map[string]int)
 	for _, root := range nodeAtoms {
@@ -403,9 +457,9 @@ func refSplit(pt Partitioner, p Problem) ([]Problem, error) {
 // Slack is the minimum over resource dimensions of the bin's
 // normalized headroom — a bin tight on any one dimension is a tight
 // bin.
-func refAssignAtom(atoms map[string]*atom, bins []*atom, binOf map[string]int, root string, wide bool, tot resources.Vector) {
+func refAssignAtom(atoms map[string]*refAtom, bins []*refAtom, binOf map[string]int, root string, wide bool, tot resources.Vector) {
 	a := atoms[root]
-	slack := func(b *atom) float64 {
+	slack := func(b *refAtom) float64 {
 		s := 1e18
 		for _, k := range resources.Kinds() {
 			if tot.Get(k) <= 0 {
@@ -434,6 +488,29 @@ func refAssignAtom(atoms map[string]*atom, bins []*atom, binOf map[string]int, r
 	b.cap = b.cap.Add(a.cap)
 	b.dem = b.dem.Add(a.dem)
 	binOf[root] = best
+}
+
+// refAtom is an atom or a bin of refSplit: its node and VM names, its
+// capacity and its running demand.
+type refAtom struct {
+	nodes []string
+	vms   []string
+	cap   resources.Vector
+	dem   resources.Vector
+}
+
+// pressure is atom.pressure over the capacity and demand kept apart.
+func (a *refAtom) pressure(tot resources.Vector) float64 {
+	p := mathInfNeg
+	for _, k := range resources.Kinds() {
+		if tot.Get(k) <= 0 {
+			continue
+		}
+		if d := float64(a.dem.Get(k)-a.cap.Get(k)) / float64(tot.Get(k)); d > p {
+			p = d
+		}
+	}
+	return p
 }
 
 // refUnionFind is a string-keyed disjoint-set forest with path

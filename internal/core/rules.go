@@ -36,7 +36,9 @@ type PlacementRule interface {
 	// cannot host the VM anyway.
 	BindNodes() []string
 	// Rescope returns the rule restricted to a partition's VM and node
-	// sets, or nil when the restriction makes the rule trivial.
+	// sets, or nil when the restriction makes the rule trivial. The two
+	// sets are valid only during the call (the partitioner reuses them
+	// for the next partition): a rule must not retain them.
 	Rescope(vms, nodes map[string]bool) PlacementRule
 }
 

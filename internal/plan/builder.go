@@ -395,6 +395,7 @@ type grouping struct {
 	delayed         []delay
 	books           []transferBook
 	book            transferBook // the replay's
+	over            overloads    // the replay's
 }
 
 // resize returns buf at length n, in its own array when that holds n.
@@ -487,7 +488,7 @@ func (w *grouping) recordTargetFree(p *Plan, groups []*resumeGroup, cur *vjob.Co
 	for _, g := range groups {
 		at[g.target] = append(at[g.target], g)
 	}
-	return p.replay(p.Src.CloneInto(cur), &w.book, func(i int, cur *vjob.Configuration) {
+	return p.replay(p.Src.CloneInto(cur), &w.book, &w.over, func(i int, cur *vjob.Configuration) {
 		for _, g := range at[i] {
 			g.free = emptied(g.free)
 			for _, r := range g.late {

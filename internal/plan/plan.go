@@ -117,13 +117,15 @@ func (p *Plan) Result() (*vjob.Configuration, error) {
 // shrinks — through the early pools is the cure in progress, not a new
 // disease: a plan evacuating an overloaded node keeps a smaller
 // violation alive on it until the last migration leaves.
-func (p *Plan) Validate() error { return p.replay(p.Src.Clone(), new(transferBook), nil) }
+func (p *Plan) Validate() error {
+	return p.replay(p.Src.Clone(), new(transferBook), new(overloads), nil)
+}
 
 // replay is Validate on cur, a copy of Src the replay moves forward,
-// and book, calling atStart, when set, with each pool's index and the
-// configuration at its start.
-func (p *Plan) replay(cur *vjob.Configuration, book *transferBook, atStart func(pool int, cur *vjob.Configuration)) error {
-	srcViolations := srcOverloads(cur)
+// book and over, calling atStart, when set, with each pool's index and
+// the configuration at its start.
+func (p *Plan) replay(cur *vjob.Configuration, book *transferBook, over *overloads, atStart func(pool int, cur *vjob.Configuration)) error {
+	over.reset(cur)
 	for i, pool := range p.Pools {
 		if atStart != nil {
 			atStart(i, cur)
@@ -143,8 +145,8 @@ func (p *Plan) replay(cur *vjob.Configuration, book *transferBook, atStart func(
 				return fmt.Errorf("plan: pool %d: %w", i, err)
 			}
 		}
-		for _, v := range cur.Violations() {
-			if introduced(srcViolations, v) {
+		for _, v := range over.audit(cur) {
+			if over.introduced(v) {
 				return fmt.Errorf("plan: pool %d introduces violation: %v", i, v)
 			}
 		}
@@ -152,26 +154,39 @@ func (p *Plan) replay(cur *vjob.Configuration, book *transferBook, atStart func(
 	return nil
 }
 
-// srcOverloads maps each violated (node, resource) pair of the
-// configuration to its demand, so a replay can tell a pre-existing
-// overload the plan is still working off from one the plan created.
-func srcOverloads(c *vjob.Configuration) map[[2]string]int {
-	vs := c.Violations()
-	if len(vs) == 0 {
-		return nil
+// overloads is a replay's violation storage: each violated (node,
+// resource) pair of the source mapped to its demand, so a replay can
+// tell a pre-existing overload the plan is still working off from one
+// the plan created, and the list each pool's audit fills. The zero
+// value is ready; kept from replay to replay, it allocates nothing.
+type overloads struct {
+	src  map[[2]string]int
+	list []vjob.Violation
+}
+
+// reset records c's violations as the source's.
+func (o *overloads) reset(c *vjob.Configuration) {
+	clear(o.src)
+	vs := o.audit(c)
+	if o.src == nil && len(vs) > 0 {
+		o.src = make(map[[2]string]int, len(vs))
 	}
-	m := make(map[[2]string]int, len(vs))
 	for _, v := range vs {
-		m[[2]string{v.Node, v.Resource}] = v.Demand
+		o.src[[2]string{v.Node, v.Resource}] = v.Demand
 	}
-	return m
+}
+
+// audit returns c's violations, in the list the last audit returned.
+func (o *overloads) audit(c *vjob.Configuration) []vjob.Violation {
+	o.list = c.AppendViolations(o.list[:0])
+	return o.list
 }
 
 // introduced reports whether the violation is the plan's own doing:
 // the (node, resource) pair was not overloaded in the source
 // configuration, or the plan pushed its demand above the source level.
-func introduced(src map[[2]string]int, v vjob.Violation) bool {
-	d, ok := src[[2]string{v.Node, v.Resource}]
+func (o *overloads) introduced(v vjob.Violation) bool {
+	d, ok := o.src[[2]string{v.Node, v.Resource}]
 	return !ok || v.Demand > d
 }
 

@@ -122,7 +122,8 @@ func touchesDirty(a Action, nodes, vms map[string]bool) bool {
 // a fresh plan's own action broke, which no widening can explain.
 func brokenClosure(merged *Plan, fresh map[Action]bool) (nodes, vms []string, freshBroken bool) {
 	cur := merged.Src.Clone()
-	srcViol := srcOverloads(cur)
+	var over overloads
+	over.reset(cur)
 	brokenN := make(map[string]bool)
 	brokenV := make(map[string]bool)
 	mark := func(a Action) {
@@ -148,8 +149,8 @@ func brokenClosure(merged *Plan, fresh map[Action]bool) (nodes, vms []string, fr
 				mark(a)
 			}
 		}
-		for _, v := range cur.Violations() {
-			if !introduced(srcViol, v) {
+		for _, v := range over.audit(cur) {
+			if !over.introduced(v) {
 				continue
 			}
 			for _, a := range pool {

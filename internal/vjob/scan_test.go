@@ -363,6 +363,13 @@ func agree(t *testing.T, c *Configuration, r *scanConfig) {
 	if got, want := c.Violations(), r.violations(); !reflect.DeepEqual(got, want) {
 		fail("Violations", got, want)
 	}
+	head := []Violation{{Node: "head"}}
+	if got, want := c.AppendViolations(head), append(head[:1:1], r.violations()...); !reflect.DeepEqual(got, want) {
+		fail("AppendViolations", got, want)
+	}
+	if got, want := c.Viable(), len(r.violations()) == 0; got != want {
+		fail("Viable", got, want)
+	}
 	if got, want := c.String(), r.String(); got != want {
 		fail("String", got, want)
 	}

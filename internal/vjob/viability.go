@@ -37,8 +37,11 @@ func (v Violation) Error() string {
 // Each node's usage is summed from the VMs placed on it (Used), so the
 // audit is one O(nodes + VMs) pass over ids that allocates only its
 // result.
-func (c *Configuration) Violations() []Violation {
-	var out []Violation
+func (c *Configuration) Violations() []Violation { return c.AppendViolations(nil) }
+
+// AppendViolations appends the violations Violations lists to dst and
+// returns it, so a caller that reuses dst audits without allocating.
+func (c *Configuration) AppendViolations(dst []Violation) []Violation {
 	for _, id := range c.ix.nodeOrder {
 		if c.heads[id] == gone {
 			continue
@@ -46,16 +49,24 @@ func (c *Configuration) Violations() []Violation {
 		n, u := c.ix.nodes[id], c.used(id)
 		for _, k := range resources.Kinds() {
 			if u.Get(k) > n.Capacity.Get(k) {
-				out = append(out, Violation{Node: n.Name, Resource: k.String(), Demand: u.Get(k), Capacity: n.Capacity.Get(k)})
+				dst = append(dst, Violation{Node: n.Name, Resource: k.String(), Demand: u.Get(k), Capacity: n.Capacity.Get(k)})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Viable reports whether every running VM has access to sufficient
-// resources on every dimension.
-func (c *Configuration) Viable() bool { return len(c.Violations()) == 0 }
+// resources on every dimension. It stops at the first overload and
+// allocates nothing.
+func (c *Configuration) Viable() bool {
+	for _, id := range c.ix.nodeOrder {
+		if c.heads[id] != gone && !c.used(id).Fits(c.ix.nodes[id].Capacity) {
+			return false
+		}
+	}
+	return true
+}
 
 // VJobState derives the state of a vjob from the states of its VMs. A
 // vjob is Running (resp. Sleeping, Waiting) when all its VMs are; it is
