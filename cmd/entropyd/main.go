@@ -208,8 +208,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		c.Now(), c.Now()/60, len(loop.Records), meanDuration(loop.Records))
 	if *eventDriven {
 		s := loop.Stats
-		fmt.Fprintf(out, "event loop: %d events (%d coalesced), %d slice solves, %d full solves, %d repairs, %d partition reuses\n",
-			s.Events, s.Coalesced, s.SliceSolves, s.FullSolves, s.Repairs, s.PartitionReuses)
+		fmt.Fprintf(out, "event loop: %d events (%d coalesced), %d slice solves, %d full solves, %d repairs\n",
+			s.Events, s.Coalesced, s.SliceSolves, s.FullSolves, s.Repairs)
 	}
 	local, remote := c.TransferCounts()
 	fmt.Fprintf(out, "actions: %v; transfers: %d local, %d remote\n", c.ActionCounts(), local, remote)

@@ -77,6 +77,8 @@ var testSeams = map[string]string{
 		"check the ledger's atoms",
 	"obs.Tracer.Cause":     "core's trace and loop-phase tests read a span's cause",
 	"sim.Invariants.Count": "monitor/audit_ref_test.go compares breach counts",
+	"core.LoopStats.PartitionReuses": "bench-pinned: bench/churn.go reads it; " +
+		"the benchmark's next change drops it with loop.partition_reuse_ratio",
 }
 
 // TestEveryFieldTakesTwoValues fails on an exported field of a struct

@@ -105,7 +105,6 @@ func (s *Server) metricFamilies() []family {
 		one("cwcs_repair_expansions_total", "Region-widening steps across all repairs (depth = expansions/widened).", "counter", float64(snap.Loop.RepairExpansions)),
 		one("cwcs_events_total", "Cluster events received by the loop.", "counter", float64(snap.Loop.Events)),
 		one("cwcs_events_coalesced_total", "Events absorbed into an armed wake-up or in-flight execution.", "counter", float64(snap.Loop.Coalesced)),
-		one("cwcs_partition_reuses_total", "Wake-ups that reused the cached partition carve.", "counter", float64(snap.Loop.PartitionReuses)),
 		one("cwcs_switches_total", "Executed cluster-wide context switches.", "counter", float64(snap.Switches)),
 		violations,
 		one("cwcs_queue_depth", "VJobs in the submission queue.", "gauge", float64(snap.QueueDepth)),

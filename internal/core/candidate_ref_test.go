@@ -83,7 +83,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		p := compileProblem(seed, seed%2 == 1)
 		for _, v := range p.Src.VMs() {
-			p.Rules = append(p.Rules, searchBudget{VM: v.Name, Nodes: 200})
+			p.Rules = append(p.Rules, budgetOn(v.Name, 200))
 		}
 		problems = append(problems, p)
 	}

@@ -274,14 +274,20 @@ func toFixpoint(s *cp.Solver, at func()) error {
 // budget (bench/nodebudget.go), restated here so that a change to cp
 // or core that breaks what it rides on fails in this package. Like the
 // benchmark's, its scope is its one VM, so a partitioned solve hands
-// every slice model the whole budget.
+// every slice model the whole budget. The scope is stored, not built
+// per call, so that a carve's allocation budget counts the carve alone.
 type searchBudget struct {
-	VM    string
+	scope []string // the one VM
 	Nodes int64
 }
 
+// budgetOn is the rule that budgets the search on vm's variable.
+func budgetOn(vm string, nodes int64) searchBudget {
+	return searchBudget{scope: []string{vm}, Nodes: nodes}
+}
+
 func (r searchBudget) Apply(s *cp.Solver, vars map[string]*cp.IntVar, _ map[string]int) error {
-	if v, ok := vars[r.VM]; ok {
+	if v, ok := vars[r.scope[0]]; ok {
 		s.Post(&cp.FuncConstraint{On: []*cp.IntVar{v}, Run: func(s *cp.Solver) error {
 			if nodes, _, _, _ := s.Stats(); nodes >= r.Nodes {
 				return cp.ErrCanceled
@@ -294,11 +300,11 @@ func (r searchBudget) Apply(s *cp.Solver, vars map[string]*cp.IntVar, _ map[stri
 
 func (r searchBudget) Check(*vjob.Configuration) error { return nil }
 
-func (r searchBudget) ScopeVMs() []string  { return []string{r.VM} }
+func (r searchBudget) ScopeVMs() []string  { return r.scope }
 func (r searchBudget) BindNodes() []string { return nil }
 
 func (r searchBudget) Rescope(vms, _ map[string]bool) PlacementRule {
-	if !vms[r.VM] {
+	if !vms[r.scope[0]] {
 		return nil
 	}
 	return r
@@ -314,7 +320,7 @@ func budgetedProblem(seed int64, nodes int, budget int64) Problem {
 	})
 	p := Problem{Src: g.Cfg, Target: sched.Consolidation{}.Decide(g.Cfg, g.Jobs)}
 	for _, v := range g.Cfg.VMs() {
-		p.Rules = append(p.Rules, searchBudget{VM: v.Name, Nodes: budget})
+		p.Rules = append(p.Rules, budgetOn(v.Name, budget))
 	}
 	return p
 }
@@ -564,7 +570,7 @@ func TestObjectiveIsActionCostSum(t *testing.T) {
 			p.Rules = append(p.Rules, Gather{VMs: pick(2)})
 		}
 		for _, v := range vms {
-			p.Rules = append(p.Rules, searchBudget{VM: v.Name, Nodes: budget})
+			p.Rules = append(p.Rules, budgetOn(v.Name, budget))
 		}
 		o := Optimizer{Workers: 1, Partitions: 1, PinRunning: seed%3 == 0}
 		if seed%5 < 3 {

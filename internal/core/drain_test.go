@@ -92,7 +92,7 @@ func TestDrainedRescope(t *testing.T) {
 
 func TestDrainSetBridge(t *testing.T) {
 	var nilSet *DrainSet
-	if nilSet.IsDrained("x") || nilSet.Nodes() != nil || nilSet.Generation() != 0 {
+	if nilSet.IsDrained("x") || nilSet.Nodes() != nil {
 		t.Fatal("nil DrainSet misbehaves")
 	}
 	d := &DrainSet{}
@@ -112,12 +112,8 @@ func TestDrainSetBridge(t *testing.T) {
 			t.Fatalf("rule %d: %v", i, dr.Nodes)
 		}
 	}
-	gen := d.Generation()
 	if !d.Undrain("n00") || d.Undrain("n00") {
 		t.Fatal("undrain idempotence broken")
-	}
-	if d.Generation() == gen {
-		t.Fatal("generation not bumped")
 	}
 	if d.IsDrained("n00") || !d.IsDrained("n01") {
 		t.Fatal("membership wrong after undrain")
@@ -168,5 +164,32 @@ func TestLoopDrainBridgeEvacuates(t *testing.T) {
 	}
 	if got := len(l.rules()); got != 0 {
 		t.Fatalf("%d rules still installed after undrain", got)
+	}
+}
+
+// TestLoopDrainWithoutEventEvacuates: a drain order that reaches the
+// loop with no NodeDown event (the control plane always sends one, but
+// the rule must not depend on it) still empties the node at the next
+// wake, which carves afresh and sees the Drained rule: b1 and b2 leave
+// n02 for n03 (b2 is idle, so both fit).
+func TestLoopDrainWithoutEventEvacuates(t *testing.T) {
+	cfg, rules, jobs := idlePairsCluster(t)
+	l, a := eventLoop(cfg, rules, jobs)
+	l.Drains = &DrainSet{}
+	l.Start(a)
+	a.run(1)
+
+	cfg.VM("a2").SetCPUDemand(1)
+	l.Notify(a, Event{Kind: LoadChange, At: a.now, VMs: []string{"a2"}})
+	a.run(20)
+
+	l.Drains.Drain("n02")
+	l.Notify(a, Event{Kind: LoadChange, At: a.now, VMs: []string{"b2"}})
+	a.run(60)
+	if n := len(cfg.RunningOn("n02")); n != 0 {
+		t.Fatalf("%d VMs still on the drained node", n)
+	}
+	if !cfg.Viable() {
+		t.Fatalf("non-viable: %v", cfg.Violations())
 	}
 }

@@ -84,9 +84,9 @@ type LoopStats struct {
 	// Events counts events received; Coalesced the ones absorbed into
 	// an already-armed wake-up or an in-flight execution.
 	Events, Coalesced int
-	// PartitionReuses counts incremental wake-ups that reused the
-	// previous wake-up's partition carve instead of re-splitting the
-	// whole cluster (see Loop.partition).
+	// PartitionReuses is always 0: every wake carves afresh. It stays
+	// only because the benchmark reads it; the benchmark's next change
+	// drops it together with loop.partition_reuse_ratio.
 	PartitionReuses int
 }
 
@@ -201,22 +201,6 @@ type Loop struct {
 	// tracked independently of causeSpan so solver telemetry carries
 	// causes even without a tracer.
 	causeKind string
-
-	// Partition cache: the node/VM membership (and rescoped rules) of
-	// the last carve — or, empty and non-nil, the verdict that the
-	// problem stays monolithic — reusable while no structural event,
-	// executed action or rule change invalidated it; nil when there is
-	// none.
-	parts    []cachedPart
-	partsGen int
-}
-
-// cachedPart is one slice of a cached partition carve: enough to
-// rebuild the sub-problem against a fresh observation without
-// re-walking the whole cluster.
-type cachedPart struct {
-	nodes, vms []string
-	rules      []PlacementRule
 }
 
 // phase is where the loop stands in its cycle (see the Loop doc).
@@ -368,12 +352,6 @@ func (l *Loop) Notify(a Actuator, ev Event) {
 			l.Trace.SetCause(l.causeSpan.ID())
 		}
 		l.causeSpan.AddEvents(1)
-	}
-	switch ev.Kind {
-	case VMArrival, VMDeparture, NodeDown, NodeUp:
-		// Membership (or drain-rule) changes redraw the binding
-		// relation: the cached carve is stale.
-		l.parts = nil
 	}
 	switch {
 	case l.phase == phaseIdle:
@@ -530,14 +508,6 @@ func (l *Loop) execute(a Actuator, res *Result, slices int) {
 		Slices:  slices,
 	}
 	l.phase = phaseExecuting
-	// A monolithic plan may migrate VMs across slice boundaries,
-	// invalidating the cached carve. A merged slice plan cannot: each
-	// slice solve only places VMs on its own nodes, so the carve's
-	// hard bindings survive the switch and the follow-up wake-ups
-	// reuse it.
-	if slices == 0 {
-		l.parts = nil
-	}
 	// A switch changes the region it touches: mark it dirty so the
 	// event-driven loop runs one follow-up pass and converges the
 	// decision module to a fixpoint (multi-round policies like
@@ -674,9 +644,6 @@ func (l *Loop) repair(a Actuator) (outcome string, widened int) {
 			fallback()
 			return repairFallback, widened
 		}
-		// The spliced remainder came from a fresh mid-execution carve
-		// whose slices need not match the cached one: drop the cache.
-		l.parts = nil
 		l.Stats.Repairs++
 		if widened > 0 {
 			l.Stats.WidenedRepairs++
@@ -704,16 +671,22 @@ type sliceResult struct {
 	nodes, vms map[string]bool
 }
 
-// solveDirtySlices splits the problem with the PR 2 partitioner and
-// re-solves only the slices containing dirty elements — as one batch
-// under one Timeout, warm-started from the last incumbent assignment —
-// then merges them. coverNodes/coverVMs (nil outside a widened repair)
+// solveDirtySlices carves the problem afresh with Partitioner.Split
+// (every wake and every repair does; nothing remembers a carve between
+// them) and re-solves only the slices containing dirty elements — as
+// one batch under one Timeout, warm-started from the last incumbent
+// assignment — then merges them. coverNodes/coverVMs (nil outside a widened repair)
 // name elements whose slices must enter the result's coverage even
 // when satisfied: such a slice contributes no plan — staying put is its
 // provably optimal reconfiguration — but its region lets plan.Repair
 // drop the broken chain's kept actions.
 func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) (*sliceResult, error) {
-	parts, err := l.partition(p)
+	sp := l.Trace.Start(obs.KindCarve, "carve", l.nowVirt)
+	parts, err := (Partitioner{Parts: l.Optimizer.Partitions}).Split(p)
+	if err != nil {
+		sp.SetOutcome("error")
+	}
+	sp.End(l.nowVirt)
 	if err != nil || len(parts) < 2 {
 		return nil, errMonolithic
 	}
@@ -760,78 +733,6 @@ func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, cov
 	}
 	ms.End(l.nowVirt)
 	return out, err
-}
-
-// partition carves the problem into slices, reusing the previous
-// wake-up's carve when it is still valid: the membership walk behind
-// Partitioner.Split is O(nodes + VMs), which dominates quiet wake-ups
-// on large clusters (a storm of harmless load changes re-carves the
-// whole cluster just to discover every slice is satisfied). The cache
-// holds only slice membership and rescoped rules; each use re-extracts
-// the slices from the fresh observation, so placements and demands are
-// always current. It is invalidated by structural events (arrivals,
-// departures, node up/down) in Notify, by every executed switch in
-// execute (actions rewrite the placement bindings the carve hangs on),
-// and by drain-rule changes via the DrainSet generation; as a final
-// guard, an Extract that fails (a VM no longer placed inside its
-// cached slice) discards the cache and re-carves.
-func (l *Loop) partition(p Problem) ([]Problem, error) {
-	if parts, ok := l.cachedPartition(p); ok {
-		l.Stats.PartitionReuses++
-		if l.Trace != nil {
-			sp := l.Trace.Start(obs.KindCarve, "carve", l.nowVirt)
-			sp.SetCached(true)
-			sp.End(l.nowVirt)
-		}
-		return parts, nil
-	}
-	sp := l.Trace.Start(obs.KindCarve, "carve", l.nowVirt)
-	l.parts = nil
-	parts, err := (Partitioner{Parts: l.Optimizer.Partitions}).Split(p)
-	if err != nil {
-		sp.SetOutcome("error")
-	}
-	sp.End(l.nowVirt)
-	// A mid-execution carve (a repair) is not cached: the remaining
-	// pools keep rewriting placements underneath it.
-	if err != nil || l.Busy() {
-		return parts, err
-	}
-	l.partsGen = l.Drains.Generation()
-	if len(parts) < 2 {
-		l.parts = []cachedPart{}
-		return parts, nil
-	}
-	cache := make([]cachedPart, len(parts))
-	for i, sub := range parts {
-		slice := cachedPart{rules: sub.Rules}
-		for _, n := range sub.Src.Nodes() {
-			slice.nodes = append(slice.nodes, n.Name)
-		}
-		for _, v := range sub.Src.VMs() {
-			slice.vms = append(slice.vms, v.Name)
-		}
-		cache[i] = slice
-	}
-	l.parts = cache
-	return parts, nil
-}
-
-// cachedPartition rebuilds the sub-problems from the cached carve; ok
-// is false when the cache is absent or stale.
-func (l *Loop) cachedPartition(p Problem) ([]Problem, bool) {
-	if l.parts == nil || l.Busy() || l.partsGen != l.Drains.Generation() {
-		return nil, false
-	}
-	out := make([]Problem, len(l.parts))
-	for i, slice := range l.parts {
-		sub, err := p.restrict(slice.nodes, slice.vms, slice.rules)
-		if err != nil {
-			return nil, false // placement drifted outside the carve: stale
-		}
-		out[i] = sub
-	}
-	return out, true
 }
 
 // touchesSets reports whether the slice holds any dirty node or VM.

@@ -124,6 +124,31 @@ func fencedChurnCluster(t *testing.T) (*vjob.Configuration, []PlacementRule, []*
 	return cfg, rules, []*vjob.VJob{ja, jb}
 }
 
+// idlePairsCluster builds two fenced pairs of 1-CPU nodes, each pair
+// hosting one busy VM and one idle VM on its first node, so raising an
+// idle VM's demand overloads its node and the only fix is a migration
+// inside the pair.
+func idlePairsCluster(t *testing.T) (*vjob.Configuration, []PlacementRule, []*vjob.VJob) {
+	t.Helper()
+	cfg := mkCluster(4, 1, 4096)
+	ja := vjob.NewVJob("ja", 0,
+		vjob.NewVM("a1", "ja", 1, 1024), vjob.NewVM("a2", "ja", 0, 1024))
+	jb := vjob.NewVJob("jb", 0,
+		vjob.NewVM("b1", "jb", 1, 1024), vjob.NewVM("b2", "jb", 0, 1024))
+	for _, v := range append(ja.VMs, jb.VMs...) {
+		cfg.AddVM(v)
+	}
+	mustRun(t, cfg, "a1", "n00")
+	mustRun(t, cfg, "a2", "n00")
+	mustRun(t, cfg, "b1", "n02")
+	mustRun(t, cfg, "b2", "n02")
+	rules := []PlacementRule{
+		Fence{VMs: []string{"a1", "a2"}, Nodes: []string{"n00", "n01"}},
+		Fence{VMs: []string{"b1", "b2"}, Nodes: []string{"n02", "n03"}},
+	}
+	return cfg, rules, []*vjob.VJob{ja, jb}
+}
+
 // arrive adds a running VM mid-simulation, the churn generator's move.
 func arrive(t *testing.T, cfg *vjob.Configuration, name, job, node string) {
 	t.Helper()
@@ -187,6 +212,33 @@ func TestEventLoopSolvesOnlyDirtySlice(t *testing.T) {
 	}
 	if len(l.Records) != 2 || l.Stats.FullSolves != 0 {
 		t.Fatalf("records = %d, stats = %+v", len(l.Records), l.Stats)
+	}
+}
+
+// TestEventLoopFixesEachSliceInPlace: two overloads in two fenced
+// slices, one wake apart, are each fixed by a migration inside the
+// slice.
+func TestEventLoopFixesEachSliceInPlace(t *testing.T) {
+	cfg, rules, jobs := idlePairsCluster(t)
+	l, a := eventLoop(cfg, rules, jobs)
+	l.Start(a)
+	a.run(1)
+
+	cfg.VM("a2").SetCPUDemand(1)
+	l.Notify(a, Event{Kind: LoadChange, At: a.now, VMs: []string{"a2"}})
+	a.run(20)
+	if cfg.HostOf("a2") != "n01" {
+		t.Fatalf("a2 on %s (want n01)", cfg.HostOf("a2"))
+	}
+
+	cfg.VM("b2").SetCPUDemand(1)
+	l.Notify(a, Event{Kind: LoadChange, At: a.now, VMs: []string{"b2"}})
+	a.run(40)
+	if cfg.HostOf("b2") != "n03" {
+		t.Fatalf("b2 on %s (want n03)", cfg.HostOf("b2"))
+	}
+	if !cfg.Viable() {
+		t.Fatalf("non-viable: %v", cfg.Violations())
 	}
 }
 

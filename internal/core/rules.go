@@ -241,7 +241,6 @@ func (r Drained) Check(cfg *vjob.Configuration) error {
 // synchronized: callers serialize through the loop's executor.
 type DrainSet struct {
 	nodes map[string]bool
-	gen   int
 }
 
 // Drain marks the node for evacuation. It reports whether the set
@@ -254,7 +253,6 @@ func (d *DrainSet) Drain(node string) bool {
 		return false
 	}
 	d.nodes[node] = true
-	d.gen++
 	return true
 }
 
@@ -265,7 +263,6 @@ func (d *DrainSet) Undrain(node string) bool {
 		return false
 	}
 	delete(d.nodes, node)
-	d.gen++
 	return true
 }
 
@@ -297,15 +294,6 @@ func (d *DrainSet) Rules() []PlacementRule {
 		out[i] = Drained{Nodes: []string{n}}
 	}
 	return out
-}
-
-// Generation counts the mutations since creation; the loop's partition
-// cache uses it to invalidate on rule changes.
-func (d *DrainSet) Generation() int {
-	if d == nil {
-		return 0
-	}
-	return d.gen
 }
 
 // Fence restricts the named VMs to the given node group (e.g. nodes

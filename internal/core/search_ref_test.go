@@ -147,7 +147,7 @@ func TestSearchMatchesRecomputingPropagators(t *testing.T) {
 			p.Rules = append(p.Rules, Gather{VMs: pick(2)})
 		}
 		for _, v := range vms {
-			p.Rules = append(p.Rules, searchBudget{VM: v.Name, Nodes: 400})
+			p.Rules = append(p.Rules, budgetOn(v.Name, 400))
 		}
 		o := Optimizer{Workers: 1, Partitions: 1, PinRunning: seed%3 == 0}
 		if seed%5 < 3 {

@@ -172,8 +172,8 @@ func DrainTable(r DrainResult) string {
 	}
 	fmt.Fprintf(&b, "%-22s %.0f\n", "violation-seconds", r.ViolationSeconds)
 	fmt.Fprintf(&b, "%-22s %d\n", "invariant breaches", r.Breaches)
-	fmt.Fprintf(&b, "%-22s %d sub-solves (%d slice, %d full), %d repairs, %d partition reuses\n",
-		"solver", r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves, r.Stats.Repairs, r.Stats.PartitionReuses)
+	fmt.Fprintf(&b, "%-22s %d sub-solves (%d slice, %d full), %d repairs\n",
+		"solver", r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves, r.Stats.Repairs)
 	fmt.Fprintf(&b, "%-22s %d switches, %d/%d vjobs completed, end t=%.0f s\n",
 		"run", r.Switches, r.Completed, r.Arrived, r.End)
 	return b.String()
@@ -182,11 +182,11 @@ func DrainTable(r DrainResult) string {
 // DrainCSV renders the result for external plotting.
 func DrainCSV(r DrainResult) string {
 	var b strings.Builder
-	b.WriteString("nodes,drained,evacuated,offline,pinned_by_image,time_to_empty,violation_seconds,invariant_breaches,sub_solves,slice_solves,full_solves,repairs,partition_reuses,switches,events,arrived,completed,end\n")
-	fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
+	b.WriteString("nodes,drained,evacuated,offline,pinned_by_image,time_to_empty,violation_seconds,invariant_breaches,sub_solves,slice_solves,full_solves,repairs,switches,events,arrived,completed,end\n")
+	fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
 		r.Nodes, r.Drained, r.Evacuated, r.Offline, r.PinnedByImage, r.TimeToEmpty, r.ViolationSeconds,
 		r.Breaches, r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves,
-		r.Stats.Repairs, r.Stats.PartitionReuses, r.Switches, r.Stats.Events,
+		r.Stats.Repairs, r.Switches, r.Stats.Events,
 		r.Arrived, r.Completed, r.End)
 	return b.String()
 }

@@ -42,7 +42,7 @@ const (
 	// merge, hand off to execution. Switch reports whether it ended in
 	// a context switch.
 	KindWake
-	// KindCarve covers a partition carve; Cached reports a cache hit.
+	// KindCarve covers a partition carve.
 	KindCarve
 	// KindSolve covers one optimizer invocation (a dirty slice or a
 	// monolithic solve). The dirty slices of a wake-up are solved
@@ -106,7 +106,6 @@ type SpanRecord struct {
 	Cost      float64 `json:"cost,omitempty"`       // solve: incumbent cost
 	Widen     int     `json:"widen,omitempty"`      // splice: widening depth
 	Warm      bool    `json:"warm,omitempty"`       // solve: warm start armed
-	Cached    bool    `json:"cached,omitempty"`     // carve: cache hit
 	Switch    bool    `json:"switch,omitempty"`     // wake: ended in a switch
 	Outcome   string  `json:"outcome,omitempty"`    // splice/solve: terminal state
 
@@ -168,14 +167,6 @@ func (s *Span) SetSearch(winner string, nodes, backtracks int64, warmHit bool) {
 		return
 	}
 	s.rec.Winner, s.rec.SearchNodes, s.rec.Backtracks, s.rec.WarmHit = winner, nodes, backtracks, warmHit
-}
-
-// SetCached marks a carve span as served from the partition cache.
-func (s *Span) SetCached(cached bool) {
-	if s.t == nil {
-		return
-	}
-	s.rec.Cached = cached
 }
 
 // SetWiden records a splice attempt's widening depth.

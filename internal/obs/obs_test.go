@@ -145,7 +145,6 @@ func TestNilTracerIsInertAndFree(t *testing.T) {
 		sp := tr.Start(KindSolve, "slice", 1)
 		sp.AddEvents(1)
 		sp.SetSolve(3, 1, true)
-		sp.SetCached(true)
 		sp.SetWiden(1)
 		sp.SetSwitch(true)
 		sp.SetOutcome("x")
