@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"cwcs/internal/cp"
@@ -241,4 +242,117 @@ func TestEscapedResultSurvivesReuse(t *testing.T) {
 			t.Fatalf("result %d of %d changed after its scratch solved on", i, len(kept))
 		}
 	}
+}
+
+// sameResult reports why got is not want — destination, plan or cost
+// — or "" when it is.
+func sameResult(got, want *Result) string {
+	switch {
+	case !got.Dst.Equal(want.Dst):
+		return "another destination"
+	case got.Plan.String() != want.Plan.String():
+		return "another plan"
+	case got.Cost != want.Cost:
+		return fmt.Sprintf("cost %d, want %d", got.Cost, want.Cost)
+	}
+	return ""
+}
+
+// inFreshStorage runs f with the idle stack emptied, so every scratch
+// f takes is new, then puts the stack back as it was.
+func inFreshStorage(f func()) {
+	idle.Lock()
+	saved := idle.stack
+	idle.stack = nil
+	idle.Unlock()
+	f()
+	idle.Lock()
+	idle.stack = saved
+	idle.Unlock()
+}
+
+// TestEscapedPublicResultsSurviveReuse: what Solve returns — with one
+// worker and four, one model and sliced — and what FFDPlan returns keep
+// their plans, costs and destinations while 24 more solves and FFD
+// plans of other sizes and seeds build in the scratches they left idle.
+func TestEscapedPublicResultsSurviveReuse(t *testing.T) {
+	var kept []escaped
+	for i, o := range []Optimizer{{Workers: 1, Partitions: 1}, {Workers: 4, Partitions: 1}, {Workers: 1}, {Workers: 4}} {
+		res, err := o.Solve(budgetedProblem(int64(1+i), 256, 150))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sliced := res.Partitions >= 2; sliced != (o.Partitions == 0) {
+			t.Fatalf("%+v: %d partitions", o, res.Partitions)
+		}
+		kept = append(kept, escape(res))
+	}
+	b := budgetedProblem(5, 256, 0)
+	ffd, err := FFDPlan(Problem{Src: b.Src, Target: b.Target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept = append(kept, escape(ffd))
+	for i := range 24 {
+		p := budgetedProblem(int64(6+i), 32+32*(i%5), 150)
+		o := Optimizer{Workers: 1 + 3*(i%2), Partitions: i % 3 % 2}
+		if _, err := o.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FFDPlan(Problem{Src: p.Src, Target: p.Target}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, e := range kept {
+		if e.changed() {
+			t.Fatalf("result %d of %d changed after later solves took its scratches", i, len(kept))
+		}
+	}
+}
+
+// TestConcurrentSolvesMatchAlone: two goroutines solving at once take
+// and release idle scratches in whatever order they meet, and each of
+// their 50 solves returns what the same one-worker solve returns alone
+// in fresh storage.
+func TestConcurrentSolvesMatchAlone(t *testing.T) {
+	type solve struct {
+		o Optimizer
+		p Problem
+	}
+	var solves []solve
+	for seed := int64(1); seed <= 4; seed++ {
+		solves = append(solves,
+			solve{Optimizer{Workers: 1, Partitions: 1}, budgetedProblem(seed, 32+16*int(seed), 100)},
+			solve{Optimizer{Workers: 1}, budgetedProblem(seed, 64, 100)})
+	}
+	want := make([]*Result, len(solves))
+	inFreshStorage(func() {
+		for i, s := range solves {
+			res, err := s.o.Solve(s.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res
+		}
+	})
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 50 {
+				i := (k + 3*g) % len(solves)
+				res, err := solves[i].o.Solve(solves[i].p)
+				if err != nil {
+					t.Errorf("goroutine %d, solve %d: %v", g, i, err)
+					return
+				}
+				if why := sameResult(res, want[i]); why != "" {
+					t.Errorf("goroutine %d, solve %d: %s than alone", g, i, why)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

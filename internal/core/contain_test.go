@@ -57,22 +57,39 @@ func (r panicRule) Rescope(vms, _ map[string]bool) PlacementRule {
 // (automatic partitioning, where the slice is then rejoined and the
 // whole problem solved as one model, both of which panic too) — and
 // the process goes on: the next solve, without the rule, returns a
-// plan.
+// plan, and a one-worker solve that builds in the scratches the
+// panicking solve left idle returns what it returns in fresh storage.
 func TestPanickingRuleFailsTheSolve(t *testing.T) {
+	clean := budgetedProblem(1, 48, 100)
+	fresh := map[int]*Result{}
+	inFreshStorage(func() {
+		for _, parts := range []int{0, 1} {
+			res, err := Optimizer{Workers: 1, Partitions: parts}.Solve(clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[parts] = res
+		}
+	})
 	for _, o := range []Optimizer{
 		{Workers: 1, Partitions: 1},
 		{Workers: 4, Partitions: 1},
 		{Workers: 4, Partitions: 0},
 	} {
 		for _, inCheck := range []bool{false, true} {
-			p := budgetedProblem(1, 48, 100)
+			p := clean
 			vms := p.Src.VMs()
-			clean := p
 			vm := vms[len(vms)/2].Name
 			p.Rules = append(p.Rules[:len(p.Rules):len(p.Rules)], panicRule{VM: vm, Nodes: 5, InCheck: inCheck})
 			res, err := o.Solve(p)
 			if err == nil || !strings.Contains(err.Error(), "panicked: rule "+vm+" broke") {
 				t.Fatalf("%+v, in Check %t: result %v, error %v; want the panic as the error", o, inCheck, res, err)
+			}
+			next := Optimizer{Workers: 1, Partitions: o.Partitions}
+			if res, err := next.Solve(clean); err != nil {
+				t.Fatalf("%+v: the solve after the panic: %v", next, err)
+			} else if why := sameResult(res, fresh[o.Partitions]); why != "" {
+				t.Fatalf("%+v, in Check %t: the solve after the panic found %s than in fresh storage", next, inCheck, why)
 			}
 			if res, err := o.Solve(clean); err != nil || res.Plan == nil {
 				t.Fatalf("%+v: the solve after the panic: %v", o, err)

@@ -410,47 +410,152 @@ func TestCostBoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// leastAlloc is the least of three measurements of the bytes op
+// allocates, after warm runs that leave idle scratches and do the lazy
+// set-up: another goroutine's allocation may fall into one.
+func leastAlloc(warm int, op func()) uint64 {
+	for range warm {
+		op()
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// checkLanding fails the test when got is more than 1.25 x landing:
+// bytes are counted, not timed, so a gain cannot leak back unnoticed.
+func checkLanding(t *testing.T, what string, got, landing uint64) {
+	t.Helper()
+	t.Logf("%s allocated %d bytes", what, got)
+	if got > landing*5/4 {
+		t.Fatalf("%s allocated %d bytes, more than 1.25 x the %d it allocated at landing", what, got, landing)
+	}
+}
+
 // solveAllocLanding is what one 300-search-node, one-worker solve of
-// budgetedProblem(1, 100, 300) allocated once its cost table was int32
-// and its FFD seed packed without a scratch configuration; 717 000
-// before, when the search first backtracked on a trail, 1 051 000 when
-// it copied the slab per depth, 2 180 000 before a search state was
-// the slab alone, and about 87 MB before the allocation-free hot path.
-const solveAllocLanding = 558_000
+// budgetedProblem(1, 100, 300) allocated once a solve built in the
+// scratch a finished one left idle; 558 000 when every solve built in
+// fresh storage, once its cost table was int32 and its FFD seed packed
+// without a scratch configuration, 717 000 before, when the search
+// first backtracked on a trail, 1 051 000 when it copied the slab per
+// depth, 2 180 000 before a search state was the slab alone, and about
+// 87 MB before the allocation-free hot path.
+const solveAllocLanding = 34_344
 
 // TestSolveAllocationBudget fails when a budgeted solve allocates a
-// quarter more than it did at landing: bytes are counted, not timed, so
-// the gain cannot leak back unnoticed.
+// quarter more than it did at landing.
 func TestSolveAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
 	p := budgetedProblem(1, 100, 300)
 	opt := Optimizer{Workers: 1, Partitions: 1}
-	if _, err := opt.Solve(p); err != nil { // lazy set-up is not the solve's
-		t.Fatal(err)
+	checkLanding(t, "one solve", leastAlloc(1, func() {
+		res, err := opt.Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Nodes != 300 && res.Nodes != 301 {
+			t.Fatalf("searched %d nodes under a budget of 300", res.Nodes)
+		}
+	}), solveAllocLanding)
+}
+
+// portfolioSolveAllocLanding is what one solve of
+// budgetedProblem(1, 100, 300) by four portfolio workers on four cores,
+// the width entropyd runs there by default, allocated once every worker
+// built in an idle scratch; 1 783 168 when each built in fresh storage.
+const portfolioSolveAllocLanding = 120_688
+
+// TestPortfolioSolveAllocationBudget fails when a four-worker solve
+// on four cores allocates a quarter more than it did at landing: a
+// worker that stops taking its storage from the idle stack pays for a
+// whole model. (On fewer cores the stack keeps fewer scratches than
+// four workers hold, so whether the last worker finds one hangs on
+// whether a sibling finished first.)
+func TestPortfolioSolveAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := opt.Solve(p)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := budgetedProblem(1, 100, 300)
+	opt := Optimizer{Workers: 4, Partitions: 1}
+	// A worker whose scratch has no free candidate makes one, and the
+	// candidates settle one per scratch over a few solves.
+	checkLanding(t, "one four-worker solve", leastAlloc(5, func() {
+		if _, err := opt.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+	}), portfolioSolveAllocLanding)
+}
+
+// ffdPlanAllocLanding is what one FFDPlan of the 500-node instance of
+// budgetedProblem(1, 500, ·) allocated once it packed and planned in an
+// idle scratch; 329 920 when it compiled, packed and planned (through
+// plan.Build) in fresh storage.
+const ffdPlanAllocLanding = 69_384
+
+// TestFFDPlanAllocationBudget fails when the FFD baseline of a
+// 500-node cluster, plan_large's operation, allocates a quarter more
+// than it did at landing.
+func TestFFDPlanAllocationBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	if res.Nodes != 300 && res.Nodes != 301 {
-		t.Fatalf("searched %d nodes under a budget of 300", res.Nodes)
+	b := budgetedProblem(1, 500, 0)
+	p := Problem{Src: b.Src, Target: b.Target}
+	checkLanding(t, "one 500-node FFD plan", leastAlloc(1, func() {
+		if _, err := FFDPlan(p); err != nil {
+			t.Fatal(err)
+		}
+	}), ffdPlanAllocLanding)
+}
+
+// TestIdleScratchesStayBounded: over 150 four-worker solves, the idle
+// stack never holds more than GOMAXPROCS + 1 scratches, and no idle
+// scratch keeps more than one free candidate. A displaced incumbent
+// goes to the free list of whichever worker displaced it, but a worker
+// takes a candidate off its list (or makes one) for every one it puts
+// back, and the incumbent a solve returns leaves every list.
+func TestIdleScratchesStayBounded(t *testing.T) {
+	o := Optimizer{Workers: 4, Partitions: 1}
+	most := 0
+	for i := range 150 {
+		if _, err := o.Solve(budgetedProblem(int64(1+i%5), 48, 100)); err != nil {
+			t.Fatal(err)
+		}
+		idle.Lock()
+		depth := len(idle.stack)
+		for _, sc := range idle.stack {
+			most = max(most, len(sc.free))
+		}
+		idle.Unlock()
+		if depth > runtime.GOMAXPROCS(0)+1 {
+			t.Fatalf("solve %d: %d idle scratches, more than GOMAXPROCS + 1 = %d", i, depth, runtime.GOMAXPROCS(0)+1)
+		}
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > solveAllocLanding*5/4 {
-		t.Fatalf("one solve allocated %d bytes, more than 1.25 x the %d it allocated at landing", got, solveAllocLanding)
+	if most > 1 {
+		t.Fatalf("an idle scratch kept %d free candidates, want at most 1", most)
 	}
 }
 
 // slicedSolveAllocLanding is what one one-worker partitioned solve of
 // budgetedProblem(1, 1000, 150) — about 63 slice models of 150 search
-// nodes each — allocated on two cores once the carve kept its atoms,
-// bins and rule lists in flat arrays; 2 000 000 when each atom and bin
-// held its own name lists, 3 149 000 before each pool worker decoded
-// and planned its candidates in one plan workspace (every candidate
-// from nil), 3 214 000 when each solution's values were a map,
-// 4 896 000 when every slice built its model in fresh storage.
-const slicedSolveAllocLanding = 1_480_000
+// nodes each — allocated on two cores once each pool worker took an
+// idle scratch; 1 480 000 when each built in a fresh one, once the
+// carve kept its atoms, bins and rule lists in flat arrays; 2 000 000
+// when each atom and bin held its own name lists, 3 149 000 before
+// each pool worker decoded and planned its candidates in one plan
+// workspace (every candidate from nil), 3 214 000 when each solution's
+// values were a map, 4 896 000 when every slice built its model in
+// fresh storage.
+const slicedSolveAllocLanding = 1_227_300
 
 // TestSlicedSolveAllocationBudget fails when that solve allocates a
 // quarter more than it did at landing: what a slice model costs is paid
@@ -461,29 +566,15 @@ func TestSlicedSolveAllocationBudget(t *testing.T) {
 	}
 	p := budgetedProblem(1, 1000, 150)
 	opt := Optimizer{Workers: 1}
-	if _, err := opt.Solve(p); err != nil { // lazy set-up is not the solve's
-		t.Fatal(err)
-	}
-	// The least of a few measurements: another goroutine's allocation
-	// may fall into one.
-	least := uint64(math.MaxUint64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	checkLanding(t, "one sliced solve", leastAlloc(1, func() {
 		res, err := opt.Solve(p)
-		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Partitions < 2 {
 			t.Fatalf("the solve went to one model")
 		}
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	t.Logf("one sliced solve allocated %d bytes", least)
-	if least > slicedSolveAllocLanding*5/4 {
-		t.Fatalf("one sliced solve allocated %d bytes, more than 1.25 x the %d it allocated at landing", least, slicedSolveAllocLanding)
-	}
+	}), slicedSolveAllocLanding)
 }
 
 // monoSearchAllocLanding is what one one-worker Minimize on the

@@ -13,15 +13,18 @@ import (
 // ignores locality, its plans migrate and remotely resume far more
 // than necessary, which is precisely the gap Figure 10 quantifies.
 func FFDPlan(p Problem) (*Result, error) {
-	goals, err := p.compile(nil)
+	sc := takeScratch()
+	defer sc.release()
+	goals, err := p.compile(sc.c.goals)
 	if err != nil {
 		return nil, err
 	}
-	dst, err := ffdDestination(nil, p.Src, p.Src.Nodes(), goals, new(scratch))
+	sc.c.goals, sc.c.nodes = goals, p.Src.AppendNodes(sc.c.nodes[:0])
+	dst, err := ffdDestination(nil, p.Src, sc.c.nodes, goals, sc)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := plan.Build(p.Src, dst)
+	pl, err := sc.ws.Plan(plan.Builder{}, p.Src, dst, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -316,7 +316,7 @@ type searchModel struct {
 // compiled problem and buildModel's buffers — and its candidates are
 // planned in. Every portfolio worker owns one; a worker of solveSlices'
 // pool reuses its own from slice to slice: the solver is Reset, the
-// rest refilled.
+// rest refilled. A finished solve leaves it on the idle stack.
 type scratch struct {
 	s                 *cp.Solver
 	c                 compiled
@@ -327,6 +327,36 @@ type scratch struct {
 	runners           []*vjob.VM
 	ws                plan.Workspace
 	free              []*Result // candidates no one holds: storage for the next
+}
+
+// idle holds the scratches of finished solves, the last released on
+// top, for the next solve, portfolio worker or FFD plan to build in: at
+// most GOMAXPROCS + 1, and unlike a sync.Pool's never dropped at a GC,
+// so what a solve allocates does not hang on GC timing.
+var idle struct {
+	sync.Mutex
+	stack []*scratch
+}
+
+// takeScratch returns the scratch released last, or a new one.
+func takeScratch() *scratch {
+	idle.Lock()
+	defer idle.Unlock()
+	if n := len(idle.stack); n > 0 {
+		sc := idle.stack[n-1]
+		idle.stack[n-1], idle.stack = nil, idle.stack[:n-1]
+		return sc
+	}
+	return new(scratch)
+}
+
+// release leaves sc, which no one builds in any more, to takeScratch.
+func (sc *scratch) release() {
+	idle.Lock()
+	if len(idle.stack) <= runtime.GOMAXPROCS(0) {
+		idle.stack = append(idle.stack, sc)
+	}
+	idle.Unlock()
 }
 
 // buildModel instantiates the §4.3 model in sc's storage, with the
@@ -412,7 +442,9 @@ func (o Optimizer) SolveContext(ctx context.Context, p Problem) (*Result, error)
 		// remains: even with an expired deadline the FFD warm start gives
 		// it a plan to return, so asking for partitioning never yields
 		// less than the monolithic path would.
-		res, err = o.solveMonolithic(ctx, p, o.workers(), new(scratch))
+		sc := takeScratch()
+		res, err = o.solveMonolithic(ctx, p, o.workers(), sc)
+		sc.release()
 	}
 	if err == nil {
 		res.Wall = time.Since(start)
@@ -495,7 +527,9 @@ func (o Optimizer) rejoin(ctx context.Context, p Problem, parts []Problem, resul
 				pair.Rules = append(pair.Rules, rr)
 			}
 		}
-		res, err := o.solveMonolithic(ctx, pair, o.workers(), new(scratch))
+		sc := takeScratch()
+		res, err := o.solveMonolithic(ctx, pair, o.workers(), sc)
+		sc.release()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -571,7 +605,8 @@ func (o Optimizer) solveSlices(ctx context.Context, parts []Problem) ([]*Result,
 	w, width := o.workers(), min(len(parts), runtime.GOMAXPROCS(0))
 	var next atomic.Int64 // the first part no worker has taken
 	work := func(i int) {
-		sc := new(scratch)
+		sc := takeScratch()
+		defer sc.release()
 		for ; i < len(parts); i = int(next.Add(1)) - 1 {
 			wi := w / len(parts)
 			if i < w%len(parts) {
@@ -750,7 +785,9 @@ func (o Optimizer) solvePortfolio(ctx context.Context, p Problem, c *compiled, s
 		// the solve deadline serially.
 		go func() {
 			defer wg.Done()
-			o.runPortfolioWorker(ctx, p, c, k, sh, new(scratch))
+			sc := takeScratch()
+			o.runPortfolioWorker(ctx, p, c, k, sh, sc)
+			sc.release()
 		}()
 	}
 	o.runPortfolioWorker(ctx, p, c, 0, sh, sc)

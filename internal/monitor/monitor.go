@@ -46,10 +46,11 @@ type Recorder struct {
 // Observe takes one sample of the configuration right now.
 func Observe(t float64, cfg *vjob.Configuration) Sample {
 	s := Sample{T: t}
-	for _, n := range cfg.Nodes() {
+	usage := cfg.AppendUsage(make([]resources.Vector, 0, cfg.NumNodes()))
+	for i, n := range cfg.Nodes() {
 		s.CapCPU += n.CPU()
 		s.CapMem += n.Memory()
-		used := cfg.Used(n.Name)
+		used := usage[i]
 		s.UsedCPU += used.Get(resources.CPU)
 		s.UsedMem += used.Get(resources.Memory)
 	}

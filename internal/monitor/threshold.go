@@ -28,10 +28,11 @@ type ThresholdWatcher struct {
 	// them too).
 	Emit func(core.Event)
 
-	hot        map[nodeKind]int  // consecutive hot samples per node and dimension
-	overloaded map[nodeKind]bool // fired and not yet cooled below thresholdLow
-	known      map[string]bool   // node set of the previous sample
-	primed     bool              // first sample taken (baseline set)
+	hot        map[nodeKind]int   // consecutive hot samples per node and dimension
+	overloaded map[nodeKind]bool  // fired and not yet cooled below thresholdLow
+	known      map[string]bool    // node set of the previous sample
+	primed     bool               // first sample taken (baseline set)
+	usage      []resources.Vector // per node of the sample being taken
 }
 
 // The watcher's settings, as utilization fractions (demand/capacity,
@@ -81,7 +82,8 @@ func (w *ThresholdWatcher) Sample(t float64, cfg *vjob.Configuration) []core.Eve
 	var events []core.Event
 	current := make(map[string]bool, cfg.NumNodes())
 
-	for _, n := range cfg.Nodes() {
+	w.usage = cfg.AppendUsage(w.usage[:0])
+	for i, n := range cfg.Nodes() {
 		current[n.Name] = true
 		if w.primed && !w.known[n.Name] {
 			events = append(events, core.Event{Kind: core.NodeUp, At: t, Nodes: []string{n.Name}})
@@ -90,7 +92,7 @@ func (w *ThresholdWatcher) Sample(t float64, cfg *vjob.Configuration) []core.Eve
 		// node fires at most one LoadChange per sample however many
 		// dimensions tripped together.
 		fired := false
-		used := cfg.Used(n.Name)
+		used := w.usage[i]
 		for _, k := range resources.Kinds() {
 			key := nodeKind{node: n.Name, kind: k}
 			u := utilization(n, used, k)

@@ -7,6 +7,7 @@ import (
 
 	"cwcs/internal/duration"
 	"cwcs/internal/plan"
+	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
@@ -80,6 +81,7 @@ type Cluster struct {
 	steps   []progress
 	decel   map[string]float64
 	nodes   []*vjob.Node
+	usage   []resources.Vector // per node of nodes, in the audit
 	running []*vjob.VM
 
 	// telemetry

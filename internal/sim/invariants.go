@@ -59,13 +59,13 @@ type Audit struct {
 }
 
 // compute refills the audit: capacity and negative usage from one walk
-// of the node index, dangling placements from its keys.
+// of the node ids, dangling placements from the index's keys.
 func (a *Audit) compute(c *Cluster) {
 	cfg := c.cfg
 	a.Violations, a.Negative = a.Violations[:0], a.Negative[:0]
-	c.nodes = cfg.AppendNodes(c.nodes[:0])
-	for _, n := range c.nodes {
-		u := cfg.Used(n.Name)
+	c.nodes, c.usage = cfg.AppendNodes(c.nodes[:0]), cfg.AppendUsage(c.usage[:0])
+	for i, n := range c.nodes {
+		u := c.usage[i]
 		for _, k := range resources.Kinds() {
 			used, capacity := u.Get(k), n.Capacity.Get(k)
 			if used > capacity {

@@ -495,6 +495,18 @@ func (c *Configuration) Used(node string) resources.Vector {
 	return c.used(n)
 }
 
+// AppendUsage appends the usage of every node, in Nodes order, to dst:
+// what Used returns for each, summed by id with no name lookup, so a
+// caller that reuses dst walks the cluster's load without allocating.
+func (c *Configuration) AppendUsage(dst []resources.Vector) []resources.Vector {
+	for _, id := range c.ix.nodeOrder {
+		if c.heads[id] != gone {
+			dst = append(dst, c.used(id))
+		}
+	}
+	return dst
+}
+
 func (c *Configuration) used(n int32) resources.Vector {
 	var sum resources.Vector
 	for id := c.heads[n]; id >= 0; id = c.slots[id].next {

@@ -354,6 +354,13 @@ func agree(t *testing.T, c *Configuration, r *scanConfig) {
 	if got, want := c.AppendNodes(nil), c.Nodes(); !slices.Equal(got, want) {
 		fail("AppendNodes", got, want)
 	}
+	usage := []resources.Vector{resources.New(-1, -1)}
+	for _, n := range r.nodeOrder {
+		usage = append(usage, r.used(n))
+	}
+	if got := c.AppendUsage(usage[:1:1]); !slices.Equal(got, usage) {
+		fail("AppendUsage", got, usage)
+	}
 	if got, want := c.AppendDangling(nil), r.dangling(); !slices.Equal(got, want) {
 		fail("AppendDangling", got, want)
 	}
