@@ -547,15 +547,16 @@ func TestIdleScratchesStayBounded(t *testing.T) {
 
 // slicedSolveAllocLanding is what one one-worker partitioned solve of
 // budgetedProblem(1, 1000, 150) — about 63 slice models of 150 search
-// nodes each — allocated on two cores once each pool worker took an
-// idle scratch; 1 480 000 when each built in a fresh one, once the
-// carve kept its atoms, bins and rule lists in flat arrays; 2 000 000
-// when each atom and bin held its own name lists, 3 149 000 before
-// each pool worker decoded and planned its candidates in one plan
-// workspace (every candidate from nil), 3 214 000 when each solution's
-// values were a map, 4 896 000 when every slice built its model in
-// fresh storage.
-const slicedSolveAllocLanding = 1_227_300
+// nodes each — allocated on two cores once the carve also kept its
+// flat arrays in an idle scratch; 1 227 300 when it sized them afresh
+// while each pool worker took an idle scratch, 1 480 000 when each
+// built in a fresh one, once the carve kept its atoms, bins and rule
+// lists in flat arrays; 2 000 000 when each atom and bin held its own
+// name lists, 3 149 000 before each pool worker decoded and planned
+// its candidates in one plan workspace (every candidate from nil),
+// 3 214 000 when each solution's values were a map, 4 896 000 when
+// every slice built its model in fresh storage.
+const slicedSolveAllocLanding = 977_200
 
 // TestSlicedSolveAllocationBudget fails when that solve allocates a
 // quarter more than it did at landing: what a slice model costs is paid

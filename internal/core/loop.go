@@ -671,47 +671,24 @@ type sliceResult struct {
 	nodes, vms map[string]bool
 }
 
-// solveDirtySlices carves the problem afresh with Partitioner.Split
-// (every wake and every repair does; nothing remembers a carve between
-// them) and re-solves only the slices containing dirty elements — as
-// one batch under one Timeout, warm-started from the last incumbent
-// assignment — then merges them. coverNodes/coverVMs (nil outside a widened repair)
-// name elements whose slices must enter the result's coverage even
-// when satisfied: such a slice contributes no plan — staying put is its
-// provably optimal reconfiguration — but its region lets plan.Repair
-// drop the broken chain's kept actions.
+// solveDirtySlices re-solves the slices of a fresh carve that hold
+// dirty elements (Partitioner.dirtySlices; every wake and every repair
+// carves, nothing remembers a carve) — as one batch under one Timeout,
+// warm-started from the last incumbent assignment — and merges them.
+// coverNodes/coverVMs (nil outside a widened repair) name elements
+// whose slices enter the coverage even when satisfied: staying put is
+// their optimal plan, but their region lets plan.Repair drop the
+// broken chain's kept actions.
 func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) (*sliceResult, error) {
 	sp := l.Trace.Start(obs.KindCarve, "carve", l.nowVirt)
-	parts, err := (Partitioner{Parts: l.Optimizer.Partitions}).Split(p)
-	if err != nil {
+	dirty, out, err := Partitioner{Parts: l.Optimizer.Partitions}.dirtySlices(p, dirtyNodes, dirtyVMs, coverNodes, coverVMs)
+	if err != nil && err != errMonolithic && err != errNothingDirty {
 		sp.SetOutcome("error")
+		err = errMonolithic
 	}
 	sp.End(l.nowVirt)
-	if err != nil || len(parts) < 2 {
-		return nil, errMonolithic
-	}
-	out := &sliceResult{nodes: map[string]bool{}, vms: map[string]bool{}}
-	var dirty []Problem
-	for _, sub := range parts {
-		if !touchesSets(sub.Src, dirtyNodes, dirtyVMs) {
-			continue
-		}
-		// A satisfied slice needs no plan — its optimal plan is empty
-		// — so the event storm of harmless load changes costs nothing.
-		if !sub.Satisfied() {
-			dirty = append(dirty, sub)
-		} else if !touchesSets(sub.Src, coverNodes, coverVMs) {
-			continue
-		}
-		for _, n := range sub.Src.Nodes() {
-			out.nodes[n.Name] = true
-		}
-		for _, v := range sub.Src.VMs() {
-			out.vms[v.Name] = true
-		}
-	}
-	if len(out.nodes)+len(out.vms) == 0 {
-		return nil, errNothingDirty
+	if err != nil {
+		return nil, err
 	}
 	opt := l.Optimizer
 	opt.WarmStart = l.lastDst
@@ -733,19 +710,4 @@ func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, cov
 	}
 	ms.End(l.nowVirt)
 	return out, err
-}
-
-// touchesSets reports whether the slice holds any dirty node or VM.
-func touchesSets(sub *vjob.Configuration, nodes, vms map[string]bool) bool {
-	for n := range nodes {
-		if sub.Node(n) != nil {
-			return true
-		}
-	}
-	for v := range vms {
-		if sub.VM(v) != nil {
-			return true
-		}
-	}
-	return false
 }

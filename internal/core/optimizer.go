@@ -314,9 +314,9 @@ type searchModel struct {
 
 // scratch is the storage one model is built in — its solver, its
 // compiled problem and buildModel's buffers — and its candidates are
-// planned in. Every portfolio worker owns one; a worker of solveSlices'
-// pool reuses its own from slice to slice: the solver is Reset, the
-// rest refilled. A finished solve leaves it on the idle stack.
+// planned in, or a carve. Every portfolio worker owns one; a worker of
+// solveSlices' pool reuses its own from slice to slice: the solver is
+// Reset, the rest refilled. A finished solve or carve leaves it idle.
 type scratch struct {
 	s                 *cp.Solver
 	c                 compiled
@@ -327,6 +327,7 @@ type scratch struct {
 	runners           []*vjob.VM
 	ws                plan.Workspace
 	free              []*Result // candidates no one holds: storage for the next
+	carve             carver
 }
 
 // idle holds the scratches of finished solves, the last released on

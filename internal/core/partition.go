@@ -91,31 +91,81 @@ const mathInfNeg = -1e18
 // achievable.
 //
 // The carve runs on dense indices — nodes, then VMs, then rules, in
-// Nodes(), VMs() and Rules order — in flat arrays sized once: O(nodes +
-// VMs + rule scopes), plus one Extract and the rescoped rules per slice.
+// Nodes(), VMs() and Rules order — in the flat arrays of a carver that
+// an idle scratch holds, so a warm carve allocates only what it
+// returns: the slice array and what slice builds for each bin.
 func (pt Partitioner) Split(p Problem) ([]Problem, error) {
-	want := pt.Parts
-	if want != 0 && want <= 1 {
-		return nil, nil // before the node list: a monolithic solve allocates nothing here
+	if pt.Parts != 0 && pt.Parts <= 1 {
+		return nil, nil // before the scratch: a monolithic solve allocates nothing here
 	}
-	nodes := p.Src.Nodes()
+	sc := takeScratch()
+	defer sc.release()
+	cv := &sc.carve
+	if !pt.carve(p, cv) {
+		return nil, nil
+	}
+	out := make([]Problem, len(cv.bins))
+	for bi := range out {
+		var err error
+		if out[bi], err = cv.slice(p, bi); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// carver is the storage of a carve, held by a scratch: what carve fills
+// and slice reads. Nothing a carve returns points into it.
+type carver struct {
+	nodes           []*vjob.Node
+	vms             []*vjob.VM
+	hard, soft      unionFind
+	covered         []bool
+	gang, floatRoot map[string]int32 // vjob -> first member; vjob -> floating atom root
+
+	softNodes, atomOf, elemAtom, start, members, at, order, binOf, ruleHead, ruleNext []int32
+
+	atoms, bins    []atom
+	key, slack     []float64
+	names          []string
+	ends           [][2]int32
+	vmSet, nodeSet map[string]bool
+	marks          []uint8 // per bin, dirtySlices' marks
+}
+
+// fit sets *buf to length n (resize) and returns it.
+func fit[T any](buf *[]T, n int) []T {
+	*buf = resize(*buf, n)
+	return *buf
+}
+
+// zeroed is fit with every element zero.
+func zeroed[T any](buf *[]T, n int) []T {
+	clear(fit(buf, n))
+	return *buf
+}
+
+// carve fills cv with the carve of p, and reports whether it split
+// into at least two bins.
+func (pt Partitioner) carve(p Problem, cv *carver) bool {
+	cv.nodes, cv.vms = p.Src.AppendNodes(cv.nodes[:0]), p.Src.AppendVMs(cv.vms[:0])
+	nodes, vms := cv.nodes, cv.vms
 	maxNodes := cmp.Or(pt.maxNodes, defaultMaxPartitionNodes)
-	sliceCap := maxNodes
+	want, sliceCap := pt.Parts, maxNodes
 	if want == 0 {
 		want = (len(nodes) + maxNodes - 1) / maxNodes
 	} else {
 		sliceCap = (len(nodes) + want - 1) / want
 	}
 	if want <= 1 || len(nodes) < 2 {
-		return nil, nil
+		return false
 	}
 
 	// Hard bindings: every VM to its current location, every rule to
 	// its covered VMs and bound nodes.
-	vms := p.Src.VMs()
 	vmBase, ruleBase := len(nodes), len(nodes)+len(vms)
-	total := int32(ruleBase + len(p.Rules))
-	hard := newUnionFind(total)
+	total := ruleBase + len(p.Rules)
+	hard := newUnionFind(&cv.hard, total)
 	for i, v := range vms {
 		if loc := p.Src.LocationOf(v.Name); loc != "" {
 			if n := indexOf(nodes, loc, nodeName); n >= 0 {
@@ -123,7 +173,7 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 			}
 		}
 	}
-	covered := make([]bool, len(vms))
+	covered := zeroed(&cv.covered, len(vms))
 	for i, r := range p.Rules {
 		for _, name := range r.ScopeVMs() {
 			if v := indexOf(vms, name, vmName); v >= 0 {
@@ -139,19 +189,19 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	}
 
 	// Soft bindings on top: the gang links of each vjob.
-	soft := slices.Clone(hard)
-	gang := make(map[string]int32) // vjob -> first member
+	soft := unionFind(append(cv.soft[:0], hard...))
+	cv.soft, cv.gang = soft, emptied(cv.gang, 0)
 	for i, v := range vms {
 		if v.VJob == "" {
 			continue
 		}
-		if first, ok := gang[v.VJob]; ok {
+		if first, ok := cv.gang[v.VJob]; ok {
 			soft.union(first, int32(vmBase+i))
 		} else {
-			gang[v.VJob] = int32(vmBase + i)
+			cv.gang[v.VJob] = int32(vmBase + i)
 		}
 	}
-	softNodes := make([]int32, total) // soft root -> node count
+	softNodes := zeroed(&cv.softNodes, total) // soft root -> node count
 	for n := range nodes {
 		softNodes[soft.find(int32(n))]++
 	}
@@ -171,8 +221,8 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	// cohorts (of waiting VMs bound to no node yet), by first appearance.
 	// Floating VMs of one vjob always cohere: with no placement there is
 	// no reason to cut their gang.
-	atomOf := make([]int32, total)      // root -> 1 + its atom, 0 for none
-	elemAtom := make([]int32, ruleBase) // node or VM -> its atom
+	atomOf := zeroed(&cv.atomOf, total)     // root -> 1 + its atom, 0 for none
+	elemAtom := fit(&cv.elemAtom, ruleBase) // node or VM -> its atom
 	numAtoms := int32(0)
 	get := func(root int32) int32 {
 		if atomOf[root] == 0 {
@@ -186,31 +236,32 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 		tot = tot.Add(n.Capacity)
 	}
 	if tot.Get(resources.CPU) == 0 || tot.Get(resources.Memory) == 0 {
-		return nil, nil
+		return false
 	}
-	numNodeAtoms := numAtoms            // atoms [0, numNodeAtoms) hold nodes
-	floatRoot := make(map[string]int32) // vjob -> floating atom root
+	numNodeAtoms := numAtoms // atoms [0, numNodeAtoms) hold nodes
+	cv.floatRoot = emptied(cv.floatRoot, 0)
 	for i, v := range vms {
 		root := rootOf(int32(vmBase + i))
 		if ex := atomOf[root]; (ex == 0 || ex > numNodeAtoms) && v.VJob != "" && !covered[i] {
 			// A waiting VM whose gang was cut would land in a singleton
 			// cohort; regroup uncovered floaters of one vjob (covered
 			// ones must stay with their rule's atom).
-			if fr, ok := floatRoot[v.VJob]; ok {
+			if fr, ok := cv.floatRoot[v.VJob]; ok {
 				root = fr
 			} else {
-				floatRoot[v.VJob] = root
+				cv.floatRoot[v.VJob] = root
 			}
 		}
 		elemAtom[vmBase+i] = get(root)
 	}
 	if want = min(want, int(numNodeAtoms)); want <= 1 {
-		return nil, nil
+		return false
 	}
 
 	// A counting pass sums each atom and makes its members (nodes, then
 	// VMs) a range of one array.
-	atoms, start := make([]atom, numAtoms), make([]int32, numAtoms+1) // start: atom -> its first member
+	atoms := zeroed(&cv.atoms, int(numAtoms))
+	start := zeroed(&cv.start, int(numAtoms)+1) // atom -> its first member
 	for e, ai := range elemAtom {
 		if start[ai+1]++; e < vmBase {
 			atoms[ai].nodes++
@@ -223,10 +274,12 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 		atoms[ai].vms = start[ai+1] - atoms[ai].nodes
 		start[ai+1] += start[ai]
 	}
-	members, at := make([]int32, len(elemAtom)), slices.Clone(start[:numAtoms])
+	members := fit(&cv.members, len(elemAtom))
+	at := append(cv.at[:0], start[:numAtoms]...)
 	for e, ai := range elemAtom {
 		members[at[ai]], at[ai] = int32(e), at[ai]+1
 	}
+	cv.at = at
 	name := func(e int32) string {
 		if e < int32(vmBase) {
 			return nodes[e].Name
@@ -236,7 +289,7 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 
 	// Pack atoms into bins along the viable/non-viable seam: node atoms by
 	// falling pressure, then cohorts by falling memory demand (exact).
-	order, key := make([]int32, numAtoms), make([]float64, numAtoms)
+	order, key := fit(&cv.order, int(numAtoms)), fit(&cv.key, int(numAtoms))
 	for ai := range order {
 		order[ai], key[ai] = int32(ai), float64(atoms[ai].over.Get(resources.Memory))
 		if ai < int(numNodeAtoms) {
@@ -252,8 +305,8 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	slices.SortStableFunc(order[:numNodeAtoms], byKey)
 	slices.SortStableFunc(order[numNodeAtoms:], byKey)
 
-	bins, slack := make([]atom, want), make([]float64, want) // slack per bin; 0 while it holds nothing
-	binOf := make([]int32, numAtoms)                         // atom -> bin
+	bins, slack := zeroed(&cv.bins, want), zeroed(&cv.slack, want) // slack per bin; 0 while it holds nothing
+	binOf := fit(&cv.binOf, int(numAtoms))                         // atom -> bin
 	for _, ai := range order[:numNodeAtoms] {
 		// Overloaded atoms spread to the roomiest bins; headroom atoms
 		// backfill the neediest (most overloaded, then still-empty)
@@ -267,8 +320,8 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 	for bins[len(bins)-1].nodes == 0 {
 		bins, slack = bins[:len(bins)-1], slack[:len(slack)-1]
 	}
-	if len(bins) <= 1 {
-		return nil, nil
+	if cv.bins = bins; len(bins) <= 1 {
+		return false
 	}
 	// Floating cohorts (all-waiting vjobs) go where the room is.
 	for _, ai := range order[numNodeAtoms:] {
@@ -277,11 +330,10 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 
 	// Lay the names out bin by bin, nodes then VMs, in assignment order;
 	// ends[bi] is where bin bi's node run and VM run end so far.
-	names, ends := make([]string, len(members)), make([][2]int32, len(bins))
-	mostNodes, mostVMs, off := int32(0), int32(0), int32(0)
+	names, ends := fit(&cv.names, len(members)), fit(&cv.ends, len(bins))
+	off := int32(0)
 	for bi, b := range bins {
 		ends[bi], off = [2]int32{off, off + b.nodes}, off+b.nodes+b.vms
-		mostNodes, mostVMs = max(mostNodes, b.nodes), max(mostVMs, b.vms)
 	}
 	for _, ai := range order {
 		end := &ends[binOf[ai]]
@@ -293,53 +345,22 @@ func (pt Partitioner) Split(p Problem) ([]Problem, error) {
 
 	// Each rule travels with its component's bin. Linked from the last rule
 	// back, a bin's list is in rule order (1 + rule index; 0 ends it).
-	ruleHead, ruleNext := make([]int32, len(bins)), make([]int32, len(p.Rules))
+	ruleHead, ruleNext := zeroed(&cv.ruleHead, len(bins)), fit(&cv.ruleNext, len(p.Rules))
 	for i := len(p.Rules) - 1; i >= 0; i-- {
 		if ai := atomOf[rootOf(int32(ruleBase+i))]; ai > 0 {
 			bi := binOf[ai-1]
 			ruleNext[i], ruleHead[bi] = ruleHead[bi], int32(i+1)
 		}
 	}
-
-	// Materialize the sub-problems; their rules share one capped array.
-	out := make([]Problem, len(bins))
-	rules := make([]PlacementRule, 0, len(p.Rules))
-	vmSet, nodeSet := make(map[string]bool, mostVMs), make(map[string]bool, mostNodes)
-	for bi, b := range bins {
-		binNodes, binVMs := names[ends[bi][0]-b.nodes:ends[bi][0]], names[ends[bi][0]:ends[bi][1]]
-		from := len(rules)
-		if ruleHead[bi] > 0 {
-			clear(vmSet)
-			clear(nodeSet)
-			for _, n := range binVMs {
-				vmSet[n] = true
-			}
-			for _, n := range binNodes {
-				nodeSet[n] = true
-			}
-			for i := ruleHead[bi]; i > 0; i = ruleNext[i-1] {
-				if rr := p.Rules[i-1].Rescope(vmSet, nodeSet); rr != nil {
-					rules = append(rules, rr)
-				}
-			}
-		}
-		var binRules []PlacementRule
-		if len(rules) > from {
-			binRules = rules[from:len(rules):len(rules)]
-		}
-		sub, err := p.restrict(binNodes, binVMs, binRules)
-		if err != nil {
-			return nil, err
-		}
-		out[bi] = sub
-	}
-	return out, nil
+	return true
 }
 
-// restrict is the sub-problem over nodes and vms: their extracted
-// configuration, the Target entries of the vjobs those VMs belong to,
-// and rules (already rescoped by the caller).
-func (p Problem) restrict(nodes, vms []string, rules []PlacementRule) (Problem, error) {
+// slice materializes bin bi: its nodes and VMs extracted from p.Src,
+// the Target entries of those VMs' vjobs, and its rules rescoped, in
+// an array of their own.
+func (cv *carver) slice(p Problem, bi int) (Problem, error) {
+	end, b := cv.ends[bi], cv.bins[bi]
+	nodes, vms := cv.names[end[0]-b.nodes:end[0]], cv.names[end[0]:end[1]]
 	sub, err := p.Src.Extract(nodes, vms)
 	if err != nil {
 		return Problem{}, err
@@ -352,7 +373,94 @@ func (p Problem) restrict(nodes, vms []string, rules []PlacementRule) (Problem, 
 			}
 		}
 	}
-	return Problem{Src: sub, Target: target, Rules: rules}, nil
+	var rules []PlacementRule
+	if cv.ruleHead[bi] > 0 {
+		cv.vmSet, cv.nodeSet = emptied(cv.vmSet, len(vms)), emptied(cv.nodeSet, len(nodes))
+		for _, n := range vms {
+			cv.vmSet[n] = true
+		}
+		for _, n := range nodes {
+			cv.nodeSet[n] = true
+		}
+		n := 0
+		for i := cv.ruleHead[bi]; i > 0; i = cv.ruleNext[i-1] {
+			n++
+		}
+		for i := cv.ruleHead[bi]; i > 0; i = cv.ruleNext[i-1] {
+			if rr := p.Rules[i-1].Rescope(cv.vmSet, cv.nodeSet); rr != nil {
+				rules = append(slices.Grow(rules, n-len(rules)), rr) // one array of n
+			}
+		}
+	}
+	return Problem{Src: sub, Target: target, Rules: slices.Clip(rules)}, nil
+}
+
+// dirtySlices is the carve of a wake (Loop.solveDirtySlices): it carves
+// p like Split but materializes only the bins holding a dirty node or
+// VM. It returns those not satisfied, in bin order, and their coverage:
+// every name of theirs and of the satisfied bins holding a cover
+// element. It fails with errMonolithic when p does not split and with
+// errNothingDirty when the coverage is empty.
+func (pt Partitioner) dirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) ([]Problem, *sliceResult, error) {
+	sc := takeScratch()
+	defer sc.release()
+	cv := &sc.carve
+	if !pt.carve(p, cv) {
+		return nil, nil, errMonolithic
+	}
+	// Bit 0 marks the bins holding a dirty node or VM, bit 1 those
+	// holding a cover element; an unknown name marks nothing.
+	marks := zeroed(&cv.marks, len(cv.bins))
+	for bit, sets := range [2][2]map[string]bool{{dirtyNodes, dirtyVMs}, {coverNodes, coverVMs}} {
+		for n := range sets[0] {
+			if e := indexOf(cv.nodes, n, nodeName); e >= 0 {
+				marks[cv.binOf[cv.elemAtom[e]]] |= 1 << bit
+			}
+		}
+		for v := range sets[1] {
+			if e := indexOf(cv.vms, v, vmName); e >= 0 {
+				marks[cv.binOf[cv.elemAtom[len(cv.nodes)+e]]] |= 1 << bit
+			}
+		}
+	}
+	numNodes, numVMs := 0, 0 // what the dirty bins hold
+	for bi, m := range marks {
+		if m&1 != 0 {
+			numNodes, numVMs = numNodes+int(cv.bins[bi].nodes), numVMs+int(cv.bins[bi].vms)
+		}
+	}
+	var solve []Problem
+	var out *sliceResult
+	for bi, m := range marks {
+		if m&1 == 0 {
+			continue
+		}
+		sub, err := cv.slice(p, bi)
+		if err != nil {
+			return nil, nil, err
+		}
+		// A satisfied slice needs no plan — its optimal plan is empty
+		// — so the event storm of harmless load changes costs nothing.
+		if !sub.Satisfied() {
+			solve = append(solve, sub)
+		} else if m&2 == 0 {
+			continue
+		}
+		if out == nil {
+			out = &sliceResult{nodes: make(map[string]bool, numNodes), vms: make(map[string]bool, numVMs)}
+		}
+		end, b := cv.ends[bi], cv.bins[bi]
+		for _, n := range cv.names[end[0]-b.nodes : end[0]] {
+			out.nodes[n] = true
+		}
+		for _, v := range cv.names[end[0]:end[1]] {
+			out.vms[v] = true
+		}
+	}
+	if out == nil {
+		return nil, nil, errNothingDirty
+	}
+	return solve, out, nil
 }
 
 // assignAtom adds the atom to the bin with the widest (wide) or
@@ -396,8 +504,9 @@ func indexOf[T any](list []T, name string, nameOf func(T) string) int {
 // path compression.
 type unionFind []int32
 
-func newUnionFind(n int32) unionFind {
-	u := make(unionFind, n)
+// newUnionFind sets *buf to n singletons (fit) and returns it.
+func newUnionFind(buf *unionFind, n int) unionFind {
+	u := unionFind(fit((*[]int32)(buf), n))
 	for i := range u {
 		u[i] = int32(i)
 	}

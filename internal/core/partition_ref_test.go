@@ -111,21 +111,30 @@ func splitsAgree(t *testing.T, pt Partitioner, p Problem) int {
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%+v: error %v, reference %v", pt, gerr, werr)
 	}
+	if why := sameSlices(got, want); why != "" {
+		t.Fatalf("%+v: %s\n%s", pt, why, p.Src)
+	}
+	return len(got)
+}
+
+// sameSlices says how got differs from want — in length, or in a
+// slice's configuration, target map or rescoped rules — or "".
+func sameSlices(got, want []Problem) string {
 	if len(got) != len(want) {
-		t.Fatalf("%+v: %d slices, reference %d\n%s", pt, len(got), len(want), p.Src)
+		return fmt.Sprintf("%d slices, reference %d", len(got), len(want))
 	}
 	for i := range got {
 		if g, w := got[i].Src.String(), want[i].Src.String(); g != w {
-			t.Fatalf("%+v: slice %d holds\n%s\nreference\n%s", pt, i, g, w)
+			return fmt.Sprintf("slice %d holds\n%s\nreference\n%s", i, g, w)
 		}
 		if !maps.Equal(got[i].Target, want[i].Target) {
-			t.Fatalf("%+v: slice %d targets %v, reference %v", pt, i, got[i].Target, want[i].Target)
+			return fmt.Sprintf("slice %d targets %v, reference %v", i, got[i].Target, want[i].Target)
 		}
 		if !reflect.DeepEqual(got[i].Rules, want[i].Rules) {
-			t.Fatalf("%+v: slice %d rules %#v, reference %#v", pt, i, got[i].Rules, want[i].Rules)
+			return fmt.Sprintf("slice %d rules %#v, reference %#v", i, got[i].Rules, want[i].Rules)
 		}
 	}
-	return len(got)
+	return ""
 }
 
 // TestSplitMatchesReference holds the indexed carve to the string-keyed
@@ -170,17 +179,19 @@ func FuzzSplit(f *testing.F) {
 	})
 }
 
-// splitAllocLanding is what one Split of budgetedProblem(1, 1000, 150)
-// — 1000 nodes, 1500 VMs, 1500 scoped rules — allocates with the carve
-// keeping its atoms, bins and rule lists in flat arrays sized once, and
-// searchBudget storing its scope; 568 000 while searchBudget.ScopeVMs
-// built a fresh one-element slice per call (1500 allocations of the
-// test rule's own, charged to Split), 1 093 000 when each atom and bin
-// held its own name lists (the atoms presized to the node count, which
-// the floating cohorts outgrew), 1 590 000 when they grew by append
-// after the carve moved to dense indices, and about 3.2 MB for the
-// string-keyed carve.
-const splitAllocLanding = 556_000
+// splitAllocLanding is what one Split of
+// budgetedProblem(1, 1000, 150) — 1000 nodes, 1500 VMs, 1500 scoped rules — allocates once the
+// carve's flat arrays live in an idle scratch, so only the slices it
+// returns are allocated; 556 000 when each Split sized its atoms,
+// bins and rule lists in flat arrays of its own, with searchBudget
+// storing its scope; 568 000 while searchBudget.ScopeVMs built a
+// fresh one-element slice per call (1500 allocations of the test
+// rule's own, charged to Split), 1 093 000 when each atom and bin
+// held its own name lists (the atoms presized to the node count,
+// which the floating cohorts outgrew), 1 590 000 when they grew by
+// append after the carve moved to dense indices, and about 3.2 MB for
+// the string-keyed carve.
+const splitAllocLanding = 306_736
 
 // TestSplitAllocationBudget fails when that Split allocates a quarter
 // more than it did at landing. Bytes are counted, not timed.

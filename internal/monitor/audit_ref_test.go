@@ -101,9 +101,9 @@ func auditDiff(got *sim.Audit, want sim.Audit) string {
 	return ""
 }
 
-// refDominant is the VM-walk dominantConsumers: for every violated
-// (node, dimension), the vjob of the running VM with the largest
-// demand there, smallest VM name on ties.
+// refDominant is the ledger's dominant-consumer attribution as a walk
+// of every VM: for every violated (node, dimension), the vjob of the
+// running VM with the largest demand there, smallest VM name on ties.
 func refDominant(cfg *vjob.Configuration, viols []vjob.Violation) map[[2]string]string {
 	if len(viols) == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"cmp"
 	"sort"
 	"sync"
 
@@ -77,9 +78,12 @@ type Ledger struct {
 	rules   map[string]float64
 	rulesFn func() []core.PlacementRule
 
-	lastT        float64
-	pending      []Attribution
-	pendingRules []string
+	// pending and pendingRules, which only advance reads, are what the
+	// last sample saw: a sample fills the spares and swaps them in.
+	lastT                    float64
+	pending, spare           []Attribution
+	pendingRules, spareRules []string
+	running                  []*vjob.VM
 }
 
 // WatchLedger attaches a new attribution ledger to the cluster: every
@@ -119,26 +123,22 @@ func (l *Ledger) advance(c *sim.Cluster, a *sim.Audit) {
 
 // sample records the advance's violation set (with its
 // dominant-consumer attribution) and the breached rule kinds as the
-// charges of the next interval. Without violations or rules it
+// charges of the next interval. It fills the spare buffers, reading
+// each violated node's running VMs once per run of its violations
+// (they arrive grouped by node), so once the buffers have grown it
 // allocates nothing.
 func (l *Ledger) sample(cfg *vjob.Configuration, a *sim.Audit) {
-	viols, tviols := a.Violations, a.Transfer
-	var pending []Attribution
-	if n := len(viols) + len(tviols); n > 0 {
-		pending = make([]Attribution, 0, n)
-		dom := dominantConsumers(cfg, viols)
-		for _, v := range viols {
-			pending = append(pending, Attribution{
-				VJob: dom[nodeDim{v.Node, v.Resource}],
-				Node: v.Node,
-				Kind: v.Resource,
-			})
+	next := l.spare[:0]
+	for i, v := range a.Violations {
+		if i == 0 || v.Node != a.Violations[i-1].Node {
+			l.running = cfg.AppendRunningOn(l.running[:0], v.Node)
 		}
-		for _, v := range tviols {
-			pending = append(pending, Attribution{VJob: TransferVJob, Node: v.Node, Kind: v.Resource})
-		}
+		next = append(next, Attribution{VJob: dominantConsumer(l.running, v.Resource), Node: v.Node, Kind: v.Resource})
 	}
-	var breached []string
+	for _, v := range a.Transfer {
+		next = append(next, Attribution{VJob: TransferVJob, Node: v.Node, Kind: v.Resource})
+	}
+	breached := l.spareRules[:0]
 	if l.rulesFn != nil {
 		for _, r := range l.rulesFn() {
 			if r.Check(cfg) != nil {
@@ -147,47 +147,30 @@ func (l *Ledger) sample(cfg *vjob.Configuration, a *sim.Audit) {
 		}
 	}
 	l.mu.Lock()
-	l.pending, l.pendingRules = pending, breached
+	l.pending, l.spare = next, l.pending
+	l.pendingRules, l.spareRules = breached, l.pendingRules
 	l.mu.Unlock()
 }
 
-// nodeDim keys a violation by node and dimension.
-type nodeDim struct{ node, kind string }
-
-// dominantConsumers resolves, for every violated (node, dimension),
-// the vjob of the running VM with the largest demand on that
-// dimension (smallest VM name on ties; the VM's own name when it has
-// no vjob). It reads only the violated nodes' running VMs.
-func dominantConsumers(cfg *vjob.Configuration, viols []vjob.Violation) map[nodeDim]string {
-	if len(viols) == 0 {
-		return nil
+// dominantConsumer is the vjob of the VM of running with the largest
+// demand on the named dimension (smallest VM name on ties; the VM's own
+// name when it has no vjob), or "" when none demands any.
+func dominantConsumer(running []*vjob.VM, kind string) string {
+	k, ok := kindByName(kind)
+	if !ok {
+		return ""
 	}
-	out := make(map[nodeDim]string, len(viols))
-	var running []*vjob.VM
-	for i, v := range viols {
-		if i == 0 || v.Node != viols[i-1].Node {
-			running = cfg.RunningOn(v.Node)
-		}
-		k, ok := kindByName(v.Resource)
-		if !ok {
-			continue
-		}
-		var top *vjob.VM
-		for _, vm := range running {
-			d := vm.Demand.Get(k)
-			if d != 0 && (top == nil || d > top.Demand.Get(k) || (d == top.Demand.Get(k) && vm.Name < top.Name)) {
-				top = vm
-			}
-		}
-		if top != nil {
-			owner := top.VJob
-			if owner == "" {
-				owner = top.Name
-			}
-			out[nodeDim{v.Node, v.Resource}] = owner
+	var top *vjob.VM
+	for _, vm := range running {
+		d := vm.Demand.Get(k)
+		if d != 0 && (top == nil || d > top.Demand.Get(k) || (d == top.Demand.Get(k) && vm.Name < top.Name)) {
+			top = vm
 		}
 	}
-	return out
+	if top == nil {
+		return ""
+	}
+	return cmp.Or(top.VJob, top.Name)
 }
 
 // kindByName resolves a violation's wire name back to its registered

@@ -131,8 +131,7 @@ func TestDominantConsumerTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dom := dominantConsumers(cfg, cfg.Violations())
-	if dom[nodeDim{"n0", "cpu"}] != "ja" {
+	if dom := dominantConsumer(cfg.RunningOn("n0"), "cpu"); dom != "ja" {
 		t.Fatalf("tie-break = %v, want ja (smaller VM name)", dom)
 	}
 
@@ -142,13 +141,12 @@ func TestDominantConsumerTieBreak(t *testing.T) {
 	if err := cfg2.SetRunning("solo", "n0"); err != nil {
 		t.Fatal(err)
 	}
-	dom = dominantConsumers(cfg2, cfg2.Violations())
-	if dom[nodeDim{"n0", "cpu"}] != "solo" {
+	if dom := dominantConsumer(cfg2.RunningOn("n0"), "cpu"); dom != "solo" {
 		t.Fatalf("vjob-less VM attribution = %v, want its own name", dom)
 	}
 
-	if dominantConsumers(cfg, nil) != nil {
-		t.Fatal("no violations must resolve to no consumers")
+	if dom := dominantConsumer(nil, "cpu"); dom != "" {
+		t.Fatalf("no running VM must resolve to no consumer, got %q", dom)
 	}
 }
 
@@ -291,5 +289,41 @@ func TestLedgerTopKTruncation(t *testing.T) {
 	// jb and jc tie at 5: name ascending.
 	if all[2].VJob != "jb" || all[3].VJob != "jc" {
 		t.Fatalf("tie order = %+v", all[2:])
+	}
+}
+
+// TestLedgerSampleAllocatesNothing: once its buffers have grown, a
+// sample of an overloaded configuration — violations on two nodes and
+// two dimensions, one of them on a node no VM demands, and a
+// transfer-born one — allocates nothing, and charges what it did on
+// the first sample.
+func TestLedgerSampleAllocatesNothing(t *testing.T) {
+	cfg := vjob.NewConfiguration()
+	for i := 0; i < 3; i++ {
+		cfg.AddNode(vjob.NewNode(fmt.Sprintf("n%d", i), 2, 2048))
+	}
+	for i, host := range []string{"n0", "n0", "n0", "n1", "n1", "n2"} {
+		name := fmt.Sprintf("v%d", i)
+		cfg.AddVM(vjob.NewVM(name, fmt.Sprintf("j%d", i%2), 1, 1024))
+		if err := cfg.SetRunning(name, host); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := &sim.Audit{
+		Violations: cfg.Violations(),
+		Transfer:   []vjob.Violation{{Node: "n2", Resource: resources.NetBW.String()}},
+	}
+	a.Violations = append(a.Violations, vjob.Violation{Node: "n1", Resource: resources.NetBW.String()})
+	l := &Ledger{atoms: map[Attribution]float64{}, rules: map[string]float64{}}
+	l.sample(cfg, a)
+	want := fmt.Sprint(l.pending)
+	if len(l.pending) != 4 {
+		t.Fatalf("charged %v, want two capacity violations on n0, one off-demand on n1 and one transfer", l.pending)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { l.sample(cfg, a) }); allocs != 0 {
+		t.Fatalf("one sample allocated %v times, want 0", allocs)
+	}
+	if got := fmt.Sprint(l.pending); got != want {
+		t.Fatalf("a warm sample charges %s, the first charged %s", got, want)
 	}
 }

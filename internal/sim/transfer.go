@@ -93,12 +93,16 @@ func (c *Cluster) newTransfer(a plan.Action) *transfer {
 	if len(eps) == 0 {
 		return nil
 	}
+	// A VM whose demands sum below zero has a negative volume: it moves
+	// no bits. Left negative, the volume would cancel part of the fixed
+	// time in remainingSeconds, and Run would wait on a completion time
+	// that never comes while the fixed part is still left.
 	return &transfer{
 		spec:      spec,
 		demand:    td,
 		endpoints: eps,
 		fixedLeft: spec.Fixed.Seconds(),
-		bitsLeft:  spec.Bits(),
+		bitsLeft:  max(spec.Bits(), 0),
 	}
 }
 

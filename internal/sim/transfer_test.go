@@ -71,6 +71,29 @@ func TestConcurrentMigrationsShareNIC(t *testing.T) {
 	}
 }
 
+// TestNegativeVolumeMigrationEnds: a VM whose memory and net demands
+// sum below zero (a demand written negative) migrates no bits, so its
+// metered migration ends after the fixed time alone. Its volume used
+// to cancel part of the fixed time, and Run then waited forever on a
+// completion time it never reached.
+func TestNegativeVolumeMigrationEnds(t *testing.T) {
+	c := newNetSim(t, 2, 8, 16384, 1000)
+	v := addRunning(t, c, "v1", "n00", 1, 1024)
+	v.Demand.Set(resources.Memory, -7)
+	v.Demand.Set(resources.NetBW, -7)
+	doneAt := -1.0
+	c.StartAction(&plan.Migration{Machine: v, Src: "n00", Dst: "n01"}, func(err error) {
+		if err != nil {
+			t.Errorf("migration failed: %v", err)
+		}
+		doneAt = c.Now()
+	})
+	c.Run(1000)
+	if want := duration.Default().MigrateSpec(0).Fixed.Seconds(); math.Abs(doneAt-want) > 1e-6 {
+		t.Fatalf("migration ended at %v, want after its fixed %v s", doneAt, want)
+	}
+}
+
 // TestSingleMigrationNominalOnFatNIC: with ample bandwidth the metered
 // path reproduces the calibrated duration — the NIC only matters when
 // it constrains.

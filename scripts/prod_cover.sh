@@ -6,8 +6,9 @@
 # benchmark from its own module directory, unedited), runs what they
 # run in use — `experiments all -quick`, entropyd periodic and
 # event-driven, entropyd -listen under a fixed replay of operator
-# requests (below), each example, planviz on its example cluster and on
-# the daemon's GET /v1/config body, each
+# requests (below), each example, planviz on its example cluster, on
+# that cluster asked to resume a sleeping VM and on the daemon's
+# GET /v1/config body, each
 # benchmark workload for 2 s with the harness's spans off and on (on
 # also measures the per-layer metrics, cp.Solver.Minimize among them)
 # — and writes the per-function coverage of internal/ to
@@ -130,6 +131,26 @@ for e in $examples; do run "$e"; done
 "$work/bin/planviz" -example >"$work/cluster.json"
 run planviz -timeout 1s "$work/cluster.json"
 run planviz -timeout 1s "$work/config.json"
+# The example's cluster once its plan ran, with j2 asked back: the plan
+# resumes vm2. Nothing else formats a resume on every run: the daemon's
+# GET /v1/plan does only when it finds one in the executing plan, which
+# depends on how far virtual time ran before the request.
+cat >"$work/resume.json" <<'EOF'
+{
+  "nodes": [
+    {"name": "n1", "cpu": 1, "memory": 3072},
+    {"name": "n2", "cpu": 1, "memory": 3072},
+    {"name": "n3", "cpu": 1, "memory": 3072}
+  ],
+  "vms": [
+    {"name": "vm1", "vjob": "j1", "cpu": 1, "memory": 2048, "state": "running", "node": "n1"},
+    {"name": "vm2", "vjob": "j2", "cpu": 1, "memory": 2048, "state": "sleeping", "node": "n2"},
+    {"name": "vm3", "vjob": "j3", "cpu": 1, "memory": 1024, "state": "running", "node": "n3"}
+  ],
+  "targets": {"j2": "running"}
+}
+EOF
+run planviz -timeout 1s "$work/resume.json"
 for w in solve_mono solve_sliced plan_large churn_ev api_mixed; do
 	for t in 0 1; do run bench --workload "$w" --seed 1 --seconds 2 --trace "$t"; done
 done
