@@ -49,10 +49,11 @@ race:
 # workers share GOMAXPROCS cores, so a plain run tests only the
 # machine's own width: run the pool's tests, the solver Reset they
 # rest on, the cancel tests, the reuse of candidates across workers
-# and of idle scratches across solves and carves (concurrent ones and
-# one after a panic), under the race detector at widths 1, 2 and 4.
+# and of idle scratches across solves, carves and decisions (concurrent
+# ones and one after a panic), under the race detector at widths 1, 2
+# and 4.
 race-pool:
-	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver|PortfolioCancel|CancelLandsAt|EscapedResult|EscapedPublicResults|ConcurrentSolves|ConcurrentCarves|PanickingRule|IdleScratches' ./internal/core ./internal/cp
+	$(GO) test -race -cpu 1,2,4 -run 'SlicePool|DirtySlices|ResetSolver|PortfolioCancel|CancelLandsAt|EscapedResult|EscapedPublicResults|ConcurrentSolves|ConcurrentCarves|ConcurrentDecide|PanickingRule|IdleScratches' ./internal/core ./internal/cp ./internal/sched
 
 vet:
 	$(GO) vet ./...

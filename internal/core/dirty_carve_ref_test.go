@@ -87,14 +87,14 @@ func dirtyDraw(rng *rand.Rand, p Problem, every int) (nodes, vms map[string]bool
 	return nodes, vms
 }
 
-// dirtyAgree fails unless dirtySlices and refDirtySlices agree on p
-// and the sets: the same error, the same slices to solve (each the
-// same configuration, target map and rescoped rules) and the same
-// coverage. It reports how many slices both would solve and whether
-// the coverage holds more than they do.
-func dirtyAgree(t *testing.T, pt Partitioner, p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) (solved int, covers bool) {
+// dirtyAgree fails unless dirtySlices, filling gout, and refDirtySlices
+// agree on p and the sets: the same error, the same slices to solve
+// (each the same configuration, target map and rescoped rules) and the
+// same coverage. It reports how many slices both would solve and
+// whether the coverage holds more than they do.
+func dirtyAgree(t *testing.T, pt Partitioner, p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool, gout *sliceResult) (solved int, covers bool) {
 	t.Helper()
-	got, gout, gerr := pt.dirtySlices(p, dirtyNodes, dirtyVMs, coverNodes, coverVMs)
+	got, gerr := pt.dirtySlices(p, dirtyNodes, dirtyVMs, coverNodes, coverVMs, gout)
 	want, wout, werr := refDirtySlices(pt, p, dirtyNodes, dirtyVMs, coverNodes, coverVMs)
 	if !errors.Is(gerr, werr) {
 		t.Fatalf("%+v dirty %v %v: error %v, reference %v", pt, dirtyNodes, dirtyVMs, gerr, werr)
@@ -120,16 +120,18 @@ func dirtyAgree(t *testing.T, pt Partitioner, p Problem, dirtyNodes, dirtyVMs, c
 // Split filtered slice by slice: 600 random problems under four
 // partition counts, random slice caps and random dirty and cover sets,
 // then the three 1000-node solve_sliced instances under sparse dirty
-// sets.
+// sets. One sliceResult, as a Loop holds, takes every draw's coverage,
+// so a map the last draw filled must read as a fresh one.
 func TestMaterializedSlicesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	wakes, solving, covering := 0, 0, 0
+	var cover sliceResult
 	for inst := 0; inst < 600; inst++ {
 		p := splitProblem(t, rng)
 		for _, parts := range []int{0, 1, 2, 3, 5} {
 			dirtyNodes, dirtyVMs := dirtyDraw(rng, p, 3)
 			coverNodes, coverVMs := dirtyDraw(rng, p, 2)
-			solved, covers := dirtyAgree(t, Partitioner{Parts: parts, maxNodes: 2 + rng.Intn(7)}, p, dirtyNodes, dirtyVMs, coverNodes, coverVMs)
+			solved, covers := dirtyAgree(t, Partitioner{Parts: parts, maxNodes: 2 + rng.Intn(7)}, p, dirtyNodes, dirtyVMs, coverNodes, coverVMs, &cover)
 			wakes++
 			if solved > 0 {
 				solving++
@@ -147,10 +149,93 @@ func TestMaterializedSlicesMatchReference(t *testing.T) {
 		p := budgetedProblem(seed, 1000, 150)
 		for range 3 {
 			dirtyNodes, dirtyVMs := dirtyDraw(rng, p, 200)
-			if solved, _ := dirtyAgree(t, Partitioner{}, p, dirtyNodes, dirtyVMs, nil, nil); solved == 0 && len(dirtyNodes)+len(dirtyVMs) > 2 {
+			if solved, _ := dirtyAgree(t, Partitioner{}, p, dirtyNodes, dirtyVMs, nil, nil, &cover); solved == 0 && len(dirtyNodes)+len(dirtyVMs) > 2 {
 				t.Fatalf("1000-node instance %d: no slice to solve for %d dirty names", seed, len(dirtyNodes)+len(dirtyVMs))
 			}
 		}
+	}
+}
+
+// TestSatisfiedMatchesSlice holds the verdict a wake reads off the
+// parent problem to the materialized slice's Satisfied, bin by bin: 600
+// splitProblem draws (rules of all five kinds, ghost scope names,
+// over-committed nodes, mixed targets) under four partition counts,
+// each with its drawn targets and settled (no target, so the loads and
+// the rules decide), then the three 1000-node solve_sliced instances
+// with rules of every kind over random VMs and nodes. Loads, rules and
+// states must each be the one check failing some bins, so a verdict
+// that skips any of them is caught.
+func TestSatisfiedMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var cv carver
+	var bins, sat, byLoad, byRule, byState int
+	check := func(pt Partitioner, p Problem) {
+		t.Helper()
+		for _, p := range []Problem{p, {Src: p.Src, Rules: p.Rules}} {
+			if !pt.carve(p, &cv) {
+				continue
+			}
+			for bi := range cv.bins {
+				sub, err := cv.slice(p, bi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := sub.Satisfied()
+				if got := cv.satisfied(p, bi); got != want {
+					t.Fatalf("%+v bin %d of %d: satisfied %v, slice %v", pt, bi, len(cv.bins), got, want)
+				}
+				loads, rules, states := sub.Src.Viable(), rulesHold(sub.Rules, sub.Src), true
+				for _, v := range sub.Src.VMs() {
+					if cur := sub.Src.StateOf(v.Name); sub.wantOf(v, cur) != cur {
+						states = false
+					}
+				}
+				bins++
+				switch {
+				case want:
+					sat++
+				case !loads && rules && states:
+					byLoad++
+				case loads && !rules && states:
+					byRule++
+				case loads && rules && !states:
+					byState++
+				}
+			}
+		}
+	}
+	for range 600 {
+		p := splitProblem(t, rng)
+		for _, parts := range []int{0, 2, 3, 5} {
+			check(Partitioner{Parts: parts, maxNodes: 2 + rng.Intn(7)}, p)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		p := budgetedProblem(seed, 1000, 150)
+		vms, nodes := p.Src.VMs(), p.Src.Nodes()
+		vm := func() string { return vms[rng.Intn(len(vms))].Name }
+		node := func() string { return nodes[rng.Intn(len(nodes))].Name }
+		for k := range 40 {
+			var r PlacementRule
+			switch k % 5 {
+			case 0:
+				r = Spread{VMs: []string{vm(), vm(), "ghost-vm"}}
+			case 1:
+				r = Gather{VMs: []string{vm(), vm()}}
+			case 2:
+				r = Fence{VMs: []string{vm()}, Nodes: []string{node(), node(), "ghost-node"}}
+			case 3:
+				r = Ban{VMs: []string{vm()}, Nodes: []string{node()}}
+			default:
+				r = Drained{Nodes: []string{node()}}
+			}
+			p.Rules = append(p.Rules, r)
+		}
+		check(Partitioner{}, p)
+	}
+	t.Logf("%d bins: %d satisfied, %d failing on loads alone, %d on rules alone, %d on states alone", bins, sat, byLoad, byRule, byState)
+	if min(sat, byLoad, byRule, byState) < bins/50 {
+		t.Fatalf("%d bins: %d satisfied, %d failing on loads alone, %d on rules alone, %d on states alone: the draws no longer exercise every check", bins, sat, byLoad, byRule, byState)
 	}
 }
 
@@ -183,7 +268,8 @@ func TestConcurrentCarvesMatchSerial(t *testing.T) {
 	run := func(c *call) (r call) {
 		var err error
 		if r.split, err = (Partitioner{}).Split(c.p); err == nil {
-			r.dirty, r.cover, err = Partitioner{}.dirtySlices(c.p, c.nodes, c.vms, nil, nil)
+			r.cover = new(sliceResult)
+			r.dirty, err = Partitioner{}.dirtySlices(c.p, c.nodes, c.vms, nil, nil, r.cover)
 			if err == nil || errors.Is(err, errMonolithic) || errors.Is(err, errNothingDirty) {
 				r.solved, err = opt.Solve(c.p)
 			}

@@ -187,6 +187,9 @@ type Loop struct {
 	// lastDst is the expected destination of the last switch: the
 	// warm-start assignment of the next solve.
 	lastDst *vjob.Configuration
+	// cover is what solveDirtySlices returns, refilled by every carve:
+	// nothing reads it after the next (plan.Repair keeps no map).
+	cover sliceResult
 
 	// Observability state: the open reconfiguration/debounce/wake
 	// spans, plus the virtual time of the running iteration — the sim
@@ -675,13 +678,15 @@ type sliceResult struct {
 // dirty elements (Partitioner.dirtySlices; every wake and every repair
 // carves, nothing remembers a carve) — as one batch under one Timeout,
 // warm-started from the last incumbent assignment — and merges them.
+// The result is l.cover, valid until the next call.
 // coverNodes/coverVMs (nil outside a widened repair) name elements
 // whose slices enter the coverage even when satisfied: staying put is
 // their optimal plan, but their region lets plan.Repair drop the
 // broken chain's kept actions.
 func (l *Loop) solveDirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) (*sliceResult, error) {
 	sp := l.Trace.Start(obs.KindCarve, "carve", l.nowVirt)
-	dirty, out, err := Partitioner{Parts: l.Optimizer.Partitions}.dirtySlices(p, dirtyNodes, dirtyVMs, coverNodes, coverVMs)
+	out := &l.cover
+	dirty, err := Partitioner{Parts: l.Optimizer.Partitions}.dirtySlices(p, dirtyNodes, dirtyVMs, coverNodes, coverVMs, out)
 	if err != nil && err != errMonolithic && err != errNothingDirty {
 		sp.SetOutcome("error")
 		err = errMonolithic

@@ -395,18 +395,42 @@ func (cv *carver) slice(p Problem, bi int) (Problem, error) {
 	return Problem{Src: sub, Target: target, Rules: slices.Clip(rules)}, nil
 }
 
+// satisfied is slice(p, bi).Satisfied() read off p.Src. The carve binds
+// every VM to its host and every rule to its scope VMs and bound nodes,
+// so each bin node carries the same load in p.Src as in the slice, and
+// each rule of the bin sees the same hosts (PlacementRule.Check).
+func (cv *carver) satisfied(p Problem, bi int) bool {
+	end, b := cv.ends[bi], cv.bins[bi]
+	for _, n := range cv.names[end[0]-b.nodes : end[0]] {
+		if !p.Src.Used(n).Fits(p.Src.Node(n).Capacity) {
+			return false
+		}
+	}
+	for i := cv.ruleHead[bi]; i > 0; i = cv.ruleNext[i-1] {
+		if p.Rules[i-1].Check(p.Src) != nil {
+			return false
+		}
+	}
+	for _, v := range cv.names[end[0]:end[1]] {
+		if cur := p.Src.StateOf(v); p.wantOf(p.Src.VM(v), cur) != cur {
+			return false
+		}
+	}
+	return true
+}
+
 // dirtySlices is the carve of a wake (Loop.solveDirtySlices): it carves
-// p like Split but materializes only the bins holding a dirty node or
-// VM. It returns those not satisfied, in bin order, and their coverage:
-// every name of theirs and of the satisfied bins holding a cover
-// element. It fails with errMonolithic when p does not split and with
-// errNothingDirty when the coverage is empty.
-func (pt Partitioner) dirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool) ([]Problem, *sliceResult, error) {
+// p like Split and materializes, in bin order, the bins holding a dirty
+// node or VM that are not satisfied. It empties out and fills its maps
+// with their coverage: every name of theirs and of the satisfied bins
+// holding a cover element. It fails with errMonolithic when p does
+// not split and with errNothingDirty when the coverage is empty.
+func (pt Partitioner) dirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, coverVMs map[string]bool, out *sliceResult) ([]Problem, error) {
 	sc := takeScratch()
 	defer sc.release()
 	cv := &sc.carve
 	if !pt.carve(p, cv) {
-		return nil, nil, errMonolithic
+		return nil, errMonolithic
 	}
 	// Bit 0 marks the bins holding a dirty node or VM, bit 1 those
 	// holding a cover element; an unknown name marks nothing.
@@ -423,31 +447,22 @@ func (pt Partitioner) dirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, c
 			}
 		}
 	}
-	numNodes, numVMs := 0, 0 // what the dirty bins hold
-	for bi, m := range marks {
-		if m&1 != 0 {
-			numNodes, numVMs = numNodes+int(cv.bins[bi].nodes), numVMs+int(cv.bins[bi].vms)
-		}
-	}
+	out.nodes, out.vms, out.merged = emptied(out.nodes, 0), emptied(out.vms, 0), nil
 	var solve []Problem
-	var out *sliceResult
 	for bi, m := range marks {
 		if m&1 == 0 {
 			continue
 		}
-		sub, err := cv.slice(p, bi)
-		if err != nil {
-			return nil, nil, err
-		}
 		// A satisfied slice needs no plan — its optimal plan is empty
 		// — so the event storm of harmless load changes costs nothing.
-		if !sub.Satisfied() {
+		if !cv.satisfied(p, bi) {
+			sub, err := cv.slice(p, bi)
+			if err != nil {
+				return nil, err
+			}
 			solve = append(solve, sub)
 		} else if m&2 == 0 {
 			continue
-		}
-		if out == nil {
-			out = &sliceResult{nodes: make(map[string]bool, numNodes), vms: make(map[string]bool, numVMs)}
 		}
 		end, b := cv.ends[bi], cv.bins[bi]
 		for _, n := range cv.names[end[0]-b.nodes : end[0]] {
@@ -457,10 +472,10 @@ func (pt Partitioner) dirtySlices(p Problem, dirtyNodes, dirtyVMs, coverNodes, c
 			out.vms[v] = true
 		}
 	}
-	if out == nil {
-		return nil, nil, errNothingDirty
+	if len(out.nodes)+len(out.vms) == 0 {
+		return nil, errNothingDirty
 	}
-	return solve, out, nil
+	return solve, nil
 }
 
 // assignAtom adds the atom to the bin with the widest (wide) or

@@ -25,7 +25,10 @@ type PlacementRule interface {
 	// rule binds placement, not scheduling.
 	Apply(s *cp.Solver, vars map[string]*cp.IntVar, nodeIdx map[string]int) error
 	// Check validates a concrete configuration against the rule, for
-	// plan validation and tests.
+	// plan validation and tests. Its verdict depends only on the hosts
+	// of the scope VMs and on the bound nodes (what they host): the
+	// carve keeps those together, so a wake judges a slice's rules on
+	// the whole configuration without materializing the slice.
 	Check(cfg *vjob.Configuration) error
 	// ScopeVMs returns the VM names the rule covers. The partitioner
 	// keeps them in a single partition.

@@ -46,7 +46,8 @@ func (e *ErrBrokenDependency) Unwrap() error { return e.Cause }
 // and dirtyVMs delimit the region invalidated by failures or events —
 // typically the full node/VM coverage of the re-solved slices, not
 // just the failed elements — and fresh are the plans re-solved over
-// exactly that region.
+// exactly that region. Repair only reads the two maps and keeps
+// neither, so a caller may refill them for its next repair.
 //
 // Repair keeps every remaining action outside the dirty region (their
 // feasibility argument is untouched: the fresh plans never enter their

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"cwcs/internal/packing"
@@ -20,7 +21,7 @@ import (
 func refConsolidationDecide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
 	target := make(map[string]vjob.State, len(queue))
 	temp := refEmptyClusterLike(cfg)
-	for _, j := range SortQueue(queue) {
+	for _, j := range SortQueue(nil, queue) {
 		cur := cfg.VJobState(j)
 		if cur == vjob.Terminated {
 			continue
@@ -45,7 +46,7 @@ func refStaticFCFSDecide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string
 	temp := refEmptyClusterLike(cfg)
 	// Reserve resources of the already-running vjobs first: they are
 	// immovable under static allocation.
-	for _, j := range SortQueue(queue) {
+	for _, j := range SortQueue(nil, queue) {
 		if cfg.VJobState(j) == vjob.Running {
 			target[j.Name] = vjob.Running
 			for _, v := range j.VMs {
@@ -59,7 +60,7 @@ func refStaticFCFSDecide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string
 			}
 		}
 	}
-	for _, j := range SortQueue(queue) {
+	for _, j := range SortQueue(nil, queue) {
 		cur := cfg.VJobState(j)
 		if cur != vjob.Waiting {
 			continue
@@ -72,6 +73,20 @@ func refStaticFCFSDecide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string
 		break // strict FCFS: nobody jumps the queue
 	}
 	return target
+}
+
+// booked returns the VM as the RMS accounts for it: one processing
+// unit and its memory, for the whole walltime.
+func booked(v *vjob.VM) *vjob.VM {
+	return vjob.NewVM(v.Name, v.VJob, 1, v.MemoryDemand())
+}
+
+func bookedJob(j *vjob.VJob) *vjob.VJob {
+	out := &vjob.VJob{Name: j.Name, Priority: j.Priority, Submitted: j.Submitted}
+	for _, v := range j.VMs {
+		out.VMs = append(out.VMs, booked(v))
+	}
+	return out
 }
 
 func refEmptyClusterLike(cfg *vjob.Configuration) *vjob.Configuration {
@@ -95,11 +110,9 @@ func refTryPlace(temp *vjob.Configuration, j *vjob.VJob) bool {
 	return true
 }
 
-// decideCase runs both decision modules and their references on one
-// generated instance of the 2-D, 4-D or NIC-poor mix, and returns a
-// description of the first difference, or "", and how many vjobs the
-// consolidation module could not run.
-func decideCase(seed int64) (diff string, benched int) {
+// decideInstance generates the instance of one seed of the 2-D, 4-D or
+// NIC-poor mix, with shuffled priorities and some vjobs terminated.
+func decideInstance(seed int64) (*vjob.Configuration, []*vjob.VJob) {
 	rng := rand.New(rand.NewSource(seed))
 	nodes := 2 + rng.Intn(60)
 	opts := workload.GenerateOptions{Nodes: nodes, NodeCPU: 2, NodeMemory: 4096, VMs: nodes * (1 + rng.Intn(3))}
@@ -122,14 +135,17 @@ func decideCase(seed int64) (diff string, benched int) {
 			}
 		}
 	}
-	for _, m := range []struct {
-		name      string
-		got, want func(*vjob.Configuration, []*vjob.VJob) map[string]vjob.State
-	}{
-		{"Consolidation", Consolidation{}.Decide, refConsolidationDecide},
-		{"StaticFCFS", StaticFCFS{}.Decide, refStaticFCFSDecide},
-	} {
-		got, want := m.got(g.Cfg, g.Jobs), m.want(g.Cfg, g.Jobs)
+	return g.Cfg, g.Jobs
+}
+
+// decideCase runs both decision modules and their references on one
+// generated instance of the 2-D, 4-D or NIC-poor mix, and returns a
+// description of the first difference, or "", and how many vjobs the
+// consolidation module could not run.
+func decideCase(seed int64) (diff string, benched int) {
+	cfg, jobs := decideInstance(seed)
+	for _, m := range decideModules {
+		got, want := m.got(cfg, jobs), m.want(cfg, jobs)
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Sprintf("%s targets differ:\ngot  %v\nwant %v", m.name, got, want), 0
 		}
@@ -172,4 +188,104 @@ func FuzzDecide(f *testing.F) {
 			t.Fatal(diff)
 		}
 	})
+}
+
+// decideModules are the two decision modules and their references.
+var decideModules = []struct {
+	name      string
+	got, want func(*vjob.Configuration, []*vjob.VJob) map[string]vjob.State
+}{
+	{"Consolidation", Consolidation{}.Decide, refConsolidationDecide},
+	{"StaticFCFS", StaticFCFS{}.Decide, refStaticFCFSDecide},
+}
+
+// targetSink makes the map TestDecideAllocatesOnlyItsTarget builds
+// escape, as a returned one does.
+var targetSink map[string]vjob.State
+
+// TestDecideAllocatesOnlyItsTarget: once a Decide has left its scratch
+// idle, each decision module allocates the target map it returns and
+// nothing else — as many allocations as a map of that size filled
+// alike — on instances of the three mixes, and leaves the scratch idle
+// and cleared.
+func TestDecideAllocatesOnlyItsTarget(t *testing.T) {
+	for seed := int64(3); seed < 6; seed++ {
+		cfg, jobs := decideInstance(seed)
+		for _, m := range decideModules {
+			target := m.got(cfg, jobs)
+			own := testing.AllocsPerRun(10, func() {
+				out := make(map[string]vjob.State, len(jobs))
+				for k, s := range target {
+					out[k] = s
+				}
+				targetSink = out
+			})
+			if got := testing.AllocsPerRun(10, func() { m.got(cfg, jobs) }); got != own {
+				t.Errorf("seed %d: %s.Decide allocates %.0f times, its %d-vjob target map %.0f", seed, m.name, got, len(jobs), own)
+			}
+			if sc := idle.sc; sc == nil || !clearedScratch(sc) {
+				t.Errorf("seed %d: %s.Decide left no idle scratch, or one holding its input", seed, m.name)
+			}
+		}
+	}
+}
+
+// clearedScratch reports whether sc holds no node, vjob or VM name
+// (its VM pointers point into its own booked VMs).
+func clearedScratch(sc *scratch) bool {
+	for _, n := range sc.nodes[:cap(sc.nodes)] {
+		if n != nil {
+			return false
+		}
+	}
+	for _, j := range sc.queue[:cap(sc.queue)] {
+		if j != nil {
+			return false
+		}
+	}
+	for _, v := range sc.booked[:cap(sc.booked)] {
+		if v != (vjob.VM{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConcurrentDecideMatchesSerial: four goroutines decide on
+// different configurations at once, taking and leaving the idle
+// scratch in whatever order they meet, and each target map equals the
+// one the same call returned alone and the reference's.
+func TestConcurrentDecideMatchesSerial(t *testing.T) {
+	type call struct {
+		cfg     *vjob.Configuration
+		jobs    []*vjob.VJob
+		targets [2]map[string]vjob.State
+	}
+	var calls []*call
+	for seed := int64(0); seed < 9; seed++ {
+		c := &call{}
+		c.cfg, c.jobs = decideInstance(seed)
+		for i, m := range decideModules {
+			if c.targets[i] = m.got(c.cfg, c.jobs); !reflect.DeepEqual(c.targets[i], m.want(c.cfg, c.jobs)) {
+				t.Fatalf("seed %d: %s differs from its reference", seed, m.name)
+			}
+		}
+		calls = append(calls, c)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 24 {
+				c := calls[(k+2*g)%len(calls)]
+				i := (k + g) % len(decideModules)
+				if got := decideModules[i].got(c.cfg, c.jobs); !reflect.DeepEqual(got, c.targets[i]) {
+					t.Errorf("goroutine %d, call %d: %s targets %v, alone %v", g, k, decideModules[i].name, got, c.targets[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -9,27 +9,70 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
+	"sync"
 
 	"cwcs/internal/packing"
+	"cwcs/internal/resources"
 	"cwcs/internal/vjob"
 )
 
-// SortQueue orders vjobs by priority (ascending: earlier submissions
-// first), breaking ties by submission time then name — the FCFS queue
-// of §3.2.
-func SortQueue(queue []*vjob.VJob) []*vjob.VJob {
-	out := append([]*vjob.VJob(nil), queue...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority < out[j].Priority
-		}
-		if out[i].Submitted != out[j].Submitted {
-			return out[i].Submitted < out[j].Submitted
-		}
-		return out[i].Name < out[j].Name
+// SortQueue appends the queue to dst ordered by priority (ascending:
+// earlier submissions first), breaking ties by submission time then
+// name — the FCFS queue of §3.2 — and returns the extended dst.
+func SortQueue(dst, queue []*vjob.VJob) []*vjob.VJob {
+	n := len(dst)
+	dst = append(dst, queue...)
+	slices.SortStableFunc(dst[n:], func(a, b *vjob.VJob) int {
+		return cmp.Or(cmp.Compare(a.Priority, b.Priority), cmp.Compare(a.Submitted, b.Submitted), strings.Compare(a.Name, b.Name))
 	})
-	return out
+	return dst
+}
+
+// scratch is the storage of one Decide: the First-Fit state, the nodes
+// it packs, the sorted queue and a vjob's booked VMs. A Decide leaves
+// it idle cleared, holding nothing of what it decided on.
+type scratch struct {
+	ff     packing.FirstFit
+	nodes  []*vjob.Node
+	queue  []*vjob.VJob
+	booked []vjob.VM
+	vms    []*vjob.VM
+}
+
+// idle holds the scratch of the last Decide; a concurrent one builds its own.
+var idle struct {
+	sync.Mutex
+	sc *scratch
+}
+
+// takeScratch returns a scratch holding an empty First-Fit state of
+// cfg's nodes and the queue in FCFS order.
+func takeScratch(cfg *vjob.Configuration, queue []*vjob.VJob) *scratch {
+	idle.Lock()
+	sc := idle.sc
+	idle.sc = nil
+	idle.Unlock()
+	if sc == nil {
+		sc = new(scratch)
+	}
+	sc.nodes = cfg.AppendNodes(sc.nodes[:0])
+	sc.ff.Reset(sc.nodes)
+	sc.queue = SortQueue(sc.queue[:0], queue)
+	return sc
+}
+
+// release clears sc and leaves it to takeScratch.
+func (sc *scratch) release() {
+	sc.ff.Reset(nil)
+	clear(sc.nodes[:cap(sc.nodes)])
+	clear(sc.queue[:cap(sc.queue)])
+	clear(sc.booked[:cap(sc.booked)]) // vms point into booked
+	idle.Lock()
+	idle.sc = sc
+	idle.Unlock()
 }
 
 // Consolidation is the sample decision module of §3.2: every round it
@@ -46,13 +89,14 @@ type Consolidation struct{}
 // placements, one that does not leaves the state as it found it.
 func (Consolidation) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
 	target := make(map[string]vjob.State, len(queue))
-	ff := packing.NewFirstFit(cfg.Nodes())
-	for _, j := range SortQueue(queue) {
+	sc := takeScratch(cfg, queue)
+	defer sc.release()
+	for _, j := range sc.queue {
 		cur := cfg.VJobState(j)
 		if cur == vjob.Terminated {
 			continue
 		}
-		if ff.Pack(j.VMs) {
+		if sc.ff.Pack(j.VMs) {
 			target[j.Name] = vjob.Running
 			continue
 		}
@@ -82,27 +126,28 @@ type StaticFCFS struct{}
 // waiting vjobs start when they fit.
 func (StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string]vjob.State {
 	target := make(map[string]vjob.State, len(queue))
-	ff := packing.NewFirstFit(cfg.Nodes())
+	sc := takeScratch(cfg, queue)
+	defer sc.release()
 	// Reserve resources of the already-running vjobs first: they are
 	// immovable under static allocation.
-	for _, j := range SortQueue(queue) {
+	for _, j := range sc.queue {
 		if cfg.VJobState(j) == vjob.Running {
 			target[j.Name] = vjob.Running
 			for _, v := range j.VMs {
 				if h := cfg.HostOf(v.Name); h != "" {
 					// Mirror the real placement so fragmentation is
 					// honoured, as a static RMS would.
-					ff.Reserve(h, booked(v).Demand)
+					sc.ff.Reserve(h, bookedDemand(v))
 				}
 			}
 		}
 	}
-	for _, j := range SortQueue(queue) {
+	for _, j := range sc.queue {
 		cur := cfg.VJobState(j)
 		if cur != vjob.Waiting {
 			continue
 		}
-		if ff.Pack(bookedJob(j).VMs) {
+		if sc.ff.Pack(sc.bookedVMs(j)) {
 			target[j.Name] = vjob.Running
 			continue
 		}
@@ -112,16 +157,16 @@ func (StaticFCFS) Decide(cfg *vjob.Configuration, queue []*vjob.VJob) map[string
 	return target
 }
 
-// booked returns the VM as the RMS accounts for it: one processing
-// unit and its memory, for the whole walltime.
-func booked(v *vjob.VM) *vjob.VM {
-	return vjob.NewVM(v.Name, v.VJob, 1, v.MemoryDemand())
-}
+// bookedDemand is a VM's RMS booking: a processing unit and its memory.
+func bookedDemand(v *vjob.VM) resources.Vector { return resources.New(1, v.MemoryDemand()) }
 
-func bookedJob(j *vjob.VJob) *vjob.VJob {
-	out := &vjob.VJob{Name: j.Name, Priority: j.Priority, Submitted: j.Submitted}
+// bookedVMs returns j's VMs as the RMS accounts for them, in sc's
+// storage.
+func (sc *scratch) bookedVMs(j *vjob.VJob) []*vjob.VM {
+	sc.booked, sc.vms = slices.Grow(sc.booked[:0], len(j.VMs)), sc.vms[:0] // no append moves booked
 	for _, v := range j.VMs {
-		out.VMs = append(out.VMs, booked(v))
+		sc.booked = append(sc.booked, vjob.VM{Name: v.Name, VJob: v.VJob, Demand: bookedDemand(v)})
+		sc.vms = append(sc.vms, &sc.booked[len(sc.booked)-1])
 	}
-	return out
+	return sc.vms
 }

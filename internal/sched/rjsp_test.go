@@ -161,7 +161,7 @@ func TestSortQueueOrdering(t *testing.T) {
 	b := &vjob.VJob{Name: "b", Priority: 1, Submitted: 5}
 	c := &vjob.VJob{Name: "c", Priority: 1, Submitted: 3}
 	d := &vjob.VJob{Name: "d", Priority: 1, Submitted: 3}
-	got := SortQueue([]*vjob.VJob{a, b, c, d})
+	got := SortQueue(nil, []*vjob.VJob{a, b, c, d})
 	want := []string{"c", "d", "b", "a"}
 	for i, w := range want {
 		if got[i].Name != w {

@@ -73,7 +73,7 @@ func TestSubmitPriorityNeverReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	for _, j := range sched.SortQueue(tb.Jobs()) {
+	for _, j := range sched.SortQueue(nil, tb.Jobs()) {
 		order = append(order, j.Name)
 	}
 	if got := strings.Join(order, ","); got != "c,d,e" {
