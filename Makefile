@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzWorkspaceMatchesFresh -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run=^$$ -fuzz=FuzzDecide -fuzztime=$(FUZZTIME) ./internal/sched
 	$(GO) test -run=^$$ -fuzz=FuzzLabelValue -fuzztime=$(FUZZTIME) ./internal/api
+	$(GO) test -run=^$$ -fuzz=FuzzExpositionMatchesReference -fuzztime=$(FUZZTIME) ./internal/api
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitVJob -fuzztime=$(FUZZTIME) ./internal/api
 
 # Atomic-mode coverage with per-package floors: the floors file pins a

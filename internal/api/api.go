@@ -118,6 +118,10 @@ type Server struct {
 	// stateDrops counts watch/state subscribers disconnected for
 	// falling behind.
 	stateDrops atomic.Uint64
+
+	// metricsSize is the length of the last /metrics body, from which
+	// the next scrape presizes its buffer.
+	metricsSize atomic.Int64
 }
 
 // The pace of the SSE streams.
@@ -404,17 +408,16 @@ func pinningVJobs(cfg *vjob.Configuration, sleeping []string) []string {
 // resync converges to exactly what a poll would report.
 func (s *Server) nodeListLocked() []nodeJSON {
 	cfg := s.Config()
-	var out []nodeJSON
-	seen := make(map[string]bool)
+	drained := s.Drains.Nodes()
+	out := make([]nodeJSON, 0, cfg.NumNodes()+len(drained))
 	for _, n := range cfg.Nodes() {
 		st, _ := s.nodeStatus(cfg, n.Name)
 		out = append(out, st)
-		seen[n.Name] = true
 	}
 	// Draining nodes already taken offline are still operator
 	// state: list them too.
-	for _, name := range s.Drains.Nodes() {
-		if !seen[name] {
+	for _, name := range drained {
+		if cfg.Node(name) == nil {
 			st, _ := s.nodeStatus(cfg, name)
 			out = append(out, st)
 		}

@@ -324,6 +324,62 @@ func metricValue(t *testing.T, text, name string) float64 {
 	return v
 }
 
+// TestScrapeMatchesReference: on a daemon after a reconfiguration
+// episode — labeled violation series, action histograms, a drained
+// node — the scrape is byte for byte what the reference renderer makes
+// of the same registry and histograms. The loop is idle between the
+// two renders, so even the wall-clock sums agree.
+func TestScrapeMatchesReference(t *testing.T) {
+	d := newDaemon(t, 4, 2, 4096)
+	d.churn(t)
+	d.do(t, "POST", "/v1/nodes/node003/drain", nil, http.StatusAccepted)
+	d.advance(60)
+	got := string(d.get(t, "/metrics", http.StatusOK))
+	if want := d.srv.ReferenceExposition(); got != want {
+		t.Fatalf("scrape differs from the reference:\n got %q\nwant %q", got, want)
+	}
+	if !strings.Contains(got, `cwcs_violation_seconds_total{vjob="ja",kind="cpu"}`) ||
+		!strings.Contains(got, `cwcs_action_duration_vseconds_bucket{kind="migration",le="0.5"}`) {
+		t.Fatalf("the episode left no labeled series:\n%s", got)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so a scrape's
+// allocations are the handler's own.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// scrapeAllocBound is the most objects a warm /metrics scrape may
+// allocate: the registry's families, the ledger's and the solver's
+// reads, the histogram snapshots and the one body buffer, however many
+// nodes and samples there are.
+const scrapeAllocBound = 80
+
+// TestScrapeAllocationsFlat: a warm scrape allocates per family, not
+// per sample — the same number of objects at 50 and at 250 nodes,
+// within scrapeAllocBound.
+func TestScrapeAllocationsFlat(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector changes what escapes")
+	}
+	allocs := func(nodes int) float64 {
+		d := newDaemon(t, nodes, 2, 4096)
+		d.churn(t)
+		h := d.srv.Handler()
+		req := httptest.NewRequest("GET", "/metrics", nil)
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req) // the first scrape sets the size hint
+		return testing.AllocsPerRun(20, func() { h.ServeHTTP(w, req) })
+	}
+	small, large := allocs(50), allocs(250)
+	if small != large || large > scrapeAllocBound {
+		t.Fatalf("a warm scrape allocates %v objects at 50 nodes and %v at 250 (bound %d)", small, large, scrapeAllocBound)
+	}
+}
+
 func TestVJobSubmitAndWithdraw(t *testing.T) {
 	d := newDaemon(t, 4, 2, 4096)
 	spec := api.VJobSpec{Name: "jx", VMs: []api.VMSpec{

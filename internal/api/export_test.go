@@ -3,6 +3,8 @@ package api
 import (
 	"net/http"
 	"time"
+
+	"cwcs/internal/obs"
 )
 
 // What the daemon-backed tests of package api_test reach beyond the
@@ -45,9 +47,20 @@ func (s *Server) MetricFamilies() []MetricFamily {
 	for _, f := range s.metricFamilies() {
 		m := MetricFamily{Name: f.name, Help: f.help, Type: f.typ}
 		for _, smp := range f.samples {
-			m.Series = append(m.Series, smp.labels)
+			m.Series = append(m.Series, string(appendLabels(nil, smp.labels)))
 		}
 		out = append(out, m)
 	}
 	return out
+}
+
+// ReferenceExposition renders the server's registry and histograms
+// with the reference renderer of metrics_ref_test.go.
+func (s *Server) ReferenceExposition() string {
+	hs := s.Trace.Histograms()
+	hists := make([]obs.HistogramSnapshot, len(hs))
+	for i, h := range hs {
+		hists[i] = h.Snapshot()
+	}
+	return refExposition(s.metricFamilies(), hists)
 }

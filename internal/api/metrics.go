@@ -1,18 +1,22 @@
 package api
 
 import (
-	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"cwcs/internal/obs"
 	"cwcs/internal/resources"
 )
 
-// sample is one exposition line of a family: an optional rendered
-// label set (`{a="b"}`) and the value.
+// label is one name="value" pair of a sample's label set.
+type label struct{ name, value string }
+
+// sample is one exposition line of a family: its label set in registry
+// order (at most two pairs; an empty name ends it), escaped when the
+// line is rendered, and the value.
 type sample struct {
-	labels string
+	labels [2]label
 	value  float64
 }
 
@@ -26,29 +30,71 @@ type family struct {
 	samples         []sample
 }
 
-// labelEscaper escapes a label value as the text exposition format
-// defines: backslash, double quote and line feed, nothing else. Every
-// other rune is written raw; an escape such as \t or \u00a0 that Go's
-// %q would write makes a scrape parser reject the whole page.
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// labelPair renders one name="value" label.
-func labelPair(name, value string) string {
-	return name + `="` + labelEscaper.Replace(value) + `"`
+// appendLabelPair renders one name="value" label onto b, escaping the
+// value as the text exposition format defines: backslash, double quote
+// and line feed, nothing else. Every other byte is written raw; an
+// escape such as \t or \u00a0 that Go's %q would write makes a scrape
+// parser reject the whole page.
+func appendLabelPair(b []byte, name, value string) []byte {
+	b = append(b, name...)
+	b = append(b, `="`...)
+	for {
+		i := strings.IndexAny(value, "\\\"\n")
+		if i < 0 {
+			break
+		}
+		c := value[i]
+		if c == '\n' {
+			c = 'n'
+		}
+		b = append(append(b, value[:i]...), '\\', c)
+		value = value[i+1:]
+	}
+	b = append(b, value...)
+	return append(b, '"')
 }
 
-// labels renders one label set in registry order.
-func labels(pairs ...string) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i := 0; i+1 < len(pairs); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(labelPair(pairs[i], pairs[i+1]))
+// appendLabels renders a label set, `{a="x",b="y"}`, onto b; an empty
+// set renders nothing.
+func appendLabels(b []byte, ls [2]label) []byte {
+	if ls[0].name == "" {
+		return b
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = appendLabelPair(append(b, '{'), ls[0].name, ls[0].value)
+	if ls[1].name != "" {
+		b = appendLabelPair(append(b, ','), ls[1].name, ls[1].value)
+	}
+	return append(b, '}')
+}
+
+// appendHeader renders a family's HELP and TYPE lines onto b.
+func appendHeader(b []byte, name, help, typ string) []byte {
+	b = append(append(append(b, "# HELP "...), name...), ' ')
+	b = append(append(b, help...), "\n# TYPE "...)
+	b = append(append(append(b, name...), ' '), typ...)
+	return append(b, '\n')
+}
+
+// appendExposition renders the families, then the histogram
+// snapshots, in the text exposition format onto b: one pass, no
+// intermediate string.
+func appendExposition(b []byte, fams []family, hists []obs.HistogramSnapshot) []byte {
+	for i := range fams {
+		f := &fams[i]
+		if len(f.samples) == 0 {
+			// A purely-labeled family with no series yet (e.g. no rule
+			// ever breached) is withheld rather than emitting orphan
+			// HELP/TYPE headers.
+			continue
+		}
+		b = appendHeader(b, f.name, f.help, f.typ)
+		for _, smp := range f.samples {
+			b = appendLabels(append(b, f.name...), smp.labels)
+			b = strconv.AppendFloat(append(b, ' '), smp.value, 'g', -1, 64)
+			b = append(b, '\n')
+		}
+	}
+	return appendHistograms(b, hists)
 }
 
 // metricFamilies assembles every non-histogram family the server
@@ -69,28 +115,33 @@ func (s *Server) metricFamilies() []family {
 	one := func(name, help, typ string, v float64) family {
 		return family{name: name, help: help, typ: typ, samples: []sample{{value: v}}}
 	}
-	violations := one("cwcs_violation_seconds_total", "Integral of capacity violations over virtual time; labeled series attribute it per vjob and per node by dominant consumer.", "counter", snap.ViolationSeconds)
-	for _, e := range s.Ledger.VJobKinds() {
-		violations.samples = append(violations.samples, sample{labels: labels("vjob", e.VJob, "kind", e.Kind), value: e.Seconds})
+	vjobKinds, nodeKinds := s.Ledger.VJobKinds(), s.Ledger.NodeKinds()
+	violations := family{
+		name: "cwcs_violation_seconds_total", help: "Integral of capacity violations over virtual time; labeled series attribute it per vjob and per node by dominant consumer.", typ: "counter",
+		samples: make([]sample, 1, 1+len(vjobKinds)+len(nodeKinds)),
 	}
-	for _, e := range s.Ledger.NodeKinds() {
-		violations.samples = append(violations.samples, sample{labels: labels("node", e.Node, "kind", e.Kind), value: e.Seconds})
+	violations.samples[0].value = snap.ViolationSeconds
+	for _, e := range vjobKinds {
+		violations.samples = append(violations.samples, sample{labels: [2]label{{"vjob", e.VJob}, {"kind", e.Kind}}, value: e.Seconds})
+	}
+	for _, e := range nodeKinds {
+		violations.samples = append(violations.samples, sample{labels: [2]label{{"node", e.Node}, {"kind", e.Kind}}, value: e.Seconds})
 	}
 	breach := family{name: "cwcs_rule_breach_seconds_total", help: "Integral of structural placement-rule breaches over virtual time, per rule kind.", typ: "counter"}
 	for _, e := range s.Ledger.RuleSeconds() {
-		breach.samples = append(breach.samples, sample{labels: labels("rule", e.Rule), value: e.Seconds})
+		breach.samples = append(breach.samples, sample{labels: [2]label{{"rule", e.Rule}}, value: e.Seconds})
 	}
 	solver := s.Solver.Snapshot()
 	wins := family{name: "cwcs_portfolio_wins_total", help: "Solves won per portfolio strategy (the strategy whose plan was returned).", typ: "counter"}
 	for _, w := range solver.WinRates() {
-		wins.samples = append(wins.samples, sample{labels: labels("strategy", w.Strategy), value: float64(w.Improvements)})
+		wins.samples = append(wins.samples, sample{labels: [2]label{{"strategy", w.Strategy}}, value: float64(w.Improvements)})
 	}
-	used := family{name: "cwcs_node_resource_used", help: "Per-node per-dimension resource demand of running VMs.", typ: "gauge"}
-	capacity := family{name: "cwcs_node_resource_capacity", help: "Per-node per-dimension resource capacity.", typ: "gauge"}
-	for _, g := range gauges {
-		l := labels("node", g.node, "kind", g.kind)
-		used.samples = append(used.samples, sample{labels: l, value: g.used})
-		capacity.samples = append(capacity.samples, sample{labels: l, value: g.capacity})
+	used := family{name: "cwcs_node_resource_used", help: "Per-node per-dimension resource demand of running VMs.", typ: "gauge", samples: make([]sample, len(gauges))}
+	capacity := family{name: "cwcs_node_resource_capacity", help: "Per-node per-dimension resource capacity.", typ: "gauge", samples: make([]sample, len(gauges))}
+	for i, g := range gauges {
+		l := [2]label{{"node", g.node}, {"kind", g.kind}}
+		used.samples[i] = sample{labels: l, value: g.used}
+		capacity.samples[i] = sample{labels: l, value: g.capacity}
 	}
 	info := obs.BuildInfo()
 	return []family{
@@ -119,7 +170,7 @@ func (s *Server) metricFamilies() []family {
 		capacity,
 		family{
 			name: "cwcs_build_info", help: "Build metadata of the serving binary; the value is always 1.", typ: "gauge",
-			samples: []sample{{labels: labels("version", info.Version, "go_version", info.GoVersion), value: 1}},
+			samples: []sample{{labels: [2]label{{"version", info.Version}, {"go_version", info.GoVersion}}, value: 1}},
 		},
 		one("cwcs_watch_drops_total", "Watch events dropped (and subscribers disconnected) because a client fell behind.", "counter", float64(s.Trace.WatchDrops())),
 		one("cwcs_state_watch_drops_total", "State-watch subscribers disconnected because a client fell behind.", "counter", float64(s.stateDrops.Load())),
@@ -133,11 +184,11 @@ type nodeGauge struct {
 }
 
 // nodeGaugesLocked returns one sample per node and per dimension the
-// node offers (or over-uses), in node then registry order. Callers
-// hold Exec.
+// node offers (or over-uses), in node then registry order, presized
+// for the base dimensions every node offers. Callers hold Exec.
 func (s *Server) nodeGaugesLocked() []nodeGauge {
-	var out []nodeGauge
 	cfg := s.Config()
+	out := make([]nodeGauge, 0, cfg.NumNodes()*(resources.NumKinds()-len(resources.ExtraKinds())))
 	for _, n := range cfg.Nodes() {
 		used := cfg.Used(n.Name)
 		for _, k := range resources.Kinds() {
@@ -153,22 +204,22 @@ func (s *Server) nodeGaugesLocked() []nodeGauge {
 	return out
 }
 
+// handleMetrics renders the registry and the tracer's histograms into
+// one buffer and writes it once. The buffer is presized to the
+// previous scrape's body plus a sixteenth: counters and float sums
+// grow a few bytes between scrapes, and a regrown buffer costs more
+// than the headroom.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	for _, f := range s.metricFamilies() {
-		if len(f.samples) == 0 {
-			// A purely-labeled family with no series yet (e.g. no rule
-			// ever breached) is withheld rather than emitting orphan
-			// HELP/TYPE headers.
-			continue
-		}
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		for _, smp := range f.samples {
-			fmt.Fprintf(&b, "%s%s %g\n", f.name, smp.labels, smp.value)
-		}
+	fams := s.metricFamilies()
+	hs := s.Trace.Histograms()
+	hists := make([]obs.HistogramSnapshot, len(hs))
+	for i, h := range hs {
+		hists[i] = h.Snapshot()
 	}
-	writeHistograms(&b, s.Trace.Histograms())
+	hint := s.metricsSize.Load()
+	body := appendExposition(make([]byte, 0, hint+hint/16), fams, hists)
+	s.metricsSize.Store(int64(len(body)))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(b.String()))
+	_, _ = w.Write(body)
 }

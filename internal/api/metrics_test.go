@@ -71,7 +71,7 @@ var awkwardNames = []string{
 // (TestLabelValuesScrapeRoundTrip does it end to end).
 func TestLabelValuesRoundTrip(t *testing.T) {
 	for _, v := range awkwardNames {
-		block := labels("vjob", v, "kind", "cpu")
+		block := string(appendLabels(nil, [2]label{{"vjob", v}, {"kind", "cpu"}}))
 		kv, err := parseLabelBlock(block[1 : len(block)-1])
 		if err != nil {
 			t.Fatalf("%q rendered as %s: %v", v, block, err)
@@ -94,7 +94,7 @@ func FuzzLabelValue(f *testing.F) {
 		if !utf8.ValidString(v) {
 			t.Skip()
 		}
-		got := labelPair("k", v)
+		got := string(appendLabelPair(nil, "k", v))
 		kv, err := parseLabelBlock(got)
 		if err != nil {
 			t.Fatalf("%q rendered as %s: %v", v, got, err)

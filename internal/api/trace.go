@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"cwcs/internal/obs"
@@ -111,34 +110,44 @@ func pumpSSE[T any](s *Server, w http.ResponseWriter, r *http.Request, what stri
 	}
 }
 
-// writeHistograms renders the tracer's histograms in the Prometheus
-// text exposition: cumulative le buckets, _sum and _count, HELP/TYPE
+// appendHistograms renders histogram snapshots in the Prometheus text
+// exposition onto b: cumulative le buckets, _sum and _count, HELP/TYPE
 // emitted once per metric name (the action histogram shares one name
 // across its kind label values).
-func writeHistograms(b *strings.Builder, hs []*obs.Histogram) {
+func appendHistograms(b []byte, hists []obs.HistogramSnapshot) []byte {
 	last := ""
-	for _, h := range hs {
-		snap := h.Snapshot()
+	for i := range hists {
+		snap := &hists[i]
 		if snap.Name != last {
-			fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s histogram\n", snap.Name, snap.Help, snap.Name)
+			b = appendHeader(b, snap.Name, snap.Help, "histogram")
 			last = snap.Name
 		}
-		// label prefixes the le label of a bucket; series labels _sum
-		// and _count.
-		label, series := "", ""
-		if snap.Label != "" {
-			pair := labelPair(snap.Label, snap.LabelValue)
-			label, series = pair+",", "{"+pair+"}"
-		}
 		cum := uint64(0)
-		for i, bound := range snap.Bounds {
-			cum += snap.Counts[i]
-			fmt.Fprintf(b, "%s_bucket{%sle=\"%s\"} %d\n",
-				snap.Name, label, strconv.FormatFloat(bound, 'g', -1, 64), cum)
+		for j, bound := range snap.Bounds {
+			cum += snap.Counts[j]
+			b = strconv.AppendFloat(appendBucketPrefix(b, snap), bound, 'g', -1, 64)
+			b = strconv.AppendUint(append(b, `"} `...), cum, 10)
+			b = append(b, '\n')
 		}
 		cum += snap.Counts[len(snap.Bounds)]
-		fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", snap.Name, label, cum)
-		fmt.Fprintf(b, "%s_sum%s %g\n", snap.Name, series, snap.Sum)
-		fmt.Fprintf(b, "%s_count%s %d\n", snap.Name, series, snap.Count)
+		b = strconv.AppendUint(append(appendBucketPrefix(b, snap), `+Inf"} `...), cum, 10)
+		// _sum and _count carry the series label alone.
+		series := [2]label{{snap.Label, snap.LabelValue}}
+		b = appendLabels(append(append(append(b, '\n'), snap.Name...), "_sum"...), series)
+		b = strconv.AppendFloat(append(b, ' '), snap.Sum, 'g', -1, 64)
+		b = appendLabels(append(append(append(b, '\n'), snap.Name...), "_count"...), series)
+		b = strconv.AppendUint(append(b, ' '), snap.Count, 10)
+		b = append(b, '\n')
 	}
+	return b
+}
+
+// appendBucketPrefix renders a bucket line up to its le value: the
+// series label, if any, precedes le.
+func appendBucketPrefix(b []byte, snap *obs.HistogramSnapshot) []byte {
+	b = append(append(b, snap.Name...), "_bucket{"...)
+	if snap.Label != "" {
+		b = append(appendLabelPair(b, snap.Label, snap.LabelValue), ',')
+	}
+	return append(b, `le="`...)
 }

@@ -83,6 +83,10 @@ type dirtySet struct {
 	nodes map[string]bool
 	vms   map[string]bool
 	owed  bool
+	// spareNodes and spareVMs are the pair the last take handed out:
+	// the next take clears them and swaps them in, so the set keeps
+	// its maps' storage from wake to wake.
+	spareNodes, spareVMs map[string]bool
 }
 
 func (d *dirtySet) add(ev Event) {
@@ -118,16 +122,22 @@ func (d *dirtySet) put(nodes, vms map[string]bool, owed bool) {
 func (d *dirtySet) empty() bool { return len(d.nodes) == 0 && len(d.vms) == 0 && !d.owed }
 
 // take returns the accumulated sets and whether a pass was owed, and
-// resets the dirty-set.
+// resets the dirty-set onto the cleared pair the previous take
+// returned. The returned maps stay valid until the next take; put
+// merges them back.
 func (d *dirtySet) take() (nodes, vms map[string]bool, owed bool) {
+	if d.nodes == nil {
+		d.nodes, d.vms = make(map[string]bool), make(map[string]bool)
+	}
+	if d.spareNodes == nil {
+		d.spareNodes, d.spareVMs = make(map[string]bool), make(map[string]bool)
+	} else {
+		clear(d.spareNodes)
+		clear(d.spareVMs)
+	}
 	nodes, vms, owed = d.nodes, d.vms, d.owed
-	d.nodes, d.vms, d.owed = nil, nil, false
-	if nodes == nil {
-		nodes = map[string]bool{}
-	}
-	if vms == nil {
-		vms = map[string]bool{}
-	}
+	d.nodes, d.vms, d.owed = d.spareNodes, d.spareVMs, false
+	d.spareNodes, d.spareVMs = nodes, vms
 	return nodes, vms, owed
 }
 

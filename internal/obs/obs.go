@@ -123,12 +123,14 @@ type SpanRecord struct {
 // VirtDur is the span's virtual-time duration.
 func (r *SpanRecord) VirtDur() float64 { return r.VirtEnd - r.VirtStart }
 
-// Span is a live handle on an open span. The zero Span (and any Span
-// started from a nil Tracer) is inert: every method is nil-safe and
-// returns immediately, which is what makes disabled tracing free.
+// Span is a live handle on an open span: the record Start made, which
+// End publishes in place. The zero Span (and any Span started from a
+// nil Tracer) is inert: every method is nil-safe and returns
+// immediately, which is what makes disabled tracing free. A copy of a
+// live Span shares its record, so a span is ended through one handle.
 type Span struct {
 	t   *Tracer
-	rec SpanRecord
+	rec *SpanRecord
 }
 
 // Active reports whether the span is open on a live tracer.
@@ -216,12 +218,11 @@ func (s *Span) EndMeasured(virt float64, wall time.Duration) {
 }
 
 func (s *Span) close(virt float64, wall time.Duration) {
-	t := s.t
-	s.t = nil
-	s.rec.WallSeconds = wall.Seconds()
-	s.rec.VirtEnd = virt
-	rec := s.rec // copy: the caller may reuse the Span slot
-	t.push(&rec)
+	t, rec := s.t, s.rec
+	s.t, s.rec = nil, nil
+	rec.WallSeconds = wall.Seconds()
+	rec.VirtEnd = virt
+	t.push(rec)
 }
 
 func nanotime() int64 { return time.Now().UnixNano() }
@@ -293,7 +294,7 @@ func (t *Tracer) Start(kind Kind, name string, virt float64) Span {
 	if t == nil {
 		return Span{}
 	}
-	s := Span{t: t, rec: SpanRecord{
+	s := Span{t: t, rec: &SpanRecord{
 		ID:        t.ids.Add(1),
 		Kind:      kind.String(),
 		Name:      name,

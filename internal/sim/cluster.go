@@ -32,7 +32,7 @@ type workload struct {
 // operation is an in-flight context-switch action.
 type operation struct {
 	action plan.Action
-	nodes  map[string]bool // nodes whose VMs are decelerated
+	nodes  [2]string // nodes whose VMs are decelerated; "" for none
 	tr     duration.Transfer
 	done   func(error)
 	// xfer is non-nil for metered transfers (see transfer.go): the
@@ -255,13 +255,8 @@ func (c *Cluster) StartAction(a plan.Action, done func(error)) {
 		})
 		return
 	}
-	op := &operation{action: a, nodes: map[string]bool{}, tr: tr, done: done}
-	from, to := a.Nodes()
-	for _, n := range [...]string{from, to} {
-		if n != "" {
-			op.nodes[n] = true
-		}
-	}
+	op := &operation{action: a, tr: tr, done: done}
+	op.nodes[0], op.nodes[1] = a.Nodes()
 	if k := a.Kind(); k == plan.KindStop || k == plan.KindSuspend {
 		c.freeze(a.VM().Name)
 	}
@@ -346,8 +341,8 @@ func (c *Cluster) rates() []progress {
 	clear(c.decel)
 	for op := range c.ops {
 		f := c.model.Deceleration(op.tr)
-		for n := range op.nodes {
-			if f > c.decel[n] {
+		for _, n := range op.nodes {
+			if n != "" && f > c.decel[n] {
 				c.decel[n] = f
 			}
 		}
